@@ -61,17 +61,9 @@ CHECKS = [
         "metric": "mb_per_s",
         # "higher" is better: fail on a drop beyond the threshold.
         "direction": "higher",
+        # Every variant, both modes: no insert-path wait sleeps any more, so
+        # no row is "scheduler noise" that has to be hidden from the gate.
         "pct": float(os.environ.get("PERF_MAX_TPUT_DROP_PCT", "25")),
-        # Contention-collapsed configs (single-digit MB/s) are dominated by
-        # scheduler noise, not the log's fast path; only judge rows where a
-        # step-function regression is distinguishable from jitter.
-        "min_baseline": float(os.environ.get("PERF_MIN_BASELINE_MBPS", "50")),
-        # Gate the variants that measure the insert fast path itself. The
-        # consolidation/backoff variants have sleep-driven dynamics whose
-        # run-to-run spread exceeds any workable threshold.
-        "row_filter": lambda r: r["variant"]
-        in os.environ.get("PERF_FIG8_VARIANTS", "B,CD_in_L1").split(",")
-        and r.get("mode") != "backoff",
     },
     {
         "name": "commit p99 latency",
@@ -109,9 +101,6 @@ def main():
             bval, cval = brow.get(metric), cur[key].get(metric)
             if not bval or bval <= 0 or cval is None:
                 print(f"warning: {check['name']}: unusable values for [{label}]")
-                continue
-            if bval < check.get("min_baseline", 0.0):
-                print(f"skip: {check['name']} [{label}]: baseline {metric} {bval:.1f} below noise floor")
                 continue
             compared += 1
             if check["direction"] == "higher":

@@ -6,17 +6,19 @@
 //! buffer fills even though reserved regions never overlap, so both thread
 //! count and record size feed directly into the critical-section length.
 //! Figure 8 shows it saturating around 140 MB/s regardless of parallelism.
+//! Threads waiting for the mutex spin briefly, then yield
+//! ([`super::WaitBackoff`]); they never sleep.
 
-use super::{BufferCore, BufferKind, InsertLock, LogBuffer, LogSlot, LsnAlloc, SlotFinish};
+use super::{BufferCore, BufferKind, InsertGate, LogBuffer, LogSlot, SlotFinish};
 use crate::lsn::Lsn;
 use crate::record::{on_log_size, RecordKind};
+use crossbeam::utils::CachePadded;
 use std::sync::Arc;
 
 /// The monolithic single-mutex log buffer (paper Algorithm 1).
 pub struct BaselineBuffer {
     core: Arc<BufferCore>,
-    lock: InsertLock,
-    alloc: LsnAlloc,
+    gate: CachePadded<InsertGate>,
 }
 
 impl BaselineBuffer {
@@ -25,8 +27,7 @@ impl BaselineBuffer {
         let start = core.released_lsn();
         BaselineBuffer {
             core,
-            lock: InsertLock::new(),
-            alloc: LsnAlloc::new(start),
+            gate: InsertGate::new(start),
         }
     }
 }
@@ -39,12 +40,11 @@ impl LogBuffer for BaselineBuffer {
 
         // --- acquire: lock + LSN generation + space back-pressure ---
         let t_acq = self.core.stats.phase_start();
-        self.lock.lock();
+        self.gate.lock.lock();
         self.core.stats.phase_acquire(t_acq);
         self.core.stats.record_direct();
         // SAFETY: insert lock held.
-        let start = unsafe { self.alloc.reserve(len) };
-        self.core.wait_for_space(start.advance(len));
+        let start = unsafe { self.gate.alloc.reserve_space(len, &self.core) };
 
         // The caller fills while *holding* the mutex (the whole point of the
         // baseline's weakness); releasing the slot advances the watermark
@@ -55,7 +55,9 @@ impl LogBuffer for BaselineBuffer {
             txn,
             prev,
             payload_len,
-            SlotFinish::LockedDirect { lock: &self.lock },
+            SlotFinish::LockedDirect {
+                lock: &self.gate.lock,
+            },
         )
     }
 

@@ -14,18 +14,18 @@
 //! Figure 6(C) shows as residual wait time and Figure 8 as a lower asymptote
 //! than the hybrid.
 
-use super::{BufferCore, BufferKind, InsertLock, LogBuffer, LogSlot, LsnAlloc, SlotFinish};
+use super::{BufferCore, BufferKind, InsertGate, LogBuffer, LogSlot, SlotFinish};
 use crate::carray::CArray;
 use crate::config::LogConfig;
 use crate::lsn::Lsn;
 use crate::record::{on_log_size, RecordKind};
+use crossbeam::utils::CachePadded;
 use std::sync::Arc;
 
 /// The consolidation-array log buffer (paper Algorithm 2, variant "C").
 pub struct ConsolidationBuffer {
     core: Arc<BufferCore>,
-    lock: InsertLock,
-    alloc: LsnAlloc,
+    gate: CachePadded<InsertGate>,
     carray: CArray,
 }
 
@@ -37,8 +37,7 @@ impl ConsolidationBuffer {
         let max_group = core.capacity() / 8;
         ConsolidationBuffer {
             core,
-            lock: InsertLock::new(),
-            alloc: LsnAlloc::new(start),
+            gate: InsertGate::new(start),
             carray: CArray::new(config.carray_slots, config.carray_pool, max_group),
         }
     }
@@ -59,15 +58,16 @@ impl ConsolidationBuffer {
     ) -> LogSlot<'_> {
         let len = on_log_size(payload_len) as u64;
         // SAFETY: insert lock held by this thread.
-        let start = unsafe { self.alloc.reserve(len) };
-        self.core.wait_for_space(start.advance(len));
+        let start = unsafe { self.gate.alloc.reserve_space(len, &self.core) };
         self.core.begin_fill(
             start,
             kind,
             txn,
             prev,
             payload_len,
-            SlotFinish::LockedDirect { lock: &self.lock },
+            SlotFinish::LockedDirect {
+                lock: &self.gate.lock,
+            },
         )
     }
 }
@@ -79,14 +79,14 @@ impl LogBuffer for ConsolidationBuffer {
         let len = on_log_size(payload_len) as u64;
 
         // Fast path (Algorithm 2, lines 2–6): no contention, no backoff.
-        if self.lock.try_lock() {
+        if self.gate.lock.try_lock() {
             self.core.stats.record_direct();
             return self.reserve_locked(kind, txn, prev, payload_len);
         }
         // Oversized records cannot consolidate; take the blocking direct path.
         if len > self.carray.max_group() {
             let t = self.core.stats.phase_start();
-            self.lock.lock();
+            self.gate.lock.lock();
             self.core.stats.phase_acquire(t);
             self.core.stats.record_direct();
             return self.reserve_locked(kind, txn, prev, payload_len);
@@ -129,7 +129,7 @@ impl ConsolidationBuffer {
         self.core.note_reserve_start();
         if on_log_size(payload_len) as u64 > self.carray.max_group() {
             let t = self.core.stats.phase_start();
-            self.lock.lock();
+            self.gate.lock.lock();
             self.core.stats.phase_acquire(t);
             self.core.stats.record_direct();
             return self.reserve_locked(kind, txn, prev, payload_len);
@@ -152,13 +152,12 @@ impl ConsolidationBuffer {
         if join.offset == 0 {
             // Group leader: acquire the mutex on behalf of the group.
             let t = self.core.stats.phase_start();
-            self.lock.lock();
+            self.gate.lock.lock();
             self.core.stats.phase_acquire(t);
             self.core.stats.record_group_acquire();
             let group = self.carray.close_and_replace(join.slot);
             // SAFETY: insert lock held.
-            let base = unsafe { self.alloc.reserve(group) };
-            self.core.wait_for_space(base.advance(group));
+            let base = unsafe { self.gate.alloc.reserve_space(group, &self.core) };
             join.slot.notify(base, group, 0);
             self.core.begin_fill(
                 base,
@@ -168,7 +167,7 @@ impl ConsolidationBuffer {
                 payload_len,
                 SlotFinish::GroupLocked {
                     slot: join.slot,
-                    lock: &self.lock,
+                    lock: &self.gate.lock,
                     base,
                     group,
                 },
@@ -186,7 +185,7 @@ impl ConsolidationBuffer {
                 payload_len,
                 SlotFinish::GroupLocked {
                     slot: join.slot,
-                    lock: &self.lock,
+                    lock: &self.gate.lock,
                     base,
                     group,
                 },

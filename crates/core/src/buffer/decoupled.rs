@@ -3,20 +3,22 @@
 //! The mutex is held only for LSN generation; the thread releases it before
 //! copying, so buffer fills pipeline freely. The price is a non-trivial
 //! release: records must be *published* in LSN order (recovery stops at the
-//! first gap, §5.2), so each thread waits until the release watermark reaches
-//! its own start before bumping it — "the release stage uses the implicit
-//! queuing of the release_lsn to avoid expensive atomic operations" (§A.1).
+//! first gap, §5.2). A thread whose start is the release watermark bumps it
+//! — "the release stage uses the implicit queuing of the release_lsn to
+//! avoid expensive atomic operations" (§A.1) — and one whose predecessor is
+//! still filling hands its range to that predecessor rather than wait for
+//! it ([`BufferCore::release_ordered`]).
 
-use super::{BufferCore, BufferKind, InsertLock, LogBuffer, LogSlot, LsnAlloc, SlotFinish};
+use super::{BufferCore, BufferKind, InsertGate, LogBuffer, LogSlot, SlotFinish};
 use crate::lsn::Lsn;
 use crate::record::{on_log_size, RecordKind};
+use crossbeam::utils::CachePadded;
 use std::sync::Arc;
 
 /// The decoupled-fill log buffer (paper Algorithm 3).
 pub struct DecoupledBuffer {
     core: Arc<BufferCore>,
-    lock: InsertLock,
-    alloc: LsnAlloc,
+    gate: CachePadded<InsertGate>,
 }
 
 impl DecoupledBuffer {
@@ -25,8 +27,7 @@ impl DecoupledBuffer {
         let start = core.released_lsn();
         DecoupledBuffer {
             core,
-            lock: InsertLock::new(),
-            alloc: LsnAlloc::new(start),
+            gate: InsertGate::new(start),
         }
     }
 }
@@ -39,18 +40,21 @@ impl LogBuffer for DecoupledBuffer {
 
         // --- acquire: mutex covers only LSN generation + back-pressure ---
         let t_acq = self.core.stats.phase_start();
-        self.lock.lock();
+        self.gate.lock.lock();
         self.core.stats.phase_acquire(t_acq);
-        self.core.stats.record_direct();
         // SAFETY: insert lock held.
-        let start = unsafe { self.alloc.reserve(len) };
-        self.core.wait_for_space(start.advance(len));
-        self.lock.unlock(); // Algorithm 3, line 4: release immediately
+        let (start, ticket) = unsafe { self.gate.alloc.reserve_ordered(len, &self.core) };
+        self.gate.lock.unlock(); // Algorithm 3, line 4: release immediately
+        self.core.stats.record_direct();
 
         // The caller fills fully in parallel with other inserts; releasing
         // the slot publishes in LSN order.
+        let finish = SlotFinish::Ordered {
+            ticket,
+            treadmill_inv: 0,
+        };
         self.core
-            .begin_fill(start, kind, txn, prev, payload_len, SlotFinish::InOrder)
+            .begin_fill(start, kind, txn, prev, payload_len, finish)
     }
 
     fn core(&self) -> &BufferCore {

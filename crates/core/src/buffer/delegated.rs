@@ -1,125 +1,45 @@
 //! §A.3: the CDME log buffer — CD plus delegated buffer release.
 //!
-//! Identical to [`super::HybridBuffer`] on the acquire and fill paths, but
-//! the in-order release watermark is replaced by the physical
-//! [`ReleaseQueue`](crate::mcs::ReleaseQueue): a thread whose predecessor is
-//! still copying abandons its queue node instead of waiting, making the
-//! release time of small records independent of large outliers. Figure 11
-//! shows CDME immune to bimodal record-size skew where CD levels off at
-//! ~8 kiB outliers, at the price of ~10% throughput in the common case.
+//! The paper's CD waits for its turn to release and CDME, to make the
+//! release time of small records independent of large outliers (Figure 11),
+//! lets a thread whose predecessor is still copying abandon its release to
+//! that predecessor. Here every decoupled variant releases that way
+//! ([`BufferCore::release_ordered`]), so CDME is [`HybridBuffer`] plus the
+//! one thing of Algorithm 4 that CD does without: the treadmill guard, by
+//! which a thread now and then refuses to delegate (probability
+//! `1/LogConfig::treadmill_inv`) so that no thread is stuck publishing an
+//! endless chain of other threads' releases.
 
-use super::{BufferCore, BufferKind, InsertLock, LogBuffer, LogSlot, LsnAlloc, SlotFinish};
+use super::{BufferCore, BufferKind, HybridBuffer, LogBuffer, LogSlot};
 use crate::carray::CArray;
 use crate::config::LogConfig;
 use crate::lsn::Lsn;
-use crate::mcs::{ReleaseHandle, ReleaseQueue};
-use crate::record::{on_log_size, RecordKind};
+use crate::record::RecordKind;
 use std::sync::Arc;
 
 /// The CDME log buffer (§A.3, Algorithm 4).
-pub struct DelegatedBuffer {
-    core: Arc<BufferCore>,
-    lock: InsertLock,
-    alloc: LsnAlloc,
-    carray: CArray,
-    queue: ReleaseQueue,
-}
+pub struct DelegatedBuffer(HybridBuffer);
 
 impl DelegatedBuffer {
-    /// Wrap `core`; queue pool and treadmill probability come from `config`.
+    /// Wrap `core`; the treadmill probability comes from `config`.
     pub fn new(core: Arc<BufferCore>, config: &LogConfig) -> Self {
-        let start = core.released_lsn();
-        let max_group = core.capacity() / 8;
-        DelegatedBuffer {
+        DelegatedBuffer(HybridBuffer::with_treadmill_guard(
             core,
-            lock: InsertLock::new(),
-            alloc: LsnAlloc::new(start),
-            carray: CArray::new(config.carray_slots, config.carray_pool, max_group),
-            queue: ReleaseQueue::new(config.release_queue_pool, config.treadmill_inv),
-        }
+            config,
+            config.treadmill_inv,
+        ))
     }
 
     /// The consolidation array (sensitivity experiments).
     pub fn carray(&self) -> &CArray {
-        &self.carray
+        self.0.carray()
     }
 
-    /// Critical section: reserve, join the release queue, unlock
-    /// (Algorithm 4, `buffer_acquire`).
-    fn reserve_join_unlock(&self, len: u64) -> (Lsn, ReleaseHandle) {
-        // SAFETY: insert lock held by this thread.
-        let start = unsafe { self.alloc.reserve(len) };
-        self.core.wait_for_space(start.advance(len));
-        let h = self.queue.join(start, start.advance(len));
-        self.lock.unlock();
-        (start, h)
-    }
-
-    /// Direct reservation (lock already held): join the queue, unlock, hand
-    /// the caller a slot whose release goes through the queue.
-    fn reserve_direct(
-        &self,
-        kind: RecordKind,
-        txn: u64,
-        prev: Lsn,
-        payload_len: usize,
-    ) -> LogSlot<'_> {
-        let (start, h) = self.reserve_join_unlock(on_log_size(payload_len) as u64);
-        self.core.begin_fill(
-            start,
-            kind,
-            txn,
-            prev,
-            payload_len,
-            SlotFinish::Queue {
-                queue: &self.queue,
-                handle: h,
-            },
-        )
-    }
-}
-
-impl LogBuffer for DelegatedBuffer {
-    fn reserve(&self, kind: RecordKind, txn: u64, prev: Lsn, payload_len: usize) -> LogSlot<'_> {
-        super::check_payload_len(payload_len);
-        self.core.note_reserve_start();
-        let len = on_log_size(payload_len) as u64;
-
-        // Fast path: uncontended.
-        if self.lock.try_lock() {
-            self.core.stats.record_direct();
-            return self.reserve_direct(kind, txn, prev, payload_len);
-        }
-        // Oversized records: blocking direct path.
-        if len > self.carray.max_group() {
-            let t = self.core.stats.phase_start();
-            self.lock.lock();
-            self.core.stats.phase_acquire(t);
-            self.core.stats.record_direct();
-            return self.reserve_direct(kind, txn, prev, payload_len);
-        }
-
-        self.reserve_contended(kind, txn, prev, payload_len)
-    }
-
-    fn core(&self) -> &BufferCore {
-        &self.core
-    }
-
-    fn kind(&self) -> BufferKind {
-        BufferKind::Delegated
-    }
-}
-
-impl DelegatedBuffer {
     /// Insert via the consolidation array unconditionally (skip the fast
     /// path); deterministic group formation for tests and sensitivity
     /// experiments on hosts with few cores.
     pub fn insert_backoff(&self, kind: RecordKind, txn: u64, prev: Lsn, payload: &[u8]) -> Lsn {
-        self.core.stats.record_wrapper();
-        let mut slot = self.reserve_backoff(kind, txn, prev, payload.len());
-        slot.write(payload);
-        slot.release()
+        self.0.insert_backoff(kind, txn, prev, payload)
     }
 
     /// Reservation counterpart of [`DelegatedBuffer::insert_backoff`].
@@ -130,65 +50,21 @@ impl DelegatedBuffer {
         prev: Lsn,
         payload_len: usize,
     ) -> LogSlot<'_> {
-        super::check_payload_len(payload_len);
-        self.core.note_reserve_start();
-        if on_log_size(payload_len) as u64 > self.carray.max_group() {
-            let t = self.core.stats.phase_start();
-            self.lock.lock();
-            self.core.stats.phase_acquire(t);
-            self.core.stats.record_direct();
-            return self.reserve_direct(kind, txn, prev, payload_len);
-        }
-        self.reserve_contended(kind, txn, prev, payload_len)
+        self.0.reserve_backoff(kind, txn, prev, payload_len)
+    }
+}
+
+impl LogBuffer for DelegatedBuffer {
+    fn reserve(&self, kind: RecordKind, txn: u64, prev: Lsn, payload_len: usize) -> LogSlot<'_> {
+        self.0.reserve(kind, txn, prev, payload_len)
     }
 
-    /// Contended path: consolidate; the group occupies ONE queue node,
-    /// released (or delegated) by whichever member finishes last.
-    fn reserve_contended(
-        &self,
-        kind: RecordKind,
-        txn: u64,
-        prev: Lsn,
-        payload_len: usize,
-    ) -> LogSlot<'_> {
-        let len = on_log_size(payload_len) as u64;
-        let join = self.carray.join(len);
-        if join.offset == 0 {
-            let t = self.core.stats.phase_start();
-            self.lock.lock();
-            self.core.stats.phase_acquire(t);
-            self.core.stats.record_group_acquire();
-            let group = self.carray.close_and_replace(join.slot);
-            let (base, h) = self.reserve_join_unlock(group);
-            join.slot.notify(base, group, h.pack());
-            self.core.begin_fill(
-                base,
-                kind,
-                txn,
-                prev,
-                payload_len,
-                SlotFinish::GroupQueue {
-                    slot: join.slot,
-                    queue: &self.queue,
-                    extra: h.pack(),
-                },
-            )
-        } else {
-            self.core.stats.record_consolidation();
-            let (base, _group, extra) = join.slot.wait();
-            self.core.begin_fill(
-                base.advance(join.offset),
-                kind,
-                txn,
-                prev,
-                payload_len,
-                SlotFinish::GroupQueue {
-                    slot: join.slot,
-                    queue: &self.queue,
-                    extra,
-                },
-            )
-        }
+    fn core(&self) -> &BufferCore {
+        self.0.core()
+    }
+
+    fn kind(&self) -> BufferKind {
+        BufferKind::Delegated
     }
 }
 

@@ -4,37 +4,50 @@
 //! decoupling moves every copy off the critical path. The leader acquires
 //! buffer space for the whole group and **releases the mutex immediately**
 //! (before anyone copies); group members fill in parallel; groups release in
-//! LSN order via the watermark protocol, with the last member of each group
-//! publishing the group's region. Figure 6(CD): "bounded contention for
+//! LSN order, the last member of each group publishing the group's region
+//! (or handing it to a predecessor that is still filling, see
+//! [`BufferCore::release_ordered`]). Figure 6(CD): "bounded contention for
 //! threads in the buffer acquire stage and maximum pipelining of all
 //! operations". This is the variant the paper recommends and the one that
 //! reaches >1.8 GB/s on one socket.
 
-use super::{BufferCore, BufferKind, InsertLock, LogBuffer, LogSlot, LsnAlloc, SlotFinish};
+use super::{BufferCore, BufferKind, InsertGate, LogBuffer, LogSlot, SlotFinish};
 use crate::carray::CArray;
 use crate::config::LogConfig;
 use crate::lsn::Lsn;
 use crate::record::{on_log_size, RecordKind};
+use crossbeam::utils::CachePadded;
 use std::sync::Arc;
 
 /// The hybrid (CD) log buffer of §5.3.
 pub struct HybridBuffer {
     core: Arc<BufferCore>,
-    lock: InsertLock,
-    alloc: LsnAlloc,
+    gate: CachePadded<InsertGate>,
     carray: CArray,
+    /// Treadmill guard of every release ([`BufferCore::release_ordered`]):
+    /// 0 for CD, `LogConfig::treadmill_inv` when this is the inside of a
+    /// [`super::DelegatedBuffer`].
+    treadmill_inv: u32,
 }
 
 impl HybridBuffer {
     /// Wrap `core`, with the consolidation array sized per `config`.
     pub fn new(core: Arc<BufferCore>, config: &LogConfig) -> Self {
+        Self::with_treadmill_guard(core, config, 0)
+    }
+
+    pub(super) fn with_treadmill_guard(
+        core: Arc<BufferCore>,
+        config: &LogConfig,
+        treadmill_inv: u32,
+    ) -> Self {
         let start = core.released_lsn();
         let max_group = core.capacity() / 8;
         HybridBuffer {
             core,
-            lock: InsertLock::new(),
-            alloc: LsnAlloc::new(start),
+            gate: InsertGate::new(start),
             carray: CArray::new(config.carray_slots, config.carray_pool, max_group),
+            treadmill_inv,
         }
     }
 
@@ -43,13 +56,13 @@ impl HybridBuffer {
         &self.carray
     }
 
-    /// Acquire-only critical section: reserve `len` bytes and drop the lock.
-    fn reserve_and_unlock(&self, len: u64) -> Lsn {
+    /// Acquire-only critical section (lock already held): reserve `len`
+    /// bytes and the release ticket that goes with them, drop the lock.
+    fn reserve_and_unlock(&self, len: u64) -> (Lsn, u64) {
         // SAFETY: insert lock held by this thread.
-        let start = unsafe { self.alloc.reserve(len) };
-        self.core.wait_for_space(start.advance(len));
-        self.lock.unlock();
-        start
+        let reserved = unsafe { self.gate.alloc.reserve_ordered(len, &self.core) };
+        self.gate.lock.unlock();
+        reserved
     }
 
     /// Decoupled-style reservation (lock already held): unlock before the
@@ -61,9 +74,29 @@ impl HybridBuffer {
         prev: Lsn,
         payload_len: usize,
     ) -> LogSlot<'_> {
-        let start = self.reserve_and_unlock(on_log_size(payload_len) as u64);
+        let (start, ticket) = self.reserve_and_unlock(on_log_size(payload_len) as u64);
+        self.core.stats.record_direct();
+        let finish = SlotFinish::Ordered {
+            ticket,
+            treadmill_inv: self.treadmill_inv,
+        };
         self.core
-            .begin_fill(start, kind, txn, prev, payload_len, SlotFinish::InOrder)
+            .begin_fill(start, kind, txn, prev, payload_len, finish)
+    }
+
+    /// Take the lock however long it takes, then reserve directly: records
+    /// too large for a consolidation group.
+    fn reserve_blocking(
+        &self,
+        kind: RecordKind,
+        txn: u64,
+        prev: Lsn,
+        payload_len: usize,
+    ) -> LogSlot<'_> {
+        let t = self.core.stats.phase_start();
+        self.gate.lock.lock();
+        self.core.stats.phase_acquire(t);
+        self.reserve_direct(kind, txn, prev, payload_len)
     }
 }
 
@@ -71,22 +104,15 @@ impl LogBuffer for HybridBuffer {
     fn reserve(&self, kind: RecordKind, txn: u64, prev: Lsn, payload_len: usize) -> LogSlot<'_> {
         super::check_payload_len(payload_len);
         self.core.note_reserve_start();
-        let len = on_log_size(payload_len) as u64;
 
-        // Fast path: uncontended — decoupled-style insert.
-        if self.lock.try_lock() {
-            self.core.stats.record_direct();
+        // Fast path: the lock is free, or its holder — who only generates an
+        // LSN under it — is about to leave: decoupled-style insert.
+        if self.gate.lock.try_lock_spin() {
             return self.reserve_direct(kind, txn, prev, payload_len);
         }
-        // Oversized records take the blocking decoupled path.
-        if len > self.carray.max_group() {
-            let t = self.core.stats.phase_start();
-            self.lock.lock();
-            self.core.stats.phase_acquire(t);
-            self.core.stats.record_direct();
-            return self.reserve_direct(kind, txn, prev, payload_len);
+        if on_log_size(payload_len) as u64 > self.carray.max_group() {
+            return self.reserve_blocking(kind, txn, prev, payload_len);
         }
-
         self.reserve_contended(kind, txn, prev, payload_len)
     }
 
@@ -121,17 +147,15 @@ impl HybridBuffer {
         super::check_payload_len(payload_len);
         self.core.note_reserve_start();
         if on_log_size(payload_len) as u64 > self.carray.max_group() {
-            let t = self.core.stats.phase_start();
-            self.lock.lock();
-            self.core.stats.phase_acquire(t);
-            self.core.stats.record_direct();
-            return self.reserve_direct(kind, txn, prev, payload_len);
+            return self.reserve_blocking(kind, txn, prev, payload_len);
         }
         self.reserve_contended(kind, txn, prev, payload_len)
     }
 
     /// Contended path: consolidate, leader reserves and unlocks before
     /// anyone fills, groups release in LSN order (last member publishes).
+    /// The group's release ticket travels to the followers in the slot's
+    /// `extra` word.
     fn reserve_contended(
         &self,
         kind: RecordKind,
@@ -141,44 +165,35 @@ impl HybridBuffer {
     ) -> LogSlot<'_> {
         let len = on_log_size(payload_len) as u64;
         let join = self.carray.join(len);
-        if join.offset == 0 {
+        let (base, group, ticket) = if join.offset == 0 {
             // Leader: acquire space for the group, then unlock *before*
             // filling — this is what distinguishes CD from C.
             let t = self.core.stats.phase_start();
-            self.lock.lock();
+            self.gate.lock.lock();
             self.core.stats.phase_acquire(t);
-            self.core.stats.record_group_acquire();
             let group = self.carray.close_and_replace(join.slot);
-            let base = self.reserve_and_unlock(group);
-            join.slot.notify(base, group, 0);
-            self.core.begin_fill(
-                base,
-                kind,
-                txn,
-                prev,
-                payload_len,
-                SlotFinish::GroupInOrder {
-                    slot: join.slot,
-                    base,
-                    group,
-                },
-            )
+            let (base, ticket) = self.reserve_and_unlock(group);
+            join.slot.notify(base, group, ticket);
+            self.core.stats.record_group_acquire();
+            (base, group, ticket)
         } else {
             self.core.stats.record_consolidation();
-            let (base, group, _) = join.slot.wait();
-            self.core.begin_fill(
-                base.advance(join.offset),
-                kind,
-                txn,
-                prev,
-                payload_len,
-                SlotFinish::GroupInOrder {
-                    slot: join.slot,
-                    base,
-                    group,
-                },
-            )
-        }
+            join.slot.wait()
+        };
+        self.core.begin_fill(
+            base.advance(join.offset),
+            kind,
+            txn,
+            prev,
+            payload_len,
+            SlotFinish::GroupOrdered {
+                slot: join.slot,
+                base,
+                group,
+                ticket,
+                treadmill_inv: self.treadmill_inv,
+            },
+        )
     }
 }
 

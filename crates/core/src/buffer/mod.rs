@@ -7,9 +7,13 @@
 //! |---|---|---|---|
 //! | [`BaselineBuffer`] | global mutex | under mutex | under mutex |
 //! | [`ConsolidationBuffer`] (C) | mutex, one leader per group | parallel within group, mutex held | last of group, releases mutex |
-//! | [`DecoupledBuffer`] (D) | mutex (LSN gen only) | parallel | in LSN order |
-//! | [`HybridBuffer`] (CD) | mutex, one leader per group | parallel | groups in LSN order |
-//! | [`DelegatedBuffer`] (CDME) | as CD | parallel | delegated via MCS queue |
+//! | [`DecoupledBuffer`] (D) | mutex (LSN gen only) | parallel | in LSN order, handed off |
+//! | [`HybridBuffer`] (CD) | mutex, one leader per group | parallel | groups in LSN order, handed off |
+//! | [`DelegatedBuffer`] (CDME) | as CD | parallel | as CD, plus the treadmill guard |
+//!
+//! D, CD and CDME share one release mechanism, owned by [`BufferCore`]: a
+//! finisher whose predecessor is still filling hands its range to that
+//! predecessor instead of waiting for it (see the `release` module).
 //!
 //! Every variant exposes the same **reservation protocol**
 //! ([`LogBuffer::reserve`] → [`LogSlot`]): acquire hands the caller an
@@ -21,8 +25,10 @@
 //! extra coordination — exactly as the copy-based fill did.
 //!
 //! The insert critical path never allocates and never blocks on I/O;
-//! back-pressure (ring full) is the only wait, and it resolves as the flush
-//! daemon reclaims space. A record costs exactly one pass over its payload:
+//! back-pressure (ring full) is the only wait that can sleep, and it
+//! resolves as the flush daemon reclaims space; every other wait on the
+//! insert path (the insert lock, a group leader's allocation) spins, then
+//! yields. A record costs exactly one pass over its payload:
 //! no intermediate encode buffer on the way in (see [`EncodePayload`]) and
 //! no scratch copy on the way out (the flush daemon drains ring slices via
 //! [`BufferCore::released_slices`]).
@@ -32,6 +38,7 @@ mod consolidation;
 mod decoupled;
 mod delegated;
 mod hybrid;
+mod release;
 
 pub use baseline::BaselineBuffer;
 pub use consolidation::ConsolidationBuffer;
@@ -42,7 +49,6 @@ pub use hybrid::HybridBuffer;
 use crate::carray::Slot;
 use crate::config::LogConfig;
 use crate::lsn::{AtomicLsn, Lsn};
-use crate::mcs::{ReleaseHandle, ReleaseQueue};
 use crate::record::{
     crc32_finish, crc32_update, encode_frame_header, on_log_size, RecordHeader, RecordKind,
     CHECKSUM_OFFSET, CRC32_INIT, HEADER_SIZE, MAX_PAYLOAD,
@@ -51,7 +57,9 @@ use crate::ring::Ring;
 use crate::runtime::{self, RtCondvar};
 use crate::stats::BufferStats;
 use crate::telemetry::{Stage, Telemetry};
+use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
+use release::{Finish, OrderedRelease};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -67,7 +75,7 @@ pub enum BufferKind {
     Decoupled,
     /// §5.3: consolidation + decoupling (CD).
     Hybrid,
-    /// §A.3: CD + delegated buffer release over an MCS queue (CDME).
+    /// §A.3: CD + delegated buffer release with its treadmill guard (CDME).
     Delegated,
 }
 
@@ -293,13 +301,9 @@ pub(crate) enum SlotFinish<'a> {
     /// Advance the released watermark past this record, then drop the
     /// insert mutex (Baseline always; C's direct path).
     LockedDirect { lock: &'a InsertLock },
-    /// Release in LSN order (D; CD's direct path).
-    InOrder,
-    /// Release through the delegated-release queue (CDME's direct path).
-    Queue {
-        queue: &'a ReleaseQueue,
-        handle: ReleaseHandle,
-    },
+    /// Release in LSN order, handing off to a predecessor that is still
+    /// filling (D; the direct path of CD and CDME).
+    Ordered { ticket: u64, treadmill_inv: u32 },
     /// C group member: last one out publishes the group region, unlocks the
     /// mutex the leader acquired, and recycles the slot.
     GroupLocked {
@@ -308,17 +312,14 @@ pub(crate) enum SlotFinish<'a> {
         base: Lsn,
         group: u64,
     },
-    /// CD group member: last one out releases the group region in LSN order.
-    GroupInOrder {
+    /// CD/CDME group member: last one out releases the group region, which
+    /// holds one ticket, in LSN order.
+    GroupOrdered {
         slot: &'a Slot,
         base: Lsn,
         group: u64,
-    },
-    /// CDME group member: last one out releases the group's queue node.
-    GroupQueue {
-        slot: &'a Slot,
-        queue: &'a ReleaseQueue,
-        extra: u64,
+        ticket: u64,
+        treadmill_inv: u32,
     },
 }
 
@@ -449,8 +450,12 @@ impl<'a> LogSlot<'a> {
                 self.core.advance_released(end);
                 lock.unlock();
             }
-            SlotFinish::InOrder => self.core.release_in_order(self.start, end),
-            SlotFinish::Queue { queue, handle } => queue.release(handle, self.core),
+            SlotFinish::Ordered {
+                ticket,
+                treadmill_inv,
+            } => self
+                .core
+                .release_ordered(ticket, self.start, end, treadmill_inv),
             SlotFinish::GroupLocked {
                 slot,
                 lock,
@@ -463,16 +468,17 @@ impl<'a> LogSlot<'a> {
                     slot.free();
                 }
             }
-            SlotFinish::GroupInOrder { slot, base, group } => {
+            SlotFinish::GroupOrdered {
+                slot,
+                base,
+                group,
+                ticket,
+                treadmill_inv,
+            } => {
                 if slot.release_member(self.total_len as u64) {
-                    self.core.release_in_order(base, base.advance(group));
                     slot.free();
-                }
-            }
-            SlotFinish::GroupQueue { slot, queue, extra } => {
-                if slot.release_member(self.total_len as u64) {
-                    queue.release(ReleaseHandle::unpack(extra), self.core);
-                    slot.free();
+                    self.core
+                        .release_ordered(ticket, base, base.advance(group), treadmill_inv);
                 }
             }
         }
@@ -494,11 +500,12 @@ impl Drop for LogSlot<'_> {
     }
 }
 
-/// Progressive wait backoff shared by every busy-wait in the crate:
-/// brief spinning (the common case on multicore — the paper's target), then
-/// yielding, then micro-sleeps. The sleep stage matters on oversubscribed or
-/// few-core hosts, where a predecessor mid-copy may be descheduled and pure
-/// yield loops would burn the whole time slice churning the run queue.
+/// Wait backoff shared by the busy-waits on the insert path: brief spinning
+/// (the common case on multicore — the paper's target), then yielding so
+/// that on an oversubscribed host the thread being waited for gets the core.
+/// It never sleeps: a sleeping waiter is late by a scheduler quantum every
+/// time, which on the insert path turns one descheduled thread into a
+/// convoy. Waits that may last (a flush, a replica) belong on a condvar.
 #[derive(Debug, Default)]
 pub struct WaitBackoff {
     spins: u32,
@@ -511,16 +518,14 @@ impl WaitBackoff {
         WaitBackoff { spins: 0 }
     }
 
-    /// Wait one step, escalating: spin (<32), yield (<256), then sleep 20µs.
+    /// Wait one step: spin for the first 32, then yield.
     #[inline]
     pub fn wait(&mut self) {
-        self.spins += 1;
         if self.spins < 32 {
+            self.spins += 1;
             std::hint::spin_loop();
-        } else if self.spins < 256 {
-            runtime::yield_now();
         } else {
-            runtime::sleep(std::time::Duration::from_micros(20));
+            runtime::yield_now();
         }
     }
 }
@@ -556,7 +561,27 @@ impl InsertLock {
                 .is_ok()
     }
 
-    /// Acquire, with progressive backoff (spin → yield → micro-sleep).
+    /// [`InsertLock::try_lock`], retried a small fixed number of times.
+    ///
+    /// For the variants that hold the lock for LSN generation only (D, CD,
+    /// CDME): the critical section is a few stores, so a holder that is
+    /// running is gone within a few spins, and waiting it out is far cheaper
+    /// than forming a consolidation group of one. A holder that is
+    /// descheduled costs the caller only these few spins before it backs
+    /// off into the array.
+    #[inline]
+    pub fn try_lock_spin(&self) -> bool {
+        const TRIES: u32 = 24;
+        for _ in 0..TRIES {
+            if self.try_lock() {
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+        false
+    }
+
+    /// Acquire, spinning then yielding (see [`WaitBackoff`]).
     #[inline]
     pub fn lock(&self) {
         let mut backoff = WaitBackoff::new();
@@ -582,17 +607,25 @@ impl InsertLock {
     }
 }
 
-/// The LSN allocator: `next` is protected by the variant's [`InsertLock`].
+/// The LSN allocator: its state is protected by the variant's [`InsertLock`].
 ///
 /// Wrapped in `UnsafeCell` because the lock discipline (not the type system)
 /// guarantees exclusive access; see the safety comments at each use.
 #[derive(Debug)]
 pub struct LsnAlloc {
     next: UnsafeCell<u64>,
+    /// Reservations ending at or below this fit in the ring as of the last
+    /// look at the durable watermark, which is read again only past it.
+    space_limit: UnsafeCell<u64>,
+    /// Next release ticket (D, CD and CDME take one per reservation).
+    ticket: UnsafeCell<u64>,
+    /// Tickets below this were free in the hand-off table when last looked;
+    /// the release head's line is read again only past it.
+    ticket_limit: UnsafeCell<u64>,
 }
 
-// SAFETY: `next` is only dereferenced while the owning variant's InsertLock
-// is held, which serializes access.
+// SAFETY: the cells are only dereferenced while the owning variant's
+// InsertLock is held, which serializes access.
 unsafe impl Sync for LsnAlloc {}
 
 impl LsnAlloc {
@@ -600,6 +633,9 @@ impl LsnAlloc {
     pub fn new(start: Lsn) -> Self {
         LsnAlloc {
             next: UnsafeCell::new(start.raw()),
+            space_limit: UnsafeCell::new(0),
+            ticket: UnsafeCell::new(0),
+            ticket_limit: UnsafeCell::new(0),
         }
     }
 
@@ -616,6 +652,24 @@ impl LsnAlloc {
         Lsn(start)
     }
 
+    /// [`LsnAlloc::reserve`], then wait until the reservation fits in
+    /// `core`'s ring (back-pressure: the flush daemon advances the durable
+    /// watermark without the insert lock, so this cannot deadlock).
+    ///
+    /// # Safety
+    /// Caller must hold the associated [`InsertLock`].
+    #[inline]
+    pub unsafe fn reserve_space(&self, len: u64, core: &BufferCore) -> Lsn {
+        // SAFETY: exclusive access per the function contract.
+        let (start, limit) = unsafe { (self.reserve(len), &mut *self.space_limit.get()) };
+        let end = start.advance(len);
+        if end.raw() > *limit {
+            core.wait_for_space(end);
+            *limit = core.durable_lsn().raw() + core.capacity();
+        }
+        start
+    }
+
     /// Current frontier.
     ///
     /// # Safety
@@ -625,29 +679,79 @@ impl LsnAlloc {
         // SAFETY: exclusive access per the function contract.
         Lsn(unsafe { *self.next.get() })
     }
+
+    /// [`LsnAlloc::reserve_space`] plus the release ticket that goes with the
+    /// reservation (D, CD, CDME), so tickets and LSN ranges are issued in the
+    /// same order. Waits (yielding) while `core`'s hand-off table has no free
+    /// entry, which takes as many reservations in flight as the table has
+    /// entries.
+    ///
+    /// # Safety
+    /// Caller must hold the associated [`InsertLock`].
+    #[inline]
+    pub(crate) unsafe fn reserve_ordered(&self, len: u64, core: &BufferCore) -> (Lsn, u64) {
+        // SAFETY: exclusive access per the function contract.
+        let (start, ticket, limit) = unsafe {
+            (
+                self.reserve_space(len, core),
+                &mut *self.ticket.get(),
+                &mut *self.ticket_limit.get(),
+            )
+        };
+        let mine = *ticket;
+        while mine >= *limit {
+            match core.order.tickets_free(mine) {
+                // The releases that free an entry do not need the insert
+                // lock we hold, so this cannot deadlock.
+                0 => runtime::yield_now(),
+                free => *limit = mine + free,
+            }
+        }
+        *ticket = mine + 1;
+        (start, mine)
+    }
+}
+
+/// A variant's insert lock and the allocator it protects, on a cache line
+/// of their own: whoever takes the lock gets the allocator with it, and
+/// neither shares a line with anything read outside the lock.
+#[derive(Debug)]
+pub(crate) struct InsertGate {
+    pub(crate) lock: InsertLock,
+    pub(crate) alloc: LsnAlloc,
+}
+
+impl InsertGate {
+    pub(crate) fn new(start: Lsn) -> CachePadded<InsertGate> {
+        CachePadded::new(InsertGate {
+            lock: InsertLock::new(),
+            alloc: LsnAlloc::new(start),
+        })
+    }
 }
 
 /// State shared by every buffer variant: the ring, the release/durability
 /// watermarks, back-pressure plumbing and statistics.
 pub struct BufferCore {
     ring: Ring,
-    /// Contiguous prefix of the log stream whose fills are complete; the
-    /// flush daemon may copy `[durable, released)` to the device.
-    released: AtomicLsn,
+    /// The released watermark — the contiguous prefix of the log stream
+    /// whose fills are complete; the flush daemon may copy
+    /// `[durable, released)` to the device — and the hand-off table that
+    /// advances it in LSN order. The watermark has a cache line to itself.
+    order: OrderedRelease,
     /// Prefix that has reached the device; ring bytes below this may be
-    /// overwritten (reclaimed).
-    durable: AtomicLsn,
-    /// When true there is no flush daemon: releasing also reclaims
-    /// (microbenchmark mode, Null device).
+    /// overwritten (reclaimed). On its own line: the flush daemon writes it,
+    /// reservations read it (when their cached bound runs out).
+    durable: CachePadded<AtomicLsn>,
+    /// When true there is no flush daemon and no durable watermark of its
+    /// own: what is released is reclaimed, [`BufferCore::durable_lsn`] is
+    /// the released watermark (microbenchmark mode, Null device).
     auto_reclaim: AtomicBool,
-    /// Inserters blocked on ring space.
-    space_waiters: AtomicUsize,
+    /// Who is blocked; read on every durable advance, written only around a
+    /// block, so kept off the lines the advance itself writes.
+    waiters: CachePadded<Waiters>,
     space_mutex: Mutex<()>,
     space_cv: RtCondvar,
-    /// Threads blocked in [`BufferCore::wait_durable`]; the durable-advance
-    /// path only takes the watch mutex when this is non-zero, keeping the
-    /// auto-reclaim hot path notification-free.
-    watch_waiters: AtomicUsize,
     watch_mutex: Mutex<()>,
     watch_cv: RtCondvar,
     /// Counters and phase timers.
@@ -657,12 +761,22 @@ pub struct BufferCore {
     telemetry: Arc<Telemetry>,
 }
 
+#[derive(Debug, Default)]
+struct Waiters {
+    /// Inserters blocked on ring space.
+    space: AtomicUsize,
+    /// Threads blocked in [`BufferCore::wait_durable`]; the durable-advance
+    /// path only takes the watch mutex when this is non-zero, keeping the
+    /// auto-reclaim hot path notification-free.
+    watch: AtomicUsize,
+}
+
 impl std::fmt::Debug for BufferCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BufferCore")
             .field("capacity", &self.ring.capacity())
-            .field("released", &self.released.load_relaxed())
-            .field("durable", &self.durable.load_relaxed())
+            .field("released", &self.released_lsn())
+            .field("durable", &self.durable_lsn())
             .finish()
     }
 }
@@ -679,13 +793,12 @@ impl BufferCore {
         config.validate().map_err(crate::LogError::Config).unwrap();
         Arc::new(BufferCore {
             ring: Ring::new(config.buffer_size),
-            released: AtomicLsn::new(start),
-            durable: AtomicLsn::new(start),
+            order: OrderedRelease::new(start, config.release_queue_pool),
+            durable: CachePadded::new(AtomicLsn::new(start)),
             auto_reclaim: AtomicBool::new(false),
-            space_waiters: AtomicUsize::new(0),
+            waiters: CachePadded::default(),
             space_mutex: Mutex::new(()),
             space_cv: RtCondvar::new(),
-            watch_waiters: AtomicUsize::new(0),
             watch_mutex: Mutex::new(()),
             watch_cv: RtCondvar::new(),
             stats: BufferStats::new(),
@@ -724,7 +837,8 @@ impl BufferCore {
     }
 
     /// Enable auto-reclaim: releasing immediately reclaims ring space (no
-    /// flush daemon; used with discarding devices).
+    /// flush daemon; used with discarding devices). Set it before the first
+    /// insert and leave it: the durable watermark is not kept up meanwhile.
     pub fn set_auto_reclaim(&self, on: bool) {
         self.auto_reclaim.store(on, Ordering::Relaxed);
     }
@@ -737,13 +851,17 @@ impl BufferCore {
     /// Released watermark (acquire).
     #[inline]
     pub fn released_lsn(&self) -> Lsn {
-        self.released.load()
+        self.order.released()
     }
 
-    /// Durable watermark (acquire).
+    /// Durable watermark (acquire); under auto-reclaim, the released one.
     #[inline]
     pub fn durable_lsn(&self) -> Lsn {
-        self.durable.load()
+        if self.auto_reclaim() {
+            self.order.released()
+        } else {
+            self.durable.load()
+        }
     }
 
     /// Block until the reservation ending at `end` fits in the ring, i.e.
@@ -751,7 +869,7 @@ impl BufferCore {
     /// flush daemon advances `durable` independently so this cannot deadlock.
     #[inline]
     pub fn wait_for_space(&self, end: Lsn) {
-        if end.raw().saturating_sub(self.durable.load_relaxed().raw()) <= self.capacity() {
+        if end.raw().saturating_sub(self.durable_lsn().raw()) <= self.capacity() {
             return;
         }
         self.wait_for_space_slow(end);
@@ -761,16 +879,16 @@ impl BufferCore {
     fn wait_for_space_slow(&self, end: Lsn) {
         let mut spins = 0u32;
         loop {
-            if end.raw() - self.durable.load().raw() <= self.capacity() {
+            if end.raw() - self.durable_lsn().raw() <= self.capacity() {
                 return;
             }
             spins += 1;
             if spins < 100 {
                 runtime::yield_now();
             } else {
-                self.space_waiters.fetch_add(1, Ordering::SeqCst);
+                self.waiters.space.fetch_add(1, Ordering::SeqCst);
                 let g = self.space_mutex.lock();
-                if end.raw() - self.durable.load().raw() > self.capacity() {
+                if end.raw() - self.durable_lsn().raw() > self.capacity() {
                     let (g, _) = self.space_cv.wait_for(
                         &self.space_mutex,
                         g,
@@ -780,20 +898,27 @@ impl BufferCore {
                 } else {
                     drop(g);
                 }
-                self.space_waiters.fetch_sub(1, Ordering::SeqCst);
+                self.waiters.space.fetch_sub(1, Ordering::SeqCst);
             }
         }
     }
 
     /// Advance the released watermark to `upto`. Caller must guarantee that
     /// every byte below `upto` has been filled and that no other thread can
-    /// be advancing `released` concurrently (serialized by lock or by the
-    /// in-order release protocol).
+    /// be advancing `released` concurrently (B and C serialize by the insert
+    /// lock; D, CD and CDME go through [`BufferCore::release_ordered`]).
     #[inline]
     pub fn advance_released(&self, upto: Lsn) {
-        self.released.publish(upto);
+        self.order.publish(upto);
+        self.after_release();
+    }
+
+    /// Under auto-reclaim a release is a durable advance too: wake whoever
+    /// waits for one.
+    #[inline]
+    fn after_release(&self) {
         if self.auto_reclaim() {
-            self.advance_durable(upto);
+            self.notify_durable_waiters();
         }
     }
 
@@ -801,18 +926,23 @@ impl BufferCore {
     /// flush daemon treats a non-zero value as a flush trigger so
     /// back-pressure always resolves.
     pub fn space_waiters(&self) -> usize {
-        self.space_waiters.load(Ordering::SeqCst)
+        self.waiters.space.load(Ordering::SeqCst)
     }
 
-    /// Advance the durable watermark (flush daemon, or auto-reclaim).
+    /// Advance the durable watermark (the flush daemon's job).
     #[inline]
     pub fn advance_durable(&self, upto: Lsn) {
         self.durable.fetch_max(upto);
-        if self.space_waiters.load(Ordering::SeqCst) > 0 {
+        self.notify_durable_waiters();
+    }
+
+    #[inline]
+    fn notify_durable_waiters(&self) {
+        if self.waiters.space.load(Ordering::SeqCst) > 0 {
             let _g = self.space_mutex.lock();
             self.space_cv.notify_all();
         }
-        if self.watch_waiters.load(Ordering::SeqCst) > 0 {
+        if self.waiters.watch.load(Ordering::SeqCst) > 0 {
             let _g = self.watch_mutex.lock();
             self.watch_cv.notify_all();
         }
@@ -823,21 +953,21 @@ impl BufferCore {
     /// on [`BufferCore::durable_lsn`] — the log shipper and tests wait here.
     pub fn wait_durable(&self, lsn: Lsn) -> Lsn {
         loop {
-            let d = self.durable.load();
+            let d = self.durable_lsn();
             if d >= lsn {
                 return d;
             }
-            self.watch_waiters.fetch_add(1, Ordering::SeqCst);
+            self.waiters.watch.fetch_add(1, Ordering::SeqCst);
             let g = self.watch_mutex.lock();
             // Re-check under the lock: an advance between the load above and
             // the waiter registration must not be missed.
-            if self.durable.load() < lsn {
+            if self.durable_lsn() < lsn {
                 let g = self.watch_cv.wait(&self.watch_mutex, g);
                 drop(g);
             } else {
                 drop(g);
             }
-            self.watch_waiters.fetch_sub(1, Ordering::SeqCst);
+            self.waiters.watch.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
@@ -846,7 +976,7 @@ impl BufferCore {
     pub fn wait_durable_timeout(&self, lsn: Lsn, timeout: std::time::Duration) -> Lsn {
         let deadline = runtime::monotonic_ns().saturating_add(timeout.as_nanos() as u64);
         loop {
-            let d = self.durable.load();
+            let d = self.durable_lsn();
             if d >= lsn {
                 return d;
             }
@@ -854,9 +984,9 @@ impl BufferCore {
             if now >= deadline {
                 return d;
             }
-            self.watch_waiters.fetch_add(1, Ordering::SeqCst);
+            self.waiters.watch.fetch_add(1, Ordering::SeqCst);
             let g = self.watch_mutex.lock();
-            if self.durable.load() < lsn {
+            if self.durable_lsn() < lsn {
                 let (g, _) = self.watch_cv.wait_for(
                     &self.watch_mutex,
                     g,
@@ -866,21 +996,39 @@ impl BufferCore {
             } else {
                 drop(g);
             }
-            self.watch_waiters.fetch_sub(1, Ordering::SeqCst);
+            self.waiters.watch.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
-    /// Spin until `released == start` (the in-order release protocol of
-    /// Algorithm 3, line 9: "wait my turn"), then publish `end`.
+    /// Release `[start, end)`, the range reserved with `ticket`, in LSN
+    /// order without waiting for its predecessors (Algorithm 3 line 9 with
+    /// the wait replaced by §A.3's hand-off): if they are all published the
+    /// caller publishes `end` plus whatever successors handed off to it;
+    /// otherwise it hands the range to its predecessor and returns.
+    ///
+    /// `treadmill_inv` is Algorithm 4's guard against one thread publishing
+    /// an endless chain of hand-offs: with probability `1/treadmill_inv` a
+    /// finisher that could hand off instead waits its turn (spinning, then
+    /// yielding) and so takes the chain over. 0 never refuses.
     #[inline]
-    pub fn release_in_order(&self, start: Lsn, end: Lsn) {
-        let t = self.stats.phase_start();
-        let mut backoff = WaitBackoff::new();
-        while self.released.load() != start {
-            backoff.wait();
+    pub fn release_ordered(&self, ticket: u64, start: Lsn, end: Lsn, treadmill_inv: u32) {
+        if treadmill_inv != 0
+            && self.order.released() != start
+            && fast_rand().is_multiple_of(treadmill_inv)
+        {
+            let t = self.stats.phase_start();
+            let mut backoff = WaitBackoff::new();
+            while self.order.released() != start {
+                backoff.wait();
+            }
+            self.stats.phase_release(t);
         }
-        self.stats.phase_release(t);
-        self.advance_released(end);
+        match self.order.finish(ticket, start, end) {
+            Finish::HandedOff => self.stats.record_delegated(),
+            Finish::Head => self
+                .order
+                .advance(ticket, start, end, |_| self.after_release()),
+        }
     }
 
     /// Open a [`LogSlot`] over the reservation starting at `start`: encode
@@ -988,7 +1136,7 @@ impl BufferCore {
     /// at most `capacity` behind the current frontier (holds for the flush
     /// daemon, which is the only reclaimer).
     pub fn read_released(&self, from: Lsn, dst: &mut [u8]) {
-        debug_assert!(from.advance(dst.len() as u64) <= self.released.load());
+        debug_assert!(from.advance(dst.len() as u64) <= self.released_lsn());
         self.stats.record_scratch_copy(dst.len() as u64);
         // SAFETY: range is published (below `released`) and not yet
         // reclaimed (the caller is the reclaimer).
@@ -1004,7 +1152,7 @@ impl BufferCore {
     /// the single reclaimer (the flush daemon, which alone advances the
     /// durable watermark) can guarantee that.
     pub unsafe fn released_slices(&self, from: Lsn, len: u64) -> (&[u8], &[u8]) {
-        debug_assert!(from.advance(len) <= self.released.load());
+        debug_assert!(from.advance(len) <= self.released_lsn());
         // SAFETY: forwarded contract, plus `released - durable <= capacity`
         // (writers cannot reserve past `durable + capacity`), so the range
         // is within one lap of the frontier.
@@ -1107,24 +1255,57 @@ mod tests {
     }
 
     #[test]
-    fn release_in_order_sequences_threads() {
+    fn release_ordered_publishes_only_contiguous_prefixes() {
         let core = small_core();
         core.set_auto_reclaim(true);
-        let order = Arc::new(Mutex::new(Vec::new()));
-        // Three "threads" releasing out of order: 2 then 1 then 0.
-        std::thread::scope(|s| {
-            for (start, end, delay_ms) in [(0u64, 64u64, 20u64), (64, 128, 10), (128, 192, 0)] {
-                let core = Arc::clone(&core);
-                let order = Arc::clone(&order);
-                s.spawn(move || {
-                    crate::runtime::sleep(std::time::Duration::from_millis(delay_ms));
-                    core.release_in_order(Lsn(start), Lsn(end));
-                    order.lock().push(start);
-                });
-            }
-        });
+        // Three reservations finishing last to first: the later two hand
+        // off, the first publishes all three.
+        core.release_ordered(2, Lsn(128), Lsn(192), 0);
+        core.release_ordered(1, Lsn(64), Lsn(128), 0);
+        assert_eq!(core.released_lsn(), Lsn::ZERO);
+        assert_eq!(core.stats.snapshot().delegated_releases, 2);
+        core.release_ordered(0, Lsn(0), Lsn(64), 0);
         assert_eq!(core.released_lsn(), Lsn(192));
-        assert_eq!(&*order.lock(), &[0, 64, 128]);
+        assert_eq!(core.durable_lsn(), Lsn(192), "auto-reclaim follows");
+    }
+
+    #[test]
+    fn treadmill_refusal_waits_its_turn_instead_of_handing_off() {
+        let core = small_core();
+        std::thread::scope(|s| {
+            // treadmill_inv = 1 always refuses: the second range must be
+            // published by its own thread, after the first.
+            let second = s.spawn(|| core.release_ordered(1, Lsn(64), Lsn(128), 1));
+            core.release_ordered(0, Lsn(0), Lsn(64), 1);
+            second.join().unwrap();
+        });
+        assert_eq!(core.released_lsn(), Lsn(128));
+        assert_eq!(core.stats.snapshot().delegated_releases, 0);
+    }
+
+    #[test]
+    fn tickets_wait_for_a_free_handoff_entry() {
+        let cfg = LogConfig {
+            release_queue_pool: 64,
+            ..LogConfig::default().with_buffer_size(1 << 16)
+        };
+        let core = BufferCore::new(&cfg);
+        let gate = InsertGate::new(Lsn::ZERO);
+        gate.lock.lock();
+        // SAFETY: lock held.
+        let tickets: Vec<u64> = (0..64)
+            .map(|_| unsafe { gate.alloc.reserve_ordered(8, &core).1 })
+            .collect();
+        assert_eq!(tickets, (0..64).collect::<Vec<_>>());
+        // The 65th would reuse ticket 0's entry: it must wait for ticket 0.
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| unsafe { gate.alloc.reserve_ordered(8, &core).1 });
+            crate::runtime::sleep(std::time::Duration::from_millis(20));
+            assert!(!waiter.is_finished());
+            core.release_ordered(0, Lsn(0), Lsn(8), 0);
+            assert_eq!(waiter.join().unwrap(), 64);
+        });
+        gate.lock.unlock();
     }
 
     #[test]

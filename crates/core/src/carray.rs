@@ -51,8 +51,8 @@ pub struct Slot {
     state: AtomicI64,
     lsn: AtomicU64,
     group_size: AtomicU64,
-    /// Variant-specific payload published along with the LSN; the CDME buffer
-    /// stores its release-queue handle here.
+    /// Variant-specific payload published along with the LSN; CD and CDME
+    /// pass the group's release ticket here.
     extra: AtomicU64,
     /// Which array position currently points at this slot (meaningful only
     /// while OPEN; used by the closing leader to install the replacement).
@@ -131,7 +131,9 @@ pub struct JoinResult<'a> {
 pub struct CArray {
     pool: Box<[CachePadded<Slot>]>,
     active: Box<[CachePadded<AtomicUsize>]>,
-    pool_cursor: AtomicUsize,
+    /// Written by every closing leader, so kept off the line with the
+    /// other fields, which every joiner reads.
+    pool_cursor: CachePadded<AtomicUsize>,
     max_group: u64,
 }
 
@@ -158,7 +160,7 @@ impl CArray {
         CArray {
             pool,
             active,
-            pool_cursor: AtomicUsize::new(n_active),
+            pool_cursor: CachePadded::new(AtomicUsize::new(n_active)),
             max_group,
         }
     }
@@ -220,9 +222,18 @@ impl CArray {
         // Find a FREE pool slot; "in the common case the next slot to be
         // allocated was freed long ago and each allocation requires only an
         // index increment".
+        let mut scanned = 0;
         loop {
             let i = self.pool_cursor.fetch_add(1, Ordering::Relaxed) % self.pool.len();
             let cand = &self.pool[i];
+            scanned += 1;
+            if scanned % self.pool.len() == 0 {
+                // A whole lap without a FREE slot: every group is still
+                // copying. Their members do not need the insert lock we
+                // hold, but on an oversubscribed host (or under the sim's
+                // cooperative scheduler) they do need this core.
+                crate::runtime::yield_now();
+            }
             if cand.state.load(Ordering::Relaxed) == SLOT_FREE {
                 cand.array_pos.store(pos, Ordering::Relaxed);
                 cand.state.store(SLOT_READY, Ordering::Release);

@@ -62,10 +62,14 @@ pub struct LogConfig {
     /// (§A.1: "we avoid memory management overheads by allocating a large
     /// number of consolidation structures at startup").
     pub carray_pool: usize,
-    /// Node pool size for the delegated-release queue (CDME).
+    /// Entries in the hand-off table through which D, CD and CDME release
+    /// in LSN order (rounded up to a power of two): how many reservations
+    /// may be in flight past the oldest unreleased one before a reserver
+    /// waits for it.
     pub release_queue_pool: usize,
-    /// A CDME thread refuses to delegate with probability `1/treadmill_inv`
-    /// to break delegation treadmills (§A.3). 0 disables refusal.
+    /// A CDME thread refuses to hand its release off with probability
+    /// `1/treadmill_inv`, to break delegation treadmills (§A.3). 0 disables
+    /// refusal.
     pub treadmill_inv: u32,
     /// Group-commit policy for the flush daemon.
     pub group_commit: GroupCommitPolicy,

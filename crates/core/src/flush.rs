@@ -33,6 +33,10 @@ struct FlushInner {
     requested: Lsn,
     /// Commits submitted since the last flush (the "X transactions" trigger).
     pending_commits: usize,
+    /// Highest commit LSN registered through [`FlushShared::note_commit`].
+    /// It may be past `released`: a commit record's release can be handed
+    /// to a predecessor that is still filling.
+    noted: Lsn,
     /// When (runtime-monotonic ns) the oldest unserviced request arrived
     /// (the "T time" trigger).
     oldest: Option<u64>,
@@ -97,11 +101,13 @@ impl FlushShared {
         self.inner.lock().poisoned.clone()
     }
 
-    /// Register a commit for group-commit accounting and nudge the daemon
-    /// once a policy threshold is reached. Non-blocking (flush pipelining).
-    pub fn note_commit(&self, policy: &GroupCommitPolicy) {
+    /// Register a commit waiting for `lsn` for group-commit accounting and
+    /// nudge the daemon once a policy threshold is reached. Non-blocking
+    /// (flush pipelining).
+    pub fn note_commit(&self, lsn: Lsn, policy: &GroupCommitPolicy) {
         let mut g = self.inner.lock();
         g.pending_commits += 1;
+        g.noted = g.noted.max(lsn);
         if g.oldest.is_none() {
             g.oldest = Some(runtime::monotonic_ns());
         }
@@ -125,6 +131,7 @@ impl FlushShared {
             inner: Mutex::new(FlushInner {
                 requested: Lsn::ZERO,
                 pending_commits: 0,
+                noted: Lsn::ZERO,
                 oldest: None,
                 shutdown: false,
                 poisoned: None,
@@ -201,8 +208,8 @@ impl FlushDaemon {
     }
 
     /// Non-blocking commit registration; see [`FlushShared::note_commit`].
-    pub fn note_commit(&self, policy_hint: &GroupCommitPolicy) {
-        self.shared.note_commit(policy_hint);
+    pub fn note_commit(&self, lsn: Lsn, policy_hint: &GroupCommitPolicy) {
+        self.shared.note_commit(lsn, policy_hint);
     }
 
     /// Ask the daemon to flush everything released so far without waiting.
@@ -311,7 +318,11 @@ fn daemon_loop(
                     .oldest
                     .map(|t| runtime::monotonic_ns().saturating_sub(t) >= max_wait_ns)
                     .unwrap_or(false);
-                let trigger = g.requested > durable
+                // A request may be for a record whose release was handed to
+                // a predecessor that is still filling: with nothing released
+                // to write there is nothing to do for it yet, and the poll
+                // below looks again.
+                let trigger = (g.requested > durable && pending_bytes > 0)
                     || g.pending_commits >= policy.max_pending_commits
                     || pending_bytes >= policy.max_pending_bytes
                     || (pending_bytes > 0 && timed_out)
@@ -409,7 +420,14 @@ fn daemon_loop(
             tel.record(tel.ids().commit_group_size, completed as u64);
         }
         {
-            let _g = shared.inner.lock();
+            let mut g = shared.inner.lock();
+            // A commit beyond `target` (registered before its handed-off
+            // release was published) is still unserviced: keep the
+            // `max_wait` clock running for it, or nothing would trigger
+            // its flush.
+            if g.oldest.is_none() && g.noted > target {
+                g.oldest = Some(runtime::monotonic_ns());
+            }
             shared.waiter_cv.notify_all();
         }
         gate.notify();
@@ -474,7 +492,7 @@ mod tests {
             let end = core.released_lsn();
             let (h, st) = CommitHandle::new();
             pipeline.submit(end, CommitAction::Notify(st));
-            daemon.note_commit(&GroupCommitPolicy::default());
+            daemon.note_commit(end, &GroupCommitPolicy::default());
             handles.push(h);
         }
         daemon.kick();
@@ -508,9 +526,9 @@ mod tests {
         );
         let buf = BaselineBuffer::new(Arc::clone(&core));
         buf.insert(RecordKind::Filler, 1, Lsn::ZERO, &[0; 64]);
-        daemon.note_commit(&policy); // starts the T clock
-                                     // Durable-watch notification instead of a sleep-poll loop.
         let target = core.released_lsn();
+        daemon.note_commit(target, &policy); // starts the T clock
+                                             // Durable-watch notification instead of a sleep-poll loop.
         let durable = core.wait_durable_timeout(target, Duration::from_millis(500));
         assert_eq!(durable, target, "T policy must fire");
     }

@@ -14,7 +14,7 @@
 //!     (Algorithm 3),
 //!   - [`buffer::HybridBuffer`] (**CD**) — both combined (§5.3),
 //!   - [`buffer::DelegatedBuffer`] (**CDME**) — CD plus delegated buffer
-//!     release over an abortable-MCS queue (Algorithm 4, §A.3).
+//!     release and its treadmill guard (Algorithm 4, §A.3).
 //! * The **consolidation array** itself ([`carray`]), a generalization of
 //!   elimination-based backoff where threads combine log-insert requests
 //!   instead of cancelling them (§A.2, Figure 10 state machine).
@@ -54,7 +54,6 @@ pub mod error;
 pub mod flush;
 pub mod lsn;
 pub mod manager;
-pub mod mcs;
 pub mod partition;
 pub mod reader;
 pub mod record;

@@ -365,7 +365,7 @@ impl LogManager {
             Some(shared) => shared.flush_until(&self.core, lsn),
             None => {
                 // Auto-reclaim mode: durability tracks release; wait out any
-                // in-flight releases (CDME delegation can lag briefly).
+                // in-flight releases (a handed-off release can lag briefly).
                 let mut backoff = crate::buffer::WaitBackoff::new();
                 while self.core.durable_lsn() < lsn {
                     backoff.wait();
@@ -411,7 +411,7 @@ impl LogManager {
         }
         self.pipeline.submit(lsn, action);
         match &self.flush_shared {
-            Some(shared) => shared.note_commit(&self.config.group_commit),
+            Some(shared) => shared.note_commit(lsn, &self.config.group_commit),
             None => {
                 self.pipeline.complete_upto(self.commit_lsn());
             }

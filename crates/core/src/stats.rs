@@ -7,40 +7,74 @@
 //! microbenchmarks can disable them entirely.
 
 use crossbeam::utils::CachePadded;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+
+/// Counter shards per [`BufferStats`]. A thread keeps one shard index for its
+/// lifetime, so while at most this many threads insert, no two of them add
+/// to the same cache line; beyond that threads share shards, which costs
+/// speed but never a count (every add is atomic).
+const SHARDS: usize = 32;
+
+/// One thread's share of the counters, alone on its cache lines.
+#[derive(Debug, Default)]
+struct Shard {
+    inserts: AtomicU64,
+    bytes: AtomicU64,
+    direct_acquires: AtomicU64,
+    consolidations: AtomicU64,
+    group_acquires: AtomicU64,
+    delegated_releases: AtomicU64,
+    wrapper_inserts: AtomicU64,
+    scratch_bytes: AtomicU64,
+    acquire_wait_ns: AtomicU64,
+    fill_ns: AtomicU64,
+    release_wait_ns: AtomicU64,
+}
+
+/// The calling thread's shard index, assigned round-robin on first use.
+#[inline]
+fn shard_index() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static INDEX: Cell<usize> = const { Cell::new(usize::MAX) };
+    }
+    INDEX.with(|i| {
+        if i.get() == usize::MAX {
+            i.set(NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS);
+        }
+        i.get()
+    })
+}
 
 /// Aggregate counters for a log buffer. All counters are monotonically
 /// increasing; read a consistent-enough view via [`BufferStats::snapshot`].
-#[derive(Debug, Default)]
+///
+/// The counters are sharded per thread: D, CD and CDME count outside the
+/// insert mutex, where one shared counter line would be written by every
+/// inserter. [`BufferStats::snapshot`] sums the shards, so once the counting
+/// threads are joined the totals are exact.
+///
+/// Field meanings (see [`StatsSnapshot`]): `direct_acquires` are inserts
+/// that took the mutex themselves, `consolidations` are followers in a
+/// consolidation-array group, `group_acquires` are group leaders,
+/// `delegated_releases` are releases handed to a predecessor,
+/// `wrapper_inserts` arrived as pre-encoded slices through the legacy
+/// `insert(&[u8])` wrapper, and `scratch_bytes` were copied out of the ring
+/// through `read_released` rather than drained in place.
+#[derive(Debug)]
 pub struct BufferStats {
     timing_enabled: AtomicBool,
-    inserts: CachePadded<AtomicU64>,
-    bytes: CachePadded<AtomicU64>,
-    /// Inserts that acquired the mutex without contention (fast path).
-    direct_acquires: CachePadded<AtomicU64>,
-    /// Inserts that joined a consolidation-array group as followers.
-    consolidations: CachePadded<AtomicU64>,
-    /// Group-leader acquisitions (one per consolidated group).
-    group_acquires: CachePadded<AtomicU64>,
-    /// Buffer releases delegated to a predecessor (CDME only).
-    delegated_releases: CachePadded<AtomicU64>,
-    /// Inserts that arrived as pre-encoded byte slices through the legacy
-    /// `insert(&[u8])` wrapper. Each implies the caller materialized its
-    /// payload in a temporary buffer first — the allocation + copy the
-    /// reservation path exists to eliminate. Zero on a fully re-plumbed
-    /// hot path.
-    wrapper_inserts: CachePadded<AtomicU64>,
-    /// Bytes copied *out* of the ring into scratch buffers (the pre-vectored
-    /// flush drain). The vectored drain hands ring slices straight to the
-    /// device, so this stays zero unless something regresses onto
-    /// `read_released`.
-    scratch_bytes: CachePadded<AtomicU64>,
-    /// Nanoseconds spent waiting to acquire buffer space (contention).
-    acquire_wait_ns: CachePadded<AtomicU64>,
-    /// Nanoseconds spent copying into the buffer (work).
-    fill_ns: CachePadded<AtomicU64>,
-    /// Nanoseconds spent waiting for in-order release.
-    release_wait_ns: CachePadded<AtomicU64>,
+    shards: Box<[CachePadded<Shard>]>,
+}
+
+impl Default for BufferStats {
+    fn default() -> Self {
+        BufferStats {
+            timing_enabled: AtomicBool::new(false),
+            shards: (0..SHARDS).map(|_| CachePadded::default()).collect(),
+        }
+    }
 }
 
 /// A point-in-time copy of [`BufferStats`].
@@ -56,7 +90,8 @@ pub struct StatsSnapshot {
     pub consolidations: u64,
     /// Leader acquisitions for consolidation groups.
     pub group_acquires: u64,
-    /// Delegated buffer releases (CDME).
+    /// Releases handed to a predecessor that was still filling (D, CD and
+    /// CDME; one per reservation, so one per consolidation group).
     pub delegated_releases: u64,
     /// Inserts through the legacy pre-encoded-slice wrapper (each implies
     /// an upstream payload materialization).
@@ -68,7 +103,7 @@ pub struct StatsSnapshot {
     pub acquire_wait_ns: u64,
     /// ns copying payloads.
     pub fill_ns: u64,
-    /// ns waiting for in-order release.
+    /// ns waiting for a turn to release (CDME's treadmill refusals only).
     pub release_wait_ns: u64,
 }
 
@@ -81,6 +116,11 @@ impl BufferStats {
     /// Enable or disable phase timing. Counters are always maintained.
     pub fn set_timing(&self, on: bool) {
         self.timing_enabled.store(on, Ordering::Relaxed);
+    }
+
+    #[inline]
+    fn shard(&self) -> &Shard {
+        &self.shards[shard_index()]
     }
 
     /// Whether phase timing is on.
@@ -103,44 +143,49 @@ impl BufferStats {
     /// Record one insert of `bytes` on-log bytes.
     #[inline]
     pub fn record_insert(&self, bytes: u64) {
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
+        let shard = self.shard();
+        shard.inserts.fetch_add(1, Ordering::Relaxed);
+        shard.bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Count a fast-path acquisition.
     #[inline]
     pub fn record_direct(&self) {
-        self.direct_acquires.fetch_add(1, Ordering::Relaxed);
+        self.shard().direct_acquires.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count a follower consolidation.
     #[inline]
     pub fn record_consolidation(&self) {
-        self.consolidations.fetch_add(1, Ordering::Relaxed);
+        self.shard().consolidations.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count a group-leader acquisition.
     #[inline]
     pub fn record_group_acquire(&self) {
-        self.group_acquires.fetch_add(1, Ordering::Relaxed);
+        self.shard().group_acquires.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count a delegated release.
     #[inline]
     pub fn record_delegated(&self) {
-        self.delegated_releases.fetch_add(1, Ordering::Relaxed);
+        self.shard()
+            .delegated_releases
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count a legacy byte-slice wrapper insert.
     #[inline]
     pub fn record_wrapper(&self) {
-        self.wrapper_inserts.fetch_add(1, Ordering::Relaxed);
+        self.shard().wrapper_inserts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count `bytes` staged through a scratch buffer on drain.
     #[inline]
     pub fn record_scratch_copy(&self, bytes: u64) {
-        self.scratch_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.shard()
+            .scratch_bytes
+            .fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Close an acquire-phase timer.
@@ -148,7 +193,9 @@ impl BufferStats {
     pub fn phase_acquire(&self, t: Option<u64>) {
         if let Some(t) = t {
             let dt = crate::runtime::monotonic_ns().saturating_sub(t);
-            self.acquire_wait_ns.fetch_add(dt, Ordering::Relaxed);
+            self.shard()
+                .acquire_wait_ns
+                .fetch_add(dt, Ordering::Relaxed);
         }
     }
 
@@ -157,7 +204,7 @@ impl BufferStats {
     pub fn phase_fill(&self, t: Option<u64>) {
         if let Some(t) = t {
             let dt = crate::runtime::monotonic_ns().saturating_sub(t);
-            self.fill_ns.fetch_add(dt, Ordering::Relaxed);
+            self.shard().fill_ns.fetch_add(dt, Ordering::Relaxed);
         }
     }
 
@@ -166,24 +213,33 @@ impl BufferStats {
     pub fn phase_release(&self, t: Option<u64>) {
         if let Some(t) = t {
             let dt = crate::runtime::monotonic_ns().saturating_sub(t);
-            self.release_wait_ns.fetch_add(dt, Ordering::Relaxed);
+            self.shard()
+                .release_wait_ns
+                .fetch_add(dt, Ordering::Relaxed);
         }
     }
 
-    /// Copy out the counters.
+    /// Sum the shards. Exact once the counting threads are joined; while
+    /// they run, each field is some value it held during the call.
     pub fn snapshot(&self) -> StatsSnapshot {
+        let sum = |field: fn(&Shard) -> &AtomicU64| {
+            self.shards
+                .iter()
+                .map(|s| field(s).load(Ordering::Relaxed))
+                .sum()
+        };
         StatsSnapshot {
-            inserts: self.inserts.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            direct_acquires: self.direct_acquires.load(Ordering::Relaxed),
-            consolidations: self.consolidations.load(Ordering::Relaxed),
-            group_acquires: self.group_acquires.load(Ordering::Relaxed),
-            delegated_releases: self.delegated_releases.load(Ordering::Relaxed),
-            wrapper_inserts: self.wrapper_inserts.load(Ordering::Relaxed),
-            scratch_bytes: self.scratch_bytes.load(Ordering::Relaxed),
-            acquire_wait_ns: self.acquire_wait_ns.load(Ordering::Relaxed),
-            fill_ns: self.fill_ns.load(Ordering::Relaxed),
-            release_wait_ns: self.release_wait_ns.load(Ordering::Relaxed),
+            inserts: sum(|s| &s.inserts),
+            bytes: sum(|s| &s.bytes),
+            direct_acquires: sum(|s| &s.direct_acquires),
+            consolidations: sum(|s| &s.consolidations),
+            group_acquires: sum(|s| &s.group_acquires),
+            delegated_releases: sum(|s| &s.delegated_releases),
+            wrapper_inserts: sum(|s| &s.wrapper_inserts),
+            scratch_bytes: sum(|s| &s.scratch_bytes),
+            acquire_wait_ns: sum(|s| &s.acquire_wait_ns),
+            fill_ns: sum(|s| &s.fill_ns),
+            release_wait_ns: sum(|s| &s.release_wait_ns),
         }
     }
 }

@@ -1,12 +1,12 @@
 //! Property-based tests for aether-core's lowest layers: the ring buffer,
-//! the consolidation array's group partitioning, and the delegated-release
-//! queue's ordering guarantees.
+//! the consolidation array's group partitioning, the ordered release's
+//! hand-off guarantees, and the sharded counters' exactness.
 
 use aether_core::buffer::BufferCore;
 use aether_core::carray::CArray;
-use aether_core::mcs::ReleaseQueue;
+use aether_core::record::{on_log_size, RecordKind};
 use aether_core::ring::Ring;
-use aether_core::{LogConfig, Lsn};
+use aether_core::{BufferKind, LogConfig, Lsn};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -86,54 +86,45 @@ proptest! {
     }
 
     #[test]
-    fn release_queue_orders_any_release_permutation(
+    fn ordered_release_survives_any_finish_permutation(
         lens in proptest::collection::vec(1u64..500, 1..20),
         seed in any::<u64>(),
     ) {
-        // Join in LSN order, release in an arbitrary permutation (via rayon-
-        // free manual shuffle); the released watermark must land exactly at
-        // the total, with no gaps at any intermediate point.
+        // Reserve in LSN order (ticket i = i-th range), finish in an
+        // arbitrary permutation; the released watermark must land exactly at
+        // the total, with no gaps at any intermediate point. Single-threaded,
+        // so this only terminates because no finisher ever waits for a
+        // predecessor: it hands its range off instead.
         let core = BufferCore::new(&LogConfig::default().with_buffer_size(1 << 20));
         core.set_auto_reclaim(true);
-        // treadmill_inv = 0: always delegate. A refusal would spin waiting
-        // for a predecessor that this single-threaded test releases *later*
-        // in the permutation — a deadlock by test construction, not by
-        // protocol (refusal requires a concurrent predecessor to make
-        // progress; the multi-threaded stress in `mcs` covers it).
-        let q = ReleaseQueue::new(64, 0);
-        let mut handles = Vec::new();
+        let mut ranges = Vec::new();
         let mut at = 0u64;
         for &l in &lens {
-            handles.push(q.join(Lsn(at), Lsn(at + l)));
+            ranges.push((Lsn(at), Lsn(at + l)));
             at += l;
         }
         // Deterministic shuffle.
-        let mut order: Vec<usize> = (0..handles.len()).collect();
+        let mut order: Vec<usize> = (0..ranges.len()).collect();
         let mut s = seed | 1;
         for i in (1..order.len()).rev() {
             s ^= s << 13; s ^= s >> 7; s ^= s << 17;
             order.swap(i, (s as usize) % (i + 1));
         }
+        let mut finished = vec![false; ranges.len()];
         for &i in &order {
-            q.release(handles[i], &core);
-            // Watermark is always a prefix boundary: equal to the sum of a
-            // prefix of lens.
-            let w = core.released_lsn().raw();
-            let mut acc = 0u64;
-            let mut is_prefix = w == 0;
-            for &l in &lens {
-                acc += l;
-                if acc == w {
-                    is_prefix = true;
-                    break;
-                }
-                if acc > w {
-                    break;
-                }
-            }
-            prop_assert!(is_prefix, "watermark {} is not a record boundary", w);
+            let (start, end) = ranges[i];
+            // treadmill_inv = 0: never refuse to hand off. A refusal waits
+            // for a predecessor that this test finishes *later*.
+            core.release_ordered(i as u64, start, end, 0);
+            finished[i] = true;
+            // The watermark is exactly the end of the finished prefix.
+            let prefix = finished.iter().take_while(|&&f| f).count();
+            let want = if prefix == 0 { Lsn::ZERO } else { ranges[prefix - 1].1 };
+            prop_assert_eq!(core.released_lsn(), want);
         }
         prop_assert_eq!(core.released_lsn(), Lsn(at));
+        let handed_off = core.stats.snapshot().delegated_releases as usize;
+        prop_assert!(handed_off < ranges.len(), "the first range cannot hand off");
     }
 }
 
@@ -206,4 +197,68 @@ fn carray_many_slots_under_parallel_joins() {
         released_bytes.load(std::sync::atomic::Ordering::Relaxed),
         "every joined byte must be released exactly once"
     );
+}
+
+/// The counters are sharded per thread; `snapshot()` must still be exact once
+/// the threads are joined, on every variant, with more threads than shards.
+#[test]
+fn sharded_stats_equal_the_per_thread_tallies() {
+    for kind in BufferKind::ALL {
+        let cfg = LogConfig::default().with_buffer_size(1 << 20);
+        let core = BufferCore::new(&cfg);
+        core.set_auto_reclaim(true);
+        let buffer = kind.build(Arc::clone(&core), &cfg);
+        let tallies: Vec<(u64, u64)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..40usize)
+                .map(|t| {
+                    let buffer = &buffer;
+                    s.spawn(move || {
+                        let (mut inserts, mut bytes) = (0u64, 0u64);
+                        for i in 0..400usize {
+                            let payload = vec![t as u8; 8 + (t * 7 + i * 13) % 200];
+                            let mut slot = buffer.reserve(
+                                RecordKind::Filler,
+                                t as u64,
+                                Lsn::ZERO,
+                                payload.len(),
+                            );
+                            slot.write(&payload);
+                            slot.release();
+                            inserts += 1;
+                            bytes += on_log_size(payload.len()) as u64;
+                        }
+                        (inserts, bytes)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let snap = core.stats.snapshot();
+        let inserts: u64 = tallies.iter().map(|t| t.0).sum();
+        let bytes: u64 = tallies.iter().map(|t| t.1).sum();
+        assert_eq!(snap.inserts, inserts, "{kind}");
+        assert_eq!(snap.bytes, bytes, "{kind}");
+        assert_eq!(core.released_lsn(), Lsn(bytes), "{kind}");
+        // Every insert took exactly one of the three acquire paths.
+        assert_eq!(
+            snap.direct_acquires + snap.consolidations + snap.group_acquires,
+            inserts,
+            "{kind}: {snap:?}"
+        );
+        assert_eq!(snap.wrapper_inserts, 0, "{kind}");
+
+        // delta() still subtracts field by field: a single-threaded tail of
+        // direct inserts moves exactly three counters.
+        let mut slot = buffer.reserve(RecordKind::Filler, 0, Lsn::ZERO, 16);
+        slot.write(&[0; 16]);
+        slot.release();
+        let d = core.stats.snapshot().delta(&snap);
+        let want = aether_core::stats::StatsSnapshot {
+            inserts: 1,
+            bytes: on_log_size(16) as u64,
+            direct_acquires: 1,
+            ..Default::default()
+        };
+        assert_eq!(d, want, "{kind}");
+    }
 }

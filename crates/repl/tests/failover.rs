@@ -101,9 +101,8 @@ fn semisync_failover_loses_no_acked_commit() {
         // SemiSync-acked commits — an ack-count trigger rather than a
         // wall-clock window, so the kill always lands mid-flight with a
         // non-trivial floor — then snapshot the floor and pull the plug.
-        let mut backoff = aether_core::buffer::WaitBackoff::new();
         while acked.iter().any(|a| a.load(Ordering::SeqCst) < min_acks) {
-            backoff.wait();
+            aether_core::runtime::sleep(Duration::from_micros(100));
         }
         let floor: Vec<u64> = acked.iter().map(|a| a.load(Ordering::SeqCst)).collect();
         cluster.kill_primary();
@@ -199,9 +198,8 @@ fn corrupt_frame_truncates_cleanly_on_promote() {
     // link delivers in order, so wait on the drop counter itself (the
     // replica's "ack" that it saw and rejected the frame) instead of
     // sleeping a wall-clock deadline away.
-    let mut backoff = aether_core::buffer::WaitBackoff::new();
     while replica.status().corrupt_frames == 0 {
-        backoff.wait();
+        aether_core::runtime::sleep(Duration::from_micros(100));
     }
     let st = replica.status();
     assert_eq!(st.corrupt_frames, 1, "corrupt frame detected and dropped");

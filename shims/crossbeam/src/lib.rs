@@ -1,11 +1,5 @@
-//! Offline shim for the `crossbeam` crate: just the pieces Aether uses,
-//! `utils::CachePadded` and `queue::SegQueue`.
-//!
-//! `SegQueue` here is a mutex-protected `VecDeque` rather than a lock-free
-//! segmented queue. That is semantically equivalent (MPMC, FIFO) and fine for
-//! correctness; if the delegated-release hot path ever becomes the
-//! bottleneck, replacing this shim with the real crate (or a lock-free ring)
-//! is a contained change.
+//! Offline shim for the `crossbeam` crate: just the piece Aether uses,
+//! `utils::CachePadded`.
 
 /// Utilities: cache-line padding.
 pub mod utils {
@@ -58,71 +52,8 @@ pub mod utils {
     }
 }
 
-/// Concurrent queues.
-pub mod queue {
-    use std::collections::VecDeque;
-    use std::fmt;
-    use std::sync::Mutex;
-
-    /// An unbounded MPMC FIFO queue.
-    pub struct SegQueue<T> {
-        inner: Mutex<VecDeque<T>>,
-    }
-
-    impl<T> SegQueue<T> {
-        /// Create an empty queue.
-        pub const fn new() -> Self {
-            SegQueue {
-                inner: Mutex::new(VecDeque::new()),
-            }
-        }
-
-        /// Push onto the tail.
-        pub fn push(&self, value: T) {
-            self.inner
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push_back(value);
-        }
-
-        /// Pop from the head, `None` if empty.
-        pub fn pop(&self) -> Option<T> {
-            self.inner
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .pop_front()
-        }
-
-        /// Number of queued items.
-        pub fn len(&self) -> usize {
-            self.inner
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .len()
-        }
-
-        /// Whether the queue is empty.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-    }
-
-    impl<T> Default for SegQueue<T> {
-        fn default() -> Self {
-            SegQueue::new()
-        }
-    }
-
-    impl<T> fmt::Debug for SegQueue<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("SegQueue(..)")
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::queue::SegQueue;
     use super::utils::CachePadded;
 
     #[test]
@@ -131,39 +62,5 @@ mod tests {
         assert_eq!(*p, 42);
         assert!(std::mem::align_of::<CachePadded<u64>>() >= 128);
         assert_eq!(p.into_inner(), 42);
-    }
-
-    #[test]
-    fn segqueue_is_fifo() {
-        let q = SegQueue::new();
-        assert!(q.is_empty());
-        q.push(1);
-        q.push(2);
-        q.push(3);
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn segqueue_across_threads() {
-        let q = std::sync::Arc::new(SegQueue::new());
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let q = std::sync::Arc::clone(&q);
-                s.spawn(move || {
-                    for i in 0..100 {
-                        q.push(t * 1000 + i);
-                    }
-                });
-            }
-        });
-        let mut n = 0;
-        while q.pop().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 400);
     }
 }

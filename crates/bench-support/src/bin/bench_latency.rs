@@ -9,16 +9,24 @@
 //! replica, `Quorum` for a majority; the p999 column is where the ack
 //! round-trip and group-commit amortization actually show.
 //!
+//! Commits are `Pipelined` and each client waits for its own before the
+//! next, so a row is the unloaded wakeup chain: commit record → flush daemon
+//! → device sync → (replica ack →) completion. On a device that costs
+//! `AETHER_DEV_US` the `async` p50 is that sync plus the chain; CI fails the
+//! run when it exceeds five syncs, which is what a group-commit timer on the
+//! path looks like.
+//!
 //! Env: `AETHER_TXNS`, `AETHER_CLIENTS`, `AETHER_REPLICAS`,
-//! `AETHER_LINK_US` (one-way link latency, µs); `AETHER_JSON=<path>`
-//! appends machine-readable rows.
+//! `AETHER_LINK_US` (one-way link latency, µs), `AETHER_DEV_US` (device
+//! sync latency, µs; 0 = ramdisk); `AETHER_JSON=<path>` appends
+//! machine-readable rows.
 
 use aether_bench::env_or;
 use aether_bench::json::JsonSink;
 use aether_core::commit::DurabilityPolicy;
 use aether_core::{BufferKind, DeviceKind, LogConfig, TelemetryConfig};
 use aether_repl::{LinkConfig, ReplicatedDb, ReplicationConfig};
-use aether_storage::{CommitProtocol, Db, DbOptions};
+use aether_storage::{CommitOutcome, CommitProtocol, Db, DbOptions};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -34,6 +42,7 @@ fn main() {
     let replicas = env_or("AETHER_REPLICAS", 3usize).max(1);
     let clients = env_or("AETHER_CLIENTS", 4u64).max(1);
     let link_us = env_or("AETHER_LINK_US", 100u64);
+    let dev_us = env_or("AETHER_DEV_US", 0u64);
     let keys = 64u64;
     let policies = [
         DurabilityPolicy::Async,
@@ -45,15 +54,15 @@ fn main() {
     ];
     println!(
         "# Commit latency from db.commit_latency_ns: {txns} txns x {clients} clients, \
-         {replicas} replicas, {link_us}us link"
+         {replicas} replicas, {link_us}us link, {dev_us}us device"
     );
     println!("policy\tcount\tp50_us\tp99_us\tp999_us\tmax_us");
     let mut json = JsonSink::from_env();
     for policy in policies {
         let primary = Db::open(DbOptions {
-            protocol: CommitProtocol::Baseline,
+            protocol: CommitProtocol::Pipelined,
             buffer: BufferKind::Hybrid,
-            device: DeviceKind::Ram,
+            device: DeviceKind::CustomUs(dev_us),
             log_config: LogConfig::default()
                 .with_buffer_size(1 << 22)
                 .with_telemetry(
@@ -95,7 +104,9 @@ fn main() {
                     let k = (i * clients + c) % keys;
                     let mut txn = db.begin();
                     db.update(&mut txn, 0, k, &record(k, i + 1)).unwrap();
-                    db.commit(txn).unwrap();
+                    if let CommitOutcome::Pipelined(done) = db.commit(txn).unwrap() {
+                        assert!(done.wait(), "commit failed");
+                    }
                 });
             }
         });
@@ -116,6 +127,7 @@ fn main() {
         json.row(&[
             ("bench", "latency".into()),
             ("policy", label.as_str().into()),
+            ("dev_us", dev_us.into()),
             ("count", h.count.into()),
             ("p50_us", (h.p50 as f64 / 1e3).into()),
             ("p99_us", (h.p99 as f64 / 1e3).into()),

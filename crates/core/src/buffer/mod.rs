@@ -48,6 +48,7 @@ pub use hybrid::HybridBuffer;
 
 use crate::carray::Slot;
 use crate::config::LogConfig;
+use crate::flush::FlushShared;
 use crate::lsn::{AtomicLsn, Lsn};
 use crate::record::{
     crc32_finish, crc32_update, encode_frame_header, on_log_size, RecordHeader, RecordKind,
@@ -62,7 +63,7 @@ use parking_lot::Mutex;
 use release::{Finish, OrderedRelease};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Which insertion algorithm a [`crate::manager::LogManager`] should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -769,6 +770,10 @@ struct Waiters {
     /// path only takes the watch mutex when this is non-zero, keeping the
     /// auto-reclaim hot path notification-free.
     watch: AtomicUsize,
+    /// The flush daemon's park state, so an inserter that blocks on ring
+    /// space can wake it (unset without a daemon). Kept here, off the lines
+    /// an insert reads.
+    flusher: OnceLock<Arc<FlushShared>>,
 }
 
 impl std::fmt::Debug for BufferCore {
@@ -836,6 +841,12 @@ impl BufferCore {
         &self.ring
     }
 
+    /// Let inserters that block on ring space wake the flush daemon parked
+    /// on `shared`. First call wins (one daemon serves one core).
+    pub(crate) fn attach_flusher(&self, shared: Arc<FlushShared>) {
+        let _ = self.waiters.flusher.set(shared);
+    }
+
     /// Enable auto-reclaim: releasing immediately reclaims ring space (no
     /// flush daemon; used with discarding devices). Set it before the first
     /// insert and leave it: the durable watermark is not kept up meanwhile.
@@ -887,6 +898,11 @@ impl BufferCore {
                 runtime::yield_now();
             } else {
                 self.waiters.space.fetch_add(1, Ordering::SeqCst);
+                // A parked daemon has no other way to learn that the ring
+                // is full; it flushes for as long as anyone waits here.
+                if let Some(f) = self.waiters.flusher.get() {
+                    f.wake();
+                }
                 let g = self.space_mutex.lock();
                 if end.raw() - self.durable_lsn().raw() > self.capacity() {
                     let (g, _) = self.space_cv.wait_for(

@@ -13,16 +13,25 @@ use crate::runtime::RtCondvar;
 use crate::telemetry::{Stage, Telemetry};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Completion state shared between a [`CommitHandle`] and the pipeline.
 #[derive(Debug, Default)]
 pub struct CommitState {
-    done: Mutex<bool>,
+    done: Mutex<Done>,
     failed: std::sync::atomic::AtomicBool,
     cv: RtCondvar,
+}
+
+#[derive(Debug, Default)]
+struct Done {
+    done: bool,
+    /// Threads in [`CommitHandle::wait`]. Most commits complete with nobody
+    /// blocked on the handle (the server acks from the durability callback),
+    /// and completion then skips the condvar.
+    waiters: u32,
 }
 
 impl CommitState {
@@ -30,8 +39,10 @@ impl CommitState {
     /// exposed for callers that compose their own completion callbacks.
     pub fn complete(&self) {
         let mut g = self.done.lock();
-        *g = true;
-        self.cv.notify_all();
+        g.done = true;
+        if g.waiters > 0 {
+            self.cv.notify_all();
+        }
     }
 
     /// Mark failed (log poisoned before the commit became durable) and wake
@@ -59,15 +70,17 @@ impl CommitHandle {
     #[must_use = "a false return means the commit failed (log poisoned)"]
     pub fn wait(&self) -> bool {
         let mut g = self.0.done.lock();
-        while !*g {
+        while !g.done {
+            g.waiters += 1;
             g = self.0.cv.wait(&self.0.done, g);
+            g.waiters -= 1;
         }
         !self.0.failed.load(Ordering::SeqCst)
     }
 
     /// Non-blocking resolution check (durable *or* failed).
     pub fn is_done(&self) -> bool {
-        *self.0.done.lock()
+        self.0.done.lock().done
     }
 
     /// Whether the commit was released by a poisoned log.
@@ -362,6 +375,9 @@ pub struct CommitGate {
     /// Set when replication is known dead (primary failure simulation):
     /// waiters stop blocking, but their commits report *unreplicated*.
     poisoned: std::sync::atomic::AtomicBool,
+    /// Threads in [`CommitGate::wait_effective`]; [`CommitGate::notify`]
+    /// touches the condvar only when there are any.
+    waiters: AtomicUsize,
     wait_mutex: Mutex<()>,
     wait_cv: RtCondvar,
     telemetry: OnceLock<Arc<Telemetry>>,
@@ -496,10 +512,13 @@ impl CommitGate {
     }
 
     /// Wake threads blocked in [`CommitGate::wait_effective`]. Called after
-    /// any ack advance or flush.
+    /// any ack advance or flush; free when nobody waits (the pipelined
+    /// protocols never do).
     pub fn notify(&self) {
-        let _g = self.wait_mutex.lock();
-        self.wait_cv.notify_all();
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            let _g = self.wait_mutex.lock();
+            self.wait_cv.notify_all();
+        }
     }
 
     /// Block until the effective watermark (given the caller-supplied live
@@ -508,8 +527,11 @@ impl CommitGate {
     /// poisoned gate released the wait before enough acks arrived.
     pub fn wait_effective(&self, lsn: Lsn, durable: impl Fn() -> Lsn) -> bool {
         let t0 = self.telemetry.get().and_then(|t| t.ts());
-        // Bounded condvar waits: a notify racing ahead of waiter registration
-        // costs one 200µs re-check instead of a hang.
+        // Register before the first look, so a notifier that misses the
+        // count ran before the look and the look sees its advance. The waits
+        // stay bounded all the same: a notify that still slips by costs one
+        // 200µs re-check instead of a hang.
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let mut g = self.wait_mutex.lock();
         while self.effective(durable()) < lsn {
             (g, _) = self
@@ -517,6 +539,7 @@ impl CommitGate {
                 .wait_for(&self.wait_mutex, g, Duration::from_micros(200));
         }
         drop(g);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         if let (Some(t0), Some(tel)) = (t0, self.telemetry.get()) {
             let dt = crate::runtime::monotonic_ns().saturating_sub(t0);
             tel.record(tel.ids().commit_wait_ns, dt);

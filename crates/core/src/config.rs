@@ -3,14 +3,20 @@
 use std::time::Duration;
 
 /// Group-commit policy: "flush every X transactions, L bytes logged, or T
-/// time elapsed, whichever comes first" (§4.1).
+/// time elapsed, whichever comes first" (§4.1) — as **upper bounds**. The
+/// flush daemon does not wait for any of them while somebody waits on bytes
+/// it could write: it flushes as soon as it is idle, and commits that arrive
+/// during a flush form the next group (see [`crate::flush`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupCommitPolicy {
-    /// Flush once this many commit requests are pending.
+    /// Upper bound on a group: with this many commits pending the daemon
+    /// stops letting further committers run first and drains.
     pub max_pending_commits: usize,
-    /// Flush once this many unflushed bytes have accumulated.
+    /// Upper bound on unflushed bytes: at this many the daemon drains even
+    /// if nobody waits on them, and stops growing a group.
     pub max_pending_bytes: u64,
-    /// Flush once the oldest pending request has waited this long.
+    /// Upper bound on the age of released bytes nobody waits on: they are
+    /// written at most this long after the daemon went idle.
     pub max_wait: Duration,
 }
 

@@ -65,11 +65,6 @@ pub trait LogDevice: Send + Sync {
         false
     }
 
-    /// Nominal sync latency, for reporting.
-    fn nominal_latency(&self) -> Duration {
-        Duration::ZERO
-    }
-
     /// Point-in-time copy of the device's durable contents, if the device
     /// supports it. Crash-injection tests use this to capture exactly the
     /// bytes that survived (ring contents are lost, as in a real crash).
@@ -206,11 +201,101 @@ impl LogDevice for SimDevice {
     fn len(&self) -> u64 {
         self.data.lock().len() as u64
     }
-    fn nominal_latency(&self) -> Duration {
-        self.latency
-    }
     fn snapshot(&self) -> Option<Vec<u8>> {
         Some(self.contents())
+    }
+}
+
+/// An in-memory device that models durability honestly and whose `sync` can
+/// be held: appended bytes become part of the crash snapshot only once a
+/// `sync` completes, and while the device is held every `sync` blocks at the
+/// gate. Tests use it to keep log bytes from becoming durable — a flush
+/// daemon that flushes at once leaves no trigger to starve — and to line
+/// commits up behind a flush that is in flight. Works under both runtimes.
+#[derive(Debug)]
+pub struct StallDevice {
+    /// The appended bytes; charges the sync latency.
+    store: SimDevice,
+    gate: Mutex<StallGate>,
+    cv: crate::runtime::RtCondvar,
+}
+
+#[derive(Debug, Default)]
+struct StallGate {
+    /// Prefix of the store covered by a completed `sync`.
+    durable_len: usize,
+    held: bool,
+    /// `sync` calls currently blocked at the gate.
+    blocked: usize,
+}
+
+impl StallDevice {
+    /// New device, not held, charging `latency` on every `sync` that passes
+    /// the gate.
+    pub fn new(latency: Duration) -> StallDevice {
+        StallDevice {
+            store: SimDevice::new(latency),
+            gate: Mutex::new(StallGate::default()),
+            cv: crate::runtime::RtCondvar::new(),
+        }
+    }
+
+    /// Hold the device: from now on `sync` blocks until [`StallDevice::release`].
+    pub fn hold(&self) {
+        self.gate.lock().held = true;
+    }
+
+    /// Let blocked and future `sync` calls through.
+    pub fn release(&self) {
+        self.gate.lock().held = false;
+        self.cv.notify_all();
+    }
+
+    /// Block until a `sync` is waiting at the gate: the flush in flight has
+    /// written its bytes and nothing more can become durable until release.
+    pub fn wait_blocked(&self) {
+        let mut g = self.gate.lock();
+        while g.blocked == 0 {
+            g = self.cv.wait(&self.gate, g);
+        }
+    }
+}
+
+impl LogDevice for StallDevice {
+    fn append(&self, data: &[u8]) -> Result<()> {
+        self.store.append(data)
+    }
+    fn write_vectored(&self, bufs: &[&[u8]]) -> Result<()> {
+        self.store.write_vectored(bufs)
+    }
+    fn sync(&self) -> Result<()> {
+        let mut g = self.gate.lock();
+        if g.held {
+            g.blocked += 1;
+            self.cv.notify_all();
+            while g.held {
+                g = self.cv.wait(&self.gate, g);
+            }
+            g.blocked -= 1;
+        }
+        drop(g);
+        // This sync covers what was appended before it passed the gate.
+        let covered = self.store.len() as usize;
+        self.store.sync()?;
+        let mut g = self.gate.lock();
+        g.durable_len = g.durable_len.max(covered);
+        Ok(())
+    }
+    fn read_at(&self, offset: u64, dst: &mut [u8]) -> Result<usize> {
+        self.store.read_at(offset, dst)
+    }
+    fn len(&self) -> u64 {
+        self.store.len()
+    }
+    fn snapshot(&self) -> Option<Vec<u8>> {
+        let mut bytes = self.store.contents();
+        bytes.truncate(self.gate.lock().durable_len);
+        Some(bytes)
     }
 }
 
@@ -501,7 +586,6 @@ mod tests {
         let t = crate::runtime::monotonic_ns();
         d.sync().unwrap();
         assert!(crate::runtime::monotonic_ns() - t >= 2_000_000);
-        assert_eq!(d.nominal_latency(), Duration::from_millis(2));
     }
 
     #[test]
@@ -535,15 +619,13 @@ mod tests {
     #[test]
     fn device_kind_builds() {
         assert!(DeviceKind::Null.build().unwrap().discards());
-        assert_eq!(
-            DeviceKind::Flash.build().unwrap().nominal_latency(),
-            Duration::from_micros(100)
-        );
-        assert_eq!(
-            DeviceKind::CustomUs(250).build().unwrap().nominal_latency(),
-            Duration::from_micros(250)
-        );
+        assert!(!DeviceKind::Flash.build().unwrap().discards());
         assert!(DeviceKind::Ram.build().unwrap().is_empty());
+        // The latency classes charge their latency on sync.
+        let d = DeviceKind::CustomUs(250).build().unwrap();
+        let t = crate::runtime::monotonic_ns();
+        d.sync().unwrap();
+        assert!(crate::runtime::monotonic_ns() - t >= 250_000);
     }
 
     #[test]
@@ -576,13 +658,52 @@ mod tests {
     }
 
     #[test]
-    fn precise_sleep_short_and_long() {
-        let t = crate::runtime::monotonic_ns();
-        precise_sleep(Duration::from_micros(50));
-        assert!(crate::runtime::monotonic_ns() - t >= 50_000);
-        let t = crate::runtime::monotonic_ns();
-        precise_sleep(Duration::from_millis(1));
-        assert!(crate::runtime::monotonic_ns() - t >= 1_000_000);
+    fn precise_sleep_is_never_early_and_rarely_late() {
         precise_sleep(Duration::ZERO); // no-op
+        for us in [100u64, 200, 1000] {
+            let mut over: Vec<u64> = (0..200)
+                .map(|_| {
+                    let t = crate::runtime::monotonic_ns();
+                    precise_sleep(Duration::from_micros(us));
+                    let dt = crate::runtime::monotonic_ns() - t;
+                    assert!(dt >= us * 1000, "{us} µs sleep returned after {dt} ns");
+                    dt - us * 1000
+                })
+                .collect();
+            over.sort_unstable();
+            assert!(
+                over[100] <= 50_000,
+                "median overshoot of a {us} µs sleep is {} ns",
+                over[100]
+            );
+        }
+    }
+
+    #[test]
+    fn precise_sleep_is_exact_in_virtual_time() {
+        let rt = crate::runtime::Runtime::sim(5);
+        let _guard = rt.enter();
+        for us in [100u64, 200, 1000] {
+            let t = crate::runtime::monotonic_ns();
+            precise_sleep(Duration::from_micros(us));
+            assert_eq!(crate::runtime::monotonic_ns() - t, us * 1000);
+        }
+    }
+
+    #[test]
+    fn stall_device_holds_syncs_and_snapshots_only_synced_bytes() {
+        let d = std::sync::Arc::new(StallDevice::new(Duration::ZERO));
+        d.append(b"synced").unwrap();
+        d.sync().unwrap();
+        d.hold();
+        d.append(b" pending").unwrap();
+        let d2 = std::sync::Arc::clone(&d);
+        let t = std::thread::spawn(move || d2.sync().unwrap());
+        d.wait_blocked();
+        assert_eq!(d.len(), 14);
+        assert_eq!(d.snapshot().unwrap(), b"synced");
+        d.release();
+        t.join().unwrap();
+        assert_eq!(d.snapshot().unwrap(), b"synced pending");
     }
 }

@@ -5,6 +5,16 @@
 //! time elapsed, whichever comes first). After each I/O completion, the
 //! daemon notifies the agent threads of newly-hardened transactions."
 //!
+//! The daemon is **work-conserving**: whenever it is idle and somebody waits
+//! on bytes it could write — a pipelined commit registered through
+//! [`FlushShared::note_commit`], a blocking [`FlushShared::flush_until`] —
+//! it flushes at once. Commits that arrive while a flush is in flight are
+//! the next group; that is where group commit's "aggregating multiple
+//! requests for log flush into a single I/O" comes from, not from a timer on
+//! an idle device. X, L and T ([`GroupCommitPolicy`]) are upper bounds: X and
+//! L stop a group from growing while the daemon lets runnable committers
+//! run, L and T flush bytes nobody is waiting on.
+//!
 //! The daemon drains `[durable, released)` straight out of the ring: the
 //! window is at most one ring lap, so it is at most two contiguous ring
 //! slices, which go to [`LogDevice::write_vectored`] with **no scratch
@@ -12,6 +22,23 @@
 //! copied in memory. It then syncs, advances the durable watermark
 //! (reclaiming ring space) and completes pending commits via the
 //! [`CommitPipeline`].
+//!
+//! ## Park / notify
+//!
+//! Everything the daemon sleeps on is decided under [`FlushInner`]'s lock.
+//! It evaluates its trigger holding the lock and, finding none, sets
+//! `parked` and waits on `daemon_cv` — which gives the lock up only once the
+//! daemon is a registered waiter. A client changes what the daemon waits for
+//! under the same lock and notifies iff it finds `parked` set (clearing it,
+//! so one park costs one notify). Either the client's change came before the
+//! daemon's look and the daemon saw it, or it came after the daemon parked
+//! and the client saw `parked`: no wakeup is lost, and a running daemon costs
+//! its clients no syscall. Two inputs change outside the lock. An inserter
+//! blocked on ring space raises `space_waiters` and then calls
+//! [`FlushShared::wake`], which takes the lock, so the same argument holds.
+//! A commit whose release was handed to a predecessor that is still filling
+//! is registered *before* its bytes are released, and nothing runs when they
+//! are: for that case alone the daemon looks again after [`HANDOFF_RELOOK`].
 
 use crate::buffer::BufferCore;
 use crate::commit::{CommitGate, CommitPipeline};
@@ -22,24 +49,32 @@ use crate::lsn::Lsn;
 use crate::runtime::{self, RtCondvar, Runtime};
 use crate::telemetry::Stage;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// How long the daemon parks before looking again for the released bytes of
+/// a commit that was registered ahead of its handed-off release. The
+/// predecessor that publishes them is mid-`memcpy`, so they are normally
+/// there on the first look.
+const HANDOFF_RELOOK: Duration = Duration::from_micros(50);
+
 #[derive(Debug)]
 struct FlushInner {
-    /// Highest LSN any caller demanded be made durable *now* (blocking
-    /// flush requests bypass the group-commit batching).
-    requested: Lsn,
-    /// Commits submitted since the last flush (the "X transactions" trigger).
+    /// Highest LSN somebody is waiting to see durable: blocking flush
+    /// requests and registered pipelined commits alike. It may be past
+    /// `released`: a commit record's release can be handed to a predecessor
+    /// that is still filling.
+    wanted: Lsn,
+    /// Pipelined commits registered since the daemon last started a drain
+    /// (the "X transactions" bound on a growing group).
     pending_commits: usize,
-    /// Highest commit LSN registered through [`FlushShared::note_commit`].
-    /// It may be past `released`: a commit record's release can be handed
-    /// to a predecessor that is still filling.
-    noted: Lsn,
-    /// When (runtime-monotonic ns) the oldest unserviced request arrived
-    /// (the "T time" trigger).
-    oldest: Option<u64>,
+    /// The daemon is in its parked wait. Whoever changes what it waits for
+    /// clears the flag and notifies `daemon_cv`.
+    parked: bool,
+    /// Threads blocked in [`FlushShared::flush_until`]; the daemon notifies
+    /// `waiter_cv` only when there are any.
+    waiters: usize,
     shutdown: bool,
     /// Set when the daemon hit a permanent device failure (or exhausted its
     /// retry budget): the terminal poisoned-log state. Waiters fail fast
@@ -53,11 +88,28 @@ pub struct FlushShared {
     inner: Mutex<FlushInner>,
     daemon_cv: RtCondvar,
     waiter_cv: RtCondvar,
+    /// Mirrors `poisoned.is_some()`, so the commit path can ask without the
+    /// lock the daemon works under.
+    is_poisoned: AtomicBool,
     flushes: AtomicU64,
     flushed_bytes: AtomicU64,
 }
 
 impl FlushShared {
+    /// Wake the daemon if it is parked; `g` proves the caller changed what
+    /// it waits for under the lock.
+    fn unpark(&self, g: &mut FlushInner) {
+        if std::mem::take(&mut g.parked) {
+            self.daemon_cv.notify_one();
+        }
+    }
+
+    /// Have the daemon look again. For changes it cannot see under its own
+    /// lock: an inserter about to block on ring space.
+    pub(crate) fn wake(&self) {
+        self.unpark(&mut self.inner.lock());
+    }
+
     /// Demand durability up to `lsn` and block until it holds. This is the
     /// *baseline* commit path: one blocking wait (and its pair of context
     /// switches) per call. Fully concurrent: any number of committers may
@@ -73,13 +125,8 @@ impl FlushShared {
             return Ok(());
         }
         let mut g = self.inner.lock();
-        if g.requested < lsn {
-            g.requested = lsn;
-        }
-        if g.oldest.is_none() {
-            g.oldest = Some(runtime::monotonic_ns());
-        }
-        self.daemon_cv.notify_one();
+        g.wanted = g.wanted.max(lsn);
+        self.unpark(&mut g);
         loop {
             if core.durable_lsn() >= lsn {
                 return Ok(());
@@ -92,7 +139,9 @@ impl FlushShared {
             if g.shutdown {
                 return Err(AetherError::Shutdown);
             }
+            g.waiters += 1;
             g = self.waiter_cv.wait(&self.inner, g);
+            g.waiters -= 1;
         }
     }
 
@@ -101,43 +150,41 @@ impl FlushShared {
         self.inner.lock().poisoned.clone()
     }
 
-    /// Register a commit waiting for `lsn` for group-commit accounting and
-    /// nudge the daemon once a policy threshold is reached. Non-blocking
-    /// (flush pipelining).
-    pub fn note_commit(&self, lsn: Lsn, policy: &GroupCommitPolicy) {
+    /// Whether the daemon has halted on a device failure.
+    pub fn is_poisoned(&self) -> bool {
+        self.is_poisoned.load(Ordering::Acquire)
+    }
+
+    /// Register a pipelined commit waiting for `lsn`. An idle daemon starts
+    /// on it at once; a busy one takes it with its next group. Non-blocking
+    /// (flush pipelining), and no syscall unless the daemon is parked.
+    pub fn note_commit(&self, lsn: Lsn) {
         let mut g = self.inner.lock();
         g.pending_commits += 1;
-        g.noted = g.noted.max(lsn);
-        if g.oldest.is_none() {
-            g.oldest = Some(runtime::monotonic_ns());
-        }
-        if g.pending_commits >= policy.max_pending_commits {
-            self.daemon_cv.notify_one();
-        }
+        g.wanted = g.wanted.max(lsn);
+        self.unpark(&mut g);
     }
 
     /// Ask the daemon to flush everything released so far without waiting.
     pub fn kick(&self, core: &BufferCore) {
         let mut g = self.inner.lock();
-        let rel = core.released_lsn();
-        if g.requested < rel {
-            g.requested = rel;
-        }
-        self.daemon_cv.notify_one();
+        g.wanted = g.wanted.max(core.released_lsn());
+        self.unpark(&mut g);
     }
 
     fn new() -> Arc<FlushShared> {
         Arc::new(FlushShared {
             inner: Mutex::new(FlushInner {
-                requested: Lsn::ZERO,
+                wanted: Lsn::ZERO,
                 pending_commits: 0,
-                noted: Lsn::ZERO,
-                oldest: None,
+                parked: false,
+                waiters: 0,
                 shutdown: false,
                 poisoned: None,
             }),
             daemon_cv: RtCondvar::new(),
             waiter_cv: RtCondvar::new(),
+            is_poisoned: AtomicBool::new(false),
             flushes: AtomicU64::new(0),
             flushed_bytes: AtomicU64::new(0),
         })
@@ -185,6 +232,7 @@ impl FlushDaemon {
         retry: FlushRetryPolicy,
     ) -> FlushDaemon {
         let shared = FlushShared::new();
+        core.attach_flusher(Arc::clone(&shared));
         let sh = Arc::clone(&shared);
         let co = Arc::clone(&core);
         let thread = rt.spawn("aether-flushd", move || {
@@ -208,8 +256,8 @@ impl FlushDaemon {
     }
 
     /// Non-blocking commit registration; see [`FlushShared::note_commit`].
-    pub fn note_commit(&self, lsn: Lsn, policy_hint: &GroupCommitPolicy) {
-        self.shared.note_commit(lsn, policy_hint);
+    pub fn note_commit(&self, lsn: Lsn) {
+        self.shared.note_commit(lsn);
     }
 
     /// Ask the daemon to flush everything released so far without waiting.
@@ -225,7 +273,7 @@ impl FlushDaemon {
                 return;
             }
             g.shutdown = true;
-            self.shared.daemon_cv.notify_one();
+            self.shared.unpark(&mut g);
         }
         if let Some(t) = self.thread.take() {
             let _ = t.join();
@@ -274,11 +322,84 @@ fn poison_log(
         let mut g = shared.inner.lock();
         if g.poisoned.is_none() {
             g.poisoned = Some(error.to_string());
+            shared.is_poisoned.store(true, Ordering::Release);
         }
         shared.waiter_cv.notify_all();
     }
     pipeline.fail_pending();
     gate.poison();
+}
+
+/// Park until there are bytes to write and a reason to write them; `false`
+/// once the log is shut down and everything released is durable.
+///
+/// Reasons, looked at under the lock: somebody waits on durability the
+/// daemon can advance (the work-conserving rule), L bytes are pending, an
+/// inserter is blocked on ring space, T has passed since the daemon went
+/// idle, or shutdown.
+///
+/// Before it drains for pipelined commits, the daemon gives other runnable
+/// threads a turn for as long as each turn brings new commits: on a busy
+/// host the yield hands the CPU to threads that are about to commit, so
+/// their records join this group and they find the daemon running (no
+/// notify, no park/wake cycle per commit); on an idle host the yield returns
+/// at once. X and L end the growing of a group, so one flush costs at most
+/// X yields. A blocked committer is not made to wait for a yield: its
+/// thread has nothing more to add.
+fn await_trigger(shared: &FlushShared, core: &BufferCore, policy: &GroupCommitPolicy) -> bool {
+    let max_wait_ns = u64::try_from(policy.max_wait.as_nanos()).unwrap_or(u64::MAX);
+    let mut g = shared.inner.lock();
+    // The flush that just ended may be what blocked flushers wait for.
+    if g.waiters > 0 {
+        shared.waiter_cv.notify_all();
+    }
+    let idle_deadline = runtime::monotonic_ns().saturating_add(max_wait_ns);
+    // Pipelined commits registered as of the last yield.
+    let mut seen = 0;
+    loop {
+        let durable = core.durable_lsn();
+        let pending_bytes = core.released_lsn().raw() - durable.raw();
+        if g.shutdown {
+            g.pending_commits = 0;
+            return pending_bytes > 0;
+        }
+        if seen != g.pending_commits
+            && g.pending_commits < policy.max_pending_commits
+            && pending_bytes < policy.max_pending_bytes
+        {
+            seen = g.pending_commits;
+            drop(g);
+            runtime::yield_now();
+            g = shared.inner.lock();
+            continue;
+        }
+        let waited_on = g.wanted > durable;
+        let now = runtime::monotonic_ns();
+        if pending_bytes > 0
+            && (waited_on
+                || pending_bytes >= policy.max_pending_bytes
+                || core.space_waiters() > 0
+                || now >= idle_deadline)
+        {
+            g.pending_commits = 0;
+            return true;
+        }
+        let nap = if pending_bytes > 0 {
+            // T: bytes nobody waits on are written at most `max_wait` after
+            // the daemon went idle.
+            Duration::from_nanos(idle_deadline - now)
+        } else if waited_on {
+            // Somebody waits, yet nothing is released: their record's
+            // release was handed to a predecessor that is still filling, and
+            // no one tells the daemon when it lands.
+            HANDOFF_RELOOK
+        } else {
+            policy.max_wait
+        };
+        g.parked = true;
+        (g, _) = shared.daemon_cv.wait_for(&shared.inner, g, nap);
+        g.parked = false;
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -291,64 +412,14 @@ fn daemon_loop(
     policy: GroupCommitPolicy,
     retry: FlushRetryPolicy,
 ) {
-    let poll = policy
-        .max_wait
-        .min(Duration::from_micros(500))
-        .max(Duration::from_micros(50));
-    // Group-commit batching window: once triggered, linger briefly so
-    // commits arriving "just behind" the trigger join this flush instead of
-    // waiting a full device sync. Scaled to the device (zero for ramdisks —
-    // no added latency; a quarter sync for magnetic-class devices). This is
-    // the "aggregating multiple requests for log flush into a single I/O"
-    // of group commit [Helland et al.], and without it a slow device
-    // degrades to ~1 commit per sync.
-    let batch_window = device.nominal_latency() / 4;
-    let max_wait_ns = u64::try_from(policy.max_wait.as_nanos()).unwrap_or(u64::MAX);
     let tel = Arc::clone(core.telemetry());
-    loop {
-        // Decide whether (and how far) to flush.
-        let t_trigger;
-        {
-            let mut g = shared.inner.lock();
-            loop {
-                let released = core.released_lsn();
-                let durable = core.durable_lsn();
-                let pending_bytes = released.raw() - durable.raw();
-                let timed_out = g
-                    .oldest
-                    .map(|t| runtime::monotonic_ns().saturating_sub(t) >= max_wait_ns)
-                    .unwrap_or(false);
-                // A request may be for a record whose release was handed to
-                // a predecessor that is still filling: with nothing released
-                // to write there is nothing to do for it yet, and the poll
-                // below looks again.
-                let trigger = (g.requested > durable && pending_bytes > 0)
-                    || g.pending_commits >= policy.max_pending_commits
-                    || pending_bytes >= policy.max_pending_bytes
-                    || (pending_bytes > 0 && timed_out)
-                    || (pending_bytes > 0 && core.space_waiters() > 0)
-                    || (g.shutdown && pending_bytes > 0);
-                if g.shutdown && pending_bytes == 0 {
-                    return;
-                }
-                if trigger {
-                    g.pending_commits = 0;
-                    g.oldest = None;
-                    t_trigger = tel.ts();
-                    if t_trigger.is_some() {
-                        let ids = tel.ids();
-                        tel.gauge_set(ids.flush_queue_depth, pipeline.pending() as i64);
-                        tel.gauge_set(ids.flush_pending_bytes, pending_bytes as i64);
-                    }
-                    break;
-                }
-                (g, _) = shared.daemon_cv.wait_for(&shared.inner, g, poll);
-            }
-        }
-
-        // Batch: give trailing committers a moment to get their records in.
-        if !batch_window.is_zero() {
-            runtime::sleep(batch_window);
+    while await_trigger(&shared, &core, &policy) {
+        let t_trigger = tel.ts();
+        if t_trigger.is_some() {
+            let ids = tel.ids();
+            let pending_bytes = core.released_lsn().raw() - core.durable_lsn().raw();
+            tel.gauge_set(ids.flush_queue_depth, pipeline.pending() as i64);
+            tel.gauge_set(ids.flush_pending_bytes, pending_bytes as i64);
         }
 
         // Drain [durable, target) to the device and sync. The window is at
@@ -397,7 +468,7 @@ fn daemon_loop(
             shared.flushes.fetch_add(1, Ordering::Relaxed);
             shared
                 .flushed_bytes
-                .fetch_add(target.since(core.durable_lsn()), Ordering::Relaxed);
+                .fetch_add(target.since(at), Ordering::Relaxed);
             if let Some(t0) = t_drain {
                 let now = runtime::monotonic_ns();
                 let ids = tel.ids();
@@ -414,21 +485,11 @@ fn daemon_loop(
 
         // Reattach: complete pipelined commits that are both durable and
         // sufficiently replicated (the gate is transparent without a
-        // policy), wake blocking flushers, and nudge gate waiters.
+        // policy) and nudge gate waiters; `await_trigger` wakes blocking
+        // flushers.
         let completed = pipeline.complete_upto(gate.effective(target));
         if completed > 0 {
             tel.record(tel.ids().commit_group_size, completed as u64);
-        }
-        {
-            let mut g = shared.inner.lock();
-            // A commit beyond `target` (registered before its handed-off
-            // release was published) is still unserviced: keep the
-            // `max_wait` clock running for it, or nothing would trigger
-            // its flush.
-            if g.oldest.is_none() && g.noted > target {
-                g.oldest = Some(runtime::monotonic_ns());
-            }
-            shared.waiter_cv.notify_all();
         }
         gate.notify();
     }
@@ -440,21 +501,25 @@ mod tests {
     use crate::buffer::{BaselineBuffer, LogBuffer};
     use crate::commit::{CommitAction, CommitHandle};
     use crate::config::LogConfig;
-    use crate::device::SimDevice;
+    use crate::device::{SimDevice, StallDevice};
     use crate::record::RecordKind;
 
-    fn setup(
-        latency_us: u64,
-    ) -> (
+    type Rig<D> = (
         Arc<BufferCore>,
-        Arc<SimDevice>,
+        Arc<D>,
         Arc<CommitPipeline>,
         FlushDaemon,
         BaselineBuffer,
-    ) {
+    );
+
+    /// A 64 KiB ring, a daemon over `device`, and a baseline buffer.
+    fn rig<D: LogDevice + 'static>(
+        device: Arc<D>,
+        policy: GroupCommitPolicy,
+        retry: FlushRetryPolicy,
+    ) -> Rig<D> {
         let cfg = LogConfig::default().with_buffer_size(1 << 16);
         let core = BufferCore::new(&cfg);
-        let device = Arc::new(SimDevice::new(Duration::from_micros(latency_us)));
         let pipeline = Arc::new(CommitPipeline::new());
         let daemon = FlushDaemon::spawn(
             &Runtime::default(),
@@ -462,11 +527,19 @@ mod tests {
             device.clone() as Arc<dyn LogDevice>,
             Arc::clone(&pipeline),
             Arc::new(CommitGate::new()),
-            GroupCommitPolicy::default(),
-            FlushRetryPolicy::default(),
+            policy,
+            retry,
         );
         let buf = BaselineBuffer::new(Arc::clone(&core));
         (core, device, pipeline, daemon, buf)
+    }
+
+    fn setup(latency_us: u64) -> Rig<SimDevice> {
+        rig(
+            Arc::new(SimDevice::new(Duration::from_micros(latency_us))),
+            GroupCommitPolicy::default(),
+            FlushRetryPolicy::default(),
+        )
     }
 
     #[test]
@@ -492,7 +565,7 @@ mod tests {
             let end = core.released_lsn();
             let (h, st) = CommitHandle::new();
             pipeline.submit(end, CommitAction::Notify(st));
-            daemon.note_commit(end, &GroupCommitPolicy::default());
+            daemon.note_commit(end);
             handles.push(h);
         }
         daemon.kick();
@@ -527,8 +600,8 @@ mod tests {
         let buf = BaselineBuffer::new(Arc::clone(&core));
         buf.insert(RecordKind::Filler, 1, Lsn::ZERO, &[0; 64]);
         let target = core.released_lsn();
-        daemon.note_commit(target, &policy); // starts the T clock
-                                             // Durable-watch notification instead of a sleep-poll loop.
+        daemon.note_commit(target);
+        // Durable-watch notification instead of a sleep-poll loop.
         let durable = core.wait_durable_timeout(target, Duration::from_millis(500));
         assert_eq!(durable, target, "T policy must fire");
     }
@@ -639,24 +712,12 @@ mod tests {
         FlushDaemon,
         BaselineBuffer,
     ) {
-        let cfg = LogConfig::default().with_buffer_size(1 << 16);
-        let core = BufferCore::new(&cfg);
-        let pipeline = Arc::new(CommitPipeline::new());
         let retry = FlushRetryPolicy {
             max_attempts: 5,
             initial_backoff: Duration::from_micros(10),
             max_backoff: Duration::from_micros(100),
         };
-        let daemon = FlushDaemon::spawn(
-            &Runtime::default(),
-            Arc::clone(&core),
-            device as Arc<dyn LogDevice>,
-            Arc::clone(&pipeline),
-            Arc::new(CommitGate::new()),
-            GroupCommitPolicy::default(),
-            retry,
-        );
-        let buf = BaselineBuffer::new(Arc::clone(&core));
+        let (core, _, pipeline, daemon, buf) = rig(device, GroupCommitPolicy::default(), retry);
         (core, pipeline, daemon, buf)
     }
 
@@ -724,5 +785,152 @@ mod tests {
         // 100 * ~4KB ≈ 400KB through a 64KB ring.
         assert!(core.released_lsn().raw() > (1 << 16));
         let _ = device;
+    }
+
+    /// A policy whose bounds never fire, so only the work-conserving rule
+    /// (or the named field) can be what flushed.
+    fn unbounded() -> GroupCommitPolicy {
+        GroupCommitPolicy {
+            max_pending_commits: usize::MAX,
+            max_pending_bytes: u64::MAX,
+            max_wait: Duration::from_secs(3600),
+        }
+    }
+
+    fn stall_setup(policy: GroupCommitPolicy) -> Rig<StallDevice> {
+        rig(
+            Arc::new(StallDevice::new(Duration::ZERO)),
+            policy,
+            FlushRetryPolicy::default(),
+        )
+    }
+
+    fn submit_commit(
+        core: &BufferCore,
+        pipeline: &CommitPipeline,
+        daemon: &FlushDaemon,
+        buf: &BaselineBuffer,
+        txn: u64,
+    ) -> CommitHandle {
+        buf.insert(RecordKind::Commit, txn, Lsn::ZERO, &[]);
+        let end = core.released_lsn();
+        let (h, st) = CommitHandle::new();
+        pipeline.submit(end, CommitAction::Notify(st));
+        daemon.note_commit(end);
+        h
+    }
+
+    #[test]
+    fn idle_commit_costs_the_device_not_a_timer() {
+        // Virtual time: one commit on an idle log over a 100 µs device, with
+        // T at an hour. Anything on the path between `note_commit` and the
+        // completion besides the device would show as virtual time.
+        let rt = Runtime::sim(11);
+        let guard = rt.enter();
+        let mut cfg = LogConfig::default().with_runtime(rt.clone());
+        cfg.group_commit.max_wait = Duration::from_secs(3600);
+        let log = crate::manager::LogManager::builder()
+            .config(cfg)
+            .device(crate::device::DeviceKind::Flash)
+            .build();
+        runtime::sleep(Duration::from_millis(3)); // the daemon is parked by now
+        for txn in 0..3u64 {
+            let t0 = runtime::monotonic_ns();
+            assert!(log.commit(txn, Lsn::ZERO).wait());
+            let dt = runtime::monotonic_ns() - t0;
+            assert!(
+                (100_000..=110_000).contains(&dt),
+                "commit {txn} took {dt} ns of virtual time on a 100 µs device"
+            );
+            runtime::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(log.flush_count(), 3);
+        log.shutdown();
+        drop(guard);
+    }
+
+    #[test]
+    fn commits_during_a_flush_are_the_next_group() {
+        let (core, device, pipeline, daemon, buf) = stall_setup(unbounded());
+        device.hold();
+        let first = submit_commit(&core, &pipeline, &daemon, &buf, 0);
+        device.wait_blocked(); // flush 1 is in flight
+        let group: Vec<_> = (1..=10)
+            .map(|txn| submit_commit(&core, &pipeline, &daemon, &buf, txn))
+            .collect();
+        assert_eq!(daemon.shared().flush_count(), 0);
+        assert!(!first.is_done() && group.iter().all(|h| !h.is_done()));
+        device.release();
+        assert!(first.wait());
+        for h in &group {
+            assert!(h.wait());
+        }
+        assert_eq!(
+            daemon.shared().flush_count(),
+            2,
+            "ten commits that arrived during one flush share the next"
+        );
+        assert_eq!(pipeline.completed(), 11);
+    }
+
+    #[test]
+    fn blocked_committers_share_the_next_flush() {
+        // The blocking protocols group the same way, with no linger: whoever
+        // calls `flush_until` during a flush is covered by the next one.
+        let (core, device, _p, daemon, buf) = stall_setup(unbounded());
+        device.hold();
+        std::thread::scope(|s| {
+            let committer = || {
+                buf.insert(RecordKind::Commit, 0, Lsn::ZERO, &[]);
+                daemon.flush_until(core.released_lsn()).unwrap();
+            };
+            s.spawn(committer);
+            device.wait_blocked(); // flush 1 is in flight
+            for _ in 0..4 {
+                s.spawn(committer);
+            }
+            while daemon.shared().inner.lock().waiters < 5 {
+                std::thread::yield_now();
+            }
+            device.release();
+        });
+        assert_eq!(daemon.shared().flush_count(), 2);
+        assert_eq!(core.durable_lsn(), core.released_lsn());
+    }
+
+    #[test]
+    fn bytes_nobody_waits_on_flush_by_t() {
+        let policy = GroupCommitPolicy {
+            max_wait: Duration::from_millis(5),
+            ..unbounded()
+        };
+        let (core, _device, _p, _daemon, buf) = stall_setup(policy);
+        buf.insert(RecordKind::Filler, 1, Lsn::ZERO, &[0; 64]);
+        let target = core.released_lsn();
+        let durable = core.wait_durable_timeout(target, Duration::from_secs(5));
+        assert_eq!(durable, target, "no commit, no request: T must fire");
+    }
+
+    #[test]
+    fn bytes_nobody_waits_on_flush_by_l() {
+        // T is an hour, so only L can flush what nobody asked for. The
+        // daemon looks at L whenever it finishes a flush.
+        let policy = GroupCommitPolicy {
+            max_pending_bytes: 4096,
+            ..unbounded()
+        };
+        let (core, device, _p, daemon, buf) = stall_setup(policy);
+        device.hold();
+        buf.insert(RecordKind::Filler, 1, Lsn::ZERO, &[0; 64]);
+        daemon.kick();
+        device.wait_blocked();
+        for _ in 0..3 {
+            buf.insert(RecordKind::Filler, 1, Lsn::ZERO, &[0; 2000]);
+        }
+        let target = core.released_lsn();
+        device.release();
+        let durable = core.wait_durable_timeout(target, Duration::from_secs(5));
+        assert_eq!(durable, target, "6 KB pending against L = 4 KB");
+        assert_eq!(daemon.shared().flush_count(), 2);
     }
 }

@@ -386,7 +386,7 @@ impl LogManager {
     /// device failure (or exhausted its retry budget) and no further bytes
     /// will ever become durable.
     pub fn is_poisoned(&self) -> bool {
-        self.poison_reason().is_some()
+        self.flush_shared.as_ref().is_some_and(|s| s.is_poisoned())
     }
 
     /// The poison reason, if the log is poisoned.
@@ -411,7 +411,7 @@ impl LogManager {
         }
         self.pipeline.submit(lsn, action);
         match &self.flush_shared {
-            Some(shared) => shared.note_commit(lsn, &self.config.group_commit),
+            Some(shared) => shared.note_commit(lsn),
             None => {
                 self.pipeline.complete_upto(self.commit_lsn());
             }

@@ -144,9 +144,18 @@ pub fn yield_now() {
     std::thread::yield_now();
 }
 
-/// Sleep for `d` with sub-millisecond accuracy (coarse OS sleep for the
-/// bulk, then a spin). Device latency models need this; plain OS sleeps
-/// routinely overshoot by a scheduler quantum. Virtual (exact) in sim.
+/// How much of a [`precise_sleep`] is spun rather than slept. An OS sleep of
+/// 20 µs–1 ms on the development host comes back 65–80 µs late at the median
+/// and ~100 µs late at p90 (EXPERIMENTS.md has the histogram), so sleeping
+/// all but this tail wakes before the deadline nine times in ten, and the
+/// spin that remains is ~50 µs, whatever the length of the wait.
+const SPIN_TAIL: Duration = Duration::from_micros(120);
+
+/// Sleep for `d` and never less: an OS sleep for all but [`SPIN_TAIL`], then
+/// a spin to the deadline. The device, link and service-time models wait
+/// here — a plain OS sleep overshoots by a timer slack they cannot afford,
+/// and spinning the whole wait takes a core from the system being modeled.
+/// Virtual (exact) in sim.
 pub fn precise_sleep(d: Duration) {
     if let Some((st, me)) = tls_sim() {
         if !d.is_zero() {
@@ -158,8 +167,8 @@ pub fn precise_sleep(d: Duration) {
         return;
     }
     let start = Instant::now();
-    if d > Duration::from_millis(2) {
-        std::thread::sleep(d - Duration::from_millis(1));
+    if d > SPIN_TAIL {
+        std::thread::sleep(d - SPIN_TAIL);
     }
     while start.elapsed() < d {
         std::hint::spin_loop();

@@ -542,8 +542,13 @@ fn install_snapshot(shared: &ReplicaShared, opts: &DbOptions, s: &SnapshotFrame)
     state.db = db;
     state.device = Arc::new(OffsetDevice::new(snap.start_lsn));
     drop(state);
-    shared.publish_replay(snap.start_lsn);
+    // The status a waiter reads once the new frontier releases it must
+    // already show the re-seed: count it and move `received` up first.
     shared.bootstraps.fetch_add(1, Ordering::Relaxed);
+    shared
+        .received
+        .fetch_max(snap.start_lsn.raw(), Ordering::AcqRel);
+    shared.publish_replay(snap.start_lsn);
     Some(snap.start_lsn)
 }
 

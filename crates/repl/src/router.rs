@@ -542,10 +542,13 @@ impl ReadRouter {
         // Staleness: serve immediately if fresh enough, otherwise block on
         // the applied watch within the budget.
         let node = &self.nodes[pick];
-        let mut applied = node.reader.applied();
-        if applied < min {
-            applied = node.watch.wait_for(min, self.cfg.budget);
-            if applied >= min {
+        if node.reader.applied() >= min {
+            self.c_routed.fetch_add(1, Ordering::Relaxed);
+            self.tel.inc(self.m.routed);
+        } else {
+            // A read that blocks counts as `blocked` or as a fallback,
+            // never as `routed` too: the four outcomes partition the reads.
+            if node.watch.wait_for(min, self.cfg.budget) >= min {
                 self.c_blocked.fetch_add(1, Ordering::Relaxed);
                 self.tel.inc(self.m.blocked);
             } else {
@@ -567,9 +570,6 @@ impl ReadRouter {
                 return self.read_primary(table, key, min);
             }
         }
-        let _ = applied;
-        self.c_routed.fetch_add(1, Ordering::Relaxed);
-        self.tel.inc(self.m.routed);
         self.read_node(pick, table, key, min)
     }
 

@@ -6,9 +6,10 @@
 //! slot per request and handing the request to the connection's executor,
 //! (3) writes each connection's completed response prefix back to its
 //! socket. When a pass moves no bytes the loop sleeps for the *batch
-//! window* — which is also, deliberately, the pacing that lets pipelined
-//! commits from many connections pile onto one flush of the group-commit
-//! gate rather than dribbling out one ack at a time.
+//! window*, which bounds how long a request or a completed response waits
+//! for the next pass and how many acks leave in one write. It does not pace
+//! the log: the flush daemon starts on a commit as soon as it is idle, and
+//! the commits that arrive during that flush share the next one.
 //!
 //! All threads are spawned through the runtime seam, and the loop's only
 //! time source is `runtime::sleep`, so the same code serves real TCP
@@ -34,9 +35,8 @@ pub struct ServerConfig {
     /// TCP listen address (`None`: in-process connections only). Honors
     /// `AETHER_SERVER_ADDR` via [`ServerConfig::from_env`].
     pub addr: Option<SocketAddr>,
-    /// Idle-pass sleep of the IO loop; the knob that shapes how many
-    /// pipelined commits share one group-commit flush. Honors
-    /// `AETHER_SERVER_BATCH_US`.
+    /// Idle-pass sleep of the IO loop: the longest a request or a completed
+    /// response waits for the next pass. Honors `AETHER_SERVER_BATCH_US`.
     pub batch_window: Duration,
     /// Acceptor poll interval.
     pub accept_window: Duration,

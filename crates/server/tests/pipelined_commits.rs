@@ -6,95 +6,15 @@
 //! bytes have not reached the (stalled) durable store, and after a crash
 //! taken *during* the stall, recovery must reproduce every acked write.
 
-use aether_core::device::LogDevice;
-use aether_core::error::Result as CoreResult;
+use aether_core::device::{LogDevice, StallDevice};
 use aether_server::protocol::{Request, Response};
 use aether_server::{Client, Engine, Server, ServerConfig};
 use aether_storage::replay::state_fingerprint;
 use aether_storage::{CommitProtocol, Db, DbOptions};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// A log device that models durability honestly: appended bytes sit in a
-/// staging area and only become part of the crash snapshot once a `sync`
-/// completes — and `sync` can be stalled. While stalled, the flush daemon
-/// blocks inside `sync`, so durability callbacks (and therefore `Committed`
-/// responses) stop; anything acked anyway would be provably undurable.
-struct StallDevice {
-    inner: Mutex<StallInner>,
-    stalled: AtomicBool,
-}
-
-struct StallInner {
-    data: Vec<u8>,
-    durable_len: usize,
-}
-
-impl StallDevice {
-    fn new() -> StallDevice {
-        StallDevice {
-            inner: Mutex::new(StallInner {
-                data: Vec::new(),
-                durable_len: 0,
-            }),
-            stalled: AtomicBool::new(false),
-        }
-    }
-
-    fn set_stalled(&self, on: bool) {
-        self.stalled.store(on, Ordering::SeqCst);
-    }
-}
-
-impl LogDevice for StallDevice {
-    fn append(&self, data: &[u8]) -> CoreResult<()> {
-        self.inner.lock().data.extend_from_slice(data);
-        Ok(())
-    }
-
-    fn write_vectored(&self, bufs: &[&[u8]]) -> CoreResult<()> {
-        let mut g = self.inner.lock();
-        for b in bufs {
-            g.data.extend_from_slice(b);
-        }
-        Ok(())
-    }
-
-    fn sync(&self) -> CoreResult<()> {
-        while self.stalled.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // A little latency keeps the run flush-bound, so the windows stay
-        // deep and the group-commit gate actually batches.
-        std::thread::sleep(Duration::from_millis(2));
-        let mut g = self.inner.lock();
-        g.durable_len = g.data.len();
-        Ok(())
-    }
-
-    fn read_at(&self, offset: u64, dst: &mut [u8]) -> CoreResult<usize> {
-        let g = self.inner.lock();
-        if offset >= g.data.len() as u64 {
-            return Ok(0);
-        }
-        let start = offset as usize;
-        let n = dst.len().min(g.data.len() - start);
-        dst[..n].copy_from_slice(&g.data[start..start + n]);
-        Ok(n)
-    }
-
-    fn len(&self) -> u64 {
-        self.inner.lock().data.len() as u64
-    }
-
-    fn snapshot(&self) -> Option<Vec<u8>> {
-        let g = self.inner.lock();
-        Some(g.data[..g.durable_len].to_vec())
-    }
-}
 
 const CONNS: usize = 4;
 const OPS: usize = 48;
@@ -110,7 +30,12 @@ fn record(conn: usize, i: usize) -> Vec<u8> {
 
 #[test]
 fn flush_stall_never_acks_undurable_and_keeps_order() {
-    let device = Arc::new(StallDevice::new());
+    // A held `StallDevice` blocks the flush daemon inside `sync`, so
+    // durability callbacks (and therefore `Committed` responses) stop;
+    // anything acked anyway would be provably undurable. Its 2 ms of sync
+    // latency keeps the run flush-bound, so the windows stay deep and
+    // commits group behind the flush in flight.
+    let device = Arc::new(StallDevice::new(Duration::from_millis(2)));
     let opts = DbOptions {
         protocol: CommitProtocol::Pipelined,
         ..DbOptions::default()
@@ -176,7 +101,7 @@ fn flush_stall_never_acks_undurable_and_keeps_order() {
         assert!(std::time::Instant::now() < deadline, "no commits acked");
         std::thread::sleep(Duration::from_millis(1));
     }
-    device.set_stalled(true);
+    device.hold();
     // Quiesce: the one sync already past the stall gate may still complete
     // and ack its batch; after this window nothing else can.
     std::thread::sleep(Duration::from_millis(100));
@@ -202,7 +127,7 @@ fn flush_stall_never_acks_undurable_and_keeps_order() {
     };
 
     // Release the stall and drain the run cleanly.
-    device.set_stalled(false);
+    device.release();
     for w in workers {
         w.join().unwrap();
     }

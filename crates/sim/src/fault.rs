@@ -21,7 +21,6 @@ use aether_core::error::Result;
 use aether_core::Lsn;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Wraps an inner log device with switchable write/truncate faults.
 pub struct FaultDevice {
@@ -168,9 +167,6 @@ impl LogDevice for FaultDevice {
     fn discards(&self) -> bool {
         self.inner.discards()
     }
-    fn nominal_latency(&self) -> Duration {
-        self.inner.nominal_latency()
-    }
     fn snapshot(&self) -> Option<Vec<u8>> {
         self.inner.snapshot()
     }
@@ -195,6 +191,7 @@ impl LogDevice for FaultDevice {
 mod tests {
     use super::*;
     use aether_core::device::SimDevice;
+    use std::time::Duration;
 
     fn dev() -> (Arc<SimDevice>, Arc<FaultDevice>) {
         let inner = Arc::new(SimDevice::new(Duration::ZERO));

@@ -303,6 +303,7 @@ fn read_record_at(device: &Arc<OffsetDevice>, lsn: Lsn) -> StorageResult<Option<
 mod tests {
     use super::*;
     use crate::txn::CommitProtocol;
+    use aether_core::device::{LogDevice, StallDevice};
     use aether_core::{BufferKind, DeviceKind, LogConfig};
     use std::time::Duration;
 
@@ -380,23 +381,25 @@ mod tests {
     #[test]
     fn unflushed_commit_is_a_loser_after_crash() {
         // AsyncCommit: the commit record may never reach the device — the
-        // exact unsafety the paper calls out (§2). With a huge group-commit
-        // threshold nothing gets flushed after setup.
-        let mut o = opts(CommitProtocol::AsyncCommit);
-        o.log_config.group_commit.max_pending_commits = 1_000_000;
-        o.log_config.group_commit.max_pending_bytes = u64::MAX;
-        o.log_config.group_commit.max_wait = Duration::from_secs(3600);
-        let db = Db::open(o.clone());
+        // exact unsafety the paper calls out (§2). The flush daemon starts
+        // on a commit at once, so the device is held: the record gets no
+        // further than an unfinished sync.
+        let o = opts(CommitProtocol::AsyncCommit);
+        let device = Arc::new(StallDevice::new(Duration::ZERO));
+        let db = Db::open_with_device(o.clone(), device.clone() as Arc<dyn LogDevice>);
         db.create_table(40, 10);
         for k in 0..10u64 {
             db.load(0, k, &rec_bytes(k, 40, 1)).unwrap();
         }
         db.setup_complete();
+        device.hold();
 
         let mut t = db.begin();
         db.update_with(&mut t, 0, 3, |r| r[8] = 77).unwrap();
         db.commit(t).unwrap(); // async: returns without durability
-        let image = db.crash(); // commit record still in the ring
+        device.wait_blocked(); // written, not synced
+        let image = db.crash();
+        device.release();
 
         let (db2, stats) = recover_with_stats(image, o).unwrap();
         assert_eq!(stats.winners, 0, "commit record never became durable");

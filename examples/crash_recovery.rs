@@ -7,8 +7,11 @@
 //!
 //! Run with: `cargo run --release --example crash_recovery`
 
+use aether::log::device::{LogDevice, StallDevice};
 use aether::prelude::*;
 use aether::storage::recovery::recover_with_stats;
+use std::sync::Arc;
+use std::time::Duration;
 
 fn record(key: u64, tag: u8) -> Vec<u8> {
     let mut r = vec![tag; 64];
@@ -69,25 +72,27 @@ fn main() {
     println!("ELR: all 10 commits survived; the in-flight transaction was undone\n");
 
     // ---- Part 2: async commit loses work -------------------------------
-    let mut unsafe_opts = DbOptions {
+    let unsafe_opts = DbOptions {
         protocol: CommitProtocol::AsyncCommit,
         ..DbOptions::default()
     };
-    // Starve the group-commit triggers so nothing reaches the device.
-    unsafe_opts.log_config.group_commit.max_pending_commits = usize::MAX;
-    unsafe_opts.log_config.group_commit.max_pending_bytes = u64::MAX;
-    unsafe_opts.log_config.group_commit.max_wait = std::time::Duration::from_secs(3600);
-    let db = Db::open(unsafe_opts.clone());
+    // The flush daemon starts on a commit at once, so "the crash came before
+    // the flush finished" needs a device whose sync can be held.
+    let device = Arc::new(StallDevice::new(Duration::ZERO));
+    let db = Db::open_with_device(unsafe_opts.clone(), device.clone() as Arc<dyn LogDevice>);
     db.create_table(64, 10);
     for k in 0..10 {
         db.load(0, k, &record(k, 1)).unwrap();
     }
     db.setup_complete();
+    device.hold();
     let mut txn = db.begin();
     db.update_with(&mut txn, 0, 3, |r| r[8] = 99).unwrap();
     let outcome = db.commit(txn).unwrap();
     println!("async commit returned {outcome:?} — the client saw success");
+    device.wait_blocked(); // the commit record is written but not yet synced
     let image = db.crash();
+    device.release();
     let (db2, stats) = recover_with_stats(image, unsafe_opts).unwrap();
     let mut txn = db2.begin();
     let v = db2.read(&mut txn, 0, 3).unwrap()[8];

@@ -56,18 +56,11 @@ fn run_bar(
         },
         &body,
     );
-    // Zero-copy accounting: wrapper_inserts counts records that arrived as
-    // pre-encoded slices (an upstream payload materialization each);
-    // scratch_bytes counts drain bytes staged through a copy buffer. Both
-    // are 0 on the reservation + vectored-flush path.
-    let s = db.log().stats();
     println!(
-        "{label}\t{}\t{:.0}\t{}\t{}\t{}",
+        "{label}\t{}\t{:.0}\t{}",
         r.breakdown.tsv_row(),
         r.tps,
-        r.ctx_switches,
-        s.wrapper_inserts,
-        s.scratch_bytes
+        r.ctx_switches
     );
 }
 
@@ -76,10 +69,7 @@ fn main() {
     let ms = env_or("AETHER_MS", 2000u64);
     let accounts = env_or("AETHER_ACCOUNTS", 20_000u64);
     println!("# Figure 2: time breakdown, TPC-B, {clients} clients, {ms} ms/bar");
-    println!(
-        "config\t{}\ttps\tctx_switches\twrapper_inserts\tscratch_bytes",
-        Breakdown::tsv_header()
-    );
+    println!("config\t{}\ttps\tctx_switches", Breakdown::tsv_header());
     // Bar 1: traditional WAL on a flash-latency log: lock contention (B)
     // dominates because locks are held across the commit flush.
     run_bar(

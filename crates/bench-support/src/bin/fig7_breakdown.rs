@@ -26,10 +26,7 @@ fn main() {
     println!(
         "# Figure 7: TATP UpdateLocation breakdown vs load (ELR + flush pipelining, baseline log buffer)"
     );
-    println!(
-        "clients\t{}\ttps\twrapper_inserts\tscratch_bytes",
-        Breakdown::tsv_header()
-    );
+    println!("clients\t{}\ttps", Breakdown::tsv_header());
     for &clients in &client_list() {
         let db = Db::open(DbOptions {
             protocol: CommitProtocol::Pipelined,
@@ -54,13 +51,6 @@ fn main() {
             },
             &body,
         );
-        let s = db.log().stats();
-        println!(
-            "{clients}\t{}\t{:.0}\t{}\t{}",
-            r.breakdown.tsv_row(),
-            r.tps,
-            s.wrapper_inserts,
-            s.scratch_bytes
-        );
+        println!("{clients}\t{}\t{:.0}", r.breakdown.tsv_row(), r.tps);
     }
 }

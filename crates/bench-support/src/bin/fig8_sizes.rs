@@ -55,7 +55,6 @@ fn main() {
                 ("record_bytes", size.into()),
                 ("mb_per_s", (r.gbps() * 1000.0).into()),
                 ("inserts_per_s", r.inserts_per_s().into()),
-                ("wrapper_inserts", r.wrapper_inserts.into()),
             ]);
         }
     }
@@ -75,7 +74,6 @@ fn main() {
             ("record_bytes", size.into()),
             ("mb_per_s", (r.gbps() * 1000.0).into()),
             ("inserts_per_s", r.inserts_per_s().into()),
-            ("wrapper_inserts", 0u64.into()),
         ]);
     }
 }

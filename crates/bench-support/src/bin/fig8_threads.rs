@@ -63,7 +63,6 @@ fn main() {
                     ("record_bytes", (payload + HEADER_SIZE).into()),
                     ("mb_per_s", r.mbps().into()),
                     ("inserts_per_s", r.inserts_per_s().into()),
-                    ("wrapper_inserts", r.wrapper_inserts.into()),
                 ]);
             }
         }

@@ -130,7 +130,7 @@ mod tests {
             log.insert(RecordKind::Update, i, &[0; 232]); // 264 B on log
         }
         for i in 0..30u64 {
-            let (_, _end) = log.insert_ext(RecordKind::Commit, i, aether_core::Lsn::ZERO, &[]);
+            log.insert(RecordKind::Commit, i, &[]);
         }
         log.flush_all().unwrap();
         let p = LogProfile::scan(std::sync::Arc::clone(log.device())).unwrap();

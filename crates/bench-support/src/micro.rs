@@ -6,7 +6,7 @@
 //! number of threads, the log record size and distribution, and the timing
 //! of inserts."
 //!
-//! Here the extracted subset is a bare buffer variant over a discarding
+//! Here the extracted subset is a bare [`InsertBuffer`] over a discarding
 //! core (auto-reclaim, no flush daemon). `backoff` mode routes every insert
 //! through the consolidation array — on big machines contention does that
 //! naturally; on small hosts it lets the group-formation machinery be
@@ -15,13 +15,9 @@
 //! Inserts go through the zero-copy reservation path (`reserve` → write
 //! into the ring → `release`), so what is measured is exactly one payload
 //! memcpy plus the variant's synchronization — no header re-encoding, no
-//! intermediate buffers. [`MicroResult::wrapper_inserts`] stays 0 and the
-//! tests pin that.
+//! intermediate buffers.
 
-use aether_core::buffer::{
-    BaselineBuffer, BufferCore, BufferKind, ConsolidationBuffer, DecoupledBuffer, DelegatedBuffer,
-    HybridBuffer, LogBuffer,
-};
+use aether_core::buffer::{BufferCore, BufferKind, InsertBuffer, LogBuffer};
 use aether_core::record::{on_log_size, RecordKind, HEADER_SIZE};
 use aether_core::telemetry::Unit;
 use aether_core::{LogConfig, Lsn, TelemetryConfig};
@@ -121,9 +117,6 @@ pub struct MicroResult {
     pub group_acquires: u64,
     /// Delegated releases (CDME).
     pub delegated: u64,
-    /// Legacy byte-slice wrapper inserts (0: the benchmark runs entirely on
-    /// the zero-copy reservation path).
-    pub wrapper_inserts: u64,
 }
 
 impl MicroResult {
@@ -143,66 +136,6 @@ impl MicroResult {
     }
 }
 
-// Variant sizes differ by well under a cache line; boxing would only add
-// indirection on the hot path.
-#[allow(clippy::large_enum_variant)]
-enum AnyBuffer {
-    B(BaselineBuffer),
-    C(ConsolidationBuffer),
-    D(DecoupledBuffer),
-    Cd(HybridBuffer),
-    Cdme(DelegatedBuffer),
-}
-
-impl AnyBuffer {
-    fn build(kind: BufferKind, config: &LogConfig) -> (Arc<BufferCore>, AnyBuffer) {
-        let core = BufferCore::new(config);
-        core.set_auto_reclaim(true);
-        let b = match kind {
-            BufferKind::Baseline => AnyBuffer::B(BaselineBuffer::new(Arc::clone(&core))),
-            BufferKind::Consolidation => {
-                AnyBuffer::C(ConsolidationBuffer::new(Arc::clone(&core), config))
-            }
-            BufferKind::Decoupled => AnyBuffer::D(DecoupledBuffer::new(Arc::clone(&core))),
-            BufferKind::Hybrid => AnyBuffer::Cd(HybridBuffer::new(Arc::clone(&core), config)),
-            BufferKind::Delegated => {
-                AnyBuffer::Cdme(DelegatedBuffer::new(Arc::clone(&core), config))
-            }
-        };
-        (core, b)
-    }
-
-    /// Zero-copy insert: reserve a slot, stream the payload into the ring,
-    /// release. This is the path fig8/fig11/fig12 measure.
-    fn insert(&self, payload: &[u8]) {
-        let mut slot = match self {
-            AnyBuffer::B(b) => b.reserve(RecordKind::Filler, 0, Lsn::ZERO, payload.len()),
-            AnyBuffer::C(b) => b.reserve(RecordKind::Filler, 0, Lsn::ZERO, payload.len()),
-            AnyBuffer::D(b) => b.reserve(RecordKind::Filler, 0, Lsn::ZERO, payload.len()),
-            AnyBuffer::Cd(b) => b.reserve(RecordKind::Filler, 0, Lsn::ZERO, payload.len()),
-            AnyBuffer::Cdme(b) => b.reserve(RecordKind::Filler, 0, Lsn::ZERO, payload.len()),
-        };
-        slot.write(payload);
-        slot.release();
-    }
-
-    /// Backoff path where the variant has one; baseline/decoupled fall back
-    /// to the ordinary insert.
-    fn insert_backoff(&self, payload: &[u8]) {
-        let mut slot = match self {
-            AnyBuffer::B(b) => b.reserve(RecordKind::Filler, 0, Lsn::ZERO, payload.len()),
-            AnyBuffer::C(b) => b.reserve_backoff(RecordKind::Filler, 0, Lsn::ZERO, payload.len()),
-            AnyBuffer::D(b) => b.reserve(RecordKind::Filler, 0, Lsn::ZERO, payload.len()),
-            AnyBuffer::Cd(b) => b.reserve_backoff(RecordKind::Filler, 0, Lsn::ZERO, payload.len()),
-            AnyBuffer::Cdme(b) => {
-                b.reserve_backoff(RecordKind::Filler, 0, Lsn::ZERO, payload.len())
-            }
-        };
-        slot.write(payload);
-        slot.release();
-    }
-}
-
 /// Run one microbenchmark configuration.
 pub fn run_micro(cfg: &MicroConfig) -> MicroResult {
     let log_config = LogConfig::default()
@@ -212,8 +145,11 @@ pub fn run_micro(cfg: &MicroConfig) -> MicroResult {
         // insert-latency histogram and emit one structured document each
         // to AETHER_TELEMETRY_OUT. Off (a single relaxed load) by default.
         .with_telemetry(TelemetryConfig::from_env());
-    let (core, buffer) = AnyBuffer::build(cfg.kind, &log_config);
-    let buffer = Arc::new(buffer);
+    let core = BufferCore::new(&log_config);
+    core.set_auto_reclaim(true);
+    // The concrete type rather than `BufferKind::build`'s `dyn LogBuffer`:
+    // backoff mode needs `InsertBuffer::reserve_backoff`.
+    let buffer = Arc::new(InsertBuffer::new(cfg.kind, Arc::clone(&core), &log_config));
     let stop = Arc::new(AtomicBool::new(false));
 
     let start = Instant::now();
@@ -229,12 +165,17 @@ pub fn run_micro(cfg: &MicroConfig) -> MicroResult {
                 while !stop.load(Ordering::Relaxed) {
                     // Batch 32 inserts per stop-flag check.
                     for _ in 0..32 {
+                        // Zero-copy insert: reserve a slot (through the
+                        // array in backoff mode, where the kind has one),
+                        // stream the payload into the ring, release.
                         let payload = &template[..dist.size_for(i)];
-                        if backoff {
-                            buffer.insert_backoff(payload);
-                        } else {
-                            buffer.insert(payload);
-                        }
+                        let (kind, len) = (RecordKind::Filler, payload.len());
+                        let mut slot = match backoff {
+                            true => buffer.reserve_backoff(kind, 0, Lsn::ZERO, len),
+                            false => buffer.reserve(kind, 0, Lsn::ZERO, len),
+                        };
+                        slot.write(payload);
+                        slot.release();
                         i += 1;
                     }
                 }
@@ -265,8 +206,6 @@ pub fn run_micro(cfg: &MicroConfig) -> MicroResult {
             Unit::Count,
             snap.delegated_releases,
         );
-        doc.push_counter("log.wrapper_inserts", Unit::Count, snap.wrapper_inserts);
-        doc.push_counter("log.scratch_bytes", Unit::Bytes, snap.scratch_bytes);
         let _ = doc.emit_env();
     }
     MicroResult {
@@ -276,7 +215,6 @@ pub fn run_micro(cfg: &MicroConfig) -> MicroResult {
         consolidations: snap.consolidations,
         group_acquires: snap.group_acquires,
         delegated: snap.delegated_releases,
-        wrapper_inserts: snap.wrapper_inserts,
     }
 }
 
@@ -334,7 +272,6 @@ pub fn run_thread_local(threads: usize, payload: usize, duration: Duration) -> M
         consolidations: 0,
         group_acquires: 0,
         delegated: 0,
-        wrapper_inserts: 0,
     }
 }
 
@@ -364,10 +301,6 @@ mod tests {
             );
             assert!(r.mbps() > 0.0);
             assert!(r.inserts_per_s() > 0.0);
-            assert_eq!(
-                r.wrapper_inserts, 0,
-                "{kind:?}: the microbenchmark must run on the zero-copy path"
-            );
         }
     }
 

@@ -1,28 +1,42 @@
-//! The five log-buffer insertion algorithms of the paper (§5, §A.1, §A.3).
+//! The log buffer and the five insertion algorithms of the paper (§5, §A.1,
+//! §A.3) that it runs.
 //!
-//! Every variant shares the same [`BufferCore`] (ring + watermarks + stats)
-//! and differs only in *how* the three insert phases are synchronized:
+//! There is one buffer type, [`InsertBuffer`], over one [`BufferCore`] (ring,
+//! watermarks, stats). The paper presents its algorithms as two
+//! orthogonal changes to the baseline insert that combine (§5.3), and that
+//! is how [`BufferKind`] selects among them — two axes and one guard:
 //!
-//! | Variant | Acquire | Fill | Release |
-//! |---|---|---|---|
-//! | [`BaselineBuffer`] | global mutex | under mutex | under mutex |
-//! | [`ConsolidationBuffer`] (C) | mutex, one leader per group | parallel within group, mutex held | last of group, releases mutex |
-//! | [`DecoupledBuffer`] (D) | mutex (LSN gen only) | parallel | in LSN order, handed off |
-//! | [`HybridBuffer`] (CD) | mutex, one leader per group | parallel | groups in LSN order, handed off |
-//! | [`DelegatedBuffer`] (CDME) | as CD | parallel | as CD, plus the treadmill guard |
+//! | Kind | Paper | Consolidate on contention | Decouple fill from the lock | Treadmill guard |
+//! |---|---|---|---|---|
+//! | `Baseline` (B) | Alg. 1 | – | – | – |
+//! | `Consolidation` (C) | Alg. 2 | yes | – | – |
+//! | `Decoupled` (D) | Alg. 3 | – | yes | – |
+//! | `Hybrid` (CD) | §5.3 | yes | yes | – |
+//! | `Delegated` (CDME) | Alg. 4, §A.3 | yes | yes | yes |
 //!
-//! D, CD and CDME share one release mechanism, owned by [`BufferCore`]: a
-//! finisher whose predecessor is still filling hands its range to that
-//! predecessor instead of waiting for it (see the `release` module).
+//! * **Consolidate** (off: every insert takes the insert lock itself): an
+//!   insert that finds the lock busy backs off into the consolidation array
+//!   ([`crate::carray`]) and joins a group; the group's leader takes the
+//!   lock and reserves once for all members, who fill disjoint sub-ranges
+//!   computed at join time; the last member out releases the group's range.
+//!   C makes one `try_lock` before backing off; CD and CDME, whose lock is
+//!   held for LSN generation only, spin on it briefly first. Records larger
+//!   than a group may be (an eighth of the ring) take the lock directly.
+//! * **Decouple** (off: the lock is held across the fill and the release is
+//!   "advance the watermark, unlock" — so fills are serialized, Figure 8's
+//!   ~140 MB/s plateau for B): the lock covers LSN generation only, fills
+//!   run in parallel, and ranges release in LSN order through the hand-off
+//!   table of the `release` module — a finisher whose predecessor is still
+//!   filling hands its range to that predecessor instead of waiting.
+//! * **Treadmill guard**: Algorithm 4's occasional refusal to hand off, so
+//!   no thread publishes an endless chain of other threads' releases.
 //!
-//! Every variant exposes the same **reservation protocol**
-//! ([`LogBuffer::reserve`] → [`LogSlot`]): acquire hands the caller an
-//! exclusively owned byte range of the ring with the header already encoded
-//! in place, the caller serializes its payload straight into the ring (the
-//! frame CRC streams along with the bytes), and releasing the slot runs the
-//! variant's release stage. Consolidation-group members compute disjoint
-//! fill offsets at join time, so they fill their slots in place with no
-//! extra coordination — exactly as the copy-based fill did.
+//! Inserting is the **reservation protocol** ([`LogBuffer::reserve`] →
+//! [`LogSlot`]) and nothing else: acquire hands the caller an exclusively
+//! owned byte range of the ring with the header already encoded in place,
+//! the caller serializes its payload straight into the ring (the frame CRC
+//! streams along with the bytes), and releasing the slot runs the kind's
+//! release stage.
 //!
 //! The insert critical path never allocates and never blocks on I/O;
 //! back-pressure (ring full) is the only wait that can sleep, and it
@@ -33,26 +47,18 @@
 //! no scratch copy on the way out (the flush daemon drains ring slices via
 //! [`BufferCore::released_slices`]).
 
-mod baseline;
-mod consolidation;
-mod decoupled;
-mod delegated;
-mod hybrid;
+mod insert;
 mod release;
 
-pub use baseline::BaselineBuffer;
-pub use consolidation::ConsolidationBuffer;
-pub use decoupled::DecoupledBuffer;
-pub use delegated::DelegatedBuffer;
-pub use hybrid::HybridBuffer;
+pub use insert::InsertBuffer;
 
 use crate::carray::Slot;
 use crate::config::LogConfig;
 use crate::flush::FlushShared;
 use crate::lsn::{AtomicLsn, Lsn};
 use crate::record::{
-    crc32_finish, crc32_update, encode_frame_header, on_log_size, RecordHeader, RecordKind,
-    CHECKSUM_OFFSET, CRC32_INIT, HEADER_SIZE, MAX_PAYLOAD,
+    crc32_finish, crc32_update, encode_frame_header, on_log_size, RecordKind, CHECKSUM_OFFSET,
+    CRC32_INIT, HEADER_SIZE, MAX_PAYLOAD,
 };
 use crate::ring::Ring;
 use crate::runtime::{self, RtCondvar};
@@ -103,13 +109,7 @@ impl BufferKind {
 
     /// Construct a buffer of this kind over `core`.
     pub fn build(&self, core: Arc<BufferCore>, config: &LogConfig) -> Arc<dyn LogBuffer> {
-        match self {
-            BufferKind::Baseline => Arc::new(BaselineBuffer::new(core)),
-            BufferKind::Consolidation => Arc::new(ConsolidationBuffer::new(core, config)),
-            BufferKind::Decoupled => Arc::new(DecoupledBuffer::new(core)),
-            BufferKind::Hybrid => Arc::new(HybridBuffer::new(core, config)),
-            BufferKind::Delegated => Arc::new(DelegatedBuffer::new(core, config)),
-        }
+        Arc::new(InsertBuffer::new(*self, core, config))
     }
 }
 
@@ -119,52 +119,39 @@ impl std::fmt::Display for BufferKind {
     }
 }
 
-/// A log buffer: the contract every variant implements.
+/// A log buffer: what the layers above hold ([`InsertBuffer`] implements it).
 ///
-/// The primitive operation is [`LogBuffer::reserve`]: it runs the variant's
+/// The one way into the ring is [`LogBuffer::reserve`]: it runs the kind's
 /// acquire protocol (lock / consolidation / LSN generation / back-pressure)
 /// and hands back a [`LogSlot`] — an exclusively owned byte range of the
 /// ring with the record header already serialized in place. The caller
 /// writes its payload **directly into the ring** through the slot (the ring
 /// handles the wrap split; the frame CRC is computed as the bytes stream
 /// by) and then [`LogSlot::release`]s, which patches the checksum in place
-/// and runs the variant's ordinary release path. No intermediate buffer, no
+/// and runs the kind's release path. No intermediate buffer, no
 /// allocation, exactly one copy of the payload — the memcpy the paper says
 /// an insert should cost (§5).
-///
-/// [`LogBuffer::insert`] is a thin compatibility wrapper over `reserve` for
-/// callers that already hold an encoded payload slice.
 pub trait LogBuffer: Send + Sync {
     /// Reserve ring space for one record of `payload_len` payload bytes and
     /// return the slot to fill. Blocks only for ring back-pressure (and, by
     /// design, contention); never for device I/O.
     ///
     /// The record is published when the returned slot is released (or
-    /// dropped); until then, depending on the variant, later inserts may be
+    /// dropped); until then, depending on the kind, later inserts may be
     /// blocked behind it — fill promptly.
     fn reserve(&self, kind: RecordKind, txn: u64, prev: Lsn, payload_len: usize) -> LogSlot<'_>;
-
-    /// Insert one pre-encoded record and return its start LSN — the legacy
-    /// byte-slice path, now a wrapper over [`LogBuffer::reserve`].
-    fn insert(&self, kind: RecordKind, txn: u64, prev: Lsn, payload: &[u8]) -> Lsn {
-        self.core().stats.record_wrapper();
-        let mut slot = self.reserve(kind, txn, prev, payload.len());
-        slot.write(payload);
-        slot.release()
-    }
 
     /// Shared core (watermarks, stats, ring geometry).
     fn core(&self) -> &BufferCore;
 
-    /// Variant label for reporting.
+    /// Which insertion algorithm this buffer runs.
     fn kind(&self) -> BufferKind;
 }
 
 /// Reject oversized payloads **before** any lock is taken or LSN space is
-/// reserved. Every variant's `reserve`/`reserve_backoff` calls this on
-/// entry: panicking later (insert mutex held, reservation issued, slot not
-/// yet constructed) would leave the lock locked and the hole unreleased,
-/// wedging every subsequent insert.
+/// reserved. `reserve` calls this on entry: panicking later (insert mutex
+/// held, reservation issued, slot not yet constructed) would leave the lock
+/// locked and the hole unreleased, wedging every subsequent insert.
 #[inline]
 pub(crate) fn check_payload_len(payload_len: usize) {
     assert!(
@@ -293,35 +280,29 @@ impl SlotWriter<'_> {
     }
 }
 
-/// How a [`LogSlot`] publishes its record — the release half of each
-/// variant's protocol, run by [`LogSlot::release`]. Consolidation-group
-/// members share one entry: whichever member finishes last performs the
-/// group's release exactly as the pre-reservation code did.
+/// How a [`LogSlot`] publishes its record — the release half of the insert,
+/// run by [`LogSlot::release`] — along the same two axes as the acquire.
 #[derive(Clone, Copy)]
-pub(crate) enum SlotFinish<'a> {
-    /// Advance the released watermark past this record, then drop the
-    /// insert mutex (Baseline always; C's direct path).
-    LockedDirect { lock: &'a InsertLock },
-    /// Release in LSN order, handing off to a predecessor that is still
-    /// filling (D; the direct path of CD and CDME).
+pub(crate) struct SlotFinish<'a> {
+    /// The consolidation group the record belongs to: its array slot and
+    /// the base LSN and length of the group's range. The members share the
+    /// group's `order`; whichever finishes last releases the whole range
+    /// and recycles the slot. `None`: the record is released on its own.
+    group: Option<(&'a Slot, Lsn, u64)>,
+    order: Release<'a>,
+}
+
+/// How a reserved range — a record's or a group's — is released.
+#[derive(Clone, Copy)]
+pub(crate) enum Release<'a> {
+    /// Coupled fill (B, C): the insert lock has been held since the
+    /// reservation, so advance the released watermark and drop it — perhaps
+    /// on another thread than took it (Algorithm 2, line 20).
+    Locked(&'a InsertLock),
+    /// Decoupled fill (D, CD, CDME): release in LSN order with the ticket
+    /// taken at reservation, handing off to a predecessor that is still
+    /// filling ([`BufferCore::release_ordered`]).
     Ordered { ticket: u64, treadmill_inv: u32 },
-    /// C group member: last one out publishes the group region, unlocks the
-    /// mutex the leader acquired, and recycles the slot.
-    GroupLocked {
-        slot: &'a Slot,
-        lock: &'a InsertLock,
-        base: Lsn,
-        group: u64,
-    },
-    /// CD/CDME group member: last one out releases the group region, which
-    /// holds one ticket, in LSN order.
-    GroupOrdered {
-        slot: &'a Slot,
-        base: Lsn,
-        group: u64,
-        ticket: u64,
-        treadmill_inv: u32,
-    },
 }
 
 /// An exclusively owned, header-initialized record reservation in the ring.
@@ -445,42 +426,25 @@ impl<'a> LogSlot<'a> {
         } else {
             0
         };
-        let end = self.end_lsn();
-        match self.finish {
-            SlotFinish::LockedDirect { lock } => {
-                self.core.advance_released(end);
-                lock.unlock();
-            }
-            SlotFinish::Ordered {
-                ticket,
-                treadmill_inv,
-            } => self
-                .core
-                .release_ordered(ticket, self.start, end, treadmill_inv),
-            SlotFinish::GroupLocked {
-                slot,
-                lock,
-                base,
-                group,
-            } => {
-                if slot.release_member(self.total_len as u64) {
-                    self.core.advance_released(base.advance(group));
+        // A group member that is not the last one out has nothing to
+        // release; the last one releases the group's range, not its own.
+        let range = match self.finish.group {
+            None => Some((self.start, self.end_lsn())),
+            Some((slot, base, len)) => slot.release_member(self.total_len as u64).then(|| {
+                slot.free();
+                (base, base.advance(len))
+            }),
+        };
+        if let Some((start, end)) = range {
+            match self.finish.order {
+                Release::Locked(lock) => {
+                    self.core.advance_released(end);
                     lock.unlock();
-                    slot.free();
                 }
-            }
-            SlotFinish::GroupOrdered {
-                slot,
-                base,
-                group,
-                ticket,
-                treadmill_inv,
-            } => {
-                if slot.release_member(self.total_len as u64) {
-                    slot.free();
-                    self.core
-                        .release_ordered(ticket, base, base.advance(group), treadmill_inv);
-                }
+                Release::Ordered {
+                    ticket,
+                    treadmill_inv,
+                } => self.core.release_ordered(ticket, start, end, treadmill_inv),
             }
         }
         if t_rel != 0 {
@@ -820,7 +784,7 @@ impl BufferCore {
     }
 
     /// Stash "reserve started now" for the calling thread iff telemetry is
-    /// enabled. Buffer variants call this on reserve entry, before the LSN
+    /// enabled. `reserve` calls this on entry, before the LSN
     /// is known; [`BufferCore::begin_fill`] consumes the mark once it is.
     #[inline]
     pub(crate) fn note_reserve_start(&self) {
@@ -1050,7 +1014,7 @@ impl BufferCore {
     /// Open a [`LogSlot`] over the reservation starting at `start`: encode
     /// the header straight into the ring (checksum zeroed, single pass),
     /// zero the alignment pad, and seed the streaming frame CRC. The caller
-    /// (a buffer variant's `reserve`) must own the reservation
+    /// (`reserve`) must own the reservation
     /// `[start, start + on_log_size(payload_len))` and supplies the release
     /// action the slot will run when it is released.
     pub(crate) fn begin_fill<'a>(
@@ -1112,51 +1076,6 @@ impl BufferCore {
             finish,
             done: false,
         }
-    }
-
-    /// Copy an encoded record (header + payload) into the ring at `at`.
-    ///
-    /// Caller must own the reservation `[at, at + header.total_len)`.
-    /// Retained for tests and for callers that materialize a
-    /// [`RecordHeader`] themselves; the insert hot path goes through
-    /// [`LogBuffer::reserve`] instead, which serializes the header once,
-    /// in place, and never touches a `RecordHeader`.
-    #[inline]
-    pub fn fill_record(&self, at: Lsn, header: &RecordHeader, payload: &[u8]) {
-        let t = self.stats.phase_start();
-        let encoded = header.encode();
-        let total = header.total_len as usize;
-        let pad = total - HEADER_SIZE - payload.len();
-        // SAFETY: the caller owns this reservation (LSN space is handed out
-        // exactly once), so the range is exclusive; see module docs.
-        unsafe {
-            self.ring.write_at(at.raw(), &encoded);
-            self.ring.write_at(at.raw() + HEADER_SIZE as u64, payload);
-            if pad > 0 {
-                self.ring.write_at(
-                    at.raw() + (total - pad) as u64,
-                    &[0u8; crate::record::RECORD_ALIGN][..pad],
-                );
-            }
-        }
-        self.stats.phase_fill(t);
-        self.stats.record_insert(header.total_len as u64);
-    }
-
-    /// Read `dst.len()` published bytes starting at `from` into a caller
-    /// buffer (the scratch-copy drain the vectored path replaces; kept for
-    /// tests and diagnostics — each call counts toward the scratch-copy
-    /// stats so regressions back onto this path are visible).
-    ///
-    /// Caller must ensure `[from, from + dst.len())` is below `released` and
-    /// at most `capacity` behind the current frontier (holds for the flush
-    /// daemon, which is the only reclaimer).
-    pub fn read_released(&self, from: Lsn, dst: &mut [u8]) {
-        debug_assert!(from.advance(dst.len() as u64) <= self.released_lsn());
-        self.stats.record_scratch_copy(dst.len() as u64);
-        // SAFETY: range is published (below `released`) and not yet
-        // reclaimed (the caller is the reclaimer).
-        unsafe { self.ring.read_at(from.raw(), dst) }
     }
 
     /// Borrow `len` published bytes starting at `from` directly out of the
@@ -1322,21 +1241,6 @@ mod tests {
             assert_eq!(waiter.join().unwrap(), 64);
         });
         gate.lock.unlock();
-    }
-
-    #[test]
-    fn fill_and_read_roundtrip() {
-        let core = small_core();
-        let payload = b"payload bytes";
-        let h = RecordHeader::new(RecordKind::Filler, 9, Lsn::ZERO, payload);
-        core.fill_record(Lsn(0), &h, payload);
-        core.advance_released(Lsn(h.total_len as u64));
-        let mut out = vec![0u8; h.total_len as usize];
-        core.read_released(Lsn(0), &mut out);
-        let dec = RecordHeader::decode(out[..HEADER_SIZE].try_into().unwrap()).unwrap();
-        assert_eq!(dec, h);
-        assert!(dec.verify(&out[HEADER_SIZE..HEADER_SIZE + payload.len()]));
-        assert_eq!(core.stats.snapshot().inserts, 1);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //!
 //! ## Park / notify
 //!
-//! Everything the daemon sleeps on is decided under [`FlushInner`]'s lock.
+//! Everything the daemon sleeps on is decided under `FlushInner`'s lock.
 //! It evaluates its trigger holding the lock and, finding none, sets
 //! `parked` and waits on `daemon_cv` — which gives the lock up only once the
 //! daemon is a registered waiter. A client changes what the daemon waits for
@@ -35,10 +35,10 @@
 //! and the client saw `parked`: no wakeup is lost, and a running daemon costs
 //! its clients no syscall. Two inputs change outside the lock. An inserter
 //! blocked on ring space raises `space_waiters` and then calls
-//! [`FlushShared::wake`], which takes the lock, so the same argument holds.
+//! `FlushShared::wake`, which takes the lock, so the same argument holds.
 //! A commit whose release was handed to a predecessor that is still filling
 //! is registered *before* its bytes are released, and nothing runs when they
-//! are: for that case alone the daemon looks again after [`HANDOFF_RELOOK`].
+//! are: for that case alone the daemon looks again after `HANDOFF_RELOOK`.
 
 use crate::buffer::BufferCore;
 use crate::commit::{CommitGate, CommitPipeline};
@@ -498,7 +498,7 @@ fn daemon_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::{BaselineBuffer, LogBuffer};
+    use crate::buffer::{BufferKind, LogBuffer};
     use crate::commit::{CommitAction, CommitHandle};
     use crate::config::LogConfig;
     use crate::device::{SimDevice, StallDevice};
@@ -509,7 +509,7 @@ mod tests {
         Arc<D>,
         Arc<CommitPipeline>,
         FlushDaemon,
-        BaselineBuffer,
+        Arc<dyn LogBuffer>,
     );
 
     /// A 64 KiB ring, a daemon over `device`, and a baseline buffer.
@@ -530,8 +530,15 @@ mod tests {
             policy,
             retry,
         );
-        let buf = BaselineBuffer::new(Arc::clone(&core));
+        let buf = BufferKind::Baseline.build(Arc::clone(&core), &cfg);
         (core, device, pipeline, daemon, buf)
+    }
+
+    /// One record through the reservation path; returns its start LSN.
+    fn put(buf: &dyn LogBuffer, kind: RecordKind, txn: u64, payload: &[u8]) -> Lsn {
+        let mut slot = buf.reserve(kind, txn, Lsn::ZERO, payload.len());
+        slot.write(payload);
+        slot.release()
     }
 
     fn setup(latency_us: u64) -> Rig<SimDevice> {
@@ -545,7 +552,7 @@ mod tests {
     #[test]
     fn flush_until_makes_bytes_durable() {
         let (core, device, _p, daemon, buf) = setup(0);
-        let lsn = buf.insert(RecordKind::Filler, 1, Lsn::ZERO, &[7; 100]);
+        let lsn = put(&*buf, RecordKind::Filler, 1, &[7; 100]);
         let end = core.released_lsn();
         daemon.flush_until(end).unwrap();
         assert!(core.durable_lsn() >= end);
@@ -560,8 +567,8 @@ mod tests {
         let (core, _d, pipeline, daemon, buf) = setup(100);
         let mut handles = vec![];
         for i in 0..10u64 {
-            buf.insert(RecordKind::Update, i, Lsn::ZERO, &[1; 80]);
-            buf.insert(RecordKind::Commit, i, Lsn::ZERO, &[]);
+            put(&*buf, RecordKind::Update, i, &[1; 80]);
+            put(&*buf, RecordKind::Commit, i, &[]);
             let end = core.released_lsn();
             let (h, st) = CommitHandle::new();
             pipeline.submit(end, CommitAction::Notify(st));
@@ -597,8 +604,8 @@ mod tests {
             policy.clone(),
             FlushRetryPolicy::default(),
         );
-        let buf = BaselineBuffer::new(Arc::clone(&core));
-        buf.insert(RecordKind::Filler, 1, Lsn::ZERO, &[0; 64]);
+        let buf = BufferKind::Baseline.build(Arc::clone(&core), &cfg);
+        put(&*buf, RecordKind::Filler, 1, &[0; 64]);
         let target = core.released_lsn();
         daemon.note_commit(target);
         // Durable-watch notification instead of a sleep-poll loop.
@@ -610,7 +617,7 @@ mod tests {
     fn shutdown_drains_released_bytes() {
         let (core, device, _p, mut daemon, buf) = setup(0);
         for _ in 0..50 {
-            buf.insert(RecordKind::Filler, 0, Lsn::ZERO, &[3; 200]);
+            put(&*buf, RecordKind::Filler, 0, &[3; 200]);
         }
         let end = core.released_lsn();
         daemon.shutdown();
@@ -621,21 +628,16 @@ mod tests {
     }
 
     #[test]
-    fn vectored_drain_copies_nothing_and_survives_wrap() {
+    fn vectored_drain_survives_wrap() {
         // ~200 KB through a 64 KiB ring: every flush window shape occurs,
         // including wrapped ones that drain as two slices.
         let (core, device, _p, daemon, buf) = setup(0);
         let payload = vec![9u8; 1000];
         for _ in 0..200 {
-            buf.insert(RecordKind::Filler, 0, Lsn::ZERO, &payload);
+            put(&*buf, RecordKind::Filler, 0, &payload);
         }
         daemon.flush_until(core.released_lsn()).unwrap();
         assert_eq!(device.len(), core.released_lsn().raw());
-        assert_eq!(
-            core.stats.snapshot().scratch_bytes,
-            0,
-            "the vectored drain must not stage bytes through a scratch buffer"
-        );
         // The device stream is record-decodable end to end.
         let contents = device.contents();
         let mut at = 0usize;
@@ -710,7 +712,7 @@ mod tests {
         Arc<BufferCore>,
         Arc<CommitPipeline>,
         FlushDaemon,
-        BaselineBuffer,
+        Arc<dyn LogBuffer>,
     ) {
         let retry = FlushRetryPolicy {
             max_attempts: 5,
@@ -725,7 +727,7 @@ mod tests {
     fn transient_sync_errors_are_retried_and_committers_unblock_ok() {
         let device = Arc::new(FlakyDevice::new(3, false));
         let (core, pipeline, daemon, buf) = flaky_setup(Arc::clone(&device));
-        buf.insert(RecordKind::Commit, 1, Lsn::ZERO, &[]);
+        put(&*buf, RecordKind::Commit, 1, &[]);
         let end = core.released_lsn();
         let (h, st) = CommitHandle::new();
         pipeline.submit(end, CommitAction::Notify(st));
@@ -740,7 +742,7 @@ mod tests {
     fn permanent_sync_error_poisons_and_fails_pending_committers() {
         let device = Arc::new(FlakyDevice::new(0, true));
         let (core, pipeline, daemon, buf) = flaky_setup(Arc::clone(&device));
-        buf.insert(RecordKind::Commit, 1, Lsn::ZERO, &[]);
+        put(&*buf, RecordKind::Commit, 1, &[]);
         let end = core.released_lsn();
         let (h, st) = CommitHandle::new();
         pipeline.submit(end, CommitAction::Notify(st));
@@ -765,7 +767,7 @@ mod tests {
         // More transient failures than the 5-attempt budget.
         let device = Arc::new(FlakyDevice::new(50, false));
         let (core, _pipeline, daemon, buf) = flaky_setup(Arc::clone(&device));
-        buf.insert(RecordKind::Filler, 1, Lsn::ZERO, &[0; 32]);
+        put(&*buf, RecordKind::Filler, 1, &[0; 32]);
         let end = core.released_lsn();
         assert!(matches!(
             daemon.flush_until(end),
@@ -780,7 +782,7 @@ mod tests {
         let (core, device, _p, _daemon, buf) = setup(0);
         let payload = vec![5u8; 4000];
         for _ in 0..100 {
-            buf.insert(RecordKind::Filler, 0, Lsn::ZERO, &payload);
+            put(&*buf, RecordKind::Filler, 0, &payload);
         }
         // 100 * ~4KB ≈ 400KB through a 64KB ring.
         assert!(core.released_lsn().raw() > (1 << 16));
@@ -809,10 +811,10 @@ mod tests {
         core: &BufferCore,
         pipeline: &CommitPipeline,
         daemon: &FlushDaemon,
-        buf: &BaselineBuffer,
+        buf: &dyn LogBuffer,
         txn: u64,
     ) -> CommitHandle {
-        buf.insert(RecordKind::Commit, txn, Lsn::ZERO, &[]);
+        put(buf, RecordKind::Commit, txn, &[]);
         let end = core.released_lsn();
         let (h, st) = CommitHandle::new();
         pipeline.submit(end, CommitAction::Notify(st));
@@ -853,10 +855,10 @@ mod tests {
     fn commits_during_a_flush_are_the_next_group() {
         let (core, device, pipeline, daemon, buf) = stall_setup(unbounded());
         device.hold();
-        let first = submit_commit(&core, &pipeline, &daemon, &buf, 0);
+        let first = submit_commit(&core, &pipeline, &daemon, &*buf, 0);
         device.wait_blocked(); // flush 1 is in flight
         let group: Vec<_> = (1..=10)
-            .map(|txn| submit_commit(&core, &pipeline, &daemon, &buf, txn))
+            .map(|txn| submit_commit(&core, &pipeline, &daemon, &*buf, txn))
             .collect();
         assert_eq!(daemon.shared().flush_count(), 0);
         assert!(!first.is_done() && group.iter().all(|h| !h.is_done()));
@@ -881,7 +883,7 @@ mod tests {
         device.hold();
         std::thread::scope(|s| {
             let committer = || {
-                buf.insert(RecordKind::Commit, 0, Lsn::ZERO, &[]);
+                put(&*buf, RecordKind::Commit, 0, &[]);
                 daemon.flush_until(core.released_lsn()).unwrap();
             };
             s.spawn(committer);
@@ -905,7 +907,7 @@ mod tests {
             ..unbounded()
         };
         let (core, _device, _p, _daemon, buf) = stall_setup(policy);
-        buf.insert(RecordKind::Filler, 1, Lsn::ZERO, &[0; 64]);
+        put(&*buf, RecordKind::Filler, 1, &[0; 64]);
         let target = core.released_lsn();
         let durable = core.wait_durable_timeout(target, Duration::from_secs(5));
         assert_eq!(durable, target, "no commit, no request: T must fire");
@@ -921,11 +923,11 @@ mod tests {
         };
         let (core, device, _p, daemon, buf) = stall_setup(policy);
         device.hold();
-        buf.insert(RecordKind::Filler, 1, Lsn::ZERO, &[0; 64]);
+        put(&*buf, RecordKind::Filler, 1, &[0; 64]);
         daemon.kick();
         device.wait_blocked();
         for _ in 0..3 {
-            buf.insert(RecordKind::Filler, 1, Lsn::ZERO, &[0; 2000]);
+            put(&*buf, RecordKind::Filler, 1, &[0; 2000]);
         }
         let target = core.released_lsn();
         device.release();

@@ -4,17 +4,16 @@
 //! from Johnson et al., *"Aether: A Scalable Approach to Logging"*, PVLDB 3(1),
 //! 2010. It provides:
 //!
-//! * A write-ahead **log buffer** with five interchangeable insertion
-//!   algorithms studied by the paper (module [`buffer`]):
-//!   - [`buffer::BaselineBuffer`] — one mutex across acquire/fill/release
-//!     (paper Algorithm 1),
-//!   - [`buffer::ConsolidationBuffer`] (**C**) — consolidation-array backoff
-//!     (Algorithm 2),
-//!   - [`buffer::DecoupledBuffer`] (**D**) — decoupled buffer fill
-//!     (Algorithm 3),
-//!   - [`buffer::HybridBuffer`] (**CD**) — both combined (§5.3),
-//!   - [`buffer::DelegatedBuffer`] (**CDME**) — CD plus delegated buffer
-//!     release and its treadmill guard (Algorithm 4, §A.3).
+//! * A write-ahead **log buffer**, [`buffer::InsertBuffer`], that runs the
+//!   five insertion algorithms the paper studies (module [`buffer`]). A
+//!   [`BufferKind`] picks one by setting the paper's two axes:
+//!   - `Baseline` — one mutex across acquire/fill/release (Algorithm 1),
+//!   - `Consolidation` (**C**) — contending inserts combine in the
+//!     consolidation array (Algorithm 2),
+//!   - `Decoupled` (**D**) — the fill leaves the mutex (Algorithm 3),
+//!   - `Hybrid` (**CD**) — both (§5.3),
+//!   - `Delegated` (**CDME**) — CD plus the treadmill guard of the delegated
+//!     buffer release (Algorithm 4, §A.3).
 //! * The **consolidation array** itself ([`carray`]), a generalization of
 //!   elimination-based backoff where threads combine log-insert requests
 //!   instead of cancelling them (§A.2, Figure 10 state machine).

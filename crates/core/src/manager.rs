@@ -9,7 +9,7 @@ use crate::error::Result;
 use crate::flush::FlushDaemon;
 use crate::lsn::Lsn;
 use crate::reader::LogReader;
-use crate::record::{on_log_size, RecordKind};
+use crate::record::RecordKind;
 use crate::stats::StatsSnapshot;
 use crate::telemetry::{Telemetry, TelemetrySnapshot, Unit};
 use std::sync::Arc;
@@ -183,8 +183,6 @@ fn assemble_snapshot(
     snap.push_counter("log.consolidations", Unit::Count, s.consolidations);
     snap.push_counter("log.group_acquires", Unit::Count, s.group_acquires);
     snap.push_counter("log.delegated_releases", Unit::Count, s.delegated_releases);
-    snap.push_counter("log.wrapper_inserts", Unit::Count, s.wrapper_inserts);
-    snap.push_counter("log.scratch_bytes", Unit::Bytes, s.scratch_bytes);
     snap.push_counter("log.acquire_wait_ns", Unit::Nanos, s.acquire_wait_ns);
     snap.push_counter("log.fill_ns", Unit::Nanos, s.fill_ns);
     snap.push_counter("log.release_wait_ns", Unit::Nanos, s.release_wait_ns);
@@ -278,27 +276,15 @@ impl LogManager {
         LogManagerBuilder::default()
     }
 
-    /// Insert a record; returns its start LSN.
+    /// Insert a record with `payload` as its bytes; returns its start LSN.
     pub fn insert(&self, kind: RecordKind, txn: u64, payload: &[u8]) -> Lsn {
-        self.buffer.insert(kind, txn, Lsn::ZERO, payload)
-    }
-
-    /// Insert a record chained to the transaction's previous record (ARIES
-    /// undo chain); returns its start LSN.
-    pub fn insert_chained(&self, kind: RecordKind, txn: u64, prev: Lsn, payload: &[u8]) -> Lsn {
-        self.buffer.insert(kind, txn, prev, payload)
-    }
-
-    /// Insert and also return the record's end LSN (`start + on-log size`),
-    /// the durability target for commit waits.
-    pub fn insert_ext(&self, kind: RecordKind, txn: u64, prev: Lsn, payload: &[u8]) -> (Lsn, Lsn) {
-        let start = self.buffer.insert(kind, txn, prev, payload);
-        (start, start.advance(on_log_size(payload.len()) as u64))
+        self.insert_payload(kind, txn, Lsn::ZERO, payload).0
     }
 
     /// Reserve a record slot and serialize `payload` **directly into the
-    /// ring** — the zero-copy, zero-allocation insert path. Returns
-    /// `(start, end)` LSNs like [`LogManager::insert_ext`], but with no
+    /// ring**, chained to the transaction's previous record `prev` (ARIES
+    /// undo chain). Returns the record's `(start, end)` LSNs — `end`, start
+    /// plus on-log size, is the durability target for commit waits. No
     /// intermediate encode buffer anywhere: the payload's bytes exist only
     /// in the ring (and the frame CRC streams along with them).
     pub fn insert_payload<P: EncodePayload + ?Sized>(
@@ -421,7 +407,7 @@ impl LogManager {
     /// Convenience: insert a commit record for `txn` and return a waitable
     /// handle that completes when it is durable.
     pub fn commit(&self, txn: u64, prev: Lsn) -> CommitHandle {
-        let (_, end) = self.insert_ext(RecordKind::Commit, txn, prev, &[]);
+        let (_, end) = self.insert_payload::<[u8]>(RecordKind::Commit, txn, prev, &[]);
         let (h, st) = CommitHandle::new();
         self.commit_async(end, CommitAction::Notify(st));
         h
@@ -848,7 +834,7 @@ mod tests {
         let log = Arc::new(LogManager::builder().device(DeviceKind::Ram).build());
         let counter = Arc::new(std::sync::atomic::AtomicU64::new(0));
         for i in 0..20u64 {
-            let (_, end) = log.insert_ext(RecordKind::Commit, i, Lsn::ZERO, &[]);
+            let (_, end) = log.insert_payload::<[u8]>(RecordKind::Commit, i, Lsn::ZERO, &[]);
             let c = Arc::clone(&counter);
             log.commit_async(
                 end,
@@ -942,7 +928,7 @@ mod tests {
             .build();
         let mut end = Lsn::ZERO;
         for i in 0..100u64 {
-            let (_, e) = log.insert_ext(RecordKind::Update, i, Lsn::ZERO, &[7u8; 100]);
+            let (_, e) = log.insert_payload(RecordKind::Update, i, Lsn::ZERO, &[7u8; 100]);
             end = e;
         }
         log.flush_all().unwrap();

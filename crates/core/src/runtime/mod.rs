@@ -151,7 +151,7 @@ pub fn yield_now() {
 /// spin that remains is ~50 µs, whatever the length of the wait.
 const SPIN_TAIL: Duration = Duration::from_micros(120);
 
-/// Sleep for `d` and never less: an OS sleep for all but [`SPIN_TAIL`], then
+/// Sleep for `d` and never less: an OS sleep for all but `SPIN_TAIL`, then
 /// a spin to the deadline. The device, link and service-time models wait
 /// here — a plain OS sleep overshoots by a timer slack they cannot afford,
 /// and spinning the whole wait takes a core from the system being modeled.

@@ -25,8 +25,6 @@ struct Shard {
     consolidations: AtomicU64,
     group_acquires: AtomicU64,
     delegated_releases: AtomicU64,
-    wrapper_inserts: AtomicU64,
-    scratch_bytes: AtomicU64,
     acquire_wait_ns: AtomicU64,
     fill_ns: AtomicU64,
     release_wait_ns: AtomicU64,
@@ -58,10 +56,7 @@ fn shard_index() -> usize {
 /// Field meanings (see [`StatsSnapshot`]): `direct_acquires` are inserts
 /// that took the mutex themselves, `consolidations` are followers in a
 /// consolidation-array group, `group_acquires` are group leaders,
-/// `delegated_releases` are releases handed to a predecessor,
-/// `wrapper_inserts` arrived as pre-encoded slices through the legacy
-/// `insert(&[u8])` wrapper, and `scratch_bytes` were copied out of the ring
-/// through `read_released` rather than drained in place.
+/// and `delegated_releases` are releases handed to a predecessor.
 #[derive(Debug)]
 pub struct BufferStats {
     timing_enabled: AtomicBool,
@@ -93,12 +88,6 @@ pub struct StatsSnapshot {
     /// Releases handed to a predecessor that was still filling (D, CD and
     /// CDME; one per reservation, so one per consolidation group).
     pub delegated_releases: u64,
-    /// Inserts through the legacy pre-encoded-slice wrapper (each implies
-    /// an upstream payload materialization).
-    pub wrapper_inserts: u64,
-    /// Bytes copied out of the ring into scratch buffers on drain (zero
-    /// with the vectored flush path).
-    pub scratch_bytes: u64,
     /// ns waiting in acquire.
     pub acquire_wait_ns: u64,
     /// ns copying payloads.
@@ -174,20 +163,6 @@ impl BufferStats {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count a legacy byte-slice wrapper insert.
-    #[inline]
-    pub fn record_wrapper(&self) {
-        self.shard().wrapper_inserts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count `bytes` staged through a scratch buffer on drain.
-    #[inline]
-    pub fn record_scratch_copy(&self, bytes: u64) {
-        self.shard()
-            .scratch_bytes
-            .fetch_add(bytes, Ordering::Relaxed);
-    }
-
     /// Close an acquire-phase timer.
     #[inline]
     pub fn phase_acquire(&self, t: Option<u64>) {
@@ -235,8 +210,6 @@ impl BufferStats {
             consolidations: sum(|s| &s.consolidations),
             group_acquires: sum(|s| &s.group_acquires),
             delegated_releases: sum(|s| &s.delegated_releases),
-            wrapper_inserts: sum(|s| &s.wrapper_inserts),
-            scratch_bytes: sum(|s| &s.scratch_bytes),
             acquire_wait_ns: sum(|s| &s.acquire_wait_ns),
             fill_ns: sum(|s| &s.fill_ns),
             release_wait_ns: sum(|s| &s.release_wait_ns),
@@ -254,8 +227,6 @@ impl StatsSnapshot {
             consolidations: self.consolidations - earlier.consolidations,
             group_acquires: self.group_acquires - earlier.group_acquires,
             delegated_releases: self.delegated_releases - earlier.delegated_releases,
-            wrapper_inserts: self.wrapper_inserts - earlier.wrapper_inserts,
-            scratch_bytes: self.scratch_bytes - earlier.scratch_bytes,
             acquire_wait_ns: self.acquire_wait_ns - earlier.acquire_wait_ns,
             fill_ns: self.fill_ns - earlier.fill_ns,
             release_wait_ns: self.release_wait_ns - earlier.release_wait_ns,
@@ -288,12 +259,20 @@ mod tests {
     #[test]
     fn timing_disabled_by_default() {
         let s = BufferStats::new();
-        assert!(s.phase_start().is_none());
-        s.set_timing(true);
         let t = s.phase_start();
-        assert!(t.is_some());
+        assert!(t.is_none());
+        crate::runtime::sleep(std::time::Duration::from_millis(1));
         s.phase_acquire(t);
-        assert!(s.snapshot().acquire_wait_ns > 0 || s.snapshot().acquire_wait_ns == 0);
+        s.phase_fill(t);
+        s.phase_release(t);
+        let snap = s.snapshot();
+        assert_eq!(
+            (snap.acquire_wait_ns, snap.fill_ns, snap.release_wait_ns),
+            (0, 0, 0),
+            "no phase time may accumulate while timing is off"
+        );
+        s.set_timing(true);
+        assert!(s.phase_start().is_some());
     }
 
     #[test]

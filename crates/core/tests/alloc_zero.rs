@@ -10,15 +10,11 @@
 //! microbenchmark configuration — the paper's "log insertions without
 //! flushes to disk".
 
-use aether_core::buffer::{
-    BaselineBuffer, BufferCore, BufferKind, ConsolidationBuffer, DecoupledBuffer, DelegatedBuffer,
-    HybridBuffer, LogBuffer,
-};
+use aether_core::buffer::{BufferCore, BufferKind};
 use aether_core::record::RecordKind;
 use aether_core::{LogConfig, Lsn};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// System allocator wrapper that counts allocations while armed.
 struct CountingAlloc;
@@ -52,13 +48,7 @@ fn count_insert_allocs(kind: BufferKind, inserts: usize, payload: &[u8]) -> u64 
     let cfg = LogConfig::default().with_buffer_size(1 << 20);
     let core = BufferCore::new(&cfg);
     core.set_auto_reclaim(true);
-    let buffer: Box<dyn LogBuffer> = match kind {
-        BufferKind::Baseline => Box::new(BaselineBuffer::new(Arc::clone(&core))),
-        BufferKind::Consolidation => Box::new(ConsolidationBuffer::new(Arc::clone(&core), &cfg)),
-        BufferKind::Decoupled => Box::new(DecoupledBuffer::new(Arc::clone(&core))),
-        BufferKind::Hybrid => Box::new(HybridBuffer::new(Arc::clone(&core), &cfg)),
-        BufferKind::Delegated => Box::new(DelegatedBuffer::new(Arc::clone(&core), &cfg)),
-    };
+    let buffer = kind.build(core, &cfg);
 
     // Warm up: first calls may lazily initialize (thread-local RNG seed,
     // parking_lot statics); steady state is what the claim is about.

@@ -1,15 +1,16 @@
 //! Property tests for the reservation-based (zero-copy) insert path.
 //!
-//! Two independently built logs — one fed through the legacy byte-slice
-//! `insert(&[u8])` wrapper, one through `reserve` + streamed `SlotWriter`
-//! writes split at arbitrary chunk boundaries — must produce **byte
-//! identical**, reader-decodable device streams for any sequence of record
-//! sizes. The ring is deliberately tiny (4 KiB) so sequences straddle the
-//! wrap boundary many times; the flush daemon's vectored drain is therefore
-//! exercised on both one-slice and two-slice windows.
+//! A log fed through `reserve` + streamed `SlotWriter` writes split at
+//! arbitrary chunk boundaries must put on the device, for every buffer kind
+//! and any sequence of record sizes, exactly the **reference encoding** of
+//! those records: `RecordHeader::new(..).encode()`, the payload, zeros up
+//! to the record alignment. The ring is deliberately tiny (4 KiB) so
+//! sequences straddle the wrap boundary many times; the flush daemon's
+//! vectored drain is therefore exercised on both one-slice and two-slice
+//! windows.
 
 use aether_core::device::SimDevice;
-use aether_core::record::{RecordKind, HEADER_SIZE};
+use aether_core::record::{RecordHeader, RecordKind, HEADER_SIZE};
 use aether_core::{BufferKind, LogManager, Lsn};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -18,6 +19,16 @@ use std::time::Duration;
 /// Deterministic payload bytes for record `i` of length `len`.
 fn payload(i: usize, len: usize) -> Vec<u8> {
     (0..len).map(|j| (i * 31 + j * 7) as u8).collect()
+}
+
+/// What a record must look like on the device, built without the ring:
+/// encoded header, payload, zero pad up to the record's on-log size.
+fn reference_encoding(kind: RecordKind, txn: u64, prev: Lsn, payload: &[u8]) -> Vec<u8> {
+    let header = RecordHeader::new(kind, txn, prev, payload);
+    let mut bytes = header.encode().to_vec();
+    bytes.extend_from_slice(payload);
+    bytes.resize(header.total_len as usize, 0);
+    bytes
 }
 
 fn build_log(kind: BufferKind, device: Arc<SimDevice>) -> LogManager {
@@ -32,7 +43,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn reservation_and_legacy_insert_produce_identical_logs(
+    fn every_kind_writes_the_reference_encoding(
         kind_idx in 0usize..5,
         // Payload sizes spanning 0 bytes to larger-than-half-the-ring, so
         // records straddle the 4 KiB wrap boundary in many phases.
@@ -42,36 +53,27 @@ proptest! {
     ) {
         let kind = BufferKind::ALL[kind_idx];
 
-        // A: legacy pre-encoded-slice wrapper.
-        let dev_a = Arc::new(SimDevice::new(Duration::ZERO));
-        let log_a = build_log(kind, Arc::clone(&dev_a));
+        // Payloads streamed into the ring in `split`-byte chunks.
+        let dev = Arc::new(SimDevice::new(Duration::ZERO));
+        let log = build_log(kind, Arc::clone(&dev));
+        let mut reference = Vec::new();
         for (i, &len) in sizes.iter().enumerate() {
             let p = payload(i, len);
-            log_a.insert_chained(RecordKind::Update, i as u64, Lsn(i as u64), &p);
-        }
-        log_a.flush_all().unwrap();
-
-        // B: reservation path, payload streamed in `split`-byte chunks.
-        let dev_b = Arc::new(SimDevice::new(Duration::ZERO));
-        let log_b = build_log(kind, Arc::clone(&dev_b));
-        for (i, &len) in sizes.iter().enumerate() {
-            let p = payload(i, len);
-            let mut slot = log_b.reserve(RecordKind::Update, i as u64, Lsn(i as u64), len);
-            for chunk in p.chunks(split.max(1)) {
+            let mut slot = log.reserve(RecordKind::Update, i as u64, Lsn(i as u64), len);
+            for chunk in p.chunks(split) {
                 slot.write(chunk);
             }
             prop_assert_eq!(slot.writer().remaining(), 0);
-            slot.release();
+            prop_assert_eq!(slot.release(), Lsn(reference.len() as u64));
+            reference.extend(reference_encoding(RecordKind::Update, i as u64, Lsn(i as u64), &p));
         }
-        log_b.flush_all().unwrap();
+        log.flush_all().unwrap();
 
-        // Byte-identical device streams.
-        let bytes_a = dev_a.contents();
-        let bytes_b = dev_b.contents();
-        prop_assert_eq!(&bytes_a, &bytes_b, "device streams diverge for {:?}", kind);
+        // The device stream is the reference encoding, byte for byte.
+        prop_assert_eq!(&dev.contents(), &reference, "device stream diverges for {:?}", kind);
 
         // And the stream decodes back to exactly the inserted records.
-        let recs = log_b.reader().read_all().unwrap();
+        let recs = log.reader().read_all().unwrap();
         prop_assert_eq!(recs.len(), sizes.len());
         for (i, rec) in recs.iter().enumerate() {
             prop_assert_eq!(rec.header.kind, RecordKind::Update);
@@ -80,9 +82,6 @@ proptest! {
             prop_assert_eq!(&rec.payload, &payload(i, sizes[i]));
             prop_assert!(rec.header.verify(&rec.payload));
         }
-
-        // The zero-copy drain never staged bytes through a scratch buffer.
-        prop_assert_eq!(log_b.stats().scratch_bytes, 0);
     }
 
     #[test]
@@ -99,14 +98,9 @@ proptest! {
             flat.extend_from_slice(&v.to_le_bytes());
         }
 
-        let dev_a = Arc::new(SimDevice::new(Duration::ZERO));
-        let log_a = build_log(BufferKind::Hybrid, Arc::clone(&dev_a));
-        log_a.insert(RecordKind::Filler, 1, &flat);
-        log_a.flush_all().unwrap();
-
-        let dev_b = Arc::new(SimDevice::new(Duration::ZERO));
-        let log_b = build_log(BufferKind::Hybrid, Arc::clone(&dev_b));
-        let mut slot = log_b.reserve(RecordKind::Filler, 1, Lsn::ZERO, flat.len());
+        let dev = Arc::new(SimDevice::new(Duration::ZERO));
+        let log = build_log(BufferKind::Hybrid, Arc::clone(&dev));
+        let mut slot = log.reserve(RecordKind::Filler, 1, Lsn::ZERO, flat.len());
         for v in &vals {
             let w = slot.writer();
             w.put_u8(*v as u8);
@@ -115,9 +109,10 @@ proptest! {
             w.put_u64(*v);
         }
         slot.release();
-        log_b.flush_all().unwrap();
+        log.flush_all().unwrap();
 
-        prop_assert_eq!(dev_a.contents(), dev_b.contents());
+        let reference = reference_encoding(RecordKind::Filler, 1, Lsn::ZERO, &flat);
+        prop_assert_eq!(dev.contents(), reference);
     }
 }
 

@@ -937,7 +937,9 @@ impl Db {
     /// ([`Db::redo_low_water`]), the truncation point the log may be
     /// retired to. Returns the checkpoint-begin LSN.
     pub fn checkpoint(&self) -> Lsn {
-        let begin = self.log.insert(RecordKind::CheckpointBegin, 0, &[]);
+        let (begin, _) =
+            self.log
+                .insert_payload::<[u8]>(RecordKind::CheckpointBegin, 0, Lsn::ZERO, &[]);
         let (att, att_floor) = self.txns.att_snapshot_with_floor();
         let payload = CheckpointPayload {
             att,

@@ -287,7 +287,8 @@ fn redo_cell(t: &Table, rid: Rid, cell: &[u8], lsn: Lsn, stats: &mut RecoverySta
 
 fn finish_loser(db: &Db, txn: u64, chain: &mut HashMap<u64, Lsn>) {
     let prev = chain[&txn];
-    db.log().insert_chained(RecordKind::Abort, txn, prev, &[]);
+    db.log()
+        .insert_payload::<[u8]>(RecordKind::Abort, txn, prev, &[]);
 }
 
 /// Random-access read of one record at `lsn` from the retained log. An LSN

@@ -130,7 +130,7 @@ fn concurrent_committers_share_flushes() {
             let log = Arc::clone(&log);
             s.spawn(move || {
                 for _ in 0..per {
-                    let (_, end) = log.insert_ext(RecordKind::Commit, t, Lsn::ZERO, &[0u8; 80]);
+                    let (_, end) = log.insert_payload(RecordKind::Commit, t, Lsn::ZERO, &[0u8; 80]);
                     log.flush_until(end).unwrap();
                 }
             });

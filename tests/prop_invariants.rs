@@ -93,7 +93,7 @@ proptest! {
             .build();
         let mut prev = Lsn::ZERO;
         for (i, p) in payloads.iter().enumerate() {
-            prev = log.insert_chained(RecordKind::Update, i as u64, prev, p);
+            prev = log.insert_payload(RecordKind::Update, i as u64, prev, &p[..]).0;
         }
         log.flush_all().unwrap();
         let records = log.reader().read_all().unwrap();

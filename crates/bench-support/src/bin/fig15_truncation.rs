@@ -22,7 +22,7 @@
 
 use aether_bench::env_or;
 use aether_core::partition::{MemSegmentFactory, SegmentedDevice};
-use aether_core::{BufferKind, LogConfig, TelemetryConfig};
+use aether_core::{BufferKind, LogConfig};
 use aether_storage::{CommitProtocol, Db, DbOptions};
 use std::sync::Arc;
 use std::time::Instant;
@@ -67,7 +67,7 @@ fn main() {
                     // the manager emits on drop (AETHER_TELEMETRY_OUT).
                     log_config: LogConfig::default()
                         .with_buffer_size(1 << 22)
-                        .with_telemetry(TelemetryConfig::from_env()),
+                        .with_telemetry(aether_bench::env::telemetry()),
                     ..DbOptions::default()
                 },
                 Arc::clone(&segments) as _,

@@ -24,9 +24,7 @@ use aether_bench::env_or;
 use aether_bench::json::JsonSink;
 use aether_core::commit::DurabilityPolicy;
 use aether_core::{BufferKind, DeviceKind, LogConfig, TelemetryConfig};
-use aether_repl::{
-    LinkConfig, ReplicatedDb, ReplicationConfig, RouterConfig, RoutingPolicy, Session,
-};
+use aether_repl::{LinkConfig, ReplicatedDb, ReplicationConfig, RouterConfig, Session};
 use aether_storage::{CommitProtocol, Db, DbOptions};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -47,7 +45,7 @@ fn main() {
     let service_us = env_or("AETHER_SERVICE_US", 250u64);
     let budget_us = env_or("AETHER_BUDGET_US", 5_000u64);
     let link_us = env_or("AETHER_LINK_US", 50u64);
-    let policy = RoutingPolicy::from_env();
+    let policy = aether_bench::env::read_policy();
     let replica_list: Vec<usize> = std::env::var("AETHER_REPLICA_LIST")
         .unwrap_or_else(|_| "1,2,4".into())
         .split(',')
@@ -72,7 +70,7 @@ fn main() {
                 .with_buffer_size(1 << 22)
                 .with_telemetry(TelemetryConfig {
                     enabled: true,
-                    ..TelemetryConfig::from_env()
+                    ..aether_bench::env::telemetry()
                 }),
             ..DbOptions::default()
         });

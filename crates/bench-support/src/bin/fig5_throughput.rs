@@ -11,7 +11,7 @@
 use aether_bench::driver::{run_closed_loop, DriverConfig};
 use aether_bench::env_or;
 use aether_bench::tpcb::{Tpcb, TpcbConfig};
-use aether_core::{DeviceKind, LogConfig, TelemetryConfig};
+use aether_core::{DeviceKind, LogConfig};
 use aether_storage::{CommitProtocol, Db, DbOptions};
 use std::sync::Arc;
 use std::time::Duration;
@@ -39,7 +39,7 @@ fn main() {
                 device: DeviceKind::Flash,
                 // AETHER_TELEMETRY=1 snapshots every run: JSON-lines to
                 // AETHER_TELEMETRY_OUT on drop, text to stderr below.
-                log_config: LogConfig::default().with_telemetry(TelemetryConfig::from_env()),
+                log_config: LogConfig::default().with_telemetry(aether_bench::env::telemetry()),
                 ..DbOptions::default()
             });
             let tpcb = Arc::new(Tpcb::setup(

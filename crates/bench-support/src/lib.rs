@@ -13,8 +13,8 @@
 //!   breakdown and durable-completion counting.
 //! * [`measure`] — OS context-switch counters and breakdown assembly.
 //! * [`micro`] — the log-insert microbenchmark (Figures 8, 11, 12).
-//! * [`workloads`] — the wire workload zoo (YCSB A/B/C, hot-key storm,
-//!   ELR scans) lowered onto `aether-server`'s load generator.
+//! * [`mod@env`] — the shared `AETHER_*` knobs (`env_or`, telemetry, read
+//!   policy): the only place they are parsed.
 //! * [`json`] — JSON-lines emission for machine-readable bench artifacts
 //!   (`AETHER_JSON=<path>`; used by CI to track a perf trajectory).
 //!
@@ -23,6 +23,7 @@
 #![warn(missing_docs)]
 
 pub mod driver;
+pub mod env;
 pub mod json;
 pub mod loganalysis;
 pub mod measure;
@@ -31,26 +32,6 @@ pub mod tatp;
 pub mod tpcb;
 pub mod tpcc;
 pub mod tpcc_exec;
-pub mod workloads;
 pub mod zipf;
 
-/// Read an environment-variable override used by the experiment binaries
-/// (e.g. `AETHER_SECONDS`, `AETHER_CLIENTS`), falling back to `default`.
-pub fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn env_or_falls_back() {
-        assert_eq!(super::env_or("AETHER_DOES_NOT_EXIST_XYZ", 7u32), 7);
-        std::env::set_var("AETHER_TEST_ENV_OR", "42");
-        assert_eq!(super::env_or("AETHER_TEST_ENV_OR", 7u32), 42);
-        std::env::set_var("AETHER_TEST_ENV_OR", "not a number");
-        assert_eq!(super::env_or("AETHER_TEST_ENV_OR", 7u32), 7);
-    }
-}
+pub use env::env_or;

@@ -20,7 +20,7 @@
 use aether_core::buffer::{BufferCore, BufferKind, InsertBuffer, LogBuffer};
 use aether_core::record::{on_log_size, RecordKind, HEADER_SIZE};
 use aether_core::telemetry::Unit;
-use aether_core::{LogConfig, Lsn, TelemetryConfig};
+use aether_core::{LogConfig, Lsn};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -144,7 +144,7 @@ pub fn run_micro(cfg: &MicroConfig) -> MicroResult {
         // Honor AETHER_TELEMETRY/_SAMPLE: fig8/11/12 runs then carry the
         // insert-latency histogram and emit one structured document each
         // to AETHER_TELEMETRY_OUT. Off (a single relaxed load) by default.
-        .with_telemetry(TelemetryConfig::from_env());
+        .with_telemetry(crate::env::telemetry());
     let core = BufferCore::new(&log_config);
     core.set_auto_reclaim(true);
     // The concrete type rather than `BufferKind::build`'s `dyn LogBuffer`:
@@ -206,7 +206,9 @@ pub fn run_micro(cfg: &MicroConfig) -> MicroResult {
             Unit::Count,
             snap.delegated_releases,
         );
-        let _ = doc.emit_env();
+        if let Some(path) = &log_config.telemetry.export_path {
+            let _ = doc.append_to(path);
+        }
     }
     MicroResult {
         inserts: snap.inserts,

@@ -561,18 +561,6 @@ mod tests {
         let n = NullDevice::new();
         n.write_vectored(&runs).unwrap();
         assert_eq!(n.len(), 16);
-        // FileDevice writes one gathered run.
-        let dir = std::env::temp_dir().join(format!("aether-vec-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let f = FileDevice::create(dir.join("log.bin")).unwrap();
-        f.append(b"pre-").unwrap();
-        f.write_vectored(&runs).unwrap();
-        f.sync().unwrap();
-        assert_eq!(f.len(), 20);
-        let mut out = vec![0u8; 20];
-        assert_eq!(f.read_at(0, &mut out).unwrap(), 20);
-        assert_eq!(&out, b"pre-alpha-beta-gamma");
-        std::fs::remove_dir_all(&dir).ok();
         // Empty runs are skipped by the default impl.
         let d2 = SimDevice::new(Duration::ZERO);
         LogDevice::write_vectored(&d2, &[b"", b"x", b""]).unwrap();
@@ -595,25 +583,6 @@ mod tests {
         d.truncate(4);
         assert_eq!(d.len(), 4);
         assert_eq!(d.contents(), b"0123".to_vec());
-    }
-
-    #[test]
-    fn file_device_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("aether-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("log.bin");
-        let d = FileDevice::create(&path).unwrap();
-        d.append(b"abcdef").unwrap();
-        d.sync().unwrap();
-        assert_eq!(d.len(), 6);
-        let mut buf = vec![0u8; 6];
-        assert_eq!(d.read_at(0, &mut buf).unwrap(), 6);
-        assert_eq!(&buf, b"abcdef");
-        drop(d);
-        let d2 = FileDevice::open(&path).unwrap();
-        assert_eq!(d2.len(), 6);
-        assert_eq!(d2.path(), path.as_path());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

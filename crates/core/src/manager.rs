@@ -128,10 +128,7 @@ impl LogManagerBuilder {
             self.config.telemetry.export_every,
         ) {
             (true, Some(every)) => {
-                let out = std::env::var("AETHER_TELEMETRY_OUT")
-                    .ok()
-                    .filter(|p| !p.is_empty())
-                    .map(std::path::PathBuf::from);
+                let out = self.config.telemetry.export_path.clone();
                 let c = Arc::clone(&core);
                 let p = Arc::clone(&pipeline);
                 let g = Arc::clone(&gate);
@@ -640,7 +637,7 @@ impl LogManager {
     /// Stop the flush daemon after a final flush. Called automatically on
     /// drop; explicit calls are idempotent. With telemetry enabled, one
     /// final snapshot is emitted (by the exporter daemon if one runs, else
-    /// directly to `AETHER_TELEMETRY_OUT` when set).
+    /// directly to `TelemetryConfig::export_path` when set).
     pub fn shutdown(&self) {
         if let Some(d) = self.daemon.lock().as_mut() {
             d.shutdown();
@@ -653,10 +650,12 @@ impl LogManager {
             match exporter {
                 // Stopping the exporter emits the final snapshot itself.
                 Some(mut e) => e.stop(),
-                None if self.core.telemetry().on() => {
-                    let _ = self.telemetry_snapshot().emit_env();
+                None => {
+                    let path = &self.config.telemetry.export_path;
+                    if let (true, Some(path)) = (self.core.telemetry().on(), path) {
+                        let _ = self.telemetry_snapshot().append_to(path);
+                    }
                 }
-                None => {}
             }
         }
     }

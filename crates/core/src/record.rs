@@ -156,6 +156,63 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc32_finish(crc32_update(CRC32_INIT, data))
 }
 
+/// Bytes a wire frame spends on its magic, `len` and CRC words; the header
+/// is this plus the codec's fixed fields.
+pub const FRAME_OVERHEAD: usize = 12;
+
+/// Serialize one CRC-framed wire message:
+///
+/// ```text
+/// [magic u32][fields][len u32][crc u32]  then `len` body bytes
+/// ```
+///
+/// `fields` are the codec's fixed-width header fields, already packed. The
+/// CRC32 covers the header (with the CRC word zeroed) and the body, so a bit
+/// flip anywhere is detected. The replication frames and the serving
+/// protocol are field packers over this one layout.
+pub fn frame_encode(magic: u32, fields: &[u8], body: &[u8]) -> Vec<u8> {
+    let header = FRAME_OVERHEAD + fields.len();
+    let len = u32::try_from(body.len()).expect("frame body under 4 GiB");
+    let mut out = Vec::with_capacity(header + body.len());
+    out.extend_from_slice(&magic.to_le_bytes());
+    out.extend_from_slice(fields);
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&[0u8; 4]); // crc placeholder
+    out.extend_from_slice(body);
+    let crc = crc32(&out);
+    out[header - 4..header].copy_from_slice(&crc.to_le_bytes());
+    out
+}
+
+/// Validate one complete frame written by [`frame_encode`] and split it into
+/// `(fields, body)`. `None` unless `buf` is exactly one frame with this
+/// `magic`, `fields_len` bytes of fields, a body of at most `max_body` bytes
+/// and a matching CRC.
+pub fn frame_check(
+    magic: u32,
+    fields_len: usize,
+    max_body: usize,
+    buf: &[u8],
+) -> Option<(&[u8], &[u8])> {
+    let header = FRAME_OVERHEAD + fields_len;
+    if buf.len() < header {
+        return None;
+    }
+    let (head, body) = buf.split_at(header);
+    let word = |at: usize| u32::from_le_bytes(head[at..at + 4].try_into().expect("4 bytes"));
+    if word(0) != magic {
+        return None;
+    }
+    let len = word(header - 8) as usize;
+    if len > max_body || body.len() != len {
+        return None;
+    }
+    let mut crc = crc32_update(CRC32_INIT, &head[..header - 4]);
+    crc = crc32_update(crc, &[0u8; 4]);
+    crc = crc32_update(crc, body);
+    (crc32_finish(crc) == word(header - 4)).then_some((&head[4..header - 8], body))
+}
+
 /// Checksum over a record *frame*: the 32-byte header (with the checksum
 /// field itself zeroed) followed by the payload. Covering the header — not
 /// just the payload — means a torn or bit-flipped header field (txn id,

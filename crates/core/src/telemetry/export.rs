@@ -12,7 +12,7 @@
 //! runtime-monotonic — under `Runtime::sim(seed)` two runs of the same seed
 //! render byte-identical output. Text lines all start with `telemetry>` so
 //! logs stay grep-stable; JSON-lines go to the file named by
-//! `AETHER_TELEMETRY_OUT`.
+//! [`super::TelemetryConfig::export_path`].
 
 use super::trace::{assemble_spans, TraceEvent};
 use super::{HistSnapshot, Unit};
@@ -235,18 +235,6 @@ impl TelemetrySnapshot {
             .open(path)?;
         f.write_all(self.render_jsonl().as_bytes())
     }
-
-    /// Append to the file named by `AETHER_TELEMETRY_OUT`, if set. Returns
-    /// whether anything was written.
-    pub fn emit_env(&self) -> std::io::Result<bool> {
-        match std::env::var("AETHER_TELEMETRY_OUT") {
-            Ok(path) if !path.is_empty() => {
-                self.append_to(Path::new(&path))?;
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    }
 }
 
 fn json_escape(s: &str) -> String {
@@ -398,24 +386,5 @@ mod tests {
         assert_eq!(snap.counter("extra.pushed"), Some(42));
         assert_eq!(snap.counter("nope"), None);
         assert_eq!(snap.hist("log.insert_ns").unwrap().count, 1);
-    }
-
-    #[test]
-    fn append_to_writes_jsonl() {
-        let snap = sample();
-        let path = std::env::temp_dir().join(format!(
-            "aether-telemetry-test-{}.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        snap.append_to(&path).unwrap();
-        snap.append_to(&path).unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        let snapshots = body
-            .lines()
-            .filter(|l| l.contains("\"telemetry\":\"snapshot\""))
-            .count();
-        assert_eq!(snapshots, 2, "append, not truncate");
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -34,6 +34,7 @@ use crate::lsn::Lsn;
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 use std::cell::Cell;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -139,8 +140,11 @@ pub struct TelemetryConfig {
     /// overwritten.
     pub trace_capacity: usize,
     /// Spawn a daemon that emits a snapshot this often. `None` = only emit
-    /// on shutdown (when `AETHER_TELEMETRY_OUT` is set).
+    /// on shutdown (when `export_path` is set).
     pub export_every: Option<Duration>,
+    /// File the snapshots are appended to as JSON lines. `None` = the
+    /// periodic daemon writes text to stderr and shutdown emits nothing.
+    pub export_path: Option<PathBuf>,
 }
 
 impl Default for TelemetryConfig {
@@ -152,35 +156,12 @@ impl Default for TelemetryConfig {
             trace_shards: 4,
             trace_capacity: 1024,
             export_every: None,
+            export_path: None,
         }
     }
 }
 
 impl TelemetryConfig {
-    /// Defaults overridden from the environment: `AETHER_TELEMETRY` (1/true
-    /// enables), `AETHER_TELEMETRY_SAMPLE` (records per trace sample, power
-    /// of two, 0 = no tracing), `AETHER_TELEMETRY_MS` (periodic export
-    /// interval in milliseconds).
-    pub fn from_env() -> Self {
-        let mut cfg = TelemetryConfig::default();
-        if let Ok(v) = std::env::var("AETHER_TELEMETRY") {
-            cfg.enabled = matches!(v.as_str(), "1" | "true" | "on");
-        }
-        if let Some(v) = std::env::var("AETHER_TELEMETRY_SAMPLE")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-        {
-            cfg.sample_every = if v == 0 { 0 } else { v.next_power_of_two() };
-        }
-        if let Some(ms) = std::env::var("AETHER_TELEMETRY_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-        {
-            cfg.export_every = (ms > 0).then(|| Duration::from_millis(ms));
-        }
-        cfg
-    }
-
     /// Validate invariants; returns the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
         if self.sample_every != 0 && !self.sample_every.is_power_of_two() {

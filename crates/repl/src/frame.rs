@@ -16,11 +16,11 @@
 //! kinds share one sequence-number space, so the replica restores a total
 //! order over an arbitrarily reordering link.
 
-use aether_core::record::{crc32_finish, crc32_update, CRC32_INIT};
+use aether_core::record::{frame_check, frame_encode, FRAME_OVERHEAD};
 use aether_core::Lsn;
 
 /// Frame header size on the wire.
-pub const FRAME_HEADER: usize = 28;
+pub const FRAME_HEADER: usize = FRAME_OVERHEAD + 16;
 
 /// Magic tag opening every frame.
 pub const FRAME_MAGIC: u32 = 0xAE7E_F14E;
@@ -47,49 +47,25 @@ impl Frame {
     /// then the body. The CRC covers the header (with the CRC field zeroed)
     /// and the body.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(FRAME_HEADER + self.bytes.len());
-        out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.start_lsn.raw().to_le_bytes());
-        out.extend_from_slice(&(self.bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes()); // crc placeholder
-        out.extend_from_slice(&self.bytes);
-        let crc = crc32_finish(crc32_update(CRC32_INIT, &out));
-        out[24..28].copy_from_slice(&crc.to_le_bytes());
-        out
+        let mut fields = [0u8; 16];
+        fields[..8].copy_from_slice(&self.seq.to_le_bytes());
+        fields[8..].copy_from_slice(&self.start_lsn.raw().to_le_bytes());
+        frame_encode(FRAME_MAGIC, &fields, &self.bytes)
     }
 
     /// Decode and CRC-check a frame; `None` for anything malformed.
     pub fn decode(buf: &[u8]) -> Option<Frame> {
-        if buf.len() < FRAME_HEADER {
-            return None;
-        }
-        if u32::from_le_bytes(buf[0..4].try_into().ok()?) != FRAME_MAGIC {
-            return None;
-        }
-        let seq = u64::from_le_bytes(buf[4..12].try_into().ok()?);
-        let start_lsn = Lsn(u64::from_le_bytes(buf[12..20].try_into().ok()?));
-        let len = u32::from_le_bytes(buf[20..24].try_into().ok()?) as usize;
-        if buf.len() != FRAME_HEADER + len {
-            return None;
-        }
-        let stored_crc = u32::from_le_bytes(buf[24..28].try_into().ok()?);
-        let mut crc = crc32_update(CRC32_INIT, &buf[..24]);
-        crc = crc32_update(crc, &[0u8; 4]);
-        crc = crc32_update(crc, &buf[FRAME_HEADER..]);
-        if crc32_finish(crc) != stored_crc {
-            return None;
-        }
+        let (fields, body) = frame_check(FRAME_MAGIC, 16, usize::MAX, buf)?;
         Some(Frame {
-            seq,
-            start_lsn,
-            bytes: buf[FRAME_HEADER..].to_vec(),
+            seq: u64::from_le_bytes(fields[..8].try_into().ok()?),
+            start_lsn: Lsn(u64::from_le_bytes(fields[8..].try_into().ok()?)),
+            bytes: body.to_vec(),
         })
     }
 }
 
 /// Frame-header size of a [`SnapshotFrame`] on the wire.
-pub const SNAPSHOT_HEADER: usize = 20;
+pub const SNAPSHOT_HEADER: usize = FRAME_OVERHEAD + 8;
 
 /// Magic tag opening a snapshot frame.
 pub const SNAPSHOT_MAGIC: u32 = 0xAE7E_5EED;
@@ -109,40 +85,15 @@ impl SnapshotFrame {
     /// Serialize: `[magic u32][seq u64][len u32][crc u32]` then the body;
     /// CRC32 over header (CRC field zeroed) + body, as for [`Frame`].
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(SNAPSHOT_HEADER + self.body.len());
-        out.extend_from_slice(&SNAPSHOT_MAGIC.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&(self.body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes()); // crc placeholder
-        out.extend_from_slice(&self.body);
-        let crc = crc32_finish(crc32_update(CRC32_INIT, &out));
-        out[16..20].copy_from_slice(&crc.to_le_bytes());
-        out
+        frame_encode(SNAPSHOT_MAGIC, &self.seq.to_le_bytes(), &self.body)
     }
 
     /// Decode and CRC-check; `None` for anything malformed.
     pub fn decode(buf: &[u8]) -> Option<SnapshotFrame> {
-        if buf.len() < SNAPSHOT_HEADER {
-            return None;
-        }
-        if u32::from_le_bytes(buf[0..4].try_into().ok()?) != SNAPSHOT_MAGIC {
-            return None;
-        }
-        let seq = u64::from_le_bytes(buf[4..12].try_into().ok()?);
-        let len = u32::from_le_bytes(buf[12..16].try_into().ok()?) as usize;
-        if buf.len() != SNAPSHOT_HEADER + len {
-            return None;
-        }
-        let stored_crc = u32::from_le_bytes(buf[16..20].try_into().ok()?);
-        let mut crc = crc32_update(CRC32_INIT, &buf[..16]);
-        crc = crc32_update(crc, &[0u8; 4]);
-        crc = crc32_update(crc, &buf[SNAPSHOT_HEADER..]);
-        if crc32_finish(crc) != stored_crc {
-            return None;
-        }
+        let (fields, body) = frame_check(SNAPSHOT_MAGIC, 8, usize::MAX, buf)?;
         Some(SnapshotFrame {
-            seq,
-            body: buf[SNAPSHOT_HEADER..].to_vec(),
+            seq: u64::from_le_bytes(fields.try_into().ok()?),
+            body: body.to_vec(),
         })
     }
 }
@@ -190,6 +141,33 @@ mod tests {
         let enc = f.encode();
         assert_eq!(Frame::decode(&enc).unwrap(), f);
         assert_eq!(f.end_lsn(), Lsn(4096 + 200));
+    }
+
+    /// Wire bytes pinned before the codecs moved onto
+    /// `aether_core::record::frame_encode`: the layout may not drift.
+    #[test]
+    fn golden_frames() {
+        let f = Frame {
+            seq: 42,
+            start_lsn: Lsn(4096),
+            bytes: b"aether".to_vec(),
+        };
+        assert_eq!(
+            hex(&f.encode()),
+            "4ef17eae2a000000000000000010000000000000060000004b7c17e9616574686572"
+        );
+        let s = SnapshotFrame {
+            seq: 9,
+            body: b"snapshot".to_vec(),
+        };
+        assert_eq!(
+            hex(&s.encode()),
+            "ed5e7eae0900000000000000080000001687a531736e617073686f74"
+        );
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
     #[test]

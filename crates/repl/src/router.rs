@@ -96,14 +96,6 @@ impl RoutingPolicy {
             _ => None,
         }
     }
-
-    /// Policy from `AETHER_READ_POLICY` (default: round-robin).
-    pub fn from_env() -> RoutingPolicy {
-        std::env::var("AETHER_READ_POLICY")
-            .ok()
-            .and_then(|v| RoutingPolicy::parse(&v))
-            .unwrap_or_default()
-    }
 }
 
 /// Router tuning.
@@ -143,25 +135,6 @@ impl Default for RouterConfig {
             readmit_lag: 1 << 14,
             service: Duration::ZERO,
         }
-    }
-}
-
-impl RouterConfig {
-    /// Config from the environment: `AETHER_READ_POLICY` (see
-    /// [`RoutingPolicy::from_env`]) and `AETHER_READ_BUDGET_US` (staleness
-    /// budget, microseconds).
-    pub fn from_env() -> RouterConfig {
-        let mut cfg = RouterConfig {
-            policy: RoutingPolicy::from_env(),
-            ..RouterConfig::default()
-        };
-        if let Some(us) = std::env::var("AETHER_READ_BUDGET_US")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-        {
-            cfg.budget = Duration::from_micros(us);
-        }
-        cfg
     }
 }
 

@@ -17,8 +17,7 @@
 //!   pipelined connection's many in-flight commits are all completed by
 //!   the single group-commit flush that hardens them — the paper's
 //!   consolidation argument, observed from the wire.
-//! * [`client`], [`load`] — a pipelining client and closed/open-loop load
-//!   generation with p50/p99/p999 reporting.
+//! * [`client`] — a pipelining client.
 //!
 //! Session tokens: every `Committed` response carries the commit's
 //! [`CommitToken`](aether_core::commit::CommitToken) LSN. The server also
@@ -30,7 +29,6 @@
 pub mod client;
 mod conn;
 pub mod dedup;
-pub mod load;
 pub mod protocol;
 pub mod retry;
 pub mod server;
@@ -39,7 +37,6 @@ pub mod stream;
 pub use client::Client;
 pub use conn::Engine;
 pub use dedup::{Claim, CommitDedup};
-pub use load::{LatencySummary, LoadReport, LoadSpec, Mix, Pacing};
 pub use protocol::{ErrCode, Request, Response};
 pub use retry::{ResilientClient, RetryPolicy, RetryStats};
 pub use server::{Server, ServerConfig};

@@ -19,10 +19,10 @@
 //! in request order (invariant 10 in DESIGN.md), so a pipelining client can
 //! also match responses positionally.
 
-use aether_core::record::{crc32_finish, crc32_update, CRC32_INIT};
+use aether_core::record::{frame_check, frame_encode, FRAME_OVERHEAD};
 
 /// Frame header size on the wire.
-pub const WIRE_HEADER: usize = 21;
+pub const WIRE_HEADER: usize = FRAME_OVERHEAD + FIELDS;
 
 /// Magic tag opening a request frame.
 pub const REQUEST_MAGIC: u32 = 0xAE7E_0C11;
@@ -225,54 +225,21 @@ const OP_ABORTED: u8 = 0x86;
 const OP_PONG: u8 = 0x87;
 const OP_ERR: u8 = 0xFF;
 
+/// Bytes of fixed fields between the magic and `len`: `req_id`, `opcode`.
+const FIELDS: usize = 9;
+
 fn frame(magic: u32, req_id: u64, opcode: u8, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(WIRE_HEADER + body.len());
-    out.extend_from_slice(&magic.to_le_bytes());
-    out.extend_from_slice(&req_id.to_le_bytes());
-    out.push(opcode);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes()); // crc placeholder
-    out.extend_from_slice(body);
-    let crc = crc32_finish(crc32_update(CRC32_INIT, &out));
-    out[17..21].copy_from_slice(&crc.to_le_bytes());
-    out
+    let mut fields = [0u8; FIELDS];
+    fields[..8].copy_from_slice(&req_id.to_le_bytes());
+    fields[8] = opcode;
+    frame_encode(magic, &fields, body)
 }
 
-/// Header fields of a validated frame.
-struct Header {
-    req_id: u64,
-    opcode: u8,
-    len: usize,
-}
-
-/// Parse and CRC-check one complete frame at the front of `buf`.
-/// `buf` must hold exactly `WIRE_HEADER + len` bytes when called from
-/// `decode`; the streaming extractor checks length before slicing.
-fn check(magic: u32, buf: &[u8]) -> Option<Header> {
-    if buf.len() < WIRE_HEADER {
-        return None;
-    }
-    if u32::from_le_bytes(buf[0..4].try_into().ok()?) != magic {
-        return None;
-    }
-    let req_id = u64::from_le_bytes(buf[4..12].try_into().ok()?);
-    let opcode = buf[12];
-    let len = u32::from_le_bytes(buf[13..17].try_into().ok()?) as usize;
-    if len > MAX_BODY || buf.len() != WIRE_HEADER + len {
-        return None;
-    }
-    let stored_crc = u32::from_le_bytes(buf[17..21].try_into().ok()?);
-    let mut crc = crc32_update(CRC32_INIT, &buf[..17]);
-    crc = crc32_update(crc, &[0u8; 4]);
-    crc = crc32_update(crc, &buf[WIRE_HEADER..]);
-    if crc32_finish(crc) != stored_crc {
-        return None;
-    }
-    Some(Header {
-        req_id,
-        opcode,
-        len,
-    })
+/// CRC-check one complete frame and split it into `(req_id, opcode, body)`.
+fn check(magic: u32, buf: &[u8]) -> Option<(u64, u8, &[u8])> {
+    let (fields, body) = frame_check(magic, FIELDS, MAX_BODY, buf)?;
+    let req_id = u64::from_le_bytes(fields[..8].try_into().ok()?);
+    Some((req_id, fields[8], body))
 }
 
 impl Request {
@@ -328,17 +295,16 @@ impl Request {
 
     /// Decode a complete request frame; `None` for anything malformed.
     pub fn decode(buf: &[u8]) -> Option<(u64, Request)> {
-        let h = check(REQUEST_MAGIC, buf)?;
-        let b = &buf[WIRE_HEADER..];
-        let req = match h.opcode {
+        let (req_id, opcode, b) = check(REQUEST_MAGIC, buf)?;
+        let req = match opcode {
             OP_BEGIN => {
-                if h.len != 0 {
+                if !b.is_empty() {
                     return None;
                 }
                 Request::Begin
             }
             OP_READ => {
-                if h.len != 20 {
+                if b.len() != 20 {
                     return None;
                 }
                 Request::Read {
@@ -348,7 +314,7 @@ impl Request {
                 }
             }
             OP_SCAN => {
-                if h.len != 16 {
+                if b.len() != 16 {
                     return None;
                 }
                 Request::Scan {
@@ -358,7 +324,7 @@ impl Request {
                 }
             }
             OP_UPDATE => {
-                if h.len < 20 {
+                if b.len() < 20 {
                     return None;
                 }
                 Request::Update {
@@ -369,7 +335,7 @@ impl Request {
                 }
             }
             OP_COMMIT => {
-                if h.len != 8 {
+                if b.len() != 8 {
                     return None;
                 }
                 Request::Commit {
@@ -377,7 +343,7 @@ impl Request {
                 }
             }
             OP_ABORT => {
-                if h.len != 8 {
+                if b.len() != 8 {
                     return None;
                 }
                 Request::Abort {
@@ -385,14 +351,14 @@ impl Request {
                 }
             }
             OP_PING => {
-                if h.len != 0 {
+                if !b.is_empty() {
                     return None;
                 }
                 Request::Ping
             }
             _ => return None,
         };
-        Some((h.req_id, req))
+        Some((req_id, req))
     }
 }
 
@@ -439,11 +405,10 @@ impl Response {
 
     /// Decode a complete response frame; `None` for anything malformed.
     pub fn decode(buf: &[u8]) -> Option<(u64, Response)> {
-        let h = check(RESPONSE_MAGIC, buf)?;
-        let b = &buf[WIRE_HEADER..];
-        let resp = match h.opcode {
+        let (req_id, opcode, b) = check(RESPONSE_MAGIC, buf)?;
+        let resp = match opcode {
             OP_BEGUN => {
-                if h.len != 8 {
+                if b.len() != 8 {
                     return None;
                 }
                 Response::Begun {
@@ -451,7 +416,7 @@ impl Response {
                 }
             }
             OP_VALUE => {
-                if h.len < 9 || b[0] & !0x03 != 0 {
+                if b.len() < 9 || b[0] & !0x03 != 0 {
                     return None;
                 }
                 Response::Value {
@@ -462,7 +427,7 @@ impl Response {
                 }
             }
             OP_SCAN_DONE => {
-                if h.len != 12 {
+                if b.len() != 12 {
                     return None;
                 }
                 Response::ScanDone {
@@ -471,13 +436,13 @@ impl Response {
                 }
             }
             OP_UPDATE_OK => {
-                if h.len != 0 {
+                if !b.is_empty() {
                     return None;
                 }
                 Response::UpdateOk
             }
             OP_COMMITTED => {
-                if h.len != 8 {
+                if b.len() != 8 {
                     return None;
                 }
                 Response::Committed {
@@ -485,19 +450,19 @@ impl Response {
                 }
             }
             OP_ABORTED => {
-                if h.len != 0 {
+                if !b.is_empty() {
                     return None;
                 }
                 Response::Aborted
             }
             OP_PONG => {
-                if h.len != 0 {
+                if !b.is_empty() {
                     return None;
                 }
                 Response::Pong
             }
             OP_ERR => {
-                if h.len < 2 {
+                if b.len() < 2 {
                     return None;
                 }
                 Response::Err {
@@ -507,7 +472,7 @@ impl Response {
             }
             _ => return None,
         };
-        Some((h.req_id, resp))
+        Some((req_id, resp))
     }
 }
 
@@ -618,6 +583,28 @@ mod tests {
                 msg: "victim".into(),
             },
         ]
+    }
+
+    /// Wire bytes pinned before the codec moved onto
+    /// `aether_core::record::frame_encode`: the layout may not drift.
+    #[test]
+    fn golden_frames() {
+        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let req = Request::Update {
+            txn: 0,
+            table: 2,
+            key: 5,
+            value: vec![1, 2, 3, 4],
+        };
+        assert_eq!(
+            hex(&req.encode(7)),
+            "110c7eae07000000000000000418000000b5f2c91c\
+             000000000000000002000000050000000000000001020304"
+        );
+        assert_eq!(
+            hex(&Response::Committed { token: 512 }.encode(7)),
+            "220c7eae070000000000000085080000000f773ffd0002000000000000"
+        );
     }
 
     #[test]

@@ -32,11 +32,10 @@ use std::time::Duration;
 pub struct ServerConfig {
     /// Runtime to spawn under (sim for deterministic runs).
     pub runtime: Runtime,
-    /// TCP listen address (`None`: in-process connections only). Honors
-    /// `AETHER_SERVER_ADDR` via [`ServerConfig::from_env`].
+    /// TCP listen address (`None`: in-process connections only).
     pub addr: Option<SocketAddr>,
     /// Idle-pass sleep of the IO loop: the longest a request or a completed
-    /// response waits for the next pass. Honors `AETHER_SERVER_BATCH_US`.
+    /// response waits for the next pass.
     pub batch_window: Duration,
     /// Acceptor poll interval.
     pub accept_window: Duration,
@@ -50,23 +49,6 @@ impl Default for ServerConfig {
             batch_window: Duration::from_micros(50),
             accept_window: Duration::from_micros(200),
         }
-    }
-}
-
-impl ServerConfig {
-    /// Defaults overridden by `AETHER_SERVER_ADDR` (a `host:port` to listen
-    /// on) and `AETHER_SERVER_BATCH_US` (batch window in microseconds).
-    pub fn from_env() -> ServerConfig {
-        let mut cfg = ServerConfig::default();
-        if let Ok(v) = std::env::var("AETHER_SERVER_ADDR") {
-            cfg.addr = v.parse().ok();
-        }
-        if let Ok(v) = std::env::var("AETHER_SERVER_BATCH_US") {
-            if let Ok(us) = v.parse::<u64>() {
-                cfg.batch_window = Duration::from_micros(us);
-            }
-        }
-        cfg
     }
 }
 

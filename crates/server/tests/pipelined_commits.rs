@@ -1,4 +1,5 @@
-//! Pipelined-commit correctness under a flush stall (ISSUE 9 satellite).
+//! Pipelined commits over the wire: correctness under a flush stall, and
+//! the reason to pipeline at all (fewer flushes than serial round trips).
 //!
 //! Several connections keep deep windows of auto-commit updates in flight
 //! while the primary's log device stops syncing mid-run. The server must
@@ -6,7 +7,9 @@
 //! bytes have not reached the (stalled) durable store, and after a crash
 //! taken *during* the stall, recovery must reproduce every acked write.
 
-use aether_core::device::{LogDevice, StallDevice};
+use aether_core::device::{DeviceKind, LogDevice, StallDevice};
+use aether_core::runtime::{monotonic_ns, Runtime};
+use aether_core::LogConfig;
 use aether_server::protocol::{Request, Response};
 use aether_server::{Client, Engine, Server, ServerConfig};
 use aether_storage::replay::state_fingerprint;
@@ -168,5 +171,84 @@ fn flush_stall_never_acks_undurable_and_keeps_order() {
     assert_eq!(
         state_fingerprint(&recovered).unwrap(),
         state_fingerprint(&recovered2).unwrap()
+    );
+}
+
+/// `CONNS` connections each commit 16 auto-commit updates through a
+/// `window`-deep pipeline, entirely under the simulator on a 2 ms device.
+/// Returns (device syncs, virtual nanoseconds) for the load.
+fn sim_load(window: usize) -> (u64, u64) {
+    const OPS: usize = 16;
+    let rt = Runtime::sim(17);
+    let _guard = rt.enter();
+    let db = Db::open(DbOptions {
+        protocol: CommitProtocol::Pipelined,
+        device: DeviceKind::CustomUs(2000),
+        log_config: LogConfig::default().with_runtime(rt.clone()),
+        ..DbOptions::default()
+    });
+    let table = db.create_table(16, CONNS as u64 * KEYS_PER_CONN);
+    for k in 0..CONNS as u64 * KEYS_PER_CONN {
+        db.load(table, k, &[0u8; 16]).unwrap();
+    }
+    db.setup_complete();
+    let cfg = ServerConfig {
+        runtime: rt.clone(),
+        ..ServerConfig::default()
+    };
+    let server = Server::start(Engine::primary(Arc::clone(&db)), cfg).unwrap();
+
+    let flushes_before = db.log().flush_count();
+    let t0 = monotonic_ns();
+    let workers: Vec<_> = (0..CONNS)
+        .map(|conn| {
+            let mut client = Client::new(Box::new(server.connect_chan()));
+            rt.spawn(&format!("client-{conn}"), move || {
+                let (mut issued, mut in_flight) = (0usize, 0usize);
+                while issued < OPS || in_flight > 0 {
+                    while issued < OPS && in_flight < window {
+                        let req = Request::Update {
+                            txn: 0,
+                            table,
+                            key: conn as u64 * KEYS_PER_CONN + issued as u64,
+                            value: record(conn, issued),
+                        };
+                        client.send(&req).unwrap();
+                        issued += 1;
+                        in_flight += 1;
+                    }
+                    match client.recv().unwrap() {
+                        (_, Response::Committed { .. }) => in_flight -= 1,
+                        (_, other) => panic!("conn {conn}: unexpected {other:?}"),
+                    }
+                }
+                client.close();
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().unwrap();
+    }
+    let out = (db.log().flush_count() - flushes_before, monotonic_ns() - t0);
+    server.shutdown();
+    db.log().shutdown();
+    out
+}
+
+/// Pipelining is what lets one flush harden many of a connection's commits:
+/// at equal connection count, 8 commits in flight per connection must need
+/// strictly fewer device syncs, and less (virtual) time, than one commit per
+/// round trip. Under the simulator both are exact, not wall-clock luck.
+#[test]
+fn pipelined_window_beats_serial_at_equal_connections() {
+    let (serial_flushes, serial_ns) = sim_load(1);
+    let (piped_flushes, piped_ns) = sim_load(WINDOW);
+    assert!(
+        piped_flushes < serial_flushes,
+        "window {WINDOW} took {piped_flushes} flushes, window 1 took {serial_flushes}"
+    );
+    assert!(
+        piped_ns < serial_ns,
+        "window {WINDOW} took {piped_ns} ns, window 1 took {serial_ns} ns"
     );
 }

@@ -9,26 +9,24 @@
 //!
 //! Env: `AETHER_MS`, `AETHER_THREADS`, `AETHER_OUTLIER_LIST`.
 
+use aether_bench::env::list;
 use aether_bench::env_or;
 use aether_bench::micro::{run_micro, MicroConfig, SizeDist};
 use aether_core::record::HEADER_SIZE;
 use aether_core::BufferKind;
 use std::time::Duration;
 
-fn outlier_list() -> Vec<usize> {
-    std::env::var("AETHER_OUTLIER_LIST")
-        .ok()
-        .map(|s| s.split(',').filter_map(|v| v.trim().parse().ok()).collect())
-        .unwrap_or_else(|| vec![48, 512, 2048, 8192, 16384, 65536, 262144])
-}
-
 fn main() {
+    let outliers = list(
+        "AETHER_OUTLIER_LIST",
+        &[48usize, 512, 2048, 8192, 16384, 65536, 262144],
+    );
     let ms = env_or("AETHER_MS", 400u64);
     let threads = env_or("AETHER_THREADS", 8usize);
     println!("# Figure 11: bimodal record sizes (48B + 1-in-60 outlier), {threads} threads");
     println!("variant\toutlier_bytes\tgb_per_s\tdelegated");
     for kind in [BufferKind::Hybrid, BufferKind::Delegated] {
-        for &outlier in &outlier_list() {
+        for &outlier in &outliers {
             let r = run_micro(&MicroConfig {
                 kind,
                 threads,

@@ -8,18 +8,12 @@
 //!
 //! Env: `AETHER_MS`, `AETHER_SLOT_LIST`, `AETHER_THREAD_LIST`.
 
+use aether_bench::env::list;
 use aether_bench::env_or;
 use aether_bench::micro::{run_micro, MicroConfig, SizeDist};
 use aether_core::record::HEADER_SIZE;
 use aether_core::BufferKind;
 use std::time::Duration;
-
-fn list(name: &str, default: &[usize]) -> Vec<usize> {
-    std::env::var(name)
-        .ok()
-        .map(|s| s.split(',').filter_map(|v| v.trim().parse().ok()).collect())
-        .unwrap_or_else(|| default.to_vec())
-}
 
 fn main() {
     let ms = env_or("AETHER_MS", 300u64);

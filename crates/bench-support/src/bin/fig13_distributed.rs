@@ -10,17 +10,12 @@
 //!
 //! Env: `AETHER_TXNS`, `AETHER_WAREHOUSES`, `AETHER_LOG_LIST`.
 
+use aether_bench::env::list;
 use aether_bench::env_or;
 use aether_bench::tpcc::{analyze, generate_trace, Partitioning, TpccConfig};
 
-fn log_list() -> Vec<usize> {
-    std::env::var("AETHER_LOG_LIST")
-        .ok()
-        .map(|s| s.split(',').filter_map(|v| v.trim().parse().ok()).collect())
-        .unwrap_or_else(|| vec![1, 2, 4, 8, 16])
-}
-
 fn main() {
+    let log_counts = list("AETHER_LOG_LIST", &[1usize, 2, 4, 8, 16]);
     let txns = env_or("AETHER_TXNS", 5_000u64);
     let warehouses = env_or("AETHER_WAREHOUSES", 8u32);
     let cfg = TpccConfig {
@@ -40,7 +35,7 @@ fn main() {
             Partitioning::RoundRobinTxn => "round_robin",
             Partitioning::ByWarehouse => "by_warehouse",
         };
-        for &n in &log_list() {
+        for &n in &log_counts {
             let rep = analyze(&trace, n, partitioning);
             println!(
                 "{label}\t{n}\t{}\t{:.3}\t{}\t{:.3}",

@@ -14,6 +14,7 @@
 //! Env: `AETHER_TXNS`, `AETHER_LINK_LIST` (µs, comma-separated),
 //! `AETHER_REPLICAS`, `AETHER_CLIENTS`.
 
+use aether_bench::env::list;
 use aether_bench::env_or;
 use aether_core::commit::DurabilityPolicy;
 use aether_core::{BufferKind, DeviceKind, LogConfig};
@@ -23,13 +24,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn link_list() -> Vec<u64> {
-    std::env::var("AETHER_LINK_LIST")
-        .ok()
-        .map(|s| s.split(',').filter_map(|v| v.trim().parse().ok()).collect())
-        .unwrap_or_else(|| vec![0, 100, 1000])
-}
-
 fn record(key: u64, v: u64) -> Vec<u8> {
     let mut r = vec![0u8; 64];
     r[..8].copy_from_slice(&key.to_le_bytes());
@@ -38,6 +32,7 @@ fn record(key: u64, v: u64) -> Vec<u8> {
 }
 
 fn main() {
+    let links = list("AETHER_LINK_LIST", &[0u64, 100, 1000]);
     let txns = env_or("AETHER_TXNS", 300u64);
     let replicas = env_or("AETHER_REPLICAS", 3usize).max(1);
     let clients = env_or("AETHER_CLIENTS", 4u64).max(1);
@@ -59,7 +54,7 @@ fn main() {
         "policy\tlink_us\tcommits\tmean_commit_us\tp95_commit_us\tend_lag_bytes\tcatchup_ms\tflushes"
     );
     for policy in policies {
-        for &link_us in &link_list() {
+        for &link_us in &links {
             let primary = Db::open(DbOptions {
                 protocol: CommitProtocol::Baseline,
                 buffer: BufferKind::Hybrid,

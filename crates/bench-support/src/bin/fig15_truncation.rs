@@ -20,19 +20,13 @@
 //! `0,250,1000`), `AETHER_KEYS` (working set, default 64), `AETHER_SEG_KB`
 //! (segment size, default 32).
 
+use aether_bench::env::list;
 use aether_bench::env_or;
 use aether_core::partition::{MemSegmentFactory, SegmentedDevice};
 use aether_core::{BufferKind, LogConfig};
 use aether_storage::{CommitProtocol, Db, DbOptions};
 use std::sync::Arc;
 use std::time::Instant;
-
-fn list(name: &str, default: &[u64]) -> Vec<u64> {
-    std::env::var(name)
-        .ok()
-        .map(|s| s.split(',').filter_map(|v| v.trim().parse().ok()).collect())
-        .unwrap_or_else(|| default.to_vec())
-}
 
 fn record(key: u64, v: u64) -> Vec<u8> {
     let mut r = vec![0u8; 64];

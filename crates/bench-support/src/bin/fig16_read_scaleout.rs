@@ -20,6 +20,7 @@
 //! link latency), `AETHER_READ_POLICY` (round_robin | least_lagged |
 //! freshness_weighted); `AETHER_JSON=<path>` appends machine-readable rows.
 
+use aether_bench::env::list;
 use aether_bench::env_or;
 use aether_bench::json::JsonSink;
 use aether_core::commit::DurabilityPolicy;
@@ -46,12 +47,8 @@ fn main() {
     let budget_us = env_or("AETHER_BUDGET_US", 5_000u64);
     let link_us = env_or("AETHER_LINK_US", 50u64);
     let policy = aether_bench::env::read_policy();
-    let replica_list: Vec<usize> = std::env::var("AETHER_REPLICA_LIST")
-        .unwrap_or_else(|_| "1,2,4".into())
-        .split(',')
-        .filter_map(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .collect();
+    let mut replica_list = list("AETHER_REPLICA_LIST", &[1usize, 2, 4]);
+    replica_list.retain(|&n| n > 0);
 
     println!(
         "# Read scale-out via ReadRouter ({}): {ms}ms window, {readers} readers, \

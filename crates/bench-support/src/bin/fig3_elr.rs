@@ -11,6 +11,7 @@
 //! `AETHER_SKEWS` (comma list), `AETHER_LATENCIES_US` (comma list).
 
 use aether_bench::driver::{run_closed_loop, DriverConfig};
+use aether_bench::env::list;
 use aether_bench::env_or;
 use aether_bench::tpcb::{Tpcb, TpcbConfig};
 use aether_core::{DeviceKind, LogConfig};
@@ -62,19 +63,12 @@ fn tps(
     .tps
 }
 
-fn parse_list(name: &str, default: &[f64]) -> Vec<f64> {
-    std::env::var(name)
-        .ok()
-        .map(|s| s.split(',').filter_map(|v| v.trim().parse().ok()).collect())
-        .unwrap_or_else(|| default.to_vec())
-}
-
 fn main() {
     let clients = env_or("AETHER_CLIENTS", 16usize);
     let ms = env_or("AETHER_MS", 1000u64);
     let accounts = env_or("AETHER_ACCOUNTS", 10_000u64);
-    let skews = parse_list("AETHER_SKEWS", &[0.0, 0.5, 0.85, 1.25, 2.0, 3.0]);
-    let lats = parse_list("AETHER_LATENCIES_US", &[0.0, 100.0, 1000.0, 10000.0]);
+    let skews = list("AETHER_SKEWS", &[0.0, 0.5, 0.85, 1.25, 2.0, 3.0]);
+    let lats = list("AETHER_LATENCIES_US", &[0.0, 100.0, 1000.0, 10000.0]);
     println!(
         "# Figure 3: ELR speedup vs skew x latency; TPC-B, {clients} clients, {accounts} accounts"
     );

@@ -11,6 +11,7 @@
 //! Env: `AETHER_MS`, `AETHER_ACCOUNTS`, `AETHER_CLIENT_LIST`.
 
 use aether_bench::driver::{run_closed_loop, DriverConfig};
+use aether_bench::env::list;
 use aether_bench::env_or;
 use aether_bench::tpcb::{Tpcb, TpcbConfig};
 use aether_core::{DeviceKind, LogConfig};
@@ -18,14 +19,8 @@ use aether_storage::{CommitProtocol, Db, DbOptions};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn client_list() -> Vec<usize> {
-    std::env::var("AETHER_CLIENT_LIST")
-        .ok()
-        .map(|s| s.split(',').filter_map(|v| v.trim().parse().ok()).collect())
-        .unwrap_or_else(|| vec![1, 2, 4, 8, 16, 32, 64])
-}
-
 fn main() {
+    let client_counts = list("AETHER_CLIENT_LIST", &[1usize, 2, 4, 8, 16, 32, 64]);
     let ms = env_or("AETHER_MS", 1000u64);
     let accounts = env_or("AETHER_ACCOUNTS", 10_000u64);
     println!("# Figure 4: scheduler activity vs clients, TPC-B on flash-class log (100us)");
@@ -37,7 +32,7 @@ fn main() {
         ("baseline", CommitProtocol::Baseline),
         ("flush_pipelining", CommitProtocol::Pipelined),
     ] {
-        for &clients in &client_list() {
+        for &clients in &client_counts {
             let db = Db::open(DbOptions {
                 protocol,
                 device: DeviceKind::Flash,

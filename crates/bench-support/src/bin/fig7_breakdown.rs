@@ -5,6 +5,7 @@
 //! Env: `AETHER_MS`, `AETHER_SUBSCRIBERS`, `AETHER_CLIENT_LIST`.
 
 use aether_bench::driver::{run_closed_loop, DriverConfig};
+use aether_bench::env::list;
 use aether_bench::env_or;
 use aether_bench::measure::Breakdown;
 use aether_bench::tatp::{Tatp, TatpConfig, TatpTxn};
@@ -13,21 +14,15 @@ use aether_storage::{CommitProtocol, Db, DbOptions};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn client_list() -> Vec<usize> {
-    std::env::var("AETHER_CLIENT_LIST")
-        .ok()
-        .map(|s| s.split(',').filter_map(|v| v.trim().parse().ok()).collect())
-        .unwrap_or_else(|| vec![1, 2, 4, 8, 16, 32, 64])
-}
-
 fn main() {
+    let client_counts = list("AETHER_CLIENT_LIST", &[1usize, 2, 4, 8, 16, 32, 64]);
     let ms = env_or("AETHER_MS", 1000u64);
     let subscribers = env_or("AETHER_SUBSCRIBERS", 100_000u64);
     println!(
         "# Figure 7: TATP UpdateLocation breakdown vs load (ELR + flush pipelining, baseline log buffer)"
     );
     println!("clients\t{}\ttps", Breakdown::tsv_header());
-    for &clients in &client_list() {
+    for &clients in &client_counts {
         let db = Db::open(DbOptions {
             protocol: CommitProtocol::Pipelined,
             buffer: BufferKind::Baseline, // the buffer under indictment

@@ -11,6 +11,7 @@
 //! sizes in bytes); set `AETHER_JSON=<path>` to also append
 //! machine-readable JSON-lines rows (CI's `BENCH_fig8.json` artifact).
 
+use aether_bench::env::list;
 use aether_bench::env_or;
 use aether_bench::json::JsonSink;
 use aether_bench::micro::{run_micro, run_thread_local, MicroConfig, SizeDist};
@@ -18,21 +19,18 @@ use aether_core::record::HEADER_SIZE;
 use aether_core::BufferKind;
 use std::time::Duration;
 
-fn size_list() -> Vec<usize> {
-    std::env::var("AETHER_SIZE_LIST")
-        .ok()
-        .map(|s| s.split(',').filter_map(|v| v.trim().parse().ok()).collect())
-        .unwrap_or_else(|| vec![48, 120, 264, 520, 1160, 4104, 12296])
-}
-
 fn main() {
+    let sizes = list(
+        "AETHER_SIZE_LIST",
+        &[48usize, 120, 264, 520, 1160, 4104, 12296],
+    );
     let ms = env_or("AETHER_MS", 400u64);
     let threads = env_or("AETHER_THREADS", 8usize);
     println!("# Figure 8 (right): insert bandwidth vs record size, {threads} threads");
     println!("variant\trecord_bytes\tgb_per_s\tinserts_per_s");
     let mut json = JsonSink::from_env();
     for kind in BufferKind::ALL {
-        for &size in &size_list() {
+        for &size in &sizes {
             let payload = size.saturating_sub(HEADER_SIZE).max(8);
             let r = run_micro(&MicroConfig {
                 kind,
@@ -59,7 +57,7 @@ fn main() {
         }
     }
     // The CD-in-L1 series: thread-local, cache-resident copies.
-    for &size in &size_list() {
+    for &size in &sizes {
         let payload = size.saturating_sub(HEADER_SIZE).max(8);
         let r = run_thread_local(threads, payload, Duration::from_millis(ms));
         println!(

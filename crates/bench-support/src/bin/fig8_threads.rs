@@ -12,6 +12,7 @@
 //! `AETHER_JSON=<path>` to also append machine-readable JSON-lines rows
 //! (CI's `BENCH_fig8.json` perf-trajectory artifact).
 
+use aether_bench::env::list;
 use aether_bench::env_or;
 use aether_bench::json::JsonSink;
 use aether_bench::micro::{run_micro, MicroConfig, SizeDist};
@@ -19,14 +20,8 @@ use aether_core::record::HEADER_SIZE;
 use aether_core::BufferKind;
 use std::time::Duration;
 
-fn thread_list() -> Vec<usize> {
-    std::env::var("AETHER_THREAD_LIST")
-        .ok()
-        .map(|s| s.split(',').filter_map(|v| v.trim().parse().ok()).collect())
-        .unwrap_or_else(|| vec![1, 2, 4, 8, 16, 32, 64])
-}
-
 fn main() {
+    let thread_counts = list("AETHER_THREAD_LIST", &[1usize, 2, 4, 8, 16, 32, 64]);
     let ms = env_or("AETHER_MS", 400u64);
     let payload = env_or("AETHER_PAYLOAD", 120usize - HEADER_SIZE);
     println!(
@@ -38,7 +33,7 @@ fn main() {
     for backoff in [false, true] {
         let mode = if backoff { "backoff" } else { "direct" };
         for kind in BufferKind::ALL {
-            for &threads in &thread_list() {
+            for &threads in &thread_counts {
                 let r = run_micro(&MicroConfig {
                     kind,
                     threads,

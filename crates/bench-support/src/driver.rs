@@ -96,11 +96,13 @@ pub fn run_closed_loop(db: &Arc<Db>, cfg: &DriverConfig, body: &TxnBody) -> Driv
                         Ok(()) => {
                             let c = Arc::clone(&committed);
                             submitted.fetch_add(1, Ordering::Relaxed);
-                            let _ = db.commit_with(
+                            let _ = db.commit_tokened_with(
                                 txn,
-                                Some(Box::new(move || {
-                                    c.fetch_add(1, Ordering::Relaxed);
-                                })),
+                                Box::new(move |durable| {
+                                    if durable.is_ok() {
+                                        c.fetch_add(1, Ordering::Relaxed);
+                                    }
+                                }),
                             );
                         }
                         Err(_) => {

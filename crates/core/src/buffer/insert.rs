@@ -46,8 +46,13 @@ impl InsertBuffer {
             gate: InsertGate::new(core.released_lsn()),
             core,
             kind,
-            carray: consolidate
-                .then(|| CArray::new(config.carray_slots, config.carray_pool, max_group)),
+            // §A.1: "we avoid memory management overheads by allocating a
+            // large number of consolidation structures at startup" — a pool
+            // at least twice the active set for the array to recycle through.
+            carray: consolidate.then(|| {
+                let pool = (2 * config.carray_slots).max(64);
+                CArray::new(config.carray_slots, pool, max_group)
+            }),
             decoupled: matches!(kind, Decoupled | Hybrid | Delegated),
             treadmill_inv: match kind {
                 Delegated => config.treadmill_inv,

@@ -64,10 +64,6 @@ pub struct LogConfig {
     /// Number of active slots in the consolidation array. The paper finds
     /// 3–4 optimal on a 64-context machine (§A.4, Figure 12) and fixes 4.
     pub carray_slots: usize,
-    /// Size of the preallocated slot pool the array recycles through
-    /// (§A.1: "we avoid memory management overheads by allocating a large
-    /// number of consolidation structures at startup").
-    pub carray_pool: usize,
     /// Entries in the hand-off table through which D, CD and CDME release
     /// in LSN order (rounded up to a power of two): how many reservations
     /// may be in flight past the oldest unreleased one before a reserver
@@ -96,7 +92,6 @@ impl Default for LogConfig {
         LogConfig {
             buffer_size: 64 << 20,
             carray_slots: 4,
-            carray_pool: 64,
             release_queue_pool: 4096,
             treadmill_inv: 32,
             group_commit: GroupCommitPolicy::default(),
@@ -119,12 +114,6 @@ impl LogConfig {
         }
         if self.carray_slots == 0 {
             return Err("carray_slots must be >= 1".into());
-        }
-        if self.carray_pool < 2 * self.carray_slots {
-            return Err(format!(
-                "carray_pool ({}) must be at least 2x carray_slots ({})",
-                self.carray_pool, self.carray_slots
-            ));
         }
         if self.release_queue_pool < 64 {
             return Err("release_queue_pool must be >= 64".into());
@@ -151,7 +140,6 @@ impl LogConfig {
     /// Builder-style setter for the consolidation-array slot count.
     pub fn with_carray_slots(mut self, slots: usize) -> Self {
         self.carray_slots = slots;
-        self.carray_pool = self.carray_pool.max(2 * slots);
         self
     }
 
@@ -183,22 +171,6 @@ mod tests {
     fn rejects_zero_slots() {
         let c = LogConfig {
             carray_slots: 0,
-            ..LogConfig::default()
-        };
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn with_carray_slots_grows_pool() {
-        let c = LogConfig::default().with_carray_slots(40);
-        assert!(c.carray_pool >= 80);
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn rejects_small_pool() {
-        let c = LogConfig {
-            carray_pool: 3,
             ..LogConfig::default()
         };
         assert!(c.validate().is_err());

@@ -22,36 +22,29 @@ use std::time::Duration;
 /// to make them durable; recovery reads them back with
 /// [`LogDevice::read_at`].
 pub trait LogDevice: Send + Sync {
-    /// Append `data` at the device's write offset.
-    fn append(&self, data: &[u8]) -> Result<()>;
-
     /// Append several byte runs as one logical append — the vectored drain.
     /// The flush daemon hands the ring's released window here as at most two
     /// slices (tail + wrapped head), so bytes go ring → device with no
     /// scratch copy in between. The runs are one contiguous span of the log
-    /// stream; a partial failure leaves a prefix, exactly like a torn
-    /// [`LogDevice::append`].
-    ///
-    /// The default forwards to `append` per run; devices with an internal
-    /// lock override it to take the lock once.
-    fn write_vectored(&self, bufs: &[&[u8]]) -> Result<()> {
-        for b in bufs {
-            if !b.is_empty() {
-                self.append(b)?;
-            }
-        }
-        Ok(())
+    /// stream; a partial failure leaves a prefix (a torn append).
+    fn write_vectored(&self, bufs: &[&[u8]]) -> Result<()>;
+
+    /// Append `data` at the device's write offset: a one-run
+    /// [`LogDevice::write_vectored`]. Implementors do not override it.
+    fn append(&self, data: &[u8]) -> Result<()> {
+        self.write_vectored(&[data])
     }
 
     /// Make all appended bytes durable. This is where simulated write latency
     /// is charged, mirroring the paper's methodology.
     fn sync(&self) -> Result<()>;
 
-    /// Read up to `dst.len()` bytes starting at byte `offset`; returns the
-    /// number of bytes read (0 at end of log).
+    /// Read up to `dst.len()` bytes starting at stream offset `offset`;
+    /// returns the number of bytes read (0 at end of log and below
+    /// [`LogDevice::low_water`]).
     fn read_at(&self, offset: u64, dst: &mut [u8]) -> Result<usize>;
 
-    /// Number of bytes appended so far.
+    /// Stream length: the offset one past the last appended byte.
     fn len(&self) -> u64;
 
     /// True if the device has no content.
@@ -59,23 +52,17 @@ pub trait LogDevice: Send + Sync {
         self.len() == 0
     }
 
-    /// True if writes are discarded (microbenchmark mode): the flush daemon
-    /// then skips the copy entirely and reclaims ring space directly.
+    /// True if writes are discarded (microbenchmark mode): the log manager
+    /// then runs no flush daemon and reclaims ring space directly.
     fn discards(&self) -> bool {
         false
     }
 
-    /// Point-in-time copy of the device's durable contents, if the device
-    /// supports it. Crash-injection tests use this to capture exactly the
-    /// bytes that survived (ring contents are lost, as in a real crash).
-    fn snapshot(&self) -> Option<Vec<u8>> {
-        None
-    }
-
     /// Stream offset of the first byte a scan may rely on (the log's
     /// low-water mark). Everything below has been truncated/recycled; on a
-    /// device that never reclaims this is [`Lsn::ZERO`]. Always a record
-    /// boundary: truncation only ever lands on the LSN of a record start.
+    /// device that never reclaims and starts at zero this is [`Lsn::ZERO`].
+    /// Always a record boundary: truncation only ever lands on the LSN of a
+    /// record start.
     fn low_water(&self) -> Lsn {
         Lsn::ZERO
     }
@@ -93,11 +80,12 @@ pub trait LogDevice: Send + Sync {
     }
 
     /// Point-in-time copy of the *retained* durable contents together with
-    /// the stream offset of the first returned byte. For devices that never
-    /// truncate, this is `(Lsn::ZERO, full snapshot)`; after truncation the
-    /// recycled prefix is gone and recovery must start at the offset.
-    fn snapshot_from(&self) -> Option<(Lsn, Vec<u8>)> {
-        self.snapshot().map(|b| (Lsn::ZERO, b))
+    /// the stream offset of the first returned byte ([`LogDevice::low_water`]),
+    /// if the device supports it. Crash-injection tests use this to capture
+    /// exactly the bytes that survived (ring contents are lost, as in a real
+    /// crash); [`SimDevice::from_image`] rebuilds a device from the pair.
+    fn snapshot(&self) -> Option<(Lsn, Vec<u8>)> {
+        None
     }
 }
 
@@ -118,10 +106,6 @@ impl NullDevice {
 }
 
 impl LogDevice for NullDevice {
-    fn append(&self, data: &[u8]) -> Result<()> {
-        self.len.fetch_add(data.len() as u64, Ordering::Relaxed);
-        Ok(())
-    }
     fn write_vectored(&self, bufs: &[&[u8]]) -> Result<()> {
         let total: u64 = bufs.iter().map(|b| b.len() as u64).sum();
         self.len.fetch_add(total, Ordering::Relaxed);
@@ -144,38 +128,55 @@ impl LogDevice for NullDevice {
 /// In-memory append store with injected sync latency. `latency == 0` models
 /// the paper's ramdisk; 100 µs a fast flash drive; 1 ms / 10 ms magnetic
 /// drives.
+///
+/// The stored bytes are `[base, base + stored)` of the log stream. `base` is
+/// zero for a fresh log and non-zero for a log rebuilt without its truncated
+/// prefix: recovery from a crash image (materializing `base` zero bytes would
+/// make recovery O(uptime) instead of O(retained)) and a replica's receive
+/// log after a snapshot bootstrap (the shipped stream begins at the snapshot
+/// LSN, not at zero).
 #[derive(Debug)]
 pub struct SimDevice {
+    base: Lsn,
     data: Mutex<Vec<u8>>,
     latency: Duration,
 }
 
 impl SimDevice {
-    /// New simulated device with the given per-sync latency.
+    /// New empty device at stream offset zero with the given per-sync latency.
     pub fn new(latency: Duration) -> Self {
         SimDevice {
+            base: Lsn::ZERO,
             data: Mutex::new(Vec::new()),
             latency,
         }
     }
 
-    /// Snapshot the full device contents (tests / crash simulation).
+    /// Rebuild a device from what [`LogDevice::snapshot`] returned: `bytes`
+    /// live at stream offsets `[start, start + bytes.len())`, nothing below
+    /// `start` is readable, and appends continue at the end. No sync latency.
+    pub fn from_image(start: Lsn, bytes: Vec<u8>) -> Self {
+        SimDevice {
+            base: start,
+            data: Mutex::new(bytes),
+            latency: Duration::ZERO,
+        }
+    }
+
+    /// Copy of the stored bytes (stream offsets `[low_water, len)`).
     pub fn contents(&self) -> Vec<u8> {
         self.data.lock().clone()
     }
 
-    /// Truncate to `len` bytes — used by crash-injection tests to model a
-    /// torn tail.
-    pub fn truncate(&self, len: u64) {
-        self.data.lock().truncate(len as usize);
+    /// Cut the stream off at `stream_len` — crash-injection tests and
+    /// recovery clip a torn tail this way.
+    pub fn truncate(&self, stream_len: u64) {
+        let keep = stream_len.saturating_sub(self.base.raw());
+        self.data.lock().truncate(keep as usize);
     }
 }
 
 impl LogDevice for SimDevice {
-    fn append(&self, data: &[u8]) -> Result<()> {
-        self.data.lock().extend_from_slice(data);
-        Ok(())
-    }
     fn write_vectored(&self, bufs: &[&[u8]]) -> Result<()> {
         let mut data = self.data.lock();
         data.reserve(bufs.iter().map(|b| b.len()).sum());
@@ -190,19 +191,23 @@ impl LogDevice for SimDevice {
     }
     fn read_at(&self, offset: u64, dst: &mut [u8]) -> Result<usize> {
         let data = self.data.lock();
-        if offset >= data.len() as u64 {
-            return Ok(0);
-        }
-        let start = offset as usize;
+        // Below the base is the truncated prefix: nothing to read.
+        let start = match offset.checked_sub(self.base.raw()) {
+            Some(s) if s < data.len() as u64 => s as usize,
+            _ => return Ok(0),
+        };
         let n = dst.len().min(data.len() - start);
         dst[..n].copy_from_slice(&data[start..start + n]);
         Ok(n)
     }
     fn len(&self) -> u64 {
-        self.data.lock().len() as u64
+        self.base.raw() + self.data.lock().len() as u64
     }
-    fn snapshot(&self) -> Option<Vec<u8>> {
-        Some(self.contents())
+    fn low_water(&self) -> Lsn {
+        self.base
+    }
+    fn snapshot(&self) -> Option<(Lsn, Vec<u8>)> {
+        Some((self.base, self.contents()))
     }
 }
 
@@ -262,9 +267,6 @@ impl StallDevice {
 }
 
 impl LogDevice for StallDevice {
-    fn append(&self, data: &[u8]) -> Result<()> {
-        self.store.append(data)
-    }
     fn write_vectored(&self, bufs: &[&[u8]]) -> Result<()> {
         self.store.write_vectored(bufs)
     }
@@ -292,10 +294,10 @@ impl LogDevice for StallDevice {
     fn len(&self) -> u64 {
         self.store.len()
     }
-    fn snapshot(&self) -> Option<Vec<u8>> {
+    fn snapshot(&self) -> Option<(Lsn, Vec<u8>)> {
         let mut bytes = self.store.contents();
         bytes.truncate(self.gate.lock().durable_len);
-        Some(bytes)
+        Some((Lsn::ZERO, bytes))
     }
 }
 
@@ -346,13 +348,6 @@ impl FileDevice {
 }
 
 impl LogDevice for FileDevice {
-    fn append(&self, data: &[u8]) -> Result<()> {
-        let mut f = self.file.lock();
-        f.seek(SeekFrom::End(0))?;
-        f.write_all(data)?;
-        self.len.fetch_add(data.len() as u64, Ordering::Relaxed);
-        Ok(())
-    }
     fn write_vectored(&self, bufs: &[&[u8]]) -> Result<()> {
         let mut f = self.file.lock();
         f.seek(SeekFrom::End(0))?;
@@ -387,88 +382,6 @@ impl LogDevice for FileDevice {
     }
     fn len(&self) -> u64 {
         self.len.load(Ordering::Relaxed)
-    }
-}
-
-/// An in-memory device whose stream starts at a non-zero base offset: the
-/// backing bytes represent `[base, base + inner_len)` of the logical log.
-///
-/// Two users: rebuilding a log whose prefix was truncated away (recovery
-/// from a [`crate::partition::SegmentedDevice`] crash image — materializing
-/// `base` zero bytes would make recovery O(uptime) instead of O(retained)),
-/// and a replica's receive log after a snapshot bootstrap (the shipped
-/// stream begins at the snapshot LSN, not at zero).
-#[derive(Debug)]
-pub struct OffsetDevice {
-    base: Lsn,
-    data: Mutex<Vec<u8>>,
-}
-
-impl OffsetDevice {
-    /// New empty device whose first byte will live at stream offset `base`.
-    pub fn new(base: Lsn) -> Self {
-        OffsetDevice {
-            base,
-            data: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The base stream offset (== [`LogDevice::low_water`]).
-    pub fn base(&self) -> Lsn {
-        self.base
-    }
-
-    /// Copy of the retained bytes (stream offsets `[base, len)`).
-    pub fn contents(&self) -> Vec<u8> {
-        self.data.lock().clone()
-    }
-
-    /// Truncate so the stream ends at `stream_len` — crash tests clip a
-    /// torn tail exactly as [`SimDevice::truncate`] does.
-    pub fn truncate(&self, stream_len: u64) {
-        let keep = stream_len.saturating_sub(self.base.raw());
-        self.data.lock().truncate(keep as usize);
-    }
-}
-
-impl LogDevice for OffsetDevice {
-    fn append(&self, data: &[u8]) -> Result<()> {
-        self.data.lock().extend_from_slice(data);
-        Ok(())
-    }
-    fn write_vectored(&self, bufs: &[&[u8]]) -> Result<()> {
-        let mut data = self.data.lock();
-        data.reserve(bufs.iter().map(|b| b.len()).sum());
-        for b in bufs {
-            data.extend_from_slice(b);
-        }
-        Ok(())
-    }
-    fn sync(&self) -> Result<()> {
-        Ok(())
-    }
-    fn read_at(&self, offset: u64, dst: &mut [u8]) -> Result<usize> {
-        if offset < self.base.raw() {
-            // The truncated prefix: nothing to read, as after recycling.
-            return Ok(0);
-        }
-        let data = self.data.lock();
-        let start = (offset - self.base.raw()) as usize;
-        if start >= data.len() {
-            return Ok(0);
-        }
-        let n = dst.len().min(data.len() - start);
-        dst[..n].copy_from_slice(&data[start..start + n]);
-        Ok(n)
-    }
-    fn len(&self) -> u64 {
-        self.base.raw() + self.data.lock().len() as u64
-    }
-    fn low_water(&self) -> Lsn {
-        self.base
-    }
-    fn snapshot_from(&self) -> Option<(Lsn, Vec<u8>)> {
-        Some((self.base, self.contents()))
     }
 }
 
@@ -508,13 +421,6 @@ impl DeviceKind {
     }
 }
 
-/// Compute where a recovery scan should begin given a device: its low-water
-/// mark — byte 0 for a single-file log, the first retained record boundary
-/// for a segmented log that has recycled its prefix behind checkpoints.
-pub fn scan_start(device: &dyn LogDevice) -> Lsn {
-    device.low_water()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,44 +433,6 @@ mod tests {
         assert!(d.discards());
         let mut buf = [0u8; 4];
         assert_eq!(d.read_at(0, &mut buf).unwrap(), 0);
-    }
-
-    #[test]
-    fn sim_device_roundtrip() {
-        let d = SimDevice::new(Duration::ZERO);
-        d.append(b"hello ").unwrap();
-        d.append(b"world").unwrap();
-        d.sync().unwrap();
-        assert_eq!(d.len(), 11);
-        let mut buf = vec![0u8; 11];
-        assert_eq!(d.read_at(0, &mut buf).unwrap(), 11);
-        assert_eq!(&buf, b"hello world");
-        let mut tail = vec![0u8; 20];
-        assert_eq!(d.read_at(6, &mut tail).unwrap(), 5);
-        assert_eq!(&tail[..5], b"world");
-        assert_eq!(d.read_at(11, &mut tail).unwrap(), 0);
-    }
-
-    #[test]
-    fn write_vectored_matches_sequential_appends() {
-        let runs: [&[u8]; 3] = [b"alpha-", b"beta-", b"gamma"];
-        // SimDevice.
-        let d = SimDevice::new(Duration::ZERO);
-        d.write_vectored(&runs).unwrap();
-        assert_eq!(d.contents(), b"alpha-beta-gamma");
-        // OffsetDevice preserves its stream base.
-        let o = OffsetDevice::new(Lsn(100));
-        o.write_vectored(&runs).unwrap();
-        assert_eq!(o.contents(), b"alpha-beta-gamma");
-        assert_eq!(o.len(), 116);
-        // NullDevice counts the bytes.
-        let n = NullDevice::new();
-        n.write_vectored(&runs).unwrap();
-        assert_eq!(n.len(), 16);
-        // Empty runs are skipped by the default impl.
-        let d2 = SimDevice::new(Duration::ZERO);
-        LogDevice::write_vectored(&d2, &[b"", b"x", b""]).unwrap();
-        assert_eq!(d2.contents(), b"x");
     }
 
     #[test]
@@ -583,47 +451,10 @@ mod tests {
         d.truncate(4);
         assert_eq!(d.len(), 4);
         assert_eq!(d.contents(), b"0123".to_vec());
-    }
-
-    #[test]
-    fn device_kind_builds() {
-        assert!(DeviceKind::Null.build().unwrap().discards());
-        assert!(!DeviceKind::Flash.build().unwrap().discards());
-        assert!(DeviceKind::Ram.build().unwrap().is_empty());
-        // The latency classes charge their latency on sync.
-        let d = DeviceKind::CustomUs(250).build().unwrap();
-        let t = crate::runtime::monotonic_ns();
-        d.sync().unwrap();
-        assert!(crate::runtime::monotonic_ns() - t >= 250_000);
-    }
-
-    #[test]
-    fn offset_device_rebases_the_stream() {
-        let d = OffsetDevice::new(Lsn(1000));
-        assert_eq!(d.low_water(), Lsn(1000));
-        assert_eq!(d.len(), 1000);
-        assert!(!d.is_empty());
-        d.append(b"hello world").unwrap();
-        d.sync().unwrap();
-        assert_eq!(d.len(), 1011);
-        // Reads below the base return nothing (truncated prefix).
-        let mut buf = [0u8; 4];
-        assert_eq!(d.read_at(0, &mut buf).unwrap(), 0);
-        assert_eq!(d.read_at(999, &mut buf).unwrap(), 0);
-        // Reads are addressed in stream offsets.
-        let mut out = vec![0u8; 11];
-        assert_eq!(d.read_at(1000, &mut out).unwrap(), 11);
-        assert_eq!(&out, b"hello world");
-        assert_eq!(d.read_at(1006, &mut buf).unwrap(), 4);
-        assert_eq!(&buf, b"worl");
-        let (base, bytes) = d.snapshot_from().unwrap();
-        assert_eq!(base, Lsn(1000));
-        assert_eq!(bytes, b"hello world");
-        assert_eq!(scan_start(&d), Lsn(1000));
-        // Torn-tail clipping speaks stream lengths too.
-        d.truncate(1005);
-        assert_eq!(d.len(), 1005);
-        assert_eq!(d.contents(), b"hello");
+        // A rebased device clips in stream lengths too.
+        let o = SimDevice::from_image(Lsn(1000), b"hello world".to_vec());
+        o.truncate(1005);
+        assert_eq!((o.len(), o.contents()), (1005, b"hello".to_vec()));
     }
 
     #[test]
@@ -670,9 +501,9 @@ mod tests {
         let t = std::thread::spawn(move || d2.sync().unwrap());
         d.wait_blocked();
         assert_eq!(d.len(), 14);
-        assert_eq!(d.snapshot().unwrap(), b"synced");
+        assert_eq!(d.snapshot().unwrap().1, b"synced");
         d.release();
         t.join().unwrap();
-        assert_eq!(d.snapshot().unwrap(), b"synced pending");
+        assert_eq!(d.snapshot().unwrap().1, b"synced pending");
     }
 }

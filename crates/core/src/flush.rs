@@ -430,36 +430,34 @@ fn daemon_loop(
         let at = core.durable_lsn();
         if at < target {
             let t_drain = tel.ts();
-            if !device.discards() {
-                // SAFETY: [at, target) is published (≤ released) and this
-                // daemon is the only reclaimer — durable does not advance
-                // until after the write below completes.
-                //
-                // Retry note: a failed write may have left a prefix on the
-                // device (torn append). Re-running the same vectored write
-                // would duplicate that prefix, so each retry re-derives the
-                // remaining window from the device's own length — the
-                // stream offset equals the LSN, making the write idempotent.
-                let write = with_retry(&retry, || {
-                    let done = device.len().max(at.raw());
-                    if done >= target.raw() {
-                        return Ok(()); // a previous attempt landed everything
-                    }
-                    let from = Lsn(done);
-                    let (head, tail) = unsafe { core.released_slices(from, target.since(from)) };
-                    if tail.is_empty() {
-                        device.write_vectored(&[head])
-                    } else {
-                        device.write_vectored(&[head, tail])
-                    }
-                });
-                if let Err(e) = write {
-                    // Permanent device failure (or retry budget exhausted):
-                    // the terminal poisoned-log state. Pending committers
-                    // and blocked flushers get an `Err`, not a hang.
-                    poison_log(&shared, &pipeline, &gate, &e);
-                    return;
+            // SAFETY: [at, target) is published (≤ released) and this
+            // daemon is the only reclaimer — durable does not advance
+            // until after the write below completes.
+            //
+            // Retry note: a failed write may have left a prefix on the
+            // device (torn append). Re-running the same vectored write
+            // would duplicate that prefix, so each retry re-derives the
+            // remaining window from the device's own length — the
+            // stream offset equals the LSN, making the write idempotent.
+            let write = with_retry(&retry, || {
+                let done = device.len().max(at.raw());
+                if done >= target.raw() {
+                    return Ok(()); // a previous attempt landed everything
                 }
+                let from = Lsn(done);
+                let (head, tail) = unsafe { core.released_slices(from, target.since(from)) };
+                if tail.is_empty() {
+                    device.write_vectored(&[head])
+                } else {
+                    device.write_vectored(&[head, tail])
+                }
+            });
+            if let Err(e) = write {
+                // Permanent device failure (or retry budget exhausted):
+                // the terminal poisoned-log state. Pending committers
+                // and blocked flushers get an `Err`, not a hang.
+                poison_log(&shared, &pipeline, &gate, &e);
+                return;
             }
             if let Err(e) = with_retry(&retry, || device.sync()) {
                 poison_log(&shared, &pipeline, &gate, &e);
@@ -678,9 +676,6 @@ mod tests {
     }
 
     impl LogDevice for FlakyDevice {
-        fn append(&self, data: &[u8]) -> Result<()> {
-            self.inner.append(data)
-        }
         fn write_vectored(&self, bufs: &[&[u8]]) -> Result<()> {
             self.inner.write_vectored(bufs)
         }

@@ -67,7 +67,7 @@ pub use config::LogConfig;
 pub use device::DeviceKind;
 pub use error::{AetherError, LogError, Result};
 pub use lsn::Lsn;
-pub use manager::{DurableWatch, LogManager, TruncationOutcome, TruncationStats, TruncationWatch};
+pub use manager::{DurableWatch, LogManager, TruncationOutcome, TruncationStats};
 pub use record::{RecordHeader, RecordKind};
 pub use runtime::Runtime;
 pub use telemetry::{Telemetry, TelemetryConfig, TelemetrySnapshot};

@@ -113,13 +113,7 @@ impl LogManagerBuilder {
             ))
         };
         let flush_shared = daemon.as_ref().map(|d| Arc::clone(d.shared()));
-        let truncation = Arc::new(TruncationShared {
-            low_water: crate::lsn::AtomicLsn::new(device.low_water()),
-            truncations: std::sync::atomic::AtomicU64::new(0),
-            segments_recycled: std::sync::atomic::AtomicU64::new(0),
-            mutex: parking_lot::Mutex::new(()),
-            cv: crate::runtime::RtCondvar::new(),
-        });
+        let truncation = Arc::new(TruncationCounters::default());
         // Periodic telemetry exporter: snapshots the whole log (registry +
         // layer counters) on a fixed cadence; the final snapshot is emitted
         // at shutdown whether or not the daemon runs.
@@ -169,7 +163,7 @@ fn assemble_snapshot(
     pipeline: &Arc<CommitPipeline>,
     gate: &Arc<CommitGate>,
     flush_shared: Option<&Arc<crate::flush::FlushShared>>,
-    truncation: &Arc<TruncationShared>,
+    truncation: &Arc<TruncationCounters>,
     device: &Arc<dyn LogDevice>,
 ) -> TelemetrySnapshot {
     let mut snap = core.telemetry().snapshot(scope);
@@ -246,8 +240,9 @@ pub struct LogManager {
     /// Shared daemon state, used lock-free-ish on the commit path so any
     /// number of committers can wait concurrently (group commit).
     flush_shared: Option<Arc<crate::flush::FlushShared>>,
-    /// Truncation watermark + counters, shared with [`TruncationWatch`]es.
-    truncation: Arc<TruncationShared>,
+    /// Truncation counters, shared with the telemetry exporter; the
+    /// low-water mark itself lives in the device.
+    truncation: Arc<TruncationCounters>,
     /// The daemon thread handle; the mutex is touched only at shutdown.
     daemon: parking_lot::Mutex<Option<FlushDaemon>>,
     /// Periodic telemetry exporter, if configured; stopped at shutdown.
@@ -588,21 +583,15 @@ impl LogManager {
             Ok(n) => (n, false),
             Err(_) => (0, true),
         };
-        let lw = self.device.low_water();
-        self.truncation.low_water.fetch_max(lw);
         self.truncation
             .truncations
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.truncation
             .segments_recycled
             .fetch_add(recycled as u64, std::sync::atomic::Ordering::Relaxed);
-        {
-            let _g = self.truncation.mutex.lock();
-            self.truncation.cv.notify_all();
-        }
         TruncationOutcome {
             requested,
-            applied: lw,
+            applied: self.low_water(),
             segments_recycled: recycled,
             held_back_by_replica: false,
             device_error,
@@ -621,16 +610,6 @@ impl LogManager {
                 .truncation
                 .segments_recycled
                 .load(std::sync::atomic::Ordering::Relaxed),
-        }
-    }
-
-    /// A notification handle over the low-water mark, the truncation
-    /// analogue of [`LogManager::durable_watch`]: blocking waits instead of
-    /// polling for "has the log been truncated past X". Cloneable and
-    /// detached from the manager's lifetime.
-    pub fn truncation_watch(&self) -> TruncationWatch {
-        TruncationWatch {
-            shared: Arc::clone(&self.truncation),
         }
     }
 
@@ -703,13 +682,11 @@ impl DurableWatch {
     }
 }
 
-/// Shared state behind [`LogManager::truncation_watch`].
-struct TruncationShared {
-    low_water: crate::lsn::AtomicLsn,
+/// What [`LogManager::truncation_stats`] and the telemetry snapshot count.
+#[derive(Default)]
+struct TruncationCounters {
     truncations: std::sync::atomic::AtomicU64,
     segments_recycled: std::sync::atomic::AtomicU64,
-    mutex: parking_lot::Mutex<()>,
-    cv: crate::runtime::RtCondvar,
 }
 
 /// Result of one [`LogManager::truncate_to`] / `force_truncate_to` call.
@@ -740,51 +717,6 @@ pub struct TruncationStats {
     pub truncations: u64,
     /// Whole segments recycled across all calls.
     pub segments_recycled: u64,
-}
-
-/// A waitable view of a log's low-water mark (see
-/// [`LogManager::truncation_watch`]) — the truncation counterpart of
-/// [`DurableWatch`].
-#[derive(Clone)]
-pub struct TruncationWatch {
-    shared: Arc<TruncationShared>,
-}
-
-impl std::fmt::Debug for TruncationWatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TruncationWatch")
-            .field("low_water", &self.shared.low_water.load())
-            .finish()
-    }
-}
-
-impl TruncationWatch {
-    /// Current low-water mark.
-    pub fn current(&self) -> Lsn {
-        self.shared.low_water.load()
-    }
-
-    /// Block until the low-water mark exceeds `past` or `timeout` elapses;
-    /// returns the mark at wake-up. The timeout keeps watcher loops (a
-    /// shipper deciding whether its read position was truncated away)
-    /// responsive to shutdown.
-    pub fn wait_past(&self, past: Lsn, timeout: std::time::Duration) -> Lsn {
-        let deadline = crate::runtime::monotonic_ns().saturating_add(timeout.as_nanos() as u64);
-        let mut g = self.shared.mutex.lock();
-        loop {
-            let lw = self.shared.low_water.load();
-            if lw > past {
-                return lw;
-            }
-            let now = crate::runtime::monotonic_ns();
-            if now >= deadline {
-                return lw;
-            }
-            let left = std::time::Duration::from_nanos(deadline - now);
-            let (g2, _) = self.shared.cv.wait_for(&self.shared.mutex, g, left);
-            g = g2;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -875,7 +807,7 @@ mod tests {
     }
 
     #[test]
-    fn truncate_to_recycles_segments_and_notifies_watch() {
+    fn truncate_to_recycles_segments_and_moves_the_low_water_mark() {
         use crate::partition::{MemSegmentFactory, SegmentedDevice};
         let seg = Arc::new(SegmentedDevice::new(Box::new(MemSegmentFactory), 4096).unwrap());
         let log = LogManager::builder()
@@ -887,7 +819,6 @@ mod tests {
         log.flush_all().unwrap();
         assert_eq!(log.low_water(), Lsn::ZERO);
         let full = log.retained_bytes();
-        let watch = log.truncation_watch();
         // Pick a record boundary roughly halfway in.
         let mid = {
             let mut r = log.reader();
@@ -897,17 +828,12 @@ mod tests {
             }
             at
         };
-        let waiter = {
-            let watch = watch.clone();
-            std::thread::spawn(move || watch.wait_past(Lsn::ZERO, Duration::from_secs(5)))
-        };
         let out = log.truncate_to(mid);
         assert!(!out.held_back_by_replica);
         assert_eq!(out.applied, mid);
         assert!(out.segments_recycled > 0);
         assert_eq!(log.low_water(), mid);
         assert!(log.retained_bytes() < full);
-        assert_eq!(waiter.join().unwrap(), mid);
         let stats = log.truncation_stats();
         assert_eq!(stats.low_water, mid);
         assert_eq!(stats.truncations, 1);

@@ -103,69 +103,38 @@ impl SegmentedDevice {
         self.recycled.load(Ordering::Relaxed)
     }
 
-    /// The logical low-water mark: the highest truncation LSN applied so
-    /// far (scans start here; see [`LogDevice::low_water`]).
-    pub fn truncation_point(&self) -> Lsn {
-        Lsn(self.truncated.load(Ordering::Relaxed))
-    }
-
-    /// Advance the low-water mark to `upto` (a record boundary computed by
-    /// the storage layer) and recycle every sealed segment that lies
-    /// entirely below it. The mark advances even when no whole segment can
-    /// be dropped yet — the *next* truncation, or a recovery scan, picks up
-    /// from it. Returns how many segments were recycled.
-    pub fn truncate_before(&self, upto: Lsn) -> Result<usize> {
-        let mut segments = self.segments.lock();
-        // Clamp to the stream length: the mark must stay a valid scan start.
-        let upto = upto.raw().min(self.len.load(Ordering::Acquire));
-        self.truncated.fetch_max(upto, Ordering::AcqRel);
-        let mut dropped = 0;
-        while let Some(first) = segments.first() {
-            let seg_end = (first.seg_no + 1) * self.segment_size;
-            if first.sealed && seg_end <= upto {
-                segments.remove(0);
-                dropped += 1;
-            } else {
-                break;
-            }
-        }
-        if dropped > 0 {
-            self.recycled.fetch_add(dropped as u64, Ordering::Relaxed);
-        }
-        Ok(dropped)
-    }
-
     fn seg_of(&self, offset: u64) -> u64 {
         offset / self.segment_size
     }
 }
 
 impl LogDevice for SegmentedDevice {
-    fn append(&self, mut data: &[u8]) -> Result<()> {
-        let mut at = self.len.load(Ordering::Relaxed);
+    fn write_vectored(&self, bufs: &[&[u8]]) -> Result<()> {
         let mut segments = self.segments.lock();
-        while !data.is_empty() {
-            let seg_no = self.seg_of(at);
-            // Open the segment if the append crossed a boundary.
-            if segments.last().map(|s| s.seg_no) != Some(seg_no) {
-                if let Some(last) = segments.last_mut() {
-                    last.sealed = true;
+        let mut at = self.len.load(Ordering::Relaxed);
+        for mut data in bufs.iter().copied() {
+            while !data.is_empty() {
+                let seg_no = self.seg_of(at);
+                // Open the segment if the append crossed a boundary.
+                if segments.last().map(|s| s.seg_no) != Some(seg_no) {
+                    if let Some(last) = segments.last_mut() {
+                        last.sealed = true;
+                    }
+                    segments.push(Segment {
+                        seg_no,
+                        device: self.factory.create(seg_no)?,
+                        sealed: false,
+                    });
                 }
-                segments.push(Segment {
-                    seg_no,
-                    device: self.factory.create(seg_no)?,
-                    sealed: false,
-                });
+                let seg = segments.last().expect("segment just ensured");
+                let room = (seg_no + 1) * self.segment_size - at;
+                let n = (room as usize).min(data.len());
+                seg.device.append(&data[..n])?;
+                data = &data[n..];
+                at += n as u64;
+                self.len.store(at, Ordering::Release);
             }
-            let seg = segments.last().expect("segment just ensured");
-            let room = (seg_no + 1) * self.segment_size - at;
-            let n = (room as usize).min(data.len());
-            seg.device.append(&data[..n])?;
-            data = &data[n..];
-            at += n as u64;
         }
-        drop(segments);
-        self.len.store(at, Ordering::Release);
         Ok(())
     }
 
@@ -214,29 +183,38 @@ impl LogDevice for SegmentedDevice {
         self.len.load(Ordering::Acquire)
     }
 
-    fn snapshot(&self) -> Option<Vec<u8>> {
-        // Only meaningful when nothing has been truncated (crash images need
-        // the full prefix); use `snapshot_from` otherwise.
-        if self.truncated.load(Ordering::Relaxed) != 0 {
-            return None;
-        }
-        let mut out = vec![0u8; self.len() as usize];
-        match self.read_at(0, &mut out) {
-            Ok(n) if n as u64 == self.len() => Some(out),
-            _ => None,
-        }
-    }
-
     fn low_water(&self) -> Lsn {
-        self.truncation_point()
+        Lsn(self.truncated.load(Ordering::Relaxed))
     }
 
+    /// Advance the low-water mark to `upto` (a record boundary computed by
+    /// the storage layer) and recycle every sealed segment that lies
+    /// entirely below it. The mark advances even when no whole segment can
+    /// be dropped yet — the *next* truncation, or a recovery scan, picks up
+    /// from it. Returns how many segments were recycled.
     fn truncate_before(&self, upto: Lsn) -> Result<usize> {
-        SegmentedDevice::truncate_before(self, upto)
+        let mut segments = self.segments.lock();
+        // Clamp to the stream length: the mark must stay a valid scan start.
+        let upto = upto.raw().min(self.len.load(Ordering::Acquire));
+        self.truncated.fetch_max(upto, Ordering::AcqRel);
+        let mut dropped = 0;
+        while let Some(first) = segments.first() {
+            let seg_end = (first.seg_no + 1) * self.segment_size;
+            if first.sealed && seg_end <= upto {
+                segments.remove(0);
+                dropped += 1;
+            } else {
+                break;
+            }
+        }
+        if dropped > 0 {
+            self.recycled.fetch_add(dropped as u64, Ordering::Relaxed);
+        }
+        Ok(dropped)
     }
 
-    fn snapshot_from(&self) -> Option<(Lsn, Vec<u8>)> {
-        let start = self.truncation_point();
+    fn snapshot(&self) -> Option<(Lsn, Vec<u8>)> {
+        let start = self.low_water();
         let want = self.len().saturating_sub(start.raw()) as usize;
         let mut out = vec![0u8; want];
         match self.read_at(start.raw(), &mut out) {
@@ -305,7 +283,6 @@ mod tests {
         assert_eq!(d.recycled_segments(), 2);
         // The low-water mark is the requested (record-boundary) LSN, not
         // the coarser segment boundary.
-        assert_eq!(d.truncation_point(), Lsn(9000));
         assert_eq!(d.low_water(), Lsn(9000));
         // Reads in recycled segments return nothing.
         let mut out = vec![0u8; 10];
@@ -323,11 +300,7 @@ mod tests {
         let data: Vec<u8> = (0..12_000).map(|i| (i % 113) as u8).collect();
         d.append(&data).unwrap();
         d.truncate_before(Lsn(5000)).unwrap();
-        assert!(
-            d.snapshot().is_none(),
-            "full snapshot gone after truncation"
-        );
-        let (start, bytes) = d.snapshot_from().unwrap();
+        let (start, bytes) = d.snapshot().unwrap();
         assert_eq!(start, Lsn(5000));
         assert_eq!(bytes, &data[5000..]);
         // Mark advance without a whole droppable segment still moves the
@@ -336,7 +309,7 @@ mod tests {
         d2.append(&vec![3u8; 3000]).unwrap();
         assert_eq!(d2.truncate_before(Lsn(1000)).unwrap(), 0);
         assert_eq!(d2.low_water(), Lsn(1000));
-        let (start, bytes) = d2.snapshot_from().unwrap();
+        let (start, bytes) = d2.snapshot().unwrap();
         assert_eq!((start, bytes.len()), (Lsn(1000), 2000));
     }
 
@@ -359,14 +332,5 @@ mod tests {
         let keep_from = seg.live_segments() as u64 / 2 * (1 << 16);
         seg.truncate_before(Lsn(keep_from)).unwrap();
         assert!(seg.recycled_segments() > 0);
-    }
-
-    #[test]
-    fn snapshot_only_before_truncation() {
-        let d = dev(4096);
-        d.append(&vec![1u8; 5000]).unwrap();
-        assert!(d.snapshot().is_some());
-        d.truncate_before(Lsn(4096)).unwrap();
-        assert!(d.snapshot().is_none());
     }
 }

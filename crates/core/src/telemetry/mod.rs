@@ -44,6 +44,13 @@ pub const MAX_COUNTERS: usize = 96;
 pub const MAX_GAUGES: usize = 48;
 /// Maximum registered histograms per registry.
 pub const MAX_HISTS: usize = 32;
+/// Shards per histogram: more shards = less cross-thread contention, more
+/// memory per histogram.
+const HIST_SHARDS: usize = 8;
+/// Trace-ring shards.
+const TRACE_SHARDS: usize = 4;
+/// Trace-ring capacity per shard; the oldest events are overwritten.
+const TRACE_CAPACITY: usize = 1024;
 
 // Round-robin shard assignment for histograms and trace rings. A thread gets
 // one index for its lifetime; shard arrays mask it down to their own width.
@@ -131,14 +138,6 @@ pub struct TelemetryConfig {
     /// tracing while keeping metrics). The sampling decision is a pure
     /// function of the LSN, so all stages of one record agree across threads.
     pub sample_every: u64,
-    /// Histogram shards (power of two). More shards = less cross-thread
-    /// contention, more memory per histogram.
-    pub hist_shards: usize,
-    /// Trace-ring shards (power of two).
-    pub trace_shards: usize,
-    /// Trace-ring capacity per shard (power of two); oldest events are
-    /// overwritten.
-    pub trace_capacity: usize,
     /// Spawn a daemon that emits a snapshot this often. `None` = only emit
     /// on shutdown (when `export_path` is set).
     pub export_every: Option<Duration>,
@@ -152,9 +151,6 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             enabled: false,
             sample_every: 64,
-            hist_shards: 8,
-            trace_shards: 4,
-            trace_capacity: 1024,
             export_every: None,
             export_path: None,
         }
@@ -168,24 +164,6 @@ impl TelemetryConfig {
             return Err(format!(
                 "telemetry.sample_every must be 0 or a power of two (got {})",
                 self.sample_every
-            ));
-        }
-        if self.hist_shards == 0 || !self.hist_shards.is_power_of_two() {
-            return Err(format!(
-                "telemetry.hist_shards must be a power of two >= 1 (got {})",
-                self.hist_shards
-            ));
-        }
-        if self.trace_shards == 0 || !self.trace_shards.is_power_of_two() {
-            return Err(format!(
-                "telemetry.trace_shards must be a power of two >= 1 (got {})",
-                self.trace_shards
-            ));
-        }
-        if self.trace_capacity < 16 || !self.trace_capacity.is_power_of_two() {
-            return Err(format!(
-                "telemetry.trace_capacity must be a power of two >= 16 (got {})",
-                self.trace_capacity
             ));
         }
         Ok(())
@@ -228,7 +206,6 @@ struct Meta {
 pub struct Telemetry {
     enabled: AtomicBool,
     sample_every: u64,
-    hist_shards: usize,
     counters: Box<[CachePadded<AtomicU64>]>,
     gauges: Box<[CachePadded<AtomicI64>]>,
     hists: Box<[std::sync::OnceLock<Histogram>]>,
@@ -262,11 +239,10 @@ impl Telemetry {
         let mut t = Telemetry {
             enabled: AtomicBool::new(cfg.enabled),
             sample_every: cfg.sample_every,
-            hist_shards: cfg.hist_shards,
             counters,
             gauges,
             hists,
-            trace: TraceRing::new(cfg.trace_shards, cfg.trace_capacity),
+            trace: TraceRing::new(TRACE_SHARDS, TRACE_CAPACITY),
             meta: Mutex::new(Meta::default()),
             ids: CoreIds {
                 log_insert_ns: HistId(0),
@@ -351,7 +327,7 @@ impl Telemetry {
         }
         assert!(meta.hists.len() < MAX_HISTS, "histogram registry full");
         let id = meta.hists.len();
-        self.hists[id].get_or_init(|| Histogram::new(self.hist_shards));
+        self.hists[id].get_or_init(|| Histogram::new(HIST_SHARDS));
         meta.hists.push(MetaEntry { name, unit });
         HistId(id as u16)
     }
@@ -582,10 +558,5 @@ mod tests {
         assert!(c.validate().is_err());
         c.sample_every = 0;
         assert!(c.validate().is_ok());
-        c.hist_shards = 0;
-        assert!(c.validate().is_err());
-        c.hist_shards = 8;
-        c.trace_capacity = 17;
-        assert!(c.validate().is_err());
     }
 }

@@ -1,9 +1,8 @@
-//! The tests that touch the file system: `FileDevice` and the telemetry
-//! JSON-lines export. They live here, not in `src/`, because the library
-//! never reads the process environment (CI greps for it) and a scratch
-//! directory has to come from somewhere.
+//! The telemetry JSON-lines export touches the file system. It lives here,
+//! not in `src/`, because the library never reads the process environment
+//! (CI greps for it) and a scratch directory has to come from somewhere.
+//! (`FileDevice` is a row of `device_contract.rs`.)
 
-use aether_core::device::{FileDevice, LogDevice};
 use aether_core::telemetry::TelemetryConfig;
 use aether_core::{DeviceKind, LogConfig, LogManager};
 use std::path::PathBuf;
@@ -13,35 +12,6 @@ fn scratch(name: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-#[test]
-fn file_device_roundtrip() {
-    let path = scratch("file_device_roundtrip").join("log.bin");
-    let d = FileDevice::create(&path).unwrap();
-    d.append(b"abcdef").unwrap();
-    d.sync().unwrap();
-    assert_eq!(d.len(), 6);
-    let mut buf = vec![0u8; 6];
-    assert_eq!(d.read_at(0, &mut buf).unwrap(), 6);
-    assert_eq!(&buf, b"abcdef");
-    drop(d);
-    let d2 = FileDevice::open(&path).unwrap();
-    assert_eq!(d2.len(), 6);
-    assert_eq!(d2.path(), path.as_path());
-}
-
-#[test]
-fn file_device_write_vectored_is_one_gathered_run() {
-    let runs: [&[u8]; 3] = [b"alpha-", b"beta-", b"gamma"];
-    let f = FileDevice::create(scratch("file_device_vectored").join("log.bin")).unwrap();
-    f.append(b"pre-").unwrap();
-    f.write_vectored(&runs).unwrap();
-    f.sync().unwrap();
-    assert_eq!(f.len(), 20);
-    let mut out = vec![0u8; 20];
-    assert_eq!(f.read_at(0, &mut out).unwrap(), 20);
-    assert_eq!(&out, b"pre-alpha-beta-gamma");
 }
 
 /// `export_path` is where the shutdown snapshot goes, and `append_to`

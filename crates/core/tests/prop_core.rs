@@ -158,7 +158,7 @@ proptest! {
         prop_assert_eq!(seg.read_at(at as u64, &mut part).unwrap(), want);
         prop_assert_eq!(&part[..], &flat[at..at + want]);
         // Snapshot equals the stream (nothing truncated yet).
-        prop_assert_eq!(seg.snapshot().unwrap(), flat);
+        prop_assert_eq!(seg.snapshot().unwrap(), (Lsn::ZERO, flat));
     }
 }
 

@@ -20,7 +20,7 @@
 
 use crate::frame::{SnapshotFrame, WireMsg};
 use crate::transport::{LinkReceiver, LinkSender};
-use aether_core::device::{LogDevice, OffsetDevice};
+use aether_core::device::{LogDevice, SimDevice};
 use aether_core::reader::LogReader;
 use aether_core::runtime;
 use aether_core::Lsn;
@@ -75,7 +75,7 @@ pub struct ReplicaStatus {
 /// bootstrap re-seeds it.
 struct ReplicaState {
     db: Arc<Db>,
-    device: Arc<OffsetDevice>,
+    device: Arc<SimDevice>,
 }
 
 struct ReplicaShared {
@@ -169,7 +169,7 @@ impl Replica {
         let shared = Arc::new(ReplicaShared {
             state: RwLock::new(ReplicaState {
                 db,
-                device: Arc::new(OffsetDevice::new(base)),
+                device: Arc::new(SimDevice::from_image(base, Vec::new())),
             }),
             received: AtomicU64::new(base.raw()),
             replay: AtomicU64::new(base.raw()),
@@ -281,7 +281,7 @@ impl Replica {
         let state = self.shared.state.read();
         state.db.flush_pages();
         let image = CrashImage {
-            log_start: state.device.base(),
+            log_start: state.device.low_water(),
             log_bytes: state.device.contents(),
             store: state.db.store().deep_clone(),
             schema: state.db.schema(),
@@ -540,7 +540,7 @@ fn install_snapshot(shared: &ReplicaShared, opts: &DbOptions, s: &SnapshotFrame)
         return None;
     }
     state.db = db;
-    state.device = Arc::new(OffsetDevice::new(snap.start_lsn));
+    state.device = Arc::new(SimDevice::from_image(snap.start_lsn, Vec::new()));
     drop(state);
     // The status a waiter reads once the new frontier releases it must
     // already show the re-seed: count it and move `received` up first.

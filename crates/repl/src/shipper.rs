@@ -96,10 +96,6 @@ impl Shipper {
             rt.spawn("aether-shipper", move || {
                 let log = Arc::clone(primary.log());
                 let watch = log.durable_watch();
-                // The truncation counterpart of the durable watch: the
-                // ship cursor is compared against the low-water mark it
-                // tracks to detect falling behind a truncation.
-                let trunc = log.truncation_watch();
                 let device = Arc::clone(log.device());
                 let tel = Arc::clone(log.telemetry());
                 let m_frames = tel.counter("ship.frames", Unit::Count);
@@ -116,7 +112,7 @@ impl Shipper {
                     // Fell behind the truncated prefix? The bytes below
                     // the low-water mark are gone; re-seed the replica
                     // from a fresh checkpoint snapshot instead.
-                    if at < trunc.current() {
+                    if at < device.low_water() {
                         let snap: BaseSnapshot = replay::base_snapshot(&primary);
                         let msg = SnapshotFrame {
                             seq,
@@ -150,7 +146,7 @@ impl Shipper {
                         tel.gauge_set(m_lag_ns, lag_ns as i64);
                     }
                     while at < durable {
-                        if at < trunc.current() {
+                        if at < device.low_water() {
                             break; // truncated mid-run: snapshot instead
                         }
                         let n = (cfg.chunk as u64).min(durable.since(at)) as usize;

@@ -164,7 +164,7 @@ fn corrupt_frame_truncates_cleanly_on_promote() {
         primary.log().flush_all().unwrap();
         marks.push(primary.log().device().len());
     }
-    let bytes = primary.log().device().snapshot().unwrap();
+    let (_, bytes) = primary.log().device().snapshot().unwrap();
 
     // Hand-feed the replica three frames, corrupting the middle one.
     let (tx, rx) = link::<Vec<u8>>(LinkConfig::default());

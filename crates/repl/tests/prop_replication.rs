@@ -110,7 +110,7 @@ proptest! {
         chunk in 1usize..512,
     ) {
         let primary = run_script(&script);
-        let bytes = primary.log().device().snapshot().unwrap();
+        let (_, bytes) = primary.log().device().snapshot().unwrap();
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
 
         let (chunked, lsn_a) = replay_prefix_chunked(&primary, &bytes[..cut], chunk);

@@ -107,10 +107,12 @@ impl FaultDevice {
     pub fn dropped_writes(&self) -> u64 {
         self.dropped_writes.load(Ordering::Relaxed)
     }
+}
 
-    /// One write path for both `append` and `write_vectored`: apply the
-    /// armed tear to the first run it covers, drop everything once frozen.
-    fn faulty_write(&self, bufs: &[&[u8]]) -> Result<()> {
+impl LogDevice for FaultDevice {
+    /// Apply the armed tear to the first run it covers, drop everything
+    /// once frozen.
+    fn write_vectored(&self, bufs: &[&[u8]]) -> Result<()> {
         if self.frozen.load(Ordering::SeqCst) {
             self.dropped_writes.fetch_add(1, Ordering::Relaxed);
             return Ok(());
@@ -131,15 +133,6 @@ impl FaultDevice {
         self.frozen.store(true, Ordering::SeqCst);
         self.dropped_writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
-    }
-}
-
-impl LogDevice for FaultDevice {
-    fn append(&self, data: &[u8]) -> Result<()> {
-        self.faulty_write(&[data])
-    }
-    fn write_vectored(&self, bufs: &[&[u8]]) -> Result<()> {
-        self.faulty_write(bufs)
     }
     fn sync(&self) -> Result<()> {
         if self.frozen.load(Ordering::SeqCst) {
@@ -164,10 +157,7 @@ impl LogDevice for FaultDevice {
     fn len(&self) -> u64 {
         self.inner.len()
     }
-    fn discards(&self) -> bool {
-        self.inner.discards()
-    }
-    fn snapshot(&self) -> Option<Vec<u8>> {
+    fn snapshot(&self) -> Option<(Lsn, Vec<u8>)> {
         self.inner.snapshot()
     }
     fn low_water(&self) -> Lsn {
@@ -181,9 +171,6 @@ impl LogDevice for FaultDevice {
             return Ok(0);
         }
         self.inner.truncate_before(upto)
-    }
-    fn snapshot_from(&self) -> Option<(Lsn, Vec<u8>)> {
-        self.inner.snapshot_from()
     }
 }
 
@@ -206,7 +193,7 @@ mod tests {
         f.write_vectored(&[b"wo", b"rld"]).unwrap();
         f.sync().unwrap();
         assert_eq!(f.len(), 11);
-        assert_eq!(f.snapshot().unwrap(), b"hello world");
+        assert_eq!(f.snapshot().unwrap().1, b"hello world");
         assert_eq!(f.dropped_writes(), 0);
     }
 

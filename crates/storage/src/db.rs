@@ -637,28 +637,7 @@ impl Db {
 
     /// Commit per the configured protocol.
     pub fn commit(&self, txn: Transaction) -> StorageResult<CommitOutcome> {
-        self.commit_with(txn, None)
-    }
-
-    /// Commit with an optional completion callback (flush pipelining
-    /// drivers count completed transactions this way). The callback runs
-    /// when the commit is durable — immediately for blocking protocols.
-    pub fn commit_with(
-        &self,
-        txn: Transaction,
-        on_durable: Option<Box<dyn FnOnce() + Send>>,
-    ) -> StorageResult<CommitOutcome> {
-        self.commit_inner(
-            txn,
-            on_durable.map(|f| -> DurableCallback {
-                Box::new(|r| {
-                    if r.is_ok() {
-                        f()
-                    }
-                })
-            }),
-        )
-        .map(|(out, _)| out)
+        self.commit_inner(txn, None).map(|(out, _)| out)
     }
 
     /// Commit and also return the session [`CommitToken`]: the commit
@@ -740,87 +719,45 @@ impl Db {
         };
 
         let token = CommitToken::at(end);
-        match self.opts.protocol {
-            CommitProtocol::Baseline => {
-                // Flush first, *then* release locks: delay (B) of Figure 1.
+        let protocol = self.opts.protocol;
+        // §3, when locks drop: as soon as the commit record is buffered
+        // (ELR), or only after the flush (Baseline: delay (B) of Figure 1).
+        if protocol.early_release() {
+            self.locks.release_all(txn.id, &txn.held);
+        }
+        // §4, who waits for the flush.
+        match protocol {
+            // The caller: only this transaction blocks on the I/O.
+            CommitProtocol::Baseline | CommitProtocol::Elr => {
                 let flushed = timed_flush(end);
                 record_latency();
-                self.locks.release_all(txn.id, &txn.held);
-                self.txns.finish(txn.id);
-                match flushed {
-                    Ok(replicated) => {
-                        if let Some(f) = on_durable {
-                            f(Ok(token));
-                        }
-                        Ok((
-                            if replicated {
-                                CommitOutcome::Durable
-                            } else {
-                                CommitOutcome::Unsafe
-                            },
-                            token,
-                        ))
-                    }
-                    Err(e) => {
-                        // The commit record never hardened: the log is
-                        // poisoned (or shut down). Locks were released and
-                        // the txn slot retired above — the transaction is
-                        // dead either way; the caller gets the typed error.
-                        if let Some(f) = on_durable {
-                            f(Err(dup_commit_error(&e)));
-                        }
-                        Err(e)
-                    }
+                if !protocol.early_release() {
+                    self.locks.release_all(txn.id, &txn.held);
                 }
-            }
-            CommitProtocol::Elr => {
-                // ELR: locks drop before the flush; only this transaction
-                // waits for the I/O.
-                self.locks.release_all(txn.id, &txn.held);
-                let flushed = timed_flush(end);
-                record_latency();
+                // On `Err` the commit record never hardened: the log is
+                // poisoned (or shut down). Locks are released and the txn
+                // slot retired all the same — the transaction is dead either
+                // way; the caller gets the typed error.
                 self.txns.finish(txn.id);
-                match flushed {
-                    Ok(replicated) => {
-                        if let Some(f) = on_durable {
-                            f(Ok(token));
-                        }
-                        Ok((
-                            if replicated {
-                                CommitOutcome::Durable
-                            } else {
-                                CommitOutcome::Unsafe
-                            },
-                            token,
-                        ))
-                    }
-                    Err(e) => {
-                        if let Some(f) = on_durable {
-                            f(Err(dup_commit_error(&e)));
-                        }
-                        Err(e)
-                    }
+                if let Some(f) = on_durable {
+                    f(flushed.as_ref().map(|_| token).map_err(dup_commit_error));
                 }
+                let replicated = flushed?;
+                Ok((
+                    if replicated {
+                        CommitOutcome::Durable
+                    } else {
+                        CommitOutcome::Unsafe
+                    },
+                    token,
+                ))
             }
-            CommitProtocol::AsyncCommit => {
-                self.locks.release_all(txn.id, &txn.held);
-                let txns = Arc::clone(&self.txns);
-                let id = txn.id;
-                self.log.commit_async(
-                    end,
-                    CommitAction::Callback(Box::new(move |durable| {
-                        record_latency();
-                        txns.finish(id);
-                        if let Some(f) = on_durable {
-                            f(commit_fate(durable, token));
-                        }
-                    })),
-                );
-                Ok((CommitOutcome::Unsafe, token))
-            }
-            CommitProtocol::Pipelined => {
-                self.locks.release_all(txn.id, &txn.held);
-                let (handle, st) = CommitHandle::new();
+            // Nobody: the flush daemon's callback finishes the transaction,
+            // and a pipelined commit hands the caller a waitable handle.
+            CommitProtocol::AsyncCommit | CommitProtocol::Pipelined => {
+                let (handle, st) = (!protocol.sacrifices_durability())
+                    .then(CommitHandle::new)
+                    .unzip();
                 let txns = Arc::clone(&self.txns);
                 let id = txn.id;
                 self.log.commit_async(
@@ -834,14 +771,17 @@ impl Db {
                         if let Some(f) = on_durable {
                             f(commit_fate(durable, token));
                         }
-                        if durable {
-                            st.complete();
-                        } else {
-                            st.fail();
+                        match st {
+                            Some(st) if durable => st.complete(),
+                            Some(st) => st.fail(),
+                            None => {}
                         }
                     })),
                 );
-                Ok((CommitOutcome::Pipelined(handle), token))
+                Ok((
+                    handle.map_or(CommitOutcome::Unsafe, CommitOutcome::Pipelined),
+                    token,
+                ))
             }
         }
     }
@@ -1060,7 +1000,7 @@ impl Db {
         let (log_start, log_bytes) = self
             .log
             .device()
-            .snapshot_from()
+            .snapshot()
             .expect("crash simulation needs a snapshot-capable log device");
         CrashImage {
             log_start,
@@ -1194,12 +1134,10 @@ mod tests {
         db.update_with(&mut txn, 0, 3, |r| r[8] = 77).unwrap();
         let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let d2 = Arc::clone(&done);
-        let out = db
-            .commit_with(
+        let (out, _) = db
+            .commit_tokened_with(
                 txn,
-                Some(Box::new(move || {
-                    d2.store(true, std::sync::atomic::Ordering::SeqCst)
-                })),
+                Box::new(move |r| d2.store(r.is_ok(), std::sync::atomic::Ordering::SeqCst)),
             )
             .unwrap();
         match out {

@@ -34,7 +34,7 @@ use crate::error::{StorageError, StorageResult};
 use crate::page::Rid;
 use crate::table::Table;
 use crate::wal::{CheckpointPayload, ClrPayload, UpdatePayload};
-use aether_core::device::{LogDevice, OffsetDevice};
+use aether_core::device::{LogDevice, SimDevice};
 use aether_core::reader::LogReader;
 use aether_core::record::{Record, RecordKind};
 use aether_core::{LogManager, Lsn};
@@ -88,8 +88,7 @@ pub fn recover_with_stats(
     // and new records (CLRs, post-recovery traffic) must append at the end
     // of the valid prefix — otherwise the dead tail bytes would terminate
     // every future scan early.
-    let device: Arc<OffsetDevice> = Arc::new(OffsetDevice::new(image.log_start));
-    device.append(&image.log_bytes)?;
+    let device = Arc::new(SimDevice::from_image(image.log_start, image.log_bytes));
     let records = LogReader::new(Arc::clone(&device) as Arc<dyn LogDevice>).read_all()?;
     let valid_end = records
         .last()
@@ -295,7 +294,7 @@ fn finish_loser(db: &Db, txn: u64, chain: &mut HashMap<u64, Lsn>) {
 /// below the device's low-water mark reads zero bytes and surfaces as
 /// `None` — the caller's "undo chain points at invalid LSN" error is the
 /// safety net proving truncation never outran an undo chain.
-fn read_record_at(device: &Arc<OffsetDevice>, lsn: Lsn) -> StorageResult<Option<Record>> {
+fn read_record_at(device: &Arc<SimDevice>, lsn: Lsn) -> StorageResult<Option<Record>> {
     let mut r = LogReader::from_lsn(Arc::clone(device) as Arc<dyn LogDevice>, lsn);
     Ok(r.next_record()?)
 }

@@ -64,11 +64,13 @@ fn crash_mid_flight(protocol: CommitProtocol, buffer: BufferKind) {
                     submitted[k as usize].store(v, Ordering::SeqCst);
                     let a = Arc::clone(&acked);
                     let _ = db
-                        .commit_with(
+                        .commit_tokened_with(
                             txn,
-                            Some(Box::new(move || {
-                                a[k as usize].fetch_max(v, Ordering::SeqCst);
-                            })),
+                            Box::new(move |durable| {
+                                if durable.is_ok() {
+                                    a[k as usize].fetch_max(v, Ordering::SeqCst);
+                                }
+                            }),
                         )
                         .unwrap();
                 }

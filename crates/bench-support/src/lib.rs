@@ -31,7 +31,6 @@ pub mod micro;
 pub mod tatp;
 pub mod tpcb;
 pub mod tpcc;
-pub mod tpcc_exec;
 pub mod zipf;
 
 pub use env::env_or;

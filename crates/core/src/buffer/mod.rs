@@ -39,8 +39,9 @@
 //! release stage.
 //!
 //! The insert critical path never allocates and never blocks on I/O;
-//! back-pressure (ring full) is the only wait that can sleep, and it
-//! resolves as the flush daemon reclaims space; every other wait on the
+//! back-pressure (ring full) is the only wait that can sleep — it is a wait
+//! on the durable watermark like a committer's, and resolves as the flush
+//! daemon reclaims space; every other wait on the
 //! insert path (the insert lock, a group leader's allocation) spins, then
 //! yields. A record costs exactly one pass over its payload:
 //! no intermediate encode buffer on the way in (see [`EncodePayload`]) and
@@ -54,6 +55,7 @@ pub use insert::InsertBuffer;
 
 use crate::carray::Slot;
 use crate::config::LogConfig;
+use crate::error::{AetherError, Result};
 use crate::flush::FlushShared;
 use crate::lsn::{AtomicLsn, Lsn};
 use crate::record::{
@@ -61,14 +63,13 @@ use crate::record::{
     CRC32_INIT, HEADER_SIZE, MAX_PAYLOAD,
 };
 use crate::ring::Ring;
-use crate::runtime::{self, RtCondvar};
+use crate::runtime::{self, WaitSet};
 use crate::stats::BufferStats;
 use crate::telemetry::{Stage, Telemetry};
 use crossbeam::utils::CachePadded;
-use parking_lot::Mutex;
 use release::{Finish, OrderedRelease};
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Which insertion algorithm a [`crate::manager::LogManager`] should use.
@@ -565,11 +566,6 @@ impl InsertLock {
         debug_assert!(self.locked.load(Ordering::Relaxed), "unlock of free lock");
         self.locked.store(false, Ordering::Release);
     }
-
-    /// Whether the lock is currently held (racy; diagnostics only).
-    pub fn is_locked(&self) -> bool {
-        self.locked.load(Ordering::Relaxed)
-    }
 }
 
 /// The LSN allocator: its state is protected by the variant's [`InsertLock`].
@@ -712,32 +708,23 @@ pub struct BufferCore {
     /// own: what is released is reclaimed, [`BufferCore::durable_lsn`] is
     /// the released watermark (microbenchmark mode, Null device).
     auto_reclaim: AtomicBool,
-    /// Who is blocked; read on every durable advance, written only around a
-    /// block, so kept off the lines the advance itself writes.
-    waiters: CachePadded<Waiters>,
-    space_mutex: Mutex<()>,
-    space_cv: RtCondvar,
-    watch_mutex: Mutex<()>,
-    watch_cv: RtCondvar,
+    /// Set once nothing more will become durable, and every wait on the
+    /// watermark that has no deadline ends: to `Some(reason)` when the flush
+    /// daemon poisoned the log, to `None` when it shut down.
+    closed: OnceLock<Option<String>>,
+    /// Everyone waiting for the durable watermark to move: committers,
+    /// inserters out of ring space, the log shipper. Read on every durable
+    /// advance, written only around a block, so kept off the lines the
+    /// advance itself writes.
+    durable_wait: CachePadded<WaitSet>,
+    /// The flush daemon's state, so whoever needs an LSN durable can ask
+    /// for it (unset without a daemon).
+    flusher: OnceLock<Arc<FlushShared>>,
     /// Counters and phase timers.
     pub stats: BufferStats,
     /// Per-log telemetry registry, shared (via [`BufferCore::telemetry`])
     /// with the flush daemon, commit gate, storage and replication layers.
     telemetry: Arc<Telemetry>,
-}
-
-#[derive(Debug, Default)]
-struct Waiters {
-    /// Inserters blocked on ring space.
-    space: AtomicUsize,
-    /// Threads blocked in [`BufferCore::wait_durable`]; the durable-advance
-    /// path only takes the watch mutex when this is non-zero, keeping the
-    /// auto-reclaim hot path notification-free.
-    watch: AtomicUsize,
-    /// The flush daemon's park state, so an inserter that blocks on ring
-    /// space can wake it (unset without a daemon). Kept here, off the lines
-    /// an insert reads.
-    flusher: OnceLock<Arc<FlushShared>>,
 }
 
 impl std::fmt::Debug for BufferCore {
@@ -759,17 +746,15 @@ impl BufferCore {
     /// Build a core whose LSN space begins at `start` — used after recovery,
     /// so new records append to the device at the right offsets.
     pub fn with_start(config: &LogConfig, start: Lsn) -> Arc<BufferCore> {
-        config.validate().map_err(crate::LogError::Config).unwrap();
+        config.validate().map_err(AetherError::Config).unwrap();
         Arc::new(BufferCore {
             ring: Ring::new(config.buffer_size),
             order: OrderedRelease::new(start, config.release_queue_pool),
             durable: CachePadded::new(AtomicLsn::new(start)),
             auto_reclaim: AtomicBool::new(false),
-            waiters: CachePadded::default(),
-            space_mutex: Mutex::new(()),
-            space_cv: RtCondvar::new(),
-            watch_mutex: Mutex::new(()),
-            watch_cv: RtCondvar::new(),
+            closed: OnceLock::new(),
+            durable_wait: CachePadded::default(),
+            flusher: OnceLock::new(),
             stats: BufferStats::new(),
             telemetry: Arc::new(Telemetry::new(&config.telemetry)),
         })
@@ -805,10 +790,10 @@ impl BufferCore {
         &self.ring
     }
 
-    /// Let inserters that block on ring space wake the flush daemon parked
-    /// on `shared`. First call wins (one daemon serves one core).
+    /// Route [`BufferCore::flush_until`] to the daemon behind `shared`. First
+    /// call wins (one daemon serves one core).
     pub(crate) fn attach_flusher(&self, shared: Arc<FlushShared>) {
-        let _ = self.waiters.flusher.set(shared);
+        let _ = self.flusher.set(shared);
     }
 
     /// Enable auto-reclaim: releasing immediately reclaims ring space (no
@@ -842,45 +827,12 @@ impl BufferCore {
     /// Block until the reservation ending at `end` fits in the ring, i.e.
     /// `end - durable <= capacity`. Called with the insert lock held; the
     /// flush daemon advances `durable` independently so this cannot deadlock.
+    /// An inserter out of space is one more caller that wants an LSN durable.
+    /// On a closed log it goes on at once: nothing in the ring will be
+    /// flushed any more, and its transaction fails at the commit.
     #[inline]
     pub fn wait_for_space(&self, end: Lsn) {
-        if end.raw().saturating_sub(self.durable_lsn().raw()) <= self.capacity() {
-            return;
-        }
-        self.wait_for_space_slow(end);
-    }
-
-    #[cold]
-    fn wait_for_space_slow(&self, end: Lsn) {
-        let mut spins = 0u32;
-        loop {
-            if end.raw() - self.durable_lsn().raw() <= self.capacity() {
-                return;
-            }
-            spins += 1;
-            if spins < 100 {
-                runtime::yield_now();
-            } else {
-                self.waiters.space.fetch_add(1, Ordering::SeqCst);
-                // A parked daemon has no other way to learn that the ring
-                // is full; it flushes for as long as anyone waits here.
-                if let Some(f) = self.waiters.flusher.get() {
-                    f.wake();
-                }
-                let g = self.space_mutex.lock();
-                if end.raw() - self.durable_lsn().raw() > self.capacity() {
-                    let (g, _) = self.space_cv.wait_for(
-                        &self.space_mutex,
-                        g,
-                        std::time::Duration::from_micros(200),
-                    );
-                    drop(g);
-                } else {
-                    drop(g);
-                }
-                self.waiters.space.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
+        let _ = self.flush_until(Lsn(end.raw().saturating_sub(self.capacity())));
     }
 
     /// Advance the released watermark to `upto`. Caller must guarantee that
@@ -898,86 +850,89 @@ impl BufferCore {
     #[inline]
     fn after_release(&self) {
         if self.auto_reclaim() {
-            self.notify_durable_waiters();
+            self.notify_durable();
         }
     }
 
-    /// Number of inserters currently blocked waiting for ring space; the
-    /// flush daemon treats a non-zero value as a flush trigger so
-    /// back-pressure always resolves.
-    pub fn space_waiters(&self) -> usize {
-        self.waiters.space.load(Ordering::SeqCst)
-    }
-
-    /// Advance the durable watermark (the flush daemon's job).
+    /// Advance the durable watermark (the flush daemon's job): ring space
+    /// below it is reclaimed at once. [`BufferCore::notify_durable`] wakes
+    /// whoever waits for it.
     #[inline]
     pub fn advance_durable(&self, upto: Lsn) {
         self.durable.fetch_max(upto);
-        self.notify_durable_waiters();
     }
 
+    /// Wake the threads waiting on the durable watermark. Apart from the
+    /// advance so that the daemon can complete the flush's pipelined commits
+    /// in between: a committer woken by a flush finds them completed.
     #[inline]
-    fn notify_durable_waiters(&self) {
-        if self.waiters.space.load(Ordering::SeqCst) > 0 {
-            let _g = self.space_mutex.lock();
-            self.space_cv.notify_all();
-        }
-        if self.waiters.watch.load(Ordering::SeqCst) > 0 {
-            let _g = self.watch_mutex.lock();
-            self.watch_cv.notify_all();
-        }
+    pub fn notify_durable(&self) {
+        self.durable_wait.notify();
     }
 
-    /// Block until the durable watermark reaches `lsn`; returns the current
-    /// durable LSN. The notification-based replacement for spin/sleep polls
-    /// on [`BufferCore::durable_lsn`] — the log shipper and tests wait here.
-    pub fn wait_durable(&self, lsn: Lsn) -> Lsn {
-        loop {
-            let d = self.durable_lsn();
-            if d >= lsn {
-                return d;
-            }
-            self.waiters.watch.fetch_add(1, Ordering::SeqCst);
-            let g = self.watch_mutex.lock();
-            // Re-check under the lock: an advance between the load above and
-            // the waiter registration must not be missed.
-            if self.durable_lsn() < lsn {
-                let g = self.watch_cv.wait(&self.watch_mutex, g);
-                drop(g);
-            } else {
-                drop(g);
-            }
-            self.waiters.watch.fetch_sub(1, Ordering::SeqCst);
-        }
+    /// Nothing more will become durable — the daemon poisoned the log, for
+    /// `poison`, or shut down: end every wait that has no deadline of its
+    /// own. The first call wins: a poisoned log stays so through shutdown.
+    pub(crate) fn close(&self, poison: Option<String>) {
+        let _ = self.closed.set(poison);
+        fence(Ordering::SeqCst);
+        self.durable_wait.notify();
     }
 
-    /// Like [`BufferCore::wait_durable`] but gives up after `timeout`;
-    /// returns the durable LSN at wake-up (which may be below `lsn`).
-    pub fn wait_durable_timeout(&self, lsn: Lsn, timeout: std::time::Duration) -> Lsn {
-        let deadline = runtime::monotonic_ns().saturating_add(timeout.as_nanos() as u64);
-        loop {
-            let d = self.durable_lsn();
-            if d >= lsn {
-                return d;
-            }
-            let now = runtime::monotonic_ns();
-            if now >= deadline {
-                return d;
-            }
-            self.waiters.watch.fetch_add(1, Ordering::SeqCst);
-            let g = self.watch_mutex.lock();
-            if self.durable_lsn() < lsn {
-                let (g, _) = self.watch_cv.wait_for(
-                    &self.watch_mutex,
-                    g,
-                    std::time::Duration::from_nanos(deadline - now),
-                );
-                drop(g);
-            } else {
-                drop(g);
-            }
-            self.waiters.watch.fetch_sub(1, Ordering::SeqCst);
+    /// Why the flush daemon halted, if it did so on a device failure: the
+    /// terminal poisoned-log state.
+    pub fn poison_reason(&self) -> Option<&str> {
+        self.closed.get()?.as_deref()
+    }
+
+    /// Demand durability up to `lsn` and block until it holds. This is the
+    /// *baseline* commit path: one blocking wait (and its pair of context
+    /// switches) per call. Fully concurrent: any number of committers may
+    /// wait simultaneously and are woken together by the daemon (group
+    /// commit). The daemon gives a blocked caller no yield to bring more
+    /// work: its thread has nothing to add.
+    ///
+    /// Fails fast with [`AetherError::Poisoned`] when the daemon halted on
+    /// a device failure, and with [`AetherError::Shutdown`] when the log
+    /// shut down before `lsn` became durable — waiters get an `Err`, never
+    /// a hang. Under auto-reclaim (no daemon) it waits out the in-flight
+    /// releases below `lsn`.
+    pub fn flush_until(&self, lsn: Lsn) -> Result<()> {
+        if self.durable_lsn() >= lsn {
+            return Ok(());
         }
+        if let Some(flusher) = self.flusher.get() {
+            flusher.want(lsn);
+        }
+        if self.wait_durable(lsn, None) >= lsn {
+            return Ok(());
+        }
+        Err(match self.poison_reason() {
+            Some(reason) => AetherError::Poisoned {
+                reason: reason.to_string(),
+            },
+            None => AetherError::Shutdown,
+        })
+    }
+
+    /// Threads waiting on the durable watermark right now.
+    #[cfg(test)]
+    pub(crate) fn durable_waiters(&self) -> usize {
+        self.durable_wait.waiting()
+    }
+
+    /// Block until the durable watermark reaches `lsn` or `timeout` passes,
+    /// and return the watermark as it is then. Without a timeout the wait
+    /// also ends, below `lsn`, when the log is closed; with one the caller
+    /// polls, and keeps its cadence (a wait that returned at once on a closed
+    /// log would turn `while !stop { wait(poll) }` into a spin).
+    pub fn wait_durable(&self, lsn: Lsn, timeout: Option<std::time::Duration>) -> Lsn {
+        let seen = self.durable_wait.wait_until(timeout, || {
+            let durable = self.durable_lsn();
+            let closed = timeout.is_none() && self.closed.get().is_some();
+            (durable >= lsn || closed).then_some(durable)
+        });
+        seen.unwrap_or_else(|| self.durable_lsn())
     }
 
     /// Release `[start, end)`, the range reserved with `ticket`, in LSN
@@ -1137,9 +1092,7 @@ mod tests {
         let l = InsertLock::new();
         assert!(l.try_lock());
         assert!(!l.try_lock());
-        assert!(l.is_locked());
         l.unlock();
-        assert!(!l.is_locked());
         l.lock();
         l.unlock();
     }
@@ -1256,6 +1209,7 @@ mod tests {
         crate::runtime::sleep(std::time::Duration::from_millis(20));
         assert!(!t.is_finished());
         core.advance_durable(Lsn(1));
+        core.notify_durable();
         t.join().unwrap();
     }
 
@@ -1263,21 +1217,23 @@ mod tests {
     fn wait_durable_wakes_on_advance() {
         let core = small_core();
         let core2 = Arc::clone(&core);
-        let t = std::thread::spawn(move || core2.wait_durable(Lsn(100)));
+        let t = std::thread::spawn(move || core2.wait_durable(Lsn(100), None));
         crate::runtime::sleep(std::time::Duration::from_millis(10));
         assert!(!t.is_finished());
-        core.advance_durable(Lsn(64)); // not enough: waiter re-arms
+        core.advance_durable(Lsn(64));
+        core.notify_durable(); // not enough: waiter re-arms
         core.advance_durable(Lsn(128));
+        core.notify_durable();
         assert_eq!(t.join().unwrap(), Lsn(128));
         // Already satisfied: returns immediately.
-        assert_eq!(core.wait_durable(Lsn(5)), Lsn(128));
+        assert_eq!(core.wait_durable(Lsn(5), None), Lsn(128));
     }
 
     #[test]
-    fn wait_durable_timeout_expires() {
+    fn wait_durable_gives_up_at_its_timeout() {
         let core = small_core();
         let t = crate::runtime::monotonic_ns();
-        let d = core.wait_durable_timeout(Lsn(1000), std::time::Duration::from_millis(20));
+        let d = core.wait_durable(Lsn(1000), Some(std::time::Duration::from_millis(20)));
         assert!(crate::runtime::monotonic_ns() - t >= 20_000_000);
         assert_eq!(d, Lsn::ZERO);
     }

@@ -116,11 +116,13 @@ impl OrderedRelease {
     }
 
     /// Publish `upto` outside the ticket protocol. The caller serializes
-    /// releases itself (B and C release under the insert lock).
+    /// releases itself (B and C release under the insert lock). `SeqCst`
+    /// like the head's own publish: under auto-reclaim the watermark is what
+    /// the durable waiters are notified of.
     #[inline]
     pub(crate) fn publish(&self, upto: Lsn) {
         debug_assert!(self.released() <= upto, "released went backwards");
-        self.head.released.store(upto.raw(), Ordering::Release);
+        self.head.released.store(upto.raw(), Ordering::SeqCst);
     }
 
     /// Number of tickets that may be issued before the table wraps onto an

@@ -9,40 +9,30 @@
 //! ever blocks on I/O; agent threads never context-switch for a commit.
 
 use crate::lsn::{AtomicLsn, Lsn};
-use crate::runtime::RtCondvar;
+use crate::runtime::WaitSet;
 use crate::telemetry::{Stage, Telemetry};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 /// Completion state shared between a [`CommitHandle`] and the pipeline.
 #[derive(Debug, Default)]
 pub struct CommitState {
-    done: Mutex<Done>,
-    failed: std::sync::atomic::AtomicBool,
-    cv: RtCondvar,
-}
-
-#[derive(Debug, Default)]
-struct Done {
-    done: bool,
+    done: AtomicBool,
+    failed: AtomicBool,
     /// Threads in [`CommitHandle::wait`]. Most commits complete with nobody
     /// blocked on the handle (the server acks from the durability callback),
-    /// and completion then skips the condvar.
-    waiters: u32,
+    /// and completion then takes no lock and makes no syscall.
+    wait: WaitSet,
 }
 
 impl CommitState {
     /// Mark complete and wake waiters. Normally invoked by the pipeline;
     /// exposed for callers that compose their own completion callbacks.
     pub fn complete(&self) {
-        let mut g = self.done.lock();
-        g.done = true;
-        if g.waiters > 0 {
-            self.cv.notify_all();
-        }
+        self.done.store(true, Ordering::SeqCst);
+        self.wait.notify();
     }
 
     /// Mark failed (log poisoned before the commit became durable) and wake
@@ -69,23 +59,15 @@ impl CommitHandle {
     /// released with an error (it never became durable).
     #[must_use = "a false return means the commit failed (log poisoned)"]
     pub fn wait(&self) -> bool {
-        let mut g = self.0.done.lock();
-        while !g.done {
-            g.waiters += 1;
-            g = self.0.cv.wait(&self.0.done, g);
-            g.waiters -= 1;
-        }
+        self.0
+            .wait
+            .wait_until(None, || self.is_done().then_some(()));
         !self.0.failed.load(Ordering::SeqCst)
     }
 
     /// Non-blocking resolution check (durable *or* failed).
     pub fn is_done(&self) -> bool {
-        self.0.done.lock().done
-    }
-
-    /// Whether the commit was released by a poisoned log.
-    pub fn is_failed(&self) -> bool {
-        self.0.failed.load(Ordering::SeqCst)
+        self.0.done.load(Ordering::SeqCst)
     }
 }
 
@@ -126,8 +108,6 @@ pub enum CommitAction {
     /// log was poisoned first — callbacks observe the failure instead of
     /// silently never running.
     Callback(Box<dyn FnOnce(bool) + Send>),
-    /// Just count it (the pipeline always counts completions).
-    Count,
 }
 
 impl std::fmt::Debug for CommitAction {
@@ -135,7 +115,6 @@ impl std::fmt::Debug for CommitAction {
         match self {
             CommitAction::Notify(_) => f.write_str("Notify"),
             CommitAction::Callback(_) => f.write_str("Callback"),
-            CommitAction::Count => f.write_str("Count"),
         }
     }
 }
@@ -224,12 +203,6 @@ impl CommitPipeline {
         self.heap.lock().len()
     }
 
-    /// Smallest pending commit LSN, if any (drives the group-commit "X
-    /// transactions" trigger).
-    pub fn min_pending(&self) -> Option<Lsn> {
-        self.heap.lock().peek().map(|p| p.lsn)
-    }
-
     /// Complete every pending commit with `lsn <= durable`. Actions run
     /// outside the internal lock. Returns how many completed.
     pub fn complete_upto(&self, durable: Lsn) -> usize {
@@ -260,7 +233,6 @@ impl CommitPipeline {
             match p.action {
                 CommitAction::Notify(st) => st.complete(),
                 CommitAction::Callback(f) => f(true),
-                CommitAction::Count => {}
             }
         }
         n
@@ -289,7 +261,6 @@ impl CommitPipeline {
         match action {
             CommitAction::Notify(st) => st.fail(),
             CommitAction::Callback(f) => f(false),
-            CommitAction::Count => {}
         }
     }
 }
@@ -374,12 +345,9 @@ pub struct CommitGate {
     replicas: RwLock<Vec<Arc<ReplicaAck>>>,
     /// Set when replication is known dead (primary failure simulation):
     /// waiters stop blocking, but their commits report *unreplicated*.
-    poisoned: std::sync::atomic::AtomicBool,
-    /// Threads in [`CommitGate::wait_effective`]; [`CommitGate::notify`]
-    /// touches the condvar only when there are any.
-    waiters: AtomicUsize,
-    wait_mutex: Mutex<()>,
-    wait_cv: RtCondvar,
+    poisoned: AtomicBool,
+    /// Threads in [`CommitGate::wait_effective`].
+    wait: WaitSet,
     telemetry: OnceLock<Arc<Telemetry>>,
 }
 
@@ -412,11 +380,6 @@ impl CommitGate {
         let ack = Arc::new(ReplicaAck::default());
         self.replicas.write().push(Arc::clone(&ack));
         ack
-    }
-
-    /// Number of registered replicas.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.read().len()
     }
 
     /// Remove a replica's ack handle (identity comparison). A quarantined
@@ -501,24 +464,23 @@ impl CommitGate {
     /// analogue is the client connection dying with an indeterminate
     /// outcome.
     pub fn poison(&self) {
-        self.poisoned
-            .store(true, std::sync::atomic::Ordering::SeqCst);
+        self.poisoned.store(true, Ordering::SeqCst);
         self.notify();
     }
 
     /// Whether [`CommitGate::poison`] was called.
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(std::sync::atomic::Ordering::SeqCst)
+        self.poisoned.load(Ordering::SeqCst)
     }
 
     /// Wake threads blocked in [`CommitGate::wait_effective`]. Called after
     /// any ack advance or flush; free when nobody waits (the pipelined
     /// protocols never do).
     pub fn notify(&self) {
-        if self.waiters.load(Ordering::SeqCst) > 0 {
-            let _g = self.wait_mutex.lock();
-            self.wait_cv.notify_all();
-        }
+        // The policy and the replica table change under their locks, whose
+        // release is no `SeqCst` write: order them with the count here.
+        fence(Ordering::SeqCst);
+        self.wait.notify();
     }
 
     /// Block until the effective watermark (given the caller-supplied live
@@ -527,19 +489,8 @@ impl CommitGate {
     /// poisoned gate released the wait before enough acks arrived.
     pub fn wait_effective(&self, lsn: Lsn, durable: impl Fn() -> Lsn) -> bool {
         let t0 = self.telemetry.get().and_then(|t| t.ts());
-        // Register before the first look, so a notifier that misses the
-        // count ran before the look and the look sees its advance. The waits
-        // stay bounded all the same: a notify that still slips by costs one
-        // 200µs re-check instead of a hang.
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        let mut g = self.wait_mutex.lock();
-        while self.effective(durable()) < lsn {
-            (g, _) = self
-                .wait_cv
-                .wait_for(&self.wait_mutex, g, Duration::from_micros(200));
-        }
-        drop(g);
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
+        self.wait
+            .wait_until(None, || (self.effective(durable()) >= lsn).then_some(()));
         if let (Some(t0), Some(tel)) = (t0, self.telemetry.get()) {
             let dt = crate::runtime::monotonic_ns().saturating_sub(t0);
             tel.record(tel.ids().commit_wait_ns, dt);
@@ -565,7 +516,6 @@ mod tests {
             );
         }
         assert_eq!(p.pending(), 4);
-        assert_eq!(p.min_pending(), Some(Lsn(100)));
         assert_eq!(p.complete_upto(Lsn(250)), 2);
         assert_eq!(&*log.lock(), &[100, 200]);
         assert_eq!(p.complete_upto(Lsn(250)), 0);
@@ -574,7 +524,6 @@ mod tests {
         assert_eq!(p.submitted(), 4);
         assert_eq!(p.completed(), 4);
         assert_eq!(p.pending(), 0);
-        assert_eq!(p.min_pending(), None);
     }
 
     #[test]
@@ -590,16 +539,7 @@ mod tests {
         });
         assert!(h.wait(), "completed, not failed");
         assert!(h.is_done());
-        assert!(!h.is_failed());
         t.join().unwrap();
-    }
-
-    #[test]
-    fn count_action_counts() {
-        let p = CommitPipeline::new();
-        p.submit(Lsn(5), CommitAction::Count);
-        assert_eq!(p.complete_upto(Lsn(5)), 1);
-        assert_eq!(p.completed(), 1);
     }
 
     #[test]
@@ -652,7 +592,6 @@ mod tests {
         let r1 = g.register_replica();
         let r2 = g.register_replica();
         let r3 = g.register_replica();
-        assert_eq!(g.replica_count(), 3);
         r1.advance(Lsn(900));
         assert_eq!(g.replicated_floor(), Lsn::ZERO, "one ack is not a quorum");
         r2.advance(Lsn(400));
@@ -691,7 +630,7 @@ mod tests {
         let r = g.register_replica();
         let g2 = Arc::clone(&g);
         let t = std::thread::spawn(move || g2.wait_effective(Lsn(100), || Lsn(100)));
-        crate::runtime::sleep(Duration::from_millis(5));
+        crate::runtime::sleep(std::time::Duration::from_millis(5));
         assert!(!t.is_finished());
         r.advance(Lsn(100));
         g.notify();
@@ -706,7 +645,7 @@ mod tests {
         r.advance(Lsn(50));
         let g2 = Arc::clone(&g);
         let t = std::thread::spawn(move || g2.wait_effective(Lsn(100), || Lsn(100)));
-        crate::runtime::sleep(Duration::from_millis(5));
+        crate::runtime::sleep(std::time::Duration::from_millis(5));
         assert!(!t.is_finished());
         g.poison();
         assert!(

@@ -54,11 +54,6 @@ pub enum AetherError {
     Busy(String),
 }
 
-/// Historical name for [`AetherError`], kept so existing `LogError` call
-/// sites (and the `LogError::Io(..)` pattern matches behind them) keep
-/// compiling unchanged.
-pub type LogError = AetherError;
-
 impl AetherError {
     /// Whether a bounded retry with backoff is a sensible response.
     ///
@@ -134,14 +129,14 @@ mod tests {
 
     #[test]
     fn display_variants() {
-        let e = LogError::Corrupt {
+        let e = AetherError::Corrupt {
             at: Lsn(64),
             reason: "bad checksum".into(),
         };
         assert!(e.to_string().contains("64"));
-        assert!(LogError::Shutdown.to_string().contains("shut down"));
-        assert!(LogError::Config("x".into()).to_string().contains("x"));
-        let io: LogError = std::io::Error::other("boom").into();
+        assert!(AetherError::Shutdown.to_string().contains("shut down"));
+        assert!(AetherError::Config("x".into()).to_string().contains("x"));
+        let io: AetherError = std::io::Error::other("boom").into();
         assert!(io.to_string().contains("boom"));
         assert!(AetherError::DiskFull.to_string().contains("ENOSPC"));
         assert!(AetherError::Poisoned {
@@ -163,9 +158,9 @@ mod tests {
     #[test]
     fn io_source_is_preserved() {
         use std::error::Error;
-        let io: LogError = std::io::Error::other("boom").into();
+        let io: AetherError = std::io::Error::other("boom").into();
         assert!(io.source().is_some());
-        assert!(LogError::Shutdown.source().is_none());
+        assert!(AetherError::Shutdown.source().is_none());
     }
 
     #[test]

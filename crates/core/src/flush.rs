@@ -7,7 +7,7 @@
 //!
 //! The daemon is **work-conserving**: whenever it is idle and somebody waits
 //! on bytes it could write — a pipelined commit registered through
-//! [`FlushShared::note_commit`], a blocking [`FlushShared::flush_until`] —
+//! [`FlushShared::note_commit`], a blocking [`BufferCore::flush_until`] —
 //! it flushes at once. Commits that arrive while a flush is in flight are
 //! the next group; that is where group commit's "aggregating multiple
 //! requests for log flush into a single I/O" comes from, not from a timer on
@@ -33,12 +33,16 @@
 //! so one park costs one notify). Either the client's change came before the
 //! daemon's look and the daemon saw it, or it came after the daemon parked
 //! and the client saw `parked`: no wakeup is lost, and a running daemon costs
-//! its clients no syscall. Two inputs change outside the lock. An inserter
-//! blocked on ring space raises `space_waiters` and then calls
-//! `FlushShared::wake`, which takes the lock, so the same argument holds.
-//! A commit whose release was handed to a predecessor that is still filling
-//! is registered *before* its bytes are released, and nothing runs when they
-//! are: for that case alone the daemon looks again after `HANDOFF_RELOOK`.
+//! its clients no syscall. One input changes outside the lock: a commit
+//! whose release was handed to a predecessor that is still filling is
+//! registered *before* its bytes are released, and nothing runs when they
+//! are. For that case alone the daemon looks again after `HANDOFF_RELOOK`.
+//!
+//! The daemon's clients do not wait here. Whoever needs an LSN durable — a
+//! blocking committer, an inserter out of ring space — raises `wanted` and
+//! then waits on the durable watermark itself
+//! ([`BufferCore::flush_until`]), which is closed when the daemon poisons
+//! the log or shuts down.
 
 use crate::buffer::BufferCore;
 use crate::commit::{CommitGate, CommitPipeline};
@@ -49,7 +53,7 @@ use crate::lsn::Lsn;
 use crate::runtime::{self, RtCondvar, Runtime};
 use crate::telemetry::Stage;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -59,7 +63,7 @@ use std::time::Duration;
 /// there on the first look.
 const HANDOFF_RELOOK: Duration = Duration::from_micros(50);
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct FlushInner {
     /// Highest LSN somebody is waiting to see durable: blocking flush
     /// requests and registered pipelined commits alike. It may be past
@@ -72,25 +76,14 @@ struct FlushInner {
     /// The daemon is in its parked wait. Whoever changes what it waits for
     /// clears the flag and notifies `daemon_cv`.
     parked: bool,
-    /// Threads blocked in [`FlushShared::flush_until`]; the daemon notifies
-    /// `waiter_cv` only when there are any.
-    waiters: usize,
     shutdown: bool,
-    /// Set when the daemon hit a permanent device failure (or exhausted its
-    /// retry budget): the terminal poisoned-log state. Waiters fail fast
-    /// with [`AetherError::Poisoned`] instead of hanging.
-    poisoned: Option<String>,
 }
 
 /// Shared state between the daemon thread and its clients.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FlushShared {
     inner: Mutex<FlushInner>,
     daemon_cv: RtCondvar,
-    waiter_cv: RtCondvar,
-    /// Mirrors `poisoned.is_some()`, so the commit path can ask without the
-    /// lock the daemon works under.
-    is_poisoned: AtomicBool,
     flushes: AtomicU64,
     flushed_bytes: AtomicU64,
 }
@@ -104,55 +97,13 @@ impl FlushShared {
         }
     }
 
-    /// Have the daemon look again. For changes it cannot see under its own
-    /// lock: an inserter about to block on ring space.
-    pub(crate) fn wake(&self) {
-        self.unpark(&mut self.inner.lock());
-    }
-
-    /// Demand durability up to `lsn` and block until it holds. This is the
-    /// *baseline* commit path: one blocking wait (and its pair of context
-    /// switches) per call. Fully concurrent: any number of committers may
-    /// wait simultaneously and are woken together by the daemon (group
-    /// commit).
-    ///
-    /// Fails fast with [`AetherError::Poisoned`] when the daemon halted on
-    /// a device failure, and with [`AetherError::Shutdown`] when the log
-    /// shut down before `lsn` became durable — waiters get an `Err`, never
-    /// a hang.
-    pub fn flush_until(&self, core: &BufferCore, lsn: Lsn) -> Result<()> {
-        if core.durable_lsn() >= lsn {
-            return Ok(());
-        }
+    /// Have the daemon make `lsn` durable as soon as it is released, without
+    /// waiting for it. Not a commit: the daemon gives the caller no yield to
+    /// bring more work, since its thread is about to block.
+    pub(crate) fn want(&self, lsn: Lsn) {
         let mut g = self.inner.lock();
         g.wanted = g.wanted.max(lsn);
         self.unpark(&mut g);
-        loop {
-            if core.durable_lsn() >= lsn {
-                return Ok(());
-            }
-            if let Some(reason) = &g.poisoned {
-                return Err(AetherError::Poisoned {
-                    reason: reason.clone(),
-                });
-            }
-            if g.shutdown {
-                return Err(AetherError::Shutdown);
-            }
-            g.waiters += 1;
-            g = self.waiter_cv.wait(&self.inner, g);
-            g.waiters -= 1;
-        }
-    }
-
-    /// The poison reason, if the daemon has halted on a device failure.
-    pub fn poisoned(&self) -> Option<String> {
-        self.inner.lock().poisoned.clone()
-    }
-
-    /// Whether the daemon has halted on a device failure.
-    pub fn is_poisoned(&self) -> bool {
-        self.is_poisoned.load(Ordering::Acquire)
     }
 
     /// Register a pipelined commit waiting for `lsn`. An idle daemon starts
@@ -163,31 +114,6 @@ impl FlushShared {
         g.pending_commits += 1;
         g.wanted = g.wanted.max(lsn);
         self.unpark(&mut g);
-    }
-
-    /// Ask the daemon to flush everything released so far without waiting.
-    pub fn kick(&self, core: &BufferCore) {
-        let mut g = self.inner.lock();
-        g.wanted = g.wanted.max(core.released_lsn());
-        self.unpark(&mut g);
-    }
-
-    fn new() -> Arc<FlushShared> {
-        Arc::new(FlushShared {
-            inner: Mutex::new(FlushInner {
-                wanted: Lsn::ZERO,
-                pending_commits: 0,
-                parked: false,
-                waiters: 0,
-                shutdown: false,
-                poisoned: None,
-            }),
-            daemon_cv: RtCondvar::new(),
-            waiter_cv: RtCondvar::new(),
-            is_poisoned: AtomicBool::new(false),
-            flushes: AtomicU64::new(0),
-            flushed_bytes: AtomicU64::new(0),
-        })
     }
 
     /// Number of device sync operations performed (one per group flush) —
@@ -231,7 +157,7 @@ impl FlushDaemon {
         policy: GroupCommitPolicy,
         retry: FlushRetryPolicy,
     ) -> FlushDaemon {
-        let shared = FlushShared::new();
+        let shared = Arc::<FlushShared>::default();
         core.attach_flusher(Arc::clone(&shared));
         let sh = Arc::clone(&shared);
         let co = Arc::clone(&core);
@@ -250,21 +176,6 @@ impl FlushDaemon {
         &self.shared
     }
 
-    /// Blocking durability wait; see [`FlushShared::flush_until`].
-    pub fn flush_until(&self, lsn: Lsn) -> Result<()> {
-        self.shared.flush_until(&self.core, lsn)
-    }
-
-    /// Non-blocking commit registration; see [`FlushShared::note_commit`].
-    pub fn note_commit(&self, lsn: Lsn) {
-        self.shared.note_commit(lsn);
-    }
-
-    /// Ask the daemon to flush everything released so far without waiting.
-    pub fn kick(&self) {
-        self.shared.kick(&self.core);
-    }
-
     /// Stop the daemon after a final flush of all released bytes.
     pub fn shutdown(&mut self) {
         {
@@ -278,9 +189,8 @@ impl FlushDaemon {
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
-        // Wake anyone still blocked in flush_until.
-        let _g = self.shared.inner.lock();
-        self.shared.waiter_cv.notify_all();
+        // Whatever is not durable by now never will be.
+        self.core.close(None);
     }
 }
 
@@ -310,22 +220,17 @@ fn with_retry<T>(retry: &FlushRetryPolicy, mut op: impl FnMut() -> Result<T>) ->
 }
 
 /// Enter the terminal poisoned-log state: record the reason, release every
-/// blocked flusher with an error, fail all pending pipelined commits, and
-/// poison the commit gate so replication waiters unblock too.
+/// thread waiting on the durable watermark (blocked flushers get an error,
+/// inserters out of ring space go on to fail at their commit), fail all
+/// pending pipelined commits, and poison the commit gate so replication
+/// waiters unblock too.
 fn poison_log(
-    shared: &FlushShared,
+    core: &BufferCore,
     pipeline: &CommitPipeline,
     gate: &CommitGate,
     error: &AetherError,
 ) {
-    {
-        let mut g = shared.inner.lock();
-        if g.poisoned.is_none() {
-            g.poisoned = Some(error.to_string());
-            shared.is_poisoned.store(true, Ordering::Release);
-        }
-        shared.waiter_cv.notify_all();
-    }
+    core.close(Some(error.to_string()));
     pipeline.fail_pending();
     gate.poison();
 }
@@ -334,9 +239,9 @@ fn poison_log(
 /// once the log is shut down and everything released is durable.
 ///
 /// Reasons, looked at under the lock: somebody waits on durability the
-/// daemon can advance (the work-conserving rule), L bytes are pending, an
-/// inserter is blocked on ring space, T has passed since the daemon went
-/// idle, or shutdown.
+/// daemon can advance (the work-conserving rule; an inserter out of ring
+/// space is one of them), L bytes are pending, T has passed since the daemon
+/// went idle, or shutdown.
 ///
 /// Before it drains for pipelined commits, the daemon gives other runnable
 /// threads a turn for as long as each turn brings new commits: on a busy
@@ -349,10 +254,6 @@ fn poison_log(
 fn await_trigger(shared: &FlushShared, core: &BufferCore, policy: &GroupCommitPolicy) -> bool {
     let max_wait_ns = u64::try_from(policy.max_wait.as_nanos()).unwrap_or(u64::MAX);
     let mut g = shared.inner.lock();
-    // The flush that just ended may be what blocked flushers wait for.
-    if g.waiters > 0 {
-        shared.waiter_cv.notify_all();
-    }
     let idle_deadline = runtime::monotonic_ns().saturating_add(max_wait_ns);
     // Pipelined commits registered as of the last yield.
     let mut seen = 0;
@@ -376,10 +277,7 @@ fn await_trigger(shared: &FlushShared, core: &BufferCore, policy: &GroupCommitPo
         let waited_on = g.wanted > durable;
         let now = runtime::monotonic_ns();
         if pending_bytes > 0
-            && (waited_on
-                || pending_bytes >= policy.max_pending_bytes
-                || core.space_waiters() > 0
-                || now >= idle_deadline)
+            && (waited_on || pending_bytes >= policy.max_pending_bytes || now >= idle_deadline)
         {
             g.pending_commits = 0;
             return true;
@@ -456,11 +354,11 @@ fn daemon_loop(
                 // Permanent device failure (or retry budget exhausted):
                 // the terminal poisoned-log state. Pending committers
                 // and blocked flushers get an `Err`, not a hang.
-                poison_log(&shared, &pipeline, &gate, &e);
+                poison_log(&core, &pipeline, &gate, &e);
                 return;
             }
             if let Err(e) = with_retry(&retry, || device.sync()) {
-                poison_log(&shared, &pipeline, &gate, &e);
+                poison_log(&core, &pipeline, &gate, &e);
                 return;
             }
             shared.flushes.fetch_add(1, Ordering::Relaxed);
@@ -483,13 +381,14 @@ fn daemon_loop(
 
         // Reattach: complete pipelined commits that are both durable and
         // sufficiently replicated (the gate is transparent without a
-        // policy) and nudge gate waiters; `await_trigger` wakes blocking
-        // flushers.
+        // policy), then wake the gate's waiters and the blocked flushers —
+        // last, so that whoever this flush wakes finds its commits completed.
         let completed = pipeline.complete_upto(gate.effective(target));
         if completed > 0 {
             tel.record(tel.ids().commit_group_size, completed as u64);
         }
         gate.notify();
+        core.notify_durable();
     }
 }
 
@@ -552,7 +451,7 @@ mod tests {
         let (core, device, _p, daemon, buf) = setup(0);
         let lsn = put(&*buf, RecordKind::Filler, 1, &[7; 100]);
         let end = core.released_lsn();
-        daemon.flush_until(end).unwrap();
+        core.flush_until(end).unwrap();
         assert!(core.durable_lsn() >= end);
         assert_eq!(device.len(), end.raw());
         assert!(lsn < end);
@@ -570,10 +469,9 @@ mod tests {
             let end = core.released_lsn();
             let (h, st) = CommitHandle::new();
             pipeline.submit(end, CommitAction::Notify(st));
-            daemon.note_commit(end);
+            daemon.shared().note_commit(end);
             handles.push(h);
         }
-        daemon.kick();
         for h in handles {
             assert!(h.wait());
         }
@@ -605,9 +503,9 @@ mod tests {
         let buf = BufferKind::Baseline.build(Arc::clone(&core), &cfg);
         put(&*buf, RecordKind::Filler, 1, &[0; 64]);
         let target = core.released_lsn();
-        daemon.note_commit(target);
+        daemon.shared().note_commit(target);
         // Durable-watch notification instead of a sleep-poll loop.
-        let durable = core.wait_durable_timeout(target, Duration::from_millis(500));
+        let durable = core.wait_durable(target, Some(Duration::from_millis(500)));
         assert_eq!(durable, target, "T policy must fire");
     }
 
@@ -629,12 +527,12 @@ mod tests {
     fn vectored_drain_survives_wrap() {
         // ~200 KB through a 64 KiB ring: every flush window shape occurs,
         // including wrapped ones that drain as two slices.
-        let (core, device, _p, daemon, buf) = setup(0);
+        let (core, device, _p, _daemon, buf) = setup(0);
         let payload = vec![9u8; 1000];
         for _ in 0..200 {
             put(&*buf, RecordKind::Filler, 0, &payload);
         }
-        daemon.flush_until(core.released_lsn()).unwrap();
+        core.flush_until(core.released_lsn()).unwrap();
         assert_eq!(device.len(), core.released_lsn().raw());
         // The device stream is record-decodable end to end.
         let contents = device.contents();
@@ -721,38 +619,36 @@ mod tests {
     #[test]
     fn transient_sync_errors_are_retried_and_committers_unblock_ok() {
         let device = Arc::new(FlakyDevice::new(3, false));
-        let (core, pipeline, daemon, buf) = flaky_setup(Arc::clone(&device));
+        let (core, pipeline, _daemon, buf) = flaky_setup(Arc::clone(&device));
         put(&*buf, RecordKind::Commit, 1, &[]);
         let end = core.released_lsn();
         let (h, st) = CommitHandle::new();
         pipeline.submit(end, CommitAction::Notify(st));
-        daemon.kick();
-        assert!(daemon.flush_until(end).is_ok(), "retries must absorb blips");
+        assert!(core.flush_until(end).is_ok(), "retries must absorb blips");
         assert!(h.wait(), "committer unblocks with Ok after retried flush");
-        assert!(daemon.shared().poisoned().is_none());
+        assert!(core.poison_reason().is_none());
         assert_eq!(pipeline.failed(), 0);
     }
 
     #[test]
     fn permanent_sync_error_poisons_and_fails_pending_committers() {
         let device = Arc::new(FlakyDevice::new(0, true));
-        let (core, pipeline, daemon, buf) = flaky_setup(Arc::clone(&device));
+        let (core, pipeline, _daemon, buf) = flaky_setup(Arc::clone(&device));
         put(&*buf, RecordKind::Commit, 1, &[]);
         let end = core.released_lsn();
         let (h, st) = CommitHandle::new();
         pipeline.submit(end, CommitAction::Notify(st));
-        daemon.kick();
-        let err = daemon.flush_until(end);
+        let err = core.flush_until(end);
         assert!(
             matches!(err, Err(AetherError::Poisoned { .. })),
             "waiter must get Err, not a hang: {err:?}"
         );
         assert!(!h.wait(), "pending committer fails, never completes");
-        assert!(daemon.shared().poisoned().is_some());
+        assert!(core.poison_reason().is_some());
         assert_eq!(pipeline.failed(), 1);
         // Subsequent waits fail fast too.
         assert!(matches!(
-            daemon.flush_until(end.advance(1)),
+            core.flush_until(end.advance(1)),
             Err(AetherError::Poisoned { .. })
         ));
     }
@@ -761,13 +657,50 @@ mod tests {
     fn exhausted_retry_budget_poisons() {
         // More transient failures than the 5-attempt budget.
         let device = Arc::new(FlakyDevice::new(50, false));
-        let (core, _pipeline, daemon, buf) = flaky_setup(Arc::clone(&device));
+        let (core, _pipeline, _daemon, buf) = flaky_setup(Arc::clone(&device));
         put(&*buf, RecordKind::Filler, 1, &[0; 32]);
         let end = core.released_lsn();
         assert!(matches!(
-            daemon.flush_until(end),
+            core.flush_until(end),
             Err(AetherError::Poisoned { .. })
         ));
+    }
+
+    #[test]
+    fn no_wait_outlives_the_poison() {
+        // A 4 KiB ring over a device whose sync never succeeds: the first
+        // flush poisons the log with most of the ring unflushed. An inserter
+        // out of ring space waits holding the insert lock; after the poison
+        // nothing in the ring will ever be flushed, so it must go on and
+        // learn of the failure at its commit.
+        let log = Arc::new(
+            crate::manager::LogManager::builder()
+                .config(LogConfig::default().with_buffer_size(4096))
+                .device_instance(Arc::new(FlakyDevice::new(0, true)))
+                .build(),
+        );
+        let (tx, rx) = std::sync::mpsc::channel();
+        let inserter = {
+            let log = Arc::clone(&log);
+            std::thread::spawn(move || {
+                let mut prev = Lsn::ZERO;
+                for _ in 0..64 {
+                    prev = log.insert(RecordKind::Update, 1, &[7; 200]);
+                }
+                let committed = log.commit(1, prev).wait();
+                let flushed = log.flush_all();
+                // The wait with no deadline and no flush request of its own.
+                let durable = log.buffer().core().wait_durable(Lsn::MAX, None);
+                tx.send((committed, flushed, durable)).unwrap();
+            })
+        };
+        let (committed, flushed, durable) = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a wait on the poisoned log outlived the poison");
+        inserter.join().unwrap();
+        assert!(!committed, "the commit fails, it does not hang");
+        assert!(matches!(flushed, Err(AetherError::Poisoned { .. })));
+        assert!(durable < log.released_lsn());
     }
 
     #[test]
@@ -813,7 +746,7 @@ mod tests {
         let end = core.released_lsn();
         let (h, st) = CommitHandle::new();
         pipeline.submit(end, CommitAction::Notify(st));
-        daemon.note_commit(end);
+        daemon.shared().note_commit(end);
         h
     }
 
@@ -879,14 +812,14 @@ mod tests {
         std::thread::scope(|s| {
             let committer = || {
                 put(&*buf, RecordKind::Commit, 0, &[]);
-                daemon.flush_until(core.released_lsn()).unwrap();
+                core.flush_until(core.released_lsn()).unwrap();
             };
             s.spawn(committer);
             device.wait_blocked(); // flush 1 is in flight
             for _ in 0..4 {
                 s.spawn(committer);
             }
-            while daemon.shared().inner.lock().waiters < 5 {
+            while core.durable_waiters() < 5 {
                 std::thread::yield_now();
             }
             device.release();
@@ -904,7 +837,7 @@ mod tests {
         let (core, _device, _p, _daemon, buf) = stall_setup(policy);
         put(&*buf, RecordKind::Filler, 1, &[0; 64]);
         let target = core.released_lsn();
-        let durable = core.wait_durable_timeout(target, Duration::from_secs(5));
+        let durable = core.wait_durable(target, Some(Duration::from_secs(5)));
         assert_eq!(durable, target, "no commit, no request: T must fire");
     }
 
@@ -919,14 +852,14 @@ mod tests {
         let (core, device, _p, daemon, buf) = stall_setup(policy);
         device.hold();
         put(&*buf, RecordKind::Filler, 1, &[0; 64]);
-        daemon.kick();
+        daemon.shared().want(core.released_lsn());
         device.wait_blocked();
         for _ in 0..3 {
             put(&*buf, RecordKind::Filler, 1, &[0; 2000]);
         }
         let target = core.released_lsn();
         device.release();
-        let durable = core.wait_durable_timeout(target, Duration::from_secs(5));
+        let durable = core.wait_durable(target, Some(Duration::from_secs(5)));
         assert_eq!(durable, target, "6 KB pending against L = 4 KB");
         assert_eq!(daemon.shared().flush_count(), 2);
     }

@@ -65,9 +65,9 @@ pub use buffer::{BufferKind, EncodePayload, LogBuffer, LogSlot, SlotWriter};
 pub use commit::{CommitGate, CommitToken, DurabilityPolicy, ReplicaAck};
 pub use config::LogConfig;
 pub use device::DeviceKind;
-pub use error::{AetherError, LogError, Result};
+pub use error::{AetherError, Result};
 pub use lsn::Lsn;
-pub use manager::{DurableWatch, LogManager, TruncationOutcome, TruncationStats};
+pub use manager::{LogManager, TruncationOutcome, TruncationStats};
 pub use record::{RecordHeader, RecordKind};
 pub use runtime::Runtime;
 pub use telemetry::{Telemetry, TelemetryConfig, TelemetrySnapshot};

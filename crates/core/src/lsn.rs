@@ -116,36 +116,19 @@ impl AtomicLsn {
         AtomicLsn(std::sync::atomic::AtomicU64::new(lsn.0))
     }
 
-    /// Acquire-load: pairs with [`AtomicLsn::publish`] so that all byte writes
-    /// performed before the publish are visible after this load.
+    /// Acquire-load: pairs with [`AtomicLsn::fetch_max`] so that all byte
+    /// writes performed before the advance are visible after this load.
     #[inline]
     pub fn load(&self) -> Lsn {
         Lsn(self.0.load(std::sync::atomic::Ordering::Acquire))
     }
 
-    /// Relaxed load for statistics only.
-    #[inline]
-    pub fn load_relaxed(&self) -> Lsn {
-        Lsn(self.0.load(std::sync::atomic::Ordering::Relaxed))
-    }
-
-    /// Release-store: publishes every prior write (ring-buffer fill, device
-    /// write) to acquire-loaders.
-    ///
-    /// # Panics
-    /// Debug-asserts monotonicity.
-    #[inline]
-    pub fn publish(&self, lsn: Lsn) {
-        debug_assert!(
-            self.load_relaxed() <= lsn,
-            "watermark must be monotonically non-decreasing"
-        );
-        self.0.store(lsn.0, std::sync::atomic::Ordering::Release);
-    }
-
     /// Advance to `max(current, lsn)` atomically; returns the new value.
+    /// `SeqCst`: the durable watermark and the replica acks are waited on
+    /// through a [`crate::runtime::WaitSet`], which needs its notifiers to
+    /// publish that way.
     pub fn fetch_max(&self, lsn: Lsn) -> Lsn {
-        let prev = self.0.fetch_max(lsn.0, std::sync::atomic::Ordering::AcqRel);
+        let prev = self.0.fetch_max(lsn.0, std::sync::atomic::Ordering::SeqCst);
         Lsn(prev.max(lsn.0))
     }
 }
@@ -180,10 +163,10 @@ mod tests {
     }
 
     #[test]
-    fn atomic_watermark_publish_load() {
+    fn atomic_watermark_advances() {
         let w = AtomicLsn::new(Lsn(10));
         assert_eq!(w.load(), Lsn(10));
-        w.publish(Lsn(20));
+        assert_eq!(w.fetch_max(Lsn(20)), Lsn(20));
         assert_eq!(w.load(), Lsn(20));
         assert_eq!(w.fetch_max(Lsn(15)), Lsn(20));
         assert_eq!(w.fetch_max(Lsn(25)), Lsn(25));

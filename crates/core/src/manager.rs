@@ -85,7 +85,7 @@ impl LogManagerBuilder {
     pub fn try_build(self) -> Result<LogManager> {
         self.config
             .validate()
-            .map_err(crate::error::LogError::Config)?;
+            .map_err(crate::error::AetherError::Config)?;
         let device = match self.device {
             Some(d) => d,
             None => self.device_kind.build()?,
@@ -339,18 +339,7 @@ impl LogManager {
     /// [`crate::AetherError::Shutdown`] when the log shut down first —
     /// callers get an `Err`, never a hang.
     pub fn flush_until(&self, lsn: Lsn) -> Result<()> {
-        match &self.flush_shared {
-            Some(shared) => shared.flush_until(&self.core, lsn),
-            None => {
-                // Auto-reclaim mode: durability tracks release; wait out any
-                // in-flight releases (a handed-off release can lag briefly).
-                let mut backoff = crate::buffer::WaitBackoff::new();
-                while self.core.durable_lsn() < lsn {
-                    backoff.wait();
-                }
-                Ok(())
-            }
-        }
+        self.core.flush_until(lsn)
     }
 
     /// Flush everything released so far and wait for it; fallible like
@@ -364,12 +353,7 @@ impl LogManager {
     /// device failure (or exhausted its retry budget) and no further bytes
     /// will ever become durable.
     pub fn is_poisoned(&self) -> bool {
-        self.flush_shared.as_ref().is_some_and(|s| s.is_poisoned())
-    }
-
-    /// The poison reason, if the log is poisoned.
-    pub fn poison_reason(&self) -> Option<String> {
-        self.flush_shared.as_ref().and_then(|s| s.poisoned())
+        self.core.poison_reason().is_some()
     }
 
     /// Register `action` to run once `lsn` is committable — durable locally
@@ -460,13 +444,13 @@ impl LogManager {
         &self.device
     }
 
-    /// A notification handle over the durable watermark: waiting replaces
-    /// spin/sleep polling of [`LogManager::durable_lsn`]. Used by the log
-    /// shipper to tail the durable frontier, and by tests.
-    pub fn durable_watch(&self) -> DurableWatch {
-        DurableWatch {
-            core: Arc::clone(&self.core),
-        }
+    /// Block until the durable watermark reaches `lsn` or `timeout` passes;
+    /// returns the watermark as it is then. Unlike
+    /// [`LogManager::flush_until`] this asks for no flush: the log shipper
+    /// tails the durable frontier here instead of polling
+    /// [`LogManager::durable_lsn`].
+    pub fn wait_durable(&self, lsn: Lsn, timeout: std::time::Duration) -> Lsn {
+        self.core.wait_durable(lsn, Some(timeout))
     }
 
     /// The replication commit gate (register replicas, install a policy).
@@ -646,42 +630,6 @@ impl Drop for LogManager {
     }
 }
 
-/// A waitable view of a log's durable watermark (see
-/// [`LogManager::durable_watch`]). Cloneable and detached from the manager's
-/// lifetime: it holds only the shared buffer core.
-#[derive(Clone)]
-pub struct DurableWatch {
-    core: Arc<BufferCore>,
-}
-
-impl std::fmt::Debug for DurableWatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DurableWatch")
-            .field("durable", &self.core.durable_lsn())
-            .finish()
-    }
-}
-
-impl DurableWatch {
-    /// Current durable LSN.
-    pub fn current(&self) -> Lsn {
-        self.core.durable_lsn()
-    }
-
-    /// Block until the durable watermark reaches `lsn`; returns the durable
-    /// LSN observed at wake-up.
-    pub fn wait_for(&self, lsn: Lsn) -> Lsn {
-        self.core.wait_durable(lsn)
-    }
-
-    /// Block until the durable watermark exceeds `past` or `timeout`
-    /// elapses; returns the durable LSN at wake-up. The timeout keeps
-    /// tailing loops (the log shipper) responsive to shutdown.
-    pub fn wait_past(&self, past: Lsn, timeout: std::time::Duration) -> Lsn {
-        self.core.wait_durable_timeout(past.advance(1), timeout)
-    }
-}
-
 /// What [`LogManager::truncation_stats`] and the telemetry snapshot count.
 #[derive(Default)]
 struct TruncationCounters {
@@ -775,9 +723,8 @@ mod tests {
             );
         }
         log.flush_all().unwrap();
-        // Durable-watch notification instead of a sleep-poll: once the log
-        // is durable, callbacks complete momentarily (daemon reattach).
-        log.durable_watch().wait_for(log.released_lsn());
+        // Once the log is durable, callbacks complete momentarily (daemon
+        // reattach).
         let mut backoff = crate::buffer::WaitBackoff::new();
         while counter.load(std::sync::atomic::Ordering::Relaxed) < 20 {
             backoff.wait();

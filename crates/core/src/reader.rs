@@ -6,7 +6,7 @@
 //! the durable log prefix.
 
 use crate::device::LogDevice;
-use crate::error::{LogError, Result};
+use crate::error::{AetherError, Result};
 use crate::lsn::Lsn;
 use crate::record::{Record, RecordHeader, HEADER_SIZE};
 use std::sync::Arc;
@@ -17,7 +17,7 @@ pub struct LogReader {
     at: Lsn,
     limit: u64,
     /// When true, a structurally valid header whose payload fails its
-    /// checksum raises [`LogError::Corrupt`] instead of ending the scan.
+    /// checksum raises [`AetherError::Corrupt`] instead of ending the scan.
     strict: bool,
 }
 
@@ -96,7 +96,7 @@ impl LogReader {
         }
         if !header.verify(&payload) {
             if self.strict {
-                return Err(LogError::Corrupt {
+                return Err(AetherError::Corrupt {
                     at: self.at,
                     reason: "payload checksum mismatch".into(),
                 });
@@ -194,7 +194,7 @@ mod tests {
         assert_eq!(recs.len(), 1);
         // Strict mode errors instead.
         let err = LogReader::new(d2).strict().read_all();
-        assert!(matches!(err, Err(LogError::Corrupt { .. })));
+        assert!(matches!(err, Err(AetherError::Corrupt { .. })));
     }
 
     #[test]

@@ -33,8 +33,10 @@
 
 mod channel;
 mod sim;
+mod waitset;
 
 pub use channel::{rt_channel, RtReceiver, RtSender};
+pub use waitset::WaitSet;
 
 use sim::SimState;
 use std::cell::RefCell;
@@ -191,6 +193,11 @@ static NEXT_CV_ID: AtomicU64 = AtomicU64::new(1);
 ///
 /// Unlike `parking_lot::Condvar`, waits take the guard *by value* and need
 /// the owning [`parking_lot::Mutex`] so the sim path can re-lock it.
+///
+/// A thread that waits for state another thread publishes parks in a
+/// [`WaitSet`], which is this condvar plus the protocol that loses no wakeup;
+/// use the condvar itself only where the waited-on state lives under the
+/// mutex it is paired with.
 pub struct RtCondvar {
     real: parking_lot::Condvar,
     sim_id: OnceLock<u64>,

@@ -14,7 +14,7 @@
 //!   one sequence space; corrupt messages are dropped, reordered ones
 //!   restored.
 //! * [`shipper`] — tails the primary's durable frontier through
-//!   [`aether_core::manager::DurableWatch`] (no polling) and streams one
+//!   [`aether_core::LogManager::wait_durable`] (no polling) and streams one
 //!   frame per flush group, so group commit amortizes ack round-trips.
 //! * [`replica`] — appends received runs to its own log device, acks the
 //!   durably-received LSN, and keeps a standby [`aether_storage::db::Db`]
@@ -87,7 +87,7 @@ pub mod supervisor;
 pub mod transport;
 
 pub use cluster::{ReplicatedDb, ReplicationConfig};
-pub use replica::{AppliedWatch, Replica, ReplicaConfig, ReplicaReader, ReplicaStatus};
+pub use replica::{Replica, ReplicaConfig, ReplicaReader, ReplicaStatus};
 pub use router::{
     ReadRouter, RoutedRead, RouterConfig, RouterStats, RoutingPolicy, Session, SourceKind,
 };
@@ -98,7 +98,7 @@ pub use transport::{link, LinkChaos, LinkConfig, LinkReceiver, LinkSender};
 /// Convenience prelude for replication programs.
 pub mod prelude {
     pub use crate::cluster::{ReplicatedDb, ReplicationConfig};
-    pub use crate::replica::{AppliedWatch, Replica, ReplicaConfig, ReplicaReader, ReplicaStatus};
+    pub use crate::replica::{Replica, ReplicaConfig, ReplicaReader, ReplicaStatus};
     pub use crate::router::{
         ReadRouter, RoutedRead, RouterConfig, RouterStats, RoutingPolicy, Session, SourceKind,
     };

@@ -89,20 +89,28 @@ struct ReplicaShared {
     /// `Some(t)` while replay lags the received bytes, recording the
     /// runtime-monotonic ns when the lag began; `None` while caught up.
     lag_since: Mutex<Option<u64>>,
-    /// Wakes [`AppliedWatch`] waiters whenever the replay frontier moves
-    /// (continuous redo or a snapshot rebase).
-    apply_mutex: Mutex<()>,
-    apply_cv: runtime::RtCondvar,
+    /// Readers waiting for the replay frontier to move (continuous redo or
+    /// a snapshot rebase).
+    replay_wait: runtime::WaitSet,
 }
 
 impl ReplicaShared {
     /// Publish a new replay frontier and wake every applied-watermark
-    /// waiter. All frontier stores go through here so a waiter can never
-    /// miss an advance (store happens-before notify under the mutex).
+    /// waiter. All frontier stores go through here.
     fn publish_replay(&self, at: Lsn) {
-        self.replay.store(at.raw(), Ordering::Release);
-        let _g = self.apply_mutex.lock();
-        self.apply_cv.notify_all();
+        self.replay.store(at.raw(), Ordering::SeqCst);
+        self.replay_wait.notify();
+    }
+
+    /// Block until the replay frontier reaches `lsn` or `timeout` elapses;
+    /// returns the frontier as it is then (`>= lsn` iff the wait succeeded).
+    /// The apply thread notifies once per replayed batch, so a waiter wakes
+    /// with the freshest frontier, not a poll quantum later.
+    fn wait_replay(&self, lsn: Lsn, timeout: Duration) -> Lsn {
+        let replay = || Lsn(self.replay.load(Ordering::Acquire));
+        self.replay_wait
+            .wait_until(Some(timeout), || Some(replay()).filter(|&at| at >= lsn))
+            .unwrap_or_else(replay)
     }
 }
 
@@ -178,8 +186,7 @@ impl Replica {
             corrupt_frames: AtomicU64::new(0),
             bootstraps: AtomicU64::new(bootstraps),
             lag_since: Mutex::new(None),
-            apply_mutex: Mutex::new(()),
-            apply_cv: runtime::RtCondvar::new(),
+            replay_wait: runtime::WaitSet::new(),
         });
         let stop = Arc::new(AtomicBool::new(false));
         let thread = {
@@ -231,21 +238,10 @@ impl Replica {
     }
 
     /// Block until the replay frontier reaches `lsn` or `timeout` elapses;
-    /// true on success. Notification-driven via [`Replica::applied_watch`]
-    /// — no spin or sleep polling.
+    /// true on success. The apply thread notifies per replayed batch — no
+    /// spin or sleep polling of [`ReplicaStatus::replay_lsn`].
     pub fn wait_replay(&self, lsn: Lsn, timeout: Duration) -> bool {
-        self.applied_watch().wait_for(lsn, timeout) >= lsn
-    }
-
-    /// A notification handle over this replica's applied watermark — the
-    /// replica-side analogue of [`aether_core::manager::DurableWatch`].
-    /// Waiting blocks on a condvar the apply thread signals per replayed
-    /// batch, instead of sleep-polling [`ReplicaStatus::replay_lsn`].
-    /// Cloneable and detached from the replica's lifetime.
-    pub fn applied_watch(&self) -> AppliedWatch {
-        AppliedWatch {
-            shared: Arc::clone(&self.shared),
-        }
+        self.shared.wait_replay(lsn, timeout) >= lsn
     }
 
     /// A cloneable serving handle: lock-free snapshot reads plus the
@@ -297,55 +293,6 @@ impl Drop for Replica {
     }
 }
 
-/// A waitable view of one replica's applied (replay) watermark — see
-/// [`Replica::applied_watch`]. Every record below [`AppliedWatch::current`]
-/// is applied to the standby and visible to snapshot reads.
-#[derive(Clone)]
-pub struct AppliedWatch {
-    shared: Arc<ReplicaShared>,
-}
-
-impl std::fmt::Debug for AppliedWatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AppliedWatch")
-            .field("applied", &self.current())
-            .finish()
-    }
-}
-
-impl AppliedWatch {
-    /// Current applied watermark.
-    pub fn current(&self) -> Lsn {
-        Lsn(self.shared.replay.load(Ordering::Acquire))
-    }
-
-    /// Block until the applied watermark reaches `lsn` or `timeout`
-    /// elapses; returns the watermark observed at wake-up (`>= lsn` iff the
-    /// wait succeeded). The apply thread signals once per replayed batch,
-    /// so a waiter wakes with the freshest frontier, not a poll-quantum
-    /// later.
-    pub fn wait_for(&self, lsn: Lsn, timeout: Duration) -> Lsn {
-        let deadline = runtime::monotonic_ns().saturating_add(timeout.as_nanos() as u64);
-        let mut g = self.shared.apply_mutex.lock();
-        loop {
-            let at = Lsn(self.shared.replay.load(Ordering::Acquire));
-            if at >= lsn {
-                return at;
-            }
-            let now = runtime::monotonic_ns();
-            if now >= deadline {
-                return at;
-            }
-            let left = Duration::from_nanos(deadline - now);
-            let (g2, _) = self
-                .shared
-                .apply_cv
-                .wait_for(&self.shared.apply_mutex, g, left);
-            g = g2;
-        }
-    }
-}
-
 /// A cloneable serving handle over one replica's standby — see
 /// [`Replica::reader`]. This is the unit the `ReadRouter` load-balances:
 /// lock-free snapshot reads, the applied watermark (and a blocking wait on
@@ -380,17 +327,10 @@ impl ReplicaReader {
         Lsn(self.shared.received.load(Ordering::Acquire))
     }
 
-    /// A watch over the applied watermark (shared with the replica).
-    pub fn applied_watch(&self) -> AppliedWatch {
-        AppliedWatch {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
     /// Block until the applied watermark reaches `lsn` or `timeout`
     /// elapses; returns the watermark at wake-up.
     pub fn wait_applied(&self, lsn: Lsn, timeout: Duration) -> Lsn {
-        self.applied_watch().wait_for(lsn, timeout)
+        self.shared.wait_replay(lsn, timeout)
     }
 }
 

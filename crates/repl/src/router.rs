@@ -14,7 +14,7 @@
 //!   snapshot reads.
 //! * **Bounded staleness** — [`ReadRouter::read_at_least`] guarantees the
 //!   returned snapshot's applied watermark covers the requested LSN. If the
-//!   chosen replica is behind, the read blocks on its [`AppliedWatch`] for
+//!   chosen replica is behind, the read blocks on its applied watermark for
 //!   at most the configured budget, then falls back to a fresher replica,
 //!   and finally to the primary (which is never stale).
 //! * **Read-your-writes** — [`aether_storage::db::Db::commit_tokened`] (or
@@ -40,7 +40,7 @@
 //! router runs unmodified — and replays byte-identically — under
 //! [`aether_core::runtime::Runtime::sim`].
 
-use crate::replica::{AppliedWatch, ReplicaReader};
+use crate::replica::ReplicaReader;
 use aether_core::commit::CommitToken;
 use aether_core::lsn::AtomicLsn;
 use aether_core::runtime;
@@ -216,7 +216,6 @@ pub struct RouterStats {
 /// One replica as the router sees it.
 struct Node {
     reader: ReplicaReader,
-    watch: AppliedWatch,
     quarantined: AtomicBool,
     routed: AtomicU64,
     /// Serializes reads through one node when the service-time model is
@@ -313,7 +312,6 @@ impl ReadRouter {
             nodes: readers
                 .into_iter()
                 .map(|reader| Node {
-                    watch: reader.applied_watch(),
                     reader,
                     quarantined: AtomicBool::new(false),
                     routed: AtomicU64::new(0),
@@ -513,7 +511,7 @@ impl ReadRouter {
         };
 
         // Staleness: serve immediately if fresh enough, otherwise block on
-        // the applied watch within the budget.
+        // its applied watermark within the budget.
         let node = &self.nodes[pick];
         if node.reader.applied() >= min {
             self.c_routed.fetch_add(1, Ordering::Relaxed);
@@ -521,7 +519,7 @@ impl ReadRouter {
         } else {
             // A read that blocks counts as `blocked` or as a fallback,
             // never as `routed` too: the four outcomes partition the reads.
-            if node.watch.wait_for(min, self.cfg.budget) >= min {
+            if node.reader.wait_applied(min, self.cfg.budget) >= min {
                 self.c_blocked.fetch_add(1, Ordering::Relaxed);
                 self.tel.inc(self.m.blocked);
             } else {

@@ -1,7 +1,8 @@
 //! The log shipper: tails the primary's durable frontier and streams it.
 //!
-//! One shipper per replica. The ship thread blocks on the primary's
-//! [`aether_core::manager::DurableWatch`] — no spin-polling — and forwards
+//! One shipper per replica. The ship thread blocks on the primary's durable
+//! watermark ([`aether_core::LogManager::wait_durable`]) — no spin-polling —
+//! and forwards
 //! every newly-durable byte run as a CRC-framed message; because the flush
 //! daemon advances the durable watermark once per *group* flush, the
 //! shipper naturally emits one frame per commit group and the replica acks
@@ -54,7 +55,6 @@ impl Default for ShipperConfig {
 /// Handle for one primary→replica shipping pipeline (ship + ack threads).
 pub struct Shipper {
     stop: Arc<AtomicBool>,
-    shipped: Arc<AtomicU64>,
     snapshots_sent: Arc<AtomicU64>,
     ship_thread: Option<aether_core::runtime::JoinHandle<()>>,
     ack_thread: Option<aether_core::runtime::JoinHandle<()>>,
@@ -63,7 +63,6 @@ pub struct Shipper {
 impl std::fmt::Debug for Shipper {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shipper")
-            .field("shipped", &self.shipped_lsn())
             .field("snapshots_sent", &self.snapshots_sent())
             .finish()
     }
@@ -83,19 +82,16 @@ impl Shipper {
         cfg: ShipperConfig,
     ) -> Shipper {
         let stop = Arc::new(AtomicBool::new(false));
-        let shipped = Arc::new(AtomicU64::new(start_lsn.raw()));
         let snapshots_sent = Arc::new(AtomicU64::new(0));
         let rt = primary.log().config().runtime.clone();
 
         let ship_thread = {
             let primary = Arc::clone(&primary);
             let stop = Arc::clone(&stop);
-            let shipped = Arc::clone(&shipped);
             let snapshots_sent = Arc::clone(&snapshots_sent);
             let cfg = cfg.clone();
             rt.spawn("aether-shipper", move || {
                 let log = Arc::clone(primary.log());
-                let watch = log.durable_watch();
                 let device = Arc::clone(log.device());
                 let tel = Arc::clone(log.telemetry());
                 let m_frames = tel.counter("ship.frames", Unit::Count);
@@ -123,12 +119,11 @@ impl Shipper {
                         }
                         seq += 1;
                         at = snap.start_lsn;
-                        shipped.store(at.raw(), Ordering::Release);
                         snapshots_sent.fetch_add(1, Ordering::Relaxed);
                         tel.inc(m_snapshots);
                         continue;
                     }
-                    let durable = watch.wait_past(at, cfg.poll);
+                    let durable = log.wait_durable(at.advance(1), cfg.poll);
                     if tel.on() {
                         // Replication lag, both ways the operator asks for
                         // it: bytes of durable log not yet shipped, and how
@@ -169,7 +164,6 @@ impl Shipper {
                         }
                         seq += 1;
                         at = at.advance(got as u64);
-                        shipped.store(at.raw(), Ordering::Release);
                         tel.inc(m_frames);
                         tel.add(m_bytes, got as u64);
                     }
@@ -206,16 +200,10 @@ impl Shipper {
 
         Shipper {
             stop,
-            shipped,
             snapshots_sent,
             ship_thread: Some(ship_thread),
             ack_thread: Some(ack_thread),
         }
-    }
-
-    /// Highest LSN shipped so far.
-    pub fn shipped_lsn(&self) -> Lsn {
-        Lsn(self.shipped.load(Ordering::Acquire))
     }
 
     /// Snapshot bootstraps shipped after falling behind the truncated

@@ -42,7 +42,7 @@ impl LinkChaos {
     }
 
     /// Whether the partition is currently in force.
-    pub fn is_cut(&self) -> bool {
+    fn is_cut(&self) -> bool {
         self.cut.load(Ordering::SeqCst)
     }
 }

@@ -8,6 +8,7 @@
 
 use crate::protocol::{extract_response, Extracted, Request, Response};
 use crate::stream::{ByteStream, ReadOutcome};
+use aether_core::runtime::monotonic_ns;
 use std::io;
 use std::time::Duration;
 
@@ -53,25 +54,7 @@ impl Client {
 
     /// Non-blocking poll for the next response.
     pub fn try_recv(&mut self) -> io::Result<Option<(u64, Response)>> {
-        loop {
-            match extract_response(&mut self.inbuf) {
-                Extracted::Msg { req_id, msg } => return Ok(Some((req_id, msg))),
-                Extracted::Corrupt => {
-                    self.stream.close();
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "corrupt response frame",
-                    ));
-                }
-                Extracted::NeedMore => match self.stream.read_some(&mut self.inbuf)? {
-                    ReadOutcome::Bytes(_) => continue,
-                    ReadOutcome::WouldBlock => return Ok(None),
-                    ReadOutcome::Closed => {
-                        return Err(io::ErrorKind::ConnectionAborted.into());
-                    }
-                },
-            }
-        }
+        self.recv_until(Some(0))
     }
 
     /// Block for the next response. The wait parks on the transport's
@@ -79,35 +62,24 @@ impl Client {
     /// in-process (virtual time under sim), a kernel read timeout on TCP —
     /// so dozens of waiting clients cost no CPU.
     pub fn recv(&mut self) -> io::Result<(u64, Response)> {
-        loop {
-            match extract_response(&mut self.inbuf) {
-                Extracted::Msg { req_id, msg } => return Ok((req_id, msg)),
-                Extracted::Corrupt => {
-                    self.stream.close();
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "corrupt response frame",
-                    ));
-                }
-                Extracted::NeedMore => {
-                    match self
-                        .stream
-                        .read_wait(&mut self.inbuf, Duration::from_millis(20))?
-                    {
-                        ReadOutcome::Closed => return Err(io::ErrorKind::ConnectionAborted.into()),
-                        ReadOutcome::Bytes(_) | ReadOutcome::WouldBlock => {}
-                    }
-                }
-            }
-        }
+        Ok(self.recv_until(None)?.expect("no deadline, so a response"))
     }
 
     /// Block for the next response for at most `timeout`; `Ok(None)` on
     /// timeout. The wait is charged against [`aether_core::runtime`] time,
     /// so it is virtual under sim like every other timeout in the system.
     pub fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<(u64, Response)>> {
-        let deadline =
-            aether_core::runtime::monotonic_ns().saturating_add(timeout.as_nanos() as u64);
+        self.recv_until(Some(
+            monotonic_ns().saturating_add(timeout.as_nanos() as u64),
+        ))
+    }
+
+    /// The next response, reading for it until `deadline` on the runtime
+    /// clock (`None`: for ever). Past the deadline one non-blocking read is
+    /// still made, so a deadline of 0 is a poll.
+    fn recv_until(&mut self, deadline: Option<u64>) -> io::Result<Option<(u64, Response)>> {
+        // Longest single transport wait.
+        const SLICE: Duration = Duration::from_millis(20);
         loop {
             match extract_response(&mut self.inbuf) {
                 Extracted::Msg { req_id, msg } => return Ok(Some((req_id, msg))),
@@ -119,13 +91,17 @@ impl Client {
                     ));
                 }
                 Extracted::NeedMore => {
-                    let now = aether_core::runtime::monotonic_ns();
-                    if now >= deadline {
-                        return Ok(None);
-                    }
-                    let left = Duration::from_nanos(deadline - now).min(Duration::from_millis(20));
-                    match self.stream.read_wait(&mut self.inbuf, left)? {
+                    let left = deadline.map_or(SLICE, |d| {
+                        Duration::from_nanos(d.saturating_sub(monotonic_ns())).min(SLICE)
+                    });
+                    let read = if left.is_zero() {
+                        self.stream.read_some(&mut self.inbuf)?
+                    } else {
+                        self.stream.read_wait(&mut self.inbuf, left)?
+                    };
+                    match read {
                         ReadOutcome::Closed => return Err(io::ErrorKind::ConnectionAborted.into()),
+                        ReadOutcome::WouldBlock if left.is_zero() => return Ok(None),
                         ReadOutcome::Bytes(_) | ReadOutcome::WouldBlock => {}
                     }
                 }

@@ -170,8 +170,6 @@ pub struct Db {
     store: Arc<PageStore>,
     opts: DbOptions,
     stats: DbStats,
-    /// Begin LSN of the last fuzzy checkpoint (ZERO before the first).
-    last_checkpoint: aether_core::lsn::AtomicLsn,
     /// The redo low-water mark published by the last fuzzy checkpoint: the
     /// ARIES truncation point computed at checkpoint time. Everything
     /// strictly below it is recoverable from the page store alone.
@@ -250,7 +248,6 @@ impl Db {
             store,
             opts,
             stats: DbStats::default(),
-            last_checkpoint: aether_core::lsn::AtomicLsn::new(Lsn::ZERO),
             redo_low_water: aether_core::lsn::AtomicLsn::new(Lsn::ZERO),
             tel,
             emergency_ckpt: std::sync::atomic::AtomicBool::new(false),
@@ -892,7 +889,6 @@ impl Db {
         // ignore here: truncation targets are clamped to the durable
         // watermark, so an unflushed checkpoint can never widen truncation.
         let _ = self.log.flush_until(end);
-        self.last_checkpoint.fetch_max(begin);
         // The published truncation point must honor the ATT as *captured*,
         // not the ATT as of now: a transaction this checkpoint lists as
         // active may have committed in the meantime, and recovery — which
@@ -904,11 +900,6 @@ impl Db {
         }
         self.redo_low_water.fetch_max(point);
         begin
-    }
-
-    /// Begin LSN of the last fuzzy checkpoint ([`Lsn::ZERO`] before any).
-    pub fn last_checkpoint_lsn(&self) -> Lsn {
-        self.last_checkpoint.load()
     }
 
     /// The redo low-water mark published by the last fuzzy checkpoint: the

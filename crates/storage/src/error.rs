@@ -34,7 +34,7 @@ pub enum StorageError {
     /// Transaction used after commit/abort.
     TxnNotActive(u64),
     /// Log-layer failure.
-    Log(aether_core::LogError),
+    Log(aether_core::AetherError),
     /// Recovery found an inconsistency it cannot repair.
     Recovery(String),
 }
@@ -67,8 +67,8 @@ impl std::error::Error for StorageError {
     }
 }
 
-impl From<aether_core::LogError> for StorageError {
-    fn from(e: aether_core::LogError) -> Self {
+impl From<aether_core::AetherError> for StorageError {
+    fn from(e: aether_core::AetherError) -> Self {
         StorageError::Log(e)
     }
 }

@@ -75,17 +75,6 @@ impl Frame {
         }
     }
 
-    /// Frame restored from stored bytes (page-store read during recovery).
-    pub fn from_stored(data: Box<[u8]>, page_lsn: Lsn) -> Frame {
-        debug_assert_eq!(data.len(), PAGE_SIZE);
-        Frame {
-            data,
-            page_lsn,
-            dirty: false,
-            rec_lsn: Lsn::ZERO,
-        }
-    }
-
     /// Apply `cell` bytes at `offset`, stamping `lsn`. Marks dirty and sets
     /// `rec_lsn` on the clean→dirty transition.
     pub fn apply(&mut self, offset: usize, cell: &[u8], lsn: Lsn) {
@@ -211,15 +200,5 @@ mod tests {
         assert!(!f.dirty);
         f.apply(0, &[9], Lsn(700));
         assert_eq!(f.rec_lsn, Lsn(700));
-    }
-
-    #[test]
-    fn frame_from_stored() {
-        let mut data = vec![0u8; PAGE_SIZE].into_boxed_slice();
-        data[0] = 42;
-        let f = Frame::from_stored(data, Lsn(999));
-        assert_eq!(f.page_lsn, Lsn(999));
-        assert_eq!(f.data[0], 42);
-        assert!(!f.dirty);
     }
 }

@@ -171,11 +171,6 @@ impl Transaction {
         self.undo.push(e);
     }
 
-    /// Number of updates performed (undo entries).
-    pub fn update_count(&self) -> usize {
-        self.undo.len()
-    }
-
     /// True while the transaction may perform work.
     pub fn is_active(&self) -> bool {
         self.status == TxnStatus::Active
@@ -354,7 +349,7 @@ mod tests {
             before: vec![0; 10],
             update_lsn: Lsn(100),
         });
-        assert_eq!(t.update_count(), 1);
+        assert_eq!(t.undo.len(), 1);
         mgr.finish(t.id);
     }
 

@@ -58,9 +58,9 @@ impl Client {
     }
 
     /// Block for the next response. The wait parks on the transport's
-    /// blocking primitive ([`ByteStream::read_wait`]) — a channel condvar
-    /// in-process (virtual time under sim), a kernel read timeout on TCP —
-    /// so dozens of waiting clients cost no CPU.
+    /// blocking primitive ([`ByteStream::read`]) — a channel condvar
+    /// in-process (virtual time under sim), `ppoll(2)` on TCP — so dozens of
+    /// waiting clients cost no CPU.
     pub fn recv(&mut self) -> io::Result<(u64, Response)> {
         Ok(self.recv_until(None)?.expect("no deadline, so a response"))
     }
@@ -78,8 +78,6 @@ impl Client {
     /// clock (`None`: for ever). Past the deadline one non-blocking read is
     /// still made, so a deadline of 0 is a poll.
     fn recv_until(&mut self, deadline: Option<u64>) -> io::Result<Option<(u64, Response)>> {
-        // Longest single transport wait.
-        const SLICE: Duration = Duration::from_millis(20);
         loop {
             match extract_response(&mut self.inbuf) {
                 Extracted::Msg { req_id, msg } => return Ok(Some((req_id, msg))),
@@ -91,17 +89,17 @@ impl Client {
                     ));
                 }
                 Extracted::NeedMore => {
-                    let left = deadline.map_or(SLICE, |d| {
-                        Duration::from_nanos(d.saturating_sub(monotonic_ns())).min(SLICE)
-                    });
-                    let read = if left.is_zero() {
-                        self.stream.read_some(&mut self.inbuf)?
-                    } else {
-                        self.stream.read_wait(&mut self.inbuf, left)?
+                    let left = deadline.map(|d| d.saturating_sub(monotonic_ns()));
+                    let read = match left {
+                        None => self.stream.read(&mut self.inbuf)?,
+                        Some(0) => self.stream.read_some(&mut self.inbuf)?,
+                        Some(ns) => self
+                            .stream
+                            .read_wait(&mut self.inbuf, Duration::from_nanos(ns))?,
                     };
                     match read {
                         ReadOutcome::Closed => return Err(io::ErrorKind::ConnectionAborted.into()),
-                        ReadOutcome::WouldBlock if left.is_zero() => return Ok(None),
+                        ReadOutcome::WouldBlock if left == Some(0) => return Ok(None),
                         ReadOutcome::Bytes(_) | ReadOutcome::WouldBlock => {}
                     }
                 }

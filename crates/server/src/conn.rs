@@ -1,29 +1,27 @@
-//! Per-connection state: the ordered response queue and the executor actor.
+//! Per-connection state: the ordered response queue and request execution.
 //!
-//! Each connection is split across two threads. The shared IO loop
-//! ([`crate::server`]) parses frames off the socket and hands decoded
-//! requests to the connection's *executor* — a dedicated actor that runs
-//! the requests strictly in arrival order against the engine. The split
-//! exists because statement execution can block on row locks: an executor
-//! stalled behind a lock stalls only its own connection, never the IO loop
-//! or other connections.
+//! Each connection is served by two threads ([`crate::server`]). The
+//! *connection thread* reads frames off the socket and executes each request
+//! in place, in arrival order, against the engine; a statement blocked on a
+//! row lock stalls only its own connection. The *writer thread* parks on the
+//! [`RespQueue`] until the front slot is filled and writes the responses.
 //!
-//! Pipelining without reordering: the IO loop reserves one [`RespQueue`]
-//! slot per request *at parse time*, so slot order is request order. Fast
-//! statements fulfill their slot synchronously; commits fulfill theirs from
-//! the durability callback, which the group-commit gate fires off the
-//! single flush that hardens the whole in-flight batch. The IO loop only
-//! ever writes the queue's *completed prefix*, so responses leave the
-//! socket in request order (invariant 10) and a commit is never acked
-//! before it is durable.
+//! Pipelining without reordering: the connection thread reserves one
+//! [`RespQueue`] slot per request *before* executing it, so slot order is
+//! request order. Fast statements fulfill their slot synchronously; commits
+//! fulfill theirs from the durability callback, which the group-commit gate
+//! fires off the single flush that hardens the whole in-flight batch. The
+//! writer only ever writes the queue's *completed prefix*, so responses
+//! leave the socket in request order (invariant 10) and a commit is never
+//! acked before it is durable.
 
 use crate::dedup::{Claim, CommitDedup};
 use crate::protocol::{ErrCode, Request, Response};
 use aether_core::commit::CommitToken;
 use aether_core::lsn::Lsn;
 use aether_core::record::crc32;
-use aether_core::runtime::{self, RtReceiver};
-use aether_core::telemetry::{CounterId, HistId, Telemetry};
+use aether_core::runtime::{self, WaitSet};
+use aether_core::telemetry::{HistId, Telemetry};
 use aether_repl::router::ReadRouter;
 use aether_repl::SourceKind;
 use aether_storage::{Db, StorageError, Transaction};
@@ -69,21 +67,6 @@ impl Engine {
     }
 }
 
-/// A message from the IO loop to a connection's executor.
-pub(crate) enum ExecMsg {
-    /// Execute one decoded request; its response slot is already reserved.
-    Req {
-        /// Response slot sequence (reservation order = request order).
-        seq: u64,
-        /// Wire request id (carries the client's retry nonce, if any).
-        req_id: u64,
-        /// The request.
-        req: Request,
-    },
-    /// The socket is gone: discard queued work, abort open transactions.
-    Close,
-}
-
 struct Slot {
     req_id: u64,
     t0: Option<u64>,
@@ -96,11 +79,15 @@ struct RespInner {
     front: u64,
     /// Next sequence to hand out.
     next: u64,
+    /// The connection is gone: the writer stops.
+    closed: bool,
 }
 
 /// The connection's ordered response queue (see module docs).
 pub(crate) struct RespQueue {
     inner: Mutex<RespInner>,
+    /// The writer, parked until the front slot is filled or the queue closes.
+    ready: WaitSet,
     tel: Arc<Telemetry>,
     req_ns: HistId,
 }
@@ -112,7 +99,9 @@ impl RespQueue {
                 slots: VecDeque::new(),
                 front: 0,
                 next: 0,
+                closed: false,
             }),
+            ready: WaitSet::new(),
             tel,
             req_ns,
         }
@@ -131,35 +120,56 @@ impl RespQueue {
         seq
     }
 
-    /// Fill slot `seq`. Idempotence is not needed — every slot is fulfilled
-    /// exactly once — but a slot already popped (connection died) is
-    /// silently ignored: late durability callbacks outlive sockets.
+    /// Fill slot `seq`, waking the writer if it is the front one. Every slot
+    /// is fulfilled exactly once, but a slot already popped (connection
+    /// died) is silently ignored: late durability callbacks outlive sockets.
     pub(crate) fn fulfill(&self, seq: u64, resp: Response) {
-        let mut g = self.inner.lock();
-        if seq < g.front {
-            return;
-        }
-        let idx = (seq - g.front) as usize;
-        if let Some(slot) = g.slots.get_mut(idx) {
-            if let Some(t0) = slot.t0.take() {
-                let dt = runtime::monotonic_ns().saturating_sub(t0);
-                self.tel.record(self.req_ns, dt);
+        let front = {
+            let mut g = self.inner.lock();
+            if seq < g.front {
+                return;
             }
-            slot.resp = Some(resp);
+            let idx = (seq - g.front) as usize;
+            if let Some(slot) = g.slots.get_mut(idx) {
+                if let Some(t0) = slot.t0.take() {
+                    let dt = runtime::monotonic_ns().saturating_sub(t0);
+                    self.tel.record(self.req_ns, dt);
+                }
+                slot.resp = Some(resp);
+            }
+            idx == 0
+        };
+        // The slot is published under `inner`, which the writer's look takes
+        // too: that orders it before the waiter count `notify` reads.
+        if front {
+            self.ready.notify();
         }
     }
 
-    /// Pop the completed prefix: every slot from the front whose response
-    /// has arrived. Returns `(req_id, response)` pairs in request order.
-    pub(crate) fn pop_ready(&self) -> Vec<(u64, Response)> {
-        let mut g = self.inner.lock();
-        let mut out = Vec::new();
-        while matches!(g.slots.front(), Some(s) if s.resp.is_some()) {
-            let s = g.slots.pop_front().expect("front checked");
-            g.front += 1;
-            out.push((s.req_id, s.resp.expect("resp checked")));
-        }
-        out
+    /// Park until the front slot is filled, then pop the completed prefix:
+    /// `(req_id, response)` pairs in request order. `None` once closed.
+    pub(crate) fn next_ready(&self) -> Option<Vec<(u64, Response)>> {
+        self.ready
+            .wait_until(None, || {
+                let mut g = self.inner.lock();
+                if g.closed {
+                    return Some(None);
+                }
+                let mut out = Vec::new();
+                while matches!(g.slots.front(), Some(s) if s.resp.is_some()) {
+                    let s = g.slots.pop_front().expect("front checked");
+                    g.front += 1;
+                    out.push((s.req_id, s.resp.expect("resp checked")));
+                }
+                (!out.is_empty()).then_some(Some(out))
+            })
+            .flatten()
+    }
+
+    /// Stop the writer; responses still queued are dropped with the socket.
+    pub(crate) fn close(&self) {
+        self.inner.lock().closed = true;
+        self.ready.notify();
     }
 }
 
@@ -170,41 +180,8 @@ fn err_of(e: &StorageError) -> Response {
     }
 }
 
-/// The executor actor body: runs requests in order until the IO loop says
-/// `Close` (or drops the channel), then aborts whatever is still open,
-/// counting the teardown aborts into `close_aborts`.
-pub(crate) fn exec_loop(
-    engine: Engine,
-    rx: RtReceiver<ExecMsg>,
-    resp: Arc<RespQueue>,
-    watermark: Arc<AtomicU64>,
-    tel: Arc<Telemetry>,
-    close_aborts: CounterId,
-) {
-    // Open interactive transactions, keyed by wire txn id. BTreeMap so the
-    // teardown abort sweep is ordered — identical across sim replays.
-    let mut open: BTreeMap<u64, Transaction> = BTreeMap::new();
-    while let Some(ExecMsg::Req { seq, req_id, req }) = rx.recv() {
-        exec_one(&engine, &resp, &watermark, &mut open, seq, req_id, req);
-    }
-    // Teardown: flush the request queue in one deterministic step (a frame
-    // parsed between our last `recv` and the IO loop's `Close` would
-    // otherwise strand a transaction in `open` forever), then roll back.
-    for msg in rx.drain() {
-        if let ExecMsg::Req { seq, req_id, req } = msg {
-            // A queued Begin would open a transaction just to abort it;
-            // executing the tail preserves "drain, then abort the rest".
-            exec_one(&engine, &resp, &watermark, &mut open, seq, req_id, req);
-        }
-    }
-    let aborted = open.len() as u64;
-    for (_, txn) in std::mem::take(&mut open) {
-        let _ = engine.db.abort(txn);
-    }
-    tel.add(close_aborts, aborted);
-}
-
-fn exec_one(
+/// Execute one request whose response slot `seq` is already reserved.
+pub(crate) fn exec_one(
     engine: &Engine,
     resp: &Arc<RespQueue>,
     watermark: &Arc<AtomicU64>,
@@ -381,7 +358,8 @@ fn exec_one(
 /// protocols run it inline (already durable), pipelined ones run it from
 /// the flush daemon when the gate opens. Folding the token into the
 /// connection watermark before fulfilling keeps read-your-writes airtight
-/// even though the executor has already moved on to the next request.
+/// even though the connection thread has already moved on to the next
+/// request.
 fn finish_commit(
     engine: &Engine,
     resp: &Arc<RespQueue>,

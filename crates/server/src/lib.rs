@@ -8,12 +8,13 @@
 //!   ping), following the framing idiom of `aether-repl::frame`. A corrupt
 //!   frame kills the connection; it never kills the server or strands a
 //!   lock.
-//! * [`stream`] — the transport seam: nonblocking TCP for real serving,
-//!   an `rt_channel`-backed in-process pipe for tests and deterministic
-//!   sim runs.
-//! * [`server`] — one IO thread polling every connection plus one
-//!   executor actor per connection, with a strictly-ordered response
-//!   queue. Commit responses are produced by durability callbacks, so a
+//! * [`stream`] — the transport seam: TCP for real serving, an
+//!   `rt_channel`-backed in-process pipe for tests and deterministic sim
+//!   runs.
+//! * [`server`] — two threads per connection, each blocked on what it
+//!   waits for: one reads and executes requests, one writes the completed
+//!   prefix of a strictly-ordered response queue. Nothing polls. Commit
+//!   responses are produced by durability callbacks, so a
 //!   pipelined connection's many in-flight commits are all completed by
 //!   the single group-commit flush that hardens them — the paper's
 //!   consolidation argument, observed from the wire.

@@ -1,28 +1,38 @@
-//! The serving loop: an epoll-style readiness poll over every connection.
+//! The serving threads: two per connection, each parked on what it waits
+//! for, and an acceptor.
 //!
-//! One IO thread owns all sockets. Each pass it (1) adopts newly accepted
-//! connections, (2) appends readable bytes to each connection's
-//! accumulator and parses complete frames out of it, reserving a response
-//! slot per request and handing the request to the connection's executor,
-//! (3) writes each connection's completed response prefix back to its
-//! socket. When a pass moves no bytes the loop sleeps for the *batch
-//! window*, which bounds how long a request or a completed response waits
-//! for the next pass and how many acks leave in one write. It does not pace
-//! the log: the flush daemon starts on a commit as soon as it is idle, and
-//! the commits that arrive during that flush share the next one.
+//! * The *connection thread* blocks in [`ByteStream::read`]. For every
+//!   complete frame it reserves a response slot and executes the request in
+//!   place (`conn.rs`).
+//! * The *writer thread* parks on the connection's response queue. Whenever
+//!   the front slot is filled it encodes the whole completed prefix into one
+//!   buffer and writes it with one call, not one per response. A client that
+//!   stops reading blocks only its own writer.
+//! * The *acceptor* blocks in `accept`.
 //!
-//! All threads are spawned through the runtime seam, and the loop's only
-//! time source is `runtime::sleep`, so the same code serves real TCP
-//! traffic and deterministic in-process [`chan_pair`] traffic under
-//! [`Runtime::sim`](aether_core::runtime::Runtime::sim).
+//! No thread polls or sleeps: a request is executed as soon as its bytes
+//! arrive, and a response leaves as soon as it and everything before it is
+//! complete. [`Server::shutdown`] ends each blocked read from outside — a
+//! `shutdown(Both)` on TCP, an end-of-stream chunk the server sends itself
+//! on the in-process pipe — and joins every thread.
+//!
+//! All threads are spawned through the runtime seam, so the same code
+//! serves real TCP traffic and deterministic in-process [`chan_pair`]
+//! traffic under [`Runtime::sim`](aether_core::runtime::Runtime::sim).
+//!
+//! [`chan_pair`]: crate::stream::chan_pair
 
-use crate::conn::{exec_loop, Engine, ExecMsg, RespQueue};
+use crate::conn::{exec_one, Engine, RespQueue};
 use crate::protocol::{extract_request, Extracted};
-use crate::stream::{chan_pair, ByteStream, ChanByteStream, ReadOutcome, TcpByteStream};
-use aether_core::runtime::{self, rt_channel, JoinHandle, RtReceiver, RtSender, Runtime};
+use crate::stream::{
+    chan_conn, ByteStream, ChanByteStream, Closer, Halves, ReadOutcome, TcpByteStream,
+};
+use aether_core::runtime::{self, JoinHandle, Runtime};
 use aether_core::telemetry::{CounterId, HistId, Telemetry, Unit};
+use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -34,10 +44,11 @@ pub struct ServerConfig {
     pub runtime: Runtime,
     /// TCP listen address (`None`: in-process connections only).
     pub addr: Option<SocketAddr>,
-    /// Idle-pass sleep of the IO loop: the longest a request or a completed
-    /// response waits for the next pass.
+    /// No longer read: the server does not poll. Kept for callers that
+    /// still print it.
     pub batch_window: Duration,
-    /// Acceptor poll interval.
+    /// No longer read: the acceptor blocks in `accept`. Kept for callers
+    /// that still print it.
     pub accept_window: Duration,
 }
 
@@ -80,6 +91,14 @@ impl ServerTel {
     }
 }
 
+/// A connection as the server keeps it: a way to end it and its thread.
+struct Conn {
+    closer: Closer,
+    thread: JoinHandle<()>,
+    /// Set as the thread's last act: the join will not block.
+    done: Arc<AtomicBool>,
+}
+
 struct Shared {
     engine: Engine,
     cfg: ServerConfig,
@@ -87,14 +106,13 @@ struct Shared {
     ids: ServerTel,
     stop: AtomicBool,
     conn_seq: AtomicU64,
-    conn_tx: RtSender<Box<dyn ByteStream>>,
+    conns: Mutex<Vec<Conn>>,
 }
 
 /// A running server. Dropping without [`Server::shutdown`] leaks threads;
 /// call shutdown.
 pub struct Server {
     sh: Arc<Shared>,
-    io: Option<JoinHandle<()>>,
     acceptor: Option<JoinHandle<()>>,
     local_addr: Option<SocketAddr>,
 }
@@ -104,15 +122,7 @@ impl Server {
     pub fn start(engine: Engine, cfg: ServerConfig) -> io::Result<Server> {
         let tel = Arc::clone(engine.db.log().telemetry());
         let ids = ServerTel::register(&tel);
-        let (conn_tx, conn_rx) = rt_channel::<Box<dyn ByteStream>>();
-        let listener = match cfg.addr {
-            Some(addr) => {
-                let l = TcpListener::bind(addr)?;
-                l.set_nonblocking(true)?;
-                Some(l)
-            }
-            None => None,
-        };
+        let listener = cfg.addr.map(TcpListener::bind).transpose()?;
         let local_addr = listener.as_ref().and_then(|l| l.local_addr().ok());
         let sh = Arc::new(Shared {
             engine,
@@ -121,15 +131,8 @@ impl Server {
             ids,
             stop: AtomicBool::new(false),
             conn_seq: AtomicU64::new(0),
-            conn_tx,
+            conns: Mutex::new(Vec::new()),
         });
-        let io = {
-            let sh = Arc::clone(&sh);
-            sh.cfg
-                .runtime
-                .clone()
-                .spawn("server-io", move || io_loop(sh, conn_rx))
-        };
         let acceptor = listener.map(|l| {
             let sh = Arc::clone(&sh);
             sh.cfg
@@ -139,7 +142,6 @@ impl Server {
         });
         Ok(Server {
             sh,
-            io: Some(io),
             acceptor,
             local_addr,
         })
@@ -153,8 +155,8 @@ impl Server {
     /// Open an in-process connection; returns the client end. Works on any
     /// runtime and is the only connection path under sim.
     pub fn connect_chan(&self) -> ChanByteStream {
-        let (client, server_end) = chan_pair();
-        self.sh.conn_tx.send(Box::new(server_end));
+        let (client, halves) = chan_conn();
+        open(&self.sh, halves);
         client
     }
 
@@ -163,194 +165,143 @@ impl Server {
     pub fn shutdown(mut self) {
         self.sh.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.acceptor.take() {
+            // One connection to ourselves wakes `accept` to see `stop`.
+            if let Some(addr) = self.local_addr {
+                let _ = TcpStream::connect(addr);
+            }
             let _ = h.join();
         }
-        if let Some(h) = self.io.take() {
-            let _ = h.join();
+        let conns = std::mem::take(&mut *self.sh.conns.lock());
+        for c in &conns {
+            c.closer.close();
+        }
+        for c in conns {
+            let _ = c.thread.join();
         }
     }
 }
 
 fn accept_loop(sh: Arc<Shared>, listener: TcpListener) {
-    while !sh.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((sock, _peer)) => match TcpByteStream::new(sock) {
-                Ok(s) => {
-                    sh.conn_tx.send(Box::new(s));
-                }
-                Err(_) => continue,
-            },
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::Interrupted =>
-            {
-                runtime::sleep(sh.cfg.accept_window);
-            }
-            Err(_) => runtime::sleep(sh.cfg.accept_window),
-        }
-    }
-}
-
-struct ConnEntry {
-    stream: Box<dyn ByteStream>,
-    inbuf: Vec<u8>,
-    exec_tx: RtSender<ExecMsg>,
-    exec: Option<JoinHandle<()>>,
-    resp: Arc<RespQueue>,
-    dead: bool,
-}
-
-fn io_loop(sh: Arc<Shared>, conn_rx: RtReceiver<Box<dyn ByteStream>>) {
-    let mut conns: Vec<ConnEntry> = Vec::new();
-    let mut zombies: Vec<JoinHandle<()>> = Vec::new();
-    loop {
-        let stopping = sh.stop.load(Ordering::SeqCst);
-        // Adopt new connections.
-        while let Some(stream) = conn_rx.try_recv() {
-            if stopping {
-                // Refuse: drop the server end; the client sees Closed.
-                continue;
-            }
-            conns.push(adopt(&sh, stream));
-        }
-        if stopping {
+    for sock in listener.incoming() {
+        if sh.stop.load(Ordering::SeqCst) {
             break;
         }
-
-        let mut progressed = false;
-        for c in conns.iter_mut() {
-            progressed |= pump_reads(&sh, c);
-            progressed |= pump_writes(&sh, c);
+        match sock.and_then(TcpByteStream::halves) {
+            Ok(halves) => open(&sh, halves),
+            // Out of descriptors or a connection reset before accept.
+            Err(_) => runtime::yield_now(),
         }
-
-        // Reap connections that died this pass.
-        if conns.iter().any(|c| c.dead) {
-            for c in conns.iter_mut().filter(|c| c.dead) {
-                retire(&sh, c, &mut zombies);
-            }
-            conns.retain(|c| !c.dead);
-            progressed = true;
-        }
-
-        if progressed {
-            // Stay fair under sim: hand the token over between passes.
-            runtime::yield_now();
-        } else {
-            runtime::sleep(sh.cfg.batch_window);
-        }
-    }
-
-    // Shutdown: tear every connection down, then join the executors. The
-    // executors abort whatever was still open, so no lock outlives the
-    // server (the shutdown-race regression test pins this).
-    for c in conns.iter_mut() {
-        retire(&sh, c, &mut zombies);
-    }
-    conns.clear();
-    for z in zombies {
-        let _ = z.join();
     }
 }
 
-fn adopt(sh: &Arc<Shared>, stream: Box<dyn ByteStream>) -> ConnEntry {
-    let id = sh.conn_seq.fetch_add(1, Ordering::Relaxed);
+/// Start serving one connection, unless the server is stopping (then the
+/// halves are dropped and the client sees `Closed`). Joins the threads of
+/// connections that have ended since the last call and drops their
+/// closers, each of which holds a TCP socket open.
+fn open(sh: &Arc<Shared>, halves: Halves) {
+    let ended = {
+        let mut conns = sh.conns.lock();
+        if sh.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let id = sh.conn_seq.fetch_add(1, Ordering::Relaxed);
+        let done = Arc::new(AtomicBool::new(false));
+        let thread = {
+            let (sh, done) = (Arc::clone(sh), Arc::clone(&done));
+            let Halves { input, output, .. } = halves;
+            sh.cfg
+                .runtime
+                .clone()
+                .spawn(&format!("server-conn-{id}"), move || {
+                    serve(&sh, id, input, output);
+                    done.store(true, Ordering::Release);
+                })
+        };
+        sh.tel.inc(sh.ids.conns_opened);
+        let (ended, live) = std::mem::take(&mut *conns)
+            .into_iter()
+            .partition(|c: &Conn| c.done.load(Ordering::Acquire));
+        *conns = live;
+        conns.push(Conn {
+            closer: halves.closer,
+            thread,
+            done,
+        });
+        ended
+    };
+    for c in ended {
+        let _ = c.thread.join();
+    }
+}
+
+/// The connection thread: spawn the writer, then read and execute requests
+/// until the peer closes, a frame is corrupt or the server stops; then roll
+/// back what is still open and join the writer.
+fn serve(sh: &Shared, id: u64, mut input: Box<dyn ByteStream>, output: Box<dyn ByteStream>) {
     let resp = Arc::new(RespQueue::new(Arc::clone(&sh.tel), sh.ids.req_ns));
-    let (exec_tx, exec_rx) = rt_channel::<ExecMsg>();
-    let exec = {
-        let engine = sh.engine.clone();
+    let writer = {
         let resp = Arc::clone(&resp);
-        let watermark = Arc::new(AtomicU64::new(0));
-        let tel = Arc::clone(&sh.tel);
-        let close_aborts = sh.ids.close_aborts;
+        let (tel, ids) = (Arc::clone(&sh.tel), sh.ids);
         sh.cfg
             .runtime
-            .clone()
-            .spawn(&format!("server-exec-{id}"), move || {
-                exec_loop(engine, exec_rx, resp, watermark, tel, close_aborts)
+            .spawn(&format!("server-write-{id}"), move || {
+                write_responses(&resp, output, &tel, ids)
             })
     };
-    sh.tel.inc(sh.ids.conns_opened);
-    ConnEntry {
-        stream,
-        inbuf: Vec::new(),
-        exec_tx,
-        exec: Some(exec),
-        resp,
-        dead: false,
-    }
-}
-
-/// Read available bytes and dispatch every complete frame. Returns whether
-/// anything moved.
-fn pump_reads(sh: &Arc<Shared>, c: &mut ConnEntry) -> bool {
-    if c.dead {
-        return false;
-    }
-    let mut moved = false;
-    match c.stream.read_some(&mut c.inbuf) {
-        Ok(ReadOutcome::Bytes(_)) => {
-            moved = true;
-            loop {
-                match extract_request(&mut c.inbuf) {
-                    Extracted::Msg { req_id, msg } => {
-                        sh.tel.inc(sh.ids.requests);
-                        let seq = c.resp.reserve(req_id);
-                        if !c.exec_tx.send(ExecMsg::Req {
-                            seq,
-                            req_id,
-                            req: msg,
-                        }) {
-                            c.dead = true;
-                            break;
-                        }
-                    }
-                    Extracted::NeedMore => break,
-                    Extracted::Corrupt => {
-                        // Unrecoverable framing damage: the length prefix
-                        // needed to skip the bad frame is itself suspect.
-                        // Drop the connection; the executor aborts its
-                        // open transactions on the way out.
-                        sh.tel.inc(sh.ids.corrupt_frames);
-                        c.dead = true;
-                        break;
-                    }
+    // Open interactive transactions, keyed by wire txn id. BTreeMap so the
+    // teardown abort sweep is ordered — identical across sim replays.
+    let mut open = BTreeMap::new();
+    let watermark = Arc::new(AtomicU64::new(0));
+    let mut inbuf = Vec::new();
+    'conn: while matches!(input.read(&mut inbuf), Ok(ReadOutcome::Bytes(_)))
+        && !sh.stop.load(Ordering::SeqCst)
+    {
+        loop {
+            match extract_request(&mut inbuf) {
+                Extracted::Msg { req_id, msg } => {
+                    sh.tel.inc(sh.ids.requests);
+                    let seq = resp.reserve(req_id);
+                    exec_one(&sh.engine, &resp, &watermark, &mut open, seq, req_id, msg);
+                }
+                Extracted::NeedMore => break,
+                Extracted::Corrupt => {
+                    // Unrecoverable framing damage: the length prefix
+                    // needed to skip the bad frame is itself suspect.
+                    sh.tel.inc(sh.ids.corrupt_frames);
+                    break 'conn;
                 }
             }
         }
-        Ok(ReadOutcome::WouldBlock) => {}
-        Ok(ReadOutcome::Closed) | Err(_) => c.dead = true,
     }
-    moved
+    input.close();
+    resp.close();
+    sh.tel.add(sh.ids.close_aborts, open.len() as u64);
+    for (_, txn) in open {
+        let _ = sh.engine.db.abort(txn);
+    }
+    let _ = writer.join();
+    sh.tel.inc(sh.ids.conns_closed);
 }
 
-/// Write the completed response prefix. Returns whether anything moved.
-fn pump_writes(sh: &Arc<Shared>, c: &mut ConnEntry) -> bool {
-    let ready = c.resp.pop_ready();
-    if ready.is_empty() {
-        return false;
-    }
-    sh.tel.record(sh.ids.ack_batch, ready.len() as u64);
-    for (req_id, resp) in ready {
-        if c.dead {
+/// The writer thread: each time the front slot is filled, write the whole
+/// completed prefix in one call. Closes `output` on the way out.
+fn write_responses(
+    resp: &RespQueue,
+    mut output: Box<dyn ByteStream>,
+    tel: &Telemetry,
+    ids: ServerTel,
+) {
+    let mut bytes = Vec::new();
+    while let Some(ready) = resp.next_ready() {
+        bytes.clear();
+        for (req_id, r) in &ready {
+            bytes.extend_from_slice(&r.encode(*req_id));
+        }
+        tel.record(ids.ack_batch, ready.len() as u64);
+        tel.add(ids.responses, ready.len() as u64);
+        if output.write_all(&bytes).is_err() {
             break;
         }
-        sh.tel.inc(sh.ids.responses);
-        let bytes = resp.encode(req_id);
-        if c.stream.write_all(&bytes).is_err() {
-            c.dead = true;
-        }
     }
-    true
-}
-
-/// Close a connection's socket and signal its executor; the join is
-/// deferred (the executor may be sitting in a lock wait, and the IO loop
-/// must never block behind one connection).
-fn retire(sh: &Arc<Shared>, c: &mut ConnEntry, zombies: &mut Vec<JoinHandle<()>>) {
-    c.stream.close();
-    c.exec_tx.send(ExecMsg::Close);
-    if let Some(h) = c.exec.take() {
-        zombies.push(h);
-    }
-    sh.tel.inc(sh.ids.conns_closed);
+    output.close();
 }

@@ -1,10 +1,14 @@
-//! Transport abstraction under the connection loop.
+//! Transport seam under the connection threads.
 //!
-//! The loop itself is transport-agnostic: it polls [`ByteStream`]s for
-//! readable bytes and writes framed responses back. Two implementations:
+//! Every connection is served by threads that block on its transport: one
+//! parked in [`ByteStream::read`] for requests, one writing responses (see
+//! [`crate::server`]). Two implementations:
 //!
-//! * [`TcpByteStream`] — a nonblocking `std::net::TcpStream`, the real
-//!   serving path.
+//! * [`TcpByteStream`] — a `std::net::TcpStream`. The server keeps accepted
+//!   sockets blocking for life: its reader and writer hold `try_clone`s of
+//!   one socket, which share the file description, so flipping one of them
+//!   to non-blocking for a single wait would flip both. The client's socket
+//!   is non-blocking, and each of its waits is one `ppoll(2)`.
 //! * [`ChanByteStream`] — a pair of [`rt_channel`]s carrying byte chunks,
 //!   so a whole server + client fleet runs in-process and, under
 //!   [`Runtime::sim`](aether_core::runtime::Runtime::sim), deterministically:
@@ -12,10 +16,12 @@
 
 use aether_core::runtime::{rt_channel, RtReceiver, RtSender};
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::raw::{c_int, c_long, c_short, c_ulong, c_void};
 use std::time::Duration;
 
-/// What a non-blocking read observed.
+/// What a read observed.
 #[derive(Debug, PartialEq, Eq)]
 pub enum ReadOutcome {
     /// `n` bytes were appended to the buffer.
@@ -26,51 +32,132 @@ pub enum ReadOutcome {
     Closed,
 }
 
-/// A bidirectional, message-boundary-free byte pipe, non-blocking on read.
+/// A bidirectional, message-boundary-free byte pipe.
 pub trait ByteStream: Send {
-    /// Append whatever bytes are available onto `buf` without blocking.
+    /// Append whatever bytes are available onto `buf`; never waits on a
+    /// non-blocking stream.
     fn read_some(&mut self, buf: &mut Vec<u8>) -> io::Result<ReadOutcome>;
 
-    /// Write all of `bytes` (may briefly spin-wait on backpressure).
-    fn write_all(&mut self, bytes: &[u8]) -> io::Result<()>;
+    /// Block until bytes arrive (appending them to `buf`) or the stream
+    /// closes; never returns `WouldBlock`.
+    fn read(&mut self, buf: &mut Vec<u8>) -> io::Result<ReadOutcome>;
 
     /// Block up to `timeout` for readable bytes, appending them to `buf`.
-    /// Client-side only — the server loop never blocks per-stream. The
-    /// default implementation polls; transports with a real blocking
-    /// primitive override it so waiting clients park instead of spinning
-    /// (with dozens of connections the spin CPU otherwise starves the
-    /// server itself).
-    fn read_wait(&mut self, buf: &mut Vec<u8>, timeout: Duration) -> io::Result<ReadOutcome> {
-        match self.read_some(buf)? {
-            ReadOutcome::WouldBlock => {
-                aether_core::runtime::sleep(timeout.min(Duration::from_micros(50)));
-                self.read_some(buf)
-            }
-            r => Ok(r),
-        }
-    }
+    fn read_wait(&mut self, buf: &mut Vec<u8>, timeout: Duration) -> io::Result<ReadOutcome>;
+
+    /// Write all of `bytes`, blocking while the peer's buffers are full.
+    fn write_all(&mut self, bytes: &[u8]) -> io::Result<()>;
 
     /// Close the stream: the peer observes `Closed` after draining.
     fn close(&mut self);
 }
 
-/// [`ByteStream`] over a nonblocking TCP socket.
+/// A server connection split for its two threads, plus what
+/// [`Server::shutdown`](crate::Server::shutdown) keeps to end it from a third.
+pub(crate) struct Halves {
+    pub(crate) input: Box<dyn ByteStream>,
+    pub(crate) output: Box<dyn ByteStream>,
+    pub(crate) closer: Closer,
+}
+
+/// Ends a connection from any thread, waking a reader blocked on it.
+pub(crate) enum Closer {
+    /// `shutdown(Both)` on a clone of the socket.
+    Tcp(TcpStream),
+    /// A second sender into the server's input, for an end-of-stream chunk.
+    Chan(RtSender<Vec<u8>>),
+}
+
+impl Closer {
+    pub(crate) fn close(&self) {
+        match self {
+            Closer::Tcp(sock) => {
+                let _ = sock.shutdown(Shutdown::Both);
+            }
+            Closer::Chan(tx) => {
+                tx.send(Vec::new());
+            }
+        }
+    }
+}
+
+/// [`ByteStream`] over a TCP socket.
 pub struct TcpByteStream {
     sock: TcpStream,
     scratch: Box<[u8; 64 * 1024]>,
 }
 
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+#[repr(C)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
+}
+
+const POLLIN: c_short = 0x1;
+const POLLOUT: c_short = 0x4;
+
+// std links libc already; `ppoll` is `poll` with a nanosecond time-out, where
+// `SO_RCVTIMEO` waits whole scheduler ticks.
+extern "C" {
+    fn ppoll(fds: *mut PollFd, n: c_ulong, timeout: *const Timespec, mask: *const c_void) -> c_int;
+}
+
 impl TcpByteStream {
-    /// Wrap `sock`, switching it to nonblocking mode and disabling Nagle
-    /// (frames are small and latency-sensitive; batching is the group-commit
-    /// gate's job, not the kernel's).
+    /// Wrap a client socket, switching it to non-blocking mode and disabling
+    /// Nagle (frames are small and latency-sensitive; batching is the
+    /// group-commit gate's job, not the kernel's).
     pub fn new(sock: TcpStream) -> io::Result<TcpByteStream> {
         sock.set_nonblocking(true)?;
+        Self::wrap(sock)
+    }
+
+    fn wrap(sock: TcpStream) -> io::Result<TcpByteStream> {
         sock.set_nodelay(true)?;
         Ok(TcpByteStream {
             sock,
             scratch: Box::new([0u8; 64 * 1024]),
         })
+    }
+
+    /// Split an accepted socket, left blocking, for the server's threads.
+    pub(crate) fn halves(sock: TcpStream) -> io::Result<Halves> {
+        Ok(Halves {
+            input: Box::new(Self::wrap(sock.try_clone()?)?),
+            output: Box::new(Self::wrap(sock.try_clone()?)?),
+            closer: Closer::Tcp(sock),
+        })
+    }
+
+    /// Park until the socket is ready for `events` or `timeout` (`None`: no
+    /// limit) has passed; whether it is ready.
+    fn park(&self, events: c_short, timeout: Option<Duration>) -> io::Result<bool> {
+        let mut fd = PollFd {
+            fd: self.sock.as_raw_fd(),
+            events,
+            revents: 0,
+        };
+        let ts = timeout.map(|t| Timespec {
+            tv_sec: t.as_secs() as c_long,
+            tv_nsec: t.subsec_nanos() as c_long,
+        });
+        let ts = ts
+            .as_ref()
+            .map_or(std::ptr::null(), |t| t as *const Timespec);
+        // SAFETY: `fd` and `ts` outlive the call; a null mask keeps the mask.
+        match unsafe { ppoll(&mut fd, 1, ts, std::ptr::null()) } {
+            n if n >= 0 => Ok(fd.revents != 0),
+            _ => match io::Error::last_os_error() {
+                e if e.kind() == io::ErrorKind::Interrupted => Ok(false),
+                e => Err(e),
+            },
+        }
     }
 }
 
@@ -94,17 +181,35 @@ impl ByteStream for TcpByteStream {
         }
     }
 
+    fn read(&mut self, buf: &mut Vec<u8>) -> io::Result<ReadOutcome> {
+        // A blocking socket waits inside `read_some`; a non-blocking one here.
+        loop {
+            match self.read_some(buf)? {
+                ReadOutcome::WouldBlock => {
+                    self.park(POLLIN, None)?;
+                }
+                done => return Ok(done),
+            }
+        }
+    }
+
+    fn read_wait(&mut self, buf: &mut Vec<u8>, timeout: Duration) -> io::Result<ReadOutcome> {
+        if self.park(POLLIN, Some(timeout))? {
+            self.read_some(buf)
+        } else {
+            Ok(ReadOutcome::WouldBlock)
+        }
+    }
+
     fn write_all(&mut self, mut bytes: &[u8]) -> io::Result<()> {
         while !bytes.is_empty() {
             match self.sock.write(bytes) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => bytes = &bytes[n..],
+                // Send buffer full on a non-blocking socket: the peer is
+                // slower than us.
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    // Socket send buffer full: the peer is slower than us.
-                    // Back off through the runtime seam so the wait is
-                    // schedulable under sim (TCP is never used under sim,
-                    // but the discipline costs nothing).
-                    aether_core::runtime::sleep(Duration::from_micros(50));
+                    self.park(POLLOUT, None)?;
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -113,49 +218,17 @@ impl ByteStream for TcpByteStream {
         Ok(())
     }
 
-    fn read_wait(&mut self, buf: &mut Vec<u8>, timeout: Duration) -> io::Result<ReadOutcome> {
-        // Flip to a blocking read with a timeout, then restore nonblocking
-        // mode: two extra fcntls per wait, but the waiting thread parks in
-        // the kernel instead of burning a poll loop.
-        if let Ok(r @ (ReadOutcome::Bytes(_) | ReadOutcome::Closed)) = self.read_some(buf) {
-            return Ok(r);
-        }
-        self.sock.set_nonblocking(false)?;
-        self.sock
-            .set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
-        let got = self.sock.read(&mut self.scratch[..]);
-        self.sock.set_nonblocking(true)?;
-        match got {
-            Ok(0) => Ok(ReadOutcome::Closed),
-            Ok(n) => {
-                buf.extend_from_slice(&self.scratch[..n]);
-                Ok(ReadOutcome::Bytes(n))
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted =>
-            {
-                Ok(ReadOutcome::WouldBlock)
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::ConnectionReset
-                    || e.kind() == io::ErrorKind::BrokenPipe =>
-            {
-                Ok(ReadOutcome::Closed)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
     fn close(&mut self) {
-        let _ = self.sock.shutdown(std::net::Shutdown::Both);
+        let _ = self.sock.shutdown(Shutdown::Both);
     }
 }
 
 /// [`ByteStream`] over a pair of runtime-aware channels carrying byte
 /// chunks. Each `write_all` becomes one chunk; the reader re-buffers, so
-/// frame boundaries are *not* preserved — exactly like TCP.
+/// frame boundaries are *not* preserved — exactly like TCP. An empty chunk
+/// is end-of-stream: a closing end sends one, because the server keeps a
+/// second sender into its input (to end a blocked read at shutdown), and
+/// that keeps the channel connected.
 pub struct ChanByteStream {
     tx: Option<RtSender<Vec<u8>>>,
     rx: Option<RtReceiver<Vec<u8>>>,
@@ -177,60 +250,78 @@ pub fn chan_pair() -> (ChanByteStream, ChanByteStream) {
     )
 }
 
-impl ByteStream for ChanByteStream {
-    fn read_some(&mut self, buf: &mut Vec<u8>) -> io::Result<ReadOutcome> {
-        let rx = match &self.rx {
-            Some(rx) => rx,
-            None => return Ok(ReadOutcome::Closed),
-        };
+/// An in-process connection: the client's end, and the server's end split
+/// for its threads.
+pub(crate) fn chan_conn() -> (ChanByteStream, Halves) {
+    let (client, mut server) = chan_pair();
+    let to_server = client.tx.clone().expect("a new stream is open");
+    let halves = Halves {
+        input: Box::new(ChanByteStream {
+            tx: None,
+            rx: server.rx.take(),
+        }),
+        output: Box::new(ChanByteStream {
+            tx: server.tx.take(),
+            rx: None,
+        }),
+        closer: Closer::Chan(to_server),
+    };
+    (client, halves)
+}
+
+impl ChanByteStream {
+    /// Append `next` and every chunk queued behind it onto `buf`.
+    fn absorb(&mut self, mut next: Option<Vec<u8>>, buf: &mut Vec<u8>) -> ReadOutcome {
         let mut n = 0;
-        while let Some(chunk) = rx.try_recv() {
+        while let Some(chunk) = next {
+            if chunk.is_empty() {
+                self.rx = None;
+                break;
+            }
             n += chunk.len();
             buf.extend_from_slice(&chunk);
+            next = self.rx.as_ref().and_then(|rx| rx.try_recv());
         }
-        if n > 0 {
-            Ok(ReadOutcome::Bytes(n))
-        } else if rx.is_disconnected() {
-            Ok(ReadOutcome::Closed)
-        } else {
-            Ok(ReadOutcome::WouldBlock)
+        match &self.rx {
+            _ if n > 0 => ReadOutcome::Bytes(n),
+            Some(rx) if !rx.is_disconnected() => ReadOutcome::WouldBlock,
+            _ => ReadOutcome::Closed,
         }
+    }
+}
+
+impl ByteStream for ChanByteStream {
+    fn read_some(&mut self, buf: &mut Vec<u8>) -> io::Result<ReadOutcome> {
+        let chunk = self.rx.as_ref().and_then(|rx| rx.try_recv());
+        Ok(self.absorb(chunk, buf))
+    }
+
+    fn read(&mut self, buf: &mut Vec<u8>) -> io::Result<ReadOutcome> {
+        let chunk = self.rx.as_ref().and_then(|rx| rx.recv());
+        Ok(self.absorb(chunk, buf))
+    }
+
+    fn read_wait(&mut self, buf: &mut Vec<u8>, timeout: Duration) -> io::Result<ReadOutcome> {
+        // Parks on the channel condvar (virtual time under sim).
+        let chunk = self.rx.as_ref().and_then(|rx| rx.recv_timeout(timeout));
+        Ok(self.absorb(chunk, buf))
     }
 
     fn write_all(&mut self, bytes: &[u8]) -> io::Result<()> {
         match &self.tx {
+            // An empty chunk would read as end-of-stream.
+            Some(_) if bytes.is_empty() => Ok(()),
             Some(tx) if tx.send(bytes.to_vec()) => Ok(()),
             _ => Err(io::ErrorKind::BrokenPipe.into()),
         }
     }
 
-    fn read_wait(&mut self, buf: &mut Vec<u8>, timeout: Duration) -> io::Result<ReadOutcome> {
-        // `recv_timeout` parks on the channel condvar (virtual time under
-        // sim) — no polling.
-        let rx = match &self.rx {
-            Some(rx) => rx,
-            None => return Ok(ReadOutcome::Closed),
-        };
-        match rx.recv_timeout(timeout) {
-            Some(chunk) => {
-                let mut n = chunk.len();
-                buf.extend_from_slice(&chunk);
-                while let Some(more) = rx.try_recv() {
-                    n += more.len();
-                    buf.extend_from_slice(&more);
-                }
-                Ok(ReadOutcome::Bytes(n))
-            }
-            None if rx.is_disconnected() => Ok(ReadOutcome::Closed),
-            None => Ok(ReadOutcome::WouldBlock),
-        }
-    }
-
     fn close(&mut self) {
-        // Dropping the sender lets the peer drain buffered chunks and then
-        // observe `Closed`; dropping the receiver makes the peer's writes
-        // fail fast.
-        self.tx = None;
+        // The peer drains what was sent, then reads the end-of-stream chunk;
+        // dropping the receiver makes the peer's writes fail fast.
+        if let Some(tx) = self.tx.take() {
+            tx.send(Vec::new());
+        }
         self.rx = None;
     }
 }

@@ -1,10 +1,10 @@
 //! The wire server under the simulated runtime: one seed, one server, a
 //! fleet of deterministic client actors.
 //!
-//! [`run_server_seed`] boots a `Db` *and* an `aether-server` connection
-//! loop entirely under [`Runtime::sim`] — IO thread, per-connection
-//! executors, flush daemon, and every client all scheduled by the seeded
-//! cooperative scheduler over `chan_pair` byte-channel transports, so chunk delivery
+//! [`run_server_seed`] boots a `Db` *and* an `aether-server` entirely under
+//! [`Runtime::sim`] — each connection's reader and writer threads, the
+//! flush daemon, and every client all scheduled by the seeded cooperative
+//! scheduler over in-process byte-channel transports, so chunk delivery
 //! order is scheduler order, which is seed order. The run checks the
 //! server-level invariants from DESIGN.md:
 //!

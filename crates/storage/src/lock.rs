@@ -123,6 +123,22 @@ impl Entry {
         };
         compat_granted && first_ok
     }
+
+    /// Whom queued `txn` waits for now: every other holder, and every waiter
+    /// ahead of it whose mode conflicts with `mode` — the FIFO serves those
+    /// first, granted-but-not-yet-woken ones included.
+    fn blockers(&self, txn: u64, mode: LockMode) -> Vec<u64> {
+        let ahead = self
+            .waiters
+            .iter()
+            .take_while(|w| w.txn != txn)
+            .filter(|w| !w.mode.compatible(mode));
+        let holders = self.granted.iter().map(|&(t, _)| t);
+        holders
+            .chain(ahead.map(|w| w.txn))
+            .filter(|&t| t != txn)
+            .collect()
+    }
 }
 
 struct Shard {
@@ -161,15 +177,18 @@ impl Default for LockConfig {
 /// a blocking transaction records its out-edges in its own stripe, and the
 /// DFS locks one stripe at a time as it walks. The walk therefore sees a
 /// slightly stale composite view; that is the standard trade for concurrent
-/// detection and is safe in both directions — a missed cycle is caught by
-/// the wait timeout, and a spurious one merely aborts a victim that retries
-/// (the same outcome the timeout would produce).
+/// detection. A waiter's edges are exact whenever its shard lock is free —
+/// holders plus conflicting waiters ahead, set at enqueue and republished by
+/// every release, time-out or grant on its queue — and a queue change only
+/// ever removes edges, so a cycle closes at an enqueue and the enqueuer that
+/// closes it sees it. A spurious one (a walk racing a hand-over) merely
+/// aborts a victim that retries (the same outcome the timeout would produce).
 #[derive(Debug)]
 struct WaitForGraph {
     stripes: Box<[WaitStripe]>,
 }
 
-/// One stripe of the wait-for graph: blocked txn → the holders it waits on.
+/// One stripe of the wait-for graph: blocked txn → the txns it waits on.
 type WaitStripe = Mutex<HashMap<u64, Vec<u64>>>;
 
 impl WaitForGraph {
@@ -349,20 +368,12 @@ impl LockManager {
             mode,
             granted: false,
         });
-        if self.config.detect_deadlocks {
-            let holders: Vec<u64> = entry
-                .granted
-                .iter()
-                .map(|&(t, _)| t)
-                .filter(|&t| t != txn)
-                .collect();
-            if self.would_deadlock(txn, &holders) {
-                // Remove ourselves and bail out as the victim.
-                entry.waiters.retain(|w| w.txn != txn);
-                self.deadlock_victims
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                return Err(StorageError::Deadlock { txn });
-            }
+        if self.config.detect_deadlocks && self.would_deadlock(txn, &entry.blockers(txn, mode)) {
+            // Remove ourselves and bail out as the victim.
+            entry.waiters.retain(|w| w.txn != txn);
+            self.deadlock_victims
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            return Err(StorageError::Deadlock { txn });
         }
 
         let wait_started = runtime::monotonic_ns();
@@ -381,7 +392,6 @@ impl LockManager {
                 if w.granted {
                     entry.waiters.retain(|w| w.txn != txn);
                     entry.granted.push((txn, mode));
-                    self.clear_waits(txn);
                     charge(wait_started);
                     return Ok(());
                 }
@@ -408,6 +418,10 @@ impl LockManager {
                 }
                 entry.waiters.retain(|w| w.txn != txn);
                 self.clear_waits(txn);
+                // The waiters behind us may be grantable now, and they no
+                // longer wait for us.
+                self.grant_waiters(entry);
+                shard.cv.notify_all();
                 charge(wait_started);
                 self.lock_timeouts
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -449,7 +463,7 @@ impl LockManager {
         let mut entries = shard.entries.lock();
         let remove = if let Some(entry) = entries.get_mut(&id) {
             entry.granted.retain(|&(t, _)| t != txn);
-            Self::grant_waiters(entry);
+            self.grant_waiters(entry);
             entry.granted.is_empty() && entry.waiters.is_empty()
         } else {
             false
@@ -470,8 +484,14 @@ impl LockManager {
     }
 
     /// Mark grantable waiters (in FIFO order) — they complete the grant
-    /// themselves when they wake.
-    fn grant_waiters(entry: &mut Entry) {
+    /// themselves when they wake — and republish whom each of the rest now
+    /// waits for. Every change to a queue ends here, under its shard lock, so
+    /// the wait-for edges never lag a hand-over: a granted waiter waits for
+    /// nobody, and the others for the new holders and whoever is still ahead.
+    /// (Waiting for the waiters to refresh their own edges when they wake
+    /// leaves a window in which a txn that has moved on still looks like a
+    /// blocker, and the walk finds cycles that are not there.)
+    fn grant_waiters(&self, entry: &mut Entry) {
         // Walk waiters in order; grant a prefix of mutually-compatible ones.
         let mut granted_modes: Vec<(u64, LockMode)> = entry.granted.clone();
         for w in entry.waiters.iter_mut() {
@@ -489,15 +509,25 @@ impl LockManager {
                 break; // strict FIFO beyond the first blocked waiter
             }
         }
+        if self.config.detect_deadlocks {
+            for w in &entry.waiters {
+                if w.granted {
+                    self.clear_waits(w.txn);
+                } else {
+                    self.waits_for
+                        .set_edges(w.txn, entry.blockers(w.txn, w.mode));
+                }
+            }
+        }
     }
 
-    /// Record `txn → holders` wait edges and check for a cycle including
+    /// Record `txn → blockers` wait edges and check for a cycle including
     /// `txn`. Returns true if waiting would deadlock. Publishing the edges
     /// before walking means two transactions closing a cycle concurrently
     /// each see the other's edges, so at least one of them detects it.
-    fn would_deadlock(&self, txn: u64, holders: &[u64]) -> bool {
-        self.waits_for.set_edges(txn, holders.to_vec());
-        if self.waits_for.has_cycle_from(txn, holders) {
+    fn would_deadlock(&self, txn: u64, blockers: &[u64]) -> bool {
+        self.waits_for.set_edges(txn, blockers.to_vec());
+        if self.waits_for.has_cycle_from(txn, blockers) {
             self.waits_for.clear(txn);
             return true;
         }
@@ -663,6 +693,90 @@ mod tests {
         m.release_all(2, &[b]);
         t.join().unwrap().unwrap();
         m.release_all(1, &[a, b]);
+    }
+
+    /// Txn 2 holds `a` and asks for `d`; txn 3 holds `d` and waits for `a`.
+    /// Both run on their own thread and roll back if made the victim. The
+    /// cycle must end in a `Deadlock`, well inside the 5 s time-out.
+    fn crossing_pair(
+        m: &Arc<LockManager>,
+        two: impl FnOnce() -> StorageResult<()> + Send + 'static,
+        three: impl FnOnce() -> StorageResult<()> + Send + 'static,
+    ) {
+        let started = runtime::monotonic_ns();
+        let two = std::thread::spawn(two);
+        let three = std::thread::spawn(three);
+        let results = [two.join().unwrap(), three.join().unwrap()];
+        assert!(
+            results
+                .iter()
+                .all(|r| !matches!(r, Err(StorageError::LockTimeout { .. }))),
+            "a cycle waited out the time-out: {results:?}"
+        );
+        assert!(results.iter().any(|r| r.is_err()), "{results:?}");
+        assert!(runtime::monotonic_ns() - started < 2_000_000_000);
+        assert_eq!(m.granted_count(), 0);
+    }
+
+    #[test]
+    fn detector_sees_a_cycle_through_a_waiter_ahead() {
+        // 3 queues for `a` behind waiting 2; when 1 lets go, `a` passes to 2,
+        // which then asks for `d`. 3 waits for 2 only because the FIFO serves
+        // 2 first: with edges to the holders alone it never says so.
+        let m = mgr(5000, true);
+        let (a, d) = (LockId::row(1, 1), LockId::row(1, 2));
+        m.acquire(1, a, LockMode::X).unwrap();
+        m.acquire(3, d, LockMode::X).unwrap();
+        let (m2, m3, m1) = (Arc::clone(&m), Arc::clone(&m), Arc::clone(&m));
+        let releaser = std::thread::spawn(move || {
+            wait_until_blocked(&m1, 2);
+            m1.release_all(1, &[a]);
+        });
+        crossing_pair(
+            &m,
+            move || {
+                m2.acquire(2, a, LockMode::X).unwrap();
+                let r = m2.acquire(2, d, LockMode::X);
+                m2.release_all(2, &[a, d]);
+                r
+            },
+            move || {
+                wait_until_blocked(&m3, 1);
+                let r = m3.acquire(3, a, LockMode::X);
+                m3.release_all(3, &[a, d]);
+                r
+            },
+        );
+        releaser.join().unwrap();
+    }
+
+    #[test]
+    fn detector_sees_a_cycle_through_a_regrant() {
+        // 1 lets go of `a`, handing it to waiting 2, and at once asks for it
+        // again as 3 — before 2 has woken to take it, so `a` has no holder.
+        // 2 then asks for `d`, which 3 holds.
+        let m = mgr(5000, true);
+        let (a, d) = (LockId::row(1, 1), LockId::row(1, 2));
+        m.acquire(1, a, LockMode::X).unwrap();
+        m.acquire(3, d, LockMode::X).unwrap();
+        let (m2, m3) = (Arc::clone(&m), Arc::clone(&m));
+        crossing_pair(
+            &m,
+            move || {
+                m2.acquire(2, a, LockMode::X).unwrap();
+                wait_until_blocked(&m2, 2);
+                let r = m2.acquire(2, d, LockMode::X);
+                m2.release_all(2, &[a, d]);
+                r
+            },
+            move || {
+                wait_until_blocked(&m3, 1);
+                m3.release_all(1, &[a]);
+                let r = m3.acquire(3, a, LockMode::X);
+                m3.release_all(3, &[a, d]);
+                r
+            },
+        );
     }
 
     #[test]

@@ -35,8 +35,11 @@ pub trait LogDevice: Send + Sync {
         self.write_vectored(&[data])
     }
 
-    /// Make all appended bytes durable. This is where simulated write latency
-    /// is charged, mirroring the paper's methodology.
+    /// Make durable every byte appended before the call. This is where
+    /// simulated write latency is charged, mirroring the paper's
+    /// methodology. It may run concurrently with `write_vectored` and with
+    /// other `sync` calls: the flush daemon syncs one group while it writes
+    /// the next.
     fn sync(&self) -> Result<()>;
 
     /// Read up to `dst.len()` bytes starting at stream offset `offset`;
@@ -256,11 +259,12 @@ impl StallDevice {
         self.cv.notify_all();
     }
 
-    /// Block until a `sync` is waiting at the gate: the flush in flight has
-    /// written its bytes and nothing more can become durable until release.
-    pub fn wait_blocked(&self) {
+    /// Block until `syncs` calls to `sync` are waiting at the gate: the
+    /// flushes in flight have written their bytes and nothing more can
+    /// become durable until release.
+    pub fn wait_blocked(&self, syncs: usize) {
         let mut g = self.gate.lock();
-        while g.blocked == 0 {
+        while g.blocked < syncs {
             g = self.cv.wait(&self.gate, g);
         }
     }
@@ -305,6 +309,9 @@ impl LogDevice for StallDevice {
 #[derive(Debug)]
 pub struct FileDevice {
     file: Mutex<std::fs::File>,
+    /// A second handle on the same file: `fdatasync` through it does not
+    /// hold up the next append behind the append mutex.
+    sync_handle: std::fs::File,
     len: AtomicU64,
     path: std::path::PathBuf,
 }
@@ -320,6 +327,7 @@ impl FileDevice {
             .truncate(true)
             .open(&path)?;
         Ok(FileDevice {
+            sync_handle: file.try_clone()?,
             file: Mutex::new(file),
             len: AtomicU64::new(0),
             path,
@@ -335,6 +343,7 @@ impl FileDevice {
             .open(&path)?;
         let len = file.metadata()?.len();
         Ok(FileDevice {
+            sync_handle: file.try_clone()?,
             file: Mutex::new(file),
             len: AtomicU64::new(len),
             path,
@@ -363,7 +372,7 @@ impl LogDevice for FileDevice {
         Ok(())
     }
     fn sync(&self) -> Result<()> {
-        self.file.lock().sync_data()?;
+        self.sync_handle.sync_data()?;
         Ok(())
     }
     fn read_at(&self, offset: u64, dst: &mut [u8]) -> Result<usize> {
@@ -499,7 +508,7 @@ mod tests {
         d.append(b" pending").unwrap();
         let d2 = std::sync::Arc::clone(&d);
         let t = std::thread::spawn(move || d2.sync().unwrap());
-        d.wait_blocked();
+        d.wait_blocked(1);
         assert_eq!(d.len(), 14);
         assert_eq!(d.snapshot().unwrap().1, b"synced");
         d.release();

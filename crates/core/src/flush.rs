@@ -1,42 +1,61 @@
-//! The flush daemon: the only thread that ever waits on log I/O (§4.1).
+//! The flush daemon: the threads that wait on log I/O (§4.1).
 //!
 //! "A daemon thread triggers log flushes using policies similar to those used
 //! in group commit (e.g. flush every X transactions, L bytes logged, or T
 //! time elapsed, whichever comes first). After each I/O completion, the
 //! daemon notifies the agent threads of newly-hardened transactions."
 //!
-//! The daemon is **work-conserving**: whenever it is idle and somebody waits
-//! on bytes it could write — a pipelined commit registered through
-//! [`FlushShared::note_commit`], a blocking [`BufferCore::flush_until`] —
-//! it flushes at once. Commits that arrive while a flush is in flight are
-//! the next group; that is where group commit's "aggregating multiple
-//! requests for log flush into a single I/O" comes from, not from a timer on
-//! an idle device. X, L and T ([`GroupCommitPolicy`]) are upper bounds: X and
-//! L stop a group from growing while the daemon lets runnable committers
-//! run, L and T flush bytes nobody is waiting on.
+//! The daemon is **work-conserving**: whenever a flusher is free and
+//! somebody waits on bytes it could write — a pipelined commit registered
+//! through [`FlushShared::note_commit`], a blocking
+//! [`BufferCore::flush_until`] — it flushes at once. Commits that arrive
+//! while no flusher is free are the next group; that is where group commit's
+//! "aggregating multiple requests for log flush into a single I/O" comes
+//! from, not from a timer on an idle device. X, L and T
+//! ([`GroupCommitPolicy`]) are upper bounds: X and L stop a group from
+//! growing while a flusher lets runnable committers run, L and T flush bytes
+//! nobody is waiting on.
 //!
-//! The daemon drains `[durable, released)` straight out of the ring: the
-//! window is at most one ring lap, so it is at most two contiguous ring
+//! ## Flushers, claim order and the ordered window
+//!
+//! [`LogDevice::sync`] may run beside another sync (the paper's devices are
+//! "asynchronous I/O and high resolution timers", §6.1), so the daemon is
+//! [`FLUSH_DEPTH`] flusher threads over one [`FlushShared`], each looping:
+//! claim `[submitted, released)` and write it, one flusher at a time, so the
+//! device sees appends in LSN order; sync outside the claim, so a commit that
+//! arrives during a sync starts the next flush instead of waiting the sync
+//! out; then advance `durable` — in claim order only, through a window of at
+//! most `FLUSH_DEPTH` groups, to the end of the last group whose
+//! predecessors all synced. A failed write or sync poisons the log and stops
+//! every flusher: no later success ever covers bytes whose sync failed
+//! (after a failed `fsync` the kernel may have dropped them). With
+//! `FLUSH_DEPTH = 1` this is one thread that claims, writes, syncs and
+//! completes in turn.
+//!
+//! A claim drains straight out of the ring: it lies within `[durable,
+//! released)`, at most one ring lap, so it is at most two contiguous ring
 //! slices, which go to [`LogDevice::write_vectored`] with **no scratch
 //! copy** — the payload memcpy at insert is the only time log bytes are
-//! copied in memory. It then syncs, advances the durable watermark
-//! (reclaiming ring space) and completes pending commits via the
-//! [`CommitPipeline`].
+//! copied in memory. Whoever advances `durable` (reclaiming ring space)
+//! completes pending commits via the [`CommitPipeline`].
 //!
 //! ## Park / notify
 //!
-//! Everything the daemon sleeps on is decided under `FlushInner`'s lock.
-//! It evaluates its trigger holding the lock and, finding none, sets
-//! `parked` and waits on `daemon_cv` — which gives the lock up only once the
-//! daemon is a registered waiter. A client changes what the daemon waits for
-//! under the same lock and notifies iff it finds `parked` set (clearing it,
-//! so one park costs one notify). Either the client's change came before the
-//! daemon's look and the daemon saw it, or it came after the daemon parked
-//! and the client saw `parked`: no wakeup is lost, and a running daemon costs
-//! its clients no syscall. One input changes outside the lock: a commit
-//! whose release was handed to a predecessor that is still filling is
-//! registered *before* its bytes are released, and nothing runs when they
-//! are. For that case alone the daemon looks again after `HANDOFF_RELOOK`.
+//! Everything a flusher sleeps on is decided under `FlushInner`'s lock: it
+//! evaluates its trigger holding the lock and, finding none, counts itself
+//! `parked` and waits on `daemon_cv`, which gives the lock up only once it is
+//! a registered waiter. A client changes what flushers wait for under the
+//! same lock and wakes one only if none is `awake` outside a device sync,
+//! none is `waking` yet and the window has room. So either an awake flusher
+//! looks after the change or the client wakes one: no wakeup is lost, a
+//! running flusher costs its clients no syscall, and on a device that syncs
+//! in no time a second flusher hardly ever wakes. A flusher that cannot
+//! claim (another is writing, the window is full) leaves the claim to the
+//! one holding it up, which looks again when done; flusher 0 alone keeps T's
+//! clock while parked. One input changes outside the lock: a commit whose
+//! release was handed to a predecessor that is still filling is registered
+//! *before* its bytes are released, and nothing runs when they are. For
+//! that case alone a flusher looks again after `HANDOFF_RELOOK`.
 //!
 //! The daemon's clients do not wait here. Whoever needs an LSN durable — a
 //! blocking committer, an inserter out of ring space — raises `wanted` and
@@ -52,12 +71,17 @@ use crate::error::{AetherError, Result};
 use crate::lsn::Lsn;
 use crate::runtime::{self, RtCondvar, Runtime};
 use crate::telemetry::Stage;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How long the daemon parks before looking again for the released bytes of
+/// Flush groups in flight at most — claimed, not yet durable — and so the
+/// number of flusher threads.
+pub const FLUSH_DEPTH: usize = 4;
+
+/// How long a flusher parks before looking again for the released bytes of
 /// a commit that was registered ahead of its handed-off release. The
 /// predecessor that publishes them is mid-`memcpy`, so they are normally
 /// there on the first look.
@@ -70,16 +94,26 @@ struct FlushInner {
     /// `released`: a commit record's release can be handed to a predecessor
     /// that is still filling.
     wanted: Lsn,
-    /// Pipelined commits registered since the daemon last started a drain
-    /// (the "X transactions" bound on a growing group).
+    /// Pipelined commits since the last claim (X, the bound on a group).
     pending_commits: usize,
-    /// The daemon is in its parked wait. Whoever changes what it waits for
-    /// clears the flag and notifies `daemon_cv`.
-    parked: bool,
+    /// End of the bytes claimed so far: the next claim starts here.
+    submitted: Lsn,
+    /// Claimed groups, oldest first: end and whether its sync completed.
+    in_flight: VecDeque<(Lsn, bool)>,
+    /// The newest claim is being written; the next claim waits for it.
+    writing: bool,
+    /// A write or sync failed for good: nothing more becomes durable.
+    failed: bool,
+    /// Flushers running outside a device sync and the parked wait.
+    awake: usize,
+    /// Flushers in the parked wait.
+    parked: usize,
+    /// A parked flusher was notified and has not looked yet.
+    waking: bool,
     shutdown: bool,
 }
 
-/// Shared state between the daemon thread and its clients.
+/// Shared state between the flusher threads and their clients.
 #[derive(Debug, Default)]
 pub struct FlushShared {
     inner: Mutex<FlushInner>,
@@ -89,10 +123,12 @@ pub struct FlushShared {
 }
 
 impl FlushShared {
-    /// Wake the daemon if it is parked; `g` proves the caller changed what
-    /// it waits for under the lock.
+    /// Wake a parked flusher if none is awake outside a device sync and the
+    /// window has room for another group; `g` proves the caller changed what
+    /// flushers wait for under the lock.
     fn unpark(&self, g: &mut FlushInner) {
-        if std::mem::take(&mut g.parked) {
+        if g.awake == 0 && g.parked > 0 && !g.waking && g.in_flight.len() < FLUSH_DEPTH {
+            g.waking = true;
             self.daemon_cv.notify_one();
         }
     }
@@ -106,9 +142,9 @@ impl FlushShared {
         self.unpark(&mut g);
     }
 
-    /// Register a pipelined commit waiting for `lsn`. An idle daemon starts
+    /// Register a pipelined commit waiting for `lsn`. An idle flusher starts
     /// on it at once; a busy one takes it with its next group. Non-blocking
-    /// (flush pipelining), and no syscall unless the daemon is parked.
+    /// (flush pipelining), and no syscall unless a flusher must be woken.
     pub fn note_commit(&self, lsn: Lsn) {
         let mut g = self.inner.lock();
         g.pending_commits += 1;
@@ -128,11 +164,11 @@ impl FlushShared {
     }
 }
 
-/// The flush daemon handle: owns the background thread.
+/// The flush daemon handle: owns the flusher threads.
 pub struct FlushDaemon {
     shared: Arc<FlushShared>,
     core: Arc<BufferCore>,
-    thread: Option<runtime::JoinHandle<()>>,
+    threads: Vec<runtime::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for FlushDaemon {
@@ -157,17 +193,35 @@ impl FlushDaemon {
         policy: GroupCommitPolicy,
         retry: FlushRetryPolicy,
     ) -> FlushDaemon {
-        let shared = Arc::<FlushShared>::default();
-        core.attach_flusher(Arc::clone(&shared));
-        let sh = Arc::clone(&shared);
-        let co = Arc::clone(&core);
-        let thread = rt.spawn("aether-flushd", move || {
-            daemon_loop(sh, co, device, pipeline, gate, policy, retry)
+        let shared = Arc::new(FlushShared {
+            inner: Mutex::new(FlushInner {
+                submitted: core.durable_lsn(),
+                in_flight: VecDeque::with_capacity(FLUSH_DEPTH),
+                awake: FLUSH_DEPTH,
+                ..FlushInner::default()
+            }),
+            ..FlushShared::default()
         });
+        core.attach_flusher(Arc::clone(&shared));
+        let flusher = Arc::new(Flusher {
+            shared: Arc::clone(&shared),
+            core: Arc::clone(&core),
+            device,
+            pipeline,
+            gate,
+            policy,
+            retry,
+        });
+        let threads = (0..FLUSH_DEPTH)
+            .map(|id| {
+                let f = Arc::clone(&flusher);
+                rt.spawn("aether-flushd", move || f.run(id))
+            })
+            .collect();
         FlushDaemon {
             shared,
             core,
-            thread: Some(thread),
+            threads,
         }
     }
 
@@ -184,9 +238,9 @@ impl FlushDaemon {
                 return;
             }
             g.shutdown = true;
-            self.shared.unpark(&mut g);
+            self.shared.daemon_cv.notify_all();
         }
-        if let Some(t) = self.thread.take() {
+        for t in self.threads.drain(..) {
             let _ = t.join();
         }
         // Whatever is not durable by now never will be.
@@ -219,89 +273,8 @@ fn with_retry<T>(retry: &FlushRetryPolicy, mut op: impl FnMut() -> Result<T>) ->
     }
 }
 
-/// Enter the terminal poisoned-log state: record the reason, release every
-/// thread waiting on the durable watermark (blocked flushers get an error,
-/// inserters out of ring space go on to fail at their commit), fail all
-/// pending pipelined commits, and poison the commit gate so replication
-/// waiters unblock too.
-fn poison_log(
-    core: &BufferCore,
-    pipeline: &CommitPipeline,
-    gate: &CommitGate,
-    error: &AetherError,
-) {
-    core.close(Some(error.to_string()));
-    pipeline.fail_pending();
-    gate.poison();
-}
-
-/// Park until there are bytes to write and a reason to write them; `false`
-/// once the log is shut down and everything released is durable.
-///
-/// Reasons, looked at under the lock: somebody waits on durability the
-/// daemon can advance (the work-conserving rule; an inserter out of ring
-/// space is one of them), L bytes are pending, T has passed since the daemon
-/// went idle, or shutdown.
-///
-/// Before it drains for pipelined commits, the daemon gives other runnable
-/// threads a turn for as long as each turn brings new commits: on a busy
-/// host the yield hands the CPU to threads that are about to commit, so
-/// their records join this group and they find the daemon running (no
-/// notify, no park/wake cycle per commit); on an idle host the yield returns
-/// at once. X and L end the growing of a group, so one flush costs at most
-/// X yields. A blocked committer is not made to wait for a yield: its
-/// thread has nothing more to add.
-fn await_trigger(shared: &FlushShared, core: &BufferCore, policy: &GroupCommitPolicy) -> bool {
-    let max_wait_ns = u64::try_from(policy.max_wait.as_nanos()).unwrap_or(u64::MAX);
-    let mut g = shared.inner.lock();
-    let idle_deadline = runtime::monotonic_ns().saturating_add(max_wait_ns);
-    // Pipelined commits registered as of the last yield.
-    let mut seen = 0;
-    loop {
-        let durable = core.durable_lsn();
-        let pending_bytes = core.released_lsn().raw() - durable.raw();
-        if g.shutdown {
-            g.pending_commits = 0;
-            return pending_bytes > 0;
-        }
-        if seen != g.pending_commits
-            && g.pending_commits < policy.max_pending_commits
-            && pending_bytes < policy.max_pending_bytes
-        {
-            seen = g.pending_commits;
-            drop(g);
-            runtime::yield_now();
-            g = shared.inner.lock();
-            continue;
-        }
-        let waited_on = g.wanted > durable;
-        let now = runtime::monotonic_ns();
-        if pending_bytes > 0
-            && (waited_on || pending_bytes >= policy.max_pending_bytes || now >= idle_deadline)
-        {
-            g.pending_commits = 0;
-            return true;
-        }
-        let nap = if pending_bytes > 0 {
-            // T: bytes nobody waits on are written at most `max_wait` after
-            // the daemon went idle.
-            Duration::from_nanos(idle_deadline - now)
-        } else if waited_on {
-            // Somebody waits, yet nothing is released: their record's
-            // release was handed to a predecessor that is still filling, and
-            // no one tells the daemon when it lands.
-            HANDOFF_RELOOK
-        } else {
-            policy.max_wait
-        };
-        g.parked = true;
-        (g, _) = shared.daemon_cv.wait_for(&shared.inner, g, nap);
-        g.parked = false;
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn daemon_loop(
+/// What every flusher thread shares: the daemon's state and its arguments.
+struct Flusher {
     shared: Arc<FlushShared>,
     core: Arc<BufferCore>,
     device: Arc<dyn LogDevice>,
@@ -309,62 +282,181 @@ fn daemon_loop(
     gate: Arc<CommitGate>,
     policy: GroupCommitPolicy,
     retry: FlushRetryPolicy,
-) {
-    let tel = Arc::clone(core.telemetry());
-    while await_trigger(&shared, &core, &policy) {
-        let t_trigger = tel.ts();
-        if t_trigger.is_some() {
-            let ids = tel.ids();
-            let pending_bytes = core.released_lsn().raw() - core.durable_lsn().raw();
-            tel.gauge_set(ids.flush_queue_depth, pipeline.pending() as i64);
-            tel.gauge_set(ids.flush_pending_bytes, pending_bytes as i64);
-        }
+}
 
-        // Drain [durable, target) to the device and sync. The window is at
-        // most one ring lap (writers cannot reserve past durable+capacity),
-        // so it is at most two contiguous ring slices — handed to the device
-        // as-is, zero copies.
-        let target = core.released_lsn();
-        let at = core.durable_lsn();
-        if at < target {
+impl Flusher {
+    /// Enter the terminal poisoned-log state: stop every flusher before a
+    /// later sync can advance `durable` over the failed bytes, release every
+    /// wait on the durable watermark, complete what is durable, fail the
+    /// rest, and poison the commit gate so replication waiters unblock too.
+    fn poison(&self, mut g: MutexGuard<'_, FlushInner>, error: &AetherError) {
+        g.failed = true;
+        drop(g);
+        self.core.close(Some(error.to_string()));
+        let durable = self.gate.effective(self.core.durable_lsn());
+        self.pipeline.complete_upto(durable);
+        self.pipeline.fail_pending();
+        self.gate.poison();
+    }
+
+    /// Park until this flusher may claim bytes and has a reason to write
+    /// them, then claim `[submitted, released)`; `None` once the log is
+    /// poisoned, or shut down with nothing left for this flusher to claim.
+    ///
+    /// Reasons, looked at under the lock: somebody waits on durability a
+    /// claim can advance (the work-conserving rule; an inserter out of ring
+    /// space is one of them), L bytes are pending, T has passed since the
+    /// flusher went idle, or shutdown. A flusher may claim when no other is
+    /// writing and the window has room.
+    ///
+    /// Before it claims for pipelined commits, the flusher gives other
+    /// runnable threads a turn for as long as each turn brings new commits:
+    /// on a busy host the yield hands the CPU to threads that are about to
+    /// commit, so their records join this group and they find a flusher
+    /// running (no notify, no park/wake cycle per commit); on an idle host
+    /// the yield returns at once. X and L end the growing of a group, so one
+    /// flush costs at most X yields. A blocked committer is not made to wait
+    /// for a yield: its thread has nothing more to add.
+    fn await_trigger(&self, id: usize) -> Option<(Lsn, Lsn)> {
+        let (shared, policy) = (&*self.shared, &self.policy);
+        let max_wait_ns = u64::try_from(policy.max_wait.as_nanos()).unwrap_or(u64::MAX);
+        let mut g = shared.inner.lock();
+        let idle_deadline = runtime::monotonic_ns().saturating_add(max_wait_ns);
+        // Pipelined commits registered as of the last yield.
+        let mut seen = 0;
+        loop {
+            let pending_bytes = self.core.released_lsn().raw() - g.submitted.raw();
+            let free = !g.writing && g.in_flight.len() < FLUSH_DEPTH;
+            if g.failed || (g.shutdown && !(free && pending_bytes > 0)) {
+                // Whoever is writing or syncing claims the rest.
+                return None;
+            }
+            if free
+                && seen != g.pending_commits
+                && g.pending_commits < policy.max_pending_commits
+                && pending_bytes < policy.max_pending_bytes
+            {
+                seen = g.pending_commits;
+                drop(g);
+                runtime::yield_now();
+                g = shared.inner.lock();
+                continue;
+            }
+            let waited_on = g.wanted > g.submitted;
+            let now = runtime::monotonic_ns();
+            if free
+                && pending_bytes > 0
+                && (g.shutdown
+                    || waited_on
+                    || pending_bytes >= policy.max_pending_bytes
+                    || now >= idle_deadline)
+            {
+                let claim = (g.submitted, self.core.released_lsn());
+                g.submitted = claim.1;
+                g.writing = true;
+                g.pending_commits = 0;
+                g.in_flight.push_back((claim.1, false));
+                return Some(claim);
+            }
+            let nap = if free && pending_bytes > 0 {
+                // T: bytes nobody waits on are written at most `max_wait`
+                // after the flusher went idle.
+                Some(Duration::from_nanos(idle_deadline - now))
+            } else if waited_on && pending_bytes == 0 {
+                // Somebody waits, yet nothing is released: their record's
+                // release was handed to a predecessor that is still filling,
+                // and no one tells the daemon when it lands.
+                Some(HANDOFF_RELOOK)
+            } else if id == 0 {
+                Some(policy.max_wait)
+            } else {
+                None
+            };
+            g.awake -= 1;
+            g.parked += 1;
+            g = match nap {
+                Some(nap) => shared.daemon_cv.wait_for(&shared.inner, g, nap).0,
+                None => shared.daemon_cv.wait(&shared.inner, g),
+            };
+            g.parked -= 1;
+            g.awake += 1;
+            g.waking = false;
+        }
+    }
+
+    /// One flusher thread: claim, write, sync, advance, complete.
+    fn run(&self, id: usize) {
+        let tel = Arc::clone(self.core.telemetry());
+        while let Some((at, target)) = self.await_trigger(id) {
+            let t_trigger = tel.ts();
+            if t_trigger.is_some() {
+                let ids = tel.ids();
+                tel.gauge_set(ids.flush_queue_depth, self.pipeline.pending() as i64);
+                tel.gauge_set(ids.flush_pending_bytes, target.since(at) as i64);
+            }
+
+            // Write the claim [at, target) to the device. It is at most one
+            // ring lap (writers cannot reserve past durable+capacity), so it
+            // is at most two contiguous ring slices — handed to the device
+            // as-is, zero copies.
             let t_drain = tel.ts();
-            // SAFETY: [at, target) is published (≤ released) and this
-            // daemon is the only reclaimer — durable does not advance
-            // until after the write below completes.
+            // SAFETY: [at, target) is published (≤ released) and stays
+            // unreclaimed until this group's sync completes: `durable`
+            // advances in claim order only, and only through synced groups.
             //
             // Retry note: a failed write may have left a prefix on the
-            // device (torn append). Re-running the same vectored write
-            // would duplicate that prefix, so each retry re-derives the
-            // remaining window from the device's own length — the
-            // stream offset equals the LSN, making the write idempotent.
-            let write = with_retry(&retry, || {
-                let done = device.len().max(at.raw());
+            // device (torn append). Re-running the same vectored write would
+            // duplicate that prefix, so each retry re-derives the remaining
+            // window from the device's own length — the stream offset equals
+            // the LSN, and no other flusher writes until this one is done.
+            let write = with_retry(&self.retry, || {
+                let done = self.device.len().max(at.raw());
                 if done >= target.raw() {
                     return Ok(()); // a previous attempt landed everything
                 }
                 let from = Lsn(done);
-                let (head, tail) = unsafe { core.released_slices(from, target.since(from)) };
+                let (head, tail) = unsafe { self.core.released_slices(from, target.since(from)) };
                 if tail.is_empty() {
-                    device.write_vectored(&[head])
+                    self.device.write_vectored(&[head])
                 } else {
-                    device.write_vectored(&[head, tail])
+                    self.device.write_vectored(&[head, tail])
                 }
             });
+            let mut g = self.shared.inner.lock();
+            g.writing = false;
             if let Err(e) = write {
-                // Permanent device failure (or retry budget exhausted):
-                // the terminal poisoned-log state. Pending committers
-                // and blocked flushers get an `Err`, not a hang.
-                poison_log(&core, &pipeline, &gate, &e);
+                // Permanent device failure (or retry budget exhausted): the
+                // terminal poisoned-log state. Pending committers and
+                // blocked flushers get an `Err`, not a hang.
+                return self.poison(g, &e);
+            }
+            g.awake -= 1;
+            drop(g);
+            let synced = with_retry(&self.retry, || self.device.sync());
+            let mut g = self.shared.inner.lock();
+            g.awake += 1;
+            if let Err(e) = synced {
+                return self.poison(g, &e);
+            }
+            if g.failed {
                 return;
             }
-            if let Err(e) = with_retry(&retry, || device.sync()) {
-                poison_log(&core, &pipeline, &gate, &e);
-                return;
-            }
-            shared.flushes.fetch_add(1, Ordering::Relaxed);
-            shared
+            self.shared.flushes.fetch_add(1, Ordering::Relaxed);
+            self.shared
                 .flushed_bytes
                 .fetch_add(target.since(at), Ordering::Relaxed);
+            if let Some(group) = g.in_flight.iter_mut().find(|(end, _)| *end == target) {
+                group.1 = true;
+            }
+            let mut durable = None;
+            while let Some(&(end, true)) = g.in_flight.front() {
+                g.in_flight.pop_front();
+                durable = Some(end);
+            }
+            if let Some(end) = durable {
+                self.core.advance_durable(end);
+            }
+            drop(g);
             if let Some(t0) = t_drain {
                 let now = runtime::monotonic_ns();
                 let ids = tel.ids();
@@ -374,21 +466,26 @@ fn daemon_loop(
                     tel.span(Stage::FlushEnqueue, target, tt, t0);
                 }
                 tel.span(Stage::DeviceWrite, target, t0, now);
-                tel.event(Stage::Durable, target, now);
+                if let Some(end) = durable {
+                    tel.event(Stage::Durable, end, now);
+                }
             }
-            core.advance_durable(target);
-        }
 
-        // Reattach: complete pipelined commits that are both durable and
-        // sufficiently replicated (the gate is transparent without a
-        // policy), then wake the gate's waiters and the blocked flushers —
-        // last, so that whoever this flush wakes finds its commits completed.
-        let completed = pipeline.complete_upto(gate.effective(target));
-        if completed > 0 {
-            tel.record(tel.ids().commit_group_size, completed as u64);
+            // Reattach: complete pipelined commits that are both durable and
+            // sufficiently replicated (the gate is transparent without a
+            // policy), then wake the gate's waiters and the blocked flushers
+            // — last, so that whoever this advance wakes finds its commits
+            // completed. A group synced ahead of its predecessor leaves this
+            // to the flusher of the predecessor.
+            if let Some(end) = durable {
+                let completed = self.pipeline.complete_upto(self.gate.effective(end));
+                if completed > 0 {
+                    tel.record(tel.ids().commit_group_size, completed as u64);
+                }
+                self.gate.notify();
+                self.core.notify_durable();
+            }
         }
-        gate.notify();
-        core.notify_durable();
     }
 }
 
@@ -780,33 +877,66 @@ mod tests {
     }
 
     #[test]
+    fn a_commit_during_a_sync_starts_the_next_flush() {
+        // Virtual time, a 1 ms device: commit A at t0, commit B 300 µs into
+        // A's sync. B's flush starts at once, beside A's, so B is acked when
+        // its own sync ends — not after A's sync and then its own (2 ms).
+        let rt = Runtime::sim(13);
+        let guard = rt.enter();
+        let log = crate::manager::LogManager::builder()
+            .config(LogConfig::default().with_runtime(rt.clone()))
+            .device(crate::device::DeviceKind::FastDisk)
+            .build();
+        runtime::sleep(Duration::from_millis(3)); // every flusher is parked by now
+        let t0 = runtime::monotonic_ns();
+        let a = log.commit(1, Lsn::ZERO);
+        runtime::sleep(Duration::from_micros(300));
+        let b = log.commit(2, Lsn::ZERO);
+        assert!(b.wait() && a.is_done());
+        let dt = runtime::monotonic_ns() - t0;
+        assert!(
+            (1_290_000..=1_310_000).contains(&dt),
+            "B acked {dt} ns after A started on a 1 ms device"
+        );
+        log.shutdown();
+        drop(guard);
+    }
+
+    #[test]
     fn commits_during_a_flush_are_the_next_group() {
         let (core, device, pipeline, daemon, buf) = stall_setup(unbounded());
         device.hold();
-        let first = submit_commit(&core, &pipeline, &daemon, &*buf, 0);
-        device.wait_blocked(); // flush 1 is in flight
+        // One commit per flusher, each flush blocked in its sync: the
+        // window is full, so what comes next waits for a flusher to return.
+        let first: Vec<_> = (0..FLUSH_DEPTH)
+            .map(|n| {
+                let h = submit_commit(&core, &pipeline, &daemon, &*buf, n as u64);
+                device.wait_blocked(n + 1);
+                h
+            })
+            .collect();
         let group: Vec<_> = (1..=10)
-            .map(|txn| submit_commit(&core, &pipeline, &daemon, &*buf, txn))
+            .map(|txn| submit_commit(&core, &pipeline, &daemon, &*buf, 100 + txn))
             .collect();
         assert_eq!(daemon.shared().flush_count(), 0);
-        assert!(!first.is_done() && group.iter().all(|h| !h.is_done()));
+        assert!(first.iter().chain(&group).all(|h| !h.is_done()));
         device.release();
-        assert!(first.wait());
-        for h in &group {
+        for h in first.iter().chain(&group) {
             assert!(h.wait());
         }
         assert_eq!(
             daemon.shared().flush_count(),
-            2,
-            "ten commits that arrived during one flush share the next"
+            FLUSH_DEPTH as u64 + 1,
+            "ten commits that arrived while every flusher was in a sync share the next flush"
         );
-        assert_eq!(pipeline.completed(), 11);
+        assert_eq!(pipeline.completed(), FLUSH_DEPTH as u64 + 10);
     }
 
     #[test]
     fn blocked_committers_share_the_next_flush() {
         // The blocking protocols group the same way, with no linger: whoever
-        // calls `flush_until` during a flush is covered by the next one.
+        // calls `flush_until` while every flusher is in a sync is covered by
+        // the next flush.
         let (core, device, _p, daemon, buf) = stall_setup(unbounded());
         device.hold();
         std::thread::scope(|s| {
@@ -814,18 +944,88 @@ mod tests {
                 put(&*buf, RecordKind::Commit, 0, &[]);
                 core.flush_until(core.released_lsn()).unwrap();
             };
-            s.spawn(committer);
-            device.wait_blocked(); // flush 1 is in flight
+            for n in 1..=FLUSH_DEPTH {
+                s.spawn(committer);
+                device.wait_blocked(n); // flush n is in flight
+            }
             for _ in 0..4 {
                 s.spawn(committer);
             }
-            while core.durable_waiters() < 5 {
+            while core.durable_waiters() < FLUSH_DEPTH + 4 {
                 std::thread::yield_now();
             }
             device.release();
         });
-        assert_eq!(daemon.shared().flush_count(), 2);
+        assert_eq!(daemon.shared().flush_count(), FLUSH_DEPTH as u64 + 1);
         assert_eq!(core.durable_lsn(), core.released_lsn());
+    }
+
+    /// A device whose first sync blocks until `fail` is sent and then fails
+    /// for good (EIO); every later sync succeeds at once.
+    struct FirstSyncFails {
+        inner: SimDevice,
+        syncs: AtomicU64,
+        synced: AtomicU64,
+        fail: Mutex<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl LogDevice for FirstSyncFails {
+        fn write_vectored(&self, bufs: &[&[u8]]) -> Result<()> {
+            self.inner.write_vectored(bufs)
+        }
+        fn sync(&self) -> Result<()> {
+            if self.syncs.fetch_add(1, Ordering::SeqCst) == 0 {
+                let _ = self.fail.lock().recv();
+                return Err(std::io::Error::from_raw_os_error(5).into());
+            }
+            self.synced.fetch_add(1, Ordering::SeqCst);
+            Ok(())
+        }
+        fn read_at(&self, offset: u64, dst: &mut [u8]) -> Result<usize> {
+            self.inner.read_at(offset, dst)
+        }
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+    }
+
+    #[test]
+    fn a_failed_sync_is_never_covered_by_a_later_one() {
+        // fsyncgate: group 1's sync blocks and then fails for good; group 2's
+        // sync, issued meanwhile, succeeds. After a failed sync the kernel may
+        // have dropped group 1's pages, so group 2's success covers nothing:
+        // durable never passes group 1's start, and no commit completes Ok.
+        let (fail, failing) = std::sync::mpsc::channel();
+        let device = Arc::new(FirstSyncFails {
+            inner: SimDevice::new(Duration::ZERO),
+            syncs: AtomicU64::new(0),
+            synced: AtomicU64::new(0),
+            fail: Mutex::new(failing),
+        });
+        let (core, device, pipeline, daemon, buf) =
+            rig(device, unbounded(), FlushRetryPolicy::default());
+        // Dropped before the daemon: a failed assertion ends the blocked
+        // sync, so the daemon's shutdown can join its flushers.
+        let fail = fail;
+        let start = core.durable_lsn();
+        let first = submit_commit(&core, &pipeline, &daemon, &*buf, 1);
+        while device.syncs.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        let second = submit_commit(&core, &pipeline, &daemon, &*buf, 2);
+        while device.synced.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        // Time for a flusher that trusted group 2's sync to act on it.
+        runtime::sleep(Duration::from_millis(20));
+        assert_eq!(core.durable_lsn(), start, "group 2's sync covered group 1");
+        assert!(!second.is_done());
+        fail.send(()).unwrap();
+        assert!(!first.wait(), "group 1's commit completed Ok");
+        assert!(!second.wait(), "group 2's commit completed Ok");
+        assert!(core.poison_reason().is_some());
+        assert_eq!(core.durable_lsn(), start);
+        assert_eq!(pipeline.failed(), 2);
     }
 
     #[test]
@@ -843,8 +1043,8 @@ mod tests {
 
     #[test]
     fn bytes_nobody_waits_on_flush_by_l() {
-        // T is an hour, so only L can flush what nobody asked for. The
-        // daemon looks at L whenever it finishes a flush.
+        // T is an hour, so only L can flush what nobody asked for. A flusher
+        // looks at L whenever it finishes a flush.
         let policy = GroupCommitPolicy {
             max_pending_bytes: 4096,
             ..unbounded()
@@ -853,7 +1053,7 @@ mod tests {
         device.hold();
         put(&*buf, RecordKind::Filler, 1, &[0; 64]);
         daemon.shared().want(core.released_lsn());
-        device.wait_blocked();
+        device.wait_blocked(1);
         for _ in 0..3 {
             put(&*buf, RecordKind::Filler, 1, &[0; 2000]);
         }

@@ -54,6 +54,9 @@ pub struct SegmentedDevice {
     segments: Mutex<Vec<Segment>>,
     /// Total bytes appended (stream length).
     len: AtomicU64,
+    /// Lowest segment that may hold bytes no completed sync covers (an
+    /// append that crosses a boundary seals one holding unsynced bytes).
+    unsynced: AtomicU64,
     /// The logical low-water mark: the highest truncation LSN applied so
     /// far. Always a record boundary (callers pass redo points). Whole
     /// segments entirely below it are recycled; the first retained segment
@@ -88,6 +91,7 @@ impl SegmentedDevice {
                 sealed: false,
             }]),
             len: AtomicU64::new(0),
+            unsynced: AtomicU64::new(0),
             truncated: AtomicU64::new(0),
             recycled: AtomicU64::new(0),
         })
@@ -139,13 +143,22 @@ impl LogDevice for SegmentedDevice {
     }
 
     fn sync(&self) -> Result<()> {
-        // Only the open (last) segment can have unsynced bytes. Sync it
-        // outside the segments lock: a latency-modeling segment parks in
-        // `sync`, and readers must be able to take the lock meanwhile.
-        let last = self.segments.lock().last().map(|s| Arc::clone(&s.device));
-        if let Some(last) = last {
-            last.sync()?;
+        // Every segment written since the last completed sync — the open one
+        // and any an append sealed since — each synced outside the segments
+        // lock: a latency-modeling segment parks in `sync`, and appends and
+        // readers must be able to take the lock meanwhile.
+        let from = self.unsynced.load(Ordering::Acquire);
+        let last = self.segments.lock().last().map_or(from, |s| s.seg_no);
+        for seg_no in from..=last {
+            let segments = self.segments.lock();
+            let seg = segments.iter().find(|s| s.seg_no == seg_no);
+            let device = seg.map(|s| Arc::clone(&s.device)); // none if recycled
+            drop(segments);
+            if let Some(device) = device {
+                device.sync()?;
+            }
         }
+        self.unsynced.fetch_max(last, Ordering::AcqRel);
         Ok(())
     }
 

@@ -6,10 +6,11 @@
 //! appends where the old one ended.
 
 use aether_core::device::{DeviceKind, FileDevice, LogDevice, SimDevice, StallDevice};
-use aether_core::partition::{MemSegmentFactory, SegmentedDevice};
-use aether_core::Lsn;
+use aether_core::partition::{MemSegmentFactory, SegmentFactory, SegmentedDevice};
+use aether_core::{Lsn, Result};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const SEGMENT: u64 = 4096;
@@ -184,6 +185,93 @@ fn every_device_keeps_the_contract() {
         assert_eq!(rebuilt.len(), end + 13, "{name}: rebuilt append");
         assert_eq!(read(&*rebuilt, end, 64), b"after restart", "{name}");
     }
+}
+
+#[test]
+fn a_sync_beside_appends_leaves_the_same_stream() {
+    // The flush daemon syncs one group while it writes the next: syncs on
+    // one thread and appends on another leave what the appends alone leave.
+    let chunks: Vec<Vec<u8>> = (0..64).map(|i| pattern(300 + i * 7, i as u8)).collect();
+    for row in rows() {
+        let name = row.name;
+        let d = (row.make)("concurrent");
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !done.load(Ordering::SeqCst) {
+                    d.sync().unwrap();
+                }
+            });
+            for c in &chunks {
+                d.append(c).unwrap();
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        d.sync().unwrap();
+        let stream = [&row.pre[..], &chunks.concat()].concat();
+        assert_eq!(d.len(), row.low + stream.len() as u64, "{name}: len");
+        assert_eq!(read(&*d, row.low, stream.len()), stream, "{name}");
+    }
+}
+
+/// A segment that counts the syncs it is asked for.
+struct CountedSegment {
+    store: SimDevice,
+    syncs: AtomicU64,
+}
+
+impl LogDevice for CountedSegment {
+    fn write_vectored(&self, bufs: &[&[u8]]) -> Result<()> {
+        self.store.write_vectored(bufs)
+    }
+    fn sync(&self) -> Result<()> {
+        self.syncs.fetch_add(1, Ordering::SeqCst);
+        self.store.sync()
+    }
+    fn read_at(&self, offset: u64, dst: &mut [u8]) -> Result<usize> {
+        self.store.read_at(offset, dst)
+    }
+    fn len(&self) -> u64 {
+        self.store.len()
+    }
+}
+
+/// Hands out counted segments and keeps them, in segment order.
+#[derive(Clone, Default)]
+struct CountingFactory(Arc<Mutex<Vec<Arc<CountedSegment>>>>);
+
+impl SegmentFactory for CountingFactory {
+    fn create(&self, _seg_no: u64) -> Result<Arc<dyn LogDevice>> {
+        let seg = Arc::new(CountedSegment {
+            store: SimDevice::new(Duration::ZERO),
+            syncs: AtomicU64::new(0),
+        });
+        self.0.lock().unwrap().push(Arc::clone(&seg));
+        Ok(seg)
+    }
+}
+
+#[test]
+fn a_segmented_sync_covers_the_segments_an_append_sealed() {
+    let factory = CountingFactory::default();
+    let d = SegmentedDevice::new(Box::new(factory.clone()), SEGMENT).unwrap();
+    let syncs = || -> Vec<u64> {
+        let segs = factory.0.lock().unwrap();
+        segs.iter()
+            .map(|s| s.syncs.load(Ordering::SeqCst))
+            .collect()
+    };
+    d.append(&pattern(1000, 1)).unwrap();
+    d.sync().unwrap();
+    // One append crosses two boundaries: segments 0 and 1 are sealed holding
+    // bytes no sync has covered yet.
+    d.append(&pattern(2 * SEGMENT as usize, 2)).unwrap();
+    d.sync().unwrap();
+    assert_eq!(syncs(), [2, 1, 1]);
+    // Nothing was sealed since: the next sync is the open segment's alone.
+    d.append(b"tail").unwrap();
+    d.sync().unwrap();
+    assert_eq!(syncs(), [2, 1, 2]);
 }
 
 #[test]

@@ -84,6 +84,10 @@ pub fn run_seed(seed: u64) -> SimReport {
     let guard = rt.enter();
     let (acked, violations, telemetry) = Scenario::new(&rt, &plan).run();
     let history = rt.history();
+    // Link delivery threads are detached: one may still be sleeping out a
+    // slow link's latency (up to ~120 virtual ms) on a message sent just
+    // before shutdown. Let it land before leaving the simulation.
+    runtime::sleep(Duration::from_secs(1));
     drop(guard);
     SimReport {
         seed,

@@ -397,7 +397,7 @@ mod tests {
         let mut t = db.begin();
         db.update_with(&mut t, 0, 3, |r| r[8] = 77).unwrap();
         db.commit(t).unwrap(); // async: returns without durability
-        device.wait_blocked(); // written, not synced
+        device.wait_blocked(1); // written, not synced
         let image = db.crash();
         device.release();
 

@@ -90,7 +90,7 @@ fn main() {
     db.update_with(&mut txn, 0, 3, |r| r[8] = 99).unwrap();
     let outcome = db.commit(txn).unwrap();
     println!("async commit returned {outcome:?} — the client saw success");
-    device.wait_blocked(); // the commit record is written but not yet synced
+    device.wait_blocked(1); // the commit record is written but not yet synced
     let image = db.crash();
     device.release();
     let (db2, stats) = recover_with_stats(image, unsafe_opts).unwrap();

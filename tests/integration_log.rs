@@ -4,11 +4,12 @@
 
 use aether::bench::env_or;
 use aether::prelude::*;
-use aether_core::device::{LogDevice, SimDevice};
+use aether_core::device::{LogDevice, SimDevice, StallDevice};
+use aether_core::flush::FLUSH_DEPTH;
 use aether_core::record::RecordKind;
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Stress-size knobs so CI can bound suite runtime (defaults reproduce the
 /// full local run): `AETHER_TEST_THREADS` scales worker counts,
@@ -114,33 +115,48 @@ fn group_commit_batches_many_commits_into_few_syncs() {
 
 #[test]
 fn concurrent_committers_share_flushes() {
-    // Regression guard: commit waits must be fully concurrent. With N
-    // threads committing against a slow device, each device sync must
-    // harden ~N commits (group commit), not ~1 — the latter happens if any
-    // manager-level lock is held across the blocking wait.
+    // Regression guard: commit waits must be fully concurrent. While every
+    // flusher is held in a device sync, N threads each log a commit and block
+    // in `flush_until`; once the device lets go, one flush hardens them all.
+    // A manager-level lock held across the wait would keep the others from
+    // logging theirs, and each would take a flush of its own.
+    let device = Arc::new(StallDevice::new(Duration::ZERO));
     let log = Arc::new(
         LogManager::builder()
-            .device(DeviceKind::CustomUs(5_000))
+            .device_instance(device.clone())
             .build(),
     );
+    device.hold();
+    let in_flight: Vec<_> = (0..FLUSH_DEPTH)
+        .map(|n| {
+            let h = log.commit(n as u64, Lsn::ZERO);
+            device.wait_blocked(n + 1);
+            h
+        })
+        .collect();
     let threads = test_threads(8) as u64;
-    let per = test_iters(20) as u64;
+    let logged = log.stats().inserts + threads;
     std::thread::scope(|s| {
         for t in 0..threads {
             let log = Arc::clone(&log);
             s.spawn(move || {
-                for _ in 0..per {
-                    let (_, end) = log.insert_payload(RecordKind::Commit, t, Lsn::ZERO, &[0u8; 80]);
-                    log.flush_until(end).unwrap();
-                }
+                let (_, end) = log.insert_payload(RecordKind::Commit, t, Lsn::ZERO, &[0u8; 80]);
+                log.flush_until(end).unwrap();
             });
         }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while log.stats().inserts < logged && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        device.release();
     });
-    let commits = threads * per;
-    let flushes = log.flush_count();
-    let per_flush = commits as f64 / flushes as f64;
+    for h in in_flight {
+        assert!(h.wait());
+    }
+    let flushes = log.flush_count() - FLUSH_DEPTH as u64;
+    let per_flush = threads as f64 / flushes as f64;
     assert!(
-        per_flush > threads as f64 / 2.0,
+        per_flush >= 2.0,
         "group commit degraded: {per_flush:.1} commits/flush for {threads} concurrent committers"
     );
 }

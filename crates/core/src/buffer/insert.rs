@@ -6,8 +6,8 @@ use super::{BufferCore, BufferKind, InsertGate, LogBuffer, LogSlot, Release, Slo
 use crate::carray::CArray;
 use crate::config::LogConfig;
 use crate::lsn::Lsn;
+use crate::padded::CachePadded;
 use crate::record::{on_log_size, RecordKind};
-use crossbeam::utils::CachePadded;
 use std::sync::Arc;
 
 /// The log buffer. Its [`BufferKind`] sets the paper's two axes and CDME's

@@ -58,6 +58,7 @@ use crate::config::LogConfig;
 use crate::error::{AetherError, Result};
 use crate::flush::FlushShared;
 use crate::lsn::{AtomicLsn, Lsn};
+use crate::padded::CachePadded;
 use crate::record::{
     crc32_finish, crc32_update, encode_frame_header, on_log_size, RecordKind, CHECKSUM_OFFSET,
     CRC32_INIT, HEADER_SIZE, MAX_PAYLOAD,
@@ -66,7 +67,6 @@ use crate::ring::Ring;
 use crate::runtime::{self, WaitSet};
 use crate::stats::BufferStats;
 use crate::telemetry::{Stage, Telemetry};
-use crossbeam::utils::CachePadded;
 use release::{Finish, OrderedRelease};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{fence, AtomicBool, Ordering};

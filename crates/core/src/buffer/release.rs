@@ -44,7 +44,7 @@
 //! back-pressure) until the head moves.
 
 use crate::lsn::Lsn;
-use crossbeam::utils::CachePadded;
+use crate::padded::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// No deposit. Not a start LSN: a reservation starting here could not end.

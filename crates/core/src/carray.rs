@@ -30,7 +30,7 @@
 
 use crate::buffer::fast_rand;
 use crate::lsn::Lsn;
-use crossbeam::utils::CachePadded;
+use crate::padded::CachePadded;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
 /// Base of the OPEN range: an open slot's state is `READY + joined bytes`.

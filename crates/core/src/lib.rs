@@ -53,6 +53,7 @@ pub mod error;
 pub mod flush;
 pub mod lsn;
 pub mod manager;
+mod padded;
 pub mod partition;
 pub mod reader;
 pub mod record;

@@ -6,7 +6,7 @@
 //! release (ordering wait) — with cheap monotonic-clock reads guarded so the
 //! microbenchmarks can disable them entirely.
 
-use crossbeam::utils::CachePadded;
+use crate::padded::CachePadded;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 

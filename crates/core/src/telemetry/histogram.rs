@@ -15,7 +15,7 @@
 //! byte-deterministic under `Runtime::sim` even though thread→shard mapping
 //! varies run to run in real time.
 
-use crossbeam::utils::CachePadded;
+use crate::padded::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of sub-bucket bits: each power-of-two range is split into

@@ -31,7 +31,7 @@ pub use histogram::{HistSnapshot, Histogram};
 pub use trace::{assemble_spans, CommitSpan, Stage, TraceEvent, TraceRing};
 
 use crate::lsn::Lsn;
-use crossbeam::utils::CachePadded;
+use crate::padded::CachePadded;
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::path::PathBuf;

@@ -13,7 +13,7 @@
 //! All timestamps come from `runtime::monotonic_ns`, so under
 //! `Runtime::sim(seed)` a trace is byte-reproducible for a given seed.
 
-use crossbeam::utils::CachePadded;
+use crate::padded::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A stage in the life of a log record, in pipeline order.

@@ -15,7 +15,8 @@
 //! * `AETHER_SIM_SCENARIO` — `cluster` (default, the fault-injected
 //!   replication scenario) or `server`: the wire tier under the seeded
 //!   scheduler ([`aether_sim::run_server_seed`]) — connection loop,
-//!   pipelined clients, read-your-writes checks.
+//!   pipelined clients, read-your-writes checks, crossing two-key
+//!   transactions (their deadlock victims are counted).
 //! * `AETHER_SIM_OUT` — file to write failing seeds to (one per line);
 //!   always written when set, even if empty, so CI can upload it as an
 //!   artifact unconditionally.
@@ -46,6 +47,8 @@ fn env_u64(name: &str, default: u64) -> u64 {
 /// failure bookkeeping don't care which tier ran.
 struct Outcome {
     acked: u64,
+    /// Deadlock victims (the server scenario's crossing transactions).
+    deadlocks: u64,
     history: (u64, u64),
     violations: Vec<String>,
     telemetry: String,
@@ -62,6 +65,7 @@ fn run_scenario(server: bool, seed: u64) -> Outcome {
         let r = run_server_seed(seed);
         Outcome {
             acked: r.acked,
+            deadlocks: r.deadlocks,
             history: r.history,
             violations: r.violations,
             telemetry: String::new(),
@@ -70,6 +74,7 @@ fn run_scenario(server: bool, seed: u64) -> Outcome {
         let r = run_seed(seed);
         Outcome {
             acked: r.acked,
+            deadlocks: 0,
             history: r.history,
             violations: r.violations,
             telemetry: r.telemetry,
@@ -101,6 +106,7 @@ fn main() {
         }
         let report = run_scenario(server, seed);
         println!("acked    : {}", report.acked);
+        println!("victims  : {}", report.deadlocks);
         println!(
             "history  : {:016x} over {} events",
             report.history.0, report.history.1
@@ -136,6 +142,7 @@ fn main() {
     // fault-kind name -> (runs, failures); BTreeMap for stable JSON order.
     let mut by_fault: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
     let mut acked_total = 0u64;
+    let mut deadlocks_total = 0u64;
     for i in 0..count {
         let seed = base + i;
         // The fault kind this seed decodes to (the histogram key). Server
@@ -147,7 +154,10 @@ fn main() {
         };
         by_fault.entry(kind).or_insert((0, 0)).0 += 1;
         match catch_unwind(AssertUnwindSafe(|| run_scenario(server, seed))) {
-            Ok(report) if report.ok() => acked_total += report.acked,
+            Ok(report) if report.ok() => {
+                acked_total += report.acked;
+                deadlocks_total += report.deadlocks;
+            }
             Ok(report) => {
                 eprintln!(
                     "seed {seed} [{kind}]: FAIL ({})",
@@ -195,10 +205,9 @@ fn main() {
         eprintln!("failures by fault kind: {}", hist.join(", "));
     }
     println!(
-        "sim_sweep: {}/{count} seeds passed ({} commits acked); rerun a failure with \
-         AETHER_SIM_SEED=<seed> sim_sweep",
+        "sim_sweep: {}/{count} seeds passed ({acked_total} commits acked, \
+         {deadlocks_total} deadlock victims); rerun a failure with AETHER_SIM_SEED=<seed> sim_sweep",
         count - failing.len() as u64,
-        acked_total
     );
     if !failing.is_empty() {
         eprintln!(

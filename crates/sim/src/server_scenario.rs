@@ -16,6 +16,12 @@
 //! * **Read-your-writes**: a read at `at_least = token` immediately after
 //!   that token's commit must observe the committed value, through
 //!   whatever routing the engine uses.
+//! * **No lock wait outlives a cycle**: some interactive transactions update
+//!   both of two hot keys, each in a seed-chosen order, so connections
+//!   cross. A `Deadlock` answer is legal — the server has rolled the victim
+//!   back — and is counted in [`ServerSimReport::deadlocks`]; a
+//!   `LockTimeout` is a cycle the detector missed, sitting out the 10 s
+//!   time-out (free in virtual time), and fails the seed.
 //!
 //! The returned [`ServerSimReport::history`] is the reproducibility
 //! witness: same seed ⇒ same `(hash, events)` ⇒ same state checksum.
@@ -23,7 +29,7 @@
 use crate::plan::SeedRng;
 use aether_core::runtime::Runtime;
 use aether_core::LogConfig;
-use aether_server::protocol::{Request, Response};
+use aether_server::protocol::{ErrCode, Request, Response};
 use aether_server::{Client, Engine, Server, ServerConfig};
 use aether_storage::{CommitProtocol, Db, DbOptions};
 use std::sync::Arc;
@@ -35,6 +41,8 @@ pub struct ServerSimReport {
     pub seed: u64,
     /// Commits acknowledged across all client actors.
     pub acked: u64,
+    /// Interactive updates refused as deadlock victims.
+    pub deadlocks: u64,
     /// `(hash, events)` of the scheduler history.
     pub history: (u64, u64),
     /// Checksum over the final table contents (replayable witness of the
@@ -57,6 +65,8 @@ impl ServerSimReport {
 const KEYS: u64 = 40;
 const PRIVATE: u64 = 8;
 const HOT_BASE: u64 = 32;
+/// The two hot keys a crossing transaction updates, in either order.
+const PAIR: [u64; 2] = [HOT_BASE, HOT_BASE + 1];
 const RECORD: usize = 16;
 
 fn value_of(conn: u64, op: u64) -> Vec<u8> {
@@ -108,18 +118,29 @@ pub fn run_server_seed(seed: u64) -> ServerSimReport {
         let mut rng = SeedRng::new(seed ^ (conn + 1).wrapping_mul(0xD1B5_4A32_D192_ED03));
         workers.push(rt.spawn(&format!("sim-client-{conn}"), move || {
             let mut acked = 0u64;
+            let mut deadlocks = 0u64;
             let mut last_token = 0u64;
             let mut violations = Vec::new();
-            for op in 0..ops {
-                let hot = rng.below(4) == 0;
-                let key = if hot {
+            'ops: for op in 0..ops {
+                let first = rng.below(2) as usize;
+                let cross = rng.below(4) == 0;
+                let hot = cross || rng.below(4) == 0;
+                let key = if cross {
+                    PAIR[first]
+                } else if hot {
                     HOT_BASE + rng.below(KEYS - HOT_BASE)
                 } else {
                     conn * PRIVATE + rng.below(PRIVATE)
                 };
+                let keys: &[u64] = if cross {
+                    &[key, PAIR[1 - first]]
+                } else {
+                    &[key]
+                };
                 let value = value_of(conn, op);
-                // Interactive transaction or auto-commit, seed's choice.
-                let token = if rng.below(3) <= interactive_bias {
+                // Interactive transaction or auto-commit, seed's choice; a
+                // crossing one is always interactive.
+                let token = if cross || rng.below(3) <= interactive_bias {
                     let txn = match client.call(&Request::Begin) {
                         Ok(Response::Begun { txn }) => txn,
                         other => {
@@ -127,17 +148,23 @@ pub fn run_server_seed(seed: u64) -> ServerSimReport {
                             continue;
                         }
                     };
-                    match client.call(&Request::Update {
-                        txn,
-                        table,
-                        key,
-                        value: value.clone(),
-                    }) {
-                        Ok(Response::UpdateOk) => {}
-                        other => {
-                            violations.push(format!("conn {conn} op {op}: update → {other:?}"));
-                            let _ = client.call(&Request::Abort { txn });
-                            continue;
+                    for &key in keys {
+                        match client.call(&Request::Update {
+                            txn,
+                            table,
+                            key,
+                            value: value.clone(),
+                        }) {
+                            Ok(Response::UpdateOk) => {}
+                            Ok(Response::Err { code, .. }) if code == ErrCode::Deadlock as u16 => {
+                                deadlocks += 1;
+                                continue 'ops;
+                            }
+                            other => {
+                                violations.push(format!("conn {conn} op {op}: update → {other:?}"));
+                                let _ = client.call(&Request::Abort { txn });
+                                continue 'ops;
+                            }
                         }
                     }
                     match client.call(&Request::Commit { txn }) {
@@ -202,16 +229,18 @@ pub fn run_server_seed(seed: u64) -> ServerSimReport {
                 }
             }
             client.close();
-            (acked, violations)
+            (acked, deadlocks, violations)
         }));
     }
 
     let mut acked = 0u64;
+    let mut deadlocks = 0u64;
     let mut violations = Vec::new();
     for w in workers {
         match w.join() {
-            Ok((a, v)) => {
+            Ok((a, d, v)) => {
                 acked += a;
+                deadlocks += d;
                 violations.extend(v);
             }
             Err(_) => violations.push("client actor panicked".into()),
@@ -237,6 +266,7 @@ pub fn run_server_seed(seed: u64) -> ServerSimReport {
     ServerSimReport {
         seed,
         acked,
+        deadlocks,
         history,
         state,
         violations,
@@ -253,5 +283,18 @@ mod tests {
         assert!(r.ok(), "violations: {:?}", r.violations);
         assert!(r.acked > 0);
         assert!(r.history.1 > 0, "sim history must record events");
+    }
+
+    /// Seeds 24 and 27 time out when a waiter's edges go to the holders at
+    /// enqueue only (neither the waiters ahead nor a republish on release).
+    #[test]
+    fn crossing_transactions_end_in_victims_not_time_outs() {
+        let mut deadlocks = 0;
+        for seed in 0..32 {
+            let r = run_server_seed(seed);
+            assert!(r.ok(), "seed {seed} violations: {:?}", r.violations);
+            deadlocks += r.deadlocks;
+        }
+        assert!(deadlocks >= 1, "no seed in 0..32 crossed");
     }
 }

@@ -13,13 +13,17 @@
 //! as the commit record is *in the log buffer*, provided the client is not
 //! told before the record is durable (§3.1).
 //!
-//! Deadlock handling: FIFO queues plus either a wait timeout or a wait-for
-//! graph with cycle detection (victim = the requester that closes the cycle).
+//! A waiter is queued or holding: whoever changes a queue — a release, a
+//! time-out, a deadlock victim leaving — moves its grantable FIFO prefix
+//! into the holders under the shard lock, so a woken waiter only looks
+//! whether it holds the lock. Deadlocks: a wait-for graph, always on,
+//! aborts the requester that closes a cycle; a wait time-out backs it up.
 
 use crate::error::{StorageError, StorageResult};
-use aether_core::runtime::{self, RtCondvar};
+use aether_core::runtime::{self, WaitSet};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -97,8 +101,6 @@ impl LockId {
 struct Waiter {
     txn: u64,
     mode: LockMode,
-    /// Set true by a granter; the waiter rechecks under the shard lock.
-    granted: bool,
 }
 
 #[derive(Debug, Default)]
@@ -108,25 +110,19 @@ struct Entry {
 }
 
 impl Entry {
-    /// Can `txn` acquire `mode` right now? Compatible with all other
-    /// holders, and FIFO-fair: no earlier waiter may be left behind.
-    fn can_grant(&self, txn: u64, mode: LockMode) -> bool {
-        let compat_granted = self
-            .granted
-            .iter()
-            .all(|&(t, m)| t == txn || m.compatible(mode));
-        // FIFO: grant only if this txn is the first waiter (or not a waiter
-        // at all and there are none).
-        let first_ok = match self.waiters.front() {
-            None => true,
-            Some(w) => w.txn == txn,
-        };
-        compat_granted && first_ok
+    fn holds(&self, txn: u64) -> bool {
+        self.granted.iter().any(|&(t, _)| t == txn)
     }
 
-    /// Whom queued `txn` waits for now: every other holder, and every waiter
-    /// ahead of it whose mode conflicts with `mode` — the FIFO serves those
-    /// first, granted-but-not-yet-woken ones included.
+    /// Is `mode` compatible with every other holder?
+    fn admits(&self, txn: u64, mode: LockMode) -> bool {
+        self.granted
+            .iter()
+            .all(|&(t, m)| t == txn || m.compatible(mode))
+    }
+
+    /// Whom queued `txn` waits for: every holder, and every waiter ahead of
+    /// it whose mode conflicts with `mode` — the FIFO serves those first.
     fn blockers(&self, txn: u64, mode: LockMode) -> Vec<u64> {
         let ahead = self
             .waiters
@@ -134,36 +130,31 @@ impl Entry {
             .take_while(|w| w.txn != txn)
             .filter(|w| !w.mode.compatible(mode));
         let holders = self.granted.iter().map(|&(t, _)| t);
-        holders
-            .chain(ahead.map(|w| w.txn))
-            .filter(|&t| t != txn)
-            .collect()
+        holders.chain(ahead.map(|w| w.txn)).collect()
     }
 }
 
 struct Shard {
     entries: Mutex<HashMap<LockId, Entry>>,
-    cv: RtCondvar,
+    /// The shard's waiters, parked until `entries` lists them as holders.
+    granted: WaitSet,
 }
+
+/// Hash shards over the lock table.
+const SHARDS: usize = 64;
 
 /// Lock-manager tuning.
 #[derive(Debug, Clone)]
 pub struct LockConfig {
-    /// Hash shards over the lock table.
-    pub shards: usize,
-    /// Give up (deadlock victim) after waiting this long.
+    /// Give up (`LockTimeout`) after waiting this long — a backstop: the
+    /// wait-for graph ends every cycle at once.
     pub timeout: Duration,
-    /// Maintain a wait-for graph and abort cycle-closing requesters
-    /// immediately instead of waiting for the timeout.
-    pub detect_deadlocks: bool,
 }
 
 impl Default for LockConfig {
     fn default() -> Self {
         LockConfig {
-            shards: 64,
             timeout: Duration::from_secs(10),
-            detect_deadlocks: true,
         }
     }
 }
@@ -179,9 +170,9 @@ impl Default for LockConfig {
 /// slightly stale composite view; that is the standard trade for concurrent
 /// detection. A waiter's edges are exact whenever its shard lock is free —
 /// holders plus conflicting waiters ahead, set at enqueue and republished by
-/// every release, time-out or grant on its queue — and a queue change only
-/// ever removes edges, so a cycle closes at an enqueue and the enqueuer that
-/// closes it sees it. A spurious one (a walk racing a hand-over) merely
+/// every release, time-out or victim exit on its queue — and a queue change
+/// only ever removes edges, so a cycle closes at an enqueue and the enqueuer
+/// that closes it sees it. A spurious one (a walk racing a hand-over) merely
 /// aborts a victim that retries (the same outcome the timeout would produce).
 #[derive(Debug)]
 struct WaitForGraph {
@@ -208,30 +199,26 @@ impl WaitForGraph {
         &self.stripes[(txn as usize) & (Self::STRIPES - 1)]
     }
 
-    fn set_edges(&self, txn: u64, holders: Vec<u64>) {
-        self.stripe(txn).lock().insert(txn, holders);
+    fn set_edges(&self, txn: u64, blockers: Vec<u64>) {
+        self.stripe(txn).lock().insert(txn, blockers);
     }
 
     fn clear(&self, txn: u64) {
         self.stripe(txn).lock().remove(&txn);
     }
 
-    fn edges_of(&self, txn: u64) -> Option<Vec<u64>> {
-        self.stripe(txn).lock().get(&txn).cloned()
-    }
-
     /// Is there a path back to `from` starting at its out-edges? Each step
     /// locks exactly one stripe briefly.
-    fn has_cycle_from(&self, from: u64, holders: &[u64]) -> bool {
-        let mut stack: Vec<u64> = holders.to_vec();
-        let mut seen = std::collections::HashSet::new();
+    fn has_cycle_from(&self, from: u64, blockers: &[u64]) -> bool {
+        let mut stack = blockers.to_vec();
+        let mut seen = HashSet::new();
         while let Some(t) = stack.pop() {
             if t == from {
                 return true;
             }
             if seen.insert(t) {
-                if let Some(next) = self.edges_of(t) {
-                    stack.extend_from_slice(&next);
+                if let Some(next) = self.stripe(t).lock().get(&t) {
+                    stack.extend_from_slice(next);
                 }
             }
         }
@@ -242,7 +229,7 @@ impl WaitForGraph {
 /// The lock manager.
 pub struct LockManager {
     shards: Box<[Shard]>,
-    config: LockConfig,
+    timeout: Duration,
     /// Wait-for edges: blocked txn → txns it waits on. Striped so the slow
     /// path (an actual block) does not serialize unrelated conflicts; see
     /// [`WaitForGraph`].
@@ -250,20 +237,20 @@ pub struct LockManager {
     /// Total nanoseconds spent blocked in `acquire` (Figure 2/3/7 breakdowns:
     /// this is delay (B), log-induced lock contention, when the holder is in
     /// its commit flush).
-    wait_ns: std::sync::atomic::AtomicU64,
+    wait_ns: AtomicU64,
     /// Number of acquires that had to block.
-    blocked_acquires: std::sync::atomic::AtomicU64,
+    blocked_acquires: AtomicU64,
     /// Acquires refused as deadlock victims (detector cycles and
     /// conservative upgrade refusals).
-    deadlock_victims: std::sync::atomic::AtomicU64,
+    deadlock_victims: AtomicU64,
     /// Acquires that gave up on timeout.
-    lock_timeouts: std::sync::atomic::AtomicU64,
+    lock_timeouts: AtomicU64,
 }
 
 impl std::fmt::Debug for LockManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LockManager")
-            .field("shards", &self.shards.len())
+            .field("timeout", &self.timeout)
             .finish()
     }
 }
@@ -271,44 +258,41 @@ impl std::fmt::Debug for LockManager {
 impl LockManager {
     /// Build with `config`.
     pub fn new(config: LockConfig) -> Arc<LockManager> {
-        let shards = (0..config.shards.max(1))
+        let shards = (0..SHARDS)
             .map(|_| Shard {
                 entries: Mutex::new(HashMap::new()),
-                cv: RtCondvar::new(),
+                granted: WaitSet::new(),
             })
             .collect();
         Arc::new(LockManager {
             shards,
-            config,
+            timeout: config.timeout,
             waits_for: WaitForGraph::new(),
-            wait_ns: std::sync::atomic::AtomicU64::new(0),
-            blocked_acquires: std::sync::atomic::AtomicU64::new(0),
-            deadlock_victims: std::sync::atomic::AtomicU64::new(0),
-            lock_timeouts: std::sync::atomic::AtomicU64::new(0),
+            wait_ns: AtomicU64::new(0),
+            blocked_acquires: AtomicU64::new(0),
+            deadlock_victims: AtomicU64::new(0),
+            lock_timeouts: AtomicU64::new(0),
         })
     }
 
     /// Total nanoseconds spent blocked waiting for locks.
     pub fn wait_ns(&self) -> u64 {
-        self.wait_ns.load(std::sync::atomic::Ordering::Relaxed)
+        self.wait_ns.load(Relaxed)
     }
 
     /// Number of acquires that blocked.
     pub fn blocked_acquires(&self) -> u64 {
-        self.blocked_acquires
-            .load(std::sync::atomic::Ordering::Relaxed)
+        self.blocked_acquires.load(Relaxed)
     }
 
     /// Acquires refused as deadlock victims.
     pub fn deadlock_victims(&self) -> u64 {
-        self.deadlock_victims
-            .load(std::sync::atomic::Ordering::Relaxed)
+        self.deadlock_victims.load(Relaxed)
     }
 
     /// Acquires that gave up on timeout.
     pub fn lock_timeouts(&self) -> u64 {
-        self.lock_timeouts
-            .load(std::sync::atomic::Ordering::Relaxed)
+        self.lock_timeouts.load(Relaxed)
     }
 
     fn shard(&self, id: LockId) -> &Shard {
@@ -320,7 +304,7 @@ impl LockManager {
         for b in id.key.to_le_bytes() {
             h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
         }
-        &self.shards[(h % self.shards.len() as u64) as usize]
+        &self.shards[(h % SHARDS as u64) as usize]
     }
 
     /// Acquire `mode` on `id` for `txn`, blocking until granted. Re-entrant:
@@ -337,141 +321,82 @@ impl LockManager {
 
         // Re-entrant / upgrade handling.
         if let Some(pos) = entry.granted.iter().position(|&(t, _)| t == txn) {
-            let held = entry.granted[pos].1;
-            if held.covers(mode) {
+            if entry.granted[pos].1.covers(mode) {
                 return Ok(());
             }
-            // Upgrade: allowed immediately iff no other holder conflicts.
-            let others_compatible = entry
-                .granted
-                .iter()
-                .all(|&(t, m)| t == txn || m.compatible(mode));
-            if others_compatible && entry.waiters.is_empty() {
-                entry.granted[pos].1 = mode;
-                return Ok(());
+            // Conservative: an upgrade that would wait behind other holders
+            // is a classic deadlock source; fail fast as a victim.
+            if !entry.waiters.is_empty() || !entry.admits(txn, mode) {
+                self.deadlock_victims.fetch_add(1, Relaxed);
+                return Err(StorageError::Deadlock { txn });
             }
-            // Conservative: upgrades that would wait behind other holders
-            // are a classic deadlock source; fail fast as a victim.
-            self.deadlock_victims
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            return Err(StorageError::Deadlock { txn });
+            entry.granted[pos].1 = mode;
+            return Ok(());
         }
 
-        if entry.can_grant(txn, mode) {
+        // FIFO: a newcomer passes nobody already queued.
+        if entry.waiters.is_empty() && entry.admits(txn, mode) {
             entry.granted.push((txn, mode));
             return Ok(());
         }
 
-        // Slow path: enqueue and (optionally) run deadlock detection.
-        entry.waiters.push_back(Waiter {
-            txn,
-            mode,
-            granted: false,
-        });
-        if self.config.detect_deadlocks && self.would_deadlock(txn, &entry.blockers(txn, mode)) {
-            // Remove ourselves and bail out as the victim.
-            entry.waiters.retain(|w| w.txn != txn);
-            self.deadlock_victims
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        // Slow path: enqueue, publish our edges, and leave at once as the
+        // victim if they close a cycle. Publishing before walking means two
+        // transactions closing a cycle concurrently each see the other's
+        // edges, so at least one of them detects it.
+        entry.waiters.push_back(Waiter { txn, mode });
+        let blockers = entry.blockers(txn, mode);
+        self.waits_for.set_edges(txn, blockers.clone());
+        if self.waits_for.has_cycle_from(txn, &blockers) {
+            self.leave(entry, txn);
+            self.deadlock_victims.fetch_add(1, Relaxed);
             return Err(StorageError::Deadlock { txn });
         }
+        self.blocked_acquires.fetch_add(1, Relaxed);
+        drop(entries);
 
         let wait_started = runtime::monotonic_ns();
-        let deadline = wait_started.saturating_add(self.config.timeout.as_nanos() as u64);
-        self.blocked_acquires
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let charge = |start_ns: u64| {
-            let dt = runtime::monotonic_ns().saturating_sub(start_ns);
-            self.wait_ns
-                .fetch_add(dt, std::sync::atomic::Ordering::Relaxed);
-        };
-        loop {
-            // A release may have granted us while we weren't looking.
-            let entry = entries.get_mut(&id).expect("entry vanished while waiting");
-            if let Some(w) = entry.waiters.iter().find(|w| w.txn == txn) {
-                if w.granted {
-                    entry.waiters.retain(|w| w.txn != txn);
-                    entry.granted.push((txn, mode));
-                    charge(wait_started);
-                    return Ok(());
-                }
-            }
-            let now = runtime::monotonic_ns();
-            let timed_out = if now >= deadline {
-                true
-            } else {
-                let (g, timed_out) = shard.cv.wait_for(
-                    &shard.entries,
-                    entries,
-                    Duration::from_nanos(deadline - now),
-                );
-                entries = g;
-                timed_out
-            };
-            if timed_out {
-                let entry = entries.get_mut(&id).expect("entry vanished on timeout");
-                // One last re-check: a grant may have raced the timeout.
-                if let Some(w) = entry.waiters.iter().find(|w| w.txn == txn) {
-                    if w.granted {
-                        continue;
-                    }
-                }
-                entry.waiters.retain(|w| w.txn != txn);
-                self.clear_waits(txn);
-                // The waiters behind us may be grantable now, and they no
-                // longer wait for us.
-                self.grant_waiters(entry);
-                shard.cv.notify_all();
-                charge(wait_started);
-                self.lock_timeouts
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                return Err(StorageError::LockTimeout { txn });
-            }
+        // A grant is published under `entries`, which this look takes too:
+        // that orders it before the waiter count `notify` reads.
+        let granted = shard
+            .granted
+            .wait_until(Some(self.timeout), || {
+                shard.entries.lock()[&id].holds(txn).then_some(())
+            })
+            .is_some();
+        let dt = runtime::monotonic_ns().saturating_sub(wait_started);
+        self.wait_ns.fetch_add(dt, Relaxed);
+        if granted {
+            return Ok(());
         }
-    }
-
-    /// Non-blocking acquire; `Ok(false)` when it would have to wait.
-    pub fn try_acquire(&self, txn: u64, id: LockId, mode: LockMode) -> StorageResult<bool> {
-        let shard = self.shard(id);
         let mut entries = shard.entries.lock();
-        let entry = entries.entry(id).or_default();
-        if let Some(pos) = entry.granted.iter().position(|&(t, _)| t == txn) {
-            let held = entry.granted[pos].1;
-            if held.covers(mode) {
-                return Ok(true);
-            }
-            let others_compatible = entry
-                .granted
-                .iter()
-                .all(|&(t, m)| t == txn || m.compatible(mode));
-            if others_compatible && entry.waiters.is_empty() {
-                entry.granted[pos].1 = mode;
-                return Ok(true);
-            }
-            return Ok(false);
+        let entry = entries.get_mut(&id).expect("entry vanished on timeout");
+        // The time-out's one look: a grant may have come after the last one.
+        if entry.holds(txn) {
+            return Ok(());
         }
-        if entry.can_grant(txn, mode) {
-            entry.granted.push((txn, mode));
-            return Ok(true);
-        }
-        Ok(false)
+        self.leave(entry, txn);
+        drop(entries);
+        shard.granted.notify();
+        self.lock_timeouts.fetch_add(1, Relaxed);
+        Err(StorageError::LockTimeout { txn })
     }
 
     /// Release one lock held by `txn`.
     pub fn release(&self, txn: u64, id: LockId) {
         let shard = self.shard(id);
         let mut entries = shard.entries.lock();
-        let remove = if let Some(entry) = entries.get_mut(&id) {
-            entry.granted.retain(|&(t, _)| t != txn);
-            self.grant_waiters(entry);
-            entry.granted.is_empty() && entry.waiters.is_empty()
-        } else {
-            false
+        let Some(entry) = entries.get_mut(&id) else {
+            return;
         };
-        if remove {
+        entry.granted.retain(|&(t, _)| t != txn);
+        self.grant_waiters(entry);
+        // With no holder left, `grant_waiters` has emptied the queue too.
+        if entry.granted.is_empty() {
             entries.remove(&id);
         }
-        shard.cv.notify_all();
+        drop(entries);
+        shard.granted.notify();
     }
 
     /// Release every lock in `held` — the commit/abort path. Under ELR this
@@ -480,62 +405,37 @@ impl LockManager {
         for &id in held {
             self.release(txn, id);
         }
-        self.clear_waits(txn);
+        self.waits_for.clear(txn);
     }
 
-    /// Mark grantable waiters (in FIFO order) — they complete the grant
-    /// themselves when they wake — and republish whom each of the rest now
-    /// waits for. Every change to a queue ends here, under its shard lock, so
-    /// the wait-for edges never lag a hand-over: a granted waiter waits for
-    /// nobody, and the others for the new holders and whoever is still ahead.
-    /// (Waiting for the waiters to refresh their own edges when they wake
-    /// leaves a window in which a txn that has moved on still looks like a
-    /// blocker, and the walk finds cycles that are not there.)
+    /// Take queued `txn` off `entry` — a victim or a time-out — and hand
+    /// the lock on to whoever that lets through.
+    fn leave(&self, entry: &mut Entry, txn: u64) {
+        entry.waiters.retain(|w| w.txn != txn);
+        self.waits_for.clear(txn);
+        self.grant_waiters(entry);
+    }
+
+    /// Grant the queue's compatible FIFO prefix — each such waiter moves
+    /// into the holders and waits for nobody — and republish whom each of
+    /// the rest now waits for. Every change to a queue ends here, under its
+    /// shard lock, so the wait-for edges never lag a hand-over. (Waiting for
+    /// the waiters to refresh their own edges when they wake leaves a window
+    /// in which a txn that has moved on still looks like a blocker, and the
+    /// walk finds cycles that are not there.)
     fn grant_waiters(&self, entry: &mut Entry) {
-        // Walk waiters in order; grant a prefix of mutually-compatible ones.
-        let mut granted_modes: Vec<(u64, LockMode)> = entry.granted.clone();
-        for w in entry.waiters.iter_mut() {
-            if w.granted {
-                granted_modes.push((w.txn, w.mode));
-                continue;
-            }
-            let ok = granted_modes
-                .iter()
-                .all(|&(t, m)| t == w.txn || m.compatible(w.mode));
-            if ok {
-                w.granted = true;
-                granted_modes.push((w.txn, w.mode));
-            } else {
+        while let Some(&Waiter { txn, mode }) = entry.waiters.front() {
+            if !entry.admits(txn, mode) {
                 break; // strict FIFO beyond the first blocked waiter
             }
-        }
-        if self.config.detect_deadlocks {
-            for w in &entry.waiters {
-                if w.granted {
-                    self.clear_waits(w.txn);
-                } else {
-                    self.waits_for
-                        .set_edges(w.txn, entry.blockers(w.txn, w.mode));
-                }
-            }
-        }
-    }
-
-    /// Record `txn → blockers` wait edges and check for a cycle including
-    /// `txn`. Returns true if waiting would deadlock. Publishing the edges
-    /// before walking means two transactions closing a cycle concurrently
-    /// each see the other's edges, so at least one of them detects it.
-    fn would_deadlock(&self, txn: u64, blockers: &[u64]) -> bool {
-        self.waits_for.set_edges(txn, blockers.to_vec());
-        if self.waits_for.has_cycle_from(txn, blockers) {
+            entry.waiters.pop_front();
+            entry.granted.push((txn, mode));
             self.waits_for.clear(txn);
-            return true;
         }
-        false
-    }
-
-    fn clear_waits(&self, txn: u64) {
-        self.waits_for.clear(txn);
+        for w in &entry.waiters {
+            self.waits_for
+                .set_edges(w.txn, entry.blockers(w.txn, w.mode));
+        }
     }
 
     /// Number of locks currently granted (diagnostics/tests).
@@ -557,12 +457,20 @@ impl LockManager {
 mod tests {
     use super::*;
 
-    fn mgr(timeout_ms: u64, detect: bool) -> Arc<LockManager> {
+    fn mgr(timeout_ms: u64) -> Arc<LockManager> {
         LockManager::new(LockConfig {
-            shards: 8,
             timeout: Duration::from_millis(timeout_ms),
-            detect_deadlocks: detect,
         })
+    }
+
+    /// Would `txn` get `mode` on `id` within the manager's time-out? It
+    /// holds the lock if so.
+    fn try_acquire(m: &LockManager, txn: u64, id: LockId, mode: LockMode) -> bool {
+        match m.acquire(txn, id, mode) {
+            Ok(()) => true,
+            Err(StorageError::LockTimeout { .. }) => false,
+            Err(e) => panic!("probe refused: {e:?}"),
+        }
     }
 
     /// Wait until `n` acquires have entered the blocked slow path — the
@@ -604,37 +512,37 @@ mod tests {
 
     #[test]
     fn shared_locks_coexist_exclusive_blocks() {
-        let m = mgr(50, false);
+        let m = mgr(50);
         let id = LockId::row(1, 42);
         m.acquire(1, id, LockMode::S).unwrap();
         m.acquire(2, id, LockMode::S).unwrap();
-        assert!(!m.try_acquire(3, id, LockMode::X).unwrap());
+        assert!(!try_acquire(&m, 3, id, LockMode::X));
         assert!(matches!(
             m.acquire(3, id, LockMode::X),
             Err(StorageError::LockTimeout { txn: 3 })
         ));
         m.release_all(1, &[id]);
         m.release_all(2, &[id]);
-        assert!(m.try_acquire(3, id, LockMode::X).unwrap());
+        assert!(try_acquire(&m, 3, id, LockMode::X));
         m.release_all(3, &[id]);
         assert_eq!(m.granted_count(), 0);
     }
 
     #[test]
     fn reentrant_and_upgrade() {
-        let m = mgr(50, false);
+        let m = mgr(50);
         let id = LockId::row(1, 7);
         m.acquire(1, id, LockMode::S).unwrap();
         m.acquire(1, id, LockMode::S).unwrap(); // re-entrant
         m.acquire(1, id, LockMode::X).unwrap(); // sole-holder upgrade
-        assert!(!m.try_acquire(2, id, LockMode::S).unwrap());
+        assert!(!try_acquire(&m, 2, id, LockMode::S));
         m.release_all(1, &[id]);
-        assert!(m.try_acquire(2, id, LockMode::S).unwrap());
+        assert!(try_acquire(&m, 2, id, LockMode::S));
     }
 
     #[test]
     fn blocked_then_granted_on_release() {
-        let m = mgr(5000, false);
+        let m = mgr(5000);
         let id = LockId::row(1, 1);
         m.acquire(1, id, LockMode::X).unwrap();
         let m2 = Arc::clone(&m);
@@ -648,7 +556,7 @@ mod tests {
 
     #[test]
     fn fifo_ordering_of_waiters() {
-        let m = mgr(5000, false);
+        let m = mgr(5000);
         let id = LockId::row(9, 9);
         m.acquire(1, id, LockMode::X).unwrap();
         let order = Arc::new(Mutex::new(Vec::new()));
@@ -674,7 +582,7 @@ mod tests {
 
     #[test]
     fn deadlock_detector_picks_victim() {
-        let m = mgr(5000, true);
+        let m = mgr(5000);
         let a = LockId::row(1, 1);
         let b = LockId::row(1, 2);
         m.acquire(1, a, LockMode::X).unwrap();
@@ -723,7 +631,7 @@ mod tests {
         // 3 queues for `a` behind waiting 2; when 1 lets go, `a` passes to 2,
         // which then asks for `d`. 3 waits for 2 only because the FIFO serves
         // 2 first: with edges to the holders alone it never says so.
-        let m = mgr(5000, true);
+        let m = mgr(5000);
         let (a, d) = (LockId::row(1, 1), LockId::row(1, 2));
         m.acquire(1, a, LockMode::X).unwrap();
         m.acquire(3, d, LockMode::X).unwrap();
@@ -750,12 +658,14 @@ mod tests {
         releaser.join().unwrap();
     }
 
+    /// Written for a lock granted but not yet claimed, so holderless; now the
+    /// release itself makes 2 the holder, and the shape stays pinned.
     #[test]
     fn detector_sees_a_cycle_through_a_regrant() {
         // 1 lets go of `a`, handing it to waiting 2, and at once asks for it
         // again as 3 — before 2 has woken to take it, so `a` has no holder.
         // 2 then asks for `d`, which 3 holds.
-        let m = mgr(5000, true);
+        let m = mgr(5000);
         let (a, d) = (LockId::row(1, 1), LockId::row(1, 2));
         m.acquire(1, a, LockMode::X).unwrap();
         m.acquire(3, d, LockMode::X).unwrap();
@@ -781,7 +691,7 @@ mod tests {
 
     #[test]
     fn upgrade_with_competitor_fails_fast() {
-        let m = mgr(100, true);
+        let m = mgr(100);
         let id = LockId::row(3, 3);
         m.acquire(1, id, LockMode::S).unwrap();
         m.acquire(2, id, LockMode::S).unwrap();
@@ -796,15 +706,15 @@ mod tests {
 
     #[test]
     fn intention_locks_at_table_level() {
-        let m = mgr(50, false);
+        let m = mgr(50);
         let t = LockId::table(5);
         m.acquire(1, t, LockMode::IX).unwrap();
         m.acquire(2, t, LockMode::IX).unwrap();
         m.acquire(3, t, LockMode::IS).unwrap();
-        assert!(!m.try_acquire(4, t, LockMode::S).unwrap());
+        assert!(!try_acquire(&m, 4, t, LockMode::S));
         m.release_all(1, &[t]);
         m.release_all(2, &[t]);
-        assert!(m.try_acquire(4, t, LockMode::S).unwrap());
+        assert!(try_acquire(&m, 4, t, LockMode::S));
         m.release_all(3, &[t]);
         m.release_all(4, &[t]);
     }
@@ -815,7 +725,7 @@ mod tests {
         // must resolve through the detector (never the 5 s timeout), even
         // though every cycle spans two graph stripes being mutated
         // concurrently with six other cycles.
-        let m = mgr(5000, true);
+        let m = mgr(5000);
         std::thread::scope(|s| {
             for pair in 0..8u64 {
                 let barrier = Arc::new(std::sync::Barrier::new(2));
@@ -845,7 +755,7 @@ mod tests {
 
     #[test]
     fn concurrent_hammering_many_keys() {
-        let m = mgr(5000, true);
+        let m = mgr(5000);
         std::thread::scope(|s| {
             for txn in 0..8u64 {
                 let m = Arc::clone(&m);

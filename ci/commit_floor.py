@@ -7,9 +7,9 @@ Usage: commit_floor.py [--device-us 100] [--factor 5] <output of `benchmark --wo
 Defaults gate `wire_mixed_open`: it runs below saturation on a 100 us device
 (BENCHMARK.json), so its commit p50 is the unloaded floor. The flush daemon
 starts on a commit as soon as a flusher is idle, so that floor is the device
-plus the wakeup chain (327-345 us measured). A group-commit timer back on the
-path costs `max_wait` = 1 ms on top, which is ten syncs; the default 5x is
-what notices.
+plus the wakeup chain (268 us measured, median of four runs on a 2-core
+host). A group-commit timer back on the path costs `max_wait` = 1 ms on top,
+which is ten syncs; the default 5x is what notices.
 
 `--device-us 1000 --factor 1.6` gates `wire_pipelined_disk`: saturated on a
 1 ms device, a commit that arrives during a sync starts the next flush beside

@@ -41,6 +41,7 @@ pub use waitset::WaitSet;
 use sim::SimState;
 use std::cell::RefCell;
 use std::fmt;
+use std::os::raw::{c_int, c_ulong};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -146,18 +147,29 @@ pub fn yield_now() {
     std::thread::yield_now();
 }
 
-/// How much of a [`precise_sleep`] is spun rather than slept. An OS sleep of
-/// 20 µs–1 ms on the development host comes back 65–80 µs late at the median
-/// and ~100 µs late at p90 (EXPERIMENTS.md has the histogram), so sleeping
-/// all but this tail wakes before the deadline nine times in ten, and the
-/// spin that remains is ~50 µs, whatever the length of the wait.
-const SPIN_TAIL: Duration = Duration::from_micros(120);
+/// How much of a [`precise_sleep`] is spun rather than slept. With a 1 ns
+/// timer slack an OS sleep of 20–200 µs on the development host comes back
+/// ~5 µs late at the median and ≤ 10 µs at p90 (EXPERIMENTS.md has the
+/// histogram), so sleeping all but this tail wakes before the deadline nine
+/// times in ten, and the spin that remains is ~20 µs, whatever the wait. At
+/// 0.5–1 ms the OS sleep is 15–18 µs late at the median and 28–38 µs at p90,
+/// so one wait in ten ends 20–25 µs past its deadline: 2 % of a 1 ms device.
+const SPIN_TAIL: Duration = Duration::from_micros(25);
 
-/// Sleep for `d` and never less: an OS sleep for all but `SPIN_TAIL`, then
-/// a spin to the deadline. The device, link and service-time models wait
-/// here — a plain OS sleep overshoots by a timer slack they cannot afford,
-/// and spinning the whole wait takes a core from the system being modeled.
-/// Virtual (exact) in sim.
+// std links libc already. The timer slack is how late the kernel may fire a
+// thread's timers to coalesce them: 50 µs by default, most of a short wait.
+extern "C" {
+    fn prctl(option: c_int, ...) -> c_int;
+}
+const PR_SET_TIMERSLACK: c_int = 29;
+const PR_GET_TIMERSLACK: c_int = 30;
+
+/// Sleep for `d` and never less: an OS sleep for all but `SPIN_TAIL`, with
+/// the calling thread's timer slack at 1 ns for that sleep alone, then a spin
+/// to the deadline. The device, link and service-time models wait here — a
+/// plain OS sleep overshoots by a timer slack they cannot afford, and
+/// spinning the whole wait takes a core from the system being modeled. The
+/// caller's slack is restored before the spin. Virtual (exact) in sim.
 pub fn precise_sleep(d: Duration) {
     if let Some((st, me)) = tls_sim() {
         if !d.is_zero() {
@@ -170,7 +182,12 @@ pub fn precise_sleep(d: Duration) {
     }
     let start = Instant::now();
     if d > SPIN_TAIL {
+        // SAFETY: these `prctl` options read and set only the calling
+        // thread's timer slack. 1 ns is the least: 0 means "the default".
+        let slack = unsafe { prctl(PR_GET_TIMERSLACK) };
+        unsafe { prctl(PR_SET_TIMERSLACK, 1 as c_ulong) };
         std::thread::sleep(d - SPIN_TAIL);
+        unsafe { prctl(PR_SET_TIMERSLACK, slack as c_ulong) };
     }
     while start.elapsed() < d {
         std::hint::spin_loop();
@@ -601,6 +618,66 @@ mod tests {
         assert_eq!(a, b, "same seed must replay byte-identically");
         let c = run(100);
         assert_ne!(a, c, "different seeds should diverge");
+    }
+
+    fn timer_slack() -> c_int {
+        // SAFETY: reads only the calling thread's timer slack.
+        unsafe { prctl(PR_GET_TIMERSLACK) }
+    }
+
+    #[test]
+    fn precise_sleep_gives_the_borrowed_timer_slack_back() {
+        std::thread::spawn(|| {
+            // SAFETY: sets only this thread's timer slack.
+            unsafe { prctl(PR_SET_TIMERSLACK, 123_456 as c_ulong) };
+            assert_eq!(timer_slack(), 123_456);
+            precise_sleep(Duration::from_micros(200));
+            assert_eq!(timer_slack(), 123_456);
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: std::os::raw::c_long,
+        tv_nsec: std::os::raw::c_long,
+    }
+    const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
+    extern "C" {
+        fn clock_gettime(clock: c_int, ts: *mut Timespec) -> c_int;
+    }
+
+    /// CPU time this thread has run, user and system.
+    fn thread_cpu_ns() -> u64 {
+        let mut ts = Timespec {
+            tv_sec: 0,
+            tv_nsec: 0,
+        };
+        // SAFETY: `ts` outlives the call.
+        assert_eq!(
+            unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) },
+            0
+        );
+        ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
+    }
+
+    /// Counted, not timed: the CPU a wait burns, which a busy host does not
+    /// inflate (a spinning thread that is preempted accrues none). A 120 µs
+    /// tail at the default 50 µs slack burns ≈ 100 and ≈ 65 µs here.
+    #[test]
+    fn precise_sleep_spins_only_a_short_tail() {
+        for us in [100u64, 200] {
+            let cpu = thread_cpu_ns();
+            for _ in 0..100 {
+                precise_sleep(Duration::from_micros(us));
+            }
+            let per_sleep = (thread_cpu_ns() - cpu) / 100;
+            assert!(
+                per_sleep <= 35_000,
+                "a {us} µs sleep burns {per_sleep} ns of CPU"
+            );
+        }
     }
 
     #[test]

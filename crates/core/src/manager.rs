@@ -365,18 +365,16 @@ impl LogManager {
             CommitPipeline::fail_action(action);
             return;
         }
-        if self.commit_lsn() >= lsn {
-            // Already committable: run inline.
-            self.pipeline.submit(lsn, action);
-            self.pipeline.complete_upto(self.commit_lsn());
-            return;
-        }
+        let committable = self.commit_lsn() >= lsn;
         self.pipeline.submit(lsn, action);
-        match &self.flush_shared {
-            Some(shared) => shared.note_commit(lsn),
-            None => {
-                self.pipeline.complete_upto(self.commit_lsn());
-            }
+        if let (false, Some(shared)) = (committable, &self.flush_shared) {
+            shared.note_commit(lsn);
+        }
+        // Look again after the submit: a flush may have made `lsn` durable
+        // and completed its group between the look above and the submit, and
+        // no flush would come back for this action.
+        if self.commit_lsn() >= lsn {
+            self.pipeline.complete_upto(self.commit_lsn());
         }
     }
 

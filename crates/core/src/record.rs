@@ -171,17 +171,30 @@ pub const FRAME_OVERHEAD: usize = 12;
 /// flip anywhere is detected. The replication frames and the serving
 /// protocol are field packers over this one layout.
 pub fn frame_encode(magic: u32, fields: &[u8], body: &[u8]) -> Vec<u8> {
-    let header = FRAME_OVERHEAD + fields.len();
-    let len = u32::try_from(body.len()).expect("frame body under 4 GiB");
-    let mut out = Vec::with_capacity(header + body.len());
+    let mut out = Vec::with_capacity(FRAME_OVERHEAD + fields.len() + body.len());
+    frame_encode_into(&mut out, magic, fields, |out| out.extend_from_slice(body));
+    out
+}
+
+/// [`frame_encode`] appending onto `out`, with the body written in place by
+/// `body`: a codec that batches frames into one buffer allocates nothing
+/// per frame.
+pub fn frame_encode_into(
+    out: &mut Vec<u8>,
+    magic: u32,
+    fields: &[u8],
+    body: impl FnOnce(&mut Vec<u8>),
+) {
+    let start = out.len();
+    let header = start + FRAME_OVERHEAD + fields.len();
     out.extend_from_slice(&magic.to_le_bytes());
     out.extend_from_slice(fields);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&[0u8; 4]); // crc placeholder
-    out.extend_from_slice(body);
-    let crc = crc32(&out);
+    out.extend_from_slice(&[0u8; 8]); // len and crc, sealed below
+    body(out);
+    let len = u32::try_from(out.len() - header).expect("frame body under 4 GiB");
+    out[header - 8..header - 4].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&out[start..]);
     out[header - 4..header].copy_from_slice(&crc.to_le_bytes());
-    out
 }
 
 /// Validate one complete frame written by [`frame_encode`] and split it into

@@ -19,7 +19,7 @@
 //! in request order (invariant 10 in DESIGN.md), so a pipelining client can
 //! also match responses positionally.
 
-use aether_core::record::{frame_check, frame_encode, FRAME_OVERHEAD};
+use aether_core::record::{frame_check, frame_encode_into, FRAME_OVERHEAD};
 
 /// Frame header size on the wire.
 pub const WIRE_HEADER: usize = FRAME_OVERHEAD + FIELDS;
@@ -228,11 +228,18 @@ const OP_ERR: u8 = 0xFF;
 /// Bytes of fixed fields between the magic and `len`: `req_id`, `opcode`.
 const FIELDS: usize = 9;
 
-fn frame(magic: u32, req_id: u64, opcode: u8, body: &[u8]) -> Vec<u8> {
+/// Append one frame; `body` writes the body in place.
+fn frame_into(
+    out: &mut Vec<u8>,
+    magic: u32,
+    req_id: u64,
+    opcode: u8,
+    body: impl FnOnce(&mut Vec<u8>),
+) {
     let mut fields = [0u8; FIELDS];
     fields[..8].copy_from_slice(&req_id.to_le_bytes());
     fields[8] = opcode;
-    frame_encode(magic, &fields, body)
+    frame_encode_into(out, magic, &fields, body)
 }
 
 /// CRC-check one complete frame and split it into `(req_id, opcode, body)`.
@@ -245,9 +252,27 @@ fn check(magic: u32, buf: &[u8]) -> Option<(u64, u8, &[u8])> {
 impl Request {
     /// Serialize with the given request id.
     pub fn encode(&self, req_id: u64) -> Vec<u8> {
-        let mut b = Vec::new();
-        let op = match self {
+        let mut out = Vec::new();
+        self.encode_into(req_id, &mut out);
+        out
+    }
+
+    fn opcode(&self) -> u8 {
+        match self {
             Request::Begin => OP_BEGIN,
+            Request::Read { .. } => OP_READ,
+            Request::Scan { .. } => OP_SCAN,
+            Request::Update { .. } => OP_UPDATE,
+            Request::Commit { .. } => OP_COMMIT,
+            Request::Abort { .. } => OP_ABORT,
+            Request::Ping => OP_PING,
+        }
+    }
+
+    /// Append the frame [`Request::encode`] returns onto `out`.
+    pub fn encode_into(&self, req_id: u64, out: &mut Vec<u8>) {
+        frame_into(out, REQUEST_MAGIC, req_id, self.opcode(), |b| match self {
+            Request::Begin | Request::Ping => {}
             Request::Read {
                 table,
                 key,
@@ -256,7 +281,6 @@ impl Request {
                 b.extend_from_slice(&table.to_le_bytes());
                 b.extend_from_slice(&key.to_le_bytes());
                 b.extend_from_slice(&at_least.to_le_bytes());
-                OP_READ
             }
             Request::Scan {
                 table,
@@ -266,7 +290,6 @@ impl Request {
                 b.extend_from_slice(&table.to_le_bytes());
                 b.extend_from_slice(&start.to_le_bytes());
                 b.extend_from_slice(&count.to_le_bytes());
-                OP_SCAN
             }
             Request::Update {
                 txn,
@@ -278,19 +301,11 @@ impl Request {
                 b.extend_from_slice(&table.to_le_bytes());
                 b.extend_from_slice(&key.to_le_bytes());
                 b.extend_from_slice(value);
-                OP_UPDATE
             }
-            Request::Commit { txn } => {
+            Request::Commit { txn } | Request::Abort { txn } => {
                 b.extend_from_slice(&txn.to_le_bytes());
-                OP_COMMIT
             }
-            Request::Abort { txn } => {
-                b.extend_from_slice(&txn.to_le_bytes());
-                OP_ABORT
-            }
-            Request::Ping => OP_PING,
-        };
-        frame(REQUEST_MAGIC, req_id, op, &b)
+        })
     }
 
     /// Decode a complete request frame; `None` for anything malformed.
@@ -365,11 +380,30 @@ impl Request {
 impl Response {
     /// Serialize with the request id being answered.
     pub fn encode(&self, req_id: u64) -> Vec<u8> {
-        let mut b = Vec::new();
-        let op = match self {
-            Response::Begun { txn } => {
-                b.extend_from_slice(&txn.to_le_bytes());
-                OP_BEGUN
+        let mut out = Vec::new();
+        self.encode_into(req_id, &mut out);
+        out
+    }
+
+    fn opcode(&self) -> u8 {
+        match self {
+            Response::Begun { .. } => OP_BEGUN,
+            Response::Value { .. } => OP_VALUE,
+            Response::ScanDone { .. } => OP_SCAN_DONE,
+            Response::UpdateOk => OP_UPDATE_OK,
+            Response::Committed { .. } => OP_COMMITTED,
+            Response::Aborted => OP_ABORTED,
+            Response::Pong => OP_PONG,
+            Response::Err { .. } => OP_ERR,
+        }
+    }
+
+    /// Append the frame [`Response::encode`] returns onto `out`.
+    pub fn encode_into(&self, req_id: u64, out: &mut Vec<u8>) {
+        frame_into(out, RESPONSE_MAGIC, req_id, self.opcode(), |b| match self {
+            Response::UpdateOk | Response::Aborted | Response::Pong => {}
+            Response::Begun { txn: word } | Response::Committed { token: word } => {
+                b.extend_from_slice(&word.to_le_bytes());
             }
             Response::Value {
                 present,
@@ -380,27 +414,16 @@ impl Response {
                 b.push(u8::from(*present) | (u8::from(*from_replica) << 1));
                 b.extend_from_slice(&applied.to_le_bytes());
                 b.extend_from_slice(value);
-                OP_VALUE
             }
             Response::ScanDone { found, checksum } => {
                 b.extend_from_slice(&found.to_le_bytes());
                 b.extend_from_slice(&checksum.to_le_bytes());
-                OP_SCAN_DONE
             }
-            Response::UpdateOk => OP_UPDATE_OK,
-            Response::Committed { token } => {
-                b.extend_from_slice(&token.to_le_bytes());
-                OP_COMMITTED
-            }
-            Response::Aborted => OP_ABORTED,
-            Response::Pong => OP_PONG,
             Response::Err { code, msg } => {
                 b.extend_from_slice(&code.to_le_bytes());
                 b.extend_from_slice(msg.as_bytes());
-                OP_ERR
             }
-        };
-        frame(RESPONSE_MAGIC, req_id, op, &b)
+        })
     }
 
     /// Decode a complete response frame; `None` for anything malformed.

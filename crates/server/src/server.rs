@@ -295,7 +295,7 @@ fn write_responses(
     while let Some(ready) = resp.next_ready() {
         bytes.clear();
         for (req_id, r) in &ready {
-            bytes.extend_from_slice(&r.encode(*req_id));
+            r.encode_into(*req_id, &mut bytes);
         }
         tel.record(ids.ack_batch, ready.len() as u64);
         tel.add(ids.responses, ready.len() as u64);

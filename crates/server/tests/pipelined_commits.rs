@@ -252,3 +252,48 @@ fn pipelined_window_beats_serial_at_equal_connections() {
         "window {WINDOW} took {piped_ns} ns, window 1 took {serial_ns} ns"
     );
 }
+
+/// A client that queues 4096 auto-commits of 1 KiB (4 MiB, far past the
+/// client's 64 KiB out-buffer and the socket buffers) before it reads an
+/// ack must not deadlock with the server, and gets every ack in request
+/// order (invariant 10).
+#[test]
+fn a_deep_send_only_burst_over_tcp_is_acked_in_order() {
+    const UPDATES: u64 = 4096;
+    let db = Db::open(DbOptions {
+        protocol: CommitProtocol::Pipelined,
+        ..DbOptions::default()
+    });
+    let table = db.create_table(1024, UPDATES);
+    for k in 0..UPDATES {
+        db.load(table, k, &[0u8; 1024]).unwrap();
+    }
+    db.setup_complete();
+    let cfg = ServerConfig {
+        addr: Some("127.0.0.1:0".parse().unwrap()),
+        ..ServerConfig::default()
+    };
+    let server = Server::start(Engine::primary(Arc::clone(&db)), cfg).unwrap();
+    let mut client = Client::connect_tcp(server.local_addr().unwrap()).unwrap();
+    let ids: Vec<u64> = (0..UPDATES)
+        .map(|key| {
+            let value = vec![key as u8; 1024];
+            let req = Request::Update {
+                txn: 0,
+                table,
+                key,
+                value,
+            };
+            client.send(&req).unwrap()
+        })
+        .collect();
+    for id in ids {
+        match client.recv().unwrap() {
+            (got, Response::Committed { .. }) => assert_eq!(got, id, "ack out of order"),
+            (_, other) => panic!("request {id}: unexpected {other:?}"),
+        }
+    }
+    client.close();
+    server.shutdown();
+    db.log().shutdown();
+}

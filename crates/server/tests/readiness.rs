@@ -125,6 +125,7 @@ fn a_client_that_stops_reading_stalls_only_its_own_connection() {
             for _ in 0..BATCH {
                 a.send(&Request::Ping).unwrap();
             }
+            a.flush().unwrap();
             // Every request so far, the other connection's ping included.
             let total = round * BATCH + 1;
             let deadline = Instant::now() + Duration::from_secs(1);
@@ -133,6 +134,11 @@ fn a_client_that_stops_reading_stalls_only_its_own_connection() {
             }
             std::thread::sleep(Duration::from_millis(20));
             if count("server.responses") < total {
+                // Stalled on the way out, not short of requests.
+                assert!(
+                    count("server.requests") >= total,
+                    "the server read too few pings"
+                );
                 stalled_tx.send(()).unwrap();
                 break;
             }

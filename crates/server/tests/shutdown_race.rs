@@ -173,6 +173,8 @@ fn server_shutdown_mid_pipeline_leaves_clean_db() {
                 })
                 .unwrap();
         }
+        // Queued requests leave only on a read, a flush or a close.
+        client.flush().unwrap();
         clients.push(client);
     }
     assert!(db.locks().granted_count() >= 4);

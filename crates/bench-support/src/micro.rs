@@ -19,6 +19,7 @@
 
 use aether_core::buffer::{BufferCore, BufferKind, InsertBuffer, LogBuffer};
 use aether_core::record::{on_log_size, RecordKind, HEADER_SIZE};
+use aether_core::runtime::lock;
 use aether_core::telemetry::Unit;
 use aether_core::{LogConfig, Lsn};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -225,7 +226,7 @@ pub fn run_micro(cfg: &MicroConfig) -> MicroResult {
 /// Measures the pure header+memcpy cost that bounds every shared design.
 pub fn run_thread_local(threads: usize, payload: usize, duration: Duration) -> MicroResult {
     let stop = Arc::new(AtomicBool::new(false));
-    let totals = Arc::new(parking_lot::Mutex::new((0u64, 0u64)));
+    let totals = Arc::new(std::sync::Mutex::new((0u64, 0u64)));
     let start = Instant::now();
     std::thread::scope(|s| {
         for t in 0..threads {
@@ -256,7 +257,7 @@ pub fn run_thread_local(threads: usize, payload: usize, duration: Duration) -> M
                         inserts += 1;
                     }
                 }
-                let mut g = totals.lock();
+                let mut g = lock(&totals);
                 g.0 += inserts;
                 g.1 += inserts * rec as u64;
                 std::hint::black_box(&local);
@@ -266,7 +267,7 @@ pub fn run_thread_local(threads: usize, payload: usize, duration: Duration) -> M
         stop.store(true, Ordering::Relaxed);
     });
     let wall_s = start.elapsed().as_secs_f64();
-    let (inserts, bytes) = *totals.lock();
+    let (inserts, bytes) = *lock(&totals);
     MicroResult {
         inserts,
         bytes,

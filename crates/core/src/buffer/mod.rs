@@ -499,7 +499,7 @@ impl WaitBackoff {
 /// A test-and-test-and-set lock with bounded spinning and yielding.
 ///
 /// The log insert critical section is short (§5: "LSN generation is short and
-/// predictable"), so a spin lock is appropriate. Unlike `parking_lot::Mutex`,
+/// predictable"), so a spin lock is appropriate. Unlike `std::sync::Mutex`,
 /// this lock may be *released by a different thread* than the one that
 /// acquired it — exactly what the consolidation variant needs, where the last
 /// member of a group to finish its fill releases the lock the group leader
@@ -841,16 +841,21 @@ impl BufferCore {
     /// lock; D, CD and CDME go through [`BufferCore::release_ordered`]).
     #[inline]
     pub fn advance_released(&self, upto: Lsn) {
+        let from = self.order.released();
         self.order.publish(upto);
-        self.after_release();
+        self.after_release(from);
     }
 
-    /// Under auto-reclaim a release is a durable advance too: wake whoever
-    /// waits for one.
+    /// Run by whoever moved the released watermark from `from`, after the
+    /// publish. Under auto-reclaim a release is a durable advance too: wake
+    /// whoever waits for one. Otherwise a flusher may have parked on a
+    /// commit registered ahead of these bytes: the daemon wakes it.
     #[inline]
-    fn after_release(&self) {
+    fn after_release(&self, from: Lsn) {
         if self.auto_reclaim() {
             self.notify_durable();
+        } else if let Some(flusher) = self.flusher.get() {
+            flusher.released_from(from);
         }
     }
 
@@ -877,6 +882,11 @@ impl BufferCore {
         let _ = self.closed.set(poison);
         fence(Ordering::SeqCst);
         self.durable_wait.notify();
+    }
+
+    /// Whether the log is closed: poisoned or shut down.
+    pub(crate) fn is_closed(&self) -> bool {
+        self.closed.get().is_some()
     }
 
     /// Why the flush daemon halted, if it did so on a device failure: the
@@ -960,9 +970,13 @@ impl BufferCore {
         }
         match self.order.finish(ticket, start, end) {
             Finish::HandedOff => self.stats.record_delegated(),
-            Finish::Head => self
-                .order
-                .advance(ticket, start, end, |_| self.after_release()),
+            Finish::Head => {
+                let mut from = start;
+                self.order.advance(ticket, start, end, |upto| {
+                    self.after_release(from);
+                    from = upto;
+                });
+            }
         }
     }
 

@@ -38,6 +38,14 @@
 //! **Invariant:** `released` is the end of a contiguous prefix of completed
 //! fills, and exactly one thread — the head — advances it at a time.
 //!
+//! The same pair wakes the flush daemon for a commit registered ahead of its
+//! handed-off release. A flusher that finds the want and nothing released
+//! raises `FlushShared::ahead` to it and then reads `released`; after every
+//! publish the head reads `ahead` (`BufferCore::after_release`). Both writes
+//! and both reads are `SeqCst` (the flusher's read follows a `SeqCst` fence),
+//! so either the flusher sees the bytes and claims them, or the head sees a
+//! want above the watermark it moved from and wakes a flusher.
+//!
 //! An entry may be reused once its previous ticket is released, so at most
 //! `N` tickets are outstanding: `LsnAlloc::ticket` holds back the `N`-th
 //! reservation past the head (under the insert lock, like ring
@@ -202,6 +210,7 @@ impl OrderedRelease {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::lock;
 
     fn release(o: &OrderedRelease, ticket: u64, start: u64, end: u64) -> Finish {
         let f = o.finish(ticket, Lsn(start), Lsn(end));
@@ -273,7 +282,7 @@ mod tests {
         // Tickets and ranges are issued under a mutex (the insert lock's
         // job); finishes race freely.
         let o = OrderedRelease::new(Lsn::ZERO, 64);
-        let next = parking_lot::Mutex::new((0u64, 0u64));
+        let next = std::sync::Mutex::new((0u64, 0u64));
         let publishes = AtomicU64::new(0);
         let (threads, per, len) = (8u64, 4000u64, 24u64);
         std::thread::scope(|s| {
@@ -281,7 +290,7 @@ mod tests {
                 s.spawn(|| {
                     for i in 0..per {
                         let (ticket, start) = {
-                            let mut n = next.lock();
+                            let mut n = lock(&next);
                             while o.tickets_free(n.0) == 0 {
                                 std::thread::yield_now();
                             }

@@ -251,6 +251,7 @@ impl CArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::lock;
     use std::sync::Arc;
 
     #[test]
@@ -324,7 +325,7 @@ mod tests {
         let ca = Arc::new(CArray::new(1, 8, 1 << 30));
         let threads = 16;
         let size = 48u64;
-        let results = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let results = Arc::new(std::sync::Mutex::new(Vec::new()));
         std::thread::scope(|s| {
             for _ in 0..threads {
                 let ca = Arc::clone(&ca);
@@ -338,16 +339,14 @@ mod tests {
                         j.slot.notify(Lsn(0), total, 0);
                     }
                     let (_, _, _) = j.slot.wait();
-                    results
-                        .lock()
-                        .push((j.slot as *const Slot as usize, j.offset));
+                    lock(&results).push((j.slot as *const Slot as usize, j.offset));
                     if j.slot.release_member(size) {
                         j.slot.free();
                     }
                 });
             }
         });
-        let results = results.lock();
+        let results = lock(&results);
         assert_eq!(results.len(), threads);
         // Group offsets within each slot must be distinct multiples of size.
         use std::collections::HashMap;

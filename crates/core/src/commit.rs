@@ -9,12 +9,11 @@
 //! ever blocks on I/O; agent threads never context-switch for a commit.
 
 use crate::lsn::{AtomicLsn, Lsn};
-use crate::runtime::WaitSet;
+use crate::runtime::{lock, read, write, WaitSet};
 use crate::telemetry::{Stage, Telemetry};
-use parking_lot::{Mutex, RwLock};
 use std::collections::BinaryHeap;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// Completion state shared between a [`CommitHandle`] and the pipeline.
 #[derive(Debug, Default)]
@@ -179,7 +178,7 @@ impl CommitPipeline {
     /// durable watermark reaches `lsn`.
     pub fn submit(&self, lsn: Lsn, action: CommitAction) {
         self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.heap.lock().push(Pending { lsn, action });
+        lock(&self.heap).push(Pending { lsn, action });
     }
 
     /// Number of commits submitted so far.
@@ -200,7 +199,7 @@ impl CommitPipeline {
 
     /// Commits currently awaiting durability.
     pub fn pending(&self) -> usize {
-        self.heap.lock().len()
+        lock(&self.heap).len()
     }
 
     /// Complete every pending commit with `lsn <= durable`. Actions run
@@ -208,7 +207,7 @@ impl CommitPipeline {
     pub fn complete_upto(&self, durable: Lsn) -> usize {
         let mut ready = Vec::new();
         {
-            let mut heap = self.heap.lock();
+            let mut heap = lock(&self.heap);
             while let Some(p) = heap.peek() {
                 if p.lsn <= durable {
                     ready.push(heap.pop().unwrap());
@@ -244,7 +243,7 @@ impl CommitPipeline {
     /// Returns how many were failed.
     pub fn fail_pending(&self) -> usize {
         let drained: Vec<Pending> = {
-            let mut heap = self.heap.lock();
+            let mut heap = lock(&self.heap);
             std::mem::take(&mut *heap).into_vec()
         };
         let n = drained.len();
@@ -365,20 +364,20 @@ impl CommitGate {
 
     /// Install the durability policy.
     pub fn set_policy(&self, policy: DurabilityPolicy) {
-        *self.policy.write() = Some(policy);
+        *write(&self.policy) = Some(policy);
         self.notify();
     }
 
     /// The installed policy, if any.
     pub fn policy(&self) -> Option<DurabilityPolicy> {
-        *self.policy.read()
+        *read(&self.policy)
     }
 
     /// Register a replica; the returned handle is advanced as its acks
     /// arrive.
     pub fn register_replica(&self) -> Arc<ReplicaAck> {
         let ack = Arc::new(ReplicaAck::default());
-        self.replicas.write().push(Arc::clone(&ack));
+        write(&self.replicas).push(Arc::clone(&ack));
         ack
     }
 
@@ -388,7 +387,7 @@ impl CommitGate {
     /// Waiters are re-notified — removing a laggard can only *raise* the
     /// floor. Returns whether the handle was registered.
     pub fn unregister_replica(&self, ack: &Arc<ReplicaAck>) -> bool {
-        let mut replicas = self.replicas.write();
+        let mut replicas = write(&self.replicas);
         let before = replicas.len();
         replicas.retain(|r| !Arc::ptr_eq(r, ack));
         let removed = replicas.len() != before;
@@ -409,8 +408,7 @@ impl CommitGate {
         if self.is_poisoned() {
             return Lsn::MAX;
         }
-        self.replicas
-            .read()
+        read(&self.replicas)
             .iter()
             .map(|r| r.acked())
             .min()
@@ -431,14 +429,14 @@ impl CommitGate {
     /// required number of replicas ([`Lsn::MAX`] when no acks are required,
     /// [`Lsn::ZERO`] when fewer replicas than required are registered).
     pub fn replicated_floor(&self) -> Lsn {
-        let required = match *self.policy.read() {
+        let required = match *read(&self.policy) {
             Some(p) => p.required_acks(),
             None => 0,
         };
         if required == 0 {
             return Lsn::MAX;
         }
-        let replicas = self.replicas.read();
+        let replicas = read(&self.replicas);
         if replicas.len() < required {
             return Lsn::ZERO;
         }
@@ -512,15 +510,15 @@ mod tests {
             let log = Arc::clone(&log);
             p.submit(
                 Lsn(lsn),
-                CommitAction::Callback(Box::new(move |_| log.lock().push(lsn))),
+                CommitAction::Callback(Box::new(move |_| lock(&log).push(lsn))),
             );
         }
         assert_eq!(p.pending(), 4);
         assert_eq!(p.complete_upto(Lsn(250)), 2);
-        assert_eq!(&*log.lock(), &[100, 200]);
+        assert_eq!(&*lock(&log), &[100, 200]);
         assert_eq!(p.complete_upto(Lsn(250)), 0);
         assert_eq!(p.complete_upto(Lsn(1000)), 2);
-        assert_eq!(&*log.lock(), &[100, 200, 300, 400]);
+        assert_eq!(&*lock(&log), &[100, 200, 300, 400]);
         assert_eq!(p.submitted(), 4);
         assert_eq!(p.completed(), 4);
         assert_eq!(p.pending(), 0);

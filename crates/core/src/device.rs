@@ -11,9 +11,10 @@
 
 use crate::error::Result;
 use crate::lsn::Lsn;
-use parking_lot::Mutex;
+use crate::runtime::lock;
 use std::io::{Seek, SeekFrom, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Abstraction over the durable end of the log.
@@ -168,20 +169,20 @@ impl SimDevice {
 
     /// Copy of the stored bytes (stream offsets `[low_water, len)`).
     pub fn contents(&self) -> Vec<u8> {
-        self.data.lock().clone()
+        lock(&self.data).clone()
     }
 
     /// Cut the stream off at `stream_len` — crash-injection tests and
     /// recovery clip a torn tail this way.
     pub fn truncate(&self, stream_len: u64) {
         let keep = stream_len.saturating_sub(self.base.raw());
-        self.data.lock().truncate(keep as usize);
+        lock(&self.data).truncate(keep as usize);
     }
 }
 
 impl LogDevice for SimDevice {
     fn write_vectored(&self, bufs: &[&[u8]]) -> Result<()> {
-        let mut data = self.data.lock();
+        let mut data = lock(&self.data);
         data.reserve(bufs.iter().map(|b| b.len()).sum());
         for b in bufs {
             data.extend_from_slice(b);
@@ -193,7 +194,7 @@ impl LogDevice for SimDevice {
         Ok(())
     }
     fn read_at(&self, offset: u64, dst: &mut [u8]) -> Result<usize> {
-        let data = self.data.lock();
+        let data = lock(&self.data);
         // Below the base is the truncated prefix: nothing to read.
         let start = match offset.checked_sub(self.base.raw()) {
             Some(s) if s < data.len() as u64 => s as usize,
@@ -204,7 +205,7 @@ impl LogDevice for SimDevice {
         Ok(n)
     }
     fn len(&self) -> u64 {
-        self.base.raw() + self.data.lock().len() as u64
+        self.base.raw() + lock(&self.data).len() as u64
     }
     fn low_water(&self) -> Lsn {
         self.base
@@ -250,12 +251,12 @@ impl StallDevice {
 
     /// Hold the device: from now on `sync` blocks until [`StallDevice::release`].
     pub fn hold(&self) {
-        self.gate.lock().held = true;
+        lock(&self.gate).held = true;
     }
 
     /// Let blocked and future `sync` calls through.
     pub fn release(&self) {
-        self.gate.lock().held = false;
+        lock(&self.gate).held = false;
         self.cv.notify_all();
     }
 
@@ -263,7 +264,7 @@ impl StallDevice {
     /// flushes in flight have written their bytes and nothing more can
     /// become durable until release.
     pub fn wait_blocked(&self, syncs: usize) {
-        let mut g = self.gate.lock();
+        let mut g = lock(&self.gate);
         while g.blocked < syncs {
             g = self.cv.wait(&self.gate, g);
         }
@@ -275,7 +276,7 @@ impl LogDevice for StallDevice {
         self.store.write_vectored(bufs)
     }
     fn sync(&self) -> Result<()> {
-        let mut g = self.gate.lock();
+        let mut g = lock(&self.gate);
         if g.held {
             g.blocked += 1;
             self.cv.notify_all();
@@ -288,7 +289,7 @@ impl LogDevice for StallDevice {
         // This sync covers what was appended before it passed the gate.
         let covered = self.store.len() as usize;
         self.store.sync()?;
-        let mut g = self.gate.lock();
+        let mut g = lock(&self.gate);
         g.durable_len = g.durable_len.max(covered);
         Ok(())
     }
@@ -300,7 +301,7 @@ impl LogDevice for StallDevice {
     }
     fn snapshot(&self) -> Option<(Lsn, Vec<u8>)> {
         let mut bytes = self.store.contents();
-        bytes.truncate(self.gate.lock().durable_len);
+        bytes.truncate(lock(&self.gate).durable_len);
         Some((Lsn::ZERO, bytes))
     }
 }
@@ -358,7 +359,7 @@ impl FileDevice {
 
 impl LogDevice for FileDevice {
     fn write_vectored(&self, bufs: &[&[u8]]) -> Result<()> {
-        let mut f = self.file.lock();
+        let mut f = lock(&self.file);
         f.seek(SeekFrom::End(0))?;
         // One seek, then gathered writes. `Write::write_vectored` may write
         // short, so drive each run with write_all — the bytes still go
@@ -377,7 +378,7 @@ impl LogDevice for FileDevice {
     }
     fn read_at(&self, offset: u64, dst: &mut [u8]) -> Result<usize> {
         use std::io::Read;
-        let mut f = self.file.lock();
+        let mut f = lock(&self.file);
         f.seek(SeekFrom::Start(offset))?;
         let mut total = 0;
         while total < dst.len() {

@@ -54,8 +54,14 @@
 //! one holding it up, which looks again when done; flusher 0 alone keeps T's
 //! clock while parked. One input changes outside the lock: a commit whose
 //! release was handed to a predecessor that is still filling is registered
-//! *before* its bytes are released, and nothing runs when they are. For
-//! that case alone a flusher looks again after `HANDOFF_RELOOK`.
+//! *before* its bytes are released. A flusher that finds such a want and
+//! nothing released raises `ahead` to it before it parks, and the head of the
+//! release order that publishes bytes from below `ahead` takes the lock and
+//! wakes one (`FlushShared::released_from`). The flusher's raise-then-look
+//! at `released` and the head's publish-then-look at `ahead` are a `SeqCst`
+//! Dekker pair (the argument in `buffer/release.rs`), so one of the two sees
+//! the other. `ahead` is compared with the watermark the head moved *from*,
+//! so a want is never left waiting for a later want that is still unreleased.
 //!
 //! The daemon's clients do not wait here. Whoever needs an LSN durable — a
 //! blocking committer, an inserter out of ring space — raises `wanted` and
@@ -69,23 +75,17 @@ use crate::config::{FlushRetryPolicy, GroupCommitPolicy};
 use crate::device::LogDevice;
 use crate::error::{AetherError, Result};
 use crate::lsn::Lsn;
-use crate::runtime::{self, RtCondvar, Runtime};
+use crate::padded::CachePadded;
+use crate::runtime::{self, lock, RtCondvar, Runtime};
 use crate::telemetry::Stage;
-use parking_lot::{Mutex, MutexGuard};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Flush groups in flight at most — claimed, not yet durable — and so the
 /// number of flusher threads.
 pub const FLUSH_DEPTH: usize = 4;
-
-/// How long a flusher parks before looking again for the released bytes of
-/// a commit that was registered ahead of its handed-off release. The
-/// predecessor that publishes them is mid-`memcpy`, so they are normally
-/// there on the first look.
-const HANDOFF_RELOOK: Duration = Duration::from_micros(50);
 
 #[derive(Debug, Default)]
 struct FlushInner {
@@ -118,6 +118,9 @@ struct FlushInner {
 pub struct FlushShared {
     inner: Mutex<FlushInner>,
     daemon_cv: RtCondvar,
+    /// The highest want a flusher parked on while it was not released yet.
+    /// Every head publish reads it; only such a flusher writes it.
+    ahead: CachePadded<AtomicU64>,
     flushes: AtomicU64,
     flushed_bytes: AtomicU64,
 }
@@ -133,11 +136,20 @@ impl FlushShared {
         }
     }
 
+    /// The head of the release order published bytes from `from` on: wake a
+    /// flusher if one parked on a want above `from` (see the module docs).
+    #[inline]
+    pub(crate) fn released_from(&self, from: Lsn) {
+        if self.ahead.load(Ordering::SeqCst) > from.raw() {
+            self.unpark(&mut lock(&self.inner));
+        }
+    }
+
     /// Have the daemon make `lsn` durable as soon as it is released, without
     /// waiting for it. Not a commit: the daemon gives the caller no yield to
     /// bring more work, since its thread is about to block.
     pub(crate) fn want(&self, lsn: Lsn) {
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         g.wanted = g.wanted.max(lsn);
         self.unpark(&mut g);
     }
@@ -146,7 +158,7 @@ impl FlushShared {
     /// on it at once; a busy one takes it with its next group. Non-blocking
     /// (flush pipelining), and no syscall unless a flusher must be woken.
     pub fn note_commit(&self, lsn: Lsn) {
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         g.pending_commits += 1;
         g.wanted = g.wanted.max(lsn);
         self.unpark(&mut g);
@@ -233,7 +245,7 @@ impl FlushDaemon {
     /// Stop the daemon after a final flush of all released bytes.
     pub fn shutdown(&mut self) {
         {
-            let mut g = self.shared.inner.lock();
+            let mut g = lock(&self.shared.inner);
             if g.shutdown {
                 return;
             }
@@ -320,7 +332,7 @@ impl Flusher {
     fn await_trigger(&self, id: usize) -> Option<(Lsn, Lsn)> {
         let (shared, policy) = (&*self.shared, &self.policy);
         let max_wait_ns = u64::try_from(policy.max_wait.as_nanos()).unwrap_or(u64::MAX);
-        let mut g = shared.inner.lock();
+        let mut g = lock(&shared.inner);
         let idle_deadline = runtime::monotonic_ns().saturating_add(max_wait_ns);
         // Pipelined commits registered as of the last yield.
         let mut seen = 0;
@@ -339,7 +351,7 @@ impl Flusher {
                 seen = g.pending_commits;
                 drop(g);
                 runtime::yield_now();
-                g = shared.inner.lock();
+                g = lock(&shared.inner);
                 continue;
             }
             let waited_on = g.wanted > g.submitted;
@@ -358,15 +370,20 @@ impl Flusher {
                 g.in_flight.push_back((claim.1, false));
                 return Some(claim);
             }
+            if waited_on && pending_bytes == 0 {
+                // Somebody waits, yet nothing is released: their record's
+                // release was handed to a predecessor that is still filling.
+                // Its publish wakes a flusher unless it came before this look.
+                shared.ahead.fetch_max(g.wanted.raw(), Ordering::SeqCst);
+                fence(Ordering::SeqCst);
+                if self.core.released_lsn() > g.submitted {
+                    continue;
+                }
+            }
             let nap = if free && pending_bytes > 0 {
                 // T: bytes nobody waits on are written at most `max_wait`
                 // after the flusher went idle.
                 Some(Duration::from_nanos(idle_deadline - now))
-            } else if waited_on && pending_bytes == 0 {
-                // Somebody waits, yet nothing is released: their record's
-                // release was handed to a predecessor that is still filling,
-                // and no one tells the daemon when it lands.
-                Some(HANDOFF_RELOOK)
             } else if id == 0 {
                 Some(policy.max_wait)
             } else {
@@ -422,7 +439,7 @@ impl Flusher {
                     self.device.write_vectored(&[head, tail])
                 }
             });
-            let mut g = self.shared.inner.lock();
+            let mut g = lock(&self.shared.inner);
             g.writing = false;
             if let Err(e) = write {
                 // Permanent device failure (or retry budget exhausted): the
@@ -433,7 +450,7 @@ impl Flusher {
             g.awake -= 1;
             drop(g);
             let synced = with_retry(&self.retry, || self.device.sync());
-            let mut g = self.shared.inner.lock();
+            let mut g = lock(&self.shared.inner);
             g.awake += 1;
             if let Err(e) = synced {
                 return self.poison(g, &e);
@@ -903,6 +920,38 @@ mod tests {
     }
 
     #[test]
+    fn a_handed_off_release_wakes_the_daemon() {
+        // Virtual time, a 100 µs device: a commit is registered while the
+        // reservation ahead of it is open, so its record's release is handed
+        // to that reservation's owner, which releases 30 µs later. The
+        // publish wakes a flusher: the commit is acked one device sync after
+        // the release, not on a timer's next tick.
+        let rt = Runtime::sim(17);
+        let guard = rt.enter();
+        let log = crate::manager::LogManager::builder()
+            .config(LogConfig::default().with_runtime(rt.clone()))
+            .buffer(BufferKind::Hybrid)
+            .device(crate::device::DeviceKind::Flash)
+            .build();
+        runtime::sleep(Duration::from_millis(3)); // every flusher is parked by now
+        let mut open = log.reserve(RecordKind::Filler, 1, Lsn::ZERO, 8);
+        let commit = log.commit(2, Lsn::ZERO);
+        runtime::sleep(Duration::from_micros(30));
+        assert!(!commit.is_done(), "committed past a gap");
+        open.write(&[7; 8]);
+        let t0 = runtime::monotonic_ns();
+        open.release();
+        assert!(commit.wait());
+        let dt = runtime::monotonic_ns() - t0;
+        assert!(
+            (100_000..=105_000).contains(&dt),
+            "acked {dt} ns after the release on a 100 µs device"
+        );
+        log.shutdown();
+        drop(guard);
+    }
+
+    #[test]
     fn commits_during_a_flush_are_the_next_group() {
         let (core, device, pipeline, daemon, buf) = stall_setup(unbounded());
         device.hold();
@@ -975,7 +1024,7 @@ mod tests {
         }
         fn sync(&self) -> Result<()> {
             if self.syncs.fetch_add(1, Ordering::SeqCst) == 0 {
-                let _ = self.fail.lock().recv();
+                let _ = lock(&self.fail).recv();
                 return Err(std::io::Error::from_raw_os_error(5).into());
             }
             self.synced.fetch_add(1, Ordering::SeqCst);

@@ -10,9 +10,10 @@ use crate::flush::FlushDaemon;
 use crate::lsn::Lsn;
 use crate::reader::LogReader;
 use crate::record::RecordKind;
+use crate::runtime::lock;
 use crate::stats::StatsSnapshot;
 use crate::telemetry::{Telemetry, TelemetrySnapshot, Unit};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Builder for [`LogManager`].
 #[derive(Debug)]
@@ -146,8 +147,8 @@ impl LogManagerBuilder {
             gate,
             flush_shared,
             truncation,
-            daemon: parking_lot::Mutex::new(daemon),
-            exporter: parking_lot::Mutex::new(exporter),
+            daemon: Mutex::new(daemon),
+            exporter: Mutex::new(exporter),
             final_emitted: std::sync::atomic::AtomicBool::new(false),
             config: self.config,
         })
@@ -244,9 +245,9 @@ pub struct LogManager {
     /// low-water mark itself lives in the device.
     truncation: Arc<TruncationCounters>,
     /// The daemon thread handle; the mutex is touched only at shutdown.
-    daemon: parking_lot::Mutex<Option<FlushDaemon>>,
+    daemon: Mutex<Option<FlushDaemon>>,
     /// Periodic telemetry exporter, if configured; stopped at shutdown.
-    exporter: parking_lot::Mutex<Option<crate::telemetry::Exporter>>,
+    exporter: Mutex<Option<crate::telemetry::Exporter>>,
     /// Guard so the shutdown telemetry emit happens exactly once.
     final_emitted: std::sync::atomic::AtomicBool,
     config: LogConfig,
@@ -375,6 +376,11 @@ impl LogManager {
         // no flush would come back for this action.
         if self.commit_lsn() >= lsn {
             self.pipeline.complete_upto(self.commit_lsn());
+        }
+        // Likewise the log's fate: a poison between the look at the top and
+        // the submit failed what was pending before this action was in it.
+        if self.core.is_closed() {
+            self.pipeline.fail_pending();
         }
     }
 
@@ -600,10 +606,10 @@ impl LogManager {
     /// final snapshot is emitted (by the exporter daemon if one runs, else
     /// directly to `TelemetryConfig::export_path` when set).
     pub fn shutdown(&self) {
-        if let Some(d) = self.daemon.lock().as_mut() {
+        if let Some(d) = lock(&self.daemon).as_mut() {
             d.shutdown();
         }
-        let exporter = self.exporter.lock().take();
+        let exporter = lock(&self.exporter).take();
         if !self
             .final_emitted
             .swap(true, std::sync::atomic::Ordering::Relaxed)
@@ -669,6 +675,8 @@ pub struct TruncationStats {
 mod tests {
     use super::*;
     use crate::device::SimDevice;
+    use crate::runtime;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 
     #[test]
@@ -704,6 +712,89 @@ mod tests {
         assert!(h.wait());
         assert!(log.durable_lsn() >= log.released_lsn());
         assert_eq!(log.pipeline().completed(), 1);
+    }
+
+    /// A RAM device whose syncs fail for good (EIO) after the first few.
+    struct FailsAfter {
+        inner: SimDevice,
+        syncs_left: AtomicU64,
+    }
+
+    impl LogDevice for FailsAfter {
+        fn write_vectored(&self, bufs: &[&[u8]]) -> Result<()> {
+            self.inner.write_vectored(bufs)
+        }
+        fn sync(&self) -> Result<()> {
+            let left = self.syncs_left.load(Ordering::SeqCst);
+            if left == 0 {
+                return Err(std::io::Error::from_raw_os_error(5).into());
+            }
+            self.syncs_left.store(left - 1, Ordering::SeqCst);
+            self.inner.sync()
+        }
+        fn read_at(&self, offset: u64, dst: &mut [u8]) -> Result<usize> {
+            self.inner.read_at(offset, dst)
+        }
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+    }
+
+    #[test]
+    fn commit_async_callbacks_run_once_across_a_poison() {
+        // Four threads race `commit_async` against a device that fails for
+        // good after a few syncs. A poison that lands between a committer's
+        // look at the log and its submit must not strand the action: every
+        // callback runs, once, whatever its verdict.
+        for round in 0..20u64 {
+            let log = LogManager::builder()
+                .device_instance(Arc::new(FailsAfter {
+                    inner: SimDevice::new(Duration::ZERO),
+                    syncs_left: AtomicU64::new(round % 3),
+                }))
+                .build();
+            let (submitted, ran) = (AtomicU64::new(0), Arc::new(AtomicU64::new(0)));
+            std::thread::scope(|s| {
+                for t in 0..4u64 {
+                    let (log, submitted, ran) = (&log, &submitted, &ran);
+                    s.spawn(move || {
+                        // Keep committing a little past the poison.
+                        let mut after = 0;
+                        for i in 0..20_000u64 {
+                            if log.is_poisoned() {
+                                after += 1;
+                                if after > 50 {
+                                    break;
+                                }
+                            }
+                            let txn = t << 32 | i;
+                            let (_, end) =
+                                log.insert_payload::<[u8]>(RecordKind::Commit, txn, Lsn::ZERO, &[]);
+                            let ran = Arc::clone(ran);
+                            submitted.fetch_add(1, Ordering::Relaxed);
+                            log.commit_async(
+                                end,
+                                CommitAction::Callback(Box::new(move |_| {
+                                    ran.fetch_add(1, Ordering::Relaxed);
+                                })),
+                            );
+                        }
+                    });
+                }
+            });
+            assert!(log.is_poisoned(), "round {round}: the device never failed");
+            let deadline = runtime::monotonic_ns() + 10_000_000_000;
+            let submitted = submitted.load(Ordering::Relaxed);
+            while ran.load(Ordering::Relaxed) < submitted {
+                assert!(
+                    runtime::monotonic_ns() < deadline,
+                    "round {round}: {} of {submitted} callbacks ran in 10 s",
+                    ran.load(Ordering::Relaxed)
+                );
+                runtime::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(ran.load(Ordering::Relaxed), submitted, "round {round}");
+        }
     }
 
     #[test]

@@ -18,9 +18,9 @@
 use crate::device::LogDevice;
 use crate::error::Result;
 use crate::lsn::Lsn;
-use parking_lot::Mutex;
+use crate::runtime::lock;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Factory for segment backing stores (e.g. one [`crate::device::SimDevice`]
 /// or one file per segment).
@@ -72,7 +72,7 @@ impl std::fmt::Debug for SegmentedDevice {
         f.debug_struct("SegmentedDevice")
             .field("segment_size", &self.segment_size)
             .field("len", &self.len.load(Ordering::Relaxed))
-            .field("segments", &self.segments.lock().len())
+            .field("segments", &lock(&self.segments).len())
             .finish()
     }
 }
@@ -99,7 +99,7 @@ impl SegmentedDevice {
 
     /// Number of live (unrecycled) segments.
     pub fn live_segments(&self) -> usize {
-        self.segments.lock().len()
+        lock(&self.segments).len()
     }
 
     /// Segments recycled by truncation.
@@ -114,7 +114,7 @@ impl SegmentedDevice {
 
 impl LogDevice for SegmentedDevice {
     fn write_vectored(&self, bufs: &[&[u8]]) -> Result<()> {
-        let mut segments = self.segments.lock();
+        let mut segments = lock(&self.segments);
         let mut at = self.len.load(Ordering::Relaxed);
         for mut data in bufs.iter().copied() {
             while !data.is_empty() {
@@ -148,9 +148,9 @@ impl LogDevice for SegmentedDevice {
         // lock: a latency-modeling segment parks in `sync`, and appends and
         // readers must be able to take the lock meanwhile.
         let from = self.unsynced.load(Ordering::Acquire);
-        let last = self.segments.lock().last().map_or(from, |s| s.seg_no);
+        let last = lock(&self.segments).last().map_or(from, |s| s.seg_no);
         for seg_no in from..=last {
-            let segments = self.segments.lock();
+            let segments = lock(&self.segments);
             let seg = segments.iter().find(|s| s.seg_no == seg_no);
             let device = seg.map(|s| Arc::clone(&s.device)); // none if recycled
             drop(segments);
@@ -169,7 +169,7 @@ impl LogDevice for SegmentedDevice {
         }
         let want = dst.len().min((end - offset) as usize);
         let mut done = 0usize;
-        let segments = self.segments.lock();
+        let segments = lock(&self.segments);
         while done < want {
             let at = offset + done as u64;
             let seg_no = self.seg_of(at);
@@ -206,7 +206,7 @@ impl LogDevice for SegmentedDevice {
     /// be dropped yet — the *next* truncation, or a recovery scan, picks up
     /// from it. Returns how many segments were recycled.
     fn truncate_before(&self, upto: Lsn) -> Result<usize> {
-        let mut segments = self.segments.lock();
+        let mut segments = lock(&self.segments);
         // Clamp to the stream length: the mark must stay a valid scan start.
         let upto = upto.raw().min(self.len.load(Ordering::Acquire));
         self.truncated.fetch_max(upto, Ordering::AcqRel);

@@ -3,10 +3,9 @@
 //! scheduler under virtual time. Replaces `std::sync::mpsc` everywhere a
 //! receiver may block inside a simulated cluster.
 
-use super::{monotonic_ns, RtCondvar};
-use parking_lot::Mutex;
+use super::{lock, monotonic_ns, RtCondvar};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 struct Inner<T> {
@@ -53,7 +52,7 @@ impl<T> RtSender<T> {
     /// Enqueue `v`. Returns `false` (dropping `v`) if the receiver is gone.
     pub fn send(&self, v: T) -> bool {
         {
-            let mut g = self.sh.inner.lock();
+            let mut g = lock(&self.sh.inner);
             if !g.rx_alive {
                 return false;
             }
@@ -66,7 +65,7 @@ impl<T> RtSender<T> {
 
 impl<T> Clone for RtSender<T> {
     fn clone(&self) -> Self {
-        self.sh.inner.lock().senders += 1;
+        lock(&self.sh.inner).senders += 1;
         RtSender {
             sh: Arc::clone(&self.sh),
         }
@@ -76,7 +75,7 @@ impl<T> Clone for RtSender<T> {
 impl<T> Drop for RtSender<T> {
     fn drop(&mut self) {
         let last = {
-            let mut g = self.sh.inner.lock();
+            let mut g = lock(&self.sh.inner);
             g.senders -= 1;
             g.senders == 0
         };
@@ -88,20 +87,20 @@ impl<T> Drop for RtSender<T> {
 
 impl<T> Drop for RtReceiver<T> {
     fn drop(&mut self) {
-        self.sh.inner.lock().rx_alive = false;
+        lock(&self.sh.inner).rx_alive = false;
     }
 }
 
 impl<T> RtReceiver<T> {
     /// Dequeue without blocking.
     pub fn try_recv(&self) -> Option<T> {
-        self.sh.inner.lock().q.pop_front()
+        lock(&self.sh.inner).q.pop_front()
     }
 
     /// Block until a message arrives; `None` once the channel is empty and
     /// every sender is gone.
     pub fn recv(&self) -> Option<T> {
-        let mut g = self.sh.inner.lock();
+        let mut g = lock(&self.sh.inner);
         loop {
             if let Some(v) = g.q.pop_front() {
                 return Some(v);
@@ -118,7 +117,7 @@ impl<T> RtReceiver<T> {
     pub fn recv_timeout(&self, timeout: Duration) -> Option<T> {
         let deadline =
             monotonic_ns().saturating_add(u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX));
-        let mut g = self.sh.inner.lock();
+        let mut g = lock(&self.sh.inner);
         loop {
             if let Some(v) = g.q.pop_front() {
                 return Some(v);
@@ -161,13 +160,13 @@ impl<T> RtReceiver<T> {
     /// with in-flight `send`s, so a message enqueued between the last pop
     /// and the receiver's drop would be silently stranded mid-shutdown.
     pub fn drain(&self) -> Vec<T> {
-        let mut g = self.sh.inner.lock();
+        let mut g = lock(&self.sh.inner);
         g.q.drain(..).collect()
     }
 
     /// Whether every sender has been dropped (pending messages may remain).
     pub fn is_disconnected(&self) -> bool {
-        self.sh.inner.lock().senders == 0
+        lock(&self.sh.inner).senders == 0
     }
 }
 

@@ -6,9 +6,9 @@
 //! variables — now routes through this module. Two implementations share
 //! the seam:
 //!
-//! * **Real** (the default): thin wrappers over `std::time` / `std::thread`
-//!   and the `parking_lot` condvar. Zero behavior change for production
-//!   paths; `Runtime::default()` is real.
+//! * **Real** (the default): thin wrappers over `std::time`, `std::thread`
+//!   and `std::sync`. Zero behavior change for production paths;
+//!   `Runtime::default()` is real.
 //! * **Sim**: a seeded, cooperative, single-token scheduler over real OS
 //!   threads with a *virtual* clock that jumps to the next scheduled
 //!   wakeup. One seed ⇒ one reproducible whole-cluster history
@@ -16,16 +16,16 @@
 //!
 //! The sim is selected *per thread*: a thread registered as a sim actor
 //! (via [`Runtime::spawn`] on a sim runtime, or [`Runtime::enter`]) takes
-//! the virtual path in every free function and [`RtCondvar`] wait;
-//! unregistered threads take the real path. This keeps constructors free
+//! the virtual path in every free function and blocking wait; unregistered
+//! threads take the real path. This keeps constructors free
 //! of runtime plumbing — only `spawn` and sim entry need the handle.
 //!
 //! ## Determinism contract (sim mode)
 //!
 //! All actors are real OS threads, but exactly one holds the *run token*
 //! at any instant; the rest are parked. An actor only gives up the token
-//! at a runtime yield point (`sleep`, `yield_now`, an [`RtCondvar`] wait,
-//! a channel wait, `join`). The scheduler picks the next runnable actor
+//! at a runtime yield point (`sleep`, `yield_now`, a [`WaitSet`] wait, a
+//! channel wait, `join`). The scheduler picks the next runnable actor
 //! with the seeded RNG, so the entire interleaving is a pure function of
 //! the seed — provided user code between yield points is itself
 //! deterministic (no iteration over `HashMap`s that feed decisions, no
@@ -43,7 +43,8 @@ use std::cell::RefCell;
 use std::fmt;
 use std::os::raw::{c_int, c_ulong};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+use std::sync::{RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -195,6 +196,31 @@ pub fn precise_sleep(d: Duration) {
 }
 
 // ---------------------------------------------------------------------------
+// Locks: `std::sync`, with a panicked holder poisoning nothing
+// ---------------------------------------------------------------------------
+
+/// Lock `m`. A thread that panicked holding it does not poison it for the
+/// rest: the workspace's locks guard data that no update leaves half-done
+/// across a panic, and every `std::sync` lock is taken through these three
+/// helpers, so that promise is kept in one place.
+#[inline]
+pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Take `l` shared; see [`lock`].
+#[inline]
+pub fn read<T: ?Sized>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Take `l` exclusive; see [`lock`].
+#[inline]
+pub fn write<T: ?Sized>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+// ---------------------------------------------------------------------------
 // RtCondvar: runtime-aware condition variable
 // ---------------------------------------------------------------------------
 
@@ -202,29 +228,27 @@ static NEXT_CV_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A condition variable that blocks through the runtime.
 ///
-/// Real threads wait on the embedded `parking_lot` condvar. Sim actors
-/// park in the scheduler instead (registering interest *before* the guard
-/// drops, so wakeups cannot be lost), and re-acquire the mutex by
-/// `try_lock` + virtual yield — never an OS block, which would wedge the
-/// single-token scheduler.
+/// Real threads wait on the embedded `std` condvar. Sim actors park in the
+/// scheduler instead (registering interest *before* the guard drops, so
+/// wakeups cannot be lost), and re-acquire the mutex by `try_lock` + virtual
+/// yield — never an OS block, which would wedge the single-token scheduler.
+/// So waits take the guard by value and the owning mutex with it.
 ///
-/// Unlike `parking_lot::Condvar`, waits take the guard *by value* and need
-/// the owning [`parking_lot::Mutex`] so the sim path can re-lock it.
-///
-/// A thread that waits for state another thread publishes parks in a
-/// [`WaitSet`], which is this condvar plus the protocol that loses no wakeup;
-/// use the condvar itself only where the waited-on state lives under the
-/// mutex it is paired with.
-pub struct RtCondvar {
-    real: parking_lot::Condvar,
+/// Crate-private: a thread that waits for state another thread publishes
+/// parks in a [`WaitSet`], which is this condvar plus the protocol that
+/// loses no wakeup. The condvar itself is only for state that lives under
+/// the mutex it is paired with: the flushers' park (`flush.rs`) and
+/// `StallDevice`'s gate.
+pub(crate) struct RtCondvar {
+    real: std::sync::Condvar,
     sim_id: OnceLock<u64>,
 }
 
 impl RtCondvar {
     /// New condvar, usable from both runtimes.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         RtCondvar {
-            real: parking_lot::Condvar::new(),
+            real: std::sync::Condvar::new(),
             sim_id: OnceLock::new(),
         }
     }
@@ -236,29 +260,30 @@ impl RtCondvar {
     }
 
     /// Block until notified. Returns the re-acquired guard.
-    pub fn wait<'a, T>(
+    pub(crate) fn wait<'a, T>(
         &self,
-        mutex: &'a parking_lot::Mutex<T>,
-        mut guard: parking_lot::MutexGuard<'a, T>,
-    ) -> parking_lot::MutexGuard<'a, T> {
+        mutex: &'a Mutex<T>,
+        guard: MutexGuard<'a, T>,
+    ) -> MutexGuard<'a, T> {
         if let Some((st, me)) = tls_sim() {
             let cv = self.id();
             drop(guard);
             st.cv_wait(me, cv, None);
             return sim_relock(&st, me, mutex);
         }
-        self.real.wait(&mut guard);
-        guard
+        self.real
+            .wait(guard)
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Block until notified or `timeout` elapses. Returns the re-acquired
     /// guard and whether the wait timed out.
-    pub fn wait_for<'a, T>(
+    pub(crate) fn wait_for<'a, T>(
         &self,
-        mutex: &'a parking_lot::Mutex<T>,
-        mut guard: parking_lot::MutexGuard<'a, T>,
+        mutex: &'a Mutex<T>,
+        guard: MutexGuard<'a, T>,
         timeout: Duration,
-    ) -> (parking_lot::MutexGuard<'a, T>, bool) {
+    ) -> (MutexGuard<'a, T>, bool) {
         if let Some((st, me)) = tls_sim() {
             let cv = self.id();
             let deadline = st.now_ns().saturating_add(dur_ns(timeout));
@@ -267,12 +292,15 @@ impl RtCondvar {
             let guard = sim_relock(&st, me, mutex);
             return (guard, timed_out);
         }
-        let r = self.real.wait_for(&mut guard, timeout);
+        let (guard, r) = self
+            .real
+            .wait_timeout(guard, timeout)
+            .unwrap_or_else(PoisonError::into_inner);
         (guard, r.timed_out())
     }
 
     /// Wake one waiter (deterministically the lowest-id sim actor, if any).
-    pub fn notify_one(&self) {
+    pub(crate) fn notify_one(&self) {
         if let Some((st, _)) = tls_sim() {
             if let Some(&id) = self.sim_id.get() {
                 st.cv_notify(id, false);
@@ -282,7 +310,7 @@ impl RtCondvar {
     }
 
     /// Wake all waiters.
-    pub fn notify_all(&self) {
+    pub(crate) fn notify_all(&self) {
         if let Some((st, _)) = tls_sim() {
             if let Some(&id) = self.sim_id.get() {
                 st.cv_notify(id, true);
@@ -292,19 +320,16 @@ impl RtCondvar {
     }
 }
 
-fn sim_relock<'a, T>(
-    st: &Arc<SimState>,
-    me: u64,
-    mutex: &'a parking_lot::Mutex<T>,
-) -> parking_lot::MutexGuard<'a, T> {
+fn sim_relock<'a, T>(st: &Arc<SimState>, me: u64, mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
     // The notifier may still hold the mutex across its own next yield
     // point; an OS-blocking lock here (while we hold the run token) would
     // deadlock the whole sim. Spin through virtual yields instead.
     loop {
-        if let Some(g) = mutex.try_lock() {
-            return g;
+        match mutex.try_lock() {
+            Ok(g) => return g,
+            Err(TryLockError::Poisoned(p)) => return p.into_inner(),
+            Err(TryLockError::WouldBlock) => st.yield_virtual(me),
         }
-        st.yield_virtual(me);
     }
 }
 
@@ -568,15 +593,15 @@ mod tests {
     fn sim_condvar_wakes_and_times_out() {
         let rt = Runtime::sim(3);
         let g = rt.enter();
-        let pair = Arc::new((parking_lot::Mutex::new(false), RtCondvar::new()));
+        let pair = Arc::new((Mutex::new(false), RtCondvar::new()));
         let p2 = Arc::clone(&pair);
         let h = rt.spawn("setter", move || {
             sleep(Duration::from_millis(5));
-            *p2.0.lock() = true;
+            *lock(&p2.0) = true;
             p2.1.notify_all();
         });
         let (m, cv) = &*pair;
-        let mut done = m.lock();
+        let mut done = lock(m);
         while !*done {
             done = cv.wait(m, done);
         }
@@ -584,11 +609,34 @@ mod tests {
         h.join().unwrap();
         // Timed wait with nobody to notify: virtual time advances, no hang.
         let before = monotonic_ns();
-        let (guard, timed_out) = cv.wait_for(m, m.lock(), Duration::from_millis(50));
+        let (guard, timed_out) = cv.wait_for(m, lock(m), Duration::from_millis(50));
         drop(guard);
         assert!(timed_out);
         assert!(monotonic_ns() - before >= 50_000_000);
         drop(g);
+    }
+
+    #[test]
+    fn poisoned_lock_recovers() {
+        let m = Arc::new(Mutex::new(0));
+        let m2 = Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let _g = lock(&m2);
+            panic!("poison");
+        })
+        .join();
+        assert!(m.is_poisoned());
+        *lock(&m) += 1;
+        assert_eq!(*lock(&m), 1);
+        let l = Arc::new(RwLock::new(0));
+        let l2 = Arc::clone(&l);
+        let _ = std::thread::spawn(move || {
+            let _g = write(&l2);
+            panic!("poison");
+        })
+        .join();
+        *write(&l) += 1;
+        assert_eq!(*read(&l), 1);
     }
 
     #[test]

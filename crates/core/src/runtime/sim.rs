@@ -180,7 +180,7 @@ impl SimState {
     }
 
     fn lock(&self) -> MutexGuard<'_, Sched> {
-        self.sched.lock().unwrap_or_else(|p| p.into_inner())
+        super::lock(&self.sched)
     }
 
     pub(crate) fn now_ns(&self) -> u64 {

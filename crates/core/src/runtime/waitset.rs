@@ -1,9 +1,9 @@
 //! [`WaitSet`]: the one way a thread parks until somebody else's state
 //! changes.
 
-use super::{dur_ns, monotonic_ns, RtCondvar};
-use parking_lot::Mutex;
+use super::{dur_ns, lock, monotonic_ns, RtCondvar};
 use std::sync::atomic::{fence, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// The threads parked until a condition on state kept *elsewhere* holds: a
@@ -67,7 +67,7 @@ impl WaitSet {
         let deadline = timeout.map(|t| monotonic_ns().saturating_add(dur_ns(t)));
         self.waiting.fetch_add(1, Ordering::SeqCst);
         fence(Ordering::SeqCst);
-        let mut g = self.lock.lock();
+        let mut g = lock(&self.lock);
         let seen = loop {
             if let Some(v) = look() {
                 break Some(v);
@@ -95,7 +95,7 @@ impl WaitSet {
     #[inline]
     pub fn notify(&self) {
         if self.waiting.load(Ordering::SeqCst) != 0 {
-            drop(self.lock.lock());
+            drop(lock(&self.lock));
             self.cv.notify_all();
         }
     }

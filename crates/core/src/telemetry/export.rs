@@ -16,11 +16,11 @@
 
 use super::trace::{assemble_spans, TraceEvent};
 use super::{HistSnapshot, Unit};
-use crate::runtime::{JoinHandle, RtCondvar, Runtime};
-use parking_lot::Mutex;
+use crate::runtime::{JoinHandle, Runtime, WaitSet};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -255,9 +255,10 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+#[derive(Default)]
 struct ExporterShared {
-    stop: Mutex<bool>,
-    cv: RtCondvar,
+    stop: AtomicBool,
+    wake: WaitSet,
 }
 
 /// Handle to the periodic exporter daemon. Stopping (or dropping) it emits
@@ -283,19 +284,11 @@ pub fn spawn_exporter(
     out: Option<PathBuf>,
     mut make: impl FnMut() -> TelemetrySnapshot + Send + 'static,
 ) -> Exporter {
-    let shared = Arc::new(ExporterShared {
-        stop: Mutex::new(false),
-        cv: RtCondvar::new(),
-    });
+    let shared = Arc::new(ExporterShared::default());
     let sh = Arc::clone(&shared);
     let join = rt.spawn("aether-telemetryd", move || loop {
-        let guard = sh.stop.lock();
-        if *guard {
-            // Final emit below, then exit.
-        } else {
-            let (guard, _) = sh.cv.wait_for(&sh.stop, guard, every);
-            drop(guard);
-        }
+        let stopped = || sh.stop.load(Ordering::Relaxed);
+        sh.wake.wait_until(Some(every), || stopped().then_some(()));
         let snap = make();
         match &out {
             Some(path) => {
@@ -303,7 +296,7 @@ pub fn spawn_exporter(
             }
             None => eprint!("{}", snap.render_text()),
         }
-        if *sh.stop.lock() {
+        if stopped() {
             return;
         }
     });
@@ -317,8 +310,8 @@ impl Exporter {
     /// Stop the daemon; it emits one final snapshot first.
     pub fn stop(&mut self) {
         if let Some(join) = self.join.take() {
-            *self.shared.stop.lock() = true;
-            self.shared.cv.notify_all();
+            self.shared.stop.store(true, Ordering::SeqCst);
+            self.shared.wake.notify();
             let _ = join.join();
         }
     }

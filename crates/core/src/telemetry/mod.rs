@@ -32,10 +32,11 @@ pub use trace::{assemble_spans, CommitSpan, Stage, TraceEvent, TraceRing};
 
 use crate::lsn::Lsn;
 use crate::padded::CachePadded;
-use parking_lot::Mutex;
+use crate::runtime::lock;
 use std::cell::Cell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Maximum registered counters per registry.
@@ -298,7 +299,7 @@ impl Telemetry {
     /// Register (or look up) a counter. Idempotent by name; panics when the
     /// registry is full. Allocation happens only here, never on record.
     pub fn counter(&self, name: &'static str, unit: Unit) -> CounterId {
-        let mut meta = self.meta.lock();
+        let mut meta = lock(&self.meta);
         if let Some(i) = meta.counters.iter().position(|e| e.name == name) {
             return CounterId(i as u16);
         }
@@ -309,7 +310,7 @@ impl Telemetry {
 
     /// Register (or look up) a gauge. Idempotent by name.
     pub fn gauge(&self, name: &'static str, unit: Unit) -> GaugeId {
-        let mut meta = self.meta.lock();
+        let mut meta = lock(&self.meta);
         if let Some(i) = meta.gauges.iter().position(|e| e.name == name) {
             return GaugeId(i as u16);
         }
@@ -321,7 +322,7 @@ impl Telemetry {
     /// Register (or look up) a histogram; shard memory is allocated on first
     /// registration. Idempotent by name.
     pub fn histogram(&self, name: &'static str, unit: Unit) -> HistId {
-        let mut meta = self.meta.lock();
+        let mut meta = lock(&self.meta);
         if let Some(i) = meta.hists.iter().position(|e| e.name == name) {
             return HistId(i as u16);
         }
@@ -413,7 +414,7 @@ impl Telemetry {
     /// Point-in-time snapshot of every registered metric plus the live trace
     /// events, tagged with `scope`.
     pub fn snapshot(&self, scope: &str) -> TelemetrySnapshot {
-        let meta = self.meta.lock();
+        let meta = lock(&self.meta);
         let mut snap = TelemetrySnapshot::new(scope, crate::runtime::monotonic_ns());
         for (i, e) in meta.counters.iter().enumerate() {
             snap.push_counter(e.name, e.unit, self.counters[i].load(Ordering::Relaxed));

@@ -50,8 +50,8 @@ fn count_insert_allocs(kind: BufferKind, inserts: usize, payload: &[u8]) -> u64 
     core.set_auto_reclaim(true);
     let buffer = kind.build(core, &cfg);
 
-    // Warm up: first calls may lazily initialize (thread-local RNG seed,
-    // parking_lot statics); steady state is what the claim is about.
+    // Warm up: first calls may lazily initialize (the thread-local RNG
+    // seed); steady state is what the claim is about.
     for _ in 0..64 {
         let mut slot = buffer.reserve(RecordKind::Filler, 1, Lsn::ZERO, payload.len());
         slot.write(payload);

@@ -7,6 +7,7 @@
 
 use aether_core::device::{DeviceKind, FileDevice, LogDevice, SimDevice, StallDevice};
 use aether_core::partition::{MemSegmentFactory, SegmentFactory, SegmentedDevice};
+use aether_core::runtime::lock;
 use aether_core::{Lsn, Result};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -246,7 +247,7 @@ impl SegmentFactory for CountingFactory {
             store: SimDevice::new(Duration::ZERO),
             syncs: AtomicU64::new(0),
         });
-        self.0.lock().unwrap().push(Arc::clone(&seg));
+        lock(&self.0).push(Arc::clone(&seg));
         Ok(seg)
     }
 }
@@ -256,7 +257,7 @@ fn a_segmented_sync_covers_the_segments_an_append_sealed() {
     let factory = CountingFactory::default();
     let d = SegmentedDevice::new(Box::new(factory.clone()), SEGMENT).unwrap();
     let syncs = || -> Vec<u64> {
-        let segs = factory.0.lock().unwrap();
+        let segs = lock(&factory.0);
         segs.iter()
             .map(|s| s.syncs.load(Ordering::SeqCst))
             .collect()

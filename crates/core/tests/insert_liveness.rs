@@ -10,10 +10,10 @@
 
 use aether_core::buffer::BufferCore;
 use aether_core::record::{on_log_size, RecordKind};
-use aether_core::runtime::{monotonic_ns, RtCondvar, Runtime};
+use aether_core::runtime::{lock, monotonic_ns, Runtime, WaitSet};
 use aether_core::{BufferKind, DeviceKind, LogConfig, LogManager, Lsn};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 const ACTORS: usize = 4;
 const INSERTS: usize = 2000;
@@ -27,7 +27,9 @@ fn payload_len(actor: usize, i: usize) -> usize {
 /// nobody parks unless someone else is awake to wake it.
 struct Parking {
     state: Mutex<ParkState>,
-    wake: RtCondvar,
+    /// Moved, under `state`, each time the parked actors are woken.
+    epoch: AtomicU64,
+    wake: WaitSet,
 }
 
 struct ParkState {
@@ -35,33 +37,34 @@ struct ParkState {
     live: usize,
     /// Actors waiting for `epoch` to move.
     parked: usize,
-    epoch: u64,
 }
 
 impl Parking {
     fn park(&self) {
-        let mut s = self.state.lock();
-        if s.live - s.parked > 1 {
-            s.parked += 1;
-            let parked_at = s.epoch;
-            while s.epoch == parked_at {
-                s = self.wake.wait(&self.state, s);
+        let parked_at = {
+            let mut s = lock(&self.state);
+            if s.live - s.parked <= 1 {
+                return;
             }
-        }
+            s.parked += 1;
+            self.epoch.load(Ordering::Relaxed)
+        };
+        let moved = || (self.epoch.load(Ordering::Relaxed) != parked_at).then_some(());
+        self.wake.wait_until(None, moved);
     }
 
     fn wake_all(&self, s: &mut ParkState) {
-        s.epoch += 1;
+        self.epoch.fetch_add(1, Ordering::SeqCst);
         s.parked = 0;
-        self.wake.notify_all();
+        self.wake.notify();
     }
 
     fn insert_done(&self) {
-        self.wake_all(&mut self.state.lock());
+        self.wake_all(&mut lock(&self.state));
     }
 
     fn actor_done(&self) {
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         s.live -= 1;
         self.wake_all(&mut s);
     }
@@ -82,9 +85,9 @@ fn sim_run(kind: BufferKind, cfg: LogConfig, seed: u64) -> u64 {
         state: Mutex::new(ParkState {
             live: ACTORS,
             parked: 0,
-            epoch: 0,
         }),
-        wake: RtCondvar::new(),
+        epoch: AtomicU64::new(0),
+        wake: WaitSet::new(),
     });
     // B and C fill under the insert mutex, so whoever parks inside a fill
     // holds everyone up by design; their actors park between inserts.

@@ -22,17 +22,16 @@ use crate::frame::{SnapshotFrame, WireMsg};
 use crate::transport::{LinkReceiver, LinkSender};
 use aether_core::device::{LogDevice, SimDevice};
 use aether_core::reader::LogReader;
-use aether_core::runtime;
+use aether_core::runtime::{self, lock, read, write};
 use aether_core::Lsn;
 use aether_storage::db::{CrashImage, Db, DbOptions};
 use aether_storage::error::StorageResult;
 use aether_storage::recovery::RecoveryStats;
 use aether_storage::replay::{self, BaseSnapshot};
 use aether_storage::store::PageStore;
-use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 /// Replica tuning.
@@ -209,14 +208,14 @@ impl Replica {
     /// Snapshot read against the standby (no locks; staleness bounded by
     /// [`ReplicaStatus::staleness`]).
     pub fn read(&self, table: u32, key: u64) -> StorageResult<Option<Vec<u8>>> {
-        let db = Arc::clone(&self.shared.state.read().db);
+        let db = Arc::clone(&read(&self.shared.state).db);
         replay::snapshot_read(&db, table, key)
     }
 
     /// The standby database (tests fingerprint its state). A snapshot
     /// bootstrap replaces the standby wholesale — re-fetch after one.
     pub fn db(&self) -> Arc<Db> {
-        Arc::clone(&self.shared.state.read().db)
+        Arc::clone(&read(&self.shared.state).db)
     }
 
     /// Current progress counters.
@@ -228,10 +227,7 @@ impl Replica {
             commits_seen: self.shared.commits_seen.load(Ordering::Relaxed),
             corrupt_frames: self.shared.corrupt_frames.load(Ordering::Relaxed),
             bootstraps: self.shared.bootstraps.load(Ordering::Relaxed),
-            staleness: self
-                .shared
-                .lag_since
-                .lock()
+            staleness: lock(&self.shared.lag_since)
                 .map(|t| Duration::from_nanos(runtime::monotonic_ns().saturating_sub(t)))
                 .unwrap_or(Duration::ZERO),
         }
@@ -274,7 +270,7 @@ impl Replica {
         self.stop();
         // Persist the replayed pages so recovery starts from them (redo then
         // skips everything at or below each page LSN).
-        let state = self.shared.state.read();
+        let state = read(&self.shared.state);
         state.db.flush_pages();
         let image = CrashImage {
             log_start: state.device.low_water(),
@@ -313,7 +309,7 @@ impl std::fmt::Debug for ReplicaReader {
 impl ReplicaReader {
     /// Lock-free snapshot read against the standby.
     pub fn read(&self, table: u32, key: u64) -> StorageResult<Option<Vec<u8>>> {
-        let db = Arc::clone(&self.shared.state.read().db);
+        let db = Arc::clone(&read(&self.shared.state).db);
         replay::snapshot_read(&db, table, key)
     }
 
@@ -345,7 +341,7 @@ fn apply_loop(
     // Replica-side observability rides on the standby's log telemetry (the
     // standby is re-seedable, so re-fetch the registry after a bootstrap —
     // ids are stable because registration is idempotent by name).
-    let tel = Arc::clone(shared.state.read().db.log().telemetry());
+    let tel = Arc::clone(read(&shared.state).db.log().telemetry());
     let m_reorder = tel.gauge("repl.reorder_depth", aether_core::telemetry::Unit::Records);
     let m_staleness = tel.gauge("repl.staleness_ns", aether_core::telemetry::Unit::Nanos);
     // Reorder resistance: messages parked until their predecessors arrive.
@@ -368,9 +364,7 @@ fn apply_loop(
         // Continuous redo over everything received so far.
         replay_at = replay_available(&shared, replay_at);
         if tel.on() {
-            let stale = shared
-                .lag_since
-                .lock()
+            let stale = lock(&shared.lag_since)
                 .map(|t| runtime::monotonic_ns().saturating_sub(t))
                 .unwrap_or(0);
             tel.gauge_set(m_staleness, stale as i64);
@@ -426,7 +420,7 @@ fn ingest(
     while let Some(m) = pending.remove(next_seq) {
         match m {
             WireMsg::Log(f) => {
-                let device = Arc::clone(&shared.state.read().device);
+                let device = Arc::clone(&read(&shared.state).device);
                 let have = device.len();
                 let start = f.start_lsn.raw();
                 let end = f.end_lsn().raw();
@@ -449,9 +443,9 @@ fn ingest(
         *next_seq += 1;
     }
     if advanced {
-        let received = shared.state.read().device.len();
+        let received = read(&shared.state).device.len();
         shared.received.store(received, Ordering::Release);
-        let mut lag = shared.lag_since.lock();
+        let mut lag = lock(&shared.lag_since);
         if lag.is_none() {
             *lag = Some(runtime::monotonic_ns());
         }
@@ -473,7 +467,7 @@ fn install_snapshot(shared: &ReplicaShared, opts: &DbOptions, s: &SnapshotFrame)
         None
     })?;
     let db = replay::standby_from_snapshot(opts.clone(), &snap).ok()?;
-    let mut state = shared.state.write();
+    let mut state = write(&shared.state);
     // Never re-seed backwards: a stale snapshot (reordered behind a newer
     // one) would discard received bytes.
     if snap.start_lsn.raw() < state.device.len() {
@@ -497,7 +491,7 @@ fn install_snapshot(shared: &ReplicaShared, opts: &DbOptions, s: &SnapshotFrame)
 /// corrupt record (promotion truncates there).
 fn replay_available(shared: &ReplicaShared, from: Lsn) -> Lsn {
     let (db, device) = {
-        let state = shared.state.read();
+        let state = read(&shared.state);
         (Arc::clone(&state.db), Arc::clone(&state.device))
     };
     let mut reader = LogReader::from_lsn(device.clone() as Arc<dyn LogDevice>, from);
@@ -514,7 +508,7 @@ fn replay_available(shared: &ReplicaShared, from: Lsn) -> Lsn {
     }
     shared.publish_replay(at);
     if at.raw() >= device.len() {
-        *shared.lag_since.lock() = None;
+        *lock(&shared.lag_since) = None;
     }
     at
 }

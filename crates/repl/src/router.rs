@@ -43,14 +43,13 @@
 use crate::replica::ReplicaReader;
 use aether_core::commit::CommitToken;
 use aether_core::lsn::AtomicLsn;
-use aether_core::runtime;
+use aether_core::runtime::{self, lock};
 use aether_core::telemetry::{CounterId, GaugeId, HistId, Telemetry, Unit};
 use aether_core::Lsn;
 use aether_storage::db::Db;
 use aether_storage::error::StorageResult;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// How the router picks a replica for each read.
@@ -551,7 +550,7 @@ impl ReadRouter {
         let node = &self.nodes[i];
         node.routed.fetch_add(1, Ordering::Relaxed);
         let value = if self.cfg.service > Duration::ZERO {
-            let _slot = node.serving.lock();
+            let _slot = lock(&node.serving);
             runtime::precise_sleep(self.cfg.service);
             node.reader.read(table, key)?
         } else {
@@ -570,7 +569,7 @@ impl ReadRouter {
         self.c_fallback_primary.fetch_add(1, Ordering::Relaxed);
         self.tel.inc(self.m.fallback_primary);
         let value = if self.cfg.service > Duration::ZERO {
-            let _slot = self.primary_serving.lock();
+            let _slot = lock(&self.primary_serving);
             runtime::precise_sleep(self.cfg.service);
             self.primary.snapshot_read(table, key)?
         } else {

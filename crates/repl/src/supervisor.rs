@@ -24,12 +24,11 @@
 //! cluster is deterministic under a simulated runtime like everything else.
 
 use crate::cluster::ReplicatedDb;
-use aether_core::runtime;
+use aether_core::runtime::{self, lock, WaitSet};
 use aether_storage::db::Db;
 use aether_storage::recovery::RecoveryStats;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Supervisor tuning.
@@ -83,16 +82,19 @@ struct SupShared {
     probes: AtomicU64,
     heals: AtomicU64,
     promotions: AtomicU64,
-    /// Wakes `wait_promoted` once the state leaves `Running`.
-    done_mutex: Mutex<()>,
-    done_cv: runtime::RtCondvar,
+    /// Set once a failover has left `Running` for good. `wait_promoted`
+    /// looks here, not at `state`, which the watch loop holds across a heal
+    /// or a promotion.
+    settled: AtomicBool,
+    stop: AtomicBool,
+    /// Where the watch loop sleeps out a probe and `wait_promoted` waits.
+    wake: WaitSet,
 }
 
 /// A running supervisor: owns the cluster, heals laggards, fails over on
 /// primary death. See the module docs for the policy.
 pub struct Supervisor {
     shared: Arc<SupShared>,
-    stop: Arc<AtomicBool>,
     thread: Option<runtime::JoinHandle<()>>,
 }
 
@@ -116,18 +118,16 @@ impl Supervisor {
             probes: AtomicU64::new(0),
             heals: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
-            done_mutex: Mutex::new(()),
-            done_cv: runtime::RtCondvar::new(),
+            settled: AtomicBool::new(false),
+            stop: AtomicBool::new(false),
+            wake: WaitSet::new(),
         });
-        let stop = Arc::new(AtomicBool::new(false));
         let thread = {
             let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop);
-            rt.spawn("aether-supervisor", move || watch_loop(shared, stop, cfg))
+            rt.spawn("aether-supervisor", move || watch_loop(shared, cfg))
         };
         Supervisor {
             shared,
-            stop,
             thread: Some(thread),
         }
     }
@@ -145,7 +145,7 @@ impl Supervisor {
     /// the promoted replica's database after a failover, `None` if
     /// supervision ended without a usable primary.
     pub fn primary(&self) -> Option<Arc<Db>> {
-        match &*self.shared.state.lock() {
+        match &*lock(&self.shared.state) {
             SupState::Running(c) => Some(Arc::clone(c.primary())),
             SupState::Promoted { db, .. } => Some(Arc::clone(db)),
             _ => None,
@@ -154,7 +154,7 @@ impl Supervisor {
 
     /// The promoted post-failover primary, with its recovery statistics.
     pub fn promoted(&self) -> Option<(Arc<Db>, RecoveryStats)> {
-        match &*self.shared.state.lock() {
+        match &*lock(&self.shared.state) {
             SupState::Promoted { db, stats } => Some((Arc::clone(db), stats.clone())),
             _ => None,
         }
@@ -162,7 +162,7 @@ impl Supervisor {
 
     /// Why failover failed, if it did.
     pub fn failure(&self) -> Option<String> {
-        match &*self.shared.state.lock() {
+        match &*lock(&self.shared.state) {
             SupState::Failed(e) => Some(e.clone()),
             _ => None,
         }
@@ -171,33 +171,19 @@ impl Supervisor {
     /// Block until a failover completes (returning the promoted primary) or
     /// `timeout` elapses (`None` — the cluster may simply be healthy).
     pub fn wait_promoted(&self, timeout: Duration) -> Option<(Arc<Db>, RecoveryStats)> {
-        let deadline = runtime::monotonic_ns().saturating_add(timeout.as_nanos() as u64);
-        let mut g = self.shared.done_mutex.lock();
-        loop {
-            if let Some(p) = self.promoted() {
-                return Some(p);
-            }
-            if self.failure().is_some() {
-                return None;
-            }
-            let now = runtime::monotonic_ns();
-            if now >= deadline {
-                return None;
-            }
-            let left = Duration::from_nanos(deadline - now);
-            let (g2, _) = self
-                .shared
-                .done_cv
-                .wait_for(&self.shared.done_mutex, g, left);
-            g = g2;
-        }
+        // Acquire: pairs with the store after the promotion's outcome was
+        // written under `state`, so `promoted` below reads that outcome.
+        let settled = || self.shared.settled.load(Ordering::Acquire).then_some(());
+        self.shared.wake.wait_until(Some(timeout), settled)?;
+        self.promoted()
     }
 
     /// Stop the watchdog (idempotent). The cluster (or promoted primary)
     /// stays in place; reclaim a still-healthy cluster with
     /// [`Supervisor::release`].
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.wake.notify();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -207,7 +193,7 @@ impl Supervisor {
     /// it.
     pub fn release(mut self) -> Option<ReplicatedDb> {
         self.stop();
-        let mut st = self.shared.state.lock();
+        let mut st = lock(&self.shared.state);
         match std::mem::replace(&mut *st, SupState::Stopped) {
             SupState::Running(c) => Some(c),
             other => {
@@ -224,13 +210,14 @@ impl Drop for Supervisor {
     }
 }
 
-fn watch_loop(shared: Arc<SupShared>, stop: Arc<AtomicBool>, cfg: SupervisorConfig) {
+fn watch_loop(shared: Arc<SupShared>, cfg: SupervisorConfig) {
     let grace_ns = cfg.lag_grace.as_nanos() as u64;
     // Runtime-monotonic instant each replica's lag episode began; None
     // while within bounds. Index-parallel with the cluster's pipelines.
     let mut lag_since: Vec<Option<u64>> = Vec::new();
-    while !stop.load(Ordering::Relaxed) {
-        let mut st = shared.state.lock();
+    let stopped = || shared.stop.load(Ordering::Relaxed).then_some(());
+    while stopped().is_none() {
+        let mut st = lock(&shared.state);
         let cluster = match &mut *st {
             SupState::Running(c) => c,
             _ => return,
@@ -247,8 +234,8 @@ fn watch_loop(shared: Arc<SupShared>, stop: Arc<AtomicBool>, cfg: SupervisorConf
             };
             *st = promote_best(cluster, &shared);
             drop(st);
-            let _g = shared.done_mutex.lock();
-            shared.done_cv.notify_all();
+            shared.settled.store(true, Ordering::SeqCst);
+            shared.wake.notify();
             return;
         }
 
@@ -277,7 +264,7 @@ fn watch_loop(shared: Arc<SupShared>, stop: Arc<AtomicBool>, cfg: SupervisorConf
             }
         }
         drop(st);
-        runtime::sleep(cfg.probe);
+        shared.wake.wait_until(Some(cfg.probe), stopped);
     }
 }
 

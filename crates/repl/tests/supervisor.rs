@@ -27,6 +27,36 @@ fn commit_mark(db: &Arc<Db>, key: u64, mark: u8) {
     db.commit(t).unwrap();
 }
 
+/// `stop` ends the watch loop's wait for its next probe: with a 10 s probe
+/// it returns at once, not up to 10 s later.
+#[test]
+fn stop_does_not_wait_out_the_probe() {
+    let cluster = ReplicatedDb::attach(
+        primary_db(),
+        ReplicationConfig {
+            replicas: 1,
+            policy: DurabilityPolicy::Async,
+            ..ReplicationConfig::default()
+        },
+    )
+    .unwrap();
+    let mut sup = Supervisor::start(
+        cluster,
+        SupervisorConfig {
+            probe: Duration::from_secs(10),
+            ..SupervisorConfig::default()
+        },
+    );
+    while sup.report().probes == 0 {
+        runtime::sleep(Duration::from_millis(1));
+    }
+    let t0 = runtime::monotonic_ns();
+    sup.stop();
+    let took = runtime::monotonic_ns() - t0;
+    assert!(took < 100_000_000, "stop took {took} ns with a 10 s probe");
+    assert_eq!(sup.report().probes, 1);
+}
+
 #[test]
 fn stalled_replica_is_quarantined_and_healed() {
     let primary = primary_db();

@@ -20,15 +20,14 @@ use crate::protocol::{ErrCode, Request, Response};
 use aether_core::commit::CommitToken;
 use aether_core::lsn::Lsn;
 use aether_core::record::crc32;
-use aether_core::runtime::{self, WaitSet};
+use aether_core::runtime::{self, lock, WaitSet};
 use aether_core::telemetry::{HistId, Telemetry};
 use aether_repl::router::ReadRouter;
 use aether_repl::SourceKind;
 use aether_storage::{Db, StorageError, Transaction};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// What the server executes against: the primary database, plus an
 /// optional read router when the server fronts a replicated cluster.
@@ -109,7 +108,7 @@ impl RespQueue {
 
     /// Reserve the next slot for `req_id`; returns its sequence.
     pub(crate) fn reserve(&self, req_id: u64) -> u64 {
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         let seq = g.next;
         g.next += 1;
         g.slots.push_back(Slot {
@@ -125,7 +124,7 @@ impl RespQueue {
     /// died) is silently ignored: late durability callbacks outlive sockets.
     pub(crate) fn fulfill(&self, seq: u64, resp: Response) {
         let front = {
-            let mut g = self.inner.lock();
+            let mut g = lock(&self.inner);
             if seq < g.front {
                 return;
             }
@@ -151,7 +150,7 @@ impl RespQueue {
     pub(crate) fn next_ready(&self) -> Option<Vec<(u64, Response)>> {
         self.ready
             .wait_until(None, || {
-                let mut g = self.inner.lock();
+                let mut g = lock(&self.inner);
                 if g.closed {
                     return Some(None);
                 }
@@ -168,7 +167,7 @@ impl RespQueue {
 
     /// Stop the writer; responses still queued are dropped with the socket.
     pub(crate) fn close(&self) {
-        self.inner.lock().closed = true;
+        lock(&self.inner).closed = true;
         self.ready.notify();
     }
 }

@@ -19,8 +19,9 @@
 //! entries are never evicted. A retry that outlives the window re-executes
 //! — the window must be sized to dwarf any plausible retry horizon.
 
-use parking_lot::Mutex;
+use aether_core::runtime::lock;
 use std::collections::{HashMap, VecDeque};
+use std::sync::Mutex;
 
 /// Outcome of [`CommitDedup::claim`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +59,7 @@ pub struct CommitDedup {
 impl std::fmt::Debug for CommitDedup {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CommitDedup")
-            .field("entries", &self.inner.lock().map.len())
+            .field("entries", &lock(&self.inner).map.len())
             .field("capacity", &self.capacity)
             .finish()
     }
@@ -88,7 +89,7 @@ impl CommitDedup {
         if !Self::eligible(req_id) {
             return Claim::New;
         }
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         match g.map.get(&req_id) {
             Some(Entry::Done(token)) => return Claim::Done(*token),
             Some(Entry::InFlight) => return Claim::InFlight,
@@ -117,7 +118,7 @@ impl CommitDedup {
         if !Self::eligible(req_id) {
             return;
         }
-        self.inner.lock().map.insert(req_id, Entry::Done(token));
+        lock(&self.inner).map.insert(req_id, Entry::Done(token));
     }
 
     /// Drop a claimed id whose execution failed, so a retry re-executes.
@@ -125,7 +126,7 @@ impl CommitDedup {
         if !Self::eligible(req_id) {
             return;
         }
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         g.map.remove(&req_id);
         g.order.retain(|id| *id != req_id);
     }

@@ -27,14 +27,13 @@ use crate::protocol::{extract_request, Extracted};
 use crate::stream::{
     chan_conn, ByteStream, ChanByteStream, Closer, Halves, ReadOutcome, TcpByteStream,
 };
-use aether_core::runtime::{self, JoinHandle, Runtime};
+use aether_core::runtime::{self, lock, JoinHandle, Runtime};
 use aether_core::telemetry::{CounterId, HistId, Telemetry, Unit};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Server construction options.
@@ -171,7 +170,7 @@ impl Server {
             }
             let _ = h.join();
         }
-        let conns = std::mem::take(&mut *self.sh.conns.lock());
+        let conns = std::mem::take(&mut *lock(&self.sh.conns));
         for c in &conns {
             c.closer.close();
         }
@@ -200,7 +199,7 @@ fn accept_loop(sh: Arc<Shared>, listener: TcpListener) {
 /// closers, each of which holds a TCP socket open.
 fn open(sh: &Arc<Shared>, halves: Halves) {
     let ended = {
-        let mut conns = sh.conns.lock();
+        let mut conns = lock(&sh.conns);
         if sh.stop.load(Ordering::SeqCst) {
             return;
         }

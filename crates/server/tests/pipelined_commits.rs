@@ -8,15 +8,14 @@
 //! taken *during* the stall, recovery must reproduce every acked write.
 
 use aether_core::device::{DeviceKind, LogDevice, StallDevice};
-use aether_core::runtime::{monotonic_ns, Runtime};
+use aether_core::runtime::{lock, monotonic_ns, Runtime};
 use aether_core::LogConfig;
 use aether_server::protocol::{Request, Response};
 use aether_server::{Client, Engine, Server, ServerConfig};
 use aether_storage::replay::state_fingerprint;
 use aether_storage::{CommitProtocol, Db, DbOptions};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const CONNS: usize = 4;
@@ -89,7 +88,7 @@ fn flush_stall_never_acks_undurable_and_keeps_order() {
                 match resp {
                     Response::Committed { token } => {
                         assert!(token > 0);
-                        acked.lock().insert(key, value);
+                        lock(&acked).insert(key, value);
                     }
                     other => panic!("conn {conn}: unexpected {other:?}"),
                 }
@@ -100,7 +99,7 @@ fn flush_stall_never_acks_undurable_and_keeps_order() {
 
     // Let the run get going, then stall the flush path mid-run.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while acked.lock().len() < CONNS {
+    while lock(&acked).len() < CONNS {
         assert!(std::time::Instant::now() < deadline, "no commits acked");
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -108,9 +107,9 @@ fn flush_stall_never_acks_undurable_and_keeps_order() {
     // Quiesce: the one sync already past the stall gate may still complete
     // and ack its batch; after this window nothing else can.
     std::thread::sleep(Duration::from_millis(100));
-    let a1 = acked.lock().len();
+    let a1 = lock(&acked).len();
     std::thread::sleep(Duration::from_millis(100));
-    let a2 = acked.lock().len();
+    let a2 = lock(&acked).len();
     assert_eq!(a1, a2, "commits acked while the log device was stalled");
     assert!(
         a2 < CONNS * OPS,
@@ -119,7 +118,7 @@ fn flush_stall_never_acks_undurable_and_keeps_order() {
 
     // Crash while stalled: the image holds only synced bytes. Every ack the
     // clients have seen so far must survive recovery.
-    let acked_at_crash: HashMap<u64, Vec<u8>> = acked.lock().clone();
+    let acked_at_crash: HashMap<u64, Vec<u8>> = lock(&acked).clone();
     let image = db.crash();
     // A second, independent image (recovery consumes its store).
     let image2 = aether_storage::CrashImage {
@@ -134,7 +133,7 @@ fn flush_stall_never_acks_undurable_and_keeps_order() {
     for w in workers {
         w.join().unwrap();
     }
-    assert_eq!(acked.lock().len(), CONNS * OPS, "every op eventually acked");
+    assert_eq!(lock(&acked).len(), CONNS * OPS, "every op eventually acked");
     server.shutdown();
     db.log().flush_all().unwrap();
     assert_eq!(db.locks().granted_count(), 0);

@@ -11,17 +11,17 @@
 //! slowest replica acknowledgement.
 
 use crate::db::Db;
-use aether_core::runtime::{self, RtCondvar};
+use aether_core::runtime::{self, WaitSet};
 use aether_core::TruncationOutcome;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Handle to a running checkpoint daemon; checkpointing stops when this is
 /// dropped or [`Checkpointer::stop`] is called.
 pub struct Checkpointer {
-    stop: Arc<(Mutex<bool>, RtCondvar)>,
+    /// Set to stop; the daemon sleeps out its interval in the set.
+    stop: Arc<(AtomicBool, WaitSet)>,
     thread: Option<runtime::JoinHandle<()>>,
     checkpoints: Arc<AtomicU64>,
 }
@@ -39,24 +39,17 @@ impl Checkpointer {
     /// the log behind the fresh checkpoint's redo low-water mark.
     pub fn start(db: Arc<Db>, interval: Duration) -> Checkpointer {
         let rt = db.log().config().runtime.clone();
-        let stop = Arc::new((Mutex::new(false), RtCondvar::new()));
+        let stop = Arc::new((AtomicBool::new(false), WaitSet::new()));
         let checkpoints = Arc::new(AtomicU64::new(0));
         let st = Arc::clone(&stop);
         let ck = Arc::clone(&checkpoints);
-        let thread = rt.spawn("aether-ckptd", move || loop {
-            {
-                let (lock, cv) = &*st;
-                let mut stopped = lock.lock();
-                if !*stopped {
-                    let (g, _) = cv.wait_for(lock, stopped, interval);
-                    stopped = g;
-                }
-                if *stopped {
-                    return;
-                }
+        let thread = rt.spawn("aether-ckptd", move || {
+            let (stopped, wake) = &*st;
+            let stop = || stopped.load(Ordering::Relaxed).then_some(());
+            while wake.wait_until(Some(interval), stop).is_none() {
+                Self::checkpoint_once(&db);
+                ck.fetch_add(1, Ordering::Relaxed);
             }
-            Self::checkpoint_once(&db);
-            ck.fetch_add(1, Ordering::Relaxed);
         });
         Checkpointer {
             stop,
@@ -79,15 +72,9 @@ impl Checkpointer {
 
     /// Stop the daemon (idempotent; joins the thread).
     pub fn stop(&mut self) {
-        {
-            let (lock, cv) = &*self.stop;
-            let mut stopped = lock.lock();
-            if *stopped {
-                return;
-            }
-            *stopped = true;
-            cv.notify_all();
-        }
+        let (stopped, wake) = &*self.stop;
+        stopped.store(true, Ordering::SeqCst);
+        wake.notify();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }

@@ -10,12 +10,12 @@ use crate::txn::{CommitOutcome, CommitProtocol, Transaction, TxnManager, TxnStat
 use crate::wal::{CheckpointPayload, ClrPayload, UpdatePayload};
 use aether_core::commit::{CommitAction, CommitHandle, CommitToken};
 use aether_core::device::LogDevice;
+use aether_core::runtime::{read, write};
 use aether_core::telemetry::{CounterId, HistId, Unit};
 use aether_core::{
     BufferKind, DeviceKind, LogConfig, LogManager, Lsn, RecordKind, TelemetrySnapshot,
 };
-use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// Durability callback handed to [`Db::commit_tokened_with`]: invoked with
 /// `Ok(token)` exactly when the commit is durable, or `Err` if the log was
@@ -195,7 +195,7 @@ struct DbTelIds {
 impl std::fmt::Debug for Db {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Db")
-            .field("tables", &self.tables.read().len())
+            .field("tables", &read(&self.tables).len())
             .field("protocol", &self.opts.protocol)
             .field("buffer", &self.opts.buffer)
             .finish()
@@ -330,7 +330,7 @@ impl Db {
     /// Create a table of `record_size`-byte records with `dense_rows` dense
     /// keys preallocated; returns the table id.
     pub fn create_table(&self, record_size: usize, dense_rows: u64) -> u32 {
-        let mut tables = self.tables.write();
+        let mut tables = write(&self.tables);
         let id = tables.len() as u32;
         tables.push(Arc::new(Table::new(id, record_size, dense_rows)));
         id
@@ -348,8 +348,7 @@ impl Db {
 
     /// Look up a table by id.
     pub fn table(&self, id: u32) -> StorageResult<Arc<Table>> {
-        self.tables
-            .read()
+        read(&self.tables)
             .get(id as usize)
             .cloned()
             .ok_or_else(|| StorageError::InvalidRecord(format!("no table {id}")))
@@ -858,7 +857,7 @@ impl Db {
 
     /// Write all dirty pages to the page store and mark them clean.
     pub fn flush_pages(&self) {
-        let tables = self.tables.read();
+        let tables = read(&self.tables);
         for t in tables.iter() {
             let id = t.id;
             t.for_each_dirty(|page_no, frame| {
@@ -960,7 +959,7 @@ impl Db {
     /// truncation point is computed from.
     pub fn dpt_snapshot(&self) -> Vec<(u64, Lsn)> {
         let mut dpt = Vec::new();
-        for t in self.tables.read().iter() {
+        for t in read(&self.tables).iter() {
             dpt.extend(t.dpt_snapshot());
         }
         dpt
@@ -970,8 +969,7 @@ impl Db {
     /// system would read from catalog pages. Base backups for replicas and
     /// crash images both carry it.
     pub fn schema(&self) -> Vec<(usize, u64)> {
-        self.tables
-            .read()
+        read(&self.tables)
             .iter()
             .map(|t| (t.geom.record_size, t.dense_rows))
             .collect()
@@ -979,7 +977,7 @@ impl Db {
 
     /// Number of tables.
     pub fn table_count(&self) -> usize {
-        self.tables.read().len()
+        read(&self.tables).len()
     }
 
     /// Capture what would survive a power failure right now: the retained
@@ -1009,7 +1007,7 @@ impl Db {
 
     /// Internal: register a recovered table (recovery module only).
     pub(crate) fn install_table(&self, t: Arc<Table>) {
-        let mut tables = self.tables.write();
+        let mut tables = write(&self.tables);
         debug_assert_eq!(tables.len(), t.id as usize);
         tables.push(t);
     }

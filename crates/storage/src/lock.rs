@@ -20,11 +20,10 @@
 //! aborts the requester that closes a cycle; a wait time-out backs it up.
 
 use crate::error::{StorageError, StorageResult};
-use aether_core::runtime::{self, WaitSet};
-use parking_lot::Mutex;
+use aether_core::runtime::{self, lock, WaitSet};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Lock modes. Intention modes (IS/IX) are taken at table granularity;
@@ -200,11 +199,11 @@ impl WaitForGraph {
     }
 
     fn set_edges(&self, txn: u64, blockers: Vec<u64>) {
-        self.stripe(txn).lock().insert(txn, blockers);
+        lock(self.stripe(txn)).insert(txn, blockers);
     }
 
     fn clear(&self, txn: u64) {
-        self.stripe(txn).lock().remove(&txn);
+        lock(self.stripe(txn)).remove(&txn);
     }
 
     /// Is there a path back to `from` starting at its out-edges? Each step
@@ -217,7 +216,7 @@ impl WaitForGraph {
                 return true;
             }
             if seen.insert(t) {
-                if let Some(next) = self.stripe(t).lock().get(&t) {
+                if let Some(next) = lock(self.stripe(t)).get(&t) {
                     stack.extend_from_slice(next);
                 }
             }
@@ -316,7 +315,7 @@ impl LockManager {
     /// must roll the transaction back.
     pub fn acquire(&self, txn: u64, id: LockId, mode: LockMode) -> StorageResult<()> {
         let shard = self.shard(id);
-        let mut entries = shard.entries.lock();
+        let mut entries = lock(&shard.entries);
         let entry = entries.entry(id).or_default();
 
         // Re-entrant / upgrade handling.
@@ -361,7 +360,7 @@ impl LockManager {
         let granted = shard
             .granted
             .wait_until(Some(self.timeout), || {
-                shard.entries.lock()[&id].holds(txn).then_some(())
+                lock(&shard.entries)[&id].holds(txn).then_some(())
             })
             .is_some();
         let dt = runtime::monotonic_ns().saturating_sub(wait_started);
@@ -369,7 +368,7 @@ impl LockManager {
         if granted {
             return Ok(());
         }
-        let mut entries = shard.entries.lock();
+        let mut entries = lock(&shard.entries);
         let entry = entries.get_mut(&id).expect("entry vanished on timeout");
         // The time-out's one look: a grant may have come after the last one.
         if entry.holds(txn) {
@@ -385,7 +384,7 @@ impl LockManager {
     /// Release one lock held by `txn`.
     pub fn release(&self, txn: u64, id: LockId) {
         let shard = self.shard(id);
-        let mut entries = shard.entries.lock();
+        let mut entries = lock(&shard.entries);
         let Some(entry) = entries.get_mut(&id) else {
             return;
         };
@@ -443,8 +442,7 @@ impl LockManager {
         self.shards
             .iter()
             .map(|s| {
-                s.entries
-                    .lock()
+                lock(&s.entries)
                     .values()
                     .map(|e| e.granted.len())
                     .sum::<usize>()
@@ -566,7 +564,7 @@ mod tests {
             let order = Arc::clone(&order);
             handles.push(std::thread::spawn(move || {
                 m2.acquire(txn, id, LockMode::X).unwrap();
-                order.lock().push(txn);
+                lock(&order).push(txn);
                 m2.release_all(txn, &[id]);
             }));
             // Stagger arrivals so the queue order is deterministic: wait for
@@ -577,7 +575,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(&*order.lock(), &[2, 3, 4]);
+        assert_eq!(&*lock(&order), &[2, 3, 4]);
     }
 
     #[test]

@@ -19,6 +19,7 @@ use crate::store::PageStore;
 use crate::table::Table;
 use crate::wal::{CheckpointPayload, ClrPayload, UpdatePayload};
 use aether_core::record::{Record, RecordKind};
+use aether_core::runtime::{read, write};
 use aether_core::{DeviceKind, LogManager, Lsn};
 use std::sync::Arc;
 
@@ -211,7 +212,7 @@ pub(crate) fn install_tables(db: &Db, schema: &[(usize, u64)], store: &Arc<PageS
                     page_no,
                 }) {
                     let frame = table.frame(page_no);
-                    let mut g = frame.write();
+                    let mut g = write(&frame);
                     g.data = data;
                     g.page_lsn = page_lsn;
                 }
@@ -225,7 +226,7 @@ pub(crate) fn install_tables(db: &Db, schema: &[(usize, u64)], store: &Arc<PageS
 /// (ARIES redo rule). Returns whether the record was applied.
 pub(crate) fn redo_cell(t: &Table, rid: Rid, cell: &[u8], lsn: Lsn) -> bool {
     let frame = t.frame(rid.page_no);
-    let mut g = frame.write();
+    let mut g = write(&frame);
     if g.page_lsn < lsn {
         g.apply(t.geom.offset(rid.slot), cell, lsn);
         true
@@ -294,7 +295,7 @@ pub fn state_fingerprint(db: &Db) -> StorageResult<CellFingerprint> {
         let t = db.table(table)?;
         for page_no in 0..t.page_count() {
             let frame = t.frame(page_no);
-            let g = frame.read();
+            let g = read(&frame);
             for slot in 0..t.geom.slots_per_page as u16 {
                 let off = t.geom.offset(slot);
                 if g.data[off] == 1 {

@@ -9,10 +9,10 @@
 //! and the log device, exactly the state a real system reboots with.
 
 use crate::page::{PageId, PAGE_SIZE};
+use aether_core::runtime::lock;
 use aether_core::Lsn;
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A stored page image: the page LSN at flush time plus the bytes.
 type StoredPage = (Lsn, Box<[u8]>);
@@ -32,30 +32,28 @@ impl PageStore {
     /// Write a page image (checkpoint / background flusher).
     pub fn write(&self, id: PageId, page_lsn: Lsn, data: &[u8]) {
         debug_assert_eq!(data.len(), PAGE_SIZE);
-        self.pages
-            .lock()
-            .insert(id.pack(), (page_lsn, data.to_vec().into_boxed_slice()));
+        lock(&self.pages).insert(id.pack(), (page_lsn, data.to_vec().into_boxed_slice()));
     }
 
     /// Read a page image back, if it was ever flushed.
     pub fn read(&self, id: PageId) -> Option<(Lsn, Box<[u8]>)> {
-        self.pages.lock().get(&id.pack()).cloned()
+        lock(&self.pages).get(&id.pack()).cloned()
     }
 
     /// Number of stored pages.
     pub fn len(&self) -> usize {
-        self.pages.lock().len()
+        lock(&self.pages).len()
     }
 
     /// True if nothing has been flushed.
     pub fn is_empty(&self) -> bool {
-        self.pages.lock().is_empty()
+        lock(&self.pages).is_empty()
     }
 
     /// Point-in-time deep copy (crash images must not alias live state).
     pub fn deep_clone(&self) -> Arc<PageStore> {
         Arc::new(PageStore {
-            pages: Mutex::new(self.pages.lock().clone()),
+            pages: Mutex::new(lock(&self.pages).clone()),
         })
     }
 
@@ -63,9 +61,7 @@ impl PageStore {
     /// id — the serializable form a base snapshot ships to a bootstrapping
     /// replica.
     pub fn export(&self) -> Vec<(u64, Lsn, Vec<u8>)> {
-        let mut out: Vec<(u64, Lsn, Vec<u8>)> = self
-            .pages
-            .lock()
+        let mut out: Vec<(u64, Lsn, Vec<u8>)> = lock(&self.pages)
             .iter()
             .map(|(&id, (lsn, data))| (id, *lsn, data.to_vec()))
             .collect();
@@ -78,7 +74,7 @@ impl PageStore {
     pub fn from_pages(pages: &[(u64, Lsn, Vec<u8>)]) -> Arc<PageStore> {
         let store = PageStore::new();
         {
-            let mut g = store.pages.lock();
+            let mut g = lock(&store.pages);
             for (id, lsn, data) in pages {
                 g.insert(*id, (*lsn, data.clone().into_boxed_slice()));
             }
@@ -88,8 +84,7 @@ impl PageStore {
 
     /// Highest page number flushed for `table`, if any.
     pub fn max_page_no(&self, table: u32) -> Option<u32> {
-        self.pages
-            .lock()
+        lock(&self.pages)
             .keys()
             .map(|&k| PageId::unpack(k))
             .filter(|p| p.table == table)

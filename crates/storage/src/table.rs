@@ -9,10 +9,10 @@
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::{CellGeometry, Frame, PageId, Rid};
+use aether_core::runtime::{lock, read, write};
 use aether_core::Lsn;
-use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Sharded hash index: key → RID.
 #[derive(Debug)]
@@ -37,22 +37,22 @@ impl HashIndex {
 
     /// Look up a key.
     pub fn get(&self, key: u64) -> Option<Rid> {
-        self.shard(key).read().get(&key).copied()
+        read(self.shard(key)).get(&key).copied()
     }
 
     /// Insert; returns false if the key was already present.
     pub fn insert(&self, key: u64, rid: Rid) -> bool {
-        self.shard(key).write().insert(key, rid).is_none()
+        write(self.shard(key)).insert(key, rid).is_none()
     }
 
     /// Remove; returns the old RID if present.
     pub fn remove(&self, key: u64) -> Option<Rid> {
-        self.shard(key).write().remove(&key)
+        write(self.shard(key)).remove(&key)
     }
 
     /// Number of indexed keys.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards.iter().map(|s| read(s).len()).sum()
     }
 
     /// True when empty.
@@ -130,19 +130,19 @@ impl Table {
 
     /// Number of pages currently in the table.
     pub fn page_count(&self) -> u32 {
-        self.frames.read().len() as u32
+        read(&self.frames).len() as u32
     }
 
     /// Frame handle for `page_no`, growing the table if needed (recovery
     /// redo may touch pages that post-crash frames don't have yet).
     pub fn frame(&self, page_no: u32) -> Arc<RwLock<Frame>> {
         {
-            let f = self.frames.read();
+            let f = read(&self.frames);
             if (page_no as usize) < f.len() {
                 return Arc::clone(&f[page_no as usize]);
             }
         }
-        let mut f = self.frames.write();
+        let mut f = write(&self.frames);
         while f.len() <= page_no as usize {
             f.push(Arc::new(RwLock::new(Frame::new())));
         }
@@ -161,7 +161,7 @@ impl Table {
     /// Read the record bytes at `rid`; `None` if the slot is empty.
     pub fn read(&self, rid: Rid) -> Option<Vec<u8>> {
         let frame = self.frame(rid.page_no);
-        let g = frame.read();
+        let g = read(&frame);
         let off = self.geom.offset(rid.slot);
         if g.data[off] == 0 {
             return None;
@@ -173,7 +173,7 @@ impl Table {
     /// before-image for WAL records.
     pub fn read_cell(&self, rid: Rid) -> Vec<u8> {
         let frame = self.frame(rid.page_no);
-        let g = frame.read();
+        let g = read(&frame);
         let off = self.geom.offset(rid.slot);
         g.data[off..off + self.geom.cell_size].to_vec()
     }
@@ -183,7 +183,7 @@ impl Table {
     pub fn apply_cell(&self, rid: Rid, cell: &[u8], lsn: Lsn) {
         debug_assert_eq!(cell.len(), self.geom.cell_size);
         let frame = self.frame(rid.page_no);
-        let mut g = frame.write();
+        let mut g = write(&frame);
         let off = self.geom.offset(rid.slot);
         g.apply(off, cell, lsn);
     }
@@ -211,7 +211,7 @@ impl Table {
 
     /// Allocate the next append slot (for inserts beyond the dense region).
     pub fn allocate_slot(&self) -> Rid {
-        let mut a = self.append.lock();
+        let mut a = lock(&self.append);
         let rid = Rid {
             page_no: a.next_page,
             slot: a.next_slot,
@@ -254,10 +254,10 @@ impl Table {
 
     /// Rebuild the hash index and append cursor by scanning pages (recovery).
     pub fn rebuild_index(&self) {
-        let frames = self.frames.read();
+        let frames = read(&self.frames);
         let mut last_occupied: Option<(u32, u16)> = None;
         for (page_no, frame) in frames.iter().enumerate() {
-            let g = frame.read();
+            let g = read(frame);
             for slot in 0..self.geom.slots_per_page as u16 {
                 let off = self.geom.offset(slot);
                 if g.data[off] == 1 {
@@ -288,7 +288,7 @@ impl Table {
             Some(lo) => lo.max(dense_end),
             None => {
                 if self.dense_rows == 0 {
-                    let mut a = self.append.lock();
+                    let mut a = lock(&self.append);
                     a.next_page = 0;
                     a.next_slot = 0;
                     return;
@@ -301,16 +301,16 @@ impl Table {
             p += 1;
             s = 0;
         }
-        let mut a = self.append.lock();
+        let mut a = lock(&self.append);
         a.next_page = p;
         a.next_slot = s;
     }
 
     /// Visit every dirty frame: `(page_no, &mut Frame)`.
     pub fn for_each_dirty<F: FnMut(u32, &mut Frame)>(&self, mut f: F) {
-        let frames = self.frames.read();
+        let frames = read(&self.frames);
         for (page_no, frame) in frames.iter().enumerate() {
-            let mut g = frame.write();
+            let mut g = write(frame);
             if g.dirty {
                 f(page_no as u32, &mut g);
             }
@@ -319,10 +319,10 @@ impl Table {
 
     /// Dirty-page-table snapshot for this table: (packed PageId, rec_lsn).
     pub fn dpt_snapshot(&self) -> Vec<(u64, Lsn)> {
-        let frames = self.frames.read();
+        let frames = read(&self.frames);
         let mut out = Vec::new();
         for (page_no, frame) in frames.iter().enumerate() {
-            let g = frame.read();
+            let g = read(frame);
             if g.dirty {
                 out.push((
                     PageId {
@@ -465,9 +465,9 @@ mod tests {
         let t2 = Table::new(2, 24, 5);
         for p in 0..t.page_count() {
             let src = t.frame(p);
-            let cell_bytes = src.read().data.clone();
+            let cell_bytes = read(&src).data.clone();
             let dst = t2.frame(p);
-            dst.write().data = cell_bytes;
+            write(&dst).data = cell_bytes;
         }
         t2.rebuild_index();
         assert_eq!(t2.index().len(), 3);

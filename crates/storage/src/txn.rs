@@ -22,11 +22,11 @@
 use crate::lock::LockId;
 use crate::page::PageId;
 use aether_core::commit::CommitHandle;
+use aether_core::runtime::lock;
 use aether_core::Lsn;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// How commits interact with the log flush and lock release.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -224,7 +224,7 @@ impl TxnManager {
             last_lsn: AtomicU64::new(0),
             first_lsn: AtomicU64::new(0),
         });
-        self.active.lock().insert(id, Arc::clone(&shared));
+        lock(&self.active).insert(id, Arc::clone(&shared));
         Transaction {
             id,
             shared,
@@ -236,7 +236,7 @@ impl TxnManager {
 
     /// Remove a finished transaction from the ATT.
     pub fn finish(&self, id: u64) {
-        self.active.lock().remove(&id);
+        lock(&self.active).remove(&id);
     }
 
     /// Snapshot the ATT: (txn id, last LSN) pairs for the checkpoint record.
@@ -255,7 +255,7 @@ impl TxnManager {
     /// while the surviving checkpoint still names T, and recovery would
     /// chase T's "undo chain" into the recycled prefix.
     pub fn att_snapshot_with_floor(&self) -> (Vec<(u64, Lsn)>, Option<Lsn>) {
-        let active = self.active.lock();
+        let active = lock(&self.active);
         let att = active
             .values()
             .map(|s| (s.id, Lsn(s.last_lsn.load(Ordering::Relaxed))))
@@ -272,14 +272,13 @@ impl TxnManager {
 
     /// Number of in-flight transactions.
     pub fn active_count(&self) -> usize {
-        self.active.lock().len()
+        lock(&self.active).len()
     }
 
     /// Oldest first-LSN among active transactions (the undo anchor for log
     /// truncation), if any active transaction has logged.
     pub fn oldest_first_lsn(&self) -> Option<Lsn> {
-        self.active
-            .lock()
+        lock(&self.active)
             .values()
             .filter_map(|s| match s.first_lsn.load(Ordering::Relaxed) {
                 0 => None,

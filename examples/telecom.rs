@@ -8,6 +8,7 @@
 //! Run with: `cargo run --release --example telecom`
 
 use aether::bench::tatp::{Tatp, TatpConfig, TatpMix, TatpTxn};
+use aether::log::runtime::lock;
 use aether::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,8 +30,8 @@ fn main() {
     ));
     println!("TATP loaded: {} subscribers", tatp.config().subscribers);
 
-    let per_type: parking_lot::Mutex<HashMap<TatpTxn, (u64, u64)>> =
-        parking_lot::Mutex::new(HashMap::new());
+    let per_type: std::sync::Mutex<HashMap<TatpTxn, (u64, u64)>> =
+        std::sync::Mutex::new(HashMap::new());
     std::thread::scope(|s| {
         let results = &per_type;
         for c in 0..4u64 {
@@ -53,7 +54,7 @@ fn main() {
                         }
                     }
                 }
-                let mut g = results.lock();
+                let mut g = lock(results);
                 for (k, (ok, fail)) in local {
                     let e = g.entry(k).or_default();
                     e.0 += ok;
@@ -65,7 +66,7 @@ fn main() {
 
     db.log().flush_all().unwrap();
     println!("{:<24} {:>8} {:>8}", "transaction", "ok", "failed");
-    let mut rows: Vec<_> = per_type.into_inner().into_iter().collect();
+    let mut rows: Vec<_> = per_type.into_inner().unwrap().into_iter().collect();
     rows.sort_by_key(|(k, _)| format!("{k:?}"));
     for (kind, (ok, fail)) in rows {
         println!("{:<24} {:>8} {:>8}", format!("{kind:?}"), ok, fail);

@@ -9,9 +9,13 @@
 //! whole point is that they do).
 
 use crate::measure::{self, Breakdown};
+use crate::tatp::{Tatp, TatpConfig, TatpMix};
+use crate::tpcb::{Tpcb, TpcbConfig};
+use aether_core::runtime::WaitSet;
+use aether_core::{BufferKind, DeviceKind, LogConfig};
 use aether_storage::error::StorageResult;
 use aether_storage::txn::Transaction;
-use aether_storage::Db;
+use aether_storage::{CommitProtocol, Db, DbOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -29,22 +33,13 @@ pub struct DriverConfig {
     pub seed: u64,
 }
 
-impl Default for DriverConfig {
-    fn default() -> Self {
-        DriverConfig {
-            clients: 4,
-            duration: Duration::from_millis(500),
-            seed: 0xAE7_AE7,
-        }
-    }
-}
-
 /// Result of one driver run.
 #[derive(Debug, Clone)]
 pub struct DriverResult {
     /// Transactions whose commit became durable (the throughput metric).
     pub committed: u64,
-    /// Commits submitted (== committed unless the run was cut short).
+    /// Commits submitted (== committed unless some failed or the drain
+    /// timed out).
     pub submitted: u64,
     /// Aborted transactions (deadlock victims + workload-expected failures).
     pub aborts: u64,
@@ -60,6 +55,97 @@ pub struct DriverResult {
     pub flushes: u64,
 }
 
+/// What the clients of one [`Point`] run.
+#[derive(Debug, Clone, Copy)]
+pub enum Workload {
+    /// TPC-B AccountUpdate over `accounts` accounts, zipfian `skew`.
+    Tpcb {
+        /// Accounts loaded.
+        accounts: u64,
+        /// Zipf exponent of the account pick.
+        skew: f64,
+    },
+    /// TATP over `subscribers` subscribers, each transaction drawn from `mix`.
+    Tatp {
+        /// Subscribers loaded.
+        subscribers: u64,
+        /// Transaction mix.
+        mix: TatpMix,
+    },
+}
+
+/// One closed-loop point of a figure: the paper's axes (commit protocol,
+/// buffer variant, device latency, clients) and the workload.
+#[derive(Debug, Clone)]
+pub struct Point {
+    /// Commit protocol.
+    pub protocol: CommitProtocol,
+    /// Log-buffer variant.
+    pub buffer: BufferKind,
+    /// Log device.
+    pub device: DeviceKind,
+    /// What each client runs.
+    pub workload: Workload,
+    /// Client threads.
+    pub clients: usize,
+    /// Measured run length.
+    pub duration: Duration,
+    /// Base RNG seed.
+    pub seed: u64,
+}
+
+/// Open a [`Db`] for `p` with the environment's telemetry
+/// ([`crate::env::telemetry`]), load its workload and run it closed-loop.
+/// With telemetry on, the point's snapshot goes to stderr as text. The `Db`
+/// is returned for what a figure reads after the run.
+pub fn run_point(p: &Point) -> (Arc<Db>, DriverResult) {
+    let db = Db::open(DbOptions {
+        protocol: p.protocol,
+        buffer: p.buffer,
+        device: p.device.clone(),
+        log_config: LogConfig::default().with_telemetry(crate::env::telemetry()),
+        ..DbOptions::default()
+    });
+    let cfg = DriverConfig {
+        clients: p.clients,
+        duration: p.duration,
+        seed: p.seed,
+    };
+    let r = match p.workload {
+        Workload::Tpcb { accounts, skew } => {
+            let cfg_tpcb = TpcbConfig {
+                accounts,
+                skew,
+                ..TpcbConfig::default()
+            };
+            let t = Tpcb::setup(&db, cfg_tpcb);
+            run_closed_loop(&db, &cfg, &move |db, txn, rng, _| {
+                t.account_update(db, txn, rng)
+            })
+        }
+        Workload::Tatp { subscribers, mix } => {
+            let t = Tatp::setup(&db, TatpConfig { subscribers });
+            run_closed_loop(&db, &cfg, &move |db, txn, rng, _| {
+                let kind = t.pick(mix, rng);
+                t.run(kind, db, txn, rng)
+            })
+        }
+    };
+    if db.log().telemetry().on() {
+        let label = format!("{:?} {:?} clients={}", p.workload, p.protocol, p.clients);
+        eprint!("{}", db.telemetry_snapshot(&label).render_text());
+    }
+    (db, r)
+}
+
+/// Commits resolved by their durability callback, and the drain's wait.
+#[derive(Default)]
+struct Resolved {
+    ok: AtomicU64,
+    err: AtomicU64,
+    wake: WaitSet,
+}
+
 /// A transaction body: runs inside an open transaction; `Ok` commits,
 /// retryable errors abort-and-retry, other errors abort-and-continue
 /// (TATP's expected "failed" transactions).
@@ -69,7 +155,9 @@ pub type TxnBody = dyn Fn(&Db, &mut Transaction, &mut StdRng, usize) -> StorageR
 pub fn run_closed_loop(db: &Arc<Db>, cfg: &DriverConfig, body: &TxnBody) -> DriverResult {
     db.log().set_timing(true);
 
-    let committed = Arc::new(AtomicU64::new(0));
+    // Every submitted commit resolves once, durable or not; the drain below
+    // waits for the resolutions, so a poisoned log ends it at once.
+    let resolved = Arc::new(Resolved::default());
     let submitted = AtomicU64::new(0);
     let aborts = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
@@ -84,7 +172,7 @@ pub fn run_closed_loop(db: &Arc<Db>, cfg: &DriverConfig, body: &TxnBody) -> Driv
     std::thread::scope(|s| {
         for client in 0..cfg.clients {
             let db = Arc::clone(db);
-            let committed = Arc::clone(&committed);
+            let resolved = Arc::clone(&resolved);
             let submitted = &submitted;
             let aborts = &aborts;
             let stop = &stop;
@@ -94,14 +182,14 @@ pub fn run_closed_loop(db: &Arc<Db>, cfg: &DriverConfig, body: &TxnBody) -> Driv
                     let mut txn = db.begin();
                     match body(&db, &mut txn, &mut rng, client) {
                         Ok(()) => {
-                            let c = Arc::clone(&committed);
+                            let r = Arc::clone(&resolved);
                             submitted.fetch_add(1, Ordering::Relaxed);
                             let _ = db.commit_tokened_with(
                                 txn,
                                 Box::new(move |durable| {
-                                    if durable.is_ok() {
-                                        c.fetch_add(1, Ordering::Relaxed);
-                                    }
+                                    let n = if durable.is_ok() { &r.ok } else { &r.err };
+                                    n.fetch_add(1, Ordering::SeqCst);
+                                    r.wake.notify();
                                 }),
                             );
                         }
@@ -118,24 +206,25 @@ pub fn run_closed_loop(db: &Arc<Db>, cfg: &DriverConfig, body: &TxnBody) -> Driv
     });
     let wall = start.elapsed();
 
-    // Drain: make every submitted commit durable and wait for callbacks.
+    // Drain: make every submitted commit durable and wait for its callback.
     let _ = db.log().flush_all();
     let target = submitted.load(Ordering::Relaxed);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while committed.load(Ordering::Relaxed) < target && Instant::now() < deadline {
-        let _ = db.log().flush_all();
-        std::thread::sleep(Duration::from_micros(200));
-    }
+    resolved.wake.wait_until(Some(Duration::from_secs(10)), || {
+        (resolved.ok.load(Ordering::Relaxed) + resolved.err.load(Ordering::Relaxed) >= target)
+            .then_some(())
+    });
 
     let log_after = db.log().stats();
     let log = log_after.delta(&log_before);
     let lock_wait = db.locks().wait_ns() - lock_wait_before;
     let flush_wait = db.stats().flush_wait_ns() - flush_wait_before;
-    let ctx = measure::voluntary_ctx_switches() - ctx_before;
+    // Process-wide over the threads alive now: one that exited since (a
+    // concurrent test's daemon) takes its count with it.
+    let ctx = measure::voluntary_ctx_switches().saturating_sub(ctx_before);
     let flushes = db.log().flush_count() - flushes_before;
 
     let wall_s = wall.as_secs_f64();
-    let committed = committed.load(Ordering::Relaxed);
+    let committed = resolved.ok.load(Ordering::Relaxed);
     DriverResult {
         committed,
         submitted: target,
@@ -157,7 +246,7 @@ pub fn run_closed_loop(db: &Arc<Db>, cfg: &DriverConfig, body: &TxnBody) -> Driv
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aether_storage::{CommitProtocol, DbOptions};
+    use aether_core::device::{LogDevice, SimDevice};
 
     fn rec(key: u64, size: usize) -> Vec<u8> {
         let mut r = vec![1u8; size];
@@ -165,13 +254,19 @@ mod tests {
         r
     }
 
-    fn small_db(protocol: CommitProtocol) -> Arc<Db> {
-        let opts = DbOptions {
+    fn small_opts(protocol: CommitProtocol) -> DbOptions {
+        DbOptions {
             protocol,
             log_config: aether_core::LogConfig::default().with_buffer_size(1 << 20),
             ..DbOptions::default()
-        };
-        let db = Db::open(opts);
+        }
+    }
+
+    fn small_db(protocol: CommitProtocol) -> Arc<Db> {
+        loaded(Db::open(small_opts(protocol)))
+    }
+
+    fn loaded(db: Arc<Db>) -> Arc<Db> {
         db.create_table(40, 64);
         for k in 0..64 {
             db.load(0, k, &rec(k, 40)).unwrap();
@@ -210,6 +305,64 @@ mod tests {
             );
             assert!(r.tps > 0.0);
             assert!(r.breakdown.total_s > 0.0);
+        }
+    }
+
+    /// A RAM device whose syncs fail for good (EIO) after the first few.
+    struct FailsAfter {
+        inner: SimDevice,
+        syncs_left: AtomicU64,
+    }
+
+    impl LogDevice for FailsAfter {
+        fn write_vectored(&self, bufs: &[&[u8]]) -> aether_core::Result<()> {
+            self.inner.write_vectored(bufs)
+        }
+        fn sync(&self) -> aether_core::Result<()> {
+            let left = self.syncs_left.load(Ordering::SeqCst);
+            if left == 0 {
+                return Err(std::io::Error::from_raw_os_error(5).into());
+            }
+            self.syncs_left.store(left - 1, Ordering::SeqCst);
+            self.inner.sync()
+        }
+        fn read_at(&self, offset: u64, dst: &mut [u8]) -> aether_core::Result<usize> {
+            self.inner.read_at(offset, dst)
+        }
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+    }
+
+    #[test]
+    fn a_poisoned_log_ends_the_drain() {
+        // Once the device fails for good every commit resolves with an
+        // error and never counts as committed: the drain must end when the
+        // last one resolves, not wait out its 10 s bound.
+        for protocol in [CommitProtocol::Pipelined, CommitProtocol::Baseline] {
+            let device = Arc::new(FailsAfter {
+                inner: SimDevice::new(Duration::ZERO),
+                syncs_left: AtomicU64::new(20),
+            });
+            let db = loaded(Db::open_with_device(small_opts(protocol), device));
+            let cfg = DriverConfig {
+                clients: 2,
+                duration: Duration::from_millis(200),
+                seed: 3,
+            };
+            let start = Instant::now();
+            let r = run_closed_loop(&db, &cfg, &bump_body);
+            let took = start.elapsed();
+            assert!(
+                db.log().is_poisoned(),
+                "{protocol:?}: the device never failed"
+            );
+            assert!(r.committed < r.submitted, "{protocol:?}: {r:?}");
+            assert!(
+                took < cfg.duration + Duration::from_secs(1),
+                "{protocol:?}: a {:?} run took {took:?}",
+                cfg.duration
+            );
         }
     }
 

@@ -10,24 +10,27 @@
 //! * [`tpcc`] — a TPC-C-shaped page-access trace generator for the
 //!   distributed-logging dependency analysis (Figure 13).
 //! * [`driver`] — closed-loop multi-client driver with per-phase time
-//!   breakdown and durable-completion counting.
+//!   breakdown and durable-completion counting, and [`driver::run_point`],
+//!   which opens a `Db`, loads TPC-B or TATP and runs one figure point.
 //! * [`measure`] — OS context-switch counters and breakdown assembly.
 //! * [`micro`] — the log-insert microbenchmark (Figures 8, 11, 12).
-//! * [`mod@env`] — the shared `AETHER_*` knobs (`env_or`, telemetry, read
-//!   policy): the only place they are parsed.
-//! * [`json`] — JSON-lines emission for machine-readable bench artifacts
-//!   (`AETHER_JSON=<path>`; used by CI to track a perf trajectory).
+//! * [`mod@env`] — the `AETHER_*` knobs (`list`, `env_or`, telemetry, read
+//!   policy): the only place the environment is read, and a malformed value
+//!   is an error, never the default.
+//! * [`table`] — the figures' output: a TSV table on stdout, the same rows
+//!   as JSON lines when `AETHER_JSON=<path>` (CI's perf artifacts).
 //!
-//! Each `src/bin/figN_*.rs` binary prints one paper artifact as TSV.
+//! The one binary, `figs <name>`, prints one paper artifact per name; with
+//! no name it lists them.
 
 #![warn(missing_docs)]
 
 pub mod driver;
 pub mod env;
-pub mod json;
 pub mod loganalysis;
 pub mod measure;
 pub mod micro;
+pub mod table;
 pub mod tatp;
 pub mod tpcb;
 pub mod tpcc;

@@ -114,31 +114,6 @@ impl LogManagerBuilder {
             ))
         };
         let flush_shared = daemon.as_ref().map(|d| Arc::clone(d.shared()));
-        let truncation = Arc::new(TruncationCounters::default());
-        // Periodic telemetry exporter: snapshots the whole log (registry +
-        // layer counters) on a fixed cadence; the final snapshot is emitted
-        // at shutdown whether or not the daemon runs.
-        let exporter = match (
-            self.config.telemetry.enabled,
-            self.config.telemetry.export_every,
-        ) {
-            (true, Some(every)) => {
-                let out = self.config.telemetry.export_path.clone();
-                let c = Arc::clone(&core);
-                let p = Arc::clone(&pipeline);
-                let g = Arc::clone(&gate);
-                let f = flush_shared.clone();
-                let t = Arc::clone(&truncation);
-                let d = Arc::clone(&device);
-                Some(crate::telemetry::spawn_exporter(
-                    &self.config.runtime,
-                    every,
-                    out,
-                    move || assemble_snapshot("log", &c, &p, &g, f.as_ref(), &t, &d),
-                ))
-            }
-            _ => None,
-        };
         Ok(LogManager {
             core,
             buffer,
@@ -146,84 +121,12 @@ impl LogManagerBuilder {
             pipeline,
             gate,
             flush_shared,
-            truncation,
+            truncation: TruncationCounters::default(),
             daemon: Mutex::new(daemon),
-            exporter: Mutex::new(exporter),
             final_emitted: std::sync::atomic::AtomicBool::new(false),
             config: self.config,
         })
     }
-}
-
-/// Assemble the full-log telemetry snapshot: the registry's own metrics
-/// plus the counters that live outside it (buffer stats, flush totals,
-/// commit pipeline, truncation watermarks, replication gate).
-fn assemble_snapshot(
-    scope: &str,
-    core: &Arc<BufferCore>,
-    pipeline: &Arc<CommitPipeline>,
-    gate: &Arc<CommitGate>,
-    flush_shared: Option<&Arc<crate::flush::FlushShared>>,
-    truncation: &Arc<TruncationCounters>,
-    device: &Arc<dyn LogDevice>,
-) -> TelemetrySnapshot {
-    let mut snap = core.telemetry().snapshot(scope);
-    let s = core.stats.snapshot();
-    snap.push_counter("log.inserts", Unit::Records, s.inserts);
-    snap.push_counter("log.bytes", Unit::Bytes, s.bytes);
-    snap.push_counter("log.direct_acquires", Unit::Count, s.direct_acquires);
-    snap.push_counter("log.consolidations", Unit::Count, s.consolidations);
-    snap.push_counter("log.group_acquires", Unit::Count, s.group_acquires);
-    snap.push_counter("log.delegated_releases", Unit::Count, s.delegated_releases);
-    snap.push_counter("log.acquire_wait_ns", Unit::Nanos, s.acquire_wait_ns);
-    snap.push_counter("log.fill_ns", Unit::Nanos, s.fill_ns);
-    snap.push_counter("log.release_wait_ns", Unit::Nanos, s.release_wait_ns);
-    if let Some(f) = flush_shared {
-        snap.push_counter("flush.flushes", Unit::Count, f.flush_count());
-        snap.push_counter("flush.flushed_bytes", Unit::Bytes, f.flushed_bytes());
-    }
-    snap.push_counter("commit.submitted", Unit::Records, pipeline.submitted());
-    snap.push_counter("commit.completed", Unit::Records, pipeline.completed());
-    snap.push_gauge("commit.pending", Unit::Records, pipeline.pending() as i64);
-    let relaxed = std::sync::atomic::Ordering::Relaxed;
-    snap.push_counter(
-        "truncation.truncations",
-        Unit::Count,
-        truncation.truncations.load(relaxed),
-    );
-    snap.push_counter(
-        "truncation.segments_recycled",
-        Unit::Count,
-        truncation.segments_recycled.load(relaxed),
-    );
-    snap.push_gauge(
-        "truncation.low_water",
-        Unit::Lsns,
-        device.low_water().raw() as i64,
-    );
-    snap.push_gauge(
-        "log.released_lsn",
-        Unit::Lsns,
-        core.released_lsn().raw() as i64,
-    );
-    snap.push_gauge(
-        "log.durable_lsn",
-        Unit::Lsns,
-        core.durable_lsn().raw() as i64,
-    );
-    if gate.policy().is_some() {
-        snap.push_gauge(
-            "repl.replicated_floor",
-            Unit::Lsns,
-            gate.replicated_floor().raw() as i64,
-        );
-        snap.push_gauge(
-            "repl.slowest_ack",
-            Unit::Lsns,
-            gate.slowest_ack().raw() as i64,
-        );
-    }
-    snap
 }
 
 /// The assembled log manager.
@@ -241,13 +144,10 @@ pub struct LogManager {
     /// Shared daemon state, used lock-free-ish on the commit path so any
     /// number of committers can wait concurrently (group commit).
     flush_shared: Option<Arc<crate::flush::FlushShared>>,
-    /// Truncation counters, shared with the telemetry exporter; the
-    /// low-water mark itself lives in the device.
-    truncation: Arc<TruncationCounters>,
+    /// Truncation counters; the low-water mark itself lives in the device.
+    truncation: TruncationCounters,
     /// The daemon thread handle; the mutex is touched only at shutdown.
     daemon: Mutex<Option<FlushDaemon>>,
-    /// Periodic telemetry exporter, if configured; stopped at shutdown.
-    exporter: Mutex<Option<crate::telemetry::Exporter>>,
     /// Guard so the shutdown telemetry emit happens exactly once.
     final_emitted: std::sync::atomic::AtomicBool,
     config: LogConfig,
@@ -427,15 +327,67 @@ impl LogManager {
     /// totals, commit-pipeline counts, truncation watermarks, and — when a
     /// durability policy is installed — the replication gate's floors.
     pub fn telemetry_snapshot_scoped(&self, scope: &str) -> TelemetrySnapshot {
-        assemble_snapshot(
-            scope,
-            &self.core,
-            &self.pipeline,
-            &self.gate,
-            self.flush_shared.as_ref(),
-            &self.truncation,
-            &self.device,
-        )
+        let mut snap = self.core.telemetry().snapshot(scope);
+        let s = self.core.stats.snapshot();
+        snap.push_counter("log.inserts", Unit::Records, s.inserts);
+        snap.push_counter("log.bytes", Unit::Bytes, s.bytes);
+        snap.push_counter("log.direct_acquires", Unit::Count, s.direct_acquires);
+        snap.push_counter("log.consolidations", Unit::Count, s.consolidations);
+        snap.push_counter("log.group_acquires", Unit::Count, s.group_acquires);
+        snap.push_counter("log.delegated_releases", Unit::Count, s.delegated_releases);
+        snap.push_counter("log.acquire_wait_ns", Unit::Nanos, s.acquire_wait_ns);
+        snap.push_counter("log.fill_ns", Unit::Nanos, s.fill_ns);
+        snap.push_counter("log.release_wait_ns", Unit::Nanos, s.release_wait_ns);
+        if let Some(f) = &self.flush_shared {
+            snap.push_counter("flush.flushes", Unit::Count, f.flush_count());
+            snap.push_counter("flush.flushed_bytes", Unit::Bytes, f.flushed_bytes());
+        }
+        snap.push_counter("commit.submitted", Unit::Records, self.pipeline.submitted());
+        snap.push_counter("commit.completed", Unit::Records, self.pipeline.completed());
+        snap.push_gauge(
+            "commit.pending",
+            Unit::Records,
+            self.pipeline.pending() as i64,
+        );
+        let relaxed = std::sync::atomic::Ordering::Relaxed;
+        snap.push_counter(
+            "truncation.truncations",
+            Unit::Count,
+            self.truncation.truncations.load(relaxed),
+        );
+        snap.push_counter(
+            "truncation.segments_recycled",
+            Unit::Count,
+            self.truncation.segments_recycled.load(relaxed),
+        );
+        snap.push_gauge(
+            "truncation.low_water",
+            Unit::Lsns,
+            self.device.low_water().raw() as i64,
+        );
+        snap.push_gauge(
+            "log.released_lsn",
+            Unit::Lsns,
+            self.core.released_lsn().raw() as i64,
+        );
+        snap.push_gauge(
+            "log.durable_lsn",
+            Unit::Lsns,
+            self.core.durable_lsn().raw() as i64,
+        );
+        if self.gate.policy().is_some() {
+            snap.push_gauge(
+                "repl.replicated_floor",
+                Unit::Lsns,
+                self.gate.replicated_floor().raw() as i64,
+            );
+            snap.push_gauge(
+                "repl.slowest_ack",
+                Unit::Lsns,
+                self.gate.slowest_ack().raw() as i64,
+            );
+        }
+        snap
     }
 
     /// Enable per-phase timing (Figures 2/7 breakdowns).
@@ -603,26 +555,18 @@ impl LogManager {
 
     /// Stop the flush daemon after a final flush. Called automatically on
     /// drop; explicit calls are idempotent. With telemetry enabled, one
-    /// final snapshot is emitted (by the exporter daemon if one runs, else
-    /// directly to `TelemetryConfig::export_path` when set).
+    /// final snapshot is appended to `TelemetryConfig::export_path` when set.
     pub fn shutdown(&self) {
         if let Some(d) = lock(&self.daemon).as_mut() {
             d.shutdown();
         }
-        let exporter = lock(&self.exporter).take();
-        if !self
-            .final_emitted
-            .swap(true, std::sync::atomic::Ordering::Relaxed)
-        {
-            match exporter {
-                // Stopping the exporter emits the final snapshot itself.
-                Some(mut e) => e.stop(),
-                None => {
-                    let path = &self.config.telemetry.export_path;
-                    if let (true, Some(path)) = (self.core.telemetry().on(), path) {
-                        let _ = self.telemetry_snapshot().append_to(path);
-                    }
-                }
+        let path = &self.config.telemetry.export_path;
+        if let (true, Some(path)) = (self.core.telemetry().on(), path) {
+            if !self
+                .final_emitted
+                .swap(true, std::sync::atomic::Ordering::Relaxed)
+            {
+                let _ = self.telemetry_snapshot().append_to(path);
             }
         }
     }

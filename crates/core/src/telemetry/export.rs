@@ -1,5 +1,4 @@
-//! Snapshot assembly and export: human-readable text, JSON-lines, and the
-//! periodic exporter daemon.
+//! Snapshot assembly and export: human-readable text and JSON-lines.
 //!
 //! A [`TelemetrySnapshot`] starts from a registry's own metrics
 //! ([`super::Telemetry::snapshot`]) and is then extended by higher layers
@@ -16,13 +15,9 @@
 
 use super::trace::{assemble_spans, TraceEvent};
 use super::{HistSnapshot, Unit};
-use crate::runtime::{JoinHandle, Runtime, WaitSet};
 use std::fmt::Write as _;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::path::Path;
 
 /// A named scalar metric inside a snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -253,74 +248,6 @@ fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-#[derive(Default)]
-struct ExporterShared {
-    stop: AtomicBool,
-    wake: WaitSet,
-}
-
-/// Handle to the periodic exporter daemon. Stopping (or dropping) it emits
-/// one final snapshot before the thread exits.
-pub struct Exporter {
-    shared: Arc<ExporterShared>,
-    join: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for Exporter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Exporter")
-    }
-}
-
-/// Spawn the exporter daemon on `rt` (named `aether-telemetryd`). Every
-/// `every`, and once more on stop, it calls `make` and appends the JSON-lines
-/// rendering to `out` — or, with no output file, writes the text rendering to
-/// stderr.
-pub fn spawn_exporter(
-    rt: &Runtime,
-    every: Duration,
-    out: Option<PathBuf>,
-    mut make: impl FnMut() -> TelemetrySnapshot + Send + 'static,
-) -> Exporter {
-    let shared = Arc::new(ExporterShared::default());
-    let sh = Arc::clone(&shared);
-    let join = rt.spawn("aether-telemetryd", move || loop {
-        let stopped = || sh.stop.load(Ordering::Relaxed);
-        sh.wake.wait_until(Some(every), || stopped().then_some(()));
-        let snap = make();
-        match &out {
-            Some(path) => {
-                let _ = snap.append_to(path);
-            }
-            None => eprint!("{}", snap.render_text()),
-        }
-        if stopped() {
-            return;
-        }
-    });
-    Exporter {
-        shared,
-        join: Some(join),
-    }
-}
-
-impl Exporter {
-    /// Stop the daemon; it emits one final snapshot first.
-    pub fn stop(&mut self) {
-        if let Some(join) = self.join.take() {
-            self.shared.stop.store(true, Ordering::SeqCst);
-            self.shared.wake.notify();
-            let _ = join.join();
-        }
-    }
-}
-
-impl Drop for Exporter {
-    fn drop(&mut self) {
-        self.stop();
-    }
 }
 
 #[cfg(test)]

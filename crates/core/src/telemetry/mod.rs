@@ -26,7 +26,7 @@ mod export;
 pub mod histogram;
 pub mod trace;
 
-pub use export::{spawn_exporter, Exporter, HistView, MetricValue, TelemetrySnapshot};
+pub use export::{HistView, MetricValue, TelemetrySnapshot};
 pub use histogram::{HistSnapshot, Histogram};
 pub use trace::{assemble_spans, CommitSpan, Stage, TraceEvent, TraceRing};
 
@@ -37,7 +37,6 @@ use std::cell::Cell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// Maximum registered counters per registry.
 pub const MAX_COUNTERS: usize = 96;
@@ -139,11 +138,8 @@ pub struct TelemetryConfig {
     /// tracing while keeping metrics). The sampling decision is a pure
     /// function of the LSN, so all stages of one record agree across threads.
     pub sample_every: u64,
-    /// Spawn a daemon that emits a snapshot this often. `None` = only emit
-    /// on shutdown (when `export_path` is set).
-    pub export_every: Option<Duration>,
-    /// File the snapshots are appended to as JSON lines. `None` = the
-    /// periodic daemon writes text to stderr and shutdown emits nothing.
+    /// File the log manager appends its final snapshot to, as JSON lines,
+    /// at shutdown. `None` = shutdown emits nothing.
     pub export_path: Option<PathBuf>,
 }
 
@@ -152,7 +148,6 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             enabled: false,
             sample_every: 64,
-            export_every: None,
             export_path: None,
         }
     }

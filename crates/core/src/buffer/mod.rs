@@ -914,7 +914,7 @@ impl BufferCore {
         if let Some(flusher) = self.flusher.get() {
             flusher.want(lsn);
         }
-        if self.wait_durable(lsn, None) >= lsn {
+        if self.wait_durable(lsn, || false) >= lsn {
             return Ok(());
         }
         Err(match self.poison_reason() {
@@ -931,16 +931,15 @@ impl BufferCore {
         self.durable_wait.waiting()
     }
 
-    /// Block until the durable watermark reaches `lsn` or `timeout` passes,
-    /// and return the watermark as it is then. Without a timeout the wait
-    /// also ends, below `lsn`, when the log is closed; with one the caller
-    /// polls, and keeps its cadence (a wait that returned at once on a closed
-    /// log would turn `while !stop { wait(poll) }` into a spin).
-    pub fn wait_durable(&self, lsn: Lsn, timeout: Option<std::time::Duration>) -> Lsn {
-        let seen = self.durable_wait.wait_until(timeout, || {
+    /// Block until the durable watermark reaches `lsn`, the log is closed,
+    /// or `give_up` holds, and return the watermark as it is then. `give_up`
+    /// is looked at under the waiters' lock: keep it a load, and whoever
+    /// makes it true stores `SeqCst` and then calls
+    /// [`BufferCore::notify_durable`].
+    pub fn wait_durable(&self, lsn: Lsn, give_up: impl Fn() -> bool) -> Lsn {
+        let seen = self.durable_wait.wait_until(None, || {
             let durable = self.durable_lsn();
-            let closed = timeout.is_none() && self.closed.get().is_some();
-            (durable >= lsn || closed).then_some(durable)
+            (durable >= lsn || self.is_closed() || give_up()).then_some(durable)
         });
         seen.unwrap_or_else(|| self.durable_lsn())
     }
@@ -1231,7 +1230,7 @@ mod tests {
     fn wait_durable_wakes_on_advance() {
         let core = small_core();
         let core2 = Arc::clone(&core);
-        let t = std::thread::spawn(move || core2.wait_durable(Lsn(100), None));
+        let t = std::thread::spawn(move || core2.wait_durable(Lsn(100), || false));
         crate::runtime::sleep(std::time::Duration::from_millis(10));
         assert!(!t.is_finished());
         core.advance_durable(Lsn(64));
@@ -1240,16 +1239,24 @@ mod tests {
         core.notify_durable();
         assert_eq!(t.join().unwrap(), Lsn(128));
         // Already satisfied: returns immediately.
-        assert_eq!(core.wait_durable(Lsn(5), None), Lsn(128));
+        assert_eq!(core.wait_durable(Lsn(5), || false), Lsn(128));
     }
 
     #[test]
-    fn wait_durable_gives_up_at_its_timeout() {
+    fn wait_durable_gives_up_when_its_condition_holds() {
         let core = small_core();
-        let t = crate::runtime::monotonic_ns();
-        let d = core.wait_durable(Lsn(1000), Some(std::time::Duration::from_millis(20)));
-        assert!(crate::runtime::monotonic_ns() - t >= 20_000_000);
-        assert_eq!(d, Lsn::ZERO);
+        let give_up = Arc::new(AtomicBool::new(false));
+        let t = {
+            let (core, give_up) = (Arc::clone(&core), Arc::clone(&give_up));
+            std::thread::spawn(move || {
+                core.wait_durable(Lsn(1000), || give_up.load(Ordering::SeqCst))
+            })
+        };
+        crate::runtime::sleep(std::time::Duration::from_millis(10));
+        assert!(!t.is_finished());
+        give_up.store(true, Ordering::SeqCst);
+        core.notify_durable();
+        assert_eq!(t.join().unwrap(), Lsn::ZERO);
     }
 
     #[test]

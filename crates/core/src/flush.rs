@@ -619,7 +619,7 @@ mod tests {
         let target = core.released_lsn();
         daemon.shared().note_commit(target);
         // Durable-watch notification instead of a sleep-poll loop.
-        let durable = core.wait_durable(target, Some(Duration::from_millis(500)));
+        let durable = core.wait_durable(target, || false);
         assert_eq!(durable, target, "T policy must fire");
     }
 
@@ -804,7 +804,7 @@ mod tests {
                 let committed = log.commit(1, prev).wait();
                 let flushed = log.flush_all();
                 // The wait with no deadline and no flush request of its own.
-                let durable = log.buffer().core().wait_durable(Lsn::MAX, None);
+                let durable = log.buffer().core().wait_durable(Lsn::MAX, || false);
                 tx.send((committed, flushed, durable)).unwrap();
             })
         };
@@ -1086,7 +1086,7 @@ mod tests {
         let (core, _device, _p, _daemon, buf) = stall_setup(policy);
         put(&*buf, RecordKind::Filler, 1, &[0; 64]);
         let target = core.released_lsn();
-        let durable = core.wait_durable(target, Some(Duration::from_secs(5)));
+        let durable = core.wait_durable(target, || false);
         assert_eq!(durable, target, "no commit, no request: T must fire");
     }
 
@@ -1108,7 +1108,7 @@ mod tests {
         }
         let target = core.released_lsn();
         device.release();
-        let durable = core.wait_durable(target, Some(Duration::from_secs(5)));
+        let durable = core.wait_durable(target, || false);
         assert_eq!(durable, target, "6 KB pending against L = 4 KB");
         assert_eq!(daemon.shared().flush_count(), 2);
     }

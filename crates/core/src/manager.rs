@@ -400,13 +400,21 @@ impl LogManager {
         &self.device
     }
 
-    /// Block until the durable watermark reaches `lsn` or `timeout` passes;
-    /// returns the watermark as it is then. Unlike
+    /// Block until the durable watermark reaches `lsn`, the log is closed,
+    /// or `give_up` holds; returns the watermark as it is then. Unlike
     /// [`LogManager::flush_until`] this asks for no flush: the log shipper
     /// tails the durable frontier here instead of polling
-    /// [`LogManager::durable_lsn`].
-    pub fn wait_durable(&self, lsn: Lsn, timeout: std::time::Duration) -> Lsn {
-        self.core.wait_durable(lsn, Some(timeout))
+    /// [`LogManager::durable_lsn`]. `give_up` runs under the waiters' lock,
+    /// so keep it a load; whoever makes it true stores `SeqCst` and then
+    /// calls [`LogManager::wake_durable_waiters`].
+    pub fn wait_durable(&self, lsn: Lsn, give_up: impl Fn() -> bool) -> Lsn {
+        self.core.wait_durable(lsn, give_up)
+    }
+
+    /// Have every [`LogManager::wait_durable`] caller look again, at the
+    /// watermark and at its give-up condition.
+    pub fn wake_durable_waiters(&self) {
+        self.core.notify_durable();
     }
 
     /// The replication commit gate (register replicas, install a policy).

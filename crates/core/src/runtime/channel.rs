@@ -112,8 +112,9 @@ impl<T> RtReceiver<T> {
         }
     }
 
-    /// Block up to `timeout` for a message; `None` on timeout *or*
-    /// disconnect (check [`RtReceiver::is_disconnected`] to tell apart).
+    /// Block up to `timeout` for a message; `None` on timeout, or at once
+    /// when the channel is empty and every sender is gone (check
+    /// [`RtReceiver::is_disconnected`] to tell apart).
     pub fn recv_timeout(&self, timeout: Duration) -> Option<T> {
         let deadline =
             monotonic_ns().saturating_add(u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX));
@@ -123,27 +124,7 @@ impl<T> RtReceiver<T> {
                 return Some(v);
             }
             let now = monotonic_ns();
-            if g.senders == 0 {
-                // Disconnected and empty. Still wait out the remaining
-                // timeout before reporting `None`: callers poll in
-                // `while !stop { recv_timeout(poll) }` loops, and an
-                // instant return would turn them into hot spins — under
-                // the sim runtime a spin never yields the run token, so
-                // the whole cluster would livelock.
-                if now < deadline {
-                    let (g2, _) = self.sh.cv.wait_for(
-                        &self.sh.inner,
-                        g,
-                        Duration::from_nanos(deadline - now),
-                    );
-                    g = g2;
-                    if let Some(v) = g.q.pop_front() {
-                        return Some(v);
-                    }
-                }
-                return None;
-            }
-            if now >= deadline {
+            if g.senders == 0 || now >= deadline {
                 return None;
             }
             let (g2, _) =

@@ -15,10 +15,10 @@
 //! defining requirement for running replication and checkpoint-driven log
 //! truncation together.
 
-use crate::replica::{Replica, ReplicaConfig, ReplicaStatus};
+use crate::replica::{Replica, ReplicaStatus};
 use crate::router::{ReadRouter, RouterConfig};
-use crate::shipper::{Shipper, ShipperConfig};
-use crate::transport::{link, LinkConfig};
+use crate::shipper::{ack_link, Shipper, ShipperConfig};
+use crate::transport::LinkConfig;
 use aether_core::commit::{CommitToken, DurabilityPolicy, ReplicaAck};
 use aether_core::runtime;
 use aether_core::Lsn;
@@ -41,8 +41,6 @@ pub struct ReplicationConfig {
     pub link: LinkConfig,
     /// Shipper tuning.
     pub shipper: ShipperConfig,
-    /// Replica tuning.
-    pub replica: ReplicaConfig,
 }
 
 impl Default for ReplicationConfig {
@@ -52,7 +50,6 @@ impl Default for ReplicationConfig {
             policy: DurabilityPolicy::SemiSync(1),
             link: LinkConfig::default(),
             shipper: ShipperConfig::default(),
-            replica: ReplicaConfig::default(),
         }
     }
 }
@@ -148,47 +145,44 @@ impl ReplicatedDb {
         snap: &BaseSnapshot,
         link_cfg: LinkConfig,
     ) -> StorageResult<(Replica, Shipper, Arc<ReplicaAck>)> {
-        let cfg = &self.cfg;
-        let (frame_tx, frame_rx) = link::<Vec<u8>>(link_cfg.clone());
-        let (ack_tx, ack_rx) = link::<Lsn>(LinkConfig {
-            // Acks never reorder meaningfully (cumulative max), so the
-            // return path only carries the latency. The chaos switch is
-            // shared: a partition cuts both directions at once.
-            latency: link_cfg.latency,
-            reorder_period: 0,
-            runtime: link_cfg.runtime.clone(),
-            chaos: link_cfg.chaos.clone(),
-        });
-        let replica = Replica::spawn_from_snapshot(
-            self.primary.options().clone(),
-            snap,
-            frame_rx,
-            ack_tx,
-            cfg.replica.clone(),
-        )?;
+        let gate = self.primary.log().commit_gate();
         // The snapshot implicitly covers everything below its LSN, so the
         // newcomer must not drag the truncation clamp (slowest ack) to 0.
-        let ack = self
-            .primary
-            .log()
-            .commit_gate()
-            .register_replica_at(snap.start_lsn);
+        let ack = gate.register_replica_at(snap.start_lsn);
+        let ack_tx = ack_link(
+            self.primary.log(),
+            Arc::clone(&ack),
+            LinkConfig {
+                // Acks never reorder meaningfully (cumulative max), so the
+                // return path only carries the latency. The chaos switch is
+                // shared: a partition cuts both directions at once.
+                reorder_period: 0,
+                ..link_cfg.clone()
+            },
+        );
+        let spawned =
+            Replica::spawn_from_snapshot(self.primary.options().clone(), snap, link_cfg, ack_tx);
+        let (replica, frame_tx) = match spawned {
+            Ok(pair) => pair,
+            Err(e) => {
+                gate.unregister_replica(&ack);
+                return Err(e);
+            }
+        };
         let shipper = Shipper::spawn(
             Arc::clone(&self.primary),
             frame_tx,
-            ack_rx,
-            Arc::clone(&ack),
             snap.start_lsn,
-            cfg.shipper.clone(),
+            self.cfg.shipper.clone(),
         );
         Ok((replica, shipper, ack))
     }
 
     /// Replace replica `i`'s entire pipeline with a fresh one seeded from a
     /// new checkpoint snapshot — the supervision path for a replica that
-    /// fell irrecoverably behind (dead apply thread, wedged link, stalled
-    /// acks). The replacement is built *first*, so a failure leaves the old
-    /// pipeline untouched; then the old shipper and replica are stopped and
+    /// fell irrecoverably behind (wedged link, stalled acks). The
+    /// replacement is built *first*, so a failure leaves the old pipeline
+    /// untouched; then the old shipper and replica are stopped and
     /// the old ack watermark is unregistered from the commit gate, so the
     /// quarantined replica stops clamping log truncation and holding the
     /// replication floor down. Existing [`ReadRouter`]s keep serving from
@@ -349,11 +343,60 @@ impl Drop for ReplicatedDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aether_core::runtime::Runtime;
     use aether_storage::DbOptions;
     use std::time::Duration;
 
+    /// Under the simulator: a two-replica SemiSync cluster over 200 µs links
+    /// with one commit replicated, then `act` on it, timed in virtual ns.
+    fn virtual_ns_to(act: impl FnOnce(&mut ReplicatedDb)) -> u64 {
+        let rt = Runtime::sim(44);
+        let g = rt.enter();
+        let primary = primary_on(rt.clone());
+        let mut cluster = ReplicatedDb::attach(
+            Arc::clone(&primary),
+            ReplicationConfig {
+                replicas: 2,
+                policy: DurabilityPolicy::SemiSync(1),
+                link: LinkConfig::with_latency_us(200).with_runtime(rt.clone()),
+                ..ReplicationConfig::default()
+            },
+        )
+        .unwrap();
+        let mut txn = primary.begin();
+        primary.update_with(&mut txn, 0, 1, |r| r[8] = 1).unwrap();
+        assert!(primary.commit(txn).unwrap().is_durable_now());
+        assert!(cluster.wait_catchup(Duration::from_secs(5)));
+        let t = runtime::monotonic_ns();
+        act(&mut cluster);
+        let took = runtime::monotonic_ns() - t;
+        drop(cluster);
+        drop(primary);
+        drop(g);
+        took
+    }
+
+    #[test]
+    fn shutdown_stops_two_replicas_at_once() {
+        let took = virtual_ns_to(ReplicatedDb::shutdown);
+        assert!(took < 1_000_000, "shutdown took {took} virtual ns");
+    }
+
+    #[test]
+    fn heal_replica_stops_the_old_pipeline_at_once() {
+        let took = virtual_ns_to(|c| c.heal_replica(0).unwrap());
+        assert!(took < 1_000_000, "heal_replica took {took} virtual ns");
+    }
+
     fn small_primary() -> Arc<Db> {
-        let db = Db::open(DbOptions::default());
+        primary_on(Runtime::real())
+    }
+
+    fn primary_on(rt: Runtime) -> Arc<Db> {
+        let db = Db::open(DbOptions {
+            log_config: aether_core::LogConfig::default().with_runtime(rt),
+            ..DbOptions::default()
+        });
         db.create_table(16, 4);
         for k in 0..4u64 {
             let mut rec = vec![0u8; 16];

@@ -9,17 +9,22 @@
 //! This crate implements that, end to end, offline and deterministically:
 //!
 //! * [`transport`] — in-process links with injectable latency and
-//!   deterministic reordering (the simulated network).
+//!   deterministic reordering (the simulated network). A link's delivery
+//!   thread hands each message to its receiver by calling it.
 //! * [`frame`] — CRC32-framed byte runs and snapshot bootstraps sharing
 //!   one sequence space; corrupt messages are dropped, reordered ones
 //!   restored.
 //! * [`shipper`] — tails the primary's durable frontier through
 //!   [`aether_core::LogManager::wait_durable`] (no polling) and streams one
-//!   frame per flush group, so group commit amortizes ack round-trips.
+//!   frame per flush group, so group commit amortizes ack round-trips; its
+//!   [`shipper::ack_link`] folds acks into the commit gate as they land.
 //! * [`replica`] — appends received runs to its own log device, acks the
 //!   durably-received LSN, and keeps a standby [`aether_storage::db::Db`]
 //!   warm by continuous ARIES redo; snapshot reads come with a measured
-//!   staleness bound. [`replica::Replica::promote`] runs full recovery over
+//!   staleness bound. It has no thread of its own: its frame link's
+//!   delivery thread ingests and replays, so a replica runs three threads
+//!   (ship, frame link, ack link), and [`replica::Replica::stop`] takes
+//!   effect at once. [`replica::Replica::promote`] runs full recovery over
 //!   the shipped prefix for failover.
 //! * [`cluster`] — [`cluster::ReplicatedDb`] wires a primary to N replicas
 //!   under a [`aether_core::commit::DurabilityPolicy`]: `Async`,
@@ -87,23 +92,23 @@ pub mod supervisor;
 pub mod transport;
 
 pub use cluster::{ReplicatedDb, ReplicationConfig};
-pub use replica::{Replica, ReplicaConfig, ReplicaReader, ReplicaStatus};
+pub use replica::{Replica, ReplicaReader, ReplicaStatus};
 pub use router::{
     ReadRouter, RoutedRead, RouterConfig, RouterStats, RoutingPolicy, Session, SourceKind,
 };
-pub use shipper::{Shipper, ShipperConfig};
+pub use shipper::{ack_link, Shipper, ShipperConfig};
 pub use supervisor::{Supervisor, SupervisorConfig, SupervisorReport};
-pub use transport::{link, LinkChaos, LinkConfig, LinkReceiver, LinkSender};
+pub use transport::{link, LinkChaos, LinkConfig, LinkSender};
 
 /// Convenience prelude for replication programs.
 pub mod prelude {
     pub use crate::cluster::{ReplicatedDb, ReplicationConfig};
-    pub use crate::replica::{Replica, ReplicaConfig, ReplicaReader, ReplicaStatus};
+    pub use crate::replica::{Replica, ReplicaReader, ReplicaStatus};
     pub use crate::router::{
         ReadRouter, RoutedRead, RouterConfig, RouterStats, RoutingPolicy, Session, SourceKind,
     };
     pub use crate::shipper::{Shipper, ShipperConfig};
     pub use crate::supervisor::{Supervisor, SupervisorConfig, SupervisorReport};
-    pub use crate::transport::{LinkChaos, LinkConfig, LinkReceiver, LinkSender};
+    pub use crate::transport::{LinkChaos, LinkConfig, LinkSender};
     pub use aether_core::commit::{CommitToken, DurabilityPolicy};
 }

@@ -11,6 +11,11 @@
 //! replica's lag, and the time since the last applied batch is its measured
 //! staleness bound.
 //!
+//! A replica has no thread of its own: its frame link's delivery thread
+//! runs the ingest — restore order, append, ack, replay — as each message
+//! lands. [`Replica::stop`] takes the ingest state under its lock, so
+//! nothing is ingested once it returns, even while frames keep arriving.
+//!
 //! A [`SnapshotFrame`] in the stream **re-seeds the replica**: the primary
 //! truncated its log past what this replica had received (or the replica
 //! attached after truncation), so the missing bytes no longer exist
@@ -19,10 +24,11 @@
 //! ingestion from there — no historical log required.
 
 use crate::frame::{SnapshotFrame, WireMsg};
-use crate::transport::{LinkReceiver, LinkSender};
+use crate::transport::{link, LinkConfig, LinkSender};
 use aether_core::device::{LogDevice, SimDevice};
 use aether_core::reader::LogReader;
 use aether_core::runtime::{self, lock, read, write};
+use aether_core::telemetry::{GaugeId, Telemetry, Unit};
 use aether_core::Lsn;
 use aether_storage::db::{CrashImage, Db, DbOptions};
 use aether_storage::error::StorageResult;
@@ -30,24 +36,9 @@ use aether_storage::recovery::RecoveryStats;
 use aether_storage::replay::{self, BaseSnapshot};
 use aether_storage::store::PageStore;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
-
-/// Replica tuning.
-#[derive(Debug, Clone)]
-pub struct ReplicaConfig {
-    /// Shutdown-responsiveness bound for the apply thread's receive wait.
-    pub poll: Duration,
-}
-
-impl Default for ReplicaConfig {
-    fn default() -> Self {
-        ReplicaConfig {
-            poll: Duration::from_millis(5),
-        }
-    }
-}
 
 /// A point-in-time view of a replica's progress.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,8 +94,8 @@ impl ReplicaShared {
 
     /// Block until the replay frontier reaches `lsn` or `timeout` elapses;
     /// returns the frontier as it is then (`>= lsn` iff the wait succeeded).
-    /// The apply thread notifies once per replayed batch, so a waiter wakes
-    /// with the freshest frontier, not a poll quantum later.
+    /// Replay notifies once per replayed batch, so a waiter wakes with the
+    /// freshest frontier, not a poll quantum later.
     fn wait_replay(&self, lsn: Lsn, timeout: Duration) -> Lsn {
         let replay = || Lsn(self.replay.load(Ordering::Acquire));
         self.replay_wait
@@ -113,11 +104,28 @@ impl ReplicaShared {
     }
 }
 
-/// A running replica (apply thread + standby database).
+/// What the frame link's delivery thread needs to ingest a message: the
+/// sequence-order restore buffer, the replay cursor and the ack path.
+struct Ingest {
+    opts: DbOptions,
+    ack_tx: LinkSender<Lsn>,
+    /// Reorder resistance: messages parked until their predecessors arrive.
+    pending: BTreeMap<u64, WireMsg>,
+    next_seq: u64,
+    replay_at: Lsn,
+    // Replica-side observability rides on the first standby's log telemetry
+    // (the one a re-seed replaces is not re-fetched: ids are stable because
+    // registration is idempotent by name).
+    tel: Arc<Telemetry>,
+    m_reorder: GaugeId,
+    m_staleness: GaugeId,
+}
+
+/// A running replica: a standby database fed by its frame link.
 pub struct Replica {
     shared: Arc<ReplicaShared>,
-    stop: Arc<AtomicBool>,
-    thread: Option<runtime::JoinHandle<()>>,
+    /// `None` once stopped: a late delivery finds nothing to ingest into.
+    ingest: Arc<Mutex<Option<Ingest>>>,
     opts: DbOptions,
 }
 
@@ -133,19 +141,20 @@ impl std::fmt::Debug for Replica {
 
 impl Replica {
     /// Spawn a replica from a base backup (the primary's flushed page store
-    /// plus schema), receiving the log stream from LSN 0. For a primary
+    /// plus schema), receiving the log stream from LSN 0 over a frame link
+    /// built from `link_cfg` and acking through `ack_tx`. Returns the
+    /// replica and the frame link's sender, for the shipper. For a primary
     /// whose log may already be truncated, use
     /// [`Replica::spawn_from_snapshot`].
     pub fn spawn(
         opts: DbOptions,
         store: Arc<PageStore>,
         schema: &[(usize, u64)],
-        rx: LinkReceiver<Vec<u8>>,
+        link_cfg: LinkConfig,
         ack_tx: LinkSender<Lsn>,
-        cfg: ReplicaConfig,
-    ) -> StorageResult<Replica> {
+    ) -> StorageResult<(Replica, LinkSender<Vec<u8>>)> {
         let db = replay::standby_db(opts.clone(), store, schema)?;
-        Self::launch(opts, db, Lsn::ZERO, 0, rx, ack_tx, cfg)
+        Ok(Self::launch(opts, db, Lsn::ZERO, 0, link_cfg, ack_tx))
     }
 
     /// Spawn a replica bootstrapped from a checkpoint [`BaseSnapshot`]: the
@@ -156,12 +165,11 @@ impl Replica {
     pub fn spawn_from_snapshot(
         opts: DbOptions,
         snap: &BaseSnapshot,
-        rx: LinkReceiver<Vec<u8>>,
+        link_cfg: LinkConfig,
         ack_tx: LinkSender<Lsn>,
-        cfg: ReplicaConfig,
-    ) -> StorageResult<Replica> {
+    ) -> StorageResult<(Replica, LinkSender<Vec<u8>>)> {
         let db = replay::standby_from_snapshot(opts.clone(), snap)?;
-        Self::launch(opts, db, snap.start_lsn, 1, rx, ack_tx, cfg)
+        Ok(Self::launch(opts, db, snap.start_lsn, 1, link_cfg, ack_tx))
     }
 
     fn launch(
@@ -169,10 +177,20 @@ impl Replica {
         db: Arc<Db>,
         base: Lsn,
         bootstraps: u64,
-        rx: LinkReceiver<Vec<u8>>,
+        link_cfg: LinkConfig,
         ack_tx: LinkSender<Lsn>,
-        cfg: ReplicaConfig,
-    ) -> StorageResult<Replica> {
+    ) -> (Replica, LinkSender<Vec<u8>>) {
+        let tel = Arc::clone(db.log().telemetry());
+        let ingest = Arc::new(Mutex::new(Some(Ingest {
+            opts: opts.clone(),
+            ack_tx,
+            pending: BTreeMap::new(),
+            next_seq: 0,
+            replay_at: base,
+            m_reorder: tel.gauge("repl.reorder_depth", Unit::Records),
+            m_staleness: tel.gauge("repl.staleness_ns", Unit::Nanos),
+            tel,
+        })));
         let shared = Arc::new(ReplicaShared {
             state: RwLock::new(ReplicaState {
                 db,
@@ -187,22 +205,22 @@ impl Replica {
             lag_since: Mutex::new(None),
             replay_wait: runtime::WaitSet::new(),
         });
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop);
-            let rt = opts.log_config.runtime.clone();
-            let opts = opts.clone();
-            rt.spawn("aether-replica", move || {
-                apply_loop(shared, stop, opts, rx, ack_tx, cfg)
+        let frame_tx = {
+            let (shared, ingest) = (Arc::clone(&shared), Arc::clone(&ingest));
+            link(link_cfg, move |bytes: Vec<u8>| {
+                match lock(&ingest).as_mut() {
+                    Some(state) => state.deliver(&shared, &bytes),
+                    None => return false, // stopped
+                }
+                true
             })
         };
-        Ok(Replica {
+        let replica = Replica {
             shared,
-            stop,
-            thread: Some(thread),
+            ingest,
             opts,
-        })
+        };
+        (replica, frame_tx)
     }
 
     /// Snapshot read against the standby (no locks; staleness bounded by
@@ -234,8 +252,8 @@ impl Replica {
     }
 
     /// Block until the replay frontier reaches `lsn` or `timeout` elapses;
-    /// true on success. The apply thread notifies per replayed batch — no
-    /// spin or sleep polling of [`ReplicaStatus::replay_lsn`].
+    /// true on success. Replay notifies per replayed batch — no spin or
+    /// sleep polling of [`ReplicaStatus::replay_lsn`].
     pub fn wait_replay(&self, lsn: Lsn, timeout: Duration) -> bool {
         self.shared.wait_replay(lsn, timeout) >= lsn
     }
@@ -249,12 +267,13 @@ impl Replica {
         }
     }
 
-    /// Stop the apply thread (idempotent); the standby stays readable.
+    /// Stop ingesting (idempotent): once this returns, nothing more is
+    /// appended, replayed or acked, though the frame link may still deliver.
+    /// Frames parked behind a gap stay unapplied — the gap is where the
+    /// stream (and any later promotion) cleanly ends. The standby stays
+    /// readable.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        lock(&self.ingest).take();
     }
 
     /// Promote: finish replaying whatever arrived, then run full ARIES
@@ -330,131 +349,82 @@ impl ReplicaReader {
     }
 }
 
-fn apply_loop(
-    shared: Arc<ReplicaShared>,
-    stop: Arc<AtomicBool>,
-    opts: DbOptions,
-    rx: LinkReceiver<Vec<u8>>,
-    ack_tx: LinkSender<Lsn>,
-    cfg: ReplicaConfig,
-) {
-    // Replica-side observability rides on the standby's log telemetry (the
-    // standby is re-seedable, so re-fetch the registry after a bootstrap —
-    // ids are stable because registration is idempotent by name).
-    let tel = Arc::clone(read(&shared.state).db.log().telemetry());
-    let m_reorder = tel.gauge("repl.reorder_depth", aether_core::telemetry::Unit::Records);
-    let m_staleness = tel.gauge("repl.staleness_ns", aether_core::telemetry::Unit::Nanos);
-    // Reorder resistance: messages parked until their predecessors arrive.
-    let mut pending: BTreeMap<u64, WireMsg> = BTreeMap::new();
-    let mut next_seq = 0u64;
-    let mut replay_at = Lsn(shared.replay.load(Ordering::Acquire));
-    loop {
-        if let Some(bytes) = rx.recv_timeout(cfg.poll) {
-            replay_at = ingest(
-                &shared,
-                &opts,
-                &ack_tx,
-                &mut pending,
-                &mut next_seq,
-                replay_at,
-                &bytes,
-            );
-            tel.gauge_set(m_reorder, pending.len() as i64);
-        }
+impl Ingest {
+    /// Ingest one delivered message, then replay everything received so
+    /// far.
+    fn deliver(&mut self, shared: &ReplicaShared, bytes: &[u8]) {
+        self.ingest(shared, bytes);
+        self.tel
+            .gauge_set(self.m_reorder, self.pending.len() as i64);
         // Continuous redo over everything received so far.
-        replay_at = replay_available(&shared, replay_at);
-        if tel.on() {
+        self.replay_at = replay_available(shared, self.replay_at);
+        if self.tel.on() {
             let stale = lock(&shared.lag_since)
                 .map(|t| runtime::monotonic_ns().saturating_sub(t))
                 .unwrap_or(0);
-            tel.gauge_set(m_staleness, stale as i64);
-        }
-        if stop.load(Ordering::Relaxed) {
-            // Final drain of already-delivered messages, then exit. Frames
-            // still parked behind a gap stay unapplied — the gap is where
-            // the stream (and any later promotion) cleanly ends.
-            while let Some(bytes) = rx.try_recv() {
-                replay_at = ingest(
-                    &shared,
-                    &opts,
-                    &ack_tx,
-                    &mut pending,
-                    &mut next_seq,
-                    replay_at,
-                    &bytes,
-                );
-            }
-            replay_available(&shared, replay_at);
-            return;
+            self.tel.gauge_set(self.m_staleness, stale as i64);
         }
     }
-}
 
-/// Decode one wire message, restore sequence order, apply the contiguous
-/// run — appending log bytes, or installing a snapshot bootstrap — and ack
-/// the durably-received LSN. Returns the (possibly rebased) replay cursor.
-fn ingest(
-    shared: &ReplicaShared,
-    opts: &DbOptions,
-    ack_tx: &LinkSender<Lsn>,
-    pending: &mut BTreeMap<u64, WireMsg>,
-    next_seq: &mut u64,
-    mut replay_at: Lsn,
-    bytes: &[u8],
-) -> Lsn {
-    match WireMsg::decode(bytes) {
-        Some(m) if m.seq() >= *next_seq => {
-            pending.insert(m.seq(), m);
+    /// Decode one wire message, restore sequence order, apply the
+    /// contiguous run — appending log bytes, or installing a snapshot
+    /// bootstrap (which rebases the replay cursor) — and ack the
+    /// durably-received LSN.
+    fn ingest(&mut self, shared: &ReplicaShared, bytes: &[u8]) {
+        match WireMsg::decode(bytes) {
+            Some(m) if m.seq() >= self.next_seq => {
+                self.pending.insert(m.seq(), m);
+            }
+            Some(_) => {} // duplicate of an already-applied message
+            None => {
+                // Corrupt message: drop it. Its sequence number never
+                // arrives, so the stream stops advancing cleanly at the gap
+                // — nothing corrupt is ever appended or installed.
+                shared.corrupt_frames.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
         }
-        Some(_) => {} // duplicate of an already-applied message
-        None => {
-            // Corrupt message: drop it. Its sequence number never arrives,
-            // so the stream stops advancing cleanly at the gap — nothing
-            // corrupt is ever appended or installed.
-            shared.corrupt_frames.fetch_add(1, Ordering::Relaxed);
-            return replay_at;
-        }
-    }
-    // Apply the contiguous run restored so far, then ack once.
-    let mut advanced = false;
-    while let Some(m) = pending.remove(next_seq) {
-        match m {
-            WireMsg::Log(f) => {
-                let device = Arc::clone(&read(&shared.state).device);
-                let have = device.len();
-                let start = f.start_lsn.raw();
-                let end = f.end_lsn().raw();
-                if end > have {
-                    // Skip any overlap with already-received bytes (a
-                    // re-shipped prefix after reconnect), append the rest.
-                    let skip = have.saturating_sub(start) as usize;
-                    if start <= have && device.append(&f.bytes[skip..]).is_ok() {
+        // Apply the contiguous run restored so far, then ack once.
+        let mut advanced = false;
+        while let Some(m) = self.pending.remove(&self.next_seq) {
+            match m {
+                WireMsg::Log(f) => {
+                    let device = Arc::clone(&read(&shared.state).device);
+                    let have = device.len();
+                    let start = f.start_lsn.raw();
+                    let end = f.end_lsn().raw();
+                    if end > have {
+                        // Skip any overlap with already-received bytes (a
+                        // re-shipped prefix after reconnect), append the
+                        // rest.
+                        let skip = have.saturating_sub(start) as usize;
+                        if start <= have && device.append(&f.bytes[skip..]).is_ok() {
+                            advanced = true;
+                        }
+                    }
+                }
+                WireMsg::Snapshot(s) => {
+                    if let Some(at) = install_snapshot(shared, &self.opts, &s) {
+                        self.replay_at = at;
                         advanced = true;
                     }
                 }
             }
-            WireMsg::Snapshot(s) => {
-                if let Some(at) = install_snapshot(shared, opts, &s) {
-                    replay_at = at;
-                    advanced = true;
-                }
+            self.next_seq += 1;
+        }
+        if advanced {
+            let received = read(&shared.state).device.len();
+            shared.received.store(received, Ordering::Release);
+            let mut lag = lock(&shared.lag_since);
+            if lag.is_none() {
+                *lag = Some(runtime::monotonic_ns());
             }
+            drop(lag);
+            // One cumulative ack per restored run: this is what the
+            // primary's commit gate waits on.
+            self.ack_tx.send(Lsn(received));
         }
-        *next_seq += 1;
     }
-    if advanced {
-        let received = read(&shared.state).device.len();
-        shared.received.store(received, Ordering::Release);
-        let mut lag = lock(&shared.lag_since);
-        if lag.is_none() {
-            *lag = Some(runtime::monotonic_ns());
-        }
-        drop(lag);
-        // One cumulative ack per restored run: this is what the primary's
-        // commit gate waits on.
-        ack_tx.send(Lsn(received));
-    }
-    replay_at
 }
 
 /// Re-seed the standby from a shipped checkpoint snapshot: fresh database

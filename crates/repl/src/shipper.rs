@@ -7,9 +7,14 @@
 //! daemon advances the durable watermark once per *group* flush, the
 //! shipper naturally emits one frame per commit group and the replica acks
 //! it with a single message: group commit amortizes the ack round-trip
-//! exactly as it amortizes the local sync. The ack thread folds replica
-//! acks into the primary's [`aether_core::commit::CommitGate`] and
-//! re-checks pending commits.
+//! exactly as it amortizes the local sync. The [`ack_link`] folds each
+//! replica ack into the primary's [`aether_core::commit::CommitGate`] and
+//! re-checks pending commits, on the link's own delivery thread.
+//!
+//! [`Shipper::stop`] raises a flag and wakes the durable waiters, so the
+//! ship thread leaves its wait at once. An ack already on the wire may
+//! still land afterwards: it only ever reports bytes the replica holds
+//! durably.
 //!
 //! ## Falling behind the truncated prefix
 //!
@@ -24,40 +29,53 @@
 //! itself; no historical log is ever required again.
 
 use crate::frame::{Frame, SnapshotFrame};
-use crate::transport::{LinkReceiver, LinkSender};
+use crate::transport::{link, LinkConfig, LinkSender};
 use aether_core::commit::ReplicaAck;
 use aether_core::telemetry::{Stage, Unit};
-use aether_core::Lsn;
+use aether_core::{LogManager, Lsn};
 use aether_storage::db::Db;
 use aether_storage::replay::{self, BaseSnapshot};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Shipper tuning.
 #[derive(Debug, Clone)]
 pub struct ShipperConfig {
     /// Maximum bytes per frame (runs larger than this are split).
     pub chunk: usize,
-    /// Shutdown-responsiveness bound for both threads' blocking waits.
-    pub poll: Duration,
 }
 
 impl Default for ShipperConfig {
     fn default() -> Self {
-        ShipperConfig {
-            chunk: 1 << 16,
-            poll: Duration::from_millis(5),
-        }
+        ShipperConfig { chunk: 1 << 16 }
     }
 }
 
-/// Handle for one primary→replica shipping pipeline (ship + ack threads).
+/// The return path of one pipeline: a link whose delivery thread folds each
+/// replica ack into `ack` (a handle from
+/// [`aether_core::commit::CommitGate::register_replica`]) and re-checks the
+/// commits waiting on the primary's `log`. Hand the sender to the replica.
+pub fn ack_link(log: &Arc<LogManager>, ack: Arc<ReplicaAck>, cfg: LinkConfig) -> LinkSender<Lsn> {
+    let log = Arc::clone(log);
+    let tel = Arc::clone(log.telemetry());
+    link(cfg, move |lsn| {
+        ack.advance(lsn);
+        // Joined with the flush daemon's `durable` event, the span gives the
+        // replication round-trip in (virtual) ns.
+        if let Some(now) = tel.ts() {
+            tel.event(Stage::ReplicaAck, lsn, now);
+        }
+        log.replication_recheck();
+        true
+    })
+}
+
+/// Handle for one primary→replica shipping pipeline's ship thread.
 pub struct Shipper {
     stop: Arc<AtomicBool>,
     snapshots_sent: Arc<AtomicU64>,
+    log: Arc<LogManager>,
     ship_thread: Option<aether_core::runtime::JoinHandle<()>>,
-    ack_thread: Option<aether_core::runtime::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Shipper {
@@ -71,25 +89,21 @@ impl std::fmt::Debug for Shipper {
 impl Shipper {
     /// Start shipping `primary`'s durable log bytes through `tx` from
     /// `start_lsn` (the replica's bootstrap LSN — zero for a replica seeded
-    /// with the full history), folding acks from `ack_rx` into `ack` (a
-    /// handle from [`aether_core::commit::CommitGate::register_replica`]).
+    /// with the full history). The acks come back over an [`ack_link`].
     pub fn spawn(
         primary: Arc<Db>,
         tx: LinkSender<Vec<u8>>,
-        ack_rx: LinkReceiver<Lsn>,
-        ack: Arc<ReplicaAck>,
         start_lsn: Lsn,
         cfg: ShipperConfig,
     ) -> Shipper {
         let stop = Arc::new(AtomicBool::new(false));
         let snapshots_sent = Arc::new(AtomicU64::new(0));
-        let rt = primary.log().config().runtime.clone();
+        let log = Arc::clone(primary.log());
+        let rt = log.config().runtime.clone();
 
         let ship_thread = {
-            let primary = Arc::clone(&primary);
             let stop = Arc::clone(&stop);
             let snapshots_sent = Arc::clone(&snapshots_sent);
-            let cfg = cfg.clone();
             rt.spawn("aether-shipper", move || {
                 let log = Arc::clone(primary.log());
                 let device = Arc::clone(log.device());
@@ -104,7 +118,7 @@ impl Shipper {
                 let mut behind_since: Option<u64> = None;
                 let mut at = start_lsn;
                 let mut seq = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     // Fell behind the truncated prefix? The bytes below
                     // the low-water mark are gone; re-seed the replica
                     // from a fresh checkpoint snapshot instead.
@@ -123,22 +137,9 @@ impl Shipper {
                         tel.inc(m_snapshots);
                         continue;
                     }
-                    let durable = log.wait_durable(at.advance(1), cfg.poll);
-                    if tel.on() {
-                        // Replication lag, both ways the operator asks for
-                        // it: bytes of durable log not yet shipped, and how
-                        // long the cursor has been behind.
-                        let lag = durable.since(at);
-                        tel.gauge_set(m_lag_lsns, lag as i64);
-                        let now = aether_core::runtime::monotonic_ns();
-                        let lag_ns = if lag == 0 {
-                            behind_since = None;
-                            0
-                        } else {
-                            let t0 = *behind_since.get_or_insert(now);
-                            now.saturating_sub(t0)
-                        };
-                        tel.gauge_set(m_lag_ns, lag_ns as i64);
+                    let durable = log.wait_durable(at.advance(1), || stop.load(Ordering::SeqCst));
+                    if durable <= at {
+                        return; // stopped, or the log closed: nothing more comes
                     }
                     while at < durable {
                         if at < device.low_water() {
@@ -167,32 +168,21 @@ impl Shipper {
                         tel.inc(m_frames);
                         tel.add(m_bytes, got as u64);
                     }
-                }
-            })
-        };
-
-        let ack_thread = {
-            let stop = Arc::clone(&stop);
-            rt.spawn("aether-shipper-ack", move || {
-                let log = Arc::clone(primary.log());
-                let tel = Arc::clone(log.telemetry());
-                while !stop.load(Ordering::Relaxed) {
-                    if let Some(lsn) = ack_rx.recv_timeout(cfg.poll) {
-                        let mut highest = lsn;
-                        ack.advance(lsn);
-                        // Drain any further queued acks before the (per
-                        // flush-group, not per-commit) recheck.
-                        while let Some(more) = ack_rx.try_recv() {
-                            ack.advance(more);
-                            highest = highest.max(more);
-                        }
-                        // One ack event per folded batch: joined with the
-                        // flush daemon's `durable` event, the span gives
-                        // the replication round-trip in (virtual) ns.
-                        if let Some(now) = tel.ts() {
-                            tel.event(Stage::ReplicaAck, highest, now);
-                        }
-                        log.replication_recheck();
+                    if tel.on() {
+                        // Replication lag as the cursor waits, both ways the
+                        // operator asks for it: bytes of durable log not yet
+                        // shipped, and how long the cursor has been behind.
+                        let lag = durable.since(at);
+                        tel.gauge_set(m_lag_lsns, lag as i64);
+                        let now = aether_core::runtime::monotonic_ns();
+                        let lag_ns = if lag == 0 {
+                            behind_since = None;
+                            0
+                        } else {
+                            let t0 = *behind_since.get_or_insert(now);
+                            now.saturating_sub(t0)
+                        };
+                        tel.gauge_set(m_lag_ns, lag_ns as i64);
                     }
                 }
             })
@@ -201,8 +191,8 @@ impl Shipper {
         Shipper {
             stop,
             snapshots_sent,
+            log,
             ship_thread: Some(ship_thread),
-            ack_thread: Some(ack_thread),
         }
     }
 
@@ -213,14 +203,13 @@ impl Shipper {
         self.snapshots_sent.load(Ordering::Relaxed)
     }
 
-    /// Stop both threads (idempotent). Dropping the shipper also stops it —
-    /// the model for "the network to this replica is cut".
+    /// Stop the ship thread (idempotent): it leaves its wait on the durable
+    /// watermark at once. Dropping the shipper also stops it — the model for
+    /// "the network to this replica is cut".
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
+        self.log.wake_durable_waiters();
         if let Some(t) = self.ship_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.ack_thread.take() {
             let _ = t.join();
         }
     }

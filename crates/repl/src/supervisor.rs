@@ -11,7 +11,7 @@
 //!   checkpoint snapshot, and the laggard's stalled watermark is
 //!   unregistered so it stops clamping log truncation and holding the
 //!   replication floor down. The lag signal is primary-side on purpose — a
-//!   replica with a dead apply thread cannot report its own status.
+//!   replica behind a wedged link cannot report its own status.
 //! * **Failover.** A poisoned primary log (terminal I/O failure — see
 //!   `AetherError::Poisoned`) or a poisoned commit gate means the primary
 //!   is done. The supervisor releases any committers still blocked on

@@ -1,19 +1,21 @@
 //! In-process links with injectable latency and deterministic reordering.
 //!
-//! Replication runs offline and deterministically: a [`link`] is a pair of
-//! channel endpoints joined by a delivery thread that holds each message for
-//! the configured one-way latency (latency, not bandwidth: messages overlap
-//! in flight, like the paper's high-resolution-timer device model) and can
-//! deterministically reorder every Nth message behind its successor — which
-//! is exactly what the frame sequence numbers on the receive side must
-//! absorb.
+//! Replication runs offline and deterministically: a [`link`] is a sending
+//! endpoint joined to its receiver by a delivery thread that holds each
+//! message for the configured one-way latency (latency, not bandwidth:
+//! messages overlap in flight, like the paper's high-resolution-timer device
+//! model), can deterministically reorder every Nth message behind its
+//! successor — which is exactly what the frame sequence numbers on the
+//! receive side must absorb — and then hands it to the receiver by calling
+//! it, on the delivery thread. A link has no receiving queue: the message is
+//! handled where it lands.
 //!
 //! All timing goes through [`aether_core::runtime`], so under a simulated
 //! runtime the delivery thread becomes a sim actor, the latency is virtual,
 //! and a partitioned or slow link is just a fault the simulation can inject
 //! and replay byte-identically.
 
-use aether_core::runtime::{self, rt_channel, RtReceiver, RtSender, Runtime};
+use aether_core::runtime::{self, rt_channel, RtSender, Runtime, WaitSet};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -27,23 +29,32 @@ use std::time::Duration;
 /// clone, and flip it from the test or the simulator.
 #[derive(Debug, Clone, Default)]
 pub struct LinkChaos {
-    cut: Arc<AtomicBool>,
+    inner: Arc<Partition>,
+}
+
+#[derive(Debug, Default)]
+struct Partition {
+    cut: AtomicBool,
+    /// Delivery threads parked on a cut link.
+    healed: WaitSet,
 }
 
 impl LinkChaos {
     /// Partition: every link holding this handle stops delivering.
     pub fn cut(&self) {
-        self.cut.store(true, Ordering::SeqCst);
+        self.inner.cut.store(true, Ordering::SeqCst);
     }
 
-    /// Heal: held-up messages drain in their original order.
+    /// Heal: held-up messages drain in their original order, from now.
     pub fn heal(&self) {
-        self.cut.store(false, Ordering::SeqCst);
+        self.inner.cut.store(false, Ordering::SeqCst);
+        self.inner.healed.notify();
     }
 
-    /// Whether the partition is currently in force.
-    fn is_cut(&self) -> bool {
-        self.cut.load(Ordering::SeqCst)
+    /// Park until the partition is healed (at once if there is none).
+    fn wait_healed(&self) {
+        let healed = || (!self.inner.cut.load(Ordering::SeqCst)).then_some(());
+        self.inner.healed.wait_until(None, healed);
     }
 }
 
@@ -91,28 +102,15 @@ impl<T: Send> LinkSender<T> {
     }
 }
 
-/// Receiving half of a link.
-pub struct LinkReceiver<T: Send> {
-    rx: RtReceiver<T>,
-}
-
-impl<T: Send> LinkReceiver<T> {
-    /// Receive the next delivered message, waiting at most `timeout`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<T> {
-        self.rx.recv_timeout(timeout)
-    }
-
-    /// Drain anything already delivered without waiting.
-    pub fn try_recv(&self) -> Option<T> {
-        self.rx.try_recv()
-    }
-}
-
-/// Build a one-directional link. The delivery thread exits when the sender
-/// is dropped and the in-flight queue drains, or when the receiver is gone.
-pub fn link<T: Send + 'static>(cfg: LinkConfig) -> (LinkSender<T>, LinkReceiver<T>) {
+/// Build a one-directional link that hands each message to `deliver` on its
+/// delivery thread. `deliver` returns false when the receiver is gone: the
+/// thread then exits, and later sends return false. It also exits when the
+/// sender is dropped and the in-flight queue drains.
+pub fn link<T: Send + 'static>(
+    cfg: LinkConfig,
+    mut deliver: impl FnMut(T) -> bool + Send + 'static,
+) -> LinkSender<T> {
     let (in_tx, in_rx) = rt_channel::<(u64, T)>();
-    let (out_tx, out_rx) = rt_channel::<T>();
     let latency = cfg.latency;
     let period = cfg.reorder_period;
     let chaos = cfg.chaos.clone();
@@ -139,20 +137,18 @@ pub fn link<T: Send + 'static>(cfg: LinkConfig) -> (LinkSender<T>, LinkReceiver<
                     // Partitioned: park here until healed. Later messages
                     // pile up behind this one in the channel — delayed, in
                     // order, never dropped.
-                    while chaos.is_cut() {
-                        runtime::sleep(Duration::from_millis(1));
-                    }
+                    chaos.wait_healed();
                     n += 1;
                     let reorder_this = period > 0 && n.is_multiple_of(period);
                     if reorder_this && held.is_empty() {
                         held.push_back(msg);
                         continue;
                     }
-                    if !out_tx.send(msg) {
+                    if !deliver(msg) {
                         return;
                     }
                     while let Some(h) = held.pop_front() {
-                        if !out_tx.send(h) {
+                        if !deliver(h) {
                             return;
                         }
                     }
@@ -161,7 +157,7 @@ pub fn link<T: Send + 'static>(cfg: LinkConfig) -> (LinkSender<T>, LinkReceiver<
                     // Timeout (no successor overtook the held message) or
                     // sender gone: flush anything held back either way.
                     while let Some(h) = held.pop_front() {
-                        if !out_tx.send(h) {
+                        if !deliver(h) {
                             return;
                         }
                     }
@@ -172,16 +168,23 @@ pub fn link<T: Send + 'static>(cfg: LinkConfig) -> (LinkSender<T>, LinkReceiver<
             }
         }
     });
-    (LinkSender { tx: in_tx }, LinkReceiver { rx: out_rx })
+    LinkSender { tx: in_tx }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aether_core::runtime::RtReceiver;
+
+    /// A link that delivers into a channel the test reads.
+    fn channel_link(cfg: LinkConfig) -> (LinkSender<u32>, RtReceiver<u32>) {
+        let (out, rx) = rt_channel();
+        (link(cfg, move |m| out.send(m)), rx)
+    }
 
     #[test]
     fn delivers_in_order_without_reordering() {
-        let (tx, rx) = link::<u32>(LinkConfig::default());
+        let (tx, rx) = channel_link(LinkConfig::default());
         for i in 0..50 {
             assert!(tx.send(i));
         }
@@ -193,7 +196,7 @@ mod tests {
 
     #[test]
     fn latency_is_charged_once_per_batch_not_per_message() {
-        let (tx, rx) = link::<u32>(LinkConfig::with_latency_us(20_000)); // 20ms
+        let (tx, rx) = channel_link(LinkConfig::with_latency_us(20_000)); // 20ms
         let t = runtime::monotonic_ns();
         for i in 0..10 {
             tx.send(i);
@@ -211,7 +214,7 @@ mod tests {
 
     #[test]
     fn reordering_swaps_every_nth_message() {
-        let (tx, rx) = link::<u32>(LinkConfig {
+        let (tx, rx) = channel_link(LinkConfig {
             latency: Duration::ZERO,
             reorder_period: 3,
             ..LinkConfig::default()
@@ -233,7 +236,7 @@ mod tests {
 
     #[test]
     fn drop_sender_flushes_and_closes() {
-        let (tx, rx) = link::<u32>(LinkConfig {
+        let (tx, rx) = channel_link(LinkConfig {
             latency: Duration::ZERO,
             reorder_period: 2,
             ..LinkConfig::default()
@@ -248,5 +251,32 @@ mod tests {
         let mut sorted = got.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1]);
+    }
+
+    #[test]
+    fn a_message_due_during_a_cut_lands_at_the_instant_of_heal() {
+        let rt = Runtime::sim(5);
+        let g = rt.enter();
+        let chaos = LinkChaos::default();
+        let (out, rx) = rt_channel();
+        let tx = link(
+            LinkConfig {
+                latency: Duration::from_micros(100),
+                runtime: rt.clone(),
+                chaos: chaos.clone(),
+                ..LinkConfig::default()
+            },
+            move |m: u32| out.send((m, runtime::monotonic_ns())),
+        );
+        chaos.cut();
+        assert!(tx.send(7));
+        // Due at +100 µs, in the cut; heal off any 1 ms grid.
+        runtime::sleep(Duration::from_micros(2_345));
+        assert_eq!(rx.try_recv(), None, "nothing crosses a cut link");
+        let healed_at = runtime::monotonic_ns();
+        chaos.heal();
+        assert_eq!(rx.recv(), Some((7, healed_at)));
+        drop(tx);
+        drop(g);
     }
 }

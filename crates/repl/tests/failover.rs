@@ -5,7 +5,8 @@
 //! is present on the promoted replica. Bounded by the `AETHER_TEST_*` env
 //! knobs so CI wall time stays flat (same pattern as the crash tests).
 
-use aether_core::{BufferKind, DeviceKind, LogConfig};
+use aether_core::runtime::{self, rt_channel};
+use aether_core::{BufferKind, DeviceKind, LogConfig, Lsn};
 use aether_repl::frame::Frame;
 use aether_repl::prelude::*;
 use aether_repl::transport::link;
@@ -167,15 +168,14 @@ fn corrupt_frame_truncates_cleanly_on_promote() {
     let (_, bytes) = primary.log().device().snapshot().unwrap();
 
     // Hand-feed the replica three frames, corrupting the middle one.
-    let (tx, rx) = link::<Vec<u8>>(LinkConfig::default());
-    let (ack_tx, ack_rx) = link::<aether_core::Lsn>(LinkConfig::default());
-    let replica = Replica::spawn(
+    let (acks, ack_rx) = rt_channel::<aether_core::Lsn>();
+    let ack_tx = link(LinkConfig::default(), move |lsn| acks.send(lsn));
+    let (replica, tx) = Replica::spawn(
         opts(CommitProtocol::Baseline),
         primary.store().deep_clone(),
         &primary.schema(),
-        rx,
+        LinkConfig::default(),
         ack_tx,
-        ReplicaConfig::default(),
     )
     .unwrap();
     let cuts = [0, marks[0] as usize, marks[1] as usize, bytes.len()];
@@ -211,6 +211,91 @@ fn corrupt_frame_truncates_cleanly_on_promote() {
     let mut txn = promoted.begin();
     for k in 0..8u64 {
         assert_eq!(counter_of(&promoted.read(&mut txn, 0, k).unwrap()), 1);
+    }
+    promoted.commit(txn).unwrap();
+}
+
+/// A stopped replica ingests nothing, even while its frame sender lives and
+/// frames keep arriving: its status stays where `stop` left it, and
+/// promotion recovers exactly the prefix it had received.
+#[test]
+fn a_stopped_replica_ingests_nothing() {
+    let primary = Db::open(opts(CommitProtocol::Baseline));
+    primary.create_table(40, 8);
+    for k in 0..8u64 {
+        primary.load(0, k, &record(k, 0)).unwrap();
+    }
+    primary.setup_complete();
+    let base = primary.store().deep_clone();
+    // Six committed batches, one frame each: cuts[b] is the log length
+    // after batch b.
+    let mut cuts = vec![0u64];
+    for batch in 1..=6u64 {
+        for k in 0..8u64 {
+            let mut txn = primary.begin();
+            primary.update(&mut txn, 0, k, &record(k, batch)).unwrap();
+            primary.commit(txn).unwrap();
+        }
+        primary.log().flush_all().unwrap();
+        cuts.push(primary.log().device().len());
+    }
+    let (_, bytes) = primary.log().device().snapshot().unwrap();
+    let frame = |i: usize| {
+        Frame {
+            seq: i as u64,
+            start_lsn: Lsn(cuts[i]),
+            bytes: bytes[cuts[i] as usize..cuts[i + 1] as usize].to_vec(),
+        }
+        .encode()
+    };
+
+    let ack_tx = link(LinkConfig::default(), |_: Lsn| true);
+    let (mut replica, tx) = Replica::spawn(
+        opts(CommitProtocol::Baseline),
+        base,
+        &primary.schema(),
+        LinkConfig::default(),
+        ack_tx,
+    )
+    .unwrap();
+    for i in 0..3 {
+        assert!(tx.send(frame(i)));
+    }
+    assert!(replica.wait_replay(Lsn(cuts[3]), Duration::from_secs(5)));
+    // The fourth frame races the stop: it lands whole before it or not at
+    // all.
+    assert!(tx.send(frame(3)));
+    replica.stop();
+    let stopped = replica.status();
+    let batch = cuts
+        .iter()
+        .position(|&c| Lsn(c) == stopped.received_lsn)
+        .expect("the stop falls between frames");
+    assert!(batch == 3 || batch == 4, "stopped at batch {batch}");
+
+    // The rest of the stream arrives. The link hands it to the stopped
+    // replica, which refuses it, and the link closes.
+    for i in 4..6 {
+        tx.send(frame(i));
+    }
+    let deadline = runtime::monotonic_ns() + 5_000_000_000;
+    while tx.send(frame(5)) {
+        assert!(
+            runtime::monotonic_ns() < deadline,
+            "a stopped replica's link never refused a frame"
+        );
+        runtime::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(replica.status(), stopped, "nothing ingested after stop");
+
+    let (promoted, _) = replica.promote().unwrap();
+    let mut txn = promoted.begin();
+    for k in 0..8u64 {
+        assert_eq!(
+            counter_of(&promoted.read(&mut txn, 0, k).unwrap()),
+            batch as u64,
+            "promotion recovers exactly the pre-stop prefix"
+        );
     }
     promoted.commit(txn).unwrap();
 }

@@ -146,8 +146,7 @@ proptest! {
                     reorder_period: reorder,
                     ..LinkConfig::default()
                 },
-                shipper: ShipperConfig { chunk: 96, ..ShipperConfig::default() },
-                ..ReplicationConfig::default()
+                shipper: ShipperConfig { chunk: 96 },
             },
         ).unwrap();
         for &(op, key, v, commit) in &script {
@@ -222,11 +221,7 @@ fn sim_seeded_pipeline_replays_byte_identically() {
                     runtime: rt.clone(),
                     ..LinkConfig::default()
                 },
-                shipper: ShipperConfig {
-                    chunk: 96,
-                    ..ShipperConfig::default()
-                },
-                ..ReplicationConfig::default()
+                shipper: ShipperConfig { chunk: 96 },
             },
         )
         .unwrap();

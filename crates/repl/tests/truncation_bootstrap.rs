@@ -9,8 +9,7 @@
 use aether_core::partition::{MemSegmentFactory, SegmentedDevice};
 use aether_core::{BufferKind, Lsn};
 use aether_repl::prelude::*;
-use aether_repl::transport::link;
-use aether_repl::Shipper;
+use aether_repl::{ack_link, Shipper};
 use aether_storage::replay::state_fingerprint;
 use aether_storage::store::PageStore;
 use aether_storage::{CommitProtocol, Db, DbOptions};
@@ -144,23 +143,19 @@ fn stranded_shipper_reseeds_replica_over_the_wire() {
 
     // A replica with no useful seed (empty store, no schema) and a shipper
     // starting at LSN 0 — below the low-water mark.
-    let (frame_tx, frame_rx) = link::<Vec<u8>>(LinkConfig::default());
-    let (ack_tx, ack_rx) = link::<Lsn>(LinkConfig::default());
-    let replica = Replica::spawn(
+    let ack = primary.log().commit_gate().register_replica();
+    let ack_tx = ack_link(primary.log(), ack, LinkConfig::default());
+    let (replica, frame_tx) = Replica::spawn(
         primary.options().clone(),
         PageStore::new(),
         &[],
-        frame_rx,
+        LinkConfig::default(),
         ack_tx,
-        ReplicaConfig::default(),
     )
     .unwrap();
-    let ack = primary.log().commit_gate().register_replica();
     let mut shipper = Shipper::spawn(
         Arc::clone(&primary),
         frame_tx,
-        ack_rx,
-        ack,
         Lsn::ZERO,
         ShipperConfig::default(),
     );

@@ -353,9 +353,10 @@ pub(crate) fn exec_one(
 }
 
 /// Commit `t`, fulfilling `seq` from the durability callback. The callback
-/// is the *only* place the ack is produced, for every protocol: blocking
-/// protocols run it inline (already durable), pipelined ones run it from
-/// the flush daemon when the gate opens. Folding the token into the
+/// is the *only* place the response is produced, for every protocol and
+/// every outcome (it runs exactly once, errors included): blocking
+/// protocols run it inline, pipelined ones run it from the flush daemon
+/// when the gate opens. Folding the token into the
 /// connection watermark before fulfilling keeps read-your-writes airtight
 /// even though the connection thread has already moved on to the next
 /// request.
@@ -367,14 +368,11 @@ fn finish_commit(
     dedup_id: Option<u64>,
     t: Transaction,
 ) {
-    let acked = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let on_durable = {
         let resp = Arc::clone(resp);
         let watermark = Arc::clone(watermark);
-        let acked = Arc::clone(&acked);
         let dedup = Arc::clone(&engine.dedup);
         Box::new(move |r: aether_storage::StorageResult<CommitToken>| {
-            acked.store(true, Ordering::Release);
             match r {
                 Ok(token) => {
                     // Settle the dedup entry *before* acking: once the
@@ -402,15 +400,8 @@ fn finish_commit(
             }
         })
     };
-    let r = engine.db.commit_tokened_with(t, on_durable);
-    if let Err(e) = r {
-        // Fulfill only if the callback never ran (commit rejected up front,
-        // before the record was inserted) — for blocking protocols a flush
-        // failure reaches the callback *and* this return value.
-        if !acked.load(Ordering::Acquire) {
-            resp.fulfill(seq, err_of(&e));
-        }
-    }
+    // Any failure has reached the callback too, which answered it.
+    let _ = engine.db.commit_tokened_with(t, on_durable);
 }
 
 fn no_such_txn(txn: u64) -> Response {

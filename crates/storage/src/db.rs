@@ -3,25 +3,27 @@
 
 use crate::error::{StorageError, StorageResult};
 use crate::lock::{LockConfig, LockId, LockManager, LockMode};
-use crate::page::PageId;
+use crate::page::{PageId, Rid};
+use crate::segmented::Segmented;
 use crate::store::PageStore;
 use crate::table::Table;
 use crate::txn::{CommitOutcome, CommitProtocol, Transaction, TxnManager, TxnStatus, UndoEntry};
 use crate::wal::{CheckpointPayload, ClrPayload, UpdatePayload};
 use aether_core::commit::{CommitAction, CommitHandle, CommitToken};
 use aether_core::device::LogDevice;
-use aether_core::runtime::{read, write};
-use aether_core::telemetry::{CounterId, HistId, Unit};
+use aether_core::telemetry::{CounterId, HistId, Telemetry, Unit};
 use aether_core::{
     BufferKind, DeviceKind, LogConfig, LogManager, Lsn, RecordKind, TelemetrySnapshot,
 };
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
-/// Durability callback handed to [`Db::commit_tokened_with`]: invoked with
-/// `Ok(token)` exactly when the commit is durable, or `Err` if the log was
-/// poisoned (or shut down) before the commit record hardened — for the async
-/// protocols this callback is the *only* failure channel, so a wire server
-/// must fulfill its error response from here.
+/// Durability callback handed to [`Db::commit_tokened_with`]. It runs
+/// **exactly once** on every path: with `Ok(token)` when the commit is
+/// durable, or with `Err` if the commit was refused (the transaction was
+/// not active) or the log was poisoned (or shut down) before the commit
+/// record hardened. For the async protocols it is the *only* failure
+/// channel, so a wire server fulfills every commit response from here and
+/// never from the return value.
 pub type DurableCallback = Box<dyn FnOnce(StorageResult<CommitToken>) + Send>;
 
 /// Duplicate a commit-wait failure for the durability callback — the
@@ -165,7 +167,8 @@ impl DbStats {
 pub struct Db {
     log: Arc<LogManager>,
     locks: Arc<LockManager>,
-    tables: RwLock<Vec<Arc<Table>>>,
+    /// The catalog: tables are never dropped, so a lookup takes no lock.
+    tables: Segmented<Table>,
     txns: Arc<TxnManager>,
     store: Arc<PageStore>,
     opts: DbOptions,
@@ -195,7 +198,7 @@ struct DbTelIds {
 impl std::fmt::Debug for Db {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Db")
-            .field("tables", &read(&self.tables).len())
+            .field("tables", &self.table_count())
             .field("protocol", &self.opts.protocol)
             .field("buffer", &self.opts.buffer)
             .finish()
@@ -243,7 +246,7 @@ impl Db {
         Arc::new(Db {
             log,
             locks,
-            tables: RwLock::new(Vec::new()),
+            tables: Segmented::new(8),
             txns: Arc::new(TxnManager::new()),
             store,
             opts,
@@ -330,10 +333,8 @@ impl Db {
     /// Create a table of `record_size`-byte records with `dense_rows` dense
     /// keys preallocated; returns the table id.
     pub fn create_table(&self, record_size: usize, dense_rows: u64) -> u32 {
-        let mut tables = write(&self.tables);
-        let id = tables.len() as u32;
-        tables.push(Arc::new(Table::new(id, record_size, dense_rows)));
-        id
+        self.tables
+            .push_with(|id| Table::new(id as u32, record_size, dense_rows)) as u32
     }
 
     /// Lock-free snapshot read: the latest committed-or-in-flight cell
@@ -347,10 +348,9 @@ impl Db {
     }
 
     /// Look up a table by id.
-    pub fn table(&self, id: u32) -> StorageResult<Arc<Table>> {
-        read(&self.tables)
+    pub fn table(&self, id: u32) -> StorageResult<&Table> {
+        self.tables
             .get(id as usize)
-            .cloned()
             .ok_or_else(|| StorageError::InvalidRecord(format!("no table {id}")))
     }
 
@@ -455,11 +455,10 @@ impl Db {
         }
     }
 
-    /// Read `key` (S row lock, IS table lock).
+    /// Read `key` (S row lock).
     pub fn read(&self, txn: &mut Transaction, table: u32, key: u64) -> StorageResult<Vec<u8>> {
         self.check_active(txn)?;
         let t = self.table(table)?;
-        self.lock(txn, LockId::table(table), LockMode::IS)?;
         self.lock(txn, LockId::row(table, key), LockMode::S)?;
         let rid = t
             .rid_of(key)
@@ -467,8 +466,8 @@ impl Db {
         t.read(rid).ok_or(StorageError::KeyNotFound { table, key })
     }
 
-    /// Read `key` with an X lock (read-for-update: avoids the S→X upgrade
-    /// deadlock in read-modify-write transactions).
+    /// Read `key` with an X row lock (read-for-update: avoids the S→X
+    /// upgrade deadlock in read-modify-write transactions).
     pub fn read_for_update(
         &self,
         txn: &mut Transaction,
@@ -477,7 +476,6 @@ impl Db {
     ) -> StorageResult<Vec<u8>> {
         self.check_active(txn)?;
         let t = self.table(table)?;
-        self.lock(txn, LockId::table(table), LockMode::IX)?;
         self.lock(txn, LockId::row(table, key), LockMode::X)?;
         let rid = t
             .rid_of(key)
@@ -485,7 +483,7 @@ impl Db {
         t.read(rid).ok_or(StorageError::KeyNotFound { table, key })
     }
 
-    /// Overwrite the record at `key` (IX table, X row; logs before/after).
+    /// Overwrite the record at `key` (X row lock; logs before/after).
     pub fn update(
         &self,
         txn: &mut Transaction,
@@ -495,17 +493,16 @@ impl Db {
     ) -> StorageResult<()> {
         self.check_active(txn)?;
         let t = self.table(table)?;
-        self.lock(txn, LockId::table(table), LockMode::IX)?;
+        t.check_record(record)?;
         self.lock(txn, LockId::row(table, key), LockMode::X)?;
         let rid = t
             .rid_of(key)
             .ok_or(StorageError::KeyNotFound { table, key })?;
-        let before = t.read_cell(rid);
-        if before[0] == 0 {
+        if !Self::read_before(txn, t, rid, true) {
             return Err(StorageError::KeyNotFound { table, key });
         }
-        let after = t.make_cell(record)?;
-        self.log_and_apply(txn, &t, rid, before, after)
+        self.log_and_apply(txn, t, rid, Some(record));
+        Ok(())
     }
 
     /// Read-modify-write convenience: `f` mutates the record in place.
@@ -521,7 +518,7 @@ impl Db {
         self.update(txn, table, key, &rec)
     }
 
-    /// Insert a new record at `key` (IX table, X row).
+    /// Insert a new record at `key` (X row lock).
     pub fn insert(
         &self,
         txn: &mut Transaction,
@@ -531,42 +528,39 @@ impl Db {
     ) -> StorageResult<()> {
         self.check_active(txn)?;
         let t = self.table(table)?;
-        self.lock(txn, LockId::table(table), LockMode::IX)?;
+        t.check_record(record)?;
         self.lock(txn, LockId::row(table, key), LockMode::X)?;
         // Existence check.
         if let Some(rid) = t.rid_of(key) {
-            if t.read(rid).is_some() {
+            if !Self::read_before(txn, t, rid, false) {
                 return Err(StorageError::DuplicateKey { table, key });
             }
             // Dense slot exists but is empty: insert in place.
-            let before = t.read_cell(rid);
-            let after = t.make_cell(record)?;
-            return self.log_and_apply(txn, &t, rid, before, after);
+            self.log_and_apply(txn, t, rid, Some(record));
+            return Ok(());
         }
         let rid = t.allocate_slot();
         if !t.index().insert(key, rid) {
             return Err(StorageError::DuplicateKey { table, key });
         }
-        let before = t.read_cell(rid); // empty cell
-        let after = t.make_cell(record)?;
-        self.log_and_apply(txn, &t, rid, before, after)
+        let empty = Self::read_before(txn, t, rid, false);
+        assert!(empty, "append slot {rid:?} of table {table} is occupied");
+        self.log_and_apply(txn, t, rid, Some(record));
+        Ok(())
     }
 
-    /// Delete the record at `key` (IX table, X row).
+    /// Delete the record at `key` (X row lock).
     pub fn delete(&self, txn: &mut Transaction, table: u32, key: u64) -> StorageResult<()> {
         self.check_active(txn)?;
         let t = self.table(table)?;
-        self.lock(txn, LockId::table(table), LockMode::IX)?;
         self.lock(txn, LockId::row(table, key), LockMode::X)?;
         let rid = t
             .rid_of(key)
             .ok_or(StorageError::KeyNotFound { table, key })?;
-        let before = t.read_cell(rid);
-        if before[0] == 0 {
+        if !Self::read_before(txn, t, rid, true) {
             return Err(StorageError::KeyNotFound { table, key });
         }
-        let after = t.empty_cell();
-        self.log_and_apply(txn, &t, rid, before, after)?;
+        self.log_and_apply(txn, t, rid, None);
         if key >= t.dense_rows {
             t.index().remove(key);
         }
@@ -587,25 +581,45 @@ impl Db {
         Ok(())
     }
 
-    /// Log an update record (chained into the txn's undo chain), remember
-    /// the undo entry, and apply the after-image.
+    /// Read the cell at `rid` onto the end of `txn`'s image arena, as the
+    /// before-image of the update about to be logged, if it holds a record
+    /// exactly when `present`; returns whether it did. On `true`,
+    /// [`Db::log_and_apply`] must follow.
+    fn read_before(txn: &mut Transaction, t: &Table, rid: Rid, present: bool) -> bool {
+        let at = txn.images.len();
+        t.read_cell_into(rid, &mut txn.images);
+        if (txn.images[at] == 1) != present {
+            txn.images.truncate(at);
+            return false;
+        }
+        true
+    }
+
+    /// Log an update of `rid` to `after` (a record, or `None` for an empty
+    /// cell) whose before-image [`Db::read_before`] has just put at the end
+    /// of `txn`'s image arena; remember the undo entry, and apply the
+    /// after-image.
     ///
-    /// The record is serialized straight into the reserved log slot — no
-    /// encode buffer — and the before/after images move into the payload
-    /// and out again rather than being cloned: an update costs exactly one
-    /// copy of its images (the memcpy into the ring).
-    fn log_and_apply(
-        &self,
-        txn: &mut Transaction,
-        t: &Table,
-        rid: crate::page::Rid,
-        before: Vec<u8>,
-        after: Vec<u8>,
-    ) -> StorageResult<()> {
+    /// The after-image is built behind the before-image in the same arena,
+    /// and the record is serialized from there straight into the reserved
+    /// log slot — no encode buffer, no allocation once the arena has grown:
+    /// an update costs one copy of its after-image into the arena and one
+    /// of each image into the ring.
+    fn log_and_apply(&self, txn: &mut Transaction, t: &Table, rid: Rid, after: Option<&[u8]>) {
+        let cell = t.geom.cell_size;
+        let at = txn.images.len() - cell;
+        match after {
+            Some(record) => {
+                txn.images.push(1);
+                txn.images.extend_from_slice(record);
+            }
+            None => txn.images.resize(at + 2 * cell, 0),
+        }
         let page = PageId {
             table: t.id,
             page_no: rid.page_no,
         };
+        let (before, after) = txn.images[at..].split_at(cell);
         let payload = UpdatePayload {
             page,
             slot: rid.slot,
@@ -615,16 +629,15 @@ impl Db {
         let (lsn, _) =
             self.log
                 .insert_payload(RecordKind::Update, txn.id, txn.last_lsn(), &payload);
-        txn.set_last_lsn(lsn);
-        let UpdatePayload { before, after, .. } = payload;
-        txn.note_undo(UndoEntry {
+        self.txns.logged(txn, lsn);
+        t.apply_cell(rid, &txn.images[at + cell..], lsn);
+        txn.images.truncate(at + cell);
+        txn.undo.push(UndoEntry {
             page,
             slot: rid.slot,
-            before,
             update_lsn: lsn,
+            at,
         });
-        t.apply_cell(rid, &after, lsn);
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -665,14 +678,19 @@ impl Db {
         mut txn: Transaction,
         on_durable: Option<DurableCallback>,
     ) -> StorageResult<(CommitOutcome, CommitToken)> {
-        self.check_active(&txn)?;
+        if let Err(e) = self.check_active(&txn) {
+            if let Some(f) = on_durable {
+                f(Err(StorageError::TxnNotActive(txn.id)));
+            }
+            return Err(e);
+        }
         let t_commit = self.log.telemetry().ts();
 
         // Read-only transactions: nothing to harden.
         if txn.undo.is_empty() {
             txn.status = TxnStatus::Committed;
             self.locks.release_all(txn.id, &txn.held);
-            self.txns.finish(txn.id);
+            self.txns.finish(&txn);
             if let Some(f) = on_durable {
                 f(Ok(CommitToken::ZERO));
             }
@@ -703,15 +721,10 @@ impl Db {
         // Commit latency: entry to durable, whichever thread observes it.
         // Blocking protocols record inline; async ones record in the
         // durability callback (same clock, same histogram).
-        let record_latency = {
-            let tel = Arc::clone(self.log.telemetry());
-            let id = self.tel.commit_latency_ns;
-            move || {
-                if let Some(t0) = t_commit {
-                    let dt = aether_core::runtime::monotonic_ns().saturating_sub(t0);
-                    tel.record(id, dt);
-                }
-            }
+        let latency_id = self.tel.commit_latency_ns;
+        let record_latency = move |tel: &Telemetry, t0: u64| {
+            let dt = aether_core::runtime::monotonic_ns().saturating_sub(t0);
+            tel.record(latency_id, dt);
         };
 
         let token = CommitToken::at(end);
@@ -726,7 +739,9 @@ impl Db {
             // The caller: only this transaction blocks on the I/O.
             CommitProtocol::Baseline | CommitProtocol::Elr => {
                 let flushed = timed_flush(end);
-                record_latency();
+                if let Some(t0) = t_commit {
+                    record_latency(self.log.telemetry(), t0);
+                }
                 if !protocol.early_release() {
                     self.locks.release_all(txn.id, &txn.held);
                 }
@@ -734,7 +749,7 @@ impl Db {
                 // poisoned (or shut down). Locks are released and the txn
                 // slot retired all the same — the transaction is dead either
                 // way; the caller gets the typed error.
-                self.txns.finish(txn.id);
+                self.txns.finish(&txn);
                 if let Some(f) = on_durable {
                     f(flushed.as_ref().map(|_| token).map_err(dup_commit_error));
                 }
@@ -755,12 +770,15 @@ impl Db {
                     .then(CommitHandle::new)
                     .unzip();
                 let txns = Arc::clone(&self.txns);
-                let id = txn.id;
+                let slot = txn.slot;
+                let latency = t_commit.map(|t0| (Arc::clone(self.log.telemetry()), t0));
                 self.log.commit_async(
                     end,
                     CommitAction::Callback(Box::new(move |durable| {
-                        record_latency();
-                        txns.finish(id);
+                        if let Some((tel, t0)) = latency {
+                            record_latency(&tel, t0);
+                        }
+                        txns.finish_slot(slot);
                         // Run the driver callback *before* completing the
                         // handle: a waiter on the handle must observe every
                         // side effect of the commit's completion.
@@ -786,33 +804,40 @@ impl Db {
     /// locks. Safe at any point before commit.
     pub fn abort(&self, mut txn: Transaction) -> StorageResult<()> {
         self.check_active(&txn)?;
-        let undo: Vec<UndoEntry> = txn.undo.drain(..).collect();
-        // The undo-chain continuation for entry i is entry i-1's update LSN;
-        // capture the chain up front so each entry's before-image can move
-        // into its CLR payload (no clone, no encode buffer).
-        let chain: Vec<Lsn> = undo.iter().map(|e| e.update_lsn).collect();
-        for (i, e) in undo.into_iter().enumerate().rev() {
+        // Entry i's undo-chain continuation is entry i-1's update LSN; each
+        // CLR is serialized from the image arena (no clone, no encode
+        // buffer), and the current cell, which index maintenance compares
+        // with the restored one, is read behind it.
+        for i in (0..txn.undo.len()).rev() {
+            let e = txn.undo[i];
             let t = self.table(e.page.table)?;
-            let rid = crate::page::Rid {
+            let rid = Rid {
                 page_no: e.page.page_no,
                 slot: e.slot,
             };
+            let cur = txn.images.len();
+            t.read_cell_into(rid, &mut txn.images);
+            let restored = txn.before_image(&e, t.geom.cell_size);
             // Index maintenance: undoing an insert removes the key; undoing
             // a delete restores it.
-            let current = t.read_cell(rid);
-            self.fix_index_on_restore(&t, rid, &current, &e.before);
-            let undo_next = if i == 0 { Lsn::ZERO } else { chain[i - 1] };
+            self.fix_index_on_restore(t, rid, &txn.images[cur..], restored);
+            let undo_next = if i == 0 {
+                Lsn::ZERO
+            } else {
+                txn.undo[i - 1].update_lsn
+            };
             let clr = ClrPayload {
                 page: e.page,
                 slot: e.slot,
-                restored: e.before,
+                restored,
                 undo_next,
             };
             let (lsn, _) = self
                 .log
                 .insert_payload(RecordKind::Clr, txn.id, txn.last_lsn(), &clr);
-            txn.set_last_lsn(lsn);
-            t.apply_cell(rid, &clr.restored, lsn);
+            t.apply_cell(rid, restored, lsn);
+            txn.images.truncate(cur);
+            self.txns.logged(&mut txn, lsn);
         }
         self.log
             .insert_payload::<[u8]>(RecordKind::Abort, txn.id, txn.last_lsn(), &[]);
@@ -821,7 +846,7 @@ impl Db {
             .aborts
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.locks.release_all(txn.id, &txn.held);
-        self.txns.finish(txn.id);
+        self.txns.finish(&txn);
         Ok(())
     }
 
@@ -830,7 +855,7 @@ impl Db {
     pub(crate) fn fix_index_on_restore(
         &self,
         t: &Table,
-        rid: crate::page::Rid,
+        rid: Rid,
         current: &[u8],
         restored: &[u8],
     ) {
@@ -857,8 +882,7 @@ impl Db {
 
     /// Write all dirty pages to the page store and mark them clean.
     pub fn flush_pages(&self) {
-        let tables = read(&self.tables);
-        for t in tables.iter() {
+        for (_, t) in self.tables.iter() {
             let id = t.id;
             t.for_each_dirty(|page_no, frame| {
                 self.store
@@ -959,7 +983,7 @@ impl Db {
     /// truncation point is computed from.
     pub fn dpt_snapshot(&self) -> Vec<(u64, Lsn)> {
         let mut dpt = Vec::new();
-        for t in read(&self.tables).iter() {
+        for (_, t) in self.tables.iter() {
             dpt.extend(t.dpt_snapshot());
         }
         dpt
@@ -969,15 +993,15 @@ impl Db {
     /// system would read from catalog pages. Base backups for replicas and
     /// crash images both carry it.
     pub fn schema(&self) -> Vec<(usize, u64)> {
-        read(&self.tables)
+        self.tables
             .iter()
-            .map(|t| (t.geom.record_size, t.dense_rows))
+            .map(|(_, t)| (t.geom.record_size, t.dense_rows))
             .collect()
     }
 
     /// Number of tables.
     pub fn table_count(&self) -> usize {
-        read(&self.tables).len()
+        self.tables.len()
     }
 
     /// Capture what would survive a power failure right now: the retained
@@ -1003,13 +1027,6 @@ impl Db {
     /// See [`crate::recovery`] for the algorithm.
     pub fn recover(image: CrashImage, opts: DbOptions) -> StorageResult<Arc<Db>> {
         crate::recovery::recover(image, opts)
-    }
-
-    /// Internal: register a recovered table (recovery module only).
-    pub(crate) fn install_table(&self, t: Arc<Table>) {
-        let mut tables = write(&self.tables);
-        debug_assert_eq!(tables.len(), t.id as usize);
-        tables.push(t);
     }
 }
 
@@ -1135,6 +1152,26 @@ mod tests {
         }
         assert!(done.load(std::sync::atomic::Ordering::SeqCst));
         assert_eq!(db.txn_manager().active_count(), 0);
+    }
+
+    #[test]
+    fn committing_an_inactive_transaction_runs_the_callback_once_with_err() {
+        for protocol in CommitProtocol::ALL {
+            let db = tiny_db(protocol);
+            let mut txn = db.begin();
+            txn.status = TxnStatus::Committed;
+            let calls = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let c2 = Arc::clone(&calls);
+            let r = db.commit_tokened_with(
+                txn,
+                Box::new(move |r| aether_core::runtime::lock(&c2).push(r.is_ok())),
+            );
+            assert!(
+                matches!(r, Err(StorageError::TxnNotActive(_))),
+                "{protocol:?}"
+            );
+            assert_eq!(*aether_core::runtime::lock(&calls), [false], "{protocol:?}");
+        }
     }
 
     #[test]

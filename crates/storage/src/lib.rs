@@ -8,8 +8,8 @@
 //!   ([`table`], [`page`]),
 //! * an in-memory **page store** standing in for the data volume
 //!   ([`store`]),
-//! * a hierarchical **lock manager** (IS/IX table locks, S/X row locks,
-//!   FIFO queues, timeout + wait-for-graph deadlock detection) ([`lock`]),
+//! * a **lock manager** (S/X row locks, FIFO queues, timeout +
+//!   wait-for-graph deadlock detection) ([`lock`]),
 //! * **transactions** with undo chains, rollback via before-images and CLRs,
 //!   and the four commit protocols the paper compares — Baseline, **ELR**,
 //!   Asynchronous commit, and **Flush Pipelining** ([`txn`]),
@@ -31,6 +31,7 @@ pub mod lock;
 pub mod page;
 pub mod recovery;
 pub mod replay;
+mod segmented;
 pub mod store;
 pub mod table;
 pub mod txn;

@@ -1,10 +1,15 @@
 //! The lock manager.
 //!
-//! Hierarchical two-level locking: intention locks (IS/IX) at table
-//! granularity, shared/exclusive (S/X) at row granularity — enough for the
-//! TPC-B and TATP transactions the paper drives, while keeping the lock
-//! manager itself uncontended so logging dominates (the paper uses
-//! Speculative Lock Inheritance for the same reason, §6.1).
+//! Shared/exclusive (S/X) locks on rows — enough for the TPC-B and TATP
+//! transactions the paper drives, while keeping the lock manager itself
+//! uncontended so logging dominates (the paper uses Speculative Lock
+//! Inheritance for the same reason, §6.1). The storage layer takes row
+//! locks only. It used to take an intention lock (IS/IX) on the table
+//! first, but nothing ever took a table S or X lock, and intention modes
+//! are compatible with each other, so those locks excluded nothing while
+//! every transaction paid two acquisitions of one shared entry per table.
+//! The table-level [`LockId::table`] and the intention modes remain for a
+//! caller that wants whole-table locking.
 //!
 //! **Early Lock Release** is a *policy* of the commit path (see
 //! [`crate::txn`]): the lock manager just provides `release_all`, and the
@@ -18,6 +23,11 @@
 //! into the holders under the shard lock, so a woken waiter only looks
 //! whether it holds the lock. Deadlocks: a wait-for graph, always on,
 //! aborts the requester that closes a cycle; a wait time-out backs it up.
+//! A transaction has edges in the graph only while it is queued, so one
+//! that never waits never touches the graph, and an entry that empties
+//! leaves its storage for the next lock its shard makes: an uncontended
+//! acquire and release allocate nothing and take only the row's shard
+//! lock.
 
 use crate::error::{StorageError, StorageResult};
 use aether_core::runtime::{self, lock, WaitSet};
@@ -26,8 +36,8 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Lock modes. Intention modes (IS/IX) are taken at table granularity;
-/// S/X at row granularity.
+/// Lock modes. Intention modes (IS/IX) are for table granularity (the
+/// storage layer takes none); S/X for rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LockMode {
     /// Intention shared (table).
@@ -133,14 +143,42 @@ impl Entry {
     }
 }
 
+/// One shard's lock table: an entry per lock that has a holder or a
+/// waiter, and the storage of entries that emptied, kept for the next.
+struct Entries {
+    live: HashMap<LockId, Entry>,
+    spare: Vec<Entry>,
+}
+
+impl Entries {
+    /// The entry for `id`, made from a spare one if it has none.
+    fn entry(&mut self, id: LockId) -> &mut Entry {
+        let Entries { live, spare } = self;
+        live.entry(id)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+    }
+
+    /// Drop `id`'s entry, which has emptied, keeping its storage.
+    fn retire(&mut self, id: LockId) {
+        let e = self.live.remove(&id).expect("a live entry");
+        debug_assert!(e.granted.is_empty() && e.waiters.is_empty());
+        if self.spare.len() < SPARE_ENTRIES {
+            self.spare.push(e);
+        }
+    }
+}
+
 struct Shard {
-    entries: Mutex<HashMap<LockId, Entry>>,
+    entries: Mutex<Entries>,
     /// The shard's waiters, parked until `entries` lists them as holders.
     granted: WaitSet,
 }
 
 /// Hash shards over the lock table.
 const SHARDS: usize = 64;
+/// Emptied entries a shard keeps for reuse: the lock table grows with the
+/// locks held at once, not with every key ever locked.
+const SPARE_ENTRIES: usize = 8;
 
 /// Lock-manager tuning.
 #[derive(Debug, Clone)]
@@ -259,7 +297,10 @@ impl LockManager {
     pub fn new(config: LockConfig) -> Arc<LockManager> {
         let shards = (0..SHARDS)
             .map(|_| Shard {
-                entries: Mutex::new(HashMap::new()),
+                entries: Mutex::new(Entries {
+                    live: HashMap::new(),
+                    spare: Vec::with_capacity(SPARE_ENTRIES),
+                }),
                 granted: WaitSet::new(),
             })
             .collect();
@@ -316,7 +357,7 @@ impl LockManager {
     pub fn acquire(&self, txn: u64, id: LockId, mode: LockMode) -> StorageResult<()> {
         let shard = self.shard(id);
         let mut entries = lock(&shard.entries);
-        let entry = entries.entry(id).or_default();
+        let entry = entries.entry(id);
 
         // Re-entrant / upgrade handling.
         if let Some(pos) = entry.granted.iter().position(|&(t, _)| t == txn) {
@@ -360,7 +401,7 @@ impl LockManager {
         let granted = shard
             .granted
             .wait_until(Some(self.timeout), || {
-                lock(&shard.entries)[&id].holds(txn).then_some(())
+                lock(&shard.entries).live[&id].holds(txn).then_some(())
             })
             .is_some();
         let dt = runtime::monotonic_ns().saturating_sub(wait_started);
@@ -369,7 +410,10 @@ impl LockManager {
             return Ok(());
         }
         let mut entries = lock(&shard.entries);
-        let entry = entries.get_mut(&id).expect("entry vanished on timeout");
+        let entry = entries
+            .live
+            .get_mut(&id)
+            .expect("entry vanished on timeout");
         // The time-out's one look: a grant may have come after the last one.
         if entry.holds(txn) {
             return Ok(());
@@ -385,14 +429,14 @@ impl LockManager {
     pub fn release(&self, txn: u64, id: LockId) {
         let shard = self.shard(id);
         let mut entries = lock(&shard.entries);
-        let Some(entry) = entries.get_mut(&id) else {
+        let Some(entry) = entries.live.get_mut(&id) else {
             return;
         };
         entry.granted.retain(|&(t, _)| t != txn);
         self.grant_waiters(entry);
         // With no holder left, `grant_waiters` has emptied the queue too.
         if entry.granted.is_empty() {
-            entries.remove(&id);
+            entries.retire(id);
         }
         drop(entries);
         shard.granted.notify();
@@ -400,11 +444,14 @@ impl LockManager {
 
     /// Release every lock in `held` — the commit/abort path. Under ELR this
     /// is called *before* the log flush; under the baseline protocol, after.
+    /// The wait-for graph is not touched: a transaction has edges only
+    /// while it is queued, and whatever ends its wait — a grant, a time-out,
+    /// or its exit as a victim — clears them, under the shard lock of the
+    /// one queue it was on.
     pub fn release_all(&self, txn: u64, held: &[LockId]) {
         for &id in held {
             self.release(txn, id);
         }
-        self.waits_for.clear(txn);
     }
 
     /// Take queued `txn` off `entry` — a victim or a time-out — and hand
@@ -443,6 +490,7 @@ impl LockManager {
             .iter()
             .map(|s| {
                 lock(&s.entries)
+                    .live
                     .values()
                     .map(|e| e.granted.len())
                     .sum::<usize>()
@@ -767,5 +815,87 @@ mod tests {
             }
         });
         assert_eq!(m.granted_count(), 0);
+    }
+
+    /// Every wait-for edge in the graph, as `(txn, blockers)`.
+    fn edges(m: &LockManager) -> Vec<(u64, Vec<u64>)> {
+        let stripes = m.waits_for.stripes.iter();
+        stripes
+            .flat_map(|s| lock(s).clone().into_iter().collect::<Vec<_>>())
+            .collect()
+    }
+
+    #[test]
+    fn an_uncontended_acquire_and_release_leave_the_graph_untouched() {
+        // Hold every stripe of the graph: a lock manager that touched it on
+        // this path would block until the guards go.
+        let m = mgr(5000);
+        let guards: Vec<_> = m.waits_for.stripes.iter().map(lock).collect();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let m2 = Arc::clone(&m);
+        let worker = std::thread::spawn(move || {
+            for txn in 1..=64u64 {
+                let ids = [LockId::row(1, txn), LockId::row(2, txn)];
+                for id in ids {
+                    m2.acquire(txn, id, LockMode::X).unwrap();
+                }
+                m2.release_all(txn, &ids);
+            }
+            tx.send(()).unwrap();
+        });
+        let done = rx.recv_timeout(Duration::from_secs(10));
+        drop(guards);
+        worker.join().unwrap();
+        assert!(
+            done.is_ok(),
+            "an uncontended transaction waited on the wait-for graph"
+        );
+        assert_eq!(m.granted_count(), 0);
+    }
+
+    #[test]
+    fn a_waiter_granted_and_released_leaves_no_edges() {
+        let m = mgr(5000);
+        let id = LockId::row(1, 1);
+        m.acquire(1, id, LockMode::X).unwrap();
+        let m2 = Arc::clone(&m);
+        let waiter = std::thread::spawn(move || m2.acquire(2, id, LockMode::X));
+        wait_until_blocked(&m, 1);
+        assert_eq!(edges(&m), vec![(2, vec![1])]);
+        m.release_all(1, &[id]);
+        waiter.join().unwrap().unwrap();
+        assert!(
+            edges(&m).is_empty(),
+            "a granted waiter keeps {:?}",
+            edges(&m)
+        );
+        m.release_all(2, &[id]);
+        assert!(edges(&m).is_empty());
+        assert_eq!(m.granted_count(), 0);
+    }
+
+    #[test]
+    fn a_sweep_of_many_keys_leaves_no_entries_behind() {
+        let m = mgr(5000);
+        let ids: Vec<LockId> = (0..10_000).map(|k| LockId::row(4, k)).collect();
+        for &id in &ids {
+            m.acquire(1, id, LockMode::X).unwrap();
+        }
+        assert_eq!(m.granted_count(), 10_000);
+        m.release_all(1, &ids);
+        for &id in &ids {
+            m.acquire(2, id, LockMode::S).unwrap();
+            m.release_all(2, &[id]);
+        }
+        assert_eq!(m.granted_count(), 0);
+        for s in m.shards.iter() {
+            let entries = lock(&s.entries);
+            assert!(
+                entries.live.is_empty(),
+                "{} entries left",
+                entries.live.len()
+            );
+            assert!(entries.spare.len() <= SPARE_ENTRIES);
+        }
     }
 }

@@ -192,7 +192,7 @@ pub fn recover_with_stats(
                     StorageError::Recovery(format!("bad update payload at {}", rec.lsn))
                 })?;
                 let t = db.table(u.page.table)?;
-                redo_cell(&t, u.rid(), &u.after, rec.lsn, &mut stats);
+                redo_cell(t, u.rid(), &u.after, rec.lsn, &mut stats);
             }
             RecordKind::Clr => {
                 let c = ClrPayload::decode(&rec.payload).ok_or_else(|| {
@@ -200,7 +200,7 @@ pub fn recover_with_stats(
                 })?;
                 let t = db.table(c.page.table)?;
                 redo_cell(
-                    &t,
+                    t,
                     Rid {
                         page_no: c.page.page_no,
                         slot: c.slot,
@@ -230,7 +230,7 @@ pub fn recover_with_stats(
                 let t = db.table(u.page.table)?;
                 let rid = u.rid();
                 let current = t.read_cell(rid);
-                db.fix_index_on_restore(&t, rid, &current, &u.before);
+                db.fix_index_on_restore(t, rid, &current, &u.before);
                 // The before-image moves into the CLR payload and is applied
                 // from there; the record itself is serialized straight into
                 // the reserved log slot (no encode buffer).

@@ -203,30 +203,27 @@ pub fn standby_db(
 /// Rebuild tables from a schema and load their page images from `store`.
 /// Shared by restart recovery and standby construction.
 pub(crate) fn install_tables(db: &Db, schema: &[(usize, u64)], store: &Arc<PageStore>) {
-    for (i, &(record_size, dense_rows)) in schema.iter().enumerate() {
-        let table = Arc::new(Table::new(i as u32, record_size, dense_rows));
-        if let Some(max_page) = store.max_page_no(i as u32) {
+    for &(record_size, dense_rows) in schema {
+        let id = db.create_table(record_size, dense_rows);
+        let table = db.table(id).expect("a table just made");
+        if let Some(max_page) = store.max_page_no(id) {
             for page_no in 0..=max_page {
-                if let Some((page_lsn, data)) = store.read(crate::page::PageId {
-                    table: i as u32,
-                    page_no,
-                }) {
-                    let frame = table.frame(page_no);
-                    let mut g = write(&frame);
+                if let Some((page_lsn, data)) =
+                    store.read(crate::page::PageId { table: id, page_no })
+                {
+                    let mut g = write(table.frame(page_no));
                     g.data = data;
                     g.page_lsn = page_lsn;
                 }
             }
         }
-        db.install_table(table);
     }
 }
 
 /// Apply one cell image at `rid` if `lsn` is newer than the page LSN
 /// (ARIES redo rule). Returns whether the record was applied.
 pub(crate) fn redo_cell(t: &Table, rid: Rid, cell: &[u8], lsn: Lsn) -> bool {
-    let frame = t.frame(rid.page_no);
-    let mut g = write(&frame);
+    let mut g = write(t.frame(rid.page_no));
     if g.page_lsn < lsn {
         g.apply(t.geom.offset(rid.slot), cell, lsn);
         true
@@ -249,9 +246,9 @@ pub fn apply_record(db: &Db, rec: &Record) -> StorageResult<bool> {
             let t = db.table(u.page.table)?;
             let rid = u.rid();
             let current = t.read_cell(rid);
-            let applied = redo_cell(&t, rid, &u.after, rec.lsn);
+            let applied = redo_cell(t, rid, &u.after, rec.lsn);
             if applied {
-                db.fix_index_on_restore(&t, rid, &current, &u.after);
+                db.fix_index_on_restore(t, rid, &current, &u.after);
             }
             Ok(applied)
         }
@@ -264,9 +261,9 @@ pub fn apply_record(db: &Db, rec: &Record) -> StorageResult<bool> {
                 slot: c.slot,
             };
             let current = t.read_cell(rid);
-            let applied = redo_cell(&t, rid, &c.restored, rec.lsn);
+            let applied = redo_cell(t, rid, &c.restored, rec.lsn);
             if applied {
-                db.fix_index_on_restore(&t, rid, &current, &c.restored);
+                db.fix_index_on_restore(t, rid, &current, &c.restored);
             }
             Ok(applied)
         }
@@ -294,8 +291,7 @@ pub fn state_fingerprint(db: &Db) -> StorageResult<CellFingerprint> {
     for table in 0..db.table_count() as u32 {
         let t = db.table(table)?;
         for page_no in 0..t.page_count() {
-            let frame = t.frame(page_no);
-            let g = read(&frame);
+            let g = read(t.frame(page_no));
             for slot in 0..t.geom.slots_per_page as u16 {
                 let off = t.geom.offset(slot);
                 if g.data[off] == 1 {

@@ -9,10 +9,11 @@
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::{CellGeometry, Frame, PageId, Rid};
+use crate::segmented::Segmented;
 use aether_core::runtime::{lock, read, write};
 use aether_core::Lsn;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Mutex, RwLock};
 
 /// Sharded hash index: key → RID.
 #[derive(Debug)]
@@ -75,7 +76,9 @@ pub struct Table {
     pub geom: CellGeometry,
     /// Keys `< dense_rows` map to RIDs arithmetically.
     pub dense_rows: u64,
-    frames: RwLock<Vec<Arc<RwLock<Frame>>>>,
+    /// Page frames, made on first touch and never removed: a lookup takes
+    /// no table-wide lock.
+    frames: Segmented<RwLock<Frame>>,
     append: Mutex<AppendCursor>,
     index: HashIndex,
 }
@@ -97,9 +100,10 @@ impl Table {
     pub fn new(id: u32, record_size: usize, dense_rows: u64) -> Table {
         let geom = CellGeometry::new(record_size);
         let pages = geom.pages_for(dense_rows).max(1);
-        let frames = (0..pages)
-            .map(|_| Arc::new(RwLock::new(Frame::new())))
-            .collect();
+        let frames = Segmented::new(pages as usize);
+        for page_no in 0..pages as usize {
+            frames.get_or_init(page_no, RwLock::default);
+        }
         let append = if dense_rows == 0 {
             AppendCursor {
                 next_page: 0,
@@ -122,7 +126,7 @@ impl Table {
             id,
             geom,
             dense_rows,
-            frames: RwLock::new(frames),
+            frames,
             append: Mutex::new(append),
             index: HashIndex::new(16),
         }
@@ -130,23 +134,21 @@ impl Table {
 
     /// Number of pages currently in the table.
     pub fn page_count(&self) -> u32 {
-        read(&self.frames).len() as u32
+        self.frames.len() as u32
     }
 
-    /// Frame handle for `page_no`, growing the table if needed (recovery
-    /// redo may touch pages that post-crash frames don't have yet).
-    pub fn frame(&self, page_no: u32) -> Arc<RwLock<Frame>> {
-        {
-            let f = read(&self.frames);
-            if (page_no as usize) < f.len() {
-                return Arc::clone(&f[page_no as usize]);
-            }
-        }
-        let mut f = write(&self.frames);
-        while f.len() <= page_no as usize {
-            f.push(Arc::new(RwLock::new(Frame::new())));
-        }
-        Arc::clone(&f[page_no as usize])
+    /// Frame for `page_no`, growing the table if needed (recovery redo may
+    /// touch pages that post-crash frames don't have yet). A page below
+    /// [`Table::page_count`] that nobody has touched is made zeroed and
+    /// clean on its first lookup.
+    pub fn frame(&self, page_no: u32) -> &RwLock<Frame> {
+        self.frames.get_or_init(page_no as usize, RwLock::default)
+    }
+
+    /// Every frame made so far, `(page_no, frame)`, in page order. Pages
+    /// never touched are skipped: they are zeroed and clean.
+    fn each_frame(&self) -> impl Iterator<Item = (u32, &RwLock<Frame>)> {
+        self.frames.iter().map(|(i, f)| (i as u32, f))
     }
 
     /// Resolve `key` to its RID: dense arithmetic or index probe.
@@ -160,8 +162,7 @@ impl Table {
 
     /// Read the record bytes at `rid`; `None` if the slot is empty.
     pub fn read(&self, rid: Rid) -> Option<Vec<u8>> {
-        let frame = self.frame(rid.page_no);
-        let g = read(&frame);
+        let g = read(self.frame(rid.page_no));
         let off = self.geom.offset(rid.slot);
         if g.data[off] == 0 {
             return None;
@@ -172,24 +173,29 @@ impl Table {
     /// Read the full cell (presence byte + record) at `rid` — the
     /// before-image for WAL records.
     pub fn read_cell(&self, rid: Rid) -> Vec<u8> {
-        let frame = self.frame(rid.page_no);
-        let g = read(&frame);
+        let mut cell = Vec::with_capacity(self.geom.cell_size);
+        self.read_cell_into(rid, &mut cell);
+        cell
+    }
+
+    /// Append the full cell at `rid` to `out`.
+    pub fn read_cell_into(&self, rid: Rid, out: &mut Vec<u8>) {
+        let g = read(self.frame(rid.page_no));
         let off = self.geom.offset(rid.slot);
-        g.data[off..off + self.geom.cell_size].to_vec()
+        out.extend_from_slice(&g.data[off..off + self.geom.cell_size]);
     }
 
     /// Apply `cell` at `rid`, stamping `lsn` (redo and forward path share
     /// this).
     pub fn apply_cell(&self, rid: Rid, cell: &[u8], lsn: Lsn) {
         debug_assert_eq!(cell.len(), self.geom.cell_size);
-        let frame = self.frame(rid.page_no);
-        let mut g = write(&frame);
+        let mut g = write(self.frame(rid.page_no));
         let off = self.geom.offset(rid.slot);
         g.apply(off, cell, lsn);
     }
 
-    /// Build the cell encoding of a present record.
-    pub fn make_cell(&self, record: &[u8]) -> StorageResult<Vec<u8>> {
+    /// `Ok` if `record` is this table's record size.
+    pub fn check_record(&self, record: &[u8]) -> StorageResult<()> {
         if record.len() != self.geom.record_size {
             return Err(StorageError::InvalidRecord(format!(
                 "record is {} bytes, table {} wants {}",
@@ -198,15 +204,16 @@ impl Table {
                 self.geom.record_size
             )));
         }
+        Ok(())
+    }
+
+    /// Build the cell encoding of a present record.
+    pub fn make_cell(&self, record: &[u8]) -> StorageResult<Vec<u8>> {
+        self.check_record(record)?;
         let mut cell = Vec::with_capacity(self.geom.cell_size);
         cell.push(1u8);
         cell.extend_from_slice(record);
         Ok(cell)
-    }
-
-    /// An all-zero (absent) cell.
-    pub fn empty_cell(&self) -> Vec<u8> {
-        vec![0u8; self.geom.cell_size]
     }
 
     /// Allocate the next append slot (for inserts beyond the dense region).
@@ -254,24 +261,17 @@ impl Table {
 
     /// Rebuild the hash index and append cursor by scanning pages (recovery).
     pub fn rebuild_index(&self) {
-        let frames = read(&self.frames);
         let mut last_occupied: Option<(u32, u16)> = None;
-        for (page_no, frame) in frames.iter().enumerate() {
+        for (page_no, frame) in self.each_frame() {
             let g = read(frame);
             for slot in 0..self.geom.slots_per_page as u16 {
                 let off = self.geom.offset(slot);
                 if g.data[off] == 1 {
-                    last_occupied = Some((page_no as u32, slot));
+                    last_occupied = Some((page_no, slot));
                     let key =
                         u64::from_le_bytes(g.data[off + 1..off + 9].try_into().expect("key bytes"));
                     if key >= self.dense_rows {
-                        self.index.insert(
-                            key,
-                            Rid {
-                                page_no: page_no as u32,
-                                slot,
-                            },
-                        );
+                        self.index.insert(key, Rid { page_no, slot });
                     }
                 }
             }
@@ -308,26 +308,24 @@ impl Table {
 
     /// Visit every dirty frame: `(page_no, &mut Frame)`.
     pub fn for_each_dirty<F: FnMut(u32, &mut Frame)>(&self, mut f: F) {
-        let frames = read(&self.frames);
-        for (page_no, frame) in frames.iter().enumerate() {
+        for (page_no, frame) in self.each_frame() {
             let mut g = write(frame);
             if g.dirty {
-                f(page_no as u32, &mut g);
+                f(page_no, &mut g);
             }
         }
     }
 
     /// Dirty-page-table snapshot for this table: (packed PageId, rec_lsn).
     pub fn dpt_snapshot(&self) -> Vec<(u64, Lsn)> {
-        let frames = read(&self.frames);
         let mut out = Vec::new();
-        for (page_no, frame) in frames.iter().enumerate() {
+        for (page_no, frame) in self.each_frame() {
             let g = read(frame);
             if g.dirty {
                 out.push((
                     PageId {
                         table: self.id,
-                        page_no: page_no as u32,
+                        page_no,
                     }
                     .pack(),
                     g.rec_lsn,
@@ -405,7 +403,7 @@ mod tests {
         assert_eq!(t.read_cell(rid), cell);
         assert_eq!(t.read(rid).unwrap()[8], 9);
         // Delete = empty cell.
-        t.apply_cell(rid, &t.empty_cell(), Lsn(78));
+        t.apply_cell(rid, &vec![0; t.geom.cell_size], Lsn(78));
         assert!(t.read(rid).is_none());
     }
 
@@ -464,10 +462,8 @@ mod tests {
         // Simulate recovery: new table object, copy the frames' bytes over.
         let t2 = Table::new(2, 24, 5);
         for p in 0..t.page_count() {
-            let src = t.frame(p);
-            let cell_bytes = read(&src).data.clone();
-            let dst = t2.frame(p);
-            write(&dst).data = cell_bytes;
+            let cell_bytes = read(t.frame(p)).data.clone();
+            write(t2.frame(p)).data = cell_bytes;
         }
         t2.rebuild_index();
         assert_eq!(t2.index().len(), 3);

@@ -18,35 +18,48 @@ use aether_core::{EncodePayload, Lsn, SlotWriter};
 /// A physiological cell update: before/after images of one cell on one page.
 ///
 /// Inserts encode `before` = zeroed cell (presence 0); deletes encode `after`
-/// = zeroed cell. Redo applies `after`; undo applies `before`.
+/// = zeroed cell. Redo applies `after`; undo applies `before`. Decoding
+/// owns its images; the forward path logs borrowed ones
+/// (`UpdatePayload<&[u8]>`) straight from the transaction's image arena.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UpdatePayload {
+pub struct UpdatePayload<B = Vec<u8>> {
     /// Page touched.
     pub page: PageId,
     /// Slot within the page.
     pub slot: u16,
     /// Cell image before the update.
-    pub before: Vec<u8>,
+    pub before: B,
     /// Cell image after the update.
-    pub after: Vec<u8>,
+    pub after: B,
 }
 
-impl UpdatePayload {
+impl<B: AsRef<[u8]>> UpdatePayload<B> {
     /// Encode: `[table u32][page u32][slot u16][len u16][before][after]`.
     /// Before and after images are always the same length (the cell size).
     pub fn encode(&self) -> Vec<u8> {
-        debug_assert_eq!(self.before.len(), self.after.len());
-        let len = self.before.len();
+        let (before, after) = (self.before.as_ref(), self.after.as_ref());
+        debug_assert_eq!(before.len(), after.len());
+        let len = before.len();
         let mut out = Vec::with_capacity(12 + 2 * len);
         out.extend_from_slice(&self.page.table.to_le_bytes());
         out.extend_from_slice(&self.page.page_no.to_le_bytes());
         out.extend_from_slice(&self.slot.to_le_bytes());
         out.extend_from_slice(&(len as u16).to_le_bytes());
-        out.extend_from_slice(&self.before);
-        out.extend_from_slice(&self.after);
+        out.extend_from_slice(before);
+        out.extend_from_slice(after);
         out
     }
 
+    /// RID touched by this update.
+    pub fn rid(&self) -> Rid {
+        Rid {
+            page_no: self.page.page_no,
+            slot: self.slot,
+        }
+    }
+}
+
+impl UpdatePayload {
     /// Decode; `None` on malformed input.
     pub fn decode(buf: &[u8]) -> Option<UpdatePayload> {
         if buf.len() < 12 {
@@ -66,61 +79,56 @@ impl UpdatePayload {
             after: buf[12 + len..].to_vec(),
         })
     }
-
-    /// RID touched by this update.
-    pub fn rid(&self) -> Rid {
-        Rid {
-            page_no: self.page.page_no,
-            slot: self.slot,
-        }
-    }
 }
 
-impl EncodePayload for UpdatePayload {
+impl<B: AsRef<[u8]>> EncodePayload for UpdatePayload<B> {
     fn encoded_len(&self) -> usize {
-        debug_assert_eq!(self.before.len(), self.after.len());
-        12 + 2 * self.before.len()
+        debug_assert_eq!(self.before.as_ref().len(), self.after.as_ref().len());
+        12 + 2 * self.before.as_ref().len()
     }
 
     fn encode_into(&self, w: &mut SlotWriter<'_>) {
         w.put_u32(self.page.table);
         w.put_u32(self.page.page_no);
         w.put_u16(self.slot);
-        w.put_u16(self.before.len() as u16);
-        w.put_slice(&self.before);
-        w.put_slice(&self.after);
+        w.put_u16(self.before.as_ref().len() as u16);
+        w.put_slice(self.before.as_ref());
+        w.put_slice(self.after.as_ref());
     }
 }
 
 /// A compensation log record: the redo-only image written while undoing one
-/// [`UpdatePayload`] during rollback, plus the next record to undo.
+/// [`UpdatePayload`] during rollback, plus the next record to undo. Owned
+/// or borrowed images, as for [`UpdatePayload`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClrPayload {
+pub struct ClrPayload<B = Vec<u8>> {
     /// Page touched by the compensation.
     pub page: PageId,
     /// Slot within the page.
     pub slot: u16,
     /// Cell image the compensation restores (the original `before`).
-    pub restored: Vec<u8>,
+    pub restored: B,
     /// Undo chain continuation: the `prev_lsn` of the record just undone.
     /// Recovery resumes undo here and never re-undoes compensated work.
     pub undo_next: Lsn,
 }
 
-impl ClrPayload {
+impl<B: AsRef<[u8]>> ClrPayload<B> {
     /// Encode: `[table][page][slot][len][restored][undo_next u64]`.
     pub fn encode(&self) -> Vec<u8> {
-        let len = self.restored.len();
-        let mut out = Vec::with_capacity(20 + len);
+        let restored = self.restored.as_ref();
+        let mut out = Vec::with_capacity(20 + restored.len());
         out.extend_from_slice(&self.page.table.to_le_bytes());
         out.extend_from_slice(&self.page.page_no.to_le_bytes());
         out.extend_from_slice(&self.slot.to_le_bytes());
-        out.extend_from_slice(&(len as u16).to_le_bytes());
-        out.extend_from_slice(&self.restored);
+        out.extend_from_slice(&(restored.len() as u16).to_le_bytes());
+        out.extend_from_slice(restored);
         out.extend_from_slice(&self.undo_next.raw().to_le_bytes());
         out
     }
+}
 
+impl ClrPayload {
     /// Decode; `None` on malformed input.
     pub fn decode(buf: &[u8]) -> Option<ClrPayload> {
         if buf.len() < 20 {
@@ -144,17 +152,17 @@ impl ClrPayload {
     }
 }
 
-impl EncodePayload for ClrPayload {
+impl<B: AsRef<[u8]>> EncodePayload for ClrPayload<B> {
     fn encoded_len(&self) -> usize {
-        20 + self.restored.len()
+        20 + self.restored.as_ref().len()
     }
 
     fn encode_into(&self, w: &mut SlotWriter<'_>) {
         w.put_u32(self.page.table);
         w.put_u32(self.page.page_no);
         w.put_u16(self.slot);
-        w.put_u16(self.restored.len() as u16);
-        w.put_slice(&self.restored);
+        w.put_u16(self.restored.as_ref().len() as u16);
+        w.put_slice(self.restored.as_ref());
         w.put_u64(self.undo_next.raw());
     }
 }

@@ -3,15 +3,15 @@
 //! N client (agent) threads each run transactions back-to-back against a
 //! [`Db`] until the clock runs out — the paper's experimental setup ("60
 //! clients run the TPC-B benchmark", §1.1). Completion counting is
-//! *durable*: a transaction counts when its commit action fires, which for
-//! flush pipelining happens on the flush daemon's notification — so the
-//! numbers never credit unsafe work (except under `AsyncCommit`, whose
-//! whole point is that they do).
+//! *durable*: a transaction counts when its commit is durable, which for
+//! flush pipelining the flush daemon reports to the client's [`Tally`], a
+//! subscriber to the log's watermark — so the numbers never credit unsafe
+//! work (except under `AsyncCommit`, whose whole point is that they do).
 
 use crate::measure::{self, Breakdown};
 use crate::tatp::{Tatp, TatpConfig, TatpMix};
 use crate::tpcb::{Tpcb, TpcbConfig};
-use aether_core::runtime::WaitSet;
+use aether_core::commit::Tally;
 use aether_core::{BufferKind, DeviceKind, LogConfig};
 use aether_storage::error::StorageResult;
 use aether_storage::txn::Transaction;
@@ -138,14 +138,6 @@ pub fn run_point(p: &Point) -> (Arc<Db>, DriverResult) {
     (db, r)
 }
 
-/// Commits resolved by their durability callback, and the drain's wait.
-#[derive(Default)]
-struct Resolved {
-    ok: AtomicU64,
-    err: AtomicU64,
-    wake: WaitSet,
-}
-
 /// A transaction body: runs inside an open transaction; `Ok` commits,
 /// retryable errors abort-and-retry, other errors abort-and-continue
 /// (TATP's expected "failed" transactions).
@@ -155,9 +147,19 @@ pub type TxnBody = dyn Fn(&Db, &mut Transaction, &mut StdRng, usize) -> StorageR
 pub fn run_closed_loop(db: &Arc<Db>, cfg: &DriverConfig, body: &TxnBody) -> DriverResult {
     db.log().set_timing(true);
 
-    // Every submitted commit resolves once, durable or not; the drain below
-    // waits for the resolutions, so a poisoned log ends it at once.
-    let resolved = Arc::new(Resolved::default());
+    // Every submitted commit resolves once, durable or not: a blocking one
+    // when `commit_deferred` returns, an asynchronous one in its client's
+    // tally. The drain below waits for the tallies, so a poisoned log ends
+    // it at once.
+    let pipeline = db.log().pipeline();
+    let tallies: Vec<Arc<Tally>> = (0..cfg.clients)
+        .map(|_| {
+            let t = Arc::new(Tally::default());
+            pipeline.subscribe(t.clone());
+            t
+        })
+        .collect();
+    let inline_ok = AtomicU64::new(0);
     let submitted = AtomicU64::new(0);
     let aborts = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
@@ -170,9 +172,9 @@ pub fn run_closed_loop(db: &Arc<Db>, cfg: &DriverConfig, body: &TxnBody) -> Driv
 
     let start = Instant::now();
     std::thread::scope(|s| {
-        for client in 0..cfg.clients {
+        for (client, tally) in tallies.iter().enumerate() {
             let db = Arc::clone(db);
-            let resolved = Arc::clone(&resolved);
+            let inline_ok = &inline_ok;
             let submitted = &submitted;
             let aborts = &aborts;
             let stop = &stop;
@@ -182,16 +184,18 @@ pub fn run_closed_loop(db: &Arc<Db>, cfg: &DriverConfig, body: &TxnBody) -> Driv
                     let mut txn = db.begin();
                     match body(&db, &mut txn, &mut rng, client) {
                         Ok(()) => {
-                            let r = Arc::clone(&resolved);
                             submitted.fetch_add(1, Ordering::Relaxed);
-                            let _ = db.commit_tokened_with(
-                                txn,
-                                Box::new(move |durable| {
-                                    let n = if durable.is_ok() { &r.ok } else { &r.err };
-                                    n.fetch_add(1, Ordering::SeqCst);
-                                    r.wake.notify();
-                                }),
-                            );
+                            match db.commit_deferred(txn) {
+                                Ok((token, true)) => {
+                                    tally.add(token.lsn());
+                                    pipeline.watch(&**tally, token.lsn());
+                                }
+                                Ok((_, false)) => {
+                                    inline_ok.fetch_add(1, Ordering::Relaxed);
+                                }
+                                // A poisoned log: resolved, not committed.
+                                Err(_) => {}
+                            }
                         }
                         Err(_) => {
                             aborts.fetch_add(1, Ordering::Relaxed);
@@ -206,13 +210,15 @@ pub fn run_closed_loop(db: &Arc<Db>, cfg: &DriverConfig, body: &TxnBody) -> Driv
     });
     let wall = start.elapsed();
 
-    // Drain: make every submitted commit durable and wait for its callback.
+    // Drain: make every submitted commit durable and wait for it to resolve.
     let _ = db.log().flush_all();
     let target = submitted.load(Ordering::Relaxed);
-    resolved.wake.wait_until(Some(Duration::from_secs(10)), || {
-        (resolved.ok.load(Ordering::Relaxed) + resolved.err.load(Ordering::Relaxed) >= target)
-            .then_some(())
-    });
+    let deadline = Instant::now() + Duration::from_secs(10);
+    for t in &tallies {
+        t.wait_settled(Some(deadline.saturating_duration_since(Instant::now())));
+        t.close();
+    }
+    pipeline.prune();
 
     let log_after = db.log().stats();
     let log = log_after.delta(&log_before);
@@ -224,7 +230,8 @@ pub fn run_closed_loop(db: &Arc<Db>, cfg: &DriverConfig, body: &TxnBody) -> Driv
     let flushes = db.log().flush_count() - flushes_before;
 
     let wall_s = wall.as_secs_f64();
-    let committed = resolved.ok.load(Ordering::Relaxed);
+    let committed =
+        inline_ok.load(Ordering::Relaxed) + tallies.iter().map(|t| t.durable()).sum::<u64>();
     DriverResult {
         committed,
         submitted: target,

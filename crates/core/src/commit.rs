@@ -1,56 +1,371 @@
-//! The commit pipeline: flush pipelining's detach/reattach point (§4.1).
+//! Commit completion: flush pipelining's detach/reattach point (§4.1).
 //!
-//! Under flush pipelining, an agent thread that finishes a transaction does
-//! **not** block on the log flush. It enqueues the transaction's commit LSN
-//! (plus a completion action) here and moves on to other work. When the flush
-//! daemon advances the durable watermark it *reattaches*: every pending
-//! commit at or below the watermark completes — its action runs (waking a
-//! client handle, invoking a callback, or simply counting). Only the daemon
-//! ever blocks on I/O; agent threads never context-switch for a commit.
+//! Under flush pipelining an agent thread that finishes a transaction does
+//! **not** block on the log flush. It hands the commit's LSN to a
+//! [`Subscriber`] of its own and moves on: a connection's response queue, a
+//! benchmark driver's [`Tally`], or the log's own tally behind
+//! [`CommitHandle`]s. A subscriber keeps its pending commits in LSN order
+//! and publishes the lowest one. When a flusher advances the durable
+//! watermark it *reattaches* — "the daemon notifies the agent threads of
+//! newly-hardened transactions" — with one [`Subscriber::resolve`] call to
+//! each subscriber whose lowest pending LSN the watermark passed, which
+//! resolves that subscriber's whole ready prefix under its own lock. The
+//! log queues nothing per commit, allocates nothing for one, and has no
+//! lock that every committer takes.
+//!
+//! ## Publish, then look
+//!
+//! A flusher may harden a commit's record before its subscriber publishes
+//! it; that flusher's walk misses it, and no later flush need come. So a
+//! subscriber stores its lowest pending LSN (`SeqCst`) and then looks at
+//! the watermark itself ([`CommitPipeline::watch`]), while a flusher
+//! advances the watermark (`SeqCst`) and then reads the lowest LSNs. That
+//! is [`crate::runtime::WaitSet`]'s Dekker pair: one of the two sees the
+//! other, so the commit is resolved by the walk, by the look, or by both,
+//! and the subscriber's lock makes "both" resolve it once. The log closing
+//! is the same pair over the watermark [`CommitPipeline::close`] publishes:
+//! every pending commit resolves, failed if the watermark never reached it.
 
+use crate::buffer::BufferCore;
+pub use crate::gate::{CommitGate, DurabilityPolicy, ReplicaAck};
 use crate::lsn::{AtomicLsn, Lsn};
 use crate::runtime::{lock, read, write, WaitSet};
 use crate::telemetry::{Stage, Telemetry};
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
+use std::time::Duration;
 
-/// Completion state shared between a [`CommitHandle`] and the pipeline.
+/// Something that waits on commits to become durable; see the module docs.
+pub trait Subscriber: Send + Sync {
+    /// The lowest LSN among the pending commits as last published
+    /// ([`LowMark`]), [`Lsn::MAX`] when none is pending.
+    fn low(&self) -> Lsn;
+
+    /// Resolve, under one lock and with one wake, every pending commit at or
+    /// below `upto` as durable and, when `fail_rest` (the log closed), every
+    /// other one as failed; then publish the new lowest. `each(lsn,
+    /// durable)` is called once per commit resolved.
+    fn resolve(&self, upto: Lsn, fail_rest: bool, each: &mut dyn FnMut(Lsn, bool));
+
+    /// Gone, with nothing pending: [`CommitPipeline::prune`] drops it.
+    fn retired(&self) -> bool {
+        false
+    }
+}
+
+/// A subscriber's lowest pending LSN, published for the flushers' walk.
+#[derive(Debug)]
+pub struct LowMark(AtomicU64);
+
+impl Default for LowMark {
+    fn default() -> Self {
+        LowMark(AtomicU64::new(u64::MAX))
+    }
+}
+
+impl LowMark {
+    /// The published LSN ([`Lsn::MAX`]: nothing pending).
+    pub fn get(&self) -> Lsn {
+        Lsn(self.0.load(Ordering::SeqCst))
+    }
+
+    /// Publish the lowest pending LSN (`None`: nothing pending). Call it
+    /// under the lock that guards the pending commits.
+    pub fn set(&self, low: Option<Lsn>) {
+        self.0
+            .store(low.map_or(u64::MAX, Lsn::raw), Ordering::SeqCst);
+    }
+}
+
+/// A subscriber that counts how many of its commits became durable and how
+/// many failed. The log keeps one behind [`crate::LogManager::commit`]'s
+/// handles; a benchmark driver keeps one per client thread.
 #[derive(Debug, Default)]
-pub struct CommitState {
-    done: AtomicBool,
-    failed: AtomicBool,
-    /// Threads in [`CommitHandle::wait`]. Most commits complete with nobody
-    /// blocked on the handle (the server acks from the durability callback),
-    /// and completion then takes no lock and makes no syscall.
+pub struct Tally {
+    pending: Mutex<VecDeque<Lsn>>,
+    low: LowMark,
+    durable: AtomicU64,
+    failed: AtomicU64,
+    closed: AtomicBool,
+    /// Threads in [`Tally::wait_settled`].
     wait: WaitSet,
 }
 
-impl CommitState {
-    /// Mark complete and wake waiters. Normally invoked by the pipeline;
-    /// exposed for callers that compose their own completion callbacks.
-    pub fn complete(&self) {
-        self.done.store(true, Ordering::SeqCst);
-        self.wait.notify();
+impl Tally {
+    /// Hold a commit ending at `lsn` and publish it. Follow with
+    /// [`CommitPipeline::watch`].
+    pub fn add(&self, lsn: Lsn) {
+        let mut q = lock(&self.pending);
+        let at = q.partition_point(|&p| p <= lsn);
+        q.insert(at, lsn);
+        if at == 0 {
+            self.low.set(Some(lsn));
+        }
     }
 
-    /// Mark failed (log poisoned before the commit became durable) and wake
-    /// waiters: the commit's handle reports failure instead of hanging.
-    pub fn fail(&self) {
-        self.failed.store(true, Ordering::SeqCst);
-        self.complete();
+    /// Commits resolved durable.
+    pub fn durable(&self) -> u64 {
+        self.durable.load(Ordering::SeqCst)
+    }
+
+    /// Commits resolved failed (the log closed first).
+    pub fn failed(&self) -> u64 {
+        self.failed.load(Ordering::SeqCst)
+    }
+
+    /// Park until nothing is pending, for at most `timeout` (`None`: for
+    /// ever); whether nothing is.
+    pub fn wait_settled(&self, timeout: Option<Duration>) -> bool {
+        self.wait
+            .wait_until(timeout, || (self.low.get() == Lsn::MAX).then_some(()))
+            .is_some()
+    }
+
+    /// Take no more commits: once nothing is pending the registry drops
+    /// this tally at its next [`CommitPipeline::prune`].
+    pub fn close(&self) {
+        self.closed.store(true, Ordering::SeqCst);
     }
 }
 
-/// A waitable handle for one pending commit.
+impl Subscriber for Tally {
+    fn low(&self) -> Lsn {
+        self.low.get()
+    }
+
+    fn resolve(&self, upto: Lsn, fail_rest: bool, each: &mut dyn FnMut(Lsn, bool)) {
+        let mut q = lock(&self.pending);
+        let mut n = 0;
+        while let Some(&lsn) = q.front() {
+            let durable = lsn <= upto;
+            if !durable && !fail_rest {
+                break;
+            }
+            q.pop_front();
+            n += 1;
+            each(lsn, durable);
+            let count = if durable { &self.durable } else { &self.failed };
+            count.fetch_add(1, Ordering::SeqCst);
+        }
+        if n > 0 {
+            self.low.set(q.front().copied());
+            drop(q);
+            self.wait.notify();
+        }
+    }
+
+    fn retired(&self) -> bool {
+        self.closed.load(Ordering::SeqCst) && self.low.get() == Lsn::MAX
+    }
+}
+
+/// The log's completion side: the durable watermark as commits see it —
+/// local durability through the replication [`CommitGate`] — and the
+/// registry of [`Subscriber`]s the flushers resolve as it advances.
+pub struct CommitPipeline {
+    core: Arc<BufferCore>,
+    gate: Arc<CommitGate>,
+    subscribers: RwLock<Vec<Arc<dyn Subscriber>>>,
+    /// Every subscriber's commits at or below this are resolved: the
+    /// highest watermark a walk has finished.
+    done: AtomicLsn,
+    /// The watermark the log closed at; [`Lsn::MAX`] while it is open.
+    closed_at: AtomicU64,
+    /// Threads in [`CommitHandle::wait`].
+    handles: WaitSet,
+    submitted: AtomicU64,
+    completed: AtomicU64,
+    failed: AtomicU64,
+}
+
+impl std::fmt::Debug for CommitPipeline {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CommitPipeline")
+            .field("submitted", &self.submitted())
+            .field("completed", &self.completed())
+            .finish()
+    }
+}
+
+impl CommitPipeline {
+    /// The pipeline over `core`'s durable watermark, gated by `gate`.
+    pub fn new(core: Arc<BufferCore>, gate: Arc<CommitGate>) -> CommitPipeline {
+        CommitPipeline {
+            core,
+            gate,
+            subscribers: RwLock::new(Vec::new()),
+            done: AtomicLsn::new(Lsn::ZERO),
+            closed_at: AtomicU64::new(u64::MAX),
+            handles: WaitSet::new(),
+            submitted: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+            failed: AtomicU64::new(0),
+        }
+    }
+
+    /// The replication gate.
+    pub fn gate(&self) -> &Arc<CommitGate> {
+        &self.gate
+    }
+
+    /// Have the flushers resolve `sub` as the watermark passes its commits.
+    pub fn subscribe(&self, sub: Arc<dyn Subscriber>) {
+        write(&self.subscribers).push(sub);
+    }
+
+    /// Drop the subscribers that are [`Subscriber::retired`].
+    pub fn prune(&self) {
+        write(&self.subscribers).retain(|s| !s.retired());
+    }
+
+    /// Highest LSN at which commits may complete: `min(durable, replicated
+    /// floor)`.
+    pub fn commit_lsn(&self) -> Lsn {
+        self.gate.effective(self.core.durable_lsn())
+    }
+
+    fn closed_at(&self) -> Option<Lsn> {
+        let at = self.closed_at.load(Ordering::SeqCst);
+        (at != u64::MAX).then_some(Lsn(at))
+    }
+
+    /// Whether the commit ending at `lsn` needs nothing more from the log:
+    /// it is locally durable, or the log closed. What the ATT asks of a
+    /// commit nobody waits on.
+    pub fn settled(&self, lsn: Lsn) -> bool {
+        self.core.durable_lsn() >= lsn || self.closed_at().is_some()
+    }
+
+    /// `sub` has published a pending commit ending at `lsn` (its
+    /// [`Subscriber::low`] is at or below `lsn`): look at the watermark
+    /// once, and resolve `sub` if the watermark passed it or the log
+    /// closed. See the module docs.
+    pub fn watch(&self, sub: &dyn Subscriber, lsn: Lsn) {
+        self.submitted.fetch_add(1, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        if let Some(at) = self.closed_at() {
+            self.resolve(sub, at, true);
+            return;
+        }
+        let now = self.commit_lsn();
+        if now >= lsn {
+            self.resolve(sub, now, false);
+        }
+    }
+
+    /// Resolve `sub` up to `upto`, counting and tracing each commit;
+    /// returns how many became durable.
+    fn resolve(&self, sub: &dyn Subscriber, upto: Lsn, fail_rest: bool) -> usize {
+        let tel: &Telemetry = self.core.telemetry();
+        let at = tel.ts();
+        let (mut ok, mut failed) = (0, 0);
+        sub.resolve(upto, fail_rest, &mut |lsn, durable| {
+            if !durable {
+                failed += 1;
+                return;
+            }
+            ok += 1;
+            if let Some(at) = at {
+                tel.event(Stage::CommitComplete, lsn, at);
+            }
+        });
+        self.completed.fetch_add(ok as u64, Ordering::Relaxed);
+        self.failed.fetch_add(failed, Ordering::Relaxed);
+        ok
+    }
+
+    /// The watermark advanced to `upto`: resolve every subscriber it passed,
+    /// one call each. Returns how many commits completed.
+    pub fn advance(&self, upto: Lsn) -> usize {
+        fence(Ordering::SeqCst);
+        let mut completed = 0;
+        let mut retired = false;
+        for sub in read(&self.subscribers).iter() {
+            if sub.low() <= upto {
+                completed += self.resolve(&**sub, upto, false);
+                retired |= sub.retired();
+            }
+        }
+        self.done.fetch_max(upto);
+        self.handles.notify();
+        if retired {
+            self.prune();
+        }
+        completed
+    }
+
+    /// The log closed: nothing more becomes durable. Publish the watermark
+    /// it closed at, then resolve every subscriber's pending commits — the
+    /// ones at or below it durable, the rest failed. The first call wins.
+    pub fn close(&self) {
+        let at = self.commit_lsn();
+        let _ =
+            self.closed_at
+                .compare_exchange(u64::MAX, at.raw(), Ordering::SeqCst, Ordering::SeqCst);
+        let at = self.closed_at().expect("closed just now");
+        for sub in read(&self.subscribers).iter() {
+            self.resolve(&**sub, at, true);
+        }
+        self.handles.notify();
+        self.prune();
+    }
+
+    /// How the commit ending at `lsn` resolved: `Some(true)` durable (and
+    /// replicated as the gate requires), `Some(false)` failed — the log
+    /// closed below it — and `None` while it is pending.
+    fn verdict(&self, lsn: Lsn) -> Option<bool> {
+        if let Some(at) = self.closed_at() {
+            return Some(lsn <= at);
+        }
+        // Without a flush daemon nothing walks: released is durable.
+        let reached = if self.core.auto_reclaim() {
+            self.commit_lsn()
+        } else {
+            self.done.load()
+        };
+        (reached >= lsn).then_some(true)
+    }
+
+    /// Commits handed to [`CommitPipeline::watch`] so far.
+    pub fn submitted(&self) -> u64 {
+        self.submitted.load(Ordering::Relaxed)
+    }
+
+    /// Watched commits resolved durable.
+    pub fn completed(&self) -> u64 {
+        self.completed.load(Ordering::Relaxed)
+    }
+
+    /// Watched commits resolved failed: the log closed before the
+    /// watermark reached them.
+    pub fn failed(&self) -> u64 {
+        self.failed.load(Ordering::Relaxed)
+    }
+
+    /// Watched commits not resolved yet.
+    pub fn pending(&self) -> usize {
+        let resolved = self.completed() + self.failed();
+        self.submitted().saturating_sub(resolved) as usize
+    }
+}
+
+/// A waitable view of one commit: its LSN and the log's watermark. Cloning
+/// or creating one allocates nothing.
 #[derive(Debug, Clone)]
-pub struct CommitHandle(Arc<CommitState>);
+pub struct CommitHandle {
+    lsn: Lsn,
+    pipeline: Arc<CommitPipeline>,
+}
 
 impl CommitHandle {
-    /// New handle + its pipeline-side state.
-    pub fn new() -> (CommitHandle, Arc<CommitState>) {
-        let st = Arc::new(CommitState::default());
-        (CommitHandle(Arc::clone(&st)), st)
+    /// The commit whose record ends at `lsn`, resolved by `pipeline`'s
+    /// watermark.
+    pub fn new(pipeline: &Arc<CommitPipeline>, lsn: Lsn) -> CommitHandle {
+        CommitHandle {
+            lsn,
+            pipeline: Arc::clone(pipeline),
+        }
     }
 
     /// Block until the commit resolves. Returns `true` when it became
@@ -58,15 +373,15 @@ impl CommitHandle {
     /// released with an error (it never became durable).
     #[must_use = "a false return means the commit failed (log poisoned)"]
     pub fn wait(&self) -> bool {
-        self.0
-            .wait
-            .wait_until(None, || self.is_done().then_some(()));
-        !self.0.failed.load(Ordering::SeqCst)
+        let p = &*self.pipeline;
+        p.handles
+            .wait_until(None, || p.verdict(self.lsn))
+            .unwrap_or(false)
     }
 
     /// Non-blocking resolution check (durable *or* failed).
     pub fn is_done(&self) -> bool {
-        self.0.done.load(Ordering::SeqCst)
+        self.pipeline.verdict(self.lsn).is_some()
     }
 }
 
@@ -97,443 +412,70 @@ impl CommitToken {
     }
 }
 
-/// What to do when a pending commit resolves.
-pub enum CommitAction {
-    /// Wake a [`CommitHandle`].
-    Notify(Arc<CommitState>),
-    /// Run an arbitrary callback (used by the benchmark drivers to count
-    /// completed transactions and by agent threads to reattach). The
-    /// argument is `true` when the commit became durable, `false` when the
-    /// log was poisoned first — callbacks observe the failure instead of
-    /// silently never running.
-    Callback(Box<dyn FnOnce(bool) + Send>),
-}
-
-impl std::fmt::Debug for CommitAction {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CommitAction::Notify(_) => f.write_str("Notify"),
-            CommitAction::Callback(_) => f.write_str("Callback"),
-        }
-    }
-}
-
-struct Pending {
-    lsn: Lsn,
-    action: CommitAction,
-}
-
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.lsn == other.lsn
-    }
-}
-impl Eq for Pending {}
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by LSN.
-        other.lsn.cmp(&self.lsn)
-    }
-}
-
-/// Queue of commits awaiting durability, completed in LSN order by the flush
-/// daemon.
-#[derive(Default)]
-pub struct CommitPipeline {
-    heap: Mutex<BinaryHeap<Pending>>,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    telemetry: OnceLock<Arc<Telemetry>>,
-}
-
-impl std::fmt::Debug for CommitPipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CommitPipeline")
-            .field("submitted", &self.submitted())
-            .field("completed", &self.completed())
-            .finish()
-    }
-}
-
-impl CommitPipeline {
-    /// Empty pipeline.
-    pub fn new() -> CommitPipeline {
-        CommitPipeline::default()
-    }
-
-    /// Attach the log's telemetry registry so completions emit
-    /// [`Stage::CommitComplete`] trace events. First call wins; later calls
-    /// are ignored (one pipeline serves one log).
-    pub fn set_telemetry(&self, telemetry: Arc<Telemetry>) {
-        let _ = self.telemetry.set(telemetry);
-    }
-
-    /// Enqueue a commit whose record ends at `lsn`; its action runs once the
-    /// durable watermark reaches `lsn`.
-    pub fn submit(&self, lsn: Lsn, action: CommitAction) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        lock(&self.heap).push(Pending { lsn, action });
-    }
-
-    /// Number of commits submitted so far.
-    pub fn submitted(&self) -> u64 {
-        self.submitted.load(Ordering::Relaxed)
-    }
-
-    /// Number of commits completed (durable + action run).
-    pub fn completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
-    }
-
-    /// Number of commits failed by [`CommitPipeline::fail_pending`] (the
-    /// log was poisoned while they awaited durability).
-    pub fn failed(&self) -> u64 {
-        self.failed.load(Ordering::Relaxed)
-    }
-
-    /// Commits currently awaiting durability.
-    pub fn pending(&self) -> usize {
-        lock(&self.heap).len()
-    }
-
-    /// Complete every pending commit with `lsn <= durable`. Actions run
-    /// outside the internal lock. Returns how many completed.
-    pub fn complete_upto(&self, durable: Lsn) -> usize {
-        let mut ready = Vec::new();
-        {
-            let mut heap = lock(&self.heap);
-            while let Some(p) = heap.peek() {
-                if p.lsn <= durable {
-                    ready.push(heap.pop().unwrap());
-                } else {
-                    break;
-                }
-            }
-        }
-        let n = ready.len();
-        let t_done = self
-            .telemetry
-            .get()
-            .filter(|t| t.on())
-            .map(|t| (t, crate::runtime::monotonic_ns()));
-        for p in ready {
-            if let Some((tel, now)) = &t_done {
-                tel.event(Stage::CommitComplete, p.lsn, *now);
-            }
-            // Count first: an action may wake a waiter that immediately
-            // reads `completed()`.
-            self.completed.fetch_add(1, Ordering::Relaxed);
-            match p.action {
-                CommitAction::Notify(st) => st.complete(),
-                CommitAction::Callback(f) => f(true),
-            }
-        }
-        n
-    }
-
-    /// Fail every pending commit: the flush daemon poisoned the log, so no
-    /// further LSN will ever become durable. Handles wake with failure,
-    /// callbacks run with `false` — committers get an `Err`, not a hang.
-    /// Returns how many were failed.
-    pub fn fail_pending(&self) -> usize {
-        let drained: Vec<Pending> = {
-            let mut heap = lock(&self.heap);
-            std::mem::take(&mut *heap).into_vec()
-        };
-        let n = drained.len();
-        for p in drained {
-            self.failed.fetch_add(1, Ordering::Relaxed);
-            Self::fail_action(p.action);
-        }
-        n
-    }
-
-    /// Resolve one action as failed without enqueuing it (used when a
-    /// commit is submitted against an already-poisoned log).
-    pub fn fail_action(action: CommitAction) {
-        match action {
-            CommitAction::Notify(st) => st.fail(),
-            CommitAction::Callback(f) => f(false),
-        }
-    }
-}
-
-/// When a commit may be acknowledged, relative to log shipping (the
-/// replication analogue of the paper's commit-protocol axis).
-///
-/// The local `fdatasync` is always required — these policies only *add*
-/// replica acknowledgements to the durability condition. Group commit
-/// amortizes the extra round-trip exactly as it amortizes the sync: the
-/// shipper forwards one byte run per flush group, the replica acks the run,
-/// and every commit in the group completes on that single ack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DurabilityPolicy {
-    /// Local durability only; replicas apply the shipped log asynchronously.
-    /// A primary failure may lose commits the replicas have not received yet.
-    Async,
-    /// Local durability plus at least this many replica acks (classic
-    /// semi-synchronous replication is `SemiSync(1)`).
-    SemiSync(usize),
-    /// Local durability plus `acks` of `replicas` acknowledgements — a
-    /// majority quorum is `Quorum { acks: 2, replicas: 3 }`.
-    Quorum {
-        /// Acks required before commit completion.
-        acks: usize,
-        /// Expected replica count (documentation/validation; the gate counts
-        /// registered replicas itself).
-        replicas: usize,
-    },
-}
-
-impl DurabilityPolicy {
-    /// Replica acks required before a commit may complete.
-    pub fn required_acks(&self) -> usize {
-        match *self {
-            DurabilityPolicy::Async => 0,
-            DurabilityPolicy::SemiSync(k) => k,
-            DurabilityPolicy::Quorum { acks, .. } => acks,
-        }
-    }
-
-    /// Short label for experiment output.
-    pub fn label(&self) -> String {
-        match *self {
-            DurabilityPolicy::Async => "async".into(),
-            DurabilityPolicy::SemiSync(k) => format!("semisync{k}"),
-            DurabilityPolicy::Quorum { acks, replicas } => format!("quorum{acks}of{replicas}"),
-        }
-    }
-}
-
-/// One replica's acknowledgement watermark: the highest LSN the replica has
-/// durably received. Advanced by the shipper when acks arrive; read by the
-/// [`CommitGate`] when deciding which commits may complete.
-#[derive(Debug, Default)]
-pub struct ReplicaAck {
-    acked: AtomicLsn,
-}
-
-impl ReplicaAck {
-    /// Record an ack up to `lsn` (acks are cumulative; regressions ignored).
-    pub fn advance(&self, lsn: Lsn) {
-        self.acked.fetch_max(lsn);
-    }
-
-    /// Highest acknowledged LSN.
-    pub fn acked(&self) -> Lsn {
-        self.acked.load()
-    }
-}
-
-/// Gates commit completion on replica acknowledgements.
-///
-/// The flush daemon asks the gate for the *effective* commit watermark —
-/// `min(local durable, k-th highest replica ack)` — before completing
-/// pipelined commits, and blocking committers wait here after their local
-/// flush. With the default [`DurabilityPolicy::Async`] the gate is
-/// transparent: effective == durable and no waiting ever happens.
-#[derive(Debug, Default)]
-pub struct CommitGate {
-    policy: RwLock<Option<DurabilityPolicy>>,
-    replicas: RwLock<Vec<Arc<ReplicaAck>>>,
-    /// Set when replication is known dead (primary failure simulation):
-    /// waiters stop blocking, but their commits report *unreplicated*.
-    poisoned: AtomicBool,
-    /// Threads in [`CommitGate::wait_effective`].
-    wait: WaitSet,
-    telemetry: OnceLock<Arc<Telemetry>>,
-}
-
-impl CommitGate {
-    /// New gate with no policy (equivalent to [`DurabilityPolicy::Async`]).
-    pub fn new() -> CommitGate {
-        CommitGate::default()
-    }
-
-    /// Attach the log's telemetry registry so policy waits feed the
-    /// `commit.wait_ns` histogram. First call wins.
-    pub fn set_telemetry(&self, telemetry: Arc<Telemetry>) {
-        let _ = self.telemetry.set(telemetry);
-    }
-
-    /// Install the durability policy.
-    pub fn set_policy(&self, policy: DurabilityPolicy) {
-        *write(&self.policy) = Some(policy);
-        self.notify();
-    }
-
-    /// The installed policy, if any.
-    pub fn policy(&self) -> Option<DurabilityPolicy> {
-        *read(&self.policy)
-    }
-
-    /// Register a replica; the returned handle is advanced as its acks
-    /// arrive.
-    pub fn register_replica(&self) -> Arc<ReplicaAck> {
-        let ack = Arc::new(ReplicaAck::default());
-        write(&self.replicas).push(Arc::clone(&ack));
-        ack
-    }
-
-    /// Remove a replica's ack handle (identity comparison). A quarantined
-    /// or replaced replica must be unregistered, or its stalled watermark
-    /// clamps log truncation and holds the replication floor down forever.
-    /// Waiters are re-notified — removing a laggard can only *raise* the
-    /// floor. Returns whether the handle was registered.
-    pub fn unregister_replica(&self, ack: &Arc<ReplicaAck>) -> bool {
-        let mut replicas = write(&self.replicas);
-        let before = replicas.len();
-        replicas.retain(|r| !Arc::ptr_eq(r, ack));
-        let removed = replicas.len() != before;
-        drop(replicas);
-        if removed {
-            self.notify();
-        }
-        removed
-    }
-
-    /// The *slowest* replica's acknowledged LSN — the log-truncation clamp.
-    /// Bytes above this may still be needed by a shipper replaying the
-    /// stream to a lagging replica, so `LogManager::truncate_to` never
-    /// retires past it. [`Lsn::MAX`] when no replicas are registered or the
-    /// gate is poisoned (replication declared dead — laggards re-seed from
-    /// a snapshot instead of the log).
-    pub fn slowest_ack(&self) -> Lsn {
-        if self.is_poisoned() {
-            return Lsn::MAX;
-        }
-        read(&self.replicas)
-            .iter()
-            .map(|r| r.acked())
-            .min()
-            .unwrap_or(Lsn::MAX)
-    }
-
-    /// Register a replica whose acknowledgement watermark starts at `lsn`
-    /// rather than zero — a replica bootstrapped from a base snapshot
-    /// implicitly holds everything below the snapshot LSN, so it must not
-    /// drag [`CommitGate::slowest_ack`] (and with it log truncation) to 0.
-    pub fn register_replica_at(&self, lsn: Lsn) -> Arc<ReplicaAck> {
-        let ack = self.register_replica();
-        ack.advance(lsn);
-        ack
-    }
-
-    /// The replication floor: the highest LSN acknowledged by at least the
-    /// required number of replicas ([`Lsn::MAX`] when no acks are required,
-    /// [`Lsn::ZERO`] when fewer replicas than required are registered).
-    pub fn replicated_floor(&self) -> Lsn {
-        let required = match *read(&self.policy) {
-            Some(p) => p.required_acks(),
-            None => 0,
-        };
-        if required == 0 {
-            return Lsn::MAX;
-        }
-        let replicas = read(&self.replicas);
-        if replicas.len() < required {
-            return Lsn::ZERO;
-        }
-        let mut acks: Vec<Lsn> = replicas.iter().map(|r| r.acked()).collect();
-        acks.sort_unstable_by(|a, b| b.cmp(a)); // descending
-        acks[required - 1]
-    }
-
-    /// The effective commit watermark given the local durable LSN. A
-    /// poisoned gate no longer holds anything back (replication is dead;
-    /// blocking forever helps nobody) — callers learn whether a given LSN
-    /// actually replicated from [`CommitGate::wait_effective`]'s return.
-    pub fn effective(&self, durable: Lsn) -> Lsn {
-        if self.is_poisoned() {
-            return durable;
-        }
-        durable.min(self.replicated_floor())
-    }
-
-    /// Declare replication dead: release all waiters. Their commits remain
-    /// locally durable but report as unreplicated unless the floor already
-    /// covered them. Used when the primary "fails" mid-commit — the real
-    /// analogue is the client connection dying with an indeterminate
-    /// outcome.
-    pub fn poison(&self) {
-        self.poisoned.store(true, Ordering::SeqCst);
-        self.notify();
-    }
-
-    /// Whether [`CommitGate::poison`] was called.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::SeqCst)
-    }
-
-    /// Wake threads blocked in [`CommitGate::wait_effective`]. Called after
-    /// any ack advance or flush; free when nobody waits (the pipelined
-    /// protocols never do).
-    pub fn notify(&self) {
-        // The policy and the replica table change under their locks, whose
-        // release is no `SeqCst` write: order them with the count here.
-        fence(Ordering::SeqCst);
-        self.wait.notify();
-    }
-
-    /// Block until the effective watermark (given the caller-supplied live
-    /// durable LSN) reaches `lsn`. Returns whether the replication
-    /// requirement was genuinely met for `lsn` — false only when a
-    /// poisoned gate released the wait before enough acks arrived.
-    pub fn wait_effective(&self, lsn: Lsn, durable: impl Fn() -> Lsn) -> bool {
-        let t0 = self.telemetry.get().and_then(|t| t.ts());
-        self.wait
-            .wait_until(None, || (self.effective(durable()) >= lsn).then_some(()));
-        if let (Some(t0), Some(tel)) = (t0, self.telemetry.get()) {
-            let dt = crate::runtime::monotonic_ns().saturating_sub(t0);
-            tel.record(tel.ids().commit_wait_ns, dt);
-        }
-        self.replicated_floor() >= lsn
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use crate::config::LogConfig;
+
+    /// A pipeline over a core nothing flushes: only `advance` moves it.
+    fn pipeline() -> Arc<CommitPipeline> {
+        let core = BufferCore::new(&LogConfig::default());
+        Arc::new(CommitPipeline::new(core, Arc::new(CommitGate::new())))
+    }
+
+    fn tally(p: &CommitPipeline) -> Arc<Tally> {
+        let t = Arc::new(Tally::default());
+        p.subscribe(t.clone());
+        t
+    }
 
     #[test]
     fn completes_in_lsn_order_upto_watermark() {
-        let p = CommitPipeline::new();
-        let log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(vec![]));
-        for lsn in [300u64, 100, 200, 400] {
-            let log = Arc::clone(&log);
-            p.submit(
-                Lsn(lsn),
-                CommitAction::Callback(Box::new(move |_| lock(&log).push(lsn))),
-            );
+        let p = pipeline();
+        let t = Arc::new(Tally::default());
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        // The tally, and the order it resolves in.
+        struct Log(Arc<Tally>, Arc<Mutex<Vec<u64>>>);
+        impl Subscriber for Log {
+            fn low(&self) -> Lsn {
+                self.0.low()
+            }
+            fn resolve(&self, upto: Lsn, fail_rest: bool, each: &mut dyn FnMut(Lsn, bool)) {
+                self.0.resolve(upto, fail_rest, &mut |lsn, ok| {
+                    lock(&self.1).push(lsn.raw());
+                    each(lsn, ok);
+                });
+            }
         }
+        let log = Arc::new(Log(Arc::clone(&t), Arc::clone(&seen)));
+        p.subscribe(log.clone());
+        for lsn in [300u64, 100, 200, 400] {
+            t.add(Lsn(lsn));
+            p.watch(&*log, Lsn(lsn));
+        }
+        assert_eq!(t.low(), Lsn(100), "the lowest is published");
         assert_eq!(p.pending(), 4);
-        assert_eq!(p.complete_upto(Lsn(250)), 2);
-        assert_eq!(&*lock(&log), &[100, 200]);
-        assert_eq!(p.complete_upto(Lsn(250)), 0);
-        assert_eq!(p.complete_upto(Lsn(1000)), 2);
-        assert_eq!(&*lock(&log), &[100, 200, 300, 400]);
+        assert_eq!(p.advance(Lsn(250)), 2);
+        assert_eq!(&*lock(&seen), &[100, 200]);
+        assert_eq!(p.advance(Lsn(250)), 0);
+        assert_eq!(p.advance(Lsn(1000)), 2);
+        assert_eq!(&*lock(&seen), &[100, 200, 300, 400]);
         assert_eq!(p.submitted(), 4);
         assert_eq!(p.completed(), 4);
+        assert_eq!(t.durable(), 4);
         assert_eq!(p.pending(), 0);
+        assert_eq!(t.low(), Lsn::MAX);
     }
 
     #[test]
     fn handle_wait_wakes() {
-        let p = Arc::new(CommitPipeline::new());
-        let (h, st) = CommitHandle::new();
-        p.submit(Lsn(10), CommitAction::Notify(st));
+        let p = pipeline();
+        let h = CommitHandle::new(&p, Lsn(10));
         assert!(!h.is_done());
         let p2 = Arc::clone(&p);
         let t = std::thread::spawn(move || {
             crate::runtime::sleep(std::time::Duration::from_millis(10));
-            p2.complete_upto(Lsn(10));
+            p2.advance(Lsn(10));
         });
         assert!(h.wait(), "completed, not failed");
         assert!(h.is_done());
@@ -541,154 +483,57 @@ mod tests {
     }
 
     #[test]
-    fn gate_async_policy_is_transparent() {
-        let g = CommitGate::new();
-        assert_eq!(g.effective(Lsn(500)), Lsn(500));
-        g.set_policy(DurabilityPolicy::Async);
-        assert_eq!(g.effective(Lsn(500)), Lsn(500));
-        assert_eq!(DurabilityPolicy::Async.required_acks(), 0);
-        // No waiting with a satisfied watermark.
-        g.wait_effective(Lsn(100), || Lsn(100));
-    }
-
-    #[test]
-    fn gate_semisync_waits_for_one_ack() {
-        let g = CommitGate::new();
-        g.set_policy(DurabilityPolicy::SemiSync(1));
-        // No replicas registered yet: nothing can commit.
-        assert_eq!(g.effective(Lsn(500)), Lsn::ZERO);
-        let r = g.register_replica();
-        assert_eq!(g.effective(Lsn(500)), Lsn::ZERO);
-        r.advance(Lsn(300));
-        assert_eq!(g.effective(Lsn(500)), Lsn(300));
-        r.advance(Lsn(800));
-        assert_eq!(
-            g.effective(Lsn(500)),
-            Lsn(500),
-            "local durability still gates"
-        );
-        // Regressions are ignored.
-        r.advance(Lsn(100));
-        assert_eq!(r.acked(), Lsn(800));
-    }
-
-    #[test]
-    fn gate_quorum_takes_kth_highest_ack() {
-        let g = CommitGate::new();
-        g.set_policy(DurabilityPolicy::Quorum {
-            acks: 2,
-            replicas: 3,
-        });
-        assert_eq!(
-            DurabilityPolicy::Quorum {
-                acks: 2,
-                replicas: 3
-            }
-            .label(),
-            "quorum2of3"
-        );
-        let r1 = g.register_replica();
-        let r2 = g.register_replica();
-        let r3 = g.register_replica();
-        r1.advance(Lsn(900));
-        assert_eq!(g.replicated_floor(), Lsn::ZERO, "one ack is not a quorum");
-        r2.advance(Lsn(400));
-        assert_eq!(g.replicated_floor(), Lsn(400));
-        r3.advance(Lsn(600));
-        assert_eq!(
-            g.replicated_floor(),
-            Lsn(600),
-            "2nd highest of {{900,400,600}}"
-        );
-    }
-
-    #[test]
-    fn gate_slowest_ack_clamps_truncation() {
-        let g = CommitGate::new();
-        // No replicas: nothing to protect.
-        assert_eq!(g.slowest_ack(), Lsn::MAX);
-        let r1 = g.register_replica();
-        let r2 = g.register_replica_at(Lsn(700));
-        assert_eq!(g.slowest_ack(), Lsn::ZERO, "r1 has acked nothing");
-        r1.advance(Lsn(300));
-        assert_eq!(g.slowest_ack(), Lsn(300));
-        r2.advance(Lsn(900));
-        assert_eq!(g.slowest_ack(), Lsn(300), "min over replicas");
-        r1.advance(Lsn(950));
-        assert_eq!(g.slowest_ack(), Lsn(900));
-        // A dead cluster no longer pins the log.
-        g.poison();
-        assert_eq!(g.slowest_ack(), Lsn::MAX);
-    }
-
-    #[test]
-    fn gate_wait_effective_wakes_on_ack() {
-        let g = Arc::new(CommitGate::new());
-        g.set_policy(DurabilityPolicy::SemiSync(1));
-        let r = g.register_replica();
-        let g2 = Arc::clone(&g);
-        let t = std::thread::spawn(move || g2.wait_effective(Lsn(100), || Lsn(100)));
-        crate::runtime::sleep(std::time::Duration::from_millis(5));
-        assert!(!t.is_finished());
-        r.advance(Lsn(100));
-        g.notify();
-        assert!(t.join().unwrap(), "requirement met: acked to 100");
-    }
-
-    #[test]
-    fn gate_poison_releases_waiters_as_unreplicated() {
-        let g = Arc::new(CommitGate::new());
-        g.set_policy(DurabilityPolicy::SemiSync(1));
-        let r = g.register_replica();
-        r.advance(Lsn(50));
-        let g2 = Arc::clone(&g);
-        let t = std::thread::spawn(move || g2.wait_effective(Lsn(100), || Lsn(100)));
-        crate::runtime::sleep(std::time::Duration::from_millis(5));
-        assert!(!t.is_finished());
-        g.poison();
+    fn a_closed_pipeline_fails_what_it_never_reached() {
+        let p = pipeline();
+        let t = tally(&p);
+        for lsn in [50u64, 150] {
+            t.add(Lsn(lsn));
+        }
+        let h = CommitHandle::new(&p, Lsn(150));
+        // Nothing was made durable: the log closes at 0.
+        p.close();
+        assert_eq!((t.durable(), t.failed()), (0, 2));
+        assert!(!h.wait() && h.is_done());
+        t.close();
+        p.prune();
         assert!(
-            !t.join().unwrap(),
-            "released by poison without the ack: unreplicated"
+            read(&p.subscribers).is_empty(),
+            "a closed, settled tally is dropped"
         );
-        // But an LSN the floor already covered still reports replicated,
-        // and a poisoned gate no longer holds anything back.
-        assert!(g.wait_effective(Lsn(40), || Lsn(100)));
-        assert_eq!(g.effective(Lsn(100)), Lsn(100));
-        assert!(g.is_poisoned());
+        // A commit watched after the close resolves at its own look.
+        let late = tally(&p);
+        late.add(Lsn(10));
+        p.watch(&*late, Lsn(10));
+        assert_eq!(late.failed(), 1);
     }
 
     #[test]
-    fn concurrent_submit_and_complete() {
-        let p = Arc::new(CommitPipeline::new());
-        let ran = Arc::new(AtomicUsize::new(0));
+    fn concurrent_watch_and_advance() {
+        let p = pipeline();
+        let t = tally(&p);
         std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let p = Arc::clone(&p);
-                let ran = Arc::clone(&ran);
+            for w in 0..4u64 {
+                let (p, t) = (&p, &t);
                 s.spawn(move || {
                     for i in 0..1000u64 {
-                        let ran = Arc::clone(&ran);
-                        p.submit(
-                            Lsn(t * 1000 + i),
-                            CommitAction::Callback(Box::new(move |_| {
-                                ran.fetch_add(1, Ordering::Relaxed);
-                            })),
-                        );
+                        let lsn = Lsn(w * 1000 + i + 1);
+                        t.add(lsn);
+                        p.watch(&**t, lsn);
                     }
                 });
             }
-            let p = Arc::clone(&p);
-            s.spawn(move || {
+            s.spawn(|| {
                 for w in 0..50u64 {
-                    p.complete_upto(Lsn(w * 100));
+                    p.advance(Lsn(w * 100));
                     std::thread::yield_now();
                 }
-                p.complete_upto(Lsn::MAX);
+                p.advance(Lsn::MAX);
             });
         });
-        // A final sweep in case the completer finished before late submitters.
-        p.complete_upto(Lsn::MAX);
-        assert_eq!(ran.load(Ordering::Relaxed), 4000);
+        // A final walk in case the completer finished before late watchers.
+        p.advance(Lsn::MAX);
+        assert!(t.wait_settled(None));
+        assert_eq!(t.durable(), 4000);
         assert_eq!(p.completed(), 4000);
     }
 }

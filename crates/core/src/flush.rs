@@ -37,7 +37,7 @@
 //! slices, which go to [`LogDevice::write_vectored`] with **no scratch
 //! copy** — the payload memcpy at insert is the only time log bytes are
 //! copied in memory. Whoever advances `durable` (reclaiming ring space)
-//! completes pending commits via the [`CommitPipeline`].
+//! resolves the [`CommitPipeline`]'s subscribers the advance passed.
 //!
 //! ## Park / notify
 //!
@@ -70,7 +70,7 @@
 //! the log or shuts down.
 
 use crate::buffer::BufferCore;
-use crate::commit::{CommitGate, CommitPipeline};
+use crate::commit::CommitPipeline;
 use crate::config::{FlushRetryPolicy, GroupCommitPolicy};
 use crate::device::LogDevice;
 use crate::error::{AetherError, Result};
@@ -180,6 +180,7 @@ impl FlushShared {
 pub struct FlushDaemon {
     shared: Arc<FlushShared>,
     core: Arc<BufferCore>,
+    pipeline: Arc<CommitPipeline>,
     threads: Vec<runtime::JoinHandle<()>>,
 }
 
@@ -193,7 +194,7 @@ impl std::fmt::Debug for FlushDaemon {
 
 impl FlushDaemon {
     /// Spawn the daemon over `core`/`device` under `rt`, completing commits
-    /// through `pipeline` once they clear `gate` (local durability +
+    /// through `pipeline` once they clear its gate (local durability +
     /// replica acks). Device errors are retried per `retry`; exhaustion or
     /// a permanent error poisons the log.
     pub fn spawn(
@@ -201,7 +202,6 @@ impl FlushDaemon {
         core: Arc<BufferCore>,
         device: Arc<dyn LogDevice>,
         pipeline: Arc<CommitPipeline>,
-        gate: Arc<CommitGate>,
         policy: GroupCommitPolicy,
         retry: FlushRetryPolicy,
     ) -> FlushDaemon {
@@ -219,8 +219,7 @@ impl FlushDaemon {
             shared: Arc::clone(&shared),
             core: Arc::clone(&core),
             device,
-            pipeline,
-            gate,
+            pipeline: Arc::clone(&pipeline),
             policy,
             retry,
         });
@@ -233,6 +232,7 @@ impl FlushDaemon {
         FlushDaemon {
             shared,
             core,
+            pipeline,
             threads,
         }
     }
@@ -257,6 +257,7 @@ impl FlushDaemon {
         }
         // Whatever is not durable by now never will be.
         self.core.close(None);
+        self.pipeline.close();
     }
 }
 
@@ -291,7 +292,6 @@ struct Flusher {
     core: Arc<BufferCore>,
     device: Arc<dyn LogDevice>,
     pipeline: Arc<CommitPipeline>,
-    gate: Arc<CommitGate>,
     policy: GroupCommitPolicy,
     retry: FlushRetryPolicy,
 }
@@ -299,16 +299,15 @@ struct Flusher {
 impl Flusher {
     /// Enter the terminal poisoned-log state: stop every flusher before a
     /// later sync can advance `durable` over the failed bytes, release every
-    /// wait on the durable watermark, complete what is durable, fail the
-    /// rest, and poison the commit gate so replication waiters unblock too.
+    /// wait on the durable watermark, resolve every subscriber and handle
+    /// (complete what is durable, fail the rest), and poison the commit gate
+    /// so replication waiters unblock too.
     fn poison(&self, mut g: MutexGuard<'_, FlushInner>, error: &AetherError) {
         g.failed = true;
         drop(g);
         self.core.close(Some(error.to_string()));
-        let durable = self.gate.effective(self.core.durable_lsn());
-        self.pipeline.complete_upto(durable);
-        self.pipeline.fail_pending();
-        self.gate.poison();
+        self.pipeline.close();
+        self.pipeline.gate().poison();
     }
 
     /// Park until this flusher may claim bytes and has a reason to write
@@ -488,18 +487,19 @@ impl Flusher {
                 }
             }
 
-            // Reattach: complete pipelined commits that are both durable and
-            // sufficiently replicated (the gate is transparent without a
-            // policy), then wake the gate's waiters and the blocked flushers
-            // — last, so that whoever this advance wakes finds its commits
-            // completed. A group synced ahead of its predecessor leaves this
-            // to the flusher of the predecessor.
+            // Reattach: resolve the subscribers whose commits are now both
+            // durable and sufficiently replicated (the gate is transparent
+            // without a policy), one call each, then wake the gate's waiters
+            // and the blocked flushers — last, so that whoever this advance
+            // wakes finds its commits completed. A group synced ahead of its
+            // predecessor leaves this to the flusher of the predecessor.
             if let Some(end) = durable {
-                let completed = self.pipeline.complete_upto(self.gate.effective(end));
+                let gate = self.pipeline.gate();
+                let completed = self.pipeline.advance(gate.effective(end));
                 if completed > 0 {
                     tel.record(tel.ids().commit_group_size, completed as u64);
                 }
-                self.gate.notify();
+                gate.notify();
                 self.core.notify_durable();
             }
         }
@@ -510,7 +510,7 @@ impl Flusher {
 mod tests {
     use super::*;
     use crate::buffer::{BufferKind, LogBuffer};
-    use crate::commit::{CommitAction, CommitHandle};
+    use crate::commit::{CommitGate, CommitHandle, Tally};
     use crate::config::LogConfig;
     use crate::device::{SimDevice, StallDevice};
     use crate::record::RecordKind;
@@ -531,18 +531,30 @@ mod tests {
     ) -> Rig<D> {
         let cfg = LogConfig::default().with_buffer_size(1 << 16);
         let core = BufferCore::new(&cfg);
-        let pipeline = Arc::new(CommitPipeline::new());
+        let pipeline = Arc::new(CommitPipeline::new(
+            Arc::clone(&core),
+            Arc::new(CommitGate::new()),
+        ));
         let daemon = FlushDaemon::spawn(
             &Runtime::default(),
             Arc::clone(&core),
             device.clone() as Arc<dyn LogDevice>,
             Arc::clone(&pipeline),
-            Arc::new(CommitGate::new()),
             policy,
             retry,
         );
         let buf = BufferKind::Baseline.build(Arc::clone(&core), &cfg);
         (core, device, pipeline, daemon, buf)
+    }
+
+    /// Hand a commit ending at `end` to a tally of its own, as a subscriber
+    /// would; a handle on it.
+    fn watch(pipeline: &Arc<CommitPipeline>, end: Lsn) -> CommitHandle {
+        let tally = Arc::new(Tally::default());
+        pipeline.subscribe(tally.clone());
+        tally.add(end);
+        pipeline.watch(&*tally, end);
+        CommitHandle::new(pipeline, end)
     }
 
     /// One record through the reservation path; returns its start LSN.
@@ -581,8 +593,7 @@ mod tests {
             put(&*buf, RecordKind::Update, i, &[1; 80]);
             put(&*buf, RecordKind::Commit, i, &[]);
             let end = core.released_lsn();
-            let (h, st) = CommitHandle::new();
-            pipeline.submit(end, CommitAction::Notify(st));
+            let h = watch(&pipeline, end);
             daemon.shared().note_commit(end);
             handles.push(h);
         }
@@ -599,7 +610,10 @@ mod tests {
         let cfg = LogConfig::default().with_buffer_size(1 << 16);
         let core = BufferCore::new(&cfg);
         let device = Arc::new(SimDevice::new(Duration::ZERO));
-        let pipeline = Arc::new(CommitPipeline::new());
+        let pipeline = Arc::new(CommitPipeline::new(
+            Arc::clone(&core),
+            Arc::new(CommitGate::new()),
+        ));
         let policy = GroupCommitPolicy {
             max_pending_commits: 1_000_000,
             max_pending_bytes: u64::MAX,
@@ -610,7 +624,6 @@ mod tests {
             Arc::clone(&core),
             device.clone() as Arc<dyn LogDevice>,
             pipeline,
-            Arc::new(CommitGate::new()),
             policy.clone(),
             FlushRetryPolicy::default(),
         );
@@ -736,8 +749,7 @@ mod tests {
         let (core, pipeline, _daemon, buf) = flaky_setup(Arc::clone(&device));
         put(&*buf, RecordKind::Commit, 1, &[]);
         let end = core.released_lsn();
-        let (h, st) = CommitHandle::new();
-        pipeline.submit(end, CommitAction::Notify(st));
+        let h = watch(&pipeline, end);
         assert!(core.flush_until(end).is_ok(), "retries must absorb blips");
         assert!(h.wait(), "committer unblocks with Ok after retried flush");
         assert!(core.poison_reason().is_none());
@@ -750,8 +762,7 @@ mod tests {
         let (core, pipeline, _daemon, buf) = flaky_setup(Arc::clone(&device));
         put(&*buf, RecordKind::Commit, 1, &[]);
         let end = core.released_lsn();
-        let (h, st) = CommitHandle::new();
-        pipeline.submit(end, CommitAction::Notify(st));
+        let h = watch(&pipeline, end);
         let err = core.flush_until(end);
         assert!(
             matches!(err, Err(AetherError::Poisoned { .. })),
@@ -851,15 +862,14 @@ mod tests {
 
     fn submit_commit(
         core: &BufferCore,
-        pipeline: &CommitPipeline,
+        pipeline: &Arc<CommitPipeline>,
         daemon: &FlushDaemon,
         buf: &dyn LogBuffer,
         txn: u64,
     ) -> CommitHandle {
         put(buf, RecordKind::Commit, txn, &[]);
         let end = core.released_lsn();
-        let (h, st) = CommitHandle::new();
-        pipeline.submit(end, CommitAction::Notify(st));
+        let h = watch(pipeline, end);
         daemon.shared().note_commit(end);
         h
     }

@@ -51,6 +51,7 @@ pub mod config;
 pub mod device;
 pub mod error;
 pub mod flush;
+pub mod gate;
 pub mod lsn;
 pub mod manager;
 mod padded;

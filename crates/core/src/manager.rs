@@ -2,7 +2,7 @@
 //! pipeline behind one facade.
 
 use crate::buffer::{BufferCore, BufferKind, EncodePayload, LogBuffer, LogSlot};
-use crate::commit::{CommitAction, CommitGate, CommitHandle, CommitPipeline, DurabilityPolicy};
+use crate::commit::{CommitGate, CommitHandle, CommitPipeline, DurabilityPolicy, Tally};
 use crate::config::LogConfig;
 use crate::device::{DeviceKind, LogDevice};
 use crate::error::Result;
@@ -94,10 +94,11 @@ impl LogManagerBuilder {
         let start = self.start_lsn.unwrap_or(Lsn::ZERO);
         let core = BufferCore::with_start(&self.config, start);
         let buffer = self.buffer.build(Arc::clone(&core), &self.config);
-        let pipeline = Arc::new(CommitPipeline::new());
         let gate = Arc::new(CommitGate::new());
-        pipeline.set_telemetry(Arc::clone(core.telemetry()));
         gate.set_telemetry(Arc::clone(core.telemetry()));
+        let pipeline = Arc::new(CommitPipeline::new(Arc::clone(&core), Arc::clone(&gate)));
+        let handles = Arc::new(Tally::default());
+        pipeline.subscribe(handles.clone());
         let daemon = if device.discards() {
             // Microbenchmark mode: no daemon; releasing reclaims directly.
             core.set_auto_reclaim(true);
@@ -108,7 +109,6 @@ impl LogManagerBuilder {
                 Arc::clone(&core),
                 Arc::clone(&device),
                 Arc::clone(&pipeline),
-                Arc::clone(&gate),
                 self.config.group_commit.clone(),
                 self.config.flush_retry.clone(),
             ))
@@ -119,6 +119,7 @@ impl LogManagerBuilder {
             buffer,
             device,
             pipeline,
+            handles,
             gate,
             flush_shared,
             truncation: TruncationCounters::default(),
@@ -138,6 +139,9 @@ pub struct LogManager {
     buffer: Arc<dyn LogBuffer>,
     device: Arc<dyn LogDevice>,
     pipeline: Arc<CommitPipeline>,
+    /// The subscriber behind [`LogManager::commit`]'s handles: it counts
+    /// their completions.
+    handles: Arc<Tally>,
     /// Replication gate: commit completion additionally waits on replica
     /// acks per the installed [`DurabilityPolicy`] (transparent by default).
     gate: Arc<CommitGate>,
@@ -257,40 +261,29 @@ impl LogManager {
         self.core.poison_reason().is_some()
     }
 
-    /// Register `action` to run once `lsn` is committable — durable locally
-    /// *and* sufficiently replicated per the gate policy (flush pipelining:
-    /// the caller does **not** block). Returns immediately.
-    pub fn commit_async(&self, lsn: Lsn, action: CommitAction) {
-        if self.is_poisoned() {
-            // Fail fast: the daemon is gone, nothing will ever complete this.
-            CommitPipeline::fail_action(action);
-            return;
-        }
-        let committable = self.commit_lsn() >= lsn;
-        self.pipeline.submit(lsn, action);
-        if let (false, Some(shared)) = (committable, &self.flush_shared) {
+    /// Have the flush daemon make a commit record ending at `lsn` durable,
+    /// without waiting for it (flush pipelining: the caller does **not**
+    /// block). Whoever waits on the commit subscribes to the watermark
+    /// ([`CommitPipeline::watch`]) or holds a [`CommitHandle`].
+    pub fn note_commit(&self, lsn: Lsn) {
+        if let Some(shared) = &self.flush_shared {
             shared.note_commit(lsn);
         }
-        // Look again after the submit: a flush may have made `lsn` durable
-        // and completed its group between the look above and the submit, and
-        // no flush would come back for this action.
-        if self.commit_lsn() >= lsn {
-            self.pipeline.complete_upto(self.commit_lsn());
-        }
-        // Likewise the log's fate: a poison between the look at the top and
-        // the submit failed what was pending before this action was in it.
-        if self.core.is_closed() {
-            self.pipeline.fail_pending();
-        }
+    }
+
+    /// A handle on the commit whose record ends at `lsn`; allocates nothing.
+    pub fn handle(&self, lsn: Lsn) -> CommitHandle {
+        CommitHandle::new(&self.pipeline, lsn)
     }
 
     /// Convenience: insert a commit record for `txn` and return a waitable
     /// handle that completes when it is durable.
     pub fn commit(&self, txn: u64, prev: Lsn) -> CommitHandle {
         let (_, end) = self.insert_payload::<[u8]>(RecordKind::Commit, txn, prev, &[]);
-        let (h, st) = CommitHandle::new();
-        self.commit_async(end, CommitAction::Notify(st));
-        h
+        self.note_commit(end);
+        self.handles.add(end);
+        self.pipeline.watch(&*self.handles, end);
+        self.handle(end)
     }
 
     /// The commit pipeline (drivers read completion counts from here).
@@ -431,7 +424,7 @@ impl LogManager {
     /// Highest LSN at which commits may currently complete:
     /// `min(durable, replicated floor)`.
     pub fn commit_lsn(&self) -> Lsn {
-        self.gate.effective(self.core.durable_lsn())
+        self.pipeline.commit_lsn()
     }
 
     /// Re-evaluate the commit gate after replica acks advanced: completes
@@ -439,7 +432,7 @@ impl LogManager {
     /// shipper calls this once per ack batch — one recheck per flush group,
     /// not per transaction, preserving group-commit amortization.
     pub fn replication_recheck(&self) {
-        self.pipeline.complete_upto(self.commit_lsn());
+        self.pipeline.advance(self.commit_lsn());
         self.gate.notify();
     }
 
@@ -455,7 +448,7 @@ impl LogManager {
     #[must_use = "a false return means the commit did not replicate"]
     pub fn wait_committed(&self, lsn: Lsn) -> Result<bool> {
         self.flush_until(lsn)?;
-        if self.gate.policy().map(|p| p.required_acks()).unwrap_or(0) > 0 {
+        if self.gate.required_acks() > 0 {
             let core = Arc::clone(&self.core);
             Ok(self.gate.wait_effective(lsn, move || core.durable_lsn()))
         } else {
@@ -627,7 +620,6 @@ pub struct TruncationStats {
 mod tests {
     use super::*;
     use crate::device::SimDevice;
-    use crate::runtime;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 
@@ -652,6 +644,10 @@ mod tests {
         assert_eq!(log.flush_count(), 0);
         assert_eq!(log.durable_lsn(), log.released_lsn());
         log.flush_all().unwrap(); // no-op, must not hang
+        assert!(
+            log.commit(2, Lsn::ZERO).wait(),
+            "no flusher walks the subscribers: a handle reads the watermark"
+        );
     }
 
     #[test]
@@ -692,12 +688,19 @@ mod tests {
         }
     }
 
+    /// A tally the log's flushers resolve.
+    fn subscribed(log: &LogManager) -> Arc<Tally> {
+        let t = Arc::new(Tally::default());
+        log.pipeline().subscribe(t.clone());
+        t
+    }
+
     #[test]
-    fn commit_async_callbacks_run_once_across_a_poison() {
-        // Four threads race `commit_async` against a device that fails for
-        // good after a few syncs. A poison that lands between a committer's
-        // look at the log and its submit must not strand the action: every
-        // callback runs, once, whatever its verdict.
+    fn watched_commits_resolve_once_across_a_poison() {
+        // Four threads race commits against a device that fails for good
+        // after a few syncs, each into a tally of its own. A poison that
+        // lands between a committer's publish and its look must not strand
+        // the commit: every commit resolves, once, whatever its verdict.
         for round in 0..20u64 {
             let log = LogManager::builder()
                 .device_instance(Arc::new(FailsAfter {
@@ -705,10 +708,11 @@ mod tests {
                     syncs_left: AtomicU64::new(round % 3),
                 }))
                 .build();
-            let (submitted, ran) = (AtomicU64::new(0), Arc::new(AtomicU64::new(0)));
+            let submitted = AtomicU64::new(0);
+            let tallies: Vec<Arc<Tally>> = (0..4).map(|_| subscribed(&log)).collect();
             std::thread::scope(|s| {
-                for t in 0..4u64 {
-                    let (log, submitted, ran) = (&log, &submitted, &ran);
+                for (t, tally) in tallies.iter().enumerate() {
+                    let (log, submitted) = (&log, &submitted);
                     s.spawn(move || {
                         // Keep committing a little past the poison.
                         let mut after = 0;
@@ -719,58 +723,64 @@ mod tests {
                                     break;
                                 }
                             }
-                            let txn = t << 32 | i;
+                            let txn = (t as u64) << 32 | i;
                             let (_, end) =
                                 log.insert_payload::<[u8]>(RecordKind::Commit, txn, Lsn::ZERO, &[]);
-                            let ran = Arc::clone(ran);
                             submitted.fetch_add(1, Ordering::Relaxed);
-                            log.commit_async(
-                                end,
-                                CommitAction::Callback(Box::new(move |_| {
-                                    ran.fetch_add(1, Ordering::Relaxed);
-                                })),
-                            );
+                            log.note_commit(end);
+                            tally.add(end);
+                            log.pipeline().watch(&**tally, end);
                         }
                     });
                 }
             });
             assert!(log.is_poisoned(), "round {round}: the device never failed");
-            let deadline = runtime::monotonic_ns() + 10_000_000_000;
             let submitted = submitted.load(Ordering::Relaxed);
-            while ran.load(Ordering::Relaxed) < submitted {
+            let resolved = || -> u64 { tallies.iter().map(|t| t.durable() + t.failed()).sum() };
+            for t in &tallies {
                 assert!(
-                    runtime::monotonic_ns() < deadline,
-                    "round {round}: {} of {submitted} callbacks ran in 10 s",
-                    ran.load(Ordering::Relaxed)
+                    t.wait_settled(Some(Duration::from_secs(10))),
+                    "round {round}: {} of {submitted} commits resolved in 10 s",
+                    resolved()
                 );
-                runtime::sleep(Duration::from_millis(1));
             }
-            assert_eq!(ran.load(Ordering::Relaxed), submitted, "round {round}");
+            assert_eq!(resolved(), submitted, "round {round}");
         }
     }
 
     #[test]
-    fn commit_async_runs_callbacks() {
-        let log = Arc::new(LogManager::builder().device(DeviceKind::Ram).build());
-        let counter = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    fn a_commit_made_durable_before_it_is_watched_completes_at_its_own_look() {
+        // The registration window: the flush that hardens the record walks
+        // the subscribers before this one publishes the commit, and no later
+        // flush comes. Only the subscriber's own look can complete it.
+        let log = LogManager::builder().device(DeviceKind::Ram).build();
+        let tally = subscribed(&log);
+        let (_, end) = log.insert_payload::<[u8]>(RecordKind::Commit, 1, Lsn::ZERO, &[]);
+        log.note_commit(end);
+        log.flush_all().unwrap();
+        assert!(log.commit_lsn() >= end);
+        let flushes = log.flush_count();
+        tally.add(end);
+        log.pipeline().watch(&*tally, end);
+        assert_eq!(tally.durable(), 1, "completed at the look, not by a flush");
+        assert_eq!(log.flush_count(), flushes);
+    }
+
+    #[test]
+    fn watched_commits_complete() {
+        let log = LogManager::builder().device(DeviceKind::Ram).build();
+        let tally = subscribed(&log);
         for i in 0..20u64 {
             let (_, end) = log.insert_payload::<[u8]>(RecordKind::Commit, i, Lsn::ZERO, &[]);
-            let c = Arc::clone(&counter);
-            log.commit_async(
-                end,
-                CommitAction::Callback(Box::new(move |_| {
-                    c.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                })),
-            );
+            log.note_commit(end);
+            tally.add(end);
+            log.pipeline().watch(&*tally, end);
         }
         log.flush_all().unwrap();
-        // Once the log is durable, callbacks complete momentarily (daemon
-        // reattach).
-        let mut backoff = crate::buffer::WaitBackoff::new();
-        while counter.load(std::sync::atomic::Ordering::Relaxed) < 20 {
-            backoff.wait();
-        }
-        assert_eq!(counter.load(std::sync::atomic::Ordering::Relaxed), 20);
+        // Once the log is durable, the flusher's walk (or the look) has
+        // completed them all.
+        assert!(tally.wait_settled(None));
+        assert_eq!(tally.durable(), 20);
     }
 
     #[test]

@@ -8,20 +8,22 @@
 //!
 //! Pipelining without reordering: the connection thread reserves one
 //! [`RespQueue`] slot per request *before* executing it, so slot order is
-//! request order. Fast statements fulfill their slot synchronously; commits
-//! fulfill theirs from the durability callback, which the group-commit gate
-//! fires off the single flush that hardens the whole in-flight batch. The
-//! writer only ever writes the queue's *completed prefix*, so responses
-//! leave the socket in request order (invariant 10) and a commit is never
-//! acked before it is durable.
+//! request order. Fast statements, and commits under the blocking
+//! protocols, fulfill their slot synchronously. A pipelined commit's slot is
+//! filled by the queue's subscription to the log's durable watermark: the
+//! queue is the connection's [`Subscriber`], and the flush that hardens the
+//! connection's in-flight commits answers them all in one call, under one
+//! lock, with one wake of the writer. The writer only ever writes the
+//! queue's *completed prefix*, so responses leave the socket in request
+//! order (invariant 10) and a commit is never acked before it is durable.
 
 use crate::dedup::{Claim, CommitDedup};
 use crate::protocol::{ErrCode, Request, Response};
-use aether_core::commit::CommitToken;
+use aether_core::commit::{CommitPipeline, LowMark, Subscriber};
 use aether_core::lsn::Lsn;
 use aether_core::record::crc32;
-use aether_core::runtime::{self, lock, WaitSet};
-use aether_core::telemetry::{HistId, Telemetry};
+use aether_core::runtime::{lock, WaitSet};
+use aether_core::telemetry::{HistId, Telemetry, Unit};
 use aether_repl::router::ReadRouter;
 use aether_repl::SourceKind;
 use aether_storage::{Db, StorageError, Transaction};
@@ -72,6 +74,17 @@ struct Slot {
     resp: Option<Response>,
 }
 
+/// A commit whose slot waits for the log's watermark.
+struct PendingCommit {
+    /// End of its commit record: its token once durable.
+    lsn: Lsn,
+    seq: u64,
+    /// The dedup id to settle, for an idempotent auto-commit.
+    dedup: Option<u64>,
+    /// Commit entry, for `db.commit_latency_ns`.
+    t0: Option<u64>,
+}
+
 struct RespInner {
     slots: VecDeque<Slot>,
     /// Sequence of `slots[0]`.
@@ -80,27 +93,42 @@ struct RespInner {
     next: u64,
     /// The connection is gone: the writer stops.
     closed: bool,
+    /// Commits awaiting the watermark, in LSN order: the connection thread
+    /// commits one at a time, in log order.
+    commits: VecDeque<PendingCommit>,
 }
 
-/// The connection's ordered response queue (see module docs).
+/// The connection's ordered response queue (see module docs), and its
+/// subscription to the log's durable watermark.
 pub(crate) struct RespQueue {
     inner: Mutex<RespInner>,
+    /// The lowest LSN in `commits`, published for the flushers.
+    low: LowMark,
     /// The writer, parked until the front slot is filled or the queue closes.
     ready: WaitSet,
+    /// Read-your-writes: the highest token acked on this connection.
+    watermark: AtomicU64,
+    dedup: Arc<CommitDedup>,
     tel: Arc<Telemetry>,
     req_ns: HistId,
+    commit_ns: HistId,
 }
 
 impl RespQueue {
-    pub(crate) fn new(tel: Arc<Telemetry>, req_ns: HistId) -> RespQueue {
+    pub(crate) fn new(tel: Arc<Telemetry>, req_ns: HistId, dedup: Arc<CommitDedup>) -> RespQueue {
         RespQueue {
             inner: Mutex::new(RespInner {
                 slots: VecDeque::new(),
                 front: 0,
                 next: 0,
                 closed: false,
+                commits: VecDeque::new(),
             }),
+            low: LowMark::default(),
             ready: WaitSet::new(),
+            watermark: AtomicU64::new(0),
+            dedup,
+            commit_ns: tel.histogram("db.commit_latency_ns", Unit::Nanos),
             tel,
             req_ns,
         }
@@ -119,25 +147,27 @@ impl RespQueue {
         seq
     }
 
-    /// Fill slot `seq`, waking the writer if it is the front one. Every slot
-    /// is fulfilled exactly once, but a slot already popped (connection
-    /// died) is silently ignored: late durability callbacks outlive sockets.
+    /// Put `resp` in slot `seq`; whether it is the front slot. Every slot is
+    /// filled exactly once, but one already popped (the connection died) is
+    /// ignored.
+    fn fill(&self, g: &mut RespInner, seq: u64, resp: Response, now: Option<u64>) -> bool {
+        if seq < g.front {
+            return false;
+        }
+        let idx = (seq - g.front) as usize;
+        if let Some(slot) = g.slots.get_mut(idx) {
+            if let (Some(t0), Some(now)) = (slot.t0.take(), now) {
+                self.tel.record(self.req_ns, now.saturating_sub(t0));
+            }
+            slot.resp = Some(resp);
+        }
+        idx == 0
+    }
+
+    /// Fill slot `seq`, waking the writer if it is the front one.
     pub(crate) fn fulfill(&self, seq: u64, resp: Response) {
-        let front = {
-            let mut g = lock(&self.inner);
-            if seq < g.front {
-                return;
-            }
-            let idx = (seq - g.front) as usize;
-            if let Some(slot) = g.slots.get_mut(idx) {
-                if let Some(t0) = slot.t0.take() {
-                    let dt = runtime::monotonic_ns().saturating_sub(t0);
-                    self.tel.record(self.req_ns, dt);
-                }
-                slot.resp = Some(resp);
-            }
-            idx == 0
-        };
+        let now = self.tel.ts();
+        let front = self.fill(&mut lock(&self.inner), seq, resp, now);
         // The slot is published under `inner`, which the writer's look takes
         // too: that orders it before the waiter count `notify` reads.
         if front {
@@ -145,30 +175,116 @@ impl RespQueue {
         }
     }
 
-    /// Park until the front slot is filled, then pop the completed prefix:
-    /// `(req_id, response)` pairs in request order. `None` once closed.
-    pub(crate) fn next_ready(&self) -> Option<Vec<(u64, Response)>> {
+    /// Answer slot `seq` once the log's watermark reaches `lsn`, the end of
+    /// a commit record: publish the commit, then look (see
+    /// [`CommitPipeline::watch`]).
+    fn await_commit(
+        &self,
+        log: &CommitPipeline,
+        seq: u64,
+        lsn: Lsn,
+        dedup: Option<u64>,
+        t0: Option<u64>,
+    ) {
+        {
+            let mut g = lock(&self.inner);
+            g.commits.push_back(PendingCommit {
+                lsn,
+                seq,
+                dedup,
+                t0,
+            });
+            if g.commits.len() == 1 {
+                self.low.set(Some(lsn));
+            }
+        }
+        log.watch(self, lsn);
+    }
+
+    /// Park until the front slot is filled, then move the completed prefix
+    /// into `out` (cleared first): `(req_id, response)` pairs in request
+    /// order. `false` once closed.
+    pub(crate) fn next_ready(&self, out: &mut Vec<(u64, Response)>) -> bool {
+        out.clear();
         self.ready
             .wait_until(None, || {
                 let mut g = lock(&self.inner);
                 if g.closed {
-                    return Some(None);
+                    return Some(false);
                 }
-                let mut out = Vec::new();
                 while matches!(g.slots.front(), Some(s) if s.resp.is_some()) {
                     let s = g.slots.pop_front().expect("front checked");
                     g.front += 1;
                     out.push((s.req_id, s.resp.expect("resp checked")));
                 }
-                (!out.is_empty()).then_some(Some(out))
+                (!out.is_empty()).then_some(true)
             })
-            .flatten()
+            .unwrap_or(false)
     }
 
     /// Stop the writer; responses still queued are dropped with the socket.
+    /// Commits still pending keep the queue subscribed until they resolve,
+    /// so their dedup entries settle.
     pub(crate) fn close(&self) {
         lock(&self.inner).closed = true;
         self.ready.notify();
+    }
+}
+
+impl Subscriber for RespQueue {
+    fn low(&self) -> Lsn {
+        self.low.get()
+    }
+
+    /// Answer the ready prefix of the pending commits: settle each dedup
+    /// entry *before* its ack (once the client sees `Committed`, a duplicate
+    /// must replay), fold the batch's highest token into the
+    /// read-your-writes watermark once, and wake the writer once.
+    fn resolve(&self, upto: Lsn, fail_rest: bool, each: &mut dyn FnMut(Lsn, bool)) {
+        let now = self.tel.ts();
+        let mut g = lock(&self.inner);
+        let (mut front, mut token) = (false, 0);
+        while let Some(c) = g.commits.front() {
+            let durable = c.lsn <= upto;
+            if !durable && !fail_rest {
+                break;
+            }
+            let c = g.commits.pop_front().expect("front checked");
+            each(c.lsn, durable);
+            if let (Some(t0), Some(now)) = (c.t0, now) {
+                self.tel.record(self.commit_ns, now.saturating_sub(t0));
+            }
+            let resp = if durable {
+                token = c.lsn.raw();
+                if let Some(id) = c.dedup {
+                    self.dedup.complete(id, token);
+                }
+                Response::Committed { token }
+            } else {
+                // The commit never hardened (log poisoned or shut down):
+                // the client gets a typed protocol error, not a dropped
+                // connection.
+                if let Some(id) = c.dedup {
+                    self.dedup.forget(id);
+                }
+                err_of(&StorageError::Log(aether_core::AetherError::Poisoned {
+                    reason: "log poisoned before commit hardened".into(),
+                }))
+            };
+            front |= self.fill(&mut g, c.seq, resp, now);
+        }
+        self.low.set(g.commits.front().map(|c| c.lsn));
+        // Before the acks are visible: a read after one of them sees it.
+        self.watermark.fetch_max(token, Ordering::AcqRel);
+        drop(g);
+        if front {
+            self.ready.notify();
+        }
+    }
+
+    fn retired(&self) -> bool {
+        let g = lock(&self.inner);
+        g.closed && g.commits.is_empty()
     }
 }
 
@@ -182,8 +298,7 @@ fn err_of(e: &StorageError) -> Response {
 /// Execute one request whose response slot `seq` is already reserved.
 pub(crate) fn exec_one(
     engine: &Engine,
-    resp: &Arc<RespQueue>,
-    watermark: &Arc<AtomicU64>,
+    resp: &RespQueue,
     open: &mut BTreeMap<u64, Transaction>,
     seq: u64,
     req_id: u64,
@@ -210,7 +325,7 @@ pub(crate) fn exec_one(
         } => {
             // Read-your-writes: the floor is the request's explicit token
             // folded with everything this connection has committed.
-            let floor = Lsn(at_least.max(watermark.load(Ordering::Acquire)));
+            let floor = Lsn(at_least.max(resp.watermark.load(Ordering::Acquire)));
             let r = match &engine.router {
                 Some(router) => router
                     .read_at_least(table, key, floor)
@@ -280,7 +395,7 @@ pub(crate) fn exec_one(
             // token instead of re-executing.
             match engine.dedup.claim(req_id) {
                 Claim::Done(token) => {
-                    watermark.fetch_max(token, Ordering::AcqRel);
+                    resp.watermark.fetch_max(token, Ordering::AcqRel);
                     resp.fulfill(seq, Response::Committed { token });
                     return;
                 }
@@ -305,7 +420,7 @@ pub(crate) fn exec_one(
                 }
             };
             match db.update(&mut t, table, key, &value) {
-                Ok(()) => finish_commit(engine, resp, watermark, seq, Some(req_id), t),
+                Ok(()) => finish_commit(engine, resp, seq, Some(req_id), t),
                 Err(e) => {
                     engine.dedup.forget(req_id);
                     let r = err_of(&e);
@@ -339,7 +454,7 @@ pub(crate) fn exec_one(
         Request::Commit { txn } => match open.remove(&txn) {
             // Interactive commits are not idempotent-retryable (the txn id
             // itself dies with the connection), so no dedup id.
-            Some(t) => finish_commit(engine, resp, watermark, seq, None, t),
+            Some(t) => finish_commit(engine, resp, seq, None, t),
             None => resp.fulfill(seq, no_such_txn(txn)),
         },
         Request::Abort { txn } => match open.remove(&txn) {
@@ -352,56 +467,39 @@ pub(crate) fn exec_one(
     }
 }
 
-/// Commit `t`, fulfilling `seq` from the durability callback. The callback
-/// is the *only* place the response is produced, for every protocol and
-/// every outcome (it runs exactly once, errors included): blocking
-/// protocols run it inline, pipelined ones run it from the flush daemon
-/// when the gate opens. Folding the token into the
-/// connection watermark before fulfilling keeps read-your-writes airtight
-/// even though the connection thread has already moved on to the next
-/// request.
+/// Commit `t` and answer slot `seq`: at once under the blocking protocols
+/// (the commit is durable when `commit_deferred` returns), and from the
+/// queue's subscription under the asynchronous ones. Every outcome, errors
+/// included, is answered exactly once, and the token is folded into the
+/// read-your-writes watermark before the ack can leave.
 fn finish_commit(
     engine: &Engine,
-    resp: &Arc<RespQueue>,
-    watermark: &Arc<AtomicU64>,
+    resp: &RespQueue,
     seq: u64,
     dedup_id: Option<u64>,
     t: Transaction,
 ) {
-    let on_durable = {
-        let resp = Arc::clone(resp);
-        let watermark = Arc::clone(watermark);
-        let dedup = Arc::clone(&engine.dedup);
-        Box::new(move |r: aether_storage::StorageResult<CommitToken>| {
-            match r {
-                Ok(token) => {
-                    // Settle the dedup entry *before* acking: once the
-                    // client sees Committed, any duplicate must replay.
-                    if let Some(id) = dedup_id {
-                        dedup.complete(id, token.lsn().raw());
-                    }
-                    watermark.fetch_max(token.lsn().raw(), Ordering::AcqRel);
-                    resp.fulfill(
-                        seq,
-                        Response::Committed {
-                            token: token.lsn().raw(),
-                        },
-                    );
-                }
-                // The commit never hardened (log poisoned / shut down):
-                // the client gets a typed protocol error, not a dropped
-                // connection.
-                Err(e) => {
-                    if let Some(id) = dedup_id {
-                        dedup.forget(id);
-                    }
-                    resp.fulfill(seq, err_of(&e));
-                }
+    let db = &engine.db;
+    let t0 = db.log().telemetry().ts();
+    match db.commit_deferred(t) {
+        Ok((token, true)) => resp.await_commit(db.log().pipeline(), seq, token.lsn(), dedup_id, t0),
+        Ok((token, false)) => {
+            let token = token.lsn().raw();
+            // Settle the dedup entry *before* acking: once the client sees
+            // Committed, any duplicate must replay.
+            if let Some(id) = dedup_id {
+                engine.dedup.complete(id, token);
             }
-        })
-    };
-    // Any failure has reached the callback too, which answered it.
-    let _ = engine.db.commit_tokened_with(t, on_durable);
+            resp.watermark.fetch_max(token, Ordering::AcqRel);
+            resp.fulfill(seq, Response::Committed { token });
+        }
+        Err(e) => {
+            if let Some(id) = dedup_id {
+                engine.dedup.forget(id);
+            }
+            resp.fulfill(seq, err_of(&e));
+        }
+    }
 }
 
 fn no_such_txn(txn: u64) -> Response {

@@ -29,8 +29,8 @@ pub enum Claim {
     /// First sighting: the caller owns execution and must eventually call
     /// [`CommitDedup::complete`] or [`CommitDedup::forget`].
     New,
-    /// The original attempt is still executing (its durability callback has
-    /// not fired). The retry should be answered `Busy` — the client backs
+    /// The original attempt is still executing (its commit has not
+    /// resolved). The retry should be answered `Busy` — the client backs
     /// off and asks again.
     InFlight,
     /// Already committed, with the recorded commit token: answer with it,
@@ -98,7 +98,7 @@ impl CommitDedup {
         g.map.insert(req_id, Entry::InFlight);
         g.order.push_back(req_id);
         // Evict the oldest *completed* entries over capacity; in-flight
-        // ones must survive until their callback settles them.
+        // ones must survive until their commit settles them.
         let Inner { map, order } = &mut *g;
         while map.len() > self.capacity {
             let Some(pos) = order

@@ -13,10 +13,10 @@
 //!   runs.
 //! * [`server`] — two threads per connection, each blocked on what it
 //!   waits for: one reads and executes requests, one writes the completed
-//!   prefix of a strictly-ordered response queue. Nothing polls. Commit
-//!   responses are produced by durability callbacks, so a
-//!   pipelined connection's many in-flight commits are all completed by
-//!   the single group-commit flush that hardens them — the paper's
+//!   prefix of a strictly-ordered response queue. Nothing polls. The queue
+//!   subscribes to the log's durable watermark, so a pipelined
+//!   connection's many in-flight commits are all answered by the single
+//!   group-commit flush that hardens them — the paper's
 //!   consolidation argument, observed from the wire.
 //! * [`client`] — a pipelining client.
 //!

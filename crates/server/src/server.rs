@@ -237,7 +237,13 @@ fn open(sh: &Arc<Shared>, halves: Halves) {
 /// until the peer closes, a frame is corrupt or the server stops; then roll
 /// back what is still open and join the writer.
 fn serve(sh: &Shared, id: u64, mut input: Box<dyn ByteStream>, output: Box<dyn ByteStream>) {
-    let resp = Arc::new(RespQueue::new(Arc::clone(&sh.tel), sh.ids.req_ns));
+    let resp = Arc::new(RespQueue::new(
+        Arc::clone(&sh.tel),
+        sh.ids.req_ns,
+        Arc::clone(&sh.engine.dedup),
+    ));
+    let log = sh.engine.db.log().pipeline();
+    log.subscribe(resp.clone());
     let writer = {
         let resp = Arc::clone(&resp);
         let (tel, ids) = (Arc::clone(&sh.tel), sh.ids);
@@ -250,7 +256,6 @@ fn serve(sh: &Shared, id: u64, mut input: Box<dyn ByteStream>, output: Box<dyn B
     // Open interactive transactions, keyed by wire txn id. BTreeMap so the
     // teardown abort sweep is ordered — identical across sim replays.
     let mut open = BTreeMap::new();
-    let watermark = Arc::new(AtomicU64::new(0));
     let mut inbuf = Vec::new();
     'conn: while matches!(input.read(&mut inbuf), Ok(ReadOutcome::Bytes(_)))
         && !sh.stop.load(Ordering::SeqCst)
@@ -260,7 +265,7 @@ fn serve(sh: &Shared, id: u64, mut input: Box<dyn ByteStream>, output: Box<dyn B
                 Extracted::Msg { req_id, msg } => {
                     sh.tel.inc(sh.ids.requests);
                     let seq = resp.reserve(req_id);
-                    exec_one(&sh.engine, &resp, &watermark, &mut open, seq, req_id, msg);
+                    exec_one(&sh.engine, &resp, &mut open, seq, req_id, msg);
                 }
                 Extracted::NeedMore => break,
                 Extracted::Corrupt => {
@@ -279,11 +284,15 @@ fn serve(sh: &Shared, id: u64, mut input: Box<dyn ByteStream>, output: Box<dyn B
         let _ = sh.engine.db.abort(txn);
     }
     let _ = writer.join();
+    // A queue with commits still pending stays subscribed until they
+    // resolve; the walk that resolves the last one drops it.
+    log.prune();
     sh.tel.inc(sh.ids.conns_closed);
 }
 
 /// The writer thread: each time the front slot is filled, write the whole
-/// completed prefix in one call. Closes `output` on the way out.
+/// completed prefix in one call, reusing one batch and one byte buffer.
+/// Closes `output` on the way out.
 fn write_responses(
     resp: &RespQueue,
     mut output: Box<dyn ByteStream>,
@@ -291,7 +300,8 @@ fn write_responses(
     ids: ServerTel,
 ) {
     let mut bytes = Vec::new();
-    while let Some(ready) = resp.next_ready() {
+    let mut ready = Vec::new();
+    while resp.next_ready(&mut ready) {
         bytes.clear();
         for (req_id, r) in &ready {
             r.encode_into(*req_id, &mut bytes);

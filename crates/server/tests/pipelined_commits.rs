@@ -33,7 +33,7 @@ fn record(conn: usize, i: usize) -> Vec<u8> {
 #[test]
 fn flush_stall_never_acks_undurable_and_keeps_order() {
     // A held `StallDevice` blocks the flush daemon inside `sync`, so
-    // durability callbacks (and therefore `Committed` responses) stop;
+    // completions (and therefore `Committed` responses) stop;
     // anything acked anyway would be provably undurable. Its 2 ms of sync
     // latency keeps the run flush-bound, so the windows stay deep and
     // commits group behind the flush in flight.
@@ -295,4 +295,148 @@ fn a_deep_send_only_burst_over_tcp_is_acked_in_order() {
     client.close();
     server.shutdown();
     db.log().shutdown();
+}
+
+/// Flush, then wait until no lock is granted and no transaction is active.
+fn wait_no_leaks(db: &Arc<Db>) {
+    let deadline = monotonic_ns() + 5_000_000_000;
+    loop {
+        db.log().flush_all().unwrap();
+        if db.locks().granted_count() == 0 && db.txn_manager().active_count() == 0 {
+            return;
+        }
+        assert!(
+            monotonic_ns() < deadline,
+            "leaked: {} locks granted, {} txns active",
+            db.locks().granted_count(),
+            db.txn_manager().active_count()
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Retry auto-commit `id` on `client` until the answer is not `Busy` (a
+/// bounded wait); the token it commits with.
+fn retry_until_settled(client: &mut Client, table: u32, key: u64, id: u64) -> u64 {
+    let deadline = monotonic_ns() + 5_000_000_000;
+    let req = Request::Update {
+        txn: 0,
+        table,
+        key,
+        value: vec![key as u8; 16],
+    };
+    loop {
+        client.send_with_id(&req, id).unwrap();
+        match client.recv().unwrap() {
+            (got, Response::Committed { token }) if got == id => return token,
+            (_, Response::Err { code, .. }) if code == aether_server::ErrCode::Busy as u16 => {
+                assert!(monotonic_ns() < deadline, "id {id:#x}: Busy for 5 s");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            other => panic!("id {id:#x}: unexpected {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_connection_closed_mid_flight_still_settles_its_commits() {
+    // A held `StallDevice` keeps the flush from completing while a client
+    // sends eight dedup-tagged auto-commits and closes its connection. The
+    // connection's response queue stays subscribed to the log: once the
+    // stall lifts, each commit settles its dedup entry, so a retry of each
+    // id on a new connection replays the original token — it is neither
+    // re-executed nor answered `Busy` for ever.
+    let device = Arc::new(StallDevice::new(Duration::ZERO));
+    let opts = DbOptions {
+        protocol: CommitProtocol::Pipelined,
+        log_config: LogConfig::default().with_telemetry(aether_core::TelemetryConfig {
+            enabled: true,
+            ..aether_core::TelemetryConfig::default()
+        }),
+        ..DbOptions::default()
+    };
+    let db = Db::open_with_device(opts, device.clone() as Arc<dyn LogDevice>);
+    let table = db.create_table(16, 8);
+    for k in 0..8u64 {
+        db.load(table, k, &[0u8; 16]).unwrap();
+    }
+    db.setup_complete();
+    let server = Server::start(Engine::primary(Arc::clone(&db)), ServerConfig::default()).unwrap();
+    let ids: Vec<u64> = (0..8)
+        .map(|i| aether_server::retry::retry_id(77, i))
+        .collect();
+
+    device.hold();
+    let commits_before = db.stats().commits();
+    let mut client = Client::new(Box::new(server.connect_chan()));
+    for (key, &id) in ids.iter().enumerate() {
+        let req = Request::Update {
+            txn: 0,
+            table,
+            key: key as u64,
+            value: vec![key as u8; 16],
+        };
+        client.send_with_id(&req, id).unwrap();
+    }
+    client.flush().unwrap();
+    let closed = |db: &Db| {
+        db.telemetry_snapshot("t")
+            .counter("server.conns_closed")
+            .unwrap_or(0)
+    };
+    let deadline = monotonic_ns() + 5_000_000_000;
+    while db.stats().commits() < commits_before + 8 {
+        assert!(
+            monotonic_ns() < deadline,
+            "the eight commits never executed"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    client.close();
+    while closed(&db) < 1 {
+        assert!(monotonic_ns() < deadline, "the connection never closed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Still in flight: a retry now is told to back off.
+    let mut retry = Client::new(Box::new(server.connect_chan()));
+    let req = Request::Update {
+        txn: 0,
+        table,
+        key: 0,
+        value: vec![0; 16],
+    };
+    retry.send_with_id(&req, ids[0]).unwrap();
+    assert!(
+        matches!(retry.recv().unwrap(), (_, Response::Err { code, .. }) if code == aether_server::ErrCode::Busy as u16),
+        "a commit of the closed connection was settled while the flush was held"
+    );
+
+    device.release();
+    wait_no_leaks(&db);
+    let tokens: Vec<u64> = ids
+        .iter()
+        .enumerate()
+        .map(|(key, &id)| retry_until_settled(&mut retry, table, key as u64, id))
+        .collect();
+    assert_eq!(
+        db.stats().commits(),
+        commits_before + 8,
+        "a retry re-executed its commit"
+    );
+    let mut distinct = tokens.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), 8, "eight commits, eight tokens: {tokens:?}");
+    assert!(tokens
+        .iter()
+        .all(|&t| t > 0 && t <= db.log().durable_lsn().raw()));
+    let again: Vec<u64> = ids
+        .iter()
+        .enumerate()
+        .map(|(key, &id)| retry_until_settled(&mut retry, table, key as u64, id))
+        .collect();
+    assert_eq!(again, tokens, "the original tokens, replayed");
+    wait_no_leaks(&db);
+    drop(retry);
+    server.shutdown();
 }

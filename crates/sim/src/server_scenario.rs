@@ -11,8 +11,8 @@
 //! * **Per-connection response ordering** (inv. 10): responses arrive in
 //!   request order — `Client::call` hard-fails on any id mismatch.
 //! * **Commit-ack durability** (inv. 10): a `Committed` token is only ever
-//!   produced by the durability callback, and tokens never regress within
-//!   a connection.
+//!   produced once the durable watermark passed it, and tokens never
+//!   regress within a connection.
 //! * **Read-your-writes**: a read at `at_least = token` immediately after
 //!   that token's commit must observe the committed value, through
 //!   whatever routing the engine uses.

@@ -9,47 +9,22 @@ use crate::store::PageStore;
 use crate::table::Table;
 use crate::txn::{CommitOutcome, CommitProtocol, Transaction, TxnManager, TxnStatus, UndoEntry};
 use crate::wal::{CheckpointPayload, ClrPayload, UpdatePayload};
-use aether_core::commit::{CommitAction, CommitHandle, CommitToken};
+use aether_core::commit::CommitToken;
 use aether_core::device::LogDevice;
-use aether_core::telemetry::{CounterId, HistId, Telemetry, Unit};
+use aether_core::telemetry::{CounterId, HistId, Unit};
 use aether_core::{
     BufferKind, DeviceKind, LogConfig, LogManager, Lsn, RecordKind, TelemetrySnapshot,
 };
 use std::sync::Arc;
 
-/// Durability callback handed to [`Db::commit_tokened_with`]. It runs
-/// **exactly once** on every path: with `Ok(token)` when the commit is
-/// durable, or with `Err` if the commit was refused (the transaction was
-/// not active) or the log was poisoned (or shut down) before the commit
-/// record hardened. For the async protocols it is the *only* failure
-/// channel, so a wire server fulfills every commit response from here and
-/// never from the return value.
-pub type DurableCallback = Box<dyn FnOnce(StorageResult<CommitToken>) + Send>;
-
-/// Duplicate a commit-wait failure for the durability callback — the
-/// original travels in the return value. Only `Poisoned`/`Shutdown` can
-/// come out of a commit wait, both of which duplicate losslessly.
-fn dup_commit_error(e: &StorageError) -> StorageError {
-    match e {
-        StorageError::Log(aether_core::AetherError::Poisoned { reason }) => {
-            StorageError::Log(aether_core::AetherError::Poisoned {
-                reason: reason.clone(),
-            })
-        }
-        _ => StorageError::Log(aether_core::AetherError::Shutdown),
-    }
-}
-
-/// Map the flush daemon's completion flag to the durability callback's
-/// argument: `false` means the log was poisoned before this commit hardened.
-fn commit_fate(durable: bool, token: CommitToken) -> StorageResult<CommitToken> {
-    if durable {
-        Ok(token)
-    } else {
-        StorageResult::Err(StorageError::Log(aether_core::AetherError::Poisoned {
-            reason: "log poisoned before commit hardened".into(),
-        }))
-    }
+/// How a commit stands when [`Db::commit_inner`] returns.
+enum Fate {
+    /// Durable (and replicated as the policy requires), or read-only.
+    Durable,
+    /// Locally durable, replication indeterminate.
+    Unreplicated,
+    /// Waits for the log's watermark (`AsyncCommit`, `Pipelined`).
+    Pending,
 }
 
 /// Database construction options.
@@ -243,11 +218,12 @@ impl Db {
             ckpt_cycles: t.counter("ckpt.cycles", Unit::Count),
             ckpt_cycle_ns: t.histogram("ckpt.cycle_ns", Unit::Nanos),
         };
+        let txns = Arc::new(TxnManager::watching(Arc::clone(log.pipeline())));
         Arc::new(Db {
             log,
             locks,
             tables: Segmented::new(8),
-            txns: Arc::new(TxnManager::new()),
+            txns,
             store,
             opts,
             stats: DbStats::default(),
@@ -646,7 +622,7 @@ impl Db {
 
     /// Commit per the configured protocol.
     pub fn commit(&self, txn: Transaction) -> StorageResult<CommitOutcome> {
-        self.commit_inner(txn, None).map(|(out, _)| out)
+        self.commit_tokened(txn).map(|(out, _)| out)
     }
 
     /// Commit and also return the session [`CommitToken`]: the commit
@@ -656,34 +632,28 @@ impl Db {
     /// token contains this commit. Read-only transactions return
     /// [`CommitToken::ZERO`] (they left nothing to observe).
     pub fn commit_tokened(&self, txn: Transaction) -> StorageResult<(CommitOutcome, CommitToken)> {
-        self.commit_inner(txn, None)
+        let (fate, token) = self.commit_inner(txn)?;
+        let outcome = match fate {
+            Fate::Durable => CommitOutcome::Durable,
+            Fate::Unreplicated => CommitOutcome::Unsafe,
+            Fate::Pending if self.opts.protocol.sacrifices_durability() => CommitOutcome::Unsafe,
+            Fate::Pending => CommitOutcome::Pipelined(self.log.handle(token.lsn())),
+        };
+        Ok((outcome, token))
     }
 
-    /// Commit with both a session token *and* a durability callback. The
-    /// callback receives the commit's [`CommitToken`] when the commit is
-    /// durable — inline for blocking protocols, from the flush daemon for
-    /// the async ones — so a wire server can ack the client (and fold the
-    /// token into the connection's read-your-writes watermark) strictly at
-    /// durability, never before.
-    pub fn commit_tokened_with(
-        &self,
-        txn: Transaction,
-        on_durable: DurableCallback,
-    ) -> StorageResult<(CommitOutcome, CommitToken)> {
-        self.commit_inner(txn, Some(on_durable))
+    /// Commit without a handle, for a caller that subscribes to the log's
+    /// watermark itself (the wire server, the benchmark drivers). Returns
+    /// the token and whether the commit still waits for the log: true for
+    /// an `AsyncCommit` or `Pipelined` commit that logged, whose caller
+    /// hands `token.lsn()` to its subscriber; false when it is durable now.
+    pub fn commit_deferred(&self, txn: Transaction) -> StorageResult<(CommitToken, bool)> {
+        let (fate, token) = self.commit_inner(txn)?;
+        Ok((token, matches!(fate, Fate::Pending)))
     }
 
-    fn commit_inner(
-        &self,
-        mut txn: Transaction,
-        on_durable: Option<DurableCallback>,
-    ) -> StorageResult<(CommitOutcome, CommitToken)> {
-        if let Err(e) = self.check_active(&txn) {
-            if let Some(f) = on_durable {
-                f(Err(StorageError::TxnNotActive(txn.id)));
-            }
-            return Err(e);
-        }
+    fn commit_inner(&self, mut txn: Transaction) -> StorageResult<(Fate, CommitToken)> {
+        self.check_active(&txn)?;
         let t_commit = self.log.telemetry().ts();
 
         // Read-only transactions: nothing to harden.
@@ -691,10 +661,7 @@ impl Db {
             txn.status = TxnStatus::Committed;
             self.locks.release_all(txn.id, &txn.held);
             self.txns.finish(&txn);
-            if let Some(f) = on_durable {
-                f(Ok(CommitToken::ZERO));
-            }
-            return Ok((CommitOutcome::Durable, CommitToken::ZERO));
+            return Ok((Fate::Durable, CommitToken::ZERO));
         }
 
         let (_, end) =
@@ -704,29 +671,6 @@ impl Db {
         self.stats
             .commits
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        // Local durability plus replica acks, per the log's durability
-        // policy (plain flush_until when replication is off). Returns
-        // whether the replication requirement was met: false means a
-        // primary-failure simulation released the wait and the commit's
-        // replicated fate is indeterminate (reported as Unsafe below).
-        let timed_flush = |lsn| -> StorageResult<bool> {
-            let t = aether_core::runtime::monotonic_ns();
-            let replicated = self.log.wait_committed(lsn);
-            let dt = aether_core::runtime::monotonic_ns().saturating_sub(t);
-            self.stats
-                .flush_wait_ns
-                .fetch_add(dt, std::sync::atomic::Ordering::Relaxed);
-            replicated.map_err(StorageError::from)
-        };
-        // Commit latency: entry to durable, whichever thread observes it.
-        // Blocking protocols record inline; async ones record in the
-        // durability callback (same clock, same histogram).
-        let latency_id = self.tel.commit_latency_ns;
-        let record_latency = move |tel: &Telemetry, t0: u64| {
-            let dt = aether_core::runtime::monotonic_ns().saturating_sub(t0);
-            tel.record(latency_id, dt);
-        };
-
         let token = CommitToken::at(end);
         let protocol = self.opts.protocol;
         // §3, when locks drop: as soon as the commit record is buffered
@@ -736,11 +680,22 @@ impl Db {
         }
         // §4, who waits for the flush.
         match protocol {
-            // The caller: only this transaction blocks on the I/O.
+            // The caller: only this transaction blocks on the I/O. Local
+            // durability plus replica acks, per the log's durability policy
+            // (plain flush_until when replication is off); `Ok(false)`
+            // means a primary-failure simulation released the wait and the
+            // commit's replicated fate is indeterminate.
             CommitProtocol::Baseline | CommitProtocol::Elr => {
-                let flushed = timed_flush(end);
+                let t = aether_core::runtime::monotonic_ns();
+                let replicated = self.log.wait_committed(end);
+                let now = aether_core::runtime::monotonic_ns();
+                self.stats
+                    .flush_wait_ns
+                    .fetch_add(now.saturating_sub(t), std::sync::atomic::Ordering::Relaxed);
+                // Commit latency: entry to durable.
                 if let Some(t0) = t_commit {
-                    record_latency(self.log.telemetry(), t0);
+                    let tel = self.log.telemetry();
+                    tel.record(self.tel.commit_latency_ns, now.saturating_sub(t0));
                 }
                 if !protocol.early_release() {
                     self.locks.release_all(txn.id, &txn.held);
@@ -750,52 +705,21 @@ impl Db {
                 // slot retired all the same — the transaction is dead either
                 // way; the caller gets the typed error.
                 self.txns.finish(&txn);
-                if let Some(f) = on_durable {
-                    f(flushed.as_ref().map(|_| token).map_err(dup_commit_error));
-                }
-                let replicated = flushed?;
-                Ok((
-                    if replicated {
-                        CommitOutcome::Durable
-                    } else {
-                        CommitOutcome::Unsafe
-                    },
-                    token,
-                ))
+                let fate = if replicated? {
+                    Fate::Durable
+                } else {
+                    Fate::Unreplicated
+                };
+                Ok((fate, token))
             }
-            // Nobody: the flush daemon's callback finishes the transaction,
-            // and a pipelined commit hands the caller a waitable handle.
+            // Nobody: the flush daemon makes the record durable, the
+            // transaction leaves the ATT when the log's watermark passes its
+            // commit record, and whoever waits on the commit subscribes to
+            // that watermark. Nothing is registered here.
             CommitProtocol::AsyncCommit | CommitProtocol::Pipelined => {
-                let (handle, st) = (!protocol.sacrifices_durability())
-                    .then(CommitHandle::new)
-                    .unzip();
-                let txns = Arc::clone(&self.txns);
-                let slot = txn.slot;
-                let latency = t_commit.map(|t0| (Arc::clone(self.log.telemetry()), t0));
-                self.log.commit_async(
-                    end,
-                    CommitAction::Callback(Box::new(move |durable| {
-                        if let Some((tel, t0)) = latency {
-                            record_latency(&tel, t0);
-                        }
-                        txns.finish_slot(slot);
-                        // Run the driver callback *before* completing the
-                        // handle: a waiter on the handle must observe every
-                        // side effect of the commit's completion.
-                        if let Some(f) = on_durable {
-                            f(commit_fate(durable, token));
-                        }
-                        match st {
-                            Some(st) if durable => st.complete(),
-                            Some(st) => st.fail(),
-                            None => {}
-                        }
-                    })),
-                );
-                Ok((
-                    handle.map_or(CommitOutcome::Unsafe, CommitOutcome::Pipelined),
-                    token,
-                ))
+                self.log.note_commit(end);
+                self.txns.finish_at(&txn, end);
+                Ok((Fate::Pending, token))
             }
         }
     }
@@ -1138,39 +1062,67 @@ mod tests {
         let db = tiny_db(CommitProtocol::Pipelined);
         let mut txn = db.begin();
         db.update_with(&mut txn, 0, 3, |r| r[8] = 77).unwrap();
-        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let d2 = Arc::clone(&done);
-        let (out, _) = db
-            .commit_tokened_with(
-                txn,
-                Box::new(move |r| d2.store(r.is_ok(), std::sync::atomic::Ordering::SeqCst)),
-            )
-            .unwrap();
+        let (out, token) = db.commit_tokened(txn).unwrap();
         match out {
             CommitOutcome::Pipelined(h) => assert!(h.wait()),
             other => panic!("expected pipelined outcome, got {other:?}"),
         }
-        assert!(done.load(std::sync::atomic::Ordering::SeqCst));
+        assert!(db.log().commit_lsn() >= token.lsn());
         assert_eq!(db.txn_manager().active_count(), 0);
     }
 
     #[test]
-    fn committing_an_inactive_transaction_runs_the_callback_once_with_err() {
+    fn committing_an_inactive_transaction_is_refused() {
         for protocol in CommitProtocol::ALL {
             let db = tiny_db(protocol);
+            for deferred in [false, true] {
+                let mut txn = db.begin();
+                txn.status = TxnStatus::Committed;
+                let r = if deferred {
+                    db.commit_deferred(txn).map(|_| ())
+                } else {
+                    db.commit_tokened(txn).map(|_| ())
+                };
+                assert!(
+                    matches!(r, Err(StorageError::TxnNotActive(_))),
+                    "{protocol:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_async_commit_leaves_the_att_once_durable() {
+        // No handle is kept and nothing is handed back: the slot settles by
+        // the watermark alone, and a new transaction may claim it.
+        for protocol in [CommitProtocol::AsyncCommit, CommitProtocol::Pipelined] {
+            let device = Arc::new(aether_core::device::StallDevice::new(
+                std::time::Duration::ZERO,
+            ));
+            let opts = DbOptions {
+                protocol,
+                ..DbOptions::default()
+            };
+            let db = Db::open_with_device(opts, device.clone());
+            db.create_table(40, 8);
+            db.load(0, 1, &rec(1, 40, 0)).unwrap();
+            db.setup_complete();
+            device.hold();
             let mut txn = db.begin();
-            txn.status = TxnStatus::Committed;
-            let calls = Arc::new(std::sync::Mutex::new(Vec::new()));
-            let c2 = Arc::clone(&calls);
-            let r = db.commit_tokened_with(
-                txn,
-                Box::new(move |r| aether_core::runtime::lock(&c2).push(r.is_ok())),
-            );
-            assert!(
-                matches!(r, Err(StorageError::TxnNotActive(_))),
-                "{protocol:?}"
-            );
-            assert_eq!(*aether_core::runtime::lock(&calls), [false], "{protocol:?}");
+            db.update_with(&mut txn, 0, 1, |r| r[8] = 9).unwrap();
+            let (token, pending) = db.commit_deferred(txn).unwrap();
+            assert!(pending, "{protocol:?}");
+            assert_eq!(db.txn_manager().active_count(), 1, "listed until durable");
+            let (att, floor) = db.txn_manager().att_snapshot_with_floor();
+            assert_eq!(att.len(), 1);
+            assert!(floor.is_some());
+            device.release();
+            db.log().flush_all().unwrap();
+            assert!(db.log().durable_lsn() >= token.lsn());
+            assert_eq!(db.txn_manager().active_count(), 0, "{protocol:?}");
+            let t = db.begin();
+            assert_eq!(db.txn_manager().active_count(), 1);
+            db.commit(t).unwrap();
         }
     }
 

@@ -39,7 +39,7 @@ pub mod wal;
 
 pub use aether_core::commit::CommitToken;
 pub use checkpointer::Checkpointer;
-pub use db::{CrashImage, Db, DbOptions, DurableCallback};
+pub use db::{CrashImage, Db, DbOptions};
 pub use error::{StorageError, StorageResult};
 pub use lock::{LockId, LockMode};
 pub use replay::BaseSnapshot;

@@ -22,10 +22,11 @@
 use crate::lock::LockId;
 use crate::page::PageId;
 use crate::segmented::Segmented;
-use aether_core::commit::CommitHandle;
+use aether_core::commit::{CommitHandle, CommitPipeline};
 use aether_core::Lsn;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// How commits interact with the log flush and lock release.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -180,8 +181,8 @@ impl Transaction {
 
 impl Drop for Transaction {
     /// Hand the buffers back to this thread's pool. The ATT slot is not
-    /// touched: an asynchronous commit holds it until the commit is
-    /// durable, after its `Transaction` is gone.
+    /// touched: an asynchronous commit's slot stays listed until the log
+    /// is durable past its commit record, after its `Transaction` is gone.
     fn drop(&mut self) {
         let mut b = TxnBuffers {
             held: std::mem::take(&mut self.held),
@@ -214,8 +215,8 @@ pub enum CommitOutcome {
     /// its replica acks arrived (locally durable, replication
     /// indeterminate).
     Unsafe,
-    /// Flush pipelining: completion arrives via this handle (and/or the
-    /// callback registered by the driver).
+    /// Flush pipelining: completion arrives via this handle (or a
+    /// subscription to the log's watermark).
     Pipelined(CommitHandle),
 }
 
@@ -233,6 +234,10 @@ impl CommitOutcome {
 /// while a new owner resets the LSNs, or the owner's id, and ids are never
 /// reused, so a reader that sees the same id before and after it reads the
 /// LSNs has read one transaction's values (see [`Slot::read`]).
+///
+/// An asynchronous commit leaves its id in place and records its commit
+/// record's end LSN instead: the slot counts as finished once the log is
+/// durable there, and a `begin` may then claim it from the old id.
 #[derive(Debug, Default)]
 #[repr(align(128))]
 struct Slot {
@@ -240,6 +245,9 @@ struct Slot {
     last_lsn: AtomicU64,
     /// First LSN + 1; 0 while the owner has logged nothing.
     first_lsn: AtomicU64,
+    /// The commit record's end LSN once the owner committed asynchronously;
+    /// 0 before.
+    commit_end: AtomicU64,
 }
 
 /// A slot nobody owns. Transaction ids start at 1, so no owner has it.
@@ -248,12 +256,23 @@ const FREE: u64 = 0;
 const CLAIMING: u64 = u64::MAX;
 
 impl Slot {
-    /// Make `id` the owner if the slot is free.
-    fn claim(&self, id: u64) -> bool {
-        if self.id.load(Ordering::Relaxed) != FREE
+    /// Whether an owner that committed asynchronously is done with the slot.
+    fn settled(&self, log: Option<&CommitPipeline>) -> bool {
+        match (self.commit_end.load(Ordering::Acquire), log) {
+            (0, _) | (_, None) => false,
+            (end, Some(log)) => log.settled(Lsn(end)),
+        }
+    }
+
+    /// Make `id` the owner if the slot is free or its owner's asynchronous
+    /// commit has settled.
+    fn claim(&self, id: u64, log: Option<&CommitPipeline>) -> bool {
+        let old = self.id.load(Ordering::Acquire);
+        if old == CLAIMING
+            || (old != FREE && !self.settled(log))
             || self
                 .id
-                .compare_exchange(FREE, CLAIMING, Ordering::Relaxed, Ordering::Relaxed)
+                .compare_exchange(old, CLAIMING, Ordering::Relaxed, Ordering::Relaxed)
                 .is_err()
         {
             return false;
@@ -262,15 +281,16 @@ impl Slot {
         fence(Ordering::Release);
         self.last_lsn.store(0, Ordering::Relaxed);
         self.first_lsn.store(0, Ordering::Relaxed);
+        self.commit_end.store(0, Ordering::Relaxed);
         self.id.store(id, Ordering::Release);
         true
     }
 
     /// `(id, last LSN, first LSN)` of the owner, all from the same owner,
-    /// or `None` for a slot nobody owns. A seqlock read: `id` before and
-    /// after the LSNs; if it changed, the owner finished mid-read, and the
-    /// slot is read again.
-    fn read(&self) -> Option<(u64, Lsn, Option<Lsn>)> {
+    /// or `None` for a slot nobody owns or whose asynchronous commit has
+    /// settled. A seqlock read: `id` before and after the LSNs; if it
+    /// changed, the owner finished mid-read, and the slot is read again.
+    fn read(&self, log: Option<&CommitPipeline>) -> Option<(u64, Lsn, Option<Lsn>)> {
         loop {
             let id = self.id.load(Ordering::Acquire);
             if id == FREE || id == CLAIMING {
@@ -278,9 +298,10 @@ impl Slot {
             }
             let last = self.last_lsn.load(Ordering::Acquire);
             let first = self.first_lsn.load(Ordering::Relaxed);
+            let settled = self.settled(log);
             fence(Ordering::Acquire);
             if self.id.load(Ordering::Relaxed) == id {
-                return Some((id, Lsn(last), first.checked_sub(1).map(Lsn)));
+                return (!settled).then(|| (id, Lsn(last), first.checked_sub(1).map(Lsn)));
             }
         }
     }
@@ -289,10 +310,14 @@ impl Slot {
 /// Allocates transaction ids and tracks active transactions (the ATT used by
 /// fuzzy checkpoints): an array of padded slots, one per open transaction.
 /// Beginning claims a free slot, finishing is one store, and a snapshot
-/// reads each slot on its own; nothing is locked.
+/// reads each slot on its own; nothing is locked. An asynchronous commit
+/// finishes by the log's watermark: nothing hands its slot back.
 pub struct TxnManager {
     next: AtomicU64,
     slots: Segmented<Slot>,
+    /// The log whose durable watermark settles asynchronous commits (`None`:
+    /// they never settle).
+    log: Option<Arc<CommitPipeline>>,
 }
 
 impl std::fmt::Debug for TxnManager {
@@ -317,6 +342,16 @@ impl TxnManager {
         TxnManager {
             next: AtomicU64::new(1),
             slots: Segmented::new(64),
+            log: None,
+        }
+    }
+
+    /// Empty manager whose asynchronous commits settle by `log`'s durable
+    /// watermark.
+    pub fn watching(log: Arc<CommitPipeline>) -> TxnManager {
+        TxnManager {
+            log: Some(log),
+            ..TxnManager::new()
         }
     }
 
@@ -349,7 +384,10 @@ impl TxnManager {
         let i = (0..n)
             .map(|j| (hint + j) % n)
             .chain(n..)
-            .find(|&i| self.slots.get_or_init(i, Slot::default).claim(id))
+            .find(|&i| {
+                let slot = self.slots.get_or_init(i, Slot::default);
+                slot.claim(id, self.log.as_deref())
+            })
             .expect("slot indices are unbounded");
         SLOT_HINT.with(|h| h.set(i));
         i
@@ -381,16 +419,18 @@ impl TxnManager {
         self.slot(txn).id.store(FREE, Ordering::Release);
     }
 
-    /// Free ATT slot `slot` ([`Transaction::slot`]), for a commit whose
-    /// handle is gone by the time it is durable.
-    pub(crate) fn finish_slot(&self, slot: usize) {
-        let s = self.slots.get(slot).expect("a claimed slot exists");
-        s.id.store(FREE, Ordering::Release);
+    /// `txn` committed asynchronously with its commit record ending at
+    /// `end`: it stays in the ATT until the log is durable there.
+    pub fn finish_at(&self, txn: &Transaction, end: Lsn) {
+        self.slot(txn)
+            .commit_end
+            .store(end.raw(), Ordering::Release);
     }
 
     /// Every active transaction: `(id, last LSN, first LSN)`.
     fn active(&self) -> impl Iterator<Item = (u64, Lsn, Option<Lsn>)> + '_ {
-        self.slots.iter().filter_map(|(_, s)| s.read())
+        let log = self.log.as_deref();
+        self.slots.iter().filter_map(move |(_, s)| s.read(log))
     }
 
     /// Snapshot the ATT: (txn id, last LSN) pairs for the checkpoint record.

@@ -4,11 +4,13 @@
 //! committed transaction — across buffer variants and safe commit protocols.
 
 use aether::bench::env_or;
+use aether::log::commit::{LowMark, Subscriber};
 use aether::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn record(key: u64, counter: u64) -> Vec<u8> {
     let mut r = vec![0u8; 40];
@@ -28,6 +30,51 @@ fn opts(protocol: CommitProtocol, buffer: BufferKind) -> DbOptions {
         device: DeviceKind::Ram,
         log_config: LogConfig::default().with_buffer_size(1 << 20),
         ..DbOptions::default()
+    }
+}
+
+/// One worker's commits awaiting durability, `(commit LSN, counter value)`
+/// in LSN order: as the log's watermark passes them, the worker's acked
+/// value rises.
+struct Acks {
+    pending: Mutex<VecDeque<(Lsn, u64)>>,
+    low: LowMark,
+    acked: Arc<Vec<AtomicU64>>,
+    key: usize,
+}
+
+impl Acks {
+    fn add(&self, log: &LogManager, lsn: Lsn, v: u64) {
+        {
+            let mut q = self.pending.lock().unwrap();
+            q.push_back((lsn, v));
+            if q.len() == 1 {
+                self.low.set(Some(lsn));
+            }
+        }
+        log.pipeline().watch(self, lsn);
+    }
+}
+
+impl Subscriber for Acks {
+    fn low(&self) -> Lsn {
+        self.low.get()
+    }
+
+    fn resolve(&self, upto: Lsn, fail_rest: bool, each: &mut dyn FnMut(Lsn, bool)) {
+        let mut q = self.pending.lock().unwrap();
+        while let Some(&(lsn, v)) = q.front() {
+            let durable = lsn <= upto;
+            if !durable && !fail_rest {
+                break;
+            }
+            q.pop_front();
+            each(lsn, durable);
+            if durable {
+                self.acked[self.key].fetch_max(v, Ordering::SeqCst);
+            }
+        }
+        self.low.set(q.front().map(|&(lsn, _)| lsn));
     }
 }
 
@@ -55,6 +102,13 @@ fn crash_mid_flight(protocol: CommitProtocol, buffer: BufferKind) {
             let stop = Arc::clone(&stop);
             let acked = Arc::clone(&acked);
             let submitted = Arc::clone(&submitted);
+            let acks = Arc::new(Acks {
+                pending: Mutex::new(VecDeque::new()),
+                low: LowMark::default(),
+                acked: Arc::clone(&acked),
+                key: k as usize,
+            });
+            db.log().pipeline().subscribe(acks.clone());
             s.spawn(move || {
                 let mut v = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -62,17 +116,12 @@ fn crash_mid_flight(protocol: CommitProtocol, buffer: BufferKind) {
                     let mut txn = db.begin();
                     db.update(&mut txn, 0, k, &record(k, v)).unwrap();
                     submitted[k as usize].store(v, Ordering::SeqCst);
-                    let a = Arc::clone(&acked);
-                    let _ = db
-                        .commit_tokened_with(
-                            txn,
-                            Box::new(move |durable| {
-                                if durable.is_ok() {
-                                    a[k as usize].fetch_max(v, Ordering::SeqCst);
-                                }
-                            }),
-                        )
-                        .unwrap();
+                    match db.commit_deferred(txn).unwrap() {
+                        (token, true) => acks.add(db.log(), token.lsn(), v),
+                        (_, false) => {
+                            acked[k as usize].fetch_max(v, Ordering::SeqCst);
+                        }
+                    }
                 }
             });
         }

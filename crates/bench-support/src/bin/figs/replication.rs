@@ -48,7 +48,7 @@ fn replicated(
 
 /// Figure 14: log-shipping replication instead of a partitioned log (the
 /// counterpart to Fig. 13). Clients commit against a primary with replicas
-/// under `{Async, SemiSync(1), Quorum}` over links of `AETHER_LINK_US`
+/// under `{Async, SemiSync(1), SemiSync(2)}` over links of `AETHER_LINK_US`
 /// one-way latency: client commit latency, the replicas' byte lag as the
 /// workload ends, and their catch-up time.
 pub fn fig14_replication() {
@@ -59,11 +59,8 @@ pub fn fig14_replication() {
     let policies = [
         DurabilityPolicy::Async,
         DurabilityPolicy::SemiSync(1),
-        // Clamped to the replica count: 2-of-1 could never gather its acks.
-        DurabilityPolicy::Quorum {
-            acks: 2.min(replicas),
-            replicas,
-        },
+        // Clamped to the replica count: 2 acks of 1 replica never gather.
+        DurabilityPolicy::SemiSync(2.min(replicas)),
     ];
     let mut t = Table::new(
         "fig14_replication",
@@ -147,16 +144,14 @@ pub fn fig16_read_scaleout() {
     let service_us = env_or("AETHER_SERVICE_US", 250u64);
     let budget_us = env_or("AETHER_BUDGET_US", 5_000u64);
     let link_us = env_or("AETHER_LINK_US", 50u64);
-    let policy = aether_bench::env::read_policy();
     let mut replica_list = list("AETHER_REPLICAS", &[1usize, 2, 4]);
     replica_list.retain(|&n| n > 0);
 
     let mut t = Table::new(
         "fig16_read_scaleout",
         &format!(
-            "Read scale-out via ReadRouter ({}): {}ms window, {readers} readers, \
+            "Read scale-out via ReadRouter: {}ms window, {readers} readers, \
              {service_us}us modeled service, {budget_us}us staleness budget, {link_us}us link",
-            policy.label(),
             ms.as_millis()
         ),
         "replicas\treads\treads_per_s\tblocked\tfallback_primary\tquarantines",
@@ -171,7 +166,6 @@ pub fn fig16_read_scaleout() {
             "replicas must catch up before the measured window"
         );
         let router = cluster.router(RouterConfig {
-            policy,
             budget: Duration::from_micros(budget_us),
             service: Duration::from_micros(service_us),
             ..RouterConfig::default()

@@ -9,7 +9,6 @@
 //! rejects a longer list.
 
 use aether_core::TelemetryConfig;
-use aether_repl::RoutingPolicy;
 use std::env::VarError;
 use std::path::PathBuf;
 
@@ -83,13 +82,6 @@ pub fn telemetry() -> TelemetryConfig {
     };
     cfg.export_path = path("AETHER_TELEMETRY_OUT");
     cfg
-}
-
-/// Read-routing policy from `AETHER_READ_POLICY` (default: round-robin).
-pub fn read_policy() -> RoutingPolicy {
-    raw("AETHER_READ_POLICY").map_or_else(RoutingPolicy::default, |v| {
-        RoutingPolicy::parse(&v).unwrap_or_else(|| panic!("AETHER_READ_POLICY={v:?} is no policy"))
-    })
 }
 
 /// The JSON-lines file `AETHER_JSON` names, if any: every figure row is

@@ -172,8 +172,6 @@ pub struct CommitPipeline {
     done: AtomicLsn,
     /// The watermark the log closed at; [`Lsn::MAX`] while it is open.
     closed_at: AtomicU64,
-    /// Threads in [`CommitHandle::wait`].
-    handles: WaitSet,
     submitted: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
@@ -197,7 +195,6 @@ impl CommitPipeline {
             subscribers: RwLock::new(Vec::new()),
             done: AtomicLsn::new(Lsn::ZERO),
             closed_at: AtomicU64::new(u64::MAX),
-            handles: WaitSet::new(),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
@@ -276,7 +273,9 @@ impl CommitPipeline {
     }
 
     /// The watermark advanced to `upto`: resolve every subscriber it passed,
-    /// one call each. Returns how many commits completed.
+    /// one call each, then wake the gate's waiters — [`CommitHandle::wait`]
+    /// and [`CommitGate::wait_effective`] both park there. Returns how many
+    /// commits completed.
     pub fn advance(&self, upto: Lsn) -> usize {
         fence(Ordering::SeqCst);
         let mut completed = 0;
@@ -288,7 +287,7 @@ impl CommitPipeline {
             }
         }
         self.done.fetch_max(upto);
-        self.handles.notify();
+        self.gate.notify();
         if retired {
             self.prune();
         }
@@ -307,7 +306,7 @@ impl CommitPipeline {
         for sub in read(&self.subscribers).iter() {
             self.resolve(&**sub, at, true);
         }
-        self.handles.notify();
+        self.gate.notify();
         self.prune();
     }
 
@@ -374,7 +373,8 @@ impl CommitHandle {
     #[must_use = "a false return means the commit failed (log poisoned)"]
     pub fn wait(&self) -> bool {
         let p = &*self.pipeline;
-        p.handles
+        p.gate
+            .wait
             .wait_until(None, || p.verdict(self.lsn))
             .unwrap_or(false)
     }

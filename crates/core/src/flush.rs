@@ -489,8 +489,8 @@ impl Flusher {
 
             // Reattach: resolve the subscribers whose commits are now both
             // durable and sufficiently replicated (the gate is transparent
-            // without a policy), one call each, then wake the gate's waiters
-            // and the blocked flushers — last, so that whoever this advance
+            // without a policy), one call each, and wake the gate's waiters;
+            // then the blocked flushers — last, so that whoever this advance
             // wakes finds its commits completed. A group synced ahead of its
             // predecessor leaves this to the flusher of the predecessor.
             if let Some(end) = durable {
@@ -499,7 +499,6 @@ impl Flusher {
                 if completed > 0 {
                     tel.record(tel.ids().commit_group_size, completed as u64);
                 }
-                gate.notify();
                 self.core.notify_durable();
             }
         }

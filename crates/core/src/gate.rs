@@ -25,17 +25,10 @@ pub enum DurabilityPolicy {
     /// A primary failure may lose commits the replicas have not received yet.
     Async,
     /// Local durability plus at least this many replica acks (classic
-    /// semi-synchronous replication is `SemiSync(1)`).
+    /// semi-synchronous replication is `SemiSync(1)`; a majority quorum of
+    /// three replicas is `SemiSync(2)` — the gate counts the registered
+    /// replicas itself).
     SemiSync(usize),
-    /// Local durability plus `acks` of `replicas` acknowledgements — a
-    /// majority quorum is `Quorum { acks: 2, replicas: 3 }`.
-    Quorum {
-        /// Acks required before commit completion.
-        acks: usize,
-        /// Expected replica count (documentation/validation; the gate counts
-        /// registered replicas itself).
-        replicas: usize,
-    },
 }
 
 impl DurabilityPolicy {
@@ -44,7 +37,6 @@ impl DurabilityPolicy {
         match *self {
             DurabilityPolicy::Async => 0,
             DurabilityPolicy::SemiSync(k) => k,
-            DurabilityPolicy::Quorum { acks, .. } => acks,
         }
     }
 
@@ -53,7 +45,6 @@ impl DurabilityPolicy {
         match *self {
             DurabilityPolicy::Async => "async".into(),
             DurabilityPolicy::SemiSync(k) => format!("semisync{k}"),
-            DurabilityPolicy::Quorum { acks, replicas } => format!("quorum{acks}of{replicas}"),
         }
     }
 }
@@ -97,8 +88,9 @@ pub struct CommitGate {
     /// Set when replication is known dead (primary failure simulation):
     /// waiters stop blocking, but their commits report *unreplicated*.
     poisoned: AtomicBool,
-    /// Threads in [`CommitGate::wait_effective`].
-    wait: WaitSet,
+    /// Threads in [`CommitGate::wait_effective`] and
+    /// [`crate::commit::CommitHandle::wait`].
+    pub(crate) wait: WaitSet,
     telemetry: OnceLock<Arc<Telemetry>>,
 }
 
@@ -216,9 +208,10 @@ impl CommitGate {
         self.poisoned.load(Ordering::SeqCst)
     }
 
-    /// Wake threads blocked in [`CommitGate::wait_effective`]. Called after
-    /// any ack advance or flush; free when nobody waits (the pipelined
-    /// protocols never do).
+    /// Wake threads blocked in [`CommitGate::wait_effective`] or a
+    /// [`crate::commit::CommitHandle::wait`]. Called after any ack advance
+    /// and by every advance of the commit watermark; free when nobody waits
+    /// (the pipelined protocols never do).
     pub fn notify(&self) {
         // A replica's removal is a `SeqCst` store, but an ack or a
         // registration may come from a caller's relaxed write: order them
@@ -351,18 +344,8 @@ mod tests {
     #[test]
     fn gate_quorum_takes_kth_highest_ack() {
         let g = CommitGate::new();
-        g.set_policy(DurabilityPolicy::Quorum {
-            acks: 2,
-            replicas: 3,
-        });
-        assert_eq!(
-            DurabilityPolicy::Quorum {
-                acks: 2,
-                replicas: 3
-            }
-            .label(),
-            "quorum2of3"
-        );
+        g.set_policy(DurabilityPolicy::SemiSync(2));
+        assert_eq!(DurabilityPolicy::SemiSync(2).label(), "semisync2");
         let r1 = g.register_replica();
         let r2 = g.register_replica();
         let r3 = g.register_replica();

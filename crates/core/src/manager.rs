@@ -428,12 +428,12 @@ impl LogManager {
     }
 
     /// Re-evaluate the commit gate after replica acks advanced: completes
-    /// newly-eligible pipelined commits and wakes blocking committers. The
-    /// shipper calls this once per ack batch — one recheck per flush group,
-    /// not per transaction, preserving group-commit amortization.
+    /// newly-eligible pipelined commits and wakes blocking committers (the
+    /// advance notifies the gate). The shipper calls this once per ack
+    /// batch — one recheck per flush group, not per transaction, preserving
+    /// group-commit amortization.
     pub fn replication_recheck(&self) {
         self.pipeline.advance(self.commit_lsn());
-        self.gate.notify();
     }
 
     /// Block until `lsn` is fully committable: durable locally (group-commit

@@ -6,8 +6,8 @@
 //! seeds each replica from it, builds the frame/ack links, spawns replicas
 //! and shippers, and installs the durability policy on the primary's
 //! commit gate. From then on every commit obeys the policy: `Async` acks
-//! locally, `SemiSync(k)` / `Quorum(k of n)` additionally wait for `k`
-//! replica acks — amortized per flush group, not per transaction.
+//! locally, `SemiSync(k)` additionally waits for `k` replica acks —
+//! amortized per flush group, not per transaction.
 //!
 //! Because every replica starts from a snapshot rather than LSN 0,
 //! [`ReplicatedDb::add_replica`] can join a **fresh replica to a
@@ -197,7 +197,7 @@ impl ReplicatedDb {
         let snap = replay::base_snapshot(&self.primary);
         let (replica, shipper, ack) = self.build_pipeline(&snap, self.cfg.link.clone())?;
         // New ack registered before the old is removed: replica_count never
-        // dips, so a SemiSync/Quorum floor cannot transiently misfire.
+        // dips, so a SemiSync floor cannot transiently misfire.
         let mut old_shipper = std::mem::replace(&mut self.shippers[i], shipper);
         let mut old_replica = std::mem::replace(&mut self.replicas[i], replica);
         let old_ack = std::mem::replace(&mut self.acks[i], ack);
@@ -292,7 +292,7 @@ impl ReplicatedDb {
     }
 
     /// Index of the replica with the most durably-received bytes — the
-    /// failover candidate (under `SemiSync(k)`/`Quorum(k)`, every acked
+    /// failover candidate (under `SemiSync(k)`, every acked
     /// commit is on at least `k` replicas, so the most-caught-up one has
     /// them all).
     pub fn most_caught_up(&self) -> usize {

@@ -27,24 +27,24 @@
 //!   effect at once. [`replica::Replica::promote`] runs full recovery over
 //!   the shipped prefix for failover.
 //! * [`cluster`] — [`cluster::ReplicatedDb`] wires a primary to N replicas
-//!   under a [`aether_core::commit::DurabilityPolicy`]: `Async`,
-//!   `SemiSync(k)`, or `Quorum(k of n)` — commit completion waits on
-//!   replica acks in addition to the local sync. Replicas bootstrap from a
-//!   checkpoint [`aether_storage::replay::BaseSnapshot`] (pages, ATT/DPT
-//!   and start LSN), so [`cluster::ReplicatedDb::add_replica`] can join a
-//!   fresh replica to a cluster whose log prefix has been truncated away,
-//!   and a shipper stranded below the log's low-water mark re-seeds its
-//!   replica over the wire instead of reading recycled bytes.
+//!   under a [`aether_core::commit::DurabilityPolicy`]: `Async`, or
+//!   `SemiSync(k)` — commit completion waits on `k` replica acks in
+//!   addition to the local sync (a majority quorum of `n` is
+//!   `SemiSync(n / 2 + 1)`). Replicas bootstrap from a checkpoint
+//!   [`aether_storage::replay::BaseSnapshot`] (pages, ATT/DPT and start
+//!   LSN), so [`cluster::ReplicatedDb::add_replica`] can join a fresh
+//!   replica to a cluster whose log prefix has been truncated away, and a
+//!   shipper stranded below the log's low-water mark re-seeds its replica
+//!   over the wire instead of reading recycled bytes.
 //! * [`supervisor`] — [`supervisor::Supervisor`], the self-healing tier:
 //!   owns a cluster, quarantines and re-seeds replicas whose acks stall
 //!   past a lag budget, and on primary death (poisoned log or commit gate)
 //!   auto-promotes the most-caught-up replica via ARIES recovery.
 //! * [`router`] — [`router::ReadRouter`], the read-serving tier: routes
-//!   lock-free snapshot reads across the replicas (round-robin,
-//!   least-lagged, or freshness-weighted on applied-LSN watermarks),
-//!   enforces per-request staleness budgets with fallback to a fresher
-//!   replica or the primary, quarantines replicas that fall behind, and
-//!   gives sessions read-your-writes via [`aether_core::commit::CommitToken`]s
+//!   lock-free snapshot reads round-robin across the replicas, enforces
+//!   per-request staleness budgets with fallback to a fresher replica or
+//!   the primary, quarantines replicas that fall behind, and gives
+//!   sessions read-your-writes via [`aether_core::commit::CommitToken`]s
 //!   returned from [`cluster::ReplicatedDb::commit`].
 //!
 //! ## Quick start
@@ -93,9 +93,7 @@ pub mod transport;
 
 pub use cluster::{ReplicatedDb, ReplicationConfig};
 pub use replica::{Replica, ReplicaReader, ReplicaStatus};
-pub use router::{
-    ReadRouter, RoutedRead, RouterConfig, RouterStats, RoutingPolicy, Session, SourceKind,
-};
+pub use router::{ReadRouter, RoutedRead, RouterConfig, RouterStats, Session, SourceKind};
 pub use shipper::{ack_link, Shipper, ShipperConfig};
 pub use supervisor::{Supervisor, SupervisorConfig, SupervisorReport};
 pub use transport::{link, LinkChaos, LinkConfig, LinkSender};
@@ -105,7 +103,7 @@ pub mod prelude {
     pub use crate::cluster::{ReplicatedDb, ReplicationConfig};
     pub use crate::replica::{Replica, ReplicaReader, ReplicaStatus};
     pub use crate::router::{
-        ReadRouter, RoutedRead, RouterConfig, RouterStats, RoutingPolicy, Session, SourceKind,
+        ReadRouter, RoutedRead, RouterConfig, RouterStats, Session, SourceKind,
     };
     pub use crate::shipper::{Shipper, ShipperConfig};
     pub use crate::supervisor::{Supervisor, SupervisorConfig, SupervisorReport};

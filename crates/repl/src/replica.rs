@@ -283,7 +283,7 @@ impl Replica {
     /// contain it. The shipped log may end in a torn frame — recovery
     /// truncates at the first invalid record, exactly as after a local
     /// crash. In-flight primary transactions whose commit never arrived are
-    /// rolled back; every commit the primary acked under SemiSync/Quorum
+    /// rolled back; every commit the primary acked under SemiSync
     /// (which required this ack) is present and survives.
     pub fn promote(mut self) -> StorageResult<(Arc<Db>, RecoveryStats)> {
         self.stop();

@@ -6,12 +6,12 @@
 //! shipping pipeline already keeps warm. The router turns those standbys
 //! into a serving tier with an explicit staleness contract:
 //!
-//! * **Load balancing** — every read picks a replica by the configured
-//!   [`RoutingPolicy`]: round-robin (spread), least-lagged (freshest
-//!   first), or freshness-weighted (spread biased toward fresher replicas).
-//!   Selection keys off the applied-LSN watermarks the replicas already
-//!   publish ([`ReplicaReader::applied`]); reads themselves are lock-free
-//!   snapshot reads.
+//! * **Load balancing** — reads go round-robin over the admitted
+//!   replicas: maximal spread, freshness-blind (a stale pick pays the
+//!   blocking wait below). In `fig16_read_scaleout` it out-reads the
+//!   least-lagged and freshness-weighted picks it replaced at 2 and 4
+//!   replicas (EXPERIMENTS.md): those crowd the freshest replica. Reads
+//!   themselves are lock-free snapshot reads.
 //! * **Bounded staleness** — [`ReadRouter::read_at_least`] guarantees the
 //!   returned snapshot's applied watermark covers the requested LSN. If the
 //!   chosen replica is behind, the read blocks on its applied watermark for
@@ -30,15 +30,14 @@
 //!
 //! Every decision is counted through the telemetry registry
 //! (`router.routed`, `router.blocked`, `router.fallback_*`,
-//! `router.quarantines`, `router.readmissions`, per-policy
-//! `router.read_ns.*` latency histograms) and mirrored in plain atomics
+//! `router.quarantines`, `router.readmissions`, the `router.read_ns`
+//! latency histogram) and mirrored in plain atomics
 //! ([`ReadRouter::stats`]) so tests and the simulator can assert on routing
 //! behavior with telemetry disabled.
 //!
-//! All blocking goes through [`aether_core::runtime`] condvars and all
-//! tie-breaking randomness through a deterministic splitmix stream, so the
-//! router runs unmodified — and replays byte-identically — under
-//! [`aether_core::runtime::Runtime::sim`].
+//! All blocking goes through [`aether_core::runtime`] and no choice is
+//! random, so the router runs unmodified — and replays byte-identically —
+//! under [`aether_core::runtime::Runtime::sim`].
 
 use crate::replica::ReplicaReader;
 use aether_core::commit::CommitToken;
@@ -52,56 +51,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// How the router picks a replica for each read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoutingPolicy {
-    /// Cycle through the admitted replicas in order: maximal spread,
-    /// freshness-blind (stale picks pay the blocking wait instead).
-    #[default]
-    RoundRobin,
-    /// Always pick the admitted replica with the highest applied watermark
-    /// (ties to the lowest index): minimal blocking, but concentrates load
-    /// on the freshest replica.
-    LeastLagged,
-    /// Spread load with a bias toward fresher replicas: each admitted
-    /// replica is weighted by how close its applied watermark is to the
-    /// freshest one. The draw comes from a deterministic splitmix stream,
-    /// so simulated runs replay identically.
-    FreshnessWeighted,
-}
-
-impl RoutingPolicy {
-    /// Stable label, used for the per-policy latency histogram name and in
-    /// bench output.
-    pub fn label(self) -> &'static str {
-        match self {
-            RoutingPolicy::RoundRobin => "round_robin",
-            RoutingPolicy::LeastLagged => "least_lagged",
-            RoutingPolicy::FreshnessWeighted => "freshness_weighted",
-        }
-    }
-
-    /// Parse a policy name; accepts the canonical labels plus short
-    /// aliases (`rr`, `least`, `weighted`).
-    pub fn parse(s: &str) -> Option<RoutingPolicy> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "rr" | "round_robin" | "round-robin" | "roundrobin" => Some(RoutingPolicy::RoundRobin),
-            "least" | "least_lagged" | "least-lagged" | "leastlagged" => {
-                Some(RoutingPolicy::LeastLagged)
-            }
-            "weighted" | "freshness" | "freshness_weighted" | "freshness-weighted" => {
-                Some(RoutingPolicy::FreshnessWeighted)
-            }
-            _ => None,
-        }
-    }
-}
-
 /// Router tuning.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Replica-selection policy.
-    pub policy: RoutingPolicy,
     /// Per-request staleness budget: the longest a read blocks on a lagging
     /// replica's applied watermark before falling back to a fresher replica
     /// or the primary.
@@ -128,7 +80,6 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            policy: RoutingPolicy::default(),
             budget: Duration::from_millis(50),
             quarantine_lag: 1 << 20,
             readmit_lag: 1 << 14,
@@ -244,8 +195,6 @@ pub struct ReadRouter {
     cfg: RouterConfig,
     /// Round-robin cursor.
     rr: AtomicUsize,
-    /// Deterministic draw stream for the freshness-weighted policy.
-    choice_seq: AtomicU64,
     /// Primary-side serving slot for the service-time model.
     primary_serving: Mutex<()>,
     tel: Arc<Telemetry>,
@@ -264,17 +213,8 @@ impl std::fmt::Debug for ReadRouter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReadRouter")
             .field("replicas", &self.nodes.len())
-            .field("policy", &self.cfg.policy)
             .finish()
     }
-}
-
-/// Splitmix64 step: the router's deterministic tie-break stream.
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 impl ReadRouter {
@@ -295,16 +235,7 @@ impl ReadRouter {
             quarantines: tel.counter("router.quarantines", Unit::Count),
             readmissions: tel.counter("router.readmissions", Unit::Count),
             quarantined_now: tel.gauge("router.quarantined", Unit::Count),
-            // One histogram per policy: registration is idempotent by name,
-            // so routers sharing a registry but not a policy stay separate.
-            read_ns: tel.histogram(
-                match cfg.policy {
-                    RoutingPolicy::RoundRobin => "router.read_ns.round_robin",
-                    RoutingPolicy::LeastLagged => "router.read_ns.least_lagged",
-                    RoutingPolicy::FreshnessWeighted => "router.read_ns.freshness_weighted",
-                },
-                Unit::Nanos,
-            ),
+            read_ns: tel.histogram("router.read_ns", Unit::Nanos),
         };
         ReadRouter {
             primary,
@@ -319,7 +250,6 @@ impl ReadRouter {
                 .collect(),
             cfg,
             rr: AtomicUsize::new(0),
-            choice_seq: AtomicU64::new(0),
             primary_serving: Mutex::new(()),
             tel,
             m,
@@ -330,11 +260,6 @@ impl ReadRouter {
             c_quarantines: AtomicU64::new(0),
             c_readmissions: AtomicU64::new(0),
         }
-    }
-
-    /// The configured policy.
-    pub fn policy(&self) -> RoutingPolicy {
-        self.cfg.policy
     }
 
     /// Number of replicas behind this router.
@@ -360,9 +285,10 @@ impl ReadRouter {
     }
 
     /// The bounded-staleness read: the returned snapshot's applied
-    /// watermark is `>= min`, whatever it takes — serve the policy's pick
-    /// if fresh enough, block up to the staleness budget while it catches
-    /// up, fall back to a fresher replica, and finally to the primary.
+    /// watermark is `>= min`, whatever it takes — serve the round-robin
+    /// pick if fresh enough, block up to the staleness budget while it
+    /// catches up, fall back to a fresher replica, and finally to the
+    /// primary.
     pub fn read_at_least(&self, table: u32, key: u64, min: Lsn) -> StorageResult<RoutedRead> {
         let t0 = self.tel.ts();
         self.maintain();
@@ -443,70 +369,22 @@ impl ReadRouter {
     // Routing
     // ------------------------------------------------------------------
 
+    /// The replicas not quarantined, by index.
+    fn admitted(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.nodes.len()).filter(|&i| !self.nodes[i].quarantined.load(Ordering::Acquire))
+    }
+
     fn route(&self, table: u32, key: u64, min: Lsn) -> StorageResult<RoutedRead> {
         // Admitted replicas only: a quarantined replica receives no reads
-        // until re-admission (invariant (c) of tests/prop_router.rs).
-        let candidates: Vec<usize> = (0..self.nodes.len())
-            .filter(|&i| !self.nodes[i].quarantined.load(Ordering::Acquire))
-            .collect();
-        let Some(&first) = candidates.first() else {
-            // Nothing admitted (all quarantined, or a replica-less
-            // cluster): the primary serves, by definition fresh.
+        // until re-admission (invariant (c) of tests/prop_router.rs). The
+        // pick is the cursor's turn among them, found by counting twice
+        // rather than collecting them; a replica quarantined between the
+        // two counts can leave the turn unfilled, and then the primary
+        // serves, as it does when nothing is admitted.
+        let n = self.admitted().count();
+        let turn = (n > 0).then(|| self.rr.fetch_add(1, Ordering::Relaxed) % n);
+        let Some(pick) = turn.and_then(|k| self.admitted().nth(k)) else {
             return self.read_primary(table, key, min);
-        };
-
-        let pick = match self.cfg.policy {
-            RoutingPolicy::RoundRobin => {
-                candidates[self.rr.fetch_add(1, Ordering::Relaxed) % candidates.len()]
-            }
-            RoutingPolicy::LeastLagged => {
-                // First strict maximum: deterministic tie-break to the
-                // lowest index.
-                let mut best = first;
-                let mut best_applied = self.nodes[best].reader.applied();
-                for &i in &candidates[1..] {
-                    let a = self.nodes[i].reader.applied();
-                    if a > best_applied {
-                        best = i;
-                        best_applied = a;
-                    }
-                }
-                best
-            }
-            RoutingPolicy::FreshnessWeighted => {
-                // Weight ∝ 1 + closeness to the freshest candidate,
-                // normalized in 4 KiB lag units so big byte lags don't
-                // zero-out slightly-stale replicas.
-                let applied: Vec<u64> = candidates
-                    .iter()
-                    .map(|&i| self.nodes[i].reader.applied().raw())
-                    .collect();
-                let freshest = applied.iter().copied().max().unwrap_or(0);
-                let weights: Vec<u64> = applied
-                    .iter()
-                    .map(|&a| {
-                        let lag_units = (freshest - a) >> 12;
-                        // Freshest gets the max weight; every 4 KiB of lag
-                        // sheds one, floor 1 (everyone admitted stays
-                        // reachable).
-                        (candidates.len() as u64 * 4)
-                            .saturating_sub(lag_units)
-                            .max(1)
-                    })
-                    .collect();
-                let total: u64 = weights.iter().sum();
-                let draw = splitmix(self.choice_seq.fetch_add(1, Ordering::Relaxed)) % total;
-                let mut acc = 0u64;
-                let mut chosen = first;
-                for (ci, &i) in candidates.iter().enumerate() {
-                    acc += weights[ci];
-                    if draw < acc {
-                        chosen = i;
-                        break;
-                    }
-                }
-                chosen
-            }
         };
 
         // Staleness: serve immediately if fresh enough, otherwise block on
@@ -525,11 +403,10 @@ impl ReadRouter {
                 // Budget missed: this replica is failing its staleness
                 // contract — quarantine it and serve elsewhere.
                 self.quarantine(node);
-                let fresher = candidates
-                    .iter()
-                    .filter(|&&j| j != pick)
-                    .filter(|&&j| !self.nodes[j].quarantined.load(Ordering::Acquire))
-                    .map(|&j| (self.nodes[j].reader.applied(), j))
+                let fresher = self
+                    .admitted()
+                    .filter(|&j| j != pick)
+                    .map(|j| (self.nodes[j].reader.applied(), j))
                     .filter(|&(a, _)| a >= min)
                     .max_by_key(|&(a, j)| (a, std::cmp::Reverse(j)));
                 if let Some((_, j)) = fresher {
@@ -610,23 +487,6 @@ mod tests {
         }
         db.setup_complete();
         db
-    }
-
-    #[test]
-    fn policy_parse_round_trips_labels_and_aliases() {
-        for p in [
-            RoutingPolicy::RoundRobin,
-            RoutingPolicy::LeastLagged,
-            RoutingPolicy::FreshnessWeighted,
-        ] {
-            assert_eq!(RoutingPolicy::parse(p.label()), Some(p));
-        }
-        assert_eq!(RoutingPolicy::parse("rr"), Some(RoutingPolicy::RoundRobin));
-        assert_eq!(
-            RoutingPolicy::parse("weighted"),
-            Some(RoutingPolicy::FreshnessWeighted)
-        );
-        assert_eq!(RoutingPolicy::parse("nope"), None);
     }
 
     #[test]
@@ -712,11 +572,9 @@ mod tests {
         let lagger = cluster
             .add_replica_with_link(LinkConfig::with_latency_us(200_000))
             .unwrap();
-        // Round-robin: freshness-blind, so only quarantine keeps reads off
-        // the lagger — and after re-admission it must get picks again
-        // (least-lagged would tie-break away from it forever).
+        // Round-robin is freshness-blind, so only quarantine keeps reads off
+        // the lagger — and after re-admission it must get picks again.
         let router = cluster.router(RouterConfig {
-            policy: RoutingPolicy::RoundRobin,
             quarantine_lag: 256,
             readmit_lag: 64,
             budget: Duration::from_millis(1),

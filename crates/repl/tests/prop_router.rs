@@ -1,7 +1,7 @@
 //! Property tests for the read router's three core invariants, under
 //! randomized replica lag (up to effectively-failed: a link so slow the
-//! replica never applies anything within the test horizon), random join
-//! interleavings, and all three routing policies:
+//! replica never applies anything within the test horizon) and random
+//! join interleavings:
 //!
 //! (a) **Read-your-writes**: a session read never observes state older
 //!     than the session's commit-token watermark — the value read for a
@@ -83,18 +83,12 @@ proptest! {
     #[test]
     fn session_reads_are_token_monotonic_under_lag(
         ops in proptest::collection::vec((0u64..KEYS, 1u64..10_000), 5..30),
-        policy_ix in 0usize..3,
         healthy in 1usize..3,
         lag_ms in 0u64..400,
         budget_us in 200u64..20_000,
         join_at in 0usize..5,
         floor_pick in 0usize..64,
     ) {
-        let policy = [
-            RoutingPolicy::RoundRobin,
-            RoutingPolicy::LeastLagged,
-            RoutingPolicy::FreshnessWeighted,
-        ][policy_ix];
         let primary = primary();
         let mut cluster = ReplicatedDb::attach(
             Arc::clone(&primary),
@@ -106,7 +100,6 @@ proptest! {
         ).unwrap();
 
         let router_cfg = RouterConfig {
-            policy,
             budget: Duration::from_micros(budget_us),
             quarantine_lag: 256,
             readmit_lag: 128,

@@ -24,21 +24,16 @@ use aether_core::lsn::Lsn;
 use aether_core::record::crc32;
 use aether_core::runtime::{lock, WaitSet};
 use aether_core::telemetry::{HistId, Telemetry, Unit};
-use aether_repl::router::ReadRouter;
-use aether_repl::SourceKind;
 use aether_storage::{Db, StorageError, Transaction};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// What the server executes against: the primary database, plus an
-/// optional read router when the server fronts a replicated cluster.
+/// What the server executes against: the primary database. Replica reads
+/// are `aether-repl`'s `ReadRouter`, a tier of their own.
 #[derive(Clone)]
 pub struct Engine {
     /// The primary.
     pub db: Arc<Db>,
-    /// Router for snapshot reads (None: serve reads from the primary).
-    pub router: Option<Arc<ReadRouter>>,
     /// Engine-wide idempotent-retry window for auto-commit requests
     /// (retries arrive on new connections, so this cannot live per-conn).
     pub dedup: Arc<CommitDedup>,
@@ -53,16 +48,6 @@ impl Engine {
     pub fn primary(db: Arc<Db>) -> Engine {
         Engine {
             db,
-            router: None,
-            dedup: Arc::new(CommitDedup::new(DEDUP_WINDOW)),
-        }
-    }
-
-    /// An engine routing reads through `router`.
-    pub fn routed(db: Arc<Db>, router: Arc<ReadRouter>) -> Engine {
-        Engine {
-            db,
-            router: Some(router),
             dedup: Arc::new(CommitDedup::new(DEDUP_WINDOW)),
         }
     }
@@ -106,8 +91,6 @@ pub(crate) struct RespQueue {
     low: LowMark,
     /// The writer, parked until the front slot is filled or the queue closes.
     ready: WaitSet,
-    /// Read-your-writes: the highest token acked on this connection.
-    watermark: AtomicU64,
     dedup: Arc<CommitDedup>,
     tel: Arc<Telemetry>,
     req_ns: HistId,
@@ -126,7 +109,6 @@ impl RespQueue {
             }),
             low: LowMark::default(),
             ready: WaitSet::new(),
-            watermark: AtomicU64::new(0),
             dedup,
             commit_ns: tel.histogram("db.commit_latency_ns", Unit::Nanos),
             tel,
@@ -238,12 +220,11 @@ impl Subscriber for RespQueue {
 
     /// Answer the ready prefix of the pending commits: settle each dedup
     /// entry *before* its ack (once the client sees `Committed`, a duplicate
-    /// must replay), fold the batch's highest token into the
-    /// read-your-writes watermark once, and wake the writer once.
+    /// must replay), and wake the writer once.
     fn resolve(&self, upto: Lsn, fail_rest: bool, each: &mut dyn FnMut(Lsn, bool)) {
         let now = self.tel.ts();
         let mut g = lock(&self.inner);
-        let (mut front, mut token) = (false, 0);
+        let mut front = false;
         while let Some(c) = g.commits.front() {
             let durable = c.lsn <= upto;
             if !durable && !fail_rest {
@@ -255,7 +236,7 @@ impl Subscriber for RespQueue {
                 self.tel.record(self.commit_ns, now.saturating_sub(t0));
             }
             let resp = if durable {
-                token = c.lsn.raw();
+                let token = c.lsn.raw();
                 if let Some(id) = c.dedup {
                     self.dedup.complete(id, token);
                 }
@@ -274,8 +255,6 @@ impl Subscriber for RespQueue {
             front |= self.fill(&mut g, c.seq, resp, now);
         }
         self.low.set(g.commits.front().map(|c| c.lsn));
-        // Before the acks are visible: a read after one of them sees it.
-        self.watermark.fetch_max(token, Ordering::AcqRel);
         drop(g);
         if front {
             self.ready.notify();
@@ -318,35 +297,20 @@ pub(crate) fn exec_one(
             Err(e) => resp.fulfill(seq, err_of(&e)),
         },
         Request::Ping => resp.fulfill(seq, Response::Pong),
-        Request::Read {
-            table,
-            key,
-            at_least,
-        } => {
-            // Read-your-writes: the floor is the request's explicit token
-            // folded with everything this connection has committed.
-            let floor = Lsn(at_least.max(resp.watermark.load(Ordering::Acquire)));
-            let r = match &engine.router {
-                Some(router) => router
-                    .read_at_least(table, key, floor)
-                    .map(|r| (r.value, r.applied, !matches!(r.source, SourceKind::Primary))),
-                None => db
-                    .snapshot_read(table, key)
-                    .map(|v| (v, db.log().durable_lsn(), false)),
-            };
-            match r {
-                Ok((value, applied, from_replica)) => resp.fulfill(
-                    seq,
-                    Response::Value {
-                        present: value.is_some(),
-                        applied: applied.raw(),
-                        from_replica,
-                        value: value.unwrap_or_default(),
-                    },
-                ),
-                Err(e) => resp.fulfill(seq, err_of(&e)),
-            }
-        }
+        // The primary meets any `at_least`: a token is acked only once it is
+        // durable, so every token a client holds is already readable here.
+        Request::Read { table, key, .. } => match db.snapshot_read(table, key) {
+            Ok(value) => resp.fulfill(
+                seq,
+                Response::Value {
+                    present: value.is_some(),
+                    applied: db.log().durable_lsn().raw(),
+                    from_replica: false,
+                    value: value.unwrap_or_default(),
+                },
+            ),
+            Err(e) => resp.fulfill(seq, err_of(&e)),
+        },
         Request::Scan {
             table,
             start,
@@ -395,7 +359,6 @@ pub(crate) fn exec_one(
             // token instead of re-executing.
             match engine.dedup.claim(req_id) {
                 Claim::Done(token) => {
-                    resp.watermark.fetch_max(token, Ordering::AcqRel);
                     resp.fulfill(seq, Response::Committed { token });
                     return;
                 }
@@ -470,8 +433,7 @@ pub(crate) fn exec_one(
 /// Commit `t` and answer slot `seq`: at once under the blocking protocols
 /// (the commit is durable when `commit_deferred` returns), and from the
 /// queue's subscription under the asynchronous ones. Every outcome, errors
-/// included, is answered exactly once, and the token is folded into the
-/// read-your-writes watermark before the ack can leave.
+/// included, is answered exactly once.
 fn finish_commit(
     engine: &Engine,
     resp: &RespQueue,
@@ -490,7 +452,6 @@ fn finish_commit(
             if let Some(id) = dedup_id {
                 engine.dedup.complete(id, token);
             }
-            resp.watermark.fetch_max(token, Ordering::AcqRel);
             resp.fulfill(seq, Response::Committed { token });
         }
         Err(e) => {

@@ -21,11 +21,12 @@
 //! * [`client`] — a pipelining client.
 //!
 //! Session tokens: every `Committed` response carries the commit's
-//! [`CommitToken`](aether_core::commit::CommitToken) LSN. The server also
-//! folds each connection's tokens into a watermark server-side, so a
-//! connection always reads its own writes even through the `ReadRouter`;
-//! clients can additionally thread tokens through `Read.at_least` to
-//! extend the guarantee across connections.
+//! [`CommitToken`](aether_core::commit::CommitToken) LSN. The server reads
+//! the primary, which an ack only follows once the commit is durable, so
+//! every connection reads its own writes and everyone else's acked ones;
+//! `Read.at_least` and `Value.from_replica` stay in the frame for a
+//! replica tier (`aether-repl`'s `ReadRouter` takes the same tokens), and
+//! here `from_replica` is always false.
 
 pub mod client;
 mod conn;

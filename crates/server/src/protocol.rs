@@ -41,9 +41,8 @@ pub enum Request {
     /// Open an interactive transaction; the response carries its id.
     Begin,
     /// Snapshot read at a freshness floor (`at_least` = a commit token's
-    /// LSN; 0 = any snapshot). Routed through the `ReadRouter` when the
-    /// server fronts a replicated cluster, after folding in the
-    /// connection's own watermark (read-your-writes).
+    /// LSN; 0 = any snapshot). The server reads the primary, which meets
+    /// every floor an acked token can set.
     Read {
         /// Table id.
         table: u32,
@@ -103,7 +102,8 @@ pub enum Response {
         present: bool,
         /// The serving snapshot's applied watermark (raw LSN).
         applied: u64,
-        /// True if a replica served the read (router path).
+        /// True if a replica served the read; the server reads the primary,
+        /// so always false from it.
         from_replica: bool,
         /// Record bytes (empty when absent).
         value: Vec<u8>,

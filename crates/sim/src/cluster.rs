@@ -501,19 +501,11 @@ impl<'a> Scenario<'a> {
     /// Router contract under load (inv. 9): commit markers through the
     /// cluster, fold the tokens into a session, and every session read must
     /// come back with an applied watermark at or past the session's — on
-    /// whatever source the policy + staleness budget route it to. With a
-    /// lagging replica in the set, the lagger must end up quarantined and
-    /// receive no reads while it stays quarantined.
+    /// whatever source round-robin and the staleness budget route it to.
+    /// With a lagging replica in the set, the lagger must end up quarantined
+    /// and receive no reads while it stays quarantined.
     fn check_router(&mut self, cluster: &ReplicatedDb, lagger: Option<usize>) {
-        // The policy is part of the decoded scenario: entropy picks one, so
-        // the sweep covers all three.
-        let policy = [
-            RoutingPolicy::RoundRobin,
-            RoutingPolicy::LeastLagged,
-            RoutingPolicy::FreshnessWeighted,
-        ][(self.plan.fault_entropy % 3) as usize];
         let router = cluster.router(RouterConfig {
-            policy,
             budget: Duration::from_millis(5),
             quarantine_lag: 512,
             readmit_lag: 256,

@@ -20,7 +20,7 @@
 //! drop it. Dropping a client does *not* flush — blocking in a destructor is
 //! worse than losing requests the caller never flushed.
 
-use crate::protocol::{extract_response, Extracted, Request, Response};
+use crate::protocol::{response_at, Extracted, Request, Response};
 use crate::stream::{ByteStream, ReadOutcome};
 use aether_core::runtime::monotonic_ns;
 use std::io;
@@ -33,6 +33,9 @@ const OUT_LIMIT: usize = 64 * 1024;
 pub struct Client {
     stream: Box<dyn ByteStream>,
     inbuf: Vec<u8>,
+    /// Bytes at the front of `inbuf` already decoded; drained before the
+    /// next read, so a batch of responses costs one move.
+    taken: usize,
     /// Encoded requests not yet written (see the module docs).
     out: Vec<u8>,
     next_req: u64,
@@ -44,6 +47,7 @@ impl Client {
         Client {
             stream,
             inbuf: Vec::new(),
+            taken: 0,
             out: Vec::new(),
             next_req: 0,
         }
@@ -114,7 +118,7 @@ impl Client {
     /// before any read.
     fn recv_until(&mut self, deadline: Option<u64>) -> io::Result<Option<(u64, Response)>> {
         loop {
-            match extract_response(&mut self.inbuf) {
+            match response_at(&self.inbuf, &mut self.taken) {
                 Extracted::Msg { req_id, msg } => return Ok(Some((req_id, msg))),
                 Extracted::Corrupt => {
                     self.stream.close();
@@ -124,6 +128,8 @@ impl Client {
                     ));
                 }
                 Extracted::NeedMore => {
+                    self.inbuf.drain(..self.taken);
+                    self.taken = 0;
                     self.flush()?;
                     let left = deadline.map(|d| d.saturating_sub(monotonic_ns()));
                     let read = match left {

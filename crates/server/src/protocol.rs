@@ -502,7 +502,8 @@ impl Response {
 /// Outcome of trying to pull one frame out of a byte stream's buffer.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Extracted<T> {
-    /// A complete, CRC-valid frame was removed from the buffer.
+    /// A complete, CRC-valid frame was decoded and consumed: removed from
+    /// the buffer by `extract_*`, stepped past by `*_at`.
     Msg {
         /// The frame's request id.
         req_id: u64,
@@ -516,11 +517,13 @@ pub enum Extracted<T> {
     Corrupt,
 }
 
-fn extract<T>(
+fn decode_at<T>(
     magic: u32,
-    buf: &mut Vec<u8>,
+    buf: &[u8],
+    at: &mut usize,
     decode: impl Fn(&[u8]) -> Option<(u64, T)>,
 ) -> Extracted<T> {
+    let buf = &buf[*at..];
     if buf.len() < WIRE_HEADER {
         return Extracted::NeedMore;
     }
@@ -537,22 +540,46 @@ fn extract<T>(
     }
     match decode(&buf[..total]) {
         Some((req_id, msg)) => {
-            buf.drain(..total);
+            *at += total;
             Extracted::Msg { req_id, msg }
         }
         None => Extracted::Corrupt,
     }
 }
 
+/// Decode the request frame that starts `*at` bytes into `buf` (a
+/// connection's read accumulator) and, on a message, step `*at` past it.
+/// A reader decodes every frame one read completed this way, then drains
+/// `buf[..*at]` once: a batch of frames costs one move of the bytes left.
+pub fn request_at(buf: &[u8], at: &mut usize) -> Extracted<Request> {
+    decode_at(REQUEST_MAGIC, buf, at, Request::decode)
+}
+
+/// [`request_at`] for a response frame.
+pub fn response_at(buf: &[u8], at: &mut usize) -> Extracted<Response> {
+    decode_at(RESPONSE_MAGIC, buf, at, Response::decode)
+}
+
+/// One frame through `decode_at` at the front of `buf`, removed if decoded.
+fn extract<T>(
+    buf: &mut Vec<u8>,
+    decode_at: impl Fn(&[u8], &mut usize) -> Extracted<T>,
+) -> Extracted<T> {
+    let mut at = 0;
+    let got = decode_at(buf, &mut at);
+    buf.drain(..at);
+    got
+}
+
 /// Pull one request frame off the front of `buf` (a connection's read
 /// accumulator), leaving any following bytes in place.
 pub fn extract_request(buf: &mut Vec<u8>) -> Extracted<Request> {
-    extract(REQUEST_MAGIC, buf, Request::decode)
+    extract(buf, request_at)
 }
 
 /// Pull one response frame off the front of `buf`.
 pub fn extract_response(buf: &mut Vec<u8>) -> Extracted<Response> {
-    extract(RESPONSE_MAGIC, buf, Response::decode)
+    extract(buf, response_at)
 }
 
 #[cfg(test)]
@@ -698,5 +725,70 @@ mod tests {
         let mut huge = Request::Ping.encode(4);
         huge[13..17].copy_from_slice(&(MAX_BODY as u32 + 1).to_le_bytes());
         assert_eq!(extract_request(&mut huge), Extracted::Corrupt);
+    }
+
+    /// Every frame of `batch`, delivered in two reads split at `split`:
+    /// once a frame at a time through `extract`, once through `decode_at`
+    /// with one drain per read. Both must see the same messages.
+    fn both_ways<T: std::fmt::Debug + PartialEq>(
+        batch: &[u8],
+        split: usize,
+        extract: impl Fn(&mut Vec<u8>) -> Extracted<T>,
+        decode_at: impl Fn(&[u8], &mut usize) -> Extracted<T>,
+    ) -> [Vec<(u64, T)>; 2] {
+        let mut one_by_one = Vec::new();
+        let mut buf = Vec::new();
+        for read in [&batch[..split], &batch[split..]] {
+            buf.extend_from_slice(read);
+            loop {
+                match extract(&mut buf) {
+                    Extracted::Msg { req_id, msg } => one_by_one.push((req_id, msg)),
+                    Extracted::NeedMore => break,
+                    Extracted::Corrupt => panic!("corrupt at split {split}"),
+                }
+            }
+        }
+        assert!(buf.is_empty());
+        let mut per_read = Vec::new();
+        for read in [&batch[..split], &batch[split..]] {
+            buf.extend_from_slice(read);
+            let mut at = 0;
+            loop {
+                match decode_at(&buf, &mut at) {
+                    Extracted::Msg { req_id, msg } => per_read.push((req_id, msg)),
+                    Extracted::NeedMore => break,
+                    Extracted::Corrupt => panic!("corrupt at split {split}"),
+                }
+            }
+            buf.drain(..at);
+        }
+        assert!(buf.is_empty());
+        [one_by_one, per_read]
+    }
+
+    #[test]
+    fn a_batch_split_anywhere_decodes_alike_through_both_entry_points() {
+        let requests: Vec<(u64, Request)> =
+            (0..64u64).zip(all_requests().into_iter().cycle()).collect();
+        let mut batch = Vec::new();
+        for (id, r) in &requests {
+            r.encode_into(*id, &mut batch);
+        }
+        for split in 0..=batch.len() {
+            let got = both_ways(&batch, split, extract_request, request_at);
+            assert_eq!(got, [requests.clone(), requests.clone()], "split {split}");
+        }
+
+        let responses: Vec<(u64, Response)> = (0..64u64)
+            .zip(all_responses().into_iter().cycle())
+            .collect();
+        let mut batch = Vec::new();
+        for (id, r) in &responses {
+            r.encode_into(*id, &mut batch);
+        }
+        for split in 0..=batch.len() {
+            let got = both_ways(&batch, split, extract_response, response_at);
+            assert_eq!(got, [responses.clone(), responses.clone()], "split {split}");
+        }
     }
 }

@@ -23,7 +23,7 @@
 //! [`chan_pair`]: crate::stream::chan_pair
 
 use crate::conn::{exec_one, Engine, RespQueue};
-use crate::protocol::{extract_request, Extracted};
+use crate::protocol::{request_at, Extracted};
 use crate::stream::{
     chan_conn, ByteStream, ChanByteStream, Closer, Halves, ReadOutcome, TcpByteStream,
 };
@@ -260,8 +260,10 @@ fn serve(sh: &Shared, id: u64, mut input: Box<dyn ByteStream>, output: Box<dyn B
     'conn: while matches!(input.read(&mut inbuf), Ok(ReadOutcome::Bytes(_)))
         && !sh.stop.load(Ordering::SeqCst)
     {
+        // Execute every frame the read completed, then drop them at once.
+        let mut at = 0;
         loop {
-            match extract_request(&mut inbuf) {
+            match request_at(&inbuf, &mut at) {
                 Extracted::Msg { req_id, msg } => {
                     sh.tel.inc(sh.ids.requests);
                     let seq = resp.reserve(req_id);
@@ -276,6 +278,7 @@ fn serve(sh: &Shared, id: u64, mut input: Box<dyn ByteStream>, output: Box<dyn B
                 }
             }
         }
+        inbuf.drain(..at);
     }
     input.close();
     resp.close();

@@ -145,7 +145,11 @@ pub type TxnBody = dyn Fn(&Db, &mut Transaction, &mut StdRng, usize) -> StorageR
 
 /// Run `body` closed-loop from `cfg.clients` threads.
 pub fn run_closed_loop(db: &Arc<Db>, cfg: &DriverConfig, body: &TxnBody) -> DriverResult {
-    db.log().set_timing(true);
+    // The phase times of the Figure 2/7 breakdowns add up only while
+    // telemetry is on; the caller's setting comes back after the run.
+    let tel = db.log().telemetry();
+    let was_on = tel.on();
+    tel.set_enabled(true);
 
     // Every submitted commit resolves once, durable or not: a blocking one
     // when `commit_deferred` returns, an asynchronous one in its client's
@@ -164,11 +168,8 @@ pub fn run_closed_loop(db: &Arc<Db>, cfg: &DriverConfig, body: &TxnBody) -> Driv
     let aborts = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
 
-    let log_before = db.log().stats();
-    let lock_wait_before = db.locks().wait_ns();
-    let flush_wait_before = db.stats().flush_wait_ns();
+    let before = db.telemetry_snapshot("before");
     let ctx_before = measure::voluntary_ctx_switches();
-    let flushes_before = db.log().flush_count();
 
     let start = Instant::now();
     std::thread::scope(|s| {
@@ -220,14 +221,13 @@ pub fn run_closed_loop(db: &Arc<Db>, cfg: &DriverConfig, body: &TxnBody) -> Driv
     }
     pipeline.prune();
 
-    let log_after = db.log().stats();
-    let log = log_after.delta(&log_before);
-    let lock_wait = db.locks().wait_ns() - lock_wait_before;
-    let flush_wait = db.stats().flush_wait_ns() - flush_wait_before;
+    let after = db.telemetry_snapshot("after");
+    tel.set_enabled(was_on);
+    let grew = |name| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
+    let ns = |name| measure::ns_to_s(grew(name));
     // Process-wide over the threads alive now: one that exited since (a
     // concurrent test's daemon) takes its count with it.
     let ctx = measure::voluntary_ctx_switches().saturating_sub(ctx_before);
-    let flushes = db.log().flush_count() - flushes_before;
 
     let wall_s = wall.as_secs_f64();
     let committed =
@@ -241,12 +241,12 @@ pub fn run_closed_loop(db: &Arc<Db>, cfg: &DriverConfig, body: &TxnBody) -> Driv
         ctx_switches: ctx,
         breakdown: Breakdown {
             total_s: wall_s * cfg.clients as f64,
-            log_work_s: measure::ns_to_s(log.fill_ns),
-            log_contention_s: measure::ns_to_s(log.acquire_wait_ns + log.release_wait_ns),
-            lock_wait_s: measure::ns_to_s(lock_wait),
-            flush_wait_s: measure::ns_to_s(flush_wait),
+            log_work_s: ns("log.fill_ns"),
+            log_contention_s: ns("log.reserve_ns") + ns("log.release_ns"),
+            lock_wait_s: ns("lock.wait_ns"),
+            flush_wait_s: ns("db.flush_wait_ns"),
         },
-        flushes,
+        flushes: grew("flush.flushes"),
     }
 }
 

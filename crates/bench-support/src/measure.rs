@@ -74,10 +74,10 @@ fn read_ctx_switches(field: &str) -> u64 {
 pub struct Breakdown {
     /// Total agent thread-seconds (clients × wall-clock).
     pub total_s: f64,
-    /// Copying into the log buffer ("log mgr. work").
+    /// Filling log buffer slots ("log mgr. work": `log.fill_ns`).
     pub log_work_s: f64,
-    /// Waiting to acquire / release log buffer space ("log mgr.
-    /// contention").
+    /// Reserving and releasing log buffer space ("log mgr. contention":
+    /// `log.reserve_ns` + `log.release_ns`).
     pub log_contention_s: f64,
     /// Blocked on database locks ("other contention"; with a slow log this
     /// is the log-induced lock contention of Figure 1 (B)).

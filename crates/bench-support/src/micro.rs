@@ -20,7 +20,6 @@
 use aether_core::buffer::{BufferCore, BufferKind, InsertBuffer, LogBuffer};
 use aether_core::record::{on_log_size, RecordKind, HEADER_SIZE};
 use aether_core::runtime::lock;
-use aether_core::telemetry::Unit;
 use aether_core::{LogConfig, Lsn};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -189,24 +188,14 @@ pub fn run_micro(cfg: &MicroConfig) -> MicroResult {
     let snap = core.stats.snapshot();
     let tel = core.telemetry();
     if tel.on() {
-        // One structured document per run: the registry's own metrics
-        // (log.insert_ns and any sampled spans) plus the BufferStats
-        // totals, scoped by the run configuration.
+        // One structured document per run: the registry's metrics (the
+        // buffer's counters, log.insert_ns and any sampled spans), scoped
+        // by the run configuration.
         let scope = format!(
             "micro variant={:?} threads={} slots={} backoff={}",
             cfg.kind, cfg.threads, cfg.slots, cfg.backoff
         );
-        let mut doc = tel.snapshot(&scope);
-        doc.push_counter("log.inserts", Unit::Records, snap.inserts);
-        doc.push_counter("log.bytes", Unit::Bytes, snap.bytes);
-        doc.push_counter("log.direct_acquires", Unit::Count, snap.direct_acquires);
-        doc.push_counter("log.consolidations", Unit::Count, snap.consolidations);
-        doc.push_counter("log.group_acquires", Unit::Count, snap.group_acquires);
-        doc.push_counter(
-            "log.delegated_releases",
-            Unit::Count,
-            snap.delegated_releases,
-        );
+        let doc = tel.snapshot(&scope);
         if let Some(path) = &log_config.telemetry.export_path {
             let _ = doc.append_to(path);
         }

@@ -86,6 +86,7 @@ impl InsertBuffer {
     ) -> LogSlot<'_> {
         super::check_payload_len(payload_len);
         let (core, lock, alloc) = (&*self.core, &self.gate.lock, &self.gate.alloc);
+        let tel = core.telemetry();
         core.note_reserve_start();
         let len = on_log_size(payload_len) as u64;
 
@@ -116,7 +117,7 @@ impl InsertBuffer {
         if let Some((_, join)) = join.filter(|(_, j)| j.offset != 0) {
             // Follower: the leader's one allocation covers this record, at
             // the offset fixed when it joined.
-            core.stats.record_consolidation();
+            tel.inc(tel.ids().log_consolidations);
             let (base, group_len, ticket) = join.slot.wait();
             let finish = SlotFinish {
                 group: Some((join.slot, base, group_len)),
@@ -127,11 +128,9 @@ impl InsertBuffer {
         }
 
         // A direct insert, or a leader on its group's behalf: take the lock
-        // (the one wait the acquire phase times) and reserve.
+        // and reserve.
         if !locked {
-            let t = core.stats.phase_start();
             lock.lock();
-            core.stats.phase_acquire(t);
         }
         // A leader closes its group and reserves for all of it.
         let reserve_len = join.map_or(len, |(array, j)| array.close_and_replace(j.slot));
@@ -150,10 +149,10 @@ impl InsertBuffer {
             j.slot.notify(base, reserve_len, ticket);
             (j.slot, base, reserve_len)
         });
-        match group {
-            Some(_) => core.stats.record_group_acquire(),
-            None => core.stats.record_direct(),
-        }
+        tel.inc(match group {
+            Some(_) => tel.ids().log_group_acquires,
+            None => tel.ids().log_direct_acquires,
+        });
         let finish = SlotFinish {
             group,
             order: order(ticket),

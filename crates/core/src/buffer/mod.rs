@@ -319,7 +319,6 @@ pub struct LogSlot<'a> {
     writer: SlotWriter<'a>,
     start: Lsn,
     total_len: u32,
-    timer: Option<u64>,
     /// Fill-start timestamp when telemetry is enabled, else 0.
     t_fill: u64,
     finish: SlotFinish<'a>,
@@ -420,13 +419,10 @@ impl<'a> LogSlot<'a> {
                 &crc.to_le_bytes(),
             );
         }
-        self.core.stats.phase_fill(self.timer.take());
-        self.core.stats.record_insert(self.total_len as u64);
-        let t_rel = if self.core.telemetry.on() {
-            runtime::monotonic_ns()
-        } else {
-            0
-        };
+        let tel = &self.core.telemetry;
+        tel.inc(tel.ids().log_inserts);
+        tel.add(tel.ids().log_bytes, self.total_len as u64);
+        let t_rel = if tel.on() { runtime::monotonic_ns() } else { 0 };
         // A group member that is not the last one out has nothing to
         // release; the last one releases the group's range, not its own.
         let range = match self.finish.group {
@@ -450,11 +446,12 @@ impl<'a> LogSlot<'a> {
         }
         if t_rel != 0 {
             let done = runtime::monotonic_ns();
-            let tel = &self.core.telemetry;
             if self.t_fill != 0 {
                 tel.record(tel.ids().log_insert_ns, done.saturating_sub(self.t_fill));
+                tel.add(tel.ids().log_fill_ns, t_rel.saturating_sub(self.t_fill));
                 tel.span(Stage::Fill, self.start, self.t_fill, t_rel);
             }
+            tel.add(tel.ids().log_release_ns, done.saturating_sub(t_rel));
             tel.span(Stage::Release, self.start, t_rel, done);
         }
     }
@@ -720,7 +717,7 @@ pub struct BufferCore {
     /// The flush daemon's state, so whoever needs an LSN durable can ask
     /// for it (unset without a daemon).
     flusher: OnceLock<Arc<FlushShared>>,
-    /// Counters and phase timers.
+    /// The buffer's counters, a typed view of `telemetry`'s `log.*` ones.
     pub stats: BufferStats,
     /// Per-log telemetry registry, shared (via [`BufferCore::telemetry`])
     /// with the flush daemon, commit gate, storage and replication layers.
@@ -747,6 +744,7 @@ impl BufferCore {
     /// so new records append to the device at the right offsets.
     pub fn with_start(config: &LogConfig, start: Lsn) -> Arc<BufferCore> {
         config.validate().map_err(AetherError::Config).unwrap();
+        let telemetry = Arc::new(Telemetry::new(&config.telemetry));
         Arc::new(BufferCore {
             ring: Ring::new(config.buffer_size),
             order: OrderedRelease::new(start, config.release_queue_pool),
@@ -755,8 +753,8 @@ impl BufferCore {
             closed: OnceLock::new(),
             durable_wait: CachePadded::default(),
             flusher: OnceLock::new(),
-            stats: BufferStats::new(),
-            telemetry: Arc::new(Telemetry::new(&config.telemetry)),
+            stats: BufferStats::new(Arc::clone(&telemetry)),
+            telemetry,
         })
     }
 
@@ -960,15 +958,14 @@ impl BufferCore {
             && self.order.released() != start
             && fast_rand().is_multiple_of(treadmill_inv)
         {
-            let t = self.stats.phase_start();
             let mut backoff = WaitBackoff::new();
             while self.order.released() != start {
                 backoff.wait();
             }
-            self.stats.phase_release(t);
         }
+        let tel = &self.telemetry;
         match self.order.finish(ticket, start, end) {
-            Finish::HandedOff => self.stats.record_delegated(),
+            Finish::HandedOff => tel.inc(tel.ids().log_delegated_releases),
             Finish::Head => {
                 let mut from = start;
                 self.order.advance(ticket, start, end, |upto| {
@@ -998,15 +995,16 @@ impl BufferCore {
         // LSN space was taken; panicking here — with the insert mutex held
         // and the reservation issued — would wedge the log.
         debug_assert!(payload_len <= MAX_PAYLOAD);
-        let timer = self.stats.phase_start();
         // The LSN is known here for the first time: close the Reserve span
         // (entry timestamp parked thread-locally by `note_reserve_start`)
         // and pin the fill start for the Fill/Release spans in `finalize`.
-        let t_fill = if self.telemetry.on() {
-            let now = timer.unwrap_or_else(runtime::monotonic_ns);
+        let tel = &self.telemetry;
+        let t_fill = if tel.on() {
+            let now = runtime::monotonic_ns();
             let t0 = crate::telemetry::take_reserve_mark();
             if t0 != 0 {
-                self.telemetry.span(Stage::Reserve, start, t0, now);
+                tel.add(tel.ids().log_reserve_ns, now.saturating_sub(t0));
+                tel.span(Stage::Reserve, start, t0, now);
             }
             now
         } else {
@@ -1039,7 +1037,6 @@ impl BufferCore {
             },
             start,
             total_len: total as u32,
-            timer,
             t_fill,
             finish,
             done: false,

@@ -172,9 +172,6 @@ pub struct CommitPipeline {
     done: AtomicLsn,
     /// The watermark the log closed at; [`Lsn::MAX`] while it is open.
     closed_at: AtomicU64,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
 }
 
 impl std::fmt::Debug for CommitPipeline {
@@ -195,9 +192,6 @@ impl CommitPipeline {
             subscribers: RwLock::new(Vec::new()),
             done: AtomicLsn::new(Lsn::ZERO),
             closed_at: AtomicU64::new(u64::MAX),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
         }
     }
 
@@ -239,7 +233,8 @@ impl CommitPipeline {
     /// once, and resolve `sub` if the watermark passed it or the log
     /// closed. See the module docs.
     pub fn watch(&self, sub: &dyn Subscriber, lsn: Lsn) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
+        let tel = self.core.telemetry();
+        tel.inc(tel.ids().commit_submitted);
         fence(Ordering::SeqCst);
         if let Some(at) = self.closed_at() {
             self.resolve(sub, at, true);
@@ -267,8 +262,8 @@ impl CommitPipeline {
                 tel.event(Stage::CommitComplete, lsn, at);
             }
         });
-        self.completed.fetch_add(ok as u64, Ordering::Relaxed);
-        self.failed.fetch_add(failed, Ordering::Relaxed);
+        tel.add(tel.ids().commit_completed, ok as u64);
+        tel.add(tel.ids().commit_failed, failed);
         ok
     }
 
@@ -326,20 +321,24 @@ impl CommitPipeline {
         (reached >= lsn).then_some(true)
     }
 
-    /// Commits handed to [`CommitPipeline::watch`] so far.
+    /// Commits handed to [`CommitPipeline::watch`] so far
+    /// (`commit.submitted`).
     pub fn submitted(&self) -> u64 {
-        self.submitted.load(Ordering::Relaxed)
+        let tel = self.core.telemetry();
+        tel.count(tel.ids().commit_submitted)
     }
 
-    /// Watched commits resolved durable.
+    /// Watched commits resolved durable (`commit.completed`).
     pub fn completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
+        let tel = self.core.telemetry();
+        tel.count(tel.ids().commit_completed)
     }
 
     /// Watched commits resolved failed: the log closed before the
-    /// watermark reached them.
+    /// watermark reached them (`commit.failed`).
     pub fn failed(&self) -> u64 {
-        self.failed.load(Ordering::Relaxed)
+        let tel = self.core.telemetry();
+        tel.count(tel.ids().commit_failed)
     }
 
     /// Watched commits not resolved yet.

@@ -121,8 +121,6 @@ pub struct FlushShared {
     /// The highest want a flusher parked on while it was not released yet.
     /// Every head publish reads it; only such a flusher writes it.
     ahead: CachePadded<AtomicU64>,
-    flushes: AtomicU64,
-    flushed_bytes: AtomicU64,
 }
 
 impl FlushShared {
@@ -163,17 +161,6 @@ impl FlushShared {
         g.wanted = g.wanted.max(lsn);
         self.unpark(&mut g);
     }
-
-    /// Number of device sync operations performed (one per group flush) —
-    /// this is what group commit minimizes.
-    pub fn flush_count(&self) -> u64 {
-        self.flushes.load(Ordering::Relaxed)
-    }
-
-    /// Total bytes written to the device.
-    pub fn flushed_bytes(&self) -> u64 {
-        self.flushed_bytes.load(Ordering::Relaxed)
-    }
 }
 
 /// The flush daemon handle: owns the flusher threads.
@@ -187,7 +174,7 @@ pub struct FlushDaemon {
 impl std::fmt::Debug for FlushDaemon {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlushDaemon")
-            .field("flushes", &self.shared.flush_count())
+            .field("flushes", &self.flushes())
             .finish()
     }
 }
@@ -237,7 +224,13 @@ impl FlushDaemon {
         }
     }
 
-    /// Shared state (metrics, notification).
+    /// Device syncs completed so far (the registry's `flush.flushes`).
+    fn flushes(&self) -> u64 {
+        let t = self.core.telemetry();
+        t.count(t.ids().flush_flushes)
+    }
+
+    /// Shared state (commit registration, wake-ups).
     pub fn shared(&self) -> &Arc<FlushShared> {
         &self.shared
     }
@@ -457,10 +450,9 @@ impl Flusher {
             if g.failed {
                 return;
             }
-            self.shared.flushes.fetch_add(1, Ordering::Relaxed);
-            self.shared
-                .flushed_bytes
-                .fetch_add(target.since(at), Ordering::Relaxed);
+            let tel = self.core.telemetry();
+            tel.inc(tel.ids().flush_flushes);
+            tel.add(tel.ids().flush_flushed_bytes, target.since(at));
             if let Some(group) = g.in_flight.iter_mut().find(|(end, _)| *end == target) {
                 group.1 = true;
             }
@@ -580,8 +572,9 @@ mod tests {
         assert!(core.durable_lsn() >= end);
         assert_eq!(device.len(), end.raw());
         assert!(lsn < end);
-        assert!(daemon.shared().flush_count() >= 1);
-        assert!(daemon.shared().flushed_bytes() >= 100);
+        assert!(daemon.flushes() >= 1);
+        let t = core.telemetry();
+        assert!(t.count(t.ids().flush_flushed_bytes) >= 100);
     }
 
     #[test]
@@ -601,7 +594,7 @@ mod tests {
         }
         assert_eq!(pipeline.completed(), 10);
         // Group commit: far fewer syncs than commits.
-        assert!(daemon.shared().flush_count() <= 10);
+        assert!(daemon.flushes() <= 10);
     }
 
     #[test]
@@ -976,14 +969,14 @@ mod tests {
         let group: Vec<_> = (1..=10)
             .map(|txn| submit_commit(&core, &pipeline, &daemon, &*buf, 100 + txn))
             .collect();
-        assert_eq!(daemon.shared().flush_count(), 0);
+        assert_eq!(daemon.flushes(), 0);
         assert!(first.iter().chain(&group).all(|h| !h.is_done()));
         device.release();
         for h in first.iter().chain(&group) {
             assert!(h.wait());
         }
         assert_eq!(
-            daemon.shared().flush_count(),
+            daemon.flushes(),
             FLUSH_DEPTH as u64 + 1,
             "ten commits that arrived while every flusher was in a sync share the next flush"
         );
@@ -1014,7 +1007,7 @@ mod tests {
             }
             device.release();
         });
-        assert_eq!(daemon.shared().flush_count(), FLUSH_DEPTH as u64 + 1);
+        assert_eq!(daemon.flushes(), FLUSH_DEPTH as u64 + 1);
         assert_eq!(core.durable_lsn(), core.released_lsn());
     }
 
@@ -1119,6 +1112,6 @@ mod tests {
         device.release();
         let durable = core.wait_durable(target, || false);
         assert_eq!(durable, target, "6 KB pending against L = 4 KB");
-        assert_eq!(daemon.shared().flush_count(), 2);
+        assert_eq!(daemon.flushes(), 2);
     }
 }

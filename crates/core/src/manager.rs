@@ -122,7 +122,6 @@ impl LogManagerBuilder {
             handles,
             gate,
             flush_shared,
-            truncation: TruncationCounters::default(),
             daemon: Mutex::new(daemon),
             final_emitted: std::sync::atomic::AtomicBool::new(false),
             config: self.config,
@@ -148,8 +147,6 @@ pub struct LogManager {
     /// Shared daemon state, used lock-free-ish on the commit path so any
     /// number of committers can wait concurrently (group commit).
     flush_shared: Option<Arc<crate::flush::FlushShared>>,
-    /// Truncation counters; the low-water mark itself lives in the device.
-    truncation: TruncationCounters,
     /// The daemon thread handle; the mutex is touched only at shutdown.
     daemon: Mutex<Option<FlushDaemon>>,
     /// Guard so the shutdown telemetry emit happens exactly once.
@@ -293,10 +290,8 @@ impl LogManager {
 
     /// Number of device syncs performed so far (0 in microbenchmark mode).
     pub fn flush_count(&self) -> u64 {
-        self.flush_shared
-            .as_ref()
-            .map(|s| s.flush_count())
-            .unwrap_or(0)
+        let tel = self.telemetry();
+        tel.count(tel.ids().flush_flushes)
     }
 
     /// Buffer statistics snapshot.
@@ -316,42 +311,16 @@ impl LogManager {
     }
 
     /// Full telemetry snapshot tagged with `scope` (e.g. `primary`,
-    /// `replica-1`): registry metrics plus buffer-stats counters, flush
-    /// totals, commit-pipeline counts, truncation watermarks, and — when a
-    /// durability policy is installed — the replication gate's floors.
+    /// `replica-1`): every registry metric plus the gauges read off the log
+    /// now — pending commits, the truncation and release/durable
+    /// watermarks, and, when a durability policy is installed, the
+    /// replication gate's floors.
     pub fn telemetry_snapshot_scoped(&self, scope: &str) -> TelemetrySnapshot {
         let mut snap = self.core.telemetry().snapshot(scope);
-        let s = self.core.stats.snapshot();
-        snap.push_counter("log.inserts", Unit::Records, s.inserts);
-        snap.push_counter("log.bytes", Unit::Bytes, s.bytes);
-        snap.push_counter("log.direct_acquires", Unit::Count, s.direct_acquires);
-        snap.push_counter("log.consolidations", Unit::Count, s.consolidations);
-        snap.push_counter("log.group_acquires", Unit::Count, s.group_acquires);
-        snap.push_counter("log.delegated_releases", Unit::Count, s.delegated_releases);
-        snap.push_counter("log.acquire_wait_ns", Unit::Nanos, s.acquire_wait_ns);
-        snap.push_counter("log.fill_ns", Unit::Nanos, s.fill_ns);
-        snap.push_counter("log.release_wait_ns", Unit::Nanos, s.release_wait_ns);
-        if let Some(f) = &self.flush_shared {
-            snap.push_counter("flush.flushes", Unit::Count, f.flush_count());
-            snap.push_counter("flush.flushed_bytes", Unit::Bytes, f.flushed_bytes());
-        }
-        snap.push_counter("commit.submitted", Unit::Records, self.pipeline.submitted());
-        snap.push_counter("commit.completed", Unit::Records, self.pipeline.completed());
         snap.push_gauge(
             "commit.pending",
             Unit::Records,
             self.pipeline.pending() as i64,
-        );
-        let relaxed = std::sync::atomic::Ordering::Relaxed;
-        snap.push_counter(
-            "truncation.truncations",
-            Unit::Count,
-            self.truncation.truncations.load(relaxed),
-        );
-        snap.push_counter(
-            "truncation.segments_recycled",
-            Unit::Count,
-            self.truncation.segments_recycled.load(relaxed),
         );
         snap.push_gauge(
             "truncation.low_water",
@@ -381,11 +350,6 @@ impl LogManager {
             );
         }
         snap
-    }
-
-    /// Enable per-phase timing (Figures 2/7 breakdowns).
-    pub fn set_timing(&self, on: bool) {
-        self.core.stats.set_timing(on);
     }
 
     /// The device (tests inspect contents; recovery reads records).
@@ -524,12 +488,9 @@ impl LogManager {
             Ok(n) => (n, false),
             Err(_) => (0, true),
         };
-        self.truncation
-            .truncations
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.truncation
-            .segments_recycled
-            .fetch_add(recycled as u64, std::sync::atomic::Ordering::Relaxed);
+        let tel = self.telemetry();
+        tel.inc(tel.ids().truncation_truncations);
+        tel.add(tel.ids().truncation_segments_recycled, recycled as u64);
         TruncationOutcome {
             requested,
             applied: self.low_water(),
@@ -541,16 +502,11 @@ impl LogManager {
 
     /// Truncation counters (complements the buffer stats).
     pub fn truncation_stats(&self) -> TruncationStats {
+        let tel = self.telemetry();
         TruncationStats {
             low_water: self.low_water(),
-            truncations: self
-                .truncation
-                .truncations
-                .load(std::sync::atomic::Ordering::Relaxed),
-            segments_recycled: self
-                .truncation
-                .segments_recycled
-                .load(std::sync::atomic::Ordering::Relaxed),
+            truncations: tel.count(tel.ids().truncation_truncations),
+            segments_recycled: tel.count(tel.ids().truncation_segments_recycled),
         }
     }
 
@@ -577,13 +533,6 @@ impl Drop for LogManager {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// What [`LogManager::truncation_stats`] and the telemetry snapshot count.
-#[derive(Default)]
-struct TruncationCounters {
-    truncations: std::sync::atomic::AtomicU64,
-    segments_recycled: std::sync::atomic::AtomicU64,
 }
 
 /// Result of one [`LogManager::truncate_to`] / `force_truncate_to` call.

@@ -1,10 +1,10 @@
 //! Snapshot assembly and export: human-readable text and JSON-lines.
 //!
-//! A [`TelemetrySnapshot`] starts from a registry's own metrics
-//! ([`super::Telemetry::snapshot`]) and is then extended by higher layers
-//! (`push_counter`/`push_gauge`) with values that live outside the registry —
-//! `BufferStats` counters, truncation stats, flush totals — so consumers read
-//! one document instead of scraping per-bin output.
+//! A [`TelemetrySnapshot`] holds a registry's own metrics
+//! ([`super::Telemetry::snapshot`]); every counter lives in the registry.
+//! Higher layers add gauges computed at read time (`push_gauge`) —
+//! watermarks, pending commits, granted locks — so consumers read one
+//! document instead of scraping per-bin output.
 //!
 //! Both renderers are deterministic: metrics appear in registration order,
 //! trace events in `(lsn, stage)` order, and every timestamp is
@@ -63,7 +63,7 @@ pub struct TelemetrySnapshot {
     pub scope: String,
     /// Runtime-monotonic capture time.
     pub at_ns: u64,
-    /// Counters, registry order first, then pushed extras.
+    /// Counters, registry order.
     pub counters: Vec<MetricValue<u64>>,
     /// Gauges, registry order first, then pushed extras.
     pub gauges: Vec<MetricValue<i64>>,
@@ -86,13 +86,12 @@ impl TelemetrySnapshot {
         }
     }
 
-    /// Append a counter (used by layers whose totals live outside the
-    /// registry, e.g. `BufferStats`).
-    pub fn push_counter(&mut self, name: &'static str, unit: Unit, value: u64) {
+    /// Append a counter.
+    pub(super) fn push_counter(&mut self, name: &'static str, unit: Unit, value: u64) {
         self.counters.push(MetricValue { name, unit, value });
     }
 
-    /// Append a gauge.
+    /// Append a gauge (layers add the ones computed at read time).
     pub fn push_gauge(&mut self, name: &'static str, unit: Unit, value: i64) {
         self.gauges.push(MetricValue { name, unit, value });
     }

@@ -8,14 +8,16 @@
 //!   storage layer, and replication shippers, so every metric about one log
 //!   lands in one snapshot.
 //! * **Wait-free record path, zero allocations after registration.**
-//!   Counters and gauges are preallocated cache-padded atomics; histograms
-//!   and the trace ring allocate their shards at registration/construction
-//!   time. Recording is index-into-array + relaxed RMW. Registration (which
-//!   may allocate) takes a mutex and is idempotent by name.
-//! * **Single relaxed load when disabled.** Every record method begins with
-//!   `if !self.on() { return; }`; with telemetry off, instrumented hot paths
-//!   cost one relaxed bool load, the same discipline as
-//!   [`crate::stats::BufferStats::timing`].
+//!   Counters are sharded per thread, gauges are preallocated cache-padded
+//!   atomics; histograms and the trace ring allocate their shards at
+//!   registration/construction time. Recording is index-into-array +
+//!   relaxed RMW. Registration (which may allocate) takes a mutex and is
+//!   idempotent by name.
+//! * **A counter always counts.** The registry is the only counter store,
+//!   so a count is kept whether telemetry is on or off. Only what costs a
+//!   clock read or more waits for [`Telemetry::on`]: [`Telemetry::ts`], a
+//!   histogram record, a gauge set and a trace span are one relaxed load
+//!   when off.
 //! * **Deterministic under simulation.** All timestamps come from
 //!   [`crate::runtime::monotonic_ns`], trace sampling is a pure function of
 //!   the LSN, and histogram shard merges are commutative sums — so two runs
@@ -40,6 +42,11 @@ use std::sync::Mutex;
 
 /// Maximum registered counters per registry.
 pub const MAX_COUNTERS: usize = 96;
+/// Counter shards per registry. A thread adds to one shard for its
+/// lifetime, so while at most this many threads count, no two of them write
+/// the same cache line; beyond that threads share shards, which costs speed
+/// but never a count (every add is atomic).
+const COUNTER_SHARDS: usize = 32;
 /// Maximum registered gauges per registry.
 pub const MAX_GAUGES: usize = 48;
 /// Maximum registered histograms per registry.
@@ -52,8 +59,9 @@ const TRACE_SHARDS: usize = 4;
 /// Trace-ring capacity per shard; the oldest events are overwritten.
 const TRACE_CAPACITY: usize = 1024;
 
-// Round-robin shard assignment for histograms and trace rings. A thread gets
-// one index for its lifetime; shard arrays mask it down to their own width.
+// Round-robin shard assignment for counters, histograms and trace rings. A
+// thread gets one index for its lifetime; shard arrays mask it down to their
+// own width.
 static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
 thread_local! {
     static THREAD_SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
@@ -120,19 +128,20 @@ impl Unit {
 }
 
 /// Handle to a registered counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CounterId(u16);
 /// Handle to a registered gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GaugeId(u16);
 /// Handle to a registered histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HistId(u16);
 
 /// Telemetry configuration, part of [`crate::LogConfig`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Master switch. Off = every record call is a single relaxed load.
+    /// Master switch for clock reads, histograms, gauges and spans; off,
+    /// each is a single relaxed load. Counters count either way.
     pub enabled: bool,
     /// Trace roughly one in `sample_every` records (power of two; 0 disables
     /// tracing while keeping metrics). The sampling decision is a pure
@@ -168,8 +177,40 @@ impl TelemetryConfig {
 
 /// Ids of the metrics the core registers for itself at construction, so hot
 /// paths skip the by-name lookup entirely.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CoreIds {
+    /// `log.inserts` — records inserted.
+    pub log_inserts: CounterId,
+    /// `log.bytes` — on-log bytes inserted.
+    pub log_bytes: CounterId,
+    /// `log.direct_acquires` — inserts that took the insert mutex themselves.
+    pub log_direct_acquires: CounterId,
+    /// `log.consolidations` — followers in a consolidation-array group.
+    pub log_consolidations: CounterId,
+    /// `log.group_acquires` — consolidation-group leaders.
+    pub log_group_acquires: CounterId,
+    /// `log.delegated_releases` — releases handed to a predecessor.
+    pub log_delegated_releases: CounterId,
+    /// `log.reserve_ns` — reserve entry to fill start, summed (telemetry on).
+    pub log_reserve_ns: CounterId,
+    /// `log.fill_ns` — fill start to release start, summed (telemetry on).
+    pub log_fill_ns: CounterId,
+    /// `log.release_ns` — release start to end, summed (telemetry on).
+    pub log_release_ns: CounterId,
+    /// `flush.flushes` — device syncs completed by the flush daemon.
+    pub flush_flushes: CounterId,
+    /// `flush.flushed_bytes` — bytes those syncs made durable.
+    pub flush_flushed_bytes: CounterId,
+    /// `commit.submitted` — commits handed to the commit pipeline's watch.
+    pub commit_submitted: CounterId,
+    /// `commit.completed` — watched commits resolved durable.
+    pub commit_completed: CounterId,
+    /// `commit.failed` — watched commits resolved failed (the log closed).
+    pub commit_failed: CounterId,
+    /// `truncation.truncations` — truncations applied.
+    pub truncation_truncations: CounterId,
+    /// `truncation.segments_recycled` — segments those truncations recycled.
+    pub truncation_segments_recycled: CounterId,
     /// `log.insert_ns` — fill + release time per record insert.
     pub log_insert_ns: HistId,
     /// `flush.write_bytes` — bytes per vectored device write.
@@ -202,7 +243,8 @@ struct Meta {
 pub struct Telemetry {
     enabled: AtomicBool,
     sample_every: u64,
-    counters: Box<[CachePadded<AtomicU64>]>,
+    /// One block of every counter per shard; [`Telemetry::count`] sums them.
+    counters: Box<[CachePadded<[AtomicU64; MAX_COUNTERS]>]>,
     gauges: Box<[CachePadded<AtomicI64>]>,
     hists: Box<[std::sync::OnceLock<Histogram>]>,
     trace: TraceRing,
@@ -220,8 +262,8 @@ impl Telemetry {
     /// Build a registry per `cfg` and pre-register the core metric set.
     /// The registry starts enabled iff `cfg.enabled`.
     pub fn new(cfg: &TelemetryConfig) -> Self {
-        let counters = (0..MAX_COUNTERS)
-            .map(|_| CachePadded::new(AtomicU64::new(0)))
+        let counters = (0..COUNTER_SHARDS)
+            .map(|_| CachePadded::new(std::array::from_fn(|_| AtomicU64::new(0))))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         let gauges = (0..MAX_GAUGES)
@@ -240,17 +282,25 @@ impl Telemetry {
             hists,
             trace: TraceRing::new(TRACE_SHARDS, TRACE_CAPACITY),
             meta: Mutex::new(Meta::default()),
-            ids: CoreIds {
-                log_insert_ns: HistId(0),
-                flush_write_bytes: HistId(0),
-                flush_drain_ns: HistId(0),
-                commit_group_size: HistId(0),
-                commit_wait_ns: HistId(0),
-                flush_queue_depth: GaugeId(0),
-                flush_pending_bytes: GaugeId(0),
-            },
+            ids: CoreIds::default(),
         };
         t.ids = CoreIds {
+            log_inserts: t.counter("log.inserts", Unit::Records),
+            log_bytes: t.counter("log.bytes", Unit::Bytes),
+            log_direct_acquires: t.counter("log.direct_acquires", Unit::Count),
+            log_consolidations: t.counter("log.consolidations", Unit::Count),
+            log_group_acquires: t.counter("log.group_acquires", Unit::Count),
+            log_delegated_releases: t.counter("log.delegated_releases", Unit::Count),
+            log_reserve_ns: t.counter("log.reserve_ns", Unit::Nanos),
+            log_fill_ns: t.counter("log.fill_ns", Unit::Nanos),
+            log_release_ns: t.counter("log.release_ns", Unit::Nanos),
+            flush_flushes: t.counter("flush.flushes", Unit::Count),
+            flush_flushed_bytes: t.counter("flush.flushed_bytes", Unit::Bytes),
+            commit_submitted: t.counter("commit.submitted", Unit::Records),
+            commit_completed: t.counter("commit.completed", Unit::Records),
+            commit_failed: t.counter("commit.failed", Unit::Records),
+            truncation_truncations: t.counter("truncation.truncations", Unit::Count),
+            truncation_segments_recycled: t.counter("truncation.segments_recycled", Unit::Count),
             log_insert_ns: t.histogram("log.insert_ns", Unit::Nanos),
             flush_write_bytes: t.histogram("flush.write_bytes", Unit::Bytes),
             flush_drain_ns: t.histogram("flush.drain_ns", Unit::Nanos),
@@ -268,8 +318,8 @@ impl Telemetry {
         &self.ids
     }
 
-    /// Whether recording is enabled — one relaxed load, the entire cost of
-    /// every instrumented call site when telemetry is off.
+    /// Whether clock reads, histograms, gauges and spans record — one
+    /// relaxed load, their entire cost when telemetry is off.
     #[inline]
     pub fn on(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
@@ -280,8 +330,8 @@ impl Telemetry {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Current runtime-monotonic time iff enabled, else `None`. Mirrors
-    /// [`crate::stats::BufferStats::phase_start`].
+    /// Current runtime-monotonic time iff enabled, else `None`: the gate on
+    /// every hot-path clock read.
     #[inline]
     pub fn ts(&self) -> Option<u64> {
         if self.on() {
@@ -328,19 +378,27 @@ impl Telemetry {
         HistId(id as u16)
     }
 
-    /// Add `n` to a counter (no-op when disabled).
+    /// Add `n` to a counter, enabled or not: to the calling thread's shard.
     #[inline]
     pub fn add(&self, id: CounterId, n: u64) {
-        if !self.on() {
-            return;
-        }
-        self.counters[id.0 as usize].fetch_add(n, Ordering::Relaxed);
+        self.counters[thread_shard() & (COUNTER_SHARDS - 1)][id.0 as usize]
+            .fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Increment a counter by one (no-op when disabled).
+    /// Increment a counter by one, enabled or not.
     #[inline]
     pub fn inc(&self, id: CounterId) {
         self.add(id, 1);
+    }
+
+    /// A counter's value: the sum of its shards. Exact once the counting
+    /// threads are joined; while they run, some value it held during the
+    /// call.
+    pub fn count(&self, id: CounterId) -> u64 {
+        self.counters
+            .iter()
+            .map(|shard| shard[id.0 as usize].load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Set a gauge (no-op when disabled).
@@ -412,7 +470,7 @@ impl Telemetry {
         let meta = lock(&self.meta);
         let mut snap = TelemetrySnapshot::new(scope, crate::runtime::monotonic_ns());
         for (i, e) in meta.counters.iter().enumerate() {
-            snap.push_counter(e.name, e.unit, self.counters[i].load(Ordering::Relaxed));
+            snap.push_counter(e.name, e.unit, self.count(CounterId(i as u16)));
         }
         for (i, e) in meta.gauges.iter().enumerate() {
             snap.push_gauge(e.name, e.unit, self.gauges[i].load(Ordering::Relaxed));
@@ -471,9 +529,49 @@ mod tests {
                 .find(|m| m.name == "x.events")
                 .unwrap()
                 .value,
-            0
+            5
         );
         assert!(snap.events.is_empty());
+    }
+
+    #[test]
+    fn a_counter_counts_across_the_switch_while_the_rest_waits() {
+        let t = Telemetry::new(&TelemetryConfig::default());
+        let c = t.counter("x.events", Unit::Count);
+        let g = t.gauge("x.depth", Unit::Records);
+        t.inc(c);
+        t.gauge_set(g, 7);
+        t.set_enabled(true);
+        t.add(c, 2);
+        t.set_enabled(false);
+        t.inc(c);
+        t.record(t.ids().log_insert_ns, 100);
+        assert!(t.ts().is_none());
+        let snap = t.snapshot("test");
+        assert_eq!((t.count(c), snap.counter("x.events")), (4, Some(4)));
+        assert_eq!(snap.gauge("x.depth"), Some(0));
+        assert_eq!(snap.hist("log.insert_ns").unwrap().count, 0);
+    }
+
+    #[test]
+    fn counter_sums_are_exact_beyond_the_shard_count() {
+        const THREADS: u64 = COUNTER_SHARDS as u64 + 8;
+        const ADDS: u64 = 10_000;
+        let t = Telemetry::new(&TelemetryConfig::default());
+        let c = t.counter("x.events", Unit::Count);
+        std::thread::scope(|s| {
+            for i in 0..THREADS {
+                let t = &t;
+                s.spawn(move || {
+                    for _ in 0..ADDS {
+                        t.add(c, i + 1);
+                    }
+                });
+            }
+        });
+        let want = ADDS * THREADS * (THREADS + 1) / 2;
+        assert_eq!(t.count(c), want);
+        assert_eq!(t.snapshot("test").counter("x.events"), Some(want));
     }
 
     #[test]

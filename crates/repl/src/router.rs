@@ -28,12 +28,12 @@
 //!   read's staleness budget, stops receiving reads until it catches back
 //!   up (re-admission is automatic, by watermark, on the routing path).
 //!
-//! Every decision is counted through the telemetry registry
+//! Every decision is counted on the primary's telemetry registry
 //! (`router.routed`, `router.blocked`, `router.fallback_*`,
-//! `router.quarantines`, `router.readmissions`, the `router.read_ns`
-//! latency histogram) and mirrored in plain atomics
-//! ([`ReadRouter::stats`]) so tests and the simulator can assert on routing
-//! behavior with telemetry disabled.
+//! `router.quarantines`, `router.readmissions`; the `router.read_ns`
+//! latency histogram while telemetry is on). Counters count with telemetry
+//! off, so [`ReadRouter::stats`] reads them back for tests and the
+//! simulator.
 //!
 //! All blocking goes through [`aether_core::runtime`] and no choice is
 //! random, so the router runs unmodified — and replays byte-identically —
@@ -138,8 +138,9 @@ pub struct RoutedRead {
     pub source: SourceKind,
 }
 
-/// A point-in-time view of the router's decisions (plain atomics, valid
-/// with telemetry disabled).
+/// A point-in-time view of the router's decisions (valid with telemetry
+/// disabled). The decision counts are the primary registry's `router.*`
+/// counters, so they cover every router over that primary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouterStats {
     /// Reads served by a replica without blocking.
@@ -199,14 +200,6 @@ pub struct ReadRouter {
     primary_serving: Mutex<()>,
     tel: Arc<Telemetry>,
     m: Metrics,
-    // Plain mirrors of the telemetry counters (telemetry records only when
-    // enabled; stats() must work regardless).
-    c_routed: AtomicU64,
-    c_blocked: AtomicU64,
-    c_fallback_fresher: AtomicU64,
-    c_fallback_primary: AtomicU64,
-    c_quarantines: AtomicU64,
-    c_readmissions: AtomicU64,
 }
 
 impl std::fmt::Debug for ReadRouter {
@@ -253,12 +246,6 @@ impl ReadRouter {
             primary_serving: Mutex::new(()),
             tel,
             m,
-            c_routed: AtomicU64::new(0),
-            c_blocked: AtomicU64::new(0),
-            c_fallback_fresher: AtomicU64::new(0),
-            c_fallback_primary: AtomicU64::new(0),
-            c_quarantines: AtomicU64::new(0),
-            c_readmissions: AtomicU64::new(0),
         }
     }
 
@@ -303,12 +290,12 @@ impl ReadRouter {
     /// Routing decision counters.
     pub fn stats(&self) -> RouterStats {
         RouterStats {
-            routed: self.c_routed.load(Ordering::Relaxed),
-            blocked: self.c_blocked.load(Ordering::Relaxed),
-            fallback_fresher: self.c_fallback_fresher.load(Ordering::Relaxed),
-            fallback_primary: self.c_fallback_primary.load(Ordering::Relaxed),
-            quarantines: self.c_quarantines.load(Ordering::Relaxed),
-            readmissions: self.c_readmissions.load(Ordering::Relaxed),
+            routed: self.tel.count(self.m.routed),
+            blocked: self.tel.count(self.m.blocked),
+            fallback_fresher: self.tel.count(self.m.fallback_fresher),
+            fallback_primary: self.tel.count(self.m.fallback_primary),
+            quarantines: self.tel.count(self.m.quarantines),
+            readmissions: self.tel.count(self.m.readmissions),
             quarantined: self
                 .nodes
                 .iter()
@@ -340,7 +327,6 @@ impl ReadRouter {
                         .compare_exchange(true, false, Ordering::AcqRel, Ordering::Acquire)
                         .is_ok()
                 {
-                    self.c_readmissions.fetch_add(1, Ordering::Relaxed);
                     self.tel.inc(self.m.readmissions);
                 } else if lag > self.cfg.readmit_lag {
                     quarantined_now += 1;
@@ -360,7 +346,6 @@ impl ReadRouter {
             .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
         {
-            self.c_quarantines.fetch_add(1, Ordering::Relaxed);
             self.tel.inc(self.m.quarantines);
         }
     }
@@ -391,13 +376,11 @@ impl ReadRouter {
         // its applied watermark within the budget.
         let node = &self.nodes[pick];
         if node.reader.applied() >= min {
-            self.c_routed.fetch_add(1, Ordering::Relaxed);
             self.tel.inc(self.m.routed);
         } else {
             // A read that blocks counts as `blocked` or as a fallback,
             // never as `routed` too: the four outcomes partition the reads.
             if node.reader.wait_applied(min, self.cfg.budget) >= min {
-                self.c_blocked.fetch_add(1, Ordering::Relaxed);
                 self.tel.inc(self.m.blocked);
             } else {
                 // Budget missed: this replica is failing its staleness
@@ -410,7 +393,6 @@ impl ReadRouter {
                     .filter(|&(a, _)| a >= min)
                     .max_by_key(|&(a, j)| (a, std::cmp::Reverse(j)));
                 if let Some((_, j)) = fresher {
-                    self.c_fallback_fresher.fetch_add(1, Ordering::Relaxed);
                     self.tel.inc(self.m.fallback_fresher);
                     return self.read_node(j, table, key, min);
                 }
@@ -443,7 +425,6 @@ impl ReadRouter {
     /// Serve from the primary: its materialized state covers every issued
     /// commit token, so any floor is satisfied by construction.
     fn read_primary(&self, table: u32, key: u64, min: Lsn) -> StorageResult<RoutedRead> {
-        self.c_fallback_primary.fetch_add(1, Ordering::Relaxed);
         self.tel.inc(self.m.fallback_primary);
         let value = if self.cfg.service > Duration::ZERO {
             let _slot = lock(&self.primary_serving);
@@ -647,5 +628,54 @@ mod tests {
         assert_eq!(counter_of(&out.value.unwrap()), 42);
         let st = router.stats();
         assert_eq!(st.fallback_primary, 1);
+    }
+
+    #[test]
+    fn stats_are_the_registry_counters_with_telemetry_off() {
+        let primary = primary();
+        assert!(!primary.log().telemetry().on());
+        let cluster = ReplicatedDb::attach(
+            Arc::clone(&primary),
+            ReplicationConfig {
+                replicas: 2,
+                policy: DurabilityPolicy::SemiSync(1),
+                ..ReplicationConfig::default()
+            },
+        )
+        .unwrap();
+        assert!(cluster.wait_catchup(Duration::from_secs(10)));
+        let router = cluster.router(RouterConfig {
+            budget: Duration::from_millis(1),
+            ..RouterConfig::default()
+        });
+        for k in 0..8 {
+            router.read(0, k).unwrap();
+        }
+        // A floor no replica reaches within the budget: the primary serves.
+        router.read_at_least(0, 1, Lsn(1 << 40)).unwrap();
+        let st = router.stats();
+        let snap = primary.telemetry_snapshot("router");
+        let counted = [
+            "router.routed",
+            "router.blocked",
+            "router.fallback_fresher",
+            "router.fallback_primary",
+            "router.quarantines",
+            "router.readmissions",
+        ]
+        .map(|name| snap.counter(name).unwrap());
+        assert_eq!(
+            [
+                st.routed,
+                st.blocked,
+                st.fallback_fresher,
+                st.fallback_primary,
+                st.quarantines,
+                st.readmissions
+            ],
+            counted,
+            "{st:?}"
+        );
+        assert_eq!((st.routed, st.fallback_primary), (8, 1), "{st:?}");
     }
 }

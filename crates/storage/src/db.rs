@@ -11,7 +11,7 @@ use crate::txn::{CommitOutcome, CommitProtocol, Transaction, TxnManager, TxnStat
 use crate::wal::{CheckpointPayload, ClrPayload, UpdatePayload};
 use aether_core::commit::CommitToken;
 use aether_core::device::LogDevice;
-use aether_core::telemetry::{CounterId, HistId, Unit};
+use aether_core::telemetry::{CounterId, HistId, Telemetry, Unit};
 use aether_core::{
     BufferKind, DeviceKind, LogConfig, LogManager, Lsn, RecordKind, TelemetrySnapshot,
 };
@@ -94,47 +94,52 @@ impl std::fmt::Debug for CrashImage {
     }
 }
 
-/// Aggregate database counters (feed the Figure-2/7 time breakdowns).
-#[derive(Debug, Default)]
+/// Aggregate database counters (feed the Figure-2/7 time breakdowns): a
+/// typed view of the `db.*` counters on the log's telemetry registry.
+#[derive(Debug)]
 pub struct DbStats {
-    /// Nanoseconds committing transactions spent blocked in the log flush
-    /// (delays A + C of Figure 1; zero under flush pipelining).
-    pub flush_wait_ns: std::sync::atomic::AtomicU64,
-    /// Transactions committed (submitted; durability may lag for async
-    /// protocols).
-    pub commits: std::sync::atomic::AtomicU64,
-    /// Transactions aborted.
-    pub aborts: std::sync::atomic::AtomicU64,
-    /// Transactions refused at [`Db::try_begin`] because the retained log
-    /// footprint crossed the hard watermark (admission control).
-    pub admission_rejects: std::sync::atomic::AtomicU64,
-    /// Emergency checkpoint-and-truncate cycles triggered by disk pressure.
-    pub emergency_checkpoints: std::sync::atomic::AtomicU64,
+    tel: Arc<Telemetry>,
+    flush_wait_ns: CounterId,
+    commits: CounterId,
+    aborts: CounterId,
+    admission_rejects: CounterId,
+    emergency_checkpoints: CounterId,
 }
 
 impl DbStats {
-    /// Flush-wait total in ns.
+    fn new(tel: &Arc<Telemetry>) -> DbStats {
+        DbStats {
+            tel: Arc::clone(tel),
+            flush_wait_ns: tel.counter("db.flush_wait_ns", Unit::Nanos),
+            commits: tel.counter("db.commits", Unit::Count),
+            aborts: tel.counter("db.aborts", Unit::Count),
+            admission_rejects: tel.counter("db.admission_rejects", Unit::Count),
+            emergency_checkpoints: tel.counter("db.emergency_checkpoints", Unit::Count),
+        }
+    }
+
+    /// Nanoseconds committing transactions spent blocked in the log flush
+    /// (delays A + C of Figure 1; zero under flush pipelining).
     pub fn flush_wait_ns(&self) -> u64 {
-        self.flush_wait_ns
-            .load(std::sync::atomic::Ordering::Relaxed)
+        self.tel.count(self.flush_wait_ns)
     }
-    /// Commits submitted.
+    /// Transactions committed (submitted; durability may lag for async
+    /// protocols).
     pub fn commits(&self) -> u64 {
-        self.commits.load(std::sync::atomic::Ordering::Relaxed)
+        self.tel.count(self.commits)
     }
-    /// Aborts performed.
+    /// Transactions aborted.
     pub fn aborts(&self) -> u64 {
-        self.aborts.load(std::sync::atomic::Ordering::Relaxed)
+        self.tel.count(self.aborts)
     }
-    /// Transactions shed by disk-pressure admission control.
+    /// Transactions refused at [`Db::try_begin`] because the retained log
+    /// footprint crossed the hard watermark (admission control).
     pub fn admission_rejects(&self) -> u64 {
-        self.admission_rejects
-            .load(std::sync::atomic::Ordering::Relaxed)
+        self.tel.count(self.admission_rejects)
     }
-    /// Emergency checkpoints triggered by disk pressure.
+    /// Emergency checkpoint-and-truncate cycles triggered by disk pressure.
     pub fn emergency_checkpoints(&self) -> u64 {
-        self.emergency_checkpoints
-            .load(std::sync::atomic::Ordering::Relaxed)
+        self.tel.count(self.emergency_checkpoints)
     }
 }
 
@@ -211,8 +216,9 @@ impl Db {
         log: Arc<LogManager>,
         store: Arc<PageStore>,
     ) -> Arc<Db> {
-        let locks = LockManager::new(opts.lock_config.clone());
         let t = log.telemetry();
+        let locks = LockManager::new(opts.lock_config.clone(), t);
+        let stats = DbStats::new(t);
         let tel = DbTelIds {
             commit_latency_ns: t.histogram("db.commit_latency_ns", Unit::Nanos),
             ckpt_cycles: t.counter("ckpt.cycles", Unit::Count),
@@ -226,7 +232,7 @@ impl Db {
             txns,
             store,
             opts,
-            stats: DbStats::default(),
+            stats,
             redo_low_water: aether_core::lsn::AtomicLsn::new(Lsn::ZERO),
             tel,
             emergency_ckpt: std::sync::atomic::AtomicBool::new(false),
@@ -238,36 +244,11 @@ impl Db {
         &self.stats
     }
 
-    /// Full telemetry snapshot: the log's own snapshot plus the storage
-    /// layer's counters (commit/abort totals, lock-manager contention and
-    /// deadlock victims, active-transaction count), tagged with `scope`.
+    /// Full telemetry snapshot: the log's own snapshot, which holds the
+    /// storage layer's counters too, plus the locks granted and the
+    /// transactions active now, tagged with `scope`.
     pub fn telemetry_snapshot(&self, scope: &str) -> TelemetrySnapshot {
         let mut snap = self.log.telemetry_snapshot_scoped(scope);
-        snap.push_counter("db.commits", Unit::Count, self.stats.commits());
-        snap.push_counter("db.aborts", Unit::Count, self.stats.aborts());
-        snap.push_counter("db.flush_wait_ns", Unit::Nanos, self.stats.flush_wait_ns());
-        snap.push_counter(
-            "db.admission_rejects",
-            Unit::Count,
-            self.stats.admission_rejects(),
-        );
-        snap.push_counter(
-            "db.emergency_checkpoints",
-            Unit::Count,
-            self.stats.emergency_checkpoints(),
-        );
-        snap.push_counter("lock.wait_ns", Unit::Nanos, self.locks.wait_ns());
-        snap.push_counter(
-            "lock.blocked_acquires",
-            Unit::Count,
-            self.locks.blocked_acquires(),
-        );
-        snap.push_counter(
-            "lock.deadlock_victims",
-            Unit::Count,
-            self.locks.deadlock_victims(),
-        );
-        snap.push_counter("lock.timeouts", Unit::Count, self.locks.lock_timeouts());
         snap.push_gauge(
             "lock.granted",
             Unit::Count,
@@ -380,9 +361,7 @@ impl Db {
         let retained = self.log.retained_bytes();
         if let Some(limit) = hard {
             if retained >= limit {
-                self.stats
-                    .admission_rejects
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.stats.tel.inc(self.stats.admission_rejects);
                 self.kick_emergency_checkpoint();
                 return Err(StorageError::Log(aether_core::AetherError::LogFull {
                     retained,
@@ -412,9 +391,7 @@ impl Db {
         {
             return;
         }
-        self.stats
-            .emergency_checkpoints
-            .fetch_add(1, Ordering::Relaxed);
+        self.stats.tel.inc(self.stats.emergency_checkpoints);
         let rt = self.log.config().runtime.clone();
         if rt.is_sim() {
             let _ = self.checkpoint_and_truncate();
@@ -668,9 +645,7 @@ impl Db {
             self.log
                 .insert_payload::<[u8]>(RecordKind::Commit, txn.id, txn.last_lsn(), &[]);
         txn.status = TxnStatus::Precommitted;
-        self.stats
-            .commits
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.stats.tel.inc(self.stats.commits);
         let token = CommitToken::at(end);
         let protocol = self.opts.protocol;
         // §3, when locks drop: as soon as the commit record is buffered
@@ -690,8 +665,8 @@ impl Db {
                 let replicated = self.log.wait_committed(end);
                 let now = aether_core::runtime::monotonic_ns();
                 self.stats
-                    .flush_wait_ns
-                    .fetch_add(now.saturating_sub(t), std::sync::atomic::Ordering::Relaxed);
+                    .tel
+                    .add(self.stats.flush_wait_ns, now.saturating_sub(t));
                 // Commit latency: entry to durable.
                 if let Some(t0) = t_commit {
                     let tel = self.log.telemetry();
@@ -766,9 +741,7 @@ impl Db {
         self.log
             .insert_payload::<[u8]>(RecordKind::Abort, txn.id, txn.last_lsn(), &[]);
         txn.status = TxnStatus::Aborted;
-        self.stats
-            .aborts
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.stats.tel.inc(self.stats.aborts);
         self.locks.release_all(txn.id, &txn.held);
         self.txns.finish(&txn);
         Ok(())
@@ -879,8 +852,8 @@ impl Db {
         if out.held_back_by_replica && prev > self.log.low_water() {
             out = self.log.truncate_to(prev);
         }
+        tel.inc(self.tel.ckpt_cycles);
         if let Some(t0) = t0 {
-            tel.inc(self.tel.ckpt_cycles);
             let dt = aether_core::runtime::monotonic_ns().saturating_sub(t0);
             tel.record(self.tel.ckpt_cycle_ns, dt);
         }
@@ -957,6 +930,7 @@ impl Db {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aether_core::commit::Tally;
 
     fn rec(key: u64, size: usize, fill: u8) -> Vec<u8> {
         let mut r = vec![fill; size];
@@ -1069,6 +1043,51 @@ mod tests {
         }
         assert!(db.log().commit_lsn() >= token.lsn());
         assert_eq!(db.txn_manager().active_count(), 0);
+    }
+
+    #[test]
+    fn one_snapshot_with_telemetry_off_carries_every_layers_counts() {
+        let db = tiny_db(CommitProtocol::Pipelined);
+        assert!(!db.log().telemetry().on());
+        // A second transaction blocks on the first one's row lock.
+        let mut a = db.begin();
+        db.update_with(&mut a, 0, 1, |r| r[8] = 2).unwrap();
+        std::thread::scope(|s| {
+            let b = s.spawn(|| {
+                let mut b = db.begin();
+                db.update_with(&mut b, 0, 1, |r| r[8] = 3).unwrap();
+                db.commit(b).unwrap();
+            });
+            while db.locks().blocked_acquires() == 0 {
+                std::thread::yield_now();
+            }
+            db.commit(a).unwrap();
+            b.join().unwrap();
+        });
+        // A watched commit, resolved durable by a flush.
+        let tally = Arc::new(Tally::default());
+        let pipeline = db.log().pipeline();
+        pipeline.subscribe(tally.clone());
+        let mut c = db.begin();
+        db.update_with(&mut c, 0, 2, |r| r[8] = 4).unwrap();
+        let (token, _) = db.commit_deferred(c).unwrap();
+        tally.add(token.lsn());
+        pipeline.watch(&*tally, token.lsn());
+        assert!(tally.wait_settled(Some(std::time::Duration::from_secs(10))));
+        db.checkpoint_and_truncate();
+
+        let snap = db.telemetry_snapshot("off");
+        for name in [
+            "log.inserts",
+            "flush.flushes",
+            "commit.submitted",
+            "db.commits",
+            "lock.blocked_acquires",
+            "truncation.truncations",
+        ] {
+            assert!(snap.counter(name) > Some(0), "{name}: {snap:?}");
+        }
+        assert_eq!(snap.counter("db.commits"), Some(db.stats().commits()));
     }
 
     #[test]

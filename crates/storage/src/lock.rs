@@ -31,8 +31,8 @@
 
 use crate::error::{StorageError, StorageResult};
 use aether_core::runtime::{self, lock, WaitSet};
+use aether_core::telemetry::{CounterId, Telemetry, Unit};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -271,17 +271,19 @@ pub struct LockManager {
     /// path (an actual block) does not serialize unrelated conflicts; see
     /// [`WaitForGraph`].
     waits_for: WaitForGraph,
-    /// Total nanoseconds spent blocked in `acquire` (Figure 2/3/7 breakdowns:
-    /// this is delay (B), log-induced lock contention, when the holder is in
-    /// its commit flush).
-    wait_ns: AtomicU64,
-    /// Number of acquires that had to block.
-    blocked_acquires: AtomicU64,
-    /// Acquires refused as deadlock victims (detector cycles and
-    /// conservative upgrade refusals).
-    deadlock_victims: AtomicU64,
-    /// Acquires that gave up on timeout.
-    lock_timeouts: AtomicU64,
+    /// The registry the `lock.*` counters below live on.
+    tel: Arc<Telemetry>,
+    /// `lock.wait_ns`: total nanoseconds spent blocked in `acquire` (Figure
+    /// 2/3/7 breakdowns: this is delay (B), log-induced lock contention,
+    /// when the holder is in its commit flush).
+    wait_ns: CounterId,
+    /// `lock.blocked_acquires`: acquires that had to block.
+    blocked_acquires: CounterId,
+    /// `lock.deadlock_victims`: acquires refused as deadlock victims
+    /// (detector cycles and conservative upgrade refusals).
+    deadlock_victims: CounterId,
+    /// `lock.timeouts`: acquires that gave up on timeout.
+    lock_timeouts: CounterId,
 }
 
 impl std::fmt::Debug for LockManager {
@@ -293,8 +295,8 @@ impl std::fmt::Debug for LockManager {
 }
 
 impl LockManager {
-    /// Build with `config`.
-    pub fn new(config: LockConfig) -> Arc<LockManager> {
+    /// Build with `config`, counting on `tel`.
+    pub fn new(config: LockConfig, tel: &Arc<Telemetry>) -> Arc<LockManager> {
         let shards = (0..SHARDS)
             .map(|_| Shard {
                 entries: Mutex::new(Entries {
@@ -308,31 +310,32 @@ impl LockManager {
             shards,
             timeout: config.timeout,
             waits_for: WaitForGraph::new(),
-            wait_ns: AtomicU64::new(0),
-            blocked_acquires: AtomicU64::new(0),
-            deadlock_victims: AtomicU64::new(0),
-            lock_timeouts: AtomicU64::new(0),
+            tel: Arc::clone(tel),
+            wait_ns: tel.counter("lock.wait_ns", Unit::Nanos),
+            blocked_acquires: tel.counter("lock.blocked_acquires", Unit::Count),
+            deadlock_victims: tel.counter("lock.deadlock_victims", Unit::Count),
+            lock_timeouts: tel.counter("lock.timeouts", Unit::Count),
         })
     }
 
     /// Total nanoseconds spent blocked waiting for locks.
     pub fn wait_ns(&self) -> u64 {
-        self.wait_ns.load(Relaxed)
+        self.tel.count(self.wait_ns)
     }
 
     /// Number of acquires that blocked.
     pub fn blocked_acquires(&self) -> u64 {
-        self.blocked_acquires.load(Relaxed)
+        self.tel.count(self.blocked_acquires)
     }
 
     /// Acquires refused as deadlock victims.
     pub fn deadlock_victims(&self) -> u64 {
-        self.deadlock_victims.load(Relaxed)
+        self.tel.count(self.deadlock_victims)
     }
 
     /// Acquires that gave up on timeout.
     pub fn lock_timeouts(&self) -> u64 {
-        self.lock_timeouts.load(Relaxed)
+        self.tel.count(self.lock_timeouts)
     }
 
     fn shard(&self, id: LockId) -> &Shard {
@@ -367,7 +370,7 @@ impl LockManager {
             // Conservative: an upgrade that would wait behind other holders
             // is a classic deadlock source; fail fast as a victim.
             if !entry.waiters.is_empty() || !entry.admits(txn, mode) {
-                self.deadlock_victims.fetch_add(1, Relaxed);
+                self.tel.inc(self.deadlock_victims);
                 return Err(StorageError::Deadlock { txn });
             }
             entry.granted[pos].1 = mode;
@@ -389,10 +392,10 @@ impl LockManager {
         self.waits_for.set_edges(txn, blockers.clone());
         if self.waits_for.has_cycle_from(txn, &blockers) {
             self.leave(entry, txn);
-            self.deadlock_victims.fetch_add(1, Relaxed);
+            self.tel.inc(self.deadlock_victims);
             return Err(StorageError::Deadlock { txn });
         }
-        self.blocked_acquires.fetch_add(1, Relaxed);
+        self.tel.inc(self.blocked_acquires);
         drop(entries);
 
         let wait_started = runtime::monotonic_ns();
@@ -405,7 +408,7 @@ impl LockManager {
             })
             .is_some();
         let dt = runtime::monotonic_ns().saturating_sub(wait_started);
-        self.wait_ns.fetch_add(dt, Relaxed);
+        self.tel.add(self.wait_ns, dt);
         if granted {
             return Ok(());
         }
@@ -421,7 +424,7 @@ impl LockManager {
         self.leave(entry, txn);
         drop(entries);
         shard.granted.notify();
-        self.lock_timeouts.fetch_add(1, Relaxed);
+        self.tel.inc(self.lock_timeouts);
         Err(StorageError::LockTimeout { txn })
     }
 
@@ -502,11 +505,16 @@ impl LockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aether_core::telemetry::TelemetryConfig;
 
     fn mgr(timeout_ms: u64) -> Arc<LockManager> {
-        LockManager::new(LockConfig {
-            timeout: Duration::from_millis(timeout_ms),
-        })
+        let tel = Arc::new(Telemetry::new(&TelemetryConfig::default()));
+        LockManager::new(
+            LockConfig {
+                timeout: Duration::from_millis(timeout_ms),
+            },
+            &tel,
+        )
     }
 
     /// Would `txn` get `mode` on `id` within the manager's time-out? It

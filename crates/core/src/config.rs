@@ -30,32 +30,6 @@ impl Default for GroupCommitPolicy {
     }
 }
 
-/// Bounded-retry policy for the flush daemon's device I/O.
-///
-/// A transient error (see `AetherError::is_transient`) is retried up to
-/// `max_attempts` times with exponential backoff; a permanent error, or a
-/// transient one that exhausts the budget, poisons the log — pending
-/// committers are released with `AetherError::Poisoned` instead of hanging.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlushRetryPolicy {
-    /// Total attempts per device operation (1 = no retry).
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles per attempt.
-    pub initial_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-}
-
-impl Default for FlushRetryPolicy {
-    fn default() -> Self {
-        FlushRetryPolicy {
-            max_attempts: 5,
-            initial_backoff: Duration::from_micros(100),
-            max_backoff: Duration::from_millis(10),
-        }
-    }
-}
-
 /// Configuration for a [`crate::manager::LogManager`] or a standalone buffer.
 #[derive(Debug, Clone)]
 pub struct LogConfig {
@@ -75,8 +49,6 @@ pub struct LogConfig {
     pub treadmill_inv: u32,
     /// Group-commit policy for the flush daemon.
     pub group_commit: GroupCommitPolicy,
-    /// Bounded retry + backoff for flush-daemon device I/O.
-    pub flush_retry: FlushRetryPolicy,
     /// Runtime the log's background threads and waits run under. Defaults
     /// to the real runtime; a simulated cluster injects
     /// [`crate::runtime::Runtime::sim`] here for deterministic replay.
@@ -95,7 +67,6 @@ impl Default for LogConfig {
             release_queue_pool: 4096,
             treadmill_inv: 32,
             group_commit: GroupCommitPolicy::default(),
-            flush_retry: FlushRetryPolicy::default(),
             runtime: crate::runtime::Runtime::default(),
             telemetry: crate::telemetry::TelemetryConfig::default(),
         }
@@ -117,9 +88,6 @@ impl LogConfig {
         }
         if self.release_queue_pool < 64 {
             return Err("release_queue_pool must be >= 64".into());
-        }
-        if self.flush_retry.max_attempts == 0 {
-            return Err("flush_retry.max_attempts must be >= 1".into());
         }
         self.telemetry.validate()?;
         Ok(())

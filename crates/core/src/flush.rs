@@ -71,7 +71,7 @@
 
 use crate::buffer::BufferCore;
 use crate::commit::CommitPipeline;
-use crate::config::{FlushRetryPolicy, GroupCommitPolicy};
+use crate::config::GroupCommitPolicy;
 use crate::device::LogDevice;
 use crate::error::{AetherError, Result};
 use crate::lsn::Lsn;
@@ -182,15 +182,14 @@ impl std::fmt::Debug for FlushDaemon {
 impl FlushDaemon {
     /// Spawn the daemon over `core`/`device` under `rt`, completing commits
     /// through `pipeline` once they clear its gate (local durability +
-    /// replica acks). Device errors are retried per `retry`; exhaustion or
-    /// a permanent error poisons the log.
+    /// replica acks). Device errors are retried ([`FLUSH_ATTEMPTS`]);
+    /// exhaustion or a permanent error poisons the log.
     pub fn spawn(
         rt: &Runtime,
         core: Arc<BufferCore>,
         device: Arc<dyn LogDevice>,
         pipeline: Arc<CommitPipeline>,
         policy: GroupCommitPolicy,
-        retry: FlushRetryPolicy,
     ) -> FlushDaemon {
         let shared = Arc::new(FlushShared {
             inner: Mutex::new(FlushInner {
@@ -208,7 +207,6 @@ impl FlushDaemon {
             device,
             pipeline: Arc::clone(&pipeline),
             policy,
-            retry,
         });
         let threads = (0..FLUSH_DEPTH)
             .map(|id| {
@@ -260,18 +258,31 @@ impl Drop for FlushDaemon {
     }
 }
 
-/// Run `op`, retrying transient failures with exponential backoff per
-/// `retry`. Returns the last error when the budget is exhausted or the
-/// failure is permanent.
-fn with_retry<T>(retry: &FlushRetryPolicy, mut op: impl FnMut() -> Result<T>) -> Result<T> {
-    let mut backoff = retry.initial_backoff;
+/// Attempts per device write or sync (1 would be no retry). A transient
+/// error (see [`AetherError::is_transient`]) is retried with exponential
+/// backoff until the budget is spent; a permanent error, or a transient one
+/// that exhausts it, poisons the log — pending committers are released
+/// with [`AetherError::Poisoned`] instead of hanging.
+pub const FLUSH_ATTEMPTS: u32 = 5;
+
+/// Backoff before the first retry; it doubles per attempt.
+const FLUSH_BACKOFF: Duration = Duration::from_micros(100);
+
+/// Backoff ceiling.
+const FLUSH_BACKOFF_MAX: Duration = Duration::from_millis(10);
+
+/// Run `op`, retrying transient failures with exponential backoff, up to
+/// [`FLUSH_ATTEMPTS`] attempts. Returns the last error when the budget is
+/// exhausted or the failure is permanent.
+fn with_retry<T>(mut op: impl FnMut() -> Result<T>) -> Result<T> {
+    let mut backoff = FLUSH_BACKOFF;
     let mut attempt = 1u32;
     loop {
         match op() {
             Ok(v) => return Ok(v),
-            Err(e) if e.is_transient() && attempt < retry.max_attempts => {
+            Err(e) if e.is_transient() && attempt < FLUSH_ATTEMPTS => {
                 runtime::sleep(backoff);
-                backoff = (backoff * 2).min(retry.max_backoff);
+                backoff = (backoff * 2).min(FLUSH_BACKOFF_MAX);
                 attempt += 1;
             }
             Err(e) => return Err(e),
@@ -286,7 +297,6 @@ struct Flusher {
     device: Arc<dyn LogDevice>,
     pipeline: Arc<CommitPipeline>,
     policy: GroupCommitPolicy,
-    retry: FlushRetryPolicy,
 }
 
 impl Flusher {
@@ -418,7 +428,7 @@ impl Flusher {
             // duplicate that prefix, so each retry re-derives the remaining
             // window from the device's own length — the stream offset equals
             // the LSN, and no other flusher writes until this one is done.
-            let write = with_retry(&self.retry, || {
+            let write = with_retry(|| {
                 let done = self.device.len().max(at.raw());
                 if done >= target.raw() {
                     return Ok(()); // a previous attempt landed everything
@@ -441,7 +451,7 @@ impl Flusher {
             }
             g.awake -= 1;
             drop(g);
-            let synced = with_retry(&self.retry, || self.device.sync());
+            let synced = with_retry(|| self.device.sync());
             let mut g = lock(&self.shared.inner);
             g.awake += 1;
             if let Err(e) = synced {
@@ -515,11 +525,7 @@ mod tests {
     );
 
     /// A 64 KiB ring, a daemon over `device`, and a baseline buffer.
-    fn rig<D: LogDevice + 'static>(
-        device: Arc<D>,
-        policy: GroupCommitPolicy,
-        retry: FlushRetryPolicy,
-    ) -> Rig<D> {
+    fn rig<D: LogDevice + 'static>(device: Arc<D>, policy: GroupCommitPolicy) -> Rig<D> {
         let cfg = LogConfig::default().with_buffer_size(1 << 16);
         let core = BufferCore::new(&cfg);
         let pipeline = Arc::new(CommitPipeline::new(
@@ -532,7 +538,6 @@ mod tests {
             device.clone() as Arc<dyn LogDevice>,
             Arc::clone(&pipeline),
             policy,
-            retry,
         );
         let buf = BufferKind::Baseline.build(Arc::clone(&core), &cfg);
         (core, device, pipeline, daemon, buf)
@@ -559,7 +564,6 @@ mod tests {
         rig(
             Arc::new(SimDevice::new(Duration::from_micros(latency_us))),
             GroupCommitPolicy::default(),
-            FlushRetryPolicy::default(),
         )
     }
 
@@ -617,7 +621,6 @@ mod tests {
             device.clone() as Arc<dyn LogDevice>,
             pipeline,
             policy.clone(),
-            FlushRetryPolicy::default(),
         );
         let buf = BufferKind::Baseline.build(Arc::clone(&core), &cfg);
         put(&*buf, RecordKind::Filler, 1, &[0; 64]);
@@ -718,27 +721,11 @@ mod tests {
         }
     }
 
-    fn flaky_setup(
-        device: Arc<FlakyDevice>,
-    ) -> (
-        Arc<BufferCore>,
-        Arc<CommitPipeline>,
-        FlushDaemon,
-        Arc<dyn LogBuffer>,
-    ) {
-        let retry = FlushRetryPolicy {
-            max_attempts: 5,
-            initial_backoff: Duration::from_micros(10),
-            max_backoff: Duration::from_micros(100),
-        };
-        let (core, _, pipeline, daemon, buf) = rig(device, GroupCommitPolicy::default(), retry);
-        (core, pipeline, daemon, buf)
-    }
-
     #[test]
     fn transient_sync_errors_are_retried_and_committers_unblock_ok() {
         let device = Arc::new(FlakyDevice::new(3, false));
-        let (core, pipeline, _daemon, buf) = flaky_setup(Arc::clone(&device));
+        let (core, _, pipeline, _daemon, buf) =
+            rig(Arc::clone(&device), GroupCommitPolicy::default());
         put(&*buf, RecordKind::Commit, 1, &[]);
         let end = core.released_lsn();
         let h = watch(&pipeline, end);
@@ -751,7 +738,8 @@ mod tests {
     #[test]
     fn permanent_sync_error_poisons_and_fails_pending_committers() {
         let device = Arc::new(FlakyDevice::new(0, true));
-        let (core, pipeline, _daemon, buf) = flaky_setup(Arc::clone(&device));
+        let (core, _, pipeline, _daemon, buf) =
+            rig(Arc::clone(&device), GroupCommitPolicy::default());
         put(&*buf, RecordKind::Commit, 1, &[]);
         let end = core.released_lsn();
         let h = watch(&pipeline, end);
@@ -774,7 +762,8 @@ mod tests {
     fn exhausted_retry_budget_poisons() {
         // More transient failures than the 5-attempt budget.
         let device = Arc::new(FlakyDevice::new(50, false));
-        let (core, _pipeline, _daemon, buf) = flaky_setup(Arc::clone(&device));
+        let (core, _, _pipeline, _daemon, buf) =
+            rig(Arc::clone(&device), GroupCommitPolicy::default());
         put(&*buf, RecordKind::Filler, 1, &[0; 32]);
         let end = core.released_lsn();
         assert!(matches!(
@@ -845,11 +834,7 @@ mod tests {
     }
 
     fn stall_setup(policy: GroupCommitPolicy) -> Rig<StallDevice> {
-        rig(
-            Arc::new(StallDevice::new(Duration::ZERO)),
-            policy,
-            FlushRetryPolicy::default(),
-        )
+        rig(Arc::new(StallDevice::new(Duration::ZERO)), policy)
     }
 
     fn submit_commit(
@@ -1053,8 +1038,7 @@ mod tests {
             synced: AtomicU64::new(0),
             fail: Mutex::new(failing),
         });
-        let (core, device, pipeline, daemon, buf) =
-            rig(device, unbounded(), FlushRetryPolicy::default());
+        let (core, device, pipeline, daemon, buf) = rig(device, unbounded());
         // Dropped before the daemon: a failed assertion ends the blocked
         // sync, so the daemon's shutdown can join its flushers.
         let fail = fail;

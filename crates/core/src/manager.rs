@@ -110,7 +110,6 @@ impl LogManagerBuilder {
                 Arc::clone(&device),
                 Arc::clone(&pipeline),
                 self.config.group_commit.clone(),
-                self.config.flush_retry.clone(),
             ))
         };
         let flush_shared = daemon.as_ref().map(|d| Arc::clone(d.shared()));

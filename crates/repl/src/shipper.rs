@@ -35,7 +35,7 @@ use aether_core::telemetry::{Stage, Unit};
 use aether_core::{LogManager, Lsn};
 use aether_storage::db::Db;
 use aether_storage::replay::{self, BaseSnapshot};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Shipper tuning.
@@ -73,16 +73,13 @@ pub fn ack_link(log: &Arc<LogManager>, ack: Arc<ReplicaAck>, cfg: LinkConfig) ->
 /// Handle for one primary→replica shipping pipeline's ship thread.
 pub struct Shipper {
     stop: Arc<AtomicBool>,
-    snapshots_sent: Arc<AtomicU64>,
     log: Arc<LogManager>,
     ship_thread: Option<aether_core::runtime::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Shipper {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shipper")
-            .field("snapshots_sent", &self.snapshots_sent())
-            .finish()
+        f.debug_struct("Shipper").finish_non_exhaustive()
     }
 }
 
@@ -97,13 +94,11 @@ impl Shipper {
         cfg: ShipperConfig,
     ) -> Shipper {
         let stop = Arc::new(AtomicBool::new(false));
-        let snapshots_sent = Arc::new(AtomicU64::new(0));
         let log = Arc::clone(primary.log());
         let rt = log.config().runtime.clone();
 
         let ship_thread = {
             let stop = Arc::clone(&stop);
-            let snapshots_sent = Arc::clone(&snapshots_sent);
             rt.spawn("aether-shipper", move || {
                 let log = Arc::clone(primary.log());
                 let device = Arc::clone(log.device());
@@ -133,7 +128,6 @@ impl Shipper {
                         }
                         seq += 1;
                         at = snap.start_lsn;
-                        snapshots_sent.fetch_add(1, Ordering::Relaxed);
                         tel.inc(m_snapshots);
                         continue;
                     }
@@ -190,17 +184,9 @@ impl Shipper {
 
         Shipper {
             stop,
-            snapshots_sent,
             log,
             ship_thread: Some(ship_thread),
         }
-    }
-
-    /// Snapshot bootstraps shipped after falling behind the truncated
-    /// prefix (zero in a cluster whose truncation never outran this
-    /// replica's acks).
-    pub fn snapshots_sent(&self) -> u64 {
-        self.snapshots_sent.load(Ordering::Relaxed)
     }
 
     /// Stop the ship thread (idempotent): it leaves its wait on the durable

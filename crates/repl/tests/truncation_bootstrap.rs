@@ -172,7 +172,11 @@ fn stranded_shipper_reseeds_replica_over_the_wire() {
         "re-seeded replica must catch up to the durable frontier"
     );
     assert!(
-        shipper.snapshots_sent() >= 1,
+        primary
+            .telemetry_snapshot("primary")
+            .counter("ship.snapshots")
+            .unwrap_or(0)
+            >= 1,
         "bootstrap went over the wire"
     );
     let st = replica.status();

@@ -439,7 +439,7 @@ impl<'a> Scenario<'a> {
                 self.rt.note("fault:transient-sync");
                 // A blip burst strictly inside the flush daemon's retry
                 // budget: it must be absorbed invisibly.
-                let budget = self.primary.options().log_config.flush_retry.max_attempts as u64;
+                let budget = aether_core::flush::FLUSH_ATTEMPTS as u64;
                 let blips = 1 + plan.fault_entropy % budget.saturating_sub(1).max(1);
                 let floor: Vec<u64> = acked.iter().map(|a| a.load(Ordering::SeqCst)).collect();
                 self.device.fail_syncs(blips);

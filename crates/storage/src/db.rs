@@ -705,37 +705,20 @@ impl Db {
         self.check_active(&txn)?;
         // Entry i's undo-chain continuation is entry i-1's update LSN; each
         // CLR is serialized from the image arena (no clone, no encode
-        // buffer), and the current cell, which index maintenance compares
-        // with the restored one, is read behind it.
+        // buffer).
         for i in (0..txn.undo.len()).rev() {
             let e = txn.undo[i];
             let t = self.table(e.page.table)?;
-            let rid = Rid {
-                page_no: e.page.page_no,
-                slot: e.slot,
-            };
-            let cur = txn.images.len();
-            t.read_cell_into(rid, &mut txn.images);
-            let restored = txn.before_image(&e, t.geom.cell_size);
-            // Index maintenance: undoing an insert removes the key; undoing
-            // a delete restores it.
-            self.fix_index_on_restore(t, rid, &txn.images[cur..], restored);
-            let undo_next = if i == 0 {
-                Lsn::ZERO
-            } else {
-                txn.undo[i - 1].update_lsn
-            };
             let clr = ClrPayload {
                 page: e.page,
                 slot: e.slot,
-                restored,
-                undo_next,
+                restored: txn.before_image(&e, t.geom.cell_size),
+                undo_next: match i {
+                    0 => Lsn::ZERO,
+                    _ => txn.undo[i - 1].update_lsn,
+                },
             };
-            let (lsn, _) = self
-                .log
-                .insert_payload(RecordKind::Clr, txn.id, txn.last_lsn(), &clr);
-            t.apply_cell(rid, restored, lsn);
-            txn.images.truncate(cur);
+            let lsn = self.compensate(t, txn.id, txn.last_lsn(), &clr);
             self.txns.logged(&mut txn, lsn);
         }
         self.log
@@ -747,30 +730,22 @@ impl Db {
         Ok(())
     }
 
-    /// Shared by rollback and recovery-undo: adjust the hash index when a
-    /// cell restore flips presence.
-    pub(crate) fn fix_index_on_restore(
+    /// Undo one update of transaction `txn`, whose last record is at
+    /// `prev`, in table `t`: fix the index for the cell `clr` restores, log
+    /// `clr` chained to `prev`, apply its image; returns the CLR's LSN.
+    /// Rollback and restart undo both take this one step.
+    pub(crate) fn compensate(
         &self,
         t: &Table,
-        rid: Rid,
-        current: &[u8],
-        restored: &[u8],
-    ) {
-        let cur_present = current[0] == 1;
-        let res_present = restored[0] == 1;
-        if cur_present && !res_present {
-            // Undo of an insert: drop the key.
-            let key = u64::from_le_bytes(current[1..9].try_into().unwrap());
-            if key >= t.dense_rows {
-                t.index().remove(key);
-            }
-        } else if !cur_present && res_present {
-            // Undo of a delete: restore the key.
-            let key = u64::from_le_bytes(restored[1..9].try_into().unwrap());
-            if key >= t.dense_rows {
-                t.index().insert(key, rid);
-            }
-        }
+        txn: u64,
+        prev: Lsn,
+        clr: &ClrPayload<&[u8]>,
+    ) -> Lsn {
+        let rid = clr.rid();
+        t.reindex_cell(rid, t.key_at(rid), clr.restored);
+        let (lsn, _) = self.log.insert_payload(RecordKind::Clr, txn, prev, clr);
+        t.apply_cell(rid, clr.restored, lsn);
+        lsn
     }
 
     // ------------------------------------------------------------------

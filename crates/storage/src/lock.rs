@@ -4,12 +4,10 @@
 //! transactions the paper drives, while keeping the lock manager itself
 //! uncontended so logging dominates (the paper uses Speculative Lock
 //! Inheritance for the same reason, §6.1). The storage layer takes row
-//! locks only. It used to take an intention lock (IS/IX) on the table
-//! first, but nothing ever took a table S or X lock, and intention modes
-//! are compatible with each other, so those locks excluded nothing while
-//! every transaction paid two acquisitions of one shared entry per table.
-//! The table-level [`LockId::table`] and the intention modes remain for a
-//! caller that wants whole-table locking.
+//! locks only, so there are no table-level locks and no intention modes:
+//! nothing ever took a table S or X lock, and intention modes are
+//! compatible with each other, so table locks excluded nothing while every
+//! transaction paid two acquisitions of one shared entry per table.
 //!
 //! **Early Lock Release** is a *policy* of the commit path (see
 //! [`crate::txn`]): the lock manager just provides `release_all`, and the
@@ -36,72 +34,40 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Lock modes. Intention modes (IS/IX) are for table granularity (the
-/// storage layer takes none); S/X for rows.
+/// Row lock modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LockMode {
-    /// Intention shared (table).
-    IS,
-    /// Intention exclusive (table).
-    IX,
-    /// Shared (row).
+    /// Shared.
     S,
-    /// Exclusive (row).
+    /// Exclusive.
     X,
 }
 
 impl LockMode {
-    /// Standard compatibility matrix (no SIX; the workloads don't need it).
+    /// Only two shared locks are compatible.
     pub fn compatible(self, other: LockMode) -> bool {
-        use LockMode::*;
-        match (self, other) {
-            (IS, X) | (X, IS) => false,
-            (IS, _) | (_, IS) => true,
-            (IX, IX) => true,
-            (IX, _) | (_, IX) => false,
-            (S, S) => true,
-            (S, X) | (X, S) | (X, X) => false,
-        }
+        matches!((self, other), (LockMode::S, LockMode::S))
     }
 
     /// Whether holding `self` already covers a request for `other` from the
     /// same transaction (mode dominance for re-entrant acquisition).
     pub fn covers(self, other: LockMode) -> bool {
-        use LockMode::*;
-        match (self, other) {
-            (X, _) => true,
-            (S, S) | (S, IS) => true,
-            (IX, IX) | (IX, IS) => true,
-            (IS, IS) => true,
-            _ => self == other,
-        }
+        self == LockMode::X || self == other
     }
 }
 
-/// What a lock protects: a whole table (`key == TABLE_KEY`) or one row.
+/// What a lock protects: one row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LockId {
     /// Table id.
     pub table: u32,
-    /// Row key, or [`LockId::TABLE_KEY`] for the table-level lock.
+    /// Row key.
     pub key: u64,
 }
 
 impl LockId {
-    /// Sentinel key for table-granularity locks.
-    pub const TABLE_KEY: u64 = u64::MAX;
-
-    /// Table-level lock id.
-    pub fn table(table: u32) -> LockId {
-        LockId {
-            table,
-            key: Self::TABLE_KEY,
-        }
-    }
-
     /// Row-level lock id.
     pub fn row(table: u32, key: u64) -> LockId {
-        debug_assert_ne!(key, Self::TABLE_KEY);
         LockId { table, key }
     }
 }
@@ -541,13 +507,6 @@ mod tests {
     #[test]
     fn compatibility_matrix() {
         use LockMode::*;
-        assert!(IS.compatible(IS));
-        assert!(IS.compatible(IX));
-        assert!(IS.compatible(S));
-        assert!(!IS.compatible(X));
-        assert!(IX.compatible(IX));
-        assert!(!IX.compatible(S));
-        assert!(!IX.compatible(X));
         assert!(S.compatible(S));
         assert!(!S.compatible(X));
         assert!(!X.compatible(X));
@@ -557,11 +516,8 @@ mod tests {
     fn covers_dominance() {
         use LockMode::*;
         assert!(X.covers(S));
-        assert!(X.covers(IX));
         assert!(S.covers(S));
         assert!(!S.covers(X));
-        assert!(IX.covers(IS));
-        assert!(!IS.covers(IX));
     }
 
     #[test]
@@ -756,21 +712,6 @@ mod tests {
         ));
         m.release_all(1, &[id]);
         m.release_all(2, &[id]);
-    }
-
-    #[test]
-    fn intention_locks_at_table_level() {
-        let m = mgr(50);
-        let t = LockId::table(5);
-        m.acquire(1, t, LockMode::IX).unwrap();
-        m.acquire(2, t, LockMode::IX).unwrap();
-        m.acquire(3, t, LockMode::IS).unwrap();
-        assert!(!try_acquire(&m, 4, t, LockMode::S));
-        m.release_all(1, &[t]);
-        m.release_all(2, &[t]);
-        assert!(try_acquire(&m, 4, t, LockMode::S));
-        m.release_all(3, &[t]);
-        m.release_all(4, &[t]);
     }
 
     #[test]

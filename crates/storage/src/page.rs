@@ -99,6 +99,12 @@ impl Default for Frame {
     }
 }
 
+/// The key of the record a cell holds (the first 8 record bytes, behind the
+/// presence byte), or `None` for an empty cell. `cell` starts at the cell.
+pub(crate) fn cell_key(cell: &[u8]) -> Option<u64> {
+    (cell[0] == 1).then(|| u64::from_le_bytes(cell[1..9].try_into().expect("key bytes")))
+}
+
 /// Cell geometry for a table with `record_size`-byte records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellGeometry {

@@ -1,4 +1,7 @@
-//! ARIES-style restart recovery: analysis → redo → undo.
+//! ARIES-style restart recovery: analysis → redo → undo, streaming the log.
+//!
+//! Nothing holds the log in memory: analysis and redo each scan the device
+//! with a [`LogReader`], and undo reads each record it needs at its LSN.
 //!
 //! * **Analysis** scans the *retained* durable log — from the crash image's
 //!   `log_start` (the truncation low-water mark the last fuzzy checkpoint
@@ -10,19 +13,25 @@
 //!   still found and undone. Truncation safety (DESIGN.md invariant 7)
 //!   guarantees every record analysis or undo could need is at or above
 //!   `log_start`: the truncation point never exceeds the oldest active
-//!   transaction's first record or any dirty page's recovery LSN.
+//!   transaction's first record or any dirty page's recovery LSN. Where
+//!   the scan stops is the end of the valid log; a torn tail is cut there.
 //! * The last checkpoint's DPT gives the **redo start** (its minimum
 //!   recovery LSN, or the checkpoint itself when no page was dirty):
 //!   records below it only touch pages whose images in the store already
-//!   contain them, so redo skips them. This is what bounds recovery time by
-//!   checkpoint distance rather than uptime.
-//! * **Redo repeats history**: every Update/CLR whose LSN is newer than the
-//!   target page's LSN is reapplied, reconstructing exactly the crash-moment
-//!   page state — including updates of losers.
-//! * **Undo** rolls losers back in *reverse global LSN order*, writing CLRs
-//!   chained through `undo_next` so that a crash during recovery never
-//!   re-undoes compensated work, and finishing each loser with an abort
-//!   record.
+//!   contain them, so the redo scan starts there and never reads them.
+//!   This is what bounds recovery time by checkpoint distance rather than
+//!   uptime.
+//! * **Redo repeats history** through [`crate::replay::apply_record`], the
+//!   standby's continuous redo: every Update/CLR whose LSN is newer than
+//!   the target page's LSN is reapplied, reconstructing exactly the
+//!   crash-moment page state — including updates of losers. The hash index
+//!   is built over the stored page images before redo, as a standby's is;
+//!   redo and undo keep it in step, and the end only resets each table's
+//!   append cursor.
+//! * **Undo** rolls losers back in *reverse global LSN order*, each update
+//!   through `Db::compensate`, the step rollback takes too: CLRs chained
+//!   through `undo_next`, so that a crash during recovery never re-undoes
+//!   compensated work; each loser ends with an abort record.
 //!
 //! This is also where ELR's safety story closes (§3.1): a pre-committed
 //! transaction whose commit record did not reach the disk is a loser, and
@@ -31,8 +40,7 @@
 
 use crate::db::{CrashImage, Db, DbOptions};
 use crate::error::{StorageError, StorageResult};
-use crate::page::Rid;
-use crate::table::Table;
+use crate::replay::apply_record;
 use crate::wal::{CheckpointPayload, ClrPayload, UpdatePayload};
 use aether_core::device::{LogDevice, SimDevice};
 use aether_core::reader::LogReader;
@@ -79,50 +87,36 @@ pub fn recover_with_stats(
     image: CrashImage,
     opts: DbOptions,
 ) -> StorageResult<(Arc<Db>, RecoveryStats)> {
-    let mut stats = RecoveryStats::default();
+    let mut stats = RecoveryStats {
+        scan_start: image.log_start,
+        ..RecoveryStats::default()
+    };
 
     // Rebuild the log device with the surviving bytes at their original
     // stream offsets — the truncated prefix is *not* materialized, so
     // recovery cost scales with the retained suffix (checkpoint distance),
-    // not uptime. Scan *first*: the crash may have torn the final record,
-    // and new records (CLRs, post-recovery traffic) must append at the end
-    // of the valid prefix — otherwise the dead tail bytes would terminate
-    // every future scan early.
+    // not uptime.
     let device = Arc::new(SimDevice::from_image(image.log_start, image.log_bytes));
-    let records = LogReader::new(Arc::clone(&device) as Arc<dyn LogDevice>).read_all()?;
-    let valid_end = records
-        .last()
-        .map(|r| r.next_lsn())
-        .unwrap_or(image.log_start);
-    device.truncate(valid_end.raw());
-    stats.scan_start = image.log_start;
-    let log = Arc::new(
-        LogManager::builder()
-            .config(opts.log_config.clone())
-            .buffer(opts.buffer)
-            .device_instance(Arc::clone(&device) as Arc<dyn LogDevice>)
-            .start_lsn(valid_end)
-            .build(),
-    );
-    let db = Db::assemble(opts, log, Arc::clone(&image.store));
-
-    // Rebuild tables: schema, then page images from the store (shared with
-    // standby-replica construction, crate::replay).
-    crate::replay::install_tables(&db, &image.schema, &image.store);
+    let log_device = Arc::clone(&device) as Arc<dyn LogDevice>;
 
     // ---------------- Analysis ----------------
-    stats.scanned = records.len();
     let mut last_lsn: HashMap<u64, Lsn> = HashMap::new();
     let mut winners: HashSet<u64> = HashSet::new();
     let mut clean_aborts: HashSet<u64> = HashSet::new();
     let mut max_txn = 0u64;
     let mut last_ckpt: Option<(Lsn, CheckpointPayload)> = None;
-    for rec in &records {
+    // Update/CLR records seen; what the redo scan does not see again is
+    // what redo skipped.
+    let mut cell_records = 0usize;
+    let mut reader = LogReader::new(Arc::clone(&log_device));
+    while let Some(rec) = reader.next_record()? {
+        stats.scanned += 1;
         let txn = rec.header.txn;
         max_txn = max_txn.max(txn);
         match rec.header.kind {
             RecordKind::Update | RecordKind::Clr => {
                 last_lsn.insert(txn, rec.lsn);
+                cell_records += 1;
             }
             RecordKind::Commit => {
                 winners.insert(txn);
@@ -140,6 +134,12 @@ pub fn recover_with_stats(
             RecordKind::CheckpointBegin | RecordKind::Filler | RecordKind::End => {}
         }
     }
+    // The scan stopped at the end of the valid prefix. The crash may have
+    // torn the final record, and new records (CLRs, post-recovery traffic)
+    // must append right here — otherwise the dead tail bytes would
+    // terminate every future scan early.
+    let valid_end = reader.position();
+    device.truncate(valid_end.raw());
     // Seed the transaction table from the last complete checkpoint's ATT: a
     // transaction active at checkpoint time whose records all precede the
     // scanned suffix must still be rolled back. (Truncation safety keeps
@@ -157,7 +157,7 @@ pub fn recover_with_stats(
     }
     // Redo starts at the last checkpoint's minimum dirty-page recovery LSN:
     // every older update is already in the flushed page images the tables
-    // were just rebuilt from.
+    // are rebuilt from.
     let redo_start = match last_ckpt {
         Some((ckpt_lsn, ref ckpt)) => ckpt
             .dpt
@@ -177,42 +177,40 @@ pub fn recover_with_stats(
         .collect();
     stats.losers = losers.len();
 
+    let log = Arc::new(
+        LogManager::builder()
+            .config(opts.log_config.clone())
+            .buffer(opts.buffer)
+            .device_instance(Arc::clone(&log_device))
+            .start_lsn(valid_end)
+            .build(),
+    );
+    let db = Db::assemble(opts, log, Arc::clone(&image.store));
+    // Rebuild tables: schema, page images from the store, the index over
+    // them (shared with standby-replica construction, crate::replay). Redo
+    // and undo keep the index in step from here.
+    crate::replay::install_tables(&db, &image.schema, &image.store);
+
     // ---------------- Redo (repeat history, from the redo point) ----------------
-    for rec in &records {
-        if rec.lsn < redo_start && matches!(rec.header.kind, RecordKind::Update | RecordKind::Clr) {
-            // Below the checkpoint's redo point: the flushed page images
-            // already contain this change (page-LSN redo would skip it too;
-            // this avoids even decoding it).
-            stats.redo_skipped += 1;
-            continue;
-        }
-        match rec.header.kind {
-            RecordKind::Update => {
-                let u = UpdatePayload::decode(&rec.payload).ok_or_else(|| {
-                    StorageError::Recovery(format!("bad update payload at {}", rec.lsn))
-                })?;
-                let t = db.table(u.page.table)?;
-                redo_cell(t, u.rid(), &u.after, rec.lsn, &mut stats);
+    // A second scan, from the redo point: records below it only touch
+    // pages whose flushed images already contain them, so they are not
+    // even read. The standby's redo applies each record.
+    let mut reader = LogReader::from_lsn(log_device, redo_start.max(image.log_start));
+    while let Some(rec) = reader.next_record()? {
+        if matches!(rec.header.kind, RecordKind::Update | RecordKind::Clr) {
+            cell_records -= 1;
+            if apply_record(&db, &rec)? {
+                stats.redone += 1;
             }
-            RecordKind::Clr => {
-                let c = ClrPayload::decode(&rec.payload).ok_or_else(|| {
-                    StorageError::Recovery(format!("bad CLR payload at {}", rec.lsn))
-                })?;
-                let t = db.table(c.page.table)?;
-                redo_cell(
-                    t,
-                    Rid {
-                        page_no: c.page.page_no,
-                        slot: c.slot,
-                    },
-                    &c.restored,
-                    rec.lsn,
-                    &mut stats,
-                );
-            }
-            _ => {}
         }
     }
+    if reader.position() != valid_end {
+        return Err(StorageError::Recovery(format!(
+            "redo scan from {redo_start} stopped at {}, before the log's end at {valid_end}",
+            reader.position()
+        )));
+    }
+    stats.redo_skipped = cell_records;
 
     // ---------------- Undo (reverse global LSN order) ----------------
     let mut heap: BinaryHeap<(Lsn, u64)> = losers.iter().map(|(&t, &l)| (l, t)).collect();
@@ -223,71 +221,48 @@ pub fn recover_with_stats(
             StorageError::Recovery(format!("undo chain points at invalid LSN {lsn}"))
         })?;
         debug_assert_eq!(rec.header.txn, txn);
-        match rec.header.kind {
+        let next = match rec.header.kind {
             RecordKind::Update => {
                 let u = UpdatePayload::decode(&rec.payload)
                     .ok_or_else(|| StorageError::Recovery("bad update in undo".into()))?;
-                let t = db.table(u.page.table)?;
-                let rid = u.rid();
-                let current = t.read_cell(rid);
-                db.fix_index_on_restore(t, rid, &current, &u.before);
-                // The before-image moves into the CLR payload and is applied
-                // from there; the record itself is serialized straight into
-                // the reserved log slot (no encode buffer).
                 let clr = ClrPayload {
                     page: u.page,
                     slot: u.slot,
                     restored: u.before,
                     undo_next: rec.header.prev_lsn,
                 };
-                let prev = chain[&txn];
-                let (clr_lsn, _) = db.log().insert_payload(RecordKind::Clr, txn, prev, &clr);
-                chain.insert(txn, clr_lsn);
-                t.apply_cell(rid, &clr.restored, clr_lsn);
+                let t = db.table(u.page.table)?;
+                chain.insert(txn, db.compensate(t, txn, chain[&txn], &clr));
                 stats.clrs_written += 1;
-                if rec.header.prev_lsn.is_zero() {
-                    finish_loser(&db, txn, &mut chain);
-                } else {
-                    heap.push((rec.header.prev_lsn, txn));
-                }
+                clr.undo_next
             }
+            // Already-compensated work: skip to undo_next.
             RecordKind::Clr => {
-                // Already-compensated work: skip to undo_next.
-                let c = ClrPayload::decode(&rec.payload)
-                    .ok_or_else(|| StorageError::Recovery("bad CLR in undo".into()))?;
-                if c.undo_next.is_zero() {
-                    finish_loser(&db, txn, &mut chain);
-                } else {
-                    heap.push((c.undo_next, txn));
-                }
+                ClrPayload::decode(&rec.payload)
+                    .ok_or_else(|| StorageError::Recovery("bad CLR in undo".into()))?
+                    .undo_next
             }
             other => {
                 return Err(StorageError::Recovery(format!(
                     "unexpected {other:?} record in a loser's undo chain at {lsn}"
                 )));
             }
+        };
+        if next.is_zero() {
+            db.log()
+                .insert_payload::<[u8]>(RecordKind::Abort, txn, chain[&txn], &[]);
+        } else {
+            heap.push((next, txn));
         }
     }
 
     // ---------------- Wrap up ----------------
     for i in 0..image.schema.len() {
-        db.table(i as u32)?.rebuild_index();
+        db.table(i as u32)?.reset_append_cursor();
     }
     db.txn_manager().bump_next(max_txn + 1);
     db.log().flush_all()?;
     Ok((db, stats))
-}
-
-fn redo_cell(t: &Table, rid: Rid, cell: &[u8], lsn: Lsn, stats: &mut RecoveryStats) {
-    if crate::replay::redo_cell(t, rid, cell, lsn) {
-        stats.redone += 1;
-    }
-}
-
-fn finish_loser(db: &Db, txn: u64, chain: &mut HashMap<u64, Lsn>) {
-    let prev = chain[&txn];
-    db.log()
-        .insert_payload::<[u8]>(RecordKind::Abort, txn, prev, &[]);
 }
 
 /// Random-access read of one record at `lsn` from the retained log. An LSN

@@ -7,16 +7,21 @@
 //! older records are skipped, so replay is idempotent over any prefix
 //! overlap (the base backup's flushed pages already carry their page LSNs).
 //!
+//! [`apply_record`] is the crate's one redo: what an Update or CLR record
+//! read back from the log does to a page is decided there and nowhere
+//! else. Restart recovery
+//! ([`crate::recovery`]) redoes through it, and promotion hands the shipped
+//! log prefix to that same recovery, so the standby, a restart and a
+//! failover repeat history by one routine.
+//!
 //! The standby never originates transactions: its log manager writes to a
 //! discarding device and its lock manager stays empty. Snapshot reads go
-//! straight to the table frames ([`snapshot_read`]), and promotion hands the
-//! shipped log prefix to the ordinary ARIES [`crate::recovery`] path.
+//! straight to the table frames ([`snapshot_read`]).
 
 use crate::db::{Db, DbOptions};
 use crate::error::{StorageError, StorageResult};
-use crate::page::Rid;
+use crate::page::cell_key;
 use crate::store::PageStore;
-use crate::table::Table;
 use crate::wal::{CheckpointPayload, ClrPayload, UpdatePayload};
 use aether_core::record::{Record, RecordKind};
 use aether_core::runtime::{read, write};
@@ -194,13 +199,11 @@ pub fn standby_db(
     );
     let db = Db::assemble(opts, log, Arc::clone(&store));
     install_tables(&db, schema, &store);
-    for i in 0..schema.len() {
-        db.table(i as u32)?.rebuild_index();
-    }
     Ok(db)
 }
 
-/// Rebuild tables from a schema and load their page images from `store`.
+/// Rebuild tables from a schema, load their page images from `store` and
+/// index them; [`apply_record`] keeps the index in step from there.
 /// Shared by restart recovery and standby construction.
 pub(crate) fn install_tables(db: &Db, schema: &[(usize, u64)], store: &Arc<PageStore>) {
     for &(record_size, dense_rows) in schema {
@@ -217,58 +220,49 @@ pub(crate) fn install_tables(db: &Db, schema: &[(usize, u64)], store: &Arc<PageS
                 }
             }
         }
+        table.rebuild_index();
     }
 }
 
-/// Apply one cell image at `rid` if `lsn` is newer than the page LSN
-/// (ARIES redo rule). Returns whether the record was applied.
-pub(crate) fn redo_cell(t: &Table, rid: Rid, cell: &[u8], lsn: Lsn) -> bool {
-    let mut g = write(t.frame(rid.page_no));
-    if g.page_lsn < lsn {
-        g.apply(t.geom.offset(rid.slot), cell, lsn);
-        true
-    } else {
-        false
-    }
-}
-
-/// Apply one shipped log record to a standby database (continuous redo).
+/// Apply one log record to a database: the one redo of the crate. A
+/// standby runs it on every shipped record (continuous redo), and restart
+/// recovery — which promotion runs too — on every record from its redo
+/// point.
 ///
-/// Update and CLR records redo their cell image (index-maintaining, so the
-/// standby serves snapshot reads for appended keys too); every other kind is
-/// a no-op for page state. Returns whether the record changed a page.
+/// An Update or CLR whose LSN is newer than its page's LSN applies its cell
+/// image (the after-image, or the image the CLR restores) and keeps the
+/// hash index in step, so a standby serves snapshot reads for appended keys
+/// too; an older one is skipped. Decoding and applying allocate nothing:
+/// the images are read in place from the record, and the index sees the
+/// current cell's key, read under the same frame lock. Only an appended
+/// key's insert may grow the index's map. Every other kind is a no-op for
+/// page state. Returns whether the record changed a page.
 pub fn apply_record(db: &Db, rec: &Record) -> StorageResult<bool> {
-    match rec.header.kind {
+    let bad = |what| StorageError::Recovery(format!("bad {what} payload at {}", rec.lsn));
+    let (table, rid, image) = match rec.header.kind {
         RecordKind::Update => {
-            let u = UpdatePayload::decode(&rec.payload).ok_or_else(|| {
-                StorageError::Recovery(format!("bad update payload at {}", rec.lsn))
-            })?;
-            let t = db.table(u.page.table)?;
-            let rid = u.rid();
-            let current = t.read_cell(rid);
-            let applied = redo_cell(t, rid, &u.after, rec.lsn);
-            if applied {
-                db.fix_index_on_restore(t, rid, &current, &u.after);
-            }
-            Ok(applied)
+            let u = UpdatePayload::decode(&rec.payload).ok_or_else(|| bad("update"))?;
+            (u.page.table, u.rid(), u.after)
         }
         RecordKind::Clr => {
-            let c = ClrPayload::decode(&rec.payload)
-                .ok_or_else(|| StorageError::Recovery(format!("bad CLR payload at {}", rec.lsn)))?;
-            let t = db.table(c.page.table)?;
-            let rid = Rid {
-                page_no: c.page.page_no,
-                slot: c.slot,
-            };
-            let current = t.read_cell(rid);
-            let applied = redo_cell(t, rid, &c.restored, rec.lsn);
-            if applied {
-                db.fix_index_on_restore(t, rid, &current, &c.restored);
-            }
-            Ok(applied)
+            let c = ClrPayload::decode(&rec.payload).ok_or_else(|| bad("CLR"))?;
+            (c.page.table, c.rid(), c.restored)
         }
-        _ => Ok(false),
-    }
+        _ => return Ok(false),
+    };
+    let t = db.table(table)?;
+    let was = {
+        let mut g = write(t.frame(rid.page_no));
+        if g.page_lsn >= rec.lsn {
+            return Ok(false);
+        }
+        let off = t.geom.offset(rid.slot);
+        let was = cell_key(&g.data[off..]);
+        g.apply(off, image, rec.lsn);
+        was
+    };
+    t.reindex_cell(rid, was, image);
+    Ok(true)
 }
 
 /// Lock-free snapshot read against a standby: resolves `key` through the
@@ -311,6 +305,7 @@ pub fn state_fingerprint(db: &Db) -> StorageResult<CellFingerprint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::PageId;
     use crate::txn::CommitProtocol;
     use aether_core::reader::LogReader;
     use aether_core::{BufferKind, LogConfig};
@@ -351,6 +346,65 @@ mod tests {
         db.insert(&mut t, 0, 1000, &rec_bytes(1000, 40, 9)).unwrap();
         db.commit(t).unwrap();
         (db, store, schema)
+    }
+
+    /// A primary whose key `KEY` went into page 0, was deleted and went in
+    /// again on page 1, and a page store that caught page 0 before the
+    /// delete and page 1 after the second insert: both images hold the key.
+    const KEY: u64 = 5000;
+    fn key_in_two_page_images() -> (Arc<Db>, Arc<PageStore>, Vec<(usize, u64)>) {
+        let db = Db::open(opts());
+        db.create_table(40, 0);
+        db.setup_complete();
+        let t0 = db.table(0).unwrap();
+        let store = PageStore::new();
+        let snap = |page_no| {
+            let g = read(t0.frame(page_no));
+            store.write(PageId { table: 0, page_no }, g.page_lsn, &g.data);
+        };
+        let insert = |key, fill| {
+            let mut t = db.begin();
+            db.insert(&mut t, 0, key, &rec_bytes(key, 40, fill))
+                .unwrap();
+            db.commit(t).unwrap();
+        };
+        insert(KEY, 1);
+        snap(0);
+        let mut t = db.begin();
+        db.delete(&mut t, 0, KEY).unwrap();
+        db.commit(t).unwrap();
+        for key in 0..t0.geom.slots_per_page as u64 {
+            insert(10_000 + key, 2);
+        }
+        insert(KEY, 3);
+        let rid = t0.rid_of(KEY).unwrap();
+        assert_eq!(rid.page_no, 1);
+        snap(1);
+        db.log().flush_all().unwrap();
+        let schema = db.schema();
+        (db, store, schema)
+    }
+
+    #[test]
+    fn a_key_in_two_page_images_resolves_to_the_newer() {
+        let (db, store, schema) = key_in_two_page_images();
+        let standby = standby_db(opts(), store.deep_clone(), &schema).unwrap();
+        let mut reader = LogReader::new(Arc::clone(db.log().device()));
+        while let Some(rec) = reader.next_record().unwrap() {
+            apply_record(&standby, &rec).unwrap();
+        }
+        assert_eq!(
+            state_fingerprint(&standby).unwrap(),
+            state_fingerprint(&db).unwrap()
+        );
+        assert_eq!(snapshot_read(&standby, 0, KEY).unwrap().unwrap()[8], 3);
+        // Restart recovery over the same images indexes the key alike.
+        let mut image = db.crash();
+        image.store = store;
+        let recovered = crate::recovery::recover(image, opts()).unwrap();
+        let mut t = recovered.begin();
+        assert_eq!(recovered.read(&mut t, 0, KEY).unwrap()[8], 3);
+        recovered.commit(t).unwrap();
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! (little-endian), which lets recovery rebuild indexes by scanning pages.
 
 use crate::error::{StorageError, StorageResult};
-use crate::page::{CellGeometry, Frame, PageId, Rid};
+use crate::page::{cell_key, CellGeometry, Frame, PageId, Rid};
 use crate::segmented::Segmented;
 use aether_core::runtime::{lock, read, write};
 use aether_core::Lsn;
@@ -49,6 +49,14 @@ impl HashIndex {
     /// Remove; returns the old RID if present.
     pub fn remove(&self, key: u64) -> Option<Rid> {
         write(self.shard(key)).remove(&key)
+    }
+
+    /// Remove `key` only while it maps to `rid`.
+    pub fn remove_at(&self, key: u64, rid: Rid) {
+        let mut shard = write(self.shard(key));
+        if shard.get(&key) == Some(&rid) {
+            shard.remove(&key);
+        }
     }
 
     /// Number of indexed keys.
@@ -170,23 +178,39 @@ impl Table {
         Some(g.data[off + 1..off + 1 + self.geom.record_size].to_vec())
     }
 
-    /// Read the full cell (presence byte + record) at `rid` — the
-    /// before-image for WAL records.
-    pub fn read_cell(&self, rid: Rid) -> Vec<u8> {
-        let mut cell = Vec::with_capacity(self.geom.cell_size);
-        self.read_cell_into(rid, &mut cell);
-        cell
-    }
-
-    /// Append the full cell at `rid` to `out`.
+    /// Append the full cell (presence byte + record) at `rid` to `out` —
+    /// the before-image for WAL records.
     pub fn read_cell_into(&self, rid: Rid, out: &mut Vec<u8>) {
         let g = read(self.frame(rid.page_no));
         let off = self.geom.offset(rid.slot);
         out.extend_from_slice(&g.data[off..off + self.geom.cell_size]);
     }
 
-    /// Apply `cell` at `rid`, stamping `lsn` (redo and forward path share
-    /// this).
+    /// The key of the record at `rid`, `None` if the slot is empty.
+    pub(crate) fn key_at(&self, rid: Rid) -> Option<u64> {
+        cell_key(&read(self.frame(rid.page_no)).data[self.geom.offset(rid.slot)..])
+    }
+
+    /// Keep the hash index in step with the cell at `rid` going from one
+    /// that held key `was` to `image`: a key that leaves drops out, a key
+    /// that arrives goes in (undoing an insert or a delete, or redoing one).
+    /// Dense keys are not indexed. A key leaves only if the index still
+    /// maps it here: a stale copy of it in an older page image never
+    /// unmaps the live one.
+    pub(crate) fn reindex_cell(&self, rid: Rid, was: Option<u64>, image: &[u8]) {
+        match (was, cell_key(image)) {
+            (Some(key), None) if key >= self.dense_rows => {
+                self.index.remove_at(key, rid);
+            }
+            (None, Some(key)) if key >= self.dense_rows => {
+                self.index.insert(key, rid);
+            }
+            _ => {}
+        }
+    }
+
+    /// Apply `cell` at `rid`, stamping `lsn` (the forward path and
+    /// compensation share this).
     pub fn apply_cell(&self, rid: Rid, cell: &[u8], lsn: Lsn) {
         debug_assert_eq!(cell.len(), self.geom.cell_size);
         let mut g = write(self.frame(rid.page_no));
@@ -259,25 +283,52 @@ impl Table {
         Ok(rid)
     }
 
-    /// Rebuild the hash index and append cursor by scanning pages (recovery).
+    /// Build the hash index by scanning pages: a standby's or a recovering
+    /// database's page images, before any record is replayed over them.
+    ///
+    /// Page images flushed at different times can hold one key twice: an
+    /// older image still shows it where it was deleted, a newer one where
+    /// it was inserted again. A key's times in different cells do not
+    /// overlap in LSN order, so the copy on the page with the higher page
+    /// LSN is the later one, and the index maps it; replaying the delete over the older image then
+    /// leaves the mapping alone ([`Table::reindex_cell`]).
     pub fn rebuild_index(&self) {
-        let mut last_occupied: Option<(u32, u16)> = None;
+        let mut page_lsns = Vec::new();
         for (page_no, frame) in self.each_frame() {
             let g = read(frame);
+            page_lsns.resize(page_no as usize + 1, Lsn::ZERO);
+            page_lsns[page_no as usize] = g.page_lsn;
             for slot in 0..self.geom.slots_per_page as u16 {
-                let off = self.geom.offset(slot);
-                if g.data[off] == 1 {
-                    last_occupied = Some((page_no, slot));
-                    let key =
-                        u64::from_le_bytes(g.data[off + 1..off + 9].try_into().expect("key bytes"));
-                    if key >= self.dense_rows {
-                        self.index.insert(key, Rid { page_no, slot });
+                match cell_key(&g.data[self.geom.offset(slot)..]) {
+                    Some(key) if key >= self.dense_rows => {
+                        let mapped_is_newer = self.index.get(key).is_some_and(|old| {
+                            page_lsns
+                                .get(old.page_no as usize)
+                                .is_some_and(|&lsn| lsn > g.page_lsn)
+                        });
+                        if !mapped_is_newer {
+                            self.index.insert(key, Rid { page_no, slot });
+                        }
                     }
+                    _ => {}
                 }
             }
         }
-        // Reset the append cursor past the last occupied slot (or past the
-        // dense region, whichever is later).
+    }
+
+    /// Put the append cursor past the last occupied slot, or past the dense
+    /// region, whichever is later (the end of recovery).
+    pub fn reset_append_cursor(&self) {
+        let mut last_occupied: Option<(u32, u16)> = None;
+        for (page_no, frame) in self.each_frame() {
+            let g = read(frame);
+            if let Some(slot) = (0..self.geom.slots_per_page as u16)
+                .rev()
+                .find(|&slot| g.data[self.geom.offset(slot)] == 1)
+            {
+                last_occupied = Some((page_no, slot));
+            }
+        }
         let dense_end = if self.dense_rows == 0 {
             (0u32, 0u16)
         } else {
@@ -400,11 +451,15 @@ mod tests {
         assert!(t.read(rid).is_none(), "unloaded slot reads as absent");
         let cell = t.make_cell(&key_record(3, 16, 9)).unwrap();
         t.apply_cell(rid, &cell, Lsn(77));
-        assert_eq!(t.read_cell(rid), cell);
+        let mut read_back = Vec::new();
+        t.read_cell_into(rid, &mut read_back);
+        assert_eq!(read_back, cell);
+        assert_eq!(t.key_at(rid), Some(3));
         assert_eq!(t.read(rid).unwrap()[8], 9);
         // Delete = empty cell.
         t.apply_cell(rid, &vec![0; t.geom.cell_size], Lsn(78));
         assert!(t.read(rid).is_none());
+        assert_eq!(t.key_at(rid), None);
     }
 
     #[test]
@@ -451,6 +506,33 @@ mod tests {
     }
 
     #[test]
+    fn a_key_in_two_images_maps_to_the_newer_page() {
+        // Key 7 sits on page 1 in an image of LSN 10 and on page 0 in one
+        // of LSN 20: page 0 holds the later copy, though it scans first.
+        let t = Table::new(4, 24, 0);
+        let cell = t.make_cell(&key_record(7, 24, 1)).unwrap();
+        let (live, stale) = (
+            Rid {
+                page_no: 0,
+                slot: 3,
+            },
+            Rid {
+                page_no: 1,
+                slot: 0,
+            },
+        );
+        t.apply_cell(stale, &cell, Lsn(10));
+        t.apply_cell(live, &cell, Lsn(20));
+        t.rebuild_index();
+        assert_eq!(t.rid_of(7), Some(live));
+        // Replaying the delete over the stale image keeps the live mapping.
+        t.reindex_cell(stale, Some(7), &vec![0; t.geom.cell_size]);
+        assert_eq!(t.rid_of(7), Some(live));
+        t.reindex_cell(live, Some(7), &vec![0; t.geom.cell_size]);
+        assert_eq!(t.rid_of(7), None);
+    }
+
+    #[test]
     fn rebuild_index_recovers_appended_keys_and_cursor() {
         let t = Table::new(2, 24, 5);
         for k in 0..5u64 {
@@ -466,6 +548,7 @@ mod tests {
             write(t2.frame(p)).data = cell_bytes;
         }
         t2.rebuild_index();
+        t2.reset_append_cursor();
         assert_eq!(t2.index().len(), 3);
         assert!(t2.rid_of(200).is_some());
         // Appends continue after the recovered rows, not on top of them.

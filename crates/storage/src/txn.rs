@@ -521,7 +521,7 @@ mod tests {
         let id = LockId::row(1, 5);
         t.note_lock(id);
         t.note_lock(id);
-        t.note_lock(LockId::table(1));
+        t.note_lock(LockId::row(1, 6));
         assert_eq!(t.held.len(), 2);
         t.undo.push(UndoEntry {
             page: PageId {

@@ -7,22 +7,45 @@
 //! Every payload implements [`EncodePayload`], so the hot path serializes
 //! **directly into the reserved log slot** (`encoded_len` sizes the
 //! reservation, `encode_into` streams the fields into the ring) — zero
-//! intermediate `Vec`s between a transaction and the log. The `encode()`
-//! methods build the same byte strings into owned buffers for tests,
-//! recovery tooling and anything else that wants a standalone copy; unit
-//! tests pin the two forms byte-identical.
+//! intermediate `Vec`s between a transaction and the log. `encode_into` is
+//! the one encoder of an update or a CLR; their `decode` borrows the images
+//! from the record's payload and allocates nothing. What a decoded record
+//! does to a page is [`crate::replay::apply_record`]'s business alone.
+//! [`CheckpointPayload`] also keeps an owned `encode()`, because a base
+//! snapshot ships its bytes.
 
 use crate::page::{PageId, Rid};
 use aether_core::{EncodePayload, Lsn, SlotWriter};
 
+/// Decode the `[table u32][page u32][slot u16][len u16]` prefix that an
+/// update and a CLR share: page, slot and image length.
+fn cell_prefix(buf: &[u8]) -> Option<(PageId, u16, usize)> {
+    let table = u32::from_le_bytes(buf.get(0..4)?.try_into().ok()?);
+    let page_no = u32::from_le_bytes(buf.get(4..8)?.try_into().ok()?);
+    let slot = u16::from_le_bytes(buf.get(8..10)?.try_into().ok()?);
+    let len = u16::from_le_bytes(buf.get(10..12)?.try_into().ok()?) as usize;
+    Some((PageId { table, page_no }, slot, len))
+}
+
+/// Write the prefix [`cell_prefix`] reads.
+fn put_cell_prefix(w: &mut SlotWriter<'_>, page: PageId, slot: u16, len: usize) {
+    w.put_u32(page.table);
+    w.put_u32(page.page_no);
+    w.put_u16(slot);
+    w.put_u16(len as u16);
+}
+
 /// A physiological cell update: before/after images of one cell on one page.
 ///
 /// Inserts encode `before` = zeroed cell (presence 0); deletes encode `after`
-/// = zeroed cell. Redo applies `after`; undo applies `before`. Decoding
-/// owns its images; the forward path logs borrowed ones
-/// (`UpdatePayload<&[u8]>`) straight from the transaction's image arena.
+/// = zeroed cell. Redo applies `after`; undo applies `before`. The images
+/// are borrowed both ways: the forward path logs them from the
+/// transaction's image arena, and decoding points into the record.
+///
+/// Layout: `[table u32][page u32][slot u16][len u16][before][after]`, where
+/// `len` is the length of each image (the cell size).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UpdatePayload<B = Vec<u8>> {
+pub struct UpdatePayload<B> {
     /// Page touched.
     pub page: PageId,
     /// Slot within the page.
@@ -33,23 +56,7 @@ pub struct UpdatePayload<B = Vec<u8>> {
     pub after: B,
 }
 
-impl<B: AsRef<[u8]>> UpdatePayload<B> {
-    /// Encode: `[table u32][page u32][slot u16][len u16][before][after]`.
-    /// Before and after images are always the same length (the cell size).
-    pub fn encode(&self) -> Vec<u8> {
-        let (before, after) = (self.before.as_ref(), self.after.as_ref());
-        debug_assert_eq!(before.len(), after.len());
-        let len = before.len();
-        let mut out = Vec::with_capacity(12 + 2 * len);
-        out.extend_from_slice(&self.page.table.to_le_bytes());
-        out.extend_from_slice(&self.page.page_no.to_le_bytes());
-        out.extend_from_slice(&self.slot.to_le_bytes());
-        out.extend_from_slice(&(len as u16).to_le_bytes());
-        out.extend_from_slice(before);
-        out.extend_from_slice(after);
-        out
-    }
-
+impl<B> UpdatePayload<B> {
     /// RID touched by this update.
     pub fn rid(&self) -> Rid {
         Rid {
@@ -59,24 +66,19 @@ impl<B: AsRef<[u8]>> UpdatePayload<B> {
     }
 }
 
-impl UpdatePayload {
-    /// Decode; `None` on malformed input.
-    pub fn decode(buf: &[u8]) -> Option<UpdatePayload> {
-        if buf.len() < 12 {
-            return None;
-        }
-        let table = u32::from_le_bytes(buf[0..4].try_into().ok()?);
-        let page_no = u32::from_le_bytes(buf[4..8].try_into().ok()?);
-        let slot = u16::from_le_bytes(buf[8..10].try_into().ok()?);
-        let len = u16::from_le_bytes(buf[10..12].try_into().ok()?) as usize;
+impl<'a> UpdatePayload<&'a [u8]> {
+    /// Decode, borrowing both images from `buf`; `None` on malformed input.
+    pub fn decode(buf: &'a [u8]) -> Option<UpdatePayload<&'a [u8]>> {
+        let (page, slot, len) = cell_prefix(buf)?;
         if buf.len() != 12 + 2 * len {
             return None;
         }
+        let (before, after) = buf[12..].split_at(len);
         Some(UpdatePayload {
-            page: PageId { table, page_no },
+            page,
             slot,
-            before: buf[12..12 + len].to_vec(),
-            after: buf[12 + len..].to_vec(),
+            before,
+            after,
         })
     }
 }
@@ -88,20 +90,19 @@ impl<B: AsRef<[u8]>> EncodePayload for UpdatePayload<B> {
     }
 
     fn encode_into(&self, w: &mut SlotWriter<'_>) {
-        w.put_u32(self.page.table);
-        w.put_u32(self.page.page_no);
-        w.put_u16(self.slot);
-        w.put_u16(self.before.as_ref().len() as u16);
+        put_cell_prefix(w, self.page, self.slot, self.before.as_ref().len());
         w.put_slice(self.before.as_ref());
         w.put_slice(self.after.as_ref());
     }
 }
 
 /// A compensation log record: the redo-only image written while undoing one
-/// [`UpdatePayload`] during rollback, plus the next record to undo. Owned
-/// or borrowed images, as for [`UpdatePayload`].
+/// [`UpdatePayload`] during rollback, plus the next record to undo. Its
+/// image is borrowed, as for [`UpdatePayload`].
+///
+/// Layout: `[table u32][page u32][slot u16][len u16][restored][undo_next u64]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClrPayload<B = Vec<u8>> {
+pub struct ClrPayload<B> {
     /// Page touched by the compensation.
     pub page: PageId,
     /// Slot within the page.
@@ -113,41 +114,29 @@ pub struct ClrPayload<B = Vec<u8>> {
     pub undo_next: Lsn,
 }
 
-impl<B: AsRef<[u8]>> ClrPayload<B> {
-    /// Encode: `[table][page][slot][len][restored][undo_next u64]`.
-    pub fn encode(&self) -> Vec<u8> {
-        let restored = self.restored.as_ref();
-        let mut out = Vec::with_capacity(20 + restored.len());
-        out.extend_from_slice(&self.page.table.to_le_bytes());
-        out.extend_from_slice(&self.page.page_no.to_le_bytes());
-        out.extend_from_slice(&self.slot.to_le_bytes());
-        out.extend_from_slice(&(restored.len() as u16).to_le_bytes());
-        out.extend_from_slice(restored);
-        out.extend_from_slice(&self.undo_next.raw().to_le_bytes());
-        out
+impl<B> ClrPayload<B> {
+    /// RID touched by this compensation.
+    pub fn rid(&self) -> Rid {
+        Rid {
+            page_no: self.page.page_no,
+            slot: self.slot,
+        }
     }
 }
 
-impl ClrPayload {
-    /// Decode; `None` on malformed input.
-    pub fn decode(buf: &[u8]) -> Option<ClrPayload> {
-        if buf.len() < 20 {
-            return None;
-        }
-        let table = u32::from_le_bytes(buf[0..4].try_into().ok()?);
-        let page_no = u32::from_le_bytes(buf[4..8].try_into().ok()?);
-        let slot = u16::from_le_bytes(buf[8..10].try_into().ok()?);
-        let len = u16::from_le_bytes(buf[10..12].try_into().ok()?) as usize;
+impl<'a> ClrPayload<&'a [u8]> {
+    /// Decode, borrowing the image from `buf`; `None` on malformed input.
+    pub fn decode(buf: &'a [u8]) -> Option<ClrPayload<&'a [u8]>> {
+        let (page, slot, len) = cell_prefix(buf)?;
         if buf.len() != 20 + len {
             return None;
         }
-        let restored = buf[12..12 + len].to_vec();
-        let undo_next = Lsn(u64::from_le_bytes(buf[12 + len..20 + len].try_into().ok()?));
+        let (restored, undo_next) = buf[12..].split_at(len);
         Some(ClrPayload {
-            page: PageId { table, page_no },
+            page,
             slot,
             restored,
-            undo_next,
+            undo_next: Lsn(u64::from_le_bytes(undo_next.try_into().ok()?)),
         })
     }
 }
@@ -158,10 +147,7 @@ impl<B: AsRef<[u8]>> EncodePayload for ClrPayload<B> {
     }
 
     fn encode_into(&self, w: &mut SlotWriter<'_>) {
-        w.put_u32(self.page.table);
-        w.put_u32(self.page.page_no);
-        w.put_u16(self.slot);
-        w.put_u16(self.restored.as_ref().len() as u16);
+        put_cell_prefix(w, self.page, self.slot, self.restored.as_ref().len());
         w.put_slice(self.restored.as_ref());
         w.put_u64(self.undo_next.raw());
     }
@@ -247,20 +233,59 @@ impl EncodePayload for CheckpointPayload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aether_core::record::Record;
+    use aether_core::{DeviceKind, LogManager, RecordKind};
 
-    #[test]
-    fn update_roundtrip() {
-        let u = UpdatePayload {
+    /// Write `payloads` through the zero-copy reservation path and read the
+    /// records back off the device.
+    fn through_a_log(payloads: &[(RecordKind, &dyn EncodePayload)]) -> Vec<Record> {
+        let log = LogManager::builder().device(DeviceKind::Ram).build();
+        for &(kind, p) in payloads {
+            log.insert_payload(kind, 9, Lsn::ZERO, p);
+        }
+        log.flush_all().unwrap();
+        let mut reader = log.reader();
+        std::iter::from_fn(|| reader.next_record().unwrap()).collect()
+    }
+
+    fn update() -> UpdatePayload<&'static [u8]> {
+        UpdatePayload {
             page: PageId {
                 table: 3,
                 page_no: 77,
             },
             slot: 12,
-            before: vec![1; 41],
-            after: vec![2; 41],
-        };
-        let enc = u.encode();
-        assert_eq!(UpdatePayload::decode(&enc).unwrap(), u);
+            before: &[1, 1, 1],
+            after: &[2, 2, 2],
+        }
+    }
+
+    fn clr() -> ClrPayload<&'static [u8]> {
+        ClrPayload {
+            page: PageId {
+                table: 1,
+                page_no: 2,
+            },
+            slot: 3,
+            restored: &[7, 7],
+            undo_next: Lsn(4096),
+        }
+    }
+
+    /// `[table][page][slot][len][before][after]`, little-endian.
+    const UPDATE_BYTES: [u8; 18] = [3, 0, 0, 0, 77, 0, 0, 0, 12, 0, 3, 0, 1, 1, 1, 2, 2, 2];
+
+    /// `[table][page][slot][len][restored][undo_next]`, little-endian.
+    const CLR_BYTES: [u8; 22] = [
+        1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 2, 0, 7, 7, 0, 16, 0, 0, 0, 0, 0, 0,
+    ];
+
+    #[test]
+    fn update_roundtrip() {
+        let u = update();
+        let recs = through_a_log(&[(RecordKind::Update, &u)]);
+        assert_eq!(recs[0].payload, UPDATE_BYTES);
+        assert_eq!(UpdatePayload::decode(&UPDATE_BYTES).unwrap(), u);
         assert_eq!(
             u.rid(),
             Rid {
@@ -268,67 +293,48 @@ mod tests {
                 slot: 12
             }
         );
-        assert!(UpdatePayload::decode(&enc[..10]).is_none());
+        assert!(UpdatePayload::decode(&UPDATE_BYTES[..10]).is_none());
         assert!(UpdatePayload::decode(&[0; 13]).is_none());
     }
 
     #[test]
     fn clr_roundtrip() {
-        let c = ClrPayload {
-            page: PageId {
-                table: 1,
-                page_no: 2,
-            },
-            slot: 3,
-            restored: vec![7; 20],
-            undo_next: Lsn(4096),
-        };
-        let enc = c.encode();
-        assert_eq!(ClrPayload::decode(&enc).unwrap(), c);
-        assert!(ClrPayload::decode(&enc[..19]).is_none());
+        let c = clr();
+        let recs = through_a_log(&[(RecordKind::Clr, &c)]);
+        assert_eq!(recs[0].payload, CLR_BYTES);
+        assert_eq!(ClrPayload::decode(&CLR_BYTES).unwrap(), c);
+        assert!(ClrPayload::decode(&CLR_BYTES[..19]).is_none());
+        assert!(ClrPayload::decode(&CLR_BYTES[..21]).is_none());
     }
 
     #[test]
-    fn encode_into_matches_encode_for_all_payloads() {
-        // Write each payload through the zero-copy reservation path and
-        // read the record back off the device: the payload bytes must be
-        // byte-identical to the owned `encode()` form.
-        use aether_core::{DeviceKind, LogManager, RecordKind};
-        let log = LogManager::builder().device(DeviceKind::Ram).build();
-        let u = UpdatePayload {
-            page: PageId {
-                table: 3,
-                page_no: 77,
-            },
-            slot: 12,
-            before: vec![1; 41],
-            after: vec![2; 41],
-        };
-        let c = ClrPayload {
-            page: PageId {
-                table: 1,
-                page_no: 2,
-            },
-            slot: 3,
-            restored: vec![7; 20],
-            undo_next: Lsn(4096),
-        };
+    fn encode_into_writes_the_documented_layout() {
+        // Every payload through the reservation path, read back off the
+        // device: the hand-written layout, byte for byte, and the same
+        // payload decoded again.
+        let (u, c) = (update(), clr());
         let cp = CheckpointPayload {
             att: vec![(1, Lsn(100)), (2, Lsn(200))],
             dpt: vec![(5, Lsn(50))],
         };
-        assert_eq!(u.encoded_len(), u.encode().len());
-        assert_eq!(c.encoded_len(), c.encode().len());
-        assert_eq!(cp.encoded_len(), cp.encode().len());
-        log.insert_payload(RecordKind::Update, 9, Lsn::ZERO, &u);
-        log.insert_payload(RecordKind::Clr, 9, Lsn::ZERO, &c);
-        log.insert_payload(RecordKind::CheckpointEnd, 0, Lsn::ZERO, &cp);
-        log.flush_all().unwrap();
-        let recs = log.reader().read_all().unwrap();
+        // Two ATT entries against one DPT entry, so the counts differ.
+        let mut cp_bytes = vec![2, 0, 0, 0, 1, 0, 0, 0];
+        for v in [1u64, 100, 2, 200, 5, 50] {
+            cp_bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        assert_eq!(u.encoded_len(), UPDATE_BYTES.len());
+        assert_eq!(c.encoded_len(), CLR_BYTES.len());
+        assert_eq!(cp.encoded_len(), cp_bytes.len());
+        let recs = through_a_log(&[
+            (RecordKind::Update, &u),
+            (RecordKind::Clr, &c),
+            (RecordKind::CheckpointEnd, &cp),
+        ]);
         assert_eq!(recs.len(), 3);
-        assert_eq!(recs[0].payload, u.encode());
-        assert_eq!(recs[1].payload, c.encode());
-        assert_eq!(recs[2].payload, cp.encode());
+        assert_eq!(recs[0].payload, UPDATE_BYTES);
+        assert_eq!(recs[1].payload, CLR_BYTES);
+        assert_eq!(recs[2].payload, cp_bytes);
+        assert_eq!(cp.encode(), cp_bytes);
         assert_eq!(UpdatePayload::decode(&recs[0].payload).unwrap(), u);
         assert_eq!(ClrPayload::decode(&recs[1].payload).unwrap(), c);
         assert_eq!(CheckpointPayload::decode(&recs[2].payload).unwrap(), cp);

@@ -3,11 +3,13 @@
 //! [`ReplicatedDb::attach`] takes a prepared primary (tables created, bulk
 //! load done, [`Db::setup_complete`] called), captures a checkpoint
 //! [`BaseSnapshot`] (pages + ATT/DPT + the truncation-safe start LSN),
-//! seeds each replica from it, builds the frame/ack links, spawns replicas
-//! and shippers, and installs the durability policy on the primary's
-//! commit gate. From then on every commit obeys the policy: `Async` acks
-//! locally, `SemiSync(k)` additionally waits for `k` replica acks —
-//! amortized per flush group, not per transaction.
+//! seeds each replica from it (the snapshot shares the primary's stored
+//! page images; a replica copies each page once, into its own frames),
+//! builds the frame/ack links, spawns replicas and shippers, and installs
+//! the durability policy on the primary's commit gate. From then on every
+//! commit obeys the policy: `Async` acks locally, `SemiSync(k)`
+//! additionally waits for `k` replica acks — amortized per flush group,
+//! not per transaction.
 //!
 //! Because every replica starts from a snapshot rather than LSN 0,
 //! [`ReplicatedDb::add_replica`] can join a **fresh replica to a

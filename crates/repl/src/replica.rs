@@ -288,7 +288,8 @@ impl Replica {
     pub fn promote(mut self) -> StorageResult<(Arc<Db>, RecoveryStats)> {
         self.stop();
         // Persist the replayed pages so recovery starts from them (redo then
-        // skips everything at or below each page LSN).
+        // skips everything at or below each page LSN). The crash image's
+        // store shares those images; recovery copies each into a frame once.
         let state = read(&self.shared.state);
         state.db.flush_pages();
         let image = CrashImage {

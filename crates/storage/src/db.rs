@@ -77,7 +77,8 @@ pub struct CrashImage {
     /// Retained bytes of the log device at crash time (ring contents are
     /// lost, and so is everything below `log_start`).
     pub log_bytes: Vec<u8>,
-    /// Deep copy of the page store at crash time.
+    /// The page store at crash time: a copy of its page table that shares
+    /// the stored images, which are never mutated.
     pub store: Arc<PageStore>,
     /// Schema: (record_size, dense_rows) per table id.
     pub schema: Vec<(usize, u64)>,
@@ -288,10 +289,13 @@ impl Db {
     // ------------------------------------------------------------------
 
     /// Create a table of `record_size`-byte records with `dense_rows` dense
-    /// keys preallocated; returns the table id.
+    /// keys preallocated; returns the table id. Pages the store holds of
+    /// that id (a standby's or a recovering database's) are its frames'
+    /// starting images.
     pub fn create_table(&self, record_size: usize, dense_rows: u64) -> u32 {
         self.tables
-            .push_with(|id| Table::new(id as u32, record_size, dense_rows)) as u32
+            .push_with(|id| Table::new(id as u32, record_size, dense_rows, &self.store))
+            as u32
     }
 
     /// Lock-free snapshot read: the latest committed-or-in-flight cell

@@ -75,6 +75,16 @@ impl Frame {
         }
     }
 
+    /// A clean frame holding a stored page image: one copy of it.
+    pub fn from_image(page_lsn: Lsn, image: &[u8]) -> Frame {
+        Frame {
+            data: image.into(),
+            page_lsn,
+            dirty: false,
+            rec_lsn: Lsn::ZERO,
+        }
+    }
+
     /// Apply `cell` bytes at `offset`, stamping `lsn`. Marks dirty and sets
     /// `rec_lsn` on the clean→dirty transition.
     pub fn apply(&mut self, offset: usize, cell: &[u8], lsn: Lsn) {

@@ -189,7 +189,7 @@ pub fn recover_with_stats(
     // Rebuild tables: schema, page images from the store, the index over
     // them (shared with standby-replica construction, crate::replay). Redo
     // and undo keep the index in step from here.
-    crate::replay::install_tables(&db, &image.schema, &image.store);
+    crate::replay::install_tables(&db, &image.schema);
 
     // ---------------- Redo (repeat history, from the redo point) ----------------
     // A second scan, from the redo point: records below it only touch

@@ -20,12 +20,12 @@
 
 use crate::db::{Db, DbOptions};
 use crate::error::{StorageError, StorageResult};
-use crate::page::cell_key;
-use crate::store::PageStore;
+use crate::page::{cell_key, PAGE_SIZE};
+use crate::store::{PageStore, StoredPage};
 use crate::wal::{CheckpointPayload, ClrPayload, UpdatePayload};
 use aether_core::record::{Record, RecordKind};
 use aether_core::runtime::{read, write};
-use aether_core::{DeviceKind, LogManager, Lsn};
+use aether_core::{DeviceKind, EncodePayload, LogManager, Lsn};
 use std::sync::Arc;
 
 /// A checkpoint-consistent base snapshot: everything a fresh replica needs
@@ -40,18 +40,20 @@ use std::sync::Arc;
 /// both continuous replay and a later promotion. The fuzzy checkpoint's
 /// ATT/DPT ride along, mirroring what the capture-time checkpoint wrote
 /// into the log.
+///
+/// The pages are the primary's stored images, shared: capturing a
+/// snapshot copies no page, and a standby built from one copies each page
+/// once, into its frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BaseSnapshot {
     /// First LSN the replica must receive; base of its log device.
     pub start_lsn: Lsn,
     /// Schema: (record_size, dense_rows) per table id.
     pub schema: Vec<(usize, u64)>,
-    /// Flushed pages: (packed page id, page LSN, bytes).
-    pub pages: Vec<(u64, Lsn, Vec<u8>)>,
-    /// Active-transaction table at capture time.
-    pub att: Vec<(u64, Lsn)>,
-    /// Dirty-page table at capture time.
-    pub dpt: Vec<(u64, Lsn)>,
+    /// Flushed pages, sorted by packed page id.
+    pub pages: Vec<StoredPage>,
+    /// Active-transaction and dirty-page tables at capture time.
+    pub checkpoint: CheckpointPayload,
 }
 
 impl BaseSnapshot {
@@ -59,18 +61,15 @@ impl BaseSnapshot {
     /// `[start u64][n_schema u32][n_pages u32][ckpt_len u32]` then per
     /// table `[record_size u64][dense_rows u64]`, per page
     /// `[id u64][lsn u64][len u32][bytes]`, then the encoded
-    /// ATT/DPT ([`CheckpointPayload`]).
+    /// ATT/DPT ([`CheckpointPayload`]). One allocation, sized up front.
     pub fn encode(&self) -> Vec<u8> {
-        let ckpt = CheckpointPayload {
-            att: self.att.clone(),
-            dpt: self.dpt.clone(),
-        }
-        .encode();
-        let mut out = Vec::new();
+        let ckpt_len = self.checkpoint.encoded_len();
+        let pages_len: usize = self.pages.iter().map(|p| 20 + p.2.len()).sum();
+        let mut out = Vec::with_capacity(20 + 16 * self.schema.len() + pages_len + ckpt_len);
         out.extend_from_slice(&self.start_lsn.raw().to_le_bytes());
         out.extend_from_slice(&(self.schema.len() as u32).to_le_bytes());
         out.extend_from_slice(&(self.pages.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(ckpt.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(ckpt_len as u32).to_le_bytes());
         for &(record_size, dense_rows) in &self.schema {
             out.extend_from_slice(&(record_size as u64).to_le_bytes());
             out.extend_from_slice(&dense_rows.to_le_bytes());
@@ -81,11 +80,13 @@ impl BaseSnapshot {
             out.extend_from_slice(&(data.len() as u32).to_le_bytes());
             out.extend_from_slice(data);
         }
-        out.extend_from_slice(&ckpt);
+        self.checkpoint.append_to(&mut out);
         out
     }
 
-    /// Decode; `None` on malformed input.
+    /// Decode; `None` on malformed input, which includes pages that are not
+    /// [`PAGE_SIZE`] or not in ascending id order. The one place wire bytes
+    /// become page images.
     pub fn decode(buf: &[u8]) -> Option<BaseSnapshot> {
         if buf.len() < 20 {
             return None;
@@ -114,32 +115,32 @@ impl BaseSnapshot {
             let lsn = Lsn(u64::from_le_bytes(buf[at + 8..at + 16].try_into().ok()?));
             let len = u32::from_le_bytes(buf[at + 16..at + 20].try_into().ok()?) as usize;
             at += 20;
-            if buf.len() < at + len {
+            let ascending = pages.last().is_none_or(|p: &StoredPage| p.0 < id);
+            if buf.len() < at + len || len != PAGE_SIZE || !ascending {
                 return None;
             }
-            pages.push((id, lsn, buf[at..at + len].to_vec()));
+            pages.push((id, lsn, Arc::from(&buf[at..at + len])));
             at += len;
         }
         if buf.len() != at + ckpt_len {
             return None;
         }
-        let ckpt = CheckpointPayload::decode(&buf[at..])?;
         Some(BaseSnapshot {
             start_lsn,
             schema,
             pages,
-            att: ckpt.att,
-            dpt: ckpt.dpt,
+            checkpoint: CheckpointPayload::decode(&buf[at..])?,
         })
     }
 }
 
 /// Capture a [`BaseSnapshot`] from a live primary: flush every dirty page,
 /// take a fuzzy checkpoint (publishing a fresh redo low-water mark), and
-/// export the store. The returned `start_lsn` is the truncation point at
-/// capture time, so the snapshot composes with any *prior* truncation —
-/// the shipped stream `[start_lsn, ...)` plus the pages is a complete
-/// replica seed even though the log below `start_lsn` may be long gone.
+/// export the store, sharing its images. The returned `start_lsn` is the
+/// truncation point at capture time, so the snapshot composes with any
+/// *prior* truncation — the shipped stream `[start_lsn, ...)` plus the
+/// pages is a complete replica seed even though the log below `start_lsn`
+/// may be long gone.
 pub fn base_snapshot(db: &Db) -> BaseSnapshot {
     db.flush_pages();
     db.checkpoint();
@@ -152,8 +153,10 @@ pub fn base_snapshot(db: &Db) -> BaseSnapshot {
         start_lsn,
         schema: db.schema(),
         pages: db.store().export(),
-        att: db.txn_manager().att_snapshot(),
-        dpt: db.dpt_snapshot(),
+        checkpoint: CheckpointPayload {
+            att: db.txn_manager().att_snapshot(),
+            dpt: db.dpt_snapshot(),
+        },
     }
 }
 
@@ -166,7 +169,8 @@ pub fn base_snapshot(db: &Db) -> BaseSnapshot {
 /// The ATT advances the standby's transaction-id floor, so a later
 /// promotion never reissues an id that was in flight at capture time.
 pub fn standby_from_snapshot(opts: DbOptions, snap: &BaseSnapshot) -> StorageResult<Arc<Db>> {
-    if let Some(&(page, rec_lsn)) = snap.dpt.iter().find(|&&(_, rec)| rec < snap.start_lsn) {
+    let ckpt = &snap.checkpoint;
+    if let Some(&(page, rec_lsn)) = ckpt.dpt.iter().find(|&&(_, rec)| rec < snap.start_lsn) {
         return Err(StorageError::Recovery(format!(
             "inconsistent base snapshot: dirty page {page} has recovery LSN {rec_lsn} below the snapshot start {}",
             snap.start_lsn
@@ -174,7 +178,7 @@ pub fn standby_from_snapshot(opts: DbOptions, snap: &BaseSnapshot) -> StorageRes
     }
     let store = PageStore::from_pages(&snap.pages);
     let db = standby_db(opts, store, &snap.schema)?;
-    if let Some(max) = snap.att.iter().map(|&(txn, _)| txn).max() {
+    if let Some(max) = ckpt.att.iter().map(|&(txn, _)| txn).max() {
         db.txn_manager().bump_next(max + 1);
     }
     Ok(db)
@@ -197,30 +201,19 @@ pub fn standby_db(
             .device(DeviceKind::Null)
             .try_build()?,
     );
-    let db = Db::assemble(opts, log, Arc::clone(&store));
-    install_tables(&db, schema, &store);
+    let db = Db::assemble(opts, log, store);
+    install_tables(&db, schema);
     Ok(db)
 }
 
-/// Rebuild tables from a schema, load their page images from `store` and
-/// index them; [`apply_record`] keeps the index in step from there.
-/// Shared by restart recovery and standby construction.
-pub(crate) fn install_tables(db: &Db, schema: &[(usize, u64)], store: &Arc<PageStore>) {
+/// Rebuild tables from a schema, each frame made once from its page image
+/// in the database's store, and index them; [`apply_record`] keeps the
+/// index in step from there. Shared by restart recovery and standby
+/// construction.
+pub(crate) fn install_tables(db: &Db, schema: &[(usize, u64)]) {
     for &(record_size, dense_rows) in schema {
         let id = db.create_table(record_size, dense_rows);
-        let table = db.table(id).expect("a table just made");
-        if let Some(max_page) = store.max_page_no(id) {
-            for page_no in 0..=max_page {
-                if let Some((page_lsn, data)) =
-                    store.read(crate::page::PageId { table: id, page_no })
-                {
-                    let mut g = write(table.frame(page_no));
-                    g.data = data;
-                    g.page_lsn = page_lsn;
-                }
-            }
-        }
-        table.rebuild_index();
+        db.table(id).expect("a table just made").rebuild_index();
     }
 }
 
@@ -405,6 +398,55 @@ mod tests {
         let mut t = recovered.begin();
         assert_eq!(recovered.read(&mut t, 0, KEY).unwrap()[8], 3);
         recovered.commit(t).unwrap();
+    }
+
+    #[test]
+    fn a_base_snapshot_keeps_its_images_across_a_later_flush() {
+        let (db, _, _) = primary_with_work();
+        let snap = base_snapshot(&db);
+        let frozen: Vec<(u64, Lsn, Vec<u8>)> = snap
+            .pages
+            .iter()
+            .map(|(id, lsn, image)| (*id, *lsn, image.to_vec()))
+            .collect();
+        for k in 0..20u64 {
+            let mut t = db.begin();
+            db.update_with(&mut t, 0, k, |r| r[9] = 0xEE).unwrap();
+            db.commit(t).unwrap();
+        }
+        db.flush_pages();
+        let now = db.store().export();
+        assert!(now.iter().zip(&frozen).all(|(n, f)| n.1 > f.1));
+        for ((id, lsn, image), (fid, flsn, fbytes)) in snap.pages.iter().zip(&frozen) {
+            assert_eq!((id, lsn), (fid, flsn));
+            assert_eq!(&image[..], &fbytes[..], "snapshot page {id} changed");
+        }
+        let wire = snap.encode();
+        assert_eq!(wire.len(), wire.capacity(), "encode sizes its buffer once");
+        assert_eq!(BaseSnapshot::decode(&wire).unwrap(), snap);
+    }
+
+    #[test]
+    fn decode_rejects_pages_that_are_not_pages_in_id_order() {
+        let page = |id| (id, Lsn(1), Arc::from(vec![0u8; PAGE_SIZE]));
+        let snap = |pages| BaseSnapshot {
+            start_lsn: Lsn(1),
+            schema: vec![(40, 20)],
+            pages,
+            checkpoint: CheckpointPayload::default(),
+        };
+        let ok = snap(vec![page(1), page(2)]);
+        assert_eq!(BaseSnapshot::decode(&ok.encode()), Some(ok));
+        assert_eq!(
+            BaseSnapshot::decode(&snap(vec![page(2), page(1)]).encode()),
+            None
+        );
+        assert_eq!(
+            BaseSnapshot::decode(&snap(vec![page(1), page(1)]).encode()),
+            None
+        );
+        let short = snap(vec![(1, Lsn(1), Arc::from(vec![0u8; 100]))]);
+        assert_eq!(BaseSnapshot::decode(&short.encode()), None);
     }
 
     #[test]

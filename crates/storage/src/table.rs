@@ -10,6 +10,7 @@
 use crate::error::{StorageError, StorageResult};
 use crate::page::{cell_key, CellGeometry, Frame, PageId, Rid};
 use crate::segmented::Segmented;
+use crate::store::PageStore;
 use aether_core::runtime::{lock, read, write};
 use aether_core::Lsn;
 use std::collections::HashMap;
@@ -103,14 +104,21 @@ impl std::fmt::Debug for Table {
 }
 
 impl Table {
-    /// Create a table with `record_size`-byte records, preallocating frames
-    /// for `dense_rows` dense keys.
-    pub fn new(id: u32, record_size: usize, dense_rows: u64) -> Table {
+    /// Create table `id` with `record_size`-byte records, preallocating
+    /// frames for `dense_rows` dense keys and for every page `store` holds
+    /// of it. A stored page's frame is made straight from its image (a
+    /// standby's or a recovering database's tables); the rest are zeroed.
+    pub fn new(id: u32, record_size: usize, dense_rows: u64, store: &PageStore) -> Table {
         let geom = CellGeometry::new(record_size);
-        let pages = geom.pages_for(dense_rows).max(1);
+        let stored = store.max_page_no(id).map_or(0, |p| p + 1);
+        let pages = geom.pages_for(dense_rows).max(1).max(stored);
         let frames = Segmented::new(pages as usize);
-        for page_no in 0..pages as usize {
-            frames.get_or_init(page_no, RwLock::default);
+        for page_no in 0..pages {
+            let frame = match store.read(PageId { table: id, page_no }) {
+                Some((page_lsn, image)) => Frame::from_image(page_lsn, &image),
+                None => Frame::new(),
+            };
+            frames.get_or_init(page_no as usize, || RwLock::new(frame));
         }
         let append = if dense_rows == 0 {
             AppendCursor {
@@ -231,15 +239,6 @@ impl Table {
         Ok(())
     }
 
-    /// Build the cell encoding of a present record.
-    pub fn make_cell(&self, record: &[u8]) -> StorageResult<Vec<u8>> {
-        self.check_record(record)?;
-        let mut cell = Vec::with_capacity(self.geom.cell_size);
-        cell.push(1u8);
-        cell.extend_from_slice(record);
-        Ok(cell)
-    }
-
     /// Allocate the next append slot (for inserts beyond the dense region).
     pub fn allocate_slot(&self) -> Rid {
         let mut a = lock(&self.append);
@@ -264,8 +263,10 @@ impl Table {
     }
 
     /// Direct-load a record during setup (unlogged bulk load; callers must
-    /// checkpoint afterwards, see [`crate::db::Db::setup_complete`]).
+    /// checkpoint afterwards, see [`crate::db::Db::setup_complete`]): the
+    /// presence byte and the record go into the frame under one lock.
     pub fn load(&self, key: u64, record: &[u8]) -> StorageResult<Rid> {
+        self.check_record(record)?;
         let rid = if key < self.dense_rows {
             self.geom.rid_for_dense_key(key)
         } else {
@@ -278,8 +279,10 @@ impl Table {
             }
             rid
         };
-        let cell = self.make_cell(record)?;
-        self.apply_cell(rid, &cell, Lsn::ZERO);
+        let mut g = write(self.frame(rid.page_no));
+        let off = self.geom.offset(rid.slot);
+        g.apply(off, &[1], Lsn::ZERO);
+        g.data[off + 1..off + self.geom.cell_size].copy_from_slice(record);
         Ok(rid)
     }
 
@@ -397,9 +400,19 @@ mod tests {
         r
     }
 
+    /// A table with no stored pages.
+    fn table(id: u32, record_size: usize, dense_rows: u64) -> Table {
+        Table::new(id, record_size, dense_rows, &PageStore::default())
+    }
+
+    /// The cell of a present record: presence byte, then the record.
+    fn cell_of(record: &[u8]) -> Vec<u8> {
+        [&[1u8][..], record].concat()
+    }
+
     #[test]
     fn dense_load_and_read() {
-        let t = Table::new(0, 40, 1000);
+        let t = table(0, 40, 1000);
         for k in 0..1000u64 {
             t.load(k, &key_record(k, 40, 7)).unwrap();
         }
@@ -413,7 +426,7 @@ mod tests {
 
     #[test]
     fn appended_rows_use_index() {
-        let t = Table::new(1, 24, 10);
+        let t = table(1, 24, 10);
         for k in 0..10u64 {
             t.load(k, &key_record(k, 24, 1)).unwrap();
         }
@@ -427,7 +440,7 @@ mod tests {
 
     #[test]
     fn duplicate_appended_key_rejected() {
-        let t = Table::new(1, 16, 0);
+        let t = table(1, 16, 0);
         t.load(500, &key_record(500, 16, 1)).unwrap();
         assert!(matches!(
             t.load(500, &key_record(500, 16, 2)),
@@ -437,7 +450,7 @@ mod tests {
 
     #[test]
     fn wrong_record_size_rejected() {
-        let t = Table::new(0, 40, 10);
+        let t = table(0, 40, 10);
         assert!(matches!(
             t.load(0, &[0u8; 39]),
             Err(StorageError::InvalidRecord(_))
@@ -446,10 +459,10 @@ mod tests {
 
     #[test]
     fn cell_roundtrip_and_empty() {
-        let t = Table::new(0, 16, 10);
+        let t = table(0, 16, 10);
         let rid = t.rid_of(3).unwrap();
         assert!(t.read(rid).is_none(), "unloaded slot reads as absent");
-        let cell = t.make_cell(&key_record(3, 16, 9)).unwrap();
+        let cell = cell_of(&key_record(3, 16, 9));
         t.apply_cell(rid, &cell, Lsn(77));
         let mut read_back = Vec::new();
         t.read_cell_into(rid, &mut read_back);
@@ -464,7 +477,7 @@ mod tests {
 
     #[test]
     fn frame_growth_on_demand() {
-        let t = Table::new(0, 64, 10);
+        let t = table(0, 64, 10);
         let before = t.page_count();
         let _ = t.frame(before + 5);
         assert_eq!(t.page_count(), before + 6);
@@ -472,7 +485,7 @@ mod tests {
 
     #[test]
     fn allocate_slots_are_unique_and_advance_pages() {
-        let t = Table::new(0, 4000, 0); // 2 slots/page
+        let t = table(0, 4000, 0); // 2 slots/page
         assert_eq!(t.geom.slots_per_page, 2);
         let rids: Vec<Rid> = (0..5).map(|_| t.allocate_slot()).collect();
         assert_eq!(
@@ -509,8 +522,8 @@ mod tests {
     fn a_key_in_two_images_maps_to_the_newer_page() {
         // Key 7 sits on page 1 in an image of LSN 10 and on page 0 in one
         // of LSN 20: page 0 holds the later copy, though it scans first.
-        let t = Table::new(4, 24, 0);
-        let cell = t.make_cell(&key_record(7, 24, 1)).unwrap();
+        let t = table(4, 24, 0);
+        let cell = cell_of(&key_record(7, 24, 1));
         let (live, stale) = (
             Rid {
                 page_no: 0,
@@ -534,19 +547,20 @@ mod tests {
 
     #[test]
     fn rebuild_index_recovers_appended_keys_and_cursor() {
-        let t = Table::new(2, 24, 5);
+        let t = table(2, 24, 5);
         for k in 0..5u64 {
             t.load(k, &key_record(k, 24, 1)).unwrap();
         }
         for k in [100u64, 200, 300] {
             t.load(k, &key_record(k, 24, 3)).unwrap();
         }
-        // Simulate recovery: new table object, copy the frames' bytes over.
-        let t2 = Table::new(2, 24, 5);
-        for p in 0..t.page_count() {
-            let cell_bytes = read(t.frame(p)).data.clone();
-            write(t2.frame(p)).data = cell_bytes;
-        }
+        // Simulate recovery: flush the frames, make a new table from them.
+        let store = PageStore::default();
+        t.for_each_dirty(|page_no, f| {
+            store.write(PageId { table: 2, page_no }, f.page_lsn, &f.data)
+        });
+        let t2 = Table::new(2, 24, 5, &store);
+        assert_eq!(t2.page_count(), t.page_count());
         t2.rebuild_index();
         t2.reset_append_cursor();
         assert_eq!(t2.index().len(), 3);
@@ -558,11 +572,51 @@ mod tests {
     }
 
     #[test]
+    fn frames_start_from_the_stored_images() {
+        let store = PageStore::default();
+        let mut image = vec![0u8; crate::page::PAGE_SIZE];
+        image[..17].copy_from_slice(&cell_of(&key_record(1, 16, 4)));
+        store.write(
+            PageId {
+                table: 3,
+                page_no: 0,
+            },
+            Lsn(40),
+            &image,
+        );
+        store.write(
+            PageId {
+                table: 3,
+                page_no: 5,
+            },
+            Lsn(50),
+            &image,
+        );
+        store.write(
+            PageId {
+                table: 4,
+                page_no: 9,
+            },
+            Lsn(60),
+            &image,
+        );
+        let t = Table::new(3, 16, 10, &store);
+        assert_eq!(t.page_count(), 6, "through the last stored page");
+        for (page_no, lsn) in [(0, Lsn(40)), (5, Lsn(50))] {
+            let g = read(t.frame(page_no));
+            assert_eq!((g.page_lsn, g.dirty), (lsn, false));
+            assert_eq!(g.data[..], image[..]);
+        }
+        assert_eq!(read(t.frame(1)).page_lsn, Lsn::ZERO);
+        assert!(read(t.frame(1)).data.iter().all(|&b| b == 0));
+    }
+
+    #[test]
     fn dirty_tracking_and_dpt() {
-        let t = Table::new(3, 16, 100);
+        let t = table(3, 16, 100);
         assert!(t.dpt_snapshot().is_empty());
         let rid = t.rid_of(0).unwrap();
-        let cell = t.make_cell(&key_record(0, 16, 1)).unwrap();
+        let cell = cell_of(&key_record(0, 16, 1));
         t.apply_cell(rid, &cell, Lsn(500));
         let dpt = t.dpt_snapshot();
         assert_eq!(dpt.len(), 1);

@@ -11,8 +11,9 @@
 //! the one encoder of an update or a CLR; their `decode` borrows the images
 //! from the record's payload and allocates nothing. What a decoded record
 //! does to a page is [`crate::replay::apply_record`]'s business alone.
-//! [`CheckpointPayload`] also keeps an owned `encode()`, because a base
-//! snapshot ships its bytes.
+//! [`CheckpointPayload`] also appends itself to a `Vec`
+//! ([`CheckpointPayload::append_to`]), because a base snapshot ships its
+//! bytes.
 
 use crate::page::{PageId, Rid};
 use aether_core::{EncodePayload, Lsn, SlotWriter};
@@ -164,9 +165,9 @@ pub struct CheckpointPayload {
 }
 
 impl CheckpointPayload {
-    /// Encode: `[n_att u32][n_dpt u32][att entries][dpt entries]`.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 16 * (self.att.len() + self.dpt.len()));
+    /// Append the encoding to `out`: `[n_att u32][n_dpt u32][att
+    /// entries][dpt entries]`, [`EncodePayload::encoded_len`] bytes.
+    pub fn append_to(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.att.len() as u32).to_le_bytes());
         out.extend_from_slice(&(self.dpt.len() as u32).to_le_bytes());
         for (txn, lsn) in &self.att {
@@ -177,7 +178,6 @@ impl CheckpointPayload {
             out.extend_from_slice(&pid.to_le_bytes());
             out.extend_from_slice(&lsn.raw().to_le_bytes());
         }
-        out
     }
 
     /// Decode; `None` on malformed input.
@@ -334,7 +334,9 @@ mod tests {
         assert_eq!(recs[0].payload, UPDATE_BYTES);
         assert_eq!(recs[1].payload, CLR_BYTES);
         assert_eq!(recs[2].payload, cp_bytes);
-        assert_eq!(cp.encode(), cp_bytes);
+        let mut appended = vec![7];
+        cp.append_to(&mut appended);
+        assert_eq!(appended[1..], cp_bytes, "append_to appends");
         assert_eq!(UpdatePayload::decode(&recs[0].payload).unwrap(), u);
         assert_eq!(ClrPayload::decode(&recs[1].payload).unwrap(), c);
         assert_eq!(CheckpointPayload::decode(&recs[2].payload).unwrap(), cp);
@@ -353,10 +355,15 @@ mod tests {
                 Lsn(50),
             )],
         };
-        let enc = cp.encode();
+        let encode = |cp: &CheckpointPayload| {
+            let mut out = Vec::new();
+            cp.append_to(&mut out);
+            out
+        };
+        let enc = encode(&cp);
         assert_eq!(CheckpointPayload::decode(&enc).unwrap(), cp);
         let empty = CheckpointPayload::default();
-        assert_eq!(CheckpointPayload::decode(&empty.encode()).unwrap(), empty);
+        assert_eq!(CheckpointPayload::decode(&encode(&empty)).unwrap(), empty);
         assert!(CheckpointPayload::decode(&enc[..7]).is_none());
         assert!(CheckpointPayload::decode(&enc[..enc.len() - 1]).is_none());
     }

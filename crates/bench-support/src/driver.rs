@@ -253,7 +253,7 @@ pub fn run_closed_loop(db: &Arc<Db>, cfg: &DriverConfig, body: &TxnBody) -> Driv
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aether_core::device::{LogDevice, SimDevice};
+    use aether_core::device::{DeviceFault, FaultDevice, SimDevice};
 
     fn rec(key: u64, size: usize) -> Vec<u8> {
         let mut r = vec![1u8; size];
@@ -315,42 +315,20 @@ mod tests {
         }
     }
 
-    /// A RAM device whose syncs fail for good (EIO) after the first few.
-    struct FailsAfter {
-        inner: SimDevice,
-        syncs_left: AtomicU64,
-    }
-
-    impl LogDevice for FailsAfter {
-        fn write_vectored(&self, bufs: &[&[u8]]) -> aether_core::Result<()> {
-            self.inner.write_vectored(bufs)
-        }
-        fn sync(&self) -> aether_core::Result<()> {
-            let left = self.syncs_left.load(Ordering::SeqCst);
-            if left == 0 {
-                return Err(std::io::Error::from_raw_os_error(5).into());
-            }
-            self.syncs_left.store(left - 1, Ordering::SeqCst);
-            self.inner.sync()
-        }
-        fn read_at(&self, offset: u64, dst: &mut [u8]) -> aether_core::Result<usize> {
-            self.inner.read_at(offset, dst)
-        }
-        fn len(&self) -> u64 {
-            self.inner.len()
-        }
-    }
-
     #[test]
     fn a_poisoned_log_ends_the_drain() {
         // Once the device fails for good every commit resolves with an
         // error and never counts as committed: the drain must end when the
         // last one resolves, not wait out its 10 s bound.
         for protocol in [CommitProtocol::Pipelined, CommitProtocol::Baseline] {
-            let device = Arc::new(FailsAfter {
-                inner: SimDevice::new(Duration::ZERO),
-                syncs_left: AtomicU64::new(20),
-            });
+            let device = Arc::new(FaultDevice::new(
+                Arc::new(SimDevice::new(Duration::ZERO)),
+                &[DeviceFault::FailSync {
+                    nth: 21,
+                    times: u64::MAX,
+                    transient: false,
+                }],
+            ));
             let db = loaded(Db::open_with_device(small_opts(protocol), device));
             let cfg = DriverConfig {
                 clients: 2,

@@ -8,13 +8,16 @@
 //! latency. [`FileDevice`] writes a real file with `fdatasync` for users who
 //! want actual durability, and [`NullDevice`] discards writes so the
 //! log-insert microbenchmarks (§6.3) measure pure buffer performance.
+//! [`FaultDevice`] wraps any of them and injects the device faults the tests
+//! and the simulator need, from a script of [`DeviceFault`] lines.
 
 use crate::error::Result;
 use crate::lsn::Lsn;
-use crate::runtime::lock;
+use crate::runtime::{lock, WaitSet};
 use std::io::{Seek, SeekFrom, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::mem::discriminant;
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Abstraction over the durable end of the log.
@@ -83,11 +86,11 @@ pub trait LogDevice: Send + Sync {
         Ok(0)
     }
 
-    /// Point-in-time copy of the *retained* durable contents together with
-    /// the stream offset of the first returned byte ([`LogDevice::low_water`]),
-    /// if the device supports it. Crash-injection tests use this to capture
-    /// exactly the bytes that survived (ring contents are lost, as in a real
-    /// crash); [`SimDevice::from_image`] rebuilds a device from the pair.
+    /// What a crash leaves, if the device can say: the synced prefix of the
+    /// retained stream (every byte a completed [`LogDevice::sync`] covers,
+    /// from [`LogDevice::low_water`] on) with the offset of its first byte.
+    /// Written-but-unsynced bytes are lost, as are the ring's contents;
+    /// [`SimDevice::from_image`] rebuilds a device from the pair.
     fn snapshot(&self) -> Option<(Lsn, Vec<u8>)> {
         None
     }
@@ -139,10 +142,17 @@ impl LogDevice for NullDevice {
 /// make recovery O(uptime) instead of O(retained)) and a replica's receive
 /// log after a snapshot bootstrap (the shipped stream begins at the snapshot
 /// LSN, not at zero).
+/// A `sync` covers every byte appended before it started, and a crash
+/// ([`LogDevice::snapshot`]) keeps only the synced prefix.
 #[derive(Debug)]
 pub struct SimDevice {
     base: Lsn,
     data: Mutex<Vec<u8>>,
+    /// Stream length, stored under `data`: a sync reads it without waiting
+    /// behind the next group's copy.
+    len: AtomicU64,
+    /// Stream offset one past the last byte a completed `sync` covers.
+    synced: AtomicU64,
     latency: Duration,
 }
 
@@ -152,22 +162,27 @@ impl SimDevice {
         SimDevice {
             base: Lsn::ZERO,
             data: Mutex::new(Vec::new()),
+            len: AtomicU64::new(0),
+            synced: AtomicU64::new(0),
             latency,
         }
     }
 
     /// Rebuild a device from what [`LogDevice::snapshot`] returned: `bytes`
-    /// live at stream offsets `[start, start + bytes.len())`, nothing below
-    /// `start` is readable, and appends continue at the end. No sync latency.
+    /// are synced at stream offsets `[start, start + bytes.len())`, nothing
+    /// below `start` is readable, and appends continue at the end.
     pub fn from_image(start: Lsn, bytes: Vec<u8>) -> Self {
+        let end = start.raw() + bytes.len() as u64;
         SimDevice {
             base: start,
             data: Mutex::new(bytes),
+            len: AtomicU64::new(end),
+            synced: AtomicU64::new(end),
             latency: Duration::ZERO,
         }
     }
 
-    /// Copy of the stored bytes (stream offsets `[low_water, len)`).
+    /// Copy of the stored bytes, synced or not: `[low_water, len)`.
     pub fn contents(&self) -> Vec<u8> {
         lock(&self.data).clone()
     }
@@ -175,8 +190,11 @@ impl SimDevice {
     /// Cut the stream off at `stream_len` — crash-injection tests and
     /// recovery clip a torn tail this way.
     pub fn truncate(&self, stream_len: u64) {
-        let keep = stream_len.saturating_sub(self.base.raw());
-        lock(&self.data).truncate(keep as usize);
+        let mut data = lock(&self.data);
+        data.truncate(stream_len.saturating_sub(self.base.raw()) as usize);
+        let len = self.base.raw() + data.len() as u64;
+        self.len.store(len, Ordering::Release);
+        self.synced.fetch_min(len, Ordering::AcqRel);
     }
 }
 
@@ -187,10 +205,14 @@ impl LogDevice for SimDevice {
         for b in bufs {
             data.extend_from_slice(b);
         }
+        self.len
+            .store(self.base.raw() + data.len() as u64, Ordering::Release);
         Ok(())
     }
     fn sync(&self) -> Result<()> {
+        let covered = self.len.load(Ordering::Acquire);
         precise_sleep(self.latency);
+        self.synced.fetch_max(covered, Ordering::AcqRel);
         Ok(())
     }
     fn read_at(&self, offset: u64, dst: &mut [u8]) -> Result<usize> {
@@ -205,104 +227,224 @@ impl LogDevice for SimDevice {
         Ok(n)
     }
     fn len(&self) -> u64 {
-        self.base.raw() + lock(&self.data).len() as u64
+        self.len.load(Ordering::Acquire)
     }
     fn low_water(&self) -> Lsn {
         self.base
     }
     fn snapshot(&self) -> Option<(Lsn, Vec<u8>)> {
-        Some((self.base, self.contents()))
+        let data = lock(&self.data);
+        let synced = self.synced.load(Ordering::Acquire) - self.base.raw();
+        Some((self.base, data[..synced as usize].to_vec()))
     }
 }
 
-/// An in-memory device that models durability honestly and whose `sync` can
-/// be held: appended bytes become part of the crash snapshot only once a
-/// `sync` completes, and while the device is held every `sync` blocks at the
-/// gate. Tests use it to keep log bytes from becoming durable — a flush
-/// daemon that flushes at once leaves no trigger to starve — and to line
-/// commits up behind a flush that is in flight. Works under both runtimes.
-#[derive(Debug)]
-pub struct StallDevice {
-    /// The appended bytes; charges the sync latency.
-    store: SimDevice,
-    gate: Mutex<StallGate>,
-    cv: crate::runtime::RtCondvar,
+/// One line of a [`FaultDevice`]'s script; arming a line replaces the armed
+/// line of its kind. "The nth sync" counts the syncs started after arming,
+/// from 1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeviceFault {
+    /// Fail `times` syncs from the `nth` on (`times: u64::MAX`: for good),
+    /// with `ErrorKind::Interrupted`, which the flush daemon retries, if
+    /// `transient`, else with EIO.
+    #[allow(missing_docs)]
+    FailSync {
+        nth: u64,
+        times: u64,
+        transient: bool,
+    },
+    /// Park the nth sync (`None`: every sync) until [`FaultDevice::release`].
+    HoldSync(Option<u64>),
+    /// The next write lands its first this many bytes, then the device goes
+    /// dark: later writes are dropped, and syncs succeed and persist nothing.
+    TearWrite(u64),
+    /// `truncate_before` recycles nothing (a wedged recycler).
+    TruncateStuck,
+    /// `truncate_before` fails with `DiskFull` (the recycler hits ENOSPC).
+    TruncateFull,
+    /// `read_at` returns at most this many bytes, as the contract allows.
+    ShortReads(usize),
+    /// A crash ([`LogDevice::snapshot`]) keeps the synced prefix and the
+    /// first this many written-but-unsynced bytes: a torn in-flight group.
+    CrashKeeps(u64),
 }
 
-#[derive(Debug, Default)]
-struct StallGate {
-    /// Prefix of the store covered by a completed `sync`.
-    durable_len: usize,
-    held: bool,
-    /// `sync` calls currently blocked at the gate.
-    blocked: usize,
+/// The one fault-injecting device: wraps any [`LogDevice`] and misbehaves as
+/// its armed [`DeviceFault`] lines say. It counts its syncs, and never
+/// reports [`LogDevice::discards`], so over a [`NullDevice`] it keeps nothing
+/// yet runs a flush daemon. Works under both runtimes.
+pub struct FaultDevice {
+    inner: Arc<dyn LogDevice>,
+    /// Armed lines, each with the count of syncs started when it was armed.
+    script: Mutex<Vec<(u64, DeviceFault)>>,
+    started: AtomicU64,
+    /// Syncs that returned `Ok`.
+    synced: AtomicU64,
+    /// Syncs parked at the hold gate.
+    blocked: AtomicUsize,
+    dark: AtomicBool,
+    /// Held syncs park here, and so do [`FaultDevice::wait_blocked`] callers.
+    gate: WaitSet,
 }
 
-impl StallDevice {
-    /// New device, not held, charging `latency` on every `sync` that passes
-    /// the gate.
-    pub fn new(latency: Duration) -> StallDevice {
-        StallDevice {
-            store: SimDevice::new(latency),
-            gate: Mutex::new(StallGate::default()),
-            cv: crate::runtime::RtCondvar::new(),
+impl FaultDevice {
+    /// Wrap `inner` with `script` armed.
+    pub fn new(inner: Arc<dyn LogDevice>, script: &[DeviceFault]) -> FaultDevice {
+        FaultDevice {
+            inner,
+            script: Mutex::new(script.iter().map(|&f| (0, f)).collect()),
+            started: AtomicU64::new(0),
+            synced: AtomicU64::new(0),
+            blocked: AtomicUsize::new(0),
+            dark: AtomicBool::new(false),
+            gate: WaitSet::new(),
         }
     }
 
-    /// Hold the device: from now on `sync` blocks until [`StallDevice::release`].
-    pub fn hold(&self) {
-        lock(&self.gate).held = true;
+    /// Arm `fault`, replacing the armed line of its kind.
+    pub fn arm(&self, fault: DeviceFault) {
+        let from = self.started.load(Ordering::SeqCst);
+        let mut script = lock(&self.script);
+        script.retain(|(_, l)| discriminant(l) != discriminant(&fault));
+        script.push((from, fault));
     }
 
-    /// Let blocked and future `sync` calls through.
+    /// Disarm the line of `fault`'s kind; a disarmed hold lets its syncs go.
+    pub fn disarm(&self, fault: DeviceFault) {
+        lock(&self.script).retain(|(_, l)| discriminant(l) != discriminant(&fault));
+        fence(Ordering::SeqCst);
+        self.gate.notify();
+    }
+
+    /// Let held syncs through and hold no more.
     pub fn release(&self) {
-        lock(&self.gate).held = false;
-        self.cv.notify_all();
+        self.disarm(DeviceFault::HoldSync(None));
     }
 
-    /// Block until `syncs` calls to `sync` are waiting at the gate: the
-    /// flushes in flight have written their bytes and nothing more can
-    /// become durable until release.
+    /// Block until `syncs` syncs are parked at the hold gate.
     pub fn wait_blocked(&self, syncs: usize) {
-        let mut g = lock(&self.gate);
-        while g.blocked < syncs {
-            g = self.cv.wait(&self.gate, g);
-        }
+        let parked = || (self.blocked.load(Ordering::SeqCst) >= syncs).then_some(());
+        self.gate.wait_until(None, parked);
+    }
+
+    /// Syncs that returned `Ok` so far.
+    pub fn syncs(&self) -> u64 {
+        self.synced.load(Ordering::SeqCst)
+    }
+
+    /// True once a torn write has fired.
+    pub fn is_dark(&self) -> bool {
+        self.dark.load(Ordering::SeqCst)
+    }
+
+    /// Bytes written past the synced prefix: the most a crash can keep.
+    pub fn unsynced_len(&self) -> u64 {
+        let (start, bytes) = self.inner.snapshot().unwrap_or_default();
+        self.inner.len() - start.raw() - bytes.len() as u64
+    }
+
+    /// What the first armed line `pick` maps says, given the sync count at
+    /// its arming.
+    fn armed<T>(&self, pick: impl Fn(u64, DeviceFault) -> Option<T>) -> Option<T> {
+        lock(&self.script)
+            .iter()
+            .find_map(|&(from, l)| pick(from, l))
+    }
+
+    /// Whether sync number `n` waits at the gate.
+    fn holds(&self, n: u64) -> bool {
+        self.armed(|from, l| match l {
+            DeviceFault::HoldSync(nth) => nth.map_or(n > from, |k| n == from + k).then_some(()),
+            _ => None,
+        })
+        .is_some()
     }
 }
 
-impl LogDevice for StallDevice {
+impl LogDevice for FaultDevice {
     fn write_vectored(&self, bufs: &[&[u8]]) -> Result<()> {
-        self.store.write_vectored(bufs)
+        let tear = self.armed(|_, l| match l {
+            DeviceFault::TearWrite(keep) => Some(keep as usize),
+            _ => None,
+        });
+        match tear {
+            _ if self.is_dark() => Ok(()),
+            None => self.inner.write_vectored(bufs),
+            Some(keep) => {
+                self.dark.store(true, Ordering::SeqCst);
+                let all = bufs.concat();
+                self.inner.append(&all[..keep.min(all.len())])
+            }
+        }
     }
     fn sync(&self) -> Result<()> {
-        let mut g = lock(&self.gate);
-        if g.held {
-            g.blocked += 1;
-            self.cv.notify_all();
-            while g.held {
-                g = self.cv.wait(&self.gate, g);
-            }
-            g.blocked -= 1;
+        let n = self.started.fetch_add(1, Ordering::SeqCst) + 1;
+        if self.holds(n) {
+            self.blocked.fetch_add(1, Ordering::SeqCst);
+            self.gate.notify();
+            self.gate
+                .wait_until(None, || (!self.holds(n)).then_some(()));
+            self.blocked.fetch_sub(1, Ordering::SeqCst);
         }
-        drop(g);
-        // This sync covers what was appended before it passed the gate.
-        let covered = self.store.len() as usize;
-        self.store.sync()?;
-        let mut g = lock(&self.gate);
-        g.durable_len = g.durable_len.max(covered);
-        Ok(())
+        let fail = self.armed(|from, l| match l {
+            DeviceFault::FailSync {
+                nth,
+                times,
+                transient,
+            } => (n.checked_sub(from.saturating_add(nth))? < times).then_some(transient),
+            _ => None,
+        });
+        match fail {
+            Some(true) => Err(std::io::Error::from(std::io::ErrorKind::Interrupted).into()),
+            Some(false) => Err(std::io::Error::from_raw_os_error(5).into()),
+            None => {
+                if !self.is_dark() {
+                    self.inner.sync()?;
+                }
+                self.synced.fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            }
+        }
     }
     fn read_at(&self, offset: u64, dst: &mut [u8]) -> Result<usize> {
-        self.store.read_at(offset, dst)
+        let most = self.armed(|_, l| match l {
+            DeviceFault::ShortReads(most) => Some(most),
+            _ => None,
+        });
+        let n = dst.len().min(most.unwrap_or(usize::MAX));
+        self.inner.read_at(offset, &mut dst[..n])
     }
     fn len(&self) -> u64 {
-        self.store.len()
+        self.inner.len()
     }
+    fn low_water(&self) -> Lsn {
+        self.inner.low_water()
+    }
+    fn truncate_before(&self, upto: Lsn) -> Result<usize> {
+        let wedged = self.armed(|_, l| match l {
+            DeviceFault::TruncateStuck => Some(Ok(0)),
+            DeviceFault::TruncateFull => Some(Err(crate::error::AetherError::DiskFull)),
+            _ => None,
+        });
+        wedged.unwrap_or_else(|| self.inner.truncate_before(upto))
+    }
+    /// The inner device's synced prefix, and what an armed
+    /// [`DeviceFault::CrashKeeps`] keeps of the written bytes after it.
     fn snapshot(&self) -> Option<(Lsn, Vec<u8>)> {
-        let mut bytes = self.store.contents();
-        bytes.truncate(lock(&self.gate).durable_len);
-        Some((Lsn::ZERO, bytes))
+        let (start, mut bytes) = self.inner.snapshot()?;
+        let keep = self.armed(|_, l| match l {
+            DeviceFault::CrashKeeps(n) => Some(n),
+            _ => None,
+        });
+        let synced = bytes.len();
+        let end = start.raw() + synced as u64;
+        bytes.resize(
+            synced + keep.unwrap_or(0).min(self.inner.len() - end) as usize,
+            0,
+        );
+        let got = self.inner.read_at(end, &mut bytes[synced..]).ok()?;
+        bytes.truncate(synced + got);
+        Some((start, bytes))
     }
 }
 
@@ -416,17 +558,15 @@ pub enum DeviceKind {
 
 impl DeviceKind {
     /// Instantiate the device.
-    pub fn build(&self) -> Result<std::sync::Arc<dyn LogDevice>> {
+    pub fn build(&self) -> Result<Arc<dyn LogDevice>> {
         Ok(match self {
-            DeviceKind::Null => std::sync::Arc::new(NullDevice::new()),
-            DeviceKind::Ram => std::sync::Arc::new(SimDevice::new(Duration::ZERO)),
-            DeviceKind::Flash => std::sync::Arc::new(SimDevice::new(Duration::from_micros(100))),
-            DeviceKind::FastDisk => std::sync::Arc::new(SimDevice::new(Duration::from_millis(1))),
-            DeviceKind::SlowDisk => std::sync::Arc::new(SimDevice::new(Duration::from_millis(10))),
-            DeviceKind::CustomUs(us) => {
-                std::sync::Arc::new(SimDevice::new(Duration::from_micros(*us)))
-            }
-            DeviceKind::File(p) => std::sync::Arc::new(FileDevice::create(p)?),
+            DeviceKind::Null => Arc::new(NullDevice::new()),
+            DeviceKind::Ram => Arc::new(SimDevice::new(Duration::ZERO)),
+            DeviceKind::Flash => Arc::new(SimDevice::new(Duration::from_micros(100))),
+            DeviceKind::FastDisk => Arc::new(SimDevice::new(Duration::from_millis(1))),
+            DeviceKind::SlowDisk => Arc::new(SimDevice::new(Duration::from_millis(10))),
+            DeviceKind::CustomUs(us) => Arc::new(SimDevice::new(Duration::from_micros(*us))),
+            DeviceKind::File(p) => Arc::new(FileDevice::create(p)?),
         })
     }
 }
@@ -501,13 +641,37 @@ mod tests {
     }
 
     #[test]
-    fn stall_device_holds_syncs_and_snapshots_only_synced_bytes() {
-        let d = std::sync::Arc::new(StallDevice::new(Duration::ZERO));
+    fn sim_device_crash_keeps_only_synced_bytes() {
+        let d = SimDevice::new(Duration::ZERO);
         d.append(b"synced").unwrap();
         d.sync().unwrap();
-        d.hold();
         d.append(b" pending").unwrap();
-        let d2 = std::sync::Arc::clone(&d);
+        assert_eq!(d.len(), 14);
+        assert_eq!(d.snapshot().unwrap(), (Lsn::ZERO, b"synced".to_vec()));
+        // A clipped tail takes the synced mark down with it.
+        d.truncate(3);
+        assert_eq!(d.snapshot().unwrap().1, b"syn");
+        // The bytes of an image are synced.
+        let o = SimDevice::from_image(Lsn(1000), b"image".to_vec());
+        o.append(b" lost").unwrap();
+        assert_eq!(o.snapshot().unwrap(), (Lsn(1000), b"image".to_vec()));
+    }
+
+    fn faulty() -> Arc<FaultDevice> {
+        Arc::new(FaultDevice::new(
+            Arc::new(SimDevice::new(Duration::ZERO)),
+            &[],
+        ))
+    }
+
+    #[test]
+    fn fault_device_holds_syncs_every_one_or_the_nth() {
+        let d = faulty();
+        d.append(b"synced").unwrap();
+        d.sync().unwrap();
+        d.arm(DeviceFault::HoldSync(None));
+        d.append(b" pending").unwrap();
+        let d2 = Arc::clone(&d);
         let t = std::thread::spawn(move || d2.sync().unwrap());
         d.wait_blocked(1);
         assert_eq!(d.len(), 14);
@@ -515,5 +679,79 @@ mod tests {
         d.release();
         t.join().unwrap();
         assert_eq!(d.snapshot().unwrap().1, b"synced pending");
+        // Only the second sync from now waits; the third passes it.
+        d.arm(DeviceFault::HoldSync(Some(2)));
+        d.sync().unwrap();
+        let d2 = Arc::clone(&d);
+        let t = std::thread::spawn(move || d2.sync().unwrap());
+        d.wait_blocked(1);
+        d.sync().unwrap();
+        assert_eq!(d.syncs(), 4);
+        d.release();
+        t.join().unwrap();
+        assert_eq!(d.syncs(), 5);
+    }
+
+    #[test]
+    fn fault_device_fails_syncs_transiently_or_for_good() {
+        let d = faulty();
+        d.arm(DeviceFault::FailSync {
+            nth: 2,
+            times: 2,
+            transient: true,
+        });
+        d.sync().unwrap();
+        assert!(d.sync().unwrap_err().is_transient());
+        assert!(d.sync().is_err());
+        d.sync().unwrap();
+        d.arm(DeviceFault::FailSync {
+            nth: 1,
+            times: u64::MAX,
+            transient: false,
+        });
+        for _ in 0..3 {
+            assert!(!d.sync().unwrap_err().is_transient());
+        }
+        assert_eq!(d.syncs(), 2);
+    }
+
+    #[test]
+    fn a_torn_write_goes_dark_and_a_crash_keeps_a_chosen_prefix() {
+        let d = faulty();
+        d.append(b"abcdef").unwrap();
+        d.sync().unwrap();
+        d.append(b"gh").unwrap();
+        d.arm(DeviceFault::TearWrite(4));
+        d.write_vectored(&[b"ijk", b"lmn"]).unwrap(); // lands "ijkl"
+        assert!(d.is_dark());
+        d.append(b"never").unwrap();
+        d.sync().unwrap(); // acks, persists nothing
+        assert_eq!(d.len(), 12);
+        assert_eq!(d.unsynced_len(), 6);
+        assert_eq!(d.snapshot().unwrap().1, b"abcdef");
+        d.arm(DeviceFault::CrashKeeps(3));
+        assert_eq!(d.snapshot().unwrap().1, b"abcdefghi");
+        d.arm(DeviceFault::CrashKeeps(100));
+        assert_eq!(d.snapshot().unwrap().1, b"abcdefghijkl");
+    }
+
+    #[test]
+    fn fault_device_wedges_or_fails_truncation_and_shortens_reads() {
+        use crate::partition::{MemSegmentFactory, SegmentedDevice};
+        let seg = SegmentedDevice::new(Box::new(MemSegmentFactory), 4096).unwrap();
+        let d = FaultDevice::new(Arc::new(seg), &[DeviceFault::TruncateStuck]);
+        d.append(&[7u8; 4 * 4096]).unwrap();
+        assert_eq!(d.truncate_before(Lsn(4096)).unwrap(), 0);
+        d.disarm(DeviceFault::TruncateStuck);
+        d.arm(DeviceFault::TruncateFull);
+        assert!(matches!(
+            d.truncate_before(Lsn(4096)),
+            Err(crate::error::AetherError::DiskFull)
+        ));
+        assert_eq!(d.low_water(), Lsn::ZERO, "nothing dropped on failure");
+        d.disarm(DeviceFault::TruncateFull);
+        assert_eq!(d.truncate_before(Lsn(4096)).unwrap(), 1);
+        d.arm(DeviceFault::ShortReads(7));
+        assert_eq!(d.read_at(4096, &mut [0u8; 100]).unwrap(), 7);
     }
 }

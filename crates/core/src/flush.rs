@@ -513,7 +513,7 @@ mod tests {
     use crate::buffer::{BufferKind, LogBuffer};
     use crate::commit::{CommitGate, CommitHandle, Tally};
     use crate::config::LogConfig;
-    use crate::device::{SimDevice, StallDevice};
+    use crate::device::{DeviceFault, FaultDevice, SimDevice};
     use crate::record::RecordKind;
 
     type Rig<D> = (
@@ -676,54 +676,13 @@ mod tests {
         assert_eq!(n, 200);
     }
 
-    /// A device whose `sync` fails the first `fail_syncs` times with a
-    /// transient error, and whose failure kind flips to permanent (EIO)
-    /// when `permanent` is set.
-    struct FlakyDevice {
-        inner: SimDevice,
-        fail_syncs: AtomicU64,
-        permanent: bool,
-    }
-
-    impl FlakyDevice {
-        fn new(fail_syncs: u64, permanent: bool) -> FlakyDevice {
-            FlakyDevice {
-                inner: SimDevice::new(Duration::ZERO),
-                fail_syncs: AtomicU64::new(fail_syncs),
-                permanent,
-            }
-        }
-    }
-
-    impl LogDevice for FlakyDevice {
-        fn write_vectored(&self, bufs: &[&[u8]]) -> Result<()> {
-            self.inner.write_vectored(bufs)
-        }
-        fn sync(&self) -> Result<()> {
-            let left = self.fail_syncs.load(Ordering::SeqCst);
-            if left > 0 || self.permanent {
-                self.fail_syncs
-                    .store(left.saturating_sub(1), Ordering::SeqCst);
-                let e = if self.permanent {
-                    std::io::Error::from_raw_os_error(5) // EIO: permanent
-                } else {
-                    std::io::Error::new(std::io::ErrorKind::Interrupted, "flaky sync")
-                };
-                return Err(e.into());
-            }
-            self.inner.sync()
-        }
-        fn read_at(&self, offset: u64, dst: &mut [u8]) -> Result<usize> {
-            self.inner.read_at(offset, dst)
-        }
-        fn len(&self) -> u64 {
-            self.inner.len()
-        }
-    }
-
     #[test]
     fn transient_sync_errors_are_retried_and_committers_unblock_ok() {
-        let device = Arc::new(FlakyDevice::new(3, false));
+        let device = faulty(&[DeviceFault::FailSync {
+            nth: 1,
+            times: 3,
+            transient: true,
+        }]);
         let (core, _, pipeline, _daemon, buf) =
             rig(Arc::clone(&device), GroupCommitPolicy::default());
         put(&*buf, RecordKind::Commit, 1, &[]);
@@ -737,7 +696,7 @@ mod tests {
 
     #[test]
     fn permanent_sync_error_poisons_and_fails_pending_committers() {
-        let device = Arc::new(FlakyDevice::new(0, true));
+        let device = faulty(&[FOREVER]);
         let (core, _, pipeline, _daemon, buf) =
             rig(Arc::clone(&device), GroupCommitPolicy::default());
         put(&*buf, RecordKind::Commit, 1, &[]);
@@ -761,7 +720,11 @@ mod tests {
     #[test]
     fn exhausted_retry_budget_poisons() {
         // More transient failures than the 5-attempt budget.
-        let device = Arc::new(FlakyDevice::new(50, false));
+        let device = faulty(&[DeviceFault::FailSync {
+            nth: 1,
+            times: 50,
+            transient: true,
+        }]);
         let (core, _, _pipeline, _daemon, buf) =
             rig(Arc::clone(&device), GroupCommitPolicy::default());
         put(&*buf, RecordKind::Filler, 1, &[0; 32]);
@@ -782,7 +745,7 @@ mod tests {
         let log = Arc::new(
             crate::manager::LogManager::builder()
                 .config(LogConfig::default().with_buffer_size(4096))
-                .device_instance(Arc::new(FlakyDevice::new(0, true)))
+                .device_instance(faulty(&[FOREVER]))
                 .build(),
         );
         let (tx, rx) = std::sync::mpsc::channel();
@@ -833,8 +796,23 @@ mod tests {
         }
     }
 
-    fn stall_setup(policy: GroupCommitPolicy) -> Rig<StallDevice> {
-        rig(Arc::new(StallDevice::new(Duration::ZERO)), policy)
+    /// Every sync fails for good (EIO).
+    const FOREVER: DeviceFault = DeviceFault::FailSync {
+        nth: 1,
+        times: u64::MAX,
+        transient: false,
+    };
+
+    /// A zero-latency in-memory device with `script` armed.
+    fn faulty(script: &[DeviceFault]) -> Arc<FaultDevice> {
+        Arc::new(FaultDevice::new(
+            Arc::new(SimDevice::new(Duration::ZERO)),
+            script,
+        ))
+    }
+
+    fn stall_setup(policy: GroupCommitPolicy) -> Rig<FaultDevice> {
+        rig(faulty(&[]), policy)
     }
 
     fn submit_commit(
@@ -941,7 +919,7 @@ mod tests {
     #[test]
     fn commits_during_a_flush_are_the_next_group() {
         let (core, device, pipeline, daemon, buf) = stall_setup(unbounded());
-        device.hold();
+        device.arm(DeviceFault::HoldSync(None));
         // One commit per flusher, each flush blocked in its sync: the
         // window is full, so what comes next waits for a flusher to return.
         let first: Vec<_> = (0..FLUSH_DEPTH)
@@ -974,7 +952,7 @@ mod tests {
         // calls `flush_until` while every flusher is in a sync is covered by
         // the next flush.
         let (core, device, _p, daemon, buf) = stall_setup(unbounded());
-        device.hold();
+        device.arm(DeviceFault::HoldSync(None));
         std::thread::scope(|s| {
             let committer = || {
                 put(&*buf, RecordKind::Commit, 0, &[]);
@@ -996,66 +974,42 @@ mod tests {
         assert_eq!(core.durable_lsn(), core.released_lsn());
     }
 
-    /// A device whose first sync blocks until `fail` is sent and then fails
-    /// for good (EIO); every later sync succeeds at once.
-    struct FirstSyncFails {
-        inner: SimDevice,
-        syncs: AtomicU64,
-        synced: AtomicU64,
-        fail: Mutex<std::sync::mpsc::Receiver<()>>,
-    }
-
-    impl LogDevice for FirstSyncFails {
-        fn write_vectored(&self, bufs: &[&[u8]]) -> Result<()> {
-            self.inner.write_vectored(bufs)
-        }
-        fn sync(&self) -> Result<()> {
-            if self.syncs.fetch_add(1, Ordering::SeqCst) == 0 {
-                let _ = lock(&self.fail).recv();
-                return Err(std::io::Error::from_raw_os_error(5).into());
-            }
-            self.synced.fetch_add(1, Ordering::SeqCst);
-            Ok(())
-        }
-        fn read_at(&self, offset: u64, dst: &mut [u8]) -> Result<usize> {
-            self.inner.read_at(offset, dst)
-        }
-        fn len(&self) -> u64 {
-            self.inner.len()
-        }
-    }
-
     #[test]
     fn a_failed_sync_is_never_covered_by_a_later_one() {
         // fsyncgate: group 1's sync blocks and then fails for good; group 2's
         // sync, issued meanwhile, succeeds. After a failed sync the kernel may
         // have dropped group 1's pages, so group 2's success covers nothing:
         // durable never passes group 1's start, and no commit completes Ok.
-        let (fail, failing) = std::sync::mpsc::channel();
-        let device = Arc::new(FirstSyncFails {
-            inner: SimDevice::new(Duration::ZERO),
-            syncs: AtomicU64::new(0),
-            synced: AtomicU64::new(0),
-            fail: Mutex::new(failing),
-        });
+        let device = faulty(&[
+            DeviceFault::HoldSync(Some(1)),
+            DeviceFault::FailSync {
+                nth: 1,
+                times: 1,
+                transient: false,
+            },
+        ]);
         let (core, device, pipeline, daemon, buf) = rig(device, unbounded());
-        // Dropped before the daemon: a failed assertion ends the blocked
-        // sync, so the daemon's shutdown can join its flushers.
-        let fail = fail;
+        // Dropped before the daemon: a failed assertion lets the held sync
+        // go, so the daemon's shutdown can join its flushers.
+        struct Release<'a>(&'a FaultDevice);
+        impl Drop for Release<'_> {
+            fn drop(&mut self) {
+                self.0.release();
+            }
+        }
+        let _release = Release(&device);
         let start = core.durable_lsn();
         let first = submit_commit(&core, &pipeline, &daemon, &*buf, 1);
-        while device.syncs.load(Ordering::SeqCst) == 0 {
-            std::thread::yield_now();
-        }
+        device.wait_blocked(1);
         let second = submit_commit(&core, &pipeline, &daemon, &*buf, 2);
-        while device.synced.load(Ordering::SeqCst) == 0 {
+        while device.syncs() == 0 {
             std::thread::yield_now();
         }
         // Time for a flusher that trusted group 2's sync to act on it.
         runtime::sleep(Duration::from_millis(20));
         assert_eq!(core.durable_lsn(), start, "group 2's sync covered group 1");
         assert!(!second.is_done());
-        fail.send(()).unwrap();
+        device.release();
         assert!(!first.wait(), "group 1's commit completed Ok");
         assert!(!second.wait(), "group 2's commit completed Ok");
         assert!(core.poison_reason().is_some());
@@ -1085,7 +1039,7 @@ mod tests {
             ..unbounded()
         };
         let (core, device, _p, daemon, buf) = stall_setup(policy);
-        device.hold();
+        device.arm(DeviceFault::HoldSync(None));
         put(&*buf, RecordKind::Filler, 1, &[0; 64]);
         daemon.shared().want(core.released_lsn());
         device.wait_blocked(1);

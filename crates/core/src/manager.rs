@@ -567,7 +567,7 @@ pub struct TruncationStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::SimDevice;
+    use crate::device::{DeviceFault, FaultDevice, SimDevice};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 
@@ -610,32 +610,6 @@ mod tests {
         assert_eq!(log.pipeline().completed(), 1);
     }
 
-    /// A RAM device whose syncs fail for good (EIO) after the first few.
-    struct FailsAfter {
-        inner: SimDevice,
-        syncs_left: AtomicU64,
-    }
-
-    impl LogDevice for FailsAfter {
-        fn write_vectored(&self, bufs: &[&[u8]]) -> Result<()> {
-            self.inner.write_vectored(bufs)
-        }
-        fn sync(&self) -> Result<()> {
-            let left = self.syncs_left.load(Ordering::SeqCst);
-            if left == 0 {
-                return Err(std::io::Error::from_raw_os_error(5).into());
-            }
-            self.syncs_left.store(left - 1, Ordering::SeqCst);
-            self.inner.sync()
-        }
-        fn read_at(&self, offset: u64, dst: &mut [u8]) -> Result<usize> {
-            self.inner.read_at(offset, dst)
-        }
-        fn len(&self) -> u64 {
-            self.inner.len()
-        }
-    }
-
     /// A tally the log's flushers resolve.
     fn subscribed(log: &LogManager) -> Arc<Tally> {
         let t = Arc::new(Tally::default());
@@ -651,10 +625,14 @@ mod tests {
         // the commit: every commit resolves, once, whatever its verdict.
         for round in 0..20u64 {
             let log = LogManager::builder()
-                .device_instance(Arc::new(FailsAfter {
-                    inner: SimDevice::new(Duration::ZERO),
-                    syncs_left: AtomicU64::new(round % 3),
-                }))
+                .device_instance(Arc::new(FaultDevice::new(
+                    Arc::new(SimDevice::new(Duration::ZERO)),
+                    &[DeviceFault::FailSync {
+                        nth: round % 3 + 1,
+                        times: u64::MAX,
+                        transient: false,
+                    }],
+                )))
                 .build();
             let submitted = AtomicU64::new(0);
             let tallies: Vec<Arc<Tally>> = (0..4).map(|_| subscribed(&log)).collect();

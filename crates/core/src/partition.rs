@@ -57,6 +57,8 @@ pub struct SegmentedDevice {
     /// Lowest segment that may hold bytes no completed sync covers (an
     /// append that crosses a boundary seals one holding unsynced bytes).
     unsynced: AtomicU64,
+    /// Stream offset one past the last byte a completed sync covers.
+    synced: AtomicU64,
     /// The logical low-water mark: the highest truncation LSN applied so
     /// far. Always a record boundary (callers pass redo points). Whole
     /// segments entirely below it are recycled; the first retained segment
@@ -92,6 +94,7 @@ impl SegmentedDevice {
             }]),
             len: AtomicU64::new(0),
             unsynced: AtomicU64::new(0),
+            synced: AtomicU64::new(0),
             truncated: AtomicU64::new(0),
             recycled: AtomicU64::new(0),
         })
@@ -143,6 +146,7 @@ impl LogDevice for SegmentedDevice {
     }
 
     fn sync(&self) -> Result<()> {
+        let covered = self.len.load(Ordering::Acquire);
         // Every segment written since the last completed sync — the open one
         // and any an append sealed since — each synced outside the segments
         // lock: a latency-modeling segment parks in `sync`, and appends and
@@ -159,6 +163,7 @@ impl LogDevice for SegmentedDevice {
             }
         }
         self.unsynced.fetch_max(last, Ordering::AcqRel);
+        self.synced.fetch_max(covered, Ordering::AcqRel);
         Ok(())
     }
 
@@ -226,9 +231,13 @@ impl LogDevice for SegmentedDevice {
         Ok(dropped)
     }
 
+    /// The synced prefix from the low-water mark on.
     fn snapshot(&self) -> Option<(Lsn, Vec<u8>)> {
         let start = self.low_water();
-        let want = self.len().saturating_sub(start.raw()) as usize;
+        let want = self
+            .synced
+            .load(Ordering::Acquire)
+            .saturating_sub(start.raw()) as usize;
         let mut out = vec![0u8; want];
         match self.read_at(start.raw(), &mut out) {
             Ok(n) if n == want => Some((start, out)),
@@ -312,6 +321,7 @@ mod tests {
         let d = dev(4096);
         let data: Vec<u8> = (0..12_000).map(|i| (i % 113) as u8).collect();
         d.append(&data).unwrap();
+        d.sync().unwrap();
         d.truncate_before(Lsn(5000)).unwrap();
         let (start, bytes) = d.snapshot().unwrap();
         assert_eq!(start, Lsn(5000));
@@ -320,6 +330,7 @@ mod tests {
         // scan start.
         let d2 = dev(4096);
         d2.append(&vec![3u8; 3000]).unwrap();
+        d2.sync().unwrap();
         assert_eq!(d2.truncate_before(Lsn(1000)).unwrap(), 0);
         assert_eq!(d2.low_water(), Lsn(1000));
         let (start, bytes) = d2.snapshot().unwrap();

@@ -226,7 +226,7 @@ impl Iterator for LogReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::SimDevice;
+    use crate::device::{DeviceFault, FaultDevice, SimDevice};
     use crate::record::{on_log_size, RecordKind};
     use std::time::Duration;
 
@@ -312,22 +312,8 @@ mod tests {
     }
 
     /// Returns at most 7 bytes per `read_at`, as the device contract allows.
-    struct ShortReads(Arc<SimDevice>);
-
-    impl LogDevice for ShortReads {
-        fn write_vectored(&self, bufs: &[&[u8]]) -> Result<()> {
-            self.0.write_vectored(bufs)
-        }
-        fn sync(&self) -> Result<()> {
-            self.0.sync()
-        }
-        fn read_at(&self, offset: u64, dst: &mut [u8]) -> Result<usize> {
-            let n = dst.len().min(7);
-            self.0.read_at(offset, &mut dst[..n])
-        }
-        fn len(&self) -> u64 {
-            self.0.len()
-        }
+    fn short_reads(d: Arc<SimDevice>) -> FaultDevice {
+        FaultDevice::new(d, &[DeviceFault::ShortReads(7)])
     }
 
     fn payload(i: usize, len: usize) -> Vec<u8> {
@@ -351,7 +337,7 @@ mod tests {
         let payloads = assorted();
         let d = device_with(&payloads);
         let whole = LogReader::new(d.clone()).strict().read_all().unwrap();
-        let short = LogReader::new(Arc::new(ShortReads(d))).strict();
+        let short = LogReader::new(Arc::new(short_reads(d))).strict();
         assert_eq!(short.read_all().unwrap(), whole);
         let got: Vec<Vec<u8>> = whole.into_iter().map(|r| r.payload).collect();
         assert_eq!(got, payloads);
@@ -366,7 +352,7 @@ mod tests {
         for first in (WINDOW - 4 * HEADER_SIZE..WINDOW + 16).step_by(8) {
             let payloads = vec![payload(0, first), payload(1, 100), payload(2, 3)];
             let d = device_with(&payloads);
-            for dev in [d.clone() as Arc<dyn LogDevice>, Arc::new(ShortReads(d))] {
+            for dev in [d.clone() as Arc<dyn LogDevice>, Arc::new(short_reads(d))] {
                 let got: Vec<Vec<u8>> = LogReader::new(dev)
                     .strict()
                     .read_all()
@@ -383,7 +369,7 @@ mod tests {
     fn a_record_larger_than_the_window() {
         let payloads = vec![payload(0, 10), payload(1, 60_000), payload(2, 10)];
         let d = device_with(&payloads);
-        let recs = LogReader::new(Arc::new(ShortReads(d.clone())))
+        let recs = LogReader::new(Arc::new(short_reads(d.clone())))
             .strict()
             .read_all()
             .unwrap();
@@ -413,7 +399,10 @@ mod tests {
         for cut in torn_at..contents.len() {
             let dev = Arc::new(SimDevice::new(Duration::ZERO));
             dev.append(&contents[..cut]).unwrap();
-            for dev in [dev.clone() as Arc<dyn LogDevice>, Arc::new(ShortReads(dev))] {
+            for dev in [
+                dev.clone() as Arc<dyn LogDevice>,
+                Arc::new(short_reads(dev)),
+            ] {
                 let mut r = LogReader::new(dev).strict();
                 assert_eq!(r.by_ref().count(), 2, "cut at {cut}");
                 assert_eq!(r.position(), Lsn(torn_at as u64), "cut at {cut}");
@@ -431,9 +420,9 @@ mod tests {
             contents[recs[k].lsn.raw() as usize + HEADER_SIZE + 2] ^= 0x01;
             let bad = Arc::new(SimDevice::new(Duration::ZERO));
             bad.append(&contents).unwrap();
-            let tolerant = LogReader::new(Arc::new(ShortReads(bad.clone()))).read_all();
+            let tolerant = LogReader::new(Arc::new(short_reads(bad.clone()))).read_all();
             assert_eq!(tolerant.unwrap().len(), k);
-            let err = LogReader::new(Arc::new(ShortReads(bad)))
+            let err = LogReader::new(Arc::new(short_reads(bad)))
                 .strict()
                 .read_all();
             assert!(matches!(err, Err(AetherError::Corrupt { at, .. }) if at == recs[k].lsn));
@@ -446,7 +435,7 @@ mod tests {
         let d = device_with(&payloads);
         let all = LogReader::new(d.clone()).read_all().unwrap();
         for k in [1, 9, 76, 78, 199] {
-            let dev = Arc::new(ShortReads(d.clone()));
+            let dev = Arc::new(short_reads(d.clone()));
             let rest = LogReader::from_lsn(dev, all[k].lsn).read_all().unwrap();
             assert_eq!(rest, all[k..], "from record {k}");
         }

@@ -237,8 +237,7 @@ static NEXT_CV_ID: AtomicU64 = AtomicU64::new(1);
 /// Crate-private: a thread that waits for state another thread publishes
 /// parks in a [`WaitSet`], which is this condvar plus the protocol that
 /// loses no wakeup. The condvar itself is only for state that lives under
-/// the mutex it is paired with: the flushers' park (`flush.rs`) and
-/// `StallDevice`'s gate.
+/// the mutex it is paired with: the flushers' park (`flush.rs`).
 pub(crate) struct RtCondvar {
     real: std::sync::Condvar,
     sim_id: OnceLock<u64>,

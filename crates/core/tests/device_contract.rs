@@ -5,12 +5,12 @@
 //! and a device rebuilt from what survived reads back the same bytes and
 //! appends where the old one ended.
 
-use aether_core::device::{DeviceKind, FileDevice, LogDevice, SimDevice, StallDevice};
+use aether_core::device::{DeviceKind, FaultDevice, FileDevice, LogDevice, SimDevice};
 use aether_core::partition::{MemSegmentFactory, SegmentFactory, SegmentedDevice};
 use aether_core::runtime::lock;
 use aether_core::{Lsn, Result};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -67,8 +67,8 @@ fn rows() -> Vec<Row> {
             reopen: None,
         },
         Row {
-            name: "StallDevice",
-            make: |_| Arc::new(StallDevice::new(Duration::ZERO)),
+            name: "FaultDevice with nothing armed",
+            make: |_| Arc::new(FaultDevice::new(DeviceKind::Ram.build().unwrap(), &[])),
             low: 0,
             pre: vec![],
             gone_below: 0,
@@ -215,38 +215,17 @@ fn a_sync_beside_appends_leaves_the_same_stream() {
     }
 }
 
-/// A segment that counts the syncs it is asked for.
-struct CountedSegment {
-    store: SimDevice,
-    syncs: AtomicU64,
-}
-
-impl LogDevice for CountedSegment {
-    fn write_vectored(&self, bufs: &[&[u8]]) -> Result<()> {
-        self.store.write_vectored(bufs)
-    }
-    fn sync(&self) -> Result<()> {
-        self.syncs.fetch_add(1, Ordering::SeqCst);
-        self.store.sync()
-    }
-    fn read_at(&self, offset: u64, dst: &mut [u8]) -> Result<usize> {
-        self.store.read_at(offset, dst)
-    }
-    fn len(&self) -> u64 {
-        self.store.len()
-    }
-}
-
-/// Hands out counted segments and keeps them, in segment order.
+/// Hands out segments that count their syncs, and keeps them, in segment
+/// order.
 #[derive(Clone, Default)]
-struct CountingFactory(Arc<Mutex<Vec<Arc<CountedSegment>>>>);
+struct CountingFactory(Arc<Mutex<Vec<Arc<FaultDevice>>>>);
 
 impl SegmentFactory for CountingFactory {
     fn create(&self, _seg_no: u64) -> Result<Arc<dyn LogDevice>> {
-        let seg = Arc::new(CountedSegment {
-            store: SimDevice::new(Duration::ZERO),
-            syncs: AtomicU64::new(0),
-        });
+        let seg = Arc::new(FaultDevice::new(
+            Arc::new(SimDevice::new(Duration::ZERO)),
+            &[],
+        ));
         lock(&self.0).push(Arc::clone(&seg));
         Ok(seg)
     }
@@ -258,9 +237,7 @@ fn a_segmented_sync_covers_the_segments_an_append_sealed() {
     let d = SegmentedDevice::new(Box::new(factory.clone()), SEGMENT).unwrap();
     let syncs = || -> Vec<u64> {
         let segs = lock(&factory.0);
-        segs.iter()
-            .map(|s| s.syncs.load(Ordering::SeqCst))
-            .collect()
+        segs.iter().map(|s| s.syncs()).collect()
     };
     d.append(&pattern(1000, 1)).unwrap();
     d.sync().unwrap();

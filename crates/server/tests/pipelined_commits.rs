@@ -7,7 +7,7 @@
 //! bytes have not reached the (stalled) durable store, and after a crash
 //! taken *during* the stall, recovery must reproduce every acked write.
 
-use aether_core::device::{DeviceKind, LogDevice, StallDevice};
+use aether_core::device::{DeviceFault, DeviceKind, FaultDevice, LogDevice, SimDevice};
 use aether_core::runtime::{lock, monotonic_ns, Runtime};
 use aether_core::LogConfig;
 use aether_server::protocol::{Request, Response};
@@ -32,12 +32,15 @@ fn record(conn: usize, i: usize) -> Vec<u8> {
 
 #[test]
 fn flush_stall_never_acks_undurable_and_keeps_order() {
-    // A held `StallDevice` blocks the flush daemon inside `sync`, so
+    // A held `FaultDevice` blocks the flush daemon inside `sync`, so
     // completions (and therefore `Committed` responses) stop;
     // anything acked anyway would be provably undurable. Its 2 ms of sync
     // latency keeps the run flush-bound, so the windows stay deep and
     // commits group behind the flush in flight.
-    let device = Arc::new(StallDevice::new(Duration::from_millis(2)));
+    let device = Arc::new(FaultDevice::new(
+        Arc::new(SimDevice::new(Duration::from_millis(2))),
+        &[],
+    ));
     let opts = DbOptions {
         protocol: CommitProtocol::Pipelined,
         ..DbOptions::default()
@@ -103,7 +106,7 @@ fn flush_stall_never_acks_undurable_and_keeps_order() {
         assert!(std::time::Instant::now() < deadline, "no commits acked");
         std::thread::sleep(Duration::from_millis(1));
     }
-    device.hold();
+    device.arm(DeviceFault::HoldSync(None));
     // Quiesce: the one sync already past the stall gate may still complete
     // and ack its batch; after this window nothing else can.
     std::thread::sleep(Duration::from_millis(100));
@@ -340,13 +343,16 @@ fn retry_until_settled(client: &mut Client, table: u32, key: u64, id: u64) -> u6
 
 #[test]
 fn a_connection_closed_mid_flight_still_settles_its_commits() {
-    // A held `StallDevice` keeps the flush from completing while a client
+    // A held `FaultDevice` keeps the flush from completing while a client
     // sends eight dedup-tagged auto-commits and closes its connection. The
     // connection's response queue stays subscribed to the log: once the
     // stall lifts, each commit settles its dedup entry, so a retry of each
     // id on a new connection replays the original token — it is neither
     // re-executed nor answered `Busy` for ever.
-    let device = Arc::new(StallDevice::new(Duration::ZERO));
+    let device = Arc::new(FaultDevice::new(
+        Arc::new(SimDevice::new(Duration::ZERO)),
+        &[],
+    ));
     let opts = DbOptions {
         protocol: CommitProtocol::Pipelined,
         log_config: LogConfig::default().with_telemetry(aether_core::TelemetryConfig {
@@ -366,7 +372,7 @@ fn a_connection_closed_mid_flight_still_settles_its_commits() {
         .map(|i| aether_server::retry::retry_id(77, i))
         .collect();
 
-    device.hold();
+    device.arm(DeviceFault::HoldSync(None));
     let commits_before = db.stats().commits();
     let mut client = Client::new(Box::new(server.connect_chan()));
     for (key, &id) in ids.iter().enumerate() {

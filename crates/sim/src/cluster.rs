@@ -22,9 +22,8 @@
 //! Violations are collected as strings rather than panics so a sweep can
 //! report every failing seed instead of dying on the first.
 
-use crate::fault::FaultDevice;
 use crate::plan::{Fault, FaultPlan};
-use aether_core::device::{LogDevice, SimDevice};
+use aether_core::device::{DeviceFault, FaultDevice, LogDevice, SimDevice};
 use aether_core::partition::{MemSegmentFactory, SegmentedDevice};
 use aether_core::reader::LogReader;
 use aether_core::runtime::{self, Runtime};
@@ -115,7 +114,7 @@ impl<'a> Scenario<'a> {
         } else {
             Arc::new(SimDevice::new(Duration::ZERO))
         };
-        let device = FaultDevice::new(inner);
+        let device = Arc::new(FaultDevice::new(inner, &[]));
         let opts = DbOptions {
             protocol: if plan.elr {
                 CommitProtocol::Elr
@@ -227,6 +226,17 @@ impl<'a> Scenario<'a> {
                 })
             })
             .collect();
+        // Stop the workers; what each submitted last.
+        let halt = {
+            let (stop, submitted) = (Arc::clone(&stop), Arc::clone(&submitted));
+            move || -> Vec<u64> {
+                stop.store(true, Ordering::SeqCst);
+                for w in workers {
+                    w.join().unwrap();
+                }
+                submitted.iter().map(|a| a.load(Ordering::SeqCst)).collect()
+            }
+        };
 
         // Trigger: wait (in virtual time) until every worker has made
         // enough progress for the fault to land mid-flight.
@@ -256,12 +266,7 @@ impl<'a> Scenario<'a> {
                 let floor: Vec<u64> = acked.iter().map(|a| a.load(Ordering::SeqCst)).collect();
                 let mut cluster = cluster.expect("KillPrimary requires replicas");
                 cluster.kill_primary();
-                stop.store(true, Ordering::SeqCst);
-                for w in workers {
-                    w.join().unwrap();
-                }
-                let submitted: Vec<u64> =
-                    submitted.iter().map(|a| a.load(Ordering::SeqCst)).collect();
+                let submitted = halt();
                 self.check_failover(cluster, &floor, &submitted);
                 floor.iter().sum()
             }
@@ -270,30 +275,27 @@ impl<'a> Scenario<'a> {
                 // Snapshot the floor *before* the device starts lying: those
                 // acks were honestly durable and must survive recovery.
                 let floor: Vec<u64> = acked.iter().map(|a| a.load(Ordering::SeqCst)).collect();
-                self.device.arm_torn_write(plan.fault_entropy % 256);
+                self.device
+                    .arm(DeviceFault::TearWrite(plan.fault_entropy % 256));
                 // Let the workload run into the dark device for a while.
                 runtime::sleep(Duration::from_millis(5));
-                stop.store(true, Ordering::SeqCst);
-                for w in workers {
-                    w.join().unwrap();
-                }
-                let submitted: Vec<u64> =
-                    submitted.iter().map(|a| a.load(Ordering::SeqCst)).collect();
+                let submitted = halt();
+                // The crash keeps the synced prefix and a seed-chosen part
+                // of what was written after it, up to the tear.
+                let unsynced = self.device.unsynced_len();
+                self.device.arm(DeviceFault::CrashKeeps(
+                    (plan.fault_entropy >> 8) % (unsynced + 1),
+                ));
                 self.check_torn_recovery(&floor, &submitted);
                 floor.iter().sum()
             }
             Fault::TruncateStuck => {
                 self.rt.note("fault:truncate-stuck");
-                self.device.set_truncate_stuck(true);
+                self.device.arm(DeviceFault::TruncateStuck);
                 self.check_stuck_truncation();
-                self.device.set_truncate_stuck(false);
+                self.device.disarm(DeviceFault::TruncateStuck);
                 let _ = Checkpointer::checkpoint_once(&self.primary);
-                stop.store(true, Ordering::SeqCst);
-                for w in workers {
-                    w.join().unwrap();
-                }
-                let submitted: Vec<u64> =
-                    submitted.iter().map(|a| a.load(Ordering::SeqCst)).collect();
+                let submitted = halt();
                 self.check_quiesced(cluster, &submitted);
                 acked.iter().map(|a| a.load(Ordering::SeqCst)).sum()
             }
@@ -312,12 +314,7 @@ impl<'a> Scenario<'a> {
                     })
                     .unwrap();
                 self.check_router(&cluster, Some(lagger));
-                stop.store(true, Ordering::SeqCst);
-                for w in workers {
-                    w.join().unwrap();
-                }
-                let submitted: Vec<u64> =
-                    submitted.iter().map(|a| a.load(Ordering::SeqCst)).collect();
+                let submitted = halt();
                 self.check_quiesced(Some(cluster), &submitted);
                 acked.iter().map(|a| a.load(Ordering::SeqCst)).sum()
             }
@@ -355,18 +352,13 @@ impl<'a> Scenario<'a> {
                     }
                     runtime::sleep(Duration::from_millis(1));
                 }
-                stop.store(true, Ordering::SeqCst);
-                for w in workers {
-                    w.join().unwrap();
-                }
-                let submitted: Vec<u64> =
-                    submitted.iter().map(|a| a.load(Ordering::SeqCst)).collect();
+                let submitted = halt();
                 self.check_quiesced(Some(cluster), &submitted);
                 acked.iter().map(|a| a.load(Ordering::SeqCst)).sum()
             }
             Fault::DiskFullOnTruncate => {
                 self.rt.note("fault:disk-full-truncate");
-                self.device.set_truncate_enospc(true);
+                self.device.arm(DeviceFault::TruncateFull);
                 let lw = self.primary.log().low_water();
                 let floor: Vec<u64> = acked.iter().map(|a| a.load(Ordering::SeqCst)).collect();
                 for round in 0..3 {
@@ -406,32 +398,22 @@ impl<'a> Scenario<'a> {
                     }
                     runtime::sleep(Duration::from_millis(1));
                 }
-                self.device.set_truncate_enospc(false);
+                self.device.disarm(DeviceFault::TruncateFull);
                 if Checkpointer::checkpoint_once(&self.primary).device_error {
                     self.violate("enospc truncation: still failing after space returned".into());
                 }
-                stop.store(true, Ordering::SeqCst);
-                for w in workers {
-                    w.join().unwrap();
-                }
-                let submitted: Vec<u64> =
-                    submitted.iter().map(|a| a.load(Ordering::SeqCst)).collect();
+                let submitted = halt();
                 self.check_quiesced(cluster, &submitted);
                 acked.iter().map(|a| a.load(Ordering::SeqCst)).sum()
             }
             Fault::CrashDuringRecovery => {
                 self.rt.note("fault:crash-during-recovery");
-                // Acks after the freeze are lies (the dark device drops the
-                // bytes); only the pre-freeze floor is honestly durable.
+                // Acks after the power cut are lies (the dark device drops
+                // the bytes); only the floor before it is honestly durable.
                 let floor: Vec<u64> = acked.iter().map(|a| a.load(Ordering::SeqCst)).collect();
-                self.device.freeze();
+                self.device.arm(DeviceFault::TearWrite(0));
                 runtime::sleep(Duration::from_millis(5));
-                stop.store(true, Ordering::SeqCst);
-                for w in workers {
-                    w.join().unwrap();
-                }
-                let submitted: Vec<u64> =
-                    submitted.iter().map(|a| a.load(Ordering::SeqCst)).collect();
+                let submitted = halt();
                 self.check_crash_during_recovery(&floor, &submitted);
                 floor.iter().sum()
             }
@@ -442,7 +424,11 @@ impl<'a> Scenario<'a> {
                 let budget = aether_core::flush::FLUSH_ATTEMPTS as u64;
                 let blips = 1 + plan.fault_entropy % budget.saturating_sub(1).max(1);
                 let floor: Vec<u64> = acked.iter().map(|a| a.load(Ordering::SeqCst)).collect();
-                self.device.fail_syncs(blips);
+                self.device.arm(DeviceFault::FailSync {
+                    nth: 1,
+                    times: blips,
+                    transient: true,
+                });
                 let deadline = runtime::monotonic_ns() + 30_000_000_000;
                 while acked
                     .iter()
@@ -462,12 +448,7 @@ impl<'a> Scenario<'a> {
                         "transient sync: {blips} blips (budget {budget}) poisoned the log"
                     ));
                 }
-                stop.store(true, Ordering::SeqCst);
-                for w in workers {
-                    w.join().unwrap();
-                }
-                let submitted: Vec<u64> =
-                    submitted.iter().map(|a| a.load(Ordering::SeqCst)).collect();
+                let submitted = halt();
                 self.check_quiesced(cluster, &submitted);
                 acked.iter().map(|a| a.load(Ordering::SeqCst)).sum()
             }
@@ -477,12 +458,7 @@ impl<'a> Scenario<'a> {
                 if let Some(c) = cluster.as_ref() {
                     self.check_router(c, None);
                 }
-                stop.store(true, Ordering::SeqCst);
-                for w in workers {
-                    w.join().unwrap();
-                }
-                let submitted: Vec<u64> =
-                    submitted.iter().map(|a| a.load(Ordering::SeqCst)).collect();
+                let submitted = halt();
                 self.check_quiesced(cluster, &submitted);
                 acked.iter().map(|a| a.load(Ordering::SeqCst)).sum()
             }
@@ -839,7 +815,7 @@ impl<'a> Scenario<'a> {
             }
         }
         let durable = self.primary.log().durable_lsn();
-        if prev_end < durable && !self.device.is_frozen() {
+        if prev_end < durable && !self.device.is_dark() {
             self.violate(format!(
                 "dense stream: scan ended at {prev_end:?} short of durable {durable:?}"
             ));

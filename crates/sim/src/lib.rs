@@ -14,8 +14,11 @@
 //! * [`plan::FaultPlan`] decodes each seed into a scenario — cluster shape,
 //!   link latency/reordering, commit protocol, and one injected fault
 //!   (primary kill, torn device write, wedged truncation, latency spike);
-//! * [`fault::FaultDevice`] is a [`aether_core::device::LogDevice`] wrapper
-//!   that tears writes and wedges truncation on command;
+//! * [`aether_core::device::FaultDevice`] wraps the primary's log device
+//!   and injects the device faults from a script of
+//!   [`aether_core::device::DeviceFault`] lines: torn writes, wedged or
+//!   failing truncation, failed syncs, and a crash that keeps only the
+//!   synced prefix plus a seed-chosen prefix of the unsynced bytes;
 //! * [`cluster::run_seed`] runs the scenario and checks the DESIGN.md
 //!   invariants it puts at risk, returning a [`cluster::SimReport`] whose
 //!   `history` field is the reproducibility witness: the same seed must
@@ -33,11 +36,9 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
-pub mod fault;
 pub mod plan;
 pub mod server_scenario;
 
 pub use cluster::{run_seed, SimReport};
-pub use fault::FaultDevice;
 pub use plan::{Fault, FaultPlan, SeedRng};
 pub use server_scenario::{run_server_seed, ServerSimReport};

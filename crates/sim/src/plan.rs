@@ -51,7 +51,8 @@ pub enum Fault {
     /// then promote the most-caught-up replica. Requires replicas.
     KillPrimary,
     /// The next log-device write lands only a prefix, then the device goes
-    /// dark (a torn final write followed by power loss).
+    /// dark (a torn final write followed by power loss); the crash keeps the
+    /// synced bytes and a seed-chosen prefix of the rest, up to the tear.
     TornWrite,
     /// The log device stops honoring `truncate_before` (segment recycling
     /// wedged, as on a disk-full metadata store). Requires a segmented log.

@@ -16,6 +16,10 @@
 //! * **Read-your-writes**: a read at `at_least = token` immediately after
 //!   that token's commit must observe the committed value, through
 //!   whatever routing the engine uses.
+//! * **Acked commits survive a crash**: the run ends with a crash and a
+//!   recovery, after which every private key holds the last value its
+//!   connection saw acked (not checked under `AsyncCommit`, whose acks
+//!   promise no durability).
 //! * **No lock wait outlives a cycle**: some interactive transactions update
 //!   both of two hot keys, each in a seed-chosen order, so connections
 //!   cross. A `Deadlock` answer is legal — the server has rolled the victim
@@ -31,7 +35,9 @@ use aether_core::runtime::Runtime;
 use aether_core::LogConfig;
 use aether_server::protocol::{ErrCode, Request, Response};
 use aether_server::{Client, Engine, Server, ServerConfig};
+use aether_storage::recovery::recover;
 use aether_storage::{CommitProtocol, Db, DbOptions};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Outcome of one simulated server run.
@@ -120,6 +126,8 @@ pub fn run_server_seed(seed: u64) -> ServerSimReport {
             let mut acked = 0u64;
             let mut deadlocks = 0u64;
             let mut last_token = 0u64;
+            // The last acked value of each private key.
+            let mut last_acked = BTreeMap::new();
             let mut violations = Vec::new();
             'ops: for op in 0..ops {
                 let first = rng.below(2) as usize;
@@ -189,6 +197,9 @@ pub fn run_server_seed(seed: u64) -> ServerSimReport {
                     }
                 };
                 acked += 1;
+                if !hot {
+                    last_acked.insert(key, value.clone());
+                }
                 if token < last_token {
                     violations.push(format!(
                         "conn {conn} op {op}: token regressed {token} < {last_token}"
@@ -229,24 +240,40 @@ pub fn run_server_seed(seed: u64) -> ServerSimReport {
                 }
             }
             client.close();
-            (acked, deadlocks, violations)
+            (acked, deadlocks, last_acked, violations)
         }));
     }
 
     let mut acked = 0u64;
     let mut deadlocks = 0u64;
     let mut violations = Vec::new();
+    let mut last_acked = BTreeMap::new();
     for w in workers {
         match w.join() {
-            Ok((a, d, v)) => {
+            Ok((a, d, last, v)) => {
                 acked += a;
                 deadlocks += d;
+                last_acked.extend(last);
                 violations.extend(v);
             }
             Err(_) => violations.push("client actor panicked".into()),
         }
     }
     server.shutdown();
+
+    // Crash with whatever the flushers have not synced yet, and recover.
+    match recover(db.crash(), db.options().clone()) {
+        Ok(recovered) => {
+            let acks_are_durable = protocol != CommitProtocol::AsyncCommit;
+            for (key, want) in last_acked.iter().filter(|_| acks_are_durable) {
+                if recovered.snapshot_read(table, *key).ok().flatten().as_ref() != Some(want) {
+                    violations.push(format!("key {key}: last acked value lost in a crash"));
+                }
+            }
+            recovered.log().shutdown();
+        }
+        Err(e) => violations.push(format!("recovery after the run failed: {e:?}")),
+    }
     let _ = db.log().flush_all();
 
     // State checksum over the converged table (FNV-1a over key/value).

@@ -880,11 +880,11 @@ impl Db {
         self.tables.len()
     }
 
-    /// Capture what would survive a power failure right now: the retained
-    /// durable log suffix (with its start offset — the truncated prefix is
-    /// gone, as on a real disk) and the page store. The in-memory ring,
-    /// frames, and lock state are all lost. Panics if the log device cannot
-    /// snapshot (Null).
+    /// Capture what would survive a power failure right now: the synced
+    /// prefix of the retained log (with its start offset — the truncated
+    /// prefix is gone, as on a real disk) and the page store. Bytes written
+    /// but not yet synced are lost with the in-memory ring, frames, and lock
+    /// state. Panics if the log device cannot snapshot (Null).
     pub fn crash(&self) -> CrashImage {
         let (log_start, log_bytes) = self
             .log
@@ -1094,8 +1094,11 @@ mod tests {
         // No handle is kept and nothing is handed back: the slot settles by
         // the watermark alone, and a new transaction may claim it.
         for protocol in [CommitProtocol::AsyncCommit, CommitProtocol::Pipelined] {
-            let device = Arc::new(aether_core::device::StallDevice::new(
-                std::time::Duration::ZERO,
+            let device = Arc::new(aether_core::device::FaultDevice::new(
+                Arc::new(aether_core::device::SimDevice::new(
+                    std::time::Duration::ZERO,
+                )),
+                &[],
             ));
             let opts = DbOptions {
                 protocol,
@@ -1105,7 +1108,7 @@ mod tests {
             db.create_table(40, 8);
             db.load(0, 1, &rec(1, 40, 0)).unwrap();
             db.setup_complete();
-            device.hold();
+            device.arm(aether_core::device::DeviceFault::HoldSync(None));
             let mut txn = db.begin();
             db.update_with(&mut txn, 0, 1, |r| r[8] = 9).unwrap();
             let (token, pending) = db.commit_deferred(txn).unwrap();

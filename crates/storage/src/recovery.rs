@@ -278,7 +278,7 @@ fn read_record_at(device: &Arc<SimDevice>, lsn: Lsn) -> StorageResult<Option<Rec
 mod tests {
     use super::*;
     use crate::txn::CommitProtocol;
-    use aether_core::device::{LogDevice, StallDevice};
+    use aether_core::device::{DeviceFault, FaultDevice, LogDevice, SimDevice};
     use aether_core::{BufferKind, DeviceKind, LogConfig};
     use std::time::Duration;
 
@@ -360,14 +360,17 @@ mod tests {
         // on a commit at once, so the device is held: the record gets no
         // further than an unfinished sync.
         let o = opts(CommitProtocol::AsyncCommit);
-        let device = Arc::new(StallDevice::new(Duration::ZERO));
+        let device = Arc::new(FaultDevice::new(
+            Arc::new(SimDevice::new(Duration::ZERO)),
+            &[],
+        ));
         let db = Db::open_with_device(o.clone(), device.clone() as Arc<dyn LogDevice>);
         db.create_table(40, 10);
         for k in 0..10u64 {
             db.load(0, k, &rec_bytes(k, 40, 1)).unwrap();
         }
         db.setup_complete();
-        device.hold();
+        device.arm(DeviceFault::HoldSync(None));
 
         let mut t = db.begin();
         db.update_with(&mut t, 0, 3, |r| r[8] = 77).unwrap();

@@ -103,6 +103,28 @@ impl std::fmt::Debug for Table {
     }
 }
 
+/// The slot the first appended key goes to: one past the last dense key's.
+fn first_append_slot(geom: &CellGeometry, dense_rows: u64) -> Rid {
+    if dense_rows == 0 {
+        return Rid {
+            page_no: 0,
+            slot: 0,
+        };
+    }
+    let last = geom.rid_for_dense_key(dense_rows - 1);
+    if last.slot as usize + 1 >= geom.slots_per_page {
+        Rid {
+            page_no: last.page_no + 1,
+            slot: 0,
+        }
+    } else {
+        Rid {
+            page_no: last.page_no,
+            slot: last.slot + 1,
+        }
+    }
+}
+
 impl Table {
     /// Create table `id` with `record_size`-byte records, preallocating
     /// frames for `dense_rows` dense keys and for every page `store` holds
@@ -120,23 +142,10 @@ impl Table {
             };
             frames.get_or_init(page_no as usize, || RwLock::new(frame));
         }
-        let append = if dense_rows == 0 {
-            AppendCursor {
-                next_page: 0,
-                next_slot: 0,
-            }
-        } else {
-            let last = dense_rows - 1;
-            let r = geom.rid_for_dense_key(last);
-            let (mut p, mut s) = (r.page_no, r.slot + 1);
-            if s as usize >= geom.slots_per_page {
-                p += 1;
-                s = 0;
-            }
-            AppendCursor {
-                next_page: p,
-                next_slot: s,
-            }
+        let first = first_append_slot(&geom, dense_rows);
+        let append = AppendCursor {
+            next_page: first.page_no,
+            next_slot: first.slot,
         };
         Table {
             id,
@@ -295,13 +304,22 @@ impl Table {
     /// overlap in LSN order, so the copy on the page with the higher page
     /// LSN is the later one, and the index maps it; replaying the delete over the older image then
     /// leaves the mapping alone ([`Table::reindex_cell`]).
+    ///
+    /// Appended keys never sit in the dense region, so the scan starts at
+    /// the first append slot.
     pub fn rebuild_index(&self) {
+        let first = first_append_slot(&self.geom, self.dense_rows);
         let mut page_lsns = Vec::new();
-        for (page_no, frame) in self.each_frame() {
+        for (page_no, frame) in self.each_frame().skip_while(|&(p, _)| p < first.page_no) {
             let g = read(frame);
             page_lsns.resize(page_no as usize + 1, Lsn::ZERO);
             page_lsns[page_no as usize] = g.page_lsn;
-            for slot in 0..self.geom.slots_per_page as u16 {
+            let from = if page_no == first.page_no {
+                first.slot
+            } else {
+                0
+            };
+            for slot in from..self.geom.slots_per_page as u16 {
                 match cell_key(&g.data[self.geom.offset(slot)..]) {
                     Some(key) if key >= self.dense_rows => {
                         let mapped_is_newer = self.index.get(key).is_some_and(|old| {
@@ -322,42 +340,25 @@ impl Table {
     /// Put the append cursor past the last occupied slot, or past the dense
     /// region, whichever is later (the end of recovery).
     pub fn reset_append_cursor(&self) {
-        let mut last_occupied: Option<(u32, u16)> = None;
-        for (page_no, frame) in self.each_frame() {
+        let first = first_append_slot(&self.geom, self.dense_rows);
+        let slots = self.geom.slots_per_page as u16;
+        let mut next = (first.page_no, first.slot);
+        for (page_no, frame) in self.each_frame().skip_while(|&(p, _)| p < first.page_no) {
             let g = read(frame);
-            if let Some(slot) = (0..self.geom.slots_per_page as u16)
+            if let Some(slot) = (0..slots)
                 .rev()
                 .find(|&slot| g.data[self.geom.offset(slot)] == 1)
             {
-                last_occupied = Some((page_no, slot));
+                let after = if slot + 1 == slots {
+                    (page_no + 1, 0)
+                } else {
+                    (page_no, slot + 1)
+                };
+                next = next.max(after);
             }
-        }
-        let dense_end = if self.dense_rows == 0 {
-            (0u32, 0u16)
-        } else {
-            let r = self.geom.rid_for_dense_key(self.dense_rows - 1);
-            (r.page_no, r.slot)
-        };
-        let target = match last_occupied {
-            Some(lo) => lo.max(dense_end),
-            None => {
-                if self.dense_rows == 0 {
-                    let mut a = lock(&self.append);
-                    a.next_page = 0;
-                    a.next_slot = 0;
-                    return;
-                }
-                dense_end
-            }
-        };
-        let (mut p, mut s) = (target.0, target.1 + 1);
-        if s as usize >= self.geom.slots_per_page {
-            p += 1;
-            s = 0;
         }
         let mut a = lock(&self.append);
-        a.next_page = p;
-        a.next_slot = s;
+        (a.next_page, a.next_slot) = next;
     }
 
     /// Visit every dirty frame: `(page_no, &mut Frame)`.
@@ -569,6 +570,30 @@ mod tests {
         let rid = t2.allocate_slot();
         let existing = t2.rid_of(300).unwrap();
         assert!(rid != existing);
+    }
+
+    #[test]
+    fn a_key_appended_beside_the_last_dense_row_is_indexed() {
+        // Five dense rows fill page 0's first five slots; key 100 goes to
+        // slot 5 of the same page, where the index rebuild must find it.
+        let t = table(2, 24, 5);
+        let rid = t.load(100, &key_record(100, 24, 3)).unwrap();
+        assert_eq!((rid.page_no, rid.slot), (0, 5));
+        let store = PageStore::default();
+        t.for_each_dirty(|page_no, f| {
+            store.write(PageId { table: 2, page_no }, f.page_lsn, &f.data)
+        });
+        let t2 = Table::new(2, 24, 5, &store);
+        t2.rebuild_index();
+        assert_eq!(t2.rid_of(100), Some(rid));
+        t2.reset_append_cursor();
+        assert_eq!(
+            t2.allocate_slot(),
+            Rid {
+                page_no: 0,
+                slot: 6
+            }
+        );
     }
 
     #[test]

@@ -14,17 +14,18 @@
 //! allocations count too), and a single `#[test]` keeps other tests'
 //! allocations out of the window. The blocking protocols run over a
 //! discarding device, whose writes allocate nothing; the asynchronous ones
-//! over a discarding device held for the burst, so the whole burst
+//! over a `FaultDevice` wrapping one, its syncs held for the burst (the
+//! wrapper does not report `discards`, so a flush daemon runs), so the whole burst
 //! completes in a handful of flushes however fast the host is. A held burst
 //! keeps its transactions in the ATT until it is released, so the warm-up
 //! runs one held burst too: the measured one finds the slots it needs.
 
-use aether_core::device::{LogDevice, NullDevice};
+use aether_core::device::{DeviceFault, FaultDevice, LogDevice, NullDevice};
 use aether_core::LogConfig;
 use aether_storage::{CommitOutcome, CommitProtocol, Db, DbOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 /// System allocator wrapper that counts allocations while armed.
 struct CountingAlloc;
@@ -53,45 +54,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
-
-/// A device that keeps nothing (its writes allocate nothing) and whose
-/// `sync` blocks while it is held.
-#[derive(Default)]
-struct HeldDevice {
-    len: AtomicU64,
-    held: Mutex<bool>,
-    released: Condvar,
-}
-
-impl HeldDevice {
-    fn hold(&self) {
-        *self.held.lock().unwrap() = true;
-    }
-
-    fn release(&self) {
-        *self.held.lock().unwrap() = false;
-        self.released.notify_all();
-    }
-}
-
-impl LogDevice for HeldDevice {
-    fn write_vectored(&self, bufs: &[&[u8]]) -> aether_core::Result<()> {
-        let n: usize = bufs.iter().map(|b| b.len()).sum();
-        self.len.fetch_add(n as u64, Ordering::SeqCst);
-        Ok(())
-    }
-    fn sync(&self) -> aether_core::Result<()> {
-        let held = self.held.lock().unwrap();
-        drop(self.released.wait_while(held, |held| *held).unwrap());
-        Ok(())
-    }
-    fn read_at(&self, _offset: u64, _dst: &mut [u8]) -> aether_core::Result<usize> {
-        Ok(0)
-    }
-    fn len(&self) -> u64 {
-        self.len.load(Ordering::SeqCst)
-    }
-}
 
 const RECORD: usize = 100;
 const ROWS: u64 = 4096;
@@ -154,7 +116,7 @@ fn allocs_per_txn(protocol: CommitProtocol, shape: Shape) -> f64 {
         protocol,
         CommitProtocol::AsyncCommit | CommitProtocol::Pipelined
     )
-    .then(|| Arc::new(HeldDevice::default()));
+    .then(|| Arc::new(FaultDevice::new(Arc::new(NullDevice::new()), &[])));
     let device: Arc<dyn LogDevice> = match &stall {
         Some(s) => s.clone(),
         None => Arc::new(NullDevice::new()),
@@ -178,14 +140,14 @@ fn allocs_per_txn(protocol: CommitProtocol, shape: Shape) -> f64 {
     }
     settle(&db, last);
     if let Some(s) = &stall {
-        s.hold();
+        s.arm(DeviceFault::HoldSync(None));
         let mut last = CommitOutcome::Durable;
         for i in 0..BURST {
             last = run(&db, shape, i, &rec);
         }
         s.release();
         settle(&db, last);
-        s.hold();
+        s.arm(DeviceFault::HoldSync(None));
     }
 
     ALLOCS.store(0, Ordering::SeqCst);

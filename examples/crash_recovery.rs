@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example crash_recovery`
 
-use aether::log::device::{LogDevice, StallDevice};
+use aether::log::device::{DeviceFault, FaultDevice, LogDevice, SimDevice};
 use aether::prelude::*;
 use aether::storage::recovery::recover_with_stats;
 use std::sync::Arc;
@@ -78,14 +78,17 @@ fn main() {
     };
     // The flush daemon starts on a commit at once, so "the crash came before
     // the flush finished" needs a device whose sync can be held.
-    let device = Arc::new(StallDevice::new(Duration::ZERO));
+    let device = Arc::new(FaultDevice::new(
+        Arc::new(SimDevice::new(Duration::ZERO)),
+        &[],
+    ));
     let db = Db::open_with_device(unsafe_opts.clone(), device.clone() as Arc<dyn LogDevice>);
     db.create_table(64, 10);
     for k in 0..10 {
         db.load(0, k, &record(k, 1)).unwrap();
     }
     db.setup_complete();
-    device.hold();
+    device.arm(DeviceFault::HoldSync(None));
     let mut txn = db.begin();
     db.update_with(&mut txn, 0, 3, |r| r[8] = 99).unwrap();
     let outcome = db.commit(txn).unwrap();

@@ -4,7 +4,7 @@
 
 use aether::bench::env_or;
 use aether::prelude::*;
-use aether_core::device::{LogDevice, SimDevice, StallDevice};
+use aether_core::device::{DeviceFault, FaultDevice, LogDevice, SimDevice};
 use aether_core::flush::FLUSH_DEPTH;
 use aether_core::record::RecordKind;
 use std::collections::HashSet;
@@ -120,13 +120,16 @@ fn concurrent_committers_share_flushes() {
     // in `flush_until`; once the device lets go, one flush hardens them all.
     // A manager-level lock held across the wait would keep the others from
     // logging theirs, and each would take a flush of its own.
-    let device = Arc::new(StallDevice::new(Duration::ZERO));
+    let device = Arc::new(FaultDevice::new(
+        Arc::new(SimDevice::new(Duration::ZERO)),
+        &[],
+    ));
     let log = Arc::new(
         LogManager::builder()
             .device_instance(device.clone())
             .build(),
     );
-    device.hold();
+    device.arm(DeviceFault::HoldSync(None));
     let in_flight: Vec<_> = (0..FLUSH_DEPTH)
         .map(|n| {
             let h = log.commit(n as u64, Lsn::ZERO);

@@ -38,6 +38,7 @@ fn kind_name(k: RecordKind) -> &'static str {
         RecordKind::CheckpointEnd => "ckpt_end",
         RecordKind::Filler => "filler",
         RecordKind::End => "end",
+        RecordKind::UpdateCommit => "update_commit",
     }
 }
 

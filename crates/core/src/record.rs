@@ -56,6 +56,9 @@ pub enum RecordKind {
     Filler = 7,
     /// Transaction end (after commit becomes durable; releases ATT entry).
     End = 8,
+    /// A one-statement transaction's update and commit in one redo-only
+    /// record: it is never undone, so it carries no before-image.
+    UpdateCommit = 9,
 }
 
 impl RecordKind {
@@ -70,6 +73,7 @@ impl RecordKind {
             6 => RecordKind::CheckpointEnd,
             7 => RecordKind::Filler,
             8 => RecordKind::End,
+            9 => RecordKind::UpdateCommit,
             _ => return None,
         })
     }
@@ -609,6 +613,7 @@ mod tests {
             RecordKind::CheckpointEnd,
             RecordKind::Filler,
             RecordKind::End,
+            RecordKind::UpdateCommit,
         ] {
             assert_eq!(RecordKind::from_u8(k as u8), Some(k));
         }

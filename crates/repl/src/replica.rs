@@ -28,8 +28,8 @@ use crate::transport::{link, LinkConfig, LinkSender};
 use aether_core::device::{LogDevice, SimDevice};
 use aether_core::reader::LogReader;
 use aether_core::runtime::{self, lock, read, write};
-use aether_core::telemetry::{GaugeId, Telemetry, Unit};
-use aether_core::Lsn;
+use aether_core::telemetry::{CounterId, GaugeId, Telemetry, Unit};
+use aether_core::{Lsn, RecordKind, TelemetrySnapshot};
 use aether_storage::db::{CrashImage, Db, DbOptions};
 use aether_storage::error::StorageResult;
 use aether_storage::recovery::RecoveryStats;
@@ -40,7 +40,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
-/// A point-in-time view of a replica's progress.
+/// A point-in-time view of a replica's progress. The counts are views of
+/// the `repl.*` counters on the replica's registry
+/// ([`Replica::telemetry_snapshot`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicaStatus {
     /// Bytes durably received (and acked) so far.
@@ -49,7 +51,8 @@ pub struct ReplicaStatus {
     pub replay_lsn: Lsn,
     /// Records applied (page-changing redo).
     pub applied: u64,
-    /// Commit records observed by replay.
+    /// Commits observed by replay: commit records and one-record
+    /// (`UpdateCommit`) transactions.
     pub commits_seen: u64,
     /// Frames dropped for failing their CRC or decode.
     pub corrupt_frames: u64,
@@ -72,16 +75,36 @@ struct ReplicaShared {
     state: RwLock<ReplicaState>,
     received: AtomicU64,
     replay: AtomicU64,
-    applied: AtomicU64,
-    commits_seen: AtomicU64,
-    corrupt_frames: AtomicU64,
-    bootstraps: AtomicU64,
+    /// The registry the replica's counters live on: the first standby's
+    /// log telemetry (a re-seed replaces the standby, not the registry).
+    tel: Arc<Telemetry>,
+    ids: ReplicaIds,
     /// `Some(t)` while replay lags the received bytes, recording the
     /// runtime-monotonic ns when the lag began; `None` while caught up.
     lag_since: Mutex<Option<u64>>,
     /// Readers waiting for the replay frontier to move (continuous redo or
     /// a snapshot rebase).
     replay_wait: runtime::WaitSet,
+}
+
+/// The replica's counters on its registry.
+#[derive(Clone, Copy)]
+struct ReplicaIds {
+    applied: CounterId,
+    commits_seen: CounterId,
+    corrupt_frames: CounterId,
+    bootstraps: CounterId,
+}
+
+impl ReplicaIds {
+    fn new(tel: &Telemetry) -> ReplicaIds {
+        ReplicaIds {
+            applied: tel.counter("repl.applied", Unit::Records),
+            commits_seen: tel.counter("repl.commits_seen", Unit::Count),
+            corrupt_frames: tel.counter("repl.corrupt_frames", Unit::Count),
+            bootstraps: tel.counter("repl.bootstraps", Unit::Count),
+        }
+    }
 }
 
 impl ReplicaShared {
@@ -113,10 +136,7 @@ struct Ingest {
     pending: BTreeMap<u64, WireMsg>,
     next_seq: u64,
     replay_at: Lsn,
-    // Replica-side observability rides on the first standby's log telemetry
-    // (the one a re-seed replaces is not re-fetched: ids are stable because
-    // registration is idempotent by name).
-    tel: Arc<Telemetry>,
+    // Gauges on the replica's registry (`ReplicaShared::tel`).
     m_reorder: GaugeId,
     m_staleness: GaugeId,
 }
@@ -181,6 +201,8 @@ impl Replica {
         ack_tx: LinkSender<Lsn>,
     ) -> (Replica, LinkSender<Vec<u8>>) {
         let tel = Arc::clone(db.log().telemetry());
+        let ids = ReplicaIds::new(&tel);
+        tel.add(ids.bootstraps, bootstraps);
         let ingest = Arc::new(Mutex::new(Some(Ingest {
             opts: opts.clone(),
             ack_tx,
@@ -189,7 +211,6 @@ impl Replica {
             replay_at: base,
             m_reorder: tel.gauge("repl.reorder_depth", Unit::Records),
             m_staleness: tel.gauge("repl.staleness_ns", Unit::Nanos),
-            tel,
         })));
         let shared = Arc::new(ReplicaShared {
             state: RwLock::new(ReplicaState {
@@ -198,10 +219,8 @@ impl Replica {
             }),
             received: AtomicU64::new(base.raw()),
             replay: AtomicU64::new(base.raw()),
-            applied: AtomicU64::new(0),
-            commits_seen: AtomicU64::new(0),
-            corrupt_frames: AtomicU64::new(0),
-            bootstraps: AtomicU64::new(bootstraps),
+            tel,
+            ids,
             lag_since: Mutex::new(None),
             replay_wait: runtime::WaitSet::new(),
         });
@@ -238,17 +257,24 @@ impl Replica {
 
     /// Current progress counters.
     pub fn status(&self) -> ReplicaStatus {
+        let (tel, ids) = (&self.shared.tel, self.shared.ids);
         ReplicaStatus {
             received_lsn: Lsn(self.shared.received.load(Ordering::Acquire)),
             replay_lsn: Lsn(self.shared.replay.load(Ordering::Acquire)),
-            applied: self.shared.applied.load(Ordering::Relaxed),
-            commits_seen: self.shared.commits_seen.load(Ordering::Relaxed),
-            corrupt_frames: self.shared.corrupt_frames.load(Ordering::Relaxed),
-            bootstraps: self.shared.bootstraps.load(Ordering::Relaxed),
+            applied: tel.count(ids.applied),
+            commits_seen: tel.count(ids.commits_seen),
+            corrupt_frames: tel.count(ids.corrupt_frames),
+            bootstraps: tel.count(ids.bootstraps),
             staleness: lock(&self.shared.lag_since)
                 .map(|t| Duration::from_nanos(runtime::monotonic_ns().saturating_sub(t)))
                 .unwrap_or(Duration::ZERO),
         }
+    }
+
+    /// Every count the replica keeps (`repl.applied`, `repl.commits_seen`,
+    /// `repl.corrupt_frames`, `repl.bootstraps`, ...), tagged with `scope`.
+    pub fn telemetry_snapshot(&self, scope: &str) -> TelemetrySnapshot {
+        self.shared.tel.snapshot(scope)
     }
 
     /// Block until the replay frontier reaches `lsn` or `timeout` elapses;
@@ -355,15 +381,15 @@ impl Ingest {
     /// far.
     fn deliver(&mut self, shared: &ReplicaShared, bytes: &[u8]) {
         self.ingest(shared, bytes);
-        self.tel
-            .gauge_set(self.m_reorder, self.pending.len() as i64);
+        let tel = &shared.tel;
+        tel.gauge_set(self.m_reorder, self.pending.len() as i64);
         // Continuous redo over everything received so far.
         self.replay_at = replay_available(shared, self.replay_at);
-        if self.tel.on() {
+        if tel.on() {
             let stale = lock(&shared.lag_since)
                 .map(|t| runtime::monotonic_ns().saturating_sub(t))
                 .unwrap_or(0);
-            self.tel.gauge_set(self.m_staleness, stale as i64);
+            tel.gauge_set(self.m_staleness, stale as i64);
         }
     }
 
@@ -381,7 +407,7 @@ impl Ingest {
                 // Corrupt message: drop it. Its sequence number never
                 // arrives, so the stream stops advancing cleanly at the gap
                 // — nothing corrupt is ever appended or installed.
-                shared.corrupt_frames.fetch_add(1, Ordering::Relaxed);
+                shared.tel.inc(shared.ids.corrupt_frames);
                 return;
             }
         }
@@ -434,7 +460,7 @@ impl Ingest {
 /// like any other corruption). Returns the new replay cursor.
 fn install_snapshot(shared: &ReplicaShared, opts: &DbOptions, s: &SnapshotFrame) -> Option<Lsn> {
     let snap = BaseSnapshot::decode(&s.body).or_else(|| {
-        shared.corrupt_frames.fetch_add(1, Ordering::Relaxed);
+        shared.tel.inc(shared.ids.corrupt_frames);
         None
     })?;
     let db = replay::standby_from_snapshot(opts.clone(), &snap).ok()?;
@@ -449,7 +475,7 @@ fn install_snapshot(shared: &ReplicaShared, opts: &DbOptions, s: &SnapshotFrame)
     drop(state);
     // The status a waiter reads once the new frontier releases it must
     // already show the re-seed: count it and move `received` up first.
-    shared.bootstraps.fetch_add(1, Ordering::Relaxed);
+    shared.tel.inc(shared.ids.bootstraps);
     shared
         .received
         .fetch_max(snap.start_lsn.raw(), Ordering::AcqRel);
@@ -469,11 +495,14 @@ fn replay_available(shared: &ReplicaShared, from: Lsn) -> Lsn {
     let mut at = from;
     // Stops at an incomplete tail or corrupt record alike (Ok(None)/Err).
     while let Ok(Some(rec)) = reader.next_record() {
-        if rec.header.kind == aether_core::RecordKind::Commit {
-            shared.commits_seen.fetch_add(1, Ordering::Relaxed);
+        if matches!(
+            rec.header.kind,
+            RecordKind::Commit | RecordKind::UpdateCommit
+        ) {
+            shared.tel.inc(shared.ids.commits_seen);
         }
         if replay::apply_record(&db, &rec).unwrap_or(false) {
-            shared.applied.fetch_add(1, Ordering::Relaxed);
+            shared.tel.inc(shared.ids.applied);
         }
         at = rec.next_lsn();
     }

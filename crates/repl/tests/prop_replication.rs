@@ -271,3 +271,122 @@ fn sim_seeded_pipeline_replays_byte_identically() {
     let (h3, _, _) = run(seed ^ 1);
     assert_ne!(h1, h3, "different seed must steer the interleaving");
 }
+
+/// One step of a mixed script on `primary`: a one-record commit
+/// (`update_commit`) of a dense key when `op` is 0, else an interactive
+/// update committed or rolled back. Returns the key and value a commit
+/// acked.
+fn mixed_step(primary: &Arc<Db>, op: u8, key: u64, v: u64, commit: bool) -> Option<(u64, Vec<u8>)> {
+    let key = key % 8;
+    if op == 0 {
+        let (_, pending) = primary.update_commit(0, key, &mk(key, v)).unwrap();
+        assert!(!pending, "a Baseline commit is durable on return");
+        return Some((key, mk(key, v)));
+    }
+    let mut txn = primary.begin();
+    primary.update(&mut txn, 0, key, &mk(key, v)).unwrap();
+    if commit {
+        assert!(primary.commit(txn).unwrap().is_durable_now());
+        Some((key, mk(key, v)))
+    } else {
+        primary.abort(txn).unwrap();
+        None
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Under `Async` replication nothing waits for a replica: an ack is
+    /// durable by the primary's own log alone. One-record and interactive
+    /// commits mixed, the replica replays to the primary's state and counts
+    /// every commit; then the primary crashes and recovers from its own
+    /// image and holds every commit it acked.
+    #[test]
+    fn an_async_primary_keeps_every_acked_commit_across_its_own_crash(
+        script in proptest::collection::vec(
+            (0u8..2, 0u64..8, 1u64..10_000, any::<bool>()), 1..25),
+    ) {
+        let primary = Db::open(opts());
+        primary.create_table(24, 8);
+        for k in 0..8u64 {
+            primary.load(0, k, &mk(k, 0)).unwrap();
+        }
+        primary.setup_complete();
+        let mut cluster = ReplicatedDb::attach(
+            Arc::clone(&primary),
+            ReplicationConfig {
+                replicas: 1,
+                policy: DurabilityPolicy::Async,
+                link: LinkConfig::default(),
+                shipper: ShipperConfig { chunk: 96 },
+            },
+        ).unwrap();
+        let mut acked = std::collections::BTreeMap::new();
+        let mut commits = 0u64;
+        for &(op, key, v, commit) in &script {
+            if let Some((key, value)) = mixed_step(&primary, op, key, v, commit) {
+                acked.insert(key, value);
+                commits += 1;
+            }
+        }
+        prop_assert!(cluster.wait_catchup(Duration::from_secs(10)), "replica caught up");
+        prop_assert_eq!(
+            state_fingerprint(&cluster.replica(0).db()).unwrap(),
+            state_fingerprint(&primary).unwrap(),
+            "replica state == primary state"
+        );
+        let seen = cluster.replica(0).telemetry_snapshot("replica").counter("repl.commits_seen");
+        prop_assert_eq!(seen, Some(commits));
+        cluster.shutdown();
+        let recovered = aether_storage::recovery::recover(primary.crash(), opts()).unwrap();
+        for (key, want) in &acked {
+            prop_assert_eq!(
+                recovered.snapshot_read(0, *key).unwrap().as_ref(),
+                Some(want),
+                "key {} lost an acked commit in the primary's crash", key
+            );
+        }
+        recovered.log().shutdown();
+        primary.log().shutdown();
+    }
+}
+
+/// One-record commits acked under `SemiSync(1)` survive a failover: the
+/// promoted replica holds each key's last acked value.
+#[test]
+fn a_failover_keeps_every_acked_one_record_commit() {
+    let primary = Db::open(opts());
+    primary.create_table(24, 8);
+    for k in 0..8u64 {
+        primary.load(0, k, &mk(k, 0)).unwrap();
+    }
+    primary.setup_complete();
+    let mut cluster = ReplicatedDb::attach(
+        Arc::clone(&primary),
+        ReplicationConfig {
+            replicas: 2,
+            policy: DurabilityPolicy::SemiSync(1),
+            link: LinkConfig::with_latency_us(100),
+            ..ReplicationConfig::default()
+        },
+    )
+    .unwrap();
+    for v in 1..=40u64 {
+        mixed_step(&primary, 0, v, v, true);
+    }
+    cluster.kill_primary();
+    let candidate = cluster.most_caught_up();
+    let (promoted, stats) = cluster.promote(candidate).unwrap();
+    assert!(stats.winners >= 8, "{stats:?}");
+    for k in 0..8u64 {
+        let last = (33..=40).find(|v| v % 8 == k).unwrap();
+        assert_eq!(
+            promoted.snapshot_read(0, k).unwrap(),
+            Some(mk(k, last)),
+            "key {k} lost an acked one-record commit"
+        );
+    }
+    promoted.log().shutdown();
+    primary.log().shutdown();
+}

@@ -24,7 +24,7 @@ use aether_core::lsn::Lsn;
 use aether_core::record::crc32;
 use aether_core::runtime::{lock, WaitSet};
 use aether_core::telemetry::{HistId, Telemetry, Unit};
-use aether_storage::{Db, StorageError, Transaction};
+use aether_storage::{CommitToken, Db, StorageError, StorageResult, Transaction};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
@@ -348,10 +348,11 @@ pub(crate) fn exec_one(
             key,
             value,
         } => {
-            // Auto-commit: one statement, one transaction, acked at
-            // durability. This is the stream that feeds group commit —
-            // every pipelined connection keeps several of these in flight,
-            // and one flush completes them all.
+            // Auto-commit: one statement, one transaction, one log record
+            // (`Db::update_commit`), acked at durability. This is the
+            // stream that feeds group commit — every pipelined connection
+            // keeps several of these in flight, and one flush completes
+            // them all.
             //
             // Exactly-once for retrying clients: a nonce-tagged request id
             // is checked against the engine's dedup window first, so a
@@ -374,23 +375,10 @@ pub(crate) fn exec_one(
                 }
                 Claim::New => {}
             }
-            let mut t = match db.try_begin() {
-                Ok(t) => t,
-                Err(e) => {
-                    engine.dedup.forget(req_id);
-                    resp.fulfill(seq, err_of(&e));
-                    return;
-                }
-            };
-            match db.update(&mut t, table, key, &value) {
-                Ok(()) => finish_commit(engine, resp, seq, Some(req_id), t),
-                Err(e) => {
-                    engine.dedup.forget(req_id);
-                    let r = err_of(&e);
-                    let _ = db.abort(t);
-                    resp.fulfill(seq, r);
-                }
-            }
+            // Its commit stage begins once its one record is in the log.
+            let done = db.update_commit(table, key, &value);
+            let t0 = db.log().telemetry().ts();
+            answer_commit(engine, resp, seq, Some(req_id), t0, done);
         }
         Request::Update {
             txn,
@@ -417,7 +405,10 @@ pub(crate) fn exec_one(
         Request::Commit { txn } => match open.remove(&txn) {
             // Interactive commits are not idempotent-retryable (the txn id
             // itself dies with the connection), so no dedup id.
-            Some(t) => finish_commit(engine, resp, seq, None, t),
+            Some(t) => {
+                let t0 = db.log().telemetry().ts();
+                answer_commit(engine, resp, seq, None, t0, db.commit_deferred(t));
+            }
             None => resp.fulfill(seq, no_such_txn(txn)),
         },
         Request::Abort { txn } => match open.remove(&txn) {
@@ -430,20 +421,21 @@ pub(crate) fn exec_one(
     }
 }
 
-/// Commit `t` and answer slot `seq`: at once under the blocking protocols
-/// (the commit is durable when `commit_deferred` returns), and from the
-/// queue's subscription under the asynchronous ones. Every outcome, errors
-/// included, is answered exactly once.
-fn finish_commit(
+/// Answer slot `seq` with the outcome `done` of a commit begun at `t0`
+/// (`Db::commit_deferred` or `Db::update_commit`): at once under the
+/// blocking protocols (the commit is durable when the call returns), and
+/// from the queue's subscription under the asynchronous ones. Every
+/// outcome, errors included, is answered exactly once.
+fn answer_commit(
     engine: &Engine,
     resp: &RespQueue,
     seq: u64,
     dedup_id: Option<u64>,
-    t: Transaction,
+    t0: Option<u64>,
+    done: StorageResult<(CommitToken, bool)>,
 ) {
     let db = &engine.db;
-    let t0 = db.log().telemetry().ts();
-    match db.commit_deferred(t) {
+    match done {
         Ok((token, true)) => resp.await_commit(db.log().pipeline(), seq, token.lsn(), dedup_id, t0),
         Ok((token, false)) => {
             let token = token.lsn().raw();

@@ -166,6 +166,36 @@ fn pipelined_window_many_commits_in_flight() {
     assert_eq!(db.txn_manager().active_count(), 0);
 }
 
+/// A wire auto-commit is one log record under every protocol: one insert
+/// on the registry per acked request.
+#[test]
+fn an_auto_commit_is_one_log_insert() {
+    for protocol in CommitProtocol::ALL {
+        let (db, table) = boot(protocol);
+        let server =
+            Server::start(Engine::primary(Arc::clone(&db)), ServerConfig::default()).unwrap();
+        let mut client = Client::new(Box::new(server.connect_chan()));
+        let inserts = || db.telemetry_snapshot("wire").counter("log.inserts");
+        let before = inserts().unwrap();
+        for key in 0..20u64 {
+            let value = vec![3u8; 16];
+            match client.call(&Request::Update {
+                txn: 0,
+                table,
+                key,
+                value,
+            }) {
+                Ok(Response::Committed { .. }) => {}
+                other => panic!("{protocol:?}: unexpected {other:?}"),
+            }
+        }
+        assert_eq!(inserts().unwrap() - before, 20, "{protocol:?}");
+        client.close();
+        server.shutdown();
+        db.log().shutdown();
+    }
+}
+
 #[test]
 fn sim_runtime_serves_deterministically() {
     fn run(seed: u64) -> (u64, u64) {

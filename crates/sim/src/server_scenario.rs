@@ -312,6 +312,17 @@ mod tests {
         assert!(r.history.1 > 0, "sim history must record events");
     }
 
+    /// Seed 2's auto-commits (one `UpdateCommit` record each) are acked
+    /// under a protocol that promises durability, and the crash finds
+    /// their pages unstored: the seed fails when restart redo skips
+    /// `UpdateCommit` records (54 of 100 seeds do).
+    #[test]
+    fn one_record_commits_are_redone_after_the_crash() {
+        let r = run_server_seed(2);
+        assert!(r.ok(), "violations: {:?}", r.violations);
+        assert!(r.acked > 0);
+    }
+
     /// Seeds 24 and 27 time out when a waiter's edges go to the holders at
     /// enqueue only (neither the waiters ahead nor a republish on release).
     #[test]

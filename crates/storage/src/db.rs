@@ -8,9 +8,10 @@ use crate::segmented::Segmented;
 use crate::store::PageStore;
 use crate::table::Table;
 use crate::txn::{CommitOutcome, CommitProtocol, Transaction, TxnManager, TxnStatus, UndoEntry};
-use crate::wal::{CheckpointPayload, ClrPayload, UpdatePayload};
+use crate::wal::{CheckpointPayload, ClrPayload, UpdateCommitPayload, UpdatePayload};
 use aether_core::commit::CommitToken;
 use aether_core::device::LogDevice;
+use aether_core::runtime::write;
 use aether_core::telemetry::{CounterId, HistId, Telemetry, Unit};
 use aether_core::{
     BufferKind, DeviceKind, LogConfig, LogManager, Lsn, RecordKind, TelemetrySnapshot,
@@ -357,10 +358,16 @@ impl Db {
     /// this; internal housekeeping (recovery, checkpoints) keeps using
     /// [`Db::begin`], which is never shed.
     pub fn try_begin(self: &Arc<Self>) -> StorageResult<Transaction> {
+        self.admit()?;
+        Ok(self.begin())
+    }
+
+    /// The admission check of [`Db::try_begin`] and [`Db::update_commit`].
+    fn admit(self: &Arc<Self>) -> StorageResult<()> {
         let soft = self.opts.log_soft_bytes;
         let hard = self.opts.log_hard_bytes;
         if soft.is_none() && hard.is_none() {
-            return Ok(self.begin());
+            return Ok(());
         }
         let retained = self.log.retained_bytes();
         if let Some(limit) = hard {
@@ -378,7 +385,7 @@ impl Db {
                 self.kick_emergency_checkpoint();
             }
         }
-        Ok(self.begin())
+        Ok(())
     }
 
     /// Launch one emergency checkpoint-and-truncate cycle if none is in
@@ -460,6 +467,65 @@ impl Db {
         }
         self.log_and_apply(txn, t, rid, Some(record));
         Ok(())
+    }
+
+    /// Overwrite the record at `key` in a transaction of its own that
+    /// commits in the one record it logs, a
+    /// [`RecordKind::UpdateCommit`]: the wire's auto-commit. Admission as
+    /// [`Db::try_begin`], a fresh transaction id and the X row lock; then,
+    /// under the page's write latch, the presence check, the after-image
+    /// and the record, which is encoded from the frame and whose LSN the
+    /// page takes; then the commit tail every protocol runs
+    /// ([`Db::harden`]). Returns what [`Db::commit_deferred`] returns.
+    ///
+    /// Nothing of such a transaction can be undone, so it takes no ATT
+    /// slot, keeps no before-image and logs no separate commit record:
+    /// recovery counts the record a winner and only redo reads it. Every
+    /// check that can fail comes before the record, so a refused write logs
+    /// nothing, and a checkpoint's dirty-page capture, which latches each
+    /// page, never sees the record without the dirty page.
+    pub fn update_commit(
+        self: &Arc<Self>,
+        table: u32,
+        key: u64,
+        record: &[u8],
+    ) -> StorageResult<(CommitToken, bool)> {
+        self.admit()?;
+        let t = self.table(table)?;
+        t.check_record(record)?;
+        let id = self.txns.next_id();
+        let row = LockId::row(table, key);
+        self.locks.acquire(id, row, LockMode::X)?;
+        let logged = t.rid_of(key).and_then(|rid| {
+            let mut g = write(t.frame(rid.page_no));
+            let off = t.geom.offset(rid.slot);
+            if g.data[off] != 1 {
+                return None;
+            }
+            let cell = &mut g.data[off..off + t.geom.cell_size];
+            cell[1..].copy_from_slice(record);
+            let payload = UpdateCommitPayload {
+                page: PageId {
+                    table,
+                    page_no: rid.page_no,
+                },
+                slot: rid.slot,
+                after: &*cell,
+            };
+            let (lsn, end) =
+                self.log
+                    .insert_payload(RecordKind::UpdateCommit, id, Lsn::ZERO, &payload);
+            g.stamp(lsn);
+            Some(end)
+        });
+        let Some(end) = logged else {
+            self.locks.release_all(id, &[row]);
+            return Err(StorageError::KeyNotFound { table, key });
+        };
+        // Its commit stage begins once its one record is in the log.
+        let t_commit = self.log.telemetry().ts();
+        let fate = self.harden(id, &[row], end, t_commit, None)?;
+        Ok((CommitToken::at(end), matches!(fate, Fate::Pending)))
     }
 
     /// Read-modify-write convenience: `f` mutates the record in place.
@@ -561,7 +627,10 @@ impl Db {
     /// and the record is serialized from there straight into the reserved
     /// log slot — no encode buffer, no allocation once the arena has grown:
     /// an update costs one copy of its after-image into the arena and one
-    /// of each image into the ring.
+    /// of each image into the ring. The page's write latch is held from
+    /// before the record is inserted until the image is applied, so a
+    /// checkpoint's dirty-page capture never sees the record without the
+    /// dirty page.
     fn log_and_apply(&self, txn: &mut Transaction, t: &Table, rid: Rid, after: Option<&[u8]>) {
         let cell = t.geom.cell_size;
         let at = txn.images.len() - cell;
@@ -583,11 +652,13 @@ impl Db {
             before,
             after,
         };
+        let mut g = write(t.frame(rid.page_no));
         let (lsn, _) =
             self.log
                 .insert_payload(RecordKind::Update, txn.id, txn.last_lsn(), &payload);
         self.txns.logged(txn, lsn);
-        t.apply_cell(rid, &txn.images[at + cell..], lsn);
+        g.apply(t.geom.offset(rid.slot), &txn.images[at + cell..], lsn);
+        drop(g);
         txn.images.truncate(at + cell);
         txn.undo.push(UndoEntry {
             page,
@@ -649,13 +720,28 @@ impl Db {
             self.log
                 .insert_payload::<[u8]>(RecordKind::Commit, txn.id, txn.last_lsn(), &[]);
         txn.status = TxnStatus::Precommitted;
+        let fate = self.harden(txn.id, &txn.held, end, t_commit, Some(&txn))?;
+        Ok((fate, CommitToken::at(end)))
+    }
+
+    /// The commit tail of transaction `id`, whose commit is in the log
+    /// ending at `end`, holding the locks `held`, per the protocol; `att`
+    /// is its ATT entry, `None` for a one-record transaction, which has
+    /// none. `t_commit` is when the commit began (telemetry on).
+    fn harden(
+        &self,
+        id: u64,
+        held: &[LockId],
+        end: Lsn,
+        t_commit: Option<u64>,
+        att: Option<&Transaction>,
+    ) -> StorageResult<Fate> {
         self.stats.tel.inc(self.stats.commits);
-        let token = CommitToken::at(end);
         let protocol = self.opts.protocol;
         // §3, when locks drop: as soon as the commit record is buffered
         // (ELR), or only after the flush (Baseline: delay (B) of Figure 1).
         if protocol.early_release() {
-            self.locks.release_all(txn.id, &txn.held);
+            self.locks.release_all(id, held);
         }
         // §4, who waits for the flush.
         match protocol {
@@ -677,19 +763,20 @@ impl Db {
                     tel.record(self.tel.commit_latency_ns, now.saturating_sub(t0));
                 }
                 if !protocol.early_release() {
-                    self.locks.release_all(txn.id, &txn.held);
+                    self.locks.release_all(id, held);
                 }
                 // On `Err` the commit record never hardened: the log is
                 // poisoned (or shut down). Locks are released and the txn
                 // slot retired all the same — the transaction is dead either
                 // way; the caller gets the typed error.
-                self.txns.finish(&txn);
-                let fate = if replicated? {
+                if let Some(txn) = att {
+                    self.txns.finish(txn);
+                }
+                Ok(if replicated? {
                     Fate::Durable
                 } else {
                     Fate::Unreplicated
-                };
-                Ok((fate, token))
+                })
             }
             // Nobody: the flush daemon makes the record durable, the
             // transaction leaves the ATT when the log's watermark passes its
@@ -697,8 +784,10 @@ impl Db {
             // that watermark. Nothing is registered here.
             CommitProtocol::AsyncCommit | CommitProtocol::Pipelined => {
                 self.log.note_commit(end);
-                self.txns.finish_at(&txn, end);
-                Ok((Fate::Pending, token))
+                if let Some(txn) = att {
+                    self.txns.finish_at(txn, end);
+                }
+                Ok(Fate::Pending)
             }
         }
     }
@@ -736,8 +825,9 @@ impl Db {
 
     /// Undo one update of transaction `txn`, whose last record is at
     /// `prev`, in table `t`: fix the index for the cell `clr` restores, log
-    /// `clr` chained to `prev`, apply its image; returns the CLR's LSN.
-    /// Rollback and restart undo both take this one step.
+    /// `clr` chained to `prev`, apply its image (the page latched across
+    /// both, as for an update); returns the CLR's LSN. Rollback and restart
+    /// undo both take this one step.
     pub(crate) fn compensate(
         &self,
         t: &Table,
@@ -747,8 +837,9 @@ impl Db {
     ) -> Lsn {
         let rid = clr.rid();
         t.reindex_cell(rid, t.key_at(rid), clr.restored);
+        let mut g = write(t.frame(rid.page_no));
         let (lsn, _) = self.log.insert_payload(RecordKind::Clr, txn, prev, clr);
-        t.apply_cell(rid, clr.restored, lsn);
+        g.apply(t.geom.offset(rid.slot), clr.restored, lsn);
         lsn
     }
 
@@ -756,14 +847,38 @@ impl Db {
     // Checkpoints, crash, recovery
     // ------------------------------------------------------------------
 
-    /// Write all dirty pages to the page store and mark them clean.
+    /// Write the dirty pages to the page store and mark them clean, under
+    /// the WAL rule: a page is stored only once the log is durable past
+    /// its page LSN, so no stored page holds an update whose record a crash
+    /// can lose (an uncommitted one could then never be undone, a
+    /// one-record commit's never redone). The log is forced to the newest
+    /// dirty page's LSN first, with no latch held; a page whose LSN it
+    /// could not make durable (a poisoned log) stays dirty and unstored.
+    /// A page LSN of zero with nothing logged is a bulk load's. A database
+    /// whose log discards its writes has no log to force: a standby never
+    /// logs, and replays only records it durably received.
     pub fn flush_pages(&self) {
+        let own_log = !self.log.device().discards();
+        let nothing_logged = self.log.released_lsn().is_zero();
+        if own_log && !nothing_logged {
+            let mut newest = Lsn::ZERO;
+            for (_, t) in self.tables.iter() {
+                t.for_each_dirty(|_, frame| newest = newest.max(frame.page_lsn));
+            }
+            if newest >= self.log.durable_lsn() {
+                let _ = self.log.flush_until(Lsn(newest.raw() + 1));
+            }
+        }
+        let durable = self.log.durable_lsn();
+        let covered = |lsn: Lsn| !own_log || lsn < durable || (nothing_logged && lsn.is_zero());
         for (_, t) in self.tables.iter() {
             let id = t.id;
             t.for_each_dirty(|page_no, frame| {
-                self.store
-                    .write(PageId { table: id, page_no }, frame.page_lsn, &frame.data);
-                frame.mark_clean();
+                if covered(frame.page_lsn) {
+                    self.store
+                        .write(PageId { table: id, page_no }, frame.page_lsn, &frame.data);
+                    frame.mark_clean();
+                }
             });
         }
     }
@@ -1067,6 +1182,40 @@ mod tests {
             assert!(snap.counter(name) > Some(0), "{name}: {snap:?}");
         }
         assert_eq!(snap.counter("db.commits"), Some(db.stats().commits()));
+    }
+
+    #[test]
+    fn an_update_commit_is_one_record_and_no_att_entry() {
+        use aether_core::record::on_log_size;
+        for protocol in CommitProtocol::ALL {
+            let db = tiny_db(protocol);
+            let inserts = || db.telemetry_snapshot("t").counter("log.inserts").unwrap();
+            let (inserts0, commits0, end0) =
+                (inserts(), db.stats().commits(), db.log().released_lsn());
+            for k in 0..10u64 {
+                let (token, pending) = db.update_commit(0, k, &rec(k, 40, 5)).unwrap();
+                let deferred = matches!(
+                    protocol,
+                    CommitProtocol::AsyncCommit | CommitProtocol::Pipelined
+                );
+                assert_eq!(pending, deferred, "{protocol:?}");
+                assert!(token.lsn() > end0);
+                assert_eq!(db.txn_manager().active_count(), 0, "{protocol:?}");
+            }
+            assert_eq!(
+                inserts() - inserts0,
+                10,
+                "{protocol:?}: one insert a commit"
+            );
+            assert_eq!(db.stats().commits() - commits0, 10, "{protocol:?}");
+            // A 41 B cell behind the 12 B prefix: no before-image, no commit.
+            let bytes = db.log().released_lsn().raw() - end0.raw();
+            assert_eq!(bytes, 10 * on_log_size(12 + 41) as u64, "{protocol:?}");
+            assert_eq!(db.locks().granted_count(), 0, "{protocol:?}");
+            let mut t = db.begin();
+            assert_eq!(db.read(&mut t, 0, 9).unwrap()[8], 5);
+            db.commit(t).unwrap();
+        }
     }
 
     #[test]

@@ -89,6 +89,12 @@ impl Frame {
     /// `rec_lsn` on the clean→dirty transition.
     pub fn apply(&mut self, offset: usize, cell: &[u8], lsn: Lsn) {
         self.data[offset..offset + cell.len()].copy_from_slice(cell);
+        self.stamp(lsn);
+    }
+
+    /// Stamp `lsn` on a page whose bytes the caller has just changed in
+    /// place: the LSN and dirty bookkeeping of [`Frame::apply`].
+    pub fn stamp(&mut self, lsn: Lsn) {
         self.page_lsn = lsn;
         if !self.dirty {
             self.dirty = true;

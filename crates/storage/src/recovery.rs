@@ -8,22 +8,26 @@
 //!   published; zero for a never-truncated log) — and classifies
 //!   transactions: winners (commit record present), cleanly-aborted (abort
 //!   record present — their CLRs already restored everything), and losers
-//!   (everything else). The last complete checkpoint's ATT seeds the loser
-//!   table, so a transaction whose only records precede the checkpoint is
+//!   (everything else). A one-record transaction (an `UpdateCommit`) is a
+//!   winner by its one record and never enters the loser table: nothing
+//!   of it can be undone. The last complete checkpoint's ATT seeds the
+//!   loser table, so a transaction whose only records precede the checkpoint is
 //!   still found and undone. Truncation safety (DESIGN.md invariant 7)
 //!   guarantees every record analysis or undo could need is at or above
 //!   `log_start`: the truncation point never exceeds the oldest active
 //!   transaction's first record or any dirty page's recovery LSN. Where
 //!   the scan stops is the end of the valid log; a torn tail is cut there.
-//! * The last checkpoint's DPT gives the **redo start** (its minimum
-//!   recovery LSN, or the checkpoint itself when no page was dirty):
-//!   records below it only touch pages whose images in the store already
-//!   contain them, so the redo scan starts there and never reads them.
-//!   This is what bounds recovery time by checkpoint distance rather than
+//! * The last checkpoint's DPT gives the **redo start**: its minimum
+//!   recovery LSN, or the checkpoint's begin record if that is lower. A
+//!   page the capture saw clean may be dirtied by a record logged between
+//!   the begin and end records, so redo never starts past the begin.
+//!   Records below the start only touch pages whose images in the store
+//!   already contain them, so the redo scan starts there and never reads
+//!   them. This is what bounds recovery time by checkpoint distance rather than
 //!   uptime.
 //! * **Redo repeats history** through [`crate::replay::apply_record`], the
-//!   standby's continuous redo: every Update/CLR whose LSN is newer than
-//!   the target page's LSN is reapplied, reconstructing exactly the
+//!   standby's continuous redo: every Update/CLR/UpdateCommit whose LSN is
+//!   newer than the target page's LSN is reapplied, reconstructing exactly the
 //!   crash-moment page state — including updates of losers. The hash index
 //!   is built over the stored page images before redo, as a standby's is;
 //!   redo and undo keep it in step, and the end only resets each table's
@@ -54,13 +58,13 @@ use std::sync::Arc;
 pub struct RecoveryStats {
     /// Records scanned during analysis.
     pub scanned: usize,
-    /// Committed (winner) transactions.
+    /// Committed (winner) transactions, one-record ones included.
     pub winners: usize,
     /// Transactions that had completed rollback before the crash.
     pub clean_aborts: usize,
     /// Loser transactions rolled back by undo.
     pub losers: usize,
-    /// Update/CLR records reapplied by redo.
+    /// Update/CLR/UpdateCommit records reapplied by redo.
     pub redone: usize,
     /// CLRs written by undo.
     pub clrs_written: usize,
@@ -69,11 +73,12 @@ pub struct RecoveryStats {
     /// Where the analysis scan began: the crash image's retained-log start
     /// (the truncation low-water mark; zero for a never-truncated log).
     pub scan_start: Lsn,
-    /// Where redo began: the last checkpoint's minimum dirty-page recovery
-    /// LSN (== `scan_start` when no complete checkpoint was found).
+    /// Where redo began: the lower of the last checkpoint's minimum
+    /// dirty-page recovery LSN and its begin record (== `scan_start` when
+    /// no complete checkpoint was found).
     pub redo_start: Lsn,
-    /// Update/CLR records skipped by redo because they precede `redo_start`
-    /// (their effects are already in the flushed page images).
+    /// Update/CLR/UpdateCommit records skipped by redo because they precede
+    /// `redo_start` (their effects are already in the flushed page images).
     pub redo_skipped: usize,
 }
 
@@ -104,9 +109,14 @@ pub fn recover_with_stats(
     let mut winners: HashSet<u64> = HashSet::new();
     let mut clean_aborts: HashSet<u64> = HashSet::new();
     let mut max_txn = 0u64;
+    // One-record transactions: winners that never enter `last_lsn`.
+    let mut one_record = 0usize;
+    // The last complete checkpoint: its begin record's LSN and its payload;
+    // and the first begin record since the previous end record.
     let mut last_ckpt: Option<(Lsn, CheckpointPayload)> = None;
-    // Update/CLR records seen; what the redo scan does not see again is
-    // what redo skipped.
+    let mut open_begin: Option<Lsn> = None;
+    // Update/CLR/UpdateCommit records seen; what the redo scan does not see
+    // again is what redo skipped.
     let mut cell_records = 0usize;
     let mut reader = LogReader::new(Arc::clone(&log_device));
     while let Some(rec) = reader.next_record()? {
@@ -116,6 +126,10 @@ pub fn recover_with_stats(
         match rec.header.kind {
             RecordKind::Update | RecordKind::Clr => {
                 last_lsn.insert(txn, rec.lsn);
+                cell_records += 1;
+            }
+            RecordKind::UpdateCommit => {
+                one_record += 1;
                 cell_records += 1;
             }
             RecordKind::Commit => {
@@ -129,9 +143,19 @@ pub fn recover_with_stats(
                 let payload = CheckpointPayload::decode(&rec.payload).ok_or_else(|| {
                     StorageError::Recovery("undecodable checkpoint payload".into())
                 })?;
-                last_ckpt = Some((rec.lsn, payload));
+                // Checkpoints may overlap: without a begin of its own since
+                // the last end, the earlier checkpoint's begin stands in
+                // (lower is safe); the scan start if there is none.
+                let begin = open_begin
+                    .take()
+                    .or(last_ckpt.as_ref().map(|c| c.0))
+                    .unwrap_or(image.log_start);
+                last_ckpt = Some((begin, payload));
             }
-            RecordKind::CheckpointBegin | RecordKind::Filler | RecordKind::End => {}
+            RecordKind::CheckpointBegin => {
+                open_begin.get_or_insert(rec.lsn);
+            }
+            RecordKind::Filler | RecordKind::End => {}
         }
     }
     // The scan stopped at the end of the valid prefix. The crash may have
@@ -155,20 +179,19 @@ pub fn recover_with_stats(
             *e = (*e).max(at_ckpt);
         }
     }
-    // Redo starts at the last checkpoint's minimum dirty-page recovery LSN:
-    // every older update is already in the flushed page images the tables
-    // are rebuilt from.
+    // Redo starts at the last checkpoint's minimum dirty-page recovery LSN,
+    // or at its begin record if that is lower: every older update is
+    // already in the flushed page images the tables are rebuilt from.
     let redo_start = match last_ckpt {
-        Some((ckpt_lsn, ref ckpt)) => ckpt
+        Some((begin, ref ckpt)) => ckpt
             .dpt
             .iter()
             .map(|&(_, rec_lsn)| rec_lsn)
-            .min()
-            .unwrap_or(ckpt_lsn),
+            .fold(begin, Lsn::min),
         None => image.log_start,
     };
     stats.redo_start = redo_start;
-    stats.winners = winners.len();
+    stats.winners = winners.len() + one_record;
     stats.clean_aborts = clean_aborts.len();
     let losers: HashMap<u64, Lsn> = last_lsn
         .iter()
@@ -197,7 +220,10 @@ pub fn recover_with_stats(
     // even read. The standby's redo applies each record.
     let mut reader = LogReader::from_lsn(log_device, redo_start.max(image.log_start));
     while let Some(rec) = reader.next_record()? {
-        if matches!(rec.header.kind, RecordKind::Update | RecordKind::Clr) {
+        if matches!(
+            rec.header.kind,
+            RecordKind::Update | RecordKind::Clr | RecordKind::UpdateCommit
+        ) {
             cell_records -= 1;
             if apply_record(&db, &rec)? {
                 stats.redone += 1;
@@ -487,6 +513,34 @@ mod tests {
         let mut t = db3.begin();
         assert_eq!(db3.read(&mut t, 0, 2).unwrap()[8], 33);
         db3.commit(t).unwrap();
+    }
+
+    #[test]
+    fn redo_starts_no_later_than_the_last_checkpoints_begin() {
+        // A checkpoint whose dirty-page capture ran before an update that
+        // then committed between its begin and end records: the end lists
+        // no dirty page, yet the page was never stored, so redo must
+        // replay the update.
+        let db = fresh_db(CommitProtocol::Baseline, 10);
+        let (begin, _) =
+            db.log()
+                .insert_payload::<[u8]>(RecordKind::CheckpointBegin, 0, Lsn::ZERO, &[]);
+        let mut t = db.begin();
+        db.update_with(&mut t, 0, 4, |r| r[8] = 70).unwrap();
+        db.commit(t).unwrap();
+        let captured = CheckpointPayload::default();
+        db.log()
+            .insert_payload(RecordKind::CheckpointEnd, 0, Lsn::ZERO, &captured);
+        db.log().flush_all().unwrap();
+        let (db2, stats) = recover_with_stats(db.crash(), opts(CommitProtocol::Baseline)).unwrap();
+        assert_eq!(stats.redo_start, begin);
+        let mut t = db2.begin();
+        assert_eq!(
+            db2.read(&mut t, 0, 4).unwrap()[8],
+            70,
+            "committed update lost"
+        );
+        db2.commit(t).unwrap();
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //! A replica receives the primary's durable log as a byte stream and keeps a
 //! **standby database** warm by replaying it record-by-record — the same
 //! "repeat history" rule ARIES redo uses at restart, applied continuously:
-//! an Update/CLR whose LSN is newer than the target page's LSN is applied;
+//! an Update/CLR/UpdateCommit whose LSN is newer than the target page's LSN
+//! is applied;
 //! older records are skipped, so replay is idempotent over any prefix
 //! overlap (the base backup's flushed pages already carry their page LSNs).
 //!
-//! [`apply_record`] is the crate's one redo: what an Update or CLR record
-//! read back from the log does to a page is decided there and nowhere
+//! [`apply_record`] is the crate's one redo: what an Update, CLR or
+//! UpdateCommit record read back from the log does to a page is decided there and nowhere
 //! else. Restart recovery
 //! ([`crate::recovery`]) redoes through it, and promotion hands the shipped
 //! log prefix to that same recovery, so the standby, a restart and a
@@ -22,7 +23,7 @@ use crate::db::{Db, DbOptions};
 use crate::error::{StorageError, StorageResult};
 use crate::page::{cell_key, PAGE_SIZE};
 use crate::store::{PageStore, StoredPage};
-use crate::wal::{CheckpointPayload, ClrPayload, UpdatePayload};
+use crate::wal::{CheckpointPayload, ClrPayload, UpdateCommitPayload, UpdatePayload};
 use aether_core::record::{Record, RecordKind};
 use aether_core::runtime::{read, write};
 use aether_core::{DeviceKind, EncodePayload, LogManager, Lsn};
@@ -222,8 +223,8 @@ pub(crate) fn install_tables(db: &Db, schema: &[(usize, u64)]) {
 /// recovery — which promotion runs too — on every record from its redo
 /// point.
 ///
-/// An Update or CLR whose LSN is newer than its page's LSN applies its cell
-/// image (the after-image, or the image the CLR restores) and keeps the
+/// An Update, CLR or UpdateCommit whose LSN is newer than its page's LSN
+/// applies its cell image (the after-image, or the image the CLR restores) and keeps the
 /// hash index in step, so a standby serves snapshot reads for appended keys
 /// too; an older one is skipped. Decoding and applying allocate nothing:
 /// the images are read in place from the record, and the index sees the
@@ -240,6 +241,11 @@ pub fn apply_record(db: &Db, rec: &Record) -> StorageResult<bool> {
         RecordKind::Clr => {
             let c = ClrPayload::decode(&rec.payload).ok_or_else(|| bad("CLR"))?;
             (c.page.table, c.rid(), c.restored)
+        }
+        RecordKind::UpdateCommit => {
+            let u =
+                UpdateCommitPayload::decode(&rec.payload).ok_or_else(|| bad("update-commit"))?;
+            (u.page.table, u.rid(), u.after)
         }
         _ => return Ok(false),
     };

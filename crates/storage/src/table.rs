@@ -226,8 +226,8 @@ impl Table {
         }
     }
 
-    /// Apply `cell` at `rid`, stamping `lsn` (the forward path and
-    /// compensation share this).
+    /// Apply `cell` at `rid`, stamping `lsn`. A logged change latches the
+    /// frame across its log insert and applies under that latch instead.
     pub fn apply_cell(&self, rid: Rid, cell: &[u8], lsn: Lsn) {
         debug_assert_eq!(cell.len(), self.geom.cell_size);
         let mut g = write(self.frame(rid.page_no));

@@ -355,9 +355,16 @@ impl TxnManager {
         }
     }
 
+    /// A fresh transaction id, with no ATT slot: a one-statement
+    /// transaction that commits in the record it logs is never active in
+    /// the ATT's sense (nothing of it can be undone).
+    pub fn next_id(&self) -> u64 {
+        self.next.fetch_add(1, Ordering::Relaxed)
+    }
+
     /// Begin a transaction.
     pub fn begin(&self) -> Transaction {
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
+        let id = self.next_id();
         let slot = self.claim(id);
         let b = POOL
             .try_with(|p| p.borrow_mut().pop())

@@ -11,6 +11,8 @@
 //! the one encoder of an update or a CLR; their `decode` borrows the images
 //! from the record's payload and allocates nothing. What a decoded record
 //! does to a page is [`crate::replay::apply_record`]'s business alone.
+//! An [`UpdateCommitPayload`] is the redo-only record of a one-statement
+//! transaction: its update and its commit in one.
 //! [`CheckpointPayload`] also appends itself to a `Vec`
 //! ([`CheckpointPayload::append_to`]), because a base snapshot ships its
 //! bytes.
@@ -18,8 +20,9 @@
 use crate::page::{PageId, Rid};
 use aether_core::{EncodePayload, Lsn, SlotWriter};
 
-/// Decode the `[table u32][page u32][slot u16][len u16]` prefix that an
-/// update and a CLR share: page, slot and image length.
+/// Decode the `[table u32][page u32][slot u16][len u16]` prefix that every
+/// cell record (update, CLR, update-commit) starts with: page, slot and
+/// image length.
 fn cell_prefix(buf: &[u8]) -> Option<(PageId, u16, usize)> {
     let table = u32::from_le_bytes(buf.get(0..4)?.try_into().ok()?);
     let page_no = u32::from_le_bytes(buf.get(4..8)?.try_into().ok()?);
@@ -154,6 +157,60 @@ impl<B: AsRef<[u8]>> EncodePayload for ClrPayload<B> {
     }
 }
 
+/// A one-statement transaction's update and commit in one redo-only
+/// record ([`aether_core::RecordKind::UpdateCommit`]): the after-image of
+/// one cell and nothing to undo it with, because a transaction that commits
+/// in the record it logs never rolls back. Its image is borrowed, as for
+/// [`UpdatePayload`].
+///
+/// Layout: `[table u32][page u32][slot u16][len u16][after]`, the CLR
+/// layout without `undo_next`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UpdateCommitPayload<B> {
+    /// Page touched.
+    pub page: PageId,
+    /// Slot within the page.
+    pub slot: u16,
+    /// Cell image after the update.
+    pub after: B,
+}
+
+impl<B> UpdateCommitPayload<B> {
+    /// RID touched by this update.
+    pub fn rid(&self) -> Rid {
+        Rid {
+            page_no: self.page.page_no,
+            slot: self.slot,
+        }
+    }
+}
+
+impl<'a> UpdateCommitPayload<&'a [u8]> {
+    /// Decode, borrowing the image from `buf`; `None` on malformed input.
+    pub fn decode(buf: &'a [u8]) -> Option<UpdateCommitPayload<&'a [u8]>> {
+        let (page, slot, len) = cell_prefix(buf)?;
+        if buf.len() != 12 + len {
+            return None;
+        }
+        Some(UpdateCommitPayload {
+            page,
+            slot,
+            after: &buf[12..],
+        })
+    }
+}
+
+impl<B: AsRef<[u8]>> EncodePayload for UpdateCommitPayload<B> {
+    fn encoded_len(&self) -> usize {
+        12 + self.after.as_ref().len()
+    }
+
+    fn encode_into(&self, w: &mut SlotWriter<'_>) {
+        put_cell_prefix(w, self.page, self.slot, self.after.as_ref().len());
+        w.put_slice(self.after.as_ref());
+    }
+}
+
 /// Fuzzy-checkpoint end payload: the active-transaction table and dirty-page
 /// table at checkpoint time.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -272,6 +329,20 @@ mod tests {
         }
     }
 
+    fn update_commit() -> UpdateCommitPayload<&'static [u8]> {
+        UpdateCommitPayload {
+            page: PageId {
+                table: 2,
+                page_no: 9,
+            },
+            slot: 4,
+            after: &[1, 5, 5],
+        }
+    }
+
+    /// `[table][page][slot][len][after]`, little-endian.
+    const UPDATE_COMMIT_BYTES: [u8; 15] = [2, 0, 0, 0, 9, 0, 0, 0, 4, 0, 3, 0, 1, 5, 5];
+
     /// `[table][page][slot][len][before][after]`, little-endian.
     const UPDATE_BYTES: [u8; 18] = [3, 0, 0, 0, 77, 0, 0, 0, 12, 0, 3, 0, 1, 1, 1, 2, 2, 2];
 
@@ -305,6 +376,28 @@ mod tests {
         assert_eq!(ClrPayload::decode(&CLR_BYTES).unwrap(), c);
         assert!(ClrPayload::decode(&CLR_BYTES[..19]).is_none());
         assert!(ClrPayload::decode(&CLR_BYTES[..21]).is_none());
+    }
+
+    #[test]
+    fn update_commit_roundtrip() {
+        let u = update_commit();
+        assert_eq!(u.encoded_len(), UPDATE_COMMIT_BYTES.len());
+        let recs = through_a_log(&[(RecordKind::UpdateCommit, &u)]);
+        assert_eq!(recs[0].header.kind, RecordKind::UpdateCommit);
+        assert_eq!(recs[0].payload, UPDATE_COMMIT_BYTES);
+        assert_eq!(
+            UpdateCommitPayload::decode(&UPDATE_COMMIT_BYTES).unwrap(),
+            u
+        );
+        assert_eq!(
+            u.rid(),
+            Rid {
+                page_no: 9,
+                slot: 4
+            }
+        );
+        assert!(UpdateCommitPayload::decode(&UPDATE_COMMIT_BYTES[..11]).is_none());
+        assert!(UpdateCommitPayload::decode(&UPDATE_COMMIT_BYTES[..14]).is_none());
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! brackets a burst of transactions on every commit protocol and checks
 //! what moved.
 //!
-//! Once a thread has run a few transactions, an auto-commit update and a
-//! two-key interactive transaction allocate nothing under every protocol,
-//! and a read-only transaction allocates only the value it returns. The
+//! Once a thread has run a few transactions, an auto-commit update, a
+//! one-record commit (`Db::update_commit`) and a two-key interactive
+//! transaction allocate nothing under every protocol, and a read-only
+//! transaction allocates only the value it returns. The
 //! asynchronous protocols register nothing with the log: the ATT slot
 //! settles by the durable watermark, and a `Pipelined` commit's
 //! `CommitHandle` is its LSN and a shared pointer to the log's watermark.
@@ -80,10 +81,17 @@ enum Shape {
     TwoKeyInteractive,
     /// `try_begin`, one read, commit.
     ReadOnly,
+    /// `update_commit`: one record, no ATT slot.
+    OneRecord,
 }
 
 /// Run transaction `i` of `shape`; the outcome of its commit.
 fn run(db: &Arc<Db>, shape: Shape, i: u64, rec: &[u8]) -> CommitOutcome {
+    if let Shape::OneRecord = shape {
+        // Settled by the log's watermark: `settle` flushes everything.
+        db.update_commit(0, key(i), rec).unwrap();
+        return CommitOutcome::Durable;
+    }
     let mut txn = db.try_begin().unwrap();
     match shape {
         Shape::AutoCommitUpdate => db.update(&mut txn, 0, key(i), rec).unwrap(),
@@ -94,6 +102,7 @@ fn run(db: &Arc<Db>, shape: Shape, i: u64, rec: &[u8]) -> CommitOutcome {
         Shape::ReadOnly => {
             db.read(&mut txn, 0, key(i)).unwrap();
         }
+        Shape::OneRecord => unreachable!("no transaction handle"),
     }
     db.commit(txn).unwrap()
 }
@@ -185,6 +194,10 @@ fn a_transaction_allocates_only_what_it_returns() {
         (Pipelined, AutoCommitUpdate, 0.0),
         (Pipelined, TwoKeyInteractive, 0.0),
         (Pipelined, ReadOnly, 1.0),
+        (Baseline, OneRecord, 0.0),
+        (Elr, OneRecord, 0.0),
+        (AsyncCommit, OneRecord, 0.0),
+        (Pipelined, OneRecord, 0.0),
     ];
     let mut failed = Vec::new();
     for (protocol, shape, ceiling) in table {

@@ -740,8 +740,8 @@ impl BufferCore {
         Self::with_start(config, Lsn::ZERO)
     }
 
-    /// Build a core whose LSN space begins at `start` — used after recovery,
-    /// so new records append to the device at the right offsets.
+    /// Build a core whose LSN space begins at `start`: the end of a device
+    /// that already holds log bytes, so a record's LSN is its offset there.
     pub fn with_start(config: &LogConfig, start: Lsn) -> Arc<BufferCore> {
         config.validate().map_err(AetherError::Config).unwrap();
         let telemetry = Arc::new(Telemetry::new(&config.telemetry));

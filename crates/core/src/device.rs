@@ -86,6 +86,19 @@ pub trait LogDevice: Send + Sync {
         Ok(0)
     }
 
+    /// Cut the stream off at `stream_len`: recovery drops a torn tail this
+    /// way, so new records append right after the last valid one. Asking
+    /// for the current length or more is a no-op. A device that cannot
+    /// shorten itself fails with `ErrorKind::Unsupported`, never ignores
+    /// the request.
+    fn clip_tail(&self, stream_len: u64) -> Result<()> {
+        if stream_len >= self.len() {
+            return Ok(());
+        }
+        let why = format!("cannot clip the log from {} to {stream_len}", self.len());
+        Err(std::io::Error::new(std::io::ErrorKind::Unsupported, why).into())
+    }
+
     /// What a crash leaves, if the device can say: the synced prefix of the
     /// retained stream (every byte a completed [`LogDevice::sync`] covers,
     /// from [`LogDevice::low_water`] on) with the offset of its first byte.
@@ -186,16 +199,6 @@ impl SimDevice {
     pub fn contents(&self) -> Vec<u8> {
         lock(&self.data).clone()
     }
-
-    /// Cut the stream off at `stream_len` — crash-injection tests and
-    /// recovery clip a torn tail this way.
-    pub fn truncate(&self, stream_len: u64) {
-        let mut data = lock(&self.data);
-        data.truncate(stream_len.saturating_sub(self.base.raw()) as usize);
-        let len = self.base.raw() + data.len() as u64;
-        self.len.store(len, Ordering::Release);
-        self.synced.fetch_min(len, Ordering::AcqRel);
-    }
 }
 
 impl LogDevice for SimDevice {
@@ -236,6 +239,14 @@ impl LogDevice for SimDevice {
         let data = lock(&self.data);
         let synced = self.synced.load(Ordering::Acquire) - self.base.raw();
         Some((self.base, data[..synced as usize].to_vec()))
+    }
+    fn clip_tail(&self, stream_len: u64) -> Result<()> {
+        let mut data = lock(&self.data);
+        data.truncate(stream_len.saturating_sub(self.base.raw()) as usize);
+        let len = self.base.raw() + data.len() as u64;
+        self.len.store(len, Ordering::Release);
+        self.synced.fetch_min(len, Ordering::AcqRel);
+        Ok(())
     }
 }
 
@@ -428,6 +439,9 @@ impl LogDevice for FaultDevice {
         });
         wedged.unwrap_or_else(|| self.inner.truncate_before(upto))
     }
+    fn clip_tail(&self, stream_len: u64) -> Result<()> {
+        self.inner.clip_tail(stream_len)
+    }
     /// The inner device's synced prefix, and what an armed
     /// [`DeviceFault::CrashKeeps`] keeps of the written bytes after it.
     fn snapshot(&self) -> Option<(Lsn, Vec<u8>)> {
@@ -595,16 +609,32 @@ mod tests {
     }
 
     #[test]
-    fn sim_device_truncate_models_torn_tail() {
+    fn sim_device_clip_tail_models_torn_tail() {
         let d = SimDevice::new(Duration::ZERO);
         d.append(b"0123456789").unwrap();
-        d.truncate(4);
+        d.clip_tail(4).unwrap();
         assert_eq!(d.len(), 4);
         assert_eq!(d.contents(), b"0123".to_vec());
         // A rebased device clips in stream lengths too.
         let o = SimDevice::from_image(Lsn(1000), b"hello world".to_vec());
-        o.truncate(1005);
+        o.clip_tail(1005).unwrap();
         assert_eq!((o.len(), o.contents()), (1005, b"hello".to_vec()));
+        // Clipping at or past the end changes nothing.
+        o.clip_tail(2000).unwrap();
+        assert_eq!(o.len(), 1005);
+    }
+
+    #[test]
+    fn a_device_that_cannot_clip_refuses_to_shorten() {
+        let d = NullDevice::new();
+        d.append(b"torn").unwrap();
+        d.clip_tail(4).unwrap();
+        let err = d.clip_tail(3).unwrap_err();
+        assert!(
+            matches!(&err, crate::AetherError::Io(e) if e.kind() == std::io::ErrorKind::Unsupported),
+            "{err:?}"
+        );
+        assert_eq!(d.len(), 4);
     }
 
     #[test]
@@ -649,7 +679,7 @@ mod tests {
         assert_eq!(d.len(), 14);
         assert_eq!(d.snapshot().unwrap(), (Lsn::ZERO, b"synced".to_vec()));
         // A clipped tail takes the synced mark down with it.
-        d.truncate(3);
+        d.clip_tail(3).unwrap();
         assert_eq!(d.snapshot().unwrap().1, b"syn");
         // The bytes of an image are synced.
         let o = SimDevice::from_image(Lsn(1000), b"image".to_vec());

@@ -22,7 +22,6 @@ pub struct LogManagerBuilder {
     buffer: BufferKind,
     device_kind: DeviceKind,
     device: Option<Arc<dyn LogDevice>>,
-    start_lsn: Option<Lsn>,
 }
 
 impl std::fmt::Debug for dyn LogDevice {
@@ -38,7 +37,6 @@ impl Default for LogManagerBuilder {
             buffer: BufferKind::Hybrid,
             device_kind: DeviceKind::Ram,
             device: None,
-            start_lsn: None,
         }
     }
 }
@@ -69,13 +67,6 @@ impl LogManagerBuilder {
         self
     }
 
-    /// Start LSN allocation at `lsn` instead of zero. After recovery this is
-    /// set to the device length so new records land at matching offsets.
-    pub fn start_lsn(mut self, lsn: Lsn) -> Self {
-        self.start_lsn = Some(lsn);
-        self
-    }
-
     /// Build; panics on invalid configuration (see
     /// [`LogManagerBuilder::try_build`] for the fallible form).
     pub fn build(self) -> LogManager {
@@ -91,8 +82,9 @@ impl LogManagerBuilder {
             Some(d) => d,
             None => self.device_kind.build()?,
         };
-        let start = self.start_lsn.unwrap_or(Lsn::ZERO);
-        let core = BufferCore::with_start(&self.config, start);
+        // The log starts where its device ends, so a record's LSN is its
+        // offset on the device.
+        let core = BufferCore::with_start(&self.config, Lsn(device.len()));
         let buffer = self.buffer.build(Arc::clone(&core), &self.config);
         let gate = Arc::new(CommitGate::new());
         gate.set_telemetry(Arc::clone(core.telemetry()));

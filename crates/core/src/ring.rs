@@ -34,10 +34,13 @@ impl Ring {
             capacity.is_power_of_two() && capacity >= 64,
             "ring capacity must be a power of two >= 64, got {capacity}"
         );
-        let mut v = Vec::with_capacity(capacity);
-        v.resize_with(capacity, || UnsafeCell::new(0u8));
+        // A zeroed allocation, not a fill: the OS hands out zeroed pages.
+        let zeroed = Box::into_raw(vec![0u8; capacity].into_boxed_slice());
+        // SAFETY: `UnsafeCell<u8>` is `repr(transparent)` over `u8`, so the
+        // slice has the same layout, and the box's ownership moves over.
+        let buf = unsafe { Box::from_raw(zeroed as *mut [UnsafeCell<u8>]) };
         Ring {
-            buf: v.into_boxed_slice(),
+            buf,
             mask: (capacity - 1) as u64,
         }
     }

@@ -3,10 +3,10 @@
 //! promoted to a full primary via ordinary ARIES recovery.
 //!
 //! Protocol: messages are restored to sequence order (reorder-resistant),
-//! log runs are appended to the replica's own log device, and **acked at
-//! the durably received LSN** — semi-synchronous semantics: an ack means
-//! "these bytes survive a primary failure", not "these bytes are already
-//! applied". Replay then advances independently through
+//! log runs are appended to the replica's own log device, synced, and
+//! **acked at the durably received LSN** — semi-synchronous semantics: an
+//! ack means "these bytes survive a primary failure", not "these bytes are
+//! already applied". Replay then advances independently through
 //! [`aether_storage::replay`]; the gap between received and replayed is the
 //! replica's lag, and the time since the last applied batch is its measured
 //! staleness bound.
@@ -30,7 +30,7 @@ use aether_core::reader::LogReader;
 use aether_core::runtime::{self, lock, read, write};
 use aether_core::telemetry::{CounterId, GaugeId, Telemetry, Unit};
 use aether_core::{Lsn, RecordKind, TelemetrySnapshot};
-use aether_storage::db::{CrashImage, Db, DbOptions};
+use aether_storage::db::{Db, DbOptions};
 use aether_storage::error::StorageResult;
 use aether_storage::recovery::RecoveryStats;
 use aether_storage::replay::{self, BaseSnapshot};
@@ -303,29 +303,26 @@ impl Replica {
     }
 
     /// Promote: finish replaying whatever arrived, then run full ARIES
-    /// recovery (analysis / redo / undo) over the shipped prefix — which
-    /// starts at the replica's bootstrap LSN, not zero: recovery tolerates
-    /// the missing (truncated) history because the snapshot's pages already
-    /// contain it. The shipped log may end in a torn frame — recovery
-    /// truncates at the first invalid record, exactly as after a local
-    /// crash. In-flight primary transactions whose commit never arrived are
-    /// rolled back; every commit the primary acked under SemiSync
-    /// (which required this ack) is present and survives.
+    /// recovery (analysis / redo / undo) over the replica's own receive
+    /// log, in place — which starts at the replica's bootstrap LSN, not
+    /// zero: recovery tolerates the missing (truncated) history because the
+    /// snapshot's pages already contain it. The shipped log may end in a
+    /// torn frame — recovery clips it at the first invalid record, exactly
+    /// as after a local crash. In-flight primary transactions whose commit
+    /// never arrived are rolled back; every commit the primary acked under
+    /// SemiSync (which required this ack) is present and survives. The
+    /// promoted primary logs on after the received bytes.
     pub fn promote(mut self) -> StorageResult<(Arc<Db>, RecoveryStats)> {
         self.stop();
         // Persist the replayed pages so recovery starts from them (redo then
-        // skips everything at or below each page LSN). The crash image's
-        // store shares those images; recovery copies each into a frame once.
+        // skips everything at or below each page LSN). The new store shares
+        // those images; recovery copies each into a frame once.
         let state = read(&self.shared.state);
         state.db.flush_pages();
-        let image = CrashImage {
-            log_start: state.device.low_water(),
-            log_bytes: state.device.contents(),
-            store: state.db.store().deep_clone(),
-            schema: state.db.schema(),
-        };
+        let device = Arc::clone(&state.device) as Arc<dyn LogDevice>;
+        let (store, schema) = (state.db.store().deep_clone(), state.db.schema());
         drop(state);
-        aether_storage::recovery::recover_with_stats(image, self.opts.clone())
+        Db::open_on(device, store, &schema, self.opts.clone())
     }
 }
 
@@ -440,7 +437,12 @@ impl Ingest {
             self.next_seq += 1;
         }
         if advanced {
-            let received = read(&shared.state).device.len();
+            let device = Arc::clone(&read(&shared.state).device);
+            let received = device.len();
+            // The ack says these bytes survive a crash: sync them first.
+            if device.sync().is_err() {
+                return;
+            }
             shared.received.store(received, Ordering::Release);
             let mut lag = lock(&shared.lag_since);
             if lag.is_none() {

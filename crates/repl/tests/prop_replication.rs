@@ -12,6 +12,7 @@ use aether_core::runtime::Runtime;
 use aether_core::{BufferKind, DeviceKind, LogConfig, Lsn};
 use aether_repl::frame::Frame;
 use aether_repl::prelude::*;
+use aether_storage::recovery::recover_with_stats;
 use aether_storage::replay::{apply_record, standby_db, state_fingerprint, CellFingerprint};
 use aether_storage::{CommitProtocol, Db, DbOptions};
 use proptest::prelude::*;
@@ -339,7 +340,7 @@ proptest! {
         let seen = cluster.replica(0).telemetry_snapshot("replica").counter("repl.commits_seen");
         prop_assert_eq!(seen, Some(commits));
         cluster.shutdown();
-        let recovered = aether_storage::recovery::recover(primary.crash(), opts()).unwrap();
+        let recovered = Db::recover(primary.crash(), opts()).unwrap();
         for (key, want) in &acked {
             prop_assert_eq!(
                 recovered.snapshot_read(0, *key).unwrap().as_ref(),
@@ -387,6 +388,50 @@ fn a_failover_keeps_every_acked_one_record_commit() {
             "key {k} lost an acked one-record commit"
         );
     }
+    promoted.log().shutdown();
+    primary.log().shutdown();
+}
+
+/// Promotion recovers over the replica's own receive log, so that log must
+/// hold every byte the replica acked: the promoted primary crashes at once,
+/// before it logs or syncs anything of its own, and its crash image keeps
+/// every commit acked under `SemiSync(1)`.
+#[test]
+fn a_promoted_primary_keeps_every_acked_commit_across_its_own_crash() {
+    let primary = Db::open(opts());
+    primary.create_table(24, 8);
+    for k in 0..8u64 {
+        primary.load(0, k, &mk(k, 0)).unwrap();
+    }
+    primary.setup_complete();
+    let mut cluster = ReplicatedDb::attach(
+        Arc::clone(&primary),
+        ReplicationConfig {
+            replicas: 1,
+            policy: DurabilityPolicy::SemiSync(1),
+            link: LinkConfig::with_latency_us(50),
+            ..ReplicationConfig::default()
+        },
+    )
+    .unwrap();
+    for v in 1..=40u64 {
+        mixed_step(&primary, 0, v, v, true);
+    }
+    cluster.kill_primary();
+    let (promoted, stats) = cluster.promote(0).unwrap();
+    assert_eq!(stats.winners, 40, "{stats:?}");
+    let (recovered, again) = recover_with_stats(promoted.crash(), opts()).unwrap();
+    assert_eq!(again.winners, stats.winners, "{again:?}");
+    assert_eq!(again.scanned, stats.scanned, "{again:?}");
+    for k in 0..8u64 {
+        let last = (33..=40).find(|v| v % 8 == k).unwrap();
+        assert_eq!(
+            recovered.snapshot_read(0, k).unwrap(),
+            Some(mk(k, last)),
+            "key {k} lost an acked commit in the promoted primary's crash"
+        );
+    }
+    recovered.log().shutdown();
     promoted.log().shutdown();
     primary.log().shutdown();
 }

@@ -35,7 +35,6 @@ use aether_core::runtime::Runtime;
 use aether_core::LogConfig;
 use aether_server::protocol::{ErrCode, Request, Response};
 use aether_server::{Client, Engine, Server, ServerConfig};
-use aether_storage::recovery::recover;
 use aether_storage::{CommitProtocol, Db, DbOptions};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -262,7 +261,7 @@ pub fn run_server_seed(seed: u64) -> ServerSimReport {
     server.shutdown();
 
     // Crash with whatever the flushers have not synced yet, and recover.
-    match recover(db.crash(), db.options().clone()) {
+    match Db::recover(db.crash(), db.options().clone()) {
         Ok(recovered) => {
             let acks_are_durable = protocol != CommitProtocol::AsyncCommit;
             for (key, want) in last_acked.iter().filter(|_| acks_are_durable) {

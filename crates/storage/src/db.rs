@@ -67,10 +67,13 @@ impl Default for DbOptions {
     }
 }
 
-/// What survives a crash: the *retained* durable log suffix (plus the
-/// stream offset where it begins — the prefix below it was recycled behind
-/// fuzzy checkpoints), the page store, and the schema (which a real system
-/// would read from its catalog pages).
+/// What survives a crash, frozen: the synced prefix of the *retained* log
+/// (plus the stream offset where it begins — the prefix below it was
+/// recycled behind fuzzy checkpoints), the page store, and the schema
+/// (which a real system would read from its catalog pages). Tests and the
+/// benchmark cut it and hand it to [`Db::recover`], which opens over a
+/// device rebuilt from its bytes; a promotion needs none, it recovers over
+/// the replica's receive log in place.
 pub struct CrashImage {
     /// Stream offset (LSN) of `log_bytes[0]`: the log's low-water mark at
     /// crash time. Zero for a log that was never truncated.
@@ -188,31 +191,25 @@ impl std::fmt::Debug for Db {
 }
 
 impl Db {
-    /// Open an empty database with `opts`.
+    /// Open an empty database with `opts`, over a new device of
+    /// `opts.device`'s kind.
     pub fn open(opts: DbOptions) -> Arc<Db> {
-        let log = Arc::new(
-            LogManager::builder()
-                .config(opts.log_config.clone())
-                .buffer(opts.buffer)
-                .device(opts.device.clone())
-                .build(),
-        );
-        Self::assemble(opts, log, PageStore::new())
+        let device = opts.device.build().expect("the log device");
+        Self::open_with_device(opts, device)
     }
 
-    /// Open with a caller-supplied log device (crash tests share a
-    /// [`aether_core::device::SimDevice`]).
+    /// Open over a caller-supplied log device (crash tests share a
+    /// [`aether_core::device::SimDevice`]) and an empty page store: a new
+    /// database on an empty device. A device that holds log bytes is
+    /// recovered ([`Db::open_on`]).
     pub fn open_with_device(opts: DbOptions, device: Arc<dyn LogDevice>) -> Arc<Db> {
-        let log = Arc::new(
-            LogManager::builder()
-                .config(opts.log_config.clone())
-                .buffer(opts.buffer)
-                .device_instance(device)
-                .build(),
-        );
-        Self::assemble(opts, log, PageStore::new())
+        let (db, _) =
+            Self::open_on(device, PageStore::new(), &[], opts).expect("open the database");
+        db
     }
 
+    /// Build the database around a log just built over its device; only
+    /// [`Db::open_on`] calls it.
     pub(crate) fn assemble(
         opts: DbOptions,
         log: Arc<LogManager>,
@@ -476,7 +473,7 @@ impl Db {
     /// under the page's write latch, the presence check, the after-image
     /// and the record, which is encoded from the frame and whose LSN the
     /// page takes; then the commit tail every protocol runs
-    /// ([`Db::harden`]). Returns what [`Db::commit_deferred`] returns.
+    /// (`Db::harden`). Returns what [`Db::commit_deferred`] returns.
     ///
     /// Nothing of such a transaction can be undone, so it takes no ATT
     /// slot, keeps no before-image and logs no separate commit record:
@@ -1017,7 +1014,7 @@ impl Db {
     /// Recover a database from a crash image (ARIES analysis/redo/undo).
     /// See [`crate::recovery`] for the algorithm.
     pub fn recover(image: CrashImage, opts: DbOptions) -> StorageResult<Arc<Db>> {
-        crate::recovery::recover(image, opts)
+        crate::recovery::recover_with_stats(image, opts).map(|(db, _)| db)
     }
 }
 

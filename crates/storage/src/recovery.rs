@@ -1,10 +1,16 @@
 //! ARIES-style restart recovery: analysis → redo → undo, streaming the log.
 //!
+//! Opening is recovery: [`Db::open_on`] is the one way a [`Db`] is made.
+//! A fresh database is recovery over an empty device (nothing to redo or
+//! undo), a crash image is recovery over a device rebuilt from its bytes,
+//! a standby is recovery over a discarding device and its page store, and
+//! a promotion is recovery over the replica's own receive log.
+//!
 //! Nothing holds the log in memory: analysis and redo each scan the device
 //! with a [`LogReader`], and undo reads each record it needs at its LSN.
 //!
-//! * **Analysis** scans the *retained* durable log — from the crash image's
-//!   `log_start` (the truncation low-water mark the last fuzzy checkpoint
+//! * **Analysis** scans the *retained* durable log — from the device's
+//!   low-water mark (the truncation point the last fuzzy checkpoint
 //!   published; zero for a never-truncated log) — and classifies
 //!   transactions: winners (commit record present), cleanly-aborted (abort
 //!   record present — their CLRs already restored everything), and losers
@@ -45,6 +51,7 @@
 use crate::db::{CrashImage, Db, DbOptions};
 use crate::error::{StorageError, StorageResult};
 use crate::replay::apply_record;
+use crate::store::PageStore;
 use crate::wal::{CheckpointPayload, ClrPayload, UpdatePayload};
 use aether_core::device::{LogDevice, SimDevice};
 use aether_core::reader::LogReader;
@@ -70,8 +77,8 @@ pub struct RecoveryStats {
     pub clrs_written: usize,
     /// Checkpoints observed.
     pub checkpoints: usize,
-    /// Where the analysis scan began: the crash image's retained-log start
-    /// (the truncation low-water mark; zero for a never-truncated log).
+    /// Where the analysis scan began: the device's low-water mark (the
+    /// truncation point; zero for a never-truncated log).
     pub scan_start: Lsn,
     /// Where redo began: the lower of the last checkpoint's minimum
     /// dirty-page recovery LSN and its begin record (== `scan_start` when
@@ -82,221 +89,231 @@ pub struct RecoveryStats {
     pub redo_skipped: usize,
 }
 
-/// Recover a database from a crash image; see module docs.
-pub fn recover(image: CrashImage, opts: DbOptions) -> StorageResult<Arc<Db>> {
-    recover_with_stats(image, opts).map(|(db, _)| db)
-}
-
-/// [`recover`], also returning counters for test assertions.
+/// Recover a database from a crash image: [`Db::open_on`] over a device
+/// that holds the image's log bytes at their stream offsets. The truncated
+/// prefix is not materialized, so recovery cost scales with the retained
+/// suffix (checkpoint distance), not uptime.
 pub fn recover_with_stats(
     image: CrashImage,
     opts: DbOptions,
 ) -> StorageResult<(Arc<Db>, RecoveryStats)> {
-    let mut stats = RecoveryStats {
-        scan_start: image.log_start,
-        ..RecoveryStats::default()
-    };
-
-    // Rebuild the log device with the surviving bytes at their original
-    // stream offsets — the truncated prefix is *not* materialized, so
-    // recovery cost scales with the retained suffix (checkpoint distance),
-    // not uptime.
     let device = Arc::new(SimDevice::from_image(image.log_start, image.log_bytes));
-    let log_device = Arc::clone(&device) as Arc<dyn LogDevice>;
+    Db::open_on(device, image.store, &image.schema, opts)
+}
 
-    // ---------------- Analysis ----------------
-    let mut last_lsn: HashMap<u64, Lsn> = HashMap::new();
-    let mut winners: HashSet<u64> = HashSet::new();
-    let mut clean_aborts: HashSet<u64> = HashSet::new();
-    let mut max_txn = 0u64;
-    // One-record transactions: winners that never enter `last_lsn`.
-    let mut one_record = 0usize;
-    // The last complete checkpoint: its begin record's LSN and its payload;
-    // and the first begin record since the previous end record.
-    let mut last_ckpt: Option<(Lsn, CheckpointPayload)> = None;
-    let mut open_begin: Option<Lsn> = None;
-    // Update/CLR/UpdateCommit records seen; what the redo scan does not see
-    // again is what redo skipped.
-    let mut cell_records = 0usize;
-    let mut reader = LogReader::new(Arc::clone(&log_device));
-    while let Some(rec) = reader.next_record()? {
-        stats.scanned += 1;
-        let txn = rec.header.txn;
-        max_txn = max_txn.max(txn);
-        match rec.header.kind {
-            RecordKind::Update | RecordKind::Clr => {
-                last_lsn.insert(txn, rec.lsn);
-                cell_records += 1;
-            }
-            RecordKind::UpdateCommit => {
-                one_record += 1;
-                cell_records += 1;
-            }
-            RecordKind::Commit => {
-                winners.insert(txn);
-            }
-            RecordKind::Abort => {
-                clean_aborts.insert(txn);
-            }
-            RecordKind::CheckpointEnd => {
-                stats.checkpoints += 1;
-                let payload = CheckpointPayload::decode(&rec.payload).ok_or_else(|| {
-                    StorageError::Recovery("undecodable checkpoint payload".into())
-                })?;
-                // Checkpoints may overlap: without a begin of its own since
-                // the last end, the earlier checkpoint's begin stands in
-                // (lower is safe); the scan start if there is none.
-                let begin = open_begin
-                    .take()
-                    .or(last_ckpt.as_ref().map(|c| c.0))
-                    .unwrap_or(image.log_start);
-                last_ckpt = Some((begin, payload));
-            }
-            RecordKind::CheckpointBegin => {
-                open_begin.get_or_insert(rec.lsn);
-            }
-            RecordKind::Filler | RecordKind::End => {}
-        }
-    }
-    // The scan stopped at the end of the valid prefix. The crash may have
-    // torn the final record, and new records (CLRs, post-recovery traffic)
-    // must append right here — otherwise the dead tail bytes would
-    // terminate every future scan early.
-    let valid_end = reader.position();
-    device.truncate(valid_end.raw());
-    // Seed the transaction table from the last complete checkpoint's ATT: a
-    // transaction active at checkpoint time whose records all precede the
-    // scanned suffix must still be rolled back. (Truncation safety keeps
-    // its whole undo chain at or above `log_start`.) Entries merge by max —
-    // a record seen after the checkpoint supersedes the checkpoint's view.
-    if let Some((_, ref ckpt)) = last_ckpt {
-        for &(txn, at_ckpt) in &ckpt.att {
+impl Db {
+    /// Open a database over what `device`, `store` and `schema` hold:
+    /// restart recovery (see the module docs), the one way a [`Db`] is
+    /// made. Analysis scans the device from its low-water mark, the torn
+    /// tail is clipped, the log starts at the device's end, the tables are
+    /// installed from the store, then redo and undo run. An empty device,
+    /// store and schema is a fresh database, and opening it writes nothing.
+    pub fn open_on(
+        device: Arc<dyn LogDevice>,
+        store: Arc<PageStore>,
+        schema: &[(usize, u64)],
+        opts: DbOptions,
+    ) -> StorageResult<(Arc<Db>, RecoveryStats)> {
+        let log_start = device.low_water();
+        let mut stats = RecoveryStats {
+            scan_start: log_start,
+            ..RecoveryStats::default()
+        };
+
+        // ---------------- Analysis ----------------
+        let mut last_lsn: HashMap<u64, Lsn> = HashMap::new();
+        let mut winners: HashSet<u64> = HashSet::new();
+        let mut clean_aborts: HashSet<u64> = HashSet::new();
+        let mut max_txn = 0u64;
+        // One-record transactions: winners that never enter `last_lsn`.
+        let mut one_record = 0usize;
+        // The last complete checkpoint: its begin record's LSN and its
+        // payload; and the first begin record since the previous end record.
+        let mut last_ckpt: Option<(Lsn, CheckpointPayload)> = None;
+        let mut open_begin: Option<Lsn> = None;
+        // Update/CLR/UpdateCommit records seen; what the redo scan does not
+        // see again is what redo skipped.
+        let mut cell_records = 0usize;
+        let mut reader = LogReader::new(Arc::clone(&device));
+        while let Some(rec) = reader.next_record()? {
+            stats.scanned += 1;
+            let txn = rec.header.txn;
             max_txn = max_txn.max(txn);
-            if at_ckpt.is_zero() {
-                continue; // registered but had logged nothing yet
+            match rec.header.kind {
+                RecordKind::Update | RecordKind::Clr => {
+                    last_lsn.insert(txn, rec.lsn);
+                    cell_records += 1;
+                }
+                RecordKind::UpdateCommit => {
+                    one_record += 1;
+                    cell_records += 1;
+                }
+                RecordKind::Commit => {
+                    winners.insert(txn);
+                }
+                RecordKind::Abort => {
+                    clean_aborts.insert(txn);
+                }
+                RecordKind::CheckpointEnd => {
+                    stats.checkpoints += 1;
+                    let payload = CheckpointPayload::decode(&rec.payload).ok_or_else(|| {
+                        StorageError::Recovery("undecodable checkpoint payload".into())
+                    })?;
+                    // Checkpoints may overlap: without a begin of its own
+                    // since the last end, the earlier checkpoint's begin
+                    // stands in (lower is safe); the scan start if there is
+                    // none.
+                    let begin = open_begin
+                        .take()
+                        .or(last_ckpt.as_ref().map(|c| c.0))
+                        .unwrap_or(log_start);
+                    last_ckpt = Some((begin, payload));
+                }
+                RecordKind::CheckpointBegin => {
+                    open_begin.get_or_insert(rec.lsn);
+                }
+                RecordKind::Filler | RecordKind::End => {}
             }
-            let e = last_lsn.entry(txn).or_insert(Lsn::ZERO);
-            *e = (*e).max(at_ckpt);
         }
-    }
-    // Redo starts at the last checkpoint's minimum dirty-page recovery LSN,
-    // or at its begin record if that is lower: every older update is
-    // already in the flushed page images the tables are rebuilt from.
-    let redo_start = match last_ckpt {
-        Some((begin, ref ckpt)) => ckpt
-            .dpt
+        // The scan stopped at the end of the valid prefix. The crash may
+        // have torn the final record, and new records (CLRs, post-recovery
+        // traffic) must append right here — otherwise the dead tail bytes
+        // would terminate every future scan early.
+        let valid_end = reader.position();
+        device.clip_tail(valid_end.raw())?;
+        // Seed the transaction table from the last complete checkpoint's
+        // ATT: a transaction active at checkpoint time whose records all
+        // precede the scanned suffix must still be rolled back. (Truncation
+        // safety keeps its whole undo chain at or above `log_start`.)
+        // Entries merge by max — a record seen after the checkpoint
+        // supersedes the checkpoint's view.
+        if let Some((_, ref ckpt)) = last_ckpt {
+            for &(txn, at_ckpt) in &ckpt.att {
+                max_txn = max_txn.max(txn);
+                if at_ckpt.is_zero() {
+                    continue; // registered but had logged nothing yet
+                }
+                let e = last_lsn.entry(txn).or_insert(Lsn::ZERO);
+                *e = (*e).max(at_ckpt);
+            }
+        }
+        // Redo starts at the last checkpoint's minimum dirty-page recovery
+        // LSN, or at its begin record if that is lower: every older update
+        // is already in the flushed page images the tables are rebuilt from.
+        let redo_start = match last_ckpt {
+            Some((begin, ref ckpt)) => ckpt
+                .dpt
+                .iter()
+                .map(|&(_, rec_lsn)| rec_lsn)
+                .fold(begin, Lsn::min),
+            None => log_start,
+        };
+        stats.redo_start = redo_start;
+        stats.winners = winners.len() + one_record;
+        stats.clean_aborts = clean_aborts.len();
+        let losers: HashMap<u64, Lsn> = last_lsn
             .iter()
-            .map(|&(_, rec_lsn)| rec_lsn)
-            .fold(begin, Lsn::min),
-        None => image.log_start,
-    };
-    stats.redo_start = redo_start;
-    stats.winners = winners.len() + one_record;
-    stats.clean_aborts = clean_aborts.len();
-    let losers: HashMap<u64, Lsn> = last_lsn
-        .iter()
-        .filter(|(t, _)| !winners.contains(t) && !clean_aborts.contains(t))
-        .map(|(&t, &l)| (t, l))
-        .collect();
-    stats.losers = losers.len();
+            .filter(|(t, _)| !winners.contains(t) && !clean_aborts.contains(t))
+            .map(|(&t, &l)| (t, l))
+            .collect();
+        stats.losers = losers.len();
 
-    let log = Arc::new(
-        LogManager::builder()
+        // The log starts at the device's end, where the scan stopped.
+        let log = LogManager::builder()
             .config(opts.log_config.clone())
             .buffer(opts.buffer)
-            .device_instance(Arc::clone(&log_device))
-            .start_lsn(valid_end)
-            .build(),
-    );
-    let db = Db::assemble(opts, log, Arc::clone(&image.store));
-    // Rebuild tables: schema, page images from the store, the index over
-    // them (shared with standby-replica construction, crate::replay). Redo
-    // and undo keep the index in step from here.
-    crate::replay::install_tables(&db, &image.schema);
+            .device_instance(Arc::clone(&device))
+            .try_build()?;
+        let db = Db::assemble(opts, Arc::new(log), store);
+        // Rebuild tables: schema, page images from the store, the index
+        // over them (a standby's are made the same way). Redo and undo keep
+        // the index in step from here.
+        crate::replay::install_tables(&db, schema);
 
-    // ---------------- Redo (repeat history, from the redo point) ----------------
-    // A second scan, from the redo point: records below it only touch
-    // pages whose flushed images already contain them, so they are not
-    // even read. The standby's redo applies each record.
-    let mut reader = LogReader::from_lsn(log_device, redo_start.max(image.log_start));
-    while let Some(rec) = reader.next_record()? {
-        if matches!(
-            rec.header.kind,
-            RecordKind::Update | RecordKind::Clr | RecordKind::UpdateCommit
-        ) {
-            cell_records -= 1;
-            if apply_record(&db, &rec)? {
-                stats.redone += 1;
+        // ---------------- Redo (repeat history, from the redo point) ----------------
+        // A second scan, from the redo point: records below it only touch
+        // pages whose flushed images already contain them, so they are not
+        // even read. The standby's redo applies each record.
+        let mut reader = LogReader::from_lsn(Arc::clone(&device), redo_start.max(log_start));
+        while let Some(rec) = reader.next_record()? {
+            if matches!(
+                rec.header.kind,
+                RecordKind::Update | RecordKind::Clr | RecordKind::UpdateCommit
+            ) {
+                cell_records -= 1;
+                if apply_record(&db, &rec)? {
+                    stats.redone += 1;
+                }
             }
         }
-    }
-    if reader.position() != valid_end {
-        return Err(StorageError::Recovery(format!(
-            "redo scan from {redo_start} stopped at {}, before the log's end at {valid_end}",
-            reader.position()
-        )));
-    }
-    stats.redo_skipped = cell_records;
-
-    // ---------------- Undo (reverse global LSN order) ----------------
-    let mut heap: BinaryHeap<(Lsn, u64)> = losers.iter().map(|(&t, &l)| (l, t)).collect();
-    // Where each loser's new undo chain currently ends (for CLR chaining).
-    let mut chain: HashMap<u64, Lsn> = losers.clone();
-    while let Some((lsn, txn)) = heap.pop() {
-        let rec = read_record_at(&device, lsn)?.ok_or_else(|| {
-            StorageError::Recovery(format!("undo chain points at invalid LSN {lsn}"))
-        })?;
-        debug_assert_eq!(rec.header.txn, txn);
-        let next = match rec.header.kind {
-            RecordKind::Update => {
-                let u = UpdatePayload::decode(&rec.payload)
-                    .ok_or_else(|| StorageError::Recovery("bad update in undo".into()))?;
-                let clr = ClrPayload {
-                    page: u.page,
-                    slot: u.slot,
-                    restored: u.before,
-                    undo_next: rec.header.prev_lsn,
-                };
-                let t = db.table(u.page.table)?;
-                chain.insert(txn, db.compensate(t, txn, chain[&txn], &clr));
-                stats.clrs_written += 1;
-                clr.undo_next
-            }
-            // Already-compensated work: skip to undo_next.
-            RecordKind::Clr => {
-                ClrPayload::decode(&rec.payload)
-                    .ok_or_else(|| StorageError::Recovery("bad CLR in undo".into()))?
-                    .undo_next
-            }
-            other => {
-                return Err(StorageError::Recovery(format!(
-                    "unexpected {other:?} record in a loser's undo chain at {lsn}"
-                )));
-            }
-        };
-        if next.is_zero() {
-            db.log()
-                .insert_payload::<[u8]>(RecordKind::Abort, txn, chain[&txn], &[]);
-        } else {
-            heap.push((next, txn));
+        if reader.position() != valid_end {
+            return Err(StorageError::Recovery(format!(
+                "redo scan from {redo_start} stopped at {}, before the log's end at {valid_end}",
+                reader.position()
+            )));
         }
-    }
+        stats.redo_skipped = cell_records;
 
-    // ---------------- Wrap up ----------------
-    for i in 0..image.schema.len() {
-        db.table(i as u32)?.reset_append_cursor();
+        // ---------------- Undo (reverse global LSN order) ----------------
+        let mut heap: BinaryHeap<(Lsn, u64)> = losers.iter().map(|(&t, &l)| (l, t)).collect();
+        // Where each loser's new undo chain currently ends (for CLR chaining).
+        let mut chain: HashMap<u64, Lsn> = losers.clone();
+        while let Some((lsn, txn)) = heap.pop() {
+            let rec = read_record_at(&device, lsn)?.ok_or_else(|| {
+                StorageError::Recovery(format!("undo chain points at invalid LSN {lsn}"))
+            })?;
+            debug_assert_eq!(rec.header.txn, txn);
+            let next = match rec.header.kind {
+                RecordKind::Update => {
+                    let u = UpdatePayload::decode(&rec.payload)
+                        .ok_or_else(|| StorageError::Recovery("bad update in undo".into()))?;
+                    let clr = ClrPayload {
+                        page: u.page,
+                        slot: u.slot,
+                        restored: u.before,
+                        undo_next: rec.header.prev_lsn,
+                    };
+                    let t = db.table(u.page.table)?;
+                    chain.insert(txn, db.compensate(t, txn, chain[&txn], &clr));
+                    stats.clrs_written += 1;
+                    clr.undo_next
+                }
+                // Already-compensated work: skip to undo_next.
+                RecordKind::Clr => {
+                    ClrPayload::decode(&rec.payload)
+                        .ok_or_else(|| StorageError::Recovery("bad CLR in undo".into()))?
+                        .undo_next
+                }
+                other => {
+                    return Err(StorageError::Recovery(format!(
+                        "unexpected {other:?} record in a loser's undo chain at {lsn}"
+                    )));
+                }
+            };
+            if next.is_zero() {
+                db.log()
+                    .insert_payload::<[u8]>(RecordKind::Abort, txn, chain[&txn], &[]);
+            } else {
+                heap.push((next, txn));
+            }
+        }
+
+        // ---------------- Wrap up ----------------
+        for i in 0..schema.len() {
+            db.table(i as u32)?.reset_append_cursor();
+        }
+        db.txn_manager().bump_next(max_txn + 1);
+        db.log().flush_all()?;
+        Ok((db, stats))
     }
-    db.txn_manager().bump_next(max_txn + 1);
-    db.log().flush_all()?;
-    Ok((db, stats))
 }
 
 /// Random-access read of one record at `lsn` from the retained log. An LSN
 /// below the device's low-water mark reads zero bytes and surfaces as
 /// `None` — the caller's "undo chain points at invalid LSN" error is the
 /// safety net proving truncation never outran an undo chain.
-fn read_record_at(device: &Arc<SimDevice>, lsn: Lsn) -> StorageResult<Option<Record>> {
-    let mut r = LogReader::from_lsn(Arc::clone(device) as Arc<dyn LogDevice>, lsn);
+fn read_record_at(device: &Arc<dyn LogDevice>, lsn: Lsn) -> StorageResult<Option<Record>> {
+    let mut r = LogReader::from_lsn(Arc::clone(device), lsn);
     Ok(r.next_record()?)
 }
 
@@ -448,7 +465,7 @@ mod tests {
         db.delete(&mut t, 0, 3).unwrap();
         db.commit(t).unwrap();
         let image = db.crash();
-        let db2 = recover(image, opts(CommitProtocol::Baseline)).unwrap();
+        let db2 = Db::recover(image, opts(CommitProtocol::Baseline)).unwrap();
         let mut t = db2.begin();
         assert_eq!(db2.read(&mut t, 0, 1000).unwrap()[8], 7);
         assert!(matches!(
@@ -503,7 +520,7 @@ mod tests {
         let image = db.crash();
         std::mem::forget(loser);
         // First recovery, then crash again immediately.
-        let db2 = recover(image, opts(CommitProtocol::Baseline)).unwrap();
+        let db2 = Db::recover(image, opts(CommitProtocol::Baseline)).unwrap();
         let image2 = db2.crash();
         let (db3, stats) = recover_with_stats(image2, opts(CommitProtocol::Baseline)).unwrap();
         // The loser was already compensated; second recovery sees a clean
@@ -541,6 +558,76 @@ mod tests {
             "committed update lost"
         );
         db2.commit(t).unwrap();
+    }
+
+    #[test]
+    fn opening_an_empty_device_writes_nothing() {
+        let device = Arc::new(SimDevice::new(Duration::ZERO));
+        let db = Db::open_with_device(
+            opts(CommitProtocol::Baseline),
+            device.clone() as Arc<dyn LogDevice>,
+        );
+        db.create_table(40, 10);
+        assert_eq!(device.len(), 0, "a fresh open logged something");
+        assert_eq!(db.log().durable_lsn(), Lsn::ZERO);
+    }
+
+    #[test]
+    fn a_torn_tail_is_clipped_so_later_work_survives_the_next_crash() {
+        let db = fresh_db(CommitProtocol::Baseline, 20);
+        let mut t = db.begin();
+        db.update_with(&mut t, 0, 4, |r| r[8] = 40).unwrap();
+        db.commit(t).unwrap();
+        let mut image = db.crash();
+        let valid_end = image.log_bytes.len() as u64;
+        image.log_bytes.extend_from_slice(&[0xA5; 7]);
+        let db2 = Db::recover(image, opts(CommitProtocol::Baseline)).unwrap();
+        assert_eq!(db2.log().device().len(), valid_end, "torn tail kept");
+        let mut t = db2.begin();
+        db2.update_with(&mut t, 0, 5, |r| r[8] = 50).unwrap();
+        db2.commit(t).unwrap();
+        let (db3, stats) = recover_with_stats(db2.crash(), opts(CommitProtocol::Baseline)).unwrap();
+        assert_eq!(stats.winners, 2, "{stats:?}");
+        assert_eq!(db3.snapshot_read(0, 4).unwrap().unwrap()[8], 40);
+        assert_eq!(
+            db3.snapshot_read(0, 5).unwrap().unwrap()[8],
+            50,
+            "a commit made after recovery was logged behind the torn tail"
+        );
+    }
+
+    #[test]
+    fn a_torn_tail_on_a_device_that_cannot_clip_fails_the_open() {
+        use aether_core::partition::{MemSegmentFactory, SegmentedDevice};
+        use aether_core::AetherError;
+        let segments =
+            Arc::new(SegmentedDevice::new(Box::new(MemSegmentFactory), 16 * 1024).unwrap());
+        let db = Db::open_with_device(
+            opts(CommitProtocol::Baseline),
+            Arc::clone(&segments) as Arc<dyn LogDevice>,
+        );
+        db.create_table(40, 10);
+        for k in 0..10u64 {
+            db.load(0, k, &rec_bytes(k, 40, 1)).unwrap();
+        }
+        db.setup_complete();
+        db.log().shutdown();
+        segments.append(&[0xA5; 7]).unwrap();
+        let opened = Db::open_on(
+            segments,
+            db.store().deep_clone(),
+            &db.schema(),
+            opts(CommitProtocol::Baseline),
+        );
+        assert!(
+            matches!(
+                &opened,
+                Err(StorageError::Log(AetherError::Io(e)))
+                    if e.kind() == std::io::ErrorKind::Unsupported
+            ),
+            "{:?}",
+            opened.map(|(_, stats)| stats)
+        );
     }
 
     #[test]

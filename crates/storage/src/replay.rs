@@ -11,9 +11,9 @@
 //! [`apply_record`] is the crate's one redo: what an Update, CLR or
 //! UpdateCommit record read back from the log does to a page is decided there and nowhere
 //! else. Restart recovery
-//! ([`crate::recovery`]) redoes through it, and promotion hands the shipped
-//! log prefix to that same recovery, so the standby, a restart and a
-//! failover repeat history by one routine.
+//! ([`crate::recovery`]) redoes through it, and promotion runs that same
+//! recovery over the replica's receive log, so the standby, a restart and
+//! a failover repeat history by one routine.
 //!
 //! The standby never originates transactions: its log manager writes to a
 //! discarding device and its lock manager stays empty. Snapshot reads go
@@ -24,9 +24,10 @@ use crate::error::{StorageError, StorageResult};
 use crate::page::{cell_key, PAGE_SIZE};
 use crate::store::{PageStore, StoredPage};
 use crate::wal::{CheckpointPayload, ClrPayload, UpdateCommitPayload, UpdatePayload};
+use aether_core::device::NullDevice;
 use aether_core::record::{Record, RecordKind};
 use aether_core::runtime::{read, write};
-use aether_core::{DeviceKind, EncodePayload, LogManager, Lsn};
+use aether_core::{DeviceKind, EncodePayload, Lsn};
 use std::sync::Arc;
 
 /// A checkpoint-consistent base snapshot: everything a fresh replica needs
@@ -186,31 +187,23 @@ pub fn standby_from_snapshot(opts: DbOptions, snap: &BaseSnapshot) -> StorageRes
 }
 
 /// Build a standby database from a base backup: the primary's flushed page
-/// store plus its schema. The standby's own log discards writes (it never
+/// store plus its schema, opened over a discarding device (a standby never
 /// logs); all state changes arrive via [`apply_record`].
 pub fn standby_db(
     opts: DbOptions,
     store: Arc<PageStore>,
     schema: &[(usize, u64)],
 ) -> StorageResult<Arc<Db>> {
-    let mut opts = opts;
-    opts.device = DeviceKind::Null;
-    let log = Arc::new(
-        LogManager::builder()
-            .config(opts.log_config.clone())
-            .buffer(opts.buffer)
-            .device(DeviceKind::Null)
-            .try_build()?,
-    );
-    let db = Db::assemble(opts, log, store);
-    install_tables(&db, schema);
-    Ok(db)
+    let opts = DbOptions {
+        device: DeviceKind::Null,
+        ..opts
+    };
+    Db::open_on(Arc::new(NullDevice::new()), store, schema, opts).map(|(db, _)| db)
 }
 
 /// Rebuild tables from a schema, each frame made once from its page image
 /// in the database's store, and index them; [`apply_record`] keeps the
-/// index in step from there. Shared by restart recovery and standby
-/// construction.
+/// index in step from there. Part of [`Db::open_on`].
 pub(crate) fn install_tables(db: &Db, schema: &[(usize, u64)]) {
     for &(record_size, dense_rows) in schema {
         let id = db.create_table(record_size, dense_rows);
@@ -400,7 +393,7 @@ mod tests {
         // Restart recovery over the same images indexes the key alike.
         let mut image = db.crash();
         image.store = store;
-        let recovered = crate::recovery::recover(image, opts()).unwrap();
+        let recovered = Db::recover(image, opts()).unwrap();
         let mut t = recovered.begin();
         assert_eq!(recovered.read(&mut t, 0, KEY).unwrap()[8], 3);
         recovered.commit(t).unwrap();

@@ -303,7 +303,7 @@ impl Table {
     /// it was inserted again. A key's times in different cells do not
     /// overlap in LSN order, so the copy on the page with the higher page
     /// LSN is the later one, and the index maps it; replaying the delete over the older image then
-    /// leaves the mapping alone ([`Table::reindex_cell`]).
+    /// leaves the mapping alone (`Table::reindex_cell`).
     ///
     /// Appended keys never sit in the dense region, so the scan starts at
     /// the first append slot.

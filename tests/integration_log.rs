@@ -203,7 +203,7 @@ fn torn_tail_is_clipped_by_reader() {
     let full = device.len();
     log.shutdown();
     // Tear the tail mid-record.
-    device.truncate(full - 37);
+    device.clip_tail(full - 37).unwrap();
     let records = aether_core::reader::LogReader::new(device)
         .read_all()
         .unwrap();

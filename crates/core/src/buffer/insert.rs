@@ -2,7 +2,7 @@
 //! of the paper's insertion algorithms run (see the two-axis table in the
 //! module docs of [`super`]).
 
-use super::{BufferCore, BufferKind, InsertGate, LogBuffer, LogSlot, Release, SlotFinish};
+use super::{BufferCore, BufferKind, InsertGate, LogBuffer, LogRun, LogSlot, Release, SlotFinish};
 use crate::carray::CArray;
 use crate::config::LogConfig;
 use crate::lsn::Lsn;
@@ -107,13 +107,7 @@ impl InsertBuffer {
             Some(array) if !locked && len <= array.max_group() => Some((array, array.join(len))),
             _ => None,
         };
-        let order = |ticket| match self.decoupled {
-            true => Release::Ordered {
-                ticket,
-                treadmill_inv: self.treadmill_inv,
-            },
-            false => Release::Locked(lock),
-        };
+        let order = |ticket| self.order(ticket);
         if let Some((_, join)) = join.filter(|(_, j)| j.offset != 0) {
             // Follower: the leader's one allocation covers this record, at
             // the offset fixed when it joined.
@@ -159,11 +153,44 @@ impl InsertBuffer {
         };
         core.begin_fill(base, kind, txn, prev, payload_len, finish)
     }
+
+    /// How a range reserved with `ticket` is released: in LSN order for
+    /// the decoupled kinds, by dropping the insert lock for B and C.
+    fn order(&self, ticket: u64) -> Release<'_> {
+        match self.decoupled {
+            true => Release::Ordered {
+                ticket,
+                treadmill_inv: self.treadmill_inv,
+            },
+            false => Release::Locked(&self.gate.lock),
+        }
+    }
 }
 
 impl LogBuffer for InsertBuffer {
     fn reserve(&self, kind: RecordKind, txn: u64, prev: Lsn, payload_len: usize) -> LogSlot<'_> {
         self.reserve_with(kind, txn, prev, payload_len, false)
+    }
+
+    /// A direct acquire for the whole run: it never joins a group (its
+    /// records are one thread's, already together).
+    fn reserve_run(&self, len: u64) -> LogRun<'_> {
+        let (core, lock, alloc) = (&*self.core, &self.gate.lock, &self.gate.alloc);
+        debug_assert!(len <= core.capacity() / 8, "a run beyond a group's bound");
+        core.note_reserve_start();
+        lock.lock();
+        let (start, ticket) = if self.decoupled {
+            // SAFETY: the insert lock is held.
+            let reserved = unsafe { alloc.reserve_ordered(len, core) };
+            lock.unlock();
+            reserved
+        } else {
+            // SAFETY: the insert lock is held.
+            (unsafe { alloc.reserve_space(len, core) }, 0)
+        };
+        let tel = core.telemetry();
+        tel.inc(tel.ids().log_direct_acquires);
+        LogRun::new(core, start, len, self.order(ticket))
     }
 
     fn core(&self) -> &BufferCore {
@@ -357,6 +384,61 @@ mod tests {
             let s = run(kind, false, &[100], |_, _| 88);
             assert_eq!(s.direct_acquires, 100, "{kind}");
             assert_eq!(s.consolidations, 0, "{kind}");
+        }
+    }
+
+    /// A run takes one direct acquire for all its records, which tile the
+    /// stream like records inserted one by one, around inserts by other
+    /// threads, under every kind; a run dropped short fills the rest of its
+    /// range with fillers and releases it anyway.
+    #[test]
+    fn a_run_is_one_acquire_and_tiles_the_stream() {
+        use crate::reader::LogReader;
+        for kind in BufferKind::ALL {
+            let b = make(kind, 1 << 16);
+            let rec = on_log_size(100) as u64;
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    for _ in 0..200 {
+                        put(&b, false, RecordKind::Filler, 9, Lsn::ZERO, &[9; 40]);
+                    }
+                });
+                for _ in 0..50 {
+                    let mut run = b.reserve_run(4 * rec);
+                    let start = run.lsn();
+                    for i in 0..4u64 {
+                        let mut slot = run.record(RecordKind::Update, i + 1, Lsn::ZERO, 100);
+                        assert_eq!(slot.lsn(), start.advance(i * rec), "{kind}");
+                        slot.write(&[i as u8; 100]);
+                        slot.release();
+                    }
+                    assert_eq!(run.release(), start.advance(4 * rec), "{kind}");
+                }
+            });
+            let s = b.core().stats.snapshot();
+            assert_eq!(s.inserts, 200 + 50 * 4, "{kind}");
+            assert_eq!(
+                s.direct_acquires + s.group_acquires + s.consolidations,
+                200 + 50,
+                "{kind}"
+            );
+
+            let mut short = b.reserve_run(3 * rec);
+            let start = short.lsn();
+            let mut slot = short.record(RecordKind::Update, 1, Lsn::ZERO, 100);
+            slot.write(&[1; 100]);
+            slot.release();
+            drop(short);
+            let end = start.advance(3 * rec);
+            assert_eq!(b.core().released_lsn(), end, "{kind}");
+            // SAFETY: released, and nothing reclaims it meanwhile.
+            let (a, z) = unsafe { b.core().released_slices(start, 3 * rec) };
+            let device = crate::device::SimDevice::from_image(start, [a, z].concat());
+            let mut reader = LogReader::from_lsn(Arc::new(device), start);
+            let kinds: Vec<RecordKind> = std::iter::from_fn(|| reader.next_record().ok().flatten())
+                .map(|r| r.header.kind)
+                .collect();
+            assert_eq!(kinds, [RecordKind::Update, RecordKind::Filler], "{kind}");
         }
     }
 

@@ -142,6 +142,14 @@ pub trait LogBuffer: Send + Sync {
     /// blocked behind it — fill promptly.
     fn reserve(&self, kind: RecordKind, txn: u64, prev: Lsn, payload_len: usize) -> LogSlot<'_>;
 
+    /// Reserve `len` bytes of ring for a run of records with one insert-lock
+    /// acquisition, one LSN range and one release ticket, and return the
+    /// run to write them into ([`LogRun::record`]). Keep `len` within an
+    /// eighth of the ring, a consolidation group's bound, so a run always
+    /// fits beside the groups in flight. The kinds that fill under the lock
+    /// (B, C) hold it until the run is released, as a direct insert does.
+    fn reserve_run(&self, len: u64) -> LogRun<'_>;
+
     /// Shared core (watermarks, stats, ring geometry).
     fn core(&self) -> &BufferCore;
 
@@ -304,6 +312,26 @@ pub(crate) enum Release<'a> {
     /// taken at reservation, handing off to a predecessor that is still
     /// filling ([`BufferCore::release_ordered`]).
     Ordered { ticket: u64, treadmill_inv: u32 },
+    /// A record of a [`LogRun`]: the run releases its whole range at once,
+    /// so the record's own release publishes nothing.
+    InRun,
+}
+
+impl Release<'_> {
+    /// Publish `[start, end)` this way (nothing for [`Release::InRun`]).
+    fn publish(self, core: &BufferCore, start: Lsn, end: Lsn) {
+        match self {
+            Release::Locked(lock) => {
+                core.advance_released(end);
+                lock.unlock();
+            }
+            Release::Ordered {
+                ticket,
+                treadmill_inv,
+            } => core.release_ordered(ticket, start, end, treadmill_inv),
+            Release::InRun => {}
+        }
+    }
 }
 
 /// An exclusively owned, header-initialized record reservation in the ring.
@@ -433,16 +461,7 @@ impl<'a> LogSlot<'a> {
             }),
         };
         if let Some((start, end)) = range {
-            match self.finish.order {
-                Release::Locked(lock) => {
-                    self.core.advance_released(end);
-                    lock.unlock();
-                }
-                Release::Ordered {
-                    ticket,
-                    treadmill_inv,
-                } => self.core.release_ordered(ticket, start, end, treadmill_inv),
-            }
+            self.finish.order.publish(self.core, start, end);
         }
         if t_rel != 0 {
             let done = runtime::monotonic_ns();
@@ -458,6 +477,109 @@ impl<'a> LogSlot<'a> {
 }
 
 impl Drop for LogSlot<'_> {
+    fn drop(&mut self) {
+        self.finalize();
+    }
+}
+
+/// A run of records reserved together ([`LogBuffer::reserve_run`]): one
+/// insert-lock acquisition, one LSN range and one release serve them all,
+/// as a consolidation group's do (Algorithm 2), but for records one thread
+/// already holds. Each [`LogRun::record`] is an ordinary record with its
+/// own header and checksum; [`LogRun::release`] publishes the range. A run
+/// dropped short of its range fills the rest with [`RecordKind::Filler`]
+/// records and releases anyway, so later inserts never wedge behind it.
+pub struct LogRun<'a> {
+    core: &'a BufferCore,
+    start: Lsn,
+    /// Start of the next record.
+    next: Lsn,
+    end: Lsn,
+    order: Release<'a>,
+    done: bool,
+}
+
+impl std::fmt::Debug for LogRun<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LogRun")
+            .field("start", &self.start)
+            .field("next", &self.next)
+            .field("end", &self.end)
+            .finish()
+    }
+}
+
+impl<'a> LogRun<'a> {
+    pub(crate) fn new(core: &'a BufferCore, start: Lsn, len: u64, order: Release<'a>) -> Self {
+        LogRun {
+            core,
+            start,
+            next: start,
+            end: start.advance(len),
+            order,
+            done: false,
+        }
+    }
+
+    /// Start LSN of the run's range.
+    pub fn lsn(&self) -> Lsn {
+        self.start
+    }
+
+    /// The next record of the run, at the end of the one before: fill it
+    /// and release it as any slot. Its release writes its checksum and
+    /// publishes nothing; the run's does.
+    ///
+    /// # Panics
+    /// Panics if the record does not fit in what is left of the range.
+    pub fn record(
+        &mut self,
+        kind: RecordKind,
+        txn: u64,
+        prev: Lsn,
+        payload_len: usize,
+    ) -> LogSlot<'_> {
+        check_payload_len(payload_len);
+        let start = self.next;
+        let next = start.advance(on_log_size(payload_len) as u64);
+        assert!(next <= self.end, "a record past the end of its run");
+        self.next = next;
+        let finish = SlotFinish {
+            group: None,
+            order: Release::InRun,
+        };
+        self.core
+            .begin_fill(start, kind, txn, prev, payload_len, finish)
+    }
+
+    /// Publish the run's range; returns its end.
+    pub fn release(mut self) -> Lsn {
+        debug_assert_eq!(self.next, self.end, "released a run short of its range");
+        self.finalize();
+        self.end
+    }
+
+    fn finalize(&mut self) {
+        if self.done {
+            return;
+        }
+        self.done = true;
+        while self.next < self.end {
+            let left = (self.end.raw() - self.next.raw()) as usize;
+            // The whole rest as one filler, or half the largest payload
+            // and the rest after it.
+            let len = match left - HEADER_SIZE {
+                whole if whole <= MAX_PAYLOAD => whole,
+                _ => MAX_PAYLOAD / 2,
+            };
+            // An abandoned slot publishes itself as an all-zero filler.
+            drop(self.record(RecordKind::Filler, 0, Lsn::ZERO, len));
+        }
+        self.order.publish(self.core, self.start, self.end);
+    }
+}
+
+impl Drop for LogRun<'_> {
     fn drop(&mut self) {
         self.finalize();
     }

@@ -233,8 +233,14 @@ impl CommitPipeline {
     /// once, and resolve `sub` if the watermark passed it or the log
     /// closed. See the module docs.
     pub fn watch(&self, sub: &dyn Subscriber, lsn: Lsn) {
+        self.watch_commits(sub, lsn, 1);
+    }
+
+    /// [`CommitPipeline::watch`] for `n` commits `sub` has just published
+    /// together, the first ending at `lsn`: one look serves them all.
+    pub fn watch_commits(&self, sub: &dyn Subscriber, lsn: Lsn, n: u64) {
         let tel = self.core.telemetry();
-        tel.inc(tel.ids().commit_submitted);
+        tel.add(tel.ids().commit_submitted, n);
         fence(Ordering::SeqCst);
         if let Some(at) = self.closed_at() {
             self.resolve(sub, at, true);

@@ -156,8 +156,14 @@ impl FlushShared {
     /// on it at once; a busy one takes it with its next group. Non-blocking
     /// (flush pipelining), and no syscall unless a flusher must be woken.
     pub fn note_commit(&self, lsn: Lsn) {
+        self.note_commits(1, lsn);
+    }
+
+    /// [`FlushShared::note_commit`] for `n` commits, the last ending at
+    /// `lsn`, under one lock.
+    pub fn note_commits(&self, n: usize, lsn: Lsn) {
         let mut g = lock(&self.inner);
-        g.pending_commits += 1;
+        g.pending_commits += n;
         g.wanted = g.wanted.max(lsn);
         self.unpark(&mut g);
     }

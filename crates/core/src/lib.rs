@@ -63,7 +63,7 @@ pub mod runtime;
 pub mod stats;
 pub mod telemetry;
 
-pub use buffer::{BufferKind, EncodePayload, LogBuffer, LogSlot, SlotWriter};
+pub use buffer::{BufferKind, EncodePayload, LogBuffer, LogRun, LogSlot, SlotWriter};
 pub use commit::{CommitGate, CommitToken, DurabilityPolicy, ReplicaAck};
 pub use config::LogConfig;
 pub use device::DeviceKind;

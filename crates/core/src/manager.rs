@@ -1,7 +1,7 @@
 //! The Aether log manager: buffer variant + device + flush daemon + commit
 //! pipeline behind one facade.
 
-use crate::buffer::{BufferCore, BufferKind, EncodePayload, LogBuffer, LogSlot};
+use crate::buffer::{BufferCore, BufferKind, EncodePayload, LogBuffer, LogRun, LogSlot};
 use crate::commit::{CommitGate, CommitHandle, CommitPipeline, DurabilityPolicy, Tally};
 use crate::config::LogConfig;
 use crate::device::{DeviceKind, LogDevice};
@@ -198,6 +198,12 @@ impl LogManager {
         self.buffer.reserve(kind, txn, prev, payload_len)
     }
 
+    /// Reserve `len` bytes for a run of records written one after another
+    /// ([`crate::buffer::LogBuffer::reserve_run`]).
+    pub fn reserve_run(&self, len: u64) -> LogRun<'_> {
+        self.buffer.reserve_run(len)
+    }
+
     /// The buffer variant in use.
     pub fn buffer_kind(&self) -> BufferKind {
         self.buffer.kind()
@@ -254,8 +260,14 @@ impl LogManager {
     /// block). Whoever waits on the commit subscribes to the watermark
     /// ([`CommitPipeline::watch`]) or holds a [`CommitHandle`].
     pub fn note_commit(&self, lsn: Lsn) {
+        self.note_commits(1, lsn);
+    }
+
+    /// [`LogManager::note_commit`] for `n` commit records, the last of
+    /// which ends at `lsn`: one registration for a run of them.
+    pub fn note_commits(&self, n: usize, lsn: Lsn) {
         if let Some(shared) = &self.flush_shared {
-            shared.note_commit(lsn);
+            shared.note_commits(n, lsn);
         }
     }
 

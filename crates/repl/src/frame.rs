@@ -16,8 +16,10 @@
 //! kinds share one sequence-number space, so the replica restores a total
 //! order over an arbitrarily reordering link.
 
-use aether_core::record::{frame_check, frame_encode, FRAME_OVERHEAD};
+use aether_core::record::{frame_check, frame_encode, frame_encode_into, FRAME_OVERHEAD};
 use aether_core::Lsn;
+use aether_storage::replay::BaseSnapshot;
+use std::ops::Range;
 
 /// Frame header size on the wire.
 pub const FRAME_HEADER: usize = FRAME_OVERHEAD + 16;
@@ -88,13 +90,32 @@ impl SnapshotFrame {
         frame_encode(SNAPSHOT_MAGIC, &self.seq.to_le_bytes(), &self.body)
     }
 
-    /// Decode and CRC-check; `None` for anything malformed.
-    pub fn decode(buf: &[u8]) -> Option<SnapshotFrame> {
-        let (fields, body) = frame_check(SNAPSHOT_MAGIC, 8, usize::MAX, buf)?;
-        Some(SnapshotFrame {
-            seq: u64::from_le_bytes(fields.try_into().ok()?),
-            body: body.to_vec(),
-        })
+    /// The frame [`SnapshotFrame::encode`] makes of `snap` encoded, with
+    /// the snapshot encoded straight into the frame's buffer: one
+    /// allocation, and one copy of each page.
+    pub fn encode_snapshot(seq: u64, snap: &BaseSnapshot) -> Vec<u8> {
+        let mut out = Vec::with_capacity(SNAPSHOT_HEADER + snap.encoded_len());
+        frame_encode_into(&mut out, SNAPSHOT_MAGIC, &seq.to_le_bytes(), |out| {
+            snap.encode_into(out)
+        });
+        out
+    }
+}
+
+/// A decoded snapshot frame. It keeps the buffer it was delivered in, and
+/// its body is a range of it: decoding copies nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnapshotMsg {
+    /// Per-link sequence number, shared with log [`Frame`]s.
+    pub seq: u64,
+    buf: Vec<u8>,
+    body: Range<usize>,
+}
+
+impl SnapshotMsg {
+    /// The encoded base snapshot.
+    pub fn body(&self) -> &[u8] {
+        &self.buf[self.body.clone()]
     }
 }
 
@@ -104,16 +125,22 @@ pub enum WireMsg {
     /// A run of log bytes.
     Log(Frame),
     /// A snapshot bootstrap.
-    Snapshot(SnapshotFrame),
+    Snapshot(SnapshotMsg),
 }
 
 impl WireMsg {
-    /// Decode either message kind; `None` for anything malformed.
-    pub fn decode(buf: &[u8]) -> Option<WireMsg> {
+    /// Decode either message kind from the buffer it was delivered in;
+    /// `None` for anything malformed. A snapshot keeps `buf`.
+    pub fn decode(buf: Vec<u8>) -> Option<WireMsg> {
         let magic = u32::from_le_bytes(buf.get(0..4)?.try_into().ok()?);
         match magic {
-            FRAME_MAGIC => Frame::decode(buf).map(WireMsg::Log),
-            SNAPSHOT_MAGIC => SnapshotFrame::decode(buf).map(WireMsg::Snapshot),
+            FRAME_MAGIC => Frame::decode(&buf).map(WireMsg::Log),
+            SNAPSHOT_MAGIC => {
+                let (fields, body) = frame_check(SNAPSHOT_MAGIC, 8, usize::MAX, &buf)?;
+                let seq = u64::from_le_bytes(fields.try_into().ok()?);
+                let body = buf.len() - body.len()..buf.len();
+                Some(WireMsg::Snapshot(SnapshotMsg { seq, buf, body }))
+            }
             _ => None,
         }
     }
@@ -205,13 +232,49 @@ mod tests {
             body: (0..250u8).collect(),
         };
         let enc = s.encode();
-        assert_eq!(SnapshotFrame::decode(&enc).unwrap(), s);
+        match WireMsg::decode(enc.clone()) {
+            Some(WireMsg::Snapshot(m)) => assert_eq!((m.seq, m.body()), (s.seq, &s.body[..])),
+            other => panic!("{other:?}"),
+        }
         for at in [0, 7, 17, SNAPSHOT_HEADER, enc.len() - 1] {
             let mut bad = enc.clone();
             bad[at] ^= 0x04;
-            assert!(SnapshotFrame::decode(&bad).is_none(), "flip at {at}");
+            assert!(WireMsg::decode(bad).is_none(), "flip at {at}");
         }
-        assert!(SnapshotFrame::decode(&enc[..enc.len() - 1]).is_none());
+        assert!(WireMsg::decode(enc[..enc.len() - 1].to_vec()).is_none());
+    }
+
+    /// Encoding a snapshot into its frame writes the bytes a frame around
+    /// the separately encoded snapshot has.
+    #[test]
+    fn a_snapshot_encodes_into_its_frame_as_its_body_would() {
+        use aether_storage::wal::CheckpointPayload;
+        let snap = BaseSnapshot {
+            start_lsn: Lsn(4096),
+            schema: vec![(40, 16)],
+            pages: vec![(
+                1,
+                Lsn(64),
+                vec![7u8; aether_storage::page::PAGE_SIZE].into(),
+            )],
+            checkpoint: CheckpointPayload {
+                att: vec![(3, Lsn(80))],
+                dpt: vec![(1, Lsn(64))],
+            },
+        };
+        let framed = SnapshotFrame {
+            seq: 5,
+            body: snap.encode(),
+        };
+        let enc = SnapshotFrame::encode_snapshot(5, &snap);
+        assert_eq!(enc, framed.encode());
+        assert_eq!(enc.capacity(), enc.len(), "sized once");
+        match WireMsg::decode(enc) {
+            Some(WireMsg::Snapshot(m)) => {
+                assert_eq!(BaseSnapshot::decode(m.body()), Some(snap))
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
@@ -225,14 +288,14 @@ mod tests {
             seq: 2,
             body: vec![4, 5],
         };
-        assert_eq!(WireMsg::decode(&f.encode()), Some(WireMsg::Log(f.clone())));
-        assert_eq!(
-            WireMsg::decode(&s.encode()),
-            Some(WireMsg::Snapshot(s.clone()))
-        );
-        assert_eq!(WireMsg::decode(&f.encode()).unwrap().seq(), 1);
-        assert_eq!(WireMsg::decode(&s.encode()).unwrap().seq(), 2);
-        assert!(WireMsg::decode(&[0u8; 40]).is_none());
-        assert!(WireMsg::decode(b"ab").is_none());
+        assert_eq!(WireMsg::decode(f.encode()), Some(WireMsg::Log(f.clone())));
+        match WireMsg::decode(s.encode()) {
+            Some(WireMsg::Snapshot(m)) => assert_eq!(m.body(), &s.body[..]),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(WireMsg::decode(f.encode()).unwrap().seq(), 1);
+        assert_eq!(WireMsg::decode(s.encode()).unwrap().seq(), 2);
+        assert!(WireMsg::decode(vec![0u8; 40]).is_none());
+        assert!(WireMsg::decode(b"ab".to_vec()).is_none());
     }
 }

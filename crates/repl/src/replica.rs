@@ -16,14 +16,15 @@
 //! lands. [`Replica::stop`] takes the ingest state under its lock, so
 //! nothing is ingested once it returns, even while frames keep arriving.
 //!
-//! A [`SnapshotFrame`] in the stream **re-seeds the replica**: the primary
-//! truncated its log past what this replica had received (or the replica
-//! attached after truncation), so the missing bytes no longer exist
-//! anywhere. The replica rebuilds its standby database from the snapshot's
-//! pages, rebases its log device at the snapshot LSN, and resumes frame
-//! ingestion from there — no historical log required.
+//! A [`SnapshotFrame`](crate::frame::SnapshotFrame) in the stream
+//! **re-seeds the replica**: the primary truncated its log past what this
+//! replica had received (or the replica attached after truncation), so the
+//! missing bytes no longer exist anywhere. The replica rebuilds its
+//! standby database from the snapshot's pages, rebases its log device at
+//! the snapshot LSN, and resumes frame ingestion from there — no historical
+//! log required.
 
-use crate::frame::{SnapshotFrame, WireMsg};
+use crate::frame::{SnapshotMsg, WireMsg};
 use crate::transport::{link, LinkConfig, LinkSender};
 use aether_core::device::{LogDevice, SimDevice};
 use aether_core::reader::LogReader;
@@ -228,7 +229,7 @@ impl Replica {
             let (shared, ingest) = (Arc::clone(&shared), Arc::clone(&ingest));
             link(link_cfg, move |bytes: Vec<u8>| {
                 match lock(&ingest).as_mut() {
-                    Some(state) => state.deliver(&shared, &bytes),
+                    Some(state) => state.deliver(&shared, bytes),
                     None => return false, // stopped
                 }
                 true
@@ -376,7 +377,7 @@ impl ReplicaReader {
 impl Ingest {
     /// Ingest one delivered message, then replay everything received so
     /// far.
-    fn deliver(&mut self, shared: &ReplicaShared, bytes: &[u8]) {
+    fn deliver(&mut self, shared: &ReplicaShared, bytes: Vec<u8>) {
         self.ingest(shared, bytes);
         let tel = &shared.tel;
         tel.gauge_set(self.m_reorder, self.pending.len() as i64);
@@ -393,8 +394,9 @@ impl Ingest {
     /// Decode one wire message, restore sequence order, apply the
     /// contiguous run — appending log bytes, or installing a snapshot
     /// bootstrap (which rebases the replay cursor) — and ack the
-    /// durably-received LSN.
-    fn ingest(&mut self, shared: &ReplicaShared, bytes: &[u8]) {
+    /// durably-received LSN. A snapshot is decoded in the buffer it was
+    /// delivered in, which it keeps while it waits for its turn.
+    fn ingest(&mut self, shared: &ReplicaShared, bytes: Vec<u8>) {
         match WireMsg::decode(bytes) {
             Some(m) if m.seq() >= self.next_seq => {
                 self.pending.insert(m.seq(), m);
@@ -460,8 +462,8 @@ impl Ingest {
 /// from the snapshot pages, log device rebased at the snapshot LSN. A
 /// malformed snapshot counts as a corrupt frame (its gap stalls the stream,
 /// like any other corruption). Returns the new replay cursor.
-fn install_snapshot(shared: &ReplicaShared, opts: &DbOptions, s: &SnapshotFrame) -> Option<Lsn> {
-    let snap = BaseSnapshot::decode(&s.body).or_else(|| {
+fn install_snapshot(shared: &ReplicaShared, opts: &DbOptions, s: &SnapshotMsg) -> Option<Lsn> {
+    let snap = BaseSnapshot::decode(s.body()).or_else(|| {
         shared.tel.inc(shared.ids.corrupt_frames);
         None
     })?;

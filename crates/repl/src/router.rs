@@ -30,7 +30,8 @@
 //!
 //! Every decision is counted on the primary's telemetry registry
 //! (`router.routed`, `router.blocked`, `router.fallback_*`,
-//! `router.quarantines`, `router.readmissions`; the `router.read_ns`
+//! `router.quarantines`, `router.readmissions`, and `router.routed.<i>`
+//! for each replica `i`; the `router.read_ns`
 //! latency histogram while telemetry is on). Counters count with telemetry
 //! off, so [`ReadRouter::stats`] reads them back for tests and the
 //! simulator.
@@ -47,7 +48,7 @@ use aether_core::telemetry::{CounterId, GaugeId, HistId, Telemetry, Unit};
 use aether_core::Lsn;
 use aether_storage::db::Db;
 use aether_storage::error::StorageResult;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -168,11 +169,24 @@ pub struct RouterStats {
 struct Node {
     reader: ReplicaReader,
     quarantined: AtomicBool,
-    routed: AtomicU64,
+    /// `router.routed.<i>`: reads this replica served.
+    routed: CounterId,
     /// Serializes reads through one node when the service-time model is
     /// active (capacity of one request at a time, like a remote server's
     /// worker); unused (never locked) when `service` is zero.
     serving: Mutex<()>,
+}
+
+/// The name of replica `i`'s `router.routed.<i>` counter. A registry
+/// keeps `&'static` names, so each index's is made once per process.
+fn routed_name(i: usize) -> &'static str {
+    static NAMES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+    let mut names = lock(&NAMES);
+    while names.len() <= i {
+        let name = format!("router.routed.{}", names.len());
+        names.push(Box::leak(name.into_boxed_str()));
+    }
+    names[i]
 }
 
 /// Telemetry ids for the router's decision counters.
@@ -234,10 +248,11 @@ impl ReadRouter {
             primary,
             nodes: readers
                 .into_iter()
-                .map(|reader| Node {
+                .enumerate()
+                .map(|(i, reader)| Node {
                     reader,
                     quarantined: AtomicBool::new(false),
-                    routed: AtomicU64::new(0),
+                    routed: tel.counter(routed_name(i), Unit::Count),
                     serving: Mutex::new(()),
                 })
                 .collect(),
@@ -304,7 +319,7 @@ impl ReadRouter {
             routed_per_replica: self
                 .nodes
                 .iter()
-                .map(|n| n.routed.load(Ordering::Relaxed))
+                .map(|n| self.tel.count(n.routed))
                 .collect(),
         }
     }
@@ -407,7 +422,7 @@ impl ReadRouter {
     /// monotone outside snapshot rebases, which only ever move forward).
     fn read_node(&self, i: usize, table: u32, key: u64, min: Lsn) -> StorageResult<RoutedRead> {
         let node = &self.nodes[i];
-        node.routed.fetch_add(1, Ordering::Relaxed);
+        self.tel.inc(node.routed);
         let value = if self.cfg.service > Duration::ZERO {
             let _slot = lock(&node.serving);
             runtime::precise_sleep(self.cfg.service);
@@ -677,5 +692,8 @@ mod tests {
             "{st:?}"
         );
         assert_eq!((st.routed, st.fallback_primary), (8, 1), "{st:?}");
+        let per_replica = ["router.routed.0", "router.routed.1"].map(|n| snap.counter(n).unwrap());
+        assert_eq!(per_replica.to_vec(), st.routed_per_replica, "{st:?}");
+        assert_eq!(per_replica, [4, 4], "round-robin");
     }
 }

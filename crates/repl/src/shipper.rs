@@ -119,11 +119,7 @@ impl Shipper {
                     // from a fresh checkpoint snapshot instead.
                     if at < device.low_water() {
                         let snap: BaseSnapshot = replay::base_snapshot(&primary);
-                        let msg = SnapshotFrame {
-                            seq,
-                            body: snap.encode(),
-                        };
-                        if !tx.send(msg.encode()) {
+                        if !tx.send(SnapshotFrame::encode_snapshot(seq, &snap)) {
                             return; // replica gone
                         }
                         seq += 1;

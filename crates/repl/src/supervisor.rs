@@ -25,9 +25,10 @@
 
 use crate::cluster::ReplicatedDb;
 use aether_core::runtime::{self, lock, WaitSet};
+use aether_core::telemetry::{CounterId, Telemetry, TelemetrySnapshot, Unit};
 use aether_storage::db::Db;
 use aether_storage::recovery::RecoveryStats;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -79,9 +80,15 @@ enum SupState {
 
 struct SupShared {
     state: Mutex<SupState>,
-    probes: AtomicU64,
-    heals: AtomicU64,
-    promotions: AtomicU64,
+    /// The supervised primary's registry, which keeps the counters below
+    /// after a failover replaces the primary.
+    tel: Arc<Telemetry>,
+    /// `sup.probes`: health probes completed.
+    probes: CounterId,
+    /// `sup.heals`: replica pipelines quarantined and replaced.
+    heals: CounterId,
+    /// `sup.promotions`: failovers performed.
+    promotions: CounterId,
     /// Set once a failover has left `Running` for good. `wait_promoted`
     /// looks here, not at `state`, which the watch loop holds across a heal
     /// or a promotion.
@@ -113,11 +120,13 @@ impl Supervisor {
     /// Take ownership of `cluster` and start supervising it under `cfg`.
     pub fn start(cluster: ReplicatedDb, cfg: SupervisorConfig) -> Supervisor {
         let rt = cluster.primary().log().config().runtime.clone();
+        let tel = Arc::clone(cluster.primary().log().telemetry());
         let shared = Arc::new(SupShared {
             state: Mutex::new(SupState::Running(cluster)),
-            probes: AtomicU64::new(0),
-            heals: AtomicU64::new(0),
-            promotions: AtomicU64::new(0),
+            probes: tel.counter("sup.probes", Unit::Count),
+            heals: tel.counter("sup.heals", Unit::Count),
+            promotions: tel.counter("sup.promotions", Unit::Count),
+            tel,
             settled: AtomicBool::new(false),
             stop: AtomicBool::new(false),
             wake: WaitSet::new(),
@@ -134,11 +143,18 @@ impl Supervisor {
 
     /// Counters so far.
     pub fn report(&self) -> SupervisorReport {
+        let (tel, sh) = (&self.shared.tel, &self.shared);
         SupervisorReport {
-            probes: self.shared.probes.load(Ordering::Relaxed),
-            heals: self.shared.heals.load(Ordering::Relaxed),
-            promotions: self.shared.promotions.load(Ordering::Relaxed),
+            probes: tel.count(sh.probes),
+            heals: tel.count(sh.heals),
+            promotions: tel.count(sh.promotions),
         }
+    }
+
+    /// A snapshot of the registry the supervisor counts on (the supervised
+    /// primary's), tagged with `scope`.
+    pub fn telemetry_snapshot(&self, scope: &str) -> TelemetrySnapshot {
+        self.shared.tel.snapshot(scope)
     }
 
     /// The current primary: the supervised cluster's while it is healthy,
@@ -222,7 +238,7 @@ fn watch_loop(shared: Arc<SupShared>, cfg: SupervisorConfig) {
             SupState::Running(c) => c,
             _ => return,
         };
-        shared.probes.fetch_add(1, Ordering::Relaxed);
+        shared.tel.inc(shared.probes);
 
         // Primary death: poisoned log (terminal I/O failure) or poisoned
         // commit gate (replication declared dead).
@@ -259,7 +275,7 @@ fn watch_loop(shared: Arc<SupShared>, cfg: SupervisorConfig) {
         // mass outage should converge a pipeline at a time, not stampede.
         if let Some(i) = heal {
             if cluster.heal_replica(i).is_ok() {
-                shared.heals.fetch_add(1, Ordering::Relaxed);
+                shared.tel.inc(shared.heals);
                 lag_since[i] = None;
             }
         }
@@ -277,7 +293,7 @@ fn promote_best(mut cluster: ReplicatedDb, shared: &SupShared) -> SupState {
     let i = cluster.most_caught_up();
     match cluster.promote(i) {
         Ok((db, stats)) => {
-            shared.promotions.fetch_add(1, Ordering::Relaxed);
+            shared.tel.inc(shared.promotions);
             SupState::Promoted { db, stats }
         }
         Err(e) => SupState::Failed(e.to_string()),

@@ -21,6 +21,11 @@ fn primary_db() -> Arc<Db> {
     db
 }
 
+/// The supervisor's counter `name`, read from its registry's snapshot.
+fn count(sup: &Supervisor, name: &str) -> u64 {
+    sup.telemetry_snapshot("sup").counter(name).unwrap()
+}
+
 fn commit_mark(db: &Arc<Db>, key: u64, mark: u8) {
     let mut t = db.begin();
     db.update_with(&mut t, 0, key, |r| r[0] = mark).unwrap();
@@ -47,14 +52,14 @@ fn stop_does_not_wait_out_the_probe() {
             ..SupervisorConfig::default()
         },
     );
-    while sup.report().probes == 0 {
+    while count(&sup, "sup.probes") == 0 {
         runtime::sleep(Duration::from_millis(1));
     }
     let t0 = runtime::monotonic_ns();
     sup.stop();
     let took = runtime::monotonic_ns() - t0;
     assert!(took < 100_000_000, "stop took {took} ns with a 10 s probe");
-    assert_eq!(sup.report().probes, 1);
+    assert_eq!(count(&sup, "sup.probes"), 1);
 }
 
 #[test]
@@ -86,7 +91,7 @@ fn stalled_replica_is_quarantined_and_healed() {
         commit_mark(&primary, i % 32, 7);
     }
     let deadline = runtime::monotonic_ns() + 5_000_000_000;
-    while sup.report().heals == 0 {
+    while count(&sup, "sup.heals") == 0 {
         assert!(
             runtime::monotonic_ns() < deadline,
             "supervisor never healed the stalled replica: {:?}",
@@ -94,7 +99,11 @@ fn stalled_replica_is_quarantined_and_healed() {
         );
         runtime::sleep(Duration::from_millis(2));
     }
-    assert_eq!(sup.report().promotions, 0, "healthy primary: no failover");
+    assert_eq!(
+        count(&sup, "sup.promotions"),
+        0,
+        "healthy primary: no failover"
+    );
     // The healed pipeline (fresh snapshot + default fast link) catches up.
     let cluster = sup.release().expect("no failover consumed the cluster");
     assert!(
@@ -133,7 +142,7 @@ fn poisoned_gate_triggers_auto_promotion_with_zero_committed_loss() {
     let (promoted, stats) = sup
         .wait_promoted(Duration::from_secs(10))
         .expect("supervisor must fail over");
-    assert_eq!(sup.report().promotions, 1);
+    assert_eq!(count(&sup, "sup.promotions"), 1);
     assert!(stats.winners > 0, "promotion replayed committed work");
     for k in 0..32u64 {
         let v = promoted.snapshot_read(0, k).unwrap().unwrap();

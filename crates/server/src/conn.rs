@@ -3,12 +3,16 @@
 //! Each connection is served by two threads ([`crate::server`]). The
 //! *connection thread* reads frames off the socket and executes each request
 //! in place, in arrival order, against the engine; a statement blocked on a
-//! row lock stalls only its own connection. The *writer thread* parks on the
-//! [`RespQueue`] until the front slot is filled and writes the responses.
+//! row lock stalls only its own connection. Consecutive auto-commits of one
+//! read run as one ([`Db::update_commit_run`]): one log reservation, one
+//! commit tail and one lock of the response queue serve the run. The
+//! *writer thread* parks on the [`RespQueue`] until the front slot is filled
+//! and writes the responses.
 //!
-//! Pipelining without reordering: the connection thread reserves one
-//! [`RespQueue`] slot per request *before* executing it, so slot order is
-//! request order. Fast statements, and commits under the blocking
+//! Pipelining without reordering: only the connection thread reserves
+//! [`RespQueue`] slots, one per request, in request order — before
+//! executing a request, and for a run of auto-commits once it has run —
+//! so slot order is request order. Fast statements, and commits under the blocking
 //! protocols, fulfill their slot synchronously. A pipelined commit's slot is
 //! filled by the queue's subscription to the log's durable watermark: the
 //! queue is the connection's [`Subscriber`], and the flush that hardens the
@@ -24,7 +28,7 @@ use aether_core::lsn::Lsn;
 use aether_core::record::crc32;
 use aether_core::runtime::{lock, WaitSet};
 use aether_core::telemetry::{HistId, Telemetry, Unit};
-use aether_storage::{CommitToken, Db, StorageError, StorageResult, Transaction};
+use aether_storage::{CommitToken, Db, StorageError, StorageResult, Transaction, RUN_MAX};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
@@ -160,20 +164,13 @@ impl RespQueue {
     /// Answer slot `seq` once the log's watermark reaches `lsn`, the end of
     /// a commit record: publish the commit, then look (see
     /// [`CommitPipeline::watch`]).
-    fn await_commit(
-        &self,
-        log: &CommitPipeline,
-        seq: u64,
-        lsn: Lsn,
-        dedup: Option<u64>,
-        t0: Option<u64>,
-    ) {
+    fn await_commit(&self, log: &CommitPipeline, seq: u64, lsn: Lsn, t0: Option<u64>) {
         {
             let mut g = lock(&self.inner);
             g.commits.push_back(PendingCommit {
                 lsn,
                 seq,
-                dedup,
+                dedup: None,
                 t0,
             });
             if g.commits.len() == 1 {
@@ -181,6 +178,71 @@ impl RespQueue {
             }
         }
         log.watch(self, lsn);
+    }
+
+    /// Reserve the next slots for the run of auto-commits `ids` (requests
+    /// received at `t0`) and answer them by their outcomes `out`, under one
+    /// lock: a pending commit (its commit stage began at `t_commit`) is
+    /// published for the watermark, anything else is answered now. Each
+    /// dedup entry settles before its ack. Then one look at the watermark
+    /// at the run's first pending LSN answers whatever a flush hardened
+    /// before the run was published ([`CommitPipeline::watch_commits`]).
+    fn answer_run(
+        &self,
+        log: &CommitPipeline,
+        ids: &[u64],
+        out: &[StorageResult<CommitToken>],
+        pending: bool,
+        t0: Option<u64>,
+        t_commit: Option<u64>,
+    ) {
+        let now = self.tel.ts();
+        let (mut first, mut waiting, mut front) = (None, 0, false);
+        {
+            let mut g = lock(&self.inner);
+            let was_idle = g.commits.is_empty();
+            for (&req_id, done) in ids.iter().zip(out) {
+                let seq = g.next;
+                g.next += 1;
+                g.slots.push_back(Slot {
+                    req_id,
+                    t0,
+                    resp: None,
+                });
+                let resp = match done {
+                    Ok(token) if pending => {
+                        g.commits.push_back(PendingCommit {
+                            lsn: token.lsn(),
+                            seq,
+                            dedup: Some(req_id),
+                            t0: t_commit,
+                        });
+                        first.get_or_insert(token.lsn());
+                        waiting += 1;
+                        continue;
+                    }
+                    Ok(token) => {
+                        let token = token.lsn().raw();
+                        self.dedup.complete(req_id, token);
+                        Response::Committed { token }
+                    }
+                    Err(e) => {
+                        self.dedup.forget(req_id);
+                        err_of(e)
+                    }
+                };
+                front |= self.fill(&mut g, seq, resp, now);
+            }
+            if was_idle && first.is_some() {
+                self.low.set(first);
+            }
+        }
+        if front {
+            self.ready.notify();
+        }
+        if let Some(lsn) = first {
+            log.watch_commits(self, lsn, waiting);
+        }
     }
 
     /// Park until the front slot is filled, then move the completed prefix
@@ -274,17 +336,117 @@ fn err_of(e: &StorageError) -> Response {
     }
 }
 
-/// Execute one request whose response slot `seq` is already reserved.
-pub(crate) fn exec_one(
+/// Execute one read's requests in arrival order: each run of auto-commits
+/// as one ([`exec_run`]), every other request alone.
+pub(crate) fn exec_batch(
+    engine: &Engine,
+    resp: &RespQueue,
+    open: &mut BTreeMap<u64, Transaction>,
+    batch: &[(u64, Request)],
+) {
+    let (mut at, mut claimed) = (0, 0);
+    while at < batch.len() {
+        let (req_id, req) = &batch[at];
+        if let Request::Update { txn: 0, .. } = req {
+            let (done, left) = exec_run(engine, resp, &batch[at..], claimed);
+            (at, claimed) = (at + done, left);
+        } else {
+            debug_assert_eq!(claimed, 0, "a run left claims behind");
+            let seq = resp.reserve(*req_id);
+            exec_one(engine, resp, open, seq, req);
+            at += 1;
+        }
+    }
+}
+
+/// Execute the run of auto-commits at the front of `batch` — the
+/// `Update { txn: 0 }` requests there on one table, at most [`RUN_MAX`] —
+/// with one [`Db::update_commit_run`]: one log reservation, one commit tail,
+/// then one lock of the response queue for their slots and pending commits
+/// ([`RespQueue::answer_run`]). The first `claimed` of them were claimed in
+/// the dedup window by the run before, which did not get to them. Returns
+/// how many requests it answered, and how many after those it claimed
+/// without running.
+///
+/// Exactly-once for retrying clients: a nonce-tagged request id is checked
+/// against the engine's dedup window first, so a retry of an
+/// already-hardened commit replays the original token instead of
+/// re-executing; a retry still in flight ends the run before it.
+fn exec_run(
+    engine: &Engine,
+    resp: &RespQueue,
+    batch: &[(u64, Request)],
+    claimed: usize,
+) -> (usize, usize) {
+    let t0 = resp.tel.ts();
+    let mut ids = [0u64; RUN_MAX];
+    let mut items: [(u64, &[u8]); RUN_MAX] = [(0, &[]); RUN_MAX];
+    let (mut n, mut run_table) = (0, None);
+    for (i, (req_id, req)) in batch.iter().take(RUN_MAX).enumerate() {
+        let &Request::Update {
+            txn: 0,
+            table,
+            key,
+            ref value,
+        } = req
+        else {
+            break;
+        };
+        if run_table.is_some_and(|t| t != table) {
+            break;
+        }
+        let claim = match i < claimed {
+            true => Claim::New,
+            false => engine.dedup.claim(*req_id),
+        };
+        let answer = match claim {
+            Claim::New => None,
+            _ if n > 0 => break,
+            Claim::Done(token) => Some(Response::Committed { token }),
+            Claim::InFlight => Some(Response::Err {
+                code: ErrCode::Busy as u16,
+                msg: format!("request {req_id} is still executing"),
+            }),
+        };
+        if let Some(answer) = answer {
+            let seq = resp.reserve(*req_id);
+            resp.fulfill(seq, answer);
+            return (1, 0);
+        }
+        run_table = Some(table);
+        ids[n] = *req_id;
+        items[n] = (key, value);
+        n += 1;
+    }
+    let db = &engine.db;
+    let mut out: [StorageResult<CommitToken>; RUN_MAX] =
+        std::array::from_fn(|_| Ok(CommitToken::ZERO));
+    let table = run_table.expect("a run starts with an auto-commit");
+    let run = db.update_commit_run(table, &items[..n], &mut out);
+    // Their commit stage begins once their records are in the log.
+    let t_commit = db.log().telemetry().ts();
+    resp.answer_run(
+        db.log().pipeline(),
+        &ids[..run.done],
+        &out[..run.done],
+        run.pending,
+        t0,
+        t_commit,
+    );
+    (run.done, n - run.done)
+}
+
+/// Execute one request other than an auto-commit, whose response slot
+/// `seq` is already reserved.
+fn exec_one(
     engine: &Engine,
     resp: &RespQueue,
     open: &mut BTreeMap<u64, Transaction>,
     seq: u64,
-    req_id: u64,
-    req: Request,
+    req: &Request,
 ) {
     let db = &engine.db;
-    match req {
+    match *req {
         Request::Begin => match db.try_begin() {
             Ok(t) => {
                 let id = t.id;
@@ -343,50 +505,12 @@ pub(crate) fn exec_one(
             }
         }
         Request::Update {
-            txn: 0,
-            table,
-            key,
-            value,
-        } => {
-            // Auto-commit: one statement, one transaction, one log record
-            // (`Db::update_commit`), acked at durability. This is the
-            // stream that feeds group commit — every pipelined connection
-            // keeps several of these in flight, and one flush completes
-            // them all.
-            //
-            // Exactly-once for retrying clients: a nonce-tagged request id
-            // is checked against the engine's dedup window first, so a
-            // retry of an already-hardened commit replays the original
-            // token instead of re-executing.
-            match engine.dedup.claim(req_id) {
-                Claim::Done(token) => {
-                    resp.fulfill(seq, Response::Committed { token });
-                    return;
-                }
-                Claim::InFlight => {
-                    resp.fulfill(
-                        seq,
-                        Response::Err {
-                            code: ErrCode::Busy as u16,
-                            msg: format!("request {req_id} is still executing"),
-                        },
-                    );
-                    return;
-                }
-                Claim::New => {}
-            }
-            // Its commit stage begins once its one record is in the log.
-            let done = db.update_commit(table, key, &value);
-            let t0 = db.log().telemetry().ts();
-            answer_commit(engine, resp, seq, Some(req_id), t0, done);
-        }
-        Request::Update {
             txn,
             table,
             key,
-            value,
+            ref value,
         } => match open.get_mut(&txn) {
-            Some(t) => match db.update(t, table, key, &value) {
+            Some(t) => match db.update(t, table, key, value) {
                 Ok(()) => resp.fulfill(seq, Response::UpdateOk),
                 Err(e) => {
                     // Statement failure rolls the whole transaction back
@@ -407,7 +531,7 @@ pub(crate) fn exec_one(
             // itself dies with the connection), so no dedup id.
             Some(t) => {
                 let t0 = db.log().telemetry().ts();
-                answer_commit(engine, resp, seq, None, t0, db.commit_deferred(t));
+                answer_commit(db, resp, seq, t0, db.commit_deferred(t));
             }
             None => resp.fulfill(seq, no_such_txn(txn)),
         },
@@ -421,37 +545,27 @@ pub(crate) fn exec_one(
     }
 }
 
-/// Answer slot `seq` with the outcome `done` of a commit begun at `t0`
-/// (`Db::commit_deferred` or `Db::update_commit`): at once under the
-/// blocking protocols (the commit is durable when the call returns), and
-/// from the queue's subscription under the asynchronous ones. Every
-/// outcome, errors included, is answered exactly once.
+/// Answer slot `seq` with the outcome `done` of an interactive commit begun
+/// at `t0` (`Db::commit_deferred`): at once under the blocking protocols
+/// (the commit is durable when the call returns), and from the queue's
+/// subscription under the asynchronous ones. Every outcome, errors
+/// included, is answered exactly once.
 fn answer_commit(
-    engine: &Engine,
+    db: &Db,
     resp: &RespQueue,
     seq: u64,
-    dedup_id: Option<u64>,
     t0: Option<u64>,
     done: StorageResult<(CommitToken, bool)>,
 ) {
-    let db = &engine.db;
     match done {
-        Ok((token, true)) => resp.await_commit(db.log().pipeline(), seq, token.lsn(), dedup_id, t0),
-        Ok((token, false)) => {
-            let token = token.lsn().raw();
-            // Settle the dedup entry *before* acking: once the client sees
-            // Committed, any duplicate must replay.
-            if let Some(id) = dedup_id {
-                engine.dedup.complete(id, token);
-            }
-            resp.fulfill(seq, Response::Committed { token });
-        }
-        Err(e) => {
-            if let Some(id) = dedup_id {
-                engine.dedup.forget(id);
-            }
-            resp.fulfill(seq, err_of(&e));
-        }
+        Ok((token, true)) => resp.await_commit(db.log().pipeline(), seq, token.lsn(), t0),
+        Ok((token, false)) => resp.fulfill(
+            seq,
+            Response::Committed {
+                token: token.lsn().raw(),
+            },
+        ),
+        Err(e) => resp.fulfill(seq, err_of(&e)),
     }
 }
 

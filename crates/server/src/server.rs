@@ -1,9 +1,10 @@
 //! The serving threads: two per connection, each parked on what it waits
 //! for, and an acceptor.
 //!
-//! * The *connection thread* blocks in [`ByteStream::read`]. For every
-//!   complete frame it reserves a response slot and executes the request in
-//!   place (`conn.rs`).
+//! * The *connection thread* blocks in [`ByteStream::read`]. It decodes
+//!   every complete frame of a read, then executes the requests in place,
+//!   in order, each in a response slot of its own; a run of auto-commits
+//!   executes as one (`conn.rs`).
 //! * The *writer thread* parks on the connection's response queue. Whenever
 //!   the front slot is filled it encodes the whole completed prefix into one
 //!   buffer and writes it with one call, not one per response. A client that
@@ -22,7 +23,7 @@
 //!
 //! [`chan_pair`]: crate::stream::chan_pair
 
-use crate::conn::{exec_one, Engine, RespQueue};
+use crate::conn::{exec_batch, Engine, RespQueue};
 use crate::protocol::{request_at, Extracted};
 use crate::stream::{
     chan_conn, ByteStream, ChanByteStream, Closer, Halves, ReadOutcome, TcpByteStream,
@@ -257,28 +258,29 @@ fn serve(sh: &Shared, id: u64, mut input: Box<dyn ByteStream>, output: Box<dyn B
     // teardown abort sweep is ordered — identical across sim replays.
     let mut open = BTreeMap::new();
     let mut inbuf = Vec::new();
-    'conn: while matches!(input.read(&mut inbuf), Ok(ReadOutcome::Bytes(_)))
+    // The requests one read completed, decoded before any runs.
+    let mut batch = Vec::new();
+    while matches!(input.read(&mut inbuf), Ok(ReadOutcome::Bytes(_)))
         && !sh.stop.load(Ordering::SeqCst)
     {
-        // Execute every frame the read completed, then drop them at once.
         let mut at = 0;
-        loop {
+        let corrupt = loop {
             match request_at(&inbuf, &mut at) {
-                Extracted::Msg { req_id, msg } => {
-                    sh.tel.inc(sh.ids.requests);
-                    let seq = resp.reserve(req_id);
-                    exec_one(&sh.engine, &resp, &mut open, seq, req_id, msg);
-                }
-                Extracted::NeedMore => break,
-                Extracted::Corrupt => {
-                    // Unrecoverable framing damage: the length prefix
-                    // needed to skip the bad frame is itself suspect.
-                    sh.tel.inc(sh.ids.corrupt_frames);
-                    break 'conn;
-                }
+                Extracted::Msg { req_id, msg } => batch.push((req_id, msg)),
+                Extracted::NeedMore => break false,
+                // Unrecoverable framing damage: the length prefix needed
+                // to skip the bad frame is itself suspect.
+                Extracted::Corrupt => break true,
             }
-        }
+        };
+        sh.tel.add(sh.ids.requests, batch.len() as u64);
+        exec_batch(&sh.engine, &resp, &mut open, &batch);
+        batch.clear();
         inbuf.drain(..at);
+        if corrupt {
+            sh.tel.inc(sh.ids.corrupt_frames);
+            break;
+        }
     }
     input.close();
     resp.close();

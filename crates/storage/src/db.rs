@@ -3,7 +3,7 @@
 
 use crate::error::{StorageError, StorageResult};
 use crate::lock::{LockConfig, LockId, LockManager, LockMode};
-use crate::page::{PageId, Rid};
+use crate::page::{Frame, PageId, Rid};
 use crate::segmented::Segmented;
 use crate::store::PageStore;
 use crate::table::Table;
@@ -11,12 +11,27 @@ use crate::txn::{CommitOutcome, CommitProtocol, Transaction, TxnManager, TxnStat
 use crate::wal::{CheckpointPayload, ClrPayload, UpdateCommitPayload, UpdatePayload};
 use aether_core::commit::CommitToken;
 use aether_core::device::LogDevice;
+use aether_core::record::on_log_size;
 use aether_core::runtime::write;
 use aether_core::telemetry::{CounterId, HistId, Telemetry, Unit};
 use aether_core::{
     BufferKind, DeviceKind, LogConfig, LogManager, Lsn, RecordKind, TelemetrySnapshot,
 };
-use std::sync::Arc;
+use std::sync::{Arc, RwLockWriteGuard};
+
+/// The most statements [`Db::update_commit_run`] runs as one.
+pub const RUN_MAX: usize = 16;
+
+/// What [`Db::update_commit_run`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunOutcome {
+    /// How many of the items it ran, at least one: the rest are the next
+    /// run's. `out[..done]` holds their outcomes.
+    pub done: usize,
+    /// Whether its commits still wait for the log, as
+    /// [`Db::commit_deferred`]'s flag says.
+    pub pending: bool,
+}
 
 /// How a commit stands when [`Db::commit_inner`] returns.
 enum Fate {
@@ -299,8 +314,12 @@ impl Db {
     /// Lock-free snapshot read: the latest committed-or-in-flight cell
     /// image, taken without a transaction, locks, or undo bookkeeping. On a
     /// standby this is the replica serving path (`ReadRouter` in
-    /// `aether-repl`); on a primary it is the router's freshness-fallback —
-    /// the primary's state is by definition never stale.
+    /// `aether-repl`); on a primary it is the router's freshness-fallback.
+    /// On a primary the image may be in flight: an open transaction's
+    /// update, or a commit whose record is not durable yet (ELR has
+    /// released its lock, and a one-record commit writes its cell before
+    /// its record is durable), so a reader can see a value that a crash
+    /// then loses.
     pub fn snapshot_read(&self, table: u32, key: u64) -> StorageResult<Option<Vec<u8>>> {
         let t = self.table(table)?;
         Ok(t.rid_of(key).and_then(|rid| t.read(rid)))
@@ -467,40 +486,147 @@ impl Db {
     }
 
     /// Overwrite the record at `key` in a transaction of its own that
-    /// commits in the one record it logs, a
-    /// [`RecordKind::UpdateCommit`]: the wire's auto-commit. Admission as
-    /// [`Db::try_begin`], a fresh transaction id and the X row lock; then,
-    /// under the page's write latch, the presence check, the after-image
-    /// and the record, which is encoded from the frame and whose LSN the
-    /// page takes; then the commit tail every protocol runs
-    /// (`Db::harden`). Returns what [`Db::commit_deferred`] returns.
-    ///
-    /// Nothing of such a transaction can be undone, so it takes no ATT
-    /// slot, keeps no before-image and logs no separate commit record:
-    /// recovery counts the record a winner and only redo reads it. Every
-    /// check that can fail comes before the record, so a refused write logs
-    /// nothing, and a checkpoint's dirty-page capture, which latches each
-    /// page, never sees the record without the dirty page.
+    /// commits in the one record it logs, a [`RecordKind::UpdateCommit`]:
+    /// a run of one ([`Db::update_commit_run`]). Returns what
+    /// [`Db::commit_deferred`] returns.
     pub fn update_commit(
         self: &Arc<Self>,
         table: u32,
         key: u64,
         record: &[u8],
     ) -> StorageResult<(CommitToken, bool)> {
-        self.admit()?;
-        let t = self.table(table)?;
-        t.check_record(record)?;
-        let id = self.txns.next_id();
-        let row = LockId::row(table, key);
-        self.locks.acquire(id, row, LockMode::X)?;
-        let logged = t.rid_of(key).and_then(|rid| {
-            let mut g = write(t.frame(rid.page_no));
-            let off = t.geom.offset(rid.slot);
-            if g.data[off] != 1 {
-                return None;
+        let mut out = [Ok(CommitToken::ZERO)];
+        let run = self.update_commit_run(table, &[(key, record)], &mut out);
+        let [done] = out;
+        done.map(|token| (token, run.pending))
+    }
+
+    /// Run a prefix of `items`, `(key, record)` overwrites of `table`, as
+    /// one-record transactions logged together: the wire's pipelined
+    /// auto-commits. Each statement is a transaction of its own, with its
+    /// own id and X row lock, that commits in the one
+    /// [`RecordKind::UpdateCommit`] record it logs; `out[i]` gets statement
+    /// `i`'s commit token, or why it failed and logged nothing. The log
+    /// bytes are those of the statements run one by one.
+    ///
+    /// What the run shares: one admission check (its refusal fails only the
+    /// first statement), one `fetch_add` of ids, one reservation of the
+    /// log's insert lock for every record ([`LogManager::reserve_run`]),
+    /// one release, and one commit tail (`Db::harden`: one lock release
+    /// sweep, one wait or one flush registration). The run holds nothing
+    /// until its first lock, which may wait; every later lock is taken only
+    /// if it is free at once ([`LockManager::try_grant`]), and a refusal
+    /// ends the run before that statement, so a key repeated in the run or
+    /// held by an open transaction waits in the next run, not in this one
+    /// behind its own locks. Every page the run writes is write-latched, in
+    /// page order, from before the reservation until it is stamped, and the
+    /// presence checks run under those latches: a checkpoint's dirty-page
+    /// capture never sees a record without its dirty page. Nothing of such
+    /// a transaction can be undone, so it takes no ATT slot and keeps no
+    /// before-image: recovery counts the record a winner and only redo
+    /// reads it.
+    ///
+    /// Runs at most [`RUN_MAX`] statements and an eighth of the log's ring,
+    /// and at least one; allocates nothing.
+    pub fn update_commit_run(
+        self: &Arc<Self>,
+        table: u32,
+        items: &[(u64, &[u8])],
+        out: &mut [StorageResult<CommitToken>],
+    ) -> RunOutcome {
+        let t = match self.admit().and_then(|()| self.table(table)) {
+            Ok(t) => t,
+            Err(e) => {
+                out[0] = Err(e);
+                return RunOutcome {
+                    done: 1,
+                    pending: false,
+                };
             }
+        };
+        let payload_len = UpdateCommitPayload::<&[u8]>::len_for(t.geom.cell_size);
+        let rec_len = on_log_size(payload_len) as u64;
+        let fit = (self.log.buffer().core().capacity() / 8 / rec_len).clamp(1, RUN_MAX as u64);
+        let items = &items[..items.len().min(fit as usize)];
+        let first_id = self.txns.next_ids(items.len() as u64);
+        let row = |i: usize| LockId::row(table, items[i].0);
+
+        // Locks: `rids[i]` is set while statement `i` holds its lock.
+        let mut rids = [None::<Rid>; RUN_MAX];
+        let mut held = 0;
+        let mut done = items.len();
+        for (i, &(key, record)) in items.iter().enumerate() {
+            if let Err(e) = t.check_record(record) {
+                out[i] = Err(e);
+                continue;
+            }
+            let id = first_id + i as u64;
+            if held == 0 {
+                if let Err(e) = self.locks.acquire(id, row(i), LockMode::X) {
+                    out[i] = Err(e);
+                    continue;
+                }
+            } else if !self.locks.try_grant(id, row(i), LockMode::X) {
+                done = i;
+                break;
+            }
+            match t.rid_of(key) {
+                Some(rid) => {
+                    rids[i] = Some(rid);
+                    held += 1;
+                }
+                None => {
+                    self.locks.release(id, row(i));
+                    out[i] = Err(StorageError::KeyNotFound { table, key });
+                }
+            }
+        }
+
+        // Latches, in page order, then the presence checks under them.
+        let mut pages = [0u32; RUN_MAX];
+        let mut np = 0;
+        for rid in rids[..done].iter().flatten() {
+            if !pages[..np].contains(&rid.page_no) {
+                pages[np] = rid.page_no;
+                np += 1;
+            }
+        }
+        pages[..np].sort_unstable();
+        let mut frames: [Option<RwLockWriteGuard<'_, Frame>>; RUN_MAX] = Default::default();
+        for (g, &page_no) in frames.iter_mut().zip(&pages[..np]) {
+            *g = Some(write(t.frame(page_no)));
+        }
+        let frame_of = |rid: Rid| pages[..np].binary_search(&rid.page_no).expect("latched");
+        for i in 0..done {
+            let Some(rid) = rids[i] else { continue };
+            let g = frames[frame_of(rid)].as_ref().expect("latched");
+            if g.data[t.geom.offset(rid.slot)] != 1 {
+                rids[i] = None;
+                held -= 1;
+                self.locks.release(first_id + i as u64, row(i));
+                out[i] = Err(StorageError::KeyNotFound {
+                    table,
+                    key: items[i].0,
+                });
+            }
+        }
+        if held == 0 {
+            return RunOutcome {
+                done,
+                pending: false,
+            };
+        }
+
+        // One reservation for every record: each is encoded from its
+        // frame's new cell, and the frame takes its LSN.
+        let mut run = self.log.reserve_run(held as u64 * rec_len);
+        let mut last = Lsn::ZERO;
+        for i in 0..done {
+            let Some(rid) = rids[i] else { continue };
+            let g = frames[frame_of(rid)].as_mut().expect("latched");
+            let off = t.geom.offset(rid.slot);
             let cell = &mut g.data[off..off + t.geom.cell_size];
-            cell[1..].copy_from_slice(record);
+            cell[1..].copy_from_slice(items[i].1);
             let payload = UpdateCommitPayload {
                 page: PageId {
                     table,
@@ -509,20 +635,55 @@ impl Db {
                 slot: rid.slot,
                 after: &*cell,
             };
-            let (lsn, end) =
-                self.log
-                    .insert_payload(RecordKind::UpdateCommit, id, Lsn::ZERO, &payload);
+            let mut slot = run.record(
+                RecordKind::UpdateCommit,
+                first_id + i as u64,
+                Lsn::ZERO,
+                payload_len,
+            );
+            slot.fill(&payload);
+            last = slot.end_lsn();
+            let lsn = slot.release();
             g.stamp(lsn);
-            Some(end)
-        });
-        let Some(end) = logged else {
-            self.locks.release_all(id, &[row]);
-            return Err(StorageError::KeyNotFound { table, key });
-        };
-        // Its commit stage begins once its one record is in the log.
+            out[i] = Ok(CommitToken::at(last));
+        }
+        run.release();
+        drop(frames);
+
+        // Their commit stage begins once their records are in the log.
         let t_commit = self.log.telemetry().ts();
-        let fate = self.harden(id, &[row], end, t_commit, None)?;
-        Ok((CommitToken::at(end), matches!(fate, Fate::Pending)))
+        let fate = self.harden(held, last, t_commit, None, || {
+            for (i, rid) in rids[..done].iter().enumerate() {
+                if rid.is_some() {
+                    self.locks.release(first_id + i as u64, row(i));
+                }
+            }
+        });
+        let pending = match fate {
+            Ok(fate) => matches!(fate, Fate::Pending),
+            // The wait for the log failed: each commit not durable by now
+            // never will be.
+            Err(_) => {
+                let durable = self.log.durable_lsn();
+                for o in &mut out[..done] {
+                    if matches!(o, Ok(token) if token.lsn() > durable) {
+                        *o = Err(self.log_closed());
+                    }
+                }
+                false
+            }
+        };
+        RunOutcome { done, pending }
+    }
+
+    /// Why a wait for the log ended short: it is poisoned or shut down.
+    fn log_closed(&self) -> StorageError {
+        StorageError::Log(match self.log.buffer().core().poison_reason() {
+            Some(reason) => aether_core::AetherError::Poisoned {
+                reason: reason.to_string(),
+            },
+            None => aether_core::AetherError::Shutdown,
+        })
     }
 
     /// Read-modify-write convenience: `f` mutates the record in place.
@@ -717,28 +878,32 @@ impl Db {
             self.log
                 .insert_payload::<[u8]>(RecordKind::Commit, txn.id, txn.last_lsn(), &[]);
         txn.status = TxnStatus::Precommitted;
-        let fate = self.harden(txn.id, &txn.held, end, t_commit, Some(&txn))?;
+        let fate = self.harden(1, end, t_commit, Some(&txn), || {
+            self.locks.release_all(txn.id, &txn.held)
+        })?;
         Ok((fate, CommitToken::at(end)))
     }
 
-    /// The commit tail of transaction `id`, whose commit is in the log
-    /// ending at `end`, holding the locks `held`, per the protocol; `att`
-    /// is its ATT entry, `None` for a one-record transaction, which has
-    /// none. `t_commit` is when the commit began (telemetry on).
+    /// The commit tail of `commits` transactions whose commits are in the
+    /// log, the last ending at `end`, per the protocol: a transaction, or a
+    /// run of one-record ones. `release_locks` drops every lock they hold;
+    /// `att` is the transaction's ATT entry, `None` for one-record
+    /// transactions, which have none. `t_commit` is when the commits began
+    /// (telemetry on).
     fn harden(
         &self,
-        id: u64,
-        held: &[LockId],
+        commits: usize,
         end: Lsn,
         t_commit: Option<u64>,
         att: Option<&Transaction>,
+        release_locks: impl Fn(),
     ) -> StorageResult<Fate> {
-        self.stats.tel.inc(self.stats.commits);
+        self.stats.tel.add(self.stats.commits, commits as u64);
         let protocol = self.opts.protocol;
         // §3, when locks drop: as soon as the commit record is buffered
         // (ELR), or only after the flush (Baseline: delay (B) of Figure 1).
         if protocol.early_release() {
-            self.locks.release_all(id, held);
+            release_locks();
         }
         // §4, who waits for the flush.
         match protocol {
@@ -754,13 +919,15 @@ impl Db {
                 self.stats
                     .tel
                     .add(self.stats.flush_wait_ns, now.saturating_sub(t));
-                // Commit latency: entry to durable.
+                // Commit latency: entry to durable, for each commit.
                 if let Some(t0) = t_commit {
                     let tel = self.log.telemetry();
-                    tel.record(self.tel.commit_latency_ns, now.saturating_sub(t0));
+                    for _ in 0..commits {
+                        tel.record(self.tel.commit_latency_ns, now.saturating_sub(t0));
+                    }
                 }
                 if !protocol.early_release() {
-                    self.locks.release_all(id, held);
+                    release_locks();
                 }
                 // On `Err` the commit record never hardened: the log is
                 // poisoned (or shut down). Locks are released and the txn
@@ -780,7 +947,7 @@ impl Db {
             // commit record, and whoever waits on the commit subscribes to
             // that watermark. Nothing is registered here.
             CommitProtocol::AsyncCommit | CommitProtocol::Pipelined => {
-                self.log.note_commit(end);
+                self.log.note_commits(commits, end);
                 if let Some(txn) = att {
                     self.txns.finish_at(txn, end);
                 }

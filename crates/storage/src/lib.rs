@@ -39,7 +39,7 @@ pub mod wal;
 
 pub use aether_core::commit::CommitToken;
 pub use checkpointer::Checkpointer;
-pub use db::{CrashImage, Db, DbOptions};
+pub use db::{CrashImage, Db, DbOptions, RunOutcome, RUN_MAX};
 pub use error::{StorageError, StorageResult};
 pub use lock::{LockId, LockMode};
 pub use replay::BaseSnapshot;

@@ -31,6 +31,7 @@ use crate::error::{StorageError, StorageResult};
 use aether_core::runtime::{self, lock, WaitSet};
 use aether_core::telemetry::{CounterId, Telemetry, Unit};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -109,10 +110,39 @@ impl Entry {
     }
 }
 
+/// The lock table's hash: one multiply and one fold per word, for the
+/// shard choice and the shard's map alike. A row id is two integers that
+/// no client chooses to collide, so a keyed hash buys nothing here.
+#[derive(Default)]
+struct LockHasher(u64);
+
+impl Hasher for LockHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        let m = u128::from(self.0 ^ v) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type LockMap = HashMap<LockId, Entry, BuildHasherDefault<LockHasher>>;
+
 /// One shard's lock table: an entry per lock that has a holder or a
 /// waiter, and the storage of entries that emptied, kept for the next.
 struct Entries {
-    live: HashMap<LockId, Entry>,
+    live: LockMap,
     spare: Vec<Entry>,
 }
 
@@ -134,6 +164,9 @@ impl Entries {
     }
 }
 
+/// Aligned to two cache lines, so that connections working in different
+/// shards never share a line (adjacent-line prefetch pairs them).
+#[repr(align(128))]
 struct Shard {
     entries: Mutex<Entries>,
     /// The shard's waiters, parked until `entries` lists them as holders.
@@ -266,7 +299,7 @@ impl LockManager {
         let shards = (0..SHARDS)
             .map(|_| Shard {
                 entries: Mutex::new(Entries {
-                    live: HashMap::new(),
+                    live: LockMap::default(),
                     spare: Vec::with_capacity(SPARE_ENTRIES),
                 }),
                 granted: WaitSet::new(),
@@ -305,15 +338,11 @@ impl LockManager {
     }
 
     fn shard(&self, id: LockId) -> &Shard {
-        // FNV-ish mix of table+key.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in id.table.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-        }
-        for b in id.key.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-        }
-        &self.shards[(h % SHARDS as u64) as usize]
+        let mut h = LockHasher::default();
+        id.hash(&mut h);
+        // Bits the shard's map does not index by: its bucket takes the low
+        // ones and its tag the top seven.
+        &self.shards[(h.finish() >> 32) as usize % SHARDS]
     }
 
     /// Acquire `mode` on `id` for `txn`, blocking until granted. Re-entrant:
@@ -392,6 +421,26 @@ impl LockManager {
         shard.granted.notify();
         self.tel.inc(self.lock_timeouts);
         Err(StorageError::LockTimeout { txn })
+    }
+
+    /// Grant `mode` on `id` to `txn` if nobody would have to wait for it,
+    /// and say whether it did. It never queues, so it never waits, never
+    /// adds a wait-for edge and never makes a deadlock: for a caller that
+    /// already holds other locks and would rather stop than wait (a run of
+    /// auto-commits, `Db::update_commit_run`).
+    pub fn try_grant(&self, txn: u64, id: LockId, mode: LockMode) -> bool {
+        let mut entries = lock(&self.shard(id).entries);
+        let entry = entries.entry(id);
+        if let Some(&(_, held)) = entry.granted.iter().find(|&&(t, _)| t == txn) {
+            return held.covers(mode);
+        }
+        // A refusal leaves the entry as it found it, and it has a holder or
+        // a waiter, so it is not an emptied entry left behind.
+        let free = entry.waiters.is_empty() && entry.admits(txn, mode);
+        if free {
+            entry.granted.push((txn, mode));
+        }
+        free
     }
 
     /// Release one lock held by `txn`.
@@ -697,6 +746,27 @@ mod tests {
                 r
             },
         );
+    }
+
+    /// `try_grant` grants what needs no wait and refuses the rest without
+    /// queuing: no waiter, no wait-for edge, nothing to time out.
+    #[test]
+    fn try_grant_never_queues() {
+        let m = mgr(5000);
+        let (a, b) = (LockId::row(1, 1), LockId::row(1, 2));
+        assert!(m.try_grant(1, a, LockMode::X));
+        assert!(m.try_grant(1, a, LockMode::S), "a held X covers S");
+        assert!(!m.try_grant(2, a, LockMode::S), "X held by another");
+        assert!(m.try_grant(2, b, LockMode::S));
+        assert!(m.try_grant(3, b, LockMode::S), "S beside S");
+        assert!(!m.try_grant(3, b, LockMode::X), "no upgrade past a sharer");
+        assert_eq!(m.blocked_acquires(), 0);
+        assert!(edges(&m).is_empty());
+        m.release_all(1, &[a]);
+        assert!(m.try_grant(2, a, LockMode::X), "free once released");
+        m.release_all(2, &[a, b]);
+        m.release_all(3, &[b]);
+        assert_eq!(m.granted_count(), 0);
     }
 
     #[test]

@@ -65,9 +65,21 @@ impl BaseSnapshot {
     /// `[id u64][lsn u64][len u32][bytes]`, then the encoded
     /// ATT/DPT ([`CheckpointPayload`]). One allocation, sized up front.
     pub fn encode(&self) -> Vec<u8> {
-        let ckpt_len = self.checkpoint.encoded_len();
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Bytes [`BaseSnapshot::encode`] writes.
+    pub fn encoded_len(&self) -> usize {
         let pages_len: usize = self.pages.iter().map(|p| 20 + p.2.len()).sum();
-        let mut out = Vec::with_capacity(20 + 16 * self.schema.len() + pages_len + ckpt_len);
+        20 + 16 * self.schema.len() + pages_len + self.checkpoint.encoded_len()
+    }
+
+    /// [`BaseSnapshot::encode`] appending onto `out`: a frame around the
+    /// snapshot is written in the same buffer, with no copy of the body.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let ckpt_len = self.checkpoint.encoded_len();
         out.extend_from_slice(&self.start_lsn.raw().to_le_bytes());
         out.extend_from_slice(&(self.schema.len() as u32).to_le_bytes());
         out.extend_from_slice(&(self.pages.len() as u32).to_le_bytes());
@@ -82,8 +94,7 @@ impl BaseSnapshot {
             out.extend_from_slice(&(data.len() as u32).to_le_bytes());
             out.extend_from_slice(data);
         }
-        self.checkpoint.append_to(&mut out);
-        out
+        self.checkpoint.append_to(out);
     }
 
     /// Decode; `None` on malformed input, which includes pages that are not

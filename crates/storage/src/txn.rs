@@ -355,16 +355,17 @@ impl TxnManager {
         }
     }
 
-    /// A fresh transaction id, with no ATT slot: a one-statement
-    /// transaction that commits in the record it logs is never active in
-    /// the ATT's sense (nothing of it can be undone).
-    pub fn next_id(&self) -> u64 {
-        self.next.fetch_add(1, Ordering::Relaxed)
+    /// `n` fresh transaction ids, the first returned and the rest after
+    /// it, with no ATT slot: a one-statement transaction that commits in
+    /// the record it logs is never active in the ATT's sense (nothing of it
+    /// can be undone).
+    pub fn next_ids(&self, n: u64) -> u64 {
+        self.next.fetch_add(n, Ordering::Relaxed)
     }
 
     /// Begin a transaction.
     pub fn begin(&self) -> Transaction {
-        let id = self.next_id();
+        let id = self.next_ids(1);
         let slot = self.claim(id);
         let b = POOL
             .try_with(|p| p.borrow_mut().pop())

@@ -176,6 +176,11 @@ pub struct UpdateCommitPayload<B> {
 }
 
 impl<B> UpdateCommitPayload<B> {
+    /// The encoded length of a payload whose image is `cell_size` bytes.
+    pub fn len_for(cell_size: usize) -> usize {
+        12 + cell_size
+    }
+
     /// RID touched by this update.
     pub fn rid(&self) -> Rid {
         Rid {
@@ -202,7 +207,7 @@ impl<'a> UpdateCommitPayload<&'a [u8]> {
 
 impl<B: AsRef<[u8]>> EncodePayload for UpdateCommitPayload<B> {
     fn encoded_len(&self) -> usize {
-        12 + self.after.as_ref().len()
+        Self::len_for(self.after.as_ref().len())
     }
 
     fn encode_into(&self, w: &mut SlotWriter<'_>) {

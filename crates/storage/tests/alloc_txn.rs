@@ -3,8 +3,9 @@
 //! what moved.
 //!
 //! Once a thread has run a few transactions, an auto-commit update, a
-//! one-record commit (`Db::update_commit`) and a two-key interactive
-//! transaction allocate nothing under every protocol, and a read-only
+//! one-record commit (`Db::update_commit`), a run of them
+//! (`Db::update_commit_run`) and a two-key interactive transaction
+//! allocate nothing under every protocol, and a read-only
 //! transaction allocates only the value it returns. The
 //! asynchronous protocols register nothing with the log: the ATT slot
 //! settles by the durable watermark, and a `Pipelined` commit's
@@ -23,7 +24,7 @@
 
 use aether_core::device::{DeviceFault, FaultDevice, LogDevice, NullDevice};
 use aether_core::LogConfig;
-use aether_storage::{CommitOutcome, CommitProtocol, Db, DbOptions};
+use aether_storage::{CommitOutcome, CommitProtocol, CommitToken, Db, DbOptions, RUN_MAX};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -83,6 +84,19 @@ enum Shape {
     ReadOnly,
     /// `update_commit`: one record, no ATT slot.
     OneRecord,
+    /// `update_commit_run` of `RUN_MAX` one-record transactions: counted
+    /// per statement.
+    Run,
+}
+
+impl Shape {
+    /// Transactions one call of `run` makes.
+    fn statements(self) -> u64 {
+        match self {
+            Shape::Run => RUN_MAX as u64,
+            _ => 1,
+        }
+    }
 }
 
 /// Run transaction `i` of `shape`; the outcome of its commit.
@@ -90,6 +104,19 @@ fn run(db: &Arc<Db>, shape: Shape, i: u64, rec: &[u8]) -> CommitOutcome {
     if let Shape::OneRecord = shape {
         // Settled by the log's watermark: `settle` flushes everything.
         db.update_commit(0, key(i), rec).unwrap();
+        return CommitOutcome::Durable;
+    }
+    if let Shape::Run = shape {
+        let base = i * RUN_MAX as u64;
+        let items: [(u64, &[u8]); RUN_MAX] = std::array::from_fn(|j| (key(base + j as u64), rec));
+        let mut out = std::array::from_fn::<_, RUN_MAX, _>(|_| Ok(CommitToken::ZERO));
+        // A key twice ends a run before the second: run the rest next.
+        let mut at = 0;
+        while at < RUN_MAX {
+            let run = db.update_commit_run(0, &items[at..], &mut out);
+            assert!(out[..run.done].iter().all(|o| o.is_ok()));
+            at += run.done;
+        }
         return CommitOutcome::Durable;
     }
     let mut txn = db.try_begin().unwrap();
@@ -102,7 +129,7 @@ fn run(db: &Arc<Db>, shape: Shape, i: u64, rec: &[u8]) -> CommitOutcome {
         Shape::ReadOnly => {
             db.read(&mut txn, 0, key(i)).unwrap();
         }
-        Shape::OneRecord => unreachable!("no transaction handle"),
+        Shape::OneRecord | Shape::Run => unreachable!("no transaction handle"),
     }
     db.commit(txn).unwrap()
 }
@@ -172,7 +199,7 @@ fn allocs_per_txn(protocol: CommitProtocol, shape: Shape) -> f64 {
     settle(&db, last);
     ARMED.store(false, Ordering::SeqCst);
     let total = ALLOCS.load(Ordering::SeqCst) + REALLOCS.load(Ordering::SeqCst);
-    total as f64 / BURST as f64
+    total as f64 / (BURST * shape.statements()) as f64
 }
 
 #[test]
@@ -198,6 +225,10 @@ fn a_transaction_allocates_only_what_it_returns() {
         (Elr, OneRecord, 0.0),
         (AsyncCommit, OneRecord, 0.0),
         (Pipelined, OneRecord, 0.0),
+        (Baseline, Run, 0.0),
+        (Elr, Run, 0.0),
+        (AsyncCommit, Run, 0.0),
+        (Pipelined, Run, 0.0),
     ];
     let mut failed = Vec::new();
     for (protocol, shape, ceiling) in table {

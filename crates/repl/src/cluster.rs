@@ -2,7 +2,7 @@
 //!
 //! [`ReplicatedDb::attach`] takes a prepared primary (tables created, bulk
 //! load done, [`Db::setup_complete`] called), captures a checkpoint
-//! [`BaseSnapshot`] (pages + ATT/DPT + the truncation-safe start LSN),
+//! [`BaseSnapshot`] (pages + DPT + the truncation-safe start LSN),
 //! seeds each replica from it (the snapshot shares the primary's stored
 //! page images; a replica copies each page once, into its own frames),
 //! builds the frame/ack links, spawns replicas and shippers, and installs
@@ -79,7 +79,7 @@ impl std::fmt::Debug for ReplicatedDb {
 impl ReplicatedDb {
     /// Attach `cfg.replicas` replicas to a prepared primary and install the
     /// durability policy. Each replica bootstraps from a checkpoint
-    /// [`BaseSnapshot`] — pages, ATT/DPT and the truncation-safe start LSN
+    /// [`BaseSnapshot`] — pages, DPT and the truncation-safe start LSN
     /// — so attach works identically on a fresh primary and on one whose
     /// log prefix has already been recycled; the log is shipped from the
     /// snapshot LSN onward (replay is idempotent over any overlap thanks to
@@ -306,7 +306,7 @@ impl ReplicatedDb {
             .expect("at least one replica")
     }
 
-    /// Promote replica `i` to a standalone primary via ARIES recovery over
+    /// Promote replica `i` to a standalone primary via restart recovery over
     /// its shipped log prefix; consumes the cluster (the old primary is
     /// dead, the other replicas would re-seed from the new primary).
     pub fn promote(mut self, i: usize) -> StorageResult<(Arc<Db>, RecoveryStats)> {

@@ -258,7 +258,6 @@ mod tests {
                 vec![7u8; aether_storage::page::PAGE_SIZE].into(),
             )],
             checkpoint: CheckpointPayload {
-                att: vec![(3, Lsn(80))],
                 dpt: vec![(1, Lsn(64))],
             },
         };

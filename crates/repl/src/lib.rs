@@ -20,7 +20,7 @@
 //!   [`shipper::ack_link`] folds acks into the commit gate as they land.
 //! * [`replica`] — appends received runs to its own log device, acks the
 //!   durably-received LSN, and keeps a standby [`aether_storage::db::Db`]
-//!   warm by continuous ARIES redo; snapshot reads come with a measured
+//!   warm by continuous redo; snapshot reads come with a measured
 //!   staleness bound. It has no thread of its own: its frame link's
 //!   delivery thread ingests and replays, so a replica runs three threads
 //!   (ship, frame link, ack link), and [`replica::Replica::stop`] takes
@@ -31,7 +31,7 @@
 //!   `SemiSync(k)` — commit completion waits on `k` replica acks in
 //!   addition to the local sync (a majority quorum of `n` is
 //!   `SemiSync(n / 2 + 1)`). Replicas bootstrap from a checkpoint
-//!   [`aether_storage::replay::BaseSnapshot`] (pages, ATT/DPT and start
+//!   [`aether_storage::replay::BaseSnapshot`] (pages, DPT and start
 //!   LSN), so [`cluster::ReplicatedDb::add_replica`] can join a fresh
 //!   replica to a cluster whose log prefix has been truncated away, and a
 //!   shipper stranded below the log's low-water mark re-seeds its replica
@@ -39,7 +39,7 @@
 //! * [`supervisor`] — [`supervisor::Supervisor`], the self-healing tier:
 //!   owns a cluster, quarantines and re-seeds replicas whose acks stall
 //!   past a lag budget, and on primary death (poisoned log or commit gate)
-//!   auto-promotes the most-caught-up replica via ARIES recovery.
+//!   auto-promotes the most-caught-up replica via restart recovery.
 //! * [`router`] — [`router::ReadRouter`], the read-serving tier: routes
 //!   lock-free snapshot reads round-robin across the replicas, enforces
 //!   per-request staleness budgets with fallback to a fresher replica or

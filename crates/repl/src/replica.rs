@@ -1,6 +1,6 @@
 //! The replica: receives shipped log runs, keeps a standby database warm by
 //! continuous redo, serves bounded-staleness snapshot reads, and can be
-//! promoted to a full primary via ordinary ARIES recovery.
+//! promoted to a full primary via ordinary restart recovery.
 //!
 //! Protocol: messages are restored to sequence order (reorder-resistant),
 //! log runs are appended to the replica's own log device, synced, and
@@ -303,14 +303,14 @@ impl Replica {
         lock(&self.ingest).take();
     }
 
-    /// Promote: finish replaying whatever arrived, then run full ARIES
-    /// recovery (analysis / redo / undo) over the replica's own receive
+    /// Promote: finish replaying whatever arrived, then run restart
+    /// recovery (one redo scan) over the replica's own receive
     /// log, in place — which starts at the replica's bootstrap LSN, not
     /// zero: recovery tolerates the missing (truncated) history because the
     /// snapshot's pages already contain it. The shipped log may end in a
     /// torn frame — recovery clips it at the first invalid record, exactly
-    /// as after a local crash. In-flight primary transactions whose commit
-    /// never arrived are rolled back; every commit the primary acked under
+    /// as after a local crash. In-flight primary transactions logged
+    /// nothing, so nothing of them arrived; every commit the primary acked under
     /// SemiSync (which required this ack) is present and survives. The
     /// promoted primary logs on after the received bytes.
     pub fn promote(mut self) -> StorageResult<(Arc<Db>, RecoveryStats)> {

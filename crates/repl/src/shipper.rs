@@ -24,7 +24,7 @@
 //! stale start position — can leave the read cursor below the log's
 //! low-water mark, where the bytes no longer exist. The shipper detects
 //! this, captures a fresh checkpoint [`BaseSnapshot`] from the primary
-//! (pages + ATT/DPT), ships it as a [`SnapshotFrame`] in sequence order,
+//! (pages + DPT), ships it as a [`SnapshotFrame`] in sequence order,
 //! and resumes log frames from the snapshot LSN. The replica re-seeds
 //! itself; no historical log is ever required again.
 

@@ -16,7 +16,7 @@
 //!   `AetherError::Poisoned`) or a poisoned commit gate means the primary
 //!   is done. The supervisor releases any committers still blocked on
 //!   replica acks, picks the most-caught-up replica, and promotes it to a
-//!   standalone primary through full ARIES recovery over the shipped
+//!   standalone primary through restart recovery over the shipped
 //!   prefix. The promoted database is then available from
 //!   [`Supervisor::promoted`] / [`Supervisor::wait_promoted`].
 //!

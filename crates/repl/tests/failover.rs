@@ -146,6 +146,48 @@ fn semisync_failover_loses_no_acked_commit() {
 /// A replica served a corrupted frame drops it and stops advancing at the
 /// gap — and promotion still succeeds with the clean prefix (truncate, not
 /// error).
+/// A standby serves only committed data. An open transaction updates key
+/// 0; a second transaction commits key 1, and its flush ships everything
+/// logged before it. The open transaction's write is in no record, so once
+/// the standby has applied the commit, it reads key 1's new value and key
+/// 0's old one; the writer then rolls back.
+#[test]
+fn a_standby_never_serves_an_open_transactions_write() {
+    let primary = Db::open(opts(CommitProtocol::Baseline));
+    primary.create_table(40, 4);
+    for k in 0..4 {
+        primary.load(0, k, &record(k, 0)).unwrap();
+    }
+    primary.setup_complete();
+    let mut cluster = ReplicatedDb::attach(
+        Arc::clone(&primary),
+        ReplicationConfig {
+            replicas: 1,
+            policy: DurabilityPolicy::Async,
+            link: LinkConfig::with_latency_us(50),
+            ..ReplicationConfig::default()
+        },
+    )
+    .unwrap();
+
+    let mut writer = primary.begin();
+    primary.update(&mut writer, 0, 0, &record(0, 9)).unwrap();
+    let mut other = primary.begin();
+    primary.update(&mut other, 0, 1, &record(1, 1)).unwrap();
+    let (_, token) = primary.commit_tokened(other).unwrap();
+    let reader = cluster.replica(0).reader();
+    let applied = reader.wait_applied(token.lsn(), Duration::from_secs(10));
+    assert!(
+        applied >= token.lsn(),
+        "the standby never applied the commit"
+    );
+    let read = |k| counter_of(&reader.read(0, k).unwrap().unwrap());
+    assert_eq!(read(1), 1, "the commit is not on the standby");
+    assert_eq!(read(0), 0, "the standby serves an open transaction's write");
+    primary.abort(writer).unwrap();
+    cluster.shutdown();
+}
+
 #[test]
 fn corrupt_frame_truncates_cleanly_on_promote() {
     let primary = Db::open(opts(CommitProtocol::Baseline));

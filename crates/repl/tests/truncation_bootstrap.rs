@@ -30,7 +30,7 @@ fn value_of(rec: &[u8]) -> u64 {
 /// A primary on a small-segment log, with `rounds` of committed updates and
 /// a checkpoint+truncation after each round.
 fn truncated_primary(keys: u64, rounds: u64) -> (Arc<Db>, Arc<SegmentedDevice>) {
-    let segments = Arc::new(SegmentedDevice::new(Box::new(MemSegmentFactory), 8 * 1024).unwrap());
+    let segments = Arc::new(SegmentedDevice::new(Box::new(MemSegmentFactory), 4 * 1024).unwrap());
     let db = Db::open_with_device(
         DbOptions {
             protocol: CommitProtocol::Baseline,

@@ -461,6 +461,8 @@ fn exec_one(
         Request::Ping => resp.fulfill(seq, Response::Pong),
         // The primary meets any `at_least`: a token is acked only once it is
         // durable, so every token a client holds is already readable here.
+        // The value is committed, never an open transaction's write; it can
+        // be a pre-committed one not yet durable (ROADMAP item 1).
         Request::Read { table, key, .. } => match db.snapshot_read(table, key) {
             Ok(value) => resp.fulfill(
                 seq,
@@ -478,8 +480,9 @@ fn exec_one(
             start,
             count,
         } => {
-            // Analytical scan, pinned to the primary: under ELR the rows it
-            // visits include early-released (pre-durability) writes — the
+            // Analytical scan, pinned to the primary: it sees committed
+            // rows only, never an open transaction's write, but under ELR
+            // those include early-released (pre-durability) commits — the
             // scan never blocks behind a committing writer's flush.
             let mut found = 0u32;
             let mut checksum = 0u64;

@@ -18,6 +18,9 @@
 //! bounded: the oldest completed entries are evicted first; in-flight
 //! entries are never evicted. A retry that outlives the window re-executes
 //! — the window must be sized to dwarf any plausible retry horizon.
+//! Forgetting a failed claim is O(1): its place in the claim order is
+//! skipped when eviction reaches it, as is one a later claim of the same
+//! id has replaced.
 
 use aether_core::runtime::lock;
 use std::collections::{HashMap, VecDeque};
@@ -45,9 +48,19 @@ enum Entry {
 }
 
 struct Inner {
-    map: HashMap<u64, Entry>,
-    /// Insertion order, for capacity eviction.
-    order: VecDeque<u64>,
+    /// Each id's entry, and the number of the claim that made it.
+    map: HashMap<u64, (u64, Entry)>,
+    /// Claims in order, `(id, claim number)`, for capacity eviction. A
+    /// claim whose id was forgotten or claimed again is stale: it stays
+    /// until eviction passes it, or a compaction drops it.
+    order: VecDeque<(u64, u64)>,
+    /// The next claim's number.
+    claims: u64,
+}
+
+/// Whether a claim `(id, claim number)` still holds its id's entry.
+fn live(map: &HashMap<u64, (u64, Entry)>, (id, claim): (u64, u64)) -> bool {
+    map.get(&id).is_some_and(|&(c, _)| c == claim)
 }
 
 /// Engine-wide dedup window. See the module docs.
@@ -72,6 +85,7 @@ impl CommitDedup {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
                 order: VecDeque::new(),
+                claims: 0,
             }),
             capacity: capacity.max(1),
         }
@@ -91,24 +105,33 @@ impl CommitDedup {
         }
         let mut g = lock(&self.inner);
         match g.map.get(&req_id) {
-            Some(Entry::Done(token)) => return Claim::Done(*token),
-            Some(Entry::InFlight) => return Claim::InFlight,
+            Some((_, Entry::Done(token))) => return Claim::Done(*token),
+            Some((_, Entry::InFlight)) => return Claim::InFlight,
             None => {}
         }
-        g.map.insert(req_id, Entry::InFlight);
-        g.order.push_back(req_id);
+        let claim = g.claims;
+        g.claims += 1;
+        g.map.insert(req_id, (claim, Entry::InFlight));
+        g.order.push_back((req_id, claim));
+        // Stale claims beyond twice the window go in one pass: O(1) a
+        // claim, amortized.
+        if g.order.len() > 2 * self.capacity {
+            let Inner { map, order, .. } = &mut *g;
+            order.retain(|&e| live(map, e));
+        }
         // Evict the oldest *completed* entries over capacity; in-flight
         // ones must survive until their commit settles them.
-        let Inner { map, order } = &mut *g;
-        while map.len() > self.capacity {
-            let Some(pos) = order
-                .iter()
-                .position(|id| matches!(map.get(id), Some(Entry::Done(_))))
-            else {
-                break;
-            };
-            let id = order.remove(pos).expect("position just found");
-            map.remove(&id);
+        let mut at = 0;
+        while g.map.len() > self.capacity && at < g.order.len() {
+            let (id, claim) = g.order[at];
+            if !live(&g.map, (id, claim)) {
+                g.order.remove(at);
+            } else if let Some((_, Entry::Done(_))) = g.map.get(&id) {
+                g.map.remove(&id);
+                g.order.remove(at);
+            } else {
+                at += 1;
+            }
         }
         Claim::New
     }
@@ -118,17 +141,18 @@ impl CommitDedup {
         if !Self::eligible(req_id) {
             return;
         }
-        lock(&self.inner).map.insert(req_id, Entry::Done(token));
+        if let Some((_, entry)) = lock(&self.inner).map.get_mut(&req_id) {
+            *entry = Entry::Done(token);
+        }
     }
 
     /// Drop a claimed id whose execution failed, so a retry re-executes.
+    /// O(1): its claim in the eviction order goes stale.
     pub fn forget(&self, req_id: u64) {
         if !Self::eligible(req_id) {
             return;
         }
-        let mut g = lock(&self.inner);
-        g.map.remove(&req_id);
-        g.order.retain(|id| *id != req_id);
+        lock(&self.inner).map.remove(&req_id);
     }
 }
 
@@ -179,5 +203,36 @@ mod tests {
         d.complete(id(4), 40);
         assert_eq!(d.claim(id(1)), Claim::InFlight);
         assert_eq!(d.claim(id(2)), Claim::New, "evicted: re-executes");
+    }
+
+    #[test]
+    fn a_forgotten_claim_leaves_eviction_to_the_ids_later_claim() {
+        let d = CommitDedup::new(2);
+        let (a, b, c) = ((1u64 << 32) | 1, (1u64 << 32) | 2, (1u64 << 32) | 3);
+        assert_eq!(d.claim(a), Claim::New);
+        d.forget(a);
+        assert_eq!(d.claim(b), Claim::New);
+        d.complete(b, 20);
+        // A's live claim is now younger than B's.
+        assert_eq!(d.claim(a), Claim::New);
+        d.complete(a, 10);
+        assert_eq!(d.claim(c), Claim::New);
+        d.complete(c, 30);
+        // Over capacity: the oldest live completed claim is B's, not A's
+        // forgotten first one.
+        assert_eq!(d.claim(a), Claim::Done(10));
+        assert_eq!(d.claim(c), Claim::Done(30));
+        assert_eq!(d.claim(b), Claim::New, "B evicted: re-executes");
+    }
+
+    #[test]
+    fn forgotten_claims_do_not_pile_up() {
+        let d = CommitDedup::new(4);
+        for n in 1..=1000u64 {
+            let id = (1u64 << 32) | n;
+            assert_eq!(d.claim(id), Claim::New);
+            d.forget(id);
+        }
+        assert!(lock(&d.inner).order.len() <= 8);
     }
 }

@@ -2,13 +2,15 @@
 //!
 //! `crates/storage/tests/disk_pressure.rs` checks the watermark ladder below
 //! the wire. Here a pipelining client drives a server whose log sits on a
-//! small segmented device with tight watermarks. An open interactive
-//! transaction pins truncation, so the retained log can only grow and the
+//! small segmented device with tight watermarks. A replica that stopped
+//! acknowledging pins truncation, so the retained log can only grow and the
 //! hard watermark is crossed by construction, not by timing: admission must
 //! then answer `LogFull`, typed and retryable, without dropping the
-//! connection. Once the pin commits, the emergency checkpoint the shed
+//! connection. Once the replica is gone, the emergency checkpoint the shed
 //! requests kicked can truncate, and commits flow again with no operator
-//! action, no poisoned log and no acked write lost.
+//! action, no poisoned log and no acked write lost. An interactive
+//! transaction open across the shed still commits: it was admitted at
+//! `Begin`.
 
 use aether_core::partition::{MemSegmentFactory, SegmentedDevice};
 use aether_core::LogConfig;
@@ -66,8 +68,12 @@ fn wire_client_is_shed_with_log_full_then_recovers() {
     let server = Server::start(Engine::primary(Arc::clone(&db)), ServerConfig::default()).unwrap();
     let mut client = Client::new(Box::new(server.connect_chan()));
 
-    // Pin truncation: an interactive transaction with one logged update,
-    // left open.
+    // Pin truncation: a replica that never acknowledges past the load. (An
+    // open transaction logs nothing, so it pins nothing.)
+    let gate = db.log().commit_gate();
+    let stalled = gate.register_replica_at(db.log().durable_lsn());
+
+    // An interactive transaction with one update, left open.
     let pin = match client.call(&Request::Begin).unwrap() {
         Response::Begun { txn } => txn,
         other => panic!("begin: {other:?}"),
@@ -115,11 +121,13 @@ fn wire_client_is_shed_with_log_full_then_recovers() {
     );
     assert!(db.stats().admission_rejects() >= shed);
 
-    // Release the pin. Its commit is never shed: it was admitted at Begin.
+    // The open transaction's commit is never shed: it was admitted at
+    // Begin. Then the pin goes.
     match client.call(&Request::Commit { txn: pin }).unwrap() {
         Response::Committed { .. } => acked.insert(PIN_KEY, value(u64::MAX)),
-        other => panic!("commit of the pinning transaction: {other:?}"),
+        other => panic!("commit of the open transaction: {other:?}"),
     };
+    assert!(gate.unregister_replica(&stalled));
 
     // Recovery without operator action: every shed request kicks the
     // emergency checkpoint, so retrying is all a client has to do.

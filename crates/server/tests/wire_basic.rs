@@ -196,6 +196,49 @@ fn an_auto_commit_is_one_log_insert() {
     }
 }
 
+/// A read never shows an open transaction's write: connection A begins
+/// and updates a key, and connection B's read of it returns the committed
+/// value until A commits.
+#[test]
+fn a_read_does_not_see_an_open_transactions_write() {
+    let (db, table) = boot(CommitProtocol::Pipelined);
+    let server = Server::start(Engine::primary(Arc::clone(&db)), ServerConfig::default()).unwrap();
+    let mut a = Client::new(Box::new(server.connect_chan()));
+    let mut b = Client::new(Box::new(server.connect_chan()));
+    let read = |client: &mut Client| match client.call(&Request::Read {
+        table,
+        key: 5,
+        at_least: 0,
+    }) {
+        Ok(Response::Value { present, value, .. }) => {
+            assert!(present);
+            value
+        }
+        other => panic!("unexpected {other:?}"),
+    };
+    let txn = match a.call(&Request::Begin).unwrap() {
+        Response::Begun { txn } => txn,
+        other => panic!("unexpected {other:?}"),
+    };
+    let update = Request::Update {
+        txn,
+        table,
+        key: 5,
+        value: vec![9u8; 16],
+    };
+    assert_eq!(a.call(&update).unwrap(), Response::UpdateOk);
+    assert_eq!(read(&mut b), vec![7u8; 16], "B read A's open write");
+    match a.call(&Request::Commit { txn }).unwrap() {
+        Response::Committed { .. } => {}
+        other => panic!("unexpected {other:?}"),
+    }
+    assert_eq!(read(&mut b), vec![9u8; 16], "B missed A's commit");
+    a.close();
+    b.close();
+    server.shutdown();
+    db.log().shutdown();
+}
+
 #[test]
 fn sim_runtime_serves_deterministically() {
     fn run(seed: u64) -> (u64, u64) {

@@ -694,16 +694,16 @@ impl<'a> Scenario<'a> {
         }
     }
 
-    /// Crash-during-recovery endgame: recover once (writing CLRs for the
-    /// losers), then power-cut *again* at a byte boundary inside the
-    /// recovery-written log suffix — entropy picks the cut, so the sweep
-    /// covers every stage from "no CLR survived" through mid-undo tears to
-    /// "all of recovery durable". The second recovery must succeed, be
-    /// deterministic, and converge to the same winners-only state (CLR redo
-    /// is idempotent); the pre-crash acked floor survives both crashes.
+    /// Crash-during-recovery endgame: recover once, then power-cut *again*.
+    /// Recovery only redoes and appends nothing, so a crash at any point of
+    /// it leaves the log it started from: the recovered database's crash
+    /// image must hold that log byte for byte, and its recovery must
+    /// succeed, be deterministic, and land in the once-recovered state; the
+    /// pre-crash acked floor survives both crashes.
     fn check_crash_during_recovery(&mut self, floor: &[u64], submitted: &[u64]) {
-        let base_len = self.primary.crash().log_bytes.len();
-        let (r1, stats1) = match recover_with_stats(self.primary.crash(), self.sim_opts()) {
+        let image = self.primary.crash();
+        let log = (image.log_start, image.log_bytes.clone());
+        let (r1, stats1) = match recover_with_stats(image, self.sim_opts()) {
             Ok(r) => r,
             Err(e) => {
                 self.violate(format!("recovery: first recovery failed: {e:?}"));
@@ -711,38 +711,35 @@ impl<'a> Scenario<'a> {
             }
         };
         let want = state_fingerprint(&r1).unwrap();
-        // The recovery-written suffix: CLRs and abort markers appended past
-        // the crash image's valid prefix (flushed by recovery's wrap-up).
-        let full_len = r1.crash().log_bytes.len();
-        let recovery_bytes = full_len - base_len;
-        let cut = base_len + (self.plan.fault_entropy % (recovery_bytes as u64 + 1)) as usize;
-        let img_at_cut = || {
-            let mut img = r1.crash();
-            img.log_bytes.truncate(cut);
-            img
-        };
-        let (r2a, stats2a) = match recover_with_stats(img_at_cut(), self.sim_opts()) {
+        let again = r1.crash();
+        if (again.log_start, &again.log_bytes) != (log.0, &log.1) {
+            self.violate(format!(
+                "recovery convergence: recovery changed the log ({} -> {} bytes)",
+                log.1.len(),
+                again.log_bytes.len()
+            ));
+        }
+        let (r2a, stats2a) = match recover_with_stats(again, self.sim_opts()) {
             Ok(r) => r,
             Err(e) => {
                 self.violate(format!(
-                    "recovery: crash at byte {cut}/{full_len} of the recovering log is unrecoverable: {e:?}"
+                    "recovery: a crash right after recovery is unrecoverable: {e:?}"
                 ));
                 return;
             }
         };
-        let (r2b, stats2b) = recover_with_stats(img_at_cut(), self.sim_opts())
-            .expect("second recovery of the same cut image");
+        let (r2b, stats2b) = recover_with_stats(r1.crash(), self.sim_opts())
+            .expect("second recovery of the same image");
         if state_fingerprint(&r2a).unwrap() != state_fingerprint(&r2b).unwrap()
             || stats2a != stats2b
         {
             self.violate(format!(
-                "recovery convergence: crash at byte {cut} recovered nondeterministically: {stats2a:?} vs {stats2b:?}"
+                "recovery convergence: one image recovered nondeterministically: {stats2a:?} vs {stats2b:?}"
             ));
         }
-        if state_fingerprint(&r2a).unwrap() != want {
+        if state_fingerprint(&r2a).unwrap() != want || stats2a != stats1 {
             self.violate(format!(
-                "recovery convergence: crash at byte {cut}/{full_len} (losers {}, CLRs {}) landed off the winners-only state",
-                stats1.losers, stats1.clrs_written
+                "recovery convergence: a crash after recovery landed off the recovered state: {stats1:?} vs {stats2a:?}"
             ));
         }
         for (k, (&a, &s)) in floor.iter().zip(submitted).enumerate() {

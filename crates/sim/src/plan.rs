@@ -77,10 +77,10 @@ pub enum Fault {
     /// poison; once space returns, truncation resumes. Requires a
     /// segmented log.
     DiskFullOnTruncate,
-    /// Power-cut the device, recover, then crash *again* at a recovery
-    /// stage boundary (entropy picks whether the first recovery's CLRs were
-    /// flushed). The second recovery must be deterministic, converge to the
-    /// same state, and redo CLRs idempotently. Runs standalone.
+    /// Power-cut the device, recover, then crash *again*. Recovery writes
+    /// nothing, so the second crash must find the first one's log byte for
+    /// byte, and the second recovery must be deterministic and converge to
+    /// the same state. Runs standalone.
     CrashDuringRecovery,
     /// A burst of transient sync failures, sized under the flush daemon's
     /// retry budget. The daemon must absorb them — workload keeps acking,

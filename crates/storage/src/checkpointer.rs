@@ -3,7 +3,7 @@
 //! Production engines take fuzzy checkpoints on a timer so recovery time and
 //! log volume stay bounded. This daemon periodically runs one housekeeping
 //! cycle ([`crate::db::Db::checkpoint_and_truncate`]): flush dirty pages,
-//! take a fuzzy checkpoint (ATT + DPT), publish the checkpoint's redo
+//! take a fuzzy checkpoint (its DPT), publish the checkpoint's redo
 //! low-water mark, and retire the log prefix below it through
 //! [`aether_core::LogManager::truncate_to`] — which recycles whole sealed
 //! segments when the log lives on a

@@ -7,11 +7,11 @@ use crate::page::{Frame, PageId, Rid};
 use crate::segmented::Segmented;
 use crate::store::PageStore;
 use crate::table::Table;
-use crate::txn::{CommitOutcome, CommitProtocol, Transaction, TxnManager, TxnStatus, UndoEntry};
-use crate::wal::{CheckpointPayload, ClrPayload, UpdateCommitPayload, UpdatePayload};
+use crate::txn::{CommitOutcome, CommitProtocol, Transaction, TxnManager, TxnStatus, Write};
+use crate::wal::{CheckpointPayload, UpdateCommitPayload};
 use aether_core::commit::CommitToken;
 use aether_core::device::LogDevice;
-use aether_core::record::on_log_size;
+use aether_core::record::{on_log_size, HEADER_SIZE, MAX_PAYLOAD};
 use aether_core::runtime::write;
 use aether_core::telemetry::{CounterId, HistId, Telemetry, Unit};
 use aether_core::{
@@ -174,7 +174,7 @@ pub struct Db {
     opts: DbOptions,
     stats: DbStats,
     /// The redo low-water mark published by the last fuzzy checkpoint: the
-    /// ARIES truncation point computed at checkpoint time. Everything
+    /// truncation point computed at checkpoint time. Everything
     /// strictly below it is recoverable from the page store alone.
     redo_low_water: aether_core::lsn::AtomicLsn,
     /// Ids of the storage-layer metrics registered on the log's telemetry.
@@ -229,6 +229,7 @@ impl Db {
         opts: DbOptions,
         log: Arc<LogManager>,
         store: Arc<PageStore>,
+        tables: Segmented<Table>,
     ) -> Arc<Db> {
         let t = log.telemetry();
         let locks = LockManager::new(opts.lock_config.clone(), t);
@@ -238,12 +239,11 @@ impl Db {
             ckpt_cycles: t.counter("ckpt.cycles", Unit::Count),
             ckpt_cycle_ns: t.histogram("ckpt.cycle_ns", Unit::Nanos),
         };
-        let txns = Arc::new(TxnManager::watching(Arc::clone(log.pipeline())));
         Arc::new(Db {
             log,
             locks,
-            tables: Segmented::new(8),
-            txns,
+            tables,
+            txns: Arc::new(TxnManager::new()),
             store,
             opts,
             stats,
@@ -292,7 +292,7 @@ impl Db {
         &self.opts
     }
 
-    /// The transaction manager (ATT).
+    /// The transaction manager: ids and the count of open transactions.
     pub fn txn_manager(&self) -> &Arc<TxnManager> {
         &self.txns
     }
@@ -311,15 +311,15 @@ impl Db {
             as u32
     }
 
-    /// Lock-free snapshot read: the latest committed-or-in-flight cell
-    /// image, taken without a transaction, locks, or undo bookkeeping. On a
-    /// standby this is the replica serving path (`ReadRouter` in
-    /// `aether-repl`); on a primary it is the router's freshness-fallback.
-    /// On a primary the image may be in flight: an open transaction's
-    /// update, or a commit whose record is not durable yet (ELR has
-    /// released its lock, and a one-record commit writes its cell before
-    /// its record is durable), so a reader can see a value that a crash
-    /// then loses.
+    /// Lock-free snapshot read: the latest committed cell image, taken
+    /// without a transaction or locks. On a standby this is the replica
+    /// serving path (`ReadRouter` in `aether-repl`); on a primary it is the
+    /// router's freshness-fallback. It never shows an open transaction's
+    /// write: writes reach a page only at commit. On a primary it can show
+    /// a pre-committed one before it is durable (a commit writes its cells
+    /// once its record is in the log buffer, and ELR releases its locks
+    /// before the flush), so a reader can see a value that a crash then
+    /// loses.
     pub fn snapshot_read(&self, table: u32, key: u64) -> StorageResult<Option<Vec<u8>>> {
         let t = self.table(table)?;
         Ok(t.rid_of(key).and_then(|rid| t.read(rid)))
@@ -327,9 +327,12 @@ impl Db {
 
     /// Look up a table by id.
     pub fn table(&self, id: u32) -> StorageResult<&Table> {
-        self.tables
-            .get(id as usize)
-            .ok_or_else(|| StorageError::InvalidRecord(format!("no table {id}")))
+        table_in(&self.tables, id)
+    }
+
+    /// The catalog.
+    pub(crate) fn tables(&self) -> &Segmented<Table> {
+        &self.tables
     }
 
     /// Bulk-load one record during setup (unlogged; finish with
@@ -435,15 +438,13 @@ impl Db {
         }
     }
 
-    /// Read `key` (S row lock).
+    /// Read `key` (S row lock): the transaction's own write if it wrote it,
+    /// else the committed value.
     pub fn read(&self, txn: &mut Transaction, table: u32, key: u64) -> StorageResult<Vec<u8>> {
         self.check_active(txn)?;
         let t = self.table(table)?;
         self.lock(txn, LockId::row(table, key), LockMode::S)?;
-        let rid = t
-            .rid_of(key)
-            .ok_or(StorageError::KeyNotFound { table, key })?;
-        t.read(rid).ok_or(StorageError::KeyNotFound { table, key })
+        Self::read_locked(txn, t, key)
     }
 
     /// Read `key` with an X row lock (read-for-update: avoids the S→X
@@ -457,13 +458,30 @@ impl Db {
         self.check_active(txn)?;
         let t = self.table(table)?;
         self.lock(txn, LockId::row(table, key), LockMode::X)?;
-        let rid = t
-            .rid_of(key)
-            .ok_or(StorageError::KeyNotFound { table, key })?;
-        t.read(rid).ok_or(StorageError::KeyNotFound { table, key })
+        Self::read_locked(txn, t, key)
     }
 
-    /// Overwrite the record at `key` (X row lock; logs before/after).
+    /// `key` as `txn` sees it, under its lock.
+    fn read_locked(txn: &Transaction, t: &Table, key: u64) -> StorageResult<Vec<u8>> {
+        let missing = || StorageError::KeyNotFound { table: t.id, key };
+        let rid = t.rid_of(key).ok_or_else(missing)?;
+        match txn.write_at(t.id, rid) {
+            Some(i) => txn.after(i, t.geom.record_size).map(<[u8]>::to_vec),
+            None => t.read(rid),
+        }
+        .ok_or_else(missing)
+    }
+
+    /// Whether the cell at `rid` holds a record as `txn` sees it.
+    fn holds(txn: &Transaction, t: &Table, rid: Rid) -> bool {
+        match txn.write_at(t.id, rid) {
+            Some(i) => txn.writes[i].at.is_some(),
+            None => t.key_at(rid).is_some(),
+        }
+    }
+
+    /// Overwrite the record at `key` (X row lock). The new record waits in
+    /// the transaction's write set until it commits.
     pub fn update(
         &self,
         txn: &mut Transaction,
@@ -477,12 +495,9 @@ impl Db {
         self.lock(txn, LockId::row(table, key), LockMode::X)?;
         let rid = t
             .rid_of(key)
+            .filter(|&rid| Self::holds(txn, t, rid))
             .ok_or(StorageError::KeyNotFound { table, key })?;
-        if !Self::read_before(txn, t, rid, true) {
-            return Err(StorageError::KeyNotFound { table, key });
-        }
-        self.log_and_apply(txn, t, rid, Some(record));
-        Ok(())
+        self.write(txn, t, key, rid, Some(record))
     }
 
     /// Overwrite the record at `key` in a transaction of its own that
@@ -510,21 +525,16 @@ impl Db {
     /// bytes are those of the statements run one by one.
     ///
     /// What the run shares: one admission check (its refusal fails only the
-    /// first statement), one `fetch_add` of ids, one reservation of the
-    /// log's insert lock for every record ([`LogManager::reserve_run`]),
-    /// one release, and one commit tail (`Db::harden`: one lock release
-    /// sweep, one wait or one flush registration). The run holds nothing
-    /// until its first lock, which may wait; every later lock is taken only
-    /// if it is free at once ([`LockManager::try_grant`]), and a refusal
-    /// ends the run before that statement, so a key repeated in the run or
-    /// held by an open transaction waits in the next run, not in this one
-    /// behind its own locks. Every page the run writes is write-latched, in
-    /// page order, from before the reservation until it is stamped, and the
-    /// presence checks run under those latches: a checkpoint's dirty-page
-    /// capture never sees a record without its dirty page. Nothing of such
-    /// a transaction can be undone, so it takes no ATT slot and keeps no
-    /// before-image: recovery counts the record a winner and only redo
-    /// reads it.
+    /// first statement), one `fetch_add` of ids, the commit body of
+    /// [`Db::commit`] (`Db::log_commits`: one reservation of the log's
+    /// insert lock for every record, one release), and one commit tail
+    /// (`Db::harden`: one lock release sweep, one wait or one flush
+    /// registration). The run holds nothing until its first lock, which may
+    /// wait; every later lock is taken only if it is free at once
+    /// ([`LockManager::try_grant`]), and a refusal ends the run before that
+    /// statement, so a key repeated in the run or held by an open
+    /// transaction waits in the next run, not in this one behind its own
+    /// locks. The presence checks run under the page latches.
     ///
     /// Runs at most [`RUN_MAX`] statements and an eighth of the log's ring,
     /// and at least one; allocates nothing.
@@ -553,7 +563,6 @@ impl Db {
 
         // Locks: `rids[i]` is set while statement `i` holds its lock.
         let mut rids = [None::<Rid>; RUN_MAX];
-        let mut held = 0;
         let mut done = items.len();
         for (i, &(key, record)) in items.iter().enumerate() {
             if let Err(e) = t.check_record(record) {
@@ -561,7 +570,7 @@ impl Db {
                 continue;
             }
             let id = first_id + i as u64;
-            if held == 0 {
+            if rids[..i].iter().all(Option::is_none) {
                 if let Err(e) = self.locks.acquire(id, row(i), LockMode::X) {
                     out[i] = Err(e);
                     continue;
@@ -570,15 +579,10 @@ impl Db {
                 done = i;
                 break;
             }
-            match t.rid_of(key) {
-                Some(rid) => {
-                    rids[i] = Some(rid);
-                    held += 1;
-                }
-                None => {
-                    self.locks.release(id, row(i));
-                    out[i] = Err(StorageError::KeyNotFound { table, key });
-                }
+            rids[i] = t.rid_of(key);
+            if rids[i].is_none() {
+                self.locks.release(id, row(i));
+                out[i] = Err(StorageError::KeyNotFound { table, key });
             }
         }
 
@@ -592,17 +596,24 @@ impl Db {
             }
         }
         pages[..np].sort_unstable();
-        let mut frames: [Option<RwLockWriteGuard<'_, Frame>>; RUN_MAX] = Default::default();
-        for (g, &page_no) in frames.iter_mut().zip(&pages[..np]) {
-            *g = Some(write(t.frame(page_no)));
+        let mut latches = Latches::default();
+        for &page_no in &pages[..np] {
+            latches.add(t, page_no);
         }
-        let frame_of = |rid: Rid| pages[..np].binary_search(&rid.page_no).expect("latched");
+        // `held[..n]`: the statements that log, in statement order.
+        let mut held = [0usize; RUN_MAX];
+        let mut n = 0;
         for i in 0..done {
             let Some(rid) = rids[i] else { continue };
-            let g = frames[frame_of(rid)].as_ref().expect("latched");
-            if g.data[t.geom.offset(rid.slot)] != 1 {
+            let g = latches.frame(PageId {
+                table,
+                page_no: rid.page_no,
+            });
+            if g.data[t.geom.offset(rid.slot)] == 1 {
+                held[n] = i;
+                n += 1;
+            } else {
                 rids[i] = None;
-                held -= 1;
                 self.locks.release(first_id + i as u64, row(i));
                 out[i] = Err(StorageError::KeyNotFound {
                     table,
@@ -610,53 +621,33 @@ impl Db {
                 });
             }
         }
-        if held == 0 {
+        if n == 0 {
             return RunOutcome {
                 done,
                 pending: false,
             };
         }
-
-        // One reservation for every record: each is encoded from its
-        // frame's new cell, and the frame takes its LSN.
-        let mut run = self.log.reserve_run(held as u64 * rec_len);
         let mut last = Lsn::ZERO;
-        for i in 0..done {
-            let Some(rid) = rids[i] else { continue };
-            let g = frames[frame_of(rid)].as_mut().expect("latched");
-            let off = t.geom.offset(rid.slot);
-            let cell = &mut g.data[off..off + t.geom.cell_size];
-            cell[1..].copy_from_slice(items[i].1);
-            let payload = UpdateCommitPayload {
-                page: PageId {
-                    table,
-                    page_no: rid.page_no,
-                },
-                slot: rid.slot,
-                after: &*cell,
-            };
-            let mut slot = run.record(
-                RecordKind::UpdateCommit,
-                first_id + i as u64,
-                Lsn::ZERO,
-                payload_len,
-            );
-            slot.fill(&payload);
-            last = slot.end_lsn();
-            let lsn = slot.release();
-            g.stamp(lsn);
-            out[i] = Ok(CommitToken::at(last));
-        }
-        run.release();
-        drop(frames);
+        self.log_commits(
+            &mut latches,
+            n,
+            |r| first_id + held[r] as u64,
+            |r| {
+                let i = held[r];
+                std::iter::once((t, rids[i].expect("held"), Some(items[i].1)))
+            },
+            |r, end| {
+                out[held[r]] = Ok(CommitToken::at(end));
+                last = end;
+            },
+        );
+        drop(latches);
 
         // Their commit stage begins once their records are in the log.
         let t_commit = self.log.telemetry().ts();
-        let fate = self.harden(held, last, t_commit, None, || {
-            for (i, rid) in rids[..done].iter().enumerate() {
-                if rid.is_some() {
-                    self.locks.release(first_id + i as u64, row(i));
-                }
+        let fate = self.harden(n, last, t_commit, || {
+            for &i in &held[..n] {
+                self.locks.release(first_id + i as u64, row(i));
             }
         });
         let pending = match fate {
@@ -699,7 +690,9 @@ impl Db {
         self.update(txn, table, key, &rec)
     }
 
-    /// Insert a new record at `key` (X row lock).
+    /// Insert a new record at `key` (X row lock). An appended key gets its
+    /// slot and its index entry now, so the transaction and its later
+    /// statements find it; its cell stays empty until the commit.
     pub fn insert(
         &self,
         txn: &mut Transaction,
@@ -711,23 +704,20 @@ impl Db {
         let t = self.table(table)?;
         t.check_record(record)?;
         self.lock(txn, LockId::row(table, key), LockMode::X)?;
-        // Existence check.
+        let duplicate = StorageError::DuplicateKey { table, key };
+        // A slot the key maps to but that is empty: insert in place.
         if let Some(rid) = t.rid_of(key) {
-            if !Self::read_before(txn, t, rid, false) {
-                return Err(StorageError::DuplicateKey { table, key });
+            if Self::holds(txn, t, rid) {
+                return Err(duplicate);
             }
-            // Dense slot exists but is empty: insert in place.
-            self.log_and_apply(txn, t, rid, Some(record));
-            return Ok(());
+            return self.write(txn, t, key, rid, Some(record));
         }
+        self.record_len_with(txn, t)?;
         let rid = t.allocate_slot();
         if !t.index().insert(key, rid) {
-            return Err(StorageError::DuplicateKey { table, key });
+            return Err(duplicate);
         }
-        let empty = Self::read_before(txn, t, rid, false);
-        assert!(empty, "append slot {rid:?} of table {table} is occupied");
-        self.log_and_apply(txn, t, rid, Some(record));
-        Ok(())
+        self.write(txn, t, key, rid, Some(record))
     }
 
     /// Delete the record at `key` (X row lock).
@@ -737,15 +727,9 @@ impl Db {
         self.lock(txn, LockId::row(table, key), LockMode::X)?;
         let rid = t
             .rid_of(key)
+            .filter(|&rid| Self::holds(txn, t, rid))
             .ok_or(StorageError::KeyNotFound { table, key })?;
-        if !Self::read_before(txn, t, rid, true) {
-            return Err(StorageError::KeyNotFound { table, key });
-        }
-        self.log_and_apply(txn, t, rid, None);
-        if key >= t.dense_rows {
-            t.index().remove(key);
-        }
-        Ok(())
+        self.write(txn, t, key, rid, None)
     }
 
     fn check_active(&self, txn: &Transaction) -> StorageResult<()> {
@@ -762,68 +746,57 @@ impl Db {
         Ok(())
     }
 
-    /// Read the cell at `rid` onto the end of `txn`'s image arena, as the
-    /// before-image of the update about to be logged, if it holds a record
-    /// exactly when `present`; returns whether it did. On `true`,
-    /// [`Db::log_and_apply`] must follow.
-    fn read_before(txn: &mut Transaction, t: &Table, rid: Rid, present: bool) -> bool {
-        let at = txn.images.len();
-        t.read_cell_into(rid, &mut txn.images);
-        if (txn.images[at] == 1) != present {
-            txn.images.truncate(at);
-            return false;
+    /// The payload `txn`'s commit record has once it writes one more cell
+    /// of `t`, or the typed refusal if one record cannot hold it: at most
+    /// [`MAX_PAYLOAD`], and at most an eighth of the log's ring, the most
+    /// one reservation may take.
+    fn record_len_with(&self, txn: &Transaction, t: &Table) -> StorageResult<usize> {
+        let bytes = txn.record_len + UpdateCommitPayload::<&[u8]>::len_for(t.geom.cell_size);
+        let ring = (self.log.buffer().core().capacity() / 8) as usize;
+        let limit = MAX_PAYLOAD.min(ring.saturating_sub(HEADER_SIZE));
+        if bytes > limit {
+            return Err(StorageError::WriteSetFull { bytes, limit });
         }
-        true
+        Ok(bytes)
     }
 
-    /// Log an update of `rid` to `after` (a record, or `None` for an empty
-    /// cell) whose before-image [`Db::read_before`] has just put at the end
-    /// of `txn`'s image arena; remember the undo entry, and apply the
-    /// after-image.
-    ///
-    /// The after-image is built behind the before-image in the same arena,
-    /// and the record is serialized from there straight into the reserved
-    /// log slot — no encode buffer, no allocation once the arena has grown:
-    /// an update costs one copy of its after-image into the arena and one
-    /// of each image into the ring. The page's write latch is held from
-    /// before the record is inserted until the image is applied, so a
-    /// checkpoint's dirty-page capture never sees the record without the
-    /// dirty page.
-    fn log_and_apply(&self, txn: &mut Transaction, t: &Table, rid: Rid, after: Option<&[u8]>) {
-        let cell = t.geom.cell_size;
-        let at = txn.images.len() - cell;
-        match after {
-            Some(record) => {
-                txn.images.push(1);
-                txn.images.extend_from_slice(record);
+    /// Put `after` (a record, or `None` to empty the cell) for the cell
+    /// `rid` of `t`, `key`'s, into `txn`'s write set: over its earlier
+    /// write of that cell, or as a new entry if the commit record can hold
+    /// one more. Nothing reaches a page or the log.
+    fn write(
+        &self,
+        txn: &mut Transaction,
+        t: &Table,
+        key: u64,
+        rid: Rid,
+        after: Option<&[u8]>,
+    ) -> StorageResult<()> {
+        let i = match txn.write_at(t.id, rid) {
+            Some(i) => i,
+            None => {
+                txn.record_len = self.record_len_with(txn, t)?;
+                txn.writes.push(Write {
+                    table: t.id,
+                    key,
+                    rid,
+                    at: None,
+                });
+                txn.writes.len() - 1
             }
-            None => txn.images.resize(at + 2 * cell, 0),
-        }
-        let page = PageId {
-            table: t.id,
-            page_no: rid.page_no,
         };
-        let (before, after) = txn.images[at..].split_at(cell);
-        let payload = UpdatePayload {
-            page,
-            slot: rid.slot,
-            before,
-            after,
-        };
-        let mut g = write(t.frame(rid.page_no));
-        let (lsn, _) =
-            self.log
-                .insert_payload(RecordKind::Update, txn.id, txn.last_lsn(), &payload);
-        self.txns.logged(txn, lsn);
-        g.apply(t.geom.offset(rid.slot), &txn.images[at + cell..], lsn);
-        drop(g);
-        txn.images.truncate(at + cell);
-        txn.undo.push(UndoEntry {
-            page,
-            slot: rid.slot,
-            update_lsn: lsn,
-            at,
+        txn.writes[i].at = after.map(|record| match txn.writes[i].at {
+            Some(at) => {
+                txn.images[at..at + record.len()].copy_from_slice(record);
+                at
+            }
+            None => {
+                let at = txn.images.len();
+                txn.images.extend_from_slice(record);
+                at
+            }
         });
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -862,40 +835,129 @@ impl Db {
         Ok((token, matches!(fate, Fate::Pending)))
     }
 
+    /// Log the write set as one [`RecordKind::UpdateCommit`] record and
+    /// apply it, through the body [`Db::update_commit_run`] runs: its
+    /// pages latched in `(table, page)` order, one reservation, each cell
+    /// written and encoded from its page, the pages stamped, the latches
+    /// dropped; then the protocol's commit tail. A read-only transaction
+    /// logs nothing.
     fn commit_inner(&self, mut txn: Transaction) -> StorageResult<(Fate, CommitToken)> {
         self.check_active(&txn)?;
-        let t_commit = self.log.telemetry().ts();
-
-        // Read-only transactions: nothing to harden.
-        if txn.undo.is_empty() {
-            txn.status = TxnStatus::Committed;
+        if txn.writes.is_empty() {
+            // Read-only: nothing to log or harden.
             self.locks.release_all(txn.id, &txn.held);
-            self.txns.finish(&txn);
+            self.txns.finish();
             return Ok((Fate::Durable, CommitToken::ZERO));
         }
-
-        let (_, end) =
-            self.log
-                .insert_payload::<[u8]>(RecordKind::Commit, txn.id, txn.last_lsn(), &[]);
-        txn.status = TxnStatus::Precommitted;
-        let fate = self.harden(1, end, t_commit, Some(&txn), || {
+        let t_commit = self.log.telemetry().ts();
+        // Page order: one page's entries are consecutive in the record.
+        txn.writes
+            .sort_unstable_by_key(|w| (w.table, w.rid.page_no, w.rid.slot));
+        let table = |id: u32| self.table(id).expect("a written table");
+        let mut latches = Latches::default();
+        for w in &txn.writes {
+            latches.add(table(w.table), w.rid.page_no);
+        }
+        let mut end = Lsn::ZERO;
+        self.log_commits(
+            &mut latches,
+            1,
+            |_| txn.id,
+            |_| {
+                let txn = &txn;
+                (0..txn.writes.len()).map(move |i| {
+                    let t = table(txn.writes[i].table);
+                    (t, txn.writes[i].rid, txn.after(i, t.geom.record_size))
+                })
+            },
+            |_, e| end = e,
+        );
+        drop(latches);
+        // A key the commit emptied leaves the index.
+        for w in txn.writes.iter().filter(|w| w.at.is_none()) {
+            unmap(table(w.table), w.key, w.rid);
+        }
+        let fate = self.harden(1, end, t_commit, || {
             self.locks.release_all(txn.id, &txn.held)
-        })?;
-        Ok((fate, CommitToken::at(end)))
+        });
+        self.txns.finish();
+        Ok((fate?, CommitToken::at(end)))
+    }
+
+    /// Log `records` transactions' commits in one reservation and apply
+    /// them to their latched pages: the body [`Db::commit`] and
+    /// [`Db::update_commit_run`] share. Record `r` is transaction
+    /// `txn(r)`'s [`RecordKind::UpdateCommit`], one entry per cell of
+    /// `cells(r)` — `(table, cell, new record)`, `None` emptying the cell —
+    /// in `(table, page)` order. Each cell is written into its page first
+    /// and its entry encoded from there, so a record is one copy of its
+    /// images into the ring; its pages are stamped with its LSN once it is
+    /// released, and `logged(r, end)` hears where it ends. Allocates
+    /// nothing.
+    fn log_commits<'c, I>(
+        &self,
+        latches: &mut Latches<'_>,
+        records: usize,
+        txn: impl Fn(usize) -> u64,
+        cells: impl Fn(usize) -> I,
+        mut logged: impl FnMut(usize, Lsn),
+    ) where
+        I: Iterator<Item = (&'c Table, Rid, Option<&'c [u8]>)>,
+    {
+        let payload_len = |r: usize| -> usize {
+            cells(r)
+                .map(|(t, ..)| UpdateCommitPayload::<&[u8]>::len_for(t.geom.cell_size))
+                .sum()
+        };
+        let len = (0..records).map(|r| on_log_size(payload_len(r)) as u64);
+        let mut run = self.log.reserve_run(len.sum());
+        for r in 0..records {
+            let mut slot = run.record(RecordKind::UpdateCommit, txn(r), Lsn::ZERO, payload_len(r));
+            for (t, rid, after) in cells(r) {
+                let page = PageId {
+                    table: t.id,
+                    page_no: rid.page_no,
+                };
+                let off = t.geom.offset(rid.slot);
+                let cell = &mut latches.frame(page).data[off..off + t.geom.cell_size];
+                match after {
+                    Some(record) => {
+                        cell[0] = 1;
+                        cell[1..].copy_from_slice(record);
+                    }
+                    None => cell.fill(0),
+                }
+                let entry = UpdateCommitPayload {
+                    page,
+                    slot: rid.slot,
+                    after: &*cell,
+                };
+                slot.fill(&entry);
+            }
+            let end = slot.end_lsn();
+            let lsn = slot.release();
+            for (t, rid, _) in cells(r) {
+                latches
+                    .frame(PageId {
+                        table: t.id,
+                        page_no: rid.page_no,
+                    })
+                    .stamp(lsn);
+            }
+            logged(r, end);
+        }
+        run.release();
     }
 
     /// The commit tail of `commits` transactions whose commits are in the
     /// log, the last ending at `end`, per the protocol: a transaction, or a
-    /// run of one-record ones. `release_locks` drops every lock they hold;
-    /// `att` is the transaction's ATT entry, `None` for one-record
-    /// transactions, which have none. `t_commit` is when the commits began
-    /// (telemetry on).
+    /// run of one-record ones. `release_locks` drops every lock they hold.
+    /// `t_commit` is when the commits began (telemetry on).
     fn harden(
         &self,
         commits: usize,
         end: Lsn,
         t_commit: Option<u64>,
-        att: Option<&Transaction>,
         release_locks: impl Fn(),
     ) -> StorageResult<Fate> {
         self.stats.tel.add(self.stats.commits, commits as u64);
@@ -926,15 +988,12 @@ impl Db {
                         tel.record(self.tel.commit_latency_ns, now.saturating_sub(t0));
                     }
                 }
+                // On `Err` the commit record never hardened: the log is
+                // poisoned (or shut down). Locks are released all the same
+                // — the transaction is dead either way; the caller gets the
+                // typed error.
                 if !protocol.early_release() {
                     release_locks();
-                }
-                // On `Err` the commit record never hardened: the log is
-                // poisoned (or shut down). Locks are released and the txn
-                // slot retired all the same — the transaction is dead either
-                // way; the caller gets the typed error.
-                if let Some(txn) = att {
-                    self.txns.finish(txn);
                 }
                 Ok(if replicated? {
                     Fate::Durable
@@ -942,69 +1001,33 @@ impl Db {
                     Fate::Unreplicated
                 })
             }
-            // Nobody: the flush daemon makes the record durable, the
-            // transaction leaves the ATT when the log's watermark passes its
-            // commit record, and whoever waits on the commit subscribes to
-            // that watermark. Nothing is registered here.
+            // Nobody: the flush daemon makes the record durable, and
+            // whoever waits on the commit subscribes to the log's
+            // watermark. Nothing is registered here.
             CommitProtocol::AsyncCommit | CommitProtocol::Pipelined => {
                 self.log.note_commits(commits, end);
-                if let Some(txn) = att {
-                    self.txns.finish_at(txn, end);
-                }
                 Ok(Fate::Pending)
             }
         }
     }
 
-    /// Roll back: apply before-images in reverse, logging CLRs; then release
-    /// locks. Safe at any point before commit.
+    /// Roll back: drop the write set, and the index entries of keys it
+    /// appended; then release the locks. Nothing was logged or applied, so
+    /// nothing is undone and nothing is logged. Safe at any point before
+    /// commit.
     pub fn abort(&self, mut txn: Transaction) -> StorageResult<()> {
         self.check_active(&txn)?;
-        // Entry i's undo-chain continuation is entry i-1's update LSN; each
-        // CLR is serialized from the image arena (no clone, no encode
-        // buffer).
-        for i in (0..txn.undo.len()).rev() {
-            let e = txn.undo[i];
-            let t = self.table(e.page.table)?;
-            let clr = ClrPayload {
-                page: e.page,
-                slot: e.slot,
-                restored: txn.before_image(&e, t.geom.cell_size),
-                undo_next: match i {
-                    0 => Lsn::ZERO,
-                    _ => txn.undo[i - 1].update_lsn,
-                },
-            };
-            let lsn = self.compensate(t, txn.id, txn.last_lsn(), &clr);
-            self.txns.logged(&mut txn, lsn);
+        for w in &txn.writes {
+            let t = self.table(w.table)?;
+            if t.key_at(w.rid).is_none() {
+                unmap(t, w.key, w.rid);
+            }
         }
-        self.log
-            .insert_payload::<[u8]>(RecordKind::Abort, txn.id, txn.last_lsn(), &[]);
         txn.status = TxnStatus::Aborted;
         self.stats.tel.inc(self.stats.aborts);
         self.locks.release_all(txn.id, &txn.held);
-        self.txns.finish(&txn);
+        self.txns.finish();
         Ok(())
-    }
-
-    /// Undo one update of transaction `txn`, whose last record is at
-    /// `prev`, in table `t`: fix the index for the cell `clr` restores, log
-    /// `clr` chained to `prev`, apply its image (the page latched across
-    /// both, as for an update); returns the CLR's LSN. Rollback and restart
-    /// undo both take this one step.
-    pub(crate) fn compensate(
-        &self,
-        t: &Table,
-        txn: u64,
-        prev: Lsn,
-        clr: &ClrPayload<&[u8]>,
-    ) -> Lsn {
-        let rid = clr.rid();
-        t.reindex_cell(rid, t.key_at(rid), clr.restored);
-        let mut g = write(t.frame(rid.page_no));
-        let (lsn, _) = self.log.insert_payload(RecordKind::Clr, txn, prev, clr);
-        g.apply(t.geom.offset(rid.slot), clr.restored, lsn);
-        lsn
     }
 
     // ------------------------------------------------------------------
@@ -1013,9 +1036,8 @@ impl Db {
 
     /// Write the dirty pages to the page store and mark them clean, under
     /// the WAL rule: a page is stored only once the log is durable past
-    /// its page LSN, so no stored page holds an update whose record a crash
-    /// can lose (an uncommitted one could then never be undone, a
-    /// one-record commit's never redone). The log is forced to the newest
+    /// its page LSN, so no stored page holds a commit whose record a crash
+    /// can lose (it could never be redone, nor taken out again). The log is forced to the newest
     /// dirty page's LSN first, with no latch held; a page whose LSN it
     /// could not make durable (a poisoned log) stays dirty and unstored.
     /// A page LSN of zero with nothing logged is a bulk load's. A database
@@ -1047,17 +1069,15 @@ impl Db {
         }
     }
 
-    /// Take a fuzzy checkpoint: begin record, ATT + DPT snapshot, end
-    /// record, flushed — then publish the checkpoint's redo low-water mark
+    /// Take a fuzzy checkpoint: begin record, DPT snapshot, end record,
+    /// flushed — then publish the checkpoint's redo low-water mark
     /// ([`Db::redo_low_water`]), the truncation point the log may be
     /// retired to. Returns the checkpoint-begin LSN.
     pub fn checkpoint(&self) -> Lsn {
         let (begin, _) =
             self.log
                 .insert_payload::<[u8]>(RecordKind::CheckpointBegin, 0, Lsn::ZERO, &[]);
-        let (att, att_floor) = self.txns.att_snapshot_with_floor();
         let payload = CheckpointPayload {
-            att,
             dpt: self.dpt_snapshot(),
         };
         let (_, end) = self
@@ -1067,23 +1087,13 @@ impl Db {
         // ignore here: truncation targets are clamped to the durable
         // watermark, so an unflushed checkpoint can never widen truncation.
         let _ = self.log.flush_until(end);
-        // The published truncation point must honor the ATT as *captured*,
-        // not the ATT as of now: a transaction this checkpoint lists as
-        // active may have committed in the meantime, and recovery — which
-        // seeds losers from the checkpoint record — still needs its whole
-        // chain (commit included) to classify it correctly.
-        let mut point = self.log_truncation_point();
-        if let Some(floor) = att_floor {
-            point = point.min(floor);
-        }
-        self.redo_low_water.fetch_max(point);
+        self.redo_low_water.fetch_max(self.log_truncation_point());
         begin
     }
 
     /// The redo low-water mark published by the last fuzzy checkpoint: the
     /// highest safe log-truncation point known. Recovery needs nothing
-    /// strictly below it — every older update is in the page store and no
-    /// active transaction's undo chain reaches below it.
+    /// strictly below it — every older commit is in the page store.
     pub fn redo_low_water(&self) -> Lsn {
         self.redo_low_water.load()
     }
@@ -1118,17 +1128,14 @@ impl Db {
         out
     }
 
-    /// The ARIES log-truncation point: everything strictly below this LSN
-    /// can be recycled because (a) every page it might redo has been flushed
-    /// (no dirty page's `rec_lsn` is below it) and (b) no active transaction
-    /// might undo through it (no active txn's first record is below it).
+    /// The log-truncation point: everything strictly below this LSN can be
+    /// recycled because every page it might redo has been flushed (no
+    /// dirty page's `rec_lsn` is below it). An open transaction pins
+    /// nothing: none of it is in the log.
     pub fn log_truncation_point(&self) -> Lsn {
         let mut point = self.log.durable_lsn();
         for (_, rec_lsn) in self.dpt_snapshot() {
             point = point.min(rec_lsn);
-        }
-        if let Some(oldest) = self.txns.oldest_first_lsn() {
-            point = point.min(oldest);
         }
         point
     }
@@ -1178,10 +1185,86 @@ impl Db {
         }
     }
 
-    /// Recover a database from a crash image (ARIES analysis/redo/undo).
-    /// See [`crate::recovery`] for the algorithm.
+    /// Recover a database from a crash image (one redo scan). See
+    /// [`crate::recovery`] for the algorithm.
     pub fn recover(image: CrashImage, opts: DbOptions) -> StorageResult<Arc<Db>> {
         crate::recovery::recover_with_stats(image, opts).map(|(db, _)| db)
+    }
+}
+
+/// Table `id` of a catalog.
+pub(crate) fn table_in(tables: &Segmented<Table>, id: u32) -> StorageResult<&Table> {
+    tables
+        .get(id as usize)
+        .ok_or_else(|| StorageError::InvalidRecord(format!("no table {id}")))
+}
+
+/// A transaction that wrote `key` at `rid` ended, and the cell does not
+/// hold it: an appended key leaves the index there.
+fn unmap(t: &Table, key: u64, rid: Rid) {
+    if key >= t.dense_rows {
+        t.index().remove_at(key, rid);
+    }
+}
+
+/// Write latches on the pages a commit writes, taken in `(table, page)`
+/// order and held together from before its records are reserved until its
+/// pages are stamped: a checkpoint's dirty-page capture never sees a
+/// record without its dirty page. The first [`RUN_MAX`] sit inline; a
+/// larger write set's others allocate.
+#[derive(Default)]
+struct Latches<'a> {
+    head: [Option<Latch<'a>>; RUN_MAX],
+    more: Vec<Latch<'a>>,
+    len: usize,
+}
+
+type Latch<'a> = (PageId, RwLockWriteGuard<'a, Frame>);
+
+impl<'a> Latches<'a> {
+    /// Latch page `page_no` of `t`. Pages come in ascending order; the
+    /// last one again is already latched.
+    fn add(&mut self, t: &'a Table, page_no: u32) {
+        let page = PageId {
+            table: t.id,
+            page_no,
+        };
+        if let Some(last) = self.len.checked_sub(1) {
+            let latched = self.at(last).0;
+            debug_assert!(latched <= page, "latched out of order");
+            if latched == page {
+                return;
+            }
+        }
+        let latch = (page, write(t.frame(page_no)));
+        match self.head.get_mut(self.len) {
+            Some(free) => *free = Some(latch),
+            None => self.more.push(latch),
+        }
+        self.len += 1;
+    }
+
+    fn at(&mut self, i: usize) -> &mut Latch<'a> {
+        match i.checked_sub(RUN_MAX) {
+            None => self.head[i].as_mut().expect("latched"),
+            Some(j) => &mut self.more[j],
+        }
+    }
+
+    /// The frame of `page`, which is latched.
+    fn frame(&mut self, page: PageId) -> &mut Frame {
+        let (mut lo, mut hi) = (0, self.len);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.at(mid).0 < page {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let latch = self.at(lo);
+        assert_eq!(latch.0, page, "a page written but not latched");
+        &mut latch.1
     }
 }
 
@@ -1403,44 +1486,6 @@ mod tests {
     }
 
     #[test]
-    fn an_async_commit_leaves_the_att_once_durable() {
-        // No handle is kept and nothing is handed back: the slot settles by
-        // the watermark alone, and a new transaction may claim it.
-        for protocol in [CommitProtocol::AsyncCommit, CommitProtocol::Pipelined] {
-            let device = Arc::new(aether_core::device::FaultDevice::new(
-                Arc::new(aether_core::device::SimDevice::new(
-                    std::time::Duration::ZERO,
-                )),
-                &[],
-            ));
-            let opts = DbOptions {
-                protocol,
-                ..DbOptions::default()
-            };
-            let db = Db::open_with_device(opts, device.clone());
-            db.create_table(40, 8);
-            db.load(0, 1, &rec(1, 40, 0)).unwrap();
-            db.setup_complete();
-            device.arm(aether_core::device::DeviceFault::HoldSync(None));
-            let mut txn = db.begin();
-            db.update_with(&mut txn, 0, 1, |r| r[8] = 9).unwrap();
-            let (token, pending) = db.commit_deferred(txn).unwrap();
-            assert!(pending, "{protocol:?}");
-            assert_eq!(db.txn_manager().active_count(), 1, "listed until durable");
-            let (att, floor) = db.txn_manager().att_snapshot_with_floor();
-            assert_eq!(att.len(), 1);
-            assert!(floor.is_some());
-            device.release();
-            db.log().flush_all().unwrap();
-            assert!(db.log().durable_lsn() >= token.lsn());
-            assert_eq!(db.txn_manager().active_count(), 0, "{protocol:?}");
-            let t = db.begin();
-            assert_eq!(db.txn_manager().active_count(), 1);
-            db.commit(t).unwrap();
-        }
-    }
-
-    #[test]
     fn async_commit_is_marked_unsafe() {
         let db = tiny_db(CommitProtocol::AsyncCommit);
         let mut txn = db.begin();
@@ -1507,33 +1552,32 @@ mod tests {
     }
 
     #[test]
-    fn truncation_point_tracks_dirty_pages_and_active_txns() {
+    fn truncation_point_tracks_dirty_pages_only() {
         let db = tiny_db(CommitProtocol::Baseline);
-        // Clean DB, no active txns: truncation point == durable end.
+        // Clean DB, no open txns: truncation point == durable end.
         db.flush_pages();
         let clean_point = db.log_truncation_point();
         assert_eq!(clean_point, db.log().durable_lsn());
-        // An active transaction pins the point at its first record.
+        // An open transaction has logged nothing and pins nothing.
         let mut txn = db.begin();
         db.update_with(&mut txn, 0, 1, |r| r[8] = 9).unwrap();
-        let first = txn.first_lsn().unwrap();
-        assert!(db.log_truncation_point() <= first);
+        assert_eq!(db.log_truncation_point(), clean_point);
         db.commit(txn).unwrap();
         // Dirty pages pin it at their rec_lsn until flushed.
-        let dirty_point = db.log_truncation_point();
-        assert!(dirty_point <= first);
+        assert_eq!(db.log_truncation_point(), clean_point);
         db.flush_pages();
+        assert!(db.log_truncation_point() > clean_point);
         assert_eq!(db.log_truncation_point(), db.log().durable_lsn());
     }
 
     #[test]
-    fn checkpoint_writes_att_and_dpt() {
+    fn checkpoint_writes_the_dpt() {
         let db = tiny_db(CommitProtocol::Baseline);
         let mut txn = db.begin();
         db.update_with(&mut txn, 0, 1, |r| r[8] = 9).unwrap();
-        // Checkpoint while txn is active and page dirty.
-        db.checkpoint();
         db.commit(txn).unwrap();
+        // Checkpoint while the page is dirty.
+        db.checkpoint();
         // Find the checkpoint-end record in the log.
         let recs = db.log().reader().read_all().unwrap();
         let cp = recs
@@ -1542,7 +1586,6 @@ mod tests {
             .find(|r| r.header.kind == RecordKind::CheckpointEnd)
             .expect("checkpoint end present");
         let payload = CheckpointPayload::decode(&cp.payload).unwrap();
-        assert_eq!(payload.att.len(), 1, "one active txn at checkpoint");
-        assert!(!payload.dpt.is_empty(), "dirty page recorded");
+        assert_eq!(payload.dpt.len(), 1, "dirty page recorded");
     }
 }

@@ -33,6 +33,15 @@ pub enum StorageError {
     InvalidRecord(String),
     /// Transaction used after commit/abort.
     TxnNotActive(u64),
+    /// A write the transaction's commit record could not hold: it is
+    /// logged as one record, and that record would grow past `limit`
+    /// payload bytes. Nothing of the write was kept.
+    WriteSetFull {
+        /// Payload bytes the record would have had.
+        bytes: usize,
+        /// The most one commit record may hold.
+        limit: usize,
+    },
     /// Log-layer failure.
     Log(aether_core::AetherError),
     /// Recovery found an inconsistency it cannot repair.
@@ -52,6 +61,10 @@ impl fmt::Display for StorageError {
             }
             StorageError::InvalidRecord(m) => write!(f, "invalid record: {m}"),
             StorageError::TxnNotActive(t) => write!(f, "transaction {t} is not active"),
+            StorageError::WriteSetFull { bytes, limit } => write!(
+                f,
+                "write set too large: its commit record would hold {bytes} bytes, at most {limit}"
+            ),
             StorageError::Log(e) => write!(f, "log error: {e}"),
             StorageError::Recovery(m) => write!(f, "recovery error: {m}"),
         }

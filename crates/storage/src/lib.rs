@@ -10,17 +10,19 @@
 //!   ([`store`]),
 //! * a **lock manager** (S/X row locks, FIFO queues, timeout +
 //!   wait-for-graph deadlock detection) ([`lock`]),
-//! * **transactions** with undo chains, rollback via before-images and CLRs,
-//!   and the four commit protocols the paper compares — Baseline, **ELR**,
-//!   Asynchronous commit, and **Flush Pipelining** ([`txn`]),
-//! * ARIES-style **recovery**: analysis / redo / undo with fuzzy checkpoints
-//!   ([`recovery`]),
+//! * **transactions** logged once, at commit, as one redo-only record whose
+//!   writes wait in the transaction until then (a rollback drops them and
+//!   logs nothing), and the four commit protocols the paper compares —
+//!   Baseline, **ELR**, Asynchronous commit, and **Flush Pipelining**
+//!   ([`txn`]),
+//! * **recovery** as one redo scan, bounded by fuzzy checkpoints and log
+//!   truncation ([`recovery`]),
 //! * **continuous redo** for log-shipping standby replicas ([`replay`]),
 //! * a [`db::Db`] facade the benchmark workloads drive.
 //!
 //! Everything WAL-related delegates to `aether-core`: the storage manager
-//! inserts physiological update records through whichever log-buffer variant
-//! the experiment selects.
+//! inserts its commit records through whichever log-buffer variant the
+//! experiment selects.
 
 #![warn(missing_docs)]
 

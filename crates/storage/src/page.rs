@@ -1,10 +1,9 @@
 //! Pages and page identity.
 //!
 //! Tables store fixed-size records in *cells*: one presence byte followed by
-//! the record bytes. Making presence part of the cell means insert/delete
-//! redo and undo are plain cell overwrites — the same physiological
-//! update path as ordinary writes, exactly what ARIES page-LSN reasoning
-//! wants.
+//! the record bytes. Making presence part of the cell means an insert or a
+//! delete is a plain cell overwrite — the same physiological update path
+//! as ordinary writes, exactly what page-LSN redo wants.
 
 use aether_core::Lsn;
 
@@ -50,7 +49,7 @@ pub struct Rid {
     pub slot: u16,
 }
 
-/// An in-memory page frame: data + ARIES bookkeeping.
+/// An in-memory page frame: data + redo bookkeeping.
 #[derive(Debug, Clone)]
 pub struct Frame {
     /// Raw page bytes (cell array).

@@ -2,28 +2,31 @@
 //!
 //! A replica receives the primary's durable log as a byte stream and keeps a
 //! **standby database** warm by replaying it record-by-record — the same
-//! "repeat history" rule ARIES redo uses at restart, applied continuously:
-//! an Update/CLR/UpdateCommit whose LSN is newer than the target page's LSN
-//! is applied;
-//! older records are skipped, so replay is idempotent over any prefix
+//! "repeat history" rule redo uses at restart, applied continuously: an
+//! UpdateCommit whose LSN is newer than a target page's LSN is applied to
+//! it; older ones are skipped, so replay is idempotent over any prefix
 //! overlap (the base backup's flushed pages already carry their page LSNs).
+//! A transaction is logged once, at its commit, so the standby only ever
+//! holds committed data: its state at an applied LSN is the primary's
+//! committed state there.
 //!
-//! [`apply_record`] is the crate's one redo: what an Update, CLR or
-//! UpdateCommit record read back from the log does to a page is decided there and nowhere
-//! else. Restart recovery
-//! ([`crate::recovery`]) redoes through it, and promotion runs that same
-//! recovery over the replica's receive log, so the standby, a restart and
-//! a failover repeat history by one routine.
+//! [`apply_record`] is the crate's one redo: what a record read back from
+//! the log does to a page is decided there and nowhere else. Restart
+//! recovery ([`crate::recovery`]) redoes through it, and promotion runs
+//! that same recovery over the replica's receive log, so the standby, a
+//! restart and a failover repeat history by one routine.
 //!
 //! The standby never originates transactions: its log manager writes to a
 //! discarding device and its lock manager stays empty. Snapshot reads go
 //! straight to the table frames ([`snapshot_read`]).
 
-use crate::db::{Db, DbOptions};
+use crate::db::{table_in, Db, DbOptions};
 use crate::error::{StorageError, StorageResult};
-use crate::page::{cell_key, PAGE_SIZE};
+use crate::page::{cell_key, PageId, PAGE_SIZE};
+use crate::segmented::Segmented;
 use crate::store::{PageStore, StoredPage};
-use crate::wal::{CheckpointPayload, ClrPayload, UpdateCommitPayload, UpdatePayload};
+use crate::table::Table;
+use crate::wal::{CheckpointPayload, UpdateCommitPayload};
 use aether_core::device::NullDevice;
 use aether_core::record::{Record, RecordKind};
 use aether_core::runtime::{read, write};
@@ -34,14 +37,12 @@ use std::sync::Arc;
 /// to join a cluster whose log prefix has been truncated away.
 ///
 /// `start_lsn` is the primary's truncation-safe point at capture time
-/// (`min(durable, dirty-page recovery LSNs, oldest active transaction's
-/// first record)` — [`crate::db::Db::log_truncation_point`] right after a
-/// page flush): every record below it is reflected in `pages`, and every
-/// record any in-flight transaction could need — redo *or* undo — is at or
-/// above it, so shipping the log from `start_lsn` onward is sufficient for
-/// both continuous replay and a later promotion. The fuzzy checkpoint's
-/// ATT/DPT ride along, mirroring what the capture-time checkpoint wrote
-/// into the log.
+/// (`min(durable, dirty-page recovery LSNs)` —
+/// [`crate::db::Db::log_truncation_point`] right after a page flush): every
+/// record below it is reflected in `pages`, so shipping the log from
+/// `start_lsn` onward is sufficient for both continuous replay and a later
+/// promotion. The fuzzy checkpoint's DPT rides along, mirroring what the
+/// capture-time checkpoint wrote into the log.
 ///
 /// The pages are the primary's stored images, shared: capturing a
 /// snapshot copies no page, and a standby built from one copies each page
@@ -54,7 +55,7 @@ pub struct BaseSnapshot {
     pub schema: Vec<(usize, u64)>,
     /// Flushed pages, sorted by packed page id.
     pub pages: Vec<StoredPage>,
-    /// Active-transaction and dirty-page tables at capture time.
+    /// The dirty-page table at capture time.
     pub checkpoint: CheckpointPayload,
 }
 
@@ -63,7 +64,7 @@ impl BaseSnapshot {
     /// `[start u64][n_schema u32][n_pages u32][ckpt_len u32]` then per
     /// table `[record_size u64][dense_rows u64]`, per page
     /// `[id u64][lsn u64][len u32][bytes]`, then the encoded
-    /// ATT/DPT ([`CheckpointPayload`]). One allocation, sized up front.
+    /// DPT ([`CheckpointPayload`]). One allocation, sized up front.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
         self.encode_into(&mut out);
@@ -158,16 +159,15 @@ pub fn base_snapshot(db: &Db) -> BaseSnapshot {
     db.flush_pages();
     db.checkpoint();
     let start_lsn = db.redo_low_water();
-    // ATT/DPT sampled after the checkpoint, like the checkpoint's own
-    // payload: fuzzy, but every referenced LSN is >= start_lsn (an active
-    // transaction's first record and a dirty page's recovery LSN both pin
-    // the truncation point the start LSN was computed from).
+    // The DPT sampled after the checkpoint, like the checkpoint's own
+    // payload: fuzzy, but every recovery LSN in it is >= start_lsn (a dirty
+    // page's recovery LSN pins the truncation point the start LSN was
+    // computed from).
     BaseSnapshot {
         start_lsn,
         schema: db.schema(),
         pages: db.store().export(),
         checkpoint: CheckpointPayload {
-            att: db.txn_manager().att_snapshot(),
             dpt: db.dpt_snapshot(),
         },
     }
@@ -179,22 +179,15 @@ pub fn base_snapshot(db: &Db) -> BaseSnapshot {
 /// a dirty page whose recovery LSN lies below the snapshot's own start LSN
 /// means the capture was inconsistent (the shipped stream could never redo
 /// that page), so the snapshot is rejected rather than silently installed.
-/// The ATT advances the standby's transaction-id floor, so a later
-/// promotion never reissues an id that was in flight at capture time.
 pub fn standby_from_snapshot(opts: DbOptions, snap: &BaseSnapshot) -> StorageResult<Arc<Db>> {
-    let ckpt = &snap.checkpoint;
-    if let Some(&(page, rec_lsn)) = ckpt.dpt.iter().find(|&&(_, rec)| rec < snap.start_lsn) {
+    let dpt = &snap.checkpoint.dpt;
+    if let Some(&(page, rec_lsn)) = dpt.iter().find(|&&(_, rec)| rec < snap.start_lsn) {
         return Err(StorageError::Recovery(format!(
             "inconsistent base snapshot: dirty page {page} has recovery LSN {rec_lsn} below the snapshot start {}",
             snap.start_lsn
         )));
     }
-    let store = PageStore::from_pages(&snap.pages);
-    let db = standby_db(opts, store, &snap.schema)?;
-    if let Some(max) = ckpt.att.iter().map(|&(txn, _)| txn).max() {
-        db.txn_manager().bump_next(max + 1);
-    }
-    Ok(db)
+    standby_db(opts, PageStore::from_pages(&snap.pages), &snap.schema)
 }
 
 /// Build a standby database from a base backup: the primary's flushed page
@@ -212,60 +205,67 @@ pub fn standby_db(
     Db::open_on(Arc::new(NullDevice::new()), store, schema, opts).map(|(db, _)| db)
 }
 
-/// Rebuild tables from a schema, each frame made once from its page image
-/// in the database's store, and index them; [`apply_record`] keeps the
-/// index in step from there. Part of [`Db::open_on`].
-pub(crate) fn install_tables(db: &Db, schema: &[(usize, u64)]) {
-    for &(record_size, dense_rows) in schema {
-        let id = db.create_table(record_size, dense_rows);
-        db.table(id).expect("a table just made").rebuild_index();
-    }
-}
-
 /// Apply one log record to a database: the one redo of the crate. A
 /// standby runs it on every shipped record (continuous redo), and restart
-/// recovery — which promotion runs too — on every record from its redo
-/// point.
-///
-/// An Update, CLR or UpdateCommit whose LSN is newer than its page's LSN
-/// applies its cell image (the after-image, or the image the CLR restores) and keeps the
-/// hash index in step, so a standby serves snapshot reads for appended keys
-/// too; an older one is skipped. Decoding and applying allocate nothing:
-/// the images are read in place from the record, and the index sees the
-/// current cell's key, read under the same frame lock. Only an appended
-/// key's insert may grow the index's map. Every other kind is a no-op for
-/// page state. Returns whether the record changed a page.
+/// recovery — which promotion runs too — on every record it scans.
+/// Returns whether the record changed a page.
 pub fn apply_record(db: &Db, rec: &Record) -> StorageResult<bool> {
-    let bad = |what| StorageError::Recovery(format!("bad {what} payload at {}", rec.lsn));
-    let (table, rid, image) = match rec.header.kind {
-        RecordKind::Update => {
-            let u = UpdatePayload::decode(&rec.payload).ok_or_else(|| bad("update"))?;
-            (u.page.table, u.rid(), u.after)
+    redo(db.tables(), rec)
+}
+
+/// [`apply_record`] over a catalog: recovery redoes into its tables before
+/// the database around them exists.
+///
+/// Only an UpdateCommit changes pages; every other kind is a no-op. Its
+/// entries come in `(table, page)` order, so one page's entries are
+/// consecutive: the page-LSN test is decided once per page per record, on
+/// the page's LSN before the record, and a page older than the record gets
+/// every entry of it and then its LSN. A second entry for a page the
+/// record has just stamped is thus never mistaken for one already applied.
+/// Each applied cell keeps the hash index in step, so a standby serves
+/// snapshot reads for appended keys too. Decoding and applying allocate
+/// nothing: the images are read in place from the record, and the index
+/// sees the current cell's key, read under the frame latch. Only an
+/// appended key's insert may grow the index's map.
+pub(crate) fn redo(tables: &Segmented<Table>, rec: &Record) -> StorageResult<bool> {
+    if rec.header.kind != RecordKind::UpdateCommit {
+        return Ok(false);
+    }
+    let bad = || StorageError::Recovery(format!("bad update-commit payload at {}", rec.lsn));
+    let mut entries = UpdateCommitPayload::entries(&rec.payload).peekable();
+    let mut prev: Option<PageId> = None;
+    let mut changed = false;
+    while let Some(first) = entries.next() {
+        let first = first.ok_or_else(bad)?;
+        let page = first.page;
+        if prev.is_some_and(|p| p >= page) {
+            return Err(bad());
         }
-        RecordKind::Clr => {
-            let c = ClrPayload::decode(&rec.payload).ok_or_else(|| bad("CLR"))?;
-            (c.page.table, c.rid(), c.restored)
+        prev = Some(page);
+        let t = table_in(tables, page.table)?;
+        let mut g = write(t.frame(page.page_no));
+        let fresh = g.page_lsn < rec.lsn;
+        let mut entry = Some(first);
+        while let Some(e) = entry {
+            if e.after.len() != t.geom.cell_size || usize::from(e.slot) >= t.geom.slots_per_page {
+                return Err(bad());
+            }
+            if fresh {
+                let off = t.geom.offset(e.slot);
+                let was = cell_key(&g.data[off..]);
+                g.data[off..off + e.after.len()].copy_from_slice(e.after);
+                t.reindex_cell(e.rid(), was, e.after);
+            }
+            entry = entries
+                .next_if(|n| n.as_ref().is_some_and(|n| n.page == page))
+                .flatten();
         }
-        RecordKind::UpdateCommit => {
-            let u =
-                UpdateCommitPayload::decode(&rec.payload).ok_or_else(|| bad("update-commit"))?;
-            (u.page.table, u.rid(), u.after)
+        if fresh {
+            g.stamp(rec.lsn);
+            changed = true;
         }
-        _ => return Ok(false),
-    };
-    let t = db.table(table)?;
-    let was = {
-        let mut g = write(t.frame(rid.page_no));
-        if g.page_lsn >= rec.lsn {
-            return Ok(false);
-        }
-        let off = t.geom.offset(rid.slot);
-        let was = cell_key(&g.data[off..]);
-        g.apply(off, image, rec.lsn);
-        was
-    };
-    t.reindex_cell(rid, was, image);
-    Ok(true)
+    }
+    Ok(changed)
 }
 
 /// Lock-free snapshot read against a standby: resolves `key` through the

@@ -1,6 +1,6 @@
 //! [`Segmented`]: append-only storage whose elements never move.
 //!
-//! Tables, page frames and ATT slots are made as the database grows and are
+//! Tables and page frames are made as the database grows and are
 //! never removed, so looking one up needs no lock and writes nothing shared:
 //! the elements live in segments of doubling size, each allocated once and
 //! freed only with the whole container, and a reference into one stays

@@ -47,11 +47,6 @@ impl HashIndex {
         write(self.shard(key)).insert(key, rid).is_none()
     }
 
-    /// Remove; returns the old RID if present.
-    pub fn remove(&self, key: u64) -> Option<Rid> {
-        write(self.shard(key)).remove(&key)
-    }
-
     /// Remove `key` only while it maps to `rid`.
     pub fn remove_at(&self, key: u64, rid: Rid) {
         let mut shard = write(self.shard(key));
@@ -195,14 +190,6 @@ impl Table {
         Some(g.data[off + 1..off + 1 + self.geom.record_size].to_vec())
     }
 
-    /// Append the full cell (presence byte + record) at `rid` to `out` —
-    /// the before-image for WAL records.
-    pub fn read_cell_into(&self, rid: Rid, out: &mut Vec<u8>) {
-        let g = read(self.frame(rid.page_no));
-        let off = self.geom.offset(rid.slot);
-        out.extend_from_slice(&g.data[off..off + self.geom.cell_size]);
-    }
-
     /// The key of the record at `rid`, `None` if the slot is empty.
     pub(crate) fn key_at(&self, rid: Rid) -> Option<u64> {
         cell_key(&read(self.frame(rid.page_no)).data[self.geom.offset(rid.slot)..])
@@ -210,7 +197,7 @@ impl Table {
 
     /// Keep the hash index in step with the cell at `rid` going from one
     /// that held key `was` to `image`: a key that leaves drops out, a key
-    /// that arrives goes in (undoing an insert or a delete, or redoing one).
+    /// that arrives goes in (redoing an insert or a delete).
     /// Dense keys are not indexed. A key leaves only if the index still
     /// maps it here: a stale copy of it in an older page image never
     /// unmaps the live one.
@@ -224,15 +211,6 @@ impl Table {
             }
             _ => {}
         }
-    }
-
-    /// Apply `cell` at `rid`, stamping `lsn`. A logged change latches the
-    /// frame across its log insert and applies under that latch instead.
-    pub fn apply_cell(&self, rid: Rid, cell: &[u8], lsn: Lsn) {
-        debug_assert_eq!(cell.len(), self.geom.cell_size);
-        let mut g = write(self.frame(rid.page_no));
-        let off = self.geom.offset(rid.slot);
-        g.apply(off, cell, lsn);
     }
 
     /// `Ok` if `record` is this table's record size.
@@ -395,6 +373,12 @@ impl Table {
 mod tests {
     use super::*;
 
+    /// Apply `cell` at `rid`, stamping `lsn`.
+    fn apply_cell(t: &Table, rid: Rid, cell: &[u8], lsn: Lsn) {
+        let mut g = write(t.frame(rid.page_no));
+        g.apply(t.geom.offset(rid.slot), cell, lsn);
+    }
+
     fn key_record(key: u64, size: usize, fill: u8) -> Vec<u8> {
         let mut r = vec![fill; size];
         r[..8].copy_from_slice(&key.to_le_bytes());
@@ -464,14 +448,12 @@ mod tests {
         let rid = t.rid_of(3).unwrap();
         assert!(t.read(rid).is_none(), "unloaded slot reads as absent");
         let cell = cell_of(&key_record(3, 16, 9));
-        t.apply_cell(rid, &cell, Lsn(77));
-        let mut read_back = Vec::new();
-        t.read_cell_into(rid, &mut read_back);
-        assert_eq!(read_back, cell);
+        apply_cell(&t, rid, &cell, Lsn(77));
+        assert_eq!(t.read(rid).unwrap(), cell[1..]);
         assert_eq!(t.key_at(rid), Some(3));
         assert_eq!(t.read(rid).unwrap()[8], 9);
         // Delete = empty cell.
-        t.apply_cell(rid, &vec![0; t.geom.cell_size], Lsn(78));
+        apply_cell(&t, rid, &vec![0; t.geom.cell_size], Lsn(78));
         assert!(t.read(rid).is_none());
         assert_eq!(t.key_at(rid), None);
     }
@@ -535,8 +517,8 @@ mod tests {
                 slot: 0,
             },
         );
-        t.apply_cell(stale, &cell, Lsn(10));
-        t.apply_cell(live, &cell, Lsn(20));
+        apply_cell(&t, stale, &cell, Lsn(10));
+        apply_cell(&t, live, &cell, Lsn(20));
         t.rebuild_index();
         assert_eq!(t.rid_of(7), Some(live));
         // Replaying the delete over the stale image keeps the live mapping.
@@ -642,7 +624,7 @@ mod tests {
         assert!(t.dpt_snapshot().is_empty());
         let rid = t.rid_of(0).unwrap();
         let cell = cell_of(&key_record(0, 16, 1));
-        t.apply_cell(rid, &cell, Lsn(500));
+        apply_cell(&t, rid, &cell, Lsn(500));
         let dpt = t.dpt_snapshot();
         assert_eq!(dpt.len(), 1);
         assert_eq!(dpt[0].1, Lsn(500));

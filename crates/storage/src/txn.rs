@@ -20,13 +20,10 @@
 //! record.
 
 use crate::lock::LockId;
-use crate::page::PageId;
-use crate::segmented::Segmented;
-use aether_core::commit::{CommitHandle, CommitPipeline};
-use aether_core::Lsn;
-use std::cell::{Cell, RefCell};
-use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::Arc;
+use crate::page::Rid;
+use aether_core::commit::CommitHandle;
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// How commits interact with the log flush and lock release.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,20 +72,21 @@ impl CommitProtocol {
     }
 }
 
-/// One undo entry kept in-transaction (rollback never reads the log; the
-/// before-image is at hand, as in any system that keeps an in-memory undo
-/// list for active transactions). The image itself sits in the
-/// transaction's image arena, one cell long.
+/// One cell a transaction writes, kept in its write set until commit: the
+/// row's key, where it lives, and where its new record sits in the
+/// transaction's image arena. Nothing of it reaches a page or the log
+/// before the commit.
 #[derive(Debug, Clone, Copy)]
-pub struct UndoEntry {
-    /// Page the update touched.
-    pub page: PageId,
-    /// Slot within the page.
-    pub slot: u16,
-    /// LSN of the update record being undone (threads the CLR's undo_next).
-    pub update_lsn: Lsn,
-    /// Where the before-image starts in the transaction's image arena.
-    pub(crate) at: usize,
+pub(crate) struct Write {
+    /// Table written.
+    pub table: u32,
+    /// Key of the row written.
+    pub key: u64,
+    /// Its cell.
+    pub rid: Rid,
+    /// Where the new record starts in the image arena; `None` for a
+    /// delete, which leaves the cell empty.
+    pub at: Option<usize>,
 }
 
 /// Transaction state.
@@ -96,9 +94,7 @@ pub struct UndoEntry {
 pub enum TxnStatus {
     /// Running; may read/write.
     Active,
-    /// Commit record inserted, awaiting durability (ELR window).
-    Precommitted,
-    /// Durably committed.
+    /// Committed.
     Committed,
     /// Rolled back.
     Aborted,
@@ -110,7 +106,7 @@ pub enum TxnStatus {
 #[derive(Debug, Default)]
 struct TxnBuffers {
     held: Vec<LockId>,
-    undo: Vec<UndoEntry>,
+    writes: Vec<Write>,
     images: Vec<u8>,
 }
 
@@ -123,43 +119,30 @@ const POOL_MAX_IMAGE_BYTES: usize = 64 << 10;
 
 thread_local! {
     static POOL: RefCell<Vec<TxnBuffers>> = const { RefCell::new(Vec::new()) };
-    /// The ATT slot this thread's last transaction used: the first one its
-    /// next transaction tries, so a thread keeps to one slot's cache line.
-    static SLOT_HINT: Cell<usize> = const { Cell::new(0) };
 }
 
 /// A transaction handle. Not `Sync`: owned and driven by one agent thread,
 /// like Shore-MT's transaction objects.
+///
+/// Its writes stay in its write set until [`crate::Db::commit`] logs them
+/// as one record and applies them; a rollback drops them.
 #[derive(Debug)]
 pub struct Transaction {
     /// Transaction id.
     pub id: u64,
-    /// Index of the ATT slot this transaction owns until it finishes.
-    pub(crate) slot: usize,
-    last_lsn: Lsn,
-    first_lsn: Option<Lsn>,
     /// Locks held, released at commit/abort per the protocol.
     pub(crate) held: Vec<LockId>,
-    /// In-memory undo list (reverse order on rollback).
-    pub(crate) undo: Vec<UndoEntry>,
-    /// The undo entries' before-images, back to back, and scratch space
-    /// behind them while an update is logged.
+    /// The write set, one entry per cell, in the order first written.
+    pub(crate) writes: Vec<Write>,
+    /// The write set's new records, back to back.
     pub(crate) images: Vec<u8>,
+    /// Payload bytes the commit record will have.
+    pub(crate) record_len: usize,
     /// Current status.
     pub status: TxnStatus,
 }
 
 impl Transaction {
-    /// Undo-chain head (LSN of this transaction's most recent record).
-    pub fn last_lsn(&self) -> Lsn {
-        self.last_lsn
-    }
-
-    /// First LSN written by this transaction, if any.
-    pub fn first_lsn(&self) -> Option<Lsn> {
-        self.first_lsn
-    }
-
     /// Record a lock for release at end-of-transaction.
     pub fn note_lock(&mut self, id: LockId) {
         // Cheap dedup: transactions hold few locks; linear scan beats a set.
@@ -168,9 +151,16 @@ impl Transaction {
         }
     }
 
-    /// The before-image of `e`, `cell_size` bytes long.
-    pub(crate) fn before_image(&self, e: &UndoEntry, cell_size: usize) -> &[u8] {
-        &self.images[e.at..e.at + cell_size]
+    /// The write set's entry for the cell `rid` of `table`, if it wrote it.
+    pub(crate) fn write_at(&self, table: u32, rid: Rid) -> Option<usize> {
+        self.writes
+            .iter()
+            .position(|w| w.table == table && w.rid == rid)
+    }
+
+    /// The record entry `i` writes, `len` bytes long; `None` for a delete.
+    pub(crate) fn after(&self, i: usize, len: usize) -> Option<&[u8]> {
+        self.writes[i].at.map(|at| &self.images[at..at + len])
     }
 
     /// True while the transaction may perform work.
@@ -180,20 +170,18 @@ impl Transaction {
 }
 
 impl Drop for Transaction {
-    /// Hand the buffers back to this thread's pool. The ATT slot is not
-    /// touched: an asynchronous commit's slot stays listed until the log
-    /// is durable past its commit record, after its `Transaction` is gone.
+    /// Hand the buffers back to this thread's pool.
     fn drop(&mut self) {
         let mut b = TxnBuffers {
             held: std::mem::take(&mut self.held),
-            undo: std::mem::take(&mut self.undo),
+            writes: std::mem::take(&mut self.writes),
             images: std::mem::take(&mut self.images),
         };
         if b.images.capacity() > POOL_MAX_IMAGE_BYTES {
             return;
         }
         b.held.clear();
-        b.undo.clear();
+        b.writes.clear();
         b.images.clear();
         // A thread being torn down has no pool left: the buffers just go.
         let _ = POOL.try_with(|p| {
@@ -227,106 +215,13 @@ impl CommitOutcome {
     }
 }
 
-/// One ATT slot, on cache lines of its own: the transaction that owns it
-/// is the only writer of its LSNs.
-///
-/// `id` doubles as the slot's sequence word. It is [`FREE`], [`CLAIMING`]
-/// while a new owner resets the LSNs, or the owner's id, and ids are never
-/// reused, so a reader that sees the same id before and after it reads the
-/// LSNs has read one transaction's values (see [`Slot::read`]).
-///
-/// An asynchronous commit leaves its id in place and records its commit
-/// record's end LSN instead: the slot counts as finished once the log is
-/// durable there, and a `begin` may then claim it from the old id.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-struct Slot {
-    id: AtomicU64,
-    last_lsn: AtomicU64,
-    /// First LSN + 1; 0 while the owner has logged nothing.
-    first_lsn: AtomicU64,
-    /// The commit record's end LSN once the owner committed asynchronously;
-    /// 0 before.
-    commit_end: AtomicU64,
-}
-
-/// A slot nobody owns. Transaction ids start at 1, so no owner has it.
-const FREE: u64 = 0;
-/// A slot whose new owner is resetting its LSNs; no transaction id.
-const CLAIMING: u64 = u64::MAX;
-
-impl Slot {
-    /// Whether an owner that committed asynchronously is done with the slot.
-    fn settled(&self, log: Option<&CommitPipeline>) -> bool {
-        match (self.commit_end.load(Ordering::Acquire), log) {
-            (0, _) | (_, None) => false,
-            (end, Some(log)) => log.settled(Lsn(end)),
-        }
-    }
-
-    /// Make `id` the owner if the slot is free or its owner's asynchronous
-    /// commit has settled.
-    fn claim(&self, id: u64, log: Option<&CommitPipeline>) -> bool {
-        let old = self.id.load(Ordering::Acquire);
-        if old == CLAIMING
-            || (old != FREE && !self.settled(log))
-            || self
-                .id
-                .compare_exchange(old, CLAIMING, Ordering::Relaxed, Ordering::Relaxed)
-                .is_err()
-        {
-            return false;
-        }
-        // A reader that sees a reset LSN sees `CLAIMING` or later in `id`.
-        fence(Ordering::Release);
-        self.last_lsn.store(0, Ordering::Relaxed);
-        self.first_lsn.store(0, Ordering::Relaxed);
-        self.commit_end.store(0, Ordering::Relaxed);
-        self.id.store(id, Ordering::Release);
-        true
-    }
-
-    /// `(id, last LSN, first LSN)` of the owner, all from the same owner,
-    /// or `None` for a slot nobody owns or whose asynchronous commit has
-    /// settled. A seqlock read: `id` before and after the LSNs; if it
-    /// changed, the owner finished mid-read, and the slot is read again.
-    fn read(&self, log: Option<&CommitPipeline>) -> Option<(u64, Lsn, Option<Lsn>)> {
-        loop {
-            let id = self.id.load(Ordering::Acquire);
-            if id == FREE || id == CLAIMING {
-                return None;
-            }
-            let last = self.last_lsn.load(Ordering::Acquire);
-            let first = self.first_lsn.load(Ordering::Relaxed);
-            let settled = self.settled(log);
-            fence(Ordering::Acquire);
-            if self.id.load(Ordering::Relaxed) == id {
-                return (!settled).then(|| (id, Lsn(last), first.checked_sub(1).map(Lsn)));
-            }
-        }
-    }
-}
-
-/// Allocates transaction ids and tracks active transactions (the ATT used by
-/// fuzzy checkpoints): an array of padded slots, one per open transaction.
-/// Beginning claims a free slot, finishing is one store, and a snapshot
-/// reads each slot on its own; nothing is locked. An asynchronous commit
-/// finishes by the log's watermark: nothing hands its slot back.
+/// Allocates transaction ids and counts open transactions. Nothing of an
+/// open transaction is in the log or on a page, so neither a checkpoint
+/// nor recovery needs to know which transactions are open.
+#[derive(Debug)]
 pub struct TxnManager {
     next: AtomicU64,
-    slots: Segmented<Slot>,
-    /// The log whose durable watermark settles asynchronous commits (`None`:
-    /// they never settle).
-    log: Option<Arc<CommitPipeline>>,
-}
-
-impl std::fmt::Debug for TxnManager {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TxnManager")
-            .field("next", &self.next)
-            .field("active", &self.active_count())
-            .finish()
-    }
+    active: AtomicUsize,
 }
 
 impl Default for TxnManager {
@@ -337,28 +232,17 @@ impl Default for TxnManager {
 
 impl TxnManager {
     /// Empty manager; ids start at 1 (0 is the wire's auto-commit
-    /// sentinel, and a free slot's mark).
+    /// sentinel).
     pub fn new() -> TxnManager {
         TxnManager {
             next: AtomicU64::new(1),
-            slots: Segmented::new(64),
-            log: None,
-        }
-    }
-
-    /// Empty manager whose asynchronous commits settle by `log`'s durable
-    /// watermark.
-    pub fn watching(log: Arc<CommitPipeline>) -> TxnManager {
-        TxnManager {
-            log: Some(log),
-            ..TxnManager::new()
+            active: AtomicUsize::new(0),
         }
     }
 
     /// `n` fresh transaction ids, the first returned and the rest after
-    /// it, with no ATT slot: a one-statement transaction that commits in
-    /// the record it logs is never active in the ATT's sense (nothing of it
-    /// can be undone).
+    /// it, for one-statement transactions that commit in the record they
+    /// log and are never open.
     pub fn next_ids(&self, n: u64) -> u64 {
         self.next.fetch_add(n, Ordering::Relaxed)
     }
@@ -366,7 +250,7 @@ impl TxnManager {
     /// Begin a transaction.
     pub fn begin(&self) -> Transaction {
         let id = self.next_ids(1);
-        let slot = self.claim(id);
+        self.active.fetch_add(1, Ordering::Relaxed);
         let b = POOL
             .try_with(|p| p.borrow_mut().pop())
             .ok()
@@ -374,109 +258,22 @@ impl TxnManager {
             .unwrap_or_default();
         Transaction {
             id,
-            slot,
-            last_lsn: Lsn::ZERO,
-            first_lsn: None,
             held: b.held,
-            undo: b.undo,
+            writes: b.writes,
             images: b.images,
+            record_len: 0,
             status: TxnStatus::Active,
         }
     }
 
-    /// Claim a free slot for `id`: this thread's last one if it is free,
-    /// else the next free one after it, else a new one.
-    fn claim(&self, id: u64) -> usize {
-        let hint = SLOT_HINT.with(Cell::get);
-        let n = self.slots.len();
-        let i = (0..n)
-            .map(|j| (hint + j) % n)
-            .chain(n..)
-            .find(|&i| {
-                let slot = self.slots.get_or_init(i, Slot::default);
-                slot.claim(id, self.log.as_deref())
-            })
-            .expect("slot indices are unbounded");
-        SLOT_HINT.with(|h| h.set(i));
-        i
+    /// A transaction committed or rolled back.
+    pub fn finish(&self) {
+        self.active.fetch_sub(1, Ordering::Relaxed);
     }
 
-    fn slot(&self, txn: &Transaction) -> &Slot {
-        let slot = self.slots.get(txn.slot).expect("a claimed slot exists");
-        debug_assert_eq!(slot.id.load(Ordering::Relaxed), txn.id, "slot not owned");
-        slot
-    }
-
-    /// `txn` wrote a record at `lsn`: advance its undo-chain head and, at
-    /// its first record, pin its truncation anchor (the log cannot be
-    /// truncated past the oldest active transaction's first record, which
-    /// undo may need), in the transaction and in its ATT slot.
-    pub fn logged(&self, txn: &mut Transaction, lsn: Lsn) {
-        let slot = self.slot(txn);
-        if txn.first_lsn.is_none() {
-            slot.first_lsn.store(lsn.raw() + 1, Ordering::Relaxed);
-            txn.first_lsn = Some(lsn);
-        }
-        // After the first LSN: a reader that sees this last LSN sees it.
-        slot.last_lsn.store(lsn.raw(), Ordering::Release);
-        txn.last_lsn = lsn;
-    }
-
-    /// Remove a finished transaction from the ATT.
-    pub fn finish(&self, txn: &Transaction) {
-        self.slot(txn).id.store(FREE, Ordering::Release);
-    }
-
-    /// `txn` committed asynchronously with its commit record ending at
-    /// `end`: it stays in the ATT until the log is durable there.
-    pub fn finish_at(&self, txn: &Transaction, end: Lsn) {
-        self.slot(txn)
-            .commit_end
-            .store(end.raw(), Ordering::Release);
-    }
-
-    /// Every active transaction: `(id, last LSN, first LSN)`.
-    fn active(&self) -> impl Iterator<Item = (u64, Lsn, Option<Lsn>)> + '_ {
-        let log = self.log.as_deref();
-        self.slots.iter().filter_map(move |(_, s)| s.read(log))
-    }
-
-    /// Snapshot the ATT: (txn id, last LSN) pairs for the checkpoint record.
-    pub fn att_snapshot(&self) -> Vec<(u64, Lsn)> {
-        self.att_snapshot_with_floor().0
-    }
-
-    /// Snapshot the ATT together with its undo floor — the oldest first-LSN
-    /// among the captured transactions. The floor is what makes the
-    /// snapshot safe to *publish*: a checkpoint that lists transaction T as
-    /// active must pin the truncation point at or below T's first record,
-    /// even if T finishes right after the capture. Recomputing the floor
-    /// later from the then-active set (as [`TxnManager::oldest_first_lsn`]
-    /// does) races with T's commit: truncation could retire T's whole chain
-    /// — commit record included — while the surviving checkpoint still
-    /// names T, and recovery would chase T's "undo chain" into the recycled
-    /// prefix. So each slot's id and LSNs are read together, seqlock-style
-    /// (the slot's id before and after its LSNs), and the floor comes from
-    /// exactly the transactions listed.
-    pub fn att_snapshot_with_floor(&self) -> (Vec<(u64, Lsn)>, Option<Lsn>) {
-        let mut att = Vec::new();
-        let mut floor: Option<Lsn> = None;
-        for (id, last, first) in self.active() {
-            att.push((id, last));
-            floor = floor.into_iter().chain(first).min();
-        }
-        (att, floor)
-    }
-
-    /// Number of in-flight transactions.
+    /// Number of open transactions.
     pub fn active_count(&self) -> usize {
-        self.active().count()
-    }
-
-    /// Oldest first-LSN among active transactions (the undo anchor for log
-    /// truncation), if any active transaction has logged.
-    pub fn oldest_first_lsn(&self) -> Option<Lsn> {
-        self.active().filter_map(|(_, _, first)| first).min()
+        self.active.load(Ordering::Relaxed)
     }
 
     /// Restore the id counter after recovery so new ids never collide with
@@ -503,27 +300,23 @@ mod tests {
     }
 
     #[test]
-    fn txn_lifecycle_and_att() {
+    fn txn_lifecycle_and_active_count() {
         let mgr = TxnManager::new();
         let mut t1 = mgr.begin();
         let t2 = mgr.begin();
         assert_ne!(t1.id, t2.id);
         assert_eq!(mgr.active_count(), 2);
-        mgr.logged(&mut t1, Lsn(64));
-        let att = mgr.att_snapshot();
-        assert!(att.contains(&(t1.id, Lsn(64))));
-        assert!(att.contains(&(t2.id, Lsn::ZERO)));
-        mgr.finish(&t2);
+        mgr.finish();
         assert_eq!(mgr.active_count(), 1);
         assert!(t1.is_active());
         t1.status = TxnStatus::Committed;
         assert!(!t1.is_active());
-        mgr.finish(&t1);
+        mgr.finish();
         assert_eq!(mgr.active_count(), 0);
     }
 
     #[test]
-    fn lock_dedup_and_undo_accumulate() {
+    fn lock_dedup() {
         let mgr = TxnManager::new();
         let mut t = mgr.begin();
         let id = LockId::row(1, 5);
@@ -531,17 +324,7 @@ mod tests {
         t.note_lock(id);
         t.note_lock(LockId::row(1, 6));
         assert_eq!(t.held.len(), 2);
-        t.undo.push(UndoEntry {
-            page: PageId {
-                table: 1,
-                page_no: 0,
-            },
-            slot: 3,
-            update_lsn: Lsn(100),
-            at: 0,
-        });
-        assert_eq!(t.undo.len(), 1);
-        mgr.finish(&t);
+        mgr.finish();
     }
 
     #[test]
@@ -550,7 +333,7 @@ mod tests {
         mgr.bump_next(1000);
         let t = mgr.begin();
         assert!(t.id >= 1000);
-        mgr.finish(&t);
+        mgr.finish();
     }
 
     #[test]
@@ -560,78 +343,7 @@ mod tests {
         for mgr in [TxnManager::new(), TxnManager::default()] {
             let t = mgr.begin();
             assert_eq!(t.id, 1);
-            mgr.finish(&t);
+            mgr.finish();
         }
-    }
-
-    #[test]
-    fn slots_are_reused_and_grow_past_a_segment() {
-        let mgr = TxnManager::new();
-        let open: Vec<Transaction> = (0..200).map(|_| mgr.begin()).collect();
-        assert_eq!(mgr.active_count(), 200);
-        let mut slots: Vec<usize> = open.iter().map(|t| t.slot).collect();
-        slots.sort_unstable();
-        slots.dedup();
-        assert_eq!(slots.len(), 200, "every open transaction owns its slot");
-        for t in &open {
-            mgr.finish(t);
-        }
-        assert_eq!(mgr.active_count(), 0);
-        let t = mgr.begin();
-        assert!(t.slot < 200, "a free slot is reused, not a new one made");
-        mgr.finish(&t);
-    }
-
-    /// One thread begins, logs and finishes transactions while another
-    /// snapshots the ATT. Transaction `id` logs at `10 * id` and then
-    /// `10 * id + 5`, so a listed transaction's first LSN is known: it must
-    /// be at or above the snapshot's floor, and its last LSN must be one of
-    /// its own. A read that mixed two owners of one slot would show as a
-    /// foreign last LSN or as a floor above a listed first LSN. The writer
-    /// goes on until the snapshots have caught 100 logged transactions.
-    #[test]
-    fn att_snapshot_floor_covers_every_listed_transaction() {
-        let mgr = TxnManager::new();
-        let done = std::sync::atomic::AtomicBool::new(false);
-        let caught = AtomicU64::new(0);
-        let start = std::sync::Barrier::new(2);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                start.wait();
-                let mut rounds = 0;
-                while rounds < 20_000 || caught.load(Ordering::Relaxed) < 100 {
-                    rounds += 1;
-                    let mut a = mgr.begin();
-                    let mut b = mgr.begin();
-                    for t in [&mut a, &mut b] {
-                        let base = 10 * t.id;
-                        mgr.logged(t, Lsn(base));
-                        mgr.logged(t, Lsn(base + 5));
-                    }
-                    mgr.finish(&a);
-                    mgr.finish(&b);
-                }
-                done.store(true, Ordering::Release);
-            });
-            start.wait();
-            while !done.load(Ordering::Acquire) {
-                let (att, floor) = mgr.att_snapshot_with_floor();
-                for (id, last) in att {
-                    assert!(
-                        [0, 10 * id, 10 * id + 5].contains(&last.raw()),
-                        "txn {id} listed with another owner's last LSN {last}"
-                    );
-                    if last.raw() != 0 {
-                        caught.fetch_add(1, Ordering::Relaxed);
-                        let floor = floor.expect("a listed txn that logged sets a floor");
-                        assert!(
-                            floor.raw() <= 10 * id,
-                            "floor {floor} above txn {id}'s first"
-                        );
-                    }
-                }
-            }
-        });
-        assert_eq!(mgr.active_count(), 0);
     }
 }

@@ -3,14 +3,13 @@
 //! rollback, and checks what moved.
 //!
 //! The log is a checkpoint, then auto-commit updates with an aborted
-//! two-key transaction every `ABORT_EVERY`, so it holds CLRs too. A
-//! standby's `apply_record` decodes both kinds in place and reads the
-//! current cell's key under the frame lock, so it allocates nothing.
-//! Restart recovery streams the log twice (analysis, then redo from the
-//! checkpoint's redo point) through `LogReader`, whose copy of each
-//! non-empty payload is what remains: about one allocation per record,
-//! the rest is opening the recovered database. A rollback compensates
-//! from the transaction's image arena and allocates nothing.
+//! two-key transaction every `ABORT_EVERY`, which logs nothing. A
+//! standby's `apply_record` decodes each commit record in place and reads
+//! the current cell's key under the frame lock, so it allocates nothing.
+//! Restart recovery streams the log once through `LogReader`, whose copy
+//! of each non-empty payload is what remains: about one allocation per
+//! record, the rest is opening the recovered database. A rollback drops the
+//! transaction's write set and allocates nothing.
 //!
 //! Its own integration-test binary, like `alloc_txn.rs`: the counting
 //! allocator is process-global, and a single `#[test]` keeps other tests'
@@ -112,7 +111,7 @@ fn two_keys(db: &Db, i: u64, rec: &[u8]) -> aether_storage::Transaction {
     txn
 }
 
-/// Allocations per Update/CLR record a standby applies, and per record
+/// Allocations per commit record a standby applies, and per record
 /// restart recovery scans, over one log.
 fn replay_and_recovery() -> (f64, f64) {
     let primary = Db::open(opts(DeviceKind::Ram));
@@ -133,9 +132,9 @@ fn replay_and_recovery() -> (f64, f64) {
     let records: Vec<Record> = std::iter::from_fn(|| reader.next_record().unwrap()).collect();
     let cells = records
         .iter()
-        .filter(|r| matches!(r.header.kind, RecordKind::Update | RecordKind::Clr))
+        .filter(|r| r.header.kind == RecordKind::UpdateCommit)
         .count();
-    assert!(records.iter().any(|r| r.header.kind == RecordKind::Clr));
+    assert_eq!(cells as u64, UPDATES, "a rollback logs nothing");
 
     let standby = standby_db(opts(DeviceKind::Ram), base, &schema).unwrap();
     let (applied, n) = counted(|| {
@@ -155,7 +154,6 @@ fn replay_and_recovery() -> (f64, f64) {
     let ((recovered, stats), n) =
         counted(|| recover_with_stats(image, opts(DeviceKind::Ram)).unwrap());
     assert_eq!(stats.scanned, records.len());
-    assert_eq!(stats.losers, 0);
     assert_eq!(
         state_fingerprint(&recovered).unwrap(),
         state_fingerprint(&primary).unwrap()
@@ -186,10 +184,9 @@ fn replay_recovery_and_rollback_allocate_only_the_readers_copy() {
     let (replayed, recovered) = replay_and_recovery();
     let aborted = per_abort();
     // (what, measured, ceiling): recovery's one is `LogReader`'s payload
-    // copy, made once per scan of an update (an update log is about half
-    // updates, and recovery scans it twice).
+    // copy, made once per record it scans.
     let table = [
-        ("standby apply_record, per Update/CLR", replayed, 0.0),
+        ("standby apply_record, per commit record", replayed, 0.0),
         ("recover_with_stats, per scanned record", recovered, 1.05),
         ("Db::abort of a two-key transaction", aborted, 0.0),
     ];

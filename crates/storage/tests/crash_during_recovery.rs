@@ -1,22 +1,25 @@
-//! Crash during recovery (ISSUE 10 satellite): power-cut a recovering
-//! database at every stage boundary and prove recovery converges.
+//! Crash during recovery: power-cut the log of a recovering database at
+//! every byte and prove recovery converges.
 //!
-//! Recovery appends to the log (CLRs during undo, abort markers at
-//! rollback completion), so a second crash can land anywhere inside that
-//! suffix: before any CLR survived (≈ crash after analysis/redo), mid-undo
-//! with a partial CLR chain, mid-record with a torn CLR, or after
-//! everything hardened. ARIES' answer is that CLRs are redo-only and
-//! chained via `undo_next`, making re-recovery idempotent: whatever prefix
-//! survived, the next recovery lands in the same winners-only state. These
-//! tests cut the recovering log at *every byte* and assert exactly that.
+//! A transaction is logged once, at its commit, as one redo-only record
+//! that holds every cell it writes, and recovery only redoes: it appends
+//! nothing, so a crash during recovery leaves the log it started from, and
+//! recovering that again is the same scan. What a crash can cut is the
+//! redo-only suffix itself: the commit records past the last flushed
+//! page. These tests cut that suffix at *every byte* and assert that each
+//! cut recovers to the state of the commits whole before it — each
+//! multi-key transaction all or nothing, open transactions nowhere — and
+//! that recovering the recovered image again changes nothing.
 
 use aether_core::{BufferKind, DeviceKind, LogConfig};
 use aether_storage::recovery::recover_with_stats;
 use aether_storage::replay::state_fingerprint;
-use aether_storage::{CommitProtocol, Db, DbOptions};
+use aether_storage::{CommitProtocol, CrashImage, Db, DbOptions};
 use std::sync::Arc;
 
 const VAL: usize = 40;
+/// Committed transactions, two keys each, on one page.
+const COMMITS: u64 = 4;
 
 fn opts() -> DbOptions {
     DbOptions {
@@ -32,98 +35,109 @@ fn rec(fill: u8) -> Vec<u8> {
     vec![fill; VAL]
 }
 
-/// A database with 4 committed winners and 2 multi-update losers whose
-/// records are durable — recovery has real undo work to do.
-fn crashed_db_with_losers() -> Arc<Db> {
+/// A database whose last `COMMITS` transactions each committed two keys
+/// in one record, past the last page flush, with two multi-update
+/// transactions still open at the crash. Returns it and the log's length
+/// before those commits.
+fn crashed_db() -> (Arc<Db>, usize) {
     let db = Db::open(opts());
     db.create_table(VAL, 16);
     for k in 0..16u64 {
         db.load(0, k, &rec(1)).unwrap();
     }
     db.setup_complete();
-    for k in 0..4u64 {
+    let base_len = db.crash().log_bytes.len();
+    for i in 0..COMMITS {
         let mut t = db.begin();
-        db.update_with(&mut t, 0, k, |r| r[8] = 100 + k as u8)
-            .unwrap();
+        for k in [2 * i, 2 * i + 1] {
+            db.update_with(&mut t, 0, k, |r| r[8] = 100 + i as u8)
+                .unwrap();
+        }
         db.commit(t).unwrap();
     }
-    // Two in-flight transactions, three updates each, flushed but never
-    // committed: six CLRs' worth of undo for recovery.
-    let mut l1 = db.begin();
-    let mut l2 = db.begin();
-    for k in 4..7u64 {
-        db.update_with(&mut l1, 0, k, |r| r[8] = 200).unwrap();
-        db.update_with(&mut l2, 0, k + 3, |r| r[8] = 201).unwrap();
+    // Two open transactions, three updates each: nothing of them is
+    // logged or applied.
+    let mut o1 = db.begin();
+    let mut o2 = db.begin();
+    for k in 8..11u64 {
+        db.update_with(&mut o1, 0, k, |r| r[8] = 200).unwrap();
+        db.update_with(&mut o2, 0, k + 3, |r| r[8] = 201).unwrap();
     }
     db.log().flush_all().unwrap();
-    std::mem::forget(l1);
-    std::mem::forget(l2);
-    db
+    std::mem::forget(o1);
+    std::mem::forget(o2);
+    (db, base_len)
+}
+
+/// The image with its log cut to `len` bytes.
+fn cut(image: &CrashImage, len: usize) -> CrashImage {
+    CrashImage {
+        log_start: image.log_start,
+        log_bytes: image.log_bytes[..len].to_vec(),
+        store: image.store.deep_clone(),
+        schema: image.schema.clone(),
+    }
 }
 
 #[test]
-fn recovery_of_fully_recovered_image_is_idempotent() {
-    let db = crashed_db_with_losers();
-    let (r1, s1) = recover_with_stats(db.crash(), opts()).unwrap();
-    assert_eq!(s1.losers, 2);
-    assert_eq!(s1.clrs_written, 6);
+fn recovery_of_a_recovered_image_is_idempotent() {
+    let (db, _) = crashed_db();
+    let image = db.crash();
+    let full_len = image.log_bytes.len();
+    let (r1, s1) = recover_with_stats(image, opts()).unwrap();
+    assert_eq!(s1.winners, COMMITS as usize);
     let want = state_fingerprint(&r1).unwrap();
+    for k in 8..14u64 {
+        assert_eq!(r1.snapshot_read(0, k).unwrap().unwrap()[8], 1, "key {k}");
+    }
 
-    // Crash after recovery finished (its wrap-up flushes the CLR suffix):
-    // the losers are now cleanly aborted history. Recovering again must
-    // write zero new CLRs and land in the identical state.
-    let (r2, s2) = recover_with_stats(r1.crash(), opts()).unwrap();
-    assert_eq!(s2.losers, 0, "compensated losers must not re-undo");
-    assert_eq!(s2.clean_aborts, 2, "abort markers close both losers");
-    assert_eq!(s2.clrs_written, 0, "CLR redo is enough — none rewritten");
+    // Recovery wrote nothing: a crash right after it recovers the same
+    // log by the same scan to the same state.
+    let image = r1.crash();
+    assert_eq!(
+        image.log_bytes.len(),
+        full_len,
+        "recovery appended to the log"
+    );
+    let (r2, s2) = recover_with_stats(image, opts()).unwrap();
+    assert_eq!(s2, s1);
     assert_eq!(state_fingerprint(&r2).unwrap(), want);
 }
 
 #[test]
-fn crash_at_every_byte_of_the_recovery_suffix_converges() {
-    let db = crashed_db_with_losers();
-    let base_len = db.crash().log_bytes.len();
-    let (r1, _) = recover_with_stats(db.crash(), opts()).unwrap();
-    let want = state_fingerprint(&r1).unwrap();
-    let full_len = r1.crash().log_bytes.len();
-    assert!(full_len > base_len, "recovery appended CLRs + aborts");
+fn crash_at_every_byte_of_a_redo_only_suffix_converges() {
+    let (db, base_len) = crashed_db();
+    let whole = db.crash();
+    let full_len = whole.log_bytes.len();
+    assert!(full_len > base_len, "the commits logged");
+    let (_, full) = recover_with_stats(cut(&whole, full_len), opts()).unwrap();
 
-    // Cut the twice-crashed image at every byte inside the suffix recovery
-    // wrote — each cut is a legal power-cut point (torn CLRs included).
-    for cut in base_len..=full_len {
-        let mut img = r1.crash();
-        img.log_bytes.truncate(cut);
-        let (r2, s2) = recover_with_stats(img, opts())
-            .unwrap_or_else(|e| panic!("cut at byte {cut}/{full_len}: recovery failed: {e:?}"));
-        assert_eq!(
-            state_fingerprint(&r2).unwrap(),
-            want,
-            "cut at byte {cut}/{full_len} (stats {s2:?}) diverged from the winners-only state"
-        );
-        // The committed winners are intact at every cut.
-        for k in 0..4u64 {
-            let v = r2.snapshot_read(0, k).unwrap().unwrap();
-            assert_eq!(v[8], 100 + k as u8, "winner {k} lost at cut {cut}");
+    for len in base_len..=full_len {
+        let (r1, s1) = recover_with_stats(cut(&whole, len), opts())
+            .unwrap_or_else(|e| panic!("cut at byte {len}/{full_len}: recovery failed: {e:?}"));
+        // The commits whole before the cut, and only those, are in.
+        let done = s1.winners - (full.winners - COMMITS as usize);
+        for i in 0..COMMITS {
+            let want = if i < done as u64 { 100 + i as u8 } else { 1 };
+            for k in [2 * i, 2 * i + 1] {
+                let v = r1.snapshot_read(0, k).unwrap().unwrap();
+                assert_eq!(v[8], want, "key {k} at cut {len} ({s1:?})");
+            }
         }
+        let state = state_fingerprint(&r1).unwrap();
+        let (r2, s2) = recover_with_stats(r1.crash(), opts()).unwrap();
+        assert_eq!(s2.winners, s1.winners, "cut at {len}");
+        assert_eq!(state_fingerprint(&r2).unwrap(), state, "cut at {len}");
     }
 }
 
 #[test]
-fn mid_undo_crash_is_deterministic_and_accepts_new_work() {
-    let db = crashed_db_with_losers();
-    let base_len = db.crash().log_bytes.len();
-    let (r1, _) = recover_with_stats(db.crash(), opts()).unwrap();
-    let full_len = r1.crash().log_bytes.len();
-    // A cut in the middle of the CLR chain: some losers partially
-    // compensated, the rest still raw.
-    let cut = base_len + (full_len - base_len) / 2;
-    let img_at_cut = || {
-        let mut img = r1.crash();
-        img.log_bytes.truncate(cut);
-        img
-    };
-    let (r2a, s2a) = recover_with_stats(img_at_cut(), opts()).unwrap();
-    let (r2b, s2b) = recover_with_stats(img_at_cut(), opts()).unwrap();
+fn a_cut_suffix_recovers_deterministically_and_accepts_new_work() {
+    let (db, base_len) = crashed_db();
+    let whole = db.crash();
+    let len = base_len + (whole.log_bytes.len() - base_len) / 2;
+    let (r2a, s2a) = recover_with_stats(cut(&whole, len), opts()).unwrap();
+    let (r2b, s2b) = recover_with_stats(cut(&whole, len), opts()).unwrap();
     assert_eq!(s2a, s2b, "same image must recover by the same path");
     assert_eq!(
         state_fingerprint(&r2a).unwrap(),

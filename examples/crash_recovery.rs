@@ -1,9 +1,10 @@
 //! Crash and recover: WAL + ELR safety, demonstrated.
 //!
 //! Commits some transactions, leaves one in flight, pulls the plug, and runs
-//! ARIES recovery — committed work survives, the in-flight transaction rolls
-//! back via compensation records. Then does the same under asynchronous
-//! commit to show exactly the durability loss the paper refuses to accept.
+//! recovery — committed work survives, and the in-flight transaction, which
+//! logs nothing before its commit, leaves no trace. Then does the same
+//! under asynchronous commit to show exactly the durability loss the paper
+//! refuses to accept.
 //!
 //! Run with: `cargo run --release --example crash_recovery`
 
@@ -41,8 +42,8 @@ fn main() {
     let mut in_flight = db.begin();
     db.update_with(&mut in_flight, 0, 50, |r| r[8] = 123)
         .unwrap();
-    db.log().flush_all().unwrap(); // its update record reaches the disk...
-    let image = db.crash(); // ...but no commit record does
+    db.log().flush_all().unwrap(); // ...but it logs nothing until it commits,
+    let image = db.crash(); // and the crash comes first
     std::mem::forget(in_flight);
 
     println!(
@@ -52,8 +53,8 @@ fn main() {
     );
     let (db2, stats) = recover_with_stats(image, opts).unwrap();
     println!(
-        "recovery: {} records scanned, {} winners, {} losers, {} redone, {} CLRs",
-        stats.scanned, stats.winners, stats.losers, stats.redone, stats.clrs_written
+        "recovery: {} records scanned, {} committed transactions, {} redone",
+        stats.scanned, stats.winners, stats.redone
     );
     let mut txn = db2.begin();
     for k in 0..10u64 {
@@ -66,10 +67,10 @@ fn main() {
     assert_eq!(
         db2.read(&mut txn, 0, 50).unwrap()[8],
         1,
-        "in-flight work rolled back"
+        "in-flight work is nowhere"
     );
     db2.commit(txn).unwrap();
-    println!("ELR: all 10 commits survived; the in-flight transaction was undone\n");
+    println!("ELR: all 10 commits survived; the in-flight transaction left no trace\n");
 
     // ---- Part 2: async commit loses work -------------------------------
     let unsafe_opts = DbOptions {

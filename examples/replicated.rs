@@ -7,7 +7,7 @@
 //! Under sustained load, fuzzy checkpoints retire the log prefix and
 //! recycle its segments — the on-disk footprint stays bounded while the
 //! log end races ahead. A **newly attached** third replica then joins from
-//! a checkpoint snapshot (pages + ATT/DPT): the historical log it never
+//! a checkpoint snapshot (pages + DPT): the historical log it never
 //! saw has been recycled, and it doesn't need it. When the primary "dies",
 //! the most-caught-up replica is promoted via ordinary ARIES recovery over
 //! its bootstrap-relative log suffix and loses none of the acknowledged
@@ -110,7 +110,7 @@ fn main() {
 
     // 5. A *new* replica joins the running cluster. The log prefix it never
     //    received has been recycled — it bootstraps from a checkpoint
-    //    snapshot (pages + ATT/DPT) and tails the stream from there.
+    //    snapshot (pages + DPT) and tails the stream from there.
     let newcomer = cluster.add_replica().expect("attach third replica");
     for i in 0..50u64 {
         let k = i % accounts;
@@ -140,8 +140,8 @@ fn main() {
     let candidate = cluster.most_caught_up();
     let (promoted, stats) = cluster.promote(candidate).expect("promote replica");
     println!(
-        "promoted replica {candidate}: {} winners, {} losers rolled back (scan started at {})",
-        stats.winners, stats.losers, stats.scan_start
+        "promoted replica {candidate}: {} commits replayed, {} redone (scan started at {})",
+        stats.winners, stats.redone, stats.scan_start
     );
 
     // 7. Every acknowledged deposit survived; the new primary takes writes.

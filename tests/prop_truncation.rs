@@ -105,8 +105,7 @@ proptest! {
         let image = db.crash();
         prop_assert_eq!(image.log_start, db.log().low_water());
         drop(db);
-        let (db2, stats) = recover_with_stats(image, opts()).unwrap();
-        prop_assert_eq!(stats.losers, 0);
+        let (db2, _) = recover_with_stats(image, opts()).unwrap();
         let mut txn = db2.begin();
         for k in 0..keys {
             let got = u64::from_le_bytes(

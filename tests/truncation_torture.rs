@@ -6,7 +6,9 @@
 //! and recovery must never need a byte from a recycled segment — the
 //! truncation safety rule (DESIGN.md invariant 7) is exactly what makes
 //! that true. These tests crash at every stage of the cycle, with live
-//! loser transactions in flight, and also re-crash the recovered database.
+//! transactions in flight, and also re-crash the recovered database. An
+//! open transaction has logged nothing and written no page, so it pins no
+//! part of the log and recovers as if it never ran.
 
 use aether::bench::env_or;
 use aether::log::partition::{MemSegmentFactory, SegmentedDevice};
@@ -34,8 +36,11 @@ fn opts() -> DbOptions {
     }
 }
 
+/// A loaded database over 4 KiB segments, the smallest: three rounds of
+/// commits over 16 keys (one ~100 B record each) span a segment, so
+/// housekeeping recycles some.
 fn segmented_db(keys: u64) -> (Arc<Db>, Arc<SegmentedDevice>) {
-    let segments = Arc::new(SegmentedDevice::new(Box::new(MemSegmentFactory), 8 * 1024).unwrap());
+    let segments = Arc::new(SegmentedDevice::new(Box::new(MemSegmentFactory), 4 * 1024).unwrap());
     let db = aether::storage::Db::open_with_device(opts(), Arc::clone(&segments) as _);
     db.create_table(48, keys);
     for k in 0..keys {
@@ -47,13 +52,14 @@ fn segmented_db(keys: u64) -> (Arc<Db>, Arc<SegmentedDevice>) {
 
 /// Crash at every stage of the checkpoint→truncate cycle — after the page
 /// flush, after the checkpoint record, after the truncation — each with an
-/// uncommitted loser in flight. Recovery must (a) keep every committed
-/// value, (b) roll the loser back, and (c) start its scan at the low-water
-/// mark, never touching a recycled byte.
+/// uncommitted transaction in flight. Recovery must (a) keep every
+/// committed value, (b) show none of the open transaction's writes, and
+/// (c) start its scan at the low-water mark, never touching a recycled
+/// byte.
 #[test]
 fn crash_between_checkpoint_and_truncation_recovers_consistently() {
     let keys = 16u64;
-    let rounds = env_or("AETHER_TEST_ROUNDS", 3u64).max(2);
+    let rounds = env_or("AETHER_TEST_ROUNDS", 3u64).max(3);
     // Stage 0: crash right after flush_pages; 1: after checkpoint (mark
     // published, nothing recycled yet — the torture window this test is
     // named for); 2: after truncate_to.
@@ -111,7 +117,11 @@ fn crash_between_checkpoint_and_truncation_recovers_consistently() {
             stage < 2 || stats.scan_start > Lsn::ZERO,
             "stage {stage}: after truncation the scan must not start at 0"
         );
-        assert_eq!(stats.losers, 1, "stage {stage}: in-flight txn is a loser");
+        assert_eq!(
+            value_of(&db2.snapshot_read(0, 3).unwrap().unwrap()),
+            committed[3],
+            "stage {stage}: the in-flight txn's key holds its old value"
+        );
         let mut txn = db2.begin();
         for k in 0..keys {
             assert_eq!(
@@ -122,32 +132,33 @@ fn crash_between_checkpoint_and_truncation_recovers_consistently() {
         }
         db2.commit(txn).unwrap();
 
-        // Re-crash immediately: recovery over the recovered log is
-        // idempotent (the loser is now cleanly aborted).
+        // Re-crash immediately: recovery logged nothing, so recovery over
+        // the recovered log is the same scan.
         let image2 = db2.crash();
         let (db3, stats2) = recover_with_stats(image2, opts()).unwrap();
-        assert_eq!(stats2.losers, 0, "stage {stage}: second recovery is clean");
+        assert_eq!(stats2, stats, "stage {stage}: second recovery is the same");
         let mut txn = db3.begin();
         assert_eq!(value_of(&db3.read(&mut txn, 0, 3).unwrap()), committed[3]);
         db3.commit(txn).unwrap();
     }
 }
 
-/// An active transaction spanning the checkpoint pins the truncation point
-/// below its first record: even an aggressive checkpoint+truncate storm
-/// while it is open never recycles the segments its undo chain needs, and
-/// a crash afterwards still rolls it back cleanly from the retained log.
+/// An open transaction has logged nothing, so it pins nothing: a
+/// checkpoint+truncate storm while it is open recycles the log past the
+/// point where it began, and a crash with it still open recovers its key's
+/// committed value from the retained log.
 #[test]
-fn open_transaction_pins_truncation_until_it_resolves() {
+fn an_open_transaction_does_not_pin_truncation() {
     let keys = 8u64;
     let (db, _segments) = segmented_db(keys);
-    // The pinning transaction writes early, then stays open.
-    let mut pinner = db.begin();
-    db.update_with(&mut pinner, 0, 0, |r| {
+    // The open transaction writes early, then stays open.
+    let begun_at = db.log().released_lsn();
+    let mut open = db.begin();
+    db.update_with(&mut open, 0, 0, |r| {
         r[8..16].copy_from_slice(&4242u64.to_le_bytes())
     })
     .unwrap();
-    let first = pinner.first_lsn().unwrap();
+    assert_eq!(db.log().released_lsn(), begun_at, "an open txn logged");
 
     // Checkpoint storm under committed traffic.
     for i in 0..200u64 {
@@ -156,37 +167,24 @@ fn open_transaction_pins_truncation_until_it_resolves() {
         db.update(&mut txn, 0, k, &record(k, i + 1)).unwrap();
         db.commit(txn).unwrap();
         if i % 20 == 19 {
-            let out = db.checkpoint_and_truncate();
-            assert!(
-                out.applied <= first,
-                "truncation {} must never pass the open txn's first record {first}",
-                out.applied
-            );
+            db.checkpoint_and_truncate();
         }
     }
-    assert!(db.log().low_water() <= first);
-
-    // Once the pinner resolves (rollback), the pin lifts and truncation
-    // passes its old first LSN.
-    db.abort(pinner).unwrap();
     let out = db.checkpoint_and_truncate();
-    assert!(out.applied > first, "pin lifted after rollback");
+    assert!(
+        out.applied > begun_at,
+        "truncation held back by an open txn"
+    );
+    assert!(db.log().low_water() > begun_at);
 
-    // Crash with a fresh pinner unresolved: its chain is fully retained
-    // (it pins the new truncation point), so recovery rolls it back and
-    // key 0 keeps the value the rollback restored.
-    let mut pinner = db.begin();
-    db.update_with(&mut pinner, 0, 0, |r| {
-        r[8..16].copy_from_slice(&9999u64.to_le_bytes())
-    })
-    .unwrap();
+    // Crash with the transaction still open: its key keeps its committed
+    // value, recovered from the retained log and the stored pages alone.
     db.log().flush_all().unwrap();
     let image = db.crash();
-    std::mem::forget(pinner);
+    std::mem::forget(open);
     drop(db);
     let (db2, stats) = recover_with_stats(image, opts()).unwrap();
-    assert_eq!(stats.losers, 1);
-    assert!(stats.scan_start > first, "scan starts past the lifted pin");
+    assert!(stats.scan_start > begun_at, "scan starts past the open txn");
     let mut txn = db2.begin();
     assert_eq!(value_of(&db2.read(&mut txn, 0, 0).unwrap()), 0);
     db2.commit(txn).unwrap();
@@ -270,8 +268,12 @@ fn sim_seeded_torture_replays_byte_identically() {
         std::mem::forget(loser);
         drop(db);
 
-        let (db2, stats) = recover_with_stats(image, opts).unwrap();
-        assert_eq!(stats.losers, 1, "in-flight txn is a loser");
+        let (db2, _) = recover_with_stats(image, opts).unwrap();
+        assert_eq!(
+            value_of(&db2.snapshot_read(0, 3).unwrap().unwrap()),
+            committed[3],
+            "the in-flight txn's key holds its old value"
+        );
         // FNV over the recovered values: the replayable state witness.
         let mut state = 0xcbf2_9ce4_8422_2325u64;
         let mut txn = db2.begin();

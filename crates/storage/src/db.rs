@@ -8,7 +8,7 @@ use crate::segmented::Segmented;
 use crate::store::PageStore;
 use crate::table::Table;
 use crate::txn::{CommitOutcome, CommitProtocol, Transaction, TxnManager, TxnStatus, Write};
-use crate::wal::{CheckpointPayload, UpdateCommitPayload};
+use crate::wal::UpdateCommitPayload;
 use aether_core::commit::CommitToken;
 use aether_core::device::LogDevice;
 use aether_core::record::{on_log_size, HEADER_SIZE, MAX_PAYLOAD};
@@ -165,20 +165,20 @@ impl DbStats {
 
 /// The storage manager facade.
 pub struct Db {
-    log: Arc<LogManager>,
+    pub(crate) log: Arc<LogManager>,
     locks: Arc<LockManager>,
     /// The catalog: tables are never dropped, so a lookup takes no lock.
-    tables: Segmented<Table>,
+    pub(crate) tables: Segmented<Table>,
     txns: Arc<TxnManager>,
-    store: Arc<PageStore>,
+    pub(crate) store: Arc<PageStore>,
     opts: DbOptions,
     stats: DbStats,
     /// The redo low-water mark published by the last fuzzy checkpoint: the
     /// truncation point computed at checkpoint time. Everything
     /// strictly below it is recoverable from the page store alone.
-    redo_low_water: aether_core::lsn::AtomicLsn,
+    pub(crate) redo_low_water: aether_core::lsn::AtomicLsn,
     /// Ids of the storage-layer metrics registered on the log's telemetry.
-    tel: DbTelIds,
+    pub(crate) tel: DbTelIds,
     /// True while an emergency (disk-pressure) checkpoint cycle is running;
     /// CAS-guarded so concurrent `try_begin` calls spawn at most one.
     emergency_ckpt: std::sync::atomic::AtomicBool,
@@ -186,13 +186,13 @@ pub struct Db {
 
 /// Storage-layer metric ids, registered once at [`Db::assemble`].
 #[derive(Debug, Clone, Copy)]
-struct DbTelIds {
+pub(crate) struct DbTelIds {
     /// `db.commit_latency_ns` — commit entry to durable (per protocol).
     commit_latency_ns: HistId,
     /// `ckpt.cycles` — housekeeping cycles completed.
-    ckpt_cycles: CounterId,
+    pub(crate) ckpt_cycles: CounterId,
     /// `ckpt.cycle_ns` — flush + checkpoint + truncate latency per cycle.
-    ckpt_cycle_ns: HistId,
+    pub(crate) ckpt_cycle_ns: HistId,
 }
 
 impl std::fmt::Debug for Db {
@@ -333,6 +333,11 @@ impl Db {
     /// The catalog.
     pub(crate) fn tables(&self) -> &Segmented<Table> {
         &self.tables
+    }
+
+    /// Number of tables.
+    pub fn table_count(&self) -> usize {
+        self.tables.len()
     }
 
     /// Bulk-load one record during setup (unlogged; finish with
@@ -1029,167 +1034,6 @@ impl Db {
         self.txns.finish();
         Ok(())
     }
-
-    // ------------------------------------------------------------------
-    // Checkpoints, crash, recovery
-    // ------------------------------------------------------------------
-
-    /// Write the dirty pages to the page store and mark them clean, under
-    /// the WAL rule: a page is stored only once the log is durable past
-    /// its page LSN, so no stored page holds a commit whose record a crash
-    /// can lose (it could never be redone, nor taken out again). The log is forced to the newest
-    /// dirty page's LSN first, with no latch held; a page whose LSN it
-    /// could not make durable (a poisoned log) stays dirty and unstored.
-    /// A page LSN of zero with nothing logged is a bulk load's. A database
-    /// whose log discards its writes has no log to force: a standby never
-    /// logs, and replays only records it durably received.
-    pub fn flush_pages(&self) {
-        let own_log = !self.log.device().discards();
-        let nothing_logged = self.log.released_lsn().is_zero();
-        if own_log && !nothing_logged {
-            let mut newest = Lsn::ZERO;
-            for (_, t) in self.tables.iter() {
-                t.for_each_dirty(|_, frame| newest = newest.max(frame.page_lsn));
-            }
-            if newest >= self.log.durable_lsn() {
-                let _ = self.log.flush_until(Lsn(newest.raw() + 1));
-            }
-        }
-        let durable = self.log.durable_lsn();
-        let covered = |lsn: Lsn| !own_log || lsn < durable || (nothing_logged && lsn.is_zero());
-        for (_, t) in self.tables.iter() {
-            let id = t.id;
-            t.for_each_dirty(|page_no, frame| {
-                if covered(frame.page_lsn) {
-                    self.store
-                        .write(PageId { table: id, page_no }, frame.page_lsn, &frame.data);
-                    frame.mark_clean();
-                }
-            });
-        }
-    }
-
-    /// Take a fuzzy checkpoint: begin record, DPT snapshot, end record,
-    /// flushed — then publish the checkpoint's redo low-water mark
-    /// ([`Db::redo_low_water`]), the truncation point the log may be
-    /// retired to. Returns the checkpoint-begin LSN.
-    pub fn checkpoint(&self) -> Lsn {
-        let (begin, _) =
-            self.log
-                .insert_payload::<[u8]>(RecordKind::CheckpointBegin, 0, Lsn::ZERO, &[]);
-        let payload = CheckpointPayload {
-            dpt: self.dpt_snapshot(),
-        };
-        let (_, end) = self
-            .log
-            .insert_payload(RecordKind::CheckpointEnd, 0, Lsn::ZERO, &payload);
-        // A poisoned log means this checkpoint never hardened — safe to
-        // ignore here: truncation targets are clamped to the durable
-        // watermark, so an unflushed checkpoint can never widen truncation.
-        let _ = self.log.flush_until(end);
-        self.redo_low_water.fetch_max(self.log_truncation_point());
-        begin
-    }
-
-    /// The redo low-water mark published by the last fuzzy checkpoint: the
-    /// highest safe log-truncation point known. Recovery needs nothing
-    /// strictly below it — every older commit is in the page store.
-    pub fn redo_low_water(&self) -> Lsn {
-        self.redo_low_water.load()
-    }
-
-    /// One full housekeeping cycle: flush dirty pages, take a fuzzy
-    /// checkpoint, and retire the log prefix through
-    /// [`aether_core::LogManager::truncate_to`] (which refuses to outrun
-    /// the slowest replica ack). Two-tier target: first the fresh
-    /// checkpoint's redo low-water mark; if a replica has not yet
-    /// acknowledged that far — under replication the checkpoint's own
-    /// records are always still in flight — fall back to the *previous*
-    /// checkpoint's mark, which any keeping-up replica acked long ago
-    /// (the keep-two-checkpoints policy of production WAL managers). Either
-    /// way the on-disk log and the recovery scan stay bounded by checkpoint
-    /// distance instead of growing with uptime; only a genuinely lagging
-    /// replica pins the log.
-    pub fn checkpoint_and_truncate(&self) -> aether_core::TruncationOutcome {
-        let tel = self.log.telemetry();
-        let t0 = tel.ts();
-        let prev = self.redo_low_water();
-        self.flush_pages();
-        self.checkpoint();
-        let mut out = self.log.truncate_to(self.redo_low_water());
-        if out.held_back_by_replica && prev > self.log.low_water() {
-            out = self.log.truncate_to(prev);
-        }
-        tel.inc(self.tel.ckpt_cycles);
-        if let Some(t0) = t0 {
-            let dt = aether_core::runtime::monotonic_ns().saturating_sub(t0);
-            tel.record(self.tel.ckpt_cycle_ns, dt);
-        }
-        out
-    }
-
-    /// The log-truncation point: everything strictly below this LSN can be
-    /// recycled because every page it might redo has been flushed (no
-    /// dirty page's `rec_lsn` is below it). An open transaction pins
-    /// nothing: none of it is in the log.
-    pub fn log_truncation_point(&self) -> Lsn {
-        let mut point = self.log.durable_lsn();
-        for (_, rec_lsn) in self.dpt_snapshot() {
-            point = point.min(rec_lsn);
-        }
-        point
-    }
-
-    /// The live dirty-page table across all tables: `(packed page id,
-    /// recovery LSN)` per dirty page. What fuzzy checkpoints record and the
-    /// truncation point is computed from.
-    pub fn dpt_snapshot(&self) -> Vec<(u64, Lsn)> {
-        let mut dpt = Vec::new();
-        for (_, t) in self.tables.iter() {
-            dpt.extend(t.dpt_snapshot());
-        }
-        dpt
-    }
-
-    /// The schema as (record_size, dense_rows) per table id — what a real
-    /// system would read from catalog pages. Base backups for replicas and
-    /// crash images both carry it.
-    pub fn schema(&self) -> Vec<(usize, u64)> {
-        self.tables
-            .iter()
-            .map(|(_, t)| (t.geom.record_size, t.dense_rows))
-            .collect()
-    }
-
-    /// Number of tables.
-    pub fn table_count(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Capture what would survive a power failure right now: the synced
-    /// prefix of the retained log (with its start offset — the truncated
-    /// prefix is gone, as on a real disk) and the page store. Bytes written
-    /// but not yet synced are lost with the in-memory ring, frames, and lock
-    /// state. Panics if the log device cannot snapshot (Null).
-    pub fn crash(&self) -> CrashImage {
-        let (log_start, log_bytes) = self
-            .log
-            .device()
-            .snapshot()
-            .expect("crash simulation needs a snapshot-capable log device");
-        CrashImage {
-            log_start,
-            log_bytes,
-            store: self.store.deep_clone(),
-            schema: self.schema(),
-        }
-    }
-
-    /// Recover a database from a crash image (one redo scan). See
-    /// [`crate::recovery`] for the algorithm.
-    pub fn recover(image: CrashImage, opts: DbOptions) -> StorageResult<Arc<Db>> {
-        crate::recovery::recover_with_stats(image, opts).map(|(db, _)| db)
-    }
 }
 
 /// Table `id` of a catalog.
@@ -1271,6 +1115,7 @@ impl<'a> Latches<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::CheckpointPayload;
     use aether_core::commit::Tally;
 
     fn rec(key: u64, size: usize, fill: u8) -> Vec<u8> {

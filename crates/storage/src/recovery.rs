@@ -128,6 +128,43 @@ impl Db {
     }
 }
 
+impl Db {
+    /// The schema as (record_size, dense_rows) per table id — what a real
+    /// system would read from catalog pages. Base backups for replicas and
+    /// crash images both carry it.
+    pub fn schema(&self) -> Vec<(usize, u64)> {
+        self.tables
+            .iter()
+            .map(|(_, t)| (t.geom.record_size, t.dense_rows))
+            .collect()
+    }
+
+    /// Capture what would survive a power failure right now: the synced
+    /// prefix of the retained log (with its start offset — the truncated
+    /// prefix is gone, as on a real disk) and the page store. Bytes written
+    /// but not yet synced are lost with the in-memory ring, frames, and lock
+    /// state. Panics if the log device cannot snapshot (Null).
+    pub fn crash(&self) -> CrashImage {
+        let (log_start, log_bytes) = self
+            .log
+            .device()
+            .snapshot()
+            .expect("crash simulation needs a snapshot-capable log device");
+        CrashImage {
+            log_start,
+            log_bytes,
+            store: self.store.deep_clone(),
+            schema: self.schema(),
+        }
+    }
+
+    /// Recover a database from a crash image (one redo scan). See
+    /// [`crate::recovery`] for the algorithm.
+    pub fn recover(image: CrashImage, opts: DbOptions) -> StorageResult<Arc<Db>> {
+        crate::recovery::recover_with_stats(image, opts).map(|(db, _)| db)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,7 +15,7 @@ use aether_core::commit::Tally;
 use aether_core::{BufferKind, DeviceKind, LogConfig};
 use aether_storage::error::StorageResult;
 use aether_storage::txn::Transaction;
-use aether_storage::{CommitProtocol, Db, DbOptions};
+use aether_storage::{CommitOutcome, CommitProtocol, Db, DbOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -152,7 +152,7 @@ pub fn run_closed_loop(db: &Arc<Db>, cfg: &DriverConfig, body: &TxnBody) -> Driv
     tel.set_enabled(true);
 
     // Every submitted commit resolves once, durable or not: a blocking one
-    // when `commit_deferred` returns, an asynchronous one in its client's
+    // when `commit` returns, an asynchronous one in its client's
     // tally. The drain below waits for the tallies, so a poisoned log ends
     // it at once.
     let pipeline = db.log().pipeline();
@@ -186,12 +186,15 @@ pub fn run_closed_loop(db: &Arc<Db>, cfg: &DriverConfig, body: &TxnBody) -> Driv
                     match body(&db, &mut txn, &mut rng, client) {
                         Ok(()) => {
                             submitted.fetch_add(1, Ordering::Relaxed);
-                            match db.commit_deferred(txn) {
-                                Ok((token, true)) => {
-                                    tally.add(token.lsn());
-                                    pipeline.watch(&**tally, token.lsn());
+                            match db.commit(txn) {
+                                Ok(
+                                    out @ (CommitOutcome::Pipelined(_) | CommitOutcome::Unsafe(_)),
+                                ) => {
+                                    let lsn = out.token().lsn();
+                                    tally.add(lsn);
+                                    pipeline.watch(&**tally, lsn);
                                 }
-                                Ok((_, false)) => {
+                                Ok(CommitOutcome::Durable(_) | CommitOutcome::Unreplicated(_)) => {
                                     inline_ok.fetch_add(1, Ordering::Relaxed);
                                 }
                                 // A poisoned log: resolved, not committed.

@@ -30,14 +30,9 @@ pub struct LogProfile {
 
 fn kind_name(k: RecordKind) -> &'static str {
     match k {
-        RecordKind::Update => "update",
-        RecordKind::Commit => "commit",
-        RecordKind::Abort => "abort",
-        RecordKind::Clr => "clr",
         RecordKind::CheckpointBegin => "ckpt_begin",
         RecordKind::CheckpointEnd => "ckpt_end",
         RecordKind::Filler => "filler",
-        RecordKind::End => "end",
         RecordKind::UpdateCommit => "update_commit",
     }
 }
@@ -125,19 +120,19 @@ mod tests {
     fn profile_counts_kinds_and_sizes() {
         let log = LogManager::builder().device(DeviceKind::Ram).build();
         for i in 0..100u64 {
-            log.insert(RecordKind::Update, i, &[0; 8]); // 40 B on log
+            log.insert(RecordKind::UpdateCommit, i, &[0; 8]); // 40 B on log
         }
         for i in 0..50u64 {
-            log.insert(RecordKind::Update, i, &[0; 232]); // 264 B on log
+            log.insert(RecordKind::UpdateCommit, i, &[0; 232]); // 264 B on log
         }
         for i in 0..30u64 {
-            log.insert(RecordKind::Commit, i, &[]);
+            log.insert(RecordKind::Filler, i, &[]);
         }
         log.flush_all().unwrap();
         let p = LogProfile::scan(std::sync::Arc::clone(log.device())).unwrap();
         assert_eq!(p.records, 180);
-        assert_eq!(p.by_kind["update"], 150);
-        assert_eq!(p.by_kind["commit"], 30);
+        assert_eq!(p.by_kind["update_commit"], 150);
+        assert_eq!(p.by_kind["filler"], 30);
         // Shore-MT's two peaks reproduced.
         let tops = p.top_sizes(2);
         assert_eq!(tops[0].0, 40);
@@ -146,9 +141,9 @@ mod tests {
         assert_eq!(p.size_percentile(1.0), 264);
         assert!(p.mean_size() > 40.0 && p.mean_size() < 264.0);
         let report = p.report();
-        assert!(report.contains("update\t150"));
+        assert!(report.contains("update_commit\t150"));
         assert!(report.contains("40B x100")); // the 8-byte-payload updates
-        assert_eq!(p.by_kind["commit"], 30); // commits are bare 32B headers
+        assert_eq!(p.bytes_by_kind["filler"], 30 * 32); // bare 32B headers
     }
 
     #[test]

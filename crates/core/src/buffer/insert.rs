@@ -368,8 +368,8 @@ mod tests {
             let b = make(kind, 1 << 18);
             assert_eq!(b.kind(), kind);
             let first = put(&b, backoff, RecordKind::Filler, 1, Lsn::ZERO, &[1; 8]);
-            let second = put(&b, backoff, RecordKind::Update, 1, first, &[2; 100]);
-            let third = put(&b, backoff, RecordKind::Commit, 1, second, &[]);
+            let second = put(&b, backoff, RecordKind::UpdateCommit, 1, first, &[2; 100]);
+            let third = put(&b, backoff, RecordKind::Filler, 1, second, &[]);
             assert_eq!(first, Lsn::ZERO, "{kind}");
             assert_eq!(second, Lsn(on_log_size(8) as u64), "{kind}");
             assert_eq!(third, second.advance(on_log_size(100) as u64), "{kind}");
@@ -407,7 +407,7 @@ mod tests {
                     let mut run = b.reserve_run(4 * rec);
                     let start = run.lsn();
                     for i in 0..4u64 {
-                        let mut slot = run.record(RecordKind::Update, i + 1, Lsn::ZERO, 100);
+                        let mut slot = run.record(RecordKind::UpdateCommit, i + 1, Lsn::ZERO, 100);
                         assert_eq!(slot.lsn(), start.advance(i * rec), "{kind}");
                         slot.write(&[i as u8; 100]);
                         slot.release();
@@ -425,7 +425,7 @@ mod tests {
 
             let mut short = b.reserve_run(3 * rec);
             let start = short.lsn();
-            let mut slot = short.record(RecordKind::Update, 1, Lsn::ZERO, 100);
+            let mut slot = short.record(RecordKind::UpdateCommit, 1, Lsn::ZERO, 100);
             slot.write(&[1; 100]);
             slot.release();
             drop(short);
@@ -438,7 +438,11 @@ mod tests {
             let kinds: Vec<RecordKind> = std::iter::from_fn(|| reader.next_record().ok().flatten())
                 .map(|r| r.header.kind)
                 .collect();
-            assert_eq!(kinds, [RecordKind::Update, RecordKind::Filler], "{kind}");
+            assert_eq!(
+                kinds,
+                [RecordKind::UpdateCommit, RecordKind::Filler],
+                "{kind}"
+            );
         }
     }
 

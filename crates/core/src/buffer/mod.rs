@@ -172,8 +172,8 @@ pub(crate) fn check_payload_len(payload_len: usize) {
 /// A payload that can serialize itself straight into a reserved log slot.
 ///
 /// Implementors promise `encode_into` writes exactly `encoded_len()` bytes.
-/// This is how the storage layer's WAL payloads (update/CLR/checkpoint)
-/// reach the log with zero intermediate `Vec`s: the encoding happens inside
+/// This is how the storage layer's WAL payloads (a commit's cells, a
+/// checkpoint's dirty-page table) reach the log with zero intermediate `Vec`s: the encoding happens inside
 /// the ring, not into a temporary that is then copied.
 pub trait EncodePayload {
     /// Exact number of bytes `encode_into` will write.
@@ -422,7 +422,7 @@ impl<'a> LogSlot<'a> {
         // mid-fill. The release chain must still run (successors are queued
         // behind this reservation), but the half-written record must NOT
         // reach recovery or a replica under its original kind: a CRC-valid
-        // Update/Clr frame with a garbage payload would wedge replay
+        // UpdateCommit frame with a garbage payload would wedge replay
         // forever. Neutralize it: rewrite the header in place as an
         // all-zero-payload Filler (which every log consumer skips) and
         // restart the frame CRC accordingly.

@@ -2,9 +2,9 @@
 //!
 //! Under flush pipelining an agent thread that finishes a transaction does
 //! **not** block on the log flush. It hands the commit's LSN to a
-//! [`Subscriber`] of its own and moves on: a connection's response queue, a
-//! benchmark driver's [`Tally`], or the log's own tally behind
-//! [`CommitHandle`]s. A subscriber keeps its pending commits in LSN order
+//! [`Subscriber`] of its own and moves on: a connection's response queue or
+//! a benchmark driver's [`Tally`]. (A [`CommitHandle`] needs none: it reads
+//! the watermark.) A subscriber keeps its pending commits in LSN order
 //! and publishes the lowest one. When a flusher advances the durable
 //! watermark it *reattaches* — "the daemon notifies the agent threads of
 //! newly-hardened transactions" — with one [`Subscriber::resolve`] call to
@@ -79,8 +79,7 @@ impl LowMark {
 }
 
 /// A subscriber that counts how many of its commits became durable and how
-/// many failed. The log keeps one behind [`crate::LogManager::commit`]'s
-/// handles; a benchmark driver keeps one per client thread.
+/// many failed. A benchmark driver keeps one per client thread.
 #[derive(Debug, Default)]
 pub struct Tally {
     pending: Mutex<VecDeque<Lsn>>,
@@ -219,13 +218,6 @@ impl CommitPipeline {
     fn closed_at(&self) -> Option<Lsn> {
         let at = self.closed_at.load(Ordering::SeqCst);
         (at != u64::MAX).then_some(Lsn(at))
-    }
-
-    /// Whether the commit ending at `lsn` needs nothing more from the log:
-    /// it is locally durable, or the log closed. What the ATT asks of a
-    /// commit nobody waits on.
-    pub fn settled(&self, lsn: Lsn) -> bool {
-        self.core.durable_lsn() >= lsn || self.closed_at().is_some()
     }
 
     /// `sub` has published a pending commit ending at `lsn` (its
@@ -370,6 +362,11 @@ impl CommitHandle {
             lsn,
             pipeline: Arc::clone(pipeline),
         }
+    }
+
+    /// The end LSN of the commit's record.
+    pub fn lsn(&self) -> Lsn {
+        self.lsn
     }
 
     /// Block until the commit resolves. Returns `true` when it became

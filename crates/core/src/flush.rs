@@ -520,7 +520,15 @@ mod tests {
     use crate::commit::{CommitGate, CommitHandle, Tally};
     use crate::config::LogConfig;
     use crate::device::{DeviceFault, FaultDevice, SimDevice};
+    use crate::manager::LogManager;
     use crate::record::RecordKind;
+
+    /// An empty record registered as a commit, and a handle on it.
+    fn commit(log: &LogManager, txn: u64) -> CommitHandle {
+        let (_, end) = log.insert_payload::<[u8]>(RecordKind::Filler, txn, Lsn::ZERO, &[]);
+        log.note_commit(end);
+        log.handle(end)
+    }
 
     type Rig<D> = (
         Arc<BufferCore>,
@@ -592,8 +600,8 @@ mod tests {
         let (core, _d, pipeline, daemon, buf) = setup(100);
         let mut handles = vec![];
         for i in 0..10u64 {
-            put(&*buf, RecordKind::Update, i, &[1; 80]);
-            put(&*buf, RecordKind::Commit, i, &[]);
+            put(&*buf, RecordKind::Filler, i, &[1; 80]);
+            put(&*buf, RecordKind::Filler, i, &[]);
             let end = core.released_lsn();
             let h = watch(&pipeline, end);
             daemon.shared().note_commit(end);
@@ -691,7 +699,7 @@ mod tests {
         }]);
         let (core, _, pipeline, _daemon, buf) =
             rig(Arc::clone(&device), GroupCommitPolicy::default());
-        put(&*buf, RecordKind::Commit, 1, &[]);
+        put(&*buf, RecordKind::Filler, 1, &[]);
         let end = core.released_lsn();
         let h = watch(&pipeline, end);
         assert!(core.flush_until(end).is_ok(), "retries must absorb blips");
@@ -705,7 +713,7 @@ mod tests {
         let device = faulty(&[FOREVER]);
         let (core, _, pipeline, _daemon, buf) =
             rig(Arc::clone(&device), GroupCommitPolicy::default());
-        put(&*buf, RecordKind::Commit, 1, &[]);
+        put(&*buf, RecordKind::Filler, 1, &[]);
         let end = core.released_lsn();
         let h = watch(&pipeline, end);
         let err = core.flush_until(end);
@@ -758,11 +766,10 @@ mod tests {
         let inserter = {
             let log = Arc::clone(&log);
             std::thread::spawn(move || {
-                let mut prev = Lsn::ZERO;
                 for _ in 0..64 {
-                    prev = log.insert(RecordKind::Update, 1, &[7; 200]);
+                    log.insert(RecordKind::Filler, 1, &[7; 200]);
                 }
-                let committed = log.commit(1, prev).wait();
+                let committed = commit(&log, 1).wait();
                 let flushed = log.flush_all();
                 // The wait with no deadline and no flush request of its own.
                 let durable = log.buffer().core().wait_durable(Lsn::MAX, || false);
@@ -828,7 +835,7 @@ mod tests {
         buf: &dyn LogBuffer,
         txn: u64,
     ) -> CommitHandle {
-        put(buf, RecordKind::Commit, txn, &[]);
+        put(buf, RecordKind::Filler, txn, &[]);
         let end = core.released_lsn();
         let h = watch(pipeline, end);
         daemon.shared().note_commit(end);
@@ -851,7 +858,7 @@ mod tests {
         runtime::sleep(Duration::from_millis(3)); // the daemon is parked by now
         for txn in 0..3u64 {
             let t0 = runtime::monotonic_ns();
-            assert!(log.commit(txn, Lsn::ZERO).wait());
+            assert!(commit(&log, txn).wait());
             let dt = runtime::monotonic_ns() - t0;
             assert!(
                 (100_000..=110_000).contains(&dt),
@@ -877,9 +884,9 @@ mod tests {
             .build();
         runtime::sleep(Duration::from_millis(3)); // every flusher is parked by now
         let t0 = runtime::monotonic_ns();
-        let a = log.commit(1, Lsn::ZERO);
+        let a = commit(&log, 1);
         runtime::sleep(Duration::from_micros(300));
-        let b = log.commit(2, Lsn::ZERO);
+        let b = commit(&log, 2);
         assert!(b.wait() && a.is_done());
         let dt = runtime::monotonic_ns() - t0;
         assert!(
@@ -906,13 +913,13 @@ mod tests {
             .build();
         runtime::sleep(Duration::from_millis(3)); // every flusher is parked by now
         let mut open = log.reserve(RecordKind::Filler, 1, Lsn::ZERO, 8);
-        let commit = log.commit(2, Lsn::ZERO);
+        let handle = commit(&log, 2);
         runtime::sleep(Duration::from_micros(30));
-        assert!(!commit.is_done(), "committed past a gap");
+        assert!(!handle.is_done(), "committed past a gap");
         open.write(&[7; 8]);
         let t0 = runtime::monotonic_ns();
         open.release();
-        assert!(commit.wait());
+        assert!(handle.wait());
         let dt = runtime::monotonic_ns() - t0;
         assert!(
             (100_000..=105_000).contains(&dt),
@@ -961,7 +968,7 @@ mod tests {
         device.arm(DeviceFault::HoldSync(None));
         std::thread::scope(|s| {
             let committer = || {
-                put(&*buf, RecordKind::Commit, 0, &[]);
+                put(&*buf, RecordKind::Filler, 0, &[]);
                 core.flush_until(core.released_lsn()).unwrap();
             };
             for n in 1..=FLUSH_DEPTH {

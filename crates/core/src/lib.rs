@@ -24,7 +24,7 @@
 //!   (100µs), fast disk (1ms), slow disk (10ms) — the same latency models the
 //!   paper injects with high-resolution timers — plus a real file device.
 //! * A [`manager::LogManager`] facade tying everything together, and a
-//!   [`reader`] used by ARIES-style recovery in the `aether-storage` crate.
+//!   [`reader`] used by the redo recovery in the `aether-storage` crate.
 //!
 //! ## Quick start
 //!
@@ -35,7 +35,7 @@
 //!     .buffer(aether_core::BufferKind::Hybrid)
 //!     .device(aether_core::DeviceKind::Ram)
 //!     .build();
-//! let lsn = log.insert(RecordKind::Update, 42, b"hello, aether");
+//! let lsn = log.insert(RecordKind::Filler, 42, b"hello, aether");
 //! log.flush_all();
 //! assert!(log.durable_lsn() > lsn);
 //! let _ = LogConfig::default();

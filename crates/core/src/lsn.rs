@@ -19,8 +19,8 @@ use std::ops::{Add, AddAssign, Sub};
 pub struct Lsn(pub u64);
 
 impl Lsn {
-    /// The zero LSN: start of the log stream; used as the "null" predecessor
-    /// pointer in per-transaction undo chains.
+    /// The zero LSN: start of the log stream, and the "none" a record
+    /// header's chain field holds.
     pub const ZERO: Lsn = Lsn(0);
 
     /// Largest representable LSN, used as a sentinel for "flush everything".
@@ -32,7 +32,7 @@ impl Lsn {
         self.0
     }
 
-    /// True iff this is [`Lsn::ZERO`] (the null undo-chain terminator).
+    /// True iff this is [`Lsn::ZERO`].
     #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0

@@ -2,7 +2,7 @@
 //! pipeline behind one facade.
 
 use crate::buffer::{BufferCore, BufferKind, EncodePayload, LogBuffer, LogRun, LogSlot};
-use crate::commit::{CommitGate, CommitHandle, CommitPipeline, DurabilityPolicy, Tally};
+use crate::commit::{CommitGate, CommitHandle, CommitPipeline, DurabilityPolicy};
 use crate::config::LogConfig;
 use crate::device::{DeviceKind, LogDevice};
 use crate::error::Result;
@@ -89,8 +89,6 @@ impl LogManagerBuilder {
         let gate = Arc::new(CommitGate::new());
         gate.set_telemetry(Arc::clone(core.telemetry()));
         let pipeline = Arc::new(CommitPipeline::new(Arc::clone(&core), Arc::clone(&gate)));
-        let handles = Arc::new(Tally::default());
-        pipeline.subscribe(handles.clone());
         let daemon = if device.discards() {
             // Microbenchmark mode: no daemon; releasing reclaims directly.
             core.set_auto_reclaim(true);
@@ -110,7 +108,6 @@ impl LogManagerBuilder {
             buffer,
             device,
             pipeline,
-            handles,
             gate,
             flush_shared,
             daemon: Mutex::new(daemon),
@@ -129,9 +126,6 @@ pub struct LogManager {
     buffer: Arc<dyn LogBuffer>,
     device: Arc<dyn LogDevice>,
     pipeline: Arc<CommitPipeline>,
-    /// The subscriber behind [`LogManager::commit`]'s handles: it counts
-    /// their completions.
-    handles: Arc<Tally>,
     /// Replication gate: commit completion additionally waits on replica
     /// acks per the installed [`DurabilityPolicy`] (transparent by default).
     gate: Arc<CommitGate>,
@@ -167,9 +161,9 @@ impl LogManager {
     }
 
     /// Reserve a record slot and serialize `payload` **directly into the
-    /// ring**, chained to the transaction's previous record `prev` (ARIES
-    /// undo chain). Returns the record's `(start, end)` LSNs — `end`, start
-    /// plus on-log size, is the durability target for commit waits. No
+    /// ring**, with `prev` in its header's chain field. Returns the
+    /// record's `(start, end)` LSNs — `end`, start plus on-log size, is the
+    /// durability target for commit waits. No
     /// intermediate encode buffer anywhere: the payload's bytes exist only
     /// in the ring (and the frame CRC streams along with them).
     pub fn insert_payload<P: EncodePayload + ?Sized>(
@@ -274,16 +268,6 @@ impl LogManager {
     /// A handle on the commit whose record ends at `lsn`; allocates nothing.
     pub fn handle(&self, lsn: Lsn) -> CommitHandle {
         CommitHandle::new(&self.pipeline, lsn)
-    }
-
-    /// Convenience: insert a commit record for `txn` and return a waitable
-    /// handle that completes when it is durable.
-    pub fn commit(&self, txn: u64, prev: Lsn) -> CommitHandle {
-        let (_, end) = self.insert_payload::<[u8]>(RecordKind::Commit, txn, prev, &[]);
-        self.note_commit(end);
-        self.handles.add(end);
-        self.pipeline.watch(&*self.handles, end);
-        self.handle(end)
     }
 
     /// The commit pipeline (drivers read completion counts from here).
@@ -571,9 +555,17 @@ pub struct TruncationStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commit::Tally;
     use crate::device::{DeviceFault, FaultDevice, SimDevice};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
+
+    /// An empty record registered as a commit, and a handle on it.
+    fn commit(log: &LogManager, txn: u64) -> CommitHandle {
+        let (_, end) = log.insert_payload::<[u8]>(RecordKind::Filler, txn, Lsn::ZERO, &[]);
+        log.note_commit(end);
+        log.handle(end)
+    }
 
     #[test]
     fn build_all_variants() {
@@ -597,7 +589,7 @@ mod tests {
         assert_eq!(log.durable_lsn(), log.released_lsn());
         log.flush_all().unwrap(); // no-op, must not hang
         assert!(
-            log.commit(2, Lsn::ZERO).wait(),
+            commit(&log, 2).wait(),
             "no flusher walks the subscribers: a handle reads the watermark"
         );
     }
@@ -607,11 +599,11 @@ mod tests {
         let log = LogManager::builder()
             .device(DeviceKind::CustomUs(200))
             .build();
-        let prev = log.insert(RecordKind::Update, 42, &[1; 64]);
-        let h = log.commit(42, prev);
+        log.insert(RecordKind::Filler, 42, &[1; 64]);
+        let h = commit(&log, 42);
         assert!(h.wait());
         assert!(log.durable_lsn() >= log.released_lsn());
-        assert_eq!(log.pipeline().completed(), 1);
+        assert!(log.durable_lsn() >= h.lsn());
     }
 
     /// A tally the log's flushers resolve.
@@ -655,7 +647,7 @@ mod tests {
                             }
                             let txn = (t as u64) << 32 | i;
                             let (_, end) =
-                                log.insert_payload::<[u8]>(RecordKind::Commit, txn, Lsn::ZERO, &[]);
+                                log.insert_payload::<[u8]>(RecordKind::Filler, txn, Lsn::ZERO, &[]);
                             submitted.fetch_add(1, Ordering::Relaxed);
                             log.note_commit(end);
                             tally.add(end);
@@ -685,7 +677,7 @@ mod tests {
         // flush comes. Only the subscriber's own look can complete it.
         let log = LogManager::builder().device(DeviceKind::Ram).build();
         let tally = subscribed(&log);
-        let (_, end) = log.insert_payload::<[u8]>(RecordKind::Commit, 1, Lsn::ZERO, &[]);
+        let (_, end) = log.insert_payload::<[u8]>(RecordKind::Filler, 1, Lsn::ZERO, &[]);
         log.note_commit(end);
         log.flush_all().unwrap();
         assert!(log.commit_lsn() >= end);
@@ -701,7 +693,7 @@ mod tests {
         let log = LogManager::builder().device(DeviceKind::Ram).build();
         let tally = subscribed(&log);
         for i in 0..20u64 {
-            let (_, end) = log.insert_payload::<[u8]>(RecordKind::Commit, i, Lsn::ZERO, &[]);
+            let (_, end) = log.insert_payload::<[u8]>(RecordKind::Filler, i, Lsn::ZERO, &[]);
             log.note_commit(end);
             tally.add(end);
             log.pipeline().watch(&*tally, end);
@@ -721,7 +713,7 @@ mod tests {
             .build();
         let payloads: Vec<Vec<u8>> = (0..30).map(|i| vec![i as u8; 10 + i * 7]).collect();
         for (i, p) in payloads.iter().enumerate() {
-            log.insert(RecordKind::Update, i as u64, p);
+            log.insert(RecordKind::Filler, i as u64, p);
         }
         log.flush_all().unwrap();
         let mut reader = log.reader();
@@ -742,7 +734,7 @@ mod tests {
             .device_instance(Arc::clone(&seg) as Arc<dyn crate::device::LogDevice>)
             .build();
         for i in 0..200u64 {
-            log.insert(RecordKind::Update, i, &[7u8; 100]);
+            log.insert(RecordKind::Filler, i, &[7u8; 100]);
         }
         log.flush_all().unwrap();
         assert_eq!(log.low_water(), Lsn::ZERO);
@@ -781,7 +773,7 @@ mod tests {
             .build();
         let mut end = Lsn::ZERO;
         for i in 0..100u64 {
-            let (_, e) = log.insert_payload(RecordKind::Update, i, Lsn::ZERO, &[7u8; 100]);
+            let (_, e) = log.insert_payload(RecordKind::Filler, i, Lsn::ZERO, &[7u8; 100]);
             end = e;
         }
         log.flush_all().unwrap();
@@ -837,7 +829,7 @@ mod tests {
                 let log = Arc::clone(&log);
                 s.spawn(move || {
                     for _ in 0..500 {
-                        log.insert(RecordKind::Update, t, &[t as u8; 88]);
+                        log.insert(RecordKind::Filler, t, &[t as u8; 88]);
                     }
                 });
             }

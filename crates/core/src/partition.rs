@@ -346,7 +346,7 @@ mod tests {
             .device_instance(Arc::clone(&seg) as Arc<dyn LogDevice>)
             .build();
         for i in 0..2000u64 {
-            log.insert(RecordKind::Update, i, &[i as u8; 100]);
+            log.insert(RecordKind::Filler, i, &[i as u8; 100]);
         }
         log.flush_all().unwrap();
         assert!(seg.live_segments() > 2, "stream must span segments");

@@ -234,7 +234,7 @@ mod tests {
         let d = Arc::new(SimDevice::new(Duration::ZERO));
         let mut prev = Lsn::ZERO;
         for (i, p) in payloads.iter().enumerate() {
-            let h = RecordHeader::new(RecordKind::Update, i as u64, prev, p);
+            let h = RecordHeader::new(RecordKind::Filler, i as u64, prev, p);
             let mut bytes = h.encode().to_vec();
             bytes.extend_from_slice(p);
             bytes.resize(h.total_len as usize, 0);
@@ -263,7 +263,7 @@ mod tests {
     fn stops_at_torn_tail() {
         let d = device_with_records(&[b"complete"]);
         // Append half a record.
-        let h = RecordHeader::new(RecordKind::Update, 9, Lsn::ZERO, b"torn away payload");
+        let h = RecordHeader::new(RecordKind::Filler, 9, Lsn::ZERO, b"torn away payload");
         let bytes = h.encode();
         d.append(&bytes[..16]).unwrap();
         let recs = LogReader::new(d).read_all().unwrap();

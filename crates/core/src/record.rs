@@ -36,28 +36,20 @@ pub const RECORD_MAGIC: u8 = 0xA7;
 /// The type of a log record.
 ///
 /// `aether-core` itself is policy-free: it treats these as opaque tags. The
-/// storage manager (`aether-storage`) gives them ARIES semantics.
+/// storage manager (`aether-storage`) writes a committed transaction as one
+/// `UpdateCommit` and a fuzzy checkpoint as a begin/end pair. The codes of
+/// kinds no longer written (1–4 and 8) decode as nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum RecordKind {
-    /// Physiological page update (redo + undo payload).
-    Update = 1,
-    /// Transaction commit.
-    Commit = 2,
-    /// Transaction abort (end of rollback).
-    Abort = 3,
-    /// Compensation log record written during rollback.
-    Clr = 4,
     /// Fuzzy checkpoint begin.
     CheckpointBegin = 5,
-    /// Fuzzy checkpoint end (carries ATT + DPT).
+    /// Fuzzy checkpoint end (carries the dirty-page table).
     CheckpointEnd = 6,
-    /// Record inserted by microbenchmarks; payload is arbitrary filler.
+    /// An opaque record: what microbenchmarks, drivers and tests insert.
     Filler = 7,
-    /// Transaction end (after commit becomes durable; releases ATT entry).
-    End = 8,
-    /// A one-statement transaction's update and commit in one redo-only
-    /// record: it is never undone, so it carries no before-image.
+    /// A transaction's writes and its commit in one redo-only record: it is
+    /// never undone, so it carries no before-image.
     UpdateCommit = 9,
 }
 
@@ -65,14 +57,9 @@ impl RecordKind {
     /// Decode from the on-log byte.
     pub fn from_u8(v: u8) -> Option<RecordKind> {
         Some(match v {
-            1 => RecordKind::Update,
-            2 => RecordKind::Commit,
-            3 => RecordKind::Abort,
-            4 => RecordKind::Clr,
             5 => RecordKind::CheckpointBegin,
             6 => RecordKind::CheckpointEnd,
             7 => RecordKind::Filler,
-            8 => RecordKind::End,
             9 => RecordKind::UpdateCommit,
             _ => return None,
         })
@@ -374,9 +361,9 @@ pub fn frame_check(
 
 /// Checksum over a record *frame*: the 32-byte header (with the checksum
 /// field itself zeroed) followed by the payload. Covering the header — not
-/// just the payload — means a torn or bit-flipped header field (txn id,
-/// prev-LSN chain pointer) fails verification instead of silently steering
-/// recovery or a replica down a wrong undo chain.
+/// just the payload — means a torn or bit-flipped header field (kind, txn
+/// id) fails verification instead of silently steering recovery or a
+/// replica's redo.
 pub fn checksum(header_zeroed: &[u8; HEADER_SIZE], payload: &[u8]) -> u32 {
     crc32_finish(crc32_update(
         crc32_update(CRC32_INIT, header_zeroed),
@@ -422,7 +409,7 @@ pub fn encode_frame_header(
 /// 10      reserved    u16
 /// 12      checksum    u32   CRC32 over header (checksum zeroed) + payload
 /// 16      txn         u64   transaction id (0 = none)
-/// 24      prev_lsn    u64   previous record of the same transaction
+/// 24      prev_lsn    u64   chained LSN (0 = none; the storage layer chains none)
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecordHeader {
@@ -436,8 +423,8 @@ pub struct RecordHeader {
     pub checksum: u32,
     /// Owning transaction (0 for records not tied to a transaction).
     pub txn: u64,
-    /// Backward chain within the transaction (undo chain). `Lsn::ZERO` ends
-    /// the chain.
+    /// An LSN the writer may chain the record to. A redo-only log chains
+    /// nothing: the storage layer writes `Lsn::ZERO`.
     pub prev_lsn: Lsn,
 }
 
@@ -562,8 +549,8 @@ mod tests {
         // The single-pass field encoder must agree with the struct path:
         // patching the checksum into the zeroed form yields encode().
         let payload = b"payload";
-        let h = RecordHeader::new(RecordKind::Clr, 5, Lsn(640), payload);
-        let mut framed = encode_frame_header(RecordKind::Clr, 5, Lsn(640), payload.len());
+        let h = RecordHeader::new(RecordKind::Filler, 5, Lsn(640), payload);
+        let mut framed = encode_frame_header(RecordKind::Filler, 5, Lsn(640), payload.len());
         assert_eq!(
             u32::from_le_bytes(
                 framed[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 4]
@@ -579,7 +566,7 @@ mod tests {
     #[test]
     fn header_roundtrip() {
         let payload = b"some physiological redo bytes";
-        let h = RecordHeader::new(RecordKind::Update, 77, Lsn(4096), payload);
+        let h = RecordHeader::new(RecordKind::UpdateCommit, 77, Lsn(4096), payload);
         let enc = h.encode();
         let dec = RecordHeader::decode(&enc).expect("valid header");
         assert_eq!(dec, h);
@@ -592,7 +579,7 @@ mod tests {
         // All zeroes: kind 0 is invalid.
         assert!(RecordHeader::decode(&[0u8; HEADER_SIZE]).is_none());
         // Valid header with the magic byte flipped.
-        let h = RecordHeader::new(RecordKind::Commit, 1, Lsn::ZERO, b"x");
+        let h = RecordHeader::new(RecordKind::Filler, 1, Lsn::ZERO, b"x");
         let mut enc = h.encode();
         enc[9] = 0;
         assert!(RecordHeader::decode(&enc).is_none());
@@ -605,17 +592,16 @@ mod tests {
     #[test]
     fn all_kinds_roundtrip() {
         for k in [
-            RecordKind::Update,
-            RecordKind::Commit,
-            RecordKind::Abort,
-            RecordKind::Clr,
             RecordKind::CheckpointBegin,
             RecordKind::CheckpointEnd,
             RecordKind::Filler,
-            RecordKind::End,
             RecordKind::UpdateCommit,
         ] {
             assert_eq!(RecordKind::from_u8(k as u8), Some(k));
+        }
+        // The codes of the kinds no longer written decode as nothing.
+        for retired in [1, 2, 3, 4, 8] {
+            assert_eq!(RecordKind::from_u8(retired), None);
         }
         assert_eq!(RecordKind::from_u8(0), None);
         assert_eq!(RecordKind::from_u8(99), None);
@@ -724,8 +710,8 @@ mod tests {
         // Two records with identical payloads but different txn ids must not
         // share a frame CRC: the checksum covers the header, so a corrupted
         // txn/prev_lsn field is caught even when the payload is intact.
-        let h1 = RecordHeader::new(RecordKind::Update, 1, Lsn(64), b"same payload");
-        let h2 = RecordHeader::new(RecordKind::Update, 2, Lsn(64), b"same payload");
+        let h1 = RecordHeader::new(RecordKind::Filler, 1, Lsn(64), b"same payload");
+        let h2 = RecordHeader::new(RecordKind::Filler, 2, Lsn(64), b"same payload");
         assert_ne!(h1.checksum, h2.checksum);
         // Tampering with an encoded header field fails verification even
         // though decode() finds the structure plausible.

@@ -52,7 +52,7 @@ fn a_log_starts_at_its_devices_end() {
     let log = LogManager::builder()
         .device_instance(Arc::clone(&device))
         .build();
-    let lsn = log.insert(RecordKind::Update, 7, b"after the old bytes");
+    let lsn = log.insert(RecordKind::Filler, 7, b"after the old bytes");
     log.flush_all().unwrap();
     log.shutdown();
     assert_eq!(lsn, Lsn(1000));

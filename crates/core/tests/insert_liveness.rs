@@ -211,7 +211,11 @@ fn commits_behind_an_open_reservation_complete_after_it_closes() {
     // Enough commits to trip the daemon's commit-count trigger, which finds
     // nothing released to write.
     let commits: Vec<_> = (0..log.config().group_commit.max_pending_commits as u64)
-        .map(|txn| log.commit(txn, Lsn::ZERO))
+        .map(|txn| {
+            let (_, end) = log.insert_payload::<[u8]>(RecordKind::Filler, txn, Lsn::ZERO, &[]);
+            log.note_commit(end);
+            log.handle(end)
+        })
         .collect();
     std::thread::sleep(std::time::Duration::from_millis(20));
     assert!(commits.iter().all(|c| !c.is_done()), "committed past a gap");

@@ -59,13 +59,13 @@ proptest! {
         let mut reference = Vec::new();
         for (i, &len) in sizes.iter().enumerate() {
             let p = payload(i, len);
-            let mut slot = log.reserve(RecordKind::Update, i as u64, Lsn(i as u64), len);
+            let mut slot = log.reserve(RecordKind::Filler, i as u64, Lsn(i as u64), len);
             for chunk in p.chunks(split) {
                 slot.write(chunk);
             }
             prop_assert_eq!(slot.writer().remaining(), 0);
             prop_assert_eq!(slot.release(), Lsn(reference.len() as u64));
-            reference.extend(reference_encoding(RecordKind::Update, i as u64, Lsn(i as u64), &p));
+            reference.extend(reference_encoding(RecordKind::Filler, i as u64, Lsn(i as u64), &p));
         }
         log.flush_all().unwrap();
 
@@ -76,7 +76,7 @@ proptest! {
         let recs = log.reader().read_all().unwrap();
         prop_assert_eq!(recs.len(), sizes.len());
         for (i, rec) in recs.iter().enumerate() {
-            prop_assert_eq!(rec.header.kind, RecordKind::Update);
+            prop_assert_eq!(rec.header.kind, RecordKind::Filler);
             prop_assert_eq!(rec.header.txn, i as u64);
             prop_assert_eq!(rec.header.prev_lsn, Lsn(i as u64));
             prop_assert_eq!(&rec.payload, &payload(i, sizes[i]));
@@ -128,7 +128,7 @@ fn dropped_slot_does_not_wedge_the_release_chain() {
         let log = build_log(kind, Arc::clone(&dev));
         log.insert(RecordKind::Filler, 1, b"before");
         {
-            let mut slot = log.reserve(RecordKind::Update, 2, Lsn(64), 100);
+            let mut slot = log.reserve(RecordKind::Filler, 2, Lsn(64), 100);
             slot.write(b"partial");
             // dropped here without release()
         }
@@ -187,12 +187,12 @@ fn overfilling_a_slot_panics() {
 fn empty_payload_record_roundtrips() {
     let dev = Arc::new(SimDevice::new(Duration::ZERO));
     let log = build_log(BufferKind::Delegated, Arc::clone(&dev));
-    let slot = log.reserve(RecordKind::Commit, 7, Lsn(64), 0);
+    let slot = log.reserve(RecordKind::Filler, 7, Lsn(64), 0);
     assert_eq!(slot.end_lsn().raw() - slot.lsn().raw(), HEADER_SIZE as u64);
     slot.release();
     log.flush_all().unwrap();
     let recs = log.reader().read_all().unwrap();
     assert_eq!(recs.len(), 1);
-    assert_eq!(recs[0].header.kind, RecordKind::Commit);
+    assert_eq!(recs[0].header.kind, RecordKind::Filler);
     assert!(recs[0].payload.is_empty());
 }

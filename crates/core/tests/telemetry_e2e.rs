@@ -23,7 +23,7 @@ fn sampled_record_yields_causal_span_chain() {
         )
         .build();
     for i in 0..32u64 {
-        log.insert(RecordKind::Update, i, &[7u8; 100]);
+        log.insert(RecordKind::Filler, i, &[7u8; 100]);
     }
     log.flush_all().unwrap();
     let snap = log.telemetry_snapshot();
@@ -77,7 +77,7 @@ fn sampled_record_yields_causal_span_chain() {
 fn disabled_telemetry_records_nothing() {
     let log = LogManager::builder().device(DeviceKind::Ram).build();
     for i in 0..16u64 {
-        log.insert(RecordKind::Update, i, &[7u8; 64]);
+        log.insert(RecordKind::Filler, i, &[7u8; 64]);
     }
     log.flush_all().unwrap();
     assert!(!log.telemetry().on());

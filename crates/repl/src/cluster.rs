@@ -21,7 +21,7 @@ use crate::replica::{Replica, ReplicaStatus};
 use crate::router::{ReadRouter, RouterConfig};
 use crate::shipper::{ack_link, Shipper, ShipperConfig};
 use crate::transport::LinkConfig;
-use aether_core::commit::{CommitToken, DurabilityPolicy, ReplicaAck};
+use aether_core::commit::{DurabilityPolicy, ReplicaAck};
 use aether_core::runtime;
 use aether_core::Lsn;
 use aether_storage::db::Db;
@@ -226,12 +226,12 @@ impl ReplicatedDb {
         &self.primary
     }
 
-    /// Commit on the primary under the cluster's durability policy and
-    /// return the commit's [`CommitToken`] alongside the outcome. Feed the
-    /// token to a [`crate::router::Session`] and the router's session reads
-    /// are guaranteed to observe this commit (read-your-writes).
-    pub fn commit(&self, txn: Transaction) -> StorageResult<(CommitOutcome, CommitToken)> {
-        self.primary.commit_tokened(txn)
+    /// Commit on the primary under the cluster's durability policy. Feed
+    /// the outcome's [`CommitOutcome::token`] to a
+    /// [`crate::router::Session`] and the router's session reads are
+    /// guaranteed to observe this commit (read-your-writes).
+    pub fn commit(&self, txn: Transaction) -> StorageResult<CommitOutcome> {
+        self.primary.commit(txn)
     }
 
     /// A [`ReadRouter`] serving bounded-staleness reads over this cluster's
@@ -278,12 +278,11 @@ impl ReplicatedDb {
 
     /// Simulate a primary failure: cut the network (stop all shippers) and
     /// poison the commit gate, releasing any committer still blocked on
-    /// replica acks. Those commits return [`CommitOutcome::Unsafe`] — on a
-    /// real failed primary the client's session dies with an indeterminate
-    /// outcome; here the API reports exactly that indeterminacy instead of
-    /// a false success. Replicas keep whatever they durably received.
-    ///
-    /// [`CommitOutcome::Unsafe`]: aether_storage::CommitOutcome::Unsafe
+    /// replica acks. Those commits return [`CommitOutcome::Unreplicated`] —
+    /// on a real failed primary the client's session dies with an
+    /// indeterminate outcome; here the API reports exactly that
+    /// indeterminacy instead of a false success. Replicas keep whatever
+    /// they durably received.
     pub fn kill_primary(&mut self) {
         for s in &mut self.shippers {
             s.stop();
@@ -434,7 +433,7 @@ mod tests {
     }
 
     #[test]
-    fn kill_primary_releases_blocked_commits_as_unsafe() {
+    fn kill_primary_releases_blocked_commits_as_unreplicated() {
         let primary = small_primary();
         let mut cluster = ReplicatedDb::attach(
             Arc::clone(&primary),
@@ -457,8 +456,8 @@ mod tests {
         cluster.kill_primary();
         let outcome = committer.join().unwrap();
         assert!(
-            !outcome.is_durable_now(),
-            "a commit released by the kill must report Unsafe, not Durable (got {outcome:?})"
+            matches!(outcome, CommitOutcome::Unreplicated(_)),
+            "a commit released by the kill must report Unreplicated (got {outcome:?})"
         );
     }
 }

@@ -499,10 +499,7 @@ fn replay_available(shared: &ReplicaShared, from: Lsn) -> Lsn {
     let mut at = from;
     // Stops at an incomplete tail or corrupt record alike (Ok(None)/Err).
     while let Ok(Some(rec)) = reader.next_record() {
-        if matches!(
-            rec.header.kind,
-            RecordKind::Commit | RecordKind::UpdateCommit
-        ) {
+        if rec.header.kind == RecordKind::UpdateCommit {
             shared.tel.inc(shared.ids.commits_seen);
         }
         if replay::apply_record(&db, &rec).unwrap_or(false) {

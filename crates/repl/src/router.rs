@@ -17,8 +17,9 @@
 //!   chosen replica is behind, the read blocks on its applied watermark for
 //!   at most the configured budget, then falls back to a fresher replica,
 //!   and finally to the primary (which is never stale).
-//! * **Read-your-writes** — [`aether_storage::db::Db::commit_tokened`] (or
-//!   [`crate::cluster::ReplicatedDb::commit`]) returns a [`CommitToken`];
+//! * **Read-your-writes** — [`aether_storage::db::Db::commit`] (or
+//!   [`crate::cluster::ReplicatedDb::commit`]) returns a [`CommitToken`] in
+//!   its outcome;
 //!   a [`Session`] folds tokens into a running maximum and
 //!   [`ReadRouter::read_session`] threads that watermark into every read.
 //!   Invariant 9 of DESIGN.md: a session read never observes state older
@@ -532,9 +533,9 @@ mod tests {
         for v in 1..=20u64 {
             let mut txn = primary.begin();
             primary.update(&mut txn, 0, 5, &record(5, v)).unwrap();
-            let (out, token) = cluster.commit(txn).unwrap();
+            let out = cluster.commit(txn).unwrap();
             assert!(out.is_durable_now());
-            session.observe(token);
+            session.observe(out.token());
             let read = router.read_session(&session, 0, 5).unwrap();
             assert!(read.applied >= session.watermark(), "staleness floor");
             let got = counter_of(read.value.as_deref().expect("key exists"));
@@ -632,7 +633,7 @@ mod tests {
         });
         let mut txn = primary.begin();
         primary.update(&mut txn, 0, 7, &record(7, 42)).unwrap();
-        let (_, token) = primary.commit_tokened(txn).unwrap();
+        let token = primary.commit(txn).unwrap().token();
         let out = router.read_at_least(0, 7, token.lsn()).unwrap();
         assert!(out.applied >= token.lsn());
         assert_eq!(

@@ -288,7 +288,7 @@ fn watch_loop(shared: Arc<SupShared>, cfg: SupervisorConfig) {
 /// replica.
 fn promote_best(mut cluster: ReplicatedDb, shared: &SupShared) -> SupState {
     // Poison the gate (idempotent) so committers blocked on acks return
-    // Unsafe instead of hanging while recovery runs.
+    // Unreplicated instead of hanging while recovery runs.
     cluster.kill_primary();
     let i = cluster.most_caught_up();
     match cluster.promote(i) {

@@ -15,7 +15,7 @@
 
 use aether_core::{BufferKind, DeviceKind, LogConfig};
 use aether_repl::prelude::*;
-use aether_storage::{CommitProtocol, Db, DbOptions};
+use aether_storage::{CommitProtocol, CommitToken, Db, DbOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
@@ -108,9 +108,13 @@ fn promote_peak(updates: u64) -> i64 {
     .unwrap();
     for i in 0..updates {
         let key = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % ROWS;
-        primary
-            .update_commit(0, key, &record(key, (i % 200) as u8))
-            .unwrap();
+        let mut out = [Ok(CommitToken::ZERO)];
+        primary.update_commit_run(
+            0,
+            &[(key, record(key, (i % 200) as u8).as_slice())],
+            &mut out,
+        );
+        out[0].as_ref().unwrap();
     }
     primary.log().flush_all().unwrap();
     assert!(

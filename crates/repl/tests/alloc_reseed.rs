@@ -20,7 +20,7 @@ use aether_repl::prelude::*;
 use aether_repl::{ack_link, Shipper};
 use aether_storage::replay::{base_snapshot, state_fingerprint};
 use aether_storage::store::PageStore;
-use aether_storage::{CommitProtocol, Db, DbOptions};
+use aether_storage::{CommitProtocol, CommitToken, Db, DbOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -83,7 +83,9 @@ fn truncated_primary() -> Arc<Db> {
     db.setup_complete();
     for round in 2..4u8 {
         for k in 0..64 {
-            db.update_commit(0, k * 97, &record(k * 97, round)).unwrap();
+            let mut out = [Ok(CommitToken::ZERO)];
+            db.update_commit_run(0, &[(k * 97, record(k * 97, round).as_slice())], &mut out);
+            out[0].as_ref().unwrap();
         }
         db.checkpoint_and_truncate();
     }

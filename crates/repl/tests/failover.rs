@@ -10,7 +10,7 @@ use aether_core::{BufferKind, DeviceKind, LogConfig, Lsn};
 use aether_repl::frame::Frame;
 use aether_repl::prelude::*;
 use aether_repl::transport::link;
-use aether_storage::{CommitProtocol, Db, DbOptions};
+use aether_storage::{CommitOutcome, CommitProtocol, Db, DbOptions};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -90,10 +90,13 @@ fn semisync_failover_loses_no_acked_commit() {
                     submitted[k as usize].store(v, Ordering::SeqCst);
                     // Blocking SemiSync commit: `Durable` only once a
                     // replica durably holds the commit record. Commits
-                    // released by the kill report `Unsafe` (replication
-                    // indeterminate) and are not counted as acked.
-                    if db.commit(txn).unwrap().is_durable_now() {
-                        acked[k as usize].store(v, Ordering::SeqCst);
+                    // released by the kill report `Unreplicated`
+                    // (replication indeterminate) and are not counted as
+                    // acked.
+                    match db.commit(txn).unwrap() {
+                        CommitOutcome::Durable(_) => acked[k as usize].store(v, Ordering::SeqCst),
+                        CommitOutcome::Unreplicated(_) => {}
+                        other => panic!("a blocking commit reported {other:?}"),
                     }
                 }
             });
@@ -174,7 +177,7 @@ fn a_standby_never_serves_an_open_transactions_write() {
     primary.update(&mut writer, 0, 0, &record(0, 9)).unwrap();
     let mut other = primary.begin();
     primary.update(&mut other, 0, 1, &record(1, 1)).unwrap();
-    let (_, token) = primary.commit_tokened(other).unwrap();
+    let token = primary.commit(other).unwrap().token();
     let reader = cluster.replica(0).reader();
     let applied = reader.wait_applied(token.lsn(), Duration::from_secs(10));
     assert!(

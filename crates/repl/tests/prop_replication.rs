@@ -14,7 +14,7 @@ use aether_repl::frame::Frame;
 use aether_repl::prelude::*;
 use aether_storage::recovery::recover_with_stats;
 use aether_storage::replay::{apply_record, standby_db, state_fingerprint, CellFingerprint};
-use aether_storage::{CommitProtocol, Db, DbOptions};
+use aether_storage::{CommitProtocol, CommitToken, Db, DbOptions};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -273,15 +273,17 @@ fn sim_seeded_pipeline_replays_byte_identically() {
     assert_ne!(h1, h3, "different seed must steer the interleaving");
 }
 
-/// One step of a mixed script on `primary`: a one-record commit
-/// (`update_commit`) of a dense key when `op` is 0, else an interactive
+/// One step of a mixed script on `primary`: a one-record commit (a run of
+/// one, `update_commit_run`) of a dense key when `op` is 0, else an interactive
 /// update committed or rolled back. Returns the key and value a commit
 /// acked.
 fn mixed_step(primary: &Arc<Db>, op: u8, key: u64, v: u64, commit: bool) -> Option<(u64, Vec<u8>)> {
     let key = key % 8;
     if op == 0 {
-        let (_, pending) = primary.update_commit(0, key, &mk(key, v)).unwrap();
-        assert!(!pending, "a Baseline commit is durable on return");
+        let mut out = [Ok(CommitToken::ZERO)];
+        let run = primary.update_commit_run(0, &[(key, mk(key, v).as_slice())], &mut out);
+        out[0].as_ref().unwrap();
+        assert!(!run.pending, "a Baseline commit is durable on return");
         return Some((key, mk(key, v)));
     }
     let mut txn = primary.begin();

@@ -28,7 +28,9 @@ use aether_core::lsn::Lsn;
 use aether_core::record::crc32;
 use aether_core::runtime::{lock, WaitSet};
 use aether_core::telemetry::{HistId, Telemetry, Unit};
-use aether_storage::{CommitToken, Db, StorageError, StorageResult, Transaction, RUN_MAX};
+use aether_storage::{
+    CommitOutcome, CommitToken, Db, StorageError, StorageResult, Transaction, RUN_MAX,
+};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
@@ -534,7 +536,7 @@ fn exec_one(
             // itself dies with the connection), so no dedup id.
             Some(t) => {
                 let t0 = db.log().telemetry().ts();
-                answer_commit(db, resp, seq, t0, db.commit_deferred(t));
+                answer_commit(db, resp, seq, t0, db.commit(t));
             }
             None => resp.fulfill(seq, no_such_txn(txn)),
         },
@@ -549,23 +551,26 @@ fn exec_one(
 }
 
 /// Answer slot `seq` with the outcome `done` of an interactive commit begun
-/// at `t0` (`Db::commit_deferred`): at once under the blocking protocols
-/// (the commit is durable when the call returns), and from the queue's
-/// subscription under the asynchronous ones. Every outcome, errors
-/// included, is answered exactly once.
+/// at `t0`: at once under the blocking protocols (the commit is durable
+/// when the call returns; an unreplicated one is answered `Committed`
+/// too), and from the queue's subscription once it is durable under the
+/// asynchronous ones. Every outcome, errors included, is answered exactly
+/// once.
 fn answer_commit(
     db: &Db,
     resp: &RespQueue,
     seq: u64,
     t0: Option<u64>,
-    done: StorageResult<(CommitToken, bool)>,
+    done: StorageResult<CommitOutcome>,
 ) {
     match done {
-        Ok((token, true)) => resp.await_commit(db.log().pipeline(), seq, token.lsn(), t0),
-        Ok((token, false)) => resp.fulfill(
+        Ok(out @ (CommitOutcome::Pipelined(_) | CommitOutcome::Unsafe(_))) => {
+            resp.await_commit(db.log().pipeline(), seq, out.token().lsn(), t0)
+        }
+        Ok(out @ (CommitOutcome::Durable(_) | CommitOutcome::Unreplicated(_))) => resp.fulfill(
             seq,
             Response::Committed {
-                token: token.lsn().raw(),
+                token: out.token().lsn().raw(),
             },
         ),
         Err(e) => resp.fulfill(seq, err_of(&e)),

@@ -171,7 +171,6 @@ impl ErrCode {
             E::Deadlock { .. } => ErrCode::Deadlock,
             E::LockTimeout { .. } => ErrCode::LockTimeout,
             E::KeyNotFound { .. } => ErrCode::NotFound,
-            E::TxnNotActive(_) => ErrCode::NoSuchTxn,
             E::Log(L::LogFull { .. }) => ErrCode::LogFull,
             E::Log(L::Busy(_)) => ErrCode::Busy,
             E::Log(L::Shutdown) => ErrCode::Shutdown,

@@ -540,7 +540,7 @@ impl<'a> Scenario<'a> {
         self.primary
             .update(&mut txn, 0, marker_key, &record(marker_key, marker))
             .unwrap();
-        let (_, token) = cluster.commit(txn).unwrap();
+        let token = cluster.commit(txn).unwrap().token();
         session.observe(token);
         let read = router.read_session(session, 0, marker_key).unwrap();
         if read.applied < session.watermark() {

@@ -7,7 +7,7 @@ use crate::page::{Frame, PageId, Rid};
 use crate::segmented::Segmented;
 use crate::store::PageStore;
 use crate::table::Table;
-use crate::txn::{CommitOutcome, CommitProtocol, Transaction, TxnManager, TxnStatus, Write};
+use crate::txn::{CommitOutcome, CommitProtocol, Transaction, TxnManager, Write};
 use crate::wal::UpdateCommitPayload;
 use aether_core::commit::CommitToken;
 use aether_core::device::LogDevice;
@@ -28,19 +28,10 @@ pub struct RunOutcome {
     /// How many of the items it ran, at least one: the rest are the next
     /// run's. `out[..done]` holds their outcomes.
     pub done: usize,
-    /// Whether its commits still wait for the log, as
-    /// [`Db::commit_deferred`]'s flag says.
+    /// Whether its commits still wait for the log: they were logged under
+    /// `AsyncCommit` or `Pipelined`, and their caller watches their tokens
+    /// on the log's watermark.
     pub pending: bool,
-}
-
-/// How a commit stands when [`Db::commit_inner`] returns.
-enum Fate {
-    /// Durable (and replicated as the policy requires), or read-only.
-    Durable,
-    /// Locally durable, replication indeterminate.
-    Unreplicated,
-    /// Waits for the log's watermark (`AsyncCommit`, `Pipelined`).
-    Pending,
 }
 
 /// Database construction options.
@@ -330,11 +321,6 @@ impl Db {
         table_in(&self.tables, id)
     }
 
-    /// The catalog.
-    pub(crate) fn tables(&self) -> &Segmented<Table> {
-        &self.tables
-    }
-
     /// Number of tables.
     pub fn table_count(&self) -> usize {
         self.tables.len()
@@ -386,7 +372,7 @@ impl Db {
         Ok(self.begin())
     }
 
-    /// The admission check of [`Db::try_begin`] and [`Db::update_commit`].
+    /// The admission check of [`Db::try_begin`] and [`Db::update_commit_run`].
     fn admit(self: &Arc<Self>) -> StorageResult<()> {
         let soft = self.opts.log_soft_bytes;
         let hard = self.opts.log_hard_bytes;
@@ -446,7 +432,6 @@ impl Db {
     /// Read `key` (S row lock): the transaction's own write if it wrote it,
     /// else the committed value.
     pub fn read(&self, txn: &mut Transaction, table: u32, key: u64) -> StorageResult<Vec<u8>> {
-        self.check_active(txn)?;
         let t = self.table(table)?;
         self.lock(txn, LockId::row(table, key), LockMode::S)?;
         Self::read_locked(txn, t, key)
@@ -460,7 +445,6 @@ impl Db {
         table: u32,
         key: u64,
     ) -> StorageResult<Vec<u8>> {
-        self.check_active(txn)?;
         let t = self.table(table)?;
         self.lock(txn, LockId::row(table, key), LockMode::X)?;
         Self::read_locked(txn, t, key)
@@ -494,7 +478,6 @@ impl Db {
         key: u64,
         record: &[u8],
     ) -> StorageResult<()> {
-        self.check_active(txn)?;
         let t = self.table(table)?;
         t.check_record(record)?;
         self.lock(txn, LockId::row(table, key), LockMode::X)?;
@@ -503,22 +486,6 @@ impl Db {
             .filter(|&rid| Self::holds(txn, t, rid))
             .ok_or(StorageError::KeyNotFound { table, key })?;
         self.write(txn, t, key, rid, Some(record))
-    }
-
-    /// Overwrite the record at `key` in a transaction of its own that
-    /// commits in the one record it logs, a [`RecordKind::UpdateCommit`]:
-    /// a run of one ([`Db::update_commit_run`]). Returns what
-    /// [`Db::commit_deferred`] returns.
-    pub fn update_commit(
-        self: &Arc<Self>,
-        table: u32,
-        key: u64,
-        record: &[u8],
-    ) -> StorageResult<(CommitToken, bool)> {
-        let mut out = [Ok(CommitToken::ZERO)];
-        let run = self.update_commit_run(table, &[(key, record)], &mut out);
-        let [done] = out;
-        done.map(|token| (token, run.pending))
     }
 
     /// Run a prefix of `items`, `(key, record)` overwrites of `table`, as
@@ -650,13 +617,16 @@ impl Db {
 
         // Their commit stage begins once their records are in the log.
         let t_commit = self.log.telemetry().ts();
-        let fate = self.harden(n, last, t_commit, || {
+        let hardened = self.harden(n, last, t_commit, || {
             for &i in &held[..n] {
                 self.locks.release(first_id + i as u64, row(i));
             }
         });
-        let pending = match fate {
-            Ok(fate) => matches!(fate, Fate::Pending),
+        let pending = match hardened {
+            Ok(_) => matches!(
+                self.opts.protocol,
+                CommitProtocol::AsyncCommit | CommitProtocol::Pipelined
+            ),
             // The wait for the log failed: each commit not durable by now
             // never will be.
             Err(_) => {
@@ -705,7 +675,6 @@ impl Db {
         key: u64,
         record: &[u8],
     ) -> StorageResult<()> {
-        self.check_active(txn)?;
         let t = self.table(table)?;
         t.check_record(record)?;
         self.lock(txn, LockId::row(table, key), LockMode::X)?;
@@ -727,7 +696,6 @@ impl Db {
 
     /// Delete the record at `key` (X row lock).
     pub fn delete(&self, txn: &mut Transaction, table: u32, key: u64) -> StorageResult<()> {
-        self.check_active(txn)?;
         let t = self.table(table)?;
         self.lock(txn, LockId::row(table, key), LockMode::X)?;
         let rid = t
@@ -735,14 +703,6 @@ impl Db {
             .filter(|&rid| Self::holds(txn, t, rid))
             .ok_or(StorageError::KeyNotFound { table, key })?;
         self.write(txn, t, key, rid, None)
-    }
-
-    fn check_active(&self, txn: &Transaction) -> StorageResult<()> {
-        if txn.is_active() {
-            Ok(())
-        } else {
-            Err(StorageError::TxnNotActive(txn.id))
-        }
     }
 
     fn lock(&self, txn: &mut Transaction, id: LockId, mode: LockMode) -> StorageResult<()> {
@@ -808,51 +768,22 @@ impl Db {
     // Commit / abort
     // ------------------------------------------------------------------
 
-    /// Commit per the configured protocol.
-    pub fn commit(&self, txn: Transaction) -> StorageResult<CommitOutcome> {
-        self.commit_tokened(txn).map(|(out, _)| out)
-    }
-
-    /// Commit and also return the session [`CommitToken`]: the commit
-    /// record's end LSN in the log's total order. Threading the token into
-    /// `aether-repl`'s `ReadRouter::read_at_least` yields read-your-writes
-    /// on replica reads — any snapshot whose applied watermark reaches the
-    /// token contains this commit. Read-only transactions return
-    /// [`CommitToken::ZERO`] (they left nothing to observe).
-    pub fn commit_tokened(&self, txn: Transaction) -> StorageResult<(CommitOutcome, CommitToken)> {
-        let (fate, token) = self.commit_inner(txn)?;
-        let outcome = match fate {
-            Fate::Durable => CommitOutcome::Durable,
-            Fate::Unreplicated => CommitOutcome::Unsafe,
-            Fate::Pending if self.opts.protocol.sacrifices_durability() => CommitOutcome::Unsafe,
-            Fate::Pending => CommitOutcome::Pipelined(self.log.handle(token.lsn())),
-        };
-        Ok((outcome, token))
-    }
-
-    /// Commit without a handle, for a caller that subscribes to the log's
-    /// watermark itself (the wire server, the benchmark drivers). Returns
-    /// the token and whether the commit still waits for the log: true for
-    /// an `AsyncCommit` or `Pipelined` commit that logged, whose caller
-    /// hands `token.lsn()` to its subscriber; false when it is durable now.
-    pub fn commit_deferred(&self, txn: Transaction) -> StorageResult<(CommitToken, bool)> {
-        let (fate, token) = self.commit_inner(txn)?;
-        Ok((token, matches!(fate, Fate::Pending)))
-    }
-
-    /// Log the write set as one [`RecordKind::UpdateCommit`] record and
-    /// apply it, through the body [`Db::update_commit_run`] runs: its
-    /// pages latched in `(table, page)` order, one reservation, each cell
-    /// written and encoded from its page, the pages stamped, the latches
-    /// dropped; then the protocol's commit tail. A read-only transaction
-    /// logs nothing.
-    fn commit_inner(&self, mut txn: Transaction) -> StorageResult<(Fate, CommitToken)> {
-        self.check_active(&txn)?;
+    /// Commit per the configured protocol: log the write set as one
+    /// [`RecordKind::UpdateCommit`] record and apply it, through the body
+    /// [`Db::update_commit_run`] runs — its pages latched in `(table, page)`
+    /// order, one reservation, each cell written and encoded from its
+    /// page, the pages stamped, the latches dropped — then the protocol's
+    /// commit tail. A read-only transaction logs nothing.
+    ///
+    /// A caller that subscribes to the log's watermark itself (the wire
+    /// server, the benchmark drivers) hands a `Pipelined` or `Unsafe`
+    /// commit's token to its subscriber.
+    pub fn commit(&self, mut txn: Transaction) -> StorageResult<CommitOutcome> {
         if txn.writes.is_empty() {
             // Read-only: nothing to log or harden.
             self.locks.release_all(txn.id, &txn.held);
             self.txns.finish();
-            return Ok((Fate::Durable, CommitToken::ZERO));
+            return Ok(CommitOutcome::Durable(CommitToken::ZERO));
         }
         let t_commit = self.log.telemetry().ts();
         // Page order: one page's entries are consecutive in the record.
@@ -882,11 +813,17 @@ impl Db {
         for w in txn.writes.iter().filter(|w| w.at.is_none()) {
             unmap(table(w.table), w.key, w.rid);
         }
-        let fate = self.harden(1, end, t_commit, || {
+        let replicated = self.harden(1, end, t_commit, || {
             self.locks.release_all(txn.id, &txn.held)
         });
         self.txns.finish();
-        Ok((fate?, CommitToken::at(end)))
+        let token = CommitToken::at(end);
+        Ok(match self.opts.protocol {
+            CommitProtocol::AsyncCommit => CommitOutcome::Unsafe(token),
+            CommitProtocol::Pipelined => CommitOutcome::Pipelined(self.log.handle(end)),
+            _ if replicated? => CommitOutcome::Durable(token),
+            _ => CommitOutcome::Unreplicated(token),
+        })
     }
 
     /// Log `records` transactions' commits in one reservation and apply
@@ -957,14 +894,16 @@ impl Db {
     /// The commit tail of `commits` transactions whose commits are in the
     /// log, the last ending at `end`, per the protocol: a transaction, or a
     /// run of one-record ones. `release_locks` drops every lock they hold.
-    /// `t_commit` is when the commits began (telemetry on).
+    /// `t_commit` is when the commits began (telemetry on). Returns false
+    /// only when a primary-failure simulation released a blocking wait
+    /// before enough replicas acked.
     fn harden(
         &self,
         commits: usize,
         end: Lsn,
         t_commit: Option<u64>,
         release_locks: impl Fn(),
-    ) -> StorageResult<Fate> {
+    ) -> StorageResult<bool> {
         self.stats.tel.add(self.stats.commits, commits as u64);
         let protocol = self.opts.protocol;
         // §3, when locks drop: as soon as the commit record is buffered
@@ -976,9 +915,7 @@ impl Db {
         match protocol {
             // The caller: only this transaction blocks on the I/O. Local
             // durability plus replica acks, per the log's durability policy
-            // (plain flush_until when replication is off); `Ok(false)`
-            // means a primary-failure simulation released the wait and the
-            // commit's replicated fate is indeterminate.
+            // (plain flush_until when replication is off).
             CommitProtocol::Baseline | CommitProtocol::Elr => {
                 let t = aether_core::runtime::monotonic_ns();
                 let replicated = self.log.wait_committed(end);
@@ -1000,35 +937,28 @@ impl Db {
                 if !protocol.early_release() {
                     release_locks();
                 }
-                Ok(if replicated? {
-                    Fate::Durable
-                } else {
-                    Fate::Unreplicated
-                })
+                Ok(replicated?)
             }
             // Nobody: the flush daemon makes the record durable, and
             // whoever waits on the commit subscribes to the log's
             // watermark. Nothing is registered here.
             CommitProtocol::AsyncCommit | CommitProtocol::Pipelined => {
                 self.log.note_commits(commits, end);
-                Ok(Fate::Pending)
+                Ok(true)
             }
         }
     }
 
     /// Roll back: drop the write set, and the index entries of keys it
     /// appended; then release the locks. Nothing was logged or applied, so
-    /// nothing is undone and nothing is logged. Safe at any point before
-    /// commit.
-    pub fn abort(&self, mut txn: Transaction) -> StorageResult<()> {
-        self.check_active(&txn)?;
+    /// nothing is undone and nothing is logged.
+    pub fn abort(&self, txn: Transaction) -> StorageResult<()> {
         for w in &txn.writes {
             let t = self.table(w.table)?;
             if t.key_at(w.rid).is_none() {
                 unmap(t, w.key, w.rid);
             }
         }
-        txn.status = TxnStatus::Aborted;
         self.stats.tel.inc(self.stats.aborts);
         self.locks.release_all(txn.id, &txn.held);
         self.txns.finish();
@@ -1222,7 +1152,8 @@ mod tests {
         let db = tiny_db(CommitProtocol::Pipelined);
         let mut txn = db.begin();
         db.update_with(&mut txn, 0, 3, |r| r[8] = 77).unwrap();
-        let (out, token) = db.commit_tokened(txn).unwrap();
+        let out = db.commit(txn).unwrap();
+        let token = out.token();
         match out {
             CommitOutcome::Pipelined(h) => assert!(h.wait()),
             other => panic!("expected pipelined outcome, got {other:?}"),
@@ -1256,7 +1187,7 @@ mod tests {
         pipeline.subscribe(tally.clone());
         let mut c = db.begin();
         db.update_with(&mut c, 0, 2, |r| r[8] = 4).unwrap();
-        let (token, _) = db.commit_deferred(c).unwrap();
+        let token = db.commit(c).unwrap().token();
         tally.add(token.lsn());
         pipeline.watch(&*tally, token.lsn());
         assert!(tally.wait_settled(Some(std::time::Duration::from_secs(10))));
@@ -1285,7 +1216,10 @@ mod tests {
             let (inserts0, commits0, end0) =
                 (inserts(), db.stats().commits(), db.log().released_lsn());
             for k in 0..10u64 {
-                let (token, pending) = db.update_commit(0, k, &rec(k, 40, 5)).unwrap();
+                let mut out = [Ok(CommitToken::ZERO)];
+                let run = db.update_commit_run(0, &[(k, rec(k, 40, 5).as_slice())], &mut out);
+                let [token] = out;
+                let (token, pending) = (token.unwrap(), run.pending);
                 let deferred = matches!(
                     protocol,
                     CommitProtocol::AsyncCommit | CommitProtocol::Pipelined
@@ -1311,32 +1245,12 @@ mod tests {
     }
 
     #[test]
-    fn committing_an_inactive_transaction_is_refused() {
-        for protocol in CommitProtocol::ALL {
-            let db = tiny_db(protocol);
-            for deferred in [false, true] {
-                let mut txn = db.begin();
-                txn.status = TxnStatus::Committed;
-                let r = if deferred {
-                    db.commit_deferred(txn).map(|_| ())
-                } else {
-                    db.commit_tokened(txn).map(|_| ())
-                };
-                assert!(
-                    matches!(r, Err(StorageError::TxnNotActive(_))),
-                    "{protocol:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn async_commit_is_marked_unsafe() {
         let db = tiny_db(CommitProtocol::AsyncCommit);
         let mut txn = db.begin();
         db.update_with(&mut txn, 0, 2, |r| r[8] = 50).unwrap();
         let out = db.commit(txn).unwrap();
-        assert!(matches!(out, CommitOutcome::Unsafe));
+        assert!(matches!(out, CommitOutcome::Unsafe(_)));
         // The update is visible immediately even though durability lags.
         let mut t2 = db.begin();
         assert_eq!(db.read(&mut t2, 0, 2).unwrap()[8], 50);

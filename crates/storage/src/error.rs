@@ -31,8 +31,6 @@ pub enum StorageError {
     },
     /// Record/RID out of range or size mismatch.
     InvalidRecord(String),
-    /// Transaction used after commit/abort.
-    TxnNotActive(u64),
     /// A write the transaction's commit record could not hold: it is
     /// logged as one record, and that record would grow past `limit`
     /// payload bytes. Nothing of the write was kept.
@@ -60,7 +58,6 @@ impl fmt::Display for StorageError {
                 write!(f, "duplicate key {key} in table {table}")
             }
             StorageError::InvalidRecord(m) => write!(f, "invalid record: {m}"),
-            StorageError::TxnNotActive(t) => write!(f, "transaction {t} is not active"),
             StorageError::WriteSetFull { bytes, limit } => write!(
                 f,
                 "write set too large: its commit record would hold {bytes} bytes, at most {limit}"

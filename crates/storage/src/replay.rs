@@ -210,7 +210,7 @@ pub fn standby_db(
 /// recovery — which promotion runs too — on every record it scans.
 /// Returns whether the record changed a page.
 pub fn apply_record(db: &Db, rec: &Record) -> StorageResult<bool> {
-    redo(db.tables(), rec)
+    redo(&db.tables, rec)
 }
 
 /// [`apply_record`] over a catalog: recovery redoes into its tables before

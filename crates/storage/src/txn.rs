@@ -21,7 +21,7 @@
 
 use crate::lock::LockId;
 use crate::page::Rid;
-use aether_core::commit::CommitHandle;
+use aether_core::commit::{CommitHandle, CommitToken};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -89,17 +89,6 @@ pub(crate) struct Write {
     pub at: Option<usize>,
 }
 
-/// Transaction state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnStatus {
-    /// Running; may read/write.
-    Active,
-    /// Committed.
-    Committed,
-    /// Rolled back.
-    Aborted,
-}
-
 /// A transaction's buffers, kept with their capacity in a small per-thread
 /// pool between transactions: a transaction allocates nothing once its
 /// thread has run a few.
@@ -122,7 +111,9 @@ thread_local! {
 }
 
 /// A transaction handle. Not `Sync`: owned and driven by one agent thread,
-/// like Shore-MT's transaction objects.
+/// like Shore-MT's transaction objects. [`crate::Db::commit`] and
+/// [`crate::Db::abort`] consume it, so a handle is always an open
+/// transaction.
 ///
 /// Its writes stay in its write set until [`crate::Db::commit`] logs them
 /// as one record and applies them; a rollback drops them.
@@ -138,8 +129,6 @@ pub struct Transaction {
     pub(crate) images: Vec<u8>,
     /// Payload bytes the commit record will have.
     pub(crate) record_len: usize,
-    /// Current status.
-    pub status: TxnStatus,
 }
 
 impl Transaction {
@@ -161,11 +150,6 @@ impl Transaction {
     /// The record entry `i` writes, `len` bytes long; `None` for a delete.
     pub(crate) fn after(&self, i: usize, len: usize) -> Option<&[u8]> {
         self.writes[i].at.map(|at| &self.images[at..at + len])
-    }
-
-    /// True while the transaction may perform work.
-    pub fn is_active(&self) -> bool {
-        self.status == TxnStatus::Active
     }
 }
 
@@ -193,25 +177,41 @@ impl Drop for Transaction {
     }
 }
 
-/// Result of a commit: how completion is (or will be) known.
+/// How a commit stands when [`crate::Db::commit`] returns, and where it is
+/// in the log: its [`CommitToken`], the end LSN of its commit record.
+/// Threading the token into `aether-repl`'s `ReadRouter::read_at_least`
+/// yields read-your-writes on replica reads.
 #[derive(Debug)]
 pub enum CommitOutcome {
-    /// Commit is durable now (Baseline, ELR, and read-only commits).
-    Durable,
-    /// Commit acknowledged without full durability: AsyncCommit always, or
-    /// a replicated commit released by a primary-failure simulation before
-    /// its replica acks arrived (locally durable, replication
-    /// indeterminate).
-    Unsafe,
-    /// Flush pipelining: completion arrives via this handle (or a
-    /// subscription to the log's watermark).
+    /// Durable, and replicated as the log's policy requires (Baseline and
+    /// ELR). A read-only commit logs nothing: its token is
+    /// [`CommitToken::ZERO`].
+    Durable(CommitToken),
+    /// Durable locally, but a primary-failure simulation released the wait
+    /// before enough replicas acked: its replicated fate is indeterminate.
+    Unreplicated(CommitToken),
+    /// AsyncCommit: acknowledged before it is durable, so a crash can lose
+    /// it.
+    Unsafe(CommitToken),
+    /// Flush pipelining: completion arrives through this handle, or through
+    /// a subscription to the log's watermark at the token.
     Pipelined(CommitHandle),
 }
 
 impl CommitOutcome {
-    /// True if the commit is already durable.
+    /// The commit's token.
+    pub fn token(&self) -> CommitToken {
+        match self {
+            CommitOutcome::Durable(token)
+            | CommitOutcome::Unreplicated(token)
+            | CommitOutcome::Unsafe(token) => *token,
+            CommitOutcome::Pipelined(handle) => CommitToken::at(handle.lsn()),
+        }
+    }
+
+    /// True if the commit is already durable and replicated.
     pub fn is_durable_now(&self) -> bool {
-        matches!(self, CommitOutcome::Durable)
+        matches!(self, CommitOutcome::Durable(_))
     }
 }
 
@@ -262,7 +262,6 @@ impl TxnManager {
             writes: b.writes,
             images: b.images,
             record_len: 0,
-            status: TxnStatus::Active,
         }
     }
 
@@ -302,15 +301,12 @@ mod tests {
     #[test]
     fn txn_lifecycle_and_active_count() {
         let mgr = TxnManager::new();
-        let mut t1 = mgr.begin();
+        let t1 = mgr.begin();
         let t2 = mgr.begin();
         assert_ne!(t1.id, t2.id);
         assert_eq!(mgr.active_count(), 2);
         mgr.finish();
         assert_eq!(mgr.active_count(), 1);
-        assert!(t1.is_active());
-        t1.status = TxnStatus::Committed;
-        assert!(!t1.is_active());
         mgr.finish();
         assert_eq!(mgr.active_count(), 0);
     }

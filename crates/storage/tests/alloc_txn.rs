@@ -1,44 +1,59 @@
 //! Allocations per transaction, counted: a counting global allocator
 //! brackets a burst of transactions on every commit protocol and checks
-//! what moved.
+//! what the thread that runs them allocated.
 //!
 //! Once a thread has run a few transactions, an auto-commit update, a
-//! one-record commit (`Db::update_commit`), a run of them
-//! (`Db::update_commit_run`) and a two-key interactive transaction
-//! allocate nothing under every protocol, and a read-only
-//! transaction allocates only the value it returns. The
-//! asynchronous protocols register nothing with the log: the ATT slot
-//! settles by the durable watermark, and a `Pipelined` commit's
+//! one-record commit (a run of one, `Db::update_commit_run`), a run of
+//! them and a two-key interactive transaction allocate nothing under every
+//! protocol, and a read-only transaction allocates only the value it
+//! returns. The asynchronous protocols register nothing with the log: a
+//! commit settles by the durable watermark, and a `Pipelined` commit's
 //! `CommitHandle` is its LSN and a shared pointer to the log's watermark.
 //!
+//! Only the measured thread's allocations count (a thread-local flag): on
+//! a loaded host a flusher thread may first run during the burst, and
+//! std's thread start allocates on it, which read 1.001 on a read-only
+//! row.
+//!
 //! Its own integration-test binary, like `aether-core`'s `alloc_zero.rs`:
-//! the counting allocator is process-global (the flush daemon's
-//! allocations count too), and a single `#[test]` keeps other tests'
-//! allocations out of the window. The blocking protocols run over a
-//! discarding device, whose writes allocate nothing; the asynchronous ones
-//! over a `FaultDevice` wrapping one, its syncs held for the burst (the
-//! wrapper does not report `discards`, so a flush daemon runs), so the whole burst
-//! completes in a handful of flushes however fast the host is. A held burst
-//! keeps its transactions in the ATT until it is released, so the warm-up
-//! runs one held burst too: the measured one finds the slots it needs.
+//! the counting allocator is process-global, and a single `#[test]` keeps
+//! other tests' allocations out of the window. The blocking protocols run
+//! over a discarding device, whose writes allocate nothing; the
+//! asynchronous ones over a `FaultDevice` wrapping one, its syncs held for
+//! the burst (the wrapper does not report `discards`, so a flush daemon
+//! runs), so the whole burst completes in a handful of flushes however fast
+//! the host is. The warm-up runs one held burst too, so the measured burst
+//! finds what a held burst grows already grown.
 
 use aether_core::device::{DeviceFault, FaultDevice, LogDevice, NullDevice};
 use aether_core::LogConfig;
 use aether_storage::{CommitOutcome, CommitProtocol, CommitToken, Db, DbOptions, RUN_MAX};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// System allocator wrapper that counts allocations while armed.
+/// System allocator wrapper that counts the measured thread's allocations
+/// while armed.
 struct CountingAlloc;
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static REALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the thread that runs the measured burst.
+    static MEASURED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether an allocation now counts.
+fn counting() -> bool {
+    ARMED.load(Ordering::Relaxed) && MEASURED.with(Cell::get)
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if counting() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.alloc(layout) }
@@ -47,7 +62,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if counting() {
             REALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -82,7 +97,7 @@ enum Shape {
     TwoKeyInteractive,
     /// `try_begin`, one read, commit.
     ReadOnly,
-    /// `update_commit`: one record, no ATT slot.
+    /// A one-record commit: `update_commit_run` of one statement.
     OneRecord,
     /// `update_commit_run` of `RUN_MAX` one-record transactions: counted
     /// per statement.
@@ -103,8 +118,10 @@ impl Shape {
 fn run(db: &Arc<Db>, shape: Shape, i: u64, rec: &[u8]) -> CommitOutcome {
     if let Shape::OneRecord = shape {
         // Settled by the log's watermark: `settle` flushes everything.
-        db.update_commit(0, key(i), rec).unwrap();
-        return CommitOutcome::Durable;
+        let mut out = [Ok(CommitToken::ZERO)];
+        db.update_commit_run(0, &[(key(i), rec)], &mut out);
+        out[0].as_ref().unwrap();
+        return CommitOutcome::Durable(CommitToken::ZERO);
     }
     if let Shape::Run = shape {
         let base = i * RUN_MAX as u64;
@@ -117,7 +134,7 @@ fn run(db: &Arc<Db>, shape: Shape, i: u64, rec: &[u8]) -> CommitOutcome {
             assert!(out[..run.done].iter().all(|o| o.is_ok()));
             at += run.done;
         }
-        return CommitOutcome::Durable;
+        return CommitOutcome::Durable(CommitToken::ZERO);
     }
     let mut txn = db.try_begin().unwrap();
     match shape {
@@ -145,8 +162,8 @@ fn settle(db: &Db, last: CommitOutcome) {
     }
 }
 
-/// Allocations per transaction of `shape` under `protocol`, flush daemon
-/// included.
+/// Allocations per transaction of `shape` under `protocol`, on the thread
+/// that runs them.
 fn allocs_per_txn(protocol: CommitProtocol, shape: Shape) -> f64 {
     let stall = matches!(
         protocol,
@@ -170,14 +187,14 @@ fn allocs_per_txn(protocol: CommitProtocol, shape: Shape) -> f64 {
     db.setup_complete();
     let rec = record(0, 7);
 
-    let mut last = CommitOutcome::Durable;
+    let mut last = CommitOutcome::Durable(CommitToken::ZERO);
     for i in 0..WARM_UP {
         last = run(&db, shape, i, &rec);
     }
     settle(&db, last);
     if let Some(s) = &stall {
         s.arm(DeviceFault::HoldSync(None));
-        let mut last = CommitOutcome::Durable;
+        let mut last = CommitOutcome::Durable(CommitToken::ZERO);
         for i in 0..BURST {
             last = run(&db, shape, i, &rec);
         }
@@ -188,8 +205,9 @@ fn allocs_per_txn(protocol: CommitProtocol, shape: Shape) -> f64 {
 
     ALLOCS.store(0, Ordering::SeqCst);
     REALLOCS.store(0, Ordering::SeqCst);
+    MEASURED.with(|m| m.set(true));
     ARMED.store(true, Ordering::SeqCst);
-    let mut last = CommitOutcome::Durable;
+    let mut last = CommitOutcome::Durable(CommitToken::ZERO);
     for i in WARM_UP..WARM_UP + BURST {
         last = run(&db, shape, i, &rec);
     }
@@ -198,6 +216,7 @@ fn allocs_per_txn(protocol: CommitProtocol, shape: Shape) -> f64 {
     }
     settle(&db, last);
     ARMED.store(false, Ordering::SeqCst);
+    MEASURED.with(|m| m.set(false));
     let total = ALLOCS.load(Ordering::SeqCst) + REALLOCS.load(Ordering::SeqCst);
     total as f64 / (BURST * shape.statements()) as f64
 }

@@ -9,7 +9,7 @@ use aether_core::record::Record;
 use aether_core::{LogConfig, Lsn, RecordKind};
 use aether_storage::recovery::recover_with_stats;
 use aether_storage::replay::{apply_record, standby_db, state_fingerprint};
-use aether_storage::{CommitProtocol, Db, DbOptions, StorageError};
+use aether_storage::{CommitProtocol, CommitToken, Db, DbOptions, StorageError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -88,7 +88,9 @@ fn a_one_update_transaction_logs_an_auto_commits_record() {
     assert_eq!(interactive[0].header.txn, id);
 
     let mark = db.log().released_lsn();
-    db.update_commit(0, 7, &rec(7, 9)).unwrap();
+    let mut out = [Ok(CommitToken::ZERO)];
+    db.update_commit_run(0, &[(7, rec(7, 9).as_slice())], &mut out);
+    out[0].as_ref().unwrap();
     let auto = records_from(&db, mark);
     assert_eq!(auto.len(), 1);
     assert_ne!(auto[0].header.txn, id);
@@ -171,9 +173,9 @@ fn a_write_set_one_record_cannot_hold_is_refused_at_the_overflowing_write() {
         "{refused:?}"
     );
     assert!(!refused.is_retryable());
-    assert!(txn.is_active(), "a refused write ends nothing");
-    // Nothing of the refused write was kept: the transaction reads the
-    // committed value, and an overwrite of a key it holds still fits.
+    // A refused write ends nothing, and nothing of it was kept: the
+    // transaction reads the committed value, and an overwrite of a key it
+    // holds still fits.
     assert_eq!(db.read(&mut txn, 0, written).unwrap()[8], 1);
     db.update(&mut txn, 0, 0, &rec(0, 8)).unwrap();
     assert_eq!(db.log().released_lsn(), mark, "logged before commit");

@@ -1,5 +1,5 @@
-//! One-record transactions (`Db::update_commit`, a `RecordKind::UpdateCommit`
-//! record) against crashes, torn tails, standbys and row locks, and the WAL
+//! One-record transactions (`Db::update_commit_run`, a `RecordKind::UpdateCommit`
+//! record each) against crashes, torn tails, standbys and row locks, and the WAL
 //! rule they depend on: a page is stored only once the log is durable past
 //! its page LSN, because a redo-only record can never be undone.
 
@@ -10,7 +10,10 @@ use aether_storage::lock::LockConfig;
 use aether_storage::page::PageId;
 use aether_storage::recovery::recover_with_stats;
 use aether_storage::replay::{apply_record, standby_db, state_fingerprint};
-use aether_storage::{CommitProtocol, CrashImage, Db, DbOptions, StorageError};
+use aether_storage::{
+    CommitOutcome, CommitProtocol, CommitToken, CrashImage, Db, DbOptions, StorageError,
+    StorageResult,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -21,6 +24,15 @@ fn rec(key: u64, fill: u8) -> Vec<u8> {
     let mut r = vec![fill; RECORD];
     r[..8].copy_from_slice(&key.to_le_bytes());
     r
+}
+
+/// `key`'s overwrite as a one-record transaction, a run of one: its token,
+/// and whether it still waits for the log.
+fn update_commit(db: &Arc<Db>, key: u64, record: &[u8]) -> StorageResult<(CommitToken, bool)> {
+    let mut out = [Ok(CommitToken::ZERO)];
+    let run = db.update_commit_run(0, &[(key, record)], &mut out);
+    let [done] = out;
+    done.map(|token| (token, run.pending))
 }
 
 fn opts(protocol: CommitProtocol) -> DbOptions {
@@ -83,11 +95,11 @@ fn a_page_is_not_stored_before_its_log_record_is_durable() {
             let before = stored_lsn(&db, 1);
             device.arm(DeviceFault::HoldSync(None));
             let pending = if one_record {
-                db.update_commit(0, 1, &rec(1, 9)).unwrap().1
+                update_commit(&db, 1, &rec(1, 9)).unwrap().1
             } else {
                 let mut txn = db.begin();
                 db.update(&mut txn, 0, 1, &rec(1, 9)).unwrap();
-                db.commit_deferred(txn).unwrap().1
+                matches!(db.commit(txn).unwrap(), CommitOutcome::Pipelined(_))
             };
             assert!(pending, "{case}");
             let flusher = {
@@ -137,7 +149,7 @@ fn a_poisoned_log_stores_no_page_past_its_durable_end() {
         times: u64::MAX,
         transient: false,
     });
-    db.update_commit(0, 2, &rec(2, 7)).unwrap();
+    update_commit(&db, 2, &rec(2, 7)).unwrap();
     assert!(db.log().flush_all().is_err(), "the log poisons");
     db.flush_pages();
     assert_eq!(stored_lsn(&db, 2), before);
@@ -162,12 +174,12 @@ fn mixed_work(db: &Arc<Db>, key: u64) -> (Lsn, Lsn, u8) {
                 db.abort(txn).unwrap();
             }
         } else {
-            db.update_commit(0, k, &rec(k, 60 + i as u8)).unwrap();
+            update_commit(db, k, &rec(k, 60 + i as u8)).unwrap();
         }
     }
     let earlier = db.snapshot_read(0, key).unwrap().unwrap()[8];
     let start = db.log().released_lsn();
-    let (token, pending) = db.update_commit(0, key, &rec(key, 99)).unwrap();
+    let (token, pending) = update_commit(db, key, &rec(key, 99)).unwrap();
     assert!(!pending, "Baseline commits are durable on return");
     (start, token.lsn(), earlier)
 }
@@ -223,7 +235,7 @@ fn a_standby_replaying_one_record_commits_matches_the_primary() {
                 db.update(&mut txn, 0, k, &rec(k, i as u8)).unwrap();
                 db.commit(txn).unwrap();
             } else {
-                db.update_commit(0, k, &rec(k, 100 + i as u8)).unwrap();
+                update_commit(&db, k, &rec(k, 100 + i as u8)).unwrap();
             }
         }
         db.log().flush_all().unwrap();
@@ -264,7 +276,7 @@ fn a_one_record_write_waits_for_the_row_lock() {
     let holder_id = holder.id;
     db.update(&mut holder, 0, 5, &rec(5, 30)).unwrap();
     std::thread::scope(|s| {
-        let writer = s.spawn(|| db.update_commit(0, 5, &rec(5, 31)).unwrap());
+        let writer = s.spawn(|| update_commit(&db, 5, &rec(5, 31)).unwrap());
         while db.locks().blocked_acquires() == 0 {
             std::thread::yield_now();
         }
@@ -306,7 +318,7 @@ fn a_one_record_write_that_times_out_logs_nothing() {
     let mut holder = db.begin();
     db.update(&mut holder, 0, 6, &rec(6, 50)).unwrap();
     let logged = db.log().released_lsn();
-    let refused = db.update_commit(0, 6, &rec(6, 51));
+    let refused = update_commit(&db, 6, &rec(6, 51));
     assert!(
         matches!(refused, Err(StorageError::LockTimeout { .. })),
         "{refused:?}"
@@ -321,10 +333,10 @@ fn a_one_record_write_that_times_out_logs_nothing() {
     assert_eq!(db.snapshot_read(0, 6).unwrap().unwrap()[8], 50);
     // A missing key and a wrong-sized record are refused before any record.
     assert!(matches!(
-        db.update_commit(0, ROWS + 5, &rec(ROWS + 5, 1)),
+        update_commit(&db, ROWS + 5, &rec(ROWS + 5, 1)),
         Err(StorageError::KeyNotFound { .. })
     ));
-    assert!(db.update_commit(0, 1, &[0u8; 3]).is_err());
+    assert!(update_commit(&db, 1, &[0u8; 3]).is_err());
     assert_eq!(db.locks().granted_count(), 0);
     db.log().shutdown();
 }

@@ -28,7 +28,7 @@ fn main() {
             s.spawn(move || {
                 for i in 0..1_000u64 {
                     let payload = format!("thread {t} record {i}");
-                    log.insert(RecordKind::Update, t, payload.as_bytes());
+                    log.insert(RecordKind::Filler, t, payload.as_bytes());
                 }
             });
         }
@@ -39,9 +39,11 @@ fn main() {
         stats.inserts, stats.bytes, stats.consolidations, stats.group_acquires
     );
 
-    // 3. Commit: insert a commit record and wait for durability through the
-    //    group-commit flush daemon.
-    let handle = log.commit(42, Lsn::ZERO);
+    // 3. Commit: insert a record, register it as a commit with the
+    //    group-commit flush daemon, and wait for it to be durable.
+    let (_, end) = log.insert_payload::<[u8]>(RecordKind::Filler, 42, Lsn::ZERO, &[]);
+    log.note_commit(end);
+    let handle = log.handle(end);
     assert!(handle.wait());
     println!(
         "commit durable at LSN {} after {} device syncs",

@@ -4,6 +4,7 @@
 
 use aether::bench::env_or;
 use aether::prelude::*;
+use aether_core::commit::{CommitHandle, Tally};
 use aether_core::device::{DeviceFault, FaultDevice, LogDevice, SimDevice};
 use aether_core::flush::FLUSH_DEPTH;
 use aether_core::record::RecordKind;
@@ -14,6 +15,23 @@ use std::time::{Duration, Instant};
 /// Stress-size knobs so CI can bound suite runtime (defaults reproduce the
 /// full local run): `AETHER_TEST_THREADS` scales worker counts,
 /// `AETHER_TEST_ITERS` scales per-thread iteration counts.
+/// A tally the log's flushers resolve.
+fn subscribed(log: &LogManager) -> Arc<Tally> {
+    let tally = Arc::new(Tally::default());
+    log.pipeline().subscribe(tally.clone());
+    tally
+}
+
+/// An empty record registered as `txn`'s commit and watched by `tally`,
+/// and a handle on it.
+fn commit(log: &LogManager, tally: &Arc<Tally>, txn: u64) -> CommitHandle {
+    let (_, end) = log.insert_payload::<[u8]>(RecordKind::Filler, txn, Lsn::ZERO, &[]);
+    log.note_commit(end);
+    tally.add(end);
+    log.pipeline().watch(&**tally, end);
+    log.handle(end)
+}
+
 fn test_threads(default: usize) -> usize {
     env_or("AETHER_TEST_THREADS", default).max(2)
 }
@@ -39,7 +57,7 @@ fn stress_one(kind: BufferKind, threads: usize, per: usize) {
                     // Sizes cycle through the paper's two peaks and more.
                     let size = [8usize, 32, 88, 232, 1000][i % 5];
                     let payload = vec![(t * 31 + i) as u8; size];
-                    log.insert(RecordKind::Update, (t * per + i) as u64, &payload);
+                    log.insert(RecordKind::Filler, (t * per + i) as u64, &payload);
                 }
             });
         }
@@ -78,7 +96,7 @@ fn variants_agree_on_total_bytes_for_same_workload() {
             .build();
         for i in 0..500usize {
             let payload = vec![0u8; 8 + (i % 7) * 40];
-            log.insert(RecordKind::Update, i as u64, &payload);
+            log.insert(RecordKind::Filler, i as u64, &payload);
         }
         log.flush_all().unwrap();
         totals.push(log.durable_lsn());
@@ -97,10 +115,11 @@ fn group_commit_batches_many_commits_into_few_syncs() {
             .build(),
     );
     let n = 200u64;
+    let tally = subscribed(&log);
     let mut handles = Vec::new();
     for t in 0..n {
-        let prev = log.insert(RecordKind::Update, t, &[1u8; 80]);
-        handles.push(log.commit(t, prev));
+        log.insert(RecordKind::Filler, t, &[1u8; 80]);
+        handles.push(commit(&log, &tally, t));
     }
     for h in handles {
         assert!(h.wait());
@@ -130,9 +149,10 @@ fn concurrent_committers_share_flushes() {
             .build(),
     );
     device.arm(DeviceFault::HoldSync(None));
+    let tally = subscribed(&log);
     let in_flight: Vec<_> = (0..FLUSH_DEPTH)
         .map(|n| {
-            let h = log.commit(n as u64, Lsn::ZERO);
+            let h = commit(&log, &tally, n as u64);
             device.wait_blocked(n + 1);
             h
         })
@@ -143,7 +163,7 @@ fn concurrent_committers_share_flushes() {
         for t in 0..threads {
             let log = Arc::clone(&log);
             s.spawn(move || {
-                let (_, end) = log.insert_payload(RecordKind::Commit, t, Lsn::ZERO, &[0u8; 80]);
+                let (_, end) = log.insert_payload(RecordKind::Filler, t, Lsn::ZERO, &[0u8; 80]);
                 log.flush_until(end).unwrap();
             });
         }
@@ -180,7 +200,7 @@ fn back_pressure_with_slow_device_never_deadlocks() {
             let log = Arc::clone(&log);
             s.spawn(move || {
                 for _ in 0..per {
-                    log.insert(RecordKind::Update, t, &[7u8; 2000]);
+                    log.insert(RecordKind::Filler, t, &[7u8; 2000]);
                 }
             });
         }
@@ -197,7 +217,7 @@ fn torn_tail_is_clipped_by_reader() {
         .device_instance(device.clone())
         .build();
     for i in 0..50u64 {
-        log.insert(RecordKind::Update, i, &[3u8; 100]);
+        log.insert(RecordKind::Filler, i, &[3u8; 100]);
     }
     log.flush_all().unwrap();
     let full = device.len();
@@ -221,9 +241,10 @@ fn commit_handles_complete_across_protocol_paths() {
         for t in 0..threads {
             let log = Arc::clone(&log);
             s.spawn(move || {
+                let tally = subscribed(&log);
                 for _ in 0..per {
-                    let prev = log.insert(RecordKind::Update, t, &[9u8; 64]);
-                    assert!(log.commit(t, prev).wait());
+                    log.insert(RecordKind::Filler, t, &[9u8; 64]);
+                    assert!(commit(&log, &tally, t).wait());
                 }
             });
         }

@@ -116,9 +116,11 @@ fn crash_mid_flight(protocol: CommitProtocol, buffer: BufferKind) {
                     let mut txn = db.begin();
                     db.update(&mut txn, 0, k, &record(k, v)).unwrap();
                     submitted[k as usize].store(v, Ordering::SeqCst);
-                    match db.commit_deferred(txn).unwrap() {
-                        (token, true) => acks.add(db.log(), token.lsn(), v),
-                        (_, false) => {
+                    match db.commit(txn).unwrap() {
+                        out @ (CommitOutcome::Pipelined(_) | CommitOutcome::Unsafe(_)) => {
+                            acks.add(db.log(), out.token().lsn(), v)
+                        }
+                        _ => {
                             acked[k as usize].fetch_max(v, Ordering::SeqCst);
                         }
                     }

@@ -24,7 +24,7 @@ proptest! {
         prev in any::<u64>(),
         flip in 0usize..32,
     ) {
-        let h = RecordHeader::new(RecordKind::Update, txn, Lsn(prev), &payload);
+        let h = RecordHeader::new(RecordKind::Filler, txn, Lsn(prev), &payload);
         let enc = h.encode();
         let dec = RecordHeader::decode(&enc).unwrap();
         prop_assert_eq!(dec, h);
@@ -93,7 +93,7 @@ proptest! {
             .build();
         let mut prev = Lsn::ZERO;
         for (i, p) in payloads.iter().enumerate() {
-            prev = log.insert_payload(RecordKind::Update, i as u64, prev, &p[..]).0;
+            prev = log.insert_payload(RecordKind::Filler, i as u64, prev, &p[..]).0;
         }
         log.flush_all().unwrap();
         let records = log.reader().read_all().unwrap();

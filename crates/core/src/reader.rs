@@ -13,6 +13,11 @@
 //! straight into its payload. The window stays small because the record
 //! that crosses its end pays for the refill: a 32 KiB window made one read
 //! in 34 slow enough to raise a scan's 99th percentile.
+//!
+//! The scan's limit is the device's length, read again before the scan
+//! reports its end: a reader kept across appends (a standby's redo, fed as
+//! frames land) reads the records appended since it last found the end,
+//! and one cut across two appends once both are in.
 
 use crate::device::LogDevice;
 use crate::error::{AetherError, Result};
@@ -27,6 +32,7 @@ const WINDOW: usize = 1024;
 pub struct LogReader {
     device: Arc<dyn LogDevice>,
     at: Lsn,
+    /// The device's length when last read.
     limit: u64,
     /// When true, a structurally valid header whose payload fails its
     /// checksum raises [`AetherError::Corrupt`] instead of ending the scan.
@@ -56,11 +62,10 @@ impl LogReader {
 
     /// Scan from a specific LSN (e.g. a checkpoint's redo point).
     pub fn from_lsn(device: Arc<dyn LogDevice>, start: Lsn) -> LogReader {
-        let limit = device.len();
         LogReader {
             device,
             at: start,
-            limit,
+            limit: 0,
             strict: false,
             window: [0; WINDOW],
             base: start.raw(),
@@ -82,7 +87,7 @@ impl LogReader {
     /// Read the next record, or `None` at the end of the valid prefix.
     pub fn next_record(&mut self) -> Result<Option<Record>> {
         let at = self.at.raw();
-        if at + HEADER_SIZE as u64 > self.limit || !self.fill(at, HEADER_SIZE)? {
+        if !self.within(at + HEADER_SIZE as u64) || !self.fill(at, HEADER_SIZE)? {
             return Ok(None);
         }
         let h = (at - self.base) as usize;
@@ -94,7 +99,7 @@ impl LogReader {
             None => return Ok(None), // first gap: end of durable prefix
         };
         let end = at + header.total_len as u64;
-        if end > self.limit {
+        if !self.within(end) {
             // Record extends past the durable tail: torn write.
             return Ok(None);
         }
@@ -134,6 +139,15 @@ impl LogReader {
         };
         self.at = Lsn(end);
         Ok(Some(rec))
+    }
+
+    /// Whether the device holds the bytes below `end`, reading its length
+    /// again when the length last read falls short.
+    fn within(&mut self, end: u64) -> bool {
+        if end > self.limit {
+            self.limit = self.device.len();
+        }
+        end <= self.limit
     }
 
     /// A record whose checksum fails: the end of the scan, or in strict
@@ -426,6 +440,35 @@ mod tests {
                 .strict()
                 .read_all();
             assert!(matches!(err, Err(AetherError::Corrupt { at, .. }) if at == recs[k].lsn));
+        }
+    }
+
+    #[test]
+    fn a_reader_that_found_the_end_reads_what_is_appended_after() {
+        let d = device_with_records(&[b"first"]);
+        let h = RecordHeader::new(RecordKind::Filler, 1, Lsn::ZERO, b"second");
+        let mut second = h.encode().to_vec();
+        second.extend_from_slice(b"second");
+        second.resize(h.total_len as usize, 0);
+        let first_end = Lsn(on_log_size(5) as u64);
+        // Appended in three pieces, cut in the header and in the payload.
+        let cuts = [0, 10, HEADER_SIZE + 3, second.len()];
+        for dev in [
+            d.clone() as Arc<dyn LogDevice>,
+            Arc::new(short_reads(d.clone())),
+        ] {
+            d.clip_tail(first_end.raw()).unwrap();
+            let mut r = LogReader::new(dev);
+            assert_eq!(r.next_record().unwrap().unwrap().payload, b"first");
+            assert!(r.next_record().unwrap().is_none());
+            for piece in cuts.windows(2) {
+                assert!(r.next_record().unwrap().is_none(), "a part read whole");
+                assert_eq!(r.position(), first_end);
+                d.append(&second[piece[0]..piece[1]]).unwrap();
+            }
+            let rec = r.next_record().unwrap().expect("the appended record");
+            assert_eq!((rec.lsn, &rec.payload[..]), (first_end, &b"second"[..]));
+            assert!(r.next_record().unwrap().is_none());
         }
     }
 

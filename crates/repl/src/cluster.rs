@@ -305,9 +305,9 @@ impl ReplicatedDb {
             .expect("at least one replica")
     }
 
-    /// Promote replica `i` to a standalone primary via restart recovery over
-    /// its shipped log prefix; consumes the cluster (the old primary is
-    /// dead, the other replicas would re-seed from the new primary).
+    /// Promote replica `i` to a standalone primary over its shipped log
+    /// prefix ([`Replica::promote`]); consumes the cluster (the old primary
+    /// is dead, the other replicas would re-seed from the new primary).
     pub fn promote(mut self, i: usize) -> StorageResult<(Arc<Db>, RecoveryStats)> {
         for s in &mut self.shippers {
             s.stop();

@@ -20,12 +20,13 @@
 //!   [`shipper::ack_link`] folds acks into the commit gate as they land.
 //! * [`replica`] — appends received runs to its own log device, acks the
 //!   durably-received LSN, and keeps a standby [`aether_storage::db::Db`]
-//!   warm by continuous redo; snapshot reads come with a measured
-//!   staleness bound. It has no thread of its own: its frame link's
-//!   delivery thread ingests and replays, so a replica runs three threads
-//!   (ship, frame link, ack link), and [`replica::Replica::stop`] takes
-//!   effect at once. [`replica::Replica::promote`] runs full recovery over
-//!   the shipped prefix for failover.
+//!   warm by following that log with one
+//!   [`aether_storage::recovery::Redo`]; snapshot reads come with a
+//!   measured staleness bound. It has no thread of its own: its frame
+//!   link's delivery thread ingests and replays, so a replica runs three
+//!   threads (ship, frame link, ack link), and [`replica::Replica::stop`]
+//!   takes effect at once. [`replica::Replica::promote`] stops the redo
+//!   and opens the received log behind it for failover.
 //! * [`cluster`] — [`cluster::ReplicatedDb`] wires a primary to N replicas
 //!   under a [`aether_core::commit::DurabilityPolicy`]: `Async`, or
 //!   `SemiSync(k)` — commit completion waits on `k` replica acks in
@@ -39,7 +40,7 @@
 //! * [`supervisor`] — [`supervisor::Supervisor`], the self-healing tier:
 //!   owns a cluster, quarantines and re-seeds replicas whose acks stall
 //!   past a lag budget, and on primary death (poisoned log or commit gate)
-//!   auto-promotes the most-caught-up replica via restart recovery.
+//!   auto-promotes the most-caught-up replica.
 //! * [`router`] — [`router::ReadRouter`], the read-serving tier: routes
 //!   lock-free snapshot reads round-robin across the replicas, enforces
 //!   per-request staleness budgets with fallback to a fresher replica or

@@ -1,20 +1,23 @@
 //! The replica: receives shipped log runs, keeps a standby database warm by
-//! continuous redo, serves bounded-staleness snapshot reads, and can be
-//! promoted to a full primary via ordinary restart recovery.
+//! following its receive log with one [`Redo`] — the loop restart recovery
+//! runs — serves bounded-staleness snapshot reads, and is promoted by
+//! stopping that loop and opening the log behind it.
 //!
 //! Protocol: messages are restored to sequence order (reorder-resistant),
 //! log runs are appended to the replica's own log device, synced, and
 //! **acked at the durably received LSN** — semi-synchronous semantics: an
 //! ack means "these bytes survive a primary failure", not "these bytes are
-//! already applied". Replay then advances independently through
-//! [`aether_storage::replay`]; the gap between received and replayed is the
-//! replica's lag, and the time since the last applied batch is its measured
-//! staleness bound.
+//! already applied". The redo then follows the received bytes, resuming
+//! where it stopped: a record cut across two frames is applied once its
+//! rest lands. The gap between received and replayed is the replica's lag,
+//! and the time since the last applied batch is its measured staleness
+//! bound.
 //!
 //! A replica has no thread of its own: its frame link's delivery thread
-//! runs the ingest — restore order, append, ack, replay — as each message
+//! runs the ingest — restore order, append, ack, redo — as each message
 //! lands. [`Replica::stop`] takes the ingest state under its lock, so
-//! nothing is ingested once it returns, even while frames keep arriving.
+//! nothing is ingested once it returns, even while frames keep arriving;
+//! it keeps the redo for [`Replica::promote`].
 //!
 //! A [`SnapshotFrame`](crate::frame::SnapshotFrame) in the stream
 //! **re-seeds the replica**: the primary truncated its log past what this
@@ -26,14 +29,13 @@
 
 use crate::frame::{SnapshotMsg, WireMsg};
 use crate::transport::{link, LinkConfig, LinkSender};
-use aether_core::device::{LogDevice, SimDevice};
-use aether_core::reader::LogReader;
+use aether_core::device::SimDevice;
 use aether_core::runtime::{self, lock, read, write};
 use aether_core::telemetry::{CounterId, GaugeId, Telemetry, Unit};
-use aether_core::{Lsn, RecordKind, TelemetrySnapshot};
+use aether_core::{Lsn, TelemetrySnapshot};
 use aether_storage::db::{Db, DbOptions};
 use aether_storage::error::StorageResult;
-use aether_storage::recovery::RecoveryStats;
+use aether_storage::recovery::{RecoveryStats, Redo};
 use aether_storage::replay::{self, BaseSnapshot};
 use aether_storage::store::PageStore;
 use std::collections::BTreeMap;
@@ -65,15 +67,10 @@ pub struct ReplicaStatus {
     pub staleness: Duration,
 }
 
-/// The rebindable half of a replica: replaced wholesale when a snapshot
-/// bootstrap re-seeds it.
-struct ReplicaState {
-    db: Arc<Db>,
-    device: Arc<SimDevice>,
-}
-
 struct ReplicaShared {
-    state: RwLock<ReplicaState>,
+    /// The standby: replaced wholesale when a snapshot bootstrap re-seeds
+    /// the replica.
+    db: RwLock<Arc<Db>>,
     received: AtomicU64,
     replay: AtomicU64,
     /// The registry the replica's counters live on: the first standby's
@@ -116,6 +113,12 @@ impl ReplicaShared {
         self.replay_wait.notify();
     }
 
+    /// How long replay has lagged the received bytes: zero while caught up.
+    fn staleness(&self) -> Duration {
+        let since = *lock(&self.lag_since);
+        Duration::from_nanos(since.map_or(0, |t| runtime::monotonic_ns().saturating_sub(t)))
+    }
+
     /// Block until the replay frontier reaches `lsn` or `timeout` elapses;
     /// returns the frontier as it is then (`>= lsn` iff the wait succeeded).
     /// Replay notifies once per replayed batch, so a waiter wakes with the
@@ -129,14 +132,17 @@ impl ReplicaShared {
 }
 
 /// What the frame link's delivery thread needs to ingest a message: the
-/// sequence-order restore buffer, the replay cursor and the ack path.
+/// sequence-order restore buffer, the redo over the receive log, and the
+/// ack path.
 struct Ingest {
     opts: DbOptions,
     ack_tx: LinkSender<Lsn>,
     /// Reorder resistance: messages parked until their predecessors arrive.
     pending: BTreeMap<u64, WireMsg>,
     next_seq: u64,
-    replay_at: Lsn,
+    /// The redo that follows the receive log, a device based at the
+    /// bootstrap LSN, into the standby. A re-seed replaces both.
+    redo: Redo,
     // Gauges on the replica's registry (`ReplicaShared::tel`).
     m_reorder: GaugeId,
     m_staleness: GaugeId,
@@ -147,7 +153,8 @@ pub struct Replica {
     shared: Arc<ReplicaShared>,
     /// `None` once stopped: a late delivery finds nothing to ingest into.
     ingest: Arc<Mutex<Option<Ingest>>>,
-    opts: DbOptions,
+    /// What [`Replica::stop`] keeps of the ingest for a promotion.
+    stopped: Option<(Redo, DbOptions)>,
 }
 
 impl std::fmt::Debug for Replica {
@@ -205,19 +212,16 @@ impl Replica {
         let ids = ReplicaIds::new(&tel);
         tel.add(ids.bootstraps, bootstraps);
         let ingest = Arc::new(Mutex::new(Some(Ingest {
-            opts: opts.clone(),
+            opts,
             ack_tx,
             pending: BTreeMap::new(),
             next_seq: 0,
-            replay_at: base,
+            redo: Redo::new(Arc::new(SimDevice::from_image(base, Vec::new()))),
             m_reorder: tel.gauge("repl.reorder_depth", Unit::Records),
             m_staleness: tel.gauge("repl.staleness_ns", Unit::Nanos),
         })));
         let shared = Arc::new(ReplicaShared {
-            state: RwLock::new(ReplicaState {
-                db,
-                device: Arc::new(SimDevice::from_image(base, Vec::new())),
-            }),
+            db: RwLock::new(db),
             received: AtomicU64::new(base.raw()),
             replay: AtomicU64::new(base.raw()),
             tel,
@@ -238,7 +242,7 @@ impl Replica {
         let replica = Replica {
             shared,
             ingest,
-            opts,
+            stopped: None,
         };
         (replica, frame_tx)
     }
@@ -246,14 +250,13 @@ impl Replica {
     /// Snapshot read against the standby (no locks; staleness bounded by
     /// [`ReplicaStatus::staleness`]).
     pub fn read(&self, table: u32, key: u64) -> StorageResult<Option<Vec<u8>>> {
-        let db = Arc::clone(&read(&self.shared.state).db);
-        replay::snapshot_read(&db, table, key)
+        self.db().snapshot_read(table, key)
     }
 
     /// The standby database (tests fingerprint its state). A snapshot
     /// bootstrap replaces the standby wholesale — re-fetch after one.
     pub fn db(&self) -> Arc<Db> {
-        Arc::clone(&read(&self.shared.state).db)
+        Arc::clone(&read(&self.shared.db))
     }
 
     /// Current progress counters.
@@ -266,9 +269,7 @@ impl Replica {
             commits_seen: tel.count(ids.commits_seen),
             corrupt_frames: tel.count(ids.corrupt_frames),
             bootstraps: tel.count(ids.bootstraps),
-            staleness: lock(&self.shared.lag_since)
-                .map(|t| Duration::from_nanos(runtime::monotonic_ns().saturating_sub(t)))
-                .unwrap_or(Duration::ZERO),
+            staleness: self.shared.staleness(),
         }
     }
 
@@ -300,30 +301,32 @@ impl Replica {
     /// stream (and any later promotion) cleanly ends. The standby stays
     /// readable.
     pub fn stop(&mut self) {
-        lock(&self.ingest).take();
+        if let Some(ingest) = lock(&self.ingest).take() {
+            self.stopped = Some((ingest.redo, ingest.opts));
+        }
     }
 
-    /// Promote: finish replaying whatever arrived, then run restart
-    /// recovery (one redo scan) over the replica's own receive
-    /// log, in place — which starts at the replica's bootstrap LSN, not
-    /// zero: recovery tolerates the missing (truncated) history because the
-    /// snapshot's pages already contain it. The shipped log may end in a
-    /// torn frame — recovery clips it at the first invalid record, exactly
-    /// as after a local crash. In-flight primary transactions logged
-    /// nothing, so nothing of them arrived; every commit the primary acked under
-    /// SemiSync (which required this ack) is present and survives. The
-    /// promoted primary logs on after the received bytes.
+    /// Promote: stop following, and open the receive log behind the
+    /// standby. The standby has applied every complete record it received,
+    /// so its pages, flushed to a copy of its store, are the primary's
+    /// committed state at the redo's position, and [`Db::open_on`] over its
+    /// redo reads nothing more. The log starts at the replica's bootstrap
+    /// LSN, not zero: the snapshot's pages hold the truncated history. The
+    /// shipped log may end in a torn frame; the open clips it where the
+    /// redo stopped, exactly as after a local crash. In-flight primary
+    /// transactions logged nothing, so nothing of them arrived; every
+    /// commit the primary acked under SemiSync (which required this ack)
+    /// is present and survives. The promoted primary logs on after the
+    /// received bytes, and the returned statistics are the standby's redo
+    /// since its bootstrap.
     pub fn promote(mut self) -> StorageResult<(Arc<Db>, RecoveryStats)> {
         self.stop();
-        // Persist the replayed pages so recovery starts from them (redo then
-        // skips everything at or below each page LSN). The new store shares
-        // those images; recovery copies each into a frame once.
-        let state = read(&self.shared.state);
-        state.db.flush_pages();
-        let device = Arc::clone(&state.device) as Arc<dyn LogDevice>;
-        let (store, schema) = (state.db.store().deep_clone(), state.db.schema());
-        drop(state);
-        Db::open_on(device, store, &schema, self.opts.clone())
+        let (redo, opts) = self.stopped.take().expect("stop keeps the redo");
+        // The new store shares the flushed images; the open copies each
+        // into a frame once.
+        let standby = self.db();
+        standby.flush_pages();
+        Db::open_on(redo, standby.store().deep_clone(), &standby.schema(), opts)
     }
 }
 
@@ -353,18 +356,13 @@ impl std::fmt::Debug for ReplicaReader {
 impl ReplicaReader {
     /// Lock-free snapshot read against the standby.
     pub fn read(&self, table: u32, key: u64) -> StorageResult<Option<Vec<u8>>> {
-        let db = Arc::clone(&read(&self.shared.state).db);
-        replay::snapshot_read(&db, table, key)
+        let db = Arc::clone(&read(&self.shared.db));
+        db.snapshot_read(table, key)
     }
 
     /// Applied (replay) watermark: the freshness this replica can serve.
     pub fn applied(&self) -> Lsn {
         Lsn(self.shared.replay.load(Ordering::Acquire))
-    }
-
-    /// Durably received (acked) watermark.
-    pub fn received(&self) -> Lsn {
-        Lsn(self.shared.received.load(Ordering::Acquire))
     }
 
     /// Block until the applied watermark reaches `lsn` or `timeout`
@@ -375,26 +373,22 @@ impl ReplicaReader {
 }
 
 impl Ingest {
-    /// Ingest one delivered message, then replay everything received so
-    /// far.
+    /// Ingest one delivered message, then follow everything received so
+    /// far into the standby.
     fn deliver(&mut self, shared: &ReplicaShared, bytes: Vec<u8>) {
         self.ingest(shared, bytes);
         let tel = &shared.tel;
         tel.gauge_set(self.m_reorder, self.pending.len() as i64);
-        // Continuous redo over everything received so far.
-        self.replay_at = replay_available(shared, self.replay_at);
+        self.replay(shared);
         if tel.on() {
-            let stale = lock(&shared.lag_since)
-                .map(|t| runtime::monotonic_ns().saturating_sub(t))
-                .unwrap_or(0);
-            tel.gauge_set(self.m_staleness, stale as i64);
+            tel.gauge_set(self.m_staleness, shared.staleness().as_nanos() as i64);
         }
     }
 
     /// Decode one wire message, restore sequence order, apply the
     /// contiguous run — appending log bytes, or installing a snapshot
-    /// bootstrap (which rebases the replay cursor) — and ack the
-    /// durably-received LSN. A snapshot is decoded in the buffer it was
+    /// bootstrap (which replaces the receive log and its redo) — and ack
+    /// the durably-received LSN. A snapshot is decoded in the buffer it was
     /// delivered in, which it keeps while it waits for its turn.
     fn ingest(&mut self, shared: &ReplicaShared, bytes: Vec<u8>) {
         match WireMsg::decode(bytes) {
@@ -415,34 +409,22 @@ impl Ingest {
         while let Some(m) = self.pending.remove(&self.next_seq) {
             match m {
                 WireMsg::Log(f) => {
-                    let device = Arc::clone(&read(&shared.state).device);
-                    let have = device.len();
-                    let start = f.start_lsn.raw();
-                    let end = f.end_lsn().raw();
-                    if end > have {
-                        // Skip any overlap with already-received bytes (a
-                        // re-shipped prefix after reconnect), append the
-                        // rest.
-                        let skip = have.saturating_sub(start) as usize;
-                        if start <= have && device.append(&f.bytes[skip..]).is_ok() {
-                            advanced = true;
-                        }
+                    let (have, start) = (self.redo.device().len(), f.start_lsn.raw());
+                    // Skip any overlap with already-received bytes (a
+                    // re-shipped prefix after reconnect), append the rest.
+                    if start <= have && f.end_lsn().raw() > have {
+                        let skip = (have - start) as usize;
+                        advanced |= self.redo.device().append(&f.bytes[skip..]).is_ok();
                     }
                 }
-                WireMsg::Snapshot(s) => {
-                    if let Some(at) = install_snapshot(shared, &self.opts, &s) {
-                        self.replay_at = at;
-                        advanced = true;
-                    }
-                }
+                WireMsg::Snapshot(s) => advanced |= self.install_snapshot(shared, &s).is_some(),
             }
             self.next_seq += 1;
         }
         if advanced {
-            let device = Arc::clone(&read(&shared.state).device);
-            let received = device.len();
+            let received = self.redo.device().len();
             // The ack says these bytes survive a crash: sync them first.
-            if device.sync().is_err() {
+            if self.redo.device().sync().is_err() {
                 return;
             }
             shared.received.store(received, Ordering::Release);
@@ -456,60 +438,53 @@ impl Ingest {
             self.ack_tx.send(Lsn(received));
         }
     }
-}
 
-/// Re-seed the standby from a shipped checkpoint snapshot: fresh database
-/// from the snapshot pages, log device rebased at the snapshot LSN. A
-/// malformed snapshot counts as a corrupt frame (its gap stalls the stream,
-/// like any other corruption). Returns the new replay cursor.
-fn install_snapshot(shared: &ReplicaShared, opts: &DbOptions, s: &SnapshotMsg) -> Option<Lsn> {
-    let snap = BaseSnapshot::decode(s.body()).or_else(|| {
-        shared.tel.inc(shared.ids.corrupt_frames);
-        None
-    })?;
-    let db = replay::standby_from_snapshot(opts.clone(), &snap).ok()?;
-    let mut state = write(&shared.state);
-    // Never re-seed backwards: a stale snapshot (reordered behind a newer
-    // one) would discard received bytes.
-    if snap.start_lsn.raw() < state.device.len() {
-        return None;
+    /// Re-seed the standby from a shipped checkpoint snapshot: fresh
+    /// database from the snapshot pages, receive log rebased at the
+    /// snapshot LSN, and a new redo over it. A malformed snapshot counts as
+    /// a corrupt frame (its gap stalls the stream, like any other
+    /// corruption).
+    fn install_snapshot(&mut self, shared: &ReplicaShared, s: &SnapshotMsg) -> Option<()> {
+        let snap = BaseSnapshot::decode(s.body()).or_else(|| {
+            shared.tel.inc(shared.ids.corrupt_frames);
+            None
+        })?;
+        // Never re-seed backwards: a stale snapshot (reordered behind a
+        // newer one) would discard received bytes.
+        if snap.start_lsn.raw() < self.redo.device().len() {
+            return None;
+        }
+        let db = replay::standby_from_snapshot(self.opts.clone(), &snap).ok()?;
+        *write(&shared.db) = db;
+        self.redo = Redo::new(Arc::new(SimDevice::from_image(snap.start_lsn, Vec::new())));
+        // The status a waiter reads once the new frontier releases it must
+        // already show the re-seed: count it and move `received` up first.
+        shared.tel.inc(shared.ids.bootstraps);
+        shared
+            .received
+            .fetch_max(snap.start_lsn.raw(), Ordering::AcqRel);
+        shared.publish_replay(snap.start_lsn);
+        Some(())
     }
-    state.db = db;
-    state.device = Arc::new(SimDevice::from_image(snap.start_lsn, Vec::new()));
-    drop(state);
-    // The status a waiter reads once the new frontier releases it must
-    // already show the re-seed: count it and move `received` up first.
-    shared.tel.inc(shared.ids.bootstraps);
-    shared
-        .received
-        .fetch_max(snap.start_lsn.raw(), Ordering::AcqRel);
-    shared.publish_replay(snap.start_lsn);
-    Some(snap.start_lsn)
-}
 
-/// Replay complete records in `[from, received)`; returns the new frontier.
-/// Stops at an incomplete tail (more bytes may still arrive) or at a torn /
-/// corrupt record (promotion truncates there).
-fn replay_available(shared: &ReplicaShared, from: Lsn) -> Lsn {
-    let (db, device) = {
-        let state = read(&shared.state);
-        (Arc::clone(&state.db), Arc::clone(&state.device))
-    };
-    let mut reader = LogReader::from_lsn(device.clone() as Arc<dyn LogDevice>, from);
-    let mut at = from;
-    // Stops at an incomplete tail or corrupt record alike (Ok(None)/Err).
-    while let Ok(Some(rec)) = reader.next_record() {
-        if rec.header.kind == RecordKind::UpdateCommit {
-            shared.tel.inc(shared.ids.commits_seen);
+    /// Continuous redo: follow the receive log into the standby up to the
+    /// end of its complete records, count what the redo applied, and
+    /// publish its position as the replay frontier. An incomplete tail
+    /// waits for the rest of its record; a record the redo refuses stops
+    /// the standby at its start, as a torn tail does, and a promotion then
+    /// fails on it, as a restart would.
+    fn replay(&mut self, shared: &ReplicaShared) {
+        let (winners, redone) = (self.redo.stats().winners, self.redo.stats().redone);
+        // Only this thread replaces the standby, so holding it shared
+        // while it follows blocks no one.
+        let _refused = self.redo.follow(&read(&shared.db));
+        let (tel, ids, stats) = (&shared.tel, shared.ids, self.redo.stats());
+        tel.add(ids.commits_seen, (stats.winners - winners) as u64);
+        tel.add(ids.applied, (stats.redone - redone) as u64);
+        let at = self.redo.position();
+        shared.publish_replay(at);
+        if at.raw() >= self.redo.device().len() {
+            *lock(&shared.lag_since) = None;
         }
-        if replay::apply_record(&db, &rec).unwrap_or(false) {
-            shared.tel.inc(shared.ids.applied);
-        }
-        at = rec.next_lsn();
     }
-    shared.publish_replay(at);
-    if at.raw() >= device.len() {
-        *lock(&shared.lag_since) = None;
-    }
-    at
 }

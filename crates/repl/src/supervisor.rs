@@ -16,8 +16,8 @@
 //!   `AetherError::Poisoned`) or a poisoned commit gate means the primary
 //!   is done. The supervisor releases any committers still blocked on
 //!   replica acks, picks the most-caught-up replica, and promotes it to a
-//!   standalone primary through restart recovery over the shipped
-//!   prefix. The promoted database is then available from
+//!   standalone primary over the shipped prefix its standby has already
+//!   redone. The promoted database is then available from
 //!   [`Supervisor::promoted`] / [`Supervisor::wait_promoted`].
 //!
 //! All timing goes through [`aether_core::runtime`], so a supervised

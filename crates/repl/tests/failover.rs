@@ -344,3 +344,74 @@ fn a_stopped_replica_ingests_nothing() {
     }
     promoted.commit(txn).unwrap();
 }
+
+/// A frame that ends inside a record: the standby applies the records
+/// before it and holds its replay frontier at the cut record's start until
+/// the next frame brings the rest, then applies it whole. Promotion keeps
+/// it.
+#[test]
+fn a_record_cut_across_two_frames_is_applied_once_the_rest_lands() {
+    let primary = Db::open(opts(CommitProtocol::Baseline));
+    primary.create_table(40, 8);
+    for k in 0..8u64 {
+        primary.load(0, k, &record(k, 0)).unwrap();
+    }
+    primary.setup_complete();
+    let base = primary.store().deep_clone();
+    for k in 0..8u64 {
+        let mut txn = primary.begin();
+        primary.update(&mut txn, 0, k, &record(k, 10 + k)).unwrap();
+        primary.commit(txn).unwrap();
+    }
+    primary.log().flush_all().unwrap();
+    let (_, bytes) = primary.log().device().snapshot().unwrap();
+    let last = primary.log().reader().last().unwrap().unwrap();
+    assert_eq!(last.next_lsn().raw(), bytes.len() as u64);
+    // Cut inside the last record's payload, past its header.
+    let cut = last.lsn.raw() as usize + aether_core::record::HEADER_SIZE + 5;
+
+    let ack_tx = link(LinkConfig::default(), |_: Lsn| true);
+    let (replica, tx) = Replica::spawn(
+        opts(CommitProtocol::Baseline),
+        base,
+        &primary.schema(),
+        LinkConfig::default(),
+        ack_tx,
+    )
+    .unwrap();
+    let frame = |seq: u64, from: usize, to: usize| {
+        Frame {
+            seq,
+            start_lsn: Lsn(from as u64),
+            bytes: bytes[from..to].to_vec(),
+        }
+        .encode()
+    };
+    assert!(tx.send(frame(0, 0, cut)));
+    assert!(replica.wait_replay(last.lsn, Duration::from_secs(5)));
+    let st = replica.status();
+    assert_eq!(st.received_lsn, Lsn(cut as u64));
+    assert_eq!(
+        st.replay_lsn, last.lsn,
+        "the cut record was applied in part"
+    );
+    assert_eq!(st.commits_seen, 7);
+    assert_eq!(counter_of(&replica.read(0, 7).unwrap().unwrap()), 0);
+    assert_eq!(counter_of(&replica.read(0, 6).unwrap().unwrap()), 16);
+
+    assert!(tx.send(frame(1, cut, bytes.len())));
+    let end = last.next_lsn();
+    assert!(replica.wait_replay(end, Duration::from_secs(5)));
+    let st = replica.status();
+    assert_eq!((st.replay_lsn, st.commits_seen), (end, 8));
+    assert_eq!(counter_of(&replica.read(0, 7).unwrap().unwrap()), 17);
+
+    let (promoted, stats) = replica.promote().unwrap();
+    assert_eq!(stats.winners, 8, "{stats:?}");
+    assert_eq!(promoted.log().device().len(), end.raw());
+    let mut txn = promoted.begin();
+    for k in 0..8u64 {
+        assert_eq!(counter_of(&promoted.read(&mut txn, 0, k).unwrap()), 10 + k);
+    }
+    promoted.commit(txn).unwrap();
+}

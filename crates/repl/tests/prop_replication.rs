@@ -7,13 +7,12 @@
 //!   converges to the primary's exact state for any workload.
 
 use aether_core::device::LogDevice;
-use aether_core::reader::LogReader;
 use aether_core::runtime::Runtime;
 use aether_core::{BufferKind, DeviceKind, LogConfig, Lsn};
 use aether_repl::frame::Frame;
 use aether_repl::prelude::*;
-use aether_storage::recovery::recover_with_stats;
-use aether_storage::replay::{apply_record, standby_db, state_fingerprint, CellFingerprint};
+use aether_storage::recovery::{recover_with_stats, Redo};
+use aether_storage::replay::{standby_db, state_fingerprint, CellFingerprint};
 use aether_storage::{CommitProtocol, CommitToken, Db, DbOptions};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -68,11 +67,16 @@ fn run_script(script: &[(u8, u64, u64, bool)]) -> Arc<Db> {
 }
 
 /// Replay `bytes[..cut]` into a fresh standby via frames of the given chunk
-/// size (exercising arbitrary run boundaries), returning its fingerprint
-/// and the replayed LSN frontier.
+/// size (exercising arbitrary run boundaries), following the receive log
+/// after each frame as a replica does, so a record cut across frames is
+/// applied only once its last frame lands. The redo starts once the first
+/// frame is in, so one frame is one scan of the whole prefix: the
+/// reference. Returns the standby's fingerprint and the replayed LSN
+/// frontier.
 fn replay_prefix_chunked(primary: &Db, bytes: &[u8], chunk: usize) -> (CellFingerprint, Lsn) {
     let standby = standby_db(opts(), primary.store().deep_clone(), &primary.schema()).unwrap();
     let device = Arc::new(aether_core::device::SimDevice::new(Duration::ZERO));
+    let mut redo = None;
     let mut seq = 0u64;
     let mut at = 0usize;
     while at < bytes.len() {
@@ -85,15 +89,13 @@ fn replay_prefix_chunked(primary: &Db, bytes: &[u8], chunk: usize) -> (CellFinge
         };
         let decoded = Frame::decode(&f.encode()).expect("frame round-trips");
         device.append(&decoded.bytes).unwrap();
+        redo.get_or_insert_with(|| Redo::new(Arc::clone(&device) as Arc<dyn LogDevice>))
+            .follow(&standby)
+            .unwrap();
         seq += 1;
         at += n;
     }
-    let mut frontier = Lsn::ZERO;
-    let mut reader = LogReader::new(Arc::clone(&device) as Arc<dyn aether_core::device::LogDevice>);
-    while let Some(rec) = reader.next_record().unwrap() {
-        apply_record(&standby, &rec).unwrap();
-        frontier = rec.next_lsn();
-    }
+    let frontier = redo.map_or(Lsn::ZERO, |r| r.position());
     (state_fingerprint(&standby).unwrap(), frontier)
 }
 

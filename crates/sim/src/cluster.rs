@@ -30,7 +30,7 @@ use aether_core::runtime::{self, Runtime};
 use aether_core::{BufferKind, LogConfig, TelemetryConfig};
 use aether_repl::prelude::*;
 use aether_storage::recovery::recover_with_stats;
-use aether_storage::replay::{snapshot_read, state_fingerprint};
+use aether_storage::replay::state_fingerprint;
 use aether_storage::{Checkpointer, CommitProtocol, Db, DbOptions};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -600,10 +600,10 @@ impl<'a> Scenario<'a> {
             }
         };
         for (k, &want) in submitted.iter().enumerate() {
-            let got = snapshot_read(&recovered, 0, k as u64)
+            let got = recovered
+                .snapshot_read(0, k as u64)
                 .unwrap()
-                .map(|r| counter_of(&r))
-                .unwrap_or(0);
+                .map_or(0, |r| counter_of(&r));
             if got != want {
                 self.violate(format!(
                     "durability: key {k} recovered {got}, committed {want}"
@@ -624,10 +624,10 @@ impl<'a> Scenario<'a> {
             }
         };
         for (k, (&a, &s)) in floor.iter().zip(submitted).enumerate() {
-            let got = snapshot_read(&promoted, 0, k as u64)
+            let got = promoted
+                .snapshot_read(0, k as u64)
                 .unwrap()
-                .map(|r| counter_of(&r))
-                .unwrap_or(0);
+                .map_or(0, |r| counter_of(&r));
             if got < a {
                 self.violate(format!(
                     "zero acked loss: key {k} promoted with {got}, acked floor {a}"
@@ -672,10 +672,10 @@ impl<'a> Scenario<'a> {
             ));
         }
         for (k, (&a, &s)) in floor.iter().zip(submitted).enumerate() {
-            let got = snapshot_read(&r1, 0, k as u64)
+            let got = r1
+                .snapshot_read(0, k as u64)
                 .unwrap()
-                .map(|r| counter_of(&r))
-                .unwrap_or(0);
+                .map_or(0, |r| counter_of(&r));
             if got < a {
                 self.violate(format!(
                     "torn durability: key {k} recovered {got}, pre-tear acked floor {a}"
@@ -743,10 +743,10 @@ impl<'a> Scenario<'a> {
             ));
         }
         for (k, (&a, &s)) in floor.iter().zip(submitted).enumerate() {
-            let got = snapshot_read(&r2a, 0, k as u64)
+            let got = r2a
+                .snapshot_read(0, k as u64)
                 .unwrap()
-                .map(|r| counter_of(&r))
-                .unwrap_or(0);
+                .map_or(0, |r| counter_of(&r));
             if got < a {
                 self.violate(format!(
                     "double-crash durability: key {k} recovered {got}, acked floor {a}"

@@ -7,7 +7,7 @@
 use aether_core::device::{LogDevice, SimDevice};
 use aether_core::{BufferKind, LogConfig};
 use aether_storage::recovery::recover_with_stats;
-use aether_storage::replay::{snapshot_read, state_fingerprint};
+use aether_storage::replay::state_fingerprint;
 use aether_storage::{CommitProtocol, CrashImage, Db, DbOptions};
 use std::sync::Arc;
 use std::time::Duration;
@@ -114,7 +114,7 @@ fn every_tear_offset_in_last_record_recovers_to_the_boundary() {
     let (full, _) = recover_with_stats(clipped_image(&db, end), opts()).unwrap();
     for k in 0..4u64 {
         assert_eq!(
-            counter_of(&snapshot_read(&full, 0, k).unwrap().unwrap()),
+            counter_of(&full.snapshot_read(0, k).unwrap().unwrap()),
             3,
             "full-length image must recover the final round"
         );

@@ -4,6 +4,7 @@
 use crate::error::{StorageError, StorageResult};
 use crate::lock::{LockConfig, LockId, LockManager, LockMode};
 use crate::page::{Frame, PageId, Rid};
+use crate::recovery::Redo;
 use crate::segmented::Segmented;
 use crate::store::PageStore;
 use crate::table::Table;
@@ -209,8 +210,8 @@ impl Db {
     /// database on an empty device. A device that holds log bytes is
     /// recovered ([`Db::open_on`]).
     pub fn open_with_device(opts: DbOptions, device: Arc<dyn LogDevice>) -> Arc<Db> {
-        let (db, _) =
-            Self::open_on(device, PageStore::new(), &[], opts).expect("open the database");
+        let (db, _) = Self::open_on(Redo::new(device), PageStore::new(), &[], opts)
+            .expect("open the database");
         db
     }
 

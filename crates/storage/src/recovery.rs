@@ -1,10 +1,12 @@
-//! Restart recovery: one redo scan of the log.
+//! Restart recovery and the standby's redo: one redo loop, [`Redo`].
 //!
 //! Opening is recovery: [`Db::open_on`] is the one way a [`Db`] is made.
 //! A fresh database is recovery over an empty device (nothing to redo), a
-//! crash image is recovery over a device rebuilt from its bytes, a standby
-//! is recovery over a discarding device and its page store, and a
-//! promotion is recovery over the replica's own receive log.
+//! crash image is recovery over a device rebuilt from its bytes, and a
+//! standby is recovery over a discarding device and its page store. A
+//! standby then keeps a `Redo` over its receive log and follows it as
+//! frames land; a promotion stops following and hands that `Redo` to
+//! `open_on`, which finds every received record already applied.
 //!
 //! A transaction is logged once, at its commit, as one redo-only
 //! `UpdateCommit` record, and its writes reach its pages only after that
@@ -13,15 +15,15 @@
 //! Recovery is one scan of the retained log — from the device's low-water
 //! mark, the redo point of the checkpoint the last truncation published
 //! (zero for a never-truncated log) — that redoes every record through
-//! [`crate::replay::apply_record`]'s rule, the standby's continuous redo: a
-//! record newer than a page's LSN is applied to it, an older one is
-//! already in the stored image and skipped. Truncation safety (DESIGN.md
-//! invariant 7) guarantees every record a stored image lacks is at or
-//! above the low-water mark. The hash index is built over the stored
-//! images before the scan, as a standby's is, and redo keeps it in step.
-//! Where the scan stops is the end of the valid log; a torn tail is cut
-//! there, and the log starts behind it. The log is read once, front to
-//! back, and nothing is held in memory but the record at hand.
+//! [`crate::replay`]'s page redo: a record newer than a page's LSN is
+//! applied to it, an older one is already in the stored image and
+//! skipped. Truncation safety (DESIGN.md invariant 7) guarantees every
+//! record a stored image lacks is at or above the low-water mark. The
+//! hash index is built over the stored images before the scan, as a
+//! standby's is, and redo keeps it in step. Where the scan stops is the
+//! end of the valid log; a torn tail is cut there, and the log starts
+//! behind it. The log is read once, front to back, and nothing is held in
+//! memory but the record at hand.
 //!
 //! This is also where ELR's safety story closes (§3.1): a pre-committed
 //! transaction whose commit record did not reach the disk is simply
@@ -40,7 +42,11 @@ use aether_core::record::RecordKind;
 use aether_core::{LogManager, Lsn};
 use std::sync::Arc;
 
-/// Outcome statistics from a recovery run (inspectable in tests).
+/// Outcome statistics from a recovery run (inspectable in tests). A
+/// promotion's are the standby's redo since its bootstrap: every record
+/// the replica received was scanned once, as it landed, so `scanned`,
+/// `winners`, `checkpoints` and `scan_start` are what a restart over the
+/// same receive log reports, and `redone` counts what the standby applied.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Records scanned.
@@ -56,6 +62,75 @@ pub struct RecoveryStats {
     pub scan_start: Lsn,
 }
 
+/// The one redo loop: a scan of a log device from its low-water mark that
+/// applies every record to the tables it is given, under the page-LSN
+/// rule ([`crate::replay`]'s page redo). It stops at the end of the valid
+/// bytes, and the next call resumes there: a standby
+/// [follows](Redo::follow) its receive log with one `Redo` as frames land,
+/// and [`Db::open_on`] runs a `Redo` to the end before it starts the log
+/// behind it. A promotion hands the standby's `Redo` to `open_on`, which
+/// then has nothing left to read.
+pub struct Redo {
+    device: Arc<dyn LogDevice>,
+    reader: LogReader,
+    stats: RecoveryStats,
+    max_txn: u64,
+}
+
+impl Redo {
+    /// A redo of `device` from its low-water mark that has read nothing.
+    pub fn new(device: Arc<dyn LogDevice>) -> Redo {
+        Redo {
+            stats: RecoveryStats {
+                scan_start: device.low_water(),
+                ..RecoveryStats::default()
+            },
+            reader: LogReader::new(Arc::clone(&device)),
+            device,
+            max_txn: 0,
+        }
+    }
+
+    /// Apply every complete record appended since the last call to `db`
+    /// (a standby's tables) and stop at the end of the valid bytes — a
+    /// record cut across two appends is applied once the rest lands. A
+    /// record the page redo refuses stops the scan at its start, as a torn
+    /// tail does, and is refused again by the next call.
+    pub fn follow(&mut self, db: &Db) -> StorageResult<()> {
+        self.run(&db.tables)
+    }
+
+    /// The loop [`Redo::follow`] and [`Db::open_on`] run.
+    fn run(&mut self, tables: &Segmented<Table>) -> StorageResult<()> {
+        while let Some(rec) = self.reader.next_record()? {
+            let changed = redo(tables, &rec).inspect_err(|_| {
+                self.reader = LogReader::from_lsn(Arc::clone(&self.device), rec.lsn);
+            })?;
+            self.stats.scanned += 1;
+            self.stats.winners += usize::from(rec.header.kind == RecordKind::UpdateCommit);
+            self.stats.redone += usize::from(changed); // only an UpdateCommit changes a page
+            self.stats.checkpoints += usize::from(rec.header.kind == RecordKind::CheckpointEnd);
+            self.max_txn = self.max_txn.max(rec.header.txn);
+        }
+        Ok(())
+    }
+
+    /// Where the next record starts: every record below it is applied.
+    pub fn position(&self) -> Lsn {
+        self.reader.position()
+    }
+
+    /// The device the redo reads.
+    pub fn device(&self) -> &Arc<dyn LogDevice> {
+        &self.device
+    }
+
+    /// What the redo has scanned and applied so far.
+    pub fn stats(&self) -> &RecoveryStats {
+        &self.stats
+    }
+}
+
 /// Recover a database from a crash image: [`Db::open_on`] over a device
 /// that holds the image's log bytes at their stream offsets. The truncated
 /// prefix is not materialized, so recovery cost scales with the retained
@@ -65,26 +140,24 @@ pub fn recover_with_stats(
     opts: DbOptions,
 ) -> StorageResult<(Arc<Db>, RecoveryStats)> {
     let device = Arc::new(SimDevice::from_image(image.log_start, image.log_bytes));
-    Db::open_on(device, image.store, &image.schema, opts)
+    Db::open_on(Redo::new(device), image.store, &image.schema, opts)
 }
 
 impl Db {
-    /// Open a database over what `device`, `store` and `schema` hold:
-    /// restart recovery (see the module docs), the one way a [`Db`] is
-    /// made. The tables are installed from the store, the device is
-    /// scanned and redone from its low-water mark, the torn tail is
-    /// clipped, and the log starts at the device's end. An empty device,
-    /// store and schema is a fresh database, and opening it writes nothing.
+    /// Open a database over what `redo`'s device, `store` and `schema`
+    /// hold: restart recovery (see the module docs), the one way a [`Db`]
+    /// is made. The tables are installed from the store, `redo` runs to
+    /// the end of the device's valid bytes, the torn tail is clipped
+    /// there, and the log starts at the device's end. Pass
+    /// [`Redo::new`] of a device to recover it whole, or a standby's
+    /// `Redo` to finish what it has followed. An empty device, store and
+    /// schema is a fresh database, and opening it writes nothing.
     pub fn open_on(
-        device: Arc<dyn LogDevice>,
+        mut redo: Redo,
         store: Arc<PageStore>,
         schema: &[(usize, u64)],
         opts: DbOptions,
     ) -> StorageResult<(Arc<Db>, RecoveryStats)> {
-        let mut stats = RecoveryStats {
-            scan_start: device.low_water(),
-            ..RecoveryStats::default()
-        };
         // Tables: schema, page images from the store, the index over them
         // (a standby's are made the same way). Redo keeps the index in step.
         let tables = Segmented::new(8);
@@ -92,26 +165,12 @@ impl Db {
             let id = tables.push_with(|id| Table::new(id as u32, record_size, dense_rows, &store));
             tables.get(id).expect("a table just made").rebuild_index();
         }
-
-        let mut max_txn = 0u64;
-        let mut reader = LogReader::new(Arc::clone(&device));
-        while let Some(rec) = reader.next_record()? {
-            stats.scanned += 1;
-            max_txn = max_txn.max(rec.header.txn);
-            match rec.header.kind {
-                RecordKind::UpdateCommit => {
-                    stats.winners += 1;
-                    stats.redone += usize::from(redo(&tables, &rec)?);
-                }
-                RecordKind::CheckpointEnd => stats.checkpoints += 1,
-                _ => {}
-            }
-        }
+        redo.run(&tables)?;
         // The scan stopped at the end of the valid prefix. The crash may
         // have torn the final record, and new records must append right
         // here — otherwise the dead tail bytes would end every future scan
         // early.
-        device.clip_tail(reader.position().raw())?;
+        redo.device.clip_tail(redo.position().raw())?;
         for (_, t) in tables.iter() {
             t.reset_append_cursor();
         }
@@ -120,11 +179,11 @@ impl Db {
         let log = LogManager::builder()
             .config(opts.log_config.clone())
             .buffer(opts.buffer)
-            .device_instance(device)
+            .device_instance(redo.device)
             .try_build()?;
         let db = Db::assemble(opts, Arc::new(log), store, tables);
-        db.txn_manager().bump_next(max_txn + 1);
-        Ok((db, stats))
+        db.txn_manager().bump_next(redo.max_txn + 1);
+        Ok((db, redo.stats))
     }
 }
 
@@ -469,7 +528,7 @@ mod tests {
         db.log().shutdown();
         segments.append(&[0xA5; 7]).unwrap();
         let opened = Db::open_on(
-            segments,
+            Redo::new(segments),
             db.store().deep_clone(),
             &db.schema(),
             opts(CommitProtocol::Baseline),
@@ -483,6 +542,54 @@ mod tests {
             "{:?}",
             opened.map(|(_, stats)| stats)
         );
+    }
+
+    #[test]
+    fn a_record_the_page_redo_refuses_stops_the_redo_at_its_start() {
+        // A whole record, checksum and all, whose payload is no entry list:
+        // the redo refuses it and stays before it, call after call, and an
+        // open over it fails rather than logging on past it.
+        let db = fresh_db(CommitProtocol::Baseline, 10);
+        db.log().flush_all().unwrap();
+        let (_, good) = db.log().device().snapshot().unwrap();
+        let device = Arc::new(SimDevice::new(Duration::ZERO));
+        device.append(&good).unwrap();
+        let bad = aether_core::record::RecordHeader::new(
+            RecordKind::UpdateCommit,
+            7,
+            Lsn::ZERO,
+            &[1, 2, 3],
+        );
+        let mut bytes = bad.encode().to_vec();
+        bytes.extend_from_slice(&[1, 2, 3]);
+        bytes.resize(bad.total_len as usize, 0);
+        device.append(&bytes).unwrap();
+
+        let standby = crate::replay::standby_db(
+            opts(CommitProtocol::Baseline),
+            db.store().deep_clone(),
+            &db.schema(),
+        )
+        .unwrap();
+        let mut redo = Redo::new(Arc::clone(&device) as Arc<dyn LogDevice>);
+        for _ in 0..2 {
+            let refused = redo.follow(&standby);
+            assert!(matches!(refused, Err(StorageError::Recovery(_))));
+            assert_eq!(redo.position(), Lsn(good.len() as u64));
+        }
+        let scanned = redo.stats().scanned;
+        let opened = Db::open_on(
+            redo,
+            db.store().deep_clone(),
+            &db.schema(),
+            opts(CommitProtocol::Baseline),
+        );
+        assert!(
+            matches!(&opened, Err(StorageError::Recovery(_))),
+            "{:?}",
+            opened.map(|(_, stats)| stats)
+        );
+        assert!(scanned > 0, "the records before it were applied");
     }
 
     #[test]

@@ -1,28 +1,29 @@
 //! Continuous redo for standby replicas (log-shipping replication).
 //!
 //! A replica receives the primary's durable log as a byte stream and keeps a
-//! **standby database** warm by replaying it record-by-record — the same
-//! "repeat history" rule redo uses at restart, applied continuously: an
-//! UpdateCommit whose LSN is newer than a target page's LSN is applied to
-//! it; older ones are skipped, so replay is idempotent over any prefix
-//! overlap (the base backup's flushed pages already carry their page LSNs).
-//! A transaction is logged once, at its commit, so the standby only ever
-//! holds committed data: its state at an applied LSN is the primary's
-//! committed state there.
+//! **standby database** warm by following it with one [`Redo`] — the loop
+//! restart recovery runs, resumed as each frame lands: an UpdateCommit
+//! whose LSN is newer than a target page's LSN is applied to it; older ones
+//! are skipped, so replay is idempotent over any prefix overlap (the base
+//! backup's flushed pages already carry their page LSNs). A transaction is
+//! logged once, at its commit, so the standby only ever holds committed
+//! data: its state at an applied LSN is the primary's committed state
+//! there.
 //!
-//! [`apply_record`] is the crate's one redo: what a record read back from
-//! the log does to a page is decided there and nowhere else. Restart
-//! recovery ([`crate::recovery`]) redoes through it, and promotion runs
-//! that same recovery over the replica's receive log, so the standby, a
-//! restart and a failover repeat history by one routine.
+//! `redo` is the crate's one page redo: what a record read back from the
+//! log does to a page is decided there and nowhere else, and only `Redo`'s
+//! loop calls it. A standby, a restart and a failover therefore repeat
+//! history by one routine, and a promotion, which stops the standby's loop
+//! and opens the log behind it, reads no received record twice.
 //!
 //! The standby never originates transactions: its log manager writes to a
 //! discarding device and its lock manager stays empty. Snapshot reads go
-//! straight to the table frames ([`snapshot_read`]).
+//! straight to the table frames ([`Db::snapshot_read`]).
 
 use crate::db::{table_in, Db, DbOptions};
 use crate::error::{StorageError, StorageResult};
 use crate::page::{cell_key, PageId, PAGE_SIZE};
+use crate::recovery::Redo;
 use crate::segmented::Segmented;
 use crate::store::{PageStore, StoredPage};
 use crate::table::Table;
@@ -192,7 +193,8 @@ pub fn standby_from_snapshot(opts: DbOptions, snap: &BaseSnapshot) -> StorageRes
 
 /// Build a standby database from a base backup: the primary's flushed page
 /// store plus its schema, opened over a discarding device (a standby never
-/// logs); all state changes arrive via [`apply_record`].
+/// logs); all state changes arrive by [`Redo::follow`] over its receive
+/// log.
 pub fn standby_db(
     opts: DbOptions,
     store: Arc<PageStore>,
@@ -202,19 +204,13 @@ pub fn standby_db(
         device: DeviceKind::Null,
         ..opts
     };
-    Db::open_on(Arc::new(NullDevice::new()), store, schema, opts).map(|(db, _)| db)
+    Db::open_on(Redo::new(Arc::new(NullDevice::new())), store, schema, opts).map(|(db, _)| db)
 }
 
-/// Apply one log record to a database: the one redo of the crate. A
-/// standby runs it on every shipped record (continuous redo), and restart
-/// recovery — which promotion runs too — on every record it scans.
-/// Returns whether the record changed a page.
-pub fn apply_record(db: &Db, rec: &Record) -> StorageResult<bool> {
-    redo(&db.tables, rec)
-}
-
-/// [`apply_record`] over a catalog: recovery redoes into its tables before
-/// the database around them exists.
+/// The page redo: apply one log record to `tables`, and say whether it
+/// changed a page. Only [`Redo`]'s loop calls it — over a standby's tables
+/// as it follows its receive log, and over the tables [`Db::open_on`]
+/// makes before the database around them exists.
 ///
 /// Only an UpdateCommit changes pages; every other kind is a no-op. Its
 /// entries come in `(table, page)` order, so one page's entries are
@@ -268,14 +264,6 @@ pub(crate) fn redo(tables: &Segmented<Table>, rec: &Record) -> StorageResult<boo
     Ok(changed)
 }
 
-/// Lock-free snapshot read against a standby: resolves `key` through the
-/// table's index/dense mapping and reads the frame directly. The result
-/// reflects the replay frontier at call time (bounded staleness; the caller
-/// reads the bound off its replica's status).
-pub fn snapshot_read(db: &Db, table: u32, key: u64) -> StorageResult<Option<Vec<u8>>> {
-    db.snapshot_read(table, key)
-}
-
 /// Every occupied cell of a database: `(table, page, slot, cell bytes)`.
 pub type CellFingerprint = Vec<(u32, u32, u16, Vec<u8>)>;
 
@@ -309,8 +297,8 @@ pub fn state_fingerprint(db: &Db) -> StorageResult<CellFingerprint> {
 mod tests {
     use super::*;
     use crate::page::PageId;
+    use crate::recovery::RecoveryStats;
     use crate::txn::CommitProtocol;
-    use aether_core::reader::LogReader;
     use aether_core::{BufferKind, LogConfig};
 
     fn rec_bytes(key: u64, size: usize, fill: u8) -> Vec<u8> {
@@ -327,6 +315,13 @@ mod tests {
             log_config: LogConfig::default().with_buffer_size(1 << 20),
             ..DbOptions::default()
         }
+    }
+
+    /// Follow `db`'s whole log into `standby` with a new [`Redo`].
+    fn follow_all(db: &Db, standby: &Db) -> RecoveryStats {
+        let mut redo = Redo::new(Arc::clone(db.log().device()));
+        redo.follow(standby).unwrap();
+        redo.stats().clone()
     }
 
     /// Primary with some committed work; returns (db, base store, schema).
@@ -392,15 +387,12 @@ mod tests {
     fn a_key_in_two_page_images_resolves_to_the_newer() {
         let (db, store, schema) = key_in_two_page_images();
         let standby = standby_db(opts(), store.deep_clone(), &schema).unwrap();
-        let mut reader = LogReader::new(Arc::clone(db.log().device()));
-        while let Some(rec) = reader.next_record().unwrap() {
-            apply_record(&standby, &rec).unwrap();
-        }
+        follow_all(&db, &standby);
         assert_eq!(
             state_fingerprint(&standby).unwrap(),
             state_fingerprint(&db).unwrap()
         );
-        assert_eq!(snapshot_read(&standby, 0, KEY).unwrap().unwrap()[8], 3);
+        assert_eq!(standby.snapshot_read(0, KEY).unwrap().unwrap()[8], 3);
         // Restart recovery over the same images indexes the key alike.
         let mut image = db.crash();
         image.store = store;
@@ -464,18 +456,15 @@ mod tests {
         let (db, store, schema) = primary_with_work();
         db.log().flush_all().unwrap();
         let standby = standby_db(opts(), store, &schema).unwrap();
-        let mut reader = LogReader::new(Arc::clone(db.log().device()));
-        while let Some(rec) = reader.next_record().unwrap() {
-            apply_record(&standby, &rec).unwrap();
-        }
+        follow_all(&db, &standby);
         assert_eq!(
             state_fingerprint(&standby).unwrap(),
             state_fingerprint(&db).unwrap()
         );
         // Snapshot reads resolve through dense mapping and the index alike.
-        assert_eq!(snapshot_read(&standby, 0, 3).unwrap().unwrap()[8], 53);
-        assert_eq!(snapshot_read(&standby, 0, 1000).unwrap().unwrap()[8], 9);
-        assert_eq!(snapshot_read(&standby, 0, 777).unwrap(), None);
+        assert_eq!(standby.snapshot_read(0, 3).unwrap().unwrap()[8], 53);
+        assert_eq!(standby.snapshot_read(0, 1000).unwrap().unwrap()[8], 9);
+        assert_eq!(standby.snapshot_read(0, 777).unwrap(), None);
     }
 
     #[test]
@@ -483,16 +472,12 @@ mod tests {
         let (db, store, schema) = primary_with_work();
         db.log().flush_all().unwrap();
         let standby = standby_db(opts(), store, &schema).unwrap();
-        let records: Vec<Record> = LogReader::new(Arc::clone(db.log().device()))
-            .read_all()
-            .unwrap();
-        for rec in &records {
-            apply_record(&standby, rec).unwrap();
-        }
-        // Re-applying the whole log changes nothing (page LSNs skip it).
-        for rec in &records {
-            assert!(!apply_record(&standby, rec).unwrap());
-        }
+        let first = follow_all(&db, &standby);
+        assert!(first.redone > 0, "{first:?}");
+        // Following the whole log again changes nothing (page LSNs skip it).
+        let again = follow_all(&db, &standby);
+        assert_eq!(again.scanned, first.scanned, "{again:?}");
+        assert_eq!(again.redone, 0, "{again:?}");
         assert_eq!(
             state_fingerprint(&standby).unwrap(),
             state_fingerprint(&db).unwrap()
@@ -505,10 +490,7 @@ mod tests {
         db.log().flush_all().unwrap();
         let standby = standby_db(opts(), store, &schema).unwrap();
         let before = standby.log().device().len();
-        let mut reader = LogReader::new(Arc::clone(db.log().device()));
-        while let Some(rec) = reader.next_record().unwrap() {
-            apply_record(&standby, &rec).unwrap();
-        }
+        follow_all(&db, &standby);
         assert_eq!(standby.log().device().len(), before);
     }
 }

@@ -11,7 +11,7 @@
 //! Entries are written straight into the reserved log slot
 //! ([`EncodePayload`]) and decoded in place ([`UpdateCommitPayload::entries`]
 //! borrows the images and allocates nothing); what they do to a page is
-//! [`crate::replay::apply_record`]'s business alone. The other records are
+//! the business of [`crate::replay`]'s page redo alone. The other records are
 //! a fuzzy checkpoint's begin and end; [`CheckpointPayload`] also appends
 //! itself to a `Vec` ([`CheckpointPayload::append_to`]), because a base
 //! snapshot ships its bytes.

@@ -4,11 +4,12 @@
 //!
 //! The log is a checkpoint, then auto-commit updates with an aborted
 //! two-key transaction every `ABORT_EVERY`, which logs nothing. A
-//! standby's `apply_record` decodes each commit record in place and reads
-//! the current cell's key under the frame lock, so it allocates nothing.
-//! Restart recovery streams the log once through `LogReader`, whose copy
-//! of each non-empty payload is what remains: about one allocation per
-//! record, the rest is opening the recovered database. A rollback drops the
+//! standby's redo (`Redo::follow`) reads the log through `LogReader`, whose
+//! copy of each non-empty payload is one allocation; the page redo decodes
+//! each commit record in place and reads the current cell's key under the
+//! frame lock, so beyond those copies it allocates nothing. Restart
+//! recovery runs the same loop, and opening the recovered database is the
+//! rest: about one allocation per record. A rollback drops the
 //! transaction's write set and allocates nothing.
 //!
 //! Its own integration-test binary, like `alloc_txn.rs`: the counting
@@ -19,8 +20,8 @@ use aether_core::device::NullDevice;
 use aether_core::reader::LogReader;
 use aether_core::record::{Record, RecordKind};
 use aether_core::{DeviceKind, LogConfig};
-use aether_storage::recovery::recover_with_stats;
-use aether_storage::replay::{apply_record, standby_db, state_fingerprint};
+use aether_storage::recovery::{recover_with_stats, Redo};
+use aether_storage::replay::{standby_db, state_fingerprint};
 use aether_storage::{CommitProtocol, Db, DbOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -111,8 +112,8 @@ fn two_keys(db: &Db, i: u64, rec: &[u8]) -> aether_storage::Transaction {
     txn
 }
 
-/// Allocations per commit record a standby applies, and per record
-/// restart recovery scans, over one log.
+/// Allocations per commit record a standby applies beyond the reader's
+/// payload copies, and per record restart recovery scans, over one log.
 fn replay_and_recovery() -> (f64, f64) {
     let primary = Db::open(opts(DeviceKind::Ram));
     loaded(&primary);
@@ -136,19 +137,21 @@ fn replay_and_recovery() -> (f64, f64) {
         .count();
     assert_eq!(cells as u64, UPDATES, "a rollback logs nothing");
 
+    let copies = records.iter().filter(|r| !r.payload.is_empty()).count() as u64;
     let standby = standby_db(opts(DeviceKind::Ram), base, &schema).unwrap();
-    let (applied, n) = counted(|| {
-        records
-            .iter()
-            .filter(|rec| apply_record(&standby, rec).unwrap())
-            .count()
-    });
-    assert_eq!(applied, cells, "every cell record is newer than the base");
+    let mut redo = Redo::new(Arc::clone(primary.log().device()));
+    let ((), n) = counted(|| redo.follow(&standby).unwrap());
+    assert_eq!(redo.stats().scanned, records.len());
+    assert_eq!(
+        redo.stats().redone,
+        cells,
+        "every cell record is newer than the base"
+    );
     assert_eq!(
         state_fingerprint(&standby).unwrap(),
         state_fingerprint(&primary).unwrap()
     );
-    let per_replayed = n as f64 / cells as f64;
+    let per_replayed = n.saturating_sub(copies) as f64 / cells as f64;
 
     let image = primary.crash();
     let ((recovered, stats), n) =
@@ -186,7 +189,11 @@ fn replay_recovery_and_rollback_allocate_only_the_readers_copy() {
     // (what, measured, ceiling): recovery's one is `LogReader`'s payload
     // copy, made once per record it scans.
     let table = [
-        ("standby apply_record, per commit record", replayed, 0.0),
+        (
+            "standby redo beyond the reader's copies, per commit record",
+            replayed,
+            0.0,
+        ),
         ("recover_with_stats, per scanned record", recovered, 1.05),
         ("Db::abort of a two-key transaction", aborted, 0.0),
     ];

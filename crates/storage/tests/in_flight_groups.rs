@@ -10,7 +10,7 @@
 use aether_core::device::{DeviceFault, FaultDevice, LogDevice, SimDevice};
 use aether_core::flush::FLUSH_DEPTH;
 use aether_storage::recovery::recover_with_stats;
-use aether_storage::replay::{snapshot_read, state_fingerprint};
+use aether_storage::replay::state_fingerprint;
 use aether_storage::{CommitOutcome, CommitProtocol, Db, DbOptions};
 use std::sync::Arc;
 use std::time::Duration;
@@ -30,7 +30,7 @@ fn set(db: &Db, key: u64, value: u8) -> CommitOutcome {
 }
 
 fn value(db: &Db, key: u64) -> u8 {
-    snapshot_read(db, 0, key).unwrap().unwrap()[8]
+    db.snapshot_read(0, key).unwrap().unwrap()[8]
 }
 
 #[test]

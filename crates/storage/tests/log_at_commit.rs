@@ -7,8 +7,8 @@
 use aether_core::device::SimDevice;
 use aether_core::record::Record;
 use aether_core::{LogConfig, Lsn, RecordKind};
-use aether_storage::recovery::recover_with_stats;
-use aether_storage::replay::{apply_record, standby_db, state_fingerprint};
+use aether_storage::recovery::{recover_with_stats, Redo};
+use aether_storage::replay::{standby_db, state_fingerprint};
 use aether_storage::{CommitProtocol, CommitToken, Db, DbOptions, StorageError};
 use std::sync::Arc;
 use std::time::Duration;
@@ -133,18 +133,17 @@ fn a_recovered_two_key_transaction_on_one_page_applies_both_cells() {
 
     // A standby applies it once, and skips it the second time.
     let standby = standby_db(opts(1 << 20), base, &schema).unwrap();
-    let all = db.log().reader().read_all().unwrap();
-    for r in &all {
-        apply_record(&standby, r).unwrap();
-    }
+    let follow = || {
+        let mut redo = Redo::new(Arc::clone(db.log().device()));
+        redo.follow(&standby).unwrap();
+        redo.stats().redone
+    };
+    assert_eq!(follow(), 1);
     assert_eq!(
         state_fingerprint(&standby).unwrap(),
         state_fingerprint(&db).unwrap()
     );
-    assert!(
-        !apply_record(&standby, &logged[0]).unwrap(),
-        "applied twice"
-    );
+    assert_eq!(follow(), 0, "applied twice");
 }
 
 #[test]

@@ -4,12 +4,11 @@
 //! its page LSN, because a redo-only record can never be undone.
 
 use aether_core::device::{DeviceFault, FaultDevice, LogDevice, SimDevice};
-use aether_core::reader::LogReader;
 use aether_core::{LogConfig, Lsn, RecordKind};
 use aether_storage::lock::LockConfig;
 use aether_storage::page::PageId;
-use aether_storage::recovery::recover_with_stats;
-use aether_storage::replay::{apply_record, standby_db, state_fingerprint};
+use aether_storage::recovery::{recover_with_stats, Redo};
+use aether_storage::replay::{standby_db, state_fingerprint};
 use aether_storage::{
     CommitOutcome, CommitProtocol, CommitToken, CrashImage, Db, DbOptions, StorageError,
     StorageResult,
@@ -227,7 +226,6 @@ fn a_standby_replaying_one_record_commits_matches_the_primary() {
     for protocol in CommitProtocol::ALL {
         let db = loaded(opts(protocol), Arc::new(SimDevice::new(Duration::ZERO)));
         let base = db.store().deep_clone();
-        let mut seen = 0;
         for i in 0..40u64 {
             let k = (i * 7) % ROWS;
             if i % 4 == 0 {
@@ -240,12 +238,13 @@ fn a_standby_replaying_one_record_commits_matches_the_primary() {
         }
         db.log().flush_all().unwrap();
         let standby = standby_db(opts(protocol), base, &db.schema()).unwrap();
-        let mut reader = LogReader::new(Arc::clone(db.log().device()));
-        while let Some(r) = reader.next_record().unwrap() {
-            seen += usize::from(r.header.kind == RecordKind::UpdateCommit);
-            apply_record(&standby, &r).unwrap();
-        }
-        assert_eq!(seen, 40, "{protocol:?}: one record a commit");
+        let mut redo = Redo::new(Arc::clone(db.log().device()));
+        redo.follow(&standby).unwrap();
+        assert_eq!(
+            redo.stats().winners,
+            40,
+            "{protocol:?}: one record a commit"
+        );
         let primary = state_fingerprint(&db).unwrap();
         assert_eq!(
             state_fingerprint(&standby).unwrap(),

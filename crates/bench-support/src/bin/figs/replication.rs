@@ -184,7 +184,7 @@ pub fn fig16_read_scaleout() {
                     let k = v % KEYS;
                     let mut txn = primary.begin();
                     primary.update(&mut txn, 0, k, &record(k, v)).unwrap();
-                    let token = cluster.commit(txn).unwrap().token();
+                    let token = cluster.primary().commit(txn).unwrap().token();
                     session.observe(token);
                     std::thread::sleep(Duration::from_micros(1_000));
                 }

@@ -67,7 +67,7 @@ use crate::ring::Ring;
 use crate::runtime::{self, WaitSet};
 use crate::stats::BufferStats;
 use crate::telemetry::{Stage, Telemetry};
-use release::{Finish, OrderedRelease};
+use release::{Finish, OrderedRelease, HANDOFF_ENTRIES};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -869,7 +869,7 @@ impl BufferCore {
         let telemetry = Arc::new(Telemetry::new(&config.telemetry));
         Arc::new(BufferCore {
             ring: Ring::new(config.buffer_size),
-            order: OrderedRelease::new(start, config.release_queue_pool),
+            order: OrderedRelease::new(start, HANDOFF_ENTRIES),
             durable: CachePadded::new(AtomicLsn::new(start)),
             auto_reclaim: AtomicBool::new(false),
             closed: OnceLock::new(),
@@ -1305,25 +1305,23 @@ mod tests {
 
     #[test]
     fn tickets_wait_for_a_free_handoff_entry() {
-        let cfg = LogConfig {
-            release_queue_pool: 64,
-            ..LogConfig::default().with_buffer_size(1 << 16)
-        };
-        let core = BufferCore::new(&cfg);
+        // 4096 reservations of 8 bytes fill the table and half the 64 KiB ring.
+        let core = BufferCore::new(&LogConfig::default().with_buffer_size(1 << 16));
+        let n = HANDOFF_ENTRIES as u64;
         let gate = InsertGate::new(Lsn::ZERO);
         gate.lock.lock();
         // SAFETY: lock held.
-        let tickets: Vec<u64> = (0..64)
+        let tickets: Vec<u64> = (0..n)
             .map(|_| unsafe { gate.alloc.reserve_ordered(8, &core).1 })
             .collect();
-        assert_eq!(tickets, (0..64).collect::<Vec<_>>());
-        // The 65th would reuse ticket 0's entry: it must wait for ticket 0.
+        assert_eq!(tickets, (0..n).collect::<Vec<_>>());
+        // The next would reuse ticket 0's entry: it must wait for ticket 0.
         std::thread::scope(|s| {
             let waiter = s.spawn(|| unsafe { gate.alloc.reserve_ordered(8, &core).1 });
             crate::runtime::sleep(std::time::Duration::from_millis(20));
             assert!(!waiter.is_finished());
             core.release_ordered(0, Lsn(0), Lsn(8), 0);
-            assert_eq!(waiter.join().unwrap(), 64);
+            assert_eq!(waiter.join().unwrap(), n);
         });
         gate.lock.unlock();
     }

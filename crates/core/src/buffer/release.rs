@@ -77,6 +77,11 @@ struct Head {
     ticket: AtomicU64,
 }
 
+/// Entries in the hand-off table through which D, CD and CDME release in
+/// LSN order: how many reservations may be in flight past the oldest
+/// unreleased one before a reserver waits for it.
+pub(super) const HANDOFF_ENTRIES: usize = 4096;
+
 /// The released watermark plus the hand-off table (see the module docs).
 #[derive(Debug)]
 pub(crate) struct OrderedRelease {

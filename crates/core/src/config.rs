@@ -38,11 +38,6 @@ pub struct LogConfig {
     /// Number of active slots in the consolidation array. The paper finds
     /// 3–4 optimal on a 64-context machine (§A.4, Figure 12) and fixes 4.
     pub carray_slots: usize,
-    /// Entries in the hand-off table through which D, CD and CDME release
-    /// in LSN order (rounded up to a power of two): how many reservations
-    /// may be in flight past the oldest unreleased one before a reserver
-    /// waits for it.
-    pub release_queue_pool: usize,
     /// A CDME thread refuses to hand its release off with probability
     /// `1/treadmill_inv`, to break delegation treadmills (§A.3). 0 disables
     /// refusal.
@@ -64,7 +59,6 @@ impl Default for LogConfig {
         LogConfig {
             buffer_size: 64 << 20,
             carray_slots: 4,
-            release_queue_pool: 4096,
             treadmill_inv: 32,
             group_commit: GroupCommitPolicy::default(),
             runtime: crate::runtime::Runtime::default(),
@@ -85,9 +79,6 @@ impl LogConfig {
         }
         if self.carray_slots == 0 {
             return Err("carray_slots must be >= 1".into());
-        }
-        if self.release_queue_pool < 64 {
-            return Err("release_queue_pool must be >= 64".into());
         }
         self.telemetry.validate()?;
         Ok(())

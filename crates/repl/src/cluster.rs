@@ -28,7 +28,6 @@ use aether_storage::db::Db;
 use aether_storage::error::StorageResult;
 use aether_storage::recovery::RecoveryStats;
 use aether_storage::replay::{self, BaseSnapshot};
-use aether_storage::txn::{CommitOutcome, Transaction};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -226,14 +225,6 @@ impl ReplicatedDb {
         &self.primary
     }
 
-    /// Commit on the primary under the cluster's durability policy. Feed
-    /// the outcome's [`CommitOutcome::token`] to a
-    /// [`crate::router::Session`] and the router's session reads are
-    /// guaranteed to observe this commit (read-your-writes).
-    pub fn commit(&self, txn: Transaction) -> StorageResult<CommitOutcome> {
-        self.primary.commit(txn)
-    }
-
     /// A [`ReadRouter`] serving bounded-staleness reads over this cluster's
     /// replicas, with the primary as the freshness fallback. The router
     /// holds lightweight reader handles — cluster lifecycle ([`promote`],
@@ -278,11 +269,11 @@ impl ReplicatedDb {
 
     /// Simulate a primary failure: cut the network (stop all shippers) and
     /// poison the commit gate, releasing any committer still blocked on
-    /// replica acks. Those commits return [`CommitOutcome::Unreplicated`] —
-    /// on a real failed primary the client's session dies with an
-    /// indeterminate outcome; here the API reports exactly that
-    /// indeterminacy instead of a false success. Replicas keep whatever
-    /// they durably received.
+    /// replica acks. Those commits return
+    /// [`aether_storage::txn::CommitOutcome::Unreplicated`] — on a real
+    /// failed primary the client's session dies with an indeterminate
+    /// outcome; here the API reports exactly that indeterminacy instead of
+    /// a false success. Replicas keep whatever they durably received.
     pub fn kill_primary(&mut self) {
         for s in &mut self.shippers {
             s.stop();
@@ -345,6 +336,7 @@ impl Drop for ReplicatedDb {
 mod tests {
     use super::*;
     use aether_core::runtime::Runtime;
+    use aether_storage::txn::CommitOutcome;
     use aether_storage::DbOptions;
     use std::time::Duration;
 

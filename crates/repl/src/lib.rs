@@ -46,7 +46,7 @@
 //!   per-request staleness budgets with fallback to a fresher replica or
 //!   the primary, quarantines replicas that fall behind, and gives
 //!   sessions read-your-writes via [`aether_core::commit::CommitToken`]s
-//!   returned from [`cluster::ReplicatedDb::commit`].
+//!   returned from the primary's [`aether_storage::Db::commit`].
 //!
 //! ## Quick start
 //!

@@ -17,9 +17,8 @@
 //!   chosen replica is behind, the read blocks on its applied watermark for
 //!   at most the configured budget, then falls back to a fresher replica,
 //!   and finally to the primary (which is never stale).
-//! * **Read-your-writes** — [`aether_storage::db::Db::commit`] (or
-//!   [`crate::cluster::ReplicatedDb::commit`]) returns a [`CommitToken`] in
-//!   its outcome;
+//! * **Read-your-writes** — [`aether_storage::db::Db::commit`] on the
+//!   primary returns a [`CommitToken`] in its outcome;
 //!   a [`Session`] folds tokens into a running maximum and
 //!   [`ReadRouter::read_session`] threads that watermark into every read.
 //!   Invariant 9 of DESIGN.md: a session read never observes state older
@@ -533,7 +532,7 @@ mod tests {
         for v in 1..=20u64 {
             let mut txn = primary.begin();
             primary.update(&mut txn, 0, 5, &record(5, v)).unwrap();
-            let out = cluster.commit(txn).unwrap();
+            let out = cluster.primary().commit(txn).unwrap();
             assert!(out.is_durable_now());
             session.observe(out.token());
             let read = router.read_session(&session, 0, 5).unwrap();

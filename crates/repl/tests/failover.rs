@@ -146,9 +146,6 @@ fn semisync_failover_loses_no_acked_commit() {
     promoted.commit(txn).unwrap();
 }
 
-/// A replica served a corrupted frame drops it and stops advancing at the
-/// gap — and promotion still succeeds with the clean prefix (truncate, not
-/// error).
 /// A standby serves only committed data. An open transaction updates key
 /// 0; a second transaction commits key 1, and its flush ships everything
 /// logged before it. The open transaction's write is in no record, so once
@@ -191,6 +188,9 @@ fn a_standby_never_serves_an_open_transactions_write() {
     cluster.shutdown();
 }
 
+/// A replica served a corrupted frame drops it and stops advancing at the
+/// gap — and promotion still succeeds with the clean prefix (truncate, not
+/// error).
 #[test]
 fn corrupt_frame_truncates_cleanly_on_promote() {
     let primary = Db::open(opts(CommitProtocol::Baseline));

@@ -124,7 +124,7 @@ proptest! {
 
             let mut txn = primary.begin();
             primary.update(&mut txn, 0, key, &mk(key, v)).unwrap();
-            let token = cluster.commit(txn).unwrap().token();
+            let token = cluster.primary().commit(txn).unwrap().token();
             session.observe(token);
             last_written[key as usize] = v;
             tokens.push(token);

@@ -576,11 +576,6 @@ pub fn extract_request(buf: &mut Vec<u8>) -> Extracted<Request> {
     extract(buf, request_at)
 }
 
-/// Pull one response frame off the front of `buf`.
-pub fn extract_response(buf: &mut Vec<u8>) -> Extracted<Response> {
-    extract(buf, response_at)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -726,28 +721,14 @@ mod tests {
         assert_eq!(extract_request(&mut huge), Extracted::Corrupt);
     }
 
-    /// Every frame of `batch`, delivered in two reads split at `split`:
-    /// once a frame at a time through `extract`, once through `decode_at`
-    /// with one drain per read. Both must see the same messages.
-    fn both_ways<T: std::fmt::Debug + PartialEq>(
+    /// Every frame of `batch`, delivered in two reads split at `split`,
+    /// through `decode_at` with one drain per read.
+    fn per_read<T>(
         batch: &[u8],
         split: usize,
-        extract: impl Fn(&mut Vec<u8>) -> Extracted<T>,
         decode_at: impl Fn(&[u8], &mut usize) -> Extracted<T>,
-    ) -> [Vec<(u64, T)>; 2] {
-        let mut one_by_one = Vec::new();
+    ) -> Vec<(u64, T)> {
         let mut buf = Vec::new();
-        for read in [&batch[..split], &batch[split..]] {
-            buf.extend_from_slice(read);
-            loop {
-                match extract(&mut buf) {
-                    Extracted::Msg { req_id, msg } => one_by_one.push((req_id, msg)),
-                    Extracted::NeedMore => break,
-                    Extracted::Corrupt => panic!("corrupt at split {split}"),
-                }
-            }
-        }
-        assert!(buf.is_empty());
         let mut per_read = Vec::new();
         for read in [&batch[..split], &batch[split..]] {
             buf.extend_from_slice(read);
@@ -762,7 +743,7 @@ mod tests {
             buf.drain(..at);
         }
         assert!(buf.is_empty());
-        [one_by_one, per_read]
+        per_read
     }
 
     #[test]
@@ -774,8 +755,21 @@ mod tests {
             r.encode_into(*id, &mut batch);
         }
         for split in 0..=batch.len() {
-            let got = both_ways(&batch, split, extract_request, request_at);
-            assert_eq!(got, [requests.clone(), requests.clone()], "split {split}");
+            // A frame at a time through `extract_request`, too.
+            let (mut buf, mut one_by_one) = (Vec::new(), Vec::new());
+            for read in [&batch[..split], &batch[split..]] {
+                buf.extend_from_slice(read);
+                while let Extracted::Msg { req_id, msg } = extract_request(&mut buf) {
+                    one_by_one.push((req_id, msg));
+                }
+            }
+            assert!(buf.is_empty(), "split {split}");
+            assert_eq!(one_by_one, requests, "split {split}");
+            assert_eq!(
+                per_read(&batch, split, request_at),
+                requests,
+                "split {split}"
+            );
         }
 
         let responses: Vec<(u64, Response)> = (0..64u64)
@@ -786,8 +780,11 @@ mod tests {
             r.encode_into(*id, &mut batch);
         }
         for split in 0..=batch.len() {
-            let got = both_ways(&batch, split, extract_response, response_at);
-            assert_eq!(got, [responses.clone(), responses.clone()], "split {split}");
+            assert_eq!(
+                per_read(&batch, split, response_at),
+                responses,
+                "split {split}"
+            );
         }
     }
 }

@@ -2,18 +2,19 @@
 //!
 //! [`run_seed`] decodes a [`FaultPlan`], boots a whole cluster — primary,
 //! flush daemon, optional replicas with their shippers and links, worker
-//! actors committing counters — entirely under [`Runtime::sim`], drives the
-//! planned fault into it, and checks the DESIGN.md invariants that scenario
-//! puts at risk:
+//! actors committing counters — entirely under [`Runtime::sim`], and drives
+//! the planned fault into it. A fault's arm only injects it; the workers
+//! then halt, and one of four endgames (quiesced, failover, torn recovery,
+//! crash during recovery) checks the DESIGN.md invariants at risk, each
+//! stated once:
 //!
-//! * **Dense stream** (inv. 1): the durable log parses cleanly and every
-//!   record starts exactly where the previous one ended.
-//! * **Commit safety / zero acked loss** (inv. 4, 6): every commit
-//!   acknowledged `Durable` before a fault is present after recovery or on
-//!   the promoted replica.
-//! * **Recovery convergence** (inv. 5): recovery from a crash image — torn
-//!   or clean — succeeds, is deterministic (same image twice ⇒ same state),
-//!   and yields a database that accepts new committed work.
+//! * **Dense stream** (inv. 1): a strict scan of the durable log reads
+//!   whole records up to the durable LSN.
+//! * **Commit safety / zero acked loss** (inv. 4, 6): after a crash or on
+//!   the promoted replica, each key holds at least its acked floor and
+//!   nothing past what was submitted; a surviving database takes new work.
+//! * **Recovery convergence** (inv. 5): two crash images of one database
+//!   recover to one state by one path.
 //! * **Replication equivalence** (inv. 6): a caught-up replica's state
 //!   fingerprint equals the primary's.
 //! * **Truncation safety** (inv. 7): a wedged recycler degrades log
@@ -27,11 +28,11 @@ use aether_core::device::{DeviceFault, FaultDevice, LogDevice, SimDevice};
 use aether_core::partition::{MemSegmentFactory, SegmentedDevice};
 use aether_core::reader::LogReader;
 use aether_core::runtime::{self, Runtime};
-use aether_core::{BufferKind, LogConfig, TelemetryConfig};
+use aether_core::{BufferKind, LogConfig, Lsn, TelemetryConfig};
 use aether_repl::prelude::*;
-use aether_storage::recovery::recover_with_stats;
+use aether_storage::recovery::{recover_with_stats, RecoveryStats};
 use aether_storage::replay::state_fingerprint;
-use aether_storage::{Checkpointer, CommitProtocol, Db, DbOptions};
+use aether_storage::{Checkpointer, CommitProtocol, CrashImage, Db, DbOptions};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -74,6 +75,11 @@ fn record(key: u64, counter: u64) -> Vec<u8> {
 
 fn counter_of(rec: &[u8]) -> u64 {
     u64::from_le_bytes(rec[8..16].try_into().unwrap())
+}
+
+/// Each worker's count, now.
+fn snapshot(counts: &[AtomicU64]) -> Vec<u64> {
+    counts.iter().map(|a| a.load(Ordering::SeqCst)).collect()
 }
 
 /// Run the scenario for `seed` to completion and report.
@@ -164,7 +170,7 @@ impl<'a> Scenario<'a> {
         // Partition switch shared by every replication link (frames and
         // acks): the PartitionThenHeal arm flips it.
         let chaos = LinkChaos::default();
-        let cluster = if plan.replicas > 0 {
+        let mut cluster = if plan.replicas > 0 {
             let latency = match plan.fault {
                 // The latency-spike fault: tens of virtual milliseconds per
                 // hop. Free under the virtual clock, brutal for SemiSync.
@@ -234,60 +240,50 @@ impl<'a> Scenario<'a> {
                 for w in workers {
                     w.join().unwrap();
                 }
-                submitted.iter().map(|a| a.load(Ordering::SeqCst)).collect()
+                snapshot(&submitted)
             }
         };
 
-        // Trigger: wait (in virtual time) until every worker has made
-        // enough progress for the fault to land mid-flight.
-        let floor_counts: &Vec<AtomicU64> = if plan.replicas > 0 || !plan.elr {
-            &acked
-        } else {
-            // ELR acks are deliberately decoupled from durability; progress
-            // is measured by submissions instead.
-            &submitted
-        };
-        let deadline = runtime::monotonic_ns() + 120_000_000_000; // 120 virtual s
-        while floor_counts
-            .iter()
-            .any(|a| a.load(Ordering::SeqCst) < plan.acks_before_fault)
-        {
-            if runtime::monotonic_ns() > deadline {
-                self.violate("trigger: workload made no progress in 120 virtual s".into());
-                break;
-            }
-            runtime::sleep(Duration::from_millis(1));
-        }
+        // Trigger: wait until every worker has made enough progress for the
+        // fault to land mid-flight. ELR acks are deliberately decoupled from
+        // durability; progress is measured by submissions instead.
+        let progress = if plan.elr { &submitted } else { &acked };
+        self.await_past(
+            progress,
+            &vec![plan.acks_before_fault - 1; plan.workers as usize],
+            120,
+            "trigger: workload made no progress in 120 virtual s".into(),
+        );
 
-        // Inject the planned fault and check its invariants.
-        let acked_total = match plan.fault {
+        // Inject the planned fault. The acks so far were honestly durable:
+        // the floor a crash or a kill must not lose.
+        let mut floor = snapshot(&acked);
+        match plan.fault {
+            Fault::None | Fault::SlowLink => {
+                // Replicated fault-free / slow-link runs also exercise the
+                // read router's session contract under load.
+                if let Some(c) = &cluster {
+                    self.check_router(c, None);
+                }
+            }
             Fault::KillPrimary => {
                 self.rt.note("fault:kill-primary");
-                let floor: Vec<u64> = acked.iter().map(|a| a.load(Ordering::SeqCst)).collect();
-                let mut cluster = cluster.expect("KillPrimary requires replicas");
-                cluster.kill_primary();
-                let submitted = halt();
-                self.check_failover(cluster, &floor, &submitted);
-                floor.iter().sum()
+                cluster
+                    .as_mut()
+                    .expect("KillPrimary requires replicas")
+                    .kill_primary();
             }
-            Fault::TornWrite => {
-                self.rt.note("fault:torn-write");
-                // Snapshot the floor *before* the device starts lying: those
-                // acks were honestly durable and must survive recovery.
-                let floor: Vec<u64> = acked.iter().map(|a| a.load(Ordering::SeqCst)).collect();
-                self.device
-                    .arm(DeviceFault::TearWrite(plan.fault_entropy % 256));
-                // Let the workload run into the dark device for a while.
+            Fault::TornWrite | Fault::CrashDuringRecovery => {
+                self.rt.note(&format!("fault:{}", plan.fault.name()));
+                // The next write lands a prefix (a seed-chosen one, or
+                // nothing), then the device goes dark: its later acks are
+                // lies. Let the workload run into it for a while.
+                let keep = match plan.fault {
+                    Fault::TornWrite => plan.fault_entropy % 256,
+                    _ => 0,
+                };
+                self.device.arm(DeviceFault::TearWrite(keep));
                 runtime::sleep(Duration::from_millis(5));
-                let submitted = halt();
-                // The crash keeps the synced prefix and a seed-chosen part
-                // of what was written after it, up to the tear.
-                let unsynced = self.device.unsynced_len();
-                self.device.arm(DeviceFault::CrashKeeps(
-                    (plan.fault_entropy >> 8) % (unsynced + 1),
-                ));
-                self.check_torn_recovery(&floor, &submitted);
-                floor.iter().sum()
             }
             Fault::TruncateStuck => {
                 self.rt.note("fault:truncate-stuck");
@@ -295,13 +291,10 @@ impl<'a> Scenario<'a> {
                 self.check_stuck_truncation();
                 self.device.disarm(DeviceFault::TruncateStuck);
                 let _ = Checkpointer::checkpoint_once(&self.primary);
-                let submitted = halt();
-                self.check_quiesced(cluster, &submitted);
-                acked.iter().map(|a| a.load(Ordering::SeqCst)).sum()
             }
             Fault::LaggingReplica => {
                 self.rt.note("fault:lagging-replica");
-                let mut cluster = cluster.expect("LaggingReplica requires replicas");
+                let cluster = cluster.as_mut().expect("LaggingReplica requires replicas");
                 // The newcomer joins over a crawling link: tens of virtual
                 // milliseconds one way while the workers keep committing, so
                 // its applied watermark falls ever further behind.
@@ -313,54 +306,38 @@ impl<'a> Scenario<'a> {
                         chaos: LinkChaos::default(),
                     })
                     .unwrap();
-                self.check_router(&cluster, Some(lagger));
-                let submitted = halt();
-                self.check_quiesced(Some(cluster), &submitted);
-                acked.iter().map(|a| a.load(Ordering::SeqCst)).sum()
+                self.check_router(cluster, Some(lagger));
             }
             Fault::PartitionThenHeal => {
                 self.rt.note("fault:partition-heal");
-                let cluster = cluster.expect("PartitionThenHeal requires replicas");
                 chaos.cut();
                 // Acks already past the cut point drain first; only then is
                 // the frozen floor meaningful.
                 runtime::sleep(Duration::from_millis(5));
-                let floor: Vec<u64> = acked.iter().map(|a| a.load(Ordering::SeqCst)).collect();
+                let cut = snapshot(&acked);
                 runtime::sleep(Duration::from_millis(15));
-                let during: Vec<u64> = acked.iter().map(|a| a.load(Ordering::SeqCst)).collect();
-                if during != floor {
+                let during = snapshot(&acked);
+                if during != cut {
                     // SemiSync(1) with every replica unreachable: an ack
                     // here claims replica durability that cannot exist.
                     self.violate(format!(
-                        "partition: commits acked with every replica unreachable ({floor:?} -> {during:?})"
+                        "partition: commits acked with every replica unreachable ({cut:?} -> {during:?})"
                     ));
                 }
                 chaos.heal();
                 // The backlog drains and the workload resumes: every worker
                 // must push its acked floor forward.
-                let deadline = runtime::monotonic_ns() + 30_000_000_000;
-                while acked
-                    .iter()
-                    .zip(&floor)
-                    .any(|(a, &f)| a.load(Ordering::SeqCst) <= f)
-                {
-                    if runtime::monotonic_ns() > deadline {
-                        self.violate(
-                            "partition: workload never resumed within 30 virtual s of heal".into(),
-                        );
-                        break;
-                    }
-                    runtime::sleep(Duration::from_millis(1));
-                }
-                let submitted = halt();
-                self.check_quiesced(Some(cluster), &submitted);
-                acked.iter().map(|a| a.load(Ordering::SeqCst)).sum()
+                self.await_past(
+                    &acked,
+                    &cut,
+                    30,
+                    "partition: workload never resumed within 30 virtual s of heal".into(),
+                );
             }
             Fault::DiskFullOnTruncate => {
                 self.rt.note("fault:disk-full-truncate");
                 self.device.arm(DeviceFault::TruncateFull);
                 let lw = self.primary.log().low_water();
-                let floor: Vec<u64> = acked.iter().map(|a| a.load(Ordering::SeqCst)).collect();
                 for round in 0..3 {
                     let out = Checkpointer::checkpoint_once(&self.primary);
                     // The failure is typed and contained: the low-water mark
@@ -384,38 +361,16 @@ impl<'a> Scenario<'a> {
                     self.violate("enospc truncation: a recycler error poisoned the log".into());
                 }
                 // Commits must keep flowing under the wedged recycler.
-                let deadline = runtime::monotonic_ns() + 30_000_000_000;
-                while acked
-                    .iter()
-                    .zip(&floor)
-                    .any(|(a, &f)| a.load(Ordering::SeqCst) <= f)
-                {
-                    if runtime::monotonic_ns() > deadline {
-                        self.violate(
-                            "enospc truncation: workload stalled behind a failing recycler".into(),
-                        );
-                        break;
-                    }
-                    runtime::sleep(Duration::from_millis(1));
-                }
+                self.await_past(
+                    &acked,
+                    &floor,
+                    30,
+                    "enospc truncation: workload stalled behind a failing recycler".into(),
+                );
                 self.device.disarm(DeviceFault::TruncateFull);
                 if Checkpointer::checkpoint_once(&self.primary).device_error {
                     self.violate("enospc truncation: still failing after space returned".into());
                 }
-                let submitted = halt();
-                self.check_quiesced(cluster, &submitted);
-                acked.iter().map(|a| a.load(Ordering::SeqCst)).sum()
-            }
-            Fault::CrashDuringRecovery => {
-                self.rt.note("fault:crash-during-recovery");
-                // Acks after the power cut are lies (the dark device drops
-                // the bytes); only the floor before it is honestly durable.
-                let floor: Vec<u64> = acked.iter().map(|a| a.load(Ordering::SeqCst)).collect();
-                self.device.arm(DeviceFault::TearWrite(0));
-                runtime::sleep(Duration::from_millis(5));
-                let submitted = halt();
-                self.check_crash_during_recovery(&floor, &submitted);
-                floor.iter().sum()
             }
             Fault::TransientSyncError => {
                 self.rt.note("fault:transient-sync");
@@ -423,148 +378,91 @@ impl<'a> Scenario<'a> {
                 // budget: it must be absorbed invisibly.
                 let budget = aether_core::flush::FLUSH_ATTEMPTS as u64;
                 let blips = 1 + plan.fault_entropy % budget.saturating_sub(1).max(1);
-                let floor: Vec<u64> = acked.iter().map(|a| a.load(Ordering::SeqCst)).collect();
                 self.device.arm(DeviceFault::FailSync {
                     nth: 1,
                     times: blips,
                     transient: true,
                 });
-                let deadline = runtime::monotonic_ns() + 30_000_000_000;
-                while acked
-                    .iter()
-                    .zip(&floor)
-                    .any(|(a, &f)| a.load(Ordering::SeqCst) <= f)
-                {
-                    if runtime::monotonic_ns() > deadline {
-                        self.violate(format!(
-                            "transient sync: workload stalled after {blips} retryable blips"
-                        ));
-                        break;
-                    }
-                    runtime::sleep(Duration::from_millis(1));
-                }
+                self.await_past(
+                    &acked,
+                    &floor,
+                    30,
+                    format!("transient sync: workload stalled after {blips} retryable blips"),
+                );
                 if self.primary.log().is_poisoned() {
                     self.violate(format!(
                         "transient sync: {blips} blips (budget {budget}) poisoned the log"
                     ));
                 }
-                let submitted = halt();
-                self.check_quiesced(cluster, &submitted);
-                acked.iter().map(|a| a.load(Ordering::SeqCst)).sum()
             }
-            Fault::None | Fault::SlowLink => {
-                // Replicated fault-free / slow-link runs also exercise the
-                // read router's session contract under load.
-                if let Some(c) = cluster.as_ref() {
-                    self.check_router(c, None);
+        }
+
+        // The fault's endgame. What survives a crash or a kill holds every
+        // key between its acked floor and what was submitted, and takes new
+        // work.
+        let submitted = halt();
+        match plan.fault {
+            Fault::KillPrimary => {
+                if let Some(db) = self.failover(cluster.expect("KillPrimary requires replicas")) {
+                    self.check_range(&db, &floor, &submitted, "failover");
+                    self.check_new_work(&db, "failover");
                 }
-                let submitted = halt();
-                self.check_quiesced(cluster, &submitted);
-                acked.iter().map(|a| a.load(Ordering::SeqCst)).sum()
             }
-        };
+            Fault::TornWrite => {
+                // The crash keeps the synced prefix and a seed-chosen part
+                // of what was written after it, up to the tear.
+                let keep = (plan.fault_entropy >> 8) % (self.device.unsynced_len() + 1);
+                self.device.arm(DeviceFault::CrashKeeps(keep));
+                let primary = Arc::clone(&self.primary);
+                // The second recovery is dropped after the checks, as the
+                // first is: a drop joins its flusher, a scheduling point.
+                if let Some([(db, _), _second]) = self.recover_twice(&primary, "torn write") {
+                    self.check_range(&db, &floor, &submitted, "torn write");
+                    self.check_new_work(&db, "torn write");
+                }
+            }
+            Fault::CrashDuringRecovery => {
+                if let Some(db) = self.crash_during_recovery() {
+                    self.check_range(&db, &floor, &submitted, "double crash");
+                    self.check_new_work(&db, "double crash");
+                }
+            }
+            _ => {
+                // Every submitted commit completed and was flushed, so every
+                // ack is honest and the clean crash recovers exactly them.
+                floor = snapshot(&acked);
+                if let Some(db) = self.quiesce(cluster) {
+                    self.check_range(&db, &submitted, &submitted, "clean crash");
+                }
+            }
+        }
 
         // Snapshot the primary's telemetry while still under the virtual
         // clock — counters, histograms, and any live sampled spans. The
         // registry outlives a killed primary (it is all Arc'd atomics), so
         // this works on every fault path.
         let telemetry = self.primary.telemetry_snapshot("sim").render_text();
-        (acked_total, self.violations, telemetry)
+        (floor.iter().sum(), self.violations, telemetry)
     }
 
-    // -- Invariant checks ---------------------------------------------------
-
-    /// Router contract under load (inv. 9): commit markers through the
-    /// cluster, fold the tokens into a session, and every session read must
-    /// come back with an applied watermark at or past the session's — on
-    /// whatever source round-robin and the staleness budget route it to.
-    /// With a lagging replica in the set, the lagger must end up quarantined
-    /// and receive no reads while it stays quarantined.
-    fn check_router(&mut self, cluster: &ReplicatedDb, lagger: Option<usize>) {
-        let router = cluster.router(RouterConfig {
-            budget: Duration::from_millis(5),
-            quarantine_lag: 512,
-            readmit_lag: 256,
-            service: Duration::ZERO,
-        });
-        let session = Session::new();
-        let mut marker = 0u64;
-        for _ in 0..8 {
-            marker += 1;
-            self.router_round(cluster, &router, &session, marker);
-        }
-        let Some(lag) = lagger else { return };
-        // The lagger trails the durable frontier by the whole slow-link
-        // pipeline; keep committing until quarantine trips (bounded, in
-        // virtual time, so a miss is a real bug, not a slow machine).
-        let mut rounds = 0;
-        while !router.stats().quarantined[lag] {
-            if rounds >= 200 {
-                self.violate(format!(
-                    "router quarantine: lagging replica {lag} never quarantined: {:?}",
-                    router.stats()
-                ));
+    /// Wait in virtual time, at most `secs`, until every worker's count is
+    /// past its `floor`; a miss is the violation `stalled`.
+    fn await_past(&mut self, counts: &[AtomicU64], floor: &[u64], secs: u64, stalled: String) {
+        let deadline = runtime::monotonic_ns() + secs * 1_000_000_000;
+        while snapshot(counts).iter().zip(floor).any(|(a, f)| a <= f) {
+            if runtime::monotonic_ns() > deadline {
+                self.violate(stalled);
                 return;
             }
-            rounds += 1;
-            marker += 1;
-            self.router_round(cluster, &router, &session, marker);
-        }
-        // While quarantined, the lagger must receive no reads.
-        let before = router.stats().routed_per_replica[lag];
-        for _ in 0..8 {
-            marker += 1;
-            self.router_round(cluster, &router, &session, marker);
-        }
-        let st = router.stats();
-        if st.quarantined[lag] && st.routed_per_replica[lag] != before {
-            self.violate(format!(
-                "router quarantine: replica {lag} served {} reads while quarantined",
-                st.routed_per_replica[lag] - before
-            ));
+            runtime::sleep(Duration::from_millis(1));
         }
     }
 
-    /// One router-check round: commit a marker through the cluster, fold
-    /// the token into the session, session-read it back, and check the
-    /// staleness floor and read-your-writes on whatever source served it.
-    fn router_round(
-        &mut self,
-        cluster: &ReplicatedDb,
-        router: &ReadRouter,
-        session: &Session,
-        marker: u64,
-    ) {
-        let marker_key = self.plan.workers; // the extra row no worker owns
-        let mut txn = self.primary.begin();
-        self.primary
-            .update(&mut txn, 0, marker_key, &record(marker_key, marker))
-            .unwrap();
-        let token = cluster.commit(txn).unwrap().token();
-        session.observe(token);
-        let read = router.read_session(session, 0, marker_key).unwrap();
-        if read.applied < session.watermark() {
-            self.violate(format!(
-                "router staleness: session floor {:?}, served applied {:?} from {:?}",
-                session.watermark(),
-                read.applied,
-                read.source
-            ));
-        }
-        let got = read.value.as_deref().map(counter_of).unwrap_or(0);
-        if got < marker {
-            self.violate(format!(
-                "router read-your-writes: wrote marker {marker}, read {got} from {:?}",
-                read.source
-            ));
-        }
-        runtime::sleep(Duration::from_micros(300));
-    }
+    // -- Endgames -----------------------------------------------------------
 
-    /// Fault-free / slow-link / unstuck-truncation endgame: quiesce, then
-    /// check replication equivalence, the dense stream, and clean-crash
-    /// recovery equal to the exact committed state.
-    fn check_quiesced(&mut self, cluster: Option<ReplicatedDb>, submitted: &[u64]) {
+    /// Quiesce, then check replication equivalence and the dense stream,
+    /// and recover a clean crash.
+    fn quiesce(&mut self, cluster: Option<ReplicatedDb>) -> Option<Arc<Db>> {
         let _ = self.primary.log().flush_all();
         if let Some(mut cluster) = cluster {
             if !cluster.wait_catchup(Duration::from_secs(30)) {
@@ -589,180 +487,191 @@ impl<'a> Scenario<'a> {
             }
             cluster.shutdown();
         }
-        self.check_dense_stream();
-        // Clean crash at a quiesced point: recovery must reproduce exactly
-        // the submitted counters (every commit completed and was flushed).
-        let recovered = match recover_with_stats(self.primary.crash(), self.sim_opts()) {
-            Ok((db, _)) => db,
-            Err(e) => {
-                self.violate(format!("recovery: clean-crash recovery failed: {e:?}"));
-                return;
-            }
-        };
-        for (k, &want) in submitted.iter().enumerate() {
-            let got = recovered
-                .snapshot_read(0, k as u64)
-                .unwrap()
-                .map_or(0, |r| counter_of(&r));
-            if got != want {
-                self.violate(format!(
-                    "durability: key {k} recovered {got}, committed {want}"
-                ));
-            }
+        let log = self.primary.log();
+        if let Some(v) = dense_stream(Arc::clone(log.device()), log.durable_lsn()) {
+            self.violate(v);
         }
+        self.recover(self.primary.crash(), "clean crash")
+            .map(|(db, _)| db)
     }
 
-    /// Kill-primary endgame: promote the most-caught-up replica; every
-    /// acked commit must be on it, and it must accept new work.
-    fn check_failover(&mut self, cluster: ReplicatedDb, floor: &[u64], submitted: &[u64]) {
+    /// Promote the most-caught-up replica.
+    fn failover(&mut self, cluster: ReplicatedDb) -> Option<Arc<Db>> {
         let candidate = cluster.most_caught_up();
-        let (promoted, _stats) = match cluster.promote(candidate) {
-            Ok(p) => p,
+        match cluster.promote(candidate) {
+            Ok((promoted, _)) => Some(promoted),
             Err(e) => {
                 self.violate(format!("failover: promotion failed: {e:?}"));
-                return;
+                None
             }
-        };
-        for (k, (&a, &s)) in floor.iter().zip(submitted).enumerate() {
-            let got = promoted
-                .snapshot_read(0, k as u64)
-                .unwrap()
-                .map_or(0, |r| counter_of(&r));
-            if got < a {
-                self.violate(format!(
-                    "zero acked loss: key {k} promoted with {got}, acked floor {a}"
-                ));
-            }
-            if got > s {
-                self.violate(format!(
-                    "phantom commit: key {k} promoted with {got}, never submitted past {s}"
-                ));
-            }
-        }
-        // The promoted replica is a full primary.
-        let mut txn = promoted.begin();
-        promoted
-            .update(&mut txn, 0, 0, &record(0, u64::MAX))
-            .unwrap();
-        if promoted.commit(txn).is_err() {
-            self.violate("failover: promoted replica rejected new work".into());
         }
     }
 
-    /// Torn-write endgame: recover from the torn image; the pre-tear acked
-    /// floor must survive, recovery must be deterministic, and the
-    /// recovered database must accept new committed work.
-    fn check_torn_recovery(&mut self, floor: &[u64], submitted: &[u64]) {
-        let image = self.primary.crash();
-        let (r1, stats) = match recover_with_stats(image, self.sim_opts()) {
-            Ok(r) => r,
-            Err(e) => {
-                self.violate(format!("recovery: torn-image recovery failed: {e:?}"));
-                return;
-            }
-        };
-        let (r2, stats2) = recover_with_stats(self.primary.crash(), self.sim_opts())
-            .expect("second recovery of the same image");
-        if state_fingerprint(&r1).unwrap() != state_fingerprint(&r2).unwrap() {
-            self.violate("recovery convergence: same torn image recovered to two states".into());
-        }
-        if stats != stats2 {
-            self.violate(format!(
-                "recovery convergence: same torn image, different recovery paths: {stats:?} vs {stats2:?}"
-            ));
-        }
-        for (k, (&a, &s)) in floor.iter().zip(submitted).enumerate() {
-            let got = r1
-                .snapshot_read(0, k as u64)
-                .unwrap()
-                .map_or(0, |r| counter_of(&r));
-            if got < a {
-                self.violate(format!(
-                    "torn durability: key {k} recovered {got}, pre-tear acked floor {a}"
-                ));
-            }
-            if got > s {
-                self.violate(format!(
-                    "torn phantom: key {k} recovered {got}, never submitted past {s}"
-                ));
-            }
-        }
-        let mut txn = r1.begin();
-        r1.update(&mut txn, 0, 0, &record(0, u64::MAX)).unwrap();
-        if r1.commit(txn).is_err() {
-            self.violate("recovery: recovered database rejected new work".into());
-        }
-    }
-
-    /// Crash-during-recovery endgame: recover once, then power-cut *again*.
-    /// Recovery only redoes and appends nothing, so a crash at any point of
-    /// it leaves the log it started from: the recovered database's crash
-    /// image must hold that log byte for byte, and its recovery must
-    /// succeed, be deterministic, and land in the once-recovered state; the
-    /// pre-crash acked floor survives both crashes.
-    fn check_crash_during_recovery(&mut self, floor: &[u64], submitted: &[u64]) {
-        let image = self.primary.crash();
-        let log = (image.log_start, image.log_bytes.clone());
-        let (r1, stats1) = match recover_with_stats(image, self.sim_opts()) {
-            Ok(r) => r,
-            Err(e) => {
-                self.violate(format!("recovery: first recovery failed: {e:?}"));
-                return;
-            }
-        };
-        let want = state_fingerprint(&r1).unwrap();
-        let again = r1.crash();
-        if (again.log_start, &again.log_bytes) != (log.0, &log.1) {
+    /// Recover, then power-cut *again*. Recovery only redoes and appends
+    /// nothing, so a crash at any point of it leaves the log it started
+    /// from: the recovered database's crash image must hold that log byte
+    /// for byte, and recover to the once-recovered state by the same path.
+    /// The twice-recovered database.
+    fn crash_during_recovery(&mut self) -> Option<Arc<Db>> {
+        let log = |db: &Db| db.log().device().snapshot().expect("a sim log");
+        let primary = Arc::clone(&self.primary);
+        let before = log(&primary);
+        let [(r1, stats1), _] = self.recover_twice(&primary, "double crash, first")?;
+        let again = log(&r1);
+        if again != before {
             self.violate(format!(
                 "recovery convergence: recovery changed the log ({} -> {} bytes)",
-                log.1.len(),
-                again.log_bytes.len()
+                before.1.len(),
+                again.1.len()
             ));
         }
-        let (r2a, stats2a) = match recover_with_stats(again, self.sim_opts()) {
-            Ok(r) => r,
-            Err(e) => {
-                self.violate(format!(
-                    "recovery: a crash right after recovery is unrecoverable: {e:?}"
-                ));
-                return;
-            }
-        };
-        let (r2b, stats2b) = recover_with_stats(r1.crash(), self.sim_opts())
-            .expect("second recovery of the same image");
-        if state_fingerprint(&r2a).unwrap() != state_fingerprint(&r2b).unwrap()
-            || stats2a != stats2b
-        {
+        let [(r2, stats2), _] = self.recover_twice(&r1, "double crash, second")?;
+        if state_fingerprint(&r2).unwrap() != state_fingerprint(&r1).unwrap() || stats2 != stats1 {
             self.violate(format!(
-                "recovery convergence: one image recovered nondeterministically: {stats2a:?} vs {stats2b:?}"
+                "recovery convergence: a crash after recovery landed off the recovered state: {stats1:?} vs {stats2:?}"
             ));
         }
-        if state_fingerprint(&r2a).unwrap() != want || stats2a != stats1 {
-            self.violate(format!(
-                "recovery convergence: a crash after recovery landed off the recovered state: {stats1:?} vs {stats2a:?}"
-            ));
-        }
-        for (k, (&a, &s)) in floor.iter().zip(submitted).enumerate() {
-            let got = r2a
+        Some(r2)
+    }
+
+    // -- Shared checks ------------------------------------------------------
+
+    /// Commit safety (inv. 4, 6): each worker's key in `db` holds at least
+    /// its `floor` and nothing past what was `submitted`.
+    fn check_range(&mut self, db: &Db, floor: &[u64], submitted: &[u64], what: &str) {
+        for (k, (&f, &s)) in floor.iter().zip(submitted).enumerate() {
+            let got = db
                 .snapshot_read(0, k as u64)
                 .unwrap()
                 .map_or(0, |r| counter_of(&r));
-            if got < a {
+            if got < f {
                 self.violate(format!(
-                    "double-crash durability: key {k} recovered {got}, acked floor {a}"
+                    "durability ({what}): key {k} holds {got}, below its floor {f}"
                 ));
             }
             if got > s {
                 self.violate(format!(
-                    "double-crash phantom: key {k} recovered {got}, never submitted past {s}"
+                    "phantom commit ({what}): key {k} holds {got}, never submitted past {s}"
                 ));
             }
         }
-        let mut txn = r2a.begin();
-        r2a.update(&mut txn, 0, 0, &record(0, u64::MAX)).unwrap();
-        if r2a.commit(txn).is_err() {
-            self.violate("recovery: twice-recovered database rejected new work".into());
+    }
+
+    /// A recovered or promoted database commits new work.
+    fn check_new_work(&mut self, db: &Db, what: &str) {
+        let mut txn = db.begin();
+        db.update(&mut txn, 0, 0, &record(0, u64::MAX)).unwrap();
+        if db.commit(txn).is_err() {
+            self.violate(format!("new work ({what}): the database rejected a commit"));
         }
+    }
+
+    /// Recover `image` under the primary's options (its protocol, buffer
+    /// and sim runtime: the recovered flush daemon must be a sim actor).
+    fn recover(&mut self, image: CrashImage, what: &str) -> Option<(Arc<Db>, RecoveryStats)> {
+        match recover_with_stats(image, self.primary.options().clone()) {
+            Ok(r) => Some(r),
+            Err(e) => {
+                self.violate(format!("recovery ({what}): {e:?}"));
+                None
+            }
+        }
+    }
+
+    /// Recovery convergence (inv. 5): two crash images of `db` recover to
+    /// one state by one path. Both recoveries, in order.
+    fn recover_twice(&mut self, db: &Db, what: &str) -> Option<[(Arc<Db>, RecoveryStats); 2]> {
+        let (r1, stats1) = self.recover(db.crash(), what)?;
+        let (r2, stats2) = self.recover(db.crash(), what)?;
+        if state_fingerprint(&r1).unwrap() != state_fingerprint(&r2).unwrap() || stats1 != stats2 {
+            self.violate(format!(
+                "recovery convergence ({what}): one image recovered two ways: {stats1:?} vs {stats2:?}"
+            ));
+        }
+        Some([(r1, stats1), (r2, stats2)])
+    }
+
+    // -- Fault-specific checks ----------------------------------------------
+
+    /// Router contract under load (inv. 9): commit markers through the
+    /// cluster, fold the tokens into a session, and every session read must
+    /// come back with an applied watermark at or past the session's — on
+    /// whatever source round-robin and the staleness budget route it to.
+    /// With a lagging replica in the set, the lagger must end up quarantined
+    /// and receive no reads while it stays quarantined.
+    fn check_router(&mut self, cluster: &ReplicatedDb, lagger: Option<usize>) {
+        let router = cluster.router(RouterConfig {
+            budget: Duration::from_millis(5),
+            quarantine_lag: 512,
+            readmit_lag: 256,
+            service: Duration::ZERO,
+        });
+        let session = Session::new();
+        let mut marker = 0u64;
+        for _ in 0..8 {
+            marker += 1;
+            self.router_round(&router, &session, marker);
+        }
+        let Some(lag) = lagger else { return };
+        // The lagger trails the durable frontier by the whole slow-link
+        // pipeline; keep committing until quarantine trips (bounded, in
+        // virtual time, so a miss is a real bug, not a slow machine).
+        let mut rounds = 0;
+        while !router.stats().quarantined[lag] {
+            if rounds >= 200 {
+                self.violate(format!(
+                    "router quarantine: lagging replica {lag} never quarantined: {:?}",
+                    router.stats()
+                ));
+                return;
+            }
+            rounds += 1;
+            marker += 1;
+            self.router_round(&router, &session, marker);
+        }
+        // While quarantined, the lagger must receive no reads.
+        let before = router.stats().routed_per_replica[lag];
+        for _ in 0..8 {
+            marker += 1;
+            self.router_round(&router, &session, marker);
+        }
+        let st = router.stats();
+        if st.quarantined[lag] && st.routed_per_replica[lag] != before {
+            self.violate(format!(
+                "router quarantine: replica {lag} served {} reads while quarantined",
+                st.routed_per_replica[lag] - before
+            ));
+        }
+    }
+
+    /// One router-check round: commit a marker on the primary, fold the
+    /// token into the session, session-read it back, and check the
+    /// staleness floor and read-your-writes on whatever source served it.
+    fn router_round(&mut self, router: &ReadRouter, session: &Session, marker: u64) {
+        let marker_key = self.plan.workers; // the extra row no worker owns
+        let mut txn = self.primary.begin();
+        self.primary
+            .update(&mut txn, 0, marker_key, &record(marker_key, marker))
+            .unwrap();
+        let token = self.primary.commit(txn).unwrap().token();
+        session.observe(token);
+        let read = router.read_session(session, 0, marker_key).unwrap();
+        if read.applied < session.watermark() {
+            self.violate(format!(
+                "router staleness: session floor {:?}, served applied {:?} from {:?}",
+                session.watermark(),
+                read.applied,
+                read.source
+            ));
+        }
+        let got = read.value.as_deref().map(counter_of).unwrap_or(0);
+        if got < marker {
+            self.violate(format!(
+                "router read-your-writes: wrote marker {marker}, read {got} from {:?}",
+                read.source
+            ));
+        }
+        runtime::sleep(Duration::from_micros(300));
     }
 
     /// With the recycler wedged, checkpoints keep succeeding and the
@@ -784,51 +693,26 @@ impl<'a> Scenario<'a> {
             self.violate("truncation: wedged device still reported recycled segments".into());
         }
     }
+}
 
-    /// Dense-stream check over the primary's durable log: records parse
-    /// cleanly from the low-water mark and each starts where the previous
-    /// ended.
-    fn check_dense_stream(&mut self) {
-        let device = Arc::clone(self.primary.log().device());
-        let mut prev_end = device.low_water();
-        let mut reader = LogReader::from_lsn(device, prev_end);
-        loop {
-            match reader.next_record() {
-                Ok(Some(rec)) => {
-                    if rec.lsn != prev_end {
-                        self.violate(format!(
-                            "dense stream: record at {:?} follows end {:?}",
-                            rec.lsn, prev_end
-                        ));
-                        return;
-                    }
-                    prev_end = rec.next_lsn();
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    self.violate(format!("dense stream: scan failed at {prev_end:?}: {e:?}"));
-                    return;
-                }
-            }
-        }
-        let durable = self.primary.log().durable_lsn();
-        if prev_end < durable && !self.device.is_dark() {
-            self.violate(format!(
-                "dense stream: scan ended at {prev_end:?} short of durable {durable:?}"
-            ));
-        }
+/// Dense stream (inv. 1): a strict scan of `device` from its low-water
+/// mark reads whole records up to `durable`. A record that fails its
+/// checksum is reported at its LSN, a scan that ends short where it ended.
+fn dense_stream(device: Arc<dyn LogDevice>, durable: Lsn) -> Option<String> {
+    let mut reader = LogReader::new(device).strict();
+    if let Some(Err(e)) = reader.find(Result::is_err) {
+        let at = reader.position();
+        return Some(format!("dense stream: scan failed at {at:?}: {e:?}"));
     }
-
-    /// Recovery options: same protocol/buffer as the primary, same sim
-    /// runtime (the recovered database's flush daemon must be a sim actor).
-    fn sim_opts(&self) -> DbOptions {
-        self.primary.options().clone()
-    }
+    let end = reader.position();
+    (end < durable)
+        .then(|| format!("dense stream: scan ended at {end:?} short of durable {durable:?}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aether_core::record::HEADER_SIZE;
 
     /// The lagging-replica fault end to end: the seed passes, the router
     /// actually quarantined the lagger (visible in the telemetry snapshot),
@@ -860,6 +744,62 @@ mod tests {
         assert_eq!(
             r1.telemetry, r2.telemetry,
             "telemetry must replay identically"
+        );
+    }
+
+    /// A flushed log of a few one-update commits: its bytes, its records'
+    /// LSNs, and its durable LSN.
+    fn flushed_log() -> (Vec<u8>, Vec<Lsn>, Lsn) {
+        let device = Arc::new(SimDevice::new(Duration::ZERO));
+        let opts = DbOptions {
+            log_config: LogConfig::default().with_buffer_size(1 << 16),
+            ..DbOptions::default()
+        };
+        let db = Db::open_with_device(opts, Arc::clone(&device) as Arc<dyn LogDevice>);
+        db.create_table(40, 2);
+        for k in 0..2 {
+            db.load(0, k, &record(k, 0)).unwrap();
+        }
+        db.setup_complete();
+        for v in 1..=6 {
+            let mut txn = db.begin();
+            db.update(&mut txn, 0, v % 2, &record(v % 2, v)).unwrap();
+            db.commit(txn).unwrap();
+        }
+        db.log().flush_all().unwrap();
+        let lsns = db.log().reader().map(|r| r.unwrap().lsn).collect();
+        (device.contents(), lsns, db.log().durable_lsn())
+    }
+
+    fn check(bytes: Vec<u8>, durable: Lsn) -> Option<String> {
+        dense_stream(Arc::new(SimDevice::from_image(Lsn::ZERO, bytes)), durable)
+    }
+
+    #[test]
+    fn a_clean_log_is_a_dense_stream() {
+        let (bytes, lsns, durable) = flushed_log();
+        assert!(lsns.len() >= 6 && durable == Lsn(bytes.len() as u64));
+        assert_eq!(check(bytes, durable), None);
+    }
+
+    #[test]
+    fn a_flipped_payload_byte_is_reported_at_its_records_lsn() {
+        let (mut bytes, lsns, durable) = flushed_log();
+        let bad = lsns[lsns.len() / 2];
+        bytes[bad.raw() as usize + HEADER_SIZE] ^= 0x5a;
+        let v = check(bytes, durable).expect("a violation");
+        assert!(v.contains(&format!("scan failed at {bad:?}")), "{v}");
+    }
+
+    #[test]
+    fn a_log_cut_short_of_durable_is_reported() {
+        let (mut bytes, lsns, durable) = flushed_log();
+        bytes.truncate(bytes.len() - 1);
+        let v = check(bytes, durable).expect("a violation");
+        let last = lsns[lsns.len() - 1];
+        assert!(
+            v.contains(&format!("scan ended at {last:?} short of durable")),
+            "{v}"
         );
     }
 }

@@ -10,6 +10,10 @@
 //!
 //! Both draw from the same number, so "rerun seed 7213" reproduces not just
 //! the interleaving but the whole experiment.
+//!
+//! What a fault needs of the cluster's shape is stated once,
+//! [`Fault::needs`]: the draw, a forced fault and a standalone one all
+//! follow it.
 
 use std::time::Duration;
 
@@ -48,14 +52,14 @@ pub enum Fault {
     /// No fault: the run only has to satisfy the steady-state invariants.
     None,
     /// Cut the network and poison the primary's commit gate mid-flight,
-    /// then promote the most-caught-up replica. Requires replicas.
+    /// then promote the most-caught-up replica.
     KillPrimary,
     /// The next log-device write lands only a prefix, then the device goes
     /// dark (a torn final write followed by power loss); the crash keeps the
     /// synced bytes and a seed-chosen prefix of the rest, up to the tear.
     TornWrite,
     /// The log device stops honoring `truncate_before` (segment recycling
-    /// wedged, as on a disk-full metadata store). Requires a segmented log.
+    /// wedged, as on a disk-full metadata store).
     TruncateStuck,
     /// A latency spike on the replication links: acks crawl, commits under
     /// SemiSync stall behind them. Virtual time makes this free to run.
@@ -63,24 +67,22 @@ pub enum Fault {
     /// One extra replica joins over a crawling link and trails the durable
     /// frontier far behind the others. The read router must quarantine it
     /// (no reads served from it) while still honoring every session read's
-    /// staleness floor from the healthy replicas or the primary. Requires
-    /// replicas.
+    /// staleness floor from the healthy replicas or the primary.
     LaggingReplica,
     /// Every replication link (frames and acks) partitions at once, then
     /// heals. While cut, SemiSync must hold every commit ack hostage — zero
     /// false acks — and after the heal the backlog drains with nothing
-    /// lost. Requires replicas.
+    /// lost.
     PartitionThenHeal,
     /// Segment recycling fails with a typed `DiskFull` (the recycler itself
     /// hits ENOSPC). Checkpoints must keep succeeding, the low-water mark
     /// must not move, commits must keep flowing, and the log must not
-    /// poison; once space returns, truncation resumes. Requires a
-    /// segmented log.
+    /// poison; once space returns, truncation resumes.
     DiskFullOnTruncate,
     /// Power-cut the device, recover, then crash *again*. Recovery writes
     /// nothing, so the second crash must find the first one's log byte for
     /// byte, and the second recovery must be deterministic and converge to
-    /// the same state. Runs standalone.
+    /// the same state.
     CrashDuringRecovery,
     /// A burst of transient sync failures, sized under the flush daemon's
     /// retry budget. The daemon must absorb them — workload keeps acking,
@@ -89,7 +91,8 @@ pub enum Fault {
 }
 
 impl Fault {
-    /// Every fault kind, in menu order (sweep histograms iterate this).
+    /// Every fault kind, in menu order: the draw indexes it, and sweep
+    /// histograms iterate it.
     pub const ALL: [Fault; 10] = [
         Fault::None,
         Fault::KillPrimary,
@@ -124,12 +127,46 @@ impl Fault {
         Fault::ALL.into_iter().find(|f| f.name() == name)
     }
 
-    /// Whether the scenario only makes sense with replicas attached.
-    pub fn needs_replicas(self) -> bool {
-        matches!(
-            self,
-            Fault::KillPrimary | Fault::SlowLink | Fault::LaggingReplica | Fault::PartitionThenHeal
-        )
+    /// What the fault needs of the cluster's shape.
+    pub fn needs(self) -> Needs {
+        match self {
+            Fault::None | Fault::TransientSyncError => Needs::Any,
+            Fault::KillPrimary
+            | Fault::SlowLink
+            | Fault::LaggingReplica
+            | Fault::PartitionThenHeal => Needs::Replicas,
+            Fault::TruncateStuck | Fault::DiskFullOnTruncate => Needs::SegmentedLog,
+            // A dark device stops acks dead: under SemiSync every commit
+            // would hang on a replica ack that can never come. These
+            // faults are about local recovery.
+            Fault::TornWrite | Fault::CrashDuringRecovery => Needs::Standalone,
+        }
+    }
+}
+
+/// What a fault needs of the cluster's shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Needs {
+    /// Any shape.
+    Any,
+    /// At least one replica.
+    Replicas,
+    /// A segmented log device, whose truncation can be wedged.
+    SegmentedLog,
+    /// No replicas.
+    Standalone,
+}
+
+impl Needs {
+    /// Whether a plan with `replicas` replicas and a `segmented` (or flat)
+    /// log meets this need.
+    pub fn met(self, replicas: usize, segmented: bool) -> bool {
+        match self {
+            Needs::Any => true,
+            Needs::Replicas => replicas > 0,
+            Needs::SegmentedLog => segmented,
+            Needs::Standalone => replicas == 0,
+        }
     }
 }
 
@@ -161,8 +198,23 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Decode the scenario for `seed`.
+    /// Decode the scenario for `seed`. `AETHER_SIM_FAULT` forces the
+    /// fault kind (the sweep's per-fault mode and the chaos CI job).
     pub fn decode(seed: u64) -> FaultPlan {
+        let forced = std::env::var("AETHER_SIM_FAULT")
+            .ok()
+            .filter(|n| !n.is_empty())
+            .map(|n| {
+                Fault::from_name(&n)
+                    .unwrap_or_else(|| panic!("AETHER_SIM_FAULT: unknown fault {n:?}"))
+            });
+        FaultPlan::decode_as(seed, forced)
+    }
+
+    /// Decode the scenario for `seed`, with the fault `forced` if given:
+    /// the fault draw is then skipped, but the shape axes (workers,
+    /// replicas, links…) still come from the seed.
+    fn decode_as(seed: u64, forced: Option<Fault>) -> FaultPlan {
         let mut rng = SeedRng::new(seed);
         let workers = 1 + rng.below(3);
         let mut replicas = rng.below(3) as usize;
@@ -174,48 +226,26 @@ impl FaultPlan {
         let link_latency = Duration::from_micros([0, 50, 200, 1_000][rng.below(4) as usize]);
         let reorder_period = rng.below(4) as usize;
         let acks_before_fault = 3 + rng.below(6);
-        let fault = match std::env::var("AETHER_SIM_FAULT").ok().as_deref() {
-            // Forced fault kind (the sweep's per-fault mode and the chaos
-            // CI job): the draw below is skipped entirely, but the shape
-            // axes (workers, replicas, links…) still come from the seed.
-            // Preconditions are *imposed*, not filtered, so every seed
-            // yields a run of the requested kind.
-            Some(name) if !name.is_empty() => {
-                let f = Fault::from_name(name)
-                    .unwrap_or_else(|| panic!("AETHER_SIM_FAULT: unknown fault {name:?}"));
-                if f.needs_replicas() && replicas == 0 {
-                    replicas = 1;
-                }
-                if f == Fault::TruncateStuck || f == Fault::DiskFullOnTruncate {
-                    segmented = true;
-                }
-                f
-            }
-            _ => match rng.below(10) {
-                0 => Fault::None,
-                1 if replicas > 0 => Fault::KillPrimary,
-                2 => Fault::TornWrite,
-                3 if segmented => Fault::TruncateStuck,
-                4 if replicas > 0 => Fault::SlowLink,
-                5 if replicas > 0 => Fault::LaggingReplica,
-                6 if replicas > 0 => Fault::PartitionThenHeal,
-                7 if segmented => Fault::DiskFullOnTruncate,
-                8 => Fault::CrashDuringRecovery,
-                9 => Fault::TransientSyncError,
-                // Draws whose precondition (replicas, segmentation) failed
-                // run the fault-free scenario; the shape axes still vary.
+        let fault = forced.unwrap_or_else(|| {
+            // A drawn fault the shape cannot host runs fault-free (the
+            // shape axes still vary); a standalone one sheds the replicas.
+            let f = Fault::ALL[rng.below(Fault::ALL.len() as u64) as usize];
+            match f.needs() {
+                Needs::Standalone => f,
+                need if need.met(replicas, segmented) => f,
                 _ => Fault::None,
-            },
-        };
-        if fault == Fault::TornWrite || fault == Fault::CrashDuringRecovery {
-            // A dark device stops acks dead: under SemiSync every commit
-            // would hang forever on a replica ack that can never come.
-            // These scenarios are about local recovery, so they run
-            // standalone.
-            replicas = 0;
+            }
+        });
+        // A forced fault's need is imposed, so every seed yields a run of
+        // the requested kind; a drawn fault's only sheds replicas.
+        match fault.needs() {
+            Needs::Any => {}
+            Needs::Replicas => replicas = replicas.max(1),
+            Needs::SegmentedLog => segmented = true,
+            Needs::Standalone => replicas = 0,
         }
         if replicas > 0 {
-            // Forced-fault mode can raise the replica count after the ELR
+            // A forced fault can raise the replica count after the ELR
             // draw; re-impose the standalone-only rule.
             elr = false;
         }
@@ -253,17 +283,28 @@ mod tests {
             let p = FaultPlan::decode(seed);
             assert!((1..=3).contains(&p.workers));
             assert!(p.replicas <= 2);
-            if p.fault.needs_replicas() {
-                assert!(p.replicas > 0, "seed {seed}: fault needs replicas");
-            }
-            if p.fault == Fault::TruncateStuck || p.fault == Fault::DiskFullOnTruncate {
-                assert!(p.segmented, "seed {seed}: fault needs a segmented log");
-            }
-            if p.fault == Fault::TornWrite || p.fault == Fault::CrashDuringRecovery {
-                assert_eq!(p.replicas, 0, "seed {seed}: {:?} runs standalone", p.fault);
-            }
+            let need = p.fault.needs();
+            assert!(need.met(p.replicas, p.segmented), "seed {seed}: {need:?}");
             if p.elr {
                 assert_eq!(p.replicas, 0, "seed {seed}: ELR runs standalone");
+            }
+        }
+    }
+
+    #[test]
+    fn every_forced_kind_decodes_to_a_shape_that_hosts_it() {
+        for f in Fault::ALL {
+            for seed in 0..1000 {
+                let p = FaultPlan::decode_as(seed, Some(f));
+                assert_eq!(p.fault, f);
+                assert!(
+                    p.fault.needs().met(p.replicas, p.segmented),
+                    "{f:?} seed {seed}"
+                );
+                assert!(
+                    !p.elr || p.replicas == 0,
+                    "{f:?} seed {seed}: ELR runs standalone"
+                );
             }
         }
     }

@@ -30,8 +30,6 @@ pub struct LogProfile {
 
 fn kind_name(k: RecordKind) -> &'static str {
     match k {
-        RecordKind::CheckpointBegin => "ckpt_begin",
-        RecordKind::CheckpointEnd => "ckpt_end",
         RecordKind::Filler => "filler",
         RecordKind::UpdateCommit => "update_commit",
     }

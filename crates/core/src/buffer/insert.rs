@@ -27,8 +27,8 @@ pub struct InsertBuffer {
     /// and C, which fill under the lock and release by dropping it.
     decoupled: bool,
     /// Algorithm 4's treadmill guard on the ordered release: a finisher
-    /// refuses to hand off with probability `1/treadmill_inv`. CDME takes
-    /// it from [`LogConfig::treadmill_inv`]; 0 (never refuse) otherwise.
+    /// refuses to hand off with probability `1/treadmill_inv`: CDME's
+    /// [`BufferCore::TREADMILL_INV`], 0 (never refuse) otherwise.
     treadmill_inv: u32,
 }
 
@@ -55,7 +55,7 @@ impl InsertBuffer {
             }),
             decoupled: matches!(kind, Decoupled | Hybrid | Delegated),
             treadmill_inv: match kind {
-                Delegated => config.treadmill_inv,
+                Delegated => BufferCore::TREADMILL_INV,
                 _ => 0,
             },
         }

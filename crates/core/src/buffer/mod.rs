@@ -264,12 +264,6 @@ impl SlotWriter<'_> {
         self.written += bytes.len() as u32;
     }
 
-    /// Append one byte.
-    #[inline]
-    pub fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
     /// Append a little-endian `u16`.
     #[inline]
     pub fn put_u16(&mut self, v: u16) {
@@ -279,12 +273,6 @@ impl SlotWriter<'_> {
     /// Append a little-endian `u32`.
     #[inline]
     pub fn put_u32(&mut self, v: u32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `u64`.
-    #[inline]
-    pub fn put_u64(&mut self, v: u64) {
         self.put_slice(&v.to_le_bytes());
     }
 }
@@ -1063,6 +1051,11 @@ impl BufferCore {
         });
         seen.unwrap_or_else(|| self.durable_lsn())
     }
+
+    /// The treadmill guard's odds for CDME: a finisher that could hand off
+    /// refuses one hand-off in this many (§A.3). The other kinds pass 0 to
+    /// [`BufferCore::release_ordered`] and never refuse.
+    pub(crate) const TREADMILL_INV: u32 = 32;
 
     /// Release `[start, end)`, the range reserved with `ticket`, in LSN
     /// order without waiting for its predecessors (Algorithm 3 line 9 with

@@ -38,10 +38,6 @@ pub struct LogConfig {
     /// Number of active slots in the consolidation array. The paper finds
     /// 3–4 optimal on a 64-context machine (§A.4, Figure 12) and fixes 4.
     pub carray_slots: usize,
-    /// A CDME thread refuses to hand its release off with probability
-    /// `1/treadmill_inv`, to break delegation treadmills (§A.3). 0 disables
-    /// refusal.
-    pub treadmill_inv: u32,
     /// Group-commit policy for the flush daemon.
     pub group_commit: GroupCommitPolicy,
     /// Runtime the log's background threads and waits run under. Defaults
@@ -59,7 +55,6 @@ impl Default for LogConfig {
         LogConfig {
             buffer_size: 64 << 20,
             carray_slots: 4,
-            treadmill_inv: 32,
             group_commit: GroupCommitPolicy::default(),
             runtime: crate::runtime::Runtime::default(),
             telemetry: crate::telemetry::TelemetryConfig::default(),

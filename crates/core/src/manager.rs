@@ -432,7 +432,7 @@ impl LogManager {
 
     /// Retire the log prefix below `lsn` — the **safe** truncation entry
     /// point. `lsn` must be a truncation point computed by the storage
-    /// layer (a record boundary at or below the last fuzzy checkpoint's
+    /// layer (a record boundary at or below the last checkpoint's
     /// redo LSN); this method additionally clamps it to the durable
     /// watermark and refuses to act at all while any registered replica has
     /// acknowledged less than the target — a lagging shipper still needs

@@ -37,15 +37,11 @@ pub const RECORD_MAGIC: u8 = 0xA7;
 ///
 /// `aether-core` itself is policy-free: it treats these as opaque tags. The
 /// storage manager (`aether-storage`) writes a committed transaction as one
-/// `UpdateCommit` and a fuzzy checkpoint as a begin/end pair. The codes of
-/// kinds no longer written (1–4 and 8) decode as nothing.
+/// `UpdateCommit`, and nothing else. The codes of kinds no longer written
+/// (1–6 and 8) decode as nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum RecordKind {
-    /// Fuzzy checkpoint begin.
-    CheckpointBegin = 5,
-    /// Fuzzy checkpoint end (carries the dirty-page table).
-    CheckpointEnd = 6,
     /// An opaque record: what microbenchmarks, drivers and tests insert.
     Filler = 7,
     /// A transaction's writes and its commit in one redo-only record: it is
@@ -57,8 +53,6 @@ impl RecordKind {
     /// Decode from the on-log byte.
     pub fn from_u8(v: u8) -> Option<RecordKind> {
         Some(match v {
-            5 => RecordKind::CheckpointBegin,
-            6 => RecordKind::CheckpointEnd,
             7 => RecordKind::Filler,
             9 => RecordKind::UpdateCommit,
             _ => return None,
@@ -591,16 +585,11 @@ mod tests {
 
     #[test]
     fn all_kinds_roundtrip() {
-        for k in [
-            RecordKind::CheckpointBegin,
-            RecordKind::CheckpointEnd,
-            RecordKind::Filler,
-            RecordKind::UpdateCommit,
-        ] {
+        for k in [RecordKind::Filler, RecordKind::UpdateCommit] {
             assert_eq!(RecordKind::from_u8(k as u8), Some(k));
         }
         // The codes of the kinds no longer written decode as nothing.
-        for retired in [1, 2, 3, 4, 8] {
+        for retired in [1, 2, 3, 4, 5, 6, 8] {
             assert_eq!(RecordKind::from_u8(retired), None);
         }
         assert_eq!(RecordKind::from_u8(0), None);

@@ -86,15 +86,13 @@ proptest! {
 
     #[test]
     fn slot_typed_puts_match_slice_writes(
-        vals in proptest::collection::vec(any::<u64>(), 1..20),
+        vals in proptest::collection::vec(any::<u32>(), 1..20),
     ) {
-        // put_u8/u16/u32/u64 must be byte-equivalent to one put_slice of
-        // the little-endian concatenation.
+        // put_u16/u32 must be byte-equivalent to one put_slice of the
+        // little-endian concatenation.
         let mut flat = Vec::new();
         for v in &vals {
-            flat.push(*v as u8);
             flat.extend_from_slice(&(*v as u16).to_le_bytes());
-            flat.extend_from_slice(&(*v as u32).to_le_bytes());
             flat.extend_from_slice(&v.to_le_bytes());
         }
 
@@ -103,10 +101,8 @@ proptest! {
         let mut slot = log.reserve(RecordKind::Filler, 1, Lsn::ZERO, flat.len());
         for v in &vals {
             let w = slot.writer();
-            w.put_u8(*v as u8);
             w.put_u16(*v as u16);
-            w.put_u32(*v as u32);
-            w.put_u64(*v);
+            w.put_u32(*v);
         }
         slot.release();
         log.flush_all().unwrap();

@@ -248,7 +248,6 @@ mod tests {
     /// the separately encoded snapshot has.
     #[test]
     fn a_snapshot_encodes_into_its_frame_as_its_body_would() {
-        use aether_storage::wal::CheckpointPayload;
         let snap = BaseSnapshot {
             start_lsn: Lsn(4096),
             schema: vec![(40, 16)],
@@ -257,9 +256,7 @@ mod tests {
                 Lsn(64),
                 vec![7u8; aether_storage::page::PAGE_SIZE].into(),
             )],
-            checkpoint: CheckpointPayload {
-                dpt: vec![(1, Lsn(64))],
-            },
+            dpt: vec![(1, Lsn(64))],
         };
         let framed = SnapshotFrame {
             seq: 5,

@@ -21,8 +21,10 @@
 //!   always written when set, even if empty, so CI can upload it as an
 //!   artifact unconditionally.
 //! * `AETHER_SIM_JSON` — file to write the machine-readable sweep report
-//!   to: counts, a per-fault-kind histogram of runs vs failures, and every
-//!   failing seed with its fault kind and violations. Like
+//!   to: counts, a per-fault-kind histogram of runs vs failures, every
+//!   failing seed with its fault kind and violations, and every seed run
+//!   with its fault kind, history hash, event count and verdict — so two
+//!   sweeps' `runs` lists compare every schedule at once. Like
 //!   `AETHER_SIM_OUT`, always written when set.
 //! * `AETHER_SIM_FAULT` — force every seed to decode to this fault kind
 //!   (kebab-case, e.g. `partition-then-heal`); the seed still varies the
@@ -139,6 +141,8 @@ fn main() {
         .unwrap_or_else(|| env_u64("AETHER_SIM_BASE", 1));
 
     let mut failing: Vec<(u64, &'static str, String)> = Vec::new();
+    // One JSON object per seed, for the report's `runs`.
+    let mut runs: Vec<String> = Vec::new();
     // fault-kind name -> (runs, failures); BTreeMap for stable JSON order.
     let mut by_fault: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
     let mut acked_total = 0u64;
@@ -153,7 +157,19 @@ fn main() {
             FaultPlan::decode(seed).fault.name()
         };
         by_fault.entry(kind).or_insert((0, 0)).0 += 1;
-        match catch_unwind(AssertUnwindSafe(|| run_scenario(server, seed))) {
+        let outcome = catch_unwind(AssertUnwindSafe(|| run_scenario(server, seed)));
+        let (history, events, verdict) = match &outcome {
+            Ok(r) => (
+                format!("\"{:016x}\"", r.history.0),
+                r.history.1.to_string(),
+                if r.ok() { "pass" } else { "fail" },
+            ),
+            Err(_) => ("null".into(), "null".into(), "panic"),
+        };
+        runs.push(format!(
+            "{{\"seed\": {seed}, \"fault\": \"{kind}\", \"history\": {history}, \"events\": {events}, \"verdict\": \"{verdict}\"}}"
+        ));
+        match outcome {
             Ok(report) if report.ok() => {
                 acked_total += report.acked;
                 deadlocks_total += report.deadlocks;
@@ -191,7 +207,7 @@ fn main() {
         }
     }
     if let Ok(path) = std::env::var("AETHER_SIM_JSON") {
-        let json = render_json(count, base, acked_total, &by_fault, &failing);
+        let json = render_json(count, base, acked_total, &by_fault, &failing, &runs);
         std::fs::write(&path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     }
 
@@ -237,13 +253,15 @@ fn json_escape(s: &str) -> String {
 
 /// The machine-readable sweep report (`AETHER_SIM_JSON`). Every fault kind
 /// in the menu appears in the histogram even with zero runs, so a CI
-/// dashboard can tell "never scheduled" from "always passed".
+/// dashboard can tell "never scheduled" from "always passed". `runs` has
+/// one line per seed; a panicked seed has no history (`null`).
 fn render_json(
     count: u64,
     base: u64,
     acked: u64,
     by_fault: &BTreeMap<&'static str, (u64, u64)>,
     failing: &[(u64, &'static str, String)],
+    runs: &[String],
 ) -> String {
     let forced = std::env::var("AETHER_SIM_FAULT").unwrap_or_default();
     let mut out = String::new();
@@ -280,6 +298,8 @@ fn render_json(
             if i + 1 < failing.len() { "," } else { "" }
         ));
     }
-    out.push_str("  ]\n}\n");
+    out.push_str("  ],\n  \"runs\": [\n    ");
+    out.push_str(&runs.join(",\n    "));
+    out.push_str("\n  ]\n}\n");
     out
 }

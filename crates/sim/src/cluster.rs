@@ -32,7 +32,7 @@ use aether_core::{BufferKind, LogConfig, Lsn, TelemetryConfig};
 use aether_repl::prelude::*;
 use aether_storage::recovery::{recover_with_stats, RecoveryStats};
 use aether_storage::replay::state_fingerprint;
-use aether_storage::{Checkpointer, CommitProtocol, CrashImage, Db, DbOptions};
+use aether_storage::{CommitProtocol, CrashImage, Db, DbOptions};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -290,7 +290,7 @@ impl<'a> Scenario<'a> {
                 self.device.arm(DeviceFault::TruncateStuck);
                 self.check_stuck_truncation();
                 self.device.disarm(DeviceFault::TruncateStuck);
-                let _ = Checkpointer::checkpoint_once(&self.primary);
+                let _ = self.primary.checkpoint_and_truncate();
             }
             Fault::LaggingReplica => {
                 self.rt.note("fault:lagging-replica");
@@ -339,7 +339,7 @@ impl<'a> Scenario<'a> {
                 self.device.arm(DeviceFault::TruncateFull);
                 let lw = self.primary.log().low_water();
                 for round in 0..3 {
-                    let out = Checkpointer::checkpoint_once(&self.primary);
+                    let out = self.primary.checkpoint_and_truncate();
                     // The failure is typed and contained: the low-water mark
                     // must not move an inch while the recycler errors.
                     if self.primary.log().low_water() != lw {
@@ -368,7 +368,7 @@ impl<'a> Scenario<'a> {
                     "enospc truncation: workload stalled behind a failing recycler".into(),
                 );
                 self.device.disarm(DeviceFault::TruncateFull);
-                if Checkpointer::checkpoint_once(&self.primary).device_error {
+                if self.primary.checkpoint_and_truncate().device_error {
                     self.violate("enospc truncation: still failing after space returned".into());
                 }
             }
@@ -679,7 +679,7 @@ impl<'a> Scenario<'a> {
     /// the log simply stops shrinking.
     fn check_stuck_truncation(&mut self) {
         for round in 0..3 {
-            let out = Checkpointer::checkpoint_once(&self.primary);
+            let out = self.primary.checkpoint_and_truncate();
             if out.applied > self.primary.redo_low_water() {
                 self.violate(format!(
                     "truncation safety: applied {:?} outran redo low-water {:?} (round {round})",

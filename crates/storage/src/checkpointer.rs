@@ -1,20 +1,20 @@
 //! Background checkpoint daemon.
 //!
-//! Production engines take fuzzy checkpoints on a timer so recovery time and
-//! log volume stay bounded. This daemon periodically runs one housekeeping
-//! cycle ([`crate::db::Db::checkpoint_and_truncate`]): flush dirty pages,
-//! take a fuzzy checkpoint (its DPT), publish the checkpoint's redo
-//! low-water mark, and retire the log prefix below it through
-//! [`aether_core::LogManager::truncate_to`] — which recycles whole sealed
-//! segments when the log lives on a
+//! Production engines checkpoint on a timer so recovery time and log volume
+//! stay bounded. This daemon periodically runs one housekeeping cycle
+//! ([`crate::db::Db::checkpoint_and_truncate`]): flush dirty pages, publish
+//! the redo low-water mark (the log-truncation point), and retire the log
+//! prefix below it through [`aether_core::LogManager::truncate_to`] — which
+//! recycles whole sealed segments when the log lives on a
 //! [`aether_core::partition::SegmentedDevice`] and never outruns the
-//! slowest replica acknowledgement.
+//! slowest replica acknowledgement. A checkpoint writes nothing to the log:
+//! recovery is one redo scan from the device's low-water mark, so the
+//! published mark is all it needs.
 
 use crate::db::Db;
 use crate::page::PageId;
-use crate::wal::CheckpointPayload;
 use aether_core::runtime::{self, WaitSet};
-use aether_core::{Lsn, RecordKind, TruncationOutcome};
+use aether_core::{Lsn, TruncationOutcome};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,8 +37,8 @@ impl std::fmt::Debug for Checkpointer {
 }
 
 impl Checkpointer {
-    /// Start checkpointing `db` every `interval`. Each cycle also truncates
-    /// the log behind the fresh checkpoint's redo low-water mark.
+    /// Start checkpointing `db` every `interval`: each cycle is one
+    /// [`Db::checkpoint_and_truncate`].
     pub fn start(db: Arc<Db>, interval: Duration) -> Checkpointer {
         let rt = db.log().config().runtime.clone();
         let stop = Arc::new((AtomicBool::new(false), WaitSet::new()));
@@ -49,7 +49,7 @@ impl Checkpointer {
             let (stopped, wake) = &*st;
             let stop = || stopped.load(Ordering::Relaxed).then_some(());
             while wake.wait_until(Some(interval), stop).is_none() {
-                Self::checkpoint_once(&db);
+                db.checkpoint_and_truncate();
                 ck.fetch_add(1, Ordering::Relaxed);
             }
         });
@@ -58,13 +58,6 @@ impl Checkpointer {
             thread: Some(thread),
             checkpoints,
         }
-    }
-
-    /// One checkpoint cycle: flush pages, fuzzy checkpoint, retire the log
-    /// prefix below the published redo low-water mark. Returns the
-    /// truncation outcome (`applied` is the new low-water mark).
-    pub fn checkpoint_once(db: &Db) -> TruncationOutcome {
-        db.checkpoint_and_truncate()
     }
 
     /// Checkpoints taken so far.
@@ -91,32 +84,31 @@ impl Drop for Checkpointer {
 
 impl Db {
     /// Write the dirty pages to the page store and mark them clean, under
-    /// the WAL rule: a page is stored only once the log is durable past
-    /// its page LSN, so no stored page holds a commit whose record a crash
-    /// can lose (it could never be redone, nor taken out again). The log is forced to the newest
-    /// dirty page's LSN first, with no latch held; a page whose LSN it
-    /// could not make durable (a poisoned log) stays dirty and unstored.
-    /// A page LSN of zero with nothing logged is a bulk load's. A database
+    /// the WAL rule: a page is stored only once the log is durable to its
+    /// page LSN, the end of the last record applied to it, so no stored
+    /// page holds a commit whose record a crash can lose (it could never be
+    /// redone, nor taken out again). The log is forced to the newest dirty
+    /// page's LSN first, with no latch held; a page whose LSN it could not
+    /// make durable (a poisoned log) stays dirty and unstored. A page no
+    /// record touched has LSN zero, which any watermark covers. A database
     /// whose log discards its writes has no log to force: a standby never
     /// logs, and replays only records it durably received.
     pub fn flush_pages(&self) {
         let own_log = !self.log.device().discards();
-        let nothing_logged = self.log.released_lsn().is_zero();
-        if own_log && !nothing_logged {
+        if own_log {
             let mut newest = Lsn::ZERO;
             for (_, t) in self.tables.iter() {
                 t.for_each_dirty(|_, frame| newest = newest.max(frame.page_lsn));
             }
-            if newest >= self.log.durable_lsn() {
-                let _ = self.log.flush_until(Lsn(newest.raw() + 1));
+            if newest > self.log.durable_lsn() {
+                let _ = self.log.flush_until(newest);
             }
         }
         let durable = self.log.durable_lsn();
-        let covered = |lsn: Lsn| !own_log || lsn < durable || (nothing_logged && lsn.is_zero());
         for (_, t) in self.tables.iter() {
             let id = t.id;
             t.for_each_dirty(|page_no, frame| {
-                if covered(frame.page_lsn) {
+                if !own_log || frame.page_lsn <= durable {
                     self.store
                         .write(PageId { table: id, page_no }, frame.page_lsn, &frame.data);
                     frame.mark_clean();
@@ -125,54 +117,38 @@ impl Db {
         }
     }
 
-    /// Take a fuzzy checkpoint: begin record, DPT snapshot, end record,
-    /// flushed — then publish the checkpoint's redo low-water mark
-    /// ([`Db::redo_low_water`]), the truncation point the log may be
-    /// retired to. Returns the checkpoint-begin LSN.
+    /// Take a checkpoint: publish [`Db::log_truncation_point`] as the redo
+    /// low-water mark ([`Db::redo_low_water`]), the point the log may be
+    /// retired to, and return the mark. Nothing is logged and nothing is
+    /// forced: the point is at or below the durable watermark already.
     pub fn checkpoint(&self) -> Lsn {
-        let (begin, _) =
-            self.log
-                .insert_payload::<[u8]>(RecordKind::CheckpointBegin, 0, Lsn::ZERO, &[]);
-        let payload = CheckpointPayload {
-            dpt: self.dpt_snapshot(),
-        };
-        let (_, end) = self
-            .log
-            .insert_payload(RecordKind::CheckpointEnd, 0, Lsn::ZERO, &payload);
-        // A poisoned log means this checkpoint never hardened — safe to
-        // ignore here: truncation targets are clamped to the durable
-        // watermark, so an unflushed checkpoint can never widen truncation.
-        let _ = self.log.flush_until(end);
-        self.redo_low_water.fetch_max(self.log_truncation_point());
-        begin
+        self.redo_low_water.fetch_max(self.log_truncation_point())
     }
 
-    /// The redo low-water mark published by the last fuzzy checkpoint: the
+    /// The redo low-water mark published by the last checkpoint: the
     /// highest safe log-truncation point known. Recovery needs nothing
     /// strictly below it — every older commit is in the page store.
     pub fn redo_low_water(&self) -> Lsn {
         self.redo_low_water.load()
     }
 
-    /// One full housekeeping cycle: flush dirty pages, take a fuzzy
-    /// checkpoint, and retire the log prefix through
+    /// One full housekeeping cycle: flush dirty pages, checkpoint, and
+    /// retire the log prefix through
     /// [`aether_core::LogManager::truncate_to`] (which refuses to outrun
-    /// the slowest replica ack). Two-tier target: first the fresh
-    /// checkpoint's redo low-water mark; if a replica has not yet
-    /// acknowledged that far — under replication the checkpoint's own
-    /// records are always still in flight — fall back to the *previous*
-    /// checkpoint's mark, which any keeping-up replica acked long ago
-    /// (the keep-two-checkpoints policy of production WAL managers). Either
-    /// way the on-disk log and the recovery scan stay bounded by checkpoint
-    /// distance instead of growing with uptime; only a genuinely lagging
-    /// replica pins the log.
-    pub fn checkpoint_and_truncate(&self) -> aether_core::TruncationOutcome {
+    /// the slowest replica ack). Two-tier target: first the fresh redo
+    /// low-water mark; if a replica has not yet acknowledged that far,
+    /// fall back to the *previous* cycle's mark, which any keeping-up
+    /// replica acked long ago (the keep-two-checkpoints policy of
+    /// production WAL managers). Either way the on-disk log and the
+    /// recovery scan stay bounded by checkpoint distance instead of growing
+    /// with uptime; only a genuinely lagging replica pins the log.
+    pub fn checkpoint_and_truncate(&self) -> TruncationOutcome {
         let tel = self.log.telemetry();
         let t0 = tel.ts();
         let prev = self.redo_low_water();
         self.flush_pages();
-        self.checkpoint();
-        let mut out = self.log.truncate_to(self.redo_low_water());
+        let mark = self.checkpoint();
+        let mut out = self.log.truncate_to(mark);
         if out.held_back_by_replica && prev > self.log.low_water() {
             out = self.log.truncate_to(prev);
         }
@@ -186,23 +162,25 @@ impl Db {
 
     /// The log-truncation point: everything strictly below this LSN can be
     /// recycled because every page it might redo has been flushed (no
-    /// dirty page's `rec_lsn` is below it). An open transaction pins
+    /// dirty page's `rec_lsn` is below it). The durable watermark is read
+    /// before the pages: a record below it is released, and a commit
+    /// stamps its pages before it releases its records, so the scan finds
+    /// each such page dirty or already stored. An open transaction pins
     /// nothing: none of it is in the log.
     pub fn log_truncation_point(&self) -> Lsn {
         let mut point = self.log.durable_lsn();
-        for (_, rec_lsn) in self.dpt_snapshot() {
-            point = point.min(rec_lsn);
+        for (_, t) in self.tables.iter() {
+            t.for_each_dpt_entry(|_, rec_lsn| point = point.min(rec_lsn));
         }
         point
     }
 
     /// The live dirty-page table across all tables: `(packed page id,
-    /// recovery LSN)` per dirty page. What fuzzy checkpoints record and the
-    /// truncation point is computed from.
+    /// recovery LSN)` per dirty page. A base snapshot ships it.
     pub fn dpt_snapshot(&self) -> Vec<(u64, Lsn)> {
         let mut dpt = Vec::new();
         for (_, t) in self.tables.iter() {
-            dpt.extend(t.dpt_snapshot());
+            t.for_each_dpt_entry(|page, rec_lsn| dpt.push((page, rec_lsn)));
         }
         dpt
     }
@@ -248,20 +226,54 @@ mod tests {
         let taken = ck.count();
         assert!(taken >= 2, "daemon must checkpoint periodically: {taken}");
         ck.stop(); // idempotent
-                   // The log contains checkpoint-end records.
+                   // The cycles published a mark past the bulk load's, and logged
+                   // nothing: every record is a commit.
+        assert!(db.redo_low_water() > Lsn::ZERO);
         db.log().flush_all().unwrap();
-        let ends = db
-            .log()
-            .reader()
-            .read_all()
-            .unwrap()
+        let records = db.log().reader().read_all().unwrap();
+        assert_eq!(records.len(), 200);
+        assert!(records
             .iter()
-            .filter(|r| r.header.kind == RecordKind::CheckpointEnd)
-            .count();
-        assert!(ends as u64 >= taken);
+            .all(|r| r.header.kind == RecordKind::UpdateCommit));
         // On a plain (non-segmented) device the truncation calls were
         // harmless no-ops.
         assert_eq!(db.log().low_water(), Lsn::ZERO);
+    }
+
+    #[test]
+    fn a_checkpoint_of_a_quiet_database_writes_and_syncs_nothing() {
+        use aether_core::device::{FaultDevice, LogDevice, SimDevice};
+        let device = Arc::new(FaultDevice::new(
+            Arc::new(SimDevice::new(Duration::ZERO)),
+            &[],
+        ));
+        let db = Db::open_with_device(
+            DbOptions {
+                protocol: CommitProtocol::Baseline,
+                ..DbOptions::default()
+            },
+            Arc::clone(&device) as Arc<dyn LogDevice>,
+        );
+        db.create_table(40, 32);
+        for k in 0..32 {
+            db.load(0, k, &rec(k)).unwrap();
+        }
+        db.setup_complete();
+        for k in 0..4 {
+            let mut txn = db.begin();
+            db.update_with(&mut txn, 0, k, |r| r[8] = 7).unwrap();
+            db.commit(txn).unwrap();
+        }
+        // Every commit is durable: the cycles store the pages, and neither
+        // they nor a cycle over clean pages touch the log.
+        let (len, syncs) = (device.len(), device.syncs());
+        for _ in 0..2 {
+            let out = db.checkpoint_and_truncate();
+            assert_eq!(out.applied, Lsn::ZERO, "a plain device keeps its log");
+            assert_eq!((device.len(), device.syncs()), (len, syncs));
+        }
+        assert_eq!(db.redo_low_water(), Lsn(len));
+        assert!(db.dpt_snapshot().is_empty());
     }
 
     #[test]
@@ -292,7 +304,7 @@ mod tests {
                 .unwrap();
                 db.commit(txn).unwrap();
             }
-            let out = Checkpointer::checkpoint_once(&db);
+            let out = db.checkpoint_and_truncate();
             assert!(!out.held_back_by_replica, "no replicas registered");
             assert_eq!(out.applied, db.redo_low_water());
         }

@@ -76,7 +76,7 @@ impl Default for DbOptions {
 
 /// What survives a crash, frozen: the synced prefix of the *retained* log
 /// (plus the stream offset where it begins — the prefix below it was
-/// recycled behind fuzzy checkpoints), the page store, and the schema
+/// recycled behind checkpoints), the page store, and the schema
 /// (which a real system would read from its catalog pages). Tests and the
 /// benchmark cut it and hand it to [`Db::recover`], which opens over a
 /// device rebuilt from its bytes; a promotion needs none, it recovers over
@@ -165,7 +165,7 @@ pub struct Db {
     pub(crate) store: Arc<PageStore>,
     opts: DbOptions,
     stats: DbStats,
-    /// The redo low-water mark published by the last fuzzy checkpoint: the
+    /// The redo low-water mark published by the last checkpoint: the
     /// truncation point computed at checkpoint time. Everything
     /// strictly below it is recoverable from the page store alone.
     pub(crate) redo_low_water: aether_core::lsn::AtomicLsn,
@@ -334,8 +334,8 @@ impl Db {
         Ok(())
     }
 
-    /// Flush all pages and take a checkpoint: makes the loaded state durable
-    /// so recovery never needs to replay the bulk load.
+    /// Flush all pages and publish the truncation point: makes the loaded
+    /// state durable, so recovery never needs to replay the bulk load.
     pub fn setup_complete(&self) {
         self.flush_pages();
         self.checkpoint();
@@ -834,8 +834,8 @@ impl Db {
     /// `cells(r)` — `(table, cell, new record)`, `None` emptying the cell —
     /// in `(table, page)` order. Each cell is written into its page first
     /// and its entry encoded from there, so a record is one copy of its
-    /// images into the ring; its pages are stamped with its LSN once it is
-    /// released, and `logged(r, end)` hears where it ends. Allocates
+    /// images into the ring; its pages are stamped with its range once it
+    /// is released, and `logged(r, end)` hears where it ends. Allocates
     /// nothing.
     fn log_commits<'c, I>(
         &self,
@@ -885,7 +885,7 @@ impl Db {
                         table: t.id,
                         page_no: rid.page_no,
                     })
-                    .stamp(lsn);
+                    .stamp(lsn, end);
             }
             logged(r, end);
         }
@@ -984,8 +984,10 @@ fn unmap(t: &Table, key: u64, rid: Rid) {
 
 /// Write latches on the pages a commit writes, taken in `(table, page)`
 /// order and held together from before its records are reserved until its
-/// pages are stamped: a checkpoint's dirty-page capture never sees a
-/// record without its dirty page. The first [`RUN_MAX`] sit inline; a
+/// pages are stamped: a commit never waits for a latch while it holds a log
+/// reservation, and its pages are dirty before its records are released, so
+/// a record below the durable watermark never lacks its dirty page (see
+/// [`Db::log_truncation_point`]). The first [`RUN_MAX`] sit inline; a
 /// larger write set's others allocate.
 #[derive(Default)]
 struct Latches<'a> {
@@ -1046,7 +1048,6 @@ impl<'a> Latches<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::CheckpointPayload;
     use aether_core::commit::Tally;
 
     fn rec(key: u64, size: usize, fill: u8) -> Vec<u8> {
@@ -1331,21 +1332,20 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_writes_the_dpt() {
+    fn a_checkpoint_publishes_the_truncation_point_and_logs_nothing() {
         let db = tiny_db(CommitProtocol::Baseline);
+        let start = db.log().released_lsn();
         let mut txn = db.begin();
         db.update_with(&mut txn, 0, 1, |r| r[8] = 9).unwrap();
         db.commit(txn).unwrap();
-        // Checkpoint while the page is dirty.
-        db.checkpoint();
-        // Find the checkpoint-end record in the log.
-        let recs = db.log().reader().read_all().unwrap();
-        let cp = recs
-            .iter()
-            .rev()
-            .find(|r| r.header.kind == RecordKind::CheckpointEnd)
-            .expect("checkpoint end present");
-        let payload = CheckpointPayload::decode(&cp.payload).unwrap();
-        assert_eq!(payload.dpt.len(), 1, "dirty page recorded");
+        let logged = db.log().released_lsn();
+        // Checkpoint while the page is dirty: the mark is the page's first
+        // record, where a recovery from the page store would start.
+        assert_eq!(db.dpt_snapshot().len(), 1, "dirty page in the table");
+        assert_eq!(db.checkpoint(), start);
+        assert_eq!(db.redo_low_water(), start);
+        db.flush_pages();
+        assert_eq!(db.checkpoint(), logged);
+        assert_eq!(db.log().released_lsn(), logged, "a checkpoint logged");
     }
 }

@@ -15,7 +15,7 @@
 //!   logs nothing), and the four commit protocols the paper compares —
 //!   Baseline, **ELR**, Asynchronous commit, and **Flush Pipelining**
 //!   ([`txn`]),
-//! * **recovery** as one redo scan, bounded by fuzzy checkpoints and log
+//! * **recovery** as one redo scan, bounded by checkpoints and log
 //!   truncation ([`recovery`]),
 //! * **continuous redo** for log-shipping standby replicas ([`replay`]),
 //! * a [`db::Db`] facade the benchmark workloads drive.

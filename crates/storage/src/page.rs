@@ -54,12 +54,14 @@ pub struct Rid {
 pub struct Frame {
     /// Raw page bytes (cell array).
     pub data: Box<[u8]>,
-    /// LSN of the last update applied to this page (redo idempotence test).
+    /// End LSN of the last record applied to this page, zero for a page
+    /// no record has touched: the redo idempotence test, and what the log
+    /// must be durable to before the page is stored (the WAL rule).
     pub page_lsn: Lsn,
     /// Dirty since last flush to the page store.
     pub dirty: bool,
-    /// LSN of the *first* update that dirtied the page (recovery's redo
-    /// low-water mark; entry in the dirty page table).
+    /// Start LSN of the *first* record that dirtied the page: the dirty
+    /// page table's entry, below which the log may not be truncated.
     pub rec_lsn: Lsn,
 }
 
@@ -84,20 +86,14 @@ impl Frame {
         }
     }
 
-    /// Apply `cell` bytes at `offset`, stamping `lsn`. Marks dirty and sets
-    /// `rec_lsn` on the clean→dirty transition.
-    pub fn apply(&mut self, offset: usize, cell: &[u8], lsn: Lsn) {
-        self.data[offset..offset + cell.len()].copy_from_slice(cell);
-        self.stamp(lsn);
-    }
-
-    /// Stamp `lsn` on a page whose bytes the caller has just changed in
-    /// place: the LSN and dirty bookkeeping of [`Frame::apply`].
-    pub fn stamp(&mut self, lsn: Lsn) {
-        self.page_lsn = lsn;
+    /// Stamp the record `[start, end)` on a page whose bytes the caller has
+    /// just changed in place: the page LSN becomes `end`, and a clean page
+    /// turns dirty with `start` as its `rec_lsn`.
+    pub fn stamp(&mut self, start: Lsn, end: Lsn) {
+        self.page_lsn = end;
         if !self.dirty {
             self.dirty = true;
-            self.rec_lsn = lsn;
+            self.rec_lsn = start;
         }
     }
 
@@ -206,20 +202,19 @@ mod tests {
     }
 
     #[test]
-    fn frame_apply_tracks_lsns_and_dirty() {
+    fn frame_stamp_tracks_lsns_and_dirty() {
         let mut f = Frame::new();
         assert!(!f.dirty);
-        f.apply(100, &[1, 2, 3], Lsn(500));
+        f.stamp(Lsn(500), Lsn(560));
         assert!(f.dirty);
-        assert_eq!(f.rec_lsn, Lsn(500));
-        assert_eq!(f.page_lsn, Lsn(500));
-        f.apply(200, &[4], Lsn(600));
+        assert_eq!(f.rec_lsn, Lsn(500), "rec_lsn is the record's start");
+        assert_eq!(f.page_lsn, Lsn(560), "page_lsn is the record's end");
+        f.stamp(Lsn(600), Lsn(640));
         assert_eq!(f.rec_lsn, Lsn(500), "rec_lsn pins the first dirtying LSN");
-        assert_eq!(f.page_lsn, Lsn(600));
-        assert_eq!(&f.data[100..103], &[1, 2, 3]);
+        assert_eq!(f.page_lsn, Lsn(640));
         f.mark_clean();
         assert!(!f.dirty);
-        f.apply(0, &[9], Lsn(700));
+        f.stamp(Lsn(700), Lsn(720));
         assert_eq!(f.rec_lsn, Lsn(700));
     }
 }

@@ -15,9 +15,9 @@
 //! Recovery is one scan of the retained log — from the device's low-water
 //! mark, the redo point of the checkpoint the last truncation published
 //! (zero for a never-truncated log) — that redoes every record through
-//! [`crate::replay`]'s page redo: a record newer than a page's LSN is
-//! applied to it, an older one is already in the stored image and
-//! skipped. Truncation safety (DESIGN.md invariant 7) guarantees every
+//! [`crate::replay`]'s page redo: a record that ends past a page's LSN
+//! (the end of the last record applied to it) is applied to it, one that
+//! does not is already in the stored image and skipped. Truncation safety (DESIGN.md invariant 7) guarantees every
 //! record a stored image lacks is at or above the low-water mark. The
 //! hash index is built over the stored images before the scan, as a
 //! standby's is, and redo keeps it in step. Where the scan stops is the
@@ -45,8 +45,8 @@ use std::sync::Arc;
 /// Outcome statistics from a recovery run (inspectable in tests). A
 /// promotion's are the standby's redo since its bootstrap: every record
 /// the replica received was scanned once, as it landed, so `scanned`,
-/// `winners`, `checkpoints` and `scan_start` are what a restart over the
-/// same receive log reports, and `redone` counts what the standby applied.
+/// `winners` and `scan_start` are what a restart over the same receive log
+/// reports, and `redone` counts what the standby applied.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Records scanned.
@@ -55,8 +55,6 @@ pub struct RecoveryStats {
     pub winners: usize,
     /// Commit records that changed a page (newer than a page they touch).
     pub redone: usize,
-    /// Checkpoints observed.
-    pub checkpoints: usize,
     /// Where the scan began: the device's low-water mark (the truncation
     /// point; zero for a never-truncated log).
     pub scan_start: Lsn,
@@ -109,7 +107,6 @@ impl Redo {
             self.stats.scanned += 1;
             self.stats.winners += usize::from(rec.header.kind == RecordKind::UpdateCommit);
             self.stats.redone += usize::from(changed); // only an UpdateCommit changes a page
-            self.stats.checkpoints += usize::from(rec.header.kind == RecordKind::CheckpointEnd);
             self.max_txn = self.max_txn.max(rec.header.txn);
         }
         Ok(())
@@ -229,7 +226,6 @@ mod tests {
     use super::*;
     use crate::error::StorageError;
     use crate::txn::CommitProtocol;
-    use crate::wal::CheckpointPayload;
     use aether_core::device::{DeviceFault, FaultDevice, LogDevice, SimDevice};
     use aether_core::{BufferKind, DeviceKind, LogConfig};
     use std::time::Duration;
@@ -448,30 +444,60 @@ mod tests {
         db3.commit(t).unwrap();
     }
 
+    /// A loaded database whose pages are stored and whose log is empty:
+    /// its next record starts at LSN 0, on pages of LSN 0.
+    fn stored_and_unlogged(rows: u64) -> Arc<Db> {
+        let db = Db::open(opts(CommitProtocol::Baseline));
+        db.create_table(40, rows);
+        for k in 0..rows {
+            db.load(0, k, &rec_bytes(k, 40, 1)).unwrap();
+        }
+        db.flush_pages();
+        assert_eq!(db.log().released_lsn(), Lsn::ZERO);
+        db
+    }
+
     #[test]
-    fn a_commit_inside_a_checkpoint_is_redone() {
-        // A checkpoint whose dirty-page capture ran before an update that
-        // then committed between its begin and end records: the end lists
-        // no dirty page, yet the page was never stored, so redo must
-        // replay the update.
-        let db = fresh_db(CommitProtocol::Baseline, 10);
-        db.log()
-            .insert_payload::<[u8]>(RecordKind::CheckpointBegin, 0, Lsn::ZERO, &[]);
+    fn an_update_as_a_fresh_logs_first_record_survives_a_crash() {
+        // An update at LSN 0 over a stored page of LSN 0.
+        let db = stored_and_unlogged(10);
         let mut t = db.begin();
         db.update_with(&mut t, 0, 4, |r| r[8] = 70).unwrap();
         db.commit(t).unwrap();
-        let captured = CheckpointPayload::default();
-        db.log()
-            .insert_payload(RecordKind::CheckpointEnd, 0, Lsn::ZERO, &captured);
-        db.log().flush_all().unwrap();
-        let db2 = Db::recover(db.crash(), opts(CommitProtocol::Baseline)).unwrap();
-        let mut t = db2.begin();
-        assert_eq!(
-            db2.read(&mut t, 0, 4).unwrap()[8],
-            70,
-            "committed update lost"
-        );
-        db2.commit(t).unwrap();
+        let (db2, stats) = recover_with_stats(db.crash(), opts(CommitProtocol::Baseline)).unwrap();
+        assert_eq!((stats.scanned, stats.winners, stats.redone), (1, 1, 1));
+        assert_eq!(db2.snapshot_read(0, 4).unwrap().unwrap()[8], 70);
+    }
+
+    #[test]
+    fn an_insert_as_a_fresh_logs_first_record_survives_a_crash() {
+        // An insert at LSN 0 onto a page no image holds.
+        let db = Db::open(opts(CommitProtocol::Baseline));
+        db.create_table(40, 0);
+        let mut t = db.begin();
+        db.insert(&mut t, 0, 7, &rec_bytes(7, 40, 9)).unwrap();
+        db.commit(t).unwrap();
+        let (db2, stats) = recover_with_stats(db.crash(), opts(CommitProtocol::Baseline)).unwrap();
+        assert_eq!(stats.redone, 1, "{stats:?}");
+        assert_eq!(db2.snapshot_read(0, 7).unwrap().unwrap()[8], 9);
+    }
+
+    #[test]
+    fn a_standby_applies_a_first_record_at_lsn_zero() {
+        let db = stored_and_unlogged(10);
+        let standby = crate::replay::standby_db(
+            opts(CommitProtocol::Baseline),
+            db.store().deep_clone(),
+            &db.schema(),
+        )
+        .unwrap();
+        let mut t = db.begin();
+        db.update_with(&mut t, 0, 2, |r| r[8] = 33).unwrap();
+        db.commit(t).unwrap();
+        let mut redo = Redo::new(Arc::clone(db.log().device()));
+        redo.follow(&standby).unwrap();
+        assert_eq!(redo.stats().redone, 1, "{:?}", redo.stats());
+        assert_eq!(standby.snapshot_read(0, 2).unwrap().unwrap()[8], 33);
     }
 
     #[test]
@@ -550,7 +576,9 @@ mod tests {
         // the redo refuses it and stays before it, call after call, and an
         // open over it fails rather than logging on past it.
         let db = fresh_db(CommitProtocol::Baseline, 10);
-        db.log().flush_all().unwrap();
+        let mut t = db.begin();
+        db.update_with(&mut t, 0, 1, |r| r[8] = 11).unwrap();
+        db.commit(t).unwrap();
         let (_, good) = db.log().device().snapshot().unwrap();
         let device = Arc::new(SimDevice::new(Duration::ZERO));
         device.append(&good).unwrap();
@@ -593,22 +621,18 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_counted_and_page_store_used() {
+    fn a_commit_behind_a_page_flush_needs_no_redo() {
         let db = fresh_db(CommitProtocol::Baseline, 30);
         let mut t = db.begin();
         db.update_with(&mut t, 0, 9, |r| r[8] = 60).unwrap();
         db.commit(t).unwrap();
         db.flush_pages();
-        db.checkpoint();
+        assert_eq!(db.checkpoint(), db.log().durable_lsn());
         let image = db.crash();
         assert!(!image.store.is_empty());
         let (db2, stats) = recover_with_stats(image, opts(CommitProtocol::Baseline)).unwrap();
-        assert!(stats.checkpoints >= 2, "setup + explicit checkpoint");
-        // Pages came from the store, so the committed update needed no redo
-        // (page_lsn already covers it)... but redo counting is an internal
-        // detail; the observable contract is the value.
-        let mut t = db2.begin();
-        assert_eq!(db2.read(&mut t, 0, 9).unwrap()[8], 60);
-        db2.commit(t).unwrap();
+        // The stored page's LSN is the commit's end: scanned, not redone.
+        assert_eq!((stats.scanned, stats.winners, stats.redone), (1, 1, 0));
+        assert_eq!(db2.snapshot_read(0, 9).unwrap().unwrap()[8], 60);
     }
 }

@@ -3,8 +3,8 @@
 //! A replica receives the primary's durable log as a byte stream and keeps a
 //! **standby database** warm by following it with one [`Redo`] — the loop
 //! restart recovery runs, resumed as each frame lands: an UpdateCommit
-//! whose LSN is newer than a target page's LSN is applied to it; older ones
-//! are skipped, so replay is idempotent over any prefix overlap (the base
+//! that ends past a target page's LSN is applied to it; the others are
+//! skipped, so replay is idempotent over any prefix overlap (the base
 //! backup's flushed pages already carry their page LSNs). A transaction is
 //! logged once, at its commit, so the standby only ever holds committed
 //! data: its state at an applied LSN is the primary's committed state
@@ -27,11 +27,11 @@ use crate::recovery::Redo;
 use crate::segmented::Segmented;
 use crate::store::{PageStore, StoredPage};
 use crate::table::Table;
-use crate::wal::{CheckpointPayload, UpdateCommitPayload};
+use crate::wal::UpdateCommitPayload;
 use aether_core::device::NullDevice;
 use aether_core::record::{Record, RecordKind};
 use aether_core::runtime::{read, write};
-use aether_core::{DeviceKind, EncodePayload, Lsn};
+use aether_core::{DeviceKind, Lsn};
 use std::sync::Arc;
 
 /// A checkpoint-consistent base snapshot: everything a fresh replica needs
@@ -42,8 +42,8 @@ use std::sync::Arc;
 /// [`crate::db::Db::log_truncation_point`] right after a page flush): every
 /// record below it is reflected in `pages`, so shipping the log from
 /// `start_lsn` onward is sufficient for both continuous replay and a later
-/// promotion. The fuzzy checkpoint's DPT rides along, mirroring what the
-/// capture-time checkpoint wrote into the log.
+/// promotion. The dirty-page table at capture time rides along as the
+/// snapshot's integrity gate ([`standby_from_snapshot`]).
 ///
 /// The pages are the primary's stored images, shared: capturing a
 /// snapshot copies no page, and a standby built from one copies each page
@@ -56,16 +56,16 @@ pub struct BaseSnapshot {
     pub schema: Vec<(usize, u64)>,
     /// Flushed pages, sorted by packed page id.
     pub pages: Vec<StoredPage>,
-    /// The dirty-page table at capture time.
-    pub checkpoint: CheckpointPayload,
+    /// The dirty-page table at capture time: (packed page id, rec LSN).
+    pub dpt: Vec<(u64, Lsn)>,
 }
 
 impl BaseSnapshot {
     /// Serialize for shipping over a replication link. Layout:
-    /// `[start u64][n_schema u32][n_pages u32][ckpt_len u32]` then per
+    /// `[start u64][n_schema u32][n_pages u32][n_dpt u32]` then per
     /// table `[record_size u64][dense_rows u64]`, per page
-    /// `[id u64][lsn u64][len u32][bytes]`, then the encoded
-    /// DPT ([`CheckpointPayload`]). One allocation, sized up front.
+    /// `[id u64][lsn u64][len u32][bytes]`, per dirty page
+    /// `[id u64][rec_lsn u64]`. One allocation, sized up front.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
         self.encode_into(&mut out);
@@ -75,17 +75,16 @@ impl BaseSnapshot {
     /// Bytes [`BaseSnapshot::encode`] writes.
     pub fn encoded_len(&self) -> usize {
         let pages_len: usize = self.pages.iter().map(|p| 20 + p.2.len()).sum();
-        20 + 16 * self.schema.len() + pages_len + self.checkpoint.encoded_len()
+        20 + 16 * (self.schema.len() + self.dpt.len()) + pages_len
     }
 
     /// [`BaseSnapshot::encode`] appending onto `out`: a frame around the
     /// snapshot is written in the same buffer, with no copy of the body.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let ckpt_len = self.checkpoint.encoded_len();
         out.extend_from_slice(&self.start_lsn.raw().to_le_bytes());
         out.extend_from_slice(&(self.schema.len() as u32).to_le_bytes());
         out.extend_from_slice(&(self.pages.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(ckpt_len as u32).to_le_bytes());
+        out.extend_from_slice(&(self.dpt.len() as u32).to_le_bytes());
         for &(record_size, dense_rows) in &self.schema {
             out.extend_from_slice(&(record_size as u64).to_le_bytes());
             out.extend_from_slice(&dense_rows.to_le_bytes());
@@ -96,7 +95,10 @@ impl BaseSnapshot {
             out.extend_from_slice(&(data.len() as u32).to_le_bytes());
             out.extend_from_slice(data);
         }
-        self.checkpoint.append_to(out);
+        for (id, rec_lsn) in &self.dpt {
+            out.extend_from_slice(&id.to_le_bytes());
+            out.extend_from_slice(&rec_lsn.raw().to_le_bytes());
+        }
     }
 
     /// Decode; `None` on malformed input, which includes pages that are not
@@ -109,7 +111,7 @@ impl BaseSnapshot {
         let start_lsn = Lsn(u64::from_le_bytes(buf[0..8].try_into().ok()?));
         let n_schema = u32::from_le_bytes(buf[8..12].try_into().ok()?) as usize;
         let n_pages = u32::from_le_bytes(buf[12..16].try_into().ok()?) as usize;
-        let ckpt_len = u32::from_le_bytes(buf[16..20].try_into().ok()?) as usize;
+        let n_dpt = u32::from_le_bytes(buf[16..20].try_into().ok()?) as usize;
         let mut at = 20;
         let mut schema = Vec::with_capacity(n_schema);
         for _ in 0..n_schema {
@@ -137,40 +139,40 @@ impl BaseSnapshot {
             pages.push((id, lsn, Arc::from(&buf[at..at + len])));
             at += len;
         }
-        if buf.len() != at + ckpt_len {
+        if buf.len() != at + 16 * n_dpt {
             return None;
         }
+        let u64_at = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"));
+        let dpt = (0..n_dpt)
+            .map(|i| (u64_at(at + 16 * i), Lsn(u64_at(at + 16 * i + 8))))
+            .collect();
         Some(BaseSnapshot {
             start_lsn,
             schema,
             pages,
-            checkpoint: CheckpointPayload::decode(&buf[at..])?,
+            dpt,
         })
     }
 }
 
 /// Capture a [`BaseSnapshot`] from a live primary: flush every dirty page,
-/// take a fuzzy checkpoint (publishing a fresh redo low-water mark), and
-/// export the store, sharing its images. The returned `start_lsn` is the
+/// checkpoint (publishing a fresh redo low-water mark), and export the
+/// store, sharing its images. The returned `start_lsn` is the
 /// truncation point at capture time, so the snapshot composes with any
 /// *prior* truncation — the shipped stream `[start_lsn, ...)` plus the
 /// pages is a complete replica seed even though the log below `start_lsn`
 /// may be long gone.
 pub fn base_snapshot(db: &Db) -> BaseSnapshot {
     db.flush_pages();
-    db.checkpoint();
-    let start_lsn = db.redo_low_water();
-    // The DPT sampled after the checkpoint, like the checkpoint's own
-    // payload: fuzzy, but every recovery LSN in it is >= start_lsn (a dirty
-    // page's recovery LSN pins the truncation point the start LSN was
-    // computed from).
+    let start_lsn = db.checkpoint();
+    // The DPT sampled after the checkpoint: fuzzy, but every recovery LSN
+    // in it is >= start_lsn (a dirty page's recovery LSN pins the
+    // truncation point the start LSN was computed from).
     BaseSnapshot {
         start_lsn,
         schema: db.schema(),
         pages: db.store().export(),
-        checkpoint: CheckpointPayload {
-            dpt: db.dpt_snapshot(),
-        },
+        dpt: db.dpt_snapshot(),
     }
 }
 
@@ -181,8 +183,7 @@ pub fn base_snapshot(db: &Db) -> BaseSnapshot {
 /// means the capture was inconsistent (the shipped stream could never redo
 /// that page), so the snapshot is rejected rather than silently installed.
 pub fn standby_from_snapshot(opts: DbOptions, snap: &BaseSnapshot) -> StorageResult<Arc<Db>> {
-    let dpt = &snap.checkpoint.dpt;
-    if let Some(&(page, rec_lsn)) = dpt.iter().find(|&&(_, rec)| rec < snap.start_lsn) {
+    if let Some(&(page, rec_lsn)) = snap.dpt.iter().find(|&&(_, rec)| rec < snap.start_lsn) {
         return Err(StorageError::Recovery(format!(
             "inconsistent base snapshot: dirty page {page} has recovery LSN {rec_lsn} below the snapshot start {}",
             snap.start_lsn
@@ -215,8 +216,10 @@ pub fn standby_db(
 /// Only an UpdateCommit changes pages; every other kind is a no-op. Its
 /// entries come in `(table, page)` order, so one page's entries are
 /// consecutive: the page-LSN test is decided once per page per record, on
-/// the page's LSN before the record, and a page older than the record gets
-/// every entry of it and then its LSN. A second entry for a page the
+/// the page's LSN before the record. A page LSN is the end of the last
+/// record applied, so a page whose LSN is below the record's end gets
+/// every entry of it and then the record's range as its stamp; a record
+/// at LSN 0 ends past a never-logged page's LSN 0 and is applied. A second entry for a page the
 /// record has just stamped is thus never mistaken for one already applied.
 /// Each applied cell keeps the hash index in step, so a standby serves
 /// snapshot reads for appended keys too. Decoding and applying allocate
@@ -240,7 +243,7 @@ pub(crate) fn redo(tables: &Segmented<Table>, rec: &Record) -> StorageResult<boo
         prev = Some(page);
         let t = table_in(tables, page.table)?;
         let mut g = write(t.frame(page.page_no));
-        let fresh = g.page_lsn < rec.lsn;
+        let fresh = g.page_lsn < rec.next_lsn();
         let mut entry = Some(first);
         while let Some(e) = entry {
             if e.after.len() != t.geom.cell_size || usize::from(e.slot) >= t.geom.slots_per_page {
@@ -257,7 +260,7 @@ pub(crate) fn redo(tables: &Segmented<Table>, rec: &Record) -> StorageResult<boo
                 .flatten();
         }
         if fresh {
-            g.stamp(rec.lsn);
+            g.stamp(rec.lsn, rec.next_lsn());
             changed = true;
         }
     }
@@ -435,10 +438,12 @@ mod tests {
             start_lsn: Lsn(1),
             schema: vec![(40, 20)],
             pages,
-            checkpoint: CheckpointPayload::default(),
+            dpt: vec![(1, Lsn(1))],
         };
         let ok = snap(vec![page(1), page(2)]);
-        assert_eq!(BaseSnapshot::decode(&ok.encode()), Some(ok));
+        let wire = ok.encode();
+        assert_eq!(BaseSnapshot::decode(&wire[..wire.len() - 1]), None);
+        assert_eq!(BaseSnapshot::decode(&wire), Some(ok));
         assert_eq!(
             BaseSnapshot::decode(&snap(vec![page(2), page(1)]).encode()),
             None

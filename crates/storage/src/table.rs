@@ -268,8 +268,9 @@ impl Table {
         };
         let mut g = write(self.frame(rid.page_no));
         let off = self.geom.offset(rid.slot);
-        g.apply(off, &[1], Lsn::ZERO);
+        g.data[off] = 1;
         g.data[off + 1..off + self.geom.cell_size].copy_from_slice(record);
+        g.stamp(Lsn::ZERO, Lsn::ZERO);
         Ok(rid)
     }
 
@@ -349,23 +350,19 @@ impl Table {
         }
     }
 
-    /// Dirty-page-table snapshot for this table: (packed PageId, rec_lsn).
-    pub fn dpt_snapshot(&self) -> Vec<(u64, Lsn)> {
-        let mut out = Vec::new();
+    /// Visit this table's dirty-page-table entries, each under its frame's
+    /// read latch: `(packed PageId, rec_lsn)` per dirty page.
+    pub fn for_each_dpt_entry(&self, mut f: impl FnMut(u64, Lsn)) {
         for (page_no, frame) in self.each_frame() {
             let g = read(frame);
             if g.dirty {
-                out.push((
-                    PageId {
-                        table: self.id,
-                        page_no,
-                    }
-                    .pack(),
-                    g.rec_lsn,
-                ));
+                let page = PageId {
+                    table: self.id,
+                    page_no,
+                };
+                f(page.pack(), g.rec_lsn);
             }
         }
-        out
     }
 }
 
@@ -373,10 +370,12 @@ impl Table {
 mod tests {
     use super::*;
 
-    /// Apply `cell` at `rid`, stamping `lsn`.
+    /// Apply `cell` at `rid`, stamping the record `[lsn, lsn + 8)`.
     fn apply_cell(t: &Table, rid: Rid, cell: &[u8], lsn: Lsn) {
         let mut g = write(t.frame(rid.page_no));
-        g.apply(t.geom.offset(rid.slot), cell, lsn);
+        let off = t.geom.offset(rid.slot);
+        g.data[off..off + cell.len()].copy_from_slice(cell);
+        g.stamp(lsn, lsn.advance(8));
     }
 
     fn key_record(key: u64, size: usize, fill: u8) -> Vec<u8> {
@@ -620,20 +619,33 @@ mod tests {
 
     #[test]
     fn dirty_tracking_and_dpt() {
+        let dpt = |t: &Table| {
+            let mut dpt = Vec::new();
+            t.for_each_dpt_entry(|page, rec_lsn| dpt.push((page, rec_lsn)));
+            dpt
+        };
         let t = table(3, 16, 100);
-        assert!(t.dpt_snapshot().is_empty());
+        assert!(dpt(&t).is_empty());
         let rid = t.rid_of(0).unwrap();
         let cell = cell_of(&key_record(0, 16, 1));
         apply_cell(&t, rid, &cell, Lsn(500));
-        let dpt = t.dpt_snapshot();
-        assert_eq!(dpt.len(), 1);
-        assert_eq!(dpt[0].1, Lsn(500));
+        assert_eq!(
+            dpt(&t),
+            [(
+                PageId {
+                    table: 3,
+                    page_no: 0
+                }
+                .pack(),
+                Lsn(500)
+            )]
+        );
         let mut cleaned = 0;
         t.for_each_dirty(|_, f| {
             f.mark_clean();
             cleaned += 1;
         });
         assert_eq!(cleaned, 1);
-        assert!(t.dpt_snapshot().is_empty());
+        assert!(dpt(&t).is_empty());
     }
 }

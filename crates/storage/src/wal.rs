@@ -11,13 +11,11 @@
 //! Entries are written straight into the reserved log slot
 //! ([`EncodePayload`]) and decoded in place ([`UpdateCommitPayload::entries`]
 //! borrows the images and allocates nothing); what they do to a page is
-//! the business of [`crate::replay`]'s page redo alone. The other records are
-//! a fuzzy checkpoint's begin and end; [`CheckpointPayload`] also appends
-//! itself to a `Vec` ([`CheckpointPayload::append_to`]), because a base
-//! snapshot ships its bytes.
+//! the business of [`crate::replay`]'s page redo alone. It is the only
+//! record the storage layer writes: a checkpoint logs nothing.
 
 use crate::page::{PageId, Rid};
-use aether_core::{EncodePayload, Lsn, SlotWriter};
+use aether_core::{EncodePayload, SlotWriter};
 
 /// Decode the `[table u32][page u32][slot u16][len u16]` prefix an entry
 /// starts with: page, slot and image length.
@@ -108,57 +106,11 @@ impl<'a> Iterator for Entries<'a> {
     }
 }
 
-/// Fuzzy-checkpoint end payload: the dirty-page table at checkpoint time.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CheckpointPayload {
-    /// Dirty pages: (packed page id, rec LSN).
-    pub dpt: Vec<(u64, Lsn)>,
-}
-
-impl CheckpointPayload {
-    /// Append the encoding to `out`: `[n_dpt u32][dpt entries]`,
-    /// [`EncodePayload::encoded_len`] bytes.
-    pub fn append_to(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.dpt.len() as u32).to_le_bytes());
-        for (pid, lsn) in &self.dpt {
-            out.extend_from_slice(&pid.to_le_bytes());
-            out.extend_from_slice(&lsn.raw().to_le_bytes());
-        }
-    }
-
-    /// Decode; `None` on malformed input.
-    pub fn decode(buf: &[u8]) -> Option<CheckpointPayload> {
-        let n = u32::from_le_bytes(buf.get(0..4)?.try_into().ok()?) as usize;
-        if buf.len() != 4 + 16 * n {
-            return None;
-        }
-        let u64_at = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
-        let dpt = (0..n)
-            .map(|i| (u64_at(4 + 16 * i), Lsn(u64_at(12 + 16 * i))))
-            .collect();
-        Some(CheckpointPayload { dpt })
-    }
-}
-
-impl EncodePayload for CheckpointPayload {
-    fn encoded_len(&self) -> usize {
-        4 + 16 * self.dpt.len()
-    }
-
-    fn encode_into(&self, w: &mut SlotWriter<'_>) {
-        w.put_u32(self.dpt.len() as u32);
-        for (pid, lsn) in &self.dpt {
-            w.put_u64(*pid);
-            w.put_u64(lsn.raw());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use aether_core::record::Record;
-    use aether_core::{DeviceKind, LogManager, RecordKind};
+    use aether_core::{DeviceKind, LogManager, Lsn, RecordKind};
 
     /// Write `payloads` through the zero-copy reservation path and read the
     /// records back off the device.
@@ -224,57 +176,5 @@ mod tests {
             [Some(update_commit()), Some(update_commit()), None]
         );
         assert_eq!(UpdateCommitPayload::entries(&[]).count(), 0);
-    }
-
-    #[test]
-    fn encode_into_writes_the_documented_layout() {
-        // Every payload through the reservation path, read back off the
-        // device: the hand-written layout, byte for byte, and the same
-        // payload decoded again.
-        let u = update_commit();
-        let cp = CheckpointPayload {
-            dpt: vec![(5, Lsn(50)), (6, Lsn(60))],
-        };
-        let mut cp_bytes = vec![2, 0, 0, 0];
-        for v in [5u64, 50, 6, 60] {
-            cp_bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        assert_eq!(cp.encoded_len(), cp_bytes.len());
-        let recs = through_a_log(&[
-            (RecordKind::UpdateCommit, &u),
-            (RecordKind::CheckpointEnd, &cp),
-        ]);
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].payload, UPDATE_COMMIT_BYTES);
-        assert_eq!(recs[1].payload, cp_bytes);
-        let mut appended = vec![7];
-        cp.append_to(&mut appended);
-        assert_eq!(appended[1..], cp_bytes, "append_to appends");
-        assert_eq!(CheckpointPayload::decode(&recs[1].payload).unwrap(), cp);
-    }
-
-    #[test]
-    fn checkpoint_roundtrip() {
-        let cp = CheckpointPayload {
-            dpt: vec![(
-                PageId {
-                    table: 0,
-                    page_no: 5,
-                }
-                .pack(),
-                Lsn(50),
-            )],
-        };
-        let encode = |cp: &CheckpointPayload| {
-            let mut out = Vec::new();
-            cp.append_to(&mut out);
-            out
-        };
-        let enc = encode(&cp);
-        assert_eq!(CheckpointPayload::decode(&enc).unwrap(), cp);
-        let empty = CheckpointPayload::default();
-        assert_eq!(CheckpointPayload::decode(&encode(&empty)).unwrap(), empty);
-        assert!(CheckpointPayload::decode(&enc[..3]).is_none());
-        assert!(CheckpointPayload::decode(&enc[..enc.len() - 1]).is_none());
     }
 }

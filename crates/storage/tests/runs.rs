@@ -1,6 +1,7 @@
 //! Runs of one-record transactions (`Db::update_commit_run`): statements
 //! that fail log nothing, a run never waits on a lock behind its own, a
-//! checkpoint never captures a run's page clean behind its records, and a
+//! run waiting for a page latch holds up no other commit, a checkpoint's
+//! truncation point never passes a run's records, and a
 //! torn tail inside a run's range recovers its prefix.
 
 use aether_core::device::{DeviceFault, FaultDevice, LogDevice, SimDevice};
@@ -129,15 +130,13 @@ fn a_key_twice_ends_the_run_before_the_second() {
     db.log().shutdown();
 }
 
-/// A checkpoint begun while a run waits for its page latch: the run's
-/// records must come after the checkpoint's begin, because the checkpoint
-/// may capture the page clean, and redo starts at its begin for a page it
-/// did not list. A run that reserves its log range before it latches its
-/// pages puts its records before that begin, and a crash then loses them
-/// whenever the capture wins the latch. Then a crash and recovery keep
-/// both acked commits.
+/// A checkpoint taken while a run waits for its page latch: the published
+/// truncation point must not pass the run's records, because the scan of
+/// the dirty pages finds the page clean, and a recovery from the page
+/// store starts at the point. The checkpoint logs nothing. Then a crash
+/// and recovery keep both acked commits.
 #[test]
-fn a_checkpoint_begun_while_a_run_waits_for_its_latch_keeps_its_commits() {
+fn a_checkpoint_taken_while_a_run_waits_for_its_latch_keeps_its_commits() {
     let device = Arc::new(SimDevice::new(Duration::ZERO));
     let db = loaded(opts(CommitProtocol::Baseline), device);
     let page = db.table(0).unwrap().rid_of(1).unwrap().page_no;
@@ -160,25 +159,76 @@ fn a_checkpoint_begun_while_a_run_waits_for_its_latch_keeps_its_commits() {
     }
     std::thread::sleep(Duration::from_millis(20));
     let before = inserts(&db);
+    // On its own thread: its scan reads the page the run waits to write,
+    // and a read latch may queue behind a waiting writer.
     let checkpoint = {
         let db = Arc::clone(&db);
         std::thread::spawn(move || db.checkpoint())
     };
-    // Its begin record is in; its capture waits for the page.
-    while inserts(&db) == before && Instant::now() < bound {
-        std::thread::yield_now();
-    }
+    std::thread::sleep(Duration::from_millis(20));
     drop(latch);
     let (first_end, _) = run.join().unwrap();
-    let begin = checkpoint.join().unwrap();
+    let point = checkpoint.join().unwrap();
+    assert_eq!(inserts(&db) - before, 2, "a checkpoint logged");
     let first = Lsn(first_end.raw() - REC_LEN);
     assert!(
-        begin < first,
-        "checkpoint begin {begin:?} follows the run's first record at {first:?}"
+        point <= first,
+        "truncation point {point:?} passes the run's first record at {first:?}"
     );
     let (recovered, _) = recover_with_stats(db.crash(), opts(CommitProtocol::Baseline)).unwrap();
     assert_eq!((fill(&recovered, 1), fill(&recovered, 2)), (9, 9));
     recovered.log().shutdown();
+    db.log().shutdown();
+}
+
+/// A run waiting for its page latch holds no log reservation, so a commit
+/// on another page is durable meanwhile. A run that latched its pages
+/// after `reserve_run` would hold its range open while it waits: the
+/// commit behind it could not be published (under B and C, not even
+/// reserved) until the latch was dropped.
+#[test]
+fn a_run_waiting_for_its_latch_stalls_no_other_commit() {
+    let device = Arc::new(SimDevice::new(Duration::ZERO));
+    let db = loaded(opts(CommitProtocol::Baseline), device);
+    let other = db.create_table(RECORD, 1);
+    db.load(other, 0, &rec(0, 1)).unwrap();
+    db.flush_pages();
+    let page = db.table(0).unwrap().rid_of(1).unwrap().page_no;
+    let latch = read(db.table(0).unwrap().frame(page));
+    let run = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || {
+            let a = rec(1, 9);
+            let mut out = outcomes();
+            db.update_commit_run(0, &[(1, &a[..])], &mut out).done
+        })
+    };
+    let bound = Instant::now() + Duration::from_secs(5);
+    while db.locks().granted_count() < 1 && Instant::now() < bound {
+        std::thread::yield_now();
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    let (tx, rx) = std::sync::mpsc::channel();
+    let commit = {
+        let db = Arc::clone(&db);
+        std::thread::spawn(move || {
+            let b = rec(0, 7);
+            let mut out = outcomes();
+            let run = db.update_commit_run(other, &[(0, &b[..])], &mut out);
+            let [first, ..] = out;
+            let _ = tx.send((run.done, first.is_ok()));
+        })
+    };
+    let meanwhile = rx.recv_timeout(Duration::from_secs(5));
+    drop(latch);
+    assert_eq!(run.join().unwrap(), 1);
+    commit.join().unwrap();
+    assert_eq!(
+        meanwhile,
+        Ok((1, true)),
+        "a commit on another page waited for the run's latch"
+    );
+    assert_eq!(db.snapshot_read(other, 0).unwrap().unwrap()[8], 7);
     db.log().shutdown();
 }
 

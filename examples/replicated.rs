@@ -4,7 +4,7 @@
 //! A primary bank on a *segmented* log ships its WAL to two replicas over a
 //! simulated 200µs link under `SemiSync(1)`: every acknowledged commit is
 //! durably on at least one replica before the client hears "committed".
-//! Under sustained load, fuzzy checkpoints retire the log prefix and
+//! Under sustained load, checkpoints retire the log prefix and
 //! recycle its segments — the on-disk footprint stays bounded while the
 //! log end races ahead. A **newly attached** third replica then joins from
 //! a checkpoint snapshot (pages + DPT): the historical log it never

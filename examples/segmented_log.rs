@@ -36,7 +36,7 @@ fn main() {
                 .unwrap();
             db.commit(txn).unwrap();
         }
-        // ...then housekeeping: flush pages, fuzzy checkpoint, and retire
+        // ...then housekeeping: flush pages, checkpoint, and retire
         // the log below the published redo low-water mark (one call — the
         // checkpoint daemon runs exactly this cycle on a timer).
         let out = db.checkpoint_and_truncate();

@@ -51,7 +51,7 @@ fn segmented_db(keys: u64) -> (Arc<Db>, Arc<SegmentedDevice>) {
 }
 
 /// Crash at every stage of the checkpoint→truncate cycle — after the page
-/// flush, after the checkpoint record, after the truncation — each with an
+/// flush, after the checkpoint (mark published), after the truncation — each with an
 /// uncommitted transaction in flight. Recovery must (a) keep every
 /// committed value, (b) show none of the open transaction's writes, and
 /// (c) start its scan at the low-water mark, never touching a recycled

@@ -109,9 +109,11 @@ impl LogReader {
             if !self.fill(at, HEADER_SIZE + len)? {
                 return Ok(None);
             }
-            let p = (payload_at - self.base) as usize;
-            let bytes = &self.window[p..p + len];
-            if !header.verify(bytes) {
+            // The fill may have moved the record to the window's front.
+            let h = (at - self.base) as usize;
+            let (hbuf, rest) = self.window[h..].split_first_chunk().expect("a header");
+            let bytes = &rest[..len];
+            if !header.verify_encoded(hbuf, bytes) {
                 return self.mismatch();
             }
             bytes.to_vec()
@@ -119,7 +121,7 @@ impl LogReader {
             // Larger than the window: what it holds, then the rest read
             // straight into the payload.
             let mut payload = vec![0u8; len];
-            let p = (payload_at - self.base) as usize;
+            let p = h + HEADER_SIZE;
             let have = (self.filled - p).min(len);
             payload[..have].copy_from_slice(&self.window[p..p + have]);
             let rest = &mut payload[have..];
@@ -127,7 +129,8 @@ impl LogReader {
             if read_at_least(&*self.device, payload_at + have as u64, rest, want)?.is_none() {
                 return Ok(None);
             }
-            if !header.verify(&payload) {
+            let hbuf = self.window[h..p].try_into().expect("a header");
+            if !header.verify_encoded(hbuf, &payload) {
                 return self.mismatch();
             }
             payload

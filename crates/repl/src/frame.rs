@@ -3,7 +3,7 @@
 //! The shipper cuts the primary's durable log into byte runs and wraps each
 //! in a frame carrying a sequence number (so the receiver can restore order
 //! over a reordering link), the run's start LSN (so a restored stream is
-//! also position-checked), and a CRC32 over header + body (so a corrupted
+//! also position-checked), and a CRC-32C over header + body (so a corrupted
 //! frame is *detected and dropped* rather than appended — the replica's log
 //! then simply stops advancing at the gap, the wire analogue of recovery
 //! stopping at the first torn record).
@@ -85,7 +85,7 @@ pub struct SnapshotFrame {
 
 impl SnapshotFrame {
     /// Serialize: `[magic u32][seq u64][len u32][crc u32]` then the body;
-    /// CRC32 over header (CRC field zeroed) + body, as for [`Frame`].
+    /// CRC-32C over header (CRC field zeroed) + body, as for [`Frame`].
     pub fn encode(&self) -> Vec<u8> {
         frame_encode(SNAPSHOT_MAGIC, &self.seq.to_le_bytes(), &self.body)
     }
@@ -170,6 +170,32 @@ mod tests {
         assert_eq!(f.end_lsn(), Lsn(4096 + 200));
     }
 
+    /// Bitwise CRC-32C (reflected polynomial 0x82F63B78), a bit at a time:
+    /// a reference that shares no code with `aether_core::record`.
+    fn crc32c(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0x82F6_3B78 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    /// `frame` is `golden`, hex with its 4-byte CRC word at byte `crc_at`
+    /// written `xxxxxxxx`, and that word is the reference CRC-32C of the
+    /// frame with the word zeroed.
+    fn assert_golden(frame: &[u8], golden: &str, crc_at: usize) {
+        let word = crc_at..crc_at + 4;
+        let mut zeroed = frame.to_vec();
+        zeroed[word.clone()].fill(0);
+        let crc = crc32c(&zeroed);
+        assert_eq!(frame[word], crc.to_le_bytes(), "the CRC word");
+        let pinned = golden.replace("xxxxxxxx", &hex(&crc.to_le_bytes()));
+        assert_eq!(hex(frame), pinned, "every other byte");
+    }
+
     /// Wire bytes pinned before the codecs moved onto
     /// `aether_core::record::frame_encode`: the layout may not drift.
     #[test]
@@ -179,17 +205,20 @@ mod tests {
             start_lsn: Lsn(4096),
             bytes: b"aether".to_vec(),
         };
-        assert_eq!(
-            hex(&f.encode()),
-            "4ef17eae2a000000000000000010000000000000060000004b7c17e9616574686572"
+        assert_golden(
+            &f.encode(),
+            "4ef17eae2a00000000000000001000000000000006000000\
+             xxxxxxxx616574686572",
+            FRAME_HEADER - 4,
         );
         let s = SnapshotFrame {
             seq: 9,
             body: b"snapshot".to_vec(),
         };
-        assert_eq!(
-            hex(&s.encode()),
-            "ed5e7eae0900000000000000080000001687a531736e617073686f74"
+        assert_golden(
+            &s.encode(),
+            "ed5e7eae090000000000000008000000xxxxxxxx736e617073686f74",
+            SNAPSHOT_HEADER - 4,
         );
     }
 

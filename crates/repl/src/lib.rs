@@ -11,7 +11,7 @@
 //! * [`transport`] — in-process links with injectable latency and
 //!   deterministic reordering (the simulated network). A link's delivery
 //!   thread hands each message to its receiver by calling it.
-//! * [`frame`] — CRC32-framed byte runs and snapshot bootstraps sharing
+//! * [`frame`] — CRC-32C-framed byte runs and snapshot bootstraps sharing
 //!   one sequence space; corrupt messages are dropped, reordered ones
 //!   restored.
 //! * [`shipper`] — tails the primary's durable frontier through

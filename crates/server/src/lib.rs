@@ -3,7 +3,7 @@
 //! Everything below this crate runs in-process; this crate puts Aether on
 //! a socket. The pieces, bottom-up:
 //!
-//! * [`protocol`] — length-prefixed, CRC32-framed request/response
+//! * [`protocol`] — length-prefixed, CRC-32C-framed request/response
 //!   messages (begin / read / update / commit / abort, plus scan and
 //!   ping), following the framing idiom of `aether-repl::frame`. A corrupt
 //!   frame kills the connection; it never kills the server or strands a

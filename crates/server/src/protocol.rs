@@ -1,5 +1,6 @@
-//! The Aether wire protocol: length-prefixed, CRC32-framed request/response
-//! messages, following the framing idiom of `aether-repl::frame`.
+//! The Aether wire protocol: length-prefixed, CRC-32C-framed
+//! request/response messages, following the framing idiom of
+//! `aether-repl::frame`.
 //!
 //! Every message is one frame:
 //!
@@ -7,8 +8,9 @@
 //! [magic u32][req_id u64][opcode u8][len u32][crc u32]  then `len` body bytes
 //! ```
 //!
-//! The CRC32 covers the header (with the CRC field zeroed) and the body, so
-//! a bit flip anywhere — magic, id, opcode, length, payload — is detected.
+//! The CRC-32C covers the header (with the CRC field zeroed) and the body,
+//! so a bit flip anywhere — magic, id, opcode, length, payload — is
+//! detected.
 //! Unlike the replication stream, the serving protocol cannot resynchronize
 //! after a bad frame (the length prefix it would need to skip is itself
 //! untrusted), so a corrupt frame is *fatal to the connection*: the server
@@ -112,7 +114,7 @@ pub enum Response {
     ScanDone {
         /// Rows found present.
         found: u32,
-        /// XOR-fold of a CRC32 per present row (order-independent).
+        /// XOR-fold of a CRC-32C per present row (order-independent).
         checksum: u64,
     },
     /// In-transaction update applied (not yet durable — that is `Commit`'s
@@ -629,25 +631,54 @@ mod tests {
         ]
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Bitwise CRC-32C (reflected polynomial 0x82F63B78), a bit at a time:
+    /// a reference that shares no code with `aether_core::record`.
+    fn crc32c(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0x82F6_3B78 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    /// `frame` is `golden`, hex with its CRC word (the header's last 4
+    /// bytes) written `xxxxxxxx`, and that word is the reference CRC-32C of
+    /// the frame with the word zeroed.
+    fn assert_golden(frame: &[u8], golden: &str) {
+        let word = WIRE_HEADER - 4..WIRE_HEADER;
+        let mut zeroed = frame.to_vec();
+        zeroed[word.clone()].fill(0);
+        let crc = crc32c(&zeroed);
+        assert_eq!(frame[word], crc.to_le_bytes(), "the CRC word");
+        let pinned = golden.replace("xxxxxxxx", &hex(&crc.to_le_bytes()));
+        assert_eq!(hex(frame), pinned, "every other byte");
+    }
+
     /// Wire bytes pinned before the codec moved onto
     /// `aether_core::record::frame_encode`: the layout may not drift.
     #[test]
     fn golden_frames() {
-        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
         let req = Request::Update {
             txn: 0,
             table: 2,
             key: 5,
             value: vec![1, 2, 3, 4],
         };
-        assert_eq!(
-            hex(&req.encode(7)),
-            "110c7eae07000000000000000418000000b5f2c91c\
-             000000000000000002000000050000000000000001020304"
+        assert_golden(
+            &req.encode(7),
+            "110c7eae07000000000000000418000000xxxxxxxx\
+             000000000000000002000000050000000000000001020304",
         );
-        assert_eq!(
-            hex(&Response::Committed { token: 512 }.encode(7)),
-            "220c7eae070000000000000085080000000f773ffd0002000000000000"
+        assert_golden(
+            &Response::Committed { token: 512 }.encode(7),
+            "220c7eae07000000000000008508000000xxxxxxxx0002000000000000",
         );
     }
 

@@ -33,6 +33,17 @@ fn value(db: &Db, key: u64) -> u8 {
     db.snapshot_read(0, key).unwrap().unwrap()[8]
 }
 
+/// Releases the device's held syncs when dropped. Made after the `Db`, it
+/// drops first, so a failed assertion unwinds past the flushers the hold
+/// keeps waiting and the test fails instead of hanging.
+struct ReleaseOnDrop(Arc<FaultDevice>);
+
+impl Drop for ReleaseOnDrop {
+    fn drop(&mut self) {
+        self.0.release();
+    }
+}
+
 #[test]
 fn every_prefix_of_the_in_flight_groups_recovers() {
     let device = Arc::new(FaultDevice::new(
@@ -57,6 +68,7 @@ fn every_prefix_of_the_in_flight_groups_recovers() {
     }
     assert_eq!(device.unsynced_len(), 0, "an acked commit is synced");
     // One commit per flusher, each group written and its sync held.
+    let _release = ReleaseOnDrop(device.clone());
     device.arm(DeviceFault::HoldSync(None));
     let synced = device.len();
     let mut ends = vec![synced];
@@ -91,5 +103,4 @@ fn every_prefix_of_the_in_flight_groups_recovers() {
             "crash at {end}: recovery is not a fixed point"
         );
     }
-    device.release();
 }
